@@ -24,7 +24,7 @@ import pytest
 
 from repro.analysis.paperdata import PROTOCOL_TABLES, PaperCell
 from repro.analysis import TABLE_NUMBERS
-from repro.core import FIRST_TIME, REVALIDATE, TABLE_MODES
+from repro.core import FIRST_TIME, REVALIDATE, modes_for_environment
 from repro.core.runner import AveragedResult
 from repro.matrix import ExperimentSpec, MatrixRunner, run_unit
 
@@ -38,7 +38,8 @@ Cells = Dict[Tuple[str, str], AveragedResult]
 def run_protocol_table(server_name: str, environment_name: str) -> Cells:
     """Run every (mode, scenario) cell of one table with one seed."""
     keys = [(mode.name, scenario)
-            for mode in TABLE_MODES[environment_name]
+            for mode in modes_for_environment(environment_name,
+                                              paper_only=True)
             for scenario in (FIRST_TIME, REVALIDATE)]
     specs = [ExperimentSpec(mode=mode_name, scenario=scenario,
                             environment=environment_name,

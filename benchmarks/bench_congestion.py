@@ -24,7 +24,7 @@ QUEUE_PACKETS = 10
 
 
 def run_with_bottleneck(mode, seed=0, queue=QUEUE_PACKETS):
-    original = runner_mod.TwoHostNetwork
+    original = runner_mod.Network
     created = []
 
     def patched(*args, **kwargs):
@@ -33,12 +33,12 @@ def run_with_bottleneck(mode, seed=0, queue=QUEUE_PACKETS):
         created.append(net)
         return net
 
-    runner_mod.TwoHostNetwork = patched
+    runner_mod.Network = patched
     try:
         result = run_experiment(mode, FIRST_TIME, environment=WAN,
                                 profile=APACHE, seed=seed)
     finally:
-        runner_mod.TwoHostNetwork = original
+        runner_mod.Network = original
     return result, created[0].link.segments_dropped
 
 

@@ -22,21 +22,20 @@ LOSS = 0.02
 def run_lossy(mode, seed=0, loss=LOSS):
     # run_experiment builds the network; inject loss through a wrapper.
     from repro.core import runner as runner_mod
-    from repro.simnet.network import TwoHostNetwork
 
-    original = runner_mod.TwoHostNetwork
+    original = runner_mod.Network
 
     def lossy_network(*args, **kwargs):
         net = original(*args, **kwargs)
         net.link.loss_rate = loss
         return net
 
-    runner_mod.TwoHostNetwork = lossy_network
+    runner_mod.Network = lossy_network
     try:
         return run_experiment(mode, FIRST_TIME, environment=WAN,
                               profile=APACHE, seed=seed)
     finally:
-        runner_mod.TwoHostNetwork = original
+        runner_mod.Network = original
 
 
 @pytest.fixture(scope="module")

@@ -10,8 +10,9 @@ profile.
 
 import pytest
 
-from repro.core import (ALL_MODES, FIRST_TIME, HTTP10_MODE,
-                        HTTP11_PIPELINED, REVALIDATE, run_experiment)
+from repro.core import (FIRST_TIME, HTTP10_MODE, HTTP11_PIPELINED,
+                        REVALIDATE, modes_for_environment,
+                        run_experiment)
 from repro.server import APACHE
 from repro.simnet import LAN
 
@@ -19,7 +20,7 @@ from repro.simnet import LAN
 @pytest.fixture(scope="module")
 def cells():
     out = {}
-    for mode in ALL_MODES:
+    for mode in modes_for_environment(LAN, paper_only=True):
         for scenario in (FIRST_TIME, REVALIDATE):
             out[(mode.name, scenario)] = run_experiment(
                 mode, scenario, environment=LAN, profile=APACHE, seed=0)

@@ -22,7 +22,7 @@ def run_with_initial_cwnd(mode, segments, seed=0):
     """Run with a patched *server* initial congestion window (the
     server sends the bulk data, so its window is the one slow start
     gates)."""
-    original = runner_mod.TwoHostNetwork
+    original = runner_mod.Network
 
     def patched(environment, **kwargs):
         kwargs["server_config"] = TcpConfig(
@@ -30,12 +30,12 @@ def run_with_initial_cwnd(mode, segments, seed=0):
             delack_delay=0.050)
         return original(environment, **kwargs)
 
-    runner_mod.TwoHostNetwork = patched
+    runner_mod.Network = patched
     try:
         return run_experiment(mode, FIRST_TIME, environment=WAN,
                               profile=APACHE, seed=seed)
     finally:
-        runner_mod.TwoHostNetwork = original
+        runner_mod.Network = original
 
 
 @pytest.fixture(scope="module")

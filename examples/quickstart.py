@@ -9,7 +9,7 @@ Sec / %ov table that corresponds to the paper's Table 7.
 Run:  python examples/quickstart.py
 """
 
-from repro.core import (ALL_MODES, FIRST_TIME, REVALIDATE,
+from repro.core import (FIRST_TIME, REVALIDATE, modes_for_environment,
                         run_experiment)
 from repro.server import APACHE
 from repro.simnet import WAN
@@ -23,7 +23,7 @@ def main() -> None:
               f"{'bytes':>9s} {'seconds':>8s} {'%ov':>5s}")
     print(header)
     print("-" * len(header))
-    for mode in ALL_MODES:
+    for mode in modes_for_environment(WAN, paper_only=True):
         for scenario in (FIRST_TIME, REVALIDATE):
             result = run_experiment(mode, scenario, environment=WAN,
                                     profile=APACHE, seed=0)

@@ -137,49 +137,14 @@ print(f"harness-chaos smoke: recovered from worker kill in "
       f"{stats.unit_retries} retries)")
 EOF
 
-# Fast-path identity smoke: the flow-level fast-forward driver must be
-# byte-invisible.  One full-stack HTTP cell guards the decline path
-# (request/response traffic sits below the profitability threshold),
-# then bulk transfers on a clean WAN link and on PPP behind the
-# compressing modem must both engage the driver and match per-segment
-# execution exactly (a silent fallback would make that half vacuous).
-python - <<'EOF'
-from repro.core.runner import run_experiment
-from repro.simnet.link import ENVIRONMENTS
-from repro.simnet.network import SERVER_HOST, TwoHostNetwork
-
-kw = dict(environment="WAN", profile="Apache", seed=0, keep_trace=True)
-fast = run_experiment("HTTP/1.1 Pipelined", "first-time",
-                      fastpath=True, **kw)
-slow = run_experiment("HTTP/1.1 Pipelined", "first-time",
-                      fastpath=False, **kw)
-if fast.trace_lines != slow.trace_lines:
-    raise SystemExit("check.sh: fast path not byte-identical on "
-                     "HTTP/1.1 Pipelined | WAN")
-
-def bulk(environment, fastpath, modem):
-    net = TwoHostNetwork(ENVIRONMENTS[environment], seed=0, jitter=0.02,
-                         fastpath=fastpath, modem_compression=modem)
-    body = (bytes(range(256)) * 1025)[:256 * 1024]
-
-    def on_accept(conn):
-        conn.on_connect = lambda c: c.send(body, close=True)
-
-    net.server.listen(80, on_accept)
-    net.client.connect(SERVER_HOST, 80)
-    net.run()
-    return net
-
-for environment, modem in (("WAN", None), ("PPP", True)):
-    fast_net = bulk(environment, True, modem)
-    slow_net = bulk(environment, False, modem)
-    if fast_net.trace.records != slow_net.trace.records:
-        raise SystemExit(f"check.sh: fast path not byte-identical on "
-                         f"bulk | {environment}")
-    if fast_net.sim.perf.fastforward_spans == 0:
-        raise SystemExit(f"check.sh: fast path never engaged on "
-                         f"bulk | {environment}")
-EOF
+# Fast-path identity — the fast-forward driver must be byte-invisible —
+# needs no smoke here: the pytest run above (full and FAST=1 alike)
+# includes tests/simnet/test_fastforward.py, which asserts it for a
+# full-stack HTTP cell on the decline path
+# (test_http_pipelined_run_byte_identical) and for bulk transfers that
+# must engage the driver on a clean WAN link and on PPP behind the
+# compressing modem (test_wan_bulk_byte_identical_and_engages,
+# test_ppp_bulk_byte_identical_with_modem_compression).
 
 # Benchmark smoke: one repetition per cell into a throwaway file, then
 # validate the emitted JSON against the schema the repo's tooling reads

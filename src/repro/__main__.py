@@ -34,15 +34,16 @@ Commands
     ``--sanitize-traces``) replay captured traces through the TCP
     protocol sanitizer.
 
-``table``, ``modem`` and ``report`` accept ``--jobs N`` (parallel
-worker processes), ``--cache`` (reuse results from ``.repro-cache/``)
-and ``--cache-dir PATH``; these plus ``run`` and ``bench`` accept
-``--no-artifact-cache`` (disable the content-addressed encode memo
-under ``.repro-cache/artifacts/``).  ``bench --matrix`` times a
-24-cell grid cold vs. warm through the persistent worker pool;
-``bench --fleet`` times the 1000-user population workload.
+``table``, ``modem``, ``report`` and ``fleet`` accept ``--jobs N``
+(parallel worker processes), ``--cache`` (reuse results from
+``.repro-cache/``) and ``--cache-dir PATH``; the first three plus
+``run`` and ``bench`` accept ``--no-artifact-cache`` (disable the
+content-addressed encode memo under ``.repro-cache/artifacts/``).
+``bench --matrix`` times a 24-cell grid cold vs. warm through the
+persistent worker pool; ``bench --fleet`` times the 1000-user
+population workload.
 
-Supervised execution (``table`` / ``modem`` / ``report``):
+Supervised execution (``table`` / ``modem`` / ``report`` / ``fleet``):
 ``--retry-budget N`` caps per-unit re-dispatches after a failure,
 ``--unit-deadline S`` bounds a unit's wall-clock time in a worker, and
 ``--journal`` records every resolved unit into a crash-safe run
@@ -67,22 +68,8 @@ from .analysis import (generate_experiments_report,
                        reproduce_modem_experiment,
                        reproduce_protocol_table, reproduce_table3)
 from .core import TABLE_CELLS, UnknownNameError, run_experiment
-from .matrix import (DEFAULT_RETRY_BUDGET, CellEvent, MatrixRunner,
-                     ResultCache)
-
-
-def _print_progress(event: CellEvent) -> None:
-    if event.status == "hit":
-        tag = "cache"
-    elif event.status == "failed":
-        tag = f"FAIL attempt {event.attempt}"
-    elif event.status == "retried":
-        tag = f"retry attempt {event.attempt}"
-    else:
-        tag = f"{event.wall_time:5.2f}s"
-    print(f"  [{event.completed}/{event.total}] {event.label} "
-          f"seed={event.seed} ({tag})", file=sys.stderr)
-
+from .matrix import MatrixRunner
+from .matrix.cli import add_runner_flags, make_runner
 
 #: Flags that do not change *what* is computed, excluded from derived
 #: journal run ids so re-invocations with different machinery (jobs,
@@ -104,52 +91,11 @@ def _journal_run_id(args: argparse.Namespace) -> str:
 
 
 def _make_runner(args: argparse.Namespace) -> MatrixRunner:
-    """Build the MatrixRunner the parallel/cache/robustness flags ask."""
-    cache = None
-    if getattr(args, "cache", False) or args.cache_dir is not None:
-        cache = ResultCache(args.cache_dir) if args.cache_dir \
-            else ResultCache()
-    progress = _print_progress if getattr(args, "progress", False) \
-        else None
-    journal = None
-    resume = getattr(args, "resume", None)
-    if resume or getattr(args, "journal", False):
-        from .matrix import RunJournal
-        journal = RunJournal(resume or _journal_run_id(args))
-        print(f"journal: {journal.run_id}", file=sys.stderr)
-    return MatrixRunner(
-        jobs=args.jobs, cache=cache, progress=progress, journal=journal,
-        retry_budget=getattr(args, "retry_budget",
-                             DEFAULT_RETRY_BUDGET),
-        unit_deadline=getattr(args, "unit_deadline", None))
+    return make_runner(args, _journal_run_id(args))
 
 
 def _add_matrix_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes (0 = one per CPU)")
-    parser.add_argument("--cache", action="store_true",
-                        help="reuse cached results (.repro-cache/)")
-    parser.add_argument("--cache-dir", default=None, metavar="PATH",
-                        help="cache directory (implies --cache)")
-    parser.add_argument("--progress", action="store_true",
-                        help="print per-cell progress to stderr")
-    parser.add_argument("--retry-budget", type=int,
-                        default=DEFAULT_RETRY_BUDGET, metavar="N",
-                        help="parallel re-dispatches allowed per "
-                             "failing unit before downgrade/quarantine "
-                             f"(default {DEFAULT_RETRY_BUDGET})")
-    parser.add_argument("--unit-deadline", type=float, default=None,
-                        metavar="SECONDS",
-                        help="wall-clock budget per unit in a worker "
-                             "(default: derived from the cell's "
-                             "max_sim_time)")
-    parser.add_argument("--journal", action="store_true",
-                        help="record resolved units into a crash-safe "
-                             "run journal (.repro-cache/runs/)")
-    parser.add_argument("--resume", default=None, metavar="RUN_ID",
-                        help="resume a journaled run: replay recorded "
-                             "units byte-identically, simulate only "
-                             "the rest (implies --journal)")
+    add_runner_flags(parser)
     _add_artifact_flag(parser)
 
 
@@ -242,62 +188,50 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                        validate_bench_payload)
     if args.fleet:
         payload = run_fleet_benchmark(args.output, jobs=args.jobs)
-        problems = validate_bench_payload(payload)
-        if problems:
-            for problem in problems:
-                print(f"bench schema problem: {problem}", file=sys.stderr)
-            return 1
+    elif args.fastpath:
+        payload = run_fastpath_benchmark(
+            args.output, repeats=args.repeats or 3)
+    elif args.matrix:
+        payload = run_matrix_benchmark(args.output, jobs=args.jobs)
+    else:
+        payload = run_benchmark(args.output, quick=args.quick,
+                                repeats=args.repeats)
+    problems = validate_bench_payload(payload)
+    if problems:
+        for problem in problems:
+            print(f"bench schema problem: {problem}", file=sys.stderr)
+        return 1
+    if args.fleet:
         fleet = payload["fleet"]
         print(f"wrote {args.output}: fleet {fleet['users']} users in "
               f"{fleet['wall_time']:.1f} s "
               f"({fleet['users_per_minute']:.0f} users/min, "
               f"p99 {fleet['p99']:.2f} s, "
               f"{fleet['pages_completed']} pages)")
-        return 0
-    if args.fastpath:
-        payload = run_fastpath_benchmark(
-            args.output, repeats=args.repeats or 3)
-        problems = validate_bench_payload(payload)
-        if problems:
-            for problem in problems:
-                print(f"bench schema problem: {problem}", file=sys.stderr)
-            return 1
+    elif args.fastpath:
         cells = payload["fastpath"]["cells"]
         speedups = sorted(entry["speedup_fastpath"]
                           for entry in cells.values())
         print(f"wrote {args.output}: {len(cells)} fast-path cells, "
               f"speedup {speedups[0]:.2f}x..{speedups[-1]:.2f}x, "
               f"traces byte-identical")
-        return 0
-    if args.matrix:
-        payload = run_matrix_benchmark(args.output, jobs=args.jobs)
-        problems = validate_bench_payload(payload)
-        if problems:
-            for problem in problems:
-                print(f"bench schema problem: {problem}", file=sys.stderr)
-            return 1
+    elif args.matrix:
         matrix = payload["matrix"]
         print(f"wrote {args.output}: {matrix['cells']}-cell matrix, "
               f"cold {matrix['cold_wall_time']:.2f} s, warm "
               f"{matrix['warm_wall_time']:.2f} s "
               f"({matrix['speedup_warm_vs_cold']:.2f}x)")
-        return 0
-    payload = run_benchmark(args.output, quick=args.quick,
-                            repeats=args.repeats)
-    problems = validate_bench_payload(payload)
-    if problems:
-        for problem in problems:
-            print(f"bench schema problem: {problem}", file=sys.stderr)
-        return 1
-    cells = payload["current"]["cells"]
-    speedups = [entry["speedup_vs_baseline"] for entry in cells.values()
-                if "speedup_vs_baseline" in entry]
-    if speedups:
-        print(f"wrote {args.output}: {len(cells)} cells, speedup vs "
-              f"baseline {min(speedups):.2f}x..{max(speedups):.2f}x")
     else:
-        print(f"wrote {args.output}: {len(cells)} cells "
-              f"(baseline recorded)")
+        cells = payload["current"]["cells"]
+        speedups = [entry["speedup_vs_baseline"]
+                    for entry in cells.values()
+                    if "speedup_vs_baseline" in entry]
+        if speedups:
+            print(f"wrote {args.output}: {len(cells)} cells, speedup vs "
+                  f"baseline {min(speedups):.2f}x..{max(speedups):.2f}x")
+        else:
+            print(f"wrote {args.output}: {len(cells)} cells "
+                  f"(baseline recorded)")
     return 0
 
 

@@ -16,13 +16,13 @@ the single name table shared with the CLI and :mod:`repro.matrix`);
 """
 
 from .browsers import BROWSERS, BrowserProfile, IE_40B1, NETSCAPE_40B5
-from .modes import (ALL_MODES, HTTP10_MODE, HTTP11_PERSISTENT,
-                    HTTP11_PIPELINED, HTTP11_PIPELINED_COMPRESSED,
-                    ProtocolMode, TABLE_MODES,
+from .modes import (HTTP10_MODE, HTTP11_PERSISTENT, HTTP11_PIPELINED,
+                    HTTP11_PIPELINED_COMPRESSED, ProtocolMode,
                     initial_tuning_client_config)
 from .registry import (MODE_ALIASES, MODES, PROFILES, TABLE_CELLS,
-                       UnknownNameError, resolve_environment, resolve_mode,
-                       resolve_profile, resolve_scenario)
+                       UnknownNameError, modes_for_environment,
+                       resolve_environment, resolve_mode, resolve_profile,
+                       resolve_scenario)
 from .render import GIF_DIMENSION_BYTES, RenderMetrics, measure_render
 from .runner import (AveragedResult, ExperimentError, RunResult,
                      reset_default_site, run_experiment, run_repeated,
@@ -31,11 +31,11 @@ from .scenarios import FIRST_TIME, REVALIDATE, SCENARIOS, prefill_cache
 
 __all__ = [
     "MODE_ALIASES", "MODES", "PROFILES", "TABLE_CELLS",
-    "UnknownNameError", "resolve_environment", "resolve_mode",
-    "resolve_profile", "resolve_scenario",
+    "UnknownNameError", "modes_for_environment", "resolve_environment",
+    "resolve_mode", "resolve_profile", "resolve_scenario",
     "BROWSERS", "BrowserProfile", "IE_40B1", "NETSCAPE_40B5",
-    "ALL_MODES", "HTTP10_MODE", "HTTP11_PERSISTENT", "HTTP11_PIPELINED",
-    "HTTP11_PIPELINED_COMPRESSED", "ProtocolMode", "TABLE_MODES",
+    "HTTP10_MODE", "HTTP11_PERSISTENT", "HTTP11_PIPELINED",
+    "HTTP11_PIPELINED_COMPRESSED", "ProtocolMode",
     "initial_tuning_client_config",
     "GIF_DIMENSION_BYTES", "RenderMetrics", "measure_render",
     "AveragedResult", "ExperimentError", "RunResult", "run_experiment",

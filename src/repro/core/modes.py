@@ -28,7 +28,6 @@ the same way.
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from typing import Optional, Tuple
 
 from ..client.robot import ClientConfig
@@ -39,11 +38,8 @@ from .registry import register_mode
 
 __all__ = ["ProtocolMode", "ModeTuning", "HTTP10_MODE", "HTTP11_PERSISTENT",
            "HTTP11_PIPELINED", "HTTP11_PIPELINED_COMPRESSED", "HTTP_MUX",
-           "HTTP_MUX_PUSH", "HTTP11_SHARDED", "ALL_MODES", "MODERN_MODES",
-           "TABLE_MODES", "initial_tuning_client_config"]
-
-#: Sentinel distinguishing "not passed" from an explicit None.
-_UNSET = object()
+           "HTTP_MUX_PUSH", "HTTP11_SHARDED", "MODERN_MODES",
+           "initial_tuning_client_config"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -65,29 +61,9 @@ class ProtocolMode:
                        else Http11Transport())
             object.__setattr__(self, "transport", default)
 
-    def client_config(self, *, tuning: Optional[ModeTuning] = None,
-                      flush_timeout=_UNSET, explicit_flush=_UNSET,
-                      output_buffer_size=_UNSET) -> ClientConfig:
-        """Materialize the mode as a client configuration.
-
-        Tuning knobs travel as one :class:`ModeTuning`; the three old
-        loose keywords still work behind a deprecation shim.
-        """
-        legacy = {name: value for name, value in (
-            ("flush_timeout", flush_timeout),
-            ("explicit_flush", explicit_flush),
-            ("output_buffer_size", output_buffer_size),
-        ) if value is not _UNSET}
-        if legacy:
-            if tuning is not None:
-                raise TypeError("pass either tuning= or the legacy "
-                                "keywords, not both")
-            warnings.warn(
-                "client_config(flush_timeout=..., explicit_flush=..., "
-                "output_buffer_size=...) is deprecated; pass "
-                "tuning=ModeTuning(...) instead", DeprecationWarning,
-                stacklevel=2)
-            tuning = ModeTuning(**legacy)
+    def client_config(self, *,
+                      tuning: Optional[ModeTuning] = None) -> ClientConfig:
+        """Materialize the mode as a client configuration."""
         return self.transport.client_config(self, tuning or ModeTuning())
 
 
@@ -149,11 +125,6 @@ HTTP11_SHARDED = ProtocolMode(
     "HTTP/1.1 Sharded x4", HTTP11, parallel_connections=8,
     transport=ShardedTransport(shards=4, connections_per_shard=2))
 
-#: Deprecated alias: the four rows of Tables 4–7 as a literal tuple.
-#: New code should call ``registry.modes_for_environment(env)``.
-ALL_MODES = (HTTP10_MODE, HTTP11_PERSISTENT, HTTP11_PIPELINED,
-             HTTP11_PIPELINED_COMPRESSED)
-
 #: The post-paper modes (ROADMAP item 1).
 MODERN_MODES = (HTTP_MUX, HTTP_MUX_PUSH, HTTP11_SHARDED)
 
@@ -171,37 +142,3 @@ register_mode(HTTP_MUX, aliases=("mux", "http/mux", "h2", "multiplexed"))
 register_mode(HTTP_MUX_PUSH, aliases=("mux-push", "push"))
 register_mode(HTTP11_SHARDED, aliases=("sharded", "sharded-x4"))
 
-
-class _TableModesAlias:
-    """Deprecated mapping façade over ``modes_for_environment``.
-
-    Kept so ``TABLE_MODES["PPP"]`` and friends keep answering with the
-    paper's table rows while the registry owns the truth.
-    """
-
-    _ENVIRONMENTS = ("LAN", "WAN", "PPP")
-
-    def __getitem__(self, environment: str) -> Tuple[ProtocolMode, ...]:
-        from .registry import modes_for_environment
-        return modes_for_environment(environment, paper_only=True)
-
-    def __iter__(self):
-        return iter(self._ENVIRONMENTS)
-
-    def __len__(self) -> int:
-        return len(self._ENVIRONMENTS)
-
-    def __contains__(self, environment: object) -> bool:
-        return environment in self._ENVIRONMENTS
-
-    def keys(self):
-        return self._ENVIRONMENTS
-
-    def items(self):
-        return [(env, self[env]) for env in self._ENVIRONMENTS]
-
-
-#: Deprecated alias: rows of the paper's tables by environment (the
-#: paper did not run HTTP/1.0 on PPP).  Use
-#: ``registry.modes_for_environment(env, paper_only=True)``.
-TABLE_MODES = _TableModesAlias()

@@ -132,7 +132,7 @@ def modes_for_environment(environment: Union[str, NetworkEnvironment], *,
 
     With ``paper_only`` the answer is restricted to the rows of the
     paper's tables for that environment (Tables 8–9 omit HTTP/1.0 on
-    PPP) — what the deprecated ``TABLE_MODES`` alias serves.
+    PPP).
     """
     env = resolve_environment(environment).name
     selected = []

@@ -26,15 +26,11 @@ import dataclasses
 from typing import Dict, Optional
 
 from ..client.robot import (ClientConfig, FIRST_TIME, Robot, TAIL_MARKER)
-from ..content.microscape import MicroscapeSite, build_microscape_site
-from ..http import MemoryCache
-from ..server.base import SimHttpServer
+from ..content.microscape import MicroscapeSite
 from ..server.profiles import ServerProfile
-from ..server.static import ResourceStore
 from ..simnet.link import NetworkEnvironment
-from ..simnet.network import SERVER_HOST, TwoHostNetwork
-from ..simnet.tcp import TcpConfig
-from .runner import _default_site_and_store
+from .runner import Testbed
+from .transport import Transport
 
 __all__ = ["RenderMetrics", "measure_render", "GIF_DIMENSION_BYTES"]
 
@@ -60,14 +56,17 @@ class RenderMetrics:
 class _RenderObserver:
     """Builds a :class:`RenderMetrics` from robot instrumentation."""
 
-    def __init__(self, site: MicroscapeSite, robot: Robot) -> None:
+    def __init__(self, site: MicroscapeSite) -> None:
         self.site = site
-        self.robot = robot
+        self.robot: Optional[Robot] = None
         self.metrics = RenderMetrics(
             images_expected=len(site.embedded_urls()))
         self._dims_known: Dict[str, bool] = {}
         self._complete: Dict[str, bool] = {}
         self._image_urls = set(site.embedded_urls())
+
+    def attach(self, robot: Robot) -> None:
+        self.robot = robot
         robot.on_body_progress = self._progress
         robot.on_response = self._response
 
@@ -135,19 +134,13 @@ def measure_render(config: ClientConfig,
                    site: Optional[MicroscapeSite] = None,
                    seed: int = 0, jitter: float = 0.0) -> RenderMetrics:
     """Run a first-time retrieval and report its rendering timeline."""
-    if site is None:
-        site, store = _default_site_and_store()
-    else:
-        store = ResourceStore.from_site(site)
-    server_tcp = TcpConfig(mss=environment.mss, delack_delay=0.050)
-    net = TwoHostNetwork(environment, seed=seed, jitter=jitter,
-                         server_config=server_tcp)
-    server = SimHttpServer(net.sim, net.server, store, profile)
-    robot = Robot(net.sim, net.client, SERVER_HOST, server.port, config,
-                  MemoryCache())
-    observer = _RenderObserver(site, robot)
-    result = robot.fetch(site.html_url, FIRST_TIME)
-    net.run()
+    transport = Transport()
+    testbed = Testbed(environment, profile, transport, site=site,
+                      seed=seed, jitter=jitter)
+    observer = _RenderObserver(testbed.site)
+    result = testbed.fetch_page(transport, config, FIRST_TIME,
+                                attach=observer.attach)
+    testbed.net.run()
     if not result.complete:
         raise RuntimeError(f"render run incomplete: {result.errors}")
     observer.metrics.verified = observer.verify()

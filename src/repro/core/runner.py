@@ -1,10 +1,13 @@
 """The experiment runner: one fetch of Microscape, fully measured.
 
-Wires a :class:`~repro.client.robot.Robot` and a
-:class:`~repro.server.base.SimHttpServer` across a
-:class:`~repro.simnet.network.TwoHostNetwork`, runs the simulation to
+:class:`Testbed` is the one session assembly: the site and its resource
+store, a :class:`~repro.simnet.network.Network` whose server host runs
+the paper's Solaris stack, the protocol mode's listener(s), and one
+robot per page fetched.  :func:`run_experiment` runs one robot on it to
 quiescence, verifies the transfer was correct, and reduces the packet
-trace to the paper's Pa / Bytes / Sec / %ov columns.
+trace to the paper's Pa / Bytes / Sec / %ov columns;
+:func:`~repro.core.render.measure_render` and a fleet cohort
+(:func:`~repro.fleet.engine.run_cohort`) drive the same assembly.
 :func:`run_repeated` averages five seeded runs, as every number in
 Tables 3–11 is.
 """
@@ -16,9 +19,10 @@ import hashlib
 import math
 import statistics
 import traceback
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, List, Optional, Sequence, Tuple,
+                    Union)
 
-from ..client.robot import ClientConfig, FetchResult
+from ..client.robot import ClientConfig, FetchResult, Robot
 from ..faults import (FaultInjector, FaultPlan, FaultyProfile, RecoveryLog,
                       resolve_fault_plan)
 from ..perf import PerfCounters
@@ -27,16 +31,17 @@ from ..http import MemoryCache
 from ..server.profiles import ServerProfile
 from ..server.static import ResourceStore
 from ..simnet.link import NetworkEnvironment
-from ..simnet.network import SERVER_HOST, TwoHostNetwork
-from ..simnet.tcp import TcpConfig
+from ..simnet.network import SERVER_HOST, Network
+from ..simnet.tcp import TcpConfig, TcpStack
 from ..simnet.trace import TraceSummary
-from .modes import ModeTuning, ProtocolMode
+from .modes import ProtocolMode
 from .registry import (resolve_environment, resolve_mode, resolve_profile,
                        resolve_scenario)
 from .scenarios import FIRST_TIME, REVALIDATE, prefill_cache
+from .transport import Transport
 
 __all__ = ["RunResult", "AveragedResult", "ExperimentError",
-           "UnitFailure", "run_experiment", "run_repeated",
+           "UnitFailure", "Testbed", "run_experiment", "run_repeated",
            "warm_default_site", "reset_default_site", "nearest_rank"]
 
 
@@ -315,6 +320,82 @@ def reset_default_site() -> None:
     build_microscape_site.cache_clear()
 
 
+class Testbed:
+    """The one session assembly: a site served across one network.
+
+    Parameters
+    ----------
+    environment, profile:
+        The (resolved) network environment and server profile.
+    transport:
+        The :class:`~repro.core.transport.Transport` whose listener(s)
+        the server host starts.
+    site, store:
+        A custom site and (optionally) its prebuilt
+        :class:`ResourceStore`; by default the memoized Microscape site
+        and store.
+    server_capacity:
+        The listeners' accept-gate capacity (``None`` = unbounded).
+    seed, jitter, fastpath, network_options:
+        Passed to :class:`~repro.simnet.network.Network`
+        (``network_options``: a cohort's ``client_hosts`` and capacity
+        schedule).
+    """
+
+    __slots__ = ("net", "site", "store", "profile", "servers")
+
+    def __init__(self, environment: NetworkEnvironment,
+                 profile: ServerProfile, transport: Transport, *,
+                 site: Optional[MicroscapeSite] = None,
+                 store: Optional[ResourceStore] = None,
+                 seed: int = 0, jitter: float = 0.0,
+                 fastpath: bool = True,
+                 server_capacity: Optional[int] = None,
+                 **network_options) -> None:
+        if site is None:
+            site, default_store = _default_site_and_store()
+            store = store or default_store
+        elif store is None:
+            store = ResourceStore.from_site(site)
+        self.site = site
+        self.store = store
+        self.profile = profile
+        # The server host ran Solaris 2.5, whose delayed-ACK timer is
+        # 50 ms (the clients were BSD-derived 200 ms stacks).
+        self.net = Network(
+            environment, seed=seed, jitter=jitter, fastpath=fastpath,
+            server_config=TcpConfig(mss=environment.mss,
+                                    delack_delay=0.050),
+            **network_options)
+        self.servers = transport.start_servers(
+            self.net.sim, self.net.server, store, profile,
+            max_concurrent=server_capacity)
+
+    def fetch_page(self, transport: Transport, config: ClientConfig,
+                   scenario: str, *, stack: Optional[TcpStack] = None,
+                   attach: Optional[Callable[[Robot], None]] = None
+                   ) -> FetchResult:
+        """Start one robot on the site's page; returns its live result.
+
+        The per-page client step: a fresh cache (pre-filled with the
+        server's validators for a revalidation), the transport's client
+        on ``stack`` (default: the first client host) talking to the
+        primary listener, ``attach(robot)`` for callers that hook
+        instrumentation in before the first segment leaves, then the
+        fetch.  The caller runs the simulator.
+        """
+        cache = MemoryCache()
+        if scenario == REVALIDATE:
+            prefill_cache(cache, self.store, self.site, self.profile)
+        robot = transport.create_client(
+            self.net.sim, stack or self.net.client, SERVER_HOST,
+            self.servers[0].port, config, cache)
+        if attach is not None:
+            attach(robot)
+        known = self.site.all_urls() if scenario == REVALIDATE else None
+        return robot.fetch(self.site.html_url, scenario, known_urls=known)
+
+
 def run_experiment(mode: Union[str, ProtocolMode],
                    scenario: str, *,
                    environment: Union[str, NetworkEnvironment],
@@ -323,8 +404,6 @@ def run_experiment(mode: Union[str, ProtocolMode],
                    store: Optional[ResourceStore] = None,
                    seed: int = 0, jitter: float = DEFAULT_JITTER,
                    client_config: Optional[ClientConfig] = None,
-                   flush_timeout: Optional[float] = 0.05,
-                   explicit_flush: bool = True,
                    verify: bool = True,
                    keep_trace: bool = False,
                    sanitize: bool = False,
@@ -368,17 +447,7 @@ def run_experiment(mode: Union[str, ProtocolMode],
     scenario = resolve_scenario(scenario)
     environment = resolve_environment(environment)
     profile = resolve_profile(profile)
-    if site is None:
-        site, default_store = _default_site_and_store()
-        store = store or default_store
-    elif store is None:
-        store = ResourceStore.from_site(site)
-    # The server host ran Solaris 2.5, whose delayed-ACK timer is 50 ms
-    # (the clients were BSD-derived 200 ms stacks).
-    server_tcp = TcpConfig(mss=environment.mss, delack_delay=0.050)
-    config = client_config or mode.client_config(
-        tuning=ModeTuning(flush_timeout=flush_timeout,
-                          explicit_flush=explicit_flush))
+    config = client_config or mode.client_config()
     plan = resolve_fault_plan(faults)
     recovery: Optional[RecoveryLog] = None
     if plan is not None:
@@ -386,16 +455,16 @@ def run_experiment(mode: Union[str, ProtocolMode],
         if plan.server.active:
             profile = FaultyProfile.wrap(profile, plan.server)
         config = _fault_hardened_config(config, environment)
-    net = TwoHostNetwork(environment, seed=seed, jitter=jitter,
-                         server_config=server_tcp, fastpath=fastpath)
+    transport = mode.transport
+    testbed = Testbed(environment, profile, transport, site=site,
+                      store=store, seed=seed, jitter=jitter,
+                      fastpath=fastpath)
+    net, servers, site = testbed.net, testbed.servers, testbed.site
     if plan is not None and plan.link.active:
         # A private RNG stream (offset from the run seed) so injecting
         # faults never perturbs the link's jitter draw sequence.
         FaultInjector(net.link, plan.link, seed=seed + 7919,
                       recovery=recovery)
-    transport = mode.transport
-    servers = transport.start_servers(net.sim, net.server, store, profile)
-    server = servers[0]
     for srv in servers:
         srv.recovery = recovery
     sanitizer = None
@@ -403,13 +472,12 @@ def run_experiment(mode: Union[str, ProtocolMode],
     if sanitize:
         from ..lint import (FrameStreamValidator, LiveSanitizer,
                             SanitizerConfig)
-        client_tcp = TcpConfig(mss=environment.mss)
         s_config = SanitizerConfig.for_run(
             environment=environment,
             client_nodelay=config.nodelay,
             server_nodelay=profile.nodelay,
-            client_delack=client_tcp.delack_delay,
-            server_delack=server_tcp.delack_delay,
+            client_delack=net.client.config.delack_delay,
+            server_delack=net.server.config.delack_delay,
             max_parallel=config.max_connections)
         if plan is None:
             # Clean runs also enforce the mode's connection-shape
@@ -422,20 +490,17 @@ def run_experiment(mode: Union[str, ProtocolMode],
         if transport.mux:
             frame_validator = FrameStreamValidator(
                 push_allowed=transport.push)
-    cache = MemoryCache()
-    if scenario == REVALIDATE:
-        prefill_cache(cache, store, site, profile)
-    robot = transport.create_client(net.sim, net.client, SERVER_HOST,
-                                    server.port, config, cache)
-    if frame_validator is not None:
-        robot.frame_tap = frame_validator.observe
-        for srv in servers:
-            srv.frame_tap = frame_validator.observe
-    if recovery is not None:
-        # One shared log: injector, server and robot all write to it.
-        robot.result.recovery = recovery
-    known = site.all_urls() if scenario == REVALIDATE else None
-    result = robot.fetch(site.html_url, scenario, known_urls=known)
+            for srv in servers:
+                srv.frame_tap = frame_validator.observe
+
+    def attach(robot: Robot) -> None:
+        if frame_validator is not None:
+            robot.frame_tap = frame_validator.observe
+        if recovery is not None:
+            # One shared log: injector, server and robot all write to it.
+            robot.result.recovery = recovery
+
+    result = testbed.fetch_page(transport, config, scenario, attach=attach)
     net.run(until=max_sim_time)
     net.sim.run()   # drain any residual timers/ACKs past the deadline
     if sanitizer is not None:

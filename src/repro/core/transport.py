@@ -18,15 +18,13 @@ Transports are frozen dataclasses so modes stay hashable and
 value-comparable; two ``ShardedTransport(shards=4)`` instances are the
 same transport.
 
-Tuning knobs travel as one keyword-only :class:`ModeTuning` value
-instead of three loose keywords (the old spellings survive behind a
-deprecation shim in ``ProtocolMode.client_config``).
+Tuning knobs travel as one keyword-only :class:`ModeTuning` value.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, TYPE_CHECKING
+from typing import List, Optional, Tuple, TYPE_CHECKING
 
 from ..client.robot import ClientConfig, Robot
 from ..http import HTTP10, HTTP11
@@ -75,10 +73,22 @@ class Transport:
                       tuning: ModeTuning) -> ClientConfig:
         raise NotImplementedError
 
-    def start_servers(self, sim, stack, store, profile
+    def ports(self) -> Tuple[int, ...]:
+        """Listening ports of the mode's origin(s); first is primary."""
+        return (DEFAULT_PORT,)
+
+    def start_servers(self, sim, stack, store, profile,
+                      max_concurrent: Optional[int] = None
                       ) -> List[SimHttpServer]:
-        """Start the mode's listener(s) on ``stack``; first is primary."""
-        return [SimHttpServer(sim, stack, store, profile)]
+        """Start one listener per origin port on ``stack``.
+
+        ``max_concurrent`` is each listener's accept-gate capacity
+        (``None``: the paper's unbounded single-robot regime).
+        """
+        return [SimHttpServer(sim, stack, store, profile, port=port,
+                              mux=self.mux, push=self.push,
+                              max_concurrent=max_concurrent)
+                for port in self.ports()]
 
     def create_client(self, sim, stack, server_host: str, server_port: int,
                       config: ClientConfig, cache) -> Robot:
@@ -169,11 +179,6 @@ class MuxTransport(Transport):
             reval_strategy="conditional",
             validator_preference="etag")
 
-    def start_servers(self, sim, stack, store, profile
-                      ) -> List[SimHttpServer]:
-        return [SimHttpServer(sim, stack, store, profile,
-                              mux=True, push=self.server_push)]
-
     def create_client(self, sim, stack, server_host: str, server_port: int,
                       config: ClientConfig, cache):
         from ..client.mux import MuxClient
@@ -212,15 +217,11 @@ class ShardedTransport(Transport):
             shards=self.shards,
             connections_per_shard=self.connections_per_shard)
 
-    def start_servers(self, sim, stack, store, profile
-                      ) -> List[SimHttpServer]:
-        return [SimHttpServer(sim, stack, store, profile,
-                              port=DEFAULT_PORT + shard)
-                for shard in range(self.shards)]
+    def ports(self) -> Tuple[int, ...]:
+        return tuple(DEFAULT_PORT + shard for shard in range(self.shards))
 
     def trace_rules(self, config: ClientConfig):
         from ..lint.sanitizer import ModeTraceRules
-        ports = tuple(DEFAULT_PORT + shard for shard in range(self.shards))
         return ModeTraceRules(
-            required_ports=ports,
+            required_ports=self.ports(),
             max_handshakes_per_port=self.connections_per_shard)

@@ -1,9 +1,10 @@
 """The ``python -m repro fleet`` verb.
 
 Wires a :class:`~repro.fleet.spec.FleetSpec` from command-line flags,
-builds the matrix machinery (jobs / cache / journal / supervisor), runs
-the population through :func:`~repro.fleet.runner.run_fleet` and prints
-the tail-latency / fairness / server-queueing report.
+builds the matrix machinery from the runner flags every matrix verb
+shares (:mod:`repro.matrix.cli`), runs the population through
+:func:`~repro.fleet.runner.run_fleet` and prints the tail-latency /
+fairness / server-queueing report.
 
 The journal run id derives from the spec's canonical identity, so
 ``--resume`` without an explicit run id continues the same population
@@ -17,49 +18,17 @@ import hashlib
 import json
 import sys
 
-from ..matrix import (DEFAULT_RETRY_BUDGET, CellEvent, MatrixRunner,
-                      ResultCache)
+from ..matrix.cli import add_runner_flags, make_runner
 from .runner import run_fleet
 from .spec import FleetSpec
 
 __all__ = ["add_fleet_parser"]
 
 
-def _print_progress(event: CellEvent) -> None:
-    if event.status == "hit":
-        tag = "cache"
-    elif event.status == "failed":
-        tag = f"FAIL attempt {event.attempt}"
-    elif event.status == "retried":
-        tag = f"retry attempt {event.attempt}"
-    else:
-        tag = f"{event.wall_time:5.2f}s"
-    print(f"  [{event.completed}/{event.total}] {event.label} "
-          f"seed={event.seed} ({tag})", file=sys.stderr)
-
-
 def _fleet_run_id(spec: FleetSpec) -> str:
     blob = json.dumps(spec.canonical_dict(), sort_keys=True,
                       separators=(",", ":"))
     return f"fleet-{hashlib.sha256(blob.encode()).hexdigest()[:10]}"
-
-
-def _make_runner(args: argparse.Namespace,
-                 spec: FleetSpec) -> MatrixRunner:
-    cache = None
-    if args.cache or args.cache_dir is not None:
-        cache = (ResultCache(args.cache_dir) if args.cache_dir
-                 else ResultCache())
-    journal = None
-    if args.resume is not None or args.journal:
-        from ..matrix import RunJournal
-        journal = RunJournal(args.resume or _fleet_run_id(spec))
-        print(f"journal: {journal.run_id}", file=sys.stderr)
-    return MatrixRunner(
-        jobs=args.jobs, cache=cache,
-        progress=_print_progress if args.progress else None,
-        journal=journal, retry_budget=args.retry_budget,
-        unit_deadline=args.unit_deadline)
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
@@ -73,7 +42,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         backbone_bps=args.backbone_bps, epoch=args.epoch,
         rounds=args.rounds, max_sim_time=args.max_sim_time,
         fastpath=not args.no_fastpath, seed=args.seed)
-    runner = _make_runner(args, spec)
+    runner = make_runner(args, _fleet_run_id(spec))
     with runner:
         result = run_fleet(spec, runner=runner)
     from ..analysis.report import format_fleet_report
@@ -139,27 +108,5 @@ def add_fleet_parser(sub) -> None:
     fleet.add_argument("--no-fastpath", action="store_true",
                        help="force per-segment execution (results are "
                             "byte-identical either way)")
-    fleet.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="worker processes (0 = one per CPU)")
-    fleet.add_argument("--cache", action="store_true",
-                       help="reuse cached cohort results "
-                            "(.repro-cache/)")
-    fleet.add_argument("--cache-dir", default=None, metavar="PATH",
-                       help="cache directory (implies --cache)")
-    fleet.add_argument("--progress", action="store_true",
-                       help="print per-cohort progress to stderr")
-    fleet.add_argument("--retry-budget", type=int,
-                       default=DEFAULT_RETRY_BUDGET, metavar="N",
-                       help="re-dispatches allowed per failing cohort "
-                            f"(default {DEFAULT_RETRY_BUDGET})")
-    fleet.add_argument("--unit-deadline", type=float, default=None,
-                       metavar="SECONDS",
-                       help="wall-clock budget per cohort in a worker")
-    fleet.add_argument("--journal", action="store_true",
-                       help="record resolved cohorts into a crash-safe "
-                            "run journal (.repro-cache/runs/)")
-    fleet.add_argument("--resume", default=None, nargs="?",
-                       const="", metavar="RUN_ID",
-                       help="resume a journaled fleet run (no RUN_ID = "
-                            "the id derived from this spec)")
+    add_runner_flags(fleet)
     fleet.set_defaults(fn=_cmd_fleet)

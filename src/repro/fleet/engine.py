@@ -1,13 +1,14 @@
 """Cohort execution: one simulator hosts a whole slice of the fleet.
 
-:func:`run_cohort` is the fleet's work unit.  It builds one
-:class:`~repro.simnet.network.FleetNetwork` — N client stacks and one
-server stack on a shared bottleneck link whose per-epoch capacity
-schedule encodes the shares other cohorts claim — starts a single
-plain-HTTP :class:`~repro.server.base.SimHttpServer` with finite
-service capacity, and drives every user of the cohort through their
-compiled :class:`~repro.fleet.spec.UserPlan`: arrive, fetch a page,
-think, fetch the next.
+:func:`run_cohort` is the fleet's work unit.  It builds the same
+:class:`~repro.core.runner.Testbed` a single-robot experiment runs on —
+here with N client hosts sharing the server's bottleneck link, whose
+per-epoch capacity schedule encodes the shares other cohorts claim,
+and a plain-HTTP listener with finite service capacity — and drives
+every user of the cohort through their compiled
+:class:`~repro.fleet.spec.UserPlan`: arrive, fetch a page
+(:meth:`Testbed.fetch_page <repro.core.runner.Testbed.fetch_page>`,
+the paper's robot), think, fetch the next.
 
 The result is a :class:`CohortResult`: per-session page-load times,
 per-epoch downlink demand (what the parent's fixed-point pass feeds
@@ -21,22 +22,15 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Dict, List, Tuple
 
-from ..client.robot import REVALIDATE
 from ..core.registry import (resolve_environment, resolve_mode,
                              resolve_profile)
-from ..core.runner import _default_site_and_store
-from ..core.scenarios import prefill_cache
-from ..http.cache import MemoryCache
+from ..core.runner import Testbed
+from ..core.transport import Transport
 from ..matrix.cache import register_result_codec
-from ..server.base import SimHttpServer
-from ..simnet.network import SERVER_HOST, FleetNetwork
-from ..simnet.tcp import TcpConfig
+from ..simnet.network import SERVER_HOST, fleet_client_host
 from .spec import FleetUnitSpec, UserPlan
 
 __all__ = ["SessionStats", "CohortResult", "run_cohort"]
-
-#: The one plain-HTTP port every cohort member talks to.
-_FLEET_PORT = 80
 
 
 @dataclasses.dataclass(frozen=True)
@@ -93,45 +87,32 @@ class CohortResult:
 class _Session:
     """One user's page-fetch loop inside the cohort simulator."""
 
-    __slots__ = ("sim", "stack", "plan", "fleet", "site", "store",
-                 "page_times", "pages_started", "errors", "_robot")
+    __slots__ = ("testbed", "stack", "plan", "fleet", "transport",
+                 "config", "page_times", "pages_started", "errors")
 
-    def __init__(self, sim, stack, plan: UserPlan, fleet, site,
-                 store) -> None:
-        self.sim = sim
+    def __init__(self, testbed: Testbed, stack, plan: UserPlan,
+                 fleet) -> None:
+        self.testbed = testbed
         self.stack = stack
         self.plan = plan
         self.fleet = fleet
-        self.site = site
-        self.store = store
+        mode = resolve_mode(plan.mode)
+        self.transport = mode.transport
+        self.config = mode.client_config()
         self.page_times: List[float] = []
         self.pages_started = 0
         self.errors = 0
-        self._robot = None
 
-    def start(self) -> None:
-        self._fetch_page()
-
-    def _fetch_page(self) -> None:
+    def fetch_page(self) -> None:
         self.pages_started += 1
-        mode = resolve_mode(self.plan.mode)
-        config = mode.client_config()
-        cache = MemoryCache()
-        if self.fleet.scenario == REVALIDATE:
-            profile = resolve_profile(self.fleet.server)
-            prefill_cache(cache, self.store, self.site, profile)
-        robot = mode.transport.create_client(
-            self.sim, self.stack, SERVER_HOST, _FLEET_PORT, config,
-            cache)
+        self.testbed.fetch_page(self.transport, self.config,
+                                self.fleet.scenario, stack=self.stack,
+                                attach=self._attach)
+
+    def _attach(self, robot) -> None:
         robot.on_complete = self._page_done
-        self._robot = robot
-        known = (self.site.all_urls()
-                 if self.fleet.scenario == REVALIDATE else None)
-        robot.fetch(self.site.html_url, self.fleet.scenario,
-                    known_urls=known)
 
     def _page_done(self, result) -> None:
-        self._robot = None
         if not result.complete:
             # A failed page ends the session: real users give up.
             self.errors += 1
@@ -139,7 +120,7 @@ class _Session:
         self.page_times.append(result.elapsed)
         if self.pages_started < self.fleet.pages_per_user:
             think = self.plan.think_times[self.pages_started - 1]
-            self.sim.schedule(think, self._fetch_page)
+            self.testbed.net.sim.schedule(think, self.fetch_page)
 
     def stats(self) -> SessionStats:
         # Pages still in flight when the deadline hit never fired
@@ -157,26 +138,22 @@ class _Session:
 def run_cohort(unit: FleetUnitSpec, seed: int) -> CohortResult:
     """Simulate one cohort under its granted capacity shares."""
     fleet = unit.fleet
-    environment = resolve_environment(fleet.environment)
-    profile = resolve_profile(fleet.server)
-    site, store = _default_site_and_store()
     plans = fleet.cohort_plans(unit.cohort)
-    net = FleetNetwork(
-        environment, len(plans), seed=seed, jitter=fleet.jitter,
-        # Same Solaris 2.5 server stack as the single-robot runner.
-        server_config=TcpConfig(mss=environment.mss,
-                                delack_delay=0.050),
-        fastpath=fleet.fastpath,
+    # Every fleet mode speaks plain HTTP to the one port-80 listener
+    # (FleetSpec rejects the rest), so the base transport serves all.
+    testbed = Testbed(
+        resolve_environment(fleet.environment),
+        resolve_profile(fleet.server), Transport(),
+        seed=seed, jitter=fleet.jitter, fastpath=fleet.fastpath,
+        server_capacity=fleet.server_capacity,
+        client_hosts=[fleet_client_host(i) for i in range(len(plans))],
         capacity_epoch=fleet.epoch, capacity_shares=unit.shares)
-    server = SimHttpServer(net.sim, net.server, store, profile,
-                           port=_FLEET_PORT,
-                           max_concurrent=fleet.server_capacity)
+    net, server = testbed.net, testbed.servers[0]
     sessions: List[_Session] = []
-    for slot, plan in enumerate(plans):
-        session = _Session(net.sim, net.clients[slot], plan, fleet,
-                           site, store)
+    for stack, plan in zip(net.clients, plans):
+        session = _Session(testbed, stack, plan, fleet)
         sessions.append(session)
-        net.sim.schedule_at(plan.arrival, session.start)
+        net.sim.schedule_at(plan.arrival, session.fetch_page)
     # The deadline is *hard* (unlike the single-robot runner's drain):
     # an overloaded population would otherwise run for unbounded
     # simulated time.  Pages still in flight count as session errors.

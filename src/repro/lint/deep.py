@@ -9,9 +9,9 @@ of them is visible one file at a time:
   experiment.  The pass reads the spec module's declared
   ``CACHE_KEY_FIELDS``, checks every spec dataclass field against it,
   and taint-traces ``run_experiment``'s parameters to the configuration
-  sinks (``TcpConfig``, the transports, fault plans, the fast-forward
-  toggle) to catch run-affecting parameters that never pass through a
-  keyed spec field at all.
+  sinks (the ``Testbed`` assembly, ``fetch_page``, fault plans) to
+  catch run-affecting parameters that never pass through a keyed spec
+  field at all.
 * **RNG-stream discipline** — every ``random.Random(...)`` must be
   seeded from the experiment seed (possibly offset, like the fault
   injector's ``seed + 7919`` private stream), and no single RNG object
@@ -93,9 +93,9 @@ class DeepConfig:
         ("FleetSpec", "FLEET_CACHE_KEY_FIELDS"),)
     #: The function whose keyword surface is the experiment's identity.
     run_function: str = "run_experiment"
-    #: The worker-side function forwarding spec fields into
-    #: :attr:`run_function`.
-    forward_function: str = "run_unit"
+    #: The spec method forwarding its own fields into
+    #: :attr:`run_function` (the matrix engine's per-unit hook).
+    forward_function: str = "execute_unit"
     #: Parameters of :attr:`forward_function` that key the cache at the
     #: work-unit level rather than through a spec field.
     unit_key_params: Tuple[str, ...] = ("seed",)
@@ -105,12 +105,10 @@ class DeepConfig:
                                         "_pool_initializer",
                                         "run_unit")
     #: Constructors that consume run configuration (plain-name calls).
-    sink_names: Tuple[str, ...] = ("TcpConfig", "TwoHostNetwork",
-                                  "FaultInjector", "resolve_fault_plan",
-                                  "ModeTuning")
+    sink_names: Tuple[str, ...] = ("TcpConfig", "Testbed",
+                                  "FaultInjector", "resolve_fault_plan")
     #: Method names that consume run configuration (attribute calls).
-    sink_methods: Tuple[str, ...] = ("client_config", "start_servers",
-                                    "create_client", "from_site")
+    sink_methods: Tuple[str, ...] = ("client_config", "fetch_page")
     #: Spec fields that are intentionally not part of the cell key,
     #: mapped to the reason (shown in no finding — documentation).
     spec_field_waivers: Mapping[str, str] = dataclasses.field(
@@ -125,11 +123,6 @@ class DeepConfig:
             "site": "custom sites bypass the matrix cache; the default "
                     "site is content-addressed by construction",
             "store": "derived from site; same waiver",
-            "flush_timeout": "superseded by client_config, which "
-                             "run_unit always passes from the spec's "
-                             "keyed client_overrides",
-            "explicit_flush": "superseded by client_config (same as "
-                              "flush_timeout)",
         })
     #: Identifier fragments that mark a value as seed-derived.
     seed_fragments: Tuple[str, ...] = ("seed",)
@@ -246,7 +239,7 @@ def _forwarding_map(fwd: FunctionInfo, run: FunctionInfo,
     * ``"unit-key"`` — one of :attr:`DeepConfig.unit_key_params`;
     * ``"opaque"`` — anything else.
     """
-    spec_params = set(fwd.params[:1])  # first param is the spec
+    spec_params = set(fwd.params[:1])  # the spec (``self`` for a method)
     mapping: Dict[str, str] = {}
     for call in fwd.calls:
         if run.qualname not in call.targets \
@@ -395,8 +388,7 @@ def _cache_key_pass(graph: ProjectGraph,
     # parameters must arrive through a keyed spec field.
     run_candidates = [f for f in graph.functions_named(
         config.run_function) if "." not in f.qualname.split(":")[1]]
-    fwd_candidates = [f for f in graph.functions_named(
-        config.forward_function) if "." not in f.qualname.split(":")[1]]
+    fwd_candidates = graph.functions_named(config.forward_function)
     if not run_candidates or not fwd_candidates:
         return findings
     run = run_candidates[0]

@@ -55,7 +55,7 @@ from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
 
 from ..content import artifacts
 from ..core.runner import (AveragedResult, RunResult, UnitFailure,
-                           run_experiment, warm_default_site)
+                           warm_default_site)
 from ..faults.harness import HarnessFaultPlan, resolve_harness_plan
 from .cache import ResultCache, unit_key
 from .journal import RunJournal
@@ -150,34 +150,16 @@ class MatrixStats:
 def run_unit(spec: ExperimentSpec, seed: int) -> Tuple[object, float]:
     """Execute one (cell, seed) unit; returns (result, wall seconds).
 
-    The worker process holds no simulation state from the parent:
-    ``run_experiment`` resolves the spec's names through the registry
-    and builds (or reuses its own process-local memo of) the site and
-    resource store.  The returned result carries the numeric
-    measurement columns only (``fetch=None, trace=None``) — the same
-    shape the cache hydrates — so serial, parallel and cached paths are
-    interchangeable.
-
-    Specs that are not protocol cells (fleet cohort units) supply their
-    own ``execute_unit(seed)``; the runner, supervisor, cache and
-    journal treat their results opaquely via the registered codec.
+    Every unit spec — a protocol cell
+    (:meth:`ExperimentSpec.execute_unit
+    <repro.matrix.spec.ExperimentSpec.execute_unit>`) or a fleet cohort
+    — runs through its own ``execute_unit(seed)``; the runner,
+    supervisor, cache and journal treat the result opaquely via its
+    registered codec.
     """
-    execute = getattr(spec, "execute_unit", None)
-    if execute is not None:
-        start = time.perf_counter()
-        result = execute(seed)
-        return result, time.perf_counter() - start
     start = time.perf_counter()
-    result = run_experiment(
-        spec.mode, spec.scenario,
-        environment=spec.environment, profile=spec.server,
-        seed=seed, jitter=spec.jitter,
-        client_config=spec.client_config(),
-        verify=spec.verify, max_sim_time=spec.max_sim_time,
-        faults=spec.faults, fastpath=spec.fastpath)
-    wall = time.perf_counter() - start
-    stripped = dataclasses.replace(result, fetch=None, trace=None)
-    return stripped, wall
+    result = spec.execute_unit(seed)
+    return result, time.perf_counter() - start
 
 
 def _pool_initializer(artifact_state: Dict[str, object],

@@ -82,6 +82,21 @@ _MATRIX_REQUIRED_KEYS = ("cells", "units", "jobs", "cold_wall_time",
                          "artifact_hits", "artifact_misses",
                          "ipc_batches", "bytes_pickled")
 
+#: The optional sections of ``BENCH_simnet.json``, one row per owning
+#: harness: (name, whether the body is a ``cells`` map of entries,
+#: required fields, fields that must be positive numbers, and integer
+#: fields that must be non-zero with the complaint when they are not).
+_OPTIONAL_SECTIONS = (
+    ("fastpath", True, _FASTPATH_REQUIRED_KEYS,
+     ("wall_time", "wall_time_nofastpath"),
+     (("fastforward_spans", "never engaged the fast path"),)),
+    ("fleet", False, _FLEET_REQUIRED_KEYS,
+     ("wall_time", "users_per_minute"),
+     (("pages_completed", "completed zero pages"),)),
+    ("matrix", False, _MATRIX_REQUIRED_KEYS,
+     ("cold_wall_time", "warm_wall_time"), ()),
+)
+
 #: Throwaway artifact directory the cold matrix benchmark phase uses
 #: (cleared before timing so "cold" really re-encodes everything).
 _MATRIX_BENCH_ARTIFACTS = os.path.join(".repro-cache",
@@ -169,6 +184,32 @@ def _time_cell(cell: BenchCell, repeats: int) -> Dict[str, object]:
     }
 
 
+def _load_bench_file(output_path: str) -> Dict[str, object]:
+    """The bench file's payload, or an empty skeleton when unreadable."""
+    try:
+        with open(output_path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError):
+        return {"schema": BENCH_SCHEMA_VERSION, "quick": False,
+                "baseline": {"cells": {}}, "current": {"cells": {}}}
+
+
+def _merge_bench_sections(output_path: str,
+                          **sections: object) -> Dict[str, object]:
+    """Set ``sections`` in the bench file at ``output_path``; returns
+    the written payload.
+
+    Every harness owns its own section(s) of the one file; whatever
+    else the file carries rides along verbatim.
+    """
+    payload = _load_bench_file(output_path)
+    payload.update(sections)
+    with open(output_path, "w") as fh:
+        json.dump(payload, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    return payload
+
+
 def run_benchmark(output_path: str = "BENCH_simnet.json", *,
                   quick: bool = False, repeats: Optional[int] = None,
                   log: Callable[[str], None] = lambda line: print(
@@ -186,20 +227,14 @@ def run_benchmark(output_path: str = "BENCH_simnet.json", *,
     # Warm the memoized site/store so cell timings measure simulation.
     run_experiment("pipelined", "first-time", environment="LAN",
                    profile="Apache", seed=0)
-    previous: Dict[str, object] = {}
-    try:
-        with open(output_path) as fh:
-            previous = json.load(fh)
-    except (OSError, ValueError):
-        previous = {}
     current_cells: Dict[str, Dict[str, object]] = {}
     for cell in representative_cells():
         measured = _time_cell(cell, repeats)
         current_cells[cell.key] = measured
         log(f"  bench {cell.key:45s} {measured['wall_time'] * 1000:8.2f} ms"
             f"  ({measured['events_processed']} events)")
-    baseline = previous.get("baseline")
-    if not isinstance(baseline, dict) or "cells" not in baseline:
+    baseline = _load_bench_file(output_path).get("baseline")
+    if not isinstance(baseline, dict) or not baseline.get("cells"):
         baseline = {
             "note": "first recorded run; baseline for future sessions",
             "cells": {key: {"wall_time": entry["wall_time"],
@@ -223,21 +258,9 @@ def run_benchmark(output_path: str = "BENCH_simnet.json", *,
         if base and entry["wall_time"] > 0:
             entry["speedup_vs_baseline"] = round(
                 base / entry["wall_time"], 3)
-    payload = {
-        "schema": BENCH_SCHEMA_VERSION,
-        "quick": quick,
-        "baseline": baseline,
-        "current": {"cells": current_cells},
-    }
-    # Sections owned by the other harnesses (``bench --matrix``,
-    # ``bench --fastpath``) ride along verbatim.
-    for section in ("matrix", "fastpath", "fleet"):
-        if section in previous:
-            payload[section] = previous[section]
-    with open(output_path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    return payload
+    return _merge_bench_sections(
+        output_path, schema=BENCH_SCHEMA_VERSION, quick=quick,
+        baseline=baseline, current={"cells": current_cells})
 
 
 def run_matrix_benchmark(output_path: str = "BENCH_simnet.json", *,
@@ -310,17 +333,7 @@ def run_matrix_benchmark(output_path: str = "BENCH_simnet.json", *,
         runner.close()
         artifacts.set_store(previous_store)
         shutil.rmtree(_MATRIX_BENCH_ARTIFACTS, ignore_errors=True)
-    try:
-        with open(output_path) as fh:
-            payload = json.load(fh)
-    except (OSError, ValueError):
-        payload = {"schema": BENCH_SCHEMA_VERSION, "quick": False,
-                   "baseline": {"cells": {}}, "current": {"cells": {}}}
-    payload["matrix"] = measured
-    with open(output_path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    return payload
+    return _merge_bench_sections(output_path, matrix=measured)
 
 
 def _run_bulk_transfer(environment: str, size: int, *, fastpath: bool,
@@ -329,7 +342,7 @@ def _run_bulk_transfer(environment: str, size: int, *, fastpath: bool,
 
     Drives the TCP/link kernel directly (no HTTP layer) so the timing
     isolates exactly what the fast-forward driver optimizes.  Returns
-    the finished :class:`~repro.simnet.network.TwoHostNetwork`.
+    the finished :class:`~repro.simnet.network.Network`.
     """
     from .simnet.link import ENVIRONMENTS
     from .simnet.network import SERVER_HOST, TwoHostNetwork
@@ -429,17 +442,7 @@ def run_fastpath_benchmark(output_path: str = "BENCH_simnet.json", *,
             f"{best[False] * 1000:8.2f} ms off "
             f"({cells[key]['speedup_fastpath']}x, "
             f"{perf_fast.fastforward_spans} spans)")
-    try:
-        with open(output_path) as fh:
-            payload = json.load(fh)
-    except (OSError, ValueError):
-        payload = {"schema": BENCH_SCHEMA_VERSION, "quick": False,
-                   "baseline": {"cells": {}}, "current": {"cells": {}}}
-    payload["fastpath"] = {"cells": cells}
-    with open(output_path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    return payload
+    return _merge_bench_sections(output_path, fastpath={"cells": cells})
 
 
 def run_fleet_benchmark(output_path: str = "BENCH_simnet.json", *,
@@ -494,17 +497,7 @@ def run_fleet_benchmark(output_path: str = "BENCH_simnet.json", *,
         f"(jobs={runner.jobs}): {wall:6.1f} s "
         f"({measured['users_per_minute']:.0f} users/min, "
         f"p99 {measured['p99']:.2f} s)")
-    try:
-        with open(output_path) as fh:
-            payload = json.load(fh)
-    except (OSError, ValueError):
-        payload = {"schema": BENCH_SCHEMA_VERSION, "quick": False,
-                   "baseline": {"cells": {}}, "current": {"cells": {}}}
-    payload["fleet"] = measured
-    with open(output_path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    return payload
+    return _merge_bench_sections(output_path, fleet=measured)
 
 
 def check_bench_regression(current_cells: Dict[str, Dict[str, object]],
@@ -560,57 +553,30 @@ def validate_bench_payload(payload: Dict[str, object]) -> List[str]:
         wall = entry.get("wall_time")
         if not isinstance(wall, (int, float)) or wall <= 0:
             problems.append(f"cell {key!r} wall_time not positive")
-    fastpath = payload.get("fastpath")
-    if fastpath is not None:
-        if not isinstance(fastpath, dict) \
-                or not isinstance(fastpath.get("cells"), dict):
-            problems.append("fastpath section must carry a cells object")
-        else:
-            for key, entry in fastpath["cells"].items():
-                for field in _FASTPATH_REQUIRED_KEYS:
-                    if field not in entry:
-                        problems.append(
-                            f"fastpath cell {key!r} missing {field!r}")
-                for field in ("wall_time", "wall_time_nofastpath"):
-                    wall = entry.get(field)
-                    if field in entry and (
-                            not isinstance(wall, (int, float))
-                            or wall <= 0):
-                        problems.append(
-                            f"fastpath cell {key!r} {field} not positive")
-                spans = entry.get("fastforward_spans")
-                if isinstance(spans, int) and spans <= 0:
-                    problems.append(
-                        f"fastpath cell {key!r} never engaged the fast "
-                        f"path")
-    fleet = payload.get("fleet")
-    if fleet is not None:
-        if not isinstance(fleet, dict):
-            problems.append("fleet section must be an object")
-        else:
-            for field in _FLEET_REQUIRED_KEYS:
-                if field not in fleet:
-                    problems.append(f"fleet missing {field!r}")
-            for field in ("wall_time", "users_per_minute"):
-                value = fleet.get(field)
-                if field in fleet and (
-                        not isinstance(value, (int, float))
-                        or value <= 0):
-                    problems.append(f"fleet {field} not positive")
-            pages = fleet.get("pages_completed")
-            if isinstance(pages, int) and pages <= 0:
-                problems.append("fleet completed zero pages")
-    matrix = payload.get("matrix")
-    if matrix is not None:
-        if not isinstance(matrix, dict):
-            problems.append("matrix section must be an object")
-        else:
-            for field in _MATRIX_REQUIRED_KEYS:
-                if field not in matrix:
-                    problems.append(f"matrix missing {field!r}")
-            for field in ("cold_wall_time", "warm_wall_time"):
-                wall = matrix.get(field)
-                if field in matrix and (
-                        not isinstance(wall, (int, float)) or wall <= 0):
-                    problems.append(f"matrix {field} not positive")
+    for section, per_cell, required, positive, nonzero in _OPTIONAL_SECTIONS:
+        body = payload.get(section)
+        if body is None:
+            continue
+        if not isinstance(body, dict) or (
+                per_cell and not isinstance(body.get("cells"), dict)):
+            problems.append(
+                f"{section} section must carry a cells object" if per_cell
+                else f"{section} section must be an object")
+            continue
+        entries = ([(f"{section} cell {key!r}", entry)
+                    for key, entry in body["cells"].items()]
+                   if per_cell else [(section, body)])
+        for label, entry in entries:
+            for field in required:
+                if field not in entry:
+                    problems.append(f"{label} missing {field!r}")
+            for field in positive:
+                value = entry.get(field)
+                if field in entry and (
+                        not isinstance(value, (int, float)) or value <= 0):
+                    problems.append(f"{label} {field} not positive")
+            for field, complaint in nonzero:
+                value = entry.get(field)
+                if isinstance(value, int) and value <= 0:
+                    problems.append(f"{label} {complaint}")
     return problems

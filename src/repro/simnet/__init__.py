@@ -7,7 +7,11 @@ the paper's analysis depends on — slow start, delayed ACKs, the Nagle
 algorithm, three-way handshake, independent half-close — plus per-link
 bandwidth/latency models and a packet trace collector.
 
-Typical use::
+:class:`~repro.simnet.network.Network` is the one single-link wiring
+(simulator, link, a TCP stack per host, trace tap, fast-forward driver,
+modems); the paper's two-host testbed is its one-client default,
+exported as ``TwoHostNetwork``, and a fleet cohort is the same class
+with several ``client_hosts``.  Typical use::
 
     from repro.simnet import TwoHostNetwork, LAN
 
@@ -20,7 +24,7 @@ Typical use::
 from .engine import Event, Simulator, SimulationError
 from .link import (ENVIRONMENTS, LAN, PPP, WAN, Link, NetworkEnvironment)
 from .modem import LzwDecoder, LzwEncoder, ModemCompressor
-from .network import CLIENT_HOST, SERVER_HOST, TwoHostNetwork
+from .network import CLIENT_HOST, SERVER_HOST, Network, TwoHostNetwork
 from .packet import HEADER_BYTES, IP_HEADER_BYTES, TCP_HEADER_BYTES, Segment
 from .tcp import TcpConfig, TcpConnection, TcpListener, TcpStack
 from .trace import PacketRecord, TraceCollector, TraceSummary
@@ -29,7 +33,7 @@ __all__ = [
     "Event", "Simulator", "SimulationError",
     "ENVIRONMENTS", "LAN", "WAN", "PPP", "Link", "NetworkEnvironment",
     "LzwEncoder", "LzwDecoder", "ModemCompressor",
-    "CLIENT_HOST", "SERVER_HOST", "TwoHostNetwork",
+    "CLIENT_HOST", "SERVER_HOST", "Network", "TwoHostNetwork",
     "HEADER_BYTES", "IP_HEADER_BYTES", "TCP_HEADER_BYTES", "Segment",
     "TcpConfig", "TcpConnection", "TcpListener", "TcpStack",
     "PacketRecord", "TraceCollector", "TraceSummary",

@@ -74,7 +74,7 @@ class FastForward:
     """Analytic fast-forward driver for one :class:`Link`'s flows.
 
     Wired up by the network layer (one driver per
-    :class:`~repro.simnet.network.TwoHostNetwork`) and consulted by
+    :class:`~repro.simnet.network.Network`) and consulted by
     :meth:`Simulator.run` between events whenever the TCP layer has
     flagged a steady bulk-transfer candidate via :meth:`note_candidate`.
     """

@@ -28,7 +28,7 @@ import random
 from typing import Callable, Dict, Optional, Protocol, Tuple
 
 from .engine import Simulator
-from .packet import Segment
+from .packet import HEADER_BYTES, Segment
 
 __all__ = ["WireCompressor", "Link", "NetworkEnvironment", "ENVIRONMENTS",
            "LAN", "WAN", "PPP"]
@@ -217,7 +217,6 @@ class Link:
         direction = self.direction_key(segment.src, segment.dst)
         compressor = self._compressors.get((segment.src, segment.dst))
         if compressor is not None:
-            from .packet import HEADER_BYTES
             wire_bytes = HEADER_BYTES + compressor.wire_bytes(segment.payload)
         else:
             wire_bytes = segment.wire_size

@@ -1,20 +1,26 @@
-"""Convenience wiring: a client and a server host joined by one link.
+"""Convenience wiring: client host(s) and a server host joined by one link.
 
 Every experiment in the paper is a two-host affair — the libwww robot on
 one machine, Jigsaw or Apache on the other, with tcpdump watching the
-client side.  :class:`TwoHostNetwork` assembles exactly that: a
+client side.  :class:`Network` assembles exactly that: a
 :class:`~repro.simnet.engine.Simulator`, a
 :class:`~repro.simnet.link.Link` configured from a
 :class:`~repro.simnet.link.NetworkEnvironment`, one
 :class:`~repro.simnet.tcp.TcpStack` per host, a
-:class:`~repro.simnet.trace.TraceCollector` tap, and (for the PPP
-environment) a V.42bis :class:`~repro.simnet.modem.ModemCompressor` pair.
+:class:`~repro.simnet.trace.TraceCollector` tap, the fast-forward
+driver, and (for the PPP environment) a V.42bis
+:class:`~repro.simnet.modem.ModemCompressor` pair per client.
+
+A fleet cohort is the same network with more client hosts: passing
+several ``client_hosts`` puts them all behind the server's link as one
+shared bottleneck.  :data:`TwoHostNetwork` is the same class under the
+name the one-client call sites use.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Optional
+from typing import Optional, Sequence
 
 from .engine import Simulator
 from .fastforward import FastForward
@@ -23,7 +29,7 @@ from .modem import ModemCompressor
 from .tcp import TcpConfig, TcpStack
 from .trace import TraceCollector
 
-__all__ = ["TwoHostNetwork", "ChainNetwork", "FleetNetwork", "CLIENT_HOST",
+__all__ = ["Network", "TwoHostNetwork", "ChainNetwork", "CLIENT_HOST",
            "SERVER_HOST", "PROXY_HOST", "fleet_client_host"]
 
 #: Host names used throughout experiments (after the paper's machines).
@@ -37,8 +43,8 @@ def fleet_client_host(index: int) -> str:
     return f"client{index:04d}.w3.org"
 
 
-class TwoHostNetwork:
-    """A simulated client/server pair on one network environment.
+class Network:
+    """Simulated client host(s) and one server on one network environment.
 
     Parameters
     ----------
@@ -63,6 +69,26 @@ class TwoHostNetwork:
         byte-identical either way; False (the ``--no-fastpath`` escape
         hatch) forces per-segment execution throughout.  The driver is
         also skipped when either host's :class:`TcpConfig` disables it.
+    client_hosts:
+        Names of the client hosts, one stack each (default: the paper's
+        single robot machine).  With more than one, the server's link is
+        a shared bottleneck (:attr:`Link.bottleneck_host
+        <repro.simnet.link.Link.bottleneck_host>`): every client's
+        download serializes FIFO through the one downlink, every upload
+        through the one uplink — the contention regime the follow-on
+        mobile-population studies measure.  (With one client the shared
+        and the per-pair queues are the same queue.)
+    capacity_epoch / capacity_shares:
+        Optional stepwise link-rate schedule
+        (:meth:`Link.set_capacity_schedule
+        <repro.simnet.link.Link.set_capacity_schedule>`); the fleet
+        engine uses it to impose the fixed-point bottleneck shares other
+        cohorts claim.  The fast-forward driver stays wired: spans fall
+        back at the first foreign event or epoch boundary.
+
+    ``clients`` lists the client stacks in ``client_hosts`` order;
+    ``client`` is the first of them, and ``modem_up`` / ``modem_down``
+    are its modem pair (``None`` without modem compression).
     """
 
     def __init__(self, environment: NetworkEnvironment, *,
@@ -70,93 +96,38 @@ class TwoHostNetwork:
                  client_config: Optional[TcpConfig] = None,
                  server_config: Optional[TcpConfig] = None,
                  modem_compression: Optional[bool] = None,
-                 fastpath: bool = True) -> None:
+                 fastpath: bool = True,
+                 client_hosts: Sequence[str] = (CLIENT_HOST,),
+                 capacity_epoch: Optional[float] = None,
+                 capacity_shares=None) -> None:
+        if not client_hosts:
+            raise ValueError("a network needs at least one client")
         self.environment = environment
         self.sim = Simulator()
         self.rng = random.Random(seed)
         self.link = environment.make_link(self.sim, jitter=jitter,
                                           rng=self.rng)
-        mss_config = TcpConfig(mss=environment.mss)
-        self.client = TcpStack(self.sim, CLIENT_HOST, self.link,
-                               client_config or mss_config)
+        if len(client_hosts) > 1:
+            self.link.bottleneck_host = SERVER_HOST
+        if capacity_shares is not None:
+            self.link.set_capacity_schedule(capacity_epoch, capacity_shares)
+        client_config = client_config or TcpConfig(mss=environment.mss)
+        self.clients = [TcpStack(self.sim, host, self.link, client_config)
+                        for host in client_hosts]
+        self.client = self.clients[0]
         self.server = TcpStack(self.sim, SERVER_HOST, self.link,
                                server_config or TcpConfig(
                                    mss=environment.mss))
-        self.trace = TraceCollector(self.link, CLIENT_HOST)
+        # tcpdump ran on the (first) client host.
+        self.trace = TraceCollector(self.link, self.client.host)
         self.fastforward: Optional[FastForward] = None
-        if fastpath and self.client.config.fastpath \
+        if fastpath and client_config.fastpath \
                 and self.server.config.fastpath:
             self.fastforward = FastForward(
-                self.sim, self.link, (self.client, self.server),
+                self.sim, self.link, (*self.clients, self.server),
                 self.trace)
         self.modem_up: Optional[ModemCompressor] = None
         self.modem_down: Optional[ModemCompressor] = None
-        use_modem = (environment.modem_compression
-                     if modem_compression is None else modem_compression)
-        if use_modem:
-            self.modem_up = ModemCompressor()
-            self.modem_down = ModemCompressor()
-            self.link.set_compressor(CLIENT_HOST, SERVER_HOST,
-                                     self.modem_up)
-            self.link.set_compressor(SERVER_HOST, CLIENT_HOST,
-                                     self.modem_down)
-
-    def run(self, until: Optional[float] = None) -> None:
-        """Run the simulation until quiescent (or until ``until``)."""
-        self.sim.run(until=until)
-
-
-class FleetNetwork:
-    """N clients and one server sharing a single bottleneck link.
-
-    The population-scale generalization of :class:`TwoHostNetwork`: one
-    :class:`~repro.simnet.engine.Simulator` hosts a whole cohort of
-    client stacks plus one server stack, all attached to one
-    :class:`~repro.simnet.link.Link` whose ``bottleneck_host`` is the
-    server — every client's download serializes FIFO through the shared
-    downlink, every upload through the shared uplink, exactly the
-    contention regime the follow-on mobile-population studies measure.
-
-    An optional per-epoch capacity schedule (``capacity_epoch`` +
-    ``capacity_shares``) steps the link rate over simulated time; the
-    fleet engine uses it to impose the fixed-point bottleneck shares
-    other cohorts claim.  The fast-forward driver stays wired: spans
-    stay eligible on non-contended stretches and fall back at the first
-    foreign event or epoch boundary.
-    """
-
-    def __init__(self, environment: NetworkEnvironment, n_clients: int, *,
-                 seed: int = 0, jitter: float = 0.0,
-                 client_config: Optional[TcpConfig] = None,
-                 server_config: Optional[TcpConfig] = None,
-                 modem_compression: Optional[bool] = None,
-                 fastpath: bool = True,
-                 capacity_epoch: Optional[float] = None,
-                 capacity_shares=None) -> None:
-        if n_clients <= 0:
-            raise ValueError("a fleet needs at least one client")
-        self.environment = environment
-        self.sim = Simulator()
-        self.rng = random.Random(seed)
-        self.link = environment.make_link(self.sim, jitter=jitter,
-                                          rng=self.rng)
-        self.link.bottleneck_host = SERVER_HOST
-        if capacity_shares is not None:
-            self.link.set_capacity_schedule(capacity_epoch, capacity_shares)
-        mss_config = client_config or TcpConfig(mss=environment.mss)
-        self.server = TcpStack(self.sim, SERVER_HOST, self.link,
-                               server_config or TcpConfig(
-                                   mss=environment.mss))
-        self.clients = [TcpStack(self.sim, fleet_client_host(i), self.link,
-                                 mss_config)
-                        for i in range(n_clients)]
-        self.trace = TraceCollector(self.link, SERVER_HOST)
-        self.fastforward: Optional[FastForward] = None
-        if fastpath and self.server.config.fastpath \
-                and mss_config.fastpath:
-            self.fastforward = FastForward(
-                self.sim, self.link,
-                (self.server, *self.clients), self.trace)
         use_modem = (environment.modem_compression
                      if modem_compression is None else modem_compression)
         if use_modem:
@@ -164,14 +135,19 @@ class FleetNetwork:
             # (client, server) direction owns a private V.42bis
             # dictionary — one client's traffic must not train another's.
             for stack in self.clients:
-                self.link.set_compressor(stack.host, SERVER_HOST,
-                                         ModemCompressor())
-                self.link.set_compressor(SERVER_HOST, stack.host,
-                                         ModemCompressor())
+                up, down = ModemCompressor(), ModemCompressor()
+                self.link.set_compressor(stack.host, SERVER_HOST, up)
+                self.link.set_compressor(SERVER_HOST, stack.host, down)
+                if stack is self.client:
+                    self.modem_up, self.modem_down = up, down
 
     def run(self, until: Optional[float] = None) -> None:
         """Run the simulation until quiescent (or until ``until``)."""
         self.sim.run(until=until)
+
+
+#: The paper's two-host testbed is the one-client :class:`Network`.
+TwoHostNetwork = Network
 
 
 class ChainNetwork:

@@ -1,14 +1,17 @@
 """Unit tests for protocol modes and the initial-tuning configuration."""
 
 from repro.client.robot import ClientConfig
-from repro.core import (ALL_MODES, HTTP10_MODE, HTTP11_PERSISTENT,
+from repro.core import (HTTP10_MODE, HTTP11_PERSISTENT,
                         HTTP11_PIPELINED, HTTP11_PIPELINED_COMPRESSED,
-                        TABLE_MODES, initial_tuning_client_config)
+                        initial_tuning_client_config,
+                        modes_for_environment)
+from repro.core.transport import ModeTuning
 from repro.http import HTTP10, HTTP11
 
 
 def test_four_canonical_modes():
-    names = [m.name for m in ALL_MODES]
+    names = [m.name for m in modes_for_environment("LAN",
+                                                   paper_only=True)]
     assert names == ["HTTP/1.0", "HTTP/1.1", "HTTP/1.1 Pipelined",
                      "HTTP/1.1 Pipelined w. compression"]
 
@@ -46,17 +49,18 @@ def test_compressed_mode_config():
 
 
 def test_flush_parameters_forwarded():
-    config = HTTP11_PIPELINED.client_config(flush_timeout=1.0,
-                                            explicit_flush=False,
-                                            output_buffer_size=512)
+    config = HTTP11_PIPELINED.client_config(
+        tuning=ModeTuning(flush_timeout=1.0, explicit_flush=False,
+                          output_buffer_size=512))
     assert config.flush_timeout == 1.0
     assert not config.explicit_flush
     assert config.output_buffer_size == 512
 
 
 def test_ppp_table_omits_http10():
-    assert HTTP10_MODE not in TABLE_MODES["PPP"]
-    assert HTTP10_MODE in TABLE_MODES["LAN"]
+    assert HTTP10_MODE not in modes_for_environment("PPP",
+                                                    paper_only=True)
+    assert HTTP10_MODE in modes_for_environment("LAN", paper_only=True)
 
 
 def test_initial_tuning_config():

@@ -6,10 +6,11 @@ reproduction must preserve — as assertions.
 
 import pytest
 
-from repro.core import (ALL_MODES, FIRST_TIME, HTTP10_MODE,
+from repro.core import (FIRST_TIME, HTTP10_MODE,
                         HTTP11_PERSISTENT, HTTP11_PIPELINED,
                         HTTP11_PIPELINED_COMPRESSED, REVALIDATE,
-                        ExperimentError, run_experiment, run_repeated)
+                        ExperimentError, modes_for_environment,
+                        run_experiment, run_repeated)
 from repro.server import APACHE, JIGSAW
 from repro.simnet import LAN, PPP, WAN
 
@@ -18,7 +19,7 @@ from repro.simnet import LAN, PPP, WAN
 def lan_cells():
     """All (mode, scenario) cells for Apache/LAN, single seed."""
     cells = {}
-    for mode in ALL_MODES:
+    for mode in modes_for_environment(LAN, paper_only=True):
         for scenario in (FIRST_TIME, REVALIDATE):
             cells[(mode.name, scenario)] = run_experiment(
                 mode, scenario, environment=LAN, profile=APACHE, seed=0)

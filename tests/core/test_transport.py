@@ -1,7 +1,5 @@
 """The Transport strategy surface behind every protocol mode."""
 
-import pytest
-
 from repro.core.modes import (HTTP10_MODE, HTTP11_PERSISTENT,
                               HTTP11_PIPELINED, HTTP11_SHARDED, HTTP_MUX,
                               HTTP_MUX_PUSH, MODERN_MODES, ModeTuning)
@@ -45,7 +43,7 @@ def test_http10_branch_lives_in_its_transport():
 
 
 # ----------------------------------------------------------------------
-# ModeTuning and the deprecation shim
+# ModeTuning
 # ----------------------------------------------------------------------
 def test_tuning_dataclass_forwarded():
     config = HTTP11_PIPELINED.client_config(
@@ -54,20 +52,6 @@ def test_tuning_dataclass_forwarded():
     assert config.flush_timeout == 1.0
     assert not config.explicit_flush
     assert config.output_buffer_size == 512
-
-
-def test_legacy_keywords_warn_but_work():
-    with pytest.warns(DeprecationWarning, match="ModeTuning"):
-        config = HTTP11_PIPELINED.client_config(flush_timeout=0.2)
-    assert config.flush_timeout == 0.2
-    # Unspecified knobs keep their ModeTuning defaults.
-    assert config.output_buffer_size == 1024
-
-
-def test_tuning_and_legacy_keywords_are_mutually_exclusive():
-    with pytest.raises(TypeError, match="not both"):
-        HTTP11_PIPELINED.client_config(tuning=ModeTuning(),
-                                       explicit_flush=False)
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Deep-corpus: a run function with an unkeyed run-affecting knob.
 
 ``turbo`` flows (through ``window``) into the ``TcpConfig`` sink but
-is never forwarded from a spec field by ``run_unit`` and carries no
+is never forwarded from a spec field by ``execute_unit`` and carries no
 waiver — cache-key-unkeyed-param.
 """
 

@@ -136,14 +136,6 @@ def test_modes_for_environment_includes_the_modern_modes():
         assert expected in names
 
 
-def test_table_modes_alias_still_answers():
-    # Deprecated façade over modes_for_environment, kept for old code.
-    from repro.core import TABLE_MODES
-    assert HTTP10_MODE not in TABLE_MODES["PPP"]
-    assert "PPP" in TABLE_MODES
-    assert set(TABLE_MODES.keys()) == {"LAN", "WAN", "PPP"}
-
-
 # ----------------------------------------------------------------------
 # Did-you-mean suggestions
 # ----------------------------------------------------------------------
