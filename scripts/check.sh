@@ -44,6 +44,12 @@ if [ "${FAST:-0}" = "1" ]; then
     python -m pytest -x -q -m "not slow"
 else
     python -m pytest -x -q
+    # The repo benchmark reaches src/ through public names only and
+    # requires cold == replay on every pass: its own tests and a
+    # smoke-scale run of all four workloads catch a src/ change that
+    # breaks either before the pipeline does.
+    python -m pytest bench/tests -q
+    bash bench/run.sh --quick > /dev/null
 fi
 
 # Exercise the experiment-matrix engine end to end: two worker

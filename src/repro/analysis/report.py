@@ -13,7 +13,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..client.robot import ClientConfig
 from ..content import (build_microscape_site, change_tag_case,
-                       convert_site_to_png, css_replacement_analysis,
                        banner_replacement, apply_all_transforms)
 from ..core.browsers import BROWSERS
 from ..core.modes import (HTTP10_MODE, HTTP11_PERSISTENT,
@@ -187,10 +186,9 @@ def _modem_savings(results: Sequence[dict]) -> str:
 def reproduce_content_experiments() -> Tuple[dict, str]:
     """Reproduce the content sections: Figure 1, CSS, PNG/MNG, deflate."""
     site = build_microscape_site()
-    png = convert_site_to_png(site)
-    css = css_replacement_analysis(site)
     figure1 = banner_replacement("solutions")
     combined = apply_all_transforms(site)
+    png, css = combined.png_report, combined.css_report
     html = site.html.body
     html_text = html.decode("latin-1")
     ratios = {

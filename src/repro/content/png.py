@@ -68,19 +68,23 @@ def _iter_chunks(data: bytes):
 # Scanline packing and filters
 # ----------------------------------------------------------------------
 def _pack_row(row: bytes, bit_depth: int) -> bytes:
-    """Pack palette indices into ``bit_depth``-bit samples (big-endian)."""
+    """Pack palette indices into ``bit_depth``-bit samples (big-endian).
+
+    Sample ``i`` of every output byte is the strided slice
+    ``row[i::per_byte]``.  Read as one big integer and shifted into its
+    bit position, each sample stays inside its own byte (an
+    :class:`IndexedImage` index fits the bit depth), so the slices OR
+    together without a per-pixel loop.
+    """
     if bit_depth == 8:
         return row
     per_byte = 8 // bit_depth
-    out = bytearray()
-    for offset in range(0, len(row), per_byte):
-        value = 0
-        group = row[offset:offset + per_byte]
-        for i in range(per_byte):
-            sample = group[i] if i < len(group) else 0
-            value |= sample << (8 - (i + 1) * bit_depth)
-        out.append(value)
-    return bytes(out)
+    row += bytes(-len(row) % per_byte)
+    value = 0
+    for i in range(per_byte):
+        value |= (int.from_bytes(row[i::per_byte], "big")
+                  << (8 - (i + 1) * bit_depth))
+    return value.to_bytes(len(row) // per_byte, "big")
 
 
 def _unpack_row(packed: bytes, bit_depth: int, width: int) -> bytes:
@@ -111,22 +115,19 @@ def _paeth(a: int, b: int, c: int) -> int:
 
 def _filter_row(filter_type: int, row: bytes, prior: bytes,
                 bpp: int) -> bytes:
-    out = bytearray(len(row))
-    for i in range(len(row)):
-        left = row[i - bpp] if i >= bpp else 0
-        up = prior[i] if prior else 0
-        up_left = prior[i - bpp] if (prior and i >= bpp) else 0
-        if filter_type == 0:
-            out[i] = row[i]
-        elif filter_type == 1:
-            out[i] = (row[i] - left) & 0xFF
-        elif filter_type == 2:
-            out[i] = (row[i] - up) & 0xFF
-        elif filter_type == 3:
-            out[i] = (row[i] - (left + up) // 2) & 0xFF
-        else:
-            out[i] = (row[i] - _paeth(left, up, up_left)) & 0xFF
-    return bytes(out)
+    if filter_type == 0:
+        return row
+    left = bytes(bpp) + row
+    up = prior or bytes(len(row))
+    if filter_type == 1:
+        return bytes((x - a) & 0xFF for x, a in zip(row, left))
+    if filter_type == 2:
+        return bytes((x - b) & 0xFF for x, b in zip(row, up))
+    if filter_type == 3:
+        return bytes((x - ((a + b) >> 1)) & 0xFF
+                     for x, a, b in zip(row, left, up))
+    return bytes((x - _paeth(a, b, c)) & 0xFF
+                 for x, a, b, c in zip(row, left, up, bytes(bpp) + up))
 
 
 def _unfilter_row(filter_type: int, filtered: bytes, prior: bytes,
@@ -151,14 +152,18 @@ def _unfilter_row(filter_type: int, filtered: bytes, prior: bytes,
     return bytes(out)
 
 
+#: A filtered byte's magnitude read as a signed residual.
+_ABS_RESIDUAL = bytes(min(b, 256 - b) for b in range(256))
+
+
 def _choose_filter(row: bytes, prior: bytes, bpp: int) -> Tuple[int, bytes]:
     """Minimum-sum-of-absolute-differences filter heuristic (libpng's)."""
     best_type = 0
-    best_data = _filter_row(0, row, prior, bpp)
-    best_score = sum(min(b, 256 - b) for b in best_data)
+    best_data = row
+    best_score = sum(row.translate(_ABS_RESIDUAL))
     for filter_type in (1, 2, 3, 4):
         candidate = _filter_row(filter_type, row, prior, bpp)
-        score = sum(min(b, 256 - b) for b in candidate)
+        score = sum(candidate.translate(_ABS_RESIDUAL))
         if score < best_score:
             best_type, best_data, best_score = (filter_type, candidate,
                                                 score)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import re
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from .css import (ImageRole, REPLACEABLE_ROLES, Replacement,
                   replacement_for, shared_rule_bytes)
@@ -88,6 +88,30 @@ class PngConversionReport:
         return [r for r in self.static if r.saved < 0]
 
 
+def _conversions(site: MicroscapeSite, *, include_gamma: bool = True
+                 ) -> Iterator[Tuple[ConversionRecord, bytes]]:
+    """Encode each site image once: its size record and the new body."""
+    for obj in site.image_objects:
+        if obj.role == ImageRole.ANIMATION:
+            assert obj.frames is not None
+            body = encode_mng(obj.frames)
+        else:
+            assert obj.image is not None
+            body = encode_png(obj.image, include_gamma=include_gamma)
+        yield (ConversionRecord(obj.url, obj.role, len(obj.body),
+                                len(body)), body)
+
+
+def _report(conversions: Iterable[Tuple[ConversionRecord, bytes]]
+            ) -> PngConversionReport:
+    """Tally conversion records into the static and animated lists."""
+    report = PngConversionReport([], [])
+    for record, _body in conversions:
+        (report.animations if record.role == ImageRole.ANIMATION
+         else report.static).append(record)
+    return report
+
+
 def convert_site_to_png(site: MicroscapeSite, *,
                         include_gamma: bool = True) -> PngConversionReport:
     """Convert every site image with the real codecs and tally sizes.
@@ -95,20 +119,7 @@ def convert_site_to_png(site: MicroscapeSite, *,
     ``include_gamma`` keeps the 16-byte gAMA chunk the paper's
     conversion added; pass False to measure the conversion without it.
     """
-    static_records = []
-    animation_records = []
-    for obj in site.image_objects:
-        if obj.role == ImageRole.ANIMATION:
-            assert obj.frames is not None
-            mng = encode_mng(obj.frames)
-            animation_records.append(ConversionRecord(
-                obj.url, obj.role, len(obj.body), len(mng)))
-        else:
-            assert obj.image is not None
-            png = encode_png(obj.image, include_gamma=include_gamma)
-            static_records.append(ConversionRecord(
-                obj.url, obj.role, len(obj.body), len(png)))
-    return PngConversionReport(static_records, animation_records)
+    return _report(_conversions(site, include_gamma=include_gamma))
 
 
 # ----------------------------------------------------------------------
@@ -204,13 +215,13 @@ def apply_all_transforms(site: MicroscapeSite) -> TransformedPage:
     the content half of the paper's "all techniques applied" estimate.
     """
     css_report = css_replacement_analysis(site)
-    png_report = convert_site_to_png(site)
+    conversions = list(_conversions(site))
     converted: Dict[str, Tuple[str, bytes]] = {}
-    for record, encoder in _conversions(site):
+    for record, body in conversions:
         converted[record.url] = (record.url.replace(".gif", ".png")
                                  if record.role != ImageRole.ANIMATION
                                  else record.url.replace(".gif", ".mng"),
-                                 encoder)
+                                 body)
     replaced_by_url = {r.url: r for r in css_report.replaced}
     html = site.html.body.decode("latin-1")
 
@@ -236,19 +247,7 @@ def apply_all_transforms(site: MicroscapeSite) -> TransformedPage:
         new_url, body = converted[obj.url]
         objects[new_url] = body
     return TransformedPage(html.encode("latin-1"), objects, css_report,
-                           png_report)
-
-
-def _conversions(site: MicroscapeSite):
-    for obj in site.image_objects:
-        if obj.role == ImageRole.ANIMATION:
-            assert obj.frames is not None
-            body = encode_mng(obj.frames)
-        else:
-            assert obj.image is not None
-            body = encode_png(obj.image)
-        yield (ConversionRecord(obj.url, obj.role, len(obj.body),
-                                len(body)), body)
+                           _report(conversions))
 
 
 def shared_style_block(report: CssReplacementReport) -> str:

@@ -129,8 +129,20 @@ class DeepConfig:
     #: Path fragments whose module-global state is sanctioned (the
     #: artifact store propagates it via store_state/_pool_initializer).
     purity_path_waivers: Tuple[str, ...] = ("content/artifacts.py",)
-    #: Individual sanctioned globals (covered by the pool warm-up).
-    purity_global_waivers: Tuple[str, ...] = ("_DEFAULT_SITE_AND_STORE",)
+    #: Individual sanctioned globals, with the reason each is safe to
+    #: differ between workers, the parent and the serial path.
+    purity_global_waivers: Mapping[str, str] = dataclasses.field(
+        default_factory=lambda: {
+            "_DEFAULT_SITE_AND_STORE": "covered by the pool warm-up",
+            "_CLASSIFY_CACHE": "pure memo: the key is the raw tag text "
+                               "and the value its frozen Token, so a "
+                               "cold or cleared cache recomputes the "
+                               "same value",
+            "_COMPRESSED_MEMO": "pure memo: the key digests max_string "
+                                "and every framed payload the LZW size "
+                                "depends on, so a miss re-encodes to "
+                                "the same value",
+        })
 
 
 DEFAULT_DEEP_CONFIG = DeepConfig()
@@ -568,7 +580,7 @@ def _purity_pass(graph: ProjectGraph,
         roots.extend(fn.qualname for fn in graph.functions_named(name))
     if not roots:
         return findings
-    waived_globals = set(config.purity_global_waivers)
+    waived_globals = config.purity_global_waivers
     for qualname in sorted(graph.reachable(roots)):
         fn = graph.functions[qualname]
         module = graph.modules[fn.module]

@@ -26,6 +26,7 @@ needs on-the-wire byte counts.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Dict, List, Optional, Tuple
 
 __all__ = ["LzwEncoder", "LzwDecoder", "lzw_compress", "lzw_decompress",
@@ -38,6 +39,14 @@ FIRST_FREE_CODE = 258
 MIN_CODE_BITS = 9
 MAX_CODE_BITS = 12
 MAX_CODES = 1 << MAX_CODE_BITS
+
+#: Stream-history digest -> LZW byte count of the packet that ends that
+#: history (see :class:`ModemCompressor`).  The paper's method reruns
+#: the same fetch five times per cell over one site, so most PPP
+#: packets repeat a history an earlier unit already coded.  Entries are
+#: tens of bytes; one cold report stores about 5k of them.
+_COMPRESSED_MEMO: Dict[bytes, int] = {}
+_COMPRESSED_MEMO_MAX = 65536
 
 
 class LzwEncoder:
@@ -219,6 +228,13 @@ class ModemCompressor:
     pair — its 2048-entry LRU dictionary, frame flushes and retrains
     eat the rest.  0.25 reproduces the measured path; 1.0 gives the
     idealized codec.
+
+    The LZW size of a packet depends only on ``max_string`` and the
+    payloads that came before it, so it is looked up in
+    ``_COMPRESSED_MEMO`` under a 128-bit digest of exactly that history
+    and the encoder runs only on a miss, after catching up on the
+    packets it skipped.  A repeated stream costs one hash per packet; a
+    new one costs the encode it always did; the sizes are the same.
     """
 
     MODE_MARKER_BYTES = 1
@@ -231,7 +247,13 @@ class ModemCompressor:
                  efficiency: float = DEFAULT_EFFICIENCY) -> None:
         self._encoder = LzwEncoder(max_string=max_string)
         self.efficiency = efficiency
-        self._bits_reported = 0
+        #: Rolling digest of ``(max_string, payload_1 .. payload_n)``,
+        #: each payload length-framed: the key into ``_COMPRESSED_MEMO``.
+        self._history = hashlib.blake2b(repr(max_string).encode("ascii"),
+                                        digest_size=16)
+        #: Payloads answered from the memo that the encoder has not
+        #: consumed yet; fed in order before the next miss is coded.
+        self._skipped: List[bytes] = []
         #: Totals for inspection: raw payload bytes vs wire bytes.
         self.raw_bytes = 0
         self.transmitted_bytes = 0
@@ -240,16 +262,44 @@ class ModemCompressor:
         """On-the-wire byte count for ``payload`` (stateful)."""
         if not payload:
             return 0
-        self._encoder.encode(payload)
-        total_bits = self._encoder.flush()
-        compressed = (total_bits - self._bits_reported + 7) // 8
-        self._bits_reported = total_bits
+        history = self._history
+        history.update(len(payload).to_bytes(4, "big"))
+        history.update(payload)
+        key = history.digest()
+        compressed = _COMPRESSED_MEMO.get(key)
+        if compressed is None:
+            compressed = self._encode(payload)
+            if len(_COMPRESSED_MEMO) >= _COMPRESSED_MEMO_MAX:
+                _COMPRESSED_MEMO.clear()
+            _COMPRESSED_MEMO[key] = compressed
+        else:
+            self._skipped.append(payload)
         savings = max(0, len(payload) - compressed)
         realized = int(savings * self.efficiency)
         wire = len(payload) - realized + self.MODE_MARKER_BYTES
         self.raw_bytes += len(payload)
         self.transmitted_bytes += wire
         return wire
+
+    def _encode(self, payload: bytes) -> int:
+        """Run the real encoder over ``payload``; its LZW byte count.
+
+        The dictionary must first learn every packet the memo answered
+        for it, frame by frame (encode + flush each), so the state that
+        codes ``payload`` is the one an always-encoding modem has.
+        """
+        encoder = self._encoder
+        for earlier in self._skipped:
+            encoder.encode(earlier)
+            encoder.flush()
+        self._skipped.clear()
+        before = encoder.bits_emitted
+        encoder.encode(payload)
+        total_bits = encoder.flush()
+        # Only the bit count is read here; without this the code list
+        # grows by one int per code for the life of the PPP unit.
+        encoder.codes_emitted.clear()
+        return (total_bits - before + 7) // 8
 
     @property
     def compression_ratio(self) -> float:

@@ -50,8 +50,19 @@ def test_reproduce_modem_experiment_smoke():
     assert "saved" in text
 
 
-def test_reproduce_content_experiments_smoke():
+def test_reproduce_content_experiments_smoke(monkeypatch):
+    from repro.content import transform
+    encoded = []
+
+    def counting_encode_png(image, **kwargs):
+        encoded.append(image)
+        return encode_png(image, **kwargs)
+
+    encode_png = transform.encode_png
+    monkeypatch.setattr(transform, "encode_png", counting_encode_png)
     results, text = reproduce_content_experiments()
+    # Each of the 40 static images is converted once per report.
+    assert len(encoded) == 40
     assert results["static_png_total"] < results["static_gif_total"]
     assert results["css_requests_saved"] >= 20
     assert "Content experiments" in text

@@ -112,6 +112,11 @@ def test_apply_all_transforms_rewrites_page(site):
         assert url in page.objects
 
 
+def test_transform_report_is_the_standalone_conversion(site, png_report):
+    """One encoding pass serves both: the page's tally is the batch's."""
+    assert apply_all_transforms(site).png_report == png_report
+
+
 def test_transformed_payload_smaller(site):
     page = apply_all_transforms(site)
     before = site.html.size + site.total_image_bytes

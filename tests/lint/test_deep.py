@@ -1,13 +1,14 @@
 """The flow-aware deep passes: corpus, waivers, baseline plumbing."""
 
+import dataclasses
 import json
 import pathlib
 import textwrap
 
 import pytest
 
-from repro.lint import (DeepError, apply_baseline, load_baseline,
-                        run_deep, write_baseline)
+from repro.lint import (DEFAULT_DEEP_CONFIG, DeepError, apply_baseline,
+                        load_baseline, run_deep, write_baseline)
 
 REPO = pathlib.Path(__file__).resolve().parents[2]
 FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "deep"
@@ -54,6 +55,22 @@ def test_bad_pool_corpus():
     assert "'_MEMO[...]'" in messages
     # Same writes outside the dispatch's reach are not findings.
     assert "offline_report" not in messages
+
+
+def test_purity_waiver_needs_a_name_and_carries_a_reason():
+    # The two pure memos are waived by name, each with its argument...
+    waivers = DEFAULT_DEEP_CONFIG.purity_global_waivers
+    assert {"_CLASSIFY_CACHE", "_COMPRESSED_MEMO"} <= set(waivers)
+    assert all(reason.strip() for reason in waivers.values())
+    # ...and a waiver covers that global only: the corpus memo is
+    # caught by default (above) and accepted once named, while the
+    # rebind beside it still fires.
+    config = dataclasses.replace(
+        DEFAULT_DEEP_CONFIG,
+        purity_global_waivers={"_MEMO": "pure: item -> item * 2"})
+    findings = run_deep(FIXTURES / "bad_pool", config)
+    assert _rules(findings) == ["pool-global-write"]
+    assert "'_COUNT'" in findings[0].message
 
 
 # ----------------------------------------------------------------------

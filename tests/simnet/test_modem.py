@@ -1,8 +1,11 @@
 """Unit and property tests for the V.42bis-style modem compressor."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.simnet import modem as modem_module
 from repro.simnet.modem import (LzwDecoder, LzwEncoder, ModemCompressor,
                                 lzw_compress, lzw_decompress)
 
@@ -107,6 +110,150 @@ def test_efficiency_scales_savings():
     ideal = ModemCompressor(efficiency=1.0)
     real = ModemCompressor(efficiency=0.25)
     assert real.wire_bytes(text) > ideal.wire_bytes(text)
+
+
+# ----------------------------------------------------------------------
+# The stream-history memo: exact whatever state it is in
+# ----------------------------------------------------------------------
+class _AlwaysEncoding:
+    """``ModemCompressor`` without the memo: every packet is encoded."""
+
+    def __init__(self, max_string, efficiency):
+        self._encoder = LzwEncoder(max_string=max_string)
+        self.efficiency = efficiency
+        self._bits_reported = 0
+        self.raw_bytes = 0
+        self.transmitted_bytes = 0
+
+    def wire_bytes(self, payload):
+        if not payload:
+            return 0
+        self._encoder.encode(payload)
+        total_bits = self._encoder.flush()
+        compressed = (total_bits - self._bits_reported + 7) // 8
+        self._bits_reported = total_bits
+        savings = max(0, len(payload) - compressed)
+        realized = int(savings * self.efficiency)
+        wire = len(payload) - realized + ModemCompressor.MODE_MARKER_BYTES
+        self.raw_bytes += len(payload)
+        self.transmitted_bytes += wire
+        return wire
+
+    compression_ratio = ModemCompressor.compression_ratio
+
+
+def _drive(make, streams, clear_before=None):
+    """Feed each stream to its own compressor, round-robin by packet.
+
+    All compressors are live at once, as a cell's up and down modems
+    are.  ``clear_before`` empties the memo ahead of that packet
+    ordinal, leaving compressors with skipped packets and no entries.
+    """
+    modems = [make() for _ in streams]
+    wires = [[] for _ in streams]
+    ordinal = 0
+    for index in range(max(map(len, streams))):
+        for modem, stream, wire in zip(modems, streams, wires):
+            if index < len(stream):
+                if ordinal == clear_before:
+                    modem_module._COMPRESSED_MEMO.clear()
+                wire.append(modem.wire_bytes(stream[index]))
+                ordinal += 1
+    return [(wire, modem.raw_bytes, modem.transmitted_bytes,
+             modem.compression_ratio)
+            for wire, modem in zip(wires, modems)]
+
+
+_WORDS = (b"GET /gifs/icon", b" HTTP/1.1\r\n", b"Host: www26.w3.org\r\n",
+          b"<td><img src=", b"0", b"1", b".gif", b"\r\n")
+_PAYLOAD = st.one_of(
+    st.just(b""),                                   # a bare ACK
+    st.binary(min_size=1, max_size=60),
+    st.lists(st.sampled_from(_WORDS), min_size=1, max_size=40)
+    .map(b"".join))
+_PACKETS = st.lists(_PAYLOAD, max_size=6)
+#: Streams that share a prefix and then diverge.
+_STREAMS = st.builds(
+    lambda prefix, tails: [prefix + tail for tail in tails],
+    _PACKETS, st.lists(_PACKETS, min_size=1, max_size=4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(streams=_STREAMS, clear_before=st.integers(0, 30),
+       max_string=st.sampled_from((6, 3, None)),
+       efficiency=st.sampled_from((0.25, 1.0)))
+def test_memo_state_never_changes_a_wire_size(streams, clear_before,
+                                              max_string, efficiency):
+    expected = _drive(lambda: _AlwaysEncoding(max_string, efficiency),
+                      streams)
+    make = lambda: ModemCompressor(max_string, efficiency)
+    memo = modem_module._COMPRESSED_MEMO
+    memo.clear()
+    assert _drive(make, streams) == expected                    # cold
+    assert _drive(make, streams) == expected                    # warm
+    assert _drive(make, streams, clear_before) == expected      # cleared
+    with mock.patch.object(modem_module, "_COMPRESSED_MEMO_MAX", 2):
+        memo.clear()
+        assert _drive(make, streams) == expected                # at cap
+        assert len(memo) <= 2
+
+
+def test_replayed_stream_never_runs_the_encoder():
+    packets = [b"<tr><td>cell</td></tr>" * 40, b"", b"<p>tail</p>" * 9]
+    first, replay, diverging = (ModemCompressor() for _ in range(3))
+    sizes = [first.wire_bytes(p) for p in packets]
+    assert [replay.wire_bytes(p) for p in packets] == sizes
+    assert replay._encoder.bits_emitted == 0
+    # A stream that leaves the known history catches the encoder up
+    # (dictionary included) before coding the new packet.
+    for packet in packets[:2]:
+        diverging.wire_bytes(packet)
+    novel = b"<tr><td>cell</td></tr>" * 7 + b"!"
+    oracle = _AlwaysEncoding(ModemCompressor.V42BIS_MAX_STRING,
+                             ModemCompressor.DEFAULT_EFFICIENCY)
+    for packet in packets[:2]:
+        oracle.wire_bytes(packet)
+    assert diverging.wire_bytes(novel) == oracle.wire_bytes(novel)
+    assert (diverging._encoder.bits_emitted
+            == oracle._encoder.bits_emitted)
+
+
+def test_packet_boundaries_are_part_of_the_history():
+    # Same bytes, framed differently: the modem flushes per packet, so
+    # the second packets have different sizes and must not share a key.
+    x, y, z = b"alpha " * 30, b"beta " * 30, b"gamma " * 30
+    modem_module._COMPRESSED_MEMO.clear()
+    got = _drive(ModemCompressor, [[x + y, z], [x, y + z]])
+    assert got == _drive(lambda: _AlwaysEncoding(6, 0.25),
+                         [[x + y, z], [x, y + z]])
+    assert got[0][0][1] != got[1][0][1]
+
+
+def test_different_n7_limits_do_not_share_entries():
+    text = b"abcabcabcabcabcabcabcabc" * 30
+    assert (ModemCompressor(max_string=None, efficiency=1.0)
+            .wire_bytes(text)
+            < ModemCompressor(max_string=3, efficiency=1.0)
+            .wire_bytes(text))
+
+
+def test_link_path_does_not_accumulate_codes():
+    modem = ModemCompressor()
+    for i in range(50):
+        modem.wire_bytes(b"never seen before %d " % i * 20)
+    assert modem._encoder.codes_emitted == []
+
+
+def test_ppp_cell_repeats_byte_identically_in_process():
+    # The second run finds every stream of the first in the memo.
+    from repro.core.runner import run_experiment
+    modem_module._COMPRESSED_MEMO.clear()
+    runs = [run_experiment("HTTP/1.1 Pipelined", "first-time",
+                           environment="PPP", profile="Apache", seed=0,
+                           keep_trace=True) for _ in range(2)]
+    assert runs[0].trace_lines == runs[1].trace_lines
+    assert runs[0].elapsed == runs[1].elapsed
+    assert modem_module._COMPRESSED_MEMO
 
 
 def _modem_link(sim):
