@@ -78,6 +78,47 @@ from its printed coordinates alone:
 With `faults=None` (the default everywhere) the injector is never
 installed and the seven golden WAN traces remain byte-identical.
 
+### Robustness of the harness itself
+
+The faults above attack the simulated network and server; a second
+layer (`repro.faults.harness`) attacks the experiment harness — the
+worker processes that execute the grid.  `HarnessFaultPlan` scripts
+three machine faults deterministically by unit ordinal, seed and
+attempt number: a worker that SIGKILLs itself mid-chunk (an OOM kill
+or segfault), a cell that hangs far past any reasonable wall budget
+(a wedged syscall), and a poison cell that raises on every attempt (a
+deterministic bug).
+
+The matrix supervisor (`repro.matrix.supervisor`) must absorb all
+three.  Dispatched chunks carry per-unit wall-clock deadlines
+(`--unit-deadline`, defaulting to a fraction of the cell's
+`max_sim_time`); a liveness watch on the pool's worker processes
+notices a dead worker within one poll tick.  On either signal the
+pool is terminated and respawned and the lost chunks are
+re-dispatched under a capped retry budget (`--retry-budget`, default
+2), walking the same downgrade ladder as the fetch robot: parallel
+retry → serial in-parent retry → quarantine.  Only exception failures
+reach the serial rung — a unit that hangs or kills its worker would
+do the same to the parent.  A quarantined unit becomes a structured
+`UnitFailure` (exception text, traceback digest, attempt count) on
+its cell's `AveragedResult` instead of aborting the grid, so one
+poisoned cell costs one row, not the run.
+
+Because a unit's computation is independent of where and how often it
+runs, recovery is *byte-identical*: a grid that survives a worker
+kill produces exactly the numbers of an undisturbed serial run
+(`tests/matrix/test_supervisor.py` enforces this on every check), and
+the supervised machinery leaves the seven golden WAN traces and the
+48-cell chaos grid untouched.
+
+Interrupted runs resume rather than restart: `--journal` records
+every resolved unit (measurements *and* quarantine verdicts) into a
+crash-safe append-only journal under `.repro-cache/runs/<RUN_ID>/`,
+each record written temp-then-rename so a crash at any instant leaves
+a complete record or none.  `--resume RUN_ID` replays journaled units
+byte-for-byte and simulates only what is missing; `chaos --journal` /
+`chaos --resume` do the same at cell granularity.
+
 ## Modern protocol modes
 
 The paper closes by pointing past pipelining — at multiplexed
@@ -144,12 +185,15 @@ where the application's next request breaks every span immediately)
 is vetoed and runs per-segment for the rest of its life — the HTTP
 cells pay at most one probe span per connection.
 
-Traces are byte-identical by construction and by gate: `scripts/
-check.sh` compares a WAN and a PPP cell against `--no-fastpath`, the
-seven golden WAN fixtures and the 48-cell chaos grid run with the
-driver enabled, and `python -m repro bench --fastpath` re-verifies
-identity before recording timings.  Measured on the bulk-transfer
-cells (best of 3, under `fastpath` in `BENCH_simnet.json`):
+Traces are byte-identical by construction and by gate:
+`tests/simnet/test_fastforward.py` compares a full-stack HTTP cell
+and WAN and PPP bulk transfers against `fastpath=False`, the seven
+golden WAN fixtures and the 48-cell chaos grid run with the driver
+enabled, and the `bulk_kernel` workload of the repo benchmark
+re-verifies identity record by record before reporting timings.
+Measured on the bulk-transfer cells when the driver landed (PR 7,
+best of 3; re-measure with `bash bench/run.sh --workload bulk_kernel`,
+metric `simnet.fastforward.speedup`):
 
     cell                        on        off      speedup
     bulk-8MB | LAN              34 ms     132 ms   3.9x
@@ -162,13 +206,26 @@ hatch everywhere a run is configured: `python -m repro run
 --no-fastpath`, `run_experiment(..., fastpath=False)`,
 `TcpConfig(fastpath=False)`.
 
+Every number above that came out of the result cache is only as
+trustworthy as the cache key, and every averaged run only as
+reproducible as its RNG streams — so both properties are now
+machine-checked: `python -m repro lint --deep` (run by
+`scripts/check.sh` against the committed `DEEP_BASELINE.json`)
+verifies that each run-affecting spec field and `run_experiment`
+parameter is cache-keyed or explicitly waived, that every
+`random.Random` seed derives from the experiment seed, and that
+worker-pool code touches no unsanctioned module state.  Fix a
+baselined finding, delete its entry, and the gate holds the line;
+refresh with `--write-baseline DEEP_BASELINE.json` only after
+reviewing what changed.
+
 ## Population-scale experiments
 
 The paper's tables measure one robot against one server.  The fleet
 engine (`repro.fleet`) scales the same simulator to whole populations:
 
-    python -m repro fleet --users 1000 --cohorts 16 --environment WAN \
-        --arrival-rate 10 --pages-per-user 1 --backbone-bps 45e6 \
+    python -m repro fleet --users 1000 --cohorts 16 --environment WAN \\
+        --arrival-rate 10 --pages-per-user 1 --backbone-bps 45e6 \\
         --max-sim-time 300 --jobs 4 --cache --progress
 
 A `FleetSpec` compiles into per-user plans — Poisson arrivals, a
@@ -200,11 +257,12 @@ ends its session, the way real users give up.
 The fleet report leads with what single-robot tables cannot show:
 nearest-rank p50/p95/p99 page-load time overall and per protocol
 mode, Jain's fairness index over per-session means, and the server's
-accept-backlog queueing record.  Committed throughput (under `fleet`
-in `BENCH_simnet.json`, gated at ≥1000 users/minute by
-`scripts/check.sh`): 1000 WAN users in 16 cohorts simulate in ~13 s
-of wall time — ~4700 users/minute — at p50 1.33 s / p95 6.23 s /
-p99 6.60 s with zero errors.
+accept-backlog queueing record.  Throughput when the fleet engine
+landed (PR 10, serial): 1000 WAN users in 16 cohorts simulate in
+~13 s of wall time — ~4700 users/minute — at p50 1.33 s / p95 6.23 s /
+p99 6.60 s with zero errors.  Re-measure with `bash bench/run.sh
+--workload fleet_wan` (the same population at quarter scale, metric
+`units_per_min`).
 
 ## Known deviations
 

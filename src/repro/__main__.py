@@ -16,10 +16,6 @@ Commands
     Print the synthetic Microscape site inventory.
 ``report``
     Regenerate the full paper-vs-measured report (EXPERIMENTS.md body).
-``bench``
-    Time one representative cell per (mode, environment) pair and write
-    ``BENCH_simnet.json`` (see DESIGN.md, "Engine internals and
-    performance").
 ``fleet``
     Population-scale runs: cohorts of robot sessions contending for a
     shared bottleneck and a finite-capacity server, with nearest-rank
@@ -37,11 +33,10 @@ Commands
 ``table``, ``modem``, ``report`` and ``fleet`` accept ``--jobs N``
 (parallel worker processes), ``--cache`` (reuse results from
 ``.repro-cache/``) and ``--cache-dir PATH``; the first three plus
-``run`` and ``bench`` accept ``--no-artifact-cache`` (disable the
-content-addressed encode memo under ``.repro-cache/artifacts/``).
-``bench --matrix`` times a 24-cell grid cold vs. warm through the
-persistent worker pool; ``bench --fleet`` times the 1000-user
-population workload.
+``run`` accept ``--no-artifact-cache`` (disable the content-addressed
+encode memo under ``.repro-cache/artifacts/``).  Host-time
+measurement is not a verb here: ``bash bench/run.sh`` is the repo's
+one benchmark.
 
 Supervised execution (``table`` / ``modem`` / ``report`` / ``fleet``):
 ``--retry-budget N`` caps per-unit re-dispatches after a failure,
@@ -182,59 +177,6 @@ def _cmd_site(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from .perf import (run_benchmark, run_fastpath_benchmark,
-                       run_fleet_benchmark, run_matrix_benchmark,
-                       validate_bench_payload)
-    if args.fleet:
-        payload = run_fleet_benchmark(args.output, jobs=args.jobs)
-    elif args.fastpath:
-        payload = run_fastpath_benchmark(
-            args.output, repeats=args.repeats or 3)
-    elif args.matrix:
-        payload = run_matrix_benchmark(args.output, jobs=args.jobs)
-    else:
-        payload = run_benchmark(args.output, quick=args.quick,
-                                repeats=args.repeats)
-    problems = validate_bench_payload(payload)
-    if problems:
-        for problem in problems:
-            print(f"bench schema problem: {problem}", file=sys.stderr)
-        return 1
-    if args.fleet:
-        fleet = payload["fleet"]
-        print(f"wrote {args.output}: fleet {fleet['users']} users in "
-              f"{fleet['wall_time']:.1f} s "
-              f"({fleet['users_per_minute']:.0f} users/min, "
-              f"p99 {fleet['p99']:.2f} s, "
-              f"{fleet['pages_completed']} pages)")
-    elif args.fastpath:
-        cells = payload["fastpath"]["cells"]
-        speedups = sorted(entry["speedup_fastpath"]
-                          for entry in cells.values())
-        print(f"wrote {args.output}: {len(cells)} fast-path cells, "
-              f"speedup {speedups[0]:.2f}x..{speedups[-1]:.2f}x, "
-              f"traces byte-identical")
-    elif args.matrix:
-        matrix = payload["matrix"]
-        print(f"wrote {args.output}: {matrix['cells']}-cell matrix, "
-              f"cold {matrix['cold_wall_time']:.2f} s, warm "
-              f"{matrix['warm_wall_time']:.2f} s "
-              f"({matrix['speedup_warm_vs_cold']:.2f}x)")
-    else:
-        cells = payload["current"]["cells"]
-        speedups = [entry["speedup_vs_baseline"]
-                    for entry in cells.values()
-                    if "speedup_vs_baseline" in entry]
-        if speedups:
-            print(f"wrote {args.output}: {len(cells)} cells, speedup vs "
-                  f"baseline {min(speedups):.2f}x..{max(speedups):.2f}x")
-        else:
-            print(f"wrote {args.output}: {len(cells)} cells "
-                  f"(baseline recorded)")
-    return 0
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
     runner = _make_runner(args)
     print(generate_experiments_report(runs=args.runs,
@@ -293,34 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     site = sub.add_parser("site", help="print the Microscape inventory")
     site.set_defaults(fn=_cmd_site)
-
-    bench = sub.add_parser("bench",
-                           help="time representative cells, write "
-                                "BENCH_simnet.json")
-    bench.add_argument("--quick", action="store_true",
-                       help="one repetition per cell (CI smoke mode)")
-    bench.add_argument("--repeats", type=int, default=None, metavar="N",
-                       help="repetitions per cell (default 3, best kept)")
-    bench.add_argument("--output", default="BENCH_simnet.json",
-                       metavar="PATH", help="output JSON path")
-    bench.add_argument("--matrix", action="store_true",
-                       help="time a 24-cell grid cold vs. warm "
-                            "(artifact store + worker pool) and record "
-                            "it under the file's 'matrix' key")
-    bench.add_argument("--jobs", type=int, default=None, metavar="N",
-                       help="worker processes for --matrix "
-                            "(default: one per CPU)")
-    bench.add_argument("--fleet", action="store_true",
-                       help="time the population-scale fleet workload "
-                            "(1000 WAN users) and record it under the "
-                            "file's 'fleet' key")
-    bench.add_argument("--fastpath", action="store_true",
-                       help="time bulk transfers with the fast-forward "
-                            "driver on vs. off (verifies byte-identical "
-                            "traces) and record the cells under the "
-                            "file's 'fastpath' key")
-    _add_artifact_flag(bench)
-    bench.set_defaults(fn=_cmd_bench)
 
     report = sub.add_parser("report",
                             help="full paper-vs-measured report")

@@ -71,16 +71,17 @@ class LintConfig:
                    for fragment in self.hot_path_modules)
 
 
-#: The repository's own configuration: the perf harness and the matrix
-#: runner measure wall time by design; the per-packet/per-event object
-#: modules of the simulator are the designated ``__slots__`` hot path.
+#: The repository's own configuration: the matrix runner and its
+#: supervisor measure wall time by design; the per-packet/per-event
+#: object modules of the simulator are the designated ``__slots__``
+#: hot path.
 DEFAULT_CONFIG = LintConfig(
     allowlist={
         # Wall-clock reads are these modules' purpose: they time real
-        # work (benchmark repetitions, per-cell wall time).  Everything
-        # else — including repro.realnet since its clock became
-        # injectable — must go through an injected clock or sim.now.
-        "wall-clock": ("repro/perf.py", "repro/matrix/runner.py",
+        # work (per-unit wall time).  Everything else — including
+        # repro.realnet since its clock became injectable — must go
+        # through an injected clock or sim.now.
+        "wall-clock": ("repro/matrix/runner.py",
                        # The supervisor's whole job is wall-clock
                        # deadlines on real worker processes.
                        "repro/matrix/supervisor.py"),

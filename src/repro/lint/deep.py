@@ -100,8 +100,7 @@ class DeepConfig:
     #: work-unit level rather than through a spec field.
     unit_key_params: Tuple[str, ...] = ("seed",)
     #: Entry points of the worker-pool dispatch (purity roots).
-    dispatch_entries: Tuple[str, ...] = ("_pool_chunk_entry",
-                                        "_run_chunk_supervised",
+    dispatch_entries: Tuple[str, ...] = ("_run_chunk_supervised",
                                         "_pool_initializer",
                                         "run_unit")
     #: Constructors that consume run configuration (plain-name calls).

@@ -22,7 +22,8 @@ import itertools
 import json
 import os
 from pathlib import Path
-from typing import Any, Dict, Iterable, Optional, Tuple, Union
+from typing import (Any, Callable, Dict, Iterable, Optional, Tuple,
+                    TypeVar, Union)
 
 from .. import __version__
 from ..core.runner import RunResult
@@ -38,6 +39,48 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 #: Process-unique temp-file suffixes: the pid alone is not enough when
 #: two runners in one process (threads, nested reports) share a cache.
 _TMP_COUNTER = itertools.count()
+
+_T = TypeVar("_T")
+
+
+def write_json_atomic(path: Path, payload: Dict[str, Any]) -> None:
+    """Write ``payload`` to ``path`` so readers never see a torn file.
+
+    The one crash-safe writer of the result cache and the run journal:
+    the JSON lands in a uniquely named temp file (pid + in-process
+    counter) finished with an atomic :func:`os.replace`, so any number
+    of writers — threads or processes — can race on the same path and
+    a SIGKILL at any instant leaves a complete file or none.
+    """
+    tmp = path.with_suffix(f".tmp.{os.getpid()}.{next(_TMP_COUNTER)}")
+    tmp.write_text(json.dumps(payload, sort_keys=True, indent=1))
+    os.replace(tmp, path)
+
+
+def read_json_or_heal(path: Path,
+                      parse: Callable[[Any], _T]) -> Optional[_T]:
+    """``parse(json)`` of the file at ``path``, or None when unusable.
+
+    An unreadable file is a plain miss.  A file that exists but does
+    not parse (``parse`` signals that with ValueError / KeyError /
+    TypeError, as :func:`json.loads` does) is corrupt — a crash
+    mid-disk-flush, a bit flip — and is unlinked on sight so the
+    directory never accumulates poisoned entries; the next write lands
+    a clean replacement.  Removal is best-effort: a racing writer may
+    already have replaced it with a good entry.  Any other exception
+    from ``parse`` propagates with the file left in place.
+    """
+    try:
+        return parse(json.loads(path.read_text()))
+    except OSError:
+        return None
+    except (ValueError, KeyError, TypeError):
+        try:
+            path.unlink()
+        except OSError:
+            pass
+        return None
+
 
 #: The measurement columns a cache entry preserves.
 RESULT_FIELDS = (
@@ -169,49 +212,31 @@ class ResultCache:
         entries: the next :meth:`put` / :meth:`put_many` writes a clean
         replacement through the same atomic temp-then-rename path.
         """
-        path = self.path(spec, seed)
         try:
-            payload = json.loads(path.read_text())
-            return decode_result(payload["result"])
-        except OSError:
-            return None
+            return read_json_or_heal(
+                self.path(spec, seed),
+                lambda entry: decode_result(entry["result"]))
         except UnknownResultKind:
             # Valid entry from a process with more codecs loaded: a
             # miss, but not corruption — leave it on disk.
-            return None
-        except (ValueError, KeyError, TypeError):
-            # The file exists but does not parse into a result: heal by
-            # removal (best-effort — a racing writer may have already
-            # replaced it with a good entry).
-            try:
-                path.unlink()
-            except OSError:
-                pass
             return None
 
     def put(self, spec: ExperimentSpec, seed: int,
             result: Any) -> None:
         """Store a unit's measurements atomically.
 
-        Each write lands in a uniquely named temp file (pid + in-process
-        counter) finished with an atomic :func:`os.replace`, so any
-        number of runners — threads or processes — sharing one cache
-        directory can race on the same unit: readers only ever see
-        complete entries, and the content-addressed key means every
-        racer writes identical measurements anyway.
+        Runners sharing one cache directory can race on the same unit
+        (:func:`write_json_atomic`): readers only ever see complete
+        entries, and the content-addressed key means every racer
+        writes identical measurements anyway.
         """
         self.root.mkdir(parents=True, exist_ok=True)
-        path = self.path(spec, seed)
-        entry = {
+        write_json_atomic(self.path(spec, seed), {
             "version": self.version,
             "seed": int(seed),
             "spec": spec.canonical_dict(),
             "result": encode_result(result),
-        }
-        tmp = path.with_suffix(
-            f".tmp.{os.getpid()}.{next(_TMP_COUNTER)}")
-        tmp.write_text(json.dumps(entry, sort_keys=True, indent=1))
-        os.replace(tmp, path)
+        })
 
     def put_many(self, entries: Iterable[Tuple[ExperimentSpec, int,
                                                Any]]) -> int:

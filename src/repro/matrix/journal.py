@@ -28,7 +28,6 @@ stale journal can never contaminate a changed experiment.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 import os
 import re
@@ -38,7 +37,8 @@ from typing import Any, Dict, Iterable, Optional, Union
 from .. import __version__
 from ..core.runner import RunResult, UnitFailure
 from .cache import (DEFAULT_CACHE_DIR, UnknownResultKind, decode_result,
-                    encode_result, unit_key)
+                    encode_result, read_json_or_heal, unit_key,
+                    write_json_atomic)
 from .spec import ExperimentSpec
 
 __all__ = ["DEFAULT_RUNS_DIR", "RunJournal"]
@@ -46,12 +46,15 @@ __all__ = ["DEFAULT_RUNS_DIR", "RunJournal"]
 #: Journals live next to the result cache, one directory per run.
 DEFAULT_RUNS_DIR = os.path.join(DEFAULT_CACHE_DIR, "runs")
 
-#: Process-unique temp suffixes (same reasoning as the result cache).
-_TMP_COUNTER = itertools.count()
-
 _RUN_ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,99}$")
 
 _KEY_RE = re.compile(r"^[0-9a-f]{16,64}$")
+
+
+def _unit_record(payload: Any) -> Dict[str, Any]:
+    if not isinstance(payload, dict) or "status" not in payload:
+        raise ValueError("not a unit record")
+    return payload
 
 
 class RunJournal:
@@ -97,7 +100,7 @@ class RunJournal:
         self.units_dir.mkdir(parents=True, exist_ok=True)
         manifest = self.path / "manifest.json"
         if not manifest.is_file():
-            self._write_atomic(manifest, {
+            write_json_atomic(manifest, {
                 "run_id": self.run_id,
                 "version": self.version,
             })
@@ -145,13 +148,7 @@ class RunJournal:
 
     def _record(self, key: str, payload: Dict[str, Any]) -> None:
         self.begin()
-        self._write_atomic(self._unit_path(key), payload)
-
-    def _write_atomic(self, path: Path, payload: Dict[str, Any]) -> None:
-        tmp = path.with_suffix(
-            f".tmp.{os.getpid()}.{next(_TMP_COUNTER)}")
-        tmp.write_text(json.dumps(payload, sort_keys=True, indent=1))
-        os.replace(tmp, path)
+        write_json_atomic(self._unit_path(key), payload)
 
     # ------------------------------------------------------------------
     # Lookup
@@ -167,20 +164,9 @@ class RunJournal:
         if not self.units_dir.is_dir():
             return records
         for path in sorted(self.units_dir.glob("*.json")):
-            try:
-                payload = json.loads(path.read_text())
-                if not isinstance(payload, dict) \
-                        or "status" not in payload:
-                    raise ValueError("not a unit record")
-            except OSError:
-                continue
-            except (ValueError, KeyError, TypeError):
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
-                continue
-            records[path.stem] = payload
+            payload = read_json_or_heal(path, _unit_record)
+            if payload is not None:
+                records[path.stem] = payload
         return records
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:

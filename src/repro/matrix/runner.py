@@ -54,13 +54,12 @@ from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple)
 
 from ..content import artifacts
-from ..core.runner import (AveragedResult, RunResult, UnitFailure,
-                           warm_default_site)
+from ..core.runner import AveragedResult, UnitFailure, warm_default_site
 from ..faults.harness import HarnessFaultPlan, resolve_harness_plan
 from .cache import ResultCache, unit_key
 from .journal import RunJournal
 from .spec import ExperimentSpec
-from .supervisor import DEFAULT_RETRY_BUDGET, Supervisor
+from .supervisor import DEFAULT_RETRY_BUDGET, Supervisor, run_serial
 
 __all__ = ["CellEvent", "MatrixStats", "MatrixRunner", "run_unit"]
 
@@ -175,24 +174,6 @@ def _pool_initializer(artifact_state: Dict[str, object],
     artifacts.configure(**artifact_state)
     if warm:
         warm_default_site()
-
-
-def _pool_chunk_entry(chunk: Sequence[_Unit]
-                      ) -> Tuple[List[Tuple[int, RunResult, float]],
-                                 Tuple[int, int]]:
-    """Run a chunk of units in a worker; one IPC round-trip per chunk.
-
-    Returns the per-unit results plus the artifact-store (hits, misses)
-    delta this chunk produced in the worker, so the parent can
-    aggregate encode-memoization effectiveness across the pool.
-    """
-    stats = artifacts.get_store().stats
-    hits, misses = stats.hits, stats.misses
-    results = []
-    for index, spec, seed in chunk:
-        result, wall = run_unit(spec, seed)
-        results.append((index, result, wall))
-    return results, (stats.hits - hits, stats.misses - misses)
 
 
 class MatrixRunner:
@@ -458,29 +439,10 @@ class MatrixRunner:
         if not pending:
             return
         if self.jobs <= 1 or len(pending) <= 1:
-            store_stats = artifacts.get_store().stats
-            hits, misses = store_stats.hits, store_stats.misses
-            try:
-                for index in pending:
-                    spec, seed = units[index]
-                    try:
-                        if self.harness_faults is not None:
-                            self.harness_faults.apply(index, seed, 1)
-                        result, wall = run_unit(spec, seed)
-                    except Exception as exc:
-                        # Serial in-parent execution IS the ladder's
-                        # final rung: quarantine immediately.
-                        yield [(index, UnitFailure.from_exception(
-                            spec.label, seed, exc, attempts=1), 0.0)]
-                    else:
-                        yield [(index, result, wall)]
-            finally:
-                # try/finally so a consumer that stops early (or a
-                # raising unit, before failures were quarantined) can
-                # not lose the artifact hit/miss delta.
-                self.stats.artifact_hits += store_stats.hits - hits
-                self.stats.artifact_misses += \
-                    store_stats.misses - misses
+            for index in pending:
+                spec, seed = units[index]
+                yield [run_serial(self.stats, self.harness_faults,
+                                  index, spec, seed, 1)]
             return
         payload = [(index, units[index][0], units[index][1])
                    for index in pending]

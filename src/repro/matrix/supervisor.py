@@ -43,7 +43,8 @@ from ..core.runner import RunResult, UnitFailure
 from ..faults.harness import HarnessFaultPlan
 from .spec import ExperimentSpec
 
-__all__ = ["DEFAULT_RETRY_BUDGET", "DEADLINE_GRACE", "Supervisor"]
+__all__ = ["DEFAULT_RETRY_BUDGET", "DEADLINE_GRACE", "Supervisor",
+           "run_serial"]
 
 #: Parallel re-dispatches allowed per unit after its first failure
 #: (the serial in-parent rung comes after these, for exception
@@ -94,11 +95,13 @@ def _run_chunk_supervised(
 ) -> Tuple[List[_Outcome], Tuple[int, int]]:
     """Worker entry: run a chunk, capturing failures per unit.
 
-    One IPC round-trip per chunk, like the unsupervised entry it
-    replaces, plus the artifact-store (hits, misses) delta.  A raising
-    unit becomes a :class:`_WorkerFailure` in the results instead of
-    propagating (which would abort the pool drain for every unit in
-    the batch); the parent's retry ladder decides what happens next.
+    One IPC round-trip per chunk, returning the per-unit outcomes plus
+    the artifact-store (hits, misses) delta the chunk produced in this
+    worker, so the parent can aggregate encode-memoization
+    effectiveness across the pool.  A raising unit becomes a
+    :class:`_WorkerFailure` in the results instead of propagating
+    (which would abort the pool drain for every unit in the batch);
+    the parent's retry ladder decides what happens next.
     """
     units, plan = payload
     from .runner import run_unit    # runner imports this module
@@ -117,6 +120,34 @@ def _run_chunk_supervised(
         else:
             results.append((index, result, wall))
     return results, (stats.hits - hits, stats.misses - misses)
+
+
+def run_serial(stats, plan: Optional[HarnessFaultPlan], index: int,
+               spec: ExperimentSpec, seed: int, attempt: int) -> _Outcome:
+    """Run one unit in the parent: the ladder's final rung.
+
+    ``jobs=1`` execution starts here (attempt 1) and exception failures
+    that spent their parallel budget end here; either way a raising
+    unit is quarantined as a :class:`UnitFailure`, not retried.  The
+    artifact-store hit/miss delta lands in ``stats`` (the runner's
+    :class:`~repro.matrix.runner.MatrixStats`) in a ``finally``, so a
+    raising unit or a consumer that stops iterating cannot lose it.
+    """
+    from .runner import run_unit    # runner imports this module
+    store_stats = artifacts.get_store().stats
+    hits, misses = store_stats.hits, store_stats.misses
+    try:
+        try:
+            if plan is not None:
+                plan.apply(index, seed, attempt)
+            result, wall = run_unit(spec, seed)
+        except Exception as exc:
+            return (index, UnitFailure.from_exception(
+                spec.label, seed, exc, attempts=attempt), 0.0)
+        return (index, result, wall)
+    finally:
+        stats.artifact_hits += store_stats.hits - hits
+        stats.artifact_misses += store_stats.misses - misses
 
 
 class _Chunk:
@@ -259,27 +290,8 @@ class Supervisor:
             return None
         # Parallel budget exhausted: the serial in-parent rung.
         self.runner._emit_retry(spec, seed, attempt + 1)
-        return self._run_serial(index, spec, seed, attempt + 1)
-
-    def _run_serial(self, index: int, spec: ExperimentSpec, seed: int,
-                    attempt: int) -> _Outcome:
-        """Final rung of the ladder; a failure here quarantines."""
-        from .runner import run_unit
-        stats = self.runner.stats
-        store_stats = artifacts.get_store().stats
-        hits, misses = store_stats.hits, store_stats.misses
-        try:
-            try:
-                if self.plan is not None:
-                    self.plan.apply(index, seed, attempt)
-                result, wall = run_unit(spec, seed)
-            except Exception as exc:
-                return (index, UnitFailure.from_exception(
-                    spec.label, seed, exc, attempts=attempt), 0.0)
-            return (index, result, wall)
-        finally:
-            stats.artifact_hits += store_stats.hits - hits
-            stats.artifact_misses += store_stats.misses - misses
+        return run_serial(self.runner.stats, self.plan, index, spec,
+                          seed, attempt + 1)
 
     def _supervise(self) -> List[_Outcome]:
         """One idle tick: check liveness and deadlines, maybe recover.

@@ -1,21 +1,12 @@
-"""Performance counters and the ``python -m repro bench`` harness.
+"""Performance counters for the simulator core.
 
-The simulator core is the dominant cost of reproducing the paper's
-tables: every cell is thousands of discrete events, and the experiment
-matrix multiplies that by mode × scenario × environment × server × seed.
-This module gives the repo a perf trajectory:
-
-* :class:`PerfCounters` — cheap monotonic counters maintained by the
-  engine (:class:`~repro.simnet.engine.Simulator`) and the TCP layer,
-  surfaced through :class:`~repro.simnet.trace.TraceSummary` and
-  :class:`~repro.core.runner.AveragedResult` so any experiment can
-  report how much simulation work it cost.
-* :func:`run_benchmark` — times one representative first-time cell per
-  (mode, environment) pair and writes ``BENCH_simnet.json``.  The file
-  keeps a **baseline** section (recorded before the PR-2 hot-path
-  optimization and preserved on rewrite) next to the **current**
-  numbers, so ``speedup_vs_baseline`` tracks the perf trajectory
-  across PRs instead of being a single throwaway measurement.
+:class:`PerfCounters` — cheap monotonic counters maintained by the
+engine (:class:`~repro.simnet.engine.Simulator`) and the TCP layer,
+surfaced through :class:`~repro.simnet.trace.TraceSummary` and
+:class:`~repro.core.runner.AveragedResult` so any experiment can report
+how much simulation work it cost.  Host-time measurement lives in the
+repo benchmark (``bench/``), which reads these counters through the
+public result types.
 
 Counter semantics
 -----------------
@@ -45,62 +36,9 @@ Counter semantics
 from __future__ import annotations
 
 import dataclasses
-import json
-import os
-import shutil
-import sys
-import time
-from typing import Callable, Dict, List, Optional
+from typing import Dict
 
-__all__ = ["PerfCounters", "BenchCell", "BENCH_SCHEMA_VERSION",
-           "representative_cells", "run_benchmark",
-           "run_matrix_benchmark", "run_fastpath_benchmark",
-           "run_fleet_benchmark",
-           "check_bench_regression", "validate_bench_payload"]
-
-#: Bumped whenever the shape of ``BENCH_simnet.json`` changes.
-BENCH_SCHEMA_VERSION = 1
-
-#: Fields every per-cell entry in ``BENCH_simnet.json`` must carry.
-_CELL_REQUIRED_KEYS = ("wall_time", "runs", "events_processed",
-                       "heap_peak", "segments", "cancels_avoided")
-
-#: Fields every cell of the optional ``fastpath`` section must carry.
-_FASTPATH_REQUIRED_KEYS = ("wall_time", "wall_time_nofastpath",
-                           "speedup_fastpath", "fastforward_spans",
-                           "segments_synthesized", "bytes", "runs")
-
-#: Fields the optional ``fleet`` section must carry.
-_FLEET_REQUIRED_KEYS = ("users", "cohorts", "rounds", "environment",
-                        "jobs", "wall_time", "users_per_minute",
-                        "pages_completed", "errors", "p50", "p95",
-                        "p99", "fairness")
-
-#: Fields the optional ``matrix`` section must carry.
-_MATRIX_REQUIRED_KEYS = ("cells", "units", "jobs", "cold_wall_time",
-                         "warm_wall_time", "speedup_warm_vs_cold",
-                         "artifact_hits", "artifact_misses",
-                         "ipc_batches", "bytes_pickled")
-
-#: The optional sections of ``BENCH_simnet.json``, one row per owning
-#: harness: (name, whether the body is a ``cells`` map of entries,
-#: required fields, fields that must be positive numbers, and integer
-#: fields that must be non-zero with the complaint when they are not).
-_OPTIONAL_SECTIONS = (
-    ("fastpath", True, _FASTPATH_REQUIRED_KEYS,
-     ("wall_time", "wall_time_nofastpath"),
-     (("fastforward_spans", "never engaged the fast path"),)),
-    ("fleet", False, _FLEET_REQUIRED_KEYS,
-     ("wall_time", "users_per_minute"),
-     (("pages_completed", "completed zero pages"),)),
-    ("matrix", False, _MATRIX_REQUIRED_KEYS,
-     ("cold_wall_time", "warm_wall_time"), ()),
-)
-
-#: Throwaway artifact directory the cold matrix benchmark phase uses
-#: (cleared before timing so "cold" really re-encodes everything).
-_MATRIX_BENCH_ARTIFACTS = os.path.join(".repro-cache",
-                                       "bench-matrix-artifacts")
+__all__ = ["PerfCounters"]
 
 
 @dataclasses.dataclass
@@ -123,460 +61,3 @@ class PerfCounters:
     def as_dict(self) -> Dict[str, int]:
         return dataclasses.asdict(self)
 
-
-# ----------------------------------------------------------------------
-# Benchmark harness
-# ----------------------------------------------------------------------
-@dataclasses.dataclass(frozen=True)
-class BenchCell:
-    """One timed cell of the benchmark matrix."""
-
-    mode: str
-    environment: str
-
-    @property
-    def key(self) -> str:
-        return f"{self.mode}|{self.environment}"
-
-
-def representative_cells() -> List[BenchCell]:
-    """One first-time cell per registered (mode, environment) pair.
-
-    Registry-driven via
-    :func:`repro.core.registry.modes_for_environment`, so the suite
-    covers every registered mode — the paper's four rows *and* the
-    post-paper modes (HTTP/MUX, HTTP/MUX Push, HTTP/1.1 Sharded x4) —
-    on each environment the mode is registered for.  Modes added later
-    through :func:`~repro.core.registry.register_mode` join the bench
-    automatically.
-    """
-    from .core.registry import modes_for_environment
-    cells = []
-    for environment in ("LAN", "WAN", "PPP"):
-        for mode in modes_for_environment(environment, paper_only=False):
-            cells.append(BenchCell(mode.name, environment))
-    return cells
-
-
-def _time_cell(cell: BenchCell, repeats: int) -> Dict[str, object]:
-    """Run one cell ``repeats`` times; report best wall time + counters."""
-    from .core.runner import run_experiment
-    times = []
-    result = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = run_experiment(cell.mode, "first-time",
-                                environment=cell.environment,
-                                profile="Apache", seed=0)
-        times.append(time.perf_counter() - start)
-    perf = result.trace.perf or PerfCounters()
-    return {
-        "wall_time": min(times),
-        "wall_time_mean": sum(times) / len(times),
-        "runs": repeats,
-        "packets": result.packets,
-        "events_processed": perf.events_processed,
-        "events_cancelled": perf.events_cancelled,
-        "heap_peak": perf.heap_peak,
-        "heap_purges": perf.heap_purges,
-        "segments": perf.segments,
-        "cancels_avoided": perf.cancels_avoided,
-    }
-
-
-def _load_bench_file(output_path: str) -> Dict[str, object]:
-    """The bench file's payload, or an empty skeleton when unreadable."""
-    try:
-        with open(output_path) as fh:
-            return json.load(fh)
-    except (OSError, ValueError):
-        return {"schema": BENCH_SCHEMA_VERSION, "quick": False,
-                "baseline": {"cells": {}}, "current": {"cells": {}}}
-
-
-def _merge_bench_sections(output_path: str,
-                          **sections: object) -> Dict[str, object]:
-    """Set ``sections`` in the bench file at ``output_path``; returns
-    the written payload.
-
-    Every harness owns its own section(s) of the one file; whatever
-    else the file carries rides along verbatim.
-    """
-    payload = _load_bench_file(output_path)
-    payload.update(sections)
-    with open(output_path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    return payload
-
-
-def run_benchmark(output_path: str = "BENCH_simnet.json", *,
-                  quick: bool = False, repeats: Optional[int] = None,
-                  log: Callable[[str], None] = lambda line: print(
-                      line, file=sys.stderr)) -> Dict[str, object]:
-    """Time the representative cells and (re)write ``output_path``.
-
-    An existing file's ``baseline`` section is preserved verbatim; when
-    the file has none (or does not exist), the freshly measured numbers
-    *become* the baseline for future runs.  ``quick`` does a single
-    repetition per cell (the CI smoke mode); the default is three,
-    keeping the best wall time as real benchmark harnesses do.
-    """
-    from .core.runner import run_experiment
-    repeats = repeats if repeats is not None else (1 if quick else 3)
-    # Warm the memoized site/store so cell timings measure simulation.
-    run_experiment("pipelined", "first-time", environment="LAN",
-                   profile="Apache", seed=0)
-    current_cells: Dict[str, Dict[str, object]] = {}
-    for cell in representative_cells():
-        measured = _time_cell(cell, repeats)
-        current_cells[cell.key] = measured
-        log(f"  bench {cell.key:45s} {measured['wall_time'] * 1000:8.2f} ms"
-            f"  ({measured['events_processed']} events)")
-    baseline = _load_bench_file(output_path).get("baseline")
-    if not isinstance(baseline, dict) or not baseline.get("cells"):
-        baseline = {
-            "note": "first recorded run; baseline for future sessions",
-            "cells": {key: {"wall_time": entry["wall_time"],
-                            "wall_time_mean": entry["wall_time_mean"]}
-                      for key, entry in current_cells.items()},
-        }
-    else:
-        # Cells measured for the first time (a new mode joining the
-        # suite) are re-baselined from this run so the regression gate
-        # covers them next time; existing baseline entries stay
-        # verbatim, anchoring the long-running speedup trajectory.
-        # Individual *fields* a baseline cell predates (wall_time_mean
-        # was only recorded per-cell from PR 10 on) are backfilled the
-        # same way, so every baseline cell carries the full schema.
-        for key, entry in current_cells.items():
-            cell = baseline["cells"].setdefault(key, {})
-            cell.setdefault("wall_time", entry["wall_time"])
-            cell.setdefault("wall_time_mean", entry["wall_time_mean"])
-    for key, entry in current_cells.items():
-        base = baseline["cells"].get(key, {}).get("wall_time")
-        if base and entry["wall_time"] > 0:
-            entry["speedup_vs_baseline"] = round(
-                base / entry["wall_time"], 3)
-    return _merge_bench_sections(
-        output_path, schema=BENCH_SCHEMA_VERSION, quick=quick,
-        baseline=baseline, current={"cells": current_cells})
-
-
-def run_matrix_benchmark(output_path: str = "BENCH_simnet.json", *,
-                         jobs: Optional[int] = None,
-                         warm_repeats: int = 3,
-                         log: Callable[[str], None] = lambda line: print(
-                             line, file=sys.stderr)) -> Dict[str, object]:
-    """Time a 24-cell grid cold vs. warm; record under ``matrix``.
-
-    The grid is the paper's shape — 4 protocol modes × {first-fetch,
-    revalidate} × {LAN, WAN, PPP} on Apache, one seed per cell.  The
-    **cold** phase measures the true end-to-end cost of the first sweep
-    in a fresh environment: a cleared artifact store, no worker pool —
-    so the timing includes pool spawn, per-worker site synthesis and
-    every calibration encode.  The **warm** phase re-runs the same grid
-    on the same (now warm) runner: persistent pool, warm artifact
-    store, warm per-process site memos.  Cold is inherently a single
-    sample; warm is re-run ``warm_repeats`` times with the best kept,
-    the same noise defence the per-cell benchmark uses.  No
-    :class:`ResultCache` is attached — both phases simulate every unit,
-    so the ratio isolates the fixed-cost amortization rather than
-    result caching.
-
-    The measured section is merged into ``output_path`` (baseline and
-    per-cell ``current`` numbers are preserved verbatim).
-    """
-    from .content import artifacts
-    from .matrix import ExperimentMatrix, MatrixRunner
-
-    grid = ExperimentMatrix(servers=("Apache",), seeds=(0,))
-    specs = grid.expand()
-    previous_store = artifacts.get_store()
-    shutil.rmtree(_MATRIX_BENCH_ARTIFACTS, ignore_errors=True)
-    artifacts.set_store(artifacts.ArtifactStore(_MATRIX_BENCH_ARTIFACTS))
-    # A fresh site memo in this process, so the cold phase's parent-side
-    # warm-up pays the real synthesis cost exactly once, like a fresh
-    # `python -m repro` invocation would.
-    from .core.runner import reset_default_site
-    reset_default_site()
-    runner = MatrixRunner(jobs=jobs)
-    try:
-        start = time.perf_counter()
-        runner.run_many(specs)
-        cold = time.perf_counter() - start
-        log(f"  matrix cold ({len(specs)} cells, jobs={runner.jobs}): "
-            f"{cold * 1000:8.2f} ms")
-        warm = None
-        for _ in range(max(1, warm_repeats)):
-            start = time.perf_counter()
-            runner.run_many(specs)
-            elapsed = time.perf_counter() - start
-            warm = elapsed if warm is None else min(warm, elapsed)
-        log(f"  matrix warm ({len(specs)} cells, jobs={runner.jobs}, "
-            f"best of {max(1, warm_repeats)}): {warm * 1000:8.2f} ms")
-        stats = runner.stats
-        measured = {
-            "cells": len(specs),
-            "units": stats.units,
-            "jobs": runner.jobs,
-            "cold_wall_time": cold,
-            "warm_wall_time": warm,
-            "speedup_warm_vs_cold": round(cold / warm, 3) if warm > 0
-            else 0.0,
-            "artifact_hits": stats.artifact_hits,
-            "artifact_misses": stats.artifact_misses,
-            "ipc_batches": stats.ipc_batches,
-            "bytes_pickled": stats.bytes_pickled,
-        }
-    finally:
-        runner.close()
-        artifacts.set_store(previous_store)
-        shutil.rmtree(_MATRIX_BENCH_ARTIFACTS, ignore_errors=True)
-    return _merge_bench_sections(output_path, matrix=measured)
-
-
-def _run_bulk_transfer(environment: str, size: int, *, fastpath: bool,
-                       modem_compression: Optional[bool], seed: int = 0):
-    """One raw steady bulk transfer: server streams ``size`` bytes.
-
-    Drives the TCP/link kernel directly (no HTTP layer) so the timing
-    isolates exactly what the fast-forward driver optimizes.  Returns
-    the finished :class:`~repro.simnet.network.Network`.
-    """
-    from .simnet.link import ENVIRONMENTS
-    from .simnet.network import SERVER_HOST, TwoHostNetwork
-    net = TwoHostNetwork(ENVIRONMENTS[environment], seed=seed,
-                         jitter=0.02, fastpath=fastpath,
-                         modem_compression=modem_compression)
-    body = (bytes(range(256)) * (size // 256 + 1))[:size]
-
-    def on_accept(conn) -> None:
-        conn.on_connect = lambda c: c.send(body, close=True)
-
-    net.server.listen(80, on_accept)
-    received = [0]
-
-    def on_data(_conn, data: bytes) -> None:
-        received[0] += len(data)
-
-    client = net.client.connect(SERVER_HOST, 80)
-    client.on_data = on_data
-    net.run()
-    if received[0] != size:
-        raise RuntimeError(
-            f"bulk transfer truncated: {received[0]} of {size} bytes")
-    return net
-
-
-#: (key, environment, bytes, modem_compression) rows of the fast-path
-#: benchmark.  The PPP cells disable V.42bis: with compression on, the
-#: LZW encoder — not the event kernel — dominates wall time, which is a
-#: (valid) compression benchmark rather than a kernel one.
-_FASTPATH_CELLS = (
-    ("bulk-8MB|LAN", "LAN", 8 * 1024 * 1024, None),
-    ("bulk-4MB|WAN", "WAN", 4 * 1024 * 1024, None),
-    ("bulk-1MB-nomodem|PPP", "PPP", 1024 * 1024, False),
-    ("bulk-2MB-nomodem|PPP", "PPP", 2 * 1024 * 1024, False),
-)
-
-
-def run_fastpath_benchmark(output_path: str = "BENCH_simnet.json", *,
-                           repeats: int = 3,
-                           log: Callable[[str], None] = lambda line: print(
-                               line, file=sys.stderr)) -> Dict[str, object]:
-    """Time steady bulk transfers with the fast path on vs. off.
-
-    For every cell the two paths are first checked **byte-identical**
-    (same :class:`~repro.simnet.trace.PacketRecord` sequence) and the
-    fast path is required to actually engage (``fastforward_spans >
-    0``) — a silent fallback would otherwise report an honest-looking
-    1.0× forever.  Wall times are best-of-``repeats``; the section is
-    merged into ``output_path`` under ``"fastpath"``, preserving every
-    other section verbatim.
-    """
-    from .simnet.link import ENVIRONMENTS
-    cells: Dict[str, Dict[str, object]] = {}
-    for key, environment, size, modem in _FASTPATH_CELLS:
-        fast = _run_bulk_transfer(environment, size, fastpath=True,
-                                  modem_compression=modem)
-        slow = _run_bulk_transfer(environment, size, fastpath=False,
-                                  modem_compression=modem)
-        if fast.trace.records != slow.trace.records:
-            raise RuntimeError(
-                f"fast path diverged from per-segment execution on "
-                f"{key!r}")
-        perf_fast = fast.sim.perf
-        perf_slow = slow.sim.perf
-        if perf_fast.fastforward_spans == 0:
-            raise RuntimeError(
-                f"fast path never engaged on {key!r}")
-        best = {True: None, False: None}
-        for enabled in (True, False):
-            for _ in range(repeats):
-                start = time.perf_counter()
-                _run_bulk_transfer(environment, size, fastpath=enabled,
-                                   modem_compression=modem)
-                elapsed = time.perf_counter() - start
-                if best[enabled] is None or elapsed < best[enabled]:
-                    best[enabled] = elapsed
-        cells[key] = {
-            "environment": environment,
-            "bytes": size,
-            "modem_compression": (
-                ENVIRONMENTS[environment].modem_compression
-                if modem is None else modem),
-            "runs": repeats,
-            "wall_time": best[True],
-            "wall_time_nofastpath": best[False],
-            "speedup_fastpath": round(best[False] / best[True], 3)
-            if best[True] > 0 else 0.0,
-            "packets": len(fast.trace),
-            "events_processed": perf_fast.events_processed,
-            "events_processed_nofastpath": perf_slow.events_processed,
-            "segments": perf_fast.segments,
-            "fastforward_spans": perf_fast.fastforward_spans,
-            "segments_synthesized": perf_fast.segments_synthesized,
-        }
-        log(f"  fastpath {key:22s} {best[True] * 1000:8.2f} ms vs "
-            f"{best[False] * 1000:8.2f} ms off "
-            f"({cells[key]['speedup_fastpath']}x, "
-            f"{perf_fast.fastforward_spans} spans)")
-    return _merge_bench_sections(output_path, fastpath={"cells": cells})
-
-
-def run_fleet_benchmark(output_path: str = "BENCH_simnet.json", *,
-                        users: int = 1000, cohorts: int = 16,
-                        jobs: Optional[int] = None,
-                        log: Callable[[str], None] = lambda line: print(
-                            line, file=sys.stderr)) -> Dict[str, object]:
-    """Time a population-scale WAN run; record under ``fleet``.
-
-    The workload is the fleet engine's headline configuration: a
-    1000-user population arriving at 10 users/s, sharded into cohorts
-    behind a 45 Mbit/s shared backbone, one page per user, one
-    fixed-point round — the ≥1000-users/minute claim the fleet
-    subsystem commits to.  Wall time covers the whole
-    :func:`~repro.fleet.runner.run_fleet` call (population
-    compilation, dispatch, aggregation), so ``users_per_minute`` is an
-    honest end-to-end throughput.  The section merges into
-    ``output_path``, preserving every other section verbatim.
-    """
-    from .fleet import FleetSpec, run_fleet
-    from .matrix import MatrixRunner
-    spec = FleetSpec(users=users, cohorts=min(cohorts, users),
-                     environment="WAN", arrival_rate=10.0,
-                     think_time=0.0, pages_per_user=1, rounds=1,
-                     max_sim_time=300.0, backbone_bps=45e6)
-    runner = MatrixRunner(jobs=jobs)
-    try:
-        start = time.perf_counter()
-        result = run_fleet(spec, runner=runner)
-        wall = time.perf_counter() - start
-    finally:
-        runner.close()
-    measured = {
-        "users": spec.users,
-        "cohorts": spec.cohorts,
-        "rounds": spec.rounds,
-        "environment": spec.environment,
-        "backbone_bps": spec.backbone_bps,
-        "jobs": runner.jobs,
-        "wall_time": wall,
-        "users_per_minute": round(spec.users / wall * 60.0, 1)
-        if wall > 0 else 0.0,
-        "pages_completed": len(result.page_times),
-        "errors": result.errors,
-        "p50": result.percentile(50),
-        "p95": result.percentile(95),
-        "p99": result.percentile(99),
-        "fairness": round(result.fairness_index, 4),
-        "queued_connections": len(result.queue_waits),
-    }
-    log(f"  fleet {spec.users} users x{spec.cohorts} cohorts "
-        f"(jobs={runner.jobs}): {wall:6.1f} s "
-        f"({measured['users_per_minute']:.0f} users/min, "
-        f"p99 {measured['p99']:.2f} s)")
-    return _merge_bench_sections(output_path, fleet=measured)
-
-
-def check_bench_regression(current_cells: Dict[str, Dict[str, object]],
-                           reference_cells: Dict[str, Dict[str, object]],
-                           *, threshold: float = 0.25) -> List[str]:
-    """Wall-time regression gate; returns problem strings.
-
-    Compares each freshly measured cell against the same key in
-    ``reference_cells`` (normally the committed ``BENCH_simnet.json``
-    baseline section) and reports every cell more than ``threshold``
-    (fraction, default 25%) slower.  Cells present on only one side are
-    ignored — adding or retiring a mode must not break the gate.
-    """
-    problems = []
-    for key in sorted(set(current_cells) & set(reference_cells)):
-        current = current_cells[key].get("wall_time")
-        reference = reference_cells[key].get("wall_time")
-        if not isinstance(current, (int, float)) \
-                or not isinstance(reference, (int, float)) \
-                or reference <= 0:
-            continue
-        if current > reference * (1.0 + threshold):
-            problems.append(
-                f"cell {key!r} regressed: {current * 1000:.2f} ms vs "
-                f"reference {reference * 1000:.2f} ms "
-                f"(+{(current / reference - 1.0) * 100:.0f}%, "
-                f"threshold {threshold * 100:.0f}%)")
-    return problems
-
-
-def validate_bench_payload(payload: Dict[str, object]) -> List[str]:
-    """Schema check for ``BENCH_simnet.json``; returns problem strings.
-
-    Used by ``scripts/check.sh`` so a malformed benchmark artifact
-    fails CI instead of silently rotting.
-    """
-    problems = []
-    if payload.get("schema") != BENCH_SCHEMA_VERSION:
-        problems.append(f"schema must be {BENCH_SCHEMA_VERSION}")
-    baseline = payload.get("baseline")
-    if not isinstance(baseline, dict) \
-            or not isinstance(baseline.get("cells"), dict):
-        problems.append("missing baseline.cells")
-    current = payload.get("current")
-    if not isinstance(current, dict) \
-            or not isinstance(current.get("cells"), dict):
-        problems.append("missing current.cells")
-        return problems
-    for key, entry in current["cells"].items():
-        for field in _CELL_REQUIRED_KEYS:
-            if field not in entry:
-                problems.append(f"cell {key!r} missing {field!r}")
-        wall = entry.get("wall_time")
-        if not isinstance(wall, (int, float)) or wall <= 0:
-            problems.append(f"cell {key!r} wall_time not positive")
-    for section, per_cell, required, positive, nonzero in _OPTIONAL_SECTIONS:
-        body = payload.get(section)
-        if body is None:
-            continue
-        if not isinstance(body, dict) or (
-                per_cell and not isinstance(body.get("cells"), dict)):
-            problems.append(
-                f"{section} section must carry a cells object" if per_cell
-                else f"{section} section must be an object")
-            continue
-        entries = ([(f"{section} cell {key!r}", entry)
-                    for key, entry in body["cells"].items()]
-                   if per_cell else [(section, body)])
-        for label, entry in entries:
-            for field in required:
-                if field not in entry:
-                    problems.append(f"{label} missing {field!r}")
-            for field in positive:
-                value = entry.get(field)
-                if field in entry and (
-                        not isinstance(value, (int, float)) or value <= 0):
-                    problems.append(f"{label} {field} not positive")
-            for field, complaint in nonzero:
-                value = entry.get(field)
-                if isinstance(value, int) and value <= 0:
-                    problems.append(f"{label} {complaint}")
-    return problems

@@ -71,14 +71,29 @@ def test_fleet_serves_every_user(serial_result):
     assert 0.0 < serial_result.fairness_index <= 1.0
 
 
-def test_jobs_do_not_change_results(serial_result):
+def assert_jobs_do_not_change_results(spec, serial):
     with MatrixRunner(jobs=2) as runner:
-        parallel = run_fleet(small_spec(), runner=runner)
-    assert parallel.cohorts == serial_result.cohorts
-    assert parallel.final_shares == serial_result.final_shares
-    assert parallel.page_times == serial_result.page_times
+        parallel = run_fleet(spec, runner=runner)
+    assert parallel.page_times
+    assert parallel.cohorts == serial.cohorts
+    assert parallel.final_shares == serial.final_shares
+    assert parallel.page_times == serial.page_times
     for p in (50, 95, 99):
-        assert parallel.percentile(p) == serial_result.percentile(p)
+        assert parallel.percentile(p) == serial.percentile(p)
+
+
+def test_jobs_do_not_change_results(serial_result):
+    assert_jobs_do_not_change_results(small_spec(), serial_result)
+
+
+@pytest.mark.slow
+def test_jobs_do_not_change_results_wan():
+    # The same contract off the LAN: 200 users over four WAN cohorts
+    # with think time and a shared 20 Mbit/s backbone.
+    spec = small_spec(users=200, cohorts=4, environment="WAN",
+                      arrival_rate=4.0, think_time=2.0,
+                      max_sim_time=240.0, backbone_bps=20e6)
+    assert_jobs_do_not_change_results(spec, run_fleet(spec))
 
 
 def test_journal_resume_is_byte_identical(tmp_path, serial_result):

@@ -89,7 +89,7 @@ def test_deep_src_clean_under_committed_baseline(capsys, monkeypatch):
 
 
 def test_write_baseline_then_reuse_then_stale(tmp_path, capsys):
-    target = str(DEEP_FIXTURES / "bad_pool")
+    target = str(DEEP_FIXTURES / "bad_rng")
     base = tmp_path / "baseline.json"
     assert main(["lint", "--deep", "--write-baseline", str(base),
                  target]) == 0
@@ -97,7 +97,7 @@ def test_write_baseline_then_reuse_then_stale(tmp_path, capsys):
     assert main(["lint", "--baseline", str(base), target]) == 0
     payload = json.loads(base.read_text(encoding="utf-8"))
     payload["findings"].append({"id": "feedface0000",
-                                "rule": "pool-global-write",
+                                "rule": "rng-seed-origin",
                                 "path": "gone.py"})
     base.write_text(json.dumps(payload), encoding="utf-8")
     assert main(["lint", "--baseline", str(base), target]) == 1

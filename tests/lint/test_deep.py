@@ -14,6 +14,11 @@ REPO = pathlib.Path(__file__).resolve().parents[2]
 FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "deep"
 BASELINE = REPO / "DEEP_BASELINE.json"
 
+#: The bad_pool corpus names its own dispatch entry; the real tree's
+#: entries (``_run_chunk_supervised`` …) are the config default.
+BAD_POOL_CONFIG = dataclasses.replace(
+    DEFAULT_DEEP_CONFIG, dispatch_entries=("_pool_chunk_entry",))
+
 
 def _rules(findings):
     return sorted(f.rule for f in findings)
@@ -48,7 +53,7 @@ def test_bad_rng_corpus():
 
 
 def test_bad_pool_corpus():
-    findings = run_deep(FIXTURES / "bad_pool")
+    findings = run_deep(FIXTURES / "bad_pool", BAD_POOL_CONFIG)
     assert _rules(findings) == ["pool-global-write", "pool-global-write"]
     messages = " | ".join(f.message for f in findings)
     assert "'_COUNT'" in messages
@@ -66,7 +71,7 @@ def test_purity_waiver_needs_a_name_and_carries_a_reason():
     # caught by default (above) and accepted once named, while the
     # rebind beside it still fires.
     config = dataclasses.replace(
-        DEFAULT_DEEP_CONFIG,
+        BAD_POOL_CONFIG,
         purity_global_waivers={"_MEMO": "pure: item -> item * 2"})
     findings = run_deep(FIXTURES / "bad_pool", config)
     assert _rules(findings) == ["pool-global-write"]
@@ -151,7 +156,7 @@ def test_global_write_in_dispatched_function_is_caught(tmp_path):
     _write(tmp_path, "worker.py", """\
         TOTAL = 0
 
-        def _pool_chunk_entry(chunk):
+        def _run_chunk_supervised(chunk):
             return [step(item) for item in chunk]
 
         def step(item):
@@ -224,7 +229,7 @@ def test_stale_baseline_entry_is_reported(tmp_path):
 
 
 def test_finding_id_is_line_independent():
-    findings = run_deep(FIXTURES / "bad_pool")
+    findings = run_deep(FIXTURES / "bad_pool", BAD_POOL_CONFIG)
     from repro.lint.findings import Finding
     moved = Finding(path=findings[0].path, line=findings[0].line + 40,
                     col=0, rule=findings[0].rule,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.__main__ import main
+from repro.__main__ import build_parser, main
 
 
 def test_run_cell(capsys):
@@ -58,3 +58,15 @@ def test_help_exits_zero():
     with pytest.raises(SystemExit) as excinfo:
         main(["--help"])
     assert excinfo.value.code == 0
+
+
+def test_bench_verb_is_gone_and_every_other_verb_remains(capsys):
+    # Host-time measurement is bench/run.sh; there is no shim or alias.
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(["bench"])
+    assert excinfo.value.code == 2
+    message = capsys.readouterr().err
+    assert "invalid choice: 'bench'" in message
+    for verb in ("table", "run", "modem", "content", "site", "report",
+                 "fleet", "chaos", "lint"):
+        assert f"'{verb}'" in message
