@@ -31,6 +31,6 @@ Subpackages
     Table formatting and paper-vs-measured reporting.
 """
 
-__version__ = "1.4.0"
+__version__ = "1.5.0"
 
 __all__ = ["__version__"]

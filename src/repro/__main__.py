@@ -30,21 +30,21 @@ Commands
     ``--sanitize-traces``) replay captured traces through the TCP
     protocol sanitizer.
 
-``table``, ``modem``, ``report`` and ``fleet`` accept ``--jobs N``
-(parallel worker processes), ``--cache`` (reuse results from
-``.repro-cache/``) and ``--cache-dir PATH``; the first three plus
-``run`` accept ``--no-artifact-cache`` (disable the content-addressed
-encode memo under ``.repro-cache/artifacts/``).  Host-time
-measurement is not a verb here: ``bash bench/run.sh`` is the repo's
-one benchmark.
+``table``, ``modem``, ``report``, ``fleet`` and ``chaos`` all run
+their units on one :class:`~repro.matrix.runner.MatrixRunner` and share
+its flags (:mod:`repro.matrix.cli`): ``--jobs N`` (parallel worker
+processes), ``--cache`` (reuse results from ``.repro-cache/``) and
+``--cache-dir PATH``; the first three plus ``run`` accept
+``--no-artifact-cache`` (disable the content-addressed encode memo
+under ``.repro-cache/artifacts/``).  Host-time measurement is not a
+verb here: ``bash bench/run.sh`` is the repo's one benchmark.
 
-Supervised execution (``table`` / ``modem`` / ``report`` / ``fleet``):
-``--retry-budget N`` caps per-unit re-dispatches after a failure,
-``--unit-deadline S`` bounds a unit's wall-clock time in a worker, and
-``--journal`` records every resolved unit into a crash-safe run
-journal under ``.repro-cache/runs/``; ``--resume RUN_ID`` replays a
-recorded run's units byte-identically and simulates only what is
-missing (``chaos`` supports journaling too, at cell granularity).
+Supervised execution (the same five verbs): ``--retry-budget N`` caps
+per-unit re-dispatches after a failure, ``--unit-deadline S`` bounds a
+unit's wall-clock time in a worker, and ``--journal`` records every
+resolved unit into a crash-safe run journal under
+``.repro-cache/runs/``; ``--resume [RUN_ID]`` replays a recorded run's
+units byte-identically and simulates only what is missing.
 
 All name resolution goes through the same
 :mod:`repro.core.registry` the library API uses, so every spelling

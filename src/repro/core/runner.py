@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import operator
 import statistics
 import traceback
 from typing import (Callable, Dict, List, Optional, Sequence, Tuple,
@@ -40,7 +41,8 @@ from .registry import (resolve_environment, resolve_mode, resolve_profile,
 from .scenarios import FIRST_TIME, REVALIDATE, prefill_cache
 from .transport import Transport
 
-__all__ = ["RunResult", "AveragedResult", "ExperimentError",
+__all__ = ["RunResult", "RESULT_FIELDS", "PAYLOAD_FIELDS",
+           "AveragedResult", "ExperimentError",
            "UnitFailure", "Testbed", "run_experiment", "run_repeated",
            "warm_default_site", "reset_default_site", "nearest_rank"]
 
@@ -83,7 +85,14 @@ class ExperimentError(RuntimeError):
 
 @dataclasses.dataclass
 class RunResult:
-    """Measurements from a single run (one row-cell of a table)."""
+    """Measurements from a single run (one row-cell of a table).
+
+    The one declaration of the measurement row: every field except the
+    in-process attachments (:data:`_TRANSIENT`) is a column of the
+    cache / journal payload (:data:`PAYLOAD_FIELDS`), and every numeric
+    column (:data:`RESULT_FIELDS`) is averaged by
+    :class:`AveragedResult`.
+    """
 
     packets: int
     payload_bytes: int
@@ -110,8 +119,31 @@ class RunResult:
     timeouts: int = 0
     fast_retransmits: int = 0
     checksum_drops: int = 0
+    #: Fault / recovery event counts keyed ``"source.kind"``
+    #: (:attr:`RecoveryLog.counts <repro.faults.RecoveryLog.counts>`;
+    #: empty on clean runs).
+    recovery: Dict[str, int] = dataclasses.field(default_factory=dict)
+    #: Simulator work counters
+    #: (:meth:`PerfCounters.as_dict <repro.perf.PerfCounters.as_dict>`).
+    perf: Dict[str, int] = dataclasses.field(default_factory=dict)
     #: Full tcpdump-style trace lines (only when ``keep_trace=True``).
     trace_lines: Optional[str] = None
+
+
+#: In-process attachments: live simulation objects and the raw trace
+#: text, stripped from matrix results and never serialized.
+_TRANSIENT = frozenset(("fetch", "trace", "trace_lines"))
+
+#: The columns a cache / journal entry preserves.
+PAYLOAD_FIELDS: Tuple[str, ...] = tuple(
+    f.name for f in dataclasses.fields(RunResult)
+    if f.name not in _TRANSIENT)
+
+#: The numeric columns, the ones a table averages over seeded runs
+#: (annotations are strings under ``from __future__ import annotations``).
+RESULT_FIELDS: Tuple[str, ...] = tuple(
+    f.name for f in dataclasses.fields(RunResult)
+    if f.type in ("int", "float"))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -175,10 +207,19 @@ class AveragedResult:
         """True when every requested unit produced a measurement."""
         return not self.failures
 
-    def _mean(self, attribute: str) -> float:
+    def __getattr__(self, name: str) -> float:
+        """Each numeric :class:`RunResult` column, averaged over the runs.
+
+        ``max_parallel_connections`` reports the worst run instead of
+        the mean.
+        """
+        if name not in RESULT_FIELDS:
+            raise AttributeError(name)
         if not self.runs:
             return math.nan
-        return statistics.fmean(getattr(r, attribute) for r in self.runs)
+        reduce = (max if name == "max_parallel_connections"
+                  else statistics.fmean)
+        return reduce(getattr(r, name) for r in self.runs)
 
     def percentile(self, p: float, attribute: str = "elapsed") -> float:
         """Nearest-rank percentile of ``attribute`` over successful runs.
@@ -192,100 +233,18 @@ class AveragedResult:
         return nearest_rank([getattr(r, attribute) for r in self.runs], p)
 
     @property
-    def packets(self) -> float:
-        return self._mean("packets")
-
-    @property
-    def payload_bytes(self) -> float:
-        return self._mean("payload_bytes")
-
-    @property
-    def percent_overhead(self) -> float:
-        return self._mean("percent_overhead")
-
-    @property
-    def elapsed(self) -> float:
-        return self._mean("elapsed")
-
-    @property
-    def packets_client_to_server(self) -> float:
-        return self._mean("packets_client_to_server")
-
-    @property
-    def packets_server_to_client(self) -> float:
-        return self._mean("packets_server_to_client")
-
-    @property
-    def connections_used(self) -> float:
-        return self._mean("connections_used")
-
-    @property
-    def max_parallel_connections(self) -> float:
-        if not self.runs:
-            return math.nan
-        return max(r.max_parallel_connections for r in self.runs)
-
-    @property
-    def server_cpu_seconds(self) -> float:
-        return self._mean("server_cpu_seconds")
-
-    @property
-    def mean_packets_per_connection(self) -> float:
-        return self._mean("mean_packets_per_connection")
-
-    @property
-    def mean_packet_size(self) -> float:
-        return self._mean("mean_packet_size")
-
-    @property
-    def retries(self) -> float:
-        return self._mean("retries")
-
-    @property
-    def dropped_loss(self) -> float:
-        return self._mean("dropped_loss")
-
-    @property
-    def dropped_overflow(self) -> float:
-        return self._mean("dropped_overflow")
-
-    @property
-    def retransmissions(self) -> float:
-        return self._mean("retransmissions")
-
-    @property
-    def timeouts(self) -> float:
-        return self._mean("timeouts")
-
-    @property
-    def fast_retransmits(self) -> float:
-        return self._mean("fast_retransmits")
-
-    @property
-    def checksum_drops(self) -> float:
-        return self._mean("checksum_drops")
-
-    @property
     def perf(self) -> PerfCounters:
         """Aggregate simulator work counters across the seeded runs.
 
         Monotonic counters sum; ``heap_peak`` reports the worst run.
-        Runs whose trace carries no counters (hand-built summaries)
-        contribute nothing.
+        Read from the ``perf`` column, so fresh, cached and resumed
+        results all answer.
         """
         total = PerfCounters()
         for run in self.runs:
-            counters = run.trace.perf
-            if counters is None:
-                continue
-            total.events_processed += counters.events_processed
-            total.events_cancelled += counters.events_cancelled
-            total.heap_peak = max(total.heap_peak, counters.heap_peak)
-            total.heap_purges += counters.heap_purges
-            total.segments += counters.segments
-            total.cancels_avoided += counters.cancels_avoided
-            total.fastforward_spans += counters.fastforward_spans
-            total.segments_synthesized += counters.segments_synthesized
+            for name, value in run.perf.items():
+                combine = max if name == "heap_peak" else operator.add
+                setattr(total, name, combine(getattr(total, name), value))
         return total
 
 
@@ -533,28 +492,19 @@ def run_experiment(mode: Union[str, ProtocolMode],
                             + net.server.checksum_drops)
     trace.recovery = recovery
     return RunResult(
-        packets=trace.packets,
-        payload_bytes=trace.payload_bytes,
-        percent_overhead=trace.percent_overhead,
+        **{name: getattr(trace, name) for name in RESULT_FIELDS
+           if hasattr(trace, name)},
         elapsed=result.elapsed or 0.0,
-        packets_client_to_server=trace.packets_client_to_server,
-        packets_server_to_client=trace.packets_server_to_client,
         connections_used=result.connections_used,
         max_parallel_connections=result.max_parallel_connections,
         retries=result.retries,
         server_cpu_seconds=sum(s.cpu_busy_seconds for s in servers),
-        mean_packets_per_connection=trace.mean_packets_per_connection,
-        mean_packet_size=trace.mean_packet_size,
         mean_request_bytes=result.mean_request_bytes,
         statuses=statuses,
         fetch=result,
         trace=trace,
-        dropped_loss=trace.dropped_loss,
-        dropped_overflow=trace.dropped_overflow,
-        retransmissions=trace.retransmissions,
-        timeouts=trace.timeouts,
-        fast_retransmits=trace.fast_retransmits,
-        checksum_drops=trace.checksum_drops,
+        recovery=dict(recovery.counts) if recovery else {},
+        perf=trace.perf.as_dict(),
         trace_lines=net.trace.format_trace() if keep_trace else None)
 
 

@@ -13,25 +13,26 @@ timings trivial, and the paper's robustness lessons are about slow
 paths.  Seeds are derived per-cell (stable hash of the coordinates plus
 the base seed) so no two cells share a fault schedule.
 
-``--journal`` records each completed cell's printed row into a
-crash-safe :class:`~repro.matrix.journal.RunJournal` (keyed by a
-stable hash of the cell coordinates, seed and package version);
-``--resume RUN_ID`` replays recorded rows verbatim and simulates only
-the missing cells.  Failed cells are never journaled, so a resume
-always re-attempts them.
+Each cell is one :class:`~repro.matrix.spec.ExperimentSpec` unit run
+by a :class:`~repro.matrix.runner.MatrixRunner`, so the sweep takes the
+runner flags every matrix verb shares (``--jobs``, ``--cache``,
+``--journal`` / ``--resume``, …; journal run id ``chaos-<seed>``): rows
+print from the result's measurement columns whether the unit was
+simulated, cached or replayed, and a cell the engine quarantines prints
+as ``FAILED`` with its reproduce command.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import sys
 import zlib
 from typing import List, Optional, Tuple
 
-from .. import __version__
-from ..core.runner import ExperimentError, run_experiment
+from ..matrix import ExperimentSpec, MatrixRunner
+from ..matrix.cli import add_runner_flags, make_runner
 from .plan import FAULT_PLANS
+from .recovery import summarize_counts
 
 __all__ = ["chaos_cells", "run_chaos", "add_chaos_parser"]
 
@@ -61,27 +62,15 @@ def _cell_seed(base_seed: int, plan: str, mode: str,
     return base_seed + zlib.crc32(tag) % 100_000
 
 
-def _chaos_cell_key(seed: int, plan: str, mode: str,
-                    environment: str) -> str:
-    """Stable journal key for one chaos cell (versioned, seed-bound)."""
-    tag = f"{__version__}:chaos:{seed}:{plan}:{mode}:{environment}"
-    return hashlib.sha256(tag.encode("utf-8")).hexdigest()
-
-
 def run_chaos(seed: int = 1997, only: Optional[str] = None,
-              out=None, journal=None) -> int:
+              out=None, runner: Optional[MatrixRunner] = None) -> int:
     """Run the chaos grid; returns a process exit status.
 
-    ``journal`` (a :class:`~repro.matrix.journal.RunJournal`) makes the
-    sweep resumable at cell granularity: completed cells store their
-    printed row and are replayed verbatim on the next run.
+    ``runner`` is the :class:`~repro.matrix.runner.MatrixRunner` the
+    cells run on (default: a serial, uncached one).
     """
     if out is None:
         out = sys.stdout
-    journal_records = {}
-    if journal is not None:
-        journal.begin()
-        journal_records = journal.load()
     cells = chaos_cells()
     if only is not None:
         try:
@@ -96,44 +85,34 @@ def run_chaos(seed: int = 1997, only: Optional[str] = None,
         if not cells:
             print(f"no chaos cell matches {only!r}", file=sys.stderr)
             return 2
+    specs = [ExperimentSpec(
+                 mode=mode, scenario=CHAOS_SCENARIO,
+                 environment=environment, server=CHAOS_SERVER,
+                 seeds=(_cell_seed(seed, plan, mode, environment),),
+                 faults=plan)
+             for plan, mode, environment in cells]
+    if runner is None:
+        runner = MatrixRunner()
     header = (f"{'plan':15s} {'mode':20s} {'env':4s} {'elapsed':>8s} "
               f"{'retries':>7s} {'retx':>5s} {'drops':>6s} recovery")
     print(header, file=out)
     print("-" * len(header), file=out)
     failures = 0
-    replayed = 0
-    for plan, mode, environment in cells:
-        cell_key = _chaos_cell_key(seed, plan, mode, environment)
-        record = journal_records.get(cell_key)
-        if record is not None and record.get("status") == "ok" \
-                and isinstance(record.get("row"), str):
-            print(record["row"], file=out)
-            replayed += 1
-            continue
-        cell_seed = _cell_seed(seed, plan, mode, environment)
-        try:
-            result = run_experiment(
-                mode, CHAOS_SCENARIO, environment=environment,
-                profile=CHAOS_SERVER, seed=cell_seed, faults=plan)
-        except ExperimentError as exc:
+    for (plan, mode, environment), cell in zip(cells,
+                                               runner.run_many(specs)):
+        label = f"{plan:15s} {mode:20s} {environment:4s}"
+        if cell.failures:
             failures += 1
-            print(f"{plan:15s} {mode:20s} {environment:4s} "
-                  f"{'FAILED':>8s}  {exc}", file=out)
+            print(f"{label} {'FAILED':>8s}  {cell.failures[0].error}",
+                  file=out)
             print(f"  reproduce: python -m repro chaos --seed {seed} "
                   f"--only {plan}:{mode}:{environment}", file=out)
             continue
-        trace = result.trace
-        drops = trace.dropped_loss + trace.dropped_overflow
-        recovery = trace.recovery.summary() if trace.recovery else "clean"
-        row = (f"{plan:15s} {mode:20s} {environment:4s} "
-               f"{result.elapsed:8.2f} {result.retries:7d} "
-               f"{trace.retransmissions:5d} {drops:6d} {recovery}")
-        print(row, file=out)
-        if journal is not None:
-            journal.record(cell_key, {"status": "ok", "row": row})
-    if replayed:
-        print(f"({replayed} cells replayed from journal "
-              f"{journal.run_id})", file=sys.stderr)
+        run = cell.runs[0]
+        print(f"{label} {run.elapsed:8.2f} {run.retries:7d} "
+              f"{run.retransmissions:5d} "
+              f"{run.dropped_loss + run.dropped_overflow:6d} "
+              f"{summarize_counts(run.recovery)}", file=out)
     total = len(cells)
     if failures:
         print(f"\n{failures}/{total} cells FAILED (seed {seed})",
@@ -145,12 +124,12 @@ def run_chaos(seed: int = 1997, only: Optional[str] = None,
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    journal = None
-    if args.resume or args.journal:
-        from ..matrix.journal import RunJournal
-        journal = RunJournal(args.resume or f"chaos-{args.seed}")
-        print(f"journal: {journal.run_id}", file=sys.stderr)
-    return run_chaos(seed=args.seed, only=args.only, journal=journal)
+    runner = make_runner(args, f"chaos-{args.seed}")
+    with runner:
+        status = run_chaos(seed=args.seed, only=args.only, runner=runner)
+    if status != 2:    # a usage error ran nothing
+        print(runner.stats.summary(), file=sys.stderr)
+    return status
 
 
 def add_chaos_parser(sub) -> None:
@@ -163,10 +142,5 @@ def add_chaos_parser(sub) -> None:
     chaos.add_argument("--only", default=None, metavar="PLAN:MODE:ENV",
                        help="run a single cell, e.g. "
                             "bursty-loss:pipelined:WAN")
-    chaos.add_argument("--journal", action="store_true",
-                       help="record completed cells into a crash-safe "
-                            "run journal (.repro-cache/runs/chaos-SEED)")
-    chaos.add_argument("--resume", default=None, metavar="RUN_ID",
-                       help="resume a journaled sweep: replay recorded "
-                            "cells verbatim, run only the rest")
+    add_runner_flags(chaos)
     chaos.set_defaults(fn=_cmd_chaos)

@@ -4,8 +4,10 @@ Every layer that injects or survives a fault — the link-level
 :class:`~repro.faults.injector.FaultInjector`, the faulty server
 profiles, and the hardened robot — notes what happened into one shared
 :class:`RecoveryLog`.  The log rides on ``FetchResult.recovery`` and
-``TraceSummary.recovery`` so tests and the chaos sweep can assert not
-just *that* a run completed but *how* it recovered.
+``TraceSummary.recovery``, and its counts are the ``recovery`` column
+of every :class:`~repro.core.runner.RunResult`, so tests and the chaos
+sweep can assert not just *that* a run completed but *how* it
+recovered.
 
 The event list is bounded (a pathological run could log thousands of
 drops); the per-kind counters are exact regardless.
@@ -16,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List
 
-__all__ = ["RecoveryEvent", "RecoveryLog"]
+__all__ = ["RecoveryEvent", "RecoveryLog", "summarize_counts"]
 
 #: Events kept verbatim; counts stay exact past this.
 MAX_EVENTS = 256
@@ -33,6 +35,13 @@ class RecoveryEvent:
     #: "watchdog", "downgrade", "503".
     kind: str
     detail: str = ""
+
+
+def summarize_counts(counts: Dict[str, int]) -> str:
+    """One-line ``source.kind=N`` summary, sorted for determinism."""
+    if not counts:
+        return "clean"
+    return " ".join(f"{key}={n}" for key, n in sorted(counts.items()))
 
 
 class RecoveryLog:
@@ -64,11 +73,7 @@ class RecoveryLog:
         return self.counts.get(f"{source}.{kind}", 0)
 
     def summary(self) -> str:
-        """One-line ``source.kind=N`` summary, sorted for determinism."""
-        if not self.counts:
-            return "clean"
-        return " ".join(f"{key}={n}"
-                        for key, n in sorted(self.counts.items()))
+        return summarize_counts(self.counts)
 
     def __len__(self) -> int:
         return self.total

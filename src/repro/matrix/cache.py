@@ -7,9 +7,12 @@ any change to the spec (jitter, overrides, mode, version bump)
 automatically misses and re-measures.  Entries are JSON files under
 ``.repro-cache/``, one per unit, written atomically.
 
-Cached entries store the numeric measurement columns of
-:class:`~repro.core.runner.RunResult` (everything the tables and
-benchmarks consume); the per-run packet trace and fetch transcript are
+Every unit result type — :class:`~repro.core.runner.RunResult`, a
+fleet cohort — serializes through a codec registered under a
+``__kind__`` name (:func:`register_result_codec`).  A ``RunResult``
+entry stores every measurement column the class declares
+(:data:`~repro.core.runner.PAYLOAD_FIELDS`, including the ``recovery``
+and ``perf`` counts); the per-run packet trace and fetch transcript are
 not serialized, so hydrated results carry ``fetch=None, trace=None`` —
 exactly what :class:`~repro.matrix.runner.MatrixRunner` returns for
 fresh runs too, keeping cached and simulated results interchangeable.
@@ -26,7 +29,7 @@ from typing import (Any, Callable, Dict, Iterable, Optional, Tuple,
                     TypeVar, Union)
 
 from .. import __version__
-from ..core.runner import RunResult
+from ..core.runner import PAYLOAD_FIELDS, RunResult
 from .spec import ExperimentSpec
 
 __all__ = ["DEFAULT_CACHE_DIR", "ResultCache", "unit_key",
@@ -82,18 +85,6 @@ def read_json_or_heal(path: Path,
         return None
 
 
-#: The measurement columns a cache entry preserves.
-RESULT_FIELDS = (
-    "packets", "payload_bytes", "percent_overhead", "elapsed",
-    "packets_client_to_server", "packets_server_to_client",
-    "connections_used", "max_parallel_connections", "retries",
-    "server_cpu_seconds", "mean_packets_per_connection",
-    "mean_packet_size", "mean_request_bytes",
-    "dropped_loss", "dropped_overflow", "retransmissions", "timeouts",
-    "fast_retransmits", "checksum_drops",
-)
-
-
 def unit_key(spec: ExperimentSpec, seed: int, *,
              version: str = __version__) -> str:
     """Stable content hash identifying one (cell, seed) work unit.
@@ -113,8 +104,8 @@ def unit_key(spec: ExperimentSpec, seed: int, *,
 
 
 def result_to_payload(result: RunResult) -> Dict[str, Any]:
-    """Serialize the numeric measurement columns of a run."""
-    payload = {name: getattr(result, name) for name in RESULT_FIELDS}
+    """Serialize the measurement columns of a run."""
+    payload = {name: getattr(result, name) for name in PAYLOAD_FIELDS}
     payload["statuses"] = {str(status): count
                            for status, count in result.statuses.items()}
     return payload
@@ -122,15 +113,15 @@ def result_to_payload(result: RunResult) -> Dict[str, Any]:
 
 def result_from_payload(payload: Dict[str, Any]) -> RunResult:
     """Hydrate a cached measurement (no trace / fetch transcript)."""
-    fields = {name: payload[name] for name in RESULT_FIELDS}
-    statuses = {int(status): count
-                for status, count in payload["statuses"].items()}
-    return RunResult(statuses=statuses, fetch=None, trace=None, **fields)
+    columns = {name: payload[name] for name in PAYLOAD_FIELDS}
+    columns["statuses"] = {int(status): count
+                           for status, count in payload["statuses"].items()}
+    return RunResult(fetch=None, trace=None, **columns)
 
 
 # ----------------------------------------------------------------------
-# Result codecs: non-RunResult unit results (fleet cohorts) ride the
-# same cache/journal machinery via a ``__kind__`` payload discriminator.
+# Result codecs: every unit result type rides the same cache/journal
+# machinery via a ``__kind__`` payload discriminator.
 # ----------------------------------------------------------------------
 
 class UnknownResultKind(Exception):
@@ -149,7 +140,7 @@ _RESULT_CODECS: Dict[str, Tuple[type, Any, Any]] = {}
 
 def register_result_codec(kind: str, cls: type, to_payload,
                           from_payload) -> None:
-    """Register a serializer for a non-RunResult unit result type.
+    """Register a serializer for a unit result type.
 
     ``to_payload(result)`` must return a JSON-safe dict (the ``__kind__``
     key is added here); ``from_payload(payload)`` must invert it.
@@ -159,9 +150,7 @@ def register_result_codec(kind: str, cls: type, to_payload,
 
 
 def encode_result(result: Any) -> Dict[str, Any]:
-    """Serialize any registered result type (RunResult stays legacy-shaped)."""
-    if isinstance(result, RunResult):
-        return result_to_payload(result)
+    """Serialize any registered result type."""
     for kind, (cls, to_payload, _from_payload) in _RESULT_CODECS.items():
         if isinstance(result, cls):
             payload = to_payload(result)
@@ -173,13 +162,15 @@ def encode_result(result: Any) -> Dict[str, Any]:
 
 def decode_result(payload: Dict[str, Any]) -> Any:
     """Invert :func:`encode_result` via the ``__kind__`` discriminator."""
-    kind = payload.get("__kind__")
-    if kind is None:
-        return result_from_payload(payload)
+    kind = payload["__kind__"]
     entry = _RESULT_CODECS.get(kind)
     if entry is None:
         raise UnknownResultKind(kind)
     return entry[2](payload)
+
+
+register_result_codec("run", RunResult, result_to_payload,
+                      result_from_payload)
 
 
 class ResultCache:

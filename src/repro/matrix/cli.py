@@ -1,9 +1,9 @@
 """The runner flags every matrix-driven CLI verb shares.
 
-``table`` / ``modem`` / ``report`` / ``fleet`` all hand their work to a
-:class:`~repro.matrix.runner.MatrixRunner`; the flags that configure
-it, the ``--progress`` printer and the "args → runner" factory are
-defined here, once.
+``table`` / ``modem`` / ``report`` / ``fleet`` / ``chaos`` all hand their
+work to a :class:`~repro.matrix.runner.MatrixRunner`; the flags that
+configure it, the ``--progress`` printer and the "args → runner"
+factory are defined here, once.
 """
 
 from __future__ import annotations

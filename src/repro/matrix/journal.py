@@ -1,8 +1,9 @@
 """Crash-safe run journals: resumable experiment grids.
 
 A :class:`RunJournal` records every completed work unit of a run —
-successes with their full measurement payload, quarantined failures
-with their :class:`~repro.core.runner.UnitFailure` — so an
+successes with their result payload (the same registered codec the
+result cache uses), quarantined failures with their
+:class:`~repro.core.runner.UnitFailure` — so an
 interrupted grid (ctrl-C at hour two, a machine reboot, an OOM-killed
 parent) resumes with ``--resume RUN_ID`` instead of starting over.
 Resumed units hydrate from the journal byte-for-byte: a resumed run's
@@ -28,11 +29,10 @@ stale journal can never contaminate a changed experiment.
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 import re
 from pathlib import Path
-from typing import Any, Dict, Iterable, Optional, Union
+from typing import Any, Dict, Iterable, Union
 
 from .. import __version__
 from ..core.runner import RunResult, UnitFailure
@@ -47,8 +47,6 @@ __all__ = ["DEFAULT_RUNS_DIR", "RunJournal"]
 DEFAULT_RUNS_DIR = os.path.join(DEFAULT_CACHE_DIR, "runs")
 
 _RUN_ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,99}$")
-
-_KEY_RE = re.compile(r"^[0-9a-f]{16,64}$")
 
 
 def _unit_record(payload: Any) -> Dict[str, Any]:
@@ -83,11 +81,6 @@ class RunJournal:
     @property
     def units_dir(self) -> Path:
         return self.path / "units"
-
-    def _unit_path(self, key: str) -> Path:
-        if not _KEY_RE.match(key):
-            raise ValueError(f"unit key {key!r} is not a hex digest")
-        return self.units_dir / f"{key}.json"
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -125,30 +118,21 @@ class RunJournal:
     def record_result(self, spec: ExperimentSpec, seed: int,
                       result: Any) -> None:
         """Record a completed unit's measurements (atomic, idempotent)."""
-        self._record(unit_key(spec, seed, version=self.version), {
-            "status": "ok",
-            "label": spec.label,
-            "seed": int(seed),
-            "result": encode_result(result),
-        })
+        self._record(spec, seed, {"status": "ok",
+                                  "result": encode_result(result)})
 
     def record_failure(self, spec: ExperimentSpec, seed: int,
                        failure: UnitFailure) -> None:
         """Record a quarantined unit so a resume replays the verdict."""
-        self._record(unit_key(spec, seed, version=self.version), {
-            "status": "failed",
-            "label": spec.label,
-            "seed": int(seed),
-            "failure": dataclasses.asdict(failure),
-        })
+        self._record(spec, seed, {"status": "failed",
+                                  "failure": dataclasses.asdict(failure)})
 
-    def record(self, key: str, payload: Dict[str, Any]) -> None:
-        """Record an arbitrary keyed payload (the chaos verb's cells)."""
-        self._record(key, dict(payload))
-
-    def _record(self, key: str, payload: Dict[str, Any]) -> None:
+    def _record(self, spec: ExperimentSpec, seed: int,
+                outcome: Dict[str, Any]) -> None:
         self.begin()
-        write_json_atomic(self._unit_path(key), payload)
+        key = unit_key(spec, seed, version=self.version)
+        write_json_atomic(self.units_dir / f"{key}.json", {
+            "label": spec.label, "seed": int(seed), **outcome})
 
     # ------------------------------------------------------------------
     # Lookup
@@ -168,14 +152,6 @@ class RunJournal:
             if payload is not None:
                 records[path.stem] = payload
         return records
-
-    def get(self, key: str) -> Optional[Dict[str, Any]]:
-        """One unit record by key, or None."""
-        try:
-            payload = json.loads(self._unit_path(key).read_text())
-        except (OSError, ValueError, KeyError, TypeError):
-            return None
-        return payload if isinstance(payload, dict) else None
 
     @staticmethod
     def hydrate(record: Dict[str, Any]

@@ -191,9 +191,9 @@ class ExperimentSpec:
         ``run_experiment`` resolves the names through the registry and
         builds (or reuses its process-local memo of) the site, so a
         worker needs no state from the parent.  The result carries the
-        numeric measurement columns only (``fetch=None, trace=None``) —
-        the same shape the cache hydrates — so serial, parallel and
-        cached paths are interchangeable.
+        measurement columns only (``fetch=None, trace=None``) — the
+        same shape the cache hydrates — so serial, parallel and cached
+        paths are interchangeable.
         """
         result = run_experiment(
             self.mode, self.scenario,

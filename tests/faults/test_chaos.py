@@ -1,11 +1,32 @@
-"""The chaos verb: grid shape, per-cell seeds, single-cell runs."""
+"""The chaos verb: grid shape, per-cell seeds, runs on the matrix engine."""
 
 import io
 
 import pytest
 
 from repro.__main__ import main
+from repro.faults import HarnessFaultPlan
 from repro.faults.chaos import _cell_seed, chaos_cells, run_chaos
+from repro.matrix import MatrixRunner, ResultCache, RunJournal
+
+
+def sweep(**runner_options):
+    """Run the whole seed-1997 grid; returns (status, stdout, stats)."""
+    out = io.StringIO()
+    with MatrixRunner(**runner_options) as runner:
+        status = run_chaos(seed=1997, out=out, runner=runner)
+    return status, out.getvalue(), runner.stats
+
+
+@pytest.fixture(scope="module")
+def serial_sweep(tmp_path_factory):
+    """One serial pass over the grid, cached and journaled."""
+    root = tmp_path_factory.mktemp("chaos")
+    cache = ResultCache(root / "cache")
+    journal = RunJournal("chaos-1997", root / "runs")
+    status, text, stats = sweep(jobs=1, cache=cache, journal=journal)
+    assert stats.sim_runs == 48
+    return status, text, cache, journal
 
 
 def test_grid_is_plans_by_modes_by_envs():
@@ -53,8 +74,60 @@ def test_chaos_cli_verb_runs_one_cell(capsys):
     assert "bursty-loss" in out
 
 
+def test_cached_cell_still_reports_recovery(tmp_path):
+    cache = ResultCache(tmp_path / "cache")
+    texts = []
+    for expected_runs in (1, 0):
+        out = io.StringIO()
+        runner = MatrixRunner(cache=cache)
+        assert run_chaos(seed=1997, only="flaky-server:pipelined:WAN",
+                         out=out, runner=runner) == 0
+        assert runner.stats.sim_runs == expected_runs
+        texts.append(out.getvalue())
+    assert "server.503=" in texts[1]     # from a trace-less result
+    assert texts[0] == texts[1]
+
+
 @pytest.mark.slow
-def test_full_grid_recovers_everywhere():
-    out = io.StringIO()
-    assert run_chaos(seed=1997, out=out) == 0
-    assert "all 48 cells recovered" in out.getvalue()
+def test_full_grid_recovers_everywhere(serial_sweep):
+    status, text, _, _ = serial_sweep
+    assert status == 0
+    assert "all 48 cells recovered" in text
+
+
+@pytest.mark.slow
+def test_jobs_do_not_change_the_sweep(serial_sweep):
+    status, text, stats = sweep(jobs=2)
+    assert stats.ipc_batches > 0         # really went through the pool
+    assert (status, text) == serial_sweep[:2]
+
+
+@pytest.mark.slow
+def test_cache_and_journal_replay_the_sweep(serial_sweep):
+    _, text, cache, journal = serial_sweep
+    for options, counter in (({"cache": cache}, "cache_hits"),
+                             ({"journal": journal}, "journal_hits")):
+        status, replayed, stats = sweep(**options)
+        assert stats.sim_runs == 0
+        assert getattr(stats, counter) == 48
+        assert (status, replayed) == (0, text)
+
+
+@pytest.mark.slow
+def test_quarantined_cell_prints_failed_and_reproduce(serial_sweep):
+    plan, mode, environment = chaos_cells()[1]
+    poison = HarnessFaultPlan(name="t", poison_units=(1,))
+    status, text, stats = sweep(harness_faults=poison)
+    assert status == 1
+    assert stats.failures == 1
+    clean, lines = serial_sweep[1].splitlines(), text.splitlines()
+    row = 2 + 1                          # header, rule, then the cells
+    assert lines[:row] == clean[:row]
+    assert lines[row].startswith(
+        f"{plan:15s} {mode:20s} {environment:4s}   FAILED  "
+        f"HarnessPoisonError: ")
+    assert lines[row + 1] == (f"  reproduce: python -m repro chaos "
+                              f"--seed 1997 --only "
+                              f"{plan}:{mode}:{environment}")
+    assert lines[row + 2:-1] == clean[row + 1:-1]
+    assert lines[-1] == "1/48 cells FAILED (seed 1997)"

@@ -4,10 +4,9 @@ import json
 
 import pytest
 
-from repro.core.runner import RunResult
+from repro.core.runner import RESULT_FIELDS, RunResult
 from repro.matrix import ExperimentSpec, ResultCache
-from repro.matrix.cache import (RESULT_FIELDS, result_from_payload,
-                                result_to_payload)
+from repro.matrix.cache import result_from_payload, result_to_payload
 
 
 def synthetic_result(**overrides) -> RunResult:

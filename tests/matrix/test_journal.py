@@ -37,7 +37,7 @@ def test_result_round_trip(journal):
     spec = ExperimentSpec(**FAST)
     result = synthetic_result()
     journal.record_result(spec, 0, result)
-    record = journal.get(unit_key(spec, 0))
+    record = journal.load()[unit_key(spec, 0)]
     assert record["status"] == "ok"
     hydrated = RunJournal.hydrate(record)
     assert hydrated.packets == result.packets
@@ -51,7 +51,7 @@ def test_failure_round_trip(journal):
                           error="wall-clock deadline expired",
                           traceback_digest="", attempts=3)
     journal.record_failure(spec, 3, failure)
-    hydrated = RunJournal.hydrate(journal.get(unit_key(spec, 3)))
+    hydrated = RunJournal.hydrate(journal.load()[unit_key(spec, 3)])
     assert hydrated == failure
 
 
@@ -89,16 +89,23 @@ def test_clear_and_list_runs(tmp_path):
     a = RunJournal("alpha", root)
     b = RunJournal("beta", root)
     a.begin()
-    b.record(("a" * 64), {"status": "ok", "row": "x"})
+    b.record_result(ExperimentSpec(**FAST), 0, synthetic_result())
     assert sorted(RunJournal.list_runs(root)) == ["alpha", "beta"]
     assert b.clear() == 1
     assert len(b) == 0
     assert RunJournal.list_runs(tmp_path / "missing") == []
 
 
-def test_generic_records_need_hex_keys(journal):
-    with pytest.raises(ValueError):
-        journal.record("not-a-digest", {"status": "ok"})
+def test_records_are_keyed_by_unit_key(journal):
+    spec = ExperimentSpec(**FAST)
+    failure = UnitFailure(label=spec.label, seed=1, kind="exception",
+                          error="boom", traceback_digest="", attempts=1)
+    journal.record_result(spec, 0, synthetic_result())
+    journal.record_failure(spec, 1, failure)
+    assert sorted(journal.load()) == sorted(
+        [unit_key(spec, 0), unit_key(spec, 1)])
+    assert sorted(p.stem for p in journal.units_dir.iterdir()) == \
+        sorted(journal.load())
 
 
 # ----------------------------------------------------------------------

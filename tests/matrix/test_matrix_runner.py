@@ -3,10 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.runner import run_repeated
+from repro.core.runner import RESULT_FIELDS, run_experiment, run_repeated
 from repro.matrix import (ExperimentMatrix, ExperimentSpec, MatrixRunner,
-                          ResultCache)
-from repro.matrix.cache import RESULT_FIELDS
+                          ResultCache, RunJournal)
 
 #: The cheapest cell in the grid (~10 ms a run): used everywhere speed
 #: matters more than coverage.
@@ -17,8 +16,6 @@ FAST = dict(mode="pipelined", scenario="revalidate",
 def assert_results_identical(a, b):
     """Every averaged measurement column matches bit for bit."""
     for name in RESULT_FIELDS:
-        if name in ("retries", "mean_request_bytes"):
-            continue   # per-run fields, not averaged properties
         assert getattr(a, name) == getattr(b, name), name
     for run_a, run_b in zip(a.runs, b.runs):
         for name in RESULT_FIELDS:
@@ -87,6 +84,36 @@ def test_cache_second_pass_simulates_nothing(tmp_path):
     assert second.stats.cache_misses == 0
     for a, b in zip(cold, warm):
         assert_results_identical(a, b)
+
+
+def test_perf_and_recovery_columns_survive_cache_and_journal(tmp_path):
+    spec = ExperimentSpec(mode="pipelined", environment="WAN",
+                          seeds=(0, 1), faults="flaky-server")
+    direct = [run_experiment(spec.mode, spec.scenario,
+                             environment=spec.environment,
+                             profile=spec.server, seed=seed,
+                             faults=spec.faults)
+              for seed in spec.seeds]
+    counters = [run.trace.perf for run in direct]
+    assert any(run.trace.recovery.counts for run in direct)
+    cache = ResultCache(tmp_path / "cache")
+    journal = RunJournal("grid", tmp_path / "runs")
+    fresh = MatrixRunner(cache=cache, journal=journal).run(spec)
+    cached = MatrixRunner(cache=cache).run(spec)
+    resumed = MatrixRunner(journal=journal).run(spec)
+    for result in (fresh, cached, resumed):
+        assert result.runs[0].trace is None
+        assert [run.recovery for run in result.runs] == \
+            [run.trace.recovery.counts for run in direct]
+        assert [run.perf for run in result.runs] == \
+            [c.as_dict() for c in counters]
+        total = result.perf
+        assert total.heap_peak == max(c.heap_peak for c in counters)
+        for name in ("events_processed", "events_cancelled", "segments",
+                     "heap_purges", "cancels_avoided",
+                     "fastforward_spans", "segments_synthesized"):
+            assert getattr(total, name) == \
+                sum(getattr(c, name) for c in counters), name
 
 
 def test_cache_partial_hit_runs_only_new_seeds(tmp_path):
