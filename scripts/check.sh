@@ -14,11 +14,8 @@ export PYTHONPATH=src
 # reproducibility, TCP invariants) everything else rests on.
 sh scripts/lint.sh
 
-# Whole-program deep lint: cache-key completeness, RNG-stream
-# discipline, pool purity — gated against the committed baseline.
-# Fixed findings must be removed from DEEP_BASELINE.json (stale
-# entries fail the run); new findings fail outright.
-python -m repro lint --deep --baseline DEEP_BASELINE.json
+# Whole-program deep lint (cache key, RNG streams, pool purity): must be clean.
+python -m repro lint --deep
 
 # The pytest run carries the identity and recovery gates:
 #   fast-forward is byte-invisible (full-stack decline path, WAN and

@@ -16,11 +16,10 @@ any process that imported :mod:`repro.fleet`.
 
 from .engine import CohortResult, SessionStats, run_cohort
 from .runner import FleetResult, run_fleet
-from .spec import (DEFAULT_MODE_MIX, FLEET_CACHE_KEY_FIELDS, FleetSpec,
-                   FleetUnitSpec, UserPlan)
+from .spec import DEFAULT_MODE_MIX, FleetSpec, FleetUnitSpec, UserPlan
 
 __all__ = [
-    "FLEET_CACHE_KEY_FIELDS", "DEFAULT_MODE_MIX",
+    "DEFAULT_MODE_MIX",
     "UserPlan", "FleetSpec", "FleetUnitSpec",
     "SessionStats", "CohortResult", "run_cohort",
     "FleetResult", "run_fleet",

@@ -13,10 +13,12 @@ the schedule is a pure function of the spec and identical across
 A :class:`FleetUnitSpec` is one *cohort* of that population at one
 fixed-point round: the unit of work the matrix engine dispatches,
 caches and journals.  Its cache identity covers every
-:class:`FleetSpec` field (:data:`FLEET_CACHE_KEY_FIELDS`) plus the
-cohort index and the integer-quantized per-epoch capacity shares, so
-each fixed-point round is a distinct cacheable unit and a resumed run
-hydrates byte-identically.
+:class:`FleetSpec` field (derived from the dataclass by
+:func:`~repro.matrix.spec.canonical_fields`, so a new population
+dimension keys the cache by default) plus the cohort index and the
+integer-quantized per-epoch capacity shares, so each fixed-point round
+is a distinct cacheable unit and a resumed run hydrates
+byte-identically.
 """
 
 from __future__ import annotations
@@ -29,20 +31,9 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..core.registry import (resolve_environment, resolve_mode,
                              resolve_profile, resolve_scenario)
 from ..core.transport import MuxTransport, ShardedTransport
+from ..matrix.spec import canonical_fields
 
-__all__ = ["FLEET_CACHE_KEY_FIELDS", "DEFAULT_MODE_MIX", "UserPlan",
-           "FleetSpec", "FleetUnitSpec"]
-
-#: Every field of :class:`FleetSpec`, in canonical order.  The deep
-#: linter's cache-key pass checks this tuple stays complete, exactly as
-#: it does for ``ExperimentSpec.CACHE_KEY_FIELDS``: a field missing
-#: here would let two different populations share a cache entry.
-FLEET_CACHE_KEY_FIELDS: Tuple[str, ...] = (
-    "users", "cohorts", "environment", "scenario", "server", "modes",
-    "arrival_rate", "think_time", "pages_per_user", "jitter",
-    "server_capacity", "backbone_bps", "epoch", "rounds",
-    "max_sim_time", "fastpath", "seed",
-)
+__all__ = ["DEFAULT_MODE_MIX", "UserPlan", "FleetSpec", "FleetUnitSpec"]
 
 #: The default population: mostly tuned HTTP/1.1 users with an
 #: HTTP/1.0 legacy tail (plain-HTTP modes only — a fleet cohort shares
@@ -206,13 +197,7 @@ class FleetSpec:
     # ------------------------------------------------------------------
     def canonical_dict(self) -> Dict[str, Any]:
         """JSON-stable identity covering every population dimension."""
-        payload: Dict[str, Any] = {}
-        for name in FLEET_CACHE_KEY_FIELDS:
-            value = getattr(self, name)
-            if name == "modes":
-                value = [[mode, weight] for mode, weight in value]
-            payload[name] = value
-        return payload
+        return canonical_fields(self)
 
     def replace(self, **changes: Any) -> "FleetSpec":
         return dataclasses.replace(self, **changes)

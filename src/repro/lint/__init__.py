@@ -11,12 +11,13 @@ Two layers of correctness checking for the reproduction:
 * **Whole-program** (:mod:`repro.lint.graph`, :mod:`repro.lint.deep`):
   a project-wide symbol table, import graph and call graph feeding
   three flow-aware passes — cache-key completeness (every
-  run-affecting parameter represented in ``ExperimentSpec``'s
-  canonical cache key), RNG-stream discipline (every
-  ``random.Random`` seeded from the experiment seed, no stream shared
-  between components), and pool purity (no module-global writes in
-  code reachable from ``MatrixRunner``'s chunk dispatch).  Surfaced as
-  ``python -m repro lint --deep [--baseline PATH]``.
+  run-affecting ``run_experiment`` parameter arrives from an
+  ``ExperimentSpec`` field; the fields key the cache by declaration),
+  RNG-stream discipline (every ``random.Random`` seeded from the
+  experiment seed, no stream shared between components), and pool
+  purity (no module-global writes in code reachable from
+  ``MatrixRunner``'s chunk dispatch).  Surfaced as ``python -m repro
+  lint --deep``, a must-be-clean gate.
 * **Runtime** (:mod:`repro.lint.sanitizer`): a TCP invariant checker
   that replays captured traces (or observes a live simulation through a
   link tap) and asserts the protocol behaviours the paper's results
@@ -29,10 +30,8 @@ Both layers surface through ``python -m repro lint``.
 
 from .config import ALL_RULES, DEFAULT_CONFIG, LintConfig
 from .deep import (DEEP_RULES, DEFAULT_DEEP_CONFIG, DeepConfig,
-                   DeepError, apply_baseline, load_baseline, run_deep,
-                   write_baseline)
-from .findings import (Finding, finding_sort_key, format_json,
-                       format_text)
+                   DeepError, run_deep)
+from .findings import Finding, finding_sort_key, format_text
 from .graph import ProjectGraph, build_graph
 from .sanitizer import (
     FrameStreamValidator,
@@ -56,15 +55,11 @@ __all__ = [
     "DEFAULT_DEEP_CONFIG",
     "DeepConfig",
     "DeepError",
-    "apply_baseline",
-    "load_baseline",
     "run_deep",
-    "write_baseline",
     "ProjectGraph",
     "build_graph",
     "Finding",
     "finding_sort_key",
-    "format_json",
     "format_text",
     "LintError",
     "lint_file",

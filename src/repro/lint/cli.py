@@ -4,17 +4,15 @@ Layer 1 (always): statically lint the given paths (default:
 ``src/repro``) with the per-file determinism rules.  Layer 2 (opt-in
 via ``--deep``): build the whole-program graph and run the flow-aware
 passes of :mod:`repro.lint.deep` (cache-key completeness, RNG-stream
-discipline, pool purity), optionally filtered through a committed
-``--baseline`` file.  Layer 3 (opt-in via ``--sanitize-traces``):
+discipline, pool purity).  Layer 3 (opt-in via ``--sanitize-traces``):
 replay captured trace files through the TCP protocol sanitizer; with
 no file arguments the golden fixtures under ``tests/simnet/fixtures/``
 are validated.
 
 Exit codes: 0 clean, 1 findings or invariant violations, 2 usage or
-configuration error (bad path, unparsable trace, malformed baseline).
-``--json`` emits one machine-readable document combining all layers;
-findings are always sorted by ``(path, line, col, rule)`` and carry a
-stable ``id`` so baselines diff cleanly.
+configuration error (bad path, unparsable trace).  ``--json`` emits
+one machine-readable document combining all layers; findings are
+always sorted by ``(path, line, col, rule)``.
 """
 
 from __future__ import annotations
@@ -27,9 +25,7 @@ import sys
 from typing import Dict, List
 
 from .config import ALL_RULES, DEFAULT_CONFIG
-from .deep import (DEEP_RULES, DEFAULT_DEEP_CONFIG, DeepError,
-                   apply_baseline, load_baseline, run_deep,
-                   write_baseline)
+from .deep import DEEP_RULES, DEFAULT_DEEP_CONFIG, DeepError, run_deep
 from .findings import Finding, finding_sort_key, format_text
 from .sanitizer import (ModeTraceRules, SanitizerConfig, Violation,
                         validate_trace_text)
@@ -67,23 +63,11 @@ def add_lint_parser(sub: argparse._SubParsersAction) -> None:
                            "(cache-key completeness, RNG-stream "
                            "discipline, pool purity) over the first "
                            "lint path")
-    lint.add_argument("--baseline", metavar="PATH", default=None,
-                      help="JSON baseline of accepted deep findings; "
-                           "baselined ids are suppressed, entries that "
-                           "no longer fire are reported as "
-                           "stale-baseline findings")
-    lint.add_argument("--write-baseline", metavar="PATH", default=None,
-                      help="write the current deep findings to PATH "
-                           "as a fresh baseline and exit 0")
     lint.add_argument("--sanitize-traces", nargs="*", metavar="TRACE",
                       default=None,
                       help="also validate trace files against the TCP "
                            "invariants (default: the golden WAN "
                            f"fixtures under {GOLDEN_TRACE_DIR}/)")
-    lint.add_argument("--hot-path", action="append", default=[],
-                      metavar="FRAGMENT",
-                      help="additional path fragment treated as a "
-                           "__slots__ hot-path module")
     lint.set_defaults(fn=run_lint)
 
 
@@ -130,32 +114,16 @@ def _config_for_fixture(name: str) -> SanitizerConfig:
 
 
 def run_lint(args: argparse.Namespace) -> int:
-    config = DEFAULT_CONFIG
-    if args.hot_path:
-        config = config.with_hot_paths(args.hot_path)
     paths = args.paths or [DEFAULT_LINT_PATH]
     try:
-        findings = lint_paths(paths, config)
+        findings = lint_paths(paths, DEFAULT_CONFIG)
     except LintError as exc:
         print(f"lint: {exc}", file=sys.stderr)
         return 2
 
-    deep_wanted = (args.deep or args.baseline is not None
-                   or args.write_baseline is not None)
-    if deep_wanted:
+    if args.deep:
         try:
             deep_findings = run_deep(paths[0], DEFAULT_DEEP_CONFIG)
-            if args.write_baseline is not None:
-                write_baseline(deep_findings, args.write_baseline)
-                print(f"lint: wrote {len(deep_findings)} deep "
-                      f"finding(s) to {args.write_baseline}",
-                      file=sys.stderr)
-                return 0
-            if args.baseline is not None:
-                baseline = load_baseline(args.baseline)
-                deep_findings, stale = apply_baseline(
-                    deep_findings, baseline, args.baseline)
-                deep_findings.extend(stale)
         except DeepError as exc:
             print(f"lint: {exc}", file=sys.stderr)
             return 2

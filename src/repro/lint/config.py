@@ -4,9 +4,9 @@ Two suppression mechanisms exist, deliberately narrow:
 
 * **per-module allowlists** — a rule id mapped to path fragments; any
   file whose (posix-normalized) path contains one of the fragments is
-  exempt from that rule.  This is for *designed* exemptions: the perf
-  harness and matrix runner read the real clock because measuring wall
-  time is their job.
+  exempt from that rule.  This is for *designed* exemptions: the
+  matrix runner and its supervisor read the real clock because
+  measuring wall time is their job.
 * **inline pragmas** — ``# repro-lint: allow(rule-id)`` on the offending
   line (or the line directly above) waives named rules for that line
   only, for the rare spot where the construct is deliberate.
@@ -19,7 +19,7 @@ designated hot-path modules (the per-packet / per-event object code in
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, FrozenSet, Mapping, Sequence, Tuple
+from typing import Dict, FrozenSet, Mapping, Tuple
 
 __all__ = ["LintConfig", "DEFAULT_CONFIG", "ALL_RULES"]
 
@@ -54,11 +54,6 @@ class LintConfig:
         default_factory=dict)
     #: Path fragments naming modules where ``slots-hot-path`` applies.
     hot_path_modules: Tuple[str, ...] = ()
-
-    def with_hot_paths(self, extra: Sequence[str]) -> "LintConfig":
-        """A copy with additional hot-path module fragments."""
-        return dataclasses.replace(
-            self, hot_path_modules=self.hot_path_modules + tuple(extra))
 
     def rule_allowed(self, rule: str, posix_path: str) -> bool:
         """True when ``posix_path`` is allowlisted for ``rule``."""

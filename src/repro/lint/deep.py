@@ -6,67 +6,60 @@ of them is visible one file at a time:
 * **Cache-key completeness** — every run-affecting parameter must be
   represented in :class:`ExperimentSpec`'s canonical cache key, or a
   stale cached result will silently stand in for a different
-  experiment.  The pass reads the spec module's declared
-  ``CACHE_KEY_FIELDS``, checks every spec dataclass field against it,
-  and taint-traces ``run_experiment``'s parameters to the configuration
-  sinks (the ``Testbed`` assembly, ``fetch_page``, fault plans) to
-  catch run-affecting parameters that never pass through a keyed spec
-  field at all.
+  experiment.  The spec's identity is derived from its dataclass
+  fields (:func:`repro.matrix.spec.canonical_fields`), so a field
+  cannot go missing; what still needs a whole-program view is a
+  ``run_experiment`` parameter that never passes through a spec field
+  at all.  The pass taint-traces ``run_experiment``'s parameters to
+  the configuration sinks (the ``Testbed`` assembly, ``fetch_page``,
+  fault plans) and checks each one arrives via ``execute_unit`` from a
+  spec field or the unit seed.
 * **RNG-stream discipline** — every ``random.Random(...)`` must be
   seeded from the experiment seed (possibly offset, like the fault
   injector's ``seed + 7919`` private stream), and no single RNG object
   may be shared between components whose draw sequences must stay
-  independent.
+  independent (a component is a call that receives the RNG *object*;
+  drawing from it inside another call's arguments is not sharing).
 * **Pool purity** — code reachable from ``MatrixRunner``'s chunk
   dispatch runs inside worker processes; writes to module-global state
   there diverge between the serial and parallel paths unless the state
   is covered by ``ArtifactStore.store_state`` / ``_pool_initializer``.
 
 Findings reuse the :class:`~repro.lint.findings.Finding` model and the
-inline-pragma mechanism.  A JSON **baseline** file makes the passes
-adoptable incrementally: baselined findings are suppressed, and a
-baseline entry that no longer fires becomes a ``stale-baseline``
-finding so the file cannot rot.
+inline-pragma mechanism.  The repository's own tree must come out
+clean: a finding is fixed, or waived by name with a reason in
+:class:`DeepConfig`.
 """
 
 from __future__ import annotations
 
 import ast
 import dataclasses
-import json
 import pathlib
-from typing import (Dict, List, Mapping, Optional, Sequence, Set,
-                    Tuple, Union)
+from typing import Dict, List, Mapping, Optional, Set, Tuple, Union
 
 from .findings import Finding
 from .graph import FunctionInfo, ProjectGraph, build_graph
 
 __all__ = ["DEEP_RULES", "DeepConfig", "DEFAULT_DEEP_CONFIG",
-           "DeepError", "run_deep", "load_baseline", "apply_baseline",
-           "write_baseline"]
+           "DeepError", "run_deep"]
 
 #: Every deep rule, with a one-line description (the static per-file
 #: rules live in :data:`repro.lint.config.ALL_RULES`).
 DEEP_RULES: Dict[str, str] = {
-    "cache-key-missing": "ExperimentSpec field absent from the "
-                         "canonical cache key (CACHE_KEY_FIELDS)",
-    "cache-key-stale": "CACHE_KEY_FIELDS entry that matches no spec "
-                       "field",
     "cache-key-unkeyed-param": "run-affecting run_experiment parameter "
-                               "not forwarded from a cache-keyed spec "
-                               "field",
+                               "not forwarded from a spec field",
     "rng-seed-origin": "random.Random(...) whose seed is not derived "
                        "from an experiment seed",
     "rng-shared-stream": "one RNG object passed to several components "
                          "that need independent streams",
     "pool-global-write": "module-global write in code reachable from "
                          "the worker-pool dispatch",
-    "stale-baseline": "baseline entry that no longer fires",
 }
 
 
 class DeepError(RuntimeError):
-    """Raised for unusable inputs (bad root, malformed baseline)."""
+    """Raised for unusable inputs (the root is not a directory)."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -82,15 +75,6 @@ class DeepConfig:
 
     #: The spec class whose dataclass fields define an experiment.
     spec_class: str = "ExperimentSpec"
-    #: Module-level constant in the spec's module naming the cache-key
-    #: fields (exported by ``repro.matrix.spec`` for exactly this use).
-    cache_key_const: str = "CACHE_KEY_FIELDS"
-    #: Additional (spec class, key constant) pairs whose field-level
-    #: completeness/staleness is checked the same way.  Subsystems with
-    #: their own cacheable unit specs register here; the
-    #: parameter-level pass stays tied to :attr:`run_function`.
-    extra_spec_classes: Tuple[Tuple[str, str], ...] = (
-        ("FleetSpec", "FLEET_CACHE_KEY_FIELDS"),)
     #: The function whose keyword surface is the experiment's identity.
     run_function: str = "run_experiment"
     #: The spec method forwarding its own fields into
@@ -108,13 +92,6 @@ class DeepConfig:
                                   "FaultInjector", "resolve_fault_plan")
     #: Method names that consume run configuration (attribute calls).
     sink_methods: Tuple[str, ...] = ("client_config", "fetch_page")
-    #: Spec fields that are intentionally not part of the cell key,
-    #: mapped to the reason (shown in no finding — documentation).
-    spec_field_waivers: Mapping[str, str] = dataclasses.field(
-        default_factory=lambda: {
-            "seeds": "seeds select work units; the cache keys each "
-                     "(cell, seed) unit separately",
-        })
     #: Run-function parameters that may stay outside the cache key,
     #: with the reason each is safe.
     param_waivers: Mapping[str, str] = dataclasses.field(
@@ -214,30 +191,6 @@ def _finding(graph: ProjectGraph, module: str, node: ast.AST,
 # Pass 1: cache-key completeness
 # ----------------------------------------------------------------------
 
-def _literal_string_tuple(tree: ast.Module,
-                          const: str) -> Optional[Tuple[Tuple[str, ast.AST],
-                                                        ...]]:
-    """Read ``CONST = ("a", "b", ...)`` from a module body."""
-    for stmt in tree.body:
-        targets: List[ast.expr] = []
-        value: Optional[ast.expr] = None
-        if isinstance(stmt, ast.Assign):
-            targets, value = stmt.targets, stmt.value
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            targets, value = [stmt.target], stmt.value
-        for target in targets:
-            if isinstance(target, ast.Name) and target.id == const:
-                if isinstance(value, (ast.Tuple, ast.List)):
-                    entries = []
-                    for element in value.elts:
-                        if isinstance(element, ast.Constant) \
-                                and isinstance(element.value, str):
-                            entries.append((element.value, element))
-                    return tuple(entries)
-                return ()
-    return None
-
-
 def _forwarding_map(fwd: FunctionInfo, run: FunctionInfo,
                     config: DeepConfig) -> Dict[str, str]:
     """How ``run``'s parameters are fed inside ``fwd``'s call to it.
@@ -327,76 +280,14 @@ def _run_affecting_params(run: FunctionInfo,
     return affecting
 
 
-def _spec_fields_pass(graph: ProjectGraph, spec_class: str,
-                      cache_key_const: str,
-                      waivers: Mapping[str, str],
-                      findings: List[Finding]) -> Optional[Set[str]]:
-    """Field completeness + staleness for one spec/key-const pair.
-
-    Returns the declared key-field names (for callers that run further
-    passes against them), or None when the class or constant is absent.
-    """
-    spec_cls = graph.find_class(spec_class)
-    if spec_cls is None:
-        return None
-    spec_module = graph.modules[spec_cls.module]
-    declared = _literal_string_tuple(spec_module.tree, cache_key_const)
-    if declared is None:
-        _finding(graph, spec_cls.module, spec_cls.node,
-                 "cache-key-missing",
-                 f"spec module defines no {cache_key_const}; "
-                 "the analyzer cannot verify cache-key completeness",
-                 f"export {cache_key_const} as a literal tuple "
-                 "of the canonical cache-key field names", findings)
-        return None
-    key_fields = {name for name, _ in declared}
-
-    # Field-level completeness: every spec field keyed or waived.
-    for stmt in spec_cls.node.body:
-        if not (isinstance(stmt, ast.AnnAssign)
-                and isinstance(stmt.target, ast.Name)):
-            continue
-        field = stmt.target.id
-        if field == "__slots__" or field in key_fields \
-                or field in waivers:
-            continue
-        _finding(graph, spec_cls.module, stmt, "cache-key-missing",
-                 f"spec field '{field}' is not in "
-                 f"{cache_key_const}: two specs differing only "
-                 f"in '{field}' would collide in the result cache",
-                 f"add '{field}' to {cache_key_const} (and "
-                 "canonical_dict), or waive it in the deep config with "
-                 "a reason", findings)
-
-    # Staleness: every key entry a real field.
-    spec_fields = set(spec_cls.fields)
-    for name, node in declared:
-        if name not in spec_fields:
-            _finding(graph, spec_cls.module, node, "cache-key-stale",
-                     f"{cache_key_const} names '{name}', which "
-                     f"is not a field of {spec_class}",
-                     "remove the stale entry (renamed or deleted "
-                     "field?)", findings)
-    return key_fields
-
-
 def _cache_key_pass(graph: ProjectGraph,
                     config: DeepConfig) -> List[Finding]:
+    """Run-affecting run_experiment parameters must arrive through a
+    spec dataclass field (the cache identity) or the unit seed."""
     findings: List[Finding] = []
-    # Secondary spec classes (fleet populations, future subsystems) get
-    # the field-level checks; the parameter-level pass below is tied to
-    # run_experiment's surface and stays primary-only.
-    for spec_class, cache_key_const in config.extra_spec_classes:
-        _spec_fields_pass(graph, spec_class, cache_key_const, {},
-                          findings)
-    key_fields = _spec_fields_pass(graph, config.spec_class,
-                                   config.cache_key_const,
-                                   config.spec_field_waivers, findings)
-    if key_fields is None:
+    spec_cls = graph.find_class(config.spec_class)
+    if spec_cls is None:
         return findings
-
-    # Parameter-level completeness: run-affecting run_experiment
-    # parameters must arrive through a keyed spec field.
     run_candidates = [f for f in graph.functions_named(
         config.run_function) if "." not in f.qualname.split(":")[1]]
     fwd_candidates = graph.functions_named(config.forward_function)
@@ -415,12 +306,11 @@ def _cache_key_pass(graph: ProjectGraph,
             continue
         if origin is not None and origin.startswith("field:"):
             field = origin.split(":", 1)[1]
-            if field in key_fields \
-                    or field in config.spec_field_waivers:
+            if field in spec_cls.fields:
                 continue
             message = (f"parameter '{param}' of {run.name}() is "
-                       f"forwarded from spec field '{field}', which is "
-                       f"not in {config.cache_key_const}")
+                       f"forwarded from '{field}', which is not a "
+                       f"dataclass field of {config.spec_class}")
         elif origin is None:
             message = (f"run-affecting parameter '{param}' of "
                        f"{run.name}() (flows into {sink_raw}) is never "
@@ -432,7 +322,7 @@ def _cache_key_pass(graph: ProjectGraph,
                        f"cannot tie to the spec or the unit seed")
         _finding(graph, run.module, run.node, "cache-key-unkeyed-param",
                  message,
-                 "forward it from a cache-keyed spec field, or add a "
+                 "forward it from a spec dataclass field, or add a "
                  "waiver with a reason to the deep config", findings)
     return findings
 
@@ -536,17 +426,20 @@ def _rng_pass(graph: ProjectGraph, config: DeepConfig) -> List[Finding]:
             continue
 
         def rng_args_of(call: ast.Call) -> Set[str]:
+            """RNGs the call receives as objects (``f(rng)``,
+            ``f(x=self.rng)``).  An argument that merely draws from
+            one (``range(rng.randint(5, 9))``) hands the callee a
+            number, not the stream."""
             used: Set[str] = set()
             for value in list(call.args) + [k.value
                                             for k in call.keywords]:
-                for sub in ast.walk(value):
-                    if isinstance(sub, ast.Name) and sub.id in rng_vars:
-                        used.add(sub.id)
-                    elif isinstance(sub, ast.Attribute) \
-                            and isinstance(sub.value, ast.Name) \
-                            and sub.value.id == "self" \
-                            and f"self.{sub.attr}" in rng_vars:
-                        used.add(f"self.{sub.attr}")
+                if isinstance(value, ast.Name) and value.id in rng_vars:
+                    used.add(value.id)
+                elif isinstance(value, ast.Attribute) \
+                        and isinstance(value.value, ast.Name) \
+                        and value.value.id == "self" \
+                        and f"self.{value.attr}" in rng_vars:
+                    used.add(f"self.{value.attr}")
             return used
 
         consumers: Dict[str, List[ast.Call]] = {}
@@ -611,7 +504,7 @@ def _purity_pass(graph: ProjectGraph,
 
 
 # ----------------------------------------------------------------------
-# Entry point and baseline plumbing
+# Entry point
 # ----------------------------------------------------------------------
 
 def run_deep(root: Union[str, pathlib.Path],
@@ -628,78 +521,3 @@ def run_deep(root: Union[str, pathlib.Path],
     findings.extend(_purity_pass(graph, config))
     return sorted(findings,
                   key=lambda f: (f.path, f.line, f.col, f.rule))
-
-
-def load_baseline(path: Union[str, pathlib.Path]
-                  ) -> Dict[str, Dict[str, str]]:
-    """Read a baseline file: finding_id -> recorded entry."""
-    path = pathlib.Path(path)
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise DeepError(f"cannot read baseline {path}: {exc}") from exc
-    except ValueError as exc:
-        raise DeepError(f"baseline {path} is not valid JSON: "
-                        f"{exc}") from exc
-    entries = payload.get("findings") if isinstance(payload, dict) \
-        else None
-    if not isinstance(entries, list):
-        raise DeepError(f"baseline {path} must be an object with a "
-                        "'findings' list")
-    baseline: Dict[str, Dict[str, str]] = {}
-    for entry in entries:
-        if not isinstance(entry, dict) or "id" not in entry:
-            raise DeepError(f"baseline {path}: every finding needs an "
-                            "'id'")
-        baseline[str(entry["id"])] = entry
-    return baseline
-
-
-def apply_baseline(findings: Sequence[Finding],
-                   baseline: Mapping[str, Mapping[str, str]],
-                   baseline_path: Union[str, pathlib.Path]
-                   ) -> Tuple[List[Finding], List[Finding]]:
-    """Split findings into (kept, stale-baseline findings).
-
-    Findings whose :attr:`~repro.lint.findings.Finding.finding_id`
-    appears in the baseline are suppressed.  Baseline ids that match
-    nothing are reported as ``stale-baseline`` findings — a rotted
-    baseline would otherwise quietly grow blind spots.
-    """
-    fired = {f.finding_id for f in findings}
-    kept = [f for f in findings if f.finding_id not in baseline]
-    stale: List[Finding] = []
-    for finding_id in sorted(set(baseline) - fired):
-        entry = baseline[finding_id]
-        where = entry.get("path", "?")
-        rule = entry.get("rule", "?")
-        stale.append(Finding(
-            path=str(baseline_path), line=1, col=0,
-            rule="stale-baseline",
-            message=f"baseline entry {finding_id} ({rule} at {where}) "
-                    "no longer fires",
-            hint="refresh the baseline: python -m repro lint --deep "
-                 f"--write-baseline {baseline_path}"))
-    return kept, stale
-
-
-def write_baseline(findings: Sequence[Finding],
-                   path: Union[str, pathlib.Path]) -> None:
-    """Write the current deep findings as a baseline file."""
-    ordered = sorted(findings, key=lambda f: (f.path, f.line, f.col,
-                                              f.rule))
-    payload = {
-        "version": 1,
-        "comment": "Accepted whole-program lint findings.  Entries "
-                   "are matched by id (hash of path|rule|message, "
-                   "line-independent); remove entries as the findings "
-                   "are fixed — stale entries fail the lint.",
-        "findings": [
-            {"id": f.finding_id, "rule": f.rule, "path": f.path,
-             "line": f.line, "message": f.message}
-            for f in ordered
-        ],
-    }
-    pathlib.Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")

@@ -1,4 +1,4 @@
-"""Structured lint findings and their text / JSON renderings.
+"""Structured lint findings and their text rendering.
 
 A :class:`Finding` is one rule violation at one source location.  The
 linter's contract with ``scripts/check.sh`` is exit-code based, but the
@@ -9,17 +9,15 @@ can consume ``--json`` output without scraping text.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Sequence
 
-__all__ = ["Finding", "format_text", "format_json", "finding_sort_key"]
+__all__ = ["Finding", "format_text", "finding_sort_key"]
 
 
 def finding_sort_key(finding: "Finding"):
     """The one canonical ordering: ``(path, line, col, rule)``.
 
-    Every rendering (text, JSON, baselines) sorts with this key so
+    Every rendering (text, JSON) sorts with this key so
     output order is deterministic and diffs stay minimal.
     """
     return (finding.path, finding.line, finding.col, finding.rule)
@@ -51,26 +49,9 @@ class Finding:
     message: str
     hint: str
 
-    @property
-    def finding_id(self) -> str:
-        """Stable 12-hex-digit identity for baselines.
-
-        Hashes ``path|rule|message`` only — *not* the line number — so
-        a finding keeps its id when unrelated edits shift the file and
-        committed baselines diff cleanly.
-        """
-        posix = self.path.replace("\\", "/")
-        if posix.startswith("./"):
-            posix = posix[2:]
-        digest = hashlib.sha256(
-            f"{posix}|{self.rule}|{self.message}".encode("utf-8"))
-        return digest.hexdigest()[:12]
-
     def to_dict(self) -> Dict[str, Any]:
-        """The finding as a JSON-serializable dict (id included)."""
-        payload = dataclasses.asdict(self)
-        payload["id"] = self.finding_id
-        return payload
+        """The finding as a JSON-serializable dict."""
+        return dataclasses.asdict(self)
 
     def format(self) -> str:
         """One ``path:line:col: [rule] message`` text line."""
@@ -83,16 +64,3 @@ def format_text(findings: Sequence[Finding]) -> str:
     ordered = sorted(findings, key=finding_sort_key)
     return "\n".join(f.format() for f in ordered)
 
-
-def format_json(findings: Sequence[Finding],
-                extra: Optional[Dict[str, Any]] = None) -> str:
-    """Render findings (plus optional ``extra`` payload) as JSON."""
-    ordered = sorted(findings, key=finding_sort_key)
-    payload: Dict[str, Any] = {
-        "findings": [f.to_dict() for f in ordered],
-        "count": len(ordered),
-        "clean": not ordered,
-    }
-    if extra:
-        payload.update(extra)
-    return json.dumps(payload, indent=2, sort_keys=True)

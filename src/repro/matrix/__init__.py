@@ -34,8 +34,8 @@ from ..core.runner import UnitFailure
 from .cache import DEFAULT_CACHE_DIR, ResultCache, unit_key
 from .journal import DEFAULT_RUNS_DIR, RunJournal
 from .runner import CellEvent, MatrixRunner, MatrixStats, run_unit
-from .spec import (CACHE_KEY_FIELDS, DEFAULT_SEEDS, ExperimentMatrix,
-                   ExperimentSpec, client_config_overrides)
+from .spec import (DEFAULT_SEEDS, ExperimentMatrix, ExperimentSpec,
+                   client_config_overrides)
 from .supervisor import DEADLINE_GRACE, DEFAULT_RETRY_BUDGET, Supervisor
 
 __all__ = [
@@ -47,6 +47,6 @@ __all__ = [
     "CellEvent", "MatrixRunner", "MatrixStats", "run_unit",
     "DEADLINE_GRACE", "DEFAULT_RETRY_BUDGET", "Supervisor",
     "UnitFailure",
-    "CACHE_KEY_FIELDS", "DEFAULT_SEEDS", "ExperimentMatrix",
-    "ExperimentSpec", "client_config_overrides",
+    "DEFAULT_SEEDS", "ExperimentMatrix", "ExperimentSpec",
+    "client_config_overrides",
 ]

@@ -6,7 +6,10 @@ seeds to average over, the link jitter, and any client-configuration
 overrides.  All four axes accept canonical string names resolved by
 :mod:`repro.core.registry`; the spec stores the canonical strings, so
 two specs that mean the same experiment compare (and hash) equal, which
-is what the on-disk result cache keys off.
+is what the on-disk result cache keys off.  The cache identity is
+*declared by the dataclass itself*: :func:`canonical_fields` emits
+every field unless the field opts out, so a newly added field keys the
+cache by default.
 
 :class:`ExperimentMatrix` is the cartesian product of the axes:
 ``expand()`` yields one spec per (mode, scenario, environment, server)
@@ -30,22 +33,11 @@ from ..core.runner import DEFAULT_JITTER, RunResult, run_experiment
 from ..server.profiles import ServerProfile
 from ..simnet.link import NetworkEnvironment
 
-__all__ = ["CACHE_KEY_FIELDS", "DEFAULT_SEEDS", "ExperimentSpec",
-           "ExperimentMatrix", "client_config_overrides"]
+__all__ = ["DEFAULT_SEEDS", "ExperimentSpec", "ExperimentMatrix",
+           "canonical_fields", "client_config_overrides"]
 
 #: The paper averaged five seeded runs per cell.
 DEFAULT_SEEDS: Tuple[int, ...] = (0, 1, 2, 3, 4)
-
-#: The spec fields that form a cell's cache identity, in canonical
-#: order.  ``canonical_dict()`` emits exactly these; the deep linter's
-#: cache-key-completeness pass checks every run-affecting spec field is
-#: listed here (``seeds`` is deliberately absent — the cache keys each
-#: (cell, seed) unit separately, so seeds select units rather than
-#: identify the cell).
-CACHE_KEY_FIELDS: Tuple[str, ...] = (
-    "mode", "scenario", "environment", "server", "jitter",
-    "client_overrides", "verify", "max_sim_time", "faults", "fastpath",
-)
 
 _CLIENT_FIELDS = {field.name for field in
                   dataclasses.fields(ClientConfig)}
@@ -53,6 +45,26 @@ _CLIENT_FIELDS = {field.name for field in
 Modeish = Union[str, ProtocolMode]
 Environmentish = Union[str, NetworkEnvironment]
 Serverish = Union[str, ServerProfile]
+
+
+def _jsonable(value: Any) -> Any:
+    """Tuples become lists at any depth: the form JSON round-trips."""
+    if isinstance(value, tuple):
+        return [_jsonable(item) for item in value]
+    return value
+
+
+def canonical_fields(spec: Any) -> Dict[str, Any]:
+    """The one identity rule of every spec dataclass.
+
+    Every field, in declaration order, is part of the identity; a field
+    leaves it only by saying so where it is declared —
+    ``field(metadata={"cache_key": False})`` — so forgetting to key a
+    new field is impossible and un-keying one is a visible decision.
+    """
+    return {field.name: _jsonable(getattr(spec, field.name))
+            for field in dataclasses.fields(spec)
+            if field.metadata.get("cache_key", True)}
 
 
 def _freeze(value: Any) -> Any:
@@ -110,7 +122,11 @@ class ExperimentSpec:
     scenario: str = "first-time"
     environment: str = "LAN"
     server: str = "Apache"
-    seeds: Tuple[int, ...] = DEFAULT_SEEDS
+    #: Not part of the cell identity: seeds select work units, and the
+    #: cache keys each (cell, seed) unit separately, so re-averaging
+    #: over a different seed list reuses every unit already measured.
+    seeds: Tuple[int, ...] = dataclasses.field(
+        default=DEFAULT_SEEDS, metadata={"cache_key": False})
     jitter: float = DEFAULT_JITTER
     client_overrides: Tuple[Tuple[str, Any], ...] = ()
     verify: bool = True
@@ -205,19 +221,8 @@ class ExperimentSpec:
         return dataclasses.replace(result, fetch=None, trace=None)
 
     def canonical_dict(self) -> Dict[str, Any]:
-        """JSON-stable identity of the cell, *excluding* seeds.
-
-        Seeds select work units within the cell; the cache keys each
-        (cell, seed) unit separately so re-averaging over a different
-        seed list reuses every unit already measured.
-        """
-        out: Dict[str, Any] = {}
-        for name in CACHE_KEY_FIELDS:
-            value = getattr(self, name)
-            if name == "client_overrides":
-                value = [[key, item] for key, item in value]
-            out[name] = value
-        return out
+        """JSON-stable identity of the cell, *excluding* seeds."""
+        return canonical_fields(self)
 
     # ------------------------------------------------------------------
     # Construction helpers

@@ -72,15 +72,16 @@ class Link:
         10 for raw async start/stop framing.
     jitter:
         Fractional uniform jitter applied to each segment's transmission
-        time, e.g. 0.02 ⇒ ±2 %.  Drawn from ``rng`` so runs with the same
-        seed are reproducible.  Models the run-to-run variation the paper
-        averaged over five runs.
+        time, e.g. 0.02 ⇒ ±2 %.  Drawn from the link's own
+        ``random.Random(seed)`` stream (:attr:`rng`), so runs with the
+        same seed are reproducible.  Models the run-to-run variation
+        the paper averaged over five runs.
     """
 
     def __init__(self, sim: Simulator, bandwidth_bps: float,
                  propagation_delay: float, *, bits_per_byte: float = 8,
                  jitter: float = 0.0, loss_rate: float = 0.0,
-                 rng: Optional[random.Random] = None) -> None:
+                 seed: int = 0) -> None:
         if bandwidth_bps <= 0:
             raise ValueError("bandwidth must be positive")
         if propagation_delay < 0:
@@ -102,7 +103,7 @@ class Link:
         #: fast for the route ... they contribute to Internet
         #: congestion".
         self.queue_limit_packets: Optional[int] = None
-        self.rng = rng or random.Random(0)
+        self.rng = random.Random(seed)
         self._queued: Dict[Tuple[str, str], int] = {}
         # Per-direction state, keyed by (src, dst).
         self._next_free: Dict[Tuple[str, str], float] = {}
@@ -285,10 +286,11 @@ class NetworkEnvironment:
         return self.rtt / 2.0
 
     def make_link(self, sim: Simulator, *, jitter: float = 0.0,
-                  rng: Optional[random.Random] = None) -> Link:
+                  seed: int = 0) -> Link:
         """Instantiate a :class:`Link` for this environment."""
         return Link(sim, self.bandwidth_bps, self.one_way_delay,
-                    bits_per_byte=self.bits_per_byte, jitter=jitter, rng=rng)
+                    bits_per_byte=self.bits_per_byte, jitter=jitter,
+                    seed=seed)
 
 
 #: High bandwidth, low latency: 10 Mbit Ethernet, RTT < 1 ms.

@@ -19,7 +19,6 @@ name the one-client call sites use.
 
 from __future__ import annotations
 
-import random
 from typing import Optional, Sequence
 
 from .engine import Simulator
@@ -104,9 +103,8 @@ class Network:
             raise ValueError("a network needs at least one client")
         self.environment = environment
         self.sim = Simulator()
-        self.rng = random.Random(seed)
         self.link = environment.make_link(self.sim, jitter=jitter,
-                                          rng=self.rng)
+                                          seed=seed)
         if len(client_hosts) > 1:
             self.link.bottleneck_host = SERVER_HOST
         if capacity_shares is not None:
@@ -163,11 +161,11 @@ class ChainNetwork:
                  seed: int = 0, jitter: float = 0.0) -> None:
         self.environment = environment
         self.sim = Simulator()
-        rng = random.Random(seed)
+        # One private jitter/loss stream per link.
         self.client_link = environment.make_link(self.sim, jitter=jitter,
-                                                 rng=rng)
+                                                 seed=seed)
         self.server_link = environment.make_link(self.sim, jitter=jitter,
-                                                 rng=rng)
+                                                 seed=seed + 1)
         config = TcpConfig(mss=environment.mss)
         self.client = TcpStack(self.sim, CLIENT_HOST, self.client_link,
                                config)

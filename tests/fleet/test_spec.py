@@ -1,10 +1,12 @@
 """Tests for the fleet population spec and its compiled schedules."""
 
+import dataclasses
 import json
 
 import pytest
 
-from repro.fleet import (FLEET_CACHE_KEY_FIELDS, FleetSpec, FleetUnitSpec)
+from repro.fleet import FleetSpec, FleetUnitSpec
+from repro.matrix import unit_key
 
 
 def small_spec(**overrides):
@@ -95,10 +97,22 @@ def test_cohort_plans_partition_population():
 def test_canonical_dict_covers_every_cache_key_field():
     spec = small_spec()
     payload = spec.canonical_dict()
-    assert set(payload) == set(FLEET_CACHE_KEY_FIELDS)
+    # Every population dimension, no opt-outs.
+    assert list(payload) == [f.name for f in
+                             dataclasses.fields(FleetSpec)]
     # The identity must be JSON-stable.
     dumped = json.dumps(payload, sort_keys=True)
     assert json.dumps(spec.canonical_dict(), sort_keys=True) == dumped
+
+
+def test_unit_key_digest_is_pinned():
+    # Computed before the identity was derived from the dataclass; see
+    # tests/matrix/test_spec.py::test_unit_key_digest_is_pinned.
+    unit = FleetUnitSpec(FleetSpec(users=8, cohorts=2, max_sim_time=60.0),
+                         1, (750000.0, 750000.0))
+    assert unit_key(unit, 0, version="1.5.0") == (
+        "5f780b25acc7443be5410c27671a0f29"
+        "d33b8bc57620b428ab726a542310aad5")
 
 
 def test_unit_quantizes_shares():

@@ -1,5 +1,5 @@
 """Fixture: hot-path class without __slots__ (lint with this file's
-name added to the hot-path list, e.g. ``--hot-path bad_missing_slots``).
+name in ``LintConfig.hot_path_modules``).
 """
 
 

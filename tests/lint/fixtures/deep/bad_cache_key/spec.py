@@ -1,16 +1,12 @@
-"""Deep-corpus: a spec with an unkeyed field and a stale key entry.
+"""Deep-corpus: a spec whose forwarding method drops a run knob.
 
-``jitter`` is a real dataclass field missing from ``CACHE_KEY_FIELDS``
-(cache-key-missing); ``ghost`` is a key entry matching no field
-(cache-key-stale); ``seeds`` is covered by the default waiver.  The
-forwarding method omits the run function's ``turbo`` entirely.
+``execute_unit`` forwards the spec's fields and the unit seed but omits
+the run function's ``turbo`` entirely, so no spec field can ever key it.
 """
 
 import dataclasses
 
 from .runner import run_experiment
-
-CACHE_KEY_FIELDS = ("mode", "ghost")
 
 
 @dataclasses.dataclass(frozen=True)

@@ -6,6 +6,7 @@ import pathlib
 import pytest
 
 from repro.__main__ import main
+from repro.lint import LintConfig
 
 REPO = pathlib.Path(__file__).resolve().parents[2]
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -27,11 +28,13 @@ def test_lint_fixture_corpus_exits_dirty(capsys):
         assert f"[{rule}]" in out
 
 
-def test_hot_path_flag_activates_slots_rule(capsys):
+def test_hot_path_flag_activates_slots_rule(capsys, monkeypatch):
     target = str(FIXTURES / "bad_missing_slots.py")
     assert main(["lint", target]) == 0
-    assert main(["lint", "--hot-path", "bad_missing_slots",
-                 target]) == 1
+    # The hot-path list is configuration, not a flag.
+    monkeypatch.setattr("repro.lint.cli.DEFAULT_CONFIG", LintConfig(
+        hot_path_modules=("bad_missing_slots",)))
+    assert main(["lint", target]) == 1
     assert "[slots-hot-path]" in capsys.readouterr().out
 
 
@@ -82,54 +85,28 @@ def test_deep_flag_exits_dirty_on_corpus(capsys):
 
 def test_deep_src_clean_under_committed_baseline(capsys, monkeypatch):
     monkeypatch.chdir(REPO)
-    code = main(["lint", "--deep", "--baseline", "DEEP_BASELINE.json",
-                 "src/repro"])
-    assert code == 0
+    assert main(["lint", "--deep", "src/repro"]) == 0
     assert "clean" in capsys.readouterr().err
 
 
-def test_write_baseline_then_reuse_then_stale(tmp_path, capsys):
-    target = str(DEEP_FIXTURES / "bad_rng")
-    base = tmp_path / "baseline.json"
-    assert main(["lint", "--deep", "--write-baseline", str(base),
-                 target]) == 0
-    # --baseline alone implies the deep passes.
-    assert main(["lint", "--baseline", str(base), target]) == 0
-    payload = json.loads(base.read_text(encoding="utf-8"))
-    payload["findings"].append({"id": "feedface0000",
-                                "rule": "rng-seed-origin",
-                                "path": "gone.py"})
-    base.write_text(json.dumps(payload), encoding="utf-8")
-    assert main(["lint", "--baseline", str(base), target]) == 1
-    assert "[stale-baseline]" in capsys.readouterr().out
-
-
-def test_malformed_baseline_is_usage_error(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{", encoding="utf-8")
-    code = main(["lint", "--deep", "--baseline", str(bad),
-                 str(DEEP_FIXTURES / "bad_pool")])
-    assert code == 2
-    assert "lint:" in capsys.readouterr().err
-
-
-def test_missing_baseline_is_usage_error(capsys):
-    code = main(["lint", "--deep", "--baseline", "no/such/base.json",
-                 str(DEEP_FIXTURES / "bad_pool")])
-    assert code == 2
-    assert "lint:" in capsys.readouterr().err
+def test_removed_flags_are_usage_errors(capsys):
+    for flag in ("--baseline", "--write-baseline", "--hot-path"):
+        with pytest.raises(SystemExit) as exc:
+            main(["lint", "--deep", flag, "x"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_deep_json_findings_carry_sorted_stable_ids(capsys):
     code = main(["lint", "--json", "--deep",
-                 str(DEEP_FIXTURES / "bad_cache_key")])
+                 str(DEEP_FIXTURES / "bad_rng")])
     assert code == 1
     payload = json.loads(capsys.readouterr().out)
     findings = payload["findings"]
-    assert findings
+    assert len(findings) == 3
     for finding in findings:
-        int(finding["id"], 16)
-        assert len(finding["id"]) == 12
+        assert set(finding) == {"path", "line", "col", "rule",
+                                "message", "hint"}
     keys = [(f["path"], f["line"], f["col"], f["rule"])
             for f in findings]
     assert keys == sorted(keys)

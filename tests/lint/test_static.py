@@ -1,5 +1,6 @@
 """The determinism linter: fixture corpus, pragmas, self-check."""
 
+import dataclasses
 import pathlib
 
 import pytest
@@ -25,7 +26,8 @@ CORPUS = {
 
 def _config_for(filename):
     if filename == "bad_missing_slots.py":
-        return DEFAULT_CONFIG.with_hot_paths(["bad_missing_slots"])
+        return dataclasses.replace(
+            DEFAULT_CONFIG, hot_path_modules=("bad_missing_slots",))
     return DEFAULT_CONFIG
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from typing import Tuple
 
 import pytest
 
@@ -9,7 +10,7 @@ from repro.client.robot import ClientConfig
 from repro.core import HTTP10_MODE, HTTP11_PIPELINED, UnknownNameError
 from repro.core.browsers import BROWSERS
 from repro.matrix import (DEFAULT_SEEDS, ExperimentMatrix, ExperimentSpec,
-                          client_config_overrides)
+                          client_config_overrides, unit_key)
 
 
 # ----------------------------------------------------------------------
@@ -117,14 +118,46 @@ def test_canonical_dict_is_json_stable_and_seedless():
 
 
 def test_cache_key_fields_cover_the_spec():
-    """CACHE_KEY_FIELDS is the single source of the cell identity."""
-    from repro.matrix import CACHE_KEY_FIELDS
-    spec = ExperimentSpec()
-    assert list(spec.canonical_dict()) == list(CACHE_KEY_FIELDS)
-    field_names = {f.name for f in dataclasses.fields(ExperimentSpec)}
-    # Every spec field is either cache-keyed or the unit-level seeds
-    # axis (each (cell, seed) unit is keyed separately).
-    assert field_names == set(CACHE_KEY_FIELDS) | {"seeds"}
+    """The dataclass is the single source of the cell identity."""
+    fields = dataclasses.fields(ExperimentSpec)
+    # Every spec field, in declaration order, is cache-keyed — except
+    # the one that says otherwise: the unit-level seeds axis (each
+    # (cell, seed) unit is keyed separately).
+    assert [f.name for f in fields
+            if not f.metadata.get("cache_key", True)] == ["seeds"]
+    assert list(ExperimentSpec().canonical_dict()) == [
+        f.name for f in fields if f.name != "seeds"]
+
+
+def test_new_field_keys_the_cache_unless_it_opts_out():
+    @dataclasses.dataclass(frozen=True)
+    class WiderSpec(ExperimentSpec):
+        tos: int = 0
+        ecn: Tuple[Tuple[str, Tuple[int, ...]], ...] = ()
+        note: str = dataclasses.field(default="",
+                                      metadata={"cache_key": False})
+
+    plain = WiderSpec().canonical_dict()
+    assert list(plain)[-2:] == ["tos", "ecn"]
+    assert {k: v for k, v in plain.items() if k not in ("tos", "ecn")} \
+        == ExperimentSpec().canonical_dict()
+    assert unit_key(WiderSpec(tos=1), 0) != unit_key(WiderSpec(), 0)
+    assert unit_key(WiderSpec(note="x"), 0) == unit_key(WiderSpec(), 0)
+    # Tuples become lists at any depth, by one rule for every field.
+    nested = WiderSpec(ecn=(("ce", (1, 2)),)).canonical_dict()
+    assert nested["ecn"] == [["ce", [1, 2]]]
+    assert json.loads(json.dumps(nested)) == nested
+
+
+def test_unit_key_digest_is_pinned():
+    """Identity drift (a field renamed, retyped, dropped from or added
+    to the key) must be a decision, not an accident: this digest was
+    computed before the identity was derived from the dataclass, and
+    every cache and journal on disk is keyed by it."""
+    spec = ExperimentSpec(client_overrides={"max_connections": 2})
+    assert unit_key(spec, 0, version="1.5.0") == (
+        "b4818c1263856c90ba4a49ae4db2d036"
+        "2f03ca5c6407b8c3a709acde2e2c6413")
 
 
 def test_replace_recanonicalizes():

@@ -88,12 +88,11 @@ def test_taps_see_segments_at_send_time():
 
 
 def test_jitter_is_seeded_and_bounded():
-    import random
     times = []
     for _ in range(2):
         sim, link = make_link(bandwidth_bps=8000.0,
                               propagation_delay=0.0, jitter=0.1,
-                              rng=random.Random(7))
+                              seed=7)
         arrivals = []
         link.attach("a", lambda s: None)
         link.attach("b", lambda s: arrivals.append(sim.now))
