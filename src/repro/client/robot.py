@@ -318,6 +318,11 @@ class Robot:
         self.on_body_progress: Optional[
             Callable[[str, Response, int, bytes], None]] = None
         self._body_progress: Dict[str, int] = {}
+        #: The fields every request of this robot starts with, copied
+        #: per request.
+        self._base_headers = Headers(
+            [("Host", server_host), ("User-Agent", self.config.user_agent),
+             ("Accept", "*/*"), *self.config.extra_headers])
 
     # ------------------------------------------------------------------
     # Public API
@@ -362,11 +367,7 @@ class Robot:
             url = tail_of
         is_html = url == self._html_url
         method = "GET"
-        headers = Headers([("Host", self.server_host)])
-        headers.add("User-Agent", config.user_agent)
-        headers.add("Accept", "*/*")
-        for name, value in config.extra_headers:
-            headers.add(name, value)
+        headers = self._base_headers.copy()
         if is_html and config.accept_deflate:
             headers.add("Accept-Encoding", "deflate")
         if config.http_version == HTTP10 and config.keep_alive:

@@ -71,14 +71,17 @@ class MicroscapeSite:
 
     objects: Dict[str, SiteObject]
     html_url: str = HTML_URL
-    #: Memoized (html body digest, parsed URL list); the HTML is parsed
-    #: lazily and re-parsed only when the body's *content* changes.
-    #: Every experiment run consults the URL list (request planning and
-    #: result verification), so parsing 42 KB per call was a hot path.
-    #: Keyed by hash rather than object identity so equal-but-distinct
-    #: bodies (artifact-store round-trips, unpickled sites) still hit.
-    _embedded_cache: Optional[Tuple[bytes, List[str]]] = dataclasses.field(
-        default=None, init=False, repr=False, compare=False)
+    #: Memoized (html body, its digest, parsed URL list); the HTML is
+    #: parsed lazily and re-parsed only when the body's *content*
+    #: changes.  Every experiment run consults the URL list (request
+    #: planning and result verification), so parsing 42 KB per call was
+    #: a hot path — and so was hashing it: the same body *object* hits
+    #: without a digest.  A different object is compared by hash, so
+    #: equal-but-distinct bodies (artifact-store round-trips, unpickled
+    #: sites) still hit.
+    _embedded_cache: Optional[Tuple[bytes, bytes, List[str]]] = \
+        dataclasses.field(default=None, init=False, repr=False,
+                          compare=False)
 
     @property
     def html(self) -> SiteObject:
@@ -92,13 +95,15 @@ class MicroscapeSite:
     def embedded_urls(self) -> List[str]:
         """Distinct embedded URLs in page order (the 42 GETs' targets)."""
         body = self.html.body
-        digest = hashlib.sha256(body).digest()
         cache = self._embedded_cache
-        if cache is None or cache[0] != digest:
-            cache = (digest, html_mod.distinct_image_urls(
-                body.decode("latin-1")))
-            self._embedded_cache = cache
-        return list(cache[1])
+        if cache is None or cache[0] is not body:
+            digest = hashlib.sha256(body).digest()
+            if cache is not None and cache[1] == digest:
+                urls = cache[2]
+            else:
+                urls = html_mod.distinct_image_urls(body.decode("latin-1"))
+            cache = self._embedded_cache = (body, digest, urls)
+        return list(cache[2])
 
     def all_urls(self) -> List[str]:
         """HTML first, then embedded objects: the 43 request targets."""

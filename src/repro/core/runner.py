@@ -301,7 +301,7 @@ class Testbed:
         schedule).
     """
 
-    __slots__ = ("net", "site", "store", "profile", "servers")
+    __slots__ = ("net", "site", "store", "profile", "servers", "_prefill")
 
     def __init__(self, environment: NetworkEnvironment,
                  profile: ServerProfile, transport: Transport, *,
@@ -329,6 +329,9 @@ class Testbed:
         self.servers = transport.start_servers(
             self.net.sim, self.net.server, store, profile,
             max_concurrent=server_capacity)
+        #: ``(store generation, prefilled cache)``: the revalidation
+        #: precondition, built once and adopted by every page's cache.
+        self._prefill: Optional[Tuple[int, MemoryCache]] = None
 
     def fetch_page(self, transport: Transport, config: ClientConfig,
                    scenario: str, *, stack: Optional[TcpStack] = None,
@@ -345,7 +348,12 @@ class Testbed:
         """
         cache = MemoryCache()
         if scenario == REVALIDATE:
-            prefill_cache(cache, self.store, self.site, self.profile)
+            if self._prefill is None \
+                    or self._prefill[0] != self.store.generation:
+                prefill = MemoryCache()
+                prefill_cache(prefill, self.store, self.site, self.profile)
+                self._prefill = (self.store.generation, prefill)
+            cache.adopt(self._prefill[1])
         robot = transport.create_client(
             self.net.sim, stack or self.net.client, SERVER_HOST,
             self.servers[0].port, config, cache)

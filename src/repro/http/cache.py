@@ -75,6 +75,18 @@ class MemoryCache:
         self.updates += 1
         return entry
 
+    def adopt(self, other: "MemoryCache") -> None:
+        """Store every entry of ``other``, sharing the entry objects.
+
+        Safe because nothing mutates a :class:`CacheEntry` after
+        creation (:meth:`handle_response` *replaces* one), so a
+        population of per-page caches can start from one prebuilt
+        prefill instead of 43 fresh copies each.
+        """
+        for url in other.urls():
+            self._write(other._read(url))
+            self.updates += 1
+
     def get(self, url: str) -> Optional[CacheEntry]:
         """Look up a cached entry."""
         entry = self._read(url)

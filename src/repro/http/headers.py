@@ -9,13 +9,37 @@ Lookups are a hot path — every simulated request/response consults a
 handful of fields — so the collection maintains a parallel list of
 lowercased names, paying ``str.lower`` once per field at insertion
 instead of once per field per lookup.
+
+Parsing is paid once per distinct header **line**: a population of
+robots exchanges the same few hundred lines millions of times, so
+:meth:`Headers.from_lines` looks each line up in ``_LINE_MEMO`` and
+splits, strips and lowercases it only on a miss.  (Whole response heads
+are not memoizable — their ``Date`` line moves every simulated second —
+but every other line of them is.)
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = ["Headers"]
+
+#: ``header line → ((name, value), lowercased name)`` for the lines
+#: :meth:`Headers.from_lines` has split.  Pure: the value is a function
+#: of the key alone, so a cold, cleared or full memo changes cost, never
+#: a parse.  Continuation and blank lines never enter (their meaning
+#: depends on the previous field); nor do malformed ones (they raise).
+_LINE_MEMO: Dict[str, Tuple[Tuple[str, str], str]] = {}
+_LINE_MEMO_MAX = 4096
+
+
+def _split_line(line: str) -> Tuple[Tuple[str, str], str]:
+    """Parse one ``Name: value`` line."""
+    name, sep, value = line.partition(":")
+    if not sep:
+        raise ValueError(f"malformed header line: {line!r}")
+    name = name.strip()
+    return (name, value.strip()), name.lower()
 
 
 class Headers:
@@ -33,11 +57,23 @@ class Headers:
 
     def __init__(self,
                  items: Optional[Iterable[Tuple[str, str]]] = None) -> None:
-        self._items: List[Tuple[str, str]] = []
-        self._lower: List[str] = []
-        if items:
-            for name, value in items:
-                self.add(name, value)
+        self._items: List[Tuple[str, str]] = [
+            (name, str(value)) for name, value in items or ()]
+        self._lower: List[str] = [name.lower() for name, _ in self._items]
+
+    @classmethod
+    def _from_parts(cls, items: Sequence[Tuple[str, str]],
+                    lower: Sequence[str]) -> "Headers":
+        """A collection owning fresh lists of already-parsed fields.
+
+        Package-internal: ``lower`` must be ``items``' names lowercased.
+        The head memos rebuild a mutable :class:`Headers` from their
+        frozen tuples through this, so no mutator can reach a memo.
+        """
+        headers = cls.__new__(cls)
+        headers._items = list(items)
+        headers._lower = list(lower)
+        return headers
 
     # ------------------------------------------------------------------
     # Mutation
@@ -78,6 +114,8 @@ class Headers:
     def get_all(self, name: str) -> List[str]:
         """All values of field ``name`` in order."""
         lowered = name.lower()
+        if lowered not in self._lower:
+            return []
         return [item[1] for item, low in zip(self._items, self._lower)
                 if low == lowered]
 
@@ -97,6 +135,8 @@ class Headers:
         Used for e.g. ``Connection: keep-alive`` and
         ``Accept-Encoding: deflate`` checks.
         """
+        if name.lower() not in self._lower:
+            return False
         token = token.lower()
         for value in self.get_all(name):
             for part in value.split(","):
@@ -119,38 +159,44 @@ class Headers:
 
     def copy(self) -> "Headers":
         """A shallow copy preserving order and spelling."""
-        duplicate = Headers()
-        duplicate._items = list(self._items)
-        duplicate._lower = list(self._lower)
-        return duplicate
+        return Headers._from_parts(self._items, self._lower)
 
     # ------------------------------------------------------------------
     # Wire format
     # ------------------------------------------------------------------
     def to_bytes(self) -> bytes:
         """Serialize as ``Name: value\\r\\n`` lines (no terminating blank)."""
-        return b"".join(f"{n}: {v}\r\n".encode("latin-1")
-                        for n, v in self._items)
+        return "".join([f"{n}: {v}\r\n" for n, v in self._items]
+                       ).encode("latin-1")
 
     @classmethod
     def from_lines(cls, lines: Iterable[str]) -> "Headers":
         """Parse header lines (without the terminating blank line).
 
         Handles RFC 2068 continuation lines (leading whitespace folds
-        into the previous field).
+        into the previous field).  Every other line is split once per
+        distinct text (``_LINE_MEMO``).
         """
         headers = cls()
+        items, lower = headers._items, headers._lower
         for line in lines:
             if not line:
                 continue
-            if line[0] in " \t" and headers._items:
-                name, value = headers._items[-1]
-                headers._items[-1] = (name, value + " " + line.strip())
-                continue
-            name, sep, value = line.partition(":")
-            if not sep:
-                raise ValueError(f"malformed header line: {line!r}")
-            headers.add(name.strip(), value.strip())
+            if line[0] in " \t":
+                if items:
+                    name, value = items[-1]
+                    items[-1] = (name, value + " " + line.strip())
+                    continue
+                parsed = _split_line(line)
+            else:
+                parsed = _LINE_MEMO.get(line)
+                if parsed is None:
+                    parsed = _split_line(line)
+                    if len(_LINE_MEMO) >= _LINE_MEMO_MAX:
+                        _LINE_MEMO.clear()
+                    _LINE_MEMO[line] = parsed
+            items.append(parsed[0])
+            lower.append(parsed[1])
         return headers
 
     def __eq__(self, other: object) -> bool:

@@ -58,6 +58,11 @@ class Request:
 
     ``target`` is the request-URI path (this study always talks to a
     single origin server, so absolute URIs are not needed).
+
+    ``head`` is set only by :class:`~repro.http.parser.RequestParser`:
+    the exact head-block bytes this request was parsed from, which
+    determine everything but the body — the key a server memoizes its
+    response head under.  Hand-built requests leave it ``None``.
     """
 
     method: str
@@ -65,6 +70,8 @@ class Request:
     version: Tuple[int, int] = HTTP11
     headers: Headers = dataclasses.field(default_factory=Headers)
     body: bytes = b""
+    head: Optional[bytes] = dataclasses.field(default=None, repr=False,
+                                              compare=False)
 
     def to_bytes(self) -> bytes:
         """Exact wire serialization."""

@@ -11,11 +11,20 @@ Body framing follows RFC 2068 §4.4: no body for HEAD / 204 / 304,
 ``Transfer-Encoding: chunked``, then ``Content-Length``, then (for
 responses only) read-until-close, which HTTP/1.0 servers without
 keep-alive still use.
+
+Each distinct head is parsed once.  A request head is a pure function
+of its bytes, and a robot population sends the same few hundred of them
+over and over, so :class:`RequestParser` keeps ``head bytes → frozen
+parsed head`` in ``_REQUEST_HEADS`` and runs :func:`_parse_request_head`
+only on a miss; every request still gets its own mutable
+:class:`Headers`.  A response head is *not* memoized whole — its
+``Date`` line changes every simulated second — but its header lines are,
+inside :meth:`Headers.from_lines`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .chunked import ChunkedDecoder
 from .headers import Headers
@@ -39,18 +48,78 @@ def _find_header_end(buffer: bytearray) -> Tuple[int, int]:
     real 1997 servers had to.
     """
     crlf = buffer.find(b"\r\n\r\n")
-    lf = buffer.find(b"\n\n")
-    if crlf == -1 and lf == -1:
-        return -1, -1
-    if crlf != -1 and (lf == -1 or crlf < lf):
-        return crlf, crlf + 4
-    return lf, lf + 2
+    if crlf == -1:
+        lf = buffer.find(b"\n\n")
+        return (lf, lf + 2) if lf != -1 else (-1, -1)
+    # A bare-LF terminator only matters if it ends *before* the CRLF
+    # one, so the search stops there instead of walking every pipelined
+    # message queued behind this head.
+    lf = buffer.find(b"\n\n", 0, crlf)
+    if lf != -1:
+        return lf, lf + 2
+    return crlf, crlf + 4
 
 
 def _split_header_block(block: bytes) -> List[str]:
     """Split a raw header block into decoded lines."""
     text = block.decode("latin-1")
     return text.replace("\r\n", "\n").split("\n")
+
+
+def _parse_fields(lines: List[str]) -> Headers:
+    """:meth:`Headers.from_lines`, malformed lines as :class:`ParseError`."""
+    try:
+        return Headers.from_lines(lines)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+
+
+def _parse_version(text: str) -> Tuple[int, int]:
+    """:func:`parse_version`, a bad token as :class:`ParseError`."""
+    try:
+        return parse_version(text)
+    except ValueError:
+        raise ParseError(f"bad HTTP version: {text!r}") from None
+
+
+class _RequestHead(NamedTuple):
+    """Everything a request head's bytes determine, immutably."""
+
+    method: str
+    target: str
+    version: Tuple[int, int]
+    fields: Tuple[Tuple[str, str], ...]
+    lowered: Tuple[str, ...]
+    chunked: bool
+    content_length: Optional[int]
+
+
+#: ``head-block bytes → _RequestHead``.  Pure: the value is a function
+#: of the key alone, so a cold, cleared or full memo changes cost, never
+#: a parse.  Malformed heads raise and are never stored.
+_REQUEST_HEADS: Dict[bytes, _RequestHead] = {}
+_REQUEST_HEADS_MAX = 4096
+
+
+def _parse_request_head(block: bytes) -> _RequestHead:
+    """Parse a request's head block (request line + header lines)."""
+    lines = _split_header_block(block)
+    request_line = lines[0]
+    parts = request_line.split()
+    if len(parts) == 2:
+        # HTTP/0.9 simple request: "GET /path".
+        method, target = parts
+        version = (0, 9)
+    elif len(parts) == 3:
+        method, target, version_text = parts
+        version = _parse_version(version_text)
+    else:
+        raise ParseError(f"malformed request line: {request_line!r}")
+    headers = _parse_fields(lines[1:])
+    return _RequestHead(
+        method, target, version, tuple(headers), tuple(headers._lower),
+        headers.contains_token("Transfer-Encoding", "chunked"),
+        headers.get_int("Content-Length"))
 
 
 class _BodyReader:
@@ -142,27 +211,21 @@ class RequestParser:
             while self._buffer[:2] == b"\r\n":
                 del self._buffer[:2]
             return False
-        lines = _split_header_block(bytes(self._buffer[:end]))
+        block = bytes(self._buffer[:end])
         del self._buffer[:body_start]
-        request_line = lines[0]
-        parts = request_line.split()
-        if len(parts) == 2:
-            # HTTP/0.9 simple request: "GET /path".
-            method, target = parts
-            version = (0, 9)
-        elif len(parts) == 3:
-            method, target, version_text = parts
-            version = parse_version(version_text)
-        else:
-            raise ParseError(f"malformed request line: {request_line!r}")
-        headers = Headers.from_lines(lines[1:])
-        self._current = Request(method=method, target=target,
-                                version=version, headers=headers)
-        length = headers.get_int("Content-Length")
-        if headers.contains_token("Transfer-Encoding", "chunked"):
+        head = _REQUEST_HEADS.get(block)
+        if head is None:
+            head = _parse_request_head(block)
+            if len(_REQUEST_HEADS) >= _REQUEST_HEADS_MAX:
+                _REQUEST_HEADS.clear()
+            _REQUEST_HEADS[block] = head
+        self._current = Request(
+            head.method, head.target, head.version,
+            Headers._from_parts(head.fields, head.lowered), head=block)
+        if head.chunked:
             self._body = _BodyReader("chunked")
-        elif length:
-            self._body = _BodyReader("length", length)
+        elif head.content_length:
+            self._body = _BodyReader("length", head.content_length)
         else:
             self._body = _BodyReader("none")
         return True
@@ -250,10 +313,14 @@ class ResponseParser:
         parts = status_line.split(None, 2)
         if len(parts) < 2:
             raise ParseError(f"malformed status line: {status_line!r}")
-        version = parse_version(parts[0])
-        status = int(parts[1])
+        version = _parse_version(parts[0])
+        try:
+            status = int(parts[1])
+        except ValueError:
+            raise ParseError(
+                f"malformed status line: {status_line!r}") from None
         reason = parts[2] if len(parts) > 2 else ""
-        headers = Headers.from_lines(lines[1:])
+        headers = _parse_fields(lines[1:])
         method = (self._expected_methods.pop(0)
                   if self._expected_methods else "GET")
         self._current = Response(status=status, version=version,

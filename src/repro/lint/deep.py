@@ -118,6 +118,19 @@ class DeepConfig:
                                 "and every framed payload the LZW size "
                                 "depends on, so a miss re-encodes to "
                                 "the same value",
+            "_REQUEST_HEADS": "pure memo: the key is the exact bytes of "
+                              "a request head block and the value the "
+                              "immutable tuple _parse_request_head "
+                              "returns for them (every request gets "
+                              "fresh Headers lists), so a cold or "
+                              "cleared memo re-parses to the same "
+                              "value; errors are never stored",
+            "_LINE_MEMO": "pure memo: the key is one header line's text "
+                          "(never blank or SP/HT-led, whose meaning "
+                          "depends on the previous field) and the value "
+                          "the ((name, value), lowercased name) tuple "
+                          "_split_line returns for it, so a cold or "
+                          "cleared memo re-splits to the same value",
         })
 
 

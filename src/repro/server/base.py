@@ -18,6 +18,16 @@ Implements the server-side lessons of the paper:
   is available via :data:`~repro.server.profiles.NAIVE_CLOSE_SERVER`.
 * **TCP_NODELAY** — buffering implementations must disable Nagle; the
   profile controls it so the Nagle ablation can turn it back on.
+
+Each distinct response head is built once per server.  A parsed
+request carries the head bytes it came from, and for a fixed store and
+profile those bytes determine the whole response except its ``Date``;
+:meth:`SimHttpServer._respond` keeps ``head bytes → response template``
+per instance, runs :func:`~repro.server.static.build_response` only on
+a miss (or for a hand-built request, or one with a body), and empties
+the map when the store's generation moves.  The ``Date`` string itself
+is rebuilt only when the simulated second changes.  Scripted faults
+and connection-management headers stay outside and run per request.
 """
 
 from __future__ import annotations
@@ -40,6 +50,9 @@ from .profiles import ServerProfile
 from .static import ResourceStore, build_response
 
 __all__ = ["SimHttpServer"]
+
+#: Bound on one server's response-head templates (cleared when full).
+_HEADS_MAX = 4096
 
 
 class _ServerConnection:
@@ -418,6 +431,14 @@ class SimHttpServer:
         #: "the CPU time savings of HTTP/1.1 ... could now be
         #: quantified for Apache").
         self.cpu_busy_seconds = 0.0
+        #: ``request head bytes → (status, version, fields after Date,
+        #: their lowercased names, body, reason)`` as ``build_response``
+        #: produced them at ``_heads_generation`` of the store.
+        self._heads: Dict[bytes, tuple] = {}
+        self._heads_generation = store.generation
+        #: The current ``Date`` value and the whole second it renders.
+        self._date_second = -1
+        self._date_text = ""
         stack.listen(port, self._accept)
 
     # ------------------------------------------------------------------
@@ -482,6 +503,43 @@ class SimHttpServer:
         if self.recovery is not None:
             self.recovery.note(self.sim.now, "server", kind, detail)
 
+    def _date_header(self) -> str:
+        """The ``Date`` value for now, re-rendered once per second."""
+        second = int(PAPER_EPOCH + self.sim.now)
+        if second != self._date_second:
+            self._date_second = second
+            self._date_text = format_http_date(second)
+        return self._date_text
+
+    def _respond(self, request: Request) -> Response:
+        """``build_response`` for ``request``, run once per distinct
+        parsed head; see the module docstring."""
+        date = self._date_header()
+        key = request.head
+        if key is None or request.body:
+            return build_response(self.store, request, self.profile,
+                                  date_header=date)
+        if self._heads_generation != self.store.generation \
+                or len(self._heads) >= _HEADS_MAX:
+            self._heads.clear()
+            self._heads_generation = self.store.generation
+        template = self._heads.get(key)
+        if template is None:
+            # ``Date`` is the first field build_response adds; what
+            # follows it is the same for every later identical request.
+            built = build_response(self.store, request, self.profile,
+                                   date_header=date)
+            headers = built.headers
+            template = self._heads[key] = (
+                built.status, built.version, tuple(headers)[1:],
+                tuple(headers._lower[1:]), built.body, built.reason)
+        status, version, fields, lowered, body, reason = template
+        return Response(
+            status, version,
+            Headers._from_parts((("Date", date),) + fields,
+                                ("date",) + lowered),
+            body, reason, request.method)
+
     def _build_or_fault(self, request: Request):
         """Account the request, apply scripted faults, build the
         response.  Shared by the plain-HTTP and MUX dispatch paths;
@@ -510,9 +568,7 @@ class SimHttpServer:
                          ("Content-Length", str(len(error_body)))]),
                 body=error_body, request_method=request.method)
         else:
-            response = build_response(
-                self.store, request, self.profile,
-                date_header=format_http_date(PAPER_EPOCH + self.sim.now))
+            response = self._respond(request)
         return response, abort_after, ordinal
 
     def _dispatch(self, state: _ServerConnection,
@@ -661,9 +717,7 @@ class SimHttpServer:
                               url.encode("ascii", "replace"))
             push_request = Request("GET", url, HTTP11,
                                    Headers([("Host", host)]))
-            response = build_response(
-                self.store, push_request, self.profile,
-                date_header=format_http_date(PAPER_EPOCH + self.sim.now))
+            response = self._respond(push_request)
             state.responses_queued += 1
             self._schedule_mux_response(state, sid, push_request,
                                         response, None, 0, push=True)

@@ -94,6 +94,11 @@ class ResourceStore:
     def __init__(self, resources: Iterable[Resource] = ()) -> None:
         self._resources: Dict[str, Resource] = {
             resource.url: resource for resource in resources}
+        #: Bumped by every :meth:`add` / :meth:`update`, the only ways
+        #: content changes after construction; whoever derives state
+        #: from the store (a server's response-head templates, a
+        #: testbed's revalidation prefill) rebuilds when it moves.
+        self.generation = 0
 
     @classmethod
     def from_site(cls, site: MicroscapeSite, *,
@@ -105,6 +110,7 @@ class ResourceStore:
 
     def add(self, resource: Resource) -> None:
         self._resources[resource.url] = resource
+        self.generation += 1
 
     def update(self, url: str, new_body: bytes) -> Resource:
         """Replace a resource's content, retaining the old instance so
@@ -114,6 +120,7 @@ class ResourceStore:
             raise KeyError(f"no resource at {url}")
         updated = current.superseded_by(new_body)
         self._resources[url] = updated
+        self.generation += 1
         return updated
 
     def get(self, url: str) -> Optional[Resource]:

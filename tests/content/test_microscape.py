@@ -1,9 +1,12 @@
 """Tests for the synthetic Microscape site against the paper's numbers."""
 
+import dataclasses
 import zlib
+from unittest import mock
 
 import pytest
 
+from repro.content import microscape
 from repro.content import (HTML_URL, ImageRole, build_microscape_site,
                            decode_gif, decode_animated_gif,
                            find_image_urls)
@@ -26,6 +29,32 @@ def test_page_has_42_embedded_images(site):
     assert len(site.embedded_urls()) == 42
     assert len(site.all_urls()) == 43
     assert site.all_urls()[0] == HTML_URL
+
+
+def test_embedded_urls_hashes_only_an_unfamiliar_body_object(site):
+    expected = site.embedded_urls()
+    # The same body object: answered without hashing or parsing.
+    with mock.patch.object(microscape.hashlib, "sha256",
+                           side_effect=AssertionError("hashed")):
+        assert site.embedded_urls() == expected
+    # An equal but distinct body (an unpickled or artifact-store copy):
+    # recognised by digest, still not re-parsed.
+    html = site.html
+    copy = dataclasses.replace(html, body=bytes(bytearray(html.body)))
+    assert copy.body is not html.body
+    twin = microscape.MicroscapeSite({**site.objects, html.url: copy})
+    twin._embedded_cache = site._embedded_cache
+    with mock.patch.object(microscape.html_mod, "distinct_image_urls",
+                           side_effect=AssertionError("re-parsed")):
+        assert twin.embedded_urls() == expected
+        assert twin.embedded_urls() == expected
+    # Different content: parsed afresh.
+    edited = dataclasses.replace(html, body=html.body.replace(
+        b'src="/gifs/hero.gif"', b'src="/gifs/other.gif"'))
+    assert edited.body != html.body
+    twin.objects[html.url] = edited
+    assert "/gifs/other.gif" in twin.embedded_urls()
+    assert "/gifs/other.gif" not in site.embedded_urls()
 
 
 def test_html_is_about_42kb(site):

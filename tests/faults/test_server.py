@@ -2,9 +2,16 @@
 
 import dataclasses
 
+from repro.content import build_microscape_site
 from repro.core import run_experiment
-from repro.faults import FAULT_PLANS, FaultyProfile, ServerFaultConfig
+from repro.faults import (FAULT_PLANS, FaultyProfile, RecoveryLog,
+                          ServerFaultConfig)
+from repro.http import HTTP11, Headers, Request
+from repro.server import ResourceStore, SimHttpServer
 from repro.server.profiles import APACHE, JIGSAW, ServerProfile
+from repro.simnet import LAN, SERVER_HOST, TwoHostNetwork
+
+from ..server.test_server import RawClient
 
 
 def test_wrap_clones_every_base_field():
@@ -27,6 +34,35 @@ def test_wrap_close_after_one_caps_connection_reuse():
 
 def test_plain_profiles_expose_no_faults():
     assert getattr(APACHE, "faults", None) is None
+
+
+def test_scripted_ordinals_fire_through_a_warm_response_memo():
+    """Identical request bytes are answered from the server's
+    response-head templates from the second request on; faults keyed by
+    arrival ordinal still fire on exactly their ordinals, and the
+    requests around them get the ordinary answer."""
+    profile = FaultyProfile.wrap(APACHE, ServerFaultConfig(
+        error_503_requests=(3,), abort_requests=(5,),
+        abort_after_bytes=20))
+    net = TwoHostNetwork(LAN)
+    server = SimHttpServer(
+        net.sim, net.server,
+        ResourceStore.from_site(build_microscape_site()), profile)
+    server.recovery = RecoveryLog()
+    wire = Request("GET", "/gifs/hero.gif", HTTP11,
+                   Headers([("Host", SERVER_HOST)])).to_bytes()
+    client = RawClient(net, ["GET"] * 5)
+    for _ in range(5):
+        client.conn.send(wire)
+        net.run()
+    responses = client.responses
+    assert [r.status for r in responses] == [200, 200, 503, 200]
+    assert client.reset                 # the fifth died 20 bytes in
+    assert len(server._heads) == 1      # one distinct head, built once
+    assert responses[0].to_bytes() == responses[1].to_bytes() \
+        == responses[3].to_bytes()
+    assert server.recovery.count("server", "503") == 1
+    assert server.recovery.count("server", "abort") == 1
 
 
 def test_flaky_server_faults_hit_and_are_recovered():

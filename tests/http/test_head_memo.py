@@ -1,0 +1,462 @@
+"""Each distinct HTTP head is parsed and built once — and nobody can tell.
+
+The head path memoizes on bytes (request heads, header lines), per
+server (response-head templates) and per testbed (the revalidation
+prefill).  These tests pin the guarantee that makes that safe: with the
+memos cold, warm, cleared mid-stream or at their size bound, every
+parsed and built message is what the memo-free algorithm produces, and
+no caller can reach a shared object through what it was handed.
+"""
+
+from unittest import mock
+
+from hypothesis import given, settings, strategies as st
+
+from repro.content import build_microscape_site
+from repro.core import REVALIDATE, prefill_cache
+from repro.core.registry import resolve_mode
+from repro.core import runner
+from repro.http import (HTTP11, PAPER_EPOCH, Headers, MemoryCache,
+                        ParseError, Request, RequestParser, Response,
+                        ResponseParser, encode_chunked, format_http_date)
+from repro.http import headers as headers_mod, parser as parser_mod
+from repro.http.delta import DELTA_IM_TOKEN
+from repro.http.messages import parse_version
+from repro.server import APACHE, Resource, ResourceStore, SimHttpServer
+from repro.server.static import build_response
+from repro.simnet import LAN, SERVER_HOST, TwoHostNetwork
+
+from ..server.test_server import RawClient
+from .test_parser_fuzz import slices
+
+
+def clear_memos():
+    headers_mod._LINE_MEMO.clear()
+    parser_mod._REQUEST_HEADS.clear()
+
+
+# ----------------------------------------------------------------------
+# (a) memo state never changes a parse
+# ----------------------------------------------------------------------
+def reference_head(wire: bytes, kind: str):
+    """The pre-memo head algorithm, kept verbatim as the oracle.
+
+    Returns ``(start-line fields, [(name, value), ...], body offset)``
+    for the first head in ``wire`` or raises :class:`ParseError`.
+    """
+    crlf, lf = wire.find(b"\r\n\r\n"), wire.find(b"\n\n")
+    if crlf != -1 and (lf == -1 or crlf < lf):
+        end, body_start = crlf, crlf + 4
+    else:
+        end, body_start = lf, lf + 2
+    lines = wire[:end].decode("latin-1").replace("\r\n", "\n").split("\n")
+    try:
+        if kind == "request":
+            parts = lines[0].split()
+            if len(parts) == 2:
+                start = (parts[0], parts[1], (0, 9))
+            elif len(parts) == 3:
+                start = (parts[0], parts[1], parse_version(parts[2]))
+            else:
+                raise ValueError(lines[0])
+        else:
+            parts = lines[0].split(None, 2)
+            if len(parts) < 2:
+                raise ValueError(lines[0])
+            start = (int(parts[1]), parse_version(parts[0]),
+                     parts[2] if len(parts) > 2 else "")
+        items = []
+        for line in lines[1:]:
+            if not line:
+                continue
+            if line[0] in " \t" and items:
+                items[-1] = (items[-1][0],
+                             items[-1][1] + " " + line.strip())
+                continue
+            name, sep, value = line.partition(":")
+            if not sep:
+                raise ValueError(line)
+            items.append((name.strip(), value.strip()))
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+    return start, items, body_start
+
+
+def reference_framing(items):
+    """``(chunked?, content-length or None)`` by the RFC 2068 §4.4 rules."""
+    chunked = any(part.strip().lower() == "chunked"
+                  for name, value in items
+                  if name.lower() == "transfer-encoding"
+                  for part in value.split(","))
+    lengths = [v for n, v in items if n.lower() == "content-length"]
+    try:
+        return chunked, int(lengths[0].strip()) if lengths else None
+    except ValueError:
+        return chunked, None
+
+
+def _mostly(good, bad):
+    """Nine draws in ten from ``good``: a malformed head ends its stream,
+    and most streams should get past their first head."""
+    return st.sampled_from(good * (9 * len(bad)) + bad * len(good))
+
+
+_REQUEST_LINES = _mostly(
+    ["GET /a HTTP/1.1", "HEAD /b/c.gif HTTP/1.0", "POST /p HTTP/1.1",
+     "GET /simple", "GET  /a   HTTP/1.1"],
+    # malformed: version, version number, part count
+    ["GET / FOO/1.1", "GET / HTTP/1", "GET / HTTP/x.y", "GET",
+     "GET / HTTP/1.1 extra"])
+_STATUS_LINES = _mostly(
+    ["HTTP/1.1 200 OK", "HTTP/1.0 304 Not Modified", "HTTP/1.1 204",
+     "HTTP/1.1 100 Continue", "HTTP/1.1 404 Not Found Here"],
+    # malformed: status, version, part count
+    ["HTTP/1.1 abc OK", "FOO/1.1 200 OK", "HTTP/1.1"])
+#: Lines whose meaning depends on position, tried before the first
+#: field: an SP-led field (parsed as a field), an orphan continuation
+#: and a colon-free line (both malformed).
+_ODD_LINES = _mostly([[]], [[" Led: by space"], ["\torphan"],
+                            ["no colon here"]])
+_NAMES = ["Host", "Date", "DATE", "date", "ETag", "Connection", "X-Pad"]
+_VALUES = ["", "h", "Tue, 24 Jun 1997 00:00:01 GMT",
+           "Tue, 24 Jun 1997 00:00:02 GMT", "close", "Keep-Alive, x",
+           '"abc123"']
+_text = st.text(alphabet="abcXYZ :;,=\"\t", max_size=10)
+_field = st.builds(
+    lambda name, pad, value: f"{name}:{pad}{value}",
+    st.sampled_from(_NAMES), st.sampled_from(["", " ", " \t"]),
+    st.sampled_from(_VALUES) | _text)
+_framing_field = st.builds(
+    lambda name, value: f"{name}: {value}",
+    st.sampled_from(["Content-Length", "content-length",
+                     "Transfer-Encoding"]),
+    st.sampled_from(["7", " 12 ", "0", "abc", "", "chunked",
+                     "identity, Chunked"]))
+_continuation = st.builds(
+    lambda lead, value: lead + value,
+    st.sampled_from([" ", "\t", "  "]), st.sampled_from(_VALUES) | _text)
+
+
+def _variants(line):
+    """The same field respelled: what a sloppy memo key would conflate."""
+    name, _, value = line.partition(":")
+    return [line, name.upper() + ":" + value, name.lower() + ":" + value,
+            name + ": " + value.strip(), name + ":" + value.swapcase()]
+
+
+@st.composite
+def head_streams(draw, start_lines):
+    """1–3 head blocks, each with its terminator and line endings mixed
+    per line.  Header lines come from one small pool and its
+    respellings, and a block may be the previous one respelled, so a
+    stream repeats lines and whole heads exactly and *almost* exactly.
+    """
+    pool = draw(st.lists(st.one_of(_field, _framing_field),
+                         min_size=1, max_size=4))
+    respelled = st.sampled_from(pool).flatmap(
+        lambda base: st.sampled_from(_variants(base)))
+    folded_field = st.builds(lambda first, rest: [first] + rest, respelled,
+                             st.lists(_continuation, max_size=2))
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        if blocks and draw(st.booleans()):
+            lines = [lines[0]] + [
+                line if line[0] in " \t" or ":" not in line
+                else draw(st.sampled_from(_variants(line)))
+                for line in lines[1:]]
+        else:
+            lines = [draw(start_lines)] + draw(_ODD_LINES) + sum(
+                draw(st.lists(folded_field, max_size=4)), [])
+            endings = draw(st.lists(st.sampled_from(["\r\n", "\n"]),
+                                    min_size=len(lines),
+                                    max_size=len(lines)))
+            # "\r\n" + "\n" also ends a head (at the bare-LF pair);
+            # "\n" + "\r\n" does not, so it is never generated.
+            endings.append("\n" if endings[-1] == "\n" else draw(
+                st.sampled_from(["\r\n", "\n"])))
+        blocks.append("".join(
+            text + ending for text, ending in zip(lines + [""], endings)
+        ).encode("latin-1"))
+    return blocks
+
+
+def expected_stream(head_blocks, kind):
+    """Wire bytes for the heads (bodies framed as each head demands) and
+    what the reference algorithm makes of them.
+
+    Returns ``(wire, messages, fails)``: the messages parsed before the
+    first malformed head, and whether there is one.
+    """
+    wire, messages = b"", []
+    for block in head_blocks:
+        try:
+            start, items, body_start = reference_head(block, kind)
+        except ParseError:
+            return wire + block, messages, True
+        assert body_start == len(block)
+        chunked, length = reference_framing(items)
+        bodiless = kind == "response" and (
+            start[0] in (204, 304) or 100 <= start[0] < 200)
+        if bodiless:
+            body = sent = b""
+        elif chunked:
+            body = b"hello, chunked world"
+            sent = encode_chunked(body, chunk_size=8)
+        elif length is not None or kind == "request":
+            body = sent = b"0123456789abcdef"[:length or 0]
+            assert len(body) == (length or 0)
+        else:
+            # Close-delimited response: runs to EOF, so it ends the stream.
+            body = sent = b"until close\n\nreally"
+            messages.append((start, items, body))
+            return wire + block + sent, messages, False
+        wire += block + sent
+        messages.append((start, items, body))
+    return wire, messages, False
+
+
+def parse_stream(kind, pieces, clear_before=None):
+    """Feed ``pieces``; returns ``(messages so far, raised ParseError?)``."""
+    parser = RequestParser() if kind == "request" else ResponseParser()
+    parsed = []
+    try:
+        for index, piece in enumerate(pieces):
+            if index == clear_before:
+                clear_memos()
+            parsed.extend(parser.feed(piece))
+        if kind == "response":
+            final = parser.eof()
+            if final is not None:
+                parsed.append(final)
+    except ParseError:
+        return [_summary(kind, m) for m in parsed], True
+    return [_summary(kind, m) for m in parsed], False
+
+
+def _summary(kind, message):
+    if kind == "request":
+        start = (message.method, message.target, message.version)
+    else:
+        start = (message.status, message.version, message.reason)
+    return start, message.headers.items(), message.body
+
+
+def check_every_memo_state(kind, head_blocks, data):
+    wire, messages, fails = expected_stream(head_blocks, kind)
+    cuts = data.draw(st.lists(st.integers(0, len(wire)), max_size=10))
+    pieces = slices(wire, cuts)
+    clear_at = data.draw(st.integers(0, len(pieces) - 1))
+
+    def check(outcome):
+        parsed, raised = outcome
+        assert raised == fails
+        if fails:
+            # Messages completed by the very feed() that raised are lost
+            # with it, as before; what did come out is a correct prefix.
+            assert parsed == messages[:len(parsed)]
+        else:
+            assert parsed == messages
+
+    clear_memos()
+    check(parse_stream(kind, pieces))                   # cold
+    check(parse_stream(kind, pieces))                   # warm
+    check(parse_stream(kind, pieces, clear_at))         # cleared mid-stream
+    with mock.patch.object(headers_mod, "_LINE_MEMO_MAX", 1), \
+            mock.patch.object(parser_mod, "_REQUEST_HEADS_MAX", 1):
+        check(parse_stream(kind, pieces))               # always full
+    check(parse_stream(kind, [wire]))                   # one segment
+
+
+@settings(max_examples=150, deadline=None)
+@given(head_streams(_REQUEST_LINES), st.data())
+def test_request_parse_is_independent_of_memo_state(head_blocks, data):
+    check_every_memo_state("request", head_blocks, data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(head_streams(_STATUS_LINES), st.data())
+def test_response_parse_is_independent_of_memo_state(head_blocks, data):
+    check_every_memo_state("response", head_blocks, data)
+
+
+def test_parsed_request_carries_its_head_bytes():
+    block = b"GET /a HTTP/1.1\r\nHost: h"
+    (request,) = RequestParser().feed(block + b"\r\n\r\n")
+    assert request.head == block
+    # Not part of a request's identity: a hand-built twin compares equal.
+    assert request == Request("GET", "/a", HTTP11, Headers([("Host", "h")]))
+
+
+def test_a_space_led_line_means_what_its_position_says():
+    # Before any field it is a field; after one it folds into it —
+    # whichever the line memo saw first.
+    led = " Led: by space"
+    clear_memos()
+    for _ in range(2):
+        assert Headers.from_lines([led, "A: b"]).items() == [
+            ("Led", "by space"), ("A", "b")]
+        assert Headers.from_lines(["A: b", led]).items() == [
+            ("A", "b Led: by space")]
+    assert led not in headers_mod._LINE_MEMO
+
+
+def test_malformed_heads_are_never_cached():
+    clear_memos()
+    for _ in range(2):
+        for bad in (b"GET / FOO/1.1\r\nHost: h\r\n\r\n",
+                    b"GET / HTTP/1.1\r\nno colon\r\n\r\n"):
+            try:
+                RequestParser().feed(bad)
+            except ParseError:
+                continue
+            raise AssertionError("parsed a malformed head")
+    assert not parser_mod._REQUEST_HEADS
+    assert "no colon" not in headers_mod._LINE_MEMO
+
+
+# ----------------------------------------------------------------------
+# (b) a caller's mutations never reach the memo
+# ----------------------------------------------------------------------
+def _mutate(headers):
+    headers.add("Connection", "close")
+    headers.remove("Host")
+    headers.remove("ETag")
+    headers.set("Date", "never")
+
+
+def test_mutating_a_parsed_request_leaves_the_next_parse_pristine():
+    wire = (b"GET /a HTTP/1.1\r\nHost: h\r\nDate: d1\r\n"
+            b"If-None-Match: \"x\"\r\n\r\n")
+    clear_memos()
+    (first,) = RequestParser().feed(wire)
+    pristine = first.headers.items()
+    _mutate(first.headers)
+    assert first.headers.items() != pristine
+    (second,) = RequestParser().feed(wire)
+    assert second.headers.items() == pristine
+    assert second.headers.get("Host") == "h"
+    assert not second.headers.contains_token("Connection", "close")
+
+
+def test_mutating_a_parsed_response_leaves_the_next_parse_pristine():
+    wire = (b"HTTP/1.1 304 Not Modified\r\nDate: d1\r\nETag: \"x\"\r\n"
+            b"Host: h\r\n folded\r\n\r\n")
+    clear_memos()
+    (first,) = ResponseParser().feed(wire)
+    pristine = first.headers.items()
+    assert ("Host", "h folded") in pristine
+    _mutate(first.headers)
+    (second,) = ResponseParser().feed(wire)
+    assert second.headers.items() == pristine
+
+
+# ----------------------------------------------------------------------
+# (c), (d) the server's response-head templates
+# ----------------------------------------------------------------------
+def _ask(net, client, wire: bytes) -> Response:
+    """Send ``wire`` on the client's connection; the response to it."""
+    client.parser.expect("GET")
+    client.conn.send(wire)
+    net.run()
+    return client.responses[-1]
+
+
+def _serve(store):
+    net = TwoHostNetwork(LAN)
+    return net, SimHttpServer(net.sim, net.server, store, APACHE)
+
+
+def test_store_changes_invalidate_the_response_templates():
+    store = ResourceStore.from_site(build_microscape_site())
+    old = store.get("/home.html")
+    net, server = _serve(store)
+    client = RawClient(net, [])
+    conditional = Request("GET", "/home.html", HTTP11, Headers([
+        ("Host", SERVER_HOST), ("If-None-Match", old.etag)])).to_bytes()
+    delta_capable = Request("GET", "/home.html", HTTP11, Headers([
+        ("Host", SERVER_HOST), ("If-None-Match", old.etag),
+        ("A-IM", DELTA_IM_TOKEN)])).to_bytes()
+    missing = Request("GET", "/new.txt", HTTP11, Headers([
+        ("Host", SERVER_HOST)])).to_bytes()
+
+    for _ in range(2):                      # second round: warm templates
+        assert _ask(net, client, conditional).status == 304
+        assert _ask(net, client, delta_capable).status == 304
+        assert _ask(net, client, missing).status == 404
+    assert len(server._heads) == 3
+
+    new_body = old.body.replace(b"Section 1", b"Section A", 1)
+    store.update("/home.html", new_body)
+    changed = _ask(net, client, conditional)
+    assert (changed.status, changed.body) == (200, new_body)
+    assert _ask(net, client, delta_capable).status == 226
+    assert _ask(net, client, missing).status == 404
+
+    store.add(Resource.create("/new.txt", "text/plain", b"fresh\n"))
+    found = _ask(net, client, missing)
+    assert (found.status, found.body) == (200, b"fresh\n")
+    assert _ask(net, client, conditional).status == 200
+
+
+def test_same_bytes_across_a_second_boundary_differ_only_in_date():
+    store = ResourceStore.from_site(build_microscape_site())
+    net, _server = _serve(store)
+    client = RawClient(net, [])
+    request = Request("GET", "/gifs/hero.gif", HTTP11, Headers([
+        ("Host", SERVER_HOST),
+        ("If-None-Match", store.get("/gifs/hero.gif").etag)]))
+    wire = request.to_bytes()
+
+    def built_at(now):
+        return build_response(
+            store, request, APACHE,
+            date_header=format_http_date(PAPER_EPOCH + now)).to_bytes()
+
+    early = net.sim.now
+    first = _ask(net, client, wire)                  # cold
+    second = _ask(net, client, wire)                 # warm, same second
+    assert int(net.sim.now) == int(early)
+    net.run(until=int(early) + 1.5)
+    late = net.sim.now
+    third = _ask(net, client, wire)                  # warm, next second
+
+    assert first.to_bytes() == second.to_bytes() == built_at(early)
+    assert third.to_bytes() == built_at(late)
+    assert first.headers.get("Date") != third.headers.get("Date")
+    first.headers.remove("Date")
+    third.headers.remove("Date")
+    assert first.to_bytes() == third.to_bytes()
+
+
+# ----------------------------------------------------------------------
+# (f) one shared revalidation prefill per testbed
+# ----------------------------------------------------------------------
+def test_fetch_page_prefills_every_page_alike_without_sharing_updates():
+    mode = resolve_mode("pipelined")
+    testbed = runner.Testbed(LAN, APACHE, mode.transport)
+    config = mode.client_config()
+    reference = MemoryCache()
+    prefill_cache(reference, testbed.store, testbed.site, testbed.profile)
+    assert reference.updates == 43
+
+    caches = []
+    testbed.fetch_page(mode.transport, config, REVALIDATE,
+                       attach=lambda robot: caches.append(robot.cache))
+    first = caches[0]
+    assert first.updates == 43
+    # A page that stores a fresh 200 replaces its own entry only.
+    url = testbed.site.html_url
+    first.handle_response(url, Response(
+        200, headers=Headers([("ETag", '"changed"')]), body=b"changed"))
+    assert first.get(url).body == b"changed"
+
+    testbed.fetch_page(mode.transport, config, REVALIDATE,
+                       attach=lambda robot: caches.append(robot.cache))
+    second = caches[1]
+    assert second is not first
+    assert second.updates == 43
+    assert list(second.urls()) == list(reference.urls())
+    for url in reference.urls():
+        mine, theirs = second.get(url), reference.get(url)
+        assert (mine.url, mine.body, mine.headers) == \
+            (theirs.url, theirs.body, theirs.headers)

@@ -1,9 +1,11 @@
 """Unit tests for the incremental request/response parsers."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.http import (Headers, ParseError, Request, RequestParser,
                         Response, ResponseParser)
+from repro.http.parser import _find_header_end
 
 
 def drip_feed(parser, data, step=3):
@@ -68,6 +70,23 @@ def test_http09_simple_request():
 def test_bare_lf_line_endings_accepted():
     reqs = RequestParser().feed(b"GET /x HTTP/1.0\nHost: h\n\n")
     assert reqs[0].target == "/x"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="\r\na", max_size=24))
+def test_head_boundary_is_the_earliest_terminator_of_either_kind(text):
+    """Bounding the bare-LF search by the CRLF terminator's position
+    picks the boundary two whole-buffer scans did, however CRLF and
+    bare-LF endings (and pipelined messages behind the head) mix."""
+    buffer = bytearray(text.encode("latin-1"))
+    crlf, lf = buffer.find(b"\r\n\r\n"), buffer.find(b"\n\n")
+    if crlf == -1 and lf == -1:
+        expected = (-1, -1)
+    elif crlf != -1 and (lf == -1 or crlf < lf):
+        expected = (crlf, crlf + 4)
+    else:
+        expected = (lf, lf + 2)
+    assert _find_header_end(buffer) == expected
 
 
 def test_malformed_request_line_raises():

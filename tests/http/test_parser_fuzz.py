@@ -10,7 +10,7 @@ with anything other than ``ParseError``.
 import string
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.http import (Headers, ParseError, Request, RequestParser,
                         Response, ResponseParser, encode_chunked)
@@ -120,8 +120,14 @@ def test_response_stream_roundtrip(items, data):
         assert result.body == original.body
 
 
+# Random binary essentially never gets past the start line, so the
+# malformed-but-plausible heads are pinned as explicit examples: a bad
+# version token, a non-numeric version, a header line without a colon.
 @settings(max_examples=100, deadline=None)
 @given(st.binary(max_size=400))
+@example(b"GET / FOO/1.1\r\nHost: h\r\n\r\n")
+@example(b"GET / HTTP/x.y\r\nHost: h\r\n\r\n")
+@example(b"GET / HTTP/1.1\r\nHost h\r\n\r\n")
 def test_garbage_never_crashes_request_parser(noise):
     parser = RequestParser()
     try:
@@ -132,6 +138,9 @@ def test_garbage_never_crashes_request_parser(noise):
 
 @settings(max_examples=100, deadline=None)
 @given(st.binary(max_size=400))
+@example(b"HTTP/1.1 abc OK\r\n\r\n")
+@example(b"FOO/1.1 200 OK\r\n\r\n")
+@example(b"HTTP/1.1 200 OK\r\nContent-Length 0\r\n\r\n")
 def test_garbage_never_crashes_response_parser(noise):
     parser = ResponseParser()
     parser.expect("GET")
