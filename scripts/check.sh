@@ -25,7 +25,7 @@ python -m repro lint --deep
 #     test_sigkilled_worker_recovers_byte_identical
 #   fleet results do not depend on --jobs — tests/fleet/test_runner.py::
 #     test_jobs_do_not_change_results (LAN) and ..._wan (slow-marked,
-#     200 WAN users)
+#     48 WAN users contending for a 6 Mbit/s backbone)
 if [ "${FAST:-0}" = "1" ]; then
     python -m pytest -x -q -m "not slow"
 else

@@ -25,10 +25,13 @@ Subpackages
     subset, and content-transformation analyses.
 ``repro.core``
     Experiment runner, scenarios, protocol modes, metrics.
-``repro.realnet``
-    Real-socket HTTP server/client for localhost integration tests.
+``repro.matrix``, ``repro.fleet``, ``repro.faults``
+    Supervised grid engine (jobs, cache, journal), population-scale
+    cohorts on a shared bottleneck, fault injection and the chaos grid.
 ``repro.analysis``
     Table formatting and paper-vs-measured reporting.
+``repro.lint``
+    Determinism linter, whole-program passes, TCP trace sanitizer.
 """
 
 __version__ = "1.5.0"

@@ -89,6 +89,14 @@ def _make_runner(args: argparse.Namespace) -> MatrixRunner:
     return make_runner(args, _journal_run_id(args))
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of ``--runs``: a usage error, not a traceback."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_matrix_flags(parser: argparse.ArgumentParser) -> None:
     add_runner_flags(parser)
     _add_artifact_flag(parser)
@@ -195,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     table = sub.add_parser("table", help="reproduce a paper table (3-11)")
     table.add_argument("number", type=int)
-    table.add_argument("--runs", type=int, default=3)
+    table.add_argument("--runs", type=_positive_int, default=3)
     _add_matrix_flags(table)
     table.set_defaults(fn=_cmd_table)
 
@@ -225,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.set_defaults(fn=_cmd_run)
 
     modem = sub.add_parser("modem", help="the 8.2.1 modem experiment")
-    modem.add_argument("--runs", type=int, default=3)
+    modem.add_argument("--runs", type=_positive_int, default=3)
     _add_matrix_flags(modem)
     modem.set_defaults(fn=_cmd_modem)
 
@@ -238,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     report = sub.add_parser("report",
                             help="full paper-vs-measured report")
-    report.add_argument("--runs", type=int, default=5)
+    report.add_argument("--runs", type=_positive_int, default=5)
     _add_matrix_flags(report)
     report.set_defaults(fn=_cmd_report)
 

@@ -12,8 +12,7 @@ from .report import (generate_experiments_report,
                      reproduce_browser_table, reproduce_content_experiments,
                      reproduce_future_work, reproduce_modem_experiment,
                      reproduce_protocol_table, reproduce_robustness,
-                     reproduce_table3,
-                     PROFILE_BY_NAME, TABLE_NUMBERS)
+                     reproduce_table3, TABLE_NUMBERS)
 from .tables import (ComparisonRow, format_comparison_table,
                      format_simple_table, ratio)
 
@@ -24,8 +23,7 @@ __all__ = [
     "reproduce_content_experiments", "reproduce_future_work",
     "reproduce_modem_experiment",
     "reproduce_protocol_table", "reproduce_robustness",
-    "reproduce_table3", "PROFILE_BY_NAME",
-    "TABLE_NUMBERS",
+    "reproduce_table3", "TABLE_NUMBERS",
     "ComparisonRow", "format_comparison_table", "format_simple_table",
     "ratio",
 ]

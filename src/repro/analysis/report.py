@@ -18,8 +18,7 @@ from ..core.browsers import BROWSERS
 from ..core.modes import (HTTP10_MODE, HTTP11_PERSISTENT,
                           HTTP11_PIPELINED,
                           initial_tuning_client_config)
-from ..core.registry import (PROFILES, TABLE_CELLS,
-                             modes_for_environment)
+from ..core.registry import TABLE_CELLS, modes_for_environment
 from ..core.scenarios import FIRST_TIME, REVALIDATE
 from ..http import compression_ratio
 from ..matrix import ExperimentSpec, MatrixRunner
@@ -35,11 +34,8 @@ __all__ = [
     "reproduce_modern_modes",
     "format_fleet_report",
     "generate_experiments_report",
-    "PROFILE_BY_NAME", "TABLE_NUMBERS",
+    "TABLE_NUMBERS",
 ]
-
-#: Kept as aliases of the shared registry (see repro.core.registry).
-PROFILE_BY_NAME = PROFILES
 
 #: Paper table number for each (server, environment) pair.
 TABLE_NUMBERS: Dict[Tuple[str, str], int] = {

@@ -134,10 +134,6 @@ class CssReplacementRecord:
     gif_bytes: int
     replacement: Replacement
 
-    @property
-    def replacement_bytes(self) -> int:
-        return self.replacement.byte_size
-
 
 @dataclasses.dataclass
 class CssReplacementReport:

@@ -1,7 +1,10 @@
 """Protocol modes: the paper's four configurations plus the moderns.
 
-Each mode pairs a table label with a :class:`~repro.core.transport.
-Transport` strategy that owns client configuration and server wiring:
+A mode is three things, stated once where the mode is defined: the
+label the tables print, the :class:`~repro.core.transport.Transport`
+that carries it (listeners, client class, trace rules — what differs
+per wire format), and the :class:`~repro.client.robot.ClientConfig`
+fields that differ from that dataclass's defaults:
 
 =============================  =====================================
 Mode                           Client behaviour
@@ -9,6 +12,7 @@ Mode                           Client behaviour
 HTTP/1.0                       4 parallel connections, one request
                                each; reval = GET html + HEAD images
 HTTP/1.1                       one persistent connection, serialized
+                               (``ClientConfig()`` as is)
 HTTP/1.1 Pipelined             one connection, buffered pipelining
 HTTP/1.1 Pipelined w. compr.   + ``Accept-Encoding: deflate`` (HTML)
 HTTP/MUX                       one connection, interleaved framed
@@ -28,15 +32,14 @@ the same way.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Tuple
+from typing import Any, Mapping
 
 from ..client.robot import ClientConfig
-from ..http import HTTP10, HTTP11
-from .transport import (Http10Transport, Http11Transport, ModeTuning,
-                        MuxTransport, ShardedTransport, Transport)
+from ..http import HTTP10
+from .transport import MuxTransport, ShardedTransport, Transport
 from .registry import register_mode
 
-__all__ = ["ProtocolMode", "ModeTuning", "HTTP10_MODE", "HTTP11_PERSISTENT",
+__all__ = ["ProtocolMode", "HTTP10_MODE", "HTTP11_PERSISTENT",
            "HTTP11_PIPELINED", "HTTP11_PIPELINED_COMPRESSED", "HTTP_MUX",
            "HTTP_MUX_PUSH", "HTTP11_SHARDED", "MODERN_MODES",
            "initial_tuning_client_config"]
@@ -47,24 +50,17 @@ class ProtocolMode:
     """A named client configuration as the paper's tables label them."""
 
     name: str
-    version: Tuple[int, int]
-    parallel_connections: int = 1
-    pipeline: bool = False
-    compression: bool = False
-    #: The strategy that turns this mode into wire behaviour.  Defaults
-    #: by HTTP version so the legacy constructor calls keep working.
-    transport: Optional[Transport] = None
+    #: How the mode reaches the wire (default: plain HTTP on port 80).
+    transport: Transport = Transport()
+    #: :class:`ClientConfig` fields that differ from its defaults, on
+    #: top of the ones the transport's geometry fixes.
+    client_fields: Mapping[str, Any] = dataclasses.field(
+        default_factory=dict, hash=False)
 
-    def __post_init__(self) -> None:
-        if self.transport is None:
-            default = (Http10Transport() if self.version == HTTP10
-                       else Http11Transport())
-            object.__setattr__(self, "transport", default)
-
-    def client_config(self, *,
-                      tuning: Optional[ModeTuning] = None) -> ClientConfig:
-        """Materialize the mode as a client configuration."""
-        return self.transport.client_config(self, tuning or ModeTuning())
+    def client_config(self) -> ClientConfig:
+        """Materialize the mode as a fresh client configuration."""
+        return ClientConfig(**{**self.transport.client_fields(),
+                               **self.client_fields})
 
 
 def initial_tuning_client_config(mode: "ProtocolMode") -> ClientConfig:
@@ -84,13 +80,12 @@ def initial_tuning_client_config(mode: "ProtocolMode") -> ClientConfig:
       (two synchronous file operations on a 1997 disk).  The final
       runs moved the cache to a memory filesystem.
     """
-    if mode.version == HTTP10:
+    config = mode.client_config()
+    if config.http_version == HTTP10:
         # The HTTP/1.0 robot (libwww 4.1D) had no persistent cache.
-        return HTTP10_MODE.client_config()
+        return config
     return ClientConfig(
-        http_version=HTTP11,
-        max_connections=1,
-        pipeline=mode.pipeline,
+        pipeline=config.pipeline,
         flush_timeout=1.0,
         explicit_flush=False,
         reval_strategy="get-plus-head",
@@ -98,32 +93,49 @@ def initial_tuning_client_config(mode: "ProtocolMode") -> ClientConfig:
         per_response_cpu=0.065)
 
 
-#: Plain HTTP/1.0 with the Navigator default of 4 parallel connections.
-HTTP10_MODE = ProtocolMode("HTTP/1.0", HTTP10, parallel_connections=4)
+#: Plain HTTP/1.0 with the Navigator default of 4 parallel connections:
+#: the *old* libwww (4.1D) robot, one request per connection, no output
+#: buffering.  Its requests were noticeably fatter than the tuned 5.1
+#: robot's ~190 bytes, and the paper's byte counts reflect it.
+HTTP10_MODE = ProtocolMode("HTTP/1.0", client_fields=dict(
+    http_version=HTTP10,
+    max_connections=4,
+    reval_strategy="get-plus-head",
+    validator_preference="date",
+    user_agent="W3CRobot/4.1D libwww/4.1D",
+    extra_headers=(
+        ("Accept", "image/gif"),
+        ("Accept", "image/x-xbitmap"),
+        ("Accept", "image/jpeg"),
+        ("Accept", "image/pjpeg"),
+        ("Accept", "text/html"),
+        ("Accept", "text/plain"),
+        ("Accept-Language", "en"),
+        ("Accept-Charset", "iso-8859-1,*,utf-8"),
+    )))
 
 #: HTTP/1.1 persistent connection, strictly serialized requests.
-HTTP11_PERSISTENT = ProtocolMode("HTTP/1.1", HTTP11)
+HTTP11_PERSISTENT = ProtocolMode("HTTP/1.1")
 
 #: HTTP/1.1 with buffered pipelining.
-HTTP11_PIPELINED = ProtocolMode("HTTP/1.1 Pipelined", HTTP11,
-                                pipeline=True)
+HTTP11_PIPELINED = ProtocolMode("HTTP/1.1 Pipelined",
+                                client_fields=dict(pipeline=True))
 
 #: Pipelining plus deflate transport compression of the HTML.
 HTTP11_PIPELINED_COMPRESSED = ProtocolMode(
-    "HTTP/1.1 Pipelined w. compression", HTTP11, pipeline=True,
-    compression=True)
+    "HTTP/1.1 Pipelined w. compression",
+    client_fields=dict(pipeline=True, accept_deflate=True))
 
 #: Multiplexed streams over one TCP connection (HTTP/2-shaped framing).
-HTTP_MUX = ProtocolMode("HTTP/MUX", HTTP11, transport=MuxTransport())
+HTTP_MUX = ProtocolMode("HTTP/MUX", MuxTransport())
 
 #: MUX plus speculative server push of the inline images.
-HTTP_MUX_PUSH = ProtocolMode("HTTP/MUX Push", HTTP11,
-                             transport=MuxTransport(server_push=True))
+HTTP_MUX_PUSH = ProtocolMode("HTTP/MUX Push", MuxTransport(server_push=True))
 
 #: Domain sharding: 4 origins, 2 redundant connections per origin.
 HTTP11_SHARDED = ProtocolMode(
-    "HTTP/1.1 Sharded x4", HTTP11, parallel_connections=8,
-    transport=ShardedTransport(shards=4, connections_per_shard=2))
+    "HTTP/1.1 Sharded x4",
+    ShardedTransport(shards=4, connections_per_shard=2))
 
 #: The post-paper modes (ROADMAP item 1).
 MODERN_MODES = (HTTP_MUX, HTTP_MUX_PUSH, HTTP11_SHARDED)

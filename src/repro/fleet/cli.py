@@ -32,16 +32,21 @@ def _fleet_run_id(spec: FleetSpec) -> str:
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    spec = FleetSpec(
-        users=args.users, cohorts=args.cohorts,
-        environment=args.environment, scenario=args.scenario,
-        server=args.server, arrival_rate=args.arrival_rate,
-        think_time=args.think_time, pages_per_user=args.pages_per_user,
-        server_capacity=(None if args.server_capacity == 0
-                         else args.server_capacity),
-        backbone_bps=args.backbone_bps, epoch=args.epoch,
-        rounds=args.rounds, max_sim_time=args.max_sim_time,
-        fastpath=not args.no_fastpath, seed=args.seed)
+    try:
+        spec = FleetSpec(
+            users=args.users, cohorts=args.cohorts,
+            environment=args.environment, scenario=args.scenario,
+            server=args.server, arrival_rate=args.arrival_rate,
+            think_time=args.think_time,
+            pages_per_user=args.pages_per_user,
+            server_capacity=(None if args.server_capacity == 0
+                             else args.server_capacity),
+            backbone_bps=args.backbone_bps, epoch=args.epoch,
+            rounds=args.rounds, max_sim_time=args.max_sim_time,
+            fastpath=not args.no_fastpath, seed=args.seed)
+    except ValueError as exc:
+        print(f"fleet: {exc}", file=sys.stderr)
+        return 2
     runner = make_runner(args, _fleet_run_id(spec))
     with runner:
         result = run_fleet(spec, runner=runner)

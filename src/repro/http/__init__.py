@@ -2,21 +2,19 @@
 
 Byte-exact message objects, incremental stream parsers (pipelining
 splits messages across TCP segments arbitrarily), header collections,
-chunked transfer coding, content codings (deflate/gzip), client caching
+chunked transfer coding, the deflate content coding, client caching
 with ETag / Last-Modified validators, and byte ranges with ``If-Range``.
 
-Shared by the simulated clients/servers (:mod:`repro.client`,
-:mod:`repro.server`) and the real-socket ones (:mod:`repro.realnet`).
+Shared by the simulated clients (:mod:`repro.client`) and servers
+(:mod:`repro.server`).
 """
 
-from .cache import (CacheEntry, MemoryCache, TwoFileDiskCache,
-                    is_not_modified)
+from .cache import CacheEntry, MemoryCache, is_not_modified
 from .chunked import ChunkedDecoder, encode_chunked, iter_chunks
 from .compact import (DeltaStreamDecoder, DeltaStreamEncoder, compact_ratio,
                       decode_varint, encode_varint)
-from .coding import (accepted_codings, choose_coding, compression_ratio,
-                     decode_body, deflate_decode, deflate_encode,
-                     encode_body, gzip_decode, gzip_encode)
+from .coding import (accepted_codings, compression_ratio, deflate_decode,
+                     deflate_encode, encode_body)
 from .dates import PAPER_EPOCH, format_http_date, parse_http_date
 from .delta import (DELTA_IM_TOKEN, apply_delta, apply_delta_response,
                     encode_delta, wants_delta)
@@ -30,13 +28,12 @@ from .ranges import (ByteRange, MULTIPART_BOUNDARY, apply_range,
                      parse_range_header)
 
 __all__ = [
-    "CacheEntry", "MemoryCache", "TwoFileDiskCache", "is_not_modified",
+    "CacheEntry", "MemoryCache", "is_not_modified",
     "ChunkedDecoder", "encode_chunked", "iter_chunks",
     "DeltaStreamDecoder", "DeltaStreamEncoder", "compact_ratio",
     "decode_varint", "encode_varint",
-    "accepted_codings", "choose_coding", "compression_ratio",
-    "decode_body", "deflate_decode", "deflate_encode", "encode_body",
-    "gzip_decode", "gzip_encode",
+    "accepted_codings", "compression_ratio", "deflate_decode",
+    "deflate_encode", "encode_body",
     "PAPER_EPOCH", "format_http_date", "parse_http_date",
     "DELTA_IM_TOKEN", "apply_delta", "apply_delta_response",
     "encode_delta", "wants_delta",

@@ -9,21 +9,21 @@ revisiting a page cached locally" — depends on this machinery:
 * The HTTP/1.1 robot issues 43 Conditional GETs and receives 304s.
 * The paper's libwww persistent cache stored each object as *two files*
   (headers and body), which became a measurable bottleneck; the final
-  runs used a memory filesystem.  Both cache backends are provided:
-  :class:`MemoryCache` and the deliberately libwww-like
-  :class:`TwoFileDiskCache`.
+  runs used a memory filesystem.  :class:`MemoryCache` is that final
+  configuration.  The two-file overhead is modelled where it can act
+  on simulated time: as ``per_response_cpu=0.065`` in
+  :func:`repro.core.modes.initial_tuning_client_config` (Table 3).
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .dates import format_http_date, parse_http_date
+from .dates import parse_http_date
 from .headers import Headers
 from .messages import Response
 
-__all__ = ["CacheEntry", "MemoryCache", "TwoFileDiskCache"]
+__all__ = ["CacheEntry", "MemoryCache", "is_not_modified"]
 
 
 class CacheEntry:
@@ -43,10 +43,6 @@ class CacheEntry:
     def last_modified(self) -> Optional[str]:
         """The stored Last-Modified date, if the server sent one."""
         return self.headers.get("Last-Modified")
-
-    @property
-    def content_type(self) -> Optional[str]:
-        return self.headers.get("Content-Type")
 
 
 class MemoryCache:
@@ -71,7 +67,7 @@ class MemoryCache:
         if response.status != 200:
             return None
         entry = CacheEntry(url, response.body, response.headers.copy())
-        self._write(entry)
+        self._entries[url] = entry
         self.updates += 1
         return entry
 
@@ -83,22 +79,21 @@ class MemoryCache:
         population of per-page caches can start from one prebuilt
         prefill instead of 43 fresh copies each.
         """
-        for url in other.urls():
-            self._write(other._read(url))
-            self.updates += 1
+        self._entries.update(other._entries)
+        self.updates += len(other._entries)
 
     def get(self, url: str) -> Optional[CacheEntry]:
         """Look up a cached entry."""
-        entry = self._read(url)
+        entry = self._entries.get(url)
         if entry is not None:
             self.hits += 1
         return entry
 
     def __contains__(self, url: str) -> bool:
-        return self._read(url) is not None
+        return url in self._entries
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.urls())
+        return len(self._entries)
 
     def urls(self) -> Iterator[str]:
         """All cached URLs."""
@@ -122,7 +117,7 @@ class MemoryCache:
         heuristic 1990s browsers (Navigator among them) applied so they
         could still validate against servers that omitted file dates.
         """
-        entry = self._read(url)
+        entry = self._entries.get(url)
         if entry is None:
             return []
         headers: List[Tuple[str, str]] = []
@@ -144,7 +139,7 @@ class MemoryCache:
         """
         if response.status == 304:
             self.validations += 1
-            entry = self._read(url)
+            entry = self._entries.get(url)
             if entry is None:
                 raise KeyError(f"304 for uncached url {url}")
             return entry.body
@@ -152,67 +147,6 @@ class MemoryCache:
             self.store(url, response)
             return response.body
         return response.body
-
-    # ------------------------------------------------------------------
-    # Backend hooks (overridden by the disk cache)
-    # ------------------------------------------------------------------
-    def _write(self, entry: CacheEntry) -> None:
-        self._entries[entry.url] = entry
-
-    def _read(self, url: str) -> Optional[CacheEntry]:
-        return self._entries.get(url)
-
-
-class TwoFileDiskCache(MemoryCache):
-    """A libwww-style persistent cache: two files per object.
-
-    The paper: "Each cached object contains two independent files: one
-    containing the cacheable message headers and the other containing
-    the message body.  ...the overhead in our implementation became a
-    performance bottleneck."  This backend reproduces that layout so the
-    bottleneck is demonstrable (see the flush-policy ablation tests).
-    """
-
-    def __init__(self, root: str) -> None:
-        super().__init__()
-        self.root = root
-        os.makedirs(root, exist_ok=True)
-        #: File operations performed, for overhead accounting.
-        self.file_operations = 0
-
-    def _paths(self, url: str) -> Tuple[str, str]:
-        safe = url.strip("/").replace("/", "_") or "_root"
-        return (os.path.join(self.root, safe + ".headers"),
-                os.path.join(self.root, safe + ".body"))
-
-    def _write(self, entry: CacheEntry) -> None:
-        header_path, body_path = self._paths(entry.url)
-        with open(header_path, "wb") as handle:
-            handle.write(entry.headers.to_bytes())
-        with open(body_path, "wb") as handle:
-            handle.write(entry.body)
-        self.file_operations += 2
-
-    def _read(self, url: str) -> Optional[CacheEntry]:
-        header_path, body_path = self._paths(url)
-        if not (os.path.exists(header_path) and os.path.exists(body_path)):
-            return None
-        with open(header_path, "rb") as handle:
-            header_block = handle.read().decode("latin-1")
-        with open(body_path, "rb") as handle:
-            body = handle.read()
-        self.file_operations += 2
-        lines = [ln for ln in header_block.split("\r\n") if ln]
-        return CacheEntry(url, body, Headers.from_lines(lines))
-
-    def urls(self) -> Iterator[str]:
-        for name in sorted(os.listdir(self.root)):
-            if name.endswith(".body"):
-                yield "/" + name[:-len(".body")].replace("_", "/")
-
-    def clear(self) -> None:
-        for name in os.listdir(self.root):
-            os.unlink(os.path.join(self.root, name))
 
 
 def is_not_modified(entry_etag: Optional[str],
@@ -234,7 +168,3 @@ def is_not_modified(entry_etag: Optional[str],
         if since is not None and modified is not None:
             return modified <= since
     return False
-
-
-__all__.append("is_not_modified")
-__all__.append("format_http_date")

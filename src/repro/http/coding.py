@@ -1,4 +1,4 @@
-"""Content codings: identity, deflate, gzip (RFC 2068 §3.5).
+"""Content codings: identity and deflate (RFC 2068 §3.5).
 
 The paper's transport-compression experiment uses the ``deflate``
 content coding — the zlib format of RFC 1950 wrapping DEFLATE (RFC 1951),
@@ -6,22 +6,20 @@ produced by zlib 1.04 with default settings.  Python's :mod:`zlib` is
 the same code base, so the ~3× compression the paper reports on the
 Microscape HTML reproduces exactly.
 
-The module also provides content-negotiation helpers: the client sends
-``Accept-Encoding: deflate``, the server picks a coding the client
-accepts and labels the body with ``Content-Encoding``.
+Negotiation is one helper: the client sends ``Accept-Encoding:
+deflate``, the server reads it with :func:`accepted_codings` and labels
+the body with ``Content-Encoding``.
 """
 
 from __future__ import annotations
 
-import gzip as _gzip
 import zlib
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List
 
 from .headers import Headers
 
 __all__ = [
-    "deflate_encode", "deflate_decode", "gzip_encode", "gzip_decode",
-    "encode_body", "decode_body", "choose_coding", "accepted_codings",
+    "deflate_encode", "deflate_decode", "encode_body", "accepted_codings",
     "SUPPORTED_CODINGS", "compression_ratio",
 ]
 
@@ -48,45 +46,24 @@ def deflate_decode(data: bytes) -> bytes:
         return zlib.decompress(data, -zlib.MAX_WBITS)
 
 
-def gzip_encode(data: bytes, level: int = 9) -> bytes:
-    """Compress with the ``gzip`` coding (RFC 1952)."""
-    return _gzip.compress(data, compresslevel=level, mtime=0)
-
-
-def gzip_decode(data: bytes) -> bytes:
-    """Decompress a ``gzip``-coded body."""
-    return _gzip.decompress(data)
-
-
 def _identity(data: bytes) -> bytes:
     return data
 
 
-#: coding name -> (encode, decode)
-SUPPORTED_CODINGS: Dict[str, Tuple[Callable[[bytes], bytes],
-                                   Callable[[bytes], bytes]]] = {
-    "identity": (_identity, _identity),
-    "deflate": (deflate_encode, deflate_decode),
-    "gzip": (gzip_encode, gzip_decode),
+#: coding name -> encoder
+SUPPORTED_CODINGS: Dict[str, Callable[[bytes], bytes]] = {
+    "identity": _identity,
+    "deflate": deflate_encode,
 }
 
 
 def encode_body(data: bytes, coding: str) -> bytes:
     """Apply a content coding by name."""
     try:
-        encoder, _ = SUPPORTED_CODINGS[coding]
+        encoder = SUPPORTED_CODINGS[coding]
     except KeyError:
         raise ValueError(f"unsupported content coding: {coding}") from None
     return encoder(data)
-
-
-def decode_body(data: bytes, coding: str) -> bytes:
-    """Reverse a content coding by name."""
-    try:
-        _, decoder = SUPPORTED_CODINGS[coding]
-    except KeyError:
-        raise ValueError(f"unsupported content coding: {coding}") from None
-    return decoder(data)
 
 
 def accepted_codings(headers: Headers) -> List[str]:
@@ -98,21 +75,6 @@ def accepted_codings(headers: Headers) -> List[str]:
             if token:
                 codings.append(token)
     return codings
-
-
-def choose_coding(request_headers: Headers,
-                  available: Optional[List[str]] = None) -> str:
-    """Server-side negotiation: pick a coding the client accepts.
-
-    Returns the first client-accepted coding the server has available
-    (order of client preference), falling back to ``identity``.
-    """
-    if available is None:
-        available = ["deflate"]
-    for coding in accepted_codings(request_headers):
-        if coding in available and coding in SUPPORTED_CODINGS:
-            return coding
-    return "identity"
 
 
 def compression_ratio(data: bytes, coding: str = "deflate") -> float:

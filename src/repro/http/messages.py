@@ -80,22 +80,6 @@ class Request:
         return (request_line.encode("latin-1") + self.headers.to_bytes()
                 + b"\r\n" + self.body)
 
-    @property
-    def wire_length(self) -> int:
-        """Number of bytes this request occupies on the wire."""
-        return len(self.to_bytes())
-
-    def wants_keep_alive(self) -> bool:
-        """Whether the client asked for / defaults to a persistent connection."""
-        if self.version >= HTTP11:
-            return not self.headers.contains_token("Connection", "close")
-        return self.headers.contains_token("Connection", "keep-alive")
-
-    def is_conditional(self) -> bool:
-        """True for cache-validation requests."""
-        return ("If-None-Match" in self.headers
-                or "If-Modified-Since" in self.headers)
-
 
 @dataclasses.dataclass
 class Response:
@@ -132,11 +116,6 @@ class Response:
                        f"{self.reason_phrase}\r\n")
         return (status_line.encode("latin-1") + self.headers.to_bytes()
                 + b"\r\n" + self.body_on_wire())
-
-    @property
-    def wire_length(self) -> int:
-        """Number of bytes this response occupies on the wire."""
-        return len(self.to_bytes())
 
     def allows_keep_alive(self) -> bool:
         """Whether the connection may carry further requests."""

@@ -27,8 +27,7 @@ from typing import Dict, List
 from .config import ALL_RULES, DEFAULT_CONFIG
 from .deep import DEEP_RULES, DEFAULT_DEEP_CONFIG, DeepError, run_deep
 from .findings import Finding, finding_sort_key, format_text
-from .sanitizer import (ModeTraceRules, SanitizerConfig, Violation,
-                        validate_trace_text)
+from .sanitizer import SanitizerConfig, Violation, validate_trace_text
 from .static import LintError, lint_paths
 
 __all__ = ["add_lint_parser", "run_lint", "DEFAULT_LINT_PATH",
@@ -89,28 +88,31 @@ def _config_for_fixture(name: str) -> SanitizerConfig:
     ``lossy_*`` fixtures were captured under fault injection: RSTs and
     retransmissions are legitimate there, so they validate under the
     relaxed config (the sequence/handshake/Nagle invariants still
-    apply).  Fixtures of the MUX and sharded modes additionally enforce
-    those modes' connection-shape rules — mirroring what their
-    :class:`~repro.core.transport.Transport` strategies declare.
+    apply).  A ``golden_<mode>_<env>.trace`` whose mode and environment
+    tokens resolve in the registry validates as the runner would
+    sanitize that cell: the transit bound for the mode's parallel
+    connections plus the connection-shape rules its
+    :class:`~repro.core.transport.Transport` declares.  Anything else
+    gets the generic config.
     """
     if name.startswith("lossy_"):
         return SanitizerConfig.for_faulty_run()
-    if "sharded" in name:
-        # Eight parallel connections share the bottleneck: derive the
-        # transit bound the runner would use for this cell, then pin
-        # the sharded transport's port/handshake contract.
-        from ..simnet.link import ENVIRONMENTS
-        config = SanitizerConfig.for_run(
-            environment=ENVIRONMENTS["WAN"], client_nodelay=True,
-            server_nodelay=True, client_delack=0.200,
-            server_delack=0.050, max_parallel=8)
-        return dataclasses.replace(config, mode_rules=ModeTraceRules(
-            required_ports=(80, 81, 82, 83),
-            max_handshakes_per_port=2))
-    if "mux" in name:
-        return SanitizerConfig(mode_rules=ModeTraceRules(
-            min_connections=1, max_connections=1))
-    return SanitizerConfig()
+    from ..core.registry import resolve_environment, resolve_mode
+    try:
+        _, mode_token, env_token = name.rsplit(".", 1)[0].split("_")
+        mode = resolve_mode(mode_token)
+        environment = resolve_environment(env_token)
+    except ValueError:    # not that shape, or names nothing registered
+        return SanitizerConfig()
+    client = mode.client_config()
+    generic = SanitizerConfig()
+    config = SanitizerConfig.for_run(
+        environment=environment, client_nodelay=True, server_nodelay=True,
+        client_delack=generic.client_delack,
+        server_delack=generic.server_delack,
+        max_parallel=client.max_connections)
+    return dataclasses.replace(
+        config, mode_rules=mode.transport.trace_rules(client))
 
 
 def run_lint(args: argparse.Namespace) -> int:

@@ -73,9 +73,8 @@ class LintConfig:
 DEFAULT_CONFIG = LintConfig(
     allowlist={
         # Wall-clock reads are these modules' purpose: they time real
-        # work (per-unit wall time).  Everything else — including
-        # repro.realnet since its clock became injectable — must go
-        # through an injected clock or sim.now.
+        # work (per-unit wall time).  Everything else must go through
+        # an injected clock or sim.now.
         "wall-clock": ("repro/matrix/runner.py",
                        # The supervisor's whole job is wall-clock
                        # deadlines on real worker processes.
@@ -109,11 +108,6 @@ DEFAULT_CONFIG = LintConfig(
         # The MUX client's per-stream/per-connection state is allocated
         # on every stream open and touched on every frame delivery.
         "client/mux.py",
-        # The real-socket pair runs per-connection threads; __slots__
-        # is the same typo firewall there (a misspelled stats-counter
-        # write must raise, not silently create fresh state).
-        "realnet/client.py",
-        "realnet/server.py",
         # The fleet engine's per-session state is allocated once per
         # user and touched on every page completion; spec compilation
         # and share aggregation run once per cohort unit.

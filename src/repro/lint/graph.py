@@ -219,9 +219,6 @@ class ProjectGraph:
         matches = [c for c in self.classes.values() if c.name == name]
         return matches[0] if len(matches) == 1 else None
 
-    def module_of(self, qualname: str) -> ModuleInfo:
-        return self.modules[qualname.split(":", 1)[0]]
-
     def waived(self, qualname_or_module: str, rule: str,
                line: int) -> bool:
         """True when an inline pragma waives ``rule`` at this line."""

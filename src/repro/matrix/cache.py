@@ -188,13 +188,17 @@ class ResultCache:
         """Stable content hash of one (cell, seed) work unit."""
         return unit_key(spec, seed, version=self.version)
 
-    def path(self, spec: ExperimentSpec, seed: int) -> Path:
-        return self.root / f"{self.key(spec, seed)}.json"
+    def path(self, spec: ExperimentSpec, seed: int,
+             key: Optional[str] = None) -> Path:
+        """The unit's entry; ``key`` is its :meth:`key` when the caller
+        already hashed it (the runner hashes each unit once)."""
+        return self.root / f"{key or self.key(spec, seed)}.json"
 
     # ------------------------------------------------------------------
     # Lookup / store
     # ------------------------------------------------------------------
-    def get(self, spec: ExperimentSpec, seed: int) -> Optional[Any]:
+    def get(self, spec: ExperimentSpec, seed: int, *,
+            key: Optional[str] = None) -> Optional[Any]:
         """The cached result for the unit, or None on a miss.
 
         Unreadable or corrupt entries count as misses.  A corrupted or
@@ -205,15 +209,15 @@ class ResultCache:
         """
         try:
             return read_json_or_heal(
-                self.path(spec, seed),
+                self.path(spec, seed, key),
                 lambda entry: decode_result(entry["result"]))
         except UnknownResultKind:
             # Valid entry from a process with more codecs loaded: a
             # miss, but not corruption — leave it on disk.
             return None
 
-    def put(self, spec: ExperimentSpec, seed: int,
-            result: Any) -> None:
+    def put(self, spec: ExperimentSpec, seed: int, result: Any, *,
+            key: Optional[str] = None) -> None:
         """Store a unit's measurements atomically.
 
         Runners sharing one cache directory can race on the same unit
@@ -222,16 +226,16 @@ class ResultCache:
         writes identical measurements anyway.
         """
         self.root.mkdir(parents=True, exist_ok=True)
-        write_json_atomic(self.path(spec, seed), {
+        write_json_atomic(self.path(spec, seed, key), {
             "version": self.version,
             "seed": int(seed),
             "spec": spec.canonical_dict(),
             "result": encode_result(result),
         })
 
-    def put_many(self, entries: Iterable[Tuple[ExperimentSpec, int,
-                                               Any]]) -> int:
-        """Store a batch of units; returns how many were written.
+    def put_many(self, entries: Iterable[tuple]) -> int:
+        """Store a batch of ``(spec, seed, result[, key])`` units;
+        returns how many were written.
 
         The batched flush the :class:`~repro.matrix.runner.MatrixRunner`
         issues once per dispatch chunk instead of once per unit; each
@@ -240,8 +244,8 @@ class ResultCache:
         never a torn file.
         """
         written = 0
-        for spec, seed, result in entries:
-            self.put(spec, seed, result)
+        for spec, seed, result, *key in entries:
+            self.put(spec, seed, result, key=key[0] if key else None)
             written += 1
         return written
 

@@ -32,7 +32,7 @@ import dataclasses
 import os
 import re
 from pathlib import Path
-from typing import Any, Dict, Iterable, Union
+from typing import Any, Dict, Optional, Union
 
 from .. import __version__
 from ..core.runner import RunResult, UnitFailure
@@ -116,21 +116,27 @@ class RunJournal:
     # Records
     # ------------------------------------------------------------------
     def record_result(self, spec: ExperimentSpec, seed: int,
-                      result: Any) -> None:
-        """Record a completed unit's measurements (atomic, idempotent)."""
-        self._record(spec, seed, {"status": "ok",
-                                  "result": encode_result(result)})
+                      result: Any, *, key: Optional[str] = None) -> None:
+        """Record a completed unit's measurements (atomic, idempotent).
+
+        ``key`` is the unit's :func:`unit_key` at this journal's
+        version when the caller already hashed it.
+        """
+        self._record(spec, seed, key, {"status": "ok",
+                                       "result": encode_result(result)})
 
     def record_failure(self, spec: ExperimentSpec, seed: int,
-                       failure: UnitFailure) -> None:
+                       failure: UnitFailure, *,
+                       key: Optional[str] = None) -> None:
         """Record a quarantined unit so a resume replays the verdict."""
-        self._record(spec, seed, {"status": "failed",
-                                  "failure": dataclasses.asdict(failure)})
+        self._record(spec, seed, key,
+                     {"status": "failed",
+                      "failure": dataclasses.asdict(failure)})
 
     def _record(self, spec: ExperimentSpec, seed: int,
-                outcome: Dict[str, Any]) -> None:
+                key: Optional[str], outcome: Dict[str, Any]) -> None:
         self.begin()
-        key = unit_key(spec, seed, version=self.version)
+        key = key or unit_key(spec, seed, version=self.version)
         write_json_atomic(self.units_dir / f"{key}.json", {
             "label": spec.label, "seed": int(seed), **outcome})
 
@@ -170,16 +176,3 @@ class RunJournal:
         except (KeyError, TypeError, ValueError, UnknownResultKind):
             return None
         return None
-
-    # ------------------------------------------------------------------
-    # Discovery
-    # ------------------------------------------------------------------
-    @classmethod
-    def list_runs(cls, root: Union[str, Path] = DEFAULT_RUNS_DIR
-                  ) -> Iterable[str]:
-        """Run ids with a manifest under ``root``, sorted."""
-        root = Path(root)
-        if not root.is_dir():
-            return []
-        return sorted(p.name for p in root.iterdir()
-                      if (p / "manifest.json").is_file())

@@ -53,6 +53,7 @@ import time
 from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple)
 
+from .. import __version__
 from ..content import artifacts
 from ..core.runner import AveragedResult, UnitFailure, warm_default_site
 from ..faults.harness import HarnessFaultPlan, resolve_harness_plan
@@ -129,8 +130,10 @@ class MatrixStats:
     #: Units replayed from a :class:`~repro.matrix.journal.RunJournal`
     #: instead of simulated (resumed runs).
     journal_hits: int = 0
-    #: Simulation wall seconds per (cell label, seed).
-    unit_wall_times: Dict[Tuple[str, int], float] = dataclasses.field(
+    #: Simulation wall seconds per simulated unit, keyed by its
+    #: :func:`~repro.matrix.cache.unit_key` (a label would merge cells
+    #: that differ only in client overrides or a cohort's shares).
+    unit_wall_times: Dict[str, float] = dataclasses.field(
         default_factory=dict)
 
     def summary(self) -> str:
@@ -342,6 +345,12 @@ class MatrixRunner:
         slots: List[object] = [None] * len(units)
         total = len(units)
         completed = 0
+        # Each unit is hashed once; the stats map, the journal and the
+        # cache all address it by that key (a store pinned to another
+        # version gets its own).
+        keys = [unit_key(spec, seed) for spec, seed in units]
+        cache_keys = self._store_keys(self.cache, units, keys)
+        journal_keys = self._store_keys(self.journal, units, keys)
 
         journal_records = None
         if self.journal is not None:
@@ -351,8 +360,7 @@ class MatrixRunner:
         pending: List[int] = []
         for index, (spec, seed) in enumerate(units):
             if journal_records is not None:
-                record = journal_records.get(
-                    unit_key(spec, seed, version=self.journal.version))
+                record = journal_records.get(journal_keys[index])
                 outcome = (RunJournal.hydrate(record)
                            if record is not None else None)
                 if outcome is not None:
@@ -369,14 +377,15 @@ class MatrixRunner:
                         self._emit(spec, seed, "hit", 0.0, completed,
                                    total)
                     continue
-            cached = (self.cache.get(spec, seed)
+            cached = (self.cache.get(spec, seed, key=cache_keys[index])
                       if self.cache is not None else None)
             if cached is not None:
                 slots[index] = cached
                 completed += 1
                 self.stats.cache_hits += 1
                 if self.journal is not None:
-                    self.journal.record_result(spec, seed, cached)
+                    self.journal.record_result(spec, seed, cached,
+                                               key=journal_keys[index])
                 self._emit(spec, seed, "hit", 0.0, completed, total)
             else:
                 if self.cache is not None:
@@ -387,7 +396,7 @@ class MatrixRunner:
         for batch in self._execute(units, pending):
             if self.cache is not None:
                 self.cache.put_many(
-                    (units[index][0], units[index][1], outcome)
+                    (*units[index], outcome, cache_keys[index])
                     for index, outcome, _ in batch
                     if not isinstance(outcome, UnitFailure))
             for index, outcome, wall in batch:
@@ -397,14 +406,16 @@ class MatrixRunner:
                 if isinstance(outcome, UnitFailure):
                     self.stats.failures += 1
                     if self.journal is not None:
-                        self.journal.record_failure(spec, seed, outcome)
+                        self.journal.record_failure(
+                            spec, seed, outcome, key=journal_keys[index])
                     self._emit(spec, seed, "failed", wall, completed,
                                total, attempt=outcome.attempts)
                 else:
                     self.stats.sim_runs += 1
-                    self.stats.unit_wall_times[(spec.label, seed)] = wall
+                    self.stats.unit_wall_times[keys[index]] = wall
                     if self.journal is not None:
-                        self.journal.record_result(spec, seed, outcome)
+                        self.journal.record_result(
+                            spec, seed, outcome, key=journal_keys[index])
                     self._emit(spec, seed, "run", wall, completed, total)
                 self._progress = (completed, total)
 
@@ -422,6 +433,14 @@ class MatrixRunner:
             failures = [f for f in cell if isinstance(f, UnitFailure)]
             averaged.append(AveragedResult(runs, failures=failures))
         return averaged
+
+    @staticmethod
+    def _store_keys(store, units, keys: List[str]) -> List[str]:
+        """``keys``, re-hashed only for a store at another version."""
+        if store is None or store.version == __version__:
+            return keys
+        return [unit_key(spec, seed, version=store.version)
+                for spec, seed in units]
 
     # ------------------------------------------------------------------
     # Execution strategies

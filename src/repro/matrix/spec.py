@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import (Any, Dict, Iterator, List, Mapping, Sequence, Tuple,
-                    Union)
+from typing import Any, Dict, List, Mapping, Sequence, Tuple, Union
 
 from ..client.robot import ClientConfig
 from ..core.modes import ProtocolMode
@@ -172,12 +171,6 @@ class ExperimentSpec:
     def resolved_mode(self) -> ProtocolMode:
         return resolve_mode(self.mode)
 
-    def resolved_environment(self) -> NetworkEnvironment:
-        return resolve_environment(self.environment)
-
-    def resolved_profile(self) -> ServerProfile:
-        return resolve_profile(self.server)
-
     def client_config(self) -> ClientConfig:
         """The mode's configuration with this spec's overrides applied."""
         base = self.resolved_mode().client_config()
@@ -195,11 +188,6 @@ class ExperimentSpec:
         """Compact human label for progress output."""
         return (f"{self.mode} | {self.scenario} | {self.environment} "
                 f"| {self.server}")
-
-    def units(self) -> Iterator[Tuple["ExperimentSpec", int]]:
-        """The (cell, seed) work units this spec expands to."""
-        for seed in self.seeds:
-            yield self, seed
 
     def execute_unit(self, seed: int) -> RunResult:
         """Simulate this cell at ``seed`` (the matrix dispatch hook).

@@ -29,7 +29,6 @@ Eligibility (all must hold, checked before every span):
 
 * link: no fault injector, zero loss rate, unbounded queue, the trace
   collector as the only tap;
-* both endpoints' :attr:`~repro.simnet.tcp.TcpConfig.fastpath` True;
 * sender: ESTABLISHED, past slow-start handshake accounting, not in
   recovery or backoff, no FIN sent, nothing received-but-unread, a
   contiguous retransmit queue covering exactly ``[snd_una, snd_nxt)``,
@@ -137,7 +136,7 @@ class FastForward:
         taps = link.taps
         if len(taps) != 1 or taps[0] != self.collector._tap:
             return None
-        if not s.config.fastpath or s._ff_unprofitable:
+        if s._ff_unprofitable:
             return None
         # Sender: steady ESTABLISHED bulk state, nothing exotic.
         if (s.state != "ESTABLISHED" or not s._syn_acked or s._fin_sent
@@ -157,7 +156,7 @@ class FastForward:
                 or s._peer_window < mss:
             return None
         c = self._peer_of(s)
-        if c is None or not c.config.fastpath:
+        if c is None:
             return None
         # Receiver: pure sink — nothing queued, nothing in flight.
         if (c.state != "ESTABLISHED" or not c._syn_acked

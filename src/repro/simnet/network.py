@@ -66,8 +66,7 @@ class Network:
         Wire up the flow-level fast-forward driver
         (:class:`~repro.simnet.fastforward.FastForward`).  Results are
         byte-identical either way; False (the ``--no-fastpath`` escape
-        hatch) forces per-segment execution throughout.  The driver is
-        also skipped when either host's :class:`TcpConfig` disables it.
+        hatch) forces per-segment execution throughout.
     client_hosts:
         Names of the client hosts, one stack each (default: the paper's
         single robot machine).  With more than one, the server's link is
@@ -119,8 +118,7 @@ class Network:
         # tcpdump ran on the (first) client host.
         self.trace = TraceCollector(self.link, self.client.host)
         self.fastforward: Optional[FastForward] = None
-        if fastpath and client_config.fastpath \
-                and self.server.config.fastpath:
+        if fastpath:
             self.fastforward = FastForward(
                 self.sim, self.link, (*self.clients, self.server),
                 self.trace)

@@ -171,12 +171,6 @@ class TcpConfig:
         with a 1 s floor; the floor is configurable for fast tests).
     dupack_threshold:
         Duplicate ACKs that trigger a fast retransmit.
-    fastpath:
-        Allow the flow-level fast-forward driver
-        (:mod:`repro.simnet.fastforward`) to advance this endpoint's
-        steady bulk transfers analytically.  Either endpoint setting
-        this False keeps the whole network on per-segment execution
-        (the ``--no-fastpath`` escape hatch).
     """
 
     mss: int = 1460
@@ -190,7 +184,6 @@ class TcpConfig:
     rto_min: float = 1.0
     rto_max: float = 64.0
     dupack_threshold: int = 3
-    fastpath: bool = True
 
 
 class TcpError(RuntimeError):
@@ -417,11 +410,6 @@ class TcpConnection:
             seq=self.snd_nxt, ack=self.rcv_nxt, flag_rst=True,
             flag_ack=True))
         self._teardown()
-
-    @property
-    def send_queue_len(self) -> int:
-        """Bytes queued but not yet handed to the network."""
-        return len(self._send_queue)
 
     @property
     def in_flight(self) -> int:

@@ -15,7 +15,7 @@ Capture is **columnar**: the tap appends each field to a parallel list
 :class:`PacketRecord` dataclass per segment — the collector sits on the
 per-packet hot path of every simulation.  :attr:`TraceCollector.records`
 synthesizes the familiar :class:`PacketRecord` objects on demand (and
-memoizes them), so existing consumers — tests, the xplot exporter —
+memoizes them), so existing consumers — tests, ``format_trace`` —
 read exactly what they always did, while summaries are computed
 straight from the columns.
 """
@@ -218,10 +218,6 @@ class TraceCollector:
             flows[key] = flows.get(key, 0) + 1
         return flows
 
-    def packet_train_lengths(self) -> List[int]:
-        """Packets per connection, the paper's packet-train metric."""
-        return sorted(self._flows().values())
-
     # ------------------------------------------------------------------
     # Exports
     # ------------------------------------------------------------------
@@ -230,17 +226,3 @@ class TraceCollector:
         records = self.records if limit is None else self.records[:limit]
         start = self._times[0] if self._times else 0.0
         return "\n".join(r.format(start) for r in records)
-
-    def time_sequence(self, src: str) -> List[Tuple[float, int]]:
-        """(time, end-sequence) points for segments sent by ``src``.
-
-        This is the data behind an xplot time-sequence graph, the tool
-        the paper used to find implementation problems invisible in raw
-        dumps.
-        """
-        start = self._times[0] if self._times else 0.0
-        return [(t - start, seq + length)
-                for t, s, seq, length in zip(self._times, self._srcs,
-                                             self._seqs,
-                                             self._payload_lens)
-                if s == src and length]

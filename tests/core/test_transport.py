@@ -2,10 +2,9 @@
 
 from repro.core.modes import (HTTP10_MODE, HTTP11_PERSISTENT,
                               HTTP11_PIPELINED, HTTP11_SHARDED, HTTP_MUX,
-                              HTTP_MUX_PUSH, MODERN_MODES, ModeTuning)
-from repro.core.transport import (DEFAULT_PORT, Http10Transport,
-                                  Http11Transport, MuxTransport,
-                                  ShardedTransport)
+                              HTTP_MUX_PUSH, MODERN_MODES)
+from repro.core.transport import (DEFAULT_PORT, MuxTransport,
+                                  ShardedTransport, Transport)
 from repro.http import HTTP10
 from repro.lint import ModeTraceRules
 
@@ -14,8 +13,9 @@ from repro.lint import ModeTraceRules
 # Strategy dispatch
 # ----------------------------------------------------------------------
 def test_every_mode_carries_a_transport():
-    assert isinstance(HTTP10_MODE.transport, Http10Transport)
-    assert isinstance(HTTP11_PERSISTENT.transport, Http11Transport)
+    # Plain HTTP/1.0 and HTTP/1.1 share one wire format.
+    assert type(HTTP10_MODE.transport) is Transport
+    assert type(HTTP11_PERSISTENT.transport) is Transport
     assert isinstance(HTTP_MUX.transport, MuxTransport)
     assert isinstance(HTTP11_SHARDED.transport, ShardedTransport)
 
@@ -34,24 +34,12 @@ def test_mux_and_push_flags():
 
 
 def test_http10_branch_lives_in_its_transport():
-    # The old `if version == HTTP10` branch of client_config() moved
-    # into Http10Transport: fat 4.1D requests, no pipelining.
+    # HTTP/1.0 is plain HTTP plus client fields stated on the mode:
+    # fat 4.1D requests, no pipelining.
     config = HTTP10_MODE.client_config()
     assert config.http_version == HTTP10
     assert config.user_agent.startswith("W3CRobot/4.1D")
     assert len(config.extra_headers) >= 4
-
-
-# ----------------------------------------------------------------------
-# ModeTuning
-# ----------------------------------------------------------------------
-def test_tuning_dataclass_forwarded():
-    config = HTTP11_PIPELINED.client_config(
-        tuning=ModeTuning(flush_timeout=1.0, explicit_flush=False,
-                          output_buffer_size=512))
-    assert config.flush_timeout == 1.0
-    assert not config.explicit_flush
-    assert config.output_buffer_size == 512
 
 
 # ----------------------------------------------------------------------

@@ -6,8 +6,9 @@ import pytest
 
 from repro.core.runner import nearest_rank
 from repro.fleet import FleetResult, FleetSpec, run_fleet
+from repro.fleet.spec import FleetUnitSpec
 from repro.fleet.runner import _quantize, _rebalance, _waterfill
-from repro.matrix import MatrixRunner
+from repro.matrix import MatrixRunner, unit_key
 from repro.matrix.cache import ResultCache
 from repro.matrix.journal import RunJournal
 
@@ -88,12 +89,33 @@ def test_jobs_do_not_change_results(serial_result):
 
 @pytest.mark.slow
 def test_jobs_do_not_change_results_wan():
-    # The same contract off the LAN: 200 users over four WAN cohorts
-    # with think time and a shared 20 Mbit/s backbone.
-    spec = small_spec(users=200, cohorts=4, environment="WAN",
+    # The same contract off the LAN: four WAN cohorts with think time
+    # contending for a 6 Mbit/s backbone, so the share exchange this
+    # test exists for actually moves every epoch off the equal split.
+    spec = small_spec(users=48, cohorts=4, environment="WAN",
                       arrival_rate=4.0, think_time=2.0,
-                      max_sim_time=240.0, backbone_bps=20e6)
-    assert_jobs_do_not_change_results(spec, run_fleet(spec))
+                      max_sim_time=240.0, backbone_bps=6e6)
+    serial = run_fleet(spec)
+    equal = _quantize(spec.backbone_bandwidth() / spec.cohorts)
+    assert all(share != equal for shares in serial.final_shares
+               for share in shares)
+    assert_jobs_do_not_change_results(spec, serial)
+
+
+def test_unit_wall_times_keep_every_round_of_a_cohort():
+    # A cohort has the same label in every fixed-point round; only its
+    # shares differ.  Keyed by label, round 2 overwrote round 1.
+    spec = small_spec()
+    equal = (spec.backbone_bandwidth() / spec.cohorts,) * spec.n_epochs
+    halved = tuple(share / 2 for share in equal)
+    units = [FleetUnitSpec(fleet=spec, cohort=0, shares=shares)
+             for shares in (equal, halved)]
+    assert units[0].label == units[1].label
+    runner = MatrixRunner()
+    runner.run_many(units)
+    assert runner.stats.sim_runs == 2
+    assert set(runner.stats.unit_wall_times) == {
+        unit_key(unit, spec.seed) for unit in units}
 
 
 def test_journal_resume_is_byte_identical(tmp_path, serial_result):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.http import (Headers, MemoryCache, Response, TwoFileDiskCache,
+from repro.http import (Headers, MemoryCache, Response,
                         format_http_date, is_not_modified, PAPER_EPOCH)
 
 
@@ -81,27 +81,6 @@ def test_clear_empties_cache():
     cache.store("/a", make_response())
     cache.clear()
     assert len(cache) == 0
-
-
-def test_disk_cache_uses_two_files_per_object(tmp_path):
-    """The libwww layout the paper calls a performance bottleneck."""
-    cache = TwoFileDiskCache(str(tmp_path / "cache"))
-    cache.store("/images/logo.gif", make_response(body=b"GIF89a..."))
-    files = sorted(p.name for p in (tmp_path / "cache").iterdir())
-    assert len(files) == 2
-    assert any(name.endswith(".headers") for name in files)
-    assert any(name.endswith(".body") for name in files)
-    entry = cache.get("/images/logo.gif")
-    assert entry.body == b"GIF89a..."
-    assert entry.etag == '"v1"'
-    assert cache.file_operations >= 4
-
-
-def test_disk_cache_clear(tmp_path):
-    cache = TwoFileDiskCache(str(tmp_path / "cache"))
-    cache.store("/a", make_response())
-    cache.clear()
-    assert cache.get("/a") is None
 
 
 # ----------------------------------------------------------------------

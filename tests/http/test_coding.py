@@ -3,10 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.http import (Headers, accepted_codings, choose_coding,
-                        compression_ratio, decode_body, deflate_decode,
-                        deflate_encode, encode_body, gzip_decode,
-                        gzip_encode)
+from repro.http import (Headers, accepted_codings, compression_ratio,
+                        deflate_decode, deflate_encode, encode_body)
 
 
 def test_deflate_roundtrip():
@@ -22,21 +20,16 @@ def test_deflate_accepts_raw_stream():
     assert deflate_decode(raw) == b"legacy raw deflate"
 
 
-def test_gzip_roundtrip():
-    data = b"payload " * 50
-    assert gzip_decode(gzip_encode(data)) == data
-
-
 def test_encode_decode_by_name():
-    for coding in ("identity", "deflate", "gzip"):
-        assert decode_body(encode_body(b"abc", coding), coding) == b"abc"
+    assert encode_body(b"abc", "identity") == b"abc"
+    assert deflate_decode(encode_body(b"abc", "deflate")) == b"abc"
 
 
 def test_unknown_coding_raises():
     with pytest.raises(ValueError):
         encode_body(b"x", "brotli")
     with pytest.raises(ValueError):
-        decode_body(b"x", "compress")
+        encode_body(b"x", "gzip")
 
 
 def test_html_compresses_about_three_times():
@@ -53,17 +46,6 @@ def test_accepted_codings_parsing():
     assert accepted_codings(headers) == ["deflate", "gzip"]
 
 
-def test_choose_coding_negotiation():
-    wants_deflate = Headers([("Accept-Encoding", "deflate")])
-    assert choose_coding(wants_deflate) == "deflate"
-    wants_nothing = Headers()
-    assert choose_coding(wants_nothing) == "identity"
-    wants_brotli = Headers([("Accept-Encoding", "br")])
-    assert choose_coding(wants_brotli) == "identity"
-    wants_gzip = Headers([("Accept-Encoding", "gzip")])
-    assert choose_coding(wants_gzip, available=["deflate", "gzip"]) == "gzip"
-
-
 def test_compression_ratio_of_empty_is_one():
     assert compression_ratio(b"") == 1.0
 
@@ -71,8 +53,3 @@ def test_compression_ratio_of_empty_is_one():
 @given(st.binary(max_size=5000))
 def test_deflate_roundtrip_property(data):
     assert deflate_decode(deflate_encode(data)) == data
-
-
-@given(st.binary(max_size=2000))
-def test_gzip_roundtrip_property(data):
-    assert gzip_decode(gzip_encode(data)) == data

@@ -129,24 +129,3 @@ def test_apply_delta_response_helpers(store):
         apply_delta_response(wrong, response)
     with pytest.raises(ValueError):
         apply_delta_response(None, response)
-
-
-# ----------------------------------------------------------------------
-# End to end over real sockets
-# ----------------------------------------------------------------------
-def test_delta_revalidation_over_sockets(store):
-    from repro.realnet import RealHttpClient, RealHttpServer
-    with RealHttpServer(store, APACHE) as server:
-        with RealHttpClient(*server.address) as client:
-            first = client.get("/home.html")
-            assert first.status == 200
-            old_body = first.body
-            new_body = old_body.replace(b"microscape", b"MICROSCAPE", 3)
-            store.update("/home.html", new_body)
-            second = client.get("/home.html", accept_delta=True)
-            assert second.status == 226
-            assert second.body == new_body          # client reassembled
-            assert client.cache.get("/home.html").body == new_body
-            # And a further revalidation is a clean 304 on the new tag.
-            third = client.get("/home.html", accept_delta=True)
-            assert third.status == 304

@@ -57,6 +57,24 @@ def test_sanitize_traces_golden(capsys):
     assert out.count(": clean") == len(traces)
 
 
+def test_fixture_rules_come_from_the_mode_registry():
+    from repro.core.modes import HTTP11_SHARDED, HTTP_MUX
+    from repro.lint import SanitizerConfig
+    from repro.lint.cli import _config_for_fixture
+    for token, mode in (("sharded-x4", HTTP11_SHARDED), ("mux", HTTP_MUX)):
+        config = _config_for_fixture(f"golden_{token}_wan.trace")
+        assert config.mode_rules == mode.transport.trace_rules(
+            mode.client_config())
+    # Eight connections sharing the bottleneck widen the transit bound.
+    assert (_config_for_fixture("golden_sharded-x4_wan.trace").transit_bound
+            > _config_for_fixture("golden_mux_wan.trace").transit_bound)
+    # Tokens that name no registered mode keep the generic config;
+    # fault-injected captures keep the relaxed one.
+    for name in ("golden_http10-4conn_wan.trace", "capture.trace"):
+        assert _config_for_fixture(name) == SanitizerConfig()
+    assert _config_for_fixture("lossy_x_wan.trace").allow_rst
+
+
 def test_sanitize_traces_rejects_corrupt(tmp_path, capsys):
     golden = sorted(GOLDEN_DIR.glob("*.trace"))[0]
     lines = golden.read_text(encoding="utf-8").strip().splitlines()

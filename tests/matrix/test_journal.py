@@ -84,16 +84,11 @@ def test_hydrate_rejects_unrecognized_shapes():
                                "failure": {"bogus": 1}}) is None
 
 
-def test_clear_and_list_runs(tmp_path):
-    root = tmp_path / "runs"
-    a = RunJournal("alpha", root)
-    b = RunJournal("beta", root)
-    a.begin()
-    b.record_result(ExperimentSpec(**FAST), 0, synthetic_result())
-    assert sorted(RunJournal.list_runs(root)) == ["alpha", "beta"]
-    assert b.clear() == 1
-    assert len(b) == 0
-    assert RunJournal.list_runs(tmp_path / "missing") == []
+def test_clear_drops_unit_records(tmp_path):
+    journal = RunJournal("beta", tmp_path / "runs")
+    journal.record_result(ExperimentSpec(**FAST), 0, synthetic_result())
+    assert journal.clear() == 1
+    assert len(journal) == 0
 
 
 def test_records_are_keyed_by_unit_key(journal):

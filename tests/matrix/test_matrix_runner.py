@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.runner import RESULT_FIELDS, run_experiment, run_repeated
 from repro.matrix import (ExperimentMatrix, ExperimentSpec, MatrixRunner,
-                          ResultCache, RunJournal)
+                          ResultCache, RunJournal, unit_key)
 
 #: The cheapest cell in the grid (~10 ms a run): used everywhere speed
 #: matters more than coverage.
@@ -140,9 +140,25 @@ def test_progress_events_and_stats():
     assert stats.specs == 1
     assert stats.units == 2
     assert stats.sim_runs == 2
-    assert set(stats.unit_wall_times) == {(spec.label, 0),
-                                          (spec.label, 1)}
+    assert set(stats.unit_wall_times) == {unit_key(spec, 0),
+                                          unit_key(spec, 1)}
     assert "2 runs requested" in stats.summary()
+
+
+def test_unit_wall_times_keep_cells_that_share_a_label():
+    # Netscape vs IE, the modem test's compressed vs uncompressed
+    # cells: same label, different client overrides.  Keyed by label
+    # the second silently overwrote the first.
+    spec = ExperimentSpec(seeds=(0,), **FAST)
+    twin = spec.replace(client_overrides={"follow_images": False})
+    assert twin.label == spec.label
+    runner = MatrixRunner()
+    runner.run_many([spec, twin])
+    assert runner.stats.sim_runs == 2
+    assert set(runner.stats.unit_wall_times) == {unit_key(spec, 0),
+                                                 unit_key(twin, 0)}
+    assert all(wall > 0 for wall in
+               runner.stats.unit_wall_times.values())
 
 
 def test_cache_hits_emit_hit_events(tmp_path):

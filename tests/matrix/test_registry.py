@@ -85,8 +85,7 @@ def _unregister(name, aliases):
 
 def test_register_mode_wires_a_new_mode_everywhere():
     from repro.core.modes import ProtocolMode
-    from repro.http import HTTP11
-    mode = ProtocolMode("HTTP/TEST Gopher++", HTTP11)
+    mode = ProtocolMode("HTTP/TEST Gopher++")
     try:
         returned = register_mode(mode, aliases=("gopherpp",),
                                  environments=("LAN",))
@@ -103,13 +102,13 @@ def test_register_mode_wires_a_new_mode_everywhere():
 
 def test_register_mode_rejects_duplicates_unless_replace():
     from repro.core.modes import ProtocolMode
-    from repro.http import HTTP11
-    mode = ProtocolMode("HTTP/TEST Dup", HTTP11)
+    mode = ProtocolMode("HTTP/TEST Dup")
     try:
         register_mode(mode)
         with pytest.raises(ValueError, match="already registered"):
-            register_mode(ProtocolMode("HTTP/TEST Dup", HTTP11))
-        replacement = ProtocolMode("HTTP/TEST Dup", HTTP11, pipeline=True)
+            register_mode(ProtocolMode("HTTP/TEST Dup"))
+        replacement = ProtocolMode("HTTP/TEST Dup",
+                                   client_fields=dict(pipeline=True))
         register_mode(replacement, replace=True)
         assert resolve_mode("HTTP/TEST Dup") is replacement
     finally:

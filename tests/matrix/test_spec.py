@@ -60,11 +60,6 @@ def test_unknown_mode_raises():
         ExperimentSpec(mode="spdy")
 
 
-def test_units_enumerates_cell_seed_pairs():
-    spec = ExperimentSpec(seeds=(3, 5))
-    assert list(spec.units()) == [(spec, 3), (spec, 5)]
-
-
 def test_label_names_all_axes():
     label = ExperimentSpec().label
     for part in ("HTTP/1.1 Pipelined", "first-time", "LAN", "Apache"):

@@ -9,7 +9,6 @@ import pytest
 from repro.simnet.engine import SimulationError, Simulator
 from repro.simnet.link import ENVIRONMENTS
 from repro.simnet.network import SERVER_HOST, TwoHostNetwork
-from repro.simnet.tcp import TcpConfig
 
 
 def _bulk(environment, size, *, fastpath, modem_compression=None,
@@ -75,13 +74,6 @@ def test_lan_bulk_byte_identical():
 
 def test_network_fastpath_flag_disables_driver():
     net = _bulk("WAN", 64 * 1024, fastpath=False)
-    assert net.fastforward is None
-    assert net.sim.perf.fastforward_spans == 0
-
-
-def test_tcp_config_fastpath_disables_driver():
-    config = TcpConfig(mss=1460, fastpath=False)
-    net = _bulk("WAN", 64 * 1024, fastpath=True, client_config=config)
     assert net.fastforward is None
     assert net.sim.perf.fastforward_spans == 0
 

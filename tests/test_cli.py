@@ -35,6 +35,26 @@ def test_table_out_of_range(capsys):
     assert main(["table", "12"]) == 2
 
 
+@pytest.mark.parametrize("argv", [["report", "--runs", "0"],
+                                  ["table", "4", "--runs", "0"]])
+def test_non_positive_runs_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "--runs: must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--users", "2", "--cohorts", "4"], "cohorts"),
+    (["--rounds", "0"], "rounds"),
+])
+def test_invalid_fleet_spec_is_a_usage_error(flags, message, capsys):
+    assert main(["fleet", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fleet: ") and message in err
+    assert "Traceback" not in err
+
+
 def test_modem(capsys):
     assert main(["modem", "--runs", "1"]) == 0
     assert "Modem compression" in capsys.readouterr().out
