@@ -8,15 +8,27 @@ exactly this: the first TCP segment of (compressed) HTML carries enough
 :class:`IncrementalImageScanner` is the robot's HTML "parser": feed it
 body chunks as they arrive and it returns the image URLs that became
 visible, holding back any tag still split across a chunk boundary.
+
+Sessions of one (profile, protocol version, coding) see the same head
+length, so the page reaches their scanners in the same segments:
+:data:`_STEPS` keeps each distinct tokenizer step once per process, and
+discovery stays incremental while only the first session tokenizes.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List, Tuple
 
 from ..content.htmlparse import HtmlTokenizer
 
 __all__ = ["IncrementalImageScanner"]
+
+#: ``(state, unconsumed tail, chunk bytes)`` → ``(the step's img-src
+#: URLs before duplicate suppression, state', tail')``.  The key is all
+#: :meth:`HtmlTokenizer.feed` reads: it covers any segmentation, and a
+#: cold or cleared memo (it is cleared when full) recomputes the value.
+_STEPS: Dict[Tuple[str, str, bytes], Tuple[Tuple[str, ...], str, str]] = {}
+_STEPS_MAX = 1024
 
 
 class IncrementalImageScanner:
@@ -36,13 +48,25 @@ class IncrementalImageScanner:
     def feed(self, chunk: bytes) -> List[str]:
         """Scan a body chunk; return newly discovered image URLs."""
         self.bytes_seen += len(chunk)
+        tokenizer = self._tokenizer
+        key = (*tokenizer.carry(), chunk)
+        step = _STEPS.get(key)
+        if step is None:
+            tokens = tokenizer.feed(
+                chunk.decode("latin-1", errors="replace"))
+            urls = tuple(filter(None, (
+                token.get("src") for token in tokens
+                if token.kind == "start" and token.data == "img")))
+            if len(_STEPS) >= _STEPS_MAX:
+                _STEPS.clear()
+            _STEPS[key] = (urls, *tokenizer.carry())
+        else:
+            urls, state, tail = step
+            tokenizer.restore(state, tail)
+        # "New" is relative to this scanner's history, not to the step.
         fresh = []
-        for token in self._tokenizer.feed(
-                chunk.decode("latin-1", errors="replace")):
-            if token.kind != "start" or token.data != "img":
-                continue
-            url = token.get("src")
-            if url and url not in self._seen:
+        for url in urls:
+            if url not in self._seen:
                 self._seen.add(url)
                 fresh.append(url)
         return fresh

@@ -23,7 +23,6 @@ incremental HTML discovery — is shared; only the wire layer changes:
 
 from __future__ import annotations
 
-import zlib
 from collections import deque
 from typing import Deque, Dict, Optional
 
@@ -43,13 +42,15 @@ __all__ = ["MuxClient"]
 class _MuxStream:
     """Client-side state of one stream (requested or pushed)."""
 
-    __slots__ = ("url", "parser", "pushed", "recv_window")
+    __slots__ = ("url", "parser", "pushed", "recv_window", "unscanned")
 
     def __init__(self, url: str, pushed: bool) -> None:
         self.url = url
         self.parser = ResponseParser()
         self.pushed = pushed
         self.recv_window = FlowWindow(INITIAL_STREAM_WINDOW)
+        #: The response, once ``Robot._scan_chunk`` found it is not HTML.
+        self.unscanned: Optional[Response] = None
 
 
 class _MuxConnState:
@@ -293,20 +294,7 @@ class MuxClient(Robot):
             total = self._body_progress.get(stream.url, 0) + len(chunk)
             self._body_progress[stream.url] = total
             self.on_body_progress(stream.url, response, total, chunk)
-        if self._scenario != FIRST_TIME:
-            return
-        if response.headers.get("Content-Type",
-                                "").startswith("text/html"):
-            if response.headers.get("Content-Encoding") == "deflate":
-                if self._inflater is None:
-                    self._inflater = zlib.decompressobj()
-                try:
-                    text = self._inflater.decompress(chunk)
-                except zlib.error:
-                    return
-            else:
-                text = chunk
-            self._discover(text)
+        self._scan_chunk(stream, response, chunk)
 
     # ------------------------------------------------------------------
     # Recovery

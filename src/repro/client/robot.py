@@ -203,6 +203,8 @@ class _ConnState:
         self.outstanding: Deque[str] = deque()
         self.popped = 0          # responses removed from outstanding
         self.open = True
+        #: The response, once ``Robot._scan_chunk`` found it is not HTML.
+        self.unscanned: Optional[Response] = None
         #: Watchdog: standing event chasing ``deadline`` (the lazy-timer
         #: pattern — progress just moves the attribute, the event
         #: re-schedules itself if it fires early).  None when the
@@ -296,6 +298,9 @@ class Robot:
         self._scenario = FIRST_TIME
         self._html_url: Optional[str] = None
         self._html_complete = False
+        #: The HTML response the scan state (scanner, inflater) belongs
+        #: to: a re-fetched page never continues a cut copy's scan.
+        self._scanned: Optional[Response] = None
         self._scanner = IncrementalImageScanner()
         self._inflater: Optional["zlib._Decompress"] = None
         self._cpu_free_at = 0.0
@@ -577,10 +582,11 @@ class Robot:
         if self.on_response is not None:
             self.on_response(url, response)
         if url == self._html_url and response.status == 200 \
-                and not self._scanner.bytes_seen:
-            # Body observer missed it (e.g. zero-chunk path): scan whole.
-            self._discover(response.body if isinstance(response.body, bytes)
-                           else bytes(response.body))
+                and self._scanner.bytes_seen != len(response.body):
+            # The streamed scan did not cover this body (zero-chunk
+            # path, revalidation, an inflater error): scan it whole.
+            self._scanner = IncrementalImageScanner()
+            self._discover(bytes(response.body))
         if url == self._html_url:
             self._html_complete = True
         close_after = not response.allows_keep_alive()
@@ -607,20 +613,33 @@ class Robot:
                 total = self._body_progress.get(url, 0) + len(chunk)
                 self._body_progress[url] = total
                 self.on_body_progress(url, response, total, chunk)
-        if self._scenario != FIRST_TIME:
+        self._scan_chunk(state, response, chunk)
+
+    def _scan_chunk(self, holder, response: Response, chunk: bytes) -> None:
+        """Feed one body chunk to the scanner if it is the page's.
+
+        ``holder`` (the connection or MUX stream, one response at a
+        time) remembers a response found not to be HTML: the headers are
+        read once per response, then a chunk costs an identity test.
+        """
+        if response is holder.unscanned or self._scenario != FIRST_TIME:
             return
-        # Only the first (HTML) response feeds the scanner.
-        if response.headers.get("Content-Type", "").startswith("text/html"):
-            if response.headers.get("Content-Encoding") == "deflate":
-                if self._inflater is None:
-                    self._inflater = zlib.decompressobj()
-                try:
-                    text = self._inflater.decompress(chunk)
-                except zlib.error:
-                    return
-            else:
-                text = chunk
-            self._discover(text)
+        if response is not self._scanned:
+            headers = response.headers
+            if not headers.get("Content-Type", "").startswith("text/html"):
+                holder.unscanned = response
+                return
+            self._scanned = response
+            self._scanner = IncrementalImageScanner()
+            self._inflater = None
+            if headers.get("Content-Encoding") == "deflate":
+                self._inflater = zlib.decompressobj()
+        if self._inflater is not None:
+            try:
+                chunk = self._inflater.decompress(chunk)
+            except zlib.error:
+                return
+        self._discover(chunk)
 
     def _discover(self, html_bytes: bytes) -> None:
         if not self.config.follow_images:

@@ -36,7 +36,8 @@ from .png import PngError, decode_png, encode_png
 from .transform import (ConversionRecord, CssReplacementRecord,
                         CssReplacementReport, PngConversionReport,
                         TransformedPage, apply_all_transforms,
-                        convert_site_to_png, css_replacement_analysis)
+                        convert_site_to_png, css_replacement_analysis,
+                        encode_once)
 
 __all__ = [
     "ENCODER_VERSION", "ArtifactStats", "ArtifactStore", "artifact_key",
@@ -57,5 +58,5 @@ __all__ = [
     "PngError", "decode_png", "encode_png",
     "ConversionRecord", "CssReplacementRecord", "CssReplacementReport",
     "PngConversionReport", "TransformedPage", "apply_all_transforms",
-    "convert_site_to_png", "css_replacement_analysis",
+    "convert_site_to_png", "css_replacement_analysis", "encode_once",
 ]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import re
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 __all__ = ["Token", "HtmlTokenizer", "tokenize"]
 
@@ -49,10 +49,10 @@ class Token:
         return self.attrs.get(attribute.lower(), default)
 
 
-#: Memoized tag classifications.  The robot re-parses the same 42 KB
-#: page once per simulated run, and the matrix multiplies runs, so the
-#: same raw tag strings recur endlessly; classification (two regexes +
-#: attribute dict) is by far the tokenizer's hottest work.  Tokens are
+#: Memoized tag classifications.  The same raw tag strings recur across
+#: the one-shot :func:`tokenize` callers (site URL extraction) and every
+#: step the robot's scanner memo misses, and classification (two regexes
+#: + attribute dict) is by far the tokenizer's hottest work.  Tokens are
 #: frozen and no caller mutates ``attrs``, so sharing them is safe.
 _CLASSIFY_CACHE: Dict[str, Token] = {}
 _CLASSIFY_CACHE_MAX = 8192
@@ -69,6 +69,10 @@ class HtmlTokenizer:
     only when fed the next chunk, so tokenizing an N-byte document costs
     O(N) instead of the O(N·tags) of re-slicing the remaining buffer
     after every tag.
+
+    :meth:`feed` is a pure function of ``(state, unconsumed tail,
+    chunk)``; :meth:`carry` reads that pair and :meth:`restore` sets
+    it, so a caller can memoize steps (:mod:`repro.client.discovery`).
     """
 
     def __init__(self) -> None:
@@ -93,6 +97,14 @@ class HtmlTokenizer:
             else:   # comment
                 if not self._take_comment(tokens):
                     return tokens
+
+    def carry(self) -> Tuple[str, str]:
+        """``(state, unconsumed tail)``: all the next feed depends on."""
+        return self._state, self._buffer[self._pos:]
+
+    def restore(self, state: str, tail: str) -> None:
+        """Resume from a :meth:`carry` pair."""
+        self._state, self._buffer, self._pos = state, tail, 0
 
     def finish(self) -> List[Token]:
         """Flush any trailing text at end of input."""

@@ -19,11 +19,14 @@ These implement the paper's "Impact of Changing Web Content" section:
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import re
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Tuple, Union
 
+from . import artifacts
 from .css import (ImageRole, REPLACEABLE_ROLES, Replacement,
                   replacement_for, shared_rule_bytes)
+from .images import IndexedImage
 from .microscape import MicroscapeSite, SiteObject
 from .mng import encode_mng
 from .png import encode_png
@@ -31,12 +34,32 @@ from .png import encode_png
 __all__ = ["ConversionRecord", "PngConversionReport", "convert_site_to_png",
            "CssReplacementRecord", "CssReplacementReport",
            "css_replacement_analysis", "apply_all_transforms",
-           "TransformedPage"]
+           "TransformedPage", "encode_once"]
 
 
 # ----------------------------------------------------------------------
 # GIF → PNG / MNG
 # ----------------------------------------------------------------------
+def encode_once(kind: str, encode: Callable[..., bytes],
+                subject: Union[IndexedImage, List[IndexedImage]],
+                **options: bool) -> bytes:
+    """``encode(subject, **options)``, through the artifact store.
+
+    ``subject`` is one image or an animation's frames.  The key is what
+    the encoder reads — ``kind`` (the codec), every field of every
+    image, the options — never a URL; a disabled store encodes anew.
+    """
+    frames = [subject] if isinstance(subject, IndexedImage) else subject
+    digest = hashlib.sha256()
+    for frame in frames:
+        digest.update(repr((frame.width, frame.height, frame.palette,
+                            frame.transparent)).encode("ascii"))
+        digest.update(frame.pixels)
+    return artifacts.get_store().memoize(
+        f"transform.{kind}", {"images": digest.hexdigest(), **options}, 0,
+        lambda: encode(subject, **options))
+
+
 @dataclasses.dataclass(frozen=True)
 class ConversionRecord:
     """One image's before/after sizes."""
@@ -94,10 +117,11 @@ def _conversions(site: MicroscapeSite, *, include_gamma: bool = True
     for obj in site.image_objects:
         if obj.role == ImageRole.ANIMATION:
             assert obj.frames is not None
-            body = encode_mng(obj.frames)
+            body = encode_once("mng", encode_mng, obj.frames)
         else:
             assert obj.image is not None
-            body = encode_png(obj.image, include_gamma=include_gamma)
+            body = encode_once("png", encode_png, obj.image,
+                               include_gamma=include_gamma)
         yield (ConversionRecord(obj.url, obj.role, len(obj.body),
                                 len(body)), body)
 

@@ -301,7 +301,7 @@ class Testbed:
         schedule).
     """
 
-    __slots__ = ("net", "site", "store", "profile", "servers", "_prefill")
+    __slots__ = ("net", "site", "store", "profile", "servers")
 
     def __init__(self, environment: NetworkEnvironment,
                  profile: ServerProfile, transport: Transport, *,
@@ -329,9 +329,6 @@ class Testbed:
         self.servers = transport.start_servers(
             self.net.sim, self.net.server, store, profile,
             max_concurrent=server_capacity)
-        #: ``(store generation, prefilled cache)``: the revalidation
-        #: precondition, built once and adopted by every page's cache.
-        self._prefill: Optional[Tuple[int, MemoryCache]] = None
 
     def fetch_page(self, transport: Transport, config: ClientConfig,
                    scenario: str, *, stack: Optional[TcpStack] = None,
@@ -339,27 +336,26 @@ class Testbed:
                    ) -> FetchResult:
         """Start one robot on the site's page; returns its live result.
 
-        The per-page client step: a fresh cache (pre-filled with the
-        server's validators for a revalidation), the transport's client
-        on ``stack`` (default: the first client host) talking to the
-        primary listener, ``attach(robot)`` for callers that hook
-        instrumentation in before the first segment leaves, then the
-        fetch.  The caller runs the simulator.
+        The per-page client step: a fresh cache (for a revalidation,
+        adopting the validator prefill the store keeps per profile and
+        site, built once however many testbeds use the store), the
+        transport's client on ``stack`` (default: the first client host)
+        talking to the primary listener, ``attach(robot)`` for callers
+        that hook instrumentation in before the first segment leaves,
+        then the fetch.  The caller runs the simulator.
         """
         cache = MemoryCache()
-        if scenario == REVALIDATE:
-            if self._prefill is None \
-                    or self._prefill[0] != self.store.generation:
-                prefill = MemoryCache()
-                prefill_cache(prefill, self.store, self.site, self.profile)
-                self._prefill = (self.store.generation, prefill)
-            cache.adopt(self._prefill[1])
+        known = self.site.all_urls() if scenario == REVALIDATE else None
+        if known is not None:
+            cache.adopt(self.store.derived(
+                ("prefill", self.profile, tuple(known)),
+                lambda: prefill_cache(MemoryCache(), self.store,
+                                      self.site, self.profile)))
         robot = transport.create_client(
             self.net.sim, stack or self.net.client, SERVER_HOST,
             self.servers[0].port, config, cache)
         if attach is not None:
             attach(robot)
-        known = self.site.all_urls() if scenario == REVALIDATE else None
         return robot.fetch(self.site.html_url, scenario, known_urls=known)
 
 
@@ -540,8 +536,9 @@ def _verify(result: FetchResult, scenario: str,
     expected_urls = set(site.all_urls())
     got_urls = set(result.responses)
     if got_urls != expected_urls:
-        missing = expected_urls - got_urls
-        raise ExperimentError(f"missing responses for {sorted(missing)}")
+        raise ExperimentError(
+            f"missing responses for {sorted(expected_urls - got_urls)}; "
+            f"unexpected responses for {sorted(got_urls - expected_urls)}")
     for url, response in result.responses.items():
         if scenario == FIRST_TIME:
             if response.status != 200:

@@ -32,7 +32,7 @@ SCENARIOS = (FIRST_TIME, REVALIDATE)
 
 def prefill_cache(cache: MemoryCache, store: ResourceStore,
                   site: MicroscapeSite,
-                  profile: ServerProfile) -> None:
+                  profile: ServerProfile) -> MemoryCache:
     """Populate ``cache`` as if the site had been fetched previously.
 
     Validators mirror what the server would have sent: always the
@@ -50,3 +50,4 @@ def prefill_cache(cache: MemoryCache, store: ResourceStore,
             headers.add("Last-Modified", resource.last_modified)
         cache.store(url, Response(200, headers=headers,
                                   body=resource.body))
+    return cache

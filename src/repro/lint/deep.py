@@ -131,6 +131,11 @@ class DeepConfig:
                           "the ((name, value), lowercased name) tuple "
                           "_split_line returns for it, so a cold or "
                           "cleared memo re-splits to the same value",
+            "_STEPS": "pure memo: the key is all HtmlTokenizer.feed "
+                      "reads (state, unconsumed tail, chunk), the value "
+                      "what it leaves (img-src URLs, state', tail'), so "
+                      "a cold or cleared memo re-tokenizes to the same "
+                      "value; per-scanner de-duplication runs after it",
         })
 
 

@@ -19,15 +19,17 @@ Implements the server-side lessons of the paper:
 * **TCP_NODELAY** — buffering implementations must disable Nagle; the
   profile controls it so the Nagle ablation can turn it back on.
 
-Each distinct response head is built once per server.  A parsed
-request carries the head bytes it came from, and for a fixed store and
-profile those bytes determine the whole response except its ``Date``;
-:meth:`SimHttpServer._respond` keeps ``head bytes → response template``
-per instance, runs :func:`~repro.server.static.build_response` only on
-a miss (or for a hand-built request, or one with a body), and empties
-the map when the store's generation moves.  The ``Date`` string itself
-is rebuilt only when the simulated second changes.  Scripted faults
-and connection-management headers stay outside and run per request.
+Each distinct response head is built once per store and profile.  A
+parsed request carries the head bytes it came from, and for a fixed
+store and profile those bytes determine the whole response except its
+``Date``; :meth:`SimHttpServer._respond` looks ``head bytes → response
+template`` up in the map the store keeps per profile (``ResourceStore.
+derived``: shared by every server on the store, emptied when its
+content changes) and runs :func:`~repro.server.static.build_response`
+only on a miss (or for a hand-built request, or one with a body).  The
+``Date`` string itself is rebuilt only when the simulated second
+changes.  Scripted faults and connection-management headers stay
+outside and run per request.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from .static import ResourceStore, build_response
 
 __all__ = ["SimHttpServer"]
 
-#: Bound on one server's response-head templates (cleared when full).
+#: Bound on one profile's response-head templates (cleared when full).
 _HEADS_MAX = 4096
 
 
@@ -431,11 +433,6 @@ class SimHttpServer:
         #: "the CPU time savings of HTTP/1.1 ... could now be
         #: quantified for Apache").
         self.cpu_busy_seconds = 0.0
-        #: ``request head bytes → (status, version, fields after Date,
-        #: their lowercased names, body, reason)`` as ``build_response``
-        #: produced them at ``_heads_generation`` of the store.
-        self._heads: Dict[bytes, tuple] = {}
-        self._heads_generation = store.generation
         #: The current ``Date`` value and the whole second it renders.
         self._date_second = -1
         self._date_text = ""
@@ -511,6 +508,13 @@ class SimHttpServer:
             self._date_text = format_http_date(second)
         return self._date_text
 
+    @property
+    def _heads(self) -> Dict[bytes, tuple]:
+        """``request head bytes → (status, version, fields after Date,
+        their lowercased names, body, reason)`` as ``build_response``
+        produces them for this profile from the store's content."""
+        return self.store.derived(("response-heads", self.profile), dict)
+
     def _respond(self, request: Request) -> Response:
         """``build_response`` for ``request``, run once per distinct
         parsed head; see the module docstring."""
@@ -519,18 +523,17 @@ class SimHttpServer:
         if key is None or request.body:
             return build_response(self.store, request, self.profile,
                                   date_header=date)
-        if self._heads_generation != self.store.generation \
-                or len(self._heads) >= _HEADS_MAX:
-            self._heads.clear()
-            self._heads_generation = self.store.generation
-        template = self._heads.get(key)
+        heads = self._heads
+        template = heads.get(key)
         if template is None:
             # ``Date`` is the first field build_response adds; what
             # follows it is the same for every later identical request.
             built = build_response(self.store, request, self.profile,
                                    date_header=date)
             headers = built.headers
-            template = self._heads[key] = (
+            if len(heads) >= _HEADS_MAX:
+                heads.clear()
+            template = heads[key] = (
                 built.status, built.version, tuple(headers)[1:],
                 tuple(headers._lower[1:]), built.body, built.reason)
         status, version, fields, lowered, body, reason = template

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-from typing import Dict, Iterable, Optional, Tuple
+from typing import (Any, Callable, Dict, Hashable, Iterable, Optional,
+                    Tuple)
 
 from ..content import artifacts
 from ..content.microscape import MicroscapeSite
@@ -94,11 +95,8 @@ class ResourceStore:
     def __init__(self, resources: Iterable[Resource] = ()) -> None:
         self._resources: Dict[str, Resource] = {
             resource.url: resource for resource in resources}
-        #: Bumped by every :meth:`add` / :meth:`update`, the only ways
-        #: content changes after construction; whoever derives state
-        #: from the store (a server's response-head templates, a
-        #: testbed's revalidation prefill) rebuilds when it moves.
-        self.generation = 0
+        #: What :meth:`derived` has built from the current content.
+        self._derived: Dict[Hashable, Any] = {}
 
     @classmethod
     def from_site(cls, site: MicroscapeSite, *,
@@ -108,9 +106,23 @@ class ResourceStore:
                                    precompress=precompress)
                    for obj in site.objects.values())
 
+    def derived(self, key: Hashable, build: Callable[[], Any]) -> Any:
+        """``build()``, kept for as long as the content stays as it is.
+
+        The home of whatever is a function of the content and ``key``
+        alone (a profile's response-head templates, its revalidation
+        prefill), built once per store, not per server or testbed;
+        :meth:`add` / :meth:`update` are the one point of invalidation.
+        """
+        try:
+            return self._derived[key]
+        except KeyError:
+            value = self._derived[key] = build()
+            return value
+
     def add(self, resource: Resource) -> None:
         self._resources[resource.url] = resource
-        self.generation += 1
+        self._derived.clear()
 
     def update(self, url: str, new_body: bytes) -> Resource:
         """Replace a resource's content, retaining the old instance so
@@ -120,7 +132,7 @@ class ResourceStore:
             raise KeyError(f"no resource at {url}")
         updated = current.superseded_by(new_body)
         self._resources[url] = updated
-        self.generation += 1
+        self._derived.clear()
         return updated
 
     def get(self, url: str) -> Optional[Resource]:

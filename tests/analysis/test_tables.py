@@ -51,7 +51,7 @@ def test_reproduce_modem_experiment_smoke():
 
 
 def test_reproduce_content_experiments_smoke(monkeypatch):
-    from repro.content import transform
+    from repro.content import artifacts, transform
     encoded = []
 
     def counting_encode_png(image, **kwargs):
@@ -60,9 +60,15 @@ def test_reproduce_content_experiments_smoke(monkeypatch):
 
     encode_png = transform.encode_png
     monkeypatch.setattr(transform, "encode_png", counting_encode_png)
+    monkeypatch.setattr(artifacts, "_DEFAULT_STORE",
+                        artifacts.ArtifactStore(None))
     results, text = reproduce_content_experiments()
-    # Each of the 40 static images is converted once per report.
-    assert len(encoded) == 40
+    # Each distinct static image is encoded once on a cleared artifact
+    # store (40 images, 39 distinct: the two rules have equal pixels),
+    # and not again by the next report.
+    assert len(encoded) == 39
+    assert reproduce_content_experiments() == (results, text)
+    assert len(encoded) == 39
     assert results["static_png_total"] < results["static_gif_total"]
     assert results["css_requests_saved"] >= 20
     assert "Content experiments" in text

@@ -109,6 +109,40 @@ def test_client_cancels_pushes_it_already_asked_for(site):
                if r.status == 304) == 42
 
 
+@pytest.mark.parametrize("deflate", [False, True])
+def test_a_second_copy_of_the_page_is_scanned_from_a_clean_state(
+        site, deflate):
+    """A stream carrying the page dies mid-body and a new stream
+    delivers it whole: scan state belongs to the response."""
+    import zlib
+    from repro.client.mux import _MuxStream
+    from repro.http import Headers, Response
+    net = TwoHostNetwork(LAN)
+    robot = MuxClient(net.sim, net.client, SERVER_HOST, 80,
+                      HTTP_MUX.client_config())
+    robot._dispatch = lambda: None          # discovery only, no wire
+    page = site.html.body
+    wire = zlib.compress(page) if deflate else page
+    # Inside an <img src="..."> value (plain) / the deflate stream.
+    cut = page.index(b'<img src="') + 15
+
+    def response():
+        fields = [("Content-Type", "text/html")]
+        if deflate:
+            fields.append(("Content-Encoding", "deflate"))
+        return Response(200, headers=Headers(fields))
+
+    first, second = response(), response()
+    robot._on_mux_body_chunk(_MuxStream(site.html_url, False), first,
+                             wire[:cut])
+    stream = _MuxStream(site.html_url, False)
+    for offset in range(0, len(wire), 1460):
+        robot._on_mux_body_chunk(stream, second,
+                                 wire[offset:offset + 1460])
+    assert list(robot._expected) == site.embedded_urls()
+    assert robot._scanner.bytes_seen == len(page)
+
+
 def test_mux_and_push_traces_stay_deterministic(site):
     store = ResourceStore.from_site(site)
 

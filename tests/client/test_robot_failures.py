@@ -51,6 +51,32 @@ def test_reset_mid_body_is_recorded_and_recovered(site, store):
     assert result.recovery.count("client", "retry") >= 1
 
 
+@pytest.mark.parametrize("mode, cut", [
+    # The stale inflater choked on the second copy and the error was
+    # swallowed: no image was ever discovered.
+    ("HTTP/1.1 Pipelined w. compression", 512),
+    # The cut lands inside an <img src="..."> value; the stale tail fused
+    # with the second copy's start into a URL the site does not have.
+    ("HTTP/1.1 Pipelined", 1218),
+    ("HTTP/1.1 Sharded x4", 1218),
+])
+def test_a_refetched_page_is_scanned_from_a_clean_state(mode, cut):
+    """The page is RST ``cut`` bytes in — inside its body, unlike the
+    100 bytes above — and fetched again: the scan belongs to the
+    response, so the second copy never continues the first one's."""
+    from repro.core import run_experiment
+    from repro.faults import FaultPlan
+    plan = FaultPlan("cut-page", "RST the page mid-body",
+                     server=ServerFaultConfig(abort_requests=(1,),
+                                              abort_after_bytes=cut))
+    result = run_experiment(mode, FIRST_TIME, environment="LAN",
+                            profile="Apache", faults=plan)
+    assert len(result.fetch.responses) == 43     # and _verify passed
+    # (Each of the four sharded origins aborts its own first request.)
+    assert result.recovery["server.abort"] >= 1
+    assert result.retries >= 1
+
+
 def test_truncated_response_on_eof_records_parse_error(site, store):
     """A connection closed inside a Content-Length body is a truncated
     response: the error is recorded and the request requeued."""

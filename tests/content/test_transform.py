@@ -129,3 +129,85 @@ def test_transformed_pngs_decode(site):
     for url, body in page.objects.items():
         if url.endswith(".png"):
             assert decode_png(body).width > 0
+
+
+# ----------------------------------------------------------------------
+# Conversions go through the artifact store
+# ----------------------------------------------------------------------
+@pytest.fixture
+def counted(monkeypatch):
+    """Count the real encoder calls, by codec."""
+    from repro.content import transform
+    calls = {"encode_png": 0, "encode_mng": 0}
+
+    def counting(name):
+        encode = getattr(transform, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return encode(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(transform, name, counting(name))
+    return calls
+
+
+def _use_store(monkeypatch, **options):
+    from repro.content import artifacts
+    monkeypatch.setattr(artifacts, "_DEFAULT_STORE",
+                        artifacts.ArtifactStore(None, **options))
+
+
+def test_one_report_encodes_each_distinct_image_once(site, counted,
+                                                     monkeypatch):
+    from repro.analysis import reproduce_content_experiments
+    _use_store(monkeypatch)                     # cleared, memory-only
+    first = reproduce_content_experiments()
+    # 40 static images, 39 distinct (the two rules have equal pixels:
+    # the key is what the encoder reads, never the URL), 2 animations.
+    assert counted == {"encode_png": 39, "encode_mng": 2}
+    assert reproduce_content_experiments() == first
+    assert convert_site_to_png(site) == apply_all_transforms(site).png_report
+    assert counted == {"encode_png": 39, "encode_mng": 2}
+    # The options are part of the key.
+    convert_site_to_png(site, include_gamma=False)
+    assert counted == {"encode_png": 78, "encode_mng": 2}
+
+
+def test_a_disabled_store_encodes_every_report(site, counted, monkeypatch):
+    from repro.analysis import reproduce_content_experiments
+    _use_store(monkeypatch, enabled=False)
+    first = reproduce_content_experiments()
+    assert counted == {"encode_png": 40, "encode_mng": 2}
+    assert reproduce_content_experiments() == first
+    assert counted == {"encode_png": 80, "encode_mng": 4}
+
+
+def test_memoized_conversions_are_the_encoders_bytes(site, monkeypatch):
+    from repro.content import encode_mng, encode_png
+    _use_store(monkeypatch)
+    for _ in range(2):                          # cold, then from the store
+        page = apply_all_transforms(site)
+        for obj in site.image_objects:
+            if obj.url.replace(".gif", ".png") in page.objects:
+                assert page.objects[obj.url.replace(".gif", ".png")] == \
+                    encode_png(obj.image)
+            elif obj.url.replace(".gif", ".mng") in page.objects:
+                assert page.objects[obj.url.replace(".gif", ".mng")] == \
+                    encode_mng(obj.frames)
+
+
+def test_encode_once_keys_on_codec_pixels_and_options(monkeypatch):
+    from repro.content import encode_gif, encode_png, spacer
+    from repro.content.transform import encode_once
+    _use_store(monkeypatch)
+    image = spacer(8, 8)
+    progressive = encode_once("png", encode_png, image, interlace=True)
+    assert progressive == encode_png(image, interlace=True)
+    assert progressive != encode_once("png", encode_png, image)
+    assert encode_once("gif", encode_gif, image, interlace=True) == \
+        encode_gif(image, interlace=True)
+    # Same pixels, same options, another object: served from the store.
+    assert encode_once("png", lambda *a, **k: b"never called",
+                       spacer(8, 8), interlace=True) == progressive

@@ -185,3 +185,18 @@ def test_different_seeds_vary_elapsed():
     b = run_experiment(HTTP11_PIPELINED, FIRST_TIME, environment=WAN,
                        profile=APACHE, seed=2)
     assert a.elapsed != b.elapsed
+
+
+def test_verify_names_missing_and_unexpected_urls(lan_cells):
+    import dataclasses
+    from repro.content import build_microscape_site
+    from repro.core.runner import _verify
+    fetch = lan_cells[("HTTP/1.1 Pipelined", FIRST_TIME)].fetch
+    responses = dict(fetch.responses)
+    responses["/gifs/fused.gif"] = responses.pop("/gifs/hero.gif")
+    with pytest.raises(ExperimentError) as raised:
+        _verify(dataclasses.replace(fetch, responses=responses),
+                FIRST_TIME, build_microscape_site())
+    assert str(raised.value) == (
+        "missing responses for ['/gifs/hero.gif']; "
+        "unexpected responses for ['/gifs/fused.gif']")

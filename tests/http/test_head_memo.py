@@ -1,8 +1,9 @@
 """Each distinct HTTP head is parsed and built once — and nobody can tell.
 
-The head path memoizes on bytes (request heads, header lines), per
-server (response-head templates) and per testbed (the revalidation
-prefill).  These tests pin the guarantee that makes that safe: with the
+The head path memoizes on bytes (request heads, header lines) and per
+resource store (response-head templates and the revalidation prefill,
+both kept by the store for a profile and emptied when its content
+changes).  These tests pin the guarantee that makes that safe: with the
 memos cold, warm, cleared mid-stream or at their size bound, every
 parsed and built message is what the memo-free algorithm produces, and
 no caller can reach a shared object through what it was handed.
@@ -429,8 +430,122 @@ def test_same_bytes_across_a_second_boundary_differ_only_in_date():
 
 
 # ----------------------------------------------------------------------
-# (f) one shared revalidation prefill per testbed
+# (e) the templates belong to the store, one map per profile
 # ----------------------------------------------------------------------
+def _counting_builds(monkeypatch):
+    """Patch the server's ``build_response`` to record its profiles."""
+    from repro.server import base
+    built = []
+
+    def counting(store, request, profile, **kwargs):
+        built.append(profile)
+        return build_response(store, request, profile, **kwargs)
+
+    monkeypatch.setattr(base, "build_response", counting)
+    return built
+
+
+def _hero_request(store):
+    return Request("GET", "/gifs/hero.gif", HTTP11, Headers([
+        ("Host", SERVER_HOST),
+        ("If-None-Match", store.get("/gifs/hero.gif").etag)])).to_bytes()
+
+
+def test_a_second_server_on_the_same_store_and_profile_builds_nothing(
+        monkeypatch):
+    from repro.server import JIGSAW
+    built = _counting_builds(monkeypatch)
+    store = ResourceStore.from_site(build_microscape_site())
+    wire = _hero_request(store)
+    answers = []
+    for profile in (APACHE, APACHE, JIGSAW, JIGSAW):
+        net = TwoHostNetwork(LAN)
+        SimHttpServer(net.sim, net.server, store, profile)
+        answers.append(_ask(net, RawClient(net, []), wire))
+    # One build per profile, whichever server met the head first.
+    assert built == [APACHE, JIGSAW]
+    assert [a.status for a in answers] == [304] * 4
+    assert answers[0].to_bytes() == answers[1].to_bytes()
+    assert answers[2].to_bytes() == answers[3].to_bytes()
+    assert answers[0].headers.get("Server") != \
+        answers[2].headers.get("Server")
+    # A private store shares nothing.
+    net, _server = _serve(ResourceStore.from_site(build_microscape_site()))
+    assert _ask(net, RawClient(net, []), wire).status == 304
+    assert built == [APACHE, JIGSAW, APACHE]
+
+
+def test_a_store_update_reaches_every_server_on_the_store():
+    store = ResourceStore.from_site(build_microscape_site())
+    wire = _hero_request(store)
+    sessions = []
+    for _ in range(2):
+        net, _server = _serve(store)
+        sessions.append((net, RawClient(net, [])))
+    for net, client in sessions * 2:            # second round: warm
+        assert _ask(net, client, wire).status == 304
+    store.update("/gifs/hero.gif", b"GIF89a-new")
+    for net, client in sessions:
+        changed = _ask(net, client, wire)
+        assert (changed.status, changed.body) == (200, b"GIF89a-new")
+
+
+def test_scripted_faults_fire_on_templates_another_server_built():
+    from repro.faults import FaultyProfile, RecoveryLog, ServerFaultConfig
+    profile = FaultyProfile.wrap(APACHE, ServerFaultConfig(
+        error_503_requests=(1,), abort_requests=(3,),
+        abort_after_bytes=20))
+    store = ResourceStore.from_site(build_microscape_site())
+    wire = Request("GET", "/gifs/hero.gif", HTTP11,
+                   Headers([("Host", SERVER_HOST)])).to_bytes()
+    for _ in range(2):              # the second server starts warm
+        net = TwoHostNetwork(LAN)
+        server = SimHttpServer(net.sim, net.server, store, profile)
+        server.recovery = RecoveryLog()
+        client = RawClient(net, ["GET"] * 3)
+        for _ in range(3):
+            client.conn.send(wire)
+            net.run()
+        assert [r.status for r in client.responses] == [503, 200]
+        assert client.reset             # the third died 20 bytes in
+        assert server.recovery.count("server", "503") == 1
+        assert server.recovery.count("server", "abort") == 1
+        assert len(server._heads) == 1
+    # The plain profile's templates are another map.
+    _net, plain = _serve(store)
+    assert len(plain._heads) == 0
+
+
+# ----------------------------------------------------------------------
+# (f) one shared revalidation prefill per store and profile
+# ----------------------------------------------------------------------
+def test_a_fresh_testbed_reuses_the_stores_prefill_until_an_update():
+    mode = resolve_mode("pipelined")
+    config = mode.client_config()
+    site = build_microscape_site()
+    store = ResourceStore.from_site(site)
+
+    def first_entry():
+        testbed = runner.Testbed(LAN, APACHE, mode.transport, site=site,
+                                 store=store)
+        caches = []
+        testbed.fetch_page(mode.transport, config, REVALIDATE,
+                           attach=lambda robot: caches.append(robot.cache))
+        return caches[0].get(site.html_url)
+
+    with mock.patch.object(runner, "prefill_cache",
+                           wraps=prefill_cache) as prefilled:
+        before = first_entry()
+        assert first_entry() is before          # shared, not rebuilt
+        assert prefilled.call_count == 1
+        new_body = site.html.body + b"<!-- edited -->"
+        store.update(site.html_url, new_body)
+        after = first_entry()
+        assert prefilled.call_count == 2
+    assert after.body == new_body
+    assert after.etag != before.etag
+
+
 def test_fetch_page_prefills_every_page_alike_without_sharing_updates():
     mode = resolve_mode("pipelined")
     testbed = runner.Testbed(LAN, APACHE, mode.transport)

@@ -6,7 +6,8 @@ import textwrap
 
 import pytest
 
-from repro.lint import DEFAULT_DEEP_CONFIG, DeepError, run_deep
+from repro.lint import (DEFAULT_DEEP_CONFIG, DeepError, build_graph,
+                        run_deep)
 
 REPO = pathlib.Path(__file__).resolve().parents[2]
 FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "deep"
@@ -69,6 +70,22 @@ def test_purity_waiver_needs_a_name_and_carries_a_reason():
     findings = run_deep(FIXTURES / "bad_pool", config)
     assert _rules(findings) == ["pool-global-write"]
     assert "'_COUNT'" in findings[0].message
+
+
+def test_a_purity_waiver_cannot_outlive_its_memo():
+    # Every waived global is still written by some function of the real
+    # tree, and DESIGN.md (the 6b memo table or the 6d pool-purity
+    # bullet) still explains it: deleting a memo takes its waiver along.
+    graph = build_graph(REPO / "src" / "repro")
+    written = {name for fn in graph.functions.values()
+               for name, _node in (fn.global_writes
+                                   + fn.module_subscript_writes)}
+    design = (REPO / "DESIGN.md").read_text(encoding="utf-8")
+    engine_sections = design[design.index("## 6b."):design.index("## 7.")]
+    for name in DEFAULT_DEEP_CONFIG.purity_global_waivers:
+        assert name in written, f"{name} is waived but never written"
+        assert f"`{name}`" in engine_sections, \
+            f"{name} is waived but DESIGN.md 6b-6d does not name it"
 
 
 # ----------------------------------------------------------------------
