@@ -4,63 +4,20 @@
 The paper notes HTTP/1.1's design "differs in minor details from
 Keep-Alive to overcome a problem discovered when Keep-Alive is used
 with more than one proxy between a client and a server."  This demo
-runs that exact failure on the simulator: a client sends
+narrates the measurement behind the ledger's ``keep-alive-proxy``
+claim (``python -m repro claims``): a client sends
 ``Connection: Keep-Alive`` through a blind HTTP/1.0 proxy, the origin
 holds the proxied connection open, and the whole exchange stalls until
-the proxy's idle timeout — then repeats the fetch through an
+the proxy's idle timeout — then the same fetch goes through an
 HTTP/1.1-compliant proxy that strips hop-by-hop headers.
 
 Run:  python examples/proxy_keepalive.py
 """
 
-from repro.content import build_microscape_site
-from repro.http import HTTP10, Headers, Request, ResponseParser
-from repro.server import APACHE, ResourceStore, SimHttpServer
-from repro.server.proxy import SimHttpProxy
-from repro.simnet import LAN
-from repro.simnet.network import ChainNetwork, PROXY_HOST, SERVER_HOST
-
-
-def fetch_through_proxy(store, mode):
-    net = ChainNetwork(LAN)
-    SimHttpServer(net.sim, net.server, store, APACHE)
-    proxy = SimHttpProxy(net.sim, net.proxy_client_side,
-                         net.proxy_server_side, SERVER_HOST, mode=mode,
-                         idle_timeout=15.0)
-    parser = ResponseParser()
-    parser.expect("GET")
-    responses = []
-    done_at = {}
-
-    conn = net.client.connect(PROXY_HOST, 8080)
-    conn.set_nodelay(True)
-
-    def on_data(_conn, data):
-        responses.extend(parser.feed(data))
-        if responses:
-            done_at.setdefault("t", net.sim.now)
-
-    def on_eof(_conn):
-        final = parser.eof()
-        if final is not None:
-            responses.append(final)
-        done_at.setdefault("t", net.sim.now)
-
-    eof_at = {}
-    conn.on_data = on_data
-    conn.on_eof = lambda c: (on_eof(c),
-                             eof_at.setdefault("t", net.sim.now))
-    request = Request("GET", "/gifs/bullet0.gif", HTTP10, Headers([
-        ("Host", SERVER_HOST),
-        ("Connection", "Keep-Alive")]))      # the poisonous header
-    conn.send(request.to_bytes())
-    net.run()
-    return responses, done_at.get("t"), eof_at.get("t"), proxy
+from repro.analysis.claims import fetch_through_proxy
 
 
 def main() -> None:
-    store = ResourceStore.from_site(build_microscape_site())
-
     print("GET /gifs/bullet0.gif with 'Connection: Keep-Alive',")
     print("through two different proxies:")
     print()
@@ -68,18 +25,12 @@ def main() -> None:
                                   "(forwards Connection verbatim)"),
                         ("hop_by_hop", "HTTP/1.1 proxy "
                                        "(strips hop-by-hop headers)")):
-        responses, parsed_at, eof_at, proxy = fetch_through_proxy(
-            store, mode)
-        status = responses[0].status if responses else "none"
-        released = (f"t={eof_at:.2f}s (after the proxy's idle timer!)"
-                    if eof_at is not None and eof_at > 1.0 else
-                    f"t={eof_at:.2f}s" if eof_at is not None else
-                    "immediately (connection stays usable)")
+        responses, quiet_at, idle_timeouts = fetch_through_proxy(mode)
         print(f"  {label}")
-        print(f"    response status {status} parsed at "
-              f"t={parsed_at:.2f}s")
-        print(f"    connection + proxy resources released: {released}")
-        print(f"    proxy idle timeouts: {proxy.idle_timeouts}")
+        print(f"    response statuses: {[r.status for r in responses]}")
+        print(f"    connection + proxy resources released by "
+              f"t={quiet_at:.2f}s")
+        print(f"    proxy idle timeouts: {idle_timeouts}")
         print()
     print("Through the blind proxy, the origin honoured the forwarded")
     print("Keep-Alive, so the proxy's close-delimited relay could not")

@@ -73,4 +73,9 @@ python -m repro run --mode sharded --environment WAN --sanitize \
 # within the robot's retry budget, and the pool path gets exercised.
 python -m repro chaos --seed 1997 --jobs 2 > /dev/null
 
+# Claims gate: every paper claim and ablation the repo asserts, on two
+# workers — the exit status is 0 only if every row of the ledger is
+# PASS (about the cost of the report smoke above).
+python -m repro claims --jobs 2 > /dev/null
+
 echo "check.sh: all green"

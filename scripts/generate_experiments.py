@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Regenerate EXPERIMENTS.md: run every experiment, record vs paper.
 
-Rewrites the fenced report block and the wall-time footer of the
-existing file; the prose above the block is the file's own and is left
-untouched.
+Rewrites the fenced report block — the ``report`` tables, then the
+``claims`` ledger and fidelity score judged on the same cells — and the
+wall-time footer of the existing file; the prose above the block is the
+file's own and is left untouched.
 
 Run:  python scripts/generate_experiments.py [--runs N] [--out PATH]
 """
@@ -12,6 +13,7 @@ import argparse
 import time
 
 from repro.analysis import generate_experiments_report
+from repro.analysis.claims import evaluate_claims, format_claims_report
 
 #: The line that opens (and closes) the fenced report block.
 FENCE = "\n```\n"
@@ -32,6 +34,7 @@ def main() -> None:
     start = time.time()
     body = generate_experiments_report(runs=args.runs,
                                        browser_runs=args.browser_runs)
+    body += "\n\n" + format_claims_report(evaluate_claims())
     elapsed = time.time() - start
 
     with open(args.out, "w") as handle:

@@ -16,6 +16,10 @@ Commands
     Print the synthetic Microscape site inventory.
 ``report``
     Regenerate the full paper-vs-measured report (EXPERIMENTS.md body).
+``claims``
+    Evaluate the claims ledger — every paper claim and ablation, each
+    with its measured value, bound and verdict — then the fidelity
+    score against the paper's Tables 4–9; exit 0 iff every row passes.
 ``fleet``
     Population-scale runs: cohorts of robot sessions contending for a
     shared bottleneck and a finite-capacity server, with nearest-rank
@@ -30,16 +34,16 @@ Commands
     ``--sanitize-traces``) replay captured traces through the TCP
     protocol sanitizer.
 
-``table``, ``modem``, ``report``, ``fleet`` and ``chaos`` all run
-their units on one :class:`~repro.matrix.runner.MatrixRunner` and share
-its flags (:mod:`repro.matrix.cli`): ``--jobs N`` (parallel worker
-processes), ``--cache`` (reuse results from ``.repro-cache/``) and
-``--cache-dir PATH``; the first three plus ``run`` accept
+``table``, ``modem``, ``report``, ``claims``, ``fleet`` and ``chaos``
+all run their units on one :class:`~repro.matrix.runner.MatrixRunner`
+and share its flags (:mod:`repro.matrix.cli`): ``--jobs N`` (parallel
+worker processes), ``--cache`` (reuse results from ``.repro-cache/``)
+and ``--cache-dir PATH``; the first four plus ``run`` accept
 ``--no-artifact-cache`` (disable the content-addressed encode memo
 under ``.repro-cache/artifacts/``).  Host-time measurement is not a
 verb here: ``bash bench/run.sh`` is the repo's one benchmark.
 
-Supervised execution (the same five verbs): ``--retry-budget N`` caps
+Supervised execution (the same six verbs): ``--retry-budget N`` caps
 per-unit re-dispatches after a failure, ``--unit-deadline S`` bounds a
 unit's wall-clock time in a worker, and ``--journal`` records every
 resolved unit into a crash-safe run journal under
@@ -62,7 +66,9 @@ from .analysis import (generate_experiments_report,
                        reproduce_content_experiments,
                        reproduce_modem_experiment,
                        reproduce_protocol_table, reproduce_table3)
-from .core import TABLE_CELLS, UnknownNameError, run_experiment
+from .core import (TABLE_CELLS, UnknownNameError, resolve_environment,
+                   resolve_mode, resolve_profile, resolve_scenario,
+                   run_experiment)
 from .matrix import MatrixRunner
 from .matrix.cli import add_runner_flags, make_runner
 
@@ -118,14 +124,10 @@ def _cmd_table(args: argparse.Namespace) -> int:
         server, environment = TABLE_CELLS[number]
         _, text = reproduce_protocol_table(server, environment,
                                            runs=args.runs, runner=runner)
-    elif number in (10, 11):
+    else:
         server = "Jigsaw" if number == 10 else "Apache"
         _, text = reproduce_browser_table(server, runs=args.runs,
                                           runner=runner)
-    else:
-        print(f"no table {number} in the paper (use 3-11)",
-              file=sys.stderr)
-        return 2
     print(text)
     print(runner.stats.summary(), file=sys.stderr)
     return 0
@@ -141,9 +143,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except UnknownNameError as exc:
         print(exc, file=sys.stderr)
         return 2
-    from .core import resolve_environment, resolve_mode, resolve_profile
     print(f"mode:        {resolve_mode(args.mode).name}")
-    print(f"scenario:    {args.scenario}")
+    print(f"scenario:    {resolve_scenario(args.scenario)}")
     print(f"environment: {resolve_environment(args.environment).name}")
     print(f"server:      {resolve_profile(args.server).name}")
     print(f"packets:     {result.packets} "
@@ -194,6 +195,16 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_claims(args: argparse.Namespace) -> int:
+    from .analysis.claims import evaluate_claims, format_claims_report
+    runner = _make_runner(args)
+    ledger = evaluate_claims(runner)
+    print(format_claims_report(ledger))
+    print(f"{runner.stats.summary()}; not counted: what a check measures "
+          f"itself, in-process", file=sys.stderr)
+    return 0 if ledger.ok else 1
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -202,23 +213,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     table = sub.add_parser("table", help="reproduce a paper table (3-11)")
-    table.add_argument("number", type=int)
+    table.add_argument("number", type=int, choices=range(3, 12),
+                       metavar="N")
     table.add_argument("--runs", type=_positive_int, default=3)
     _add_matrix_flags(table)
     table.set_defaults(fn=_cmd_table)
 
     run = sub.add_parser("run", help="run one experiment cell")
-    run.add_argument("--mode", default="pipelined",
-                     help="http/1.0 | http/1.1 | pipelined | compressed "
-                          "| mux | mux-push | sharded (any registered "
-                          "mode name or alias)")
-    run.add_argument("--scenario", choices=("first-time", "revalidate"),
-                     default="first-time")
-    run.add_argument("--environment", choices=("LAN", "WAN", "PPP",
-                                               "lan", "wan", "ppp"),
-                     default="LAN")
-    run.add_argument("--server", choices=("jigsaw", "apache"),
-                     default="apache")
+    for axis, default in (("mode", "pipelined"),
+                          ("scenario", "first-time"),
+                          ("environment", "LAN"), ("server", "Apache")):
+        run.add_argument(f"--{axis}", default=default,
+                         help=f"{axis}: any name or alias "
+                              f"repro.core.registry resolves")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--no-fastpath", action="store_true",
                      help="disable the flow-level fast-forward driver "
@@ -249,6 +256,11 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--runs", type=_positive_int, default=5)
     _add_matrix_flags(report)
     report.set_defaults(fn=_cmd_report)
+
+    claims = sub.add_parser("claims",
+                            help="the claims ledger and fidelity score")
+    _add_matrix_flags(claims)
+    claims.set_defaults(fn=_cmd_claims)
 
     from .fleet.cli import add_fleet_parser
     add_fleet_parser(sub)

@@ -5,23 +5,35 @@ figures end to end and returns both the structured results and a
 rendered text table with the paper's numbers alongside.
 :func:`generate_experiments_report` strings them all together into the
 EXPERIMENTS.md document.
+
+The claims ledger (:mod:`repro.analysis.claims`) shares the spec
+builders and future-work helpers: a claim is judged on exactly the
+cells and quantities a table prints.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+import dataclasses
+from typing import Dict, List, Optional, Tuple
 
 from ..client.robot import ClientConfig
-from ..content import (build_microscape_site, change_tag_case,
-                       banner_replacement, apply_all_transforms)
+from ..content import (apply_all_transforms, banner_replacement,
+                       build_microscape_site, bytes_for_coverage,
+                       change_tag_case, encode_gif, encode_once,
+                       encode_png, gif_area_coverage, png_area_coverage)
 from ..core.browsers import BROWSERS
 from ..core.modes import (HTTP10_MODE, HTTP11_PERSISTENT,
                           HTTP11_PIPELINED,
                           initial_tuning_client_config)
-from ..core.registry import TABLE_CELLS, modes_for_environment
+from ..core.registry import (TABLE_CELLS, modes_for_environment,
+                             resolve_environment, resolve_mode,
+                             resolve_profile)
+from ..core.runner import AveragedResult
 from ..core.scenarios import FIRST_TIME, REVALIDATE
-from ..http import compression_ratio
+from ..http import (HTTP10, HTTP11, DeltaStreamEncoder, Headers, Request,
+                    compression_ratio)
 from ..matrix import ExperimentSpec, MatrixRunner
+from ..server.static import ResourceStore
 from .paperdata import (BROWSER_TABLES, CONTENT_NUMBERS, MODEM_TABLE,
                         PROTOCOL_TABLES, TABLE3)
 from .tables import (ComparisonRow, format_comparison_table,
@@ -46,46 +58,65 @@ def _runner(runner: Optional[MatrixRunner]) -> MatrixRunner:
     return runner if runner is not None else MatrixRunner()
 
 
+def measure_cells(specs: Dict, runner: Optional[MatrixRunner]) -> Dict:
+    """``specs`` (label → spec) run as one batch: label → result."""
+    return dict(zip(specs, _runner(runner).run_many(list(specs.values()))))
+
+
+def protocol_table_specs(server_name: str, environment_name: str,
+                         runs: int = 5
+                         ) -> Dict[Tuple[str, str], ExperimentSpec]:
+    """The cells of one of Tables 4–9, keyed (mode, scenario)."""
+    return {
+        (mode.name, scenario): ExperimentSpec(
+            mode=mode.name, scenario=scenario,
+            environment=environment_name, server=server_name,
+            seeds=tuple(range(runs)))
+        for mode in modes_for_environment(environment_name,
+                                          paper_only=True)
+        for scenario in (FIRST_TIME, REVALIDATE)}
+
+
+def protocol_table_rows(server_name: str, environment_name: str,
+                        measured: Dict[Tuple[str, str], AveragedResult]
+                        ) -> List[ComparisonRow]:
+    """Measured (mode, scenario) cells next to the paper's."""
+    paper = PROTOCOL_TABLES[(server_name, environment_name)]
+    return [ComparisonRow(mode, scenario, result,
+                          paper.get((mode, scenario)))
+            for (mode, scenario), result in measured.items()]
+
+
 def reproduce_protocol_table(server_name: str, environment_name: str,
                              *, runs: int = 5,
                              runner: Optional[MatrixRunner] = None
                              ) -> Tuple[List[ComparisonRow], str]:
     """Reproduce one of Tables 4–9."""
-    paper = PROTOCOL_TABLES[(server_name, environment_name)]
-    specs = [
-        ExperimentSpec(mode=mode.name, scenario=scenario,
-                       environment=environment_name, server=server_name,
-                       seeds=tuple(range(runs)))
-        for mode in modes_for_environment(environment_name,
-                                          paper_only=True)
-        for scenario in (FIRST_TIME, REVALIDATE)]
-    measured = _runner(runner).run_many(specs)
-    rows = [
-        ComparisonRow(spec.mode, spec.scenario, result,
-                      paper.get((spec.mode, spec.scenario)))
-        for spec, result in zip(specs, measured)]
+    rows = protocol_table_rows(server_name, environment_name, measure_cells(
+        protocol_table_specs(server_name, environment_name, runs), runner))
     number = TABLE_NUMBERS[(server_name, environment_name)]
     title = (f"Table {number} - {server_name} - {environment_name} "
              f"(mean of {runs} runs)")
     return rows, format_comparison_table(title, rows)
 
 
+def table3_specs(runs: int = 5) -> Dict[str, ExperimentSpec]:
+    """Table 3's pre-tuning LAN revalidation cells, keyed by mode."""
+    return {
+        mode.name: ExperimentSpec.for_client_config(
+            mode, REVALIDATE, "LAN", "Jigsaw-initial",
+            initial_tuning_client_config(mode),
+            seeds=tuple(range(runs)))
+        for mode in (HTTP10_MODE, HTTP11_PERSISTENT, HTTP11_PIPELINED)}
+
+
 def reproduce_table3(*, runs: int = 5,
                      runner: Optional[MatrixRunner] = None
                      ) -> Tuple[List[dict], str]:
     """Reproduce Table 3: the pre-tuning LAN revalidation comparison."""
-    modes = (HTTP10_MODE, HTTP11_PERSISTENT, HTTP11_PIPELINED)
-    specs = [
-        ExperimentSpec.for_client_config(
-            mode, REVALIDATE, "LAN", "Jigsaw-initial",
-            initial_tuning_client_config(mode),
-            seeds=tuple(range(runs)))
-        for mode in modes]
-    measured = _runner(runner).run_many(specs)
     results = [
-        {"mode": mode.name, "measured": result,
-         "paper": TABLE3[mode.name]}
-        for mode, result in zip(modes, measured)]
+        {"mode": mode, "measured": result, "paper": TABLE3[mode]}
+        for mode, result in measure_cells(table3_specs(runs), runner).items()]
     header = ["mode", "sockets", "c->s", "s->c", "Pa", "Sec",
               "Pa(paper)", "Sec(paper)"]
     table_rows = []
@@ -103,53 +134,61 @@ def reproduce_table3(*, runs: int = 5,
     return results, text
 
 
+def browser_table_specs(server_name: str, runs: int = 3
+                        ) -> Dict[Tuple[str, str], ExperimentSpec]:
+    """Table 10 / 11's cells, keyed (browser, scenario)."""
+    return {
+        (browser.name, scenario): ExperimentSpec.for_client_config(
+            HTTP10_MODE, scenario, "PPP", server_name,
+            browser.client_config(), seeds=tuple(range(runs)))
+        for browser in BROWSERS
+        for scenario in (FIRST_TIME, REVALIDATE)}
+
+
 def reproduce_browser_table(server_name: str, *, runs: int = 3,
                             runner: Optional[MatrixRunner] = None
                             ) -> Tuple[List[ComparisonRow], str]:
     """Reproduce Table 10 (Jigsaw) or 11 (Apache): browsers over PPP."""
     paper = BROWSER_TABLES[server_name]
-    labelled = [
-        (browser.name, scenario,
-         ExperimentSpec.for_client_config(
-             HTTP10_MODE, scenario, "PPP", server_name,
-             browser.client_config(), seeds=tuple(range(runs))))
-        for browser in BROWSERS
-        for scenario in (FIRST_TIME, REVALIDATE)]
-    measured = _runner(runner).run_many([s for _, _, s in labelled])
     rows = [
-        ComparisonRow(name, scenario, result,
-                      paper.get((name, scenario)))
-        for (name, scenario, _), result in zip(labelled, measured)]
+        ComparisonRow(name, scenario, result, paper.get((name, scenario)))
+        for (name, scenario), result in measure_cells(
+            browser_table_specs(server_name, runs), runner).items()]
     number = 10 if server_name == "Jigsaw" else 11
     title = (f"Table {number} - {server_name} - Navigator and IE, PPP "
              f"(mean of {runs} runs)")
     return rows, format_comparison_table(title, rows)
 
 
+def modem_specs(runs: int = 5) -> Dict[Tuple[str, str], ExperimentSpec]:
+    """§8.2.1's HTML-only GETs, keyed (server, variant)."""
+    return {
+        (server_name, variant): ExperimentSpec.for_client_config(
+            HTTP11_PERSISTENT, FIRST_TIME, "PPP", server_name,
+            ClientConfig(pipeline=False,
+                         accept_deflate=variant == "compressed",
+                         follow_images=False),
+            seeds=tuple(range(runs)), verify=False)
+        for server_name in ("Jigsaw", "Apache")
+        for variant in ("uncompressed", "compressed")}
+
+
+def modem_savings(plain: AveragedResult, deflated: AveragedResult
+                  ) -> Tuple[float, float]:
+    """(packet, time) share deflate saves on the HTML-only GET."""
+    return (1 - deflated.packets / plain.packets,
+            1 - deflated.elapsed / plain.elapsed)
+
+
 def reproduce_modem_experiment(*, runs: int = 5,
                                runner: Optional[MatrixRunner] = None
                                ) -> Tuple[List[dict], str]:
     """Reproduce §8.2.1: HTML-only GET over 28.8k, ±deflate."""
-    cells = [(server_name, compressed)
-             for server_name in ("Jigsaw", "Apache")
-             for compressed in (False, True)]
-    specs = [
-        ExperimentSpec.for_client_config(
-            HTTP11_PERSISTENT, FIRST_TIME, "PPP", server_name,
-            ClientConfig(pipeline=False, accept_deflate=compressed,
-                         follow_images=False),
-            seeds=tuple(range(runs)), verify=False)
-        for server_name, compressed in cells]
-    results = []
-    for (server_name, compressed), measured in zip(
-            cells, _runner(runner).run_many(specs)):
-        label = "compressed" if compressed else "uncompressed"
-        paper_pa, paper_sec = MODEM_TABLE[(server_name, label)]
-        results.append({
-            "server": server_name, "variant": label,
-            "measured": measured,
-            "paper": (paper_pa, paper_sec),
-        })
+    cells = measure_cells(modem_specs(runs), runner)
+    results = [
+        {"server": server_name, "variant": variant, "measured": measured,
+         "paper": MODEM_TABLE[(server_name, variant)]}
+        for (server_name, variant), measured in cells.items()]
     header = ["server", "variant", "Pa", "Sec", "Pa(paper)",
               "Sec(paper)"]
     table_rows = [[r["server"], r["variant"],
@@ -157,22 +196,18 @@ def reproduce_modem_experiment(*, runs: int = 5,
                    f"{r['measured'].elapsed:.2f}",
                    f"{r['paper'][0]:.0f}", f"{r['paper'][1]:.2f}"]
                   for r in results]
-    saved = _modem_savings(results)
     text = format_simple_table(
         f"Modem compression (section 8.2.1, mean of {runs} runs)",
         header, table_rows)
-    return results, text + "\n" + saved
+    return results, text + "\n" + _modem_savings(cells)
 
 
-def _modem_savings(results: Sequence[dict]) -> str:
+def _modem_savings(cells: Dict[Tuple[str, str], AveragedResult]) -> str:
     lines = []
     for server_name in ("Jigsaw", "Apache"):
-        pair = {r["variant"]: r["measured"] for r in results
-                if r["server"] == server_name}
-        pa_saving = 1 - pair["compressed"].packets / \
-            pair["uncompressed"].packets
-        sec_saving = 1 - pair["compressed"].elapsed / \
-            pair["uncompressed"].elapsed
+        pa_saving, sec_saving = modem_savings(
+            cells[(server_name, "uncompressed")],
+            cells[(server_name, "compressed")])
         lines.append(f"{server_name}: saved {pa_saving:.1%} packets, "
                      f"{sec_saving:.1%} time "
                      f"(paper: 68.7% packets, ~64.5% time)")
@@ -239,6 +274,81 @@ def reproduce_content_experiments() -> Tuple[dict, str]:
     return results, text
 
 
+def ablation_cell(mode, scenario: str, environment: str,
+                  server: str = "Apache", **client_fields
+                  ) -> ExperimentSpec:
+    """A single-seed cell, ``mode``'s client with ``client_fields`` set:
+    the shape of every beyond-the-tables measurement (future work and
+    the ledger's ablations)."""
+    mode = resolve_mode(mode)
+    return ExperimentSpec.for_client_config(
+        mode, scenario, environment, server,
+        dataclasses.replace(mode.client_config(), **client_fields),
+        seeds=(0,))
+
+
+def compact_revalidation_stream(site) -> Tuple[List[bytes], List[bytes],
+                                               DeltaStreamEncoder]:
+    """The robot's revalidation requests through the compact encoding:
+    (raw request messages, their encoded frames, the encoder)."""
+    store = ResourceStore.from_site(site)
+    encoder = DeltaStreamEncoder()
+    messages = [
+        Request("GET", url, (1, 1), Headers([
+            ("Host", "www26.w3.org"),
+            ("User-Agent", "W3CRobot/5.1 libwww/5.1"),
+            ("Accept", "*/*"),
+            ("If-None-Match", store.get(url).etag)])).to_bytes()
+        for url in site.all_urls()]
+    return messages, [encoder.encode(m) for m in messages], encoder
+
+
+def server_cpu_saving(http10: AveragedResult,
+                      pipelined: AveragedResult) -> float:
+    """Share of HTTP/1.0's server CPU-busy time pipelining saves."""
+    return 1 - pipelined.server_cpu_seconds / http10.server_cpu_seconds
+
+
+#: The time-to-render strategies compared on the 28.8k PPP link.
+RENDER_STRATEGIES: Dict[str, ClientConfig] = {
+    "HTTP/1.0 x4 connections": ClientConfig(http_version=HTTP10,
+                                            max_connections=4),
+    "HTTP/1.1 persistent": ClientConfig(http_version=HTTP11),
+    "HTTP/1.1 pipelined": ClientConfig(http_version=HTTP11,
+                                       pipeline=True),
+    "pipelined + range prefixes": ClientConfig(
+        http_version=HTTP11, pipeline=True, range_prefix_bytes=256),
+}
+
+
+def render_timeline(strategy: str):
+    """One strategy's first-time rendering milestones (Apache, PPP), a
+    :class:`~repro.core.render.RenderMetrics`."""
+    from ..core.render import measure_render    # only these rows need it
+    return measure_render(RENDER_STRATEGIES[strategy],
+                          resolve_environment("PPP"),
+                          resolve_profile("Apache"))
+
+
+def bytes_for_90_percent_area(site, codec: str, *,
+                              interlace: bool) -> float:
+    """File fraction of Microscape's hero image (its largest) needed
+    before 90 % of the display area can paint."""
+    hero = next(o for o in site.image_objects
+                if o.url.endswith("hero.gif")).image
+    encode, coverage = {"gif": (encode_gif, gif_area_coverage),
+                        "png": (encode_png, png_area_coverage)}[codec]
+    return bytes_for_coverage(
+        encode_once(codec, encode, hero, interlace=interlace),
+        coverage, 0.9)
+
+
+def packet_train_ratio(many: AveragedResult, one: AveragedResult) -> float:
+    """Mean packets per connection, several connections over one."""
+    return (many.mean_packets_per_connection
+            / one.mean_packets_per_connection)
+
+
 def reproduce_future_work(*, runner: Optional[MatrixRunner] = None
                           ) -> Tuple[dict, str]:
     """Quantify the paper's future-work claims (single-seed runs).
@@ -250,56 +360,28 @@ def reproduce_future_work(*, runner: Optional[MatrixRunner] = None
     * progressive-rendering byte fractions (PNG vs GIF),
     * the two-connection allowance's effect on packet trains.
     """
-    from ..client.robot import ClientConfig
-    from ..content import encode_gif, encode_once, encode_png
-    from ..content.progressive import (bytes_for_coverage,
-                                       gif_area_coverage,
-                                       png_area_coverage)
-    from ..core.render import measure_render
-    from ..core.registry import resolve_environment, resolve_profile
-    from ..http import HTTP10, HTTP11, Headers, Request
-    from ..http.compact import DeltaStreamEncoder
-    from ..server.static import ResourceStore
-
     run = _runner(runner)
     site = build_microscape_site()
     results: dict = {}
     rows = []
 
     # Compact HTTP on the actual revalidation requests.
-    store = ResourceStore.from_site(site)
-    encoder = DeltaStreamEncoder()
-    for url in site.all_urls():
-        encoder.encode(Request("GET", url, (1, 1), Headers([
-            ("Host", "www26.w3.org"),
-            ("User-Agent", "W3CRobot/5.1 libwww/5.1"),
-            ("Accept", "*/*"),
-            ("If-None-Match", store.get(url).etag)])).to_bytes())
+    encoder = compact_revalidation_stream(site)[2]
     results["compact_http_factor"] = encoder.ratio
     rows.append(["compact HTTP on reval requests",
                  f"{encoder.ratio:.1f}x", "5-10x (envelope)"])
 
     # Server CPU per protocol mode (LAN, Apache).
-    http10, pipelined = run.run_many([
-        ExperimentSpec(mode=HTTP10_MODE.name, scenario=FIRST_TIME,
-                       environment="LAN", server="Apache", seeds=(0,)),
-        ExperimentSpec(mode=HTTP11_PIPELINED.name, scenario=FIRST_TIME,
-                       environment="LAN", server="Apache", seeds=(0,))])
-    cpu_saving = 1 - pipelined.server_cpu_seconds / \
-        http10.server_cpu_seconds
+    cpu_saving = server_cpu_saving(*run.run_many([
+        ablation_cell(HTTP10_MODE, FIRST_TIME, "LAN"),
+        ablation_cell(HTTP11_PIPELINED, FIRST_TIME, "LAN")]))
     results["server_cpu_saving"] = cpu_saving
     rows.append(["server CPU saved by pipelining (first visit)",
                  f"{cpu_saving:.0%}", '"very substantial"'])
 
     # Render timelines on PPP.
-    ppp = resolve_environment("PPP")
-    apache = resolve_profile("Apache")
-    plain = measure_render(ClientConfig(http_version=HTTP11,
-                                        pipeline=True), ppp, apache)
-    ranged = measure_render(ClientConfig(http_version=HTTP11,
-                                         pipeline=True,
-                                         range_prefix_bytes=256),
-                            ppp, apache)
+    plain = render_timeline("HTTP/1.1 pipelined")
+    ranged = render_timeline("pipelined + range prefixes")
     results["layout_plain"] = plain.layout_complete
     results["layout_ranged"] = ranged.layout_complete
     rows.append(["time-to-layout, pipelined (PPP)",
@@ -309,14 +391,8 @@ def reproduce_future_work(*, runner: Optional[MatrixRunner] = None
                  '"can perform well over a single connection"'])
 
     # Progressive rendering on the hero image.
-    hero = next(o for o in site.image_objects
-                if o.url.endswith("hero.gif")).image
-    gif_i = bytes_for_coverage(
-        encode_once("gif", encode_gif, hero, interlace=True),
-        gif_area_coverage, 0.9)
-    png_i = bytes_for_coverage(
-        encode_once("png", encode_png, hero, interlace=True),
-        png_area_coverage, 0.9)
+    gif_i = bytes_for_90_percent_area(site, "gif", interlace=True)
+    png_i = bytes_for_90_percent_area(site, "png", interlace=True)
     results["gif_interlace_90"] = gif_i
     results["png_adam7_90"] = png_i
     rows.append(["bytes for 90% area, interlaced GIF",
@@ -325,15 +401,10 @@ def reproduce_future_work(*, runner: Optional[MatrixRunner] = None
                  '"time to render benefits relative to GIF"'])
 
     # Two-connection packet trains.
-    two, one = run.run_many([
-        ExperimentSpec.for_client_config(
-            HTTP11_PIPELINED, FIRST_TIME, "WAN", "Apache",
-            ClientConfig(http_version=HTTP11, pipeline=True,
-                         max_connections=2), seeds=(0,)),
-        ExperimentSpec(mode=HTTP11_PIPELINED.name, scenario=FIRST_TIME,
-                       environment="WAN", server="Apache", seeds=(0,))])
-    results["train_ratio"] = (two.mean_packets_per_connection
-                              / one.mean_packets_per_connection)
+    results["train_ratio"] = packet_train_ratio(*run.run_many([
+        ablation_cell(HTTP11_PIPELINED, FIRST_TIME, "WAN",
+                      max_connections=2),
+        ablation_cell(HTTP11_PIPELINED, FIRST_TIME, "WAN")]))
     rows.append(["packet-train length, 2 conns vs 1",
                  f"{results['train_ratio']:.2f}x",
                  '"down by a factor of two"'])

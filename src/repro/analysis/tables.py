@@ -1,21 +1,23 @@
 """Table rendering and paper-vs-measured comparison.
 
-The benchmark harness uses these helpers to print each reproduced table
-in the paper's layout, side by side with the published numbers, and to
-compute the shape checks (who wins, by what factor) that the
-reproduction is graded on.
+The reproduction drivers print each table in the paper's layout, side
+by side with the published numbers; :func:`fidelity` reduces the same
+rows to the distance-from-the-paper score the claims ledger prints and
+tier-1 ratchets.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
+import statistics
 from typing import Iterable, List, Optional, Sequence
 
 from ..core.runner import AveragedResult
 from .paperdata import PaperCell
 
-__all__ = ["ComparisonRow", "format_comparison_table", "ratio",
-           "format_simple_table"]
+__all__ = ["ComparisonRow", "Fidelity", "fidelity",
+           "format_comparison_table", "ratio", "format_simple_table"]
 
 
 @dataclasses.dataclass
@@ -53,6 +55,44 @@ def ratio(measured: float, reference: float) -> float:
     if reference == 0:
         return float("inf") if measured else 1.0
     return measured / reference
+
+
+@dataclasses.dataclass(frozen=True)
+class Fidelity:
+    """How far a set of measured cells sits from the paper's: per
+    column, the geometric mean of measured / paper taken either way
+    round, minus one (0.0 is a perfect match, 1.0 means the typical
+    cell is a factor of two off)."""
+
+    cells: int
+    packets: float
+    payload_bytes: float
+    seconds: float
+    outside_2x: int     # cells whose packet count is not within 2x
+    worst: str          # the cell and column furthest off, with its ratio
+
+
+def fidelity(rows: Iterable[ComparisonRow]) -> Fidelity:
+    """``exp(mean |ln(measured / paper)|) - 1`` per column, over the
+    rows that have a paper cell."""
+    rows = [row for row in rows if row.paper is not None]
+    ratios = {
+        label: [ratio(getattr(row.measured, measured),
+                      getattr(row.paper, paper)) for row in rows]
+        for label, measured, paper in (
+            ("Pa", "packets", "packets"),
+            ("Bytes", "payload_bytes", "payload_bytes"),
+            ("Sec", "elapsed", "seconds"))}
+    errors = [math.exp(statistics.fmean(abs(math.log(r)) for r in column))
+              - 1 for column in ratios.values()]
+    _, worst, label, row = max(
+        ((abs(math.log(r)), r, label, row)
+         for label, column in ratios.items()
+         for r, row in zip(column, rows)), key=lambda entry: entry[0])
+    return Fidelity(
+        len(rows), *errors,
+        outside_2x=sum(not 0.5 <= r <= 2.0 for r in ratios["Pa"]),
+        worst=f"{row.label} {row.scenario} {label} x{worst:.2f}")
 
 
 _HEADER = ["mode", "scenario", "Pa", "Bytes", "Sec", "%ov",

@@ -81,7 +81,7 @@ class OutputBuffer:
         self.flush_timeout = flush_timeout
         self._buffer = bytearray()
         self._timer: Optional[Event] = None
-        #: Flush counters by trigger, for the ablation benchmarks.
+        #: Flush counters by trigger, for the flush-policy ablations.
         self.size_flushes = 0
         self.timer_flushes = 0
         self.explicit_flushes = 0

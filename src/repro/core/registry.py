@@ -2,7 +2,7 @@
 
 Every layer that names a protocol mode, scenario, network environment
 or server profile — the CLI, the :mod:`repro.matrix` subsystem, the
-benchmarks — resolves through these four functions, so "pipelined",
+claims ledger — resolves through these four functions, so "pipelined",
 "WAN" and "Apache" mean the same objects everywhere.  Each resolver
 accepts either the already-resolved object (returned unchanged) or a
 name; names are matched case-insensitively, with the common shorthands

@@ -29,7 +29,7 @@ from ..client.robot import (ClientConfig, FIRST_TIME, Robot, TAIL_MARKER)
 from ..content.microscape import MicroscapeSite
 from ..server.profiles import ServerProfile
 from ..simnet.link import NetworkEnvironment
-from .runner import Testbed
+from .runner import ExperimentError, Testbed
 from .transport import Transport
 
 __all__ = ["RenderMetrics", "measure_render", "GIF_DIMENSION_BYTES"]
@@ -142,6 +142,6 @@ def measure_render(config: ClientConfig,
                                 attach=observer.attach)
     testbed.net.run()
     if not result.complete:
-        raise RuntimeError(f"render run incomplete: {result.errors}")
+        raise ExperimentError(f"render run incomplete: {result.errors}")
     observer.metrics.verified = observer.verify()
     return observer.metrics

@@ -323,8 +323,9 @@ class Testbed:
         # 50 ms (the clients were BSD-derived 200 ms stacks).
         self.net = Network(
             environment, seed=seed, jitter=jitter, fastpath=fastpath,
-            server_config=TcpConfig(mss=environment.mss,
-                                    delack_delay=0.050),
+            server_config=TcpConfig(
+                mss=environment.mss, delack_delay=0.050,
+                initial_cwnd_segments=profile.initial_cwnd_segments),
             **network_options)
         self.servers = transport.start_servers(
             self.net.sim, self.net.server, store, profile,

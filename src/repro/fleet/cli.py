@@ -93,9 +93,10 @@ def add_fleet_parser(sub) -> None:
                        metavar="N")
     fleet.add_argument("--server-capacity", type=int, default=32,
                        metavar="N",
-                       help="concurrent connections the server handles "
-                            "before parking accepts (0 = unbounded; "
-                            "default 32)")
+                       help="concurrent connections each cohort's "
+                            "server handles before parking accepts "
+                            "(per cohort, not fleet-wide; 0 = "
+                            "unbounded; default 32)")
     fleet.add_argument("--backbone-bps", type=float, default=None,
                        metavar="BPS",
                        help="shared backbone capacity split across "

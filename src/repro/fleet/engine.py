@@ -158,28 +158,18 @@ def run_cohort(unit: FleetUnitSpec, seed: int) -> CohortResult:
     # an overloaded population would otherwise run for unbounded
     # simulated time.  Pages still in flight count as session errors.
     net.run(until=fleet.max_sim_time)
-    n_epochs = len(unit.shares)
-    buckets = [0.0] * n_epochs
-    trace = net.trace
-    times, srcs, wires = trace._times, trace._srcs, trace._wire_sizes
-    epoch = fleet.epoch
-    for i in range(len(times)):
-        if srcs[i] == SERVER_HOST:
-            index = int(times[i] / epoch)
-            if index >= n_epochs:
-                index = n_epochs - 1
-            buckets[index] += wires[i]
     return CohortResult(
         cohort=unit.cohort,
         users=len(plans),
         sessions=tuple(session.stats() for session in sessions),
-        epoch=epoch,
-        epoch_bytes_down=tuple(buckets),
+        epoch=fleet.epoch,
+        epoch_bytes_down=tuple(net.trace.wire_bytes_per_epoch(
+            SERVER_HOST, fleet.epoch, len(unit.shares))),
         queue_waits=tuple(server.queue_waits),
         server_cpu_seconds=server.cpu_busy_seconds,
         connections_accepted=server.connections_accepted,
         requests_served=server.requests_served,
-        packets=len(times),
+        packets=len(net.trace),
         sim_time=net.sim.now,
         fastforward_spans=net.sim.perf.fastforward_spans)
 

@@ -76,8 +76,9 @@ class FleetSpec:
     think_time: float = 5.0
     pages_per_user: int = 2
     jitter: float = 0.0
-    #: Finite server capacity: concurrent connections handled before
-    #: excess accepts park in the FIFO backlog (None = unbounded).
+    #: Finite server capacity **per cohort** (each cohort simulates its
+    #: own server): concurrent connections handled before excess accepts
+    #: park in the FIFO backlog (None = unbounded).
     server_capacity: Optional[int] = 32
     #: Shared backbone capacity split across cohorts (bits/second);
     #: None = the environment's own link bandwidth.

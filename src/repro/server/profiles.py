@@ -60,6 +60,10 @@ class ServerProfile:
     #: TCP_NODELAY on accepted connections (the paper's recommendation
     #: for implementations that buffer output).
     nodelay: bool = True
+    #: Initial congestion window of the server host's TCP, in segments
+    #: (the server sends the bulk data, so its window is the one slow
+    #: start gates; the paper saw stacks that start at one and at two).
+    initial_cwnd_segments: int = 2
     #: Server header advertised (its length shows up in the byte counts;
     #: Jigsaw's responses were a little more verbose than Apache's).
     server_header: str = "Generic/1.0"

@@ -81,6 +81,7 @@ class Link:
     def __init__(self, sim: Simulator, bandwidth_bps: float,
                  propagation_delay: float, *, bits_per_byte: float = 8,
                  jitter: float = 0.0, loss_rate: float = 0.0,
+                 queue_limit_packets: Optional[int] = None,
                  seed: int = 0) -> None:
         if bandwidth_bps <= 0:
             raise ValueError("bandwidth must be positive")
@@ -102,7 +103,7 @@ class Link:
         #: their own packets — the paper's "if these exchanges are too
         #: fast for the route ... they contribute to Internet
         #: congestion".
-        self.queue_limit_packets: Optional[int] = None
+        self.queue_limit_packets = queue_limit_packets
         self.rng = random.Random(seed)
         self._queued: Dict[Tuple[str, str], int] = {}
         # Per-direction state, keyed by (src, dst).
@@ -279,6 +280,11 @@ class NetworkEnvironment:
     bits_per_byte: float = 8
     #: Whether the modem applies V.42bis-style stream compression.
     modem_compression: bool = False
+    #: :class:`Link`'s parameters of the same names.  The paper's three
+    #: paths were quiet and unbounded; the congested-path ablations vary
+    #: them with :func:`dataclasses.replace`.
+    loss_rate: float = 0.0
+    queue_limit_packets: Optional[int] = None
 
     @property
     def one_way_delay(self) -> float:
@@ -290,6 +296,8 @@ class NetworkEnvironment:
         """Instantiate a :class:`Link` for this environment."""
         return Link(sim, self.bandwidth_bps, self.one_way_delay,
                     bits_per_byte=self.bits_per_byte, jitter=jitter,
+                    loss_rate=self.loss_rate,
+                    queue_limit_packets=self.queue_limit_packets,
                     seed=seed)
 
 

@@ -20,12 +20,12 @@ This module implements the TCP mechanisms the paper's results hinge on:
 
 The paper's traces were taken on quiet links, but the simulator still
 implements full loss recovery so congested-path behaviour can be
-studied (see ``benchmarks/bench_lossy_wan.py``): a retransmission queue
-with an adaptive RTO (Jacobson srtt/rttvar, Karn's rule, exponential
-backoff), duplicate-ACK generation with out-of-order reassembly on the
-receiver, fast retransmit on three duplicate ACKs, and the standard
-cwnd/ssthresh reactions (multiplicative decrease; slow-start restart
-after a timeout).
+studied (the ``lossy-wan`` and ``drop-tail-bottleneck`` claims): a
+retransmission queue with an adaptive RTO (Jacobson srtt/rttvar, Karn's
+rule, exponential backoff), duplicate-ACK generation with out-of-order
+reassembly on the receiver, fast retransmit on three duplicate ACKs,
+and the standard cwnd/ssthresh reactions (multiplicative decrease;
+slow-start restart after a timeout).
 
 Sequence numbers start at zero per connection, payloads are real bytes,
 and SYN/FIN each consume one sequence number, exactly as in RFC 793.

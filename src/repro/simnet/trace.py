@@ -206,6 +206,18 @@ class TraceCollector:
             dropped_loss=self._link.dropped_loss,
             dropped_overflow=self._link.dropped_overflow)
 
+    def wire_bytes_per_epoch(self, host: str, epoch: float,
+                             n_epochs: int) -> List[float]:
+        """Wire bytes ``host`` sent in each ``epoch``-second window:
+        bucket ``i`` covers ``[i*epoch, (i+1)*epoch)``, and a packet at
+        or after ``n_epochs * epoch`` counts in the last one."""
+        buckets = [0.0] * n_epochs
+        for time, src, wire in zip(self._times, self._srcs,
+                                   self._wire_sizes):
+            if src == host:
+                buckets[min(int(time / epoch), n_epochs - 1)] += wire
+        return buckets
+
     def _flows(self) -> Dict[Tuple[str, int, str, int], int]:
         """Group records into bidirectional flows (connections)."""
         flows: Dict[Tuple[str, int, str, int], int] = {}

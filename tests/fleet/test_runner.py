@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.runner import nearest_rank
 from repro.fleet import FleetResult, FleetSpec, run_fleet
@@ -39,6 +40,44 @@ def test_waterfill_is_deterministic():
     demands = [math.inf, 7.0, math.inf, 3.0, 11.0]
     first = _waterfill(40.0, demands)
     assert all(_waterfill(40.0, demands) == first for _ in range(5))
+
+
+_DEMAND = st.one_of(st.just(math.inf),
+                    st.floats(min_value=0.0, max_value=1e9))
+
+
+@settings(max_examples=50, deadline=None)
+@given(capacity=st.floats(min_value=1.0, max_value=1e9),
+       demands=st.lists(_DEMAND, min_size=1, max_size=12),
+       data=st.data())
+def test_waterfill_is_max_min_fair(capacity, demands, data):
+    """Conservation, max-min optimality, equivariance, monotonicity."""
+    shares = _waterfill(capacity, demands)
+    tolerance = 1e-9 * max(capacity, 1.0)
+    assert all(0.0 <= share <= demand + tolerance
+               for share, demand in zip(shares, demands))
+    assert sum(shares) == pytest.approx(min(capacity, sum(demands)),
+                                        rel=1e-9, abs=tolerance)
+    # Max-min: a cohort granted less than it asked for holds a share at
+    # least as large as everyone else's.
+    for share, demand in zip(shares, demands):
+        if share < demand - tolerance:
+            assert share >= max(shares) - tolerance
+    # Equivariance: permuting the demands permutes the shares.
+    order = data.draw(st.permutations(range(len(demands))))
+    permuted = _waterfill(capacity, [demands[k] for k in order])
+    assert permuted == pytest.approx([shares[k] for k in order],
+                                     rel=1e-9, abs=tolerance)
+    # Monotonicity: raising one demand never raises another's share.
+    k = data.draw(st.integers(0, len(demands) - 1))
+    raised = list(demands)
+    raised[k] = data.draw(st.one_of(
+        st.just(math.inf), st.floats(min_value=0.0, max_value=1e9).map(
+            lambda extra: demands[k] + extra)))
+    for j, (before, after) in enumerate(zip(
+            shares, _waterfill(capacity, raised))):
+        if j != k:
+            assert after <= before + tolerance
 
 
 def test_quantize_floors_at_one_bit():

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.simnet import (LAN, SERVER_HOST, CLIENT_HOST, TwoHostNetwork)
+from repro.simnet import (LAN, WAN, SERVER_HOST, CLIENT_HOST,
+                          TwoHostNetwork)
 
 
 def run_exchange(n_connections=2, payload=b"x" * 500):
@@ -74,3 +75,32 @@ def test_empty_summary_is_all_zero():
     assert summary.packets == 0
     assert summary.percent_overhead == 0.0
     assert summary.duration == 0.0
+
+
+def test_wire_bytes_per_epoch_buckets_one_hosts_packets():
+    net = TwoHostNetwork(WAN)
+
+    def accept(conn):
+        conn.on_data = lambda c, d: c.send(b"y" * 3000)
+
+    net.server.listen(80, accept)
+    conn = net.client.connect(SERVER_HOST, 80)
+    conn.send(b"x" * 100)
+    # A second request long after the first exchange: 1.0 s is past the
+    # end of the 3 x 0.1 s schedule and must land in the last bucket.
+    net.sim.schedule_at(1.0, conn.send, b"x" * 100)
+    net.run()
+    sent = [(r.time, r.wire_size) for r in net.trace.records
+            if r.src == SERVER_HOST]
+    assert any(time >= 0.3 for time, _ in sent)
+    buckets = net.trace.wire_bytes_per_epoch(SERVER_HOST, 0.1, 3)
+    assert buckets == [
+        float(sum(size for time, size in sent if time < 0.1)),
+        float(sum(size for time, size in sent if 0.1 <= time < 0.2)),
+        float(sum(size for time, size in sent if time >= 0.2))]
+    assert all(isinstance(total, float) for total in buckets)
+    assert sum(buckets) == sum(size for _, size in sent)
+    # Another host's packets are not counted.
+    assert sum(net.trace.wire_bytes_per_epoch(CLIENT_HOST, 0.1, 3)) == sum(
+        r.wire_size for r in net.trace.records if r.src == CLIENT_HOST)
+    assert net.trace.wire_bytes_per_epoch("nobody", 0.1, 3) == [0.0] * 3

@@ -31,8 +31,36 @@ def test_table_3(capsys):
     assert "Table 3" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--server", "Apache"],          # the name every table prints
+    ["run", "--server", "NagleStall"],
+    ["run", "--environment", "Wan"],
+    ["run", "--scenario", "reval"],
+])
+def test_run_accepts_every_spelling_the_registry_resolves(argv, capsys):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "scenario:    " + ("revalidate" if "reval" in argv
+                              else "first-time") in out
+
+
+@pytest.mark.parametrize("flag, kind", [("--server", "server"),
+                                        ("--environment", "environment"),
+                                        ("--scenario", "scenario")])
+def test_run_unknown_name_is_the_registrys_error(flag, kind, capsys):
+    assert main(["run", flag, "bogus"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"unknown {kind} 'bogus' (") and "choose from" in err
+
+
 def test_table_out_of_range(capsys):
-    assert main(["table", "12"]) == 2
+    # argparse rejects the number before any runner (or journal) exists.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["table", "12", "--journal"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 12" in err
+    assert "journal:" not in err
 
 
 @pytest.mark.parametrize("argv", [["report", "--runs", "0"],
@@ -90,3 +118,15 @@ def test_bench_verb_is_gone_and_every_other_verb_remains(capsys):
     for verb in ("table", "run", "modem", "content", "site", "report",
                  "fleet", "chaos", "lint"):
         assert f"'{verb}'" in message
+
+
+def test_claims_takes_the_runner_flags_and_nothing_else(capsys):
+    args = build_parser().parse_args(
+        ["claims", "--jobs", "2", "--cache-dir", "d", "--no-artifact-cache"])
+    assert (args.jobs, args.cache_dir, args.no_artifact_cache) == (2, "d",
+                                                                  True)
+    for extra in (["--runs", "3"], ["--only", "nagle-stall"]):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["claims", *extra])
+        assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -1,12 +1,14 @@
 """Nothing under ``src/repro`` is kept alive only by its own tests.
 
-ROADMAP rule: a module either backs a CLI verb or a ``benchmarks/``
-file, or it goes with its example and tests.  Mechanically: every
-module must be importable by following imports from
-``repro.__main__`` or a ``benchmarks/bench_*.py`` — directly, or
-through a name a package ``__init__`` re-exports.  An ``__init__``'s
-own import of its submodule does not count (it would make every
-module reachable by construction); tests and examples are not roots.
+ROADMAP rule: a module backs a CLI verb — a table, the claims ledger
+(``python -m repro claims``, whose registry reaches every ablation's
+module), the fleet, chaos, lint — or it goes with its example and
+tests.  Mechanically: every module must be importable by following
+imports from the one root, ``repro.__main__`` — directly, or through a
+name a package ``__init__`` re-exports.  An ``__init__``'s own import
+of its submodule does not count (it would make every module reachable
+by construction); tests and examples are not roots, and there is no
+allowlist.
 """
 
 import ast
@@ -15,12 +17,6 @@ import pathlib
 from repro.lint.graph import build_graph
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
-
-#: Modules allowed to be unreached, each with the reason it stays.
-ALLOWED = {
-    "server.proxy": "DESIGN.md §4 Keep-Alive row (with ChainNetwork and "
-                    "examples/proxy_keepalive.py; kept by PR 16)",
-}
 
 
 def _project_imports(info, package):
@@ -70,8 +66,6 @@ def _unreached():
         return None
 
     queue = imports_of("__main__", modules["__main__"])
-    for name, info in build_graph(REPO / "benchmarks").modules.items():
-        queue += imports_of(name, info)
     reached = set()
     while queue:
         module = resolve(*queue.pop())
@@ -83,9 +77,6 @@ def _unreached():
 
 def test_every_module_backs_a_verb_or_a_benchmark():
     unreached = _unreached()
-    assert unreached == set(ALLOWED), (
-        "modules no CLI verb or benchmarks/ file imports (delete them "
-        "with their tests and examples, or allowlist with a reason): "
-        f"{sorted(unreached - set(ALLOWED))}; stale allowlist entries: "
-        f"{sorted(set(ALLOWED) - unreached)}")
-    assert len(ALLOWED) <= 1
+    assert unreached == set(), (
+        "modules no CLI verb imports (delete them with their tests and "
+        f"examples, or declare the claim they back): {sorted(unreached)}")
