@@ -26,6 +26,10 @@ python -m repro lint --deep
 #   fleet results do not depend on --jobs — tests/fleet/test_runner.py::
 #     test_jobs_do_not_change_results (LAN) and ..._wan (slow-marked,
 #     48 WAN users contending for a 6 Mbit/s backbone)
+#   memo-cold is byte-invisible (every declared memo held to one entry:
+#     Tables 3-11, modem, eight chaos cells, a contended fleet) —
+#     tests/test_memo.py::test_memo_cold_output_is_byte_identical
+#     (not slow-marked: FAST=1 keeps it)
 if [ "${FAST:-0}" = "1" ]; then
     python -m pytest -x -q -m "not slow"
 else

@@ -17,18 +17,17 @@ discovery stays incremental while only the first session tokenizes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List
 
 from ..content.htmlparse import HtmlTokenizer
+from ..memo import Memo
 
 __all__ = ["IncrementalImageScanner"]
 
 #: ``(state, unconsumed tail, chunk bytes)`` → ``(the step's img-src
 #: URLs before duplicate suppression, state', tail')``.  The key is all
-#: :meth:`HtmlTokenizer.feed` reads: it covers any segmentation, and a
-#: cold or cleared memo (it is cleared when full) recomputes the value.
-_STEPS: Dict[Tuple[str, str, bytes], Tuple[Tuple[str, ...], str, str]] = {}
-_STEPS_MAX = 1024
+#: :meth:`HtmlTokenizer.feed` reads, so it covers any segmentation.
+_STEPS = Memo("client.scan-steps", 1024)
 
 
 class IncrementalImageScanner:
@@ -57,9 +56,7 @@ class IncrementalImageScanner:
             urls = tuple(filter(None, (
                 token.get("src") for token in tokens
                 if token.kind == "start" and token.data == "img")))
-            if len(_STEPS) >= _STEPS_MAX:
-                _STEPS.clear()
-            _STEPS[key] = (urls, *tokenizer.carry())
+            _STEPS.store(key, (urls, *tokenizer.carry()))
         else:
             urls, state, tail = step
             tokenizer.restore(state, tail)

@@ -218,7 +218,7 @@ class ArtifactStore:
         """Like :meth:`memoize` for picklable objects (stored pickled).
 
         An unreadable or stale pickle (interpreter upgrade, truncated
-        historic blob) counts as a miss and is overwritten.
+        historic blob) counts as a miss (only) and is overwritten.
         """
         if not self.enabled:
             return produce()
@@ -228,6 +228,9 @@ class ArtifactStore:
             try:
                 return pickle.loads(cached)
             except Exception:
+                # One lookup, one count: the hit get() booked for the
+                # blob it found was not one.
+                self.stats.hits -= 1
                 self.stats.misses += 1
         value = produce()
         self.put(key, pickle.dumps(value, pickle.HIGHEST_PROTOCOL))

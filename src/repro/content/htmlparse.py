@@ -19,6 +19,8 @@ import dataclasses
 import re
 from typing import Dict, List, Optional, Tuple
 
+from ..memo import Memo
+
 __all__ = ["Token", "HtmlTokenizer", "tokenize"]
 
 #: Attribute syntax inside a complete tag: name[=value] with double-,
@@ -54,8 +56,7 @@ class Token:
 #: step the robot's scanner memo misses, and classification (two regexes
 #: + attribute dict) is by far the tokenizer's hottest work.  Tokens are
 #: frozen and no caller mutates ``attrs``, so sharing them is safe.
-_CLASSIFY_CACHE: Dict[str, Token] = {}
-_CLASSIFY_CACHE_MAX = 8192
+_CLASSIFY_CACHE = Memo("html.classify", 8192)
 
 
 class HtmlTokenizer:
@@ -148,10 +149,7 @@ class HtmlTokenizer:
         self._state = "text"
         token = _CLASSIFY_CACHE.get(raw)
         if token is None:
-            if len(_CLASSIFY_CACHE) >= _CLASSIFY_CACHE_MAX:
-                _CLASSIFY_CACHE.clear()
-            token = self._classify(raw)
-            _CLASSIFY_CACHE[raw] = token
+            token = _CLASSIFY_CACHE.store(raw, self._classify(raw))
         tokens.append(token)
         return True
 

@@ -72,14 +72,12 @@ def add_fleet_parser(sub) -> None:
                        help="cohorts the population shards into; one "
                             "simulator (= one matrix unit) per cohort "
                             "per round (default 4)")
-    fleet.add_argument("--environment", default="WAN",
-                       choices=("LAN", "WAN", "PPP",
-                                "lan", "wan", "ppp"))
-    fleet.add_argument("--scenario",
-                       choices=("first-time", "revalidate"),
-                       default="first-time")
-    fleet.add_argument("--server", choices=("jigsaw", "apache"),
-                       default="apache")
+    for axis, default in (("environment", "WAN"),
+                          ("scenario", "first-time"),
+                          ("server", "apache")):
+        fleet.add_argument(f"--{axis}", default=default,
+                           help=f"{axis}: any name or alias "
+                                f"repro.core.registry resolves")
     fleet.add_argument("--seed", type=int, default=0)
     fleet.add_argument("--arrival-rate", type=float, default=2.0,
                        metavar="R",

@@ -20,6 +20,8 @@ cache and the run journal byte-identically.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import typing
 from typing import Any, Dict, List, Tuple
 
 from ..core.registry import (resolve_environment, resolve_mode,
@@ -178,32 +180,21 @@ def run_cohort(unit: FleetUnitSpec, seed: int) -> CohortResult:
 # Cache / journal codec
 # ----------------------------------------------------------------------
 
-def _cohort_to_payload(result: CohortResult) -> Dict[str, Any]:
-    payload = dataclasses.asdict(result)
-    payload["sessions"] = [dataclasses.asdict(session)
-                           for session in result.sessions]
-    return payload
+def _from_payload(cls: type, payload: Dict[str, Any]) -> Any:
+    """Invert ``dataclasses.asdict`` after a JSON round trip, from the
+    fields' annotations: a ``Tuple[X, ...]`` field comes back a tuple,
+    of ``X`` rebuilt the same way where ``X`` is itself a dataclass."""
+    columns = {}
+    for name, hint in typing.get_type_hints(cls).items():
+        value = payload[name]
+        if typing.get_origin(hint) is tuple:
+            row = typing.get_args(hint)[0]
+            value = tuple(_from_payload(row, item)
+                          if dataclasses.is_dataclass(row) else item
+                          for item in value)
+        columns[name] = value
+    return cls(**columns)
 
 
-def _cohort_from_payload(payload: Dict[str, Any]) -> CohortResult:
-    sessions = tuple(
-        SessionStats(user=row["user"], mode=row["mode"],
-                     arrival=row["arrival"],
-                     page_times=tuple(row["page_times"]),
-                     pages_started=row["pages_started"],
-                     errors=row["errors"])
-        for row in payload["sessions"])
-    return CohortResult(
-        cohort=payload["cohort"], users=payload["users"],
-        sessions=sessions, epoch=payload["epoch"],
-        epoch_bytes_down=tuple(payload["epoch_bytes_down"]),
-        queue_waits=tuple(payload["queue_waits"]),
-        server_cpu_seconds=payload["server_cpu_seconds"],
-        connections_accepted=payload["connections_accepted"],
-        requests_served=payload["requests_served"],
-        packets=payload["packets"], sim_time=payload["sim_time"],
-        fastforward_spans=payload["fastforward_spans"])
-
-
-register_result_codec("fleet-cohort", CohortResult,
-                      _cohort_to_payload, _cohort_from_payload)
+register_result_codec("fleet-cohort", CohortResult, dataclasses.asdict,
+                      functools.partial(_from_payload, CohortResult))

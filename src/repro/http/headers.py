@@ -20,17 +20,17 @@ but every other line of them is.)
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+
+from ..memo import Memo
 
 __all__ = ["Headers"]
 
 #: ``header line → ((name, value), lowercased name)`` for the lines
-#: :meth:`Headers.from_lines` has split.  Pure: the value is a function
-#: of the key alone, so a cold, cleared or full memo changes cost, never
-#: a parse.  Continuation and blank lines never enter (their meaning
-#: depends on the previous field); nor do malformed ones (they raise).
-_LINE_MEMO: Dict[str, Tuple[Tuple[str, str], str]] = {}
-_LINE_MEMO_MAX = 4096
+#: :meth:`Headers.from_lines` has split.  Continuation and blank lines
+#: never enter (their meaning depends on the previous field); nor do
+#: malformed ones (they raise).
+_LINE_MEMO = Memo("http.header-lines", 4096)
 
 
 def _split_line(line: str) -> Tuple[Tuple[str, str], str]:
@@ -191,10 +191,7 @@ class Headers:
             else:
                 parsed = _LINE_MEMO.get(line)
                 if parsed is None:
-                    parsed = _split_line(line)
-                    if len(_LINE_MEMO) >= _LINE_MEMO_MAX:
-                        _LINE_MEMO.clear()
-                    _LINE_MEMO[line] = parsed
+                    parsed = _LINE_MEMO.store(line, _split_line(line))
             items.append(parsed[0])
             lower.append(parsed[1])
         return headers

@@ -24,8 +24,9 @@ inside :meth:`Headers.from_lines`.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
+from ..memo import Memo
 from .chunked import ChunkedDecoder
 from .headers import Headers
 from .messages import Request, Response, parse_version
@@ -94,11 +95,9 @@ class _RequestHead(NamedTuple):
     content_length: Optional[int]
 
 
-#: ``head-block bytes → _RequestHead``.  Pure: the value is a function
-#: of the key alone, so a cold, cleared or full memo changes cost, never
-#: a parse.  Malformed heads raise and are never stored.
-_REQUEST_HEADS: Dict[bytes, _RequestHead] = {}
-_REQUEST_HEADS_MAX = 4096
+#: ``head-block bytes → _RequestHead``.  Malformed heads raise and are
+#: never stored.
+_REQUEST_HEADS = Memo("http.request-heads", 4096)
 
 
 def _parse_request_head(block: bytes) -> _RequestHead:
@@ -215,10 +214,7 @@ class RequestParser:
         del self._buffer[:body_start]
         head = _REQUEST_HEADS.get(block)
         if head is None:
-            head = _parse_request_head(block)
-            if len(_REQUEST_HEADS) >= _REQUEST_HEADS_MAX:
-                _REQUEST_HEADS.clear()
-            _REQUEST_HEADS[block] = head
+            head = _REQUEST_HEADS.store(block, _parse_request_head(block))
         self._current = Request(
             head.method, head.target, head.version,
             Headers._from_parts(head.fields, head.lowered), head=block)

@@ -23,7 +23,8 @@ of them is visible one file at a time:
 * **Pool purity** — code reachable from ``MatrixRunner``'s chunk
   dispatch runs inside worker processes; writes to module-global state
   there diverge between the serial and parallel paths unless the state
-  is covered by ``ArtifactStore.store_state`` / ``_pool_initializer``.
+  is covered by ``ArtifactStore.store_state`` / ``_pool_initializer``
+  or is a declared :class:`repro.memo.Memo` (pure by contract, tested).
 
 Findings reuse the :class:`~repro.lint.findings.Finding` model and the
 inline-pragma mechanism.  The repository's own tree must come out
@@ -36,10 +37,11 @@ from __future__ import annotations
 import ast
 import dataclasses
 import pathlib
-from typing import Dict, List, Mapping, Optional, Set, Tuple, Union
+from typing import Dict, List, Mapping, Set, Tuple, Union
 
-from .findings import Finding
+from .findings import Finding, finding_sort_key
 from .graph import FunctionInfo, ProjectGraph, build_graph
+from .rules import dotted_name
 
 __all__ = ["DEEP_RULES", "DeepConfig", "DEFAULT_DEEP_CONFIG",
            "DeepError", "run_deep"]
@@ -102,40 +104,17 @@ class DeepConfig:
         })
     #: Identifier fragments that mark a value as seed-derived.
     seed_fragments: Tuple[str, ...] = ("seed",)
-    #: Path fragments whose module-global state is sanctioned (the
-    #: artifact store propagates it via store_state/_pool_initializer).
-    purity_path_waivers: Tuple[str, ...] = ("content/artifacts.py",)
+    #: Path fragments whose module-global state is sanctioned: the
+    #: artifact store propagates its own (store_state/_pool_initializer)
+    #: and the ``repro.memo`` registry is the one write a declared
+    #: ``Memo`` makes (per-process counters, shipped as chunk deltas).
+    purity_path_waivers: Tuple[str, ...] = ("content/artifacts.py",
+                                            "repro/memo.py")
     #: Individual sanctioned globals, with the reason each is safe to
     #: differ between workers, the parent and the serial path.
     purity_global_waivers: Mapping[str, str] = dataclasses.field(
         default_factory=lambda: {
             "_DEFAULT_SITE_AND_STORE": "covered by the pool warm-up",
-            "_CLASSIFY_CACHE": "pure memo: the key is the raw tag text "
-                               "and the value its frozen Token, so a "
-                               "cold or cleared cache recomputes the "
-                               "same value",
-            "_COMPRESSED_MEMO": "pure memo: the key digests max_string "
-                                "and every framed payload the LZW size "
-                                "depends on, so a miss re-encodes to "
-                                "the same value",
-            "_REQUEST_HEADS": "pure memo: the key is the exact bytes of "
-                              "a request head block and the value the "
-                              "immutable tuple _parse_request_head "
-                              "returns for them (every request gets "
-                              "fresh Headers lists), so a cold or "
-                              "cleared memo re-parses to the same "
-                              "value; errors are never stored",
-            "_LINE_MEMO": "pure memo: the key is one header line's text "
-                          "(never blank or SP/HT-led, whose meaning "
-                          "depends on the previous field) and the value "
-                          "the ((name, value), lowercased name) tuple "
-                          "_split_line returns for it, so a cold or "
-                          "cleared memo re-splits to the same value",
-            "_STEPS": "pure memo: the key is all HtmlTokenizer.feed "
-                      "reads (state, unconsumed tail, chunk), the value "
-                      "what it leaves (img-src URLs, state', tail'), so "
-                      "a cold or cleared memo re-tokenizes to the same "
-                      "value; per-scanner de-duplication runs after it",
         })
 
 
@@ -177,20 +156,6 @@ def _is_seedish(node: ast.AST, config: DeepConfig) -> bool:
     return any(fragment in part
                for part in lowered
                for fragment in config.seed_fragments)
-
-
-def _dotted(node: ast.expr, aliases: Mapping[str, str]) -> Optional[str]:
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    base = aliases.get(node.id)
-    if base is None:
-        return None
-    parts.append(base)
-    return ".".join(reversed(parts))
 
 
 def _finding(graph: ProjectGraph, module: str, node: ast.AST,
@@ -352,7 +317,7 @@ def _cache_key_pass(graph: ProjectGraph,
 def _rng_constructions(fn: FunctionInfo,
                        aliases: Mapping[str, str]) -> List[ast.Call]:
     return [call.node for call in fn.calls
-            if _dotted(call.node.func, aliases) == "random.Random"]
+            if dotted_name(call.node.func, aliases) == "random.Random"]
 
 
 def _caller_seed_exprs(graph: ProjectGraph, fn: FunctionInfo,
@@ -430,9 +395,7 @@ def _rng_pass(graph: ProjectGraph, config: DeepConfig) -> List[Finding]:
         rng_vars: Set[str] = set()
         for node in ast.walk(fn.node):
             if isinstance(node, ast.Assign) \
-                    and isinstance(node.value, ast.Call) \
-                    and _dotted(node.value.func,
-                                aliases) == "random.Random":
+                    and node.value in constructions:
                 for target in node.targets:
                     if isinstance(target, ast.Name):
                         rng_vars.add(target.id)
@@ -515,9 +478,9 @@ def _purity_pass(graph: ProjectGraph,
                      f"and mutates module-level '{name}[...]' — a "
                      "worker-local memo invisible to the parent and "
                      "the serial path",
-                     "key the memo through the artifact store, or "
-                     "waive it if the memo is pure (same key, same "
-                     "value)", findings)
+                     "declare it as a `repro.memo.Memo` (pure: same "
+                     "key, same value), or key it through the "
+                     "artifact store", findings)
     return findings
 
 
@@ -537,5 +500,4 @@ def run_deep(root: Union[str, pathlib.Path],
     findings.extend(_cache_key_pass(graph, config))
     findings.extend(_rng_pass(graph, config))
     findings.extend(_purity_pass(graph, config))
-    return sorted(findings,
-                  key=lambda f: (f.path, f.line, f.col, f.rule))
+    return sorted(findings, key=finding_sort_key)

@@ -32,6 +32,8 @@ import dataclasses
 import pathlib
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
+from .static import pragma_lines, suppressed
+
 __all__ = ["CallSite", "FunctionInfo", "ClassInfo", "ModuleInfo",
            "ProjectGraph", "build_graph"]
 
@@ -222,15 +224,8 @@ class ProjectGraph:
     def waived(self, qualname_or_module: str, rule: str,
                line: int) -> bool:
         """True when an inline pragma waives ``rule`` at this line."""
-        module = qualname_or_module.split(":", 1)[0]
-        info = self.modules.get(module)
-        if info is None:
-            return False
-        for lineno in (line, line - 1):
-            rules = info.pragmas.get(lineno)
-            if rules and (rule in rules or "*" in rules):
-                return True
-        return False
+        info = self.modules.get(qualname_or_module.split(":", 1)[0])
+        return info is not None and suppressed(rule, line, info.pragmas)
 
     # ------------------------------------------------------------------
     # Reachability
@@ -268,19 +263,6 @@ class ProjectGraph:
 # ----------------------------------------------------------------------
 # Construction
 # ----------------------------------------------------------------------
-
-def _collect_pragmas(source: str) -> Dict[int, Set[str]]:
-    from .static import _PRAGMA
-    waived: Dict[int, Set[str]] = {}
-    for lineno, text in enumerate(source.splitlines(), start=1):
-        match = _PRAGMA.search(text)
-        if match is None:
-            continue
-        waived[lineno] = {part.strip()
-                          for part in match.group(1).split(",")
-                          if part.strip()}
-    return waived
-
 
 def _scan_imports(tree: ast.Module, module: str,
                   known_prefixes: Set[str]
@@ -385,7 +367,7 @@ def build_graph(root: Union[str, pathlib.Path]) -> ProjectGraph:
                           posix_path=str(path).replace("\\", "/"),
                           tree=tree, imports=imports,
                           module_aliases=aliases, toplevel=toplevel,
-                          pragmas=_collect_pragmas(source))
+                          pragmas=pragma_lines(source))
         graph.modules[name] = info
 
         def register_function(node, class_info: Optional[ClassInfo]):

@@ -48,7 +48,7 @@ suppressions (see ``tests/lint/test_static.py::test_src_lints_clean``).
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional
 
 from .config import LintConfig
 from .findings import Finding
@@ -116,8 +116,8 @@ def _collect_import_aliases(tree: ast.AST) -> Dict[str, str]:
     return aliases
 
 
-def _dotted_name(node: ast.expr,
-                 aliases: Dict[str, str]) -> Optional[str]:
+def dotted_name(node: ast.expr,
+                aliases: Mapping[str, str]) -> Optional[str]:
     """Resolve an expression to its imported dotted name, if any."""
     parts: List[str] = []
     while isinstance(node, ast.Attribute):
@@ -187,7 +187,7 @@ class _DeterminismVisitor(ast.NodeVisitor):
 
     # -- calls: clocks, entropy, global random -------------------------
     def visit_Call(self, node: ast.Call) -> None:
-        name = _dotted_name(node.func, self.aliases)
+        name = dotted_name(node.func, self.aliases)
         if name is not None:
             if name in _WALL_CLOCK_CALLS:
                 self._emit(node, "wall-clock",
@@ -219,7 +219,7 @@ class _DeterminismVisitor(ast.NodeVisitor):
         elif isinstance(node.func, ast.Attribute) \
                 and node.func.attr == "Pool" \
                 and isinstance(node.func.value, ast.Call) \
-                and _dotted_name(node.func.value.func, self.aliases) \
+                and dotted_name(node.func.value.func, self.aliases) \
                 == "multiprocessing.get_context":
             self._emit(node, "pool-outside-matrix",
                        "multiprocessing.get_context(...).Pool() "

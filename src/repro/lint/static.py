@@ -15,7 +15,7 @@ import re
 from typing import Dict, Iterable, List, Sequence, Set, Union
 
 from .config import DEFAULT_CONFIG, LintConfig
-from .findings import Finding
+from .findings import Finding, finding_sort_key
 from .rules import scan_module
 
 __all__ = ["lint_source", "lint_file", "lint_paths", "LintError"]
@@ -29,7 +29,7 @@ class LintError(RuntimeError):
     """Raised for unreadable or syntactically invalid input files."""
 
 
-def _pragma_lines(source: str) -> Dict[int, Set[str]]:
+def pragma_lines(source: str) -> Dict[int, Set[str]]:
     """Map line numbers to the set of rule ids waived on that line."""
     waived: Dict[int, Set[str]] = {}
     for lineno, text in enumerate(source.splitlines(), start=1):
@@ -42,11 +42,11 @@ def _pragma_lines(source: str) -> Dict[int, Set[str]]:
     return waived
 
 
-def _suppressed(finding: Finding,
-                waived: Dict[int, Set[str]]) -> bool:
-    for lineno in (finding.line, finding.line - 1):
+def suppressed(rule: str, line: int, waived: Dict[int, Set[str]]) -> bool:
+    """True when an inline pragma waives ``rule`` at ``line``."""
+    for lineno in (line, line - 1):
         rules = waived.get(lineno)
-        if rules and (finding.rule in rules or "*" in rules):
+        if rules and (rule in rules or "*" in rules):
             return True
     return False
 
@@ -59,11 +59,11 @@ def lint_source(source: str, path: str = "<string>",
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
         raise LintError(f"{path}: {exc}") from exc
-    waived = _pragma_lines(source)
+    waived = pragma_lines(source)
     findings = [
         f for f in scan_module(tree, path, posix_path, config)
         if not config.rule_allowed(f.rule, posix_path)
-        and not _suppressed(f, waived)
+        and not suppressed(f.rule, f.line, waived)
     ]
     return sorted(findings, key=lambda f: (f.line, f.col, f.rule))
 
@@ -99,5 +99,4 @@ def lint_paths(paths: Sequence[Union[str, pathlib.Path]],
     findings: List[Finding] = []
     for file in _iter_python_files(paths):
         findings.extend(lint_file(file, config))
-    return sorted(findings,
-                  key=lambda f: (f.path, f.line, f.col, f.rule))
+    return sorted(findings, key=finding_sort_key)

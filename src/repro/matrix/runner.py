@@ -60,7 +60,8 @@ from ..faults.harness import HarnessFaultPlan, resolve_harness_plan
 from .cache import ResultCache, unit_key
 from .journal import RunJournal
 from .spec import ExperimentSpec
-from .supervisor import DEFAULT_RETRY_BUDGET, Supervisor, run_serial
+from .supervisor import (DEFAULT_RETRY_BUDGET, Supervisor, _attempt,
+                         process_counters)
 
 __all__ = ["CellEvent", "MatrixStats", "MatrixRunner", "run_unit"]
 
@@ -116,6 +117,11 @@ class MatrixStats:
     #: memoization of :mod:`repro.content.artifacts`).
     artifact_hits: int = 0
     artifact_misses: int = 0
+    #: Values the declared memos (:mod:`repro.memo`) built, and times
+    #: one was emptied for being full, over the same spans: 0 built is
+    #: a warm run, cleared > 0 a bound too small for the sweep.
+    memo_builds: int = 0
+    memo_clears: int = 0
     #: Dispatch chunks sent to the pool (0 for serial execution).
     ipc_batches: int = 0
     #: Bytes of pickled unit payload shipped to workers.
@@ -136,6 +142,15 @@ class MatrixStats:
     unit_wall_times: Dict[str, float] = dataclasses.field(
         default_factory=dict)
 
+    def count(self, moved: Sequence[int]) -> None:
+        """Add one chunk's, serial unit's or warm-up's
+        :func:`~repro.matrix.supervisor.process_counters` delta."""
+        hits, misses, builds, clears = moved
+        self.artifact_hits += hits
+        self.artifact_misses += misses
+        self.memo_builds += builds
+        self.memo_clears += clears
+
     def summary(self) -> str:
         return (f"{self.specs} cells, {self.units} runs requested: "
                 f"{self.sim_runs} simulated, {self.cache_hits} cache "
@@ -146,7 +161,8 @@ class MatrixStats:
                 f"{self.bytes_pickled} bytes pickled; "
                 f"{self.failures} failed, {self.unit_retries} retried, "
                 f"{self.pool_respawns} pool respawns, "
-                f"{self.journal_hits} journal hits")
+                f"{self.journal_hits} journal hits; memos "
+                f"{self.memo_builds} built, {self.memo_clears} cleared")
 
 
 def run_unit(spec: ExperimentSpec, seed: int) -> Tuple[object, float]:
@@ -263,11 +279,9 @@ class MatrixRunner:
             if self.warm:
                 # Build before forking: fork-start workers inherit the
                 # site copy-on-write instead of each building their own.
-                store_stats = artifacts.get_store().stats
-                hits, misses = store_stats.hits, store_stats.misses
+                before = process_counters()
                 warm_default_site()
-                self.stats.artifact_hits += store_stats.hits - hits
-                self.stats.artifact_misses += store_stats.misses - misses
+                self.stats.count(process_counters(before))
             self._pool = multiprocessing.Pool(
                 processes=self.jobs,
                 initializer=_pool_initializer,
@@ -460,8 +474,8 @@ class MatrixRunner:
         if self.jobs <= 1 or len(pending) <= 1:
             for index in pending:
                 spec, seed = units[index]
-                yield [run_serial(self.stats, self.harness_faults,
-                                  index, spec, seed, 1)]
+                yield [_attempt(self.stats.count, self.harness_faults,
+                                index, spec, seed, 1)]
             return
         payload = [(index, units[index][0], units[index][1])
                    for index in pending]

@@ -33,18 +33,19 @@ SIGKILL, hang, or poison scripted units deterministically.
 
 from __future__ import annotations
 
-import dataclasses
+import operator
 import pickle
 import time
 from typing import Iterator, List, Optional, Sequence, Tuple
 
+from .. import memo
 from ..content import artifacts
-from ..core.runner import RunResult, UnitFailure
+from ..core.runner import UnitFailure
 from ..faults.harness import HarnessFaultPlan
 from .spec import ExperimentSpec
 
 __all__ = ["DEFAULT_RETRY_BUDGET", "DEADLINE_GRACE", "Supervisor",
-           "run_serial"]
+           "process_counters"]
 
 #: Parallel re-dispatches allowed per unit after its first failure
 #: (the serial in-parent rung comes after these, for exception
@@ -69,85 +70,58 @@ _SupUnit = Tuple[int, ExperimentSpec, int, int]
 _Outcome = Tuple[int, object, float]
 
 
-@dataclasses.dataclass(frozen=True)
-class _WorkerFailure:
-    """Picklable per-unit failure shipped from a worker to the parent."""
+def process_counters(since: Sequence[int] = (0, 0, 0, 0)
+                     ) -> Tuple[int, ...]:
+    """This process's (artifact hits, artifact misses, memo builds,
+    memo clears) so far, less ``since``.  They depend on what the
+    process ran before (a worker starts cold, the serial path warms
+    up), so they travel beside the results as a delta per chunk or
+    unit, never inside a result, a cache payload or a digest."""
+    store = artifacts.get_store().stats
+    built = memo.stats().values()
+    now = (store.hits, store.misses,
+           sum(builds for builds, _, _ in built),
+           sum(clears for _, clears, _ in built))
+    return tuple(map(operator.sub, now, since))
 
-    kind: str
-    error: str
-    traceback_digest: str
 
+def _attempt(count, plan: Optional[HarnessFaultPlan], index: int,
+             spec: ExperimentSpec, seed: int, attempt: int) -> _Outcome:
+    """The one way to run a unit: in a pool worker, or in the parent —
+    where ``jobs=1`` execution starts (attempt 1) and exception failures
+    that spent their parallel budget end, the ladder's final rung.
 
-def _worker_failure(exc: BaseException) -> _WorkerFailure:
-    import hashlib
-    import traceback
-    text = "".join(traceback.format_exception(
-        type(exc), exc, exc.__traceback__))
-    return _WorkerFailure(
-        kind="exception",
-        error=f"{type(exc).__name__}: {exc}",
-        traceback_digest=hashlib.sha256(
-            text.encode("utf-8")).hexdigest()[:12])
+    A raising unit becomes a :class:`UnitFailure` instead of
+    propagating (in a worker that would abort the pool drain for the
+    whole batch; the parent's ladder decides what is next, and in the
+    parent itself the failure is the quarantine verdict).  ``count``
+    receives the :func:`process_counters` delta in a ``finally``, so a
+    consumer that stops iterating cannot lose it.
+    """
+    from .runner import run_unit    # runner imports this module
+    before = process_counters()
+    try:
+        if plan is not None:
+            plan.apply(index, seed, attempt)
+        result, wall = run_unit(spec, seed)
+        return (index, result, wall)
+    except Exception as exc:
+        return (index, UnitFailure.from_exception(
+            spec.label, seed, exc, attempts=attempt), 0.0)
+    finally:
+        count(process_counters(before))
 
 
 def _run_chunk_supervised(
         payload: Tuple[Sequence[_SupUnit], Optional[HarnessFaultPlan]]
-) -> Tuple[List[_Outcome], Tuple[int, int]]:
-    """Worker entry: run a chunk, capturing failures per unit.
-
-    One IPC round-trip per chunk, returning the per-unit outcomes plus
-    the artifact-store (hits, misses) delta the chunk produced in this
-    worker, so the parent can aggregate encode-memoization
-    effectiveness across the pool.  A raising unit becomes a
-    :class:`_WorkerFailure` in the results instead of propagating
-    (which would abort the pool drain for every unit in the batch);
-    the parent's retry ladder decides what happens next.
-    """
+) -> Tuple[List[_Outcome], Tuple[int, ...]]:
+    """Worker entry: one IPC round-trip per chunk, returning the units'
+    outcomes and their summed counter delta for the parent to aggregate
+    across the pool."""
     units, plan = payload
-    from .runner import run_unit    # runner imports this module
-    stats = artifacts.get_store().stats
-    hits, misses = stats.hits, stats.misses
-    results: List[_Outcome] = []
-    for index, spec, seed, attempt in units:
-        start = time.perf_counter()
-        try:
-            if plan is not None:
-                plan.apply(index, seed, attempt)
-            result, wall = run_unit(spec, seed)
-        except Exception as exc:
-            results.append((index, _worker_failure(exc),
-                            time.perf_counter() - start))
-        else:
-            results.append((index, result, wall))
-    return results, (stats.hits - hits, stats.misses - misses)
-
-
-def run_serial(stats, plan: Optional[HarnessFaultPlan], index: int,
-               spec: ExperimentSpec, seed: int, attempt: int) -> _Outcome:
-    """Run one unit in the parent: the ladder's final rung.
-
-    ``jobs=1`` execution starts here (attempt 1) and exception failures
-    that spent their parallel budget end here; either way a raising
-    unit is quarantined as a :class:`UnitFailure`, not retried.  The
-    artifact-store hit/miss delta lands in ``stats`` (the runner's
-    :class:`~repro.matrix.runner.MatrixStats`) in a ``finally``, so a
-    raising unit or a consumer that stops iterating cannot lose it.
-    """
-    from .runner import run_unit    # runner imports this module
-    store_stats = artifacts.get_store().stats
-    hits, misses = store_stats.hits, store_stats.misses
-    try:
-        try:
-            if plan is not None:
-                plan.apply(index, seed, attempt)
-            result, wall = run_unit(spec, seed)
-        except Exception as exc:
-            return (index, UnitFailure.from_exception(
-                spec.label, seed, exc, attempts=attempt), 0.0)
-        return (index, result, wall)
-    finally:
-        stats.artifact_hits += store_stats.hits - hits
-        stats.artifact_misses += store_stats.misses - misses
+    moved: List[Tuple[int, ...]] = []
+    outcomes = [_attempt(moved.append, plan, *unit) for unit in units]
+    return outcomes, tuple(map(sum, zip(*moved)))
 
 
 class _Chunk:
@@ -246,7 +220,7 @@ class Supervisor:
 
     def _collect(self, chunk: _Chunk) -> List[_Outcome]:
         try:
-            results, (hits, misses) = chunk.handle.get()
+            results, moved = chunk.handle.get()
         except Exception as exc:
             # The chunk computed but its reply could not be retrieved
             # (e.g. an unpicklable result): same treatment as a lost
@@ -255,17 +229,14 @@ class Supervisor:
                 chunk.units, "worker-lost",
                 f"chunk result unavailable: {exc}",
                 self.runner._ensure_pool())
-        stats = self.runner.stats
-        stats.artifact_hits += hits
-        stats.artifact_misses += misses
+        self.runner.stats.count(moved)
         info = {index: (spec, seed, attempt)
                 for index, spec, seed, attempt in chunk.units}
         batch: List[_Outcome] = []
         for index, outcome, wall in results:
             spec, seed, attempt = info[index]
-            if isinstance(outcome, _WorkerFailure):
-                resolved = self._unit_failed(index, spec, seed, attempt,
-                                             outcome)
+            if isinstance(outcome, UnitFailure):
+                resolved = self._unit_failed(index, spec, seed, attempt)
                 if resolved is not None:
                     batch.append(resolved)
             else:
@@ -276,8 +247,7 @@ class Supervisor:
     # Failure handling: the downgrade ladder
     # ------------------------------------------------------------------
     def _unit_failed(self, index: int, spec: ExperimentSpec, seed: int,
-                     attempt: int, failure: _WorkerFailure
-                     ) -> Optional[_Outcome]:
+                     attempt: int) -> Optional[_Outcome]:
         """One unit raised in a worker: retry, downgrade, or quarantine.
 
         Returns the resolved outcome, or None when the unit was
@@ -290,8 +260,8 @@ class Supervisor:
             return None
         # Parallel budget exhausted: the serial in-parent rung.
         self.runner._emit_retry(spec, seed, attempt + 1)
-        return run_serial(self.runner.stats, self.plan, index, spec,
-                          seed, attempt + 1)
+        return _attempt(self.runner.stats.count, self.plan, index, spec,
+                        seed, attempt + 1)
 
     def _supervise(self) -> List[_Outcome]:
         """One idle tick: check liveness and deadlines, maybe recover.

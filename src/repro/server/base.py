@@ -46,6 +46,7 @@ from ..http.framing import (F_CANCEL, F_DATA, F_END_STREAM, F_HEADERS,
                             FrameReader, INITIAL_STREAM_WINDOW,
                             MAX_DATA_PAYLOAD, encode_frame,
                             window_increment)
+from ..memo import Memo
 from ..simnet.engine import Simulator
 from ..simnet.tcp import TcpConnection, TcpStack
 from .profiles import ServerProfile
@@ -53,8 +54,9 @@ from .static import ResourceStore, build_response
 
 __all__ = ["SimHttpServer"]
 
-#: Bound on one profile's response-head templates (cleared when full).
-_HEADS_MAX = 4096
+#: The declaration; ``ResourceStore.derived`` keeps one
+#: :meth:`~repro.memo.Memo.fresh` instance per profile.
+_RESPONSE_HEADS = Memo("server.response-heads", 4096)
 
 
 class _ServerConnection:
@@ -509,11 +511,12 @@ class SimHttpServer:
         return self._date_text
 
     @property
-    def _heads(self) -> Dict[bytes, tuple]:
+    def _heads(self) -> Memo:
         """``request head bytes → (status, version, fields after Date,
         their lowercased names, body, reason)`` as ``build_response``
         produces them for this profile from the store's content."""
-        return self.store.derived(("response-heads", self.profile), dict)
+        return self.store.derived(("response-heads", self.profile),
+                                  _RESPONSE_HEADS.fresh)
 
     def _respond(self, request: Request) -> Response:
         """``build_response`` for ``request``, run once per distinct
@@ -531,11 +534,9 @@ class SimHttpServer:
             built = build_response(self.store, request, self.profile,
                                    date_header=date)
             headers = built.headers
-            if len(heads) >= _HEADS_MAX:
-                heads.clear()
-            template = heads[key] = (
+            template = heads.store(key, (
                 built.status, built.version, tuple(headers)[1:],
-                tuple(headers._lower[1:]), built.body, built.reason)
+                tuple(headers._lower[1:]), built.body, built.reason))
         status, version, fields, lowered, body, reason = template
         return Response(
             status, version,

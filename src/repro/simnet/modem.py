@@ -29,6 +29,8 @@ from __future__ import annotations
 import hashlib
 from typing import Dict, List, Optional, Tuple
 
+from ..memo import Memo
+
 __all__ = ["LzwEncoder", "LzwDecoder", "lzw_compress", "lzw_decompress",
            "ModemCompressor"]
 
@@ -45,8 +47,7 @@ MAX_CODES = 1 << MAX_CODE_BITS
 #: the same fetch five times per cell over one site, so most PPP
 #: packets repeat a history an earlier unit already coded.  Entries are
 #: tens of bytes; one cold report stores about 5k of them.
-_COMPRESSED_MEMO: Dict[bytes, int] = {}
-_COMPRESSED_MEMO_MAX = 65536
+_COMPRESSED_MEMO = Memo("modem.lzw-sizes", 65536)
 
 
 class LzwEncoder:
@@ -268,10 +269,7 @@ class ModemCompressor:
         key = history.digest()
         compressed = _COMPRESSED_MEMO.get(key)
         if compressed is None:
-            compressed = self._encode(payload)
-            if len(_COMPRESSED_MEMO) >= _COMPRESSED_MEMO_MAX:
-                _COMPRESSED_MEMO.clear()
-            _COMPRESSED_MEMO[key] = compressed
+            compressed = _COMPRESSED_MEMO.store(key, self._encode(payload))
         else:
             self._skipped.append(payload)
         savings = max(0, len(payload) - compressed)

@@ -150,7 +150,7 @@ def test_scan_is_independent_of_memo_state_and_segmentation(body, data):
         assert memoized_scan(pieces) == expected                # warm
         assert memoized_scan(pieces, clear_at) == expected      # cleared
         discovery._STEPS.clear()
-        with mock.patch.object(discovery, "_STEPS_MAX", 1):
+        with mock.patch.object(discovery._STEPS, "bound", 1):
             assert memoized_scan(pieces) == expected            # capped
             assert len(discovery._STEPS) <= 1
     # Every segmentation finds the same URLs in the same order.

@@ -112,6 +112,10 @@ def test_memoize_object_round_trips_and_heals_corruption(store):
     healed = store.memoize_object("obj", {}, 0, lambda: value)
     assert healed == value
     assert pickle.loads(store.path(key).read_bytes()) == value
+    # One lookup, one count, across the heal: first (miss), corrupt
+    # (a miss, not a hit *and* a miss), then a clean hit.
+    assert store.memoize_object("obj", {}, 0, lambda: value) == value
+    assert (store.stats.hits, store.stats.misses) == (1, 2)
 
 
 def test_clear_removes_blobs(store):

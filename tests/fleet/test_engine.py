@@ -51,6 +51,24 @@ def test_codec_round_trips_through_json(cohort_result):
     assert revived == cohort_result
 
 
+def test_codec_payload_is_pinned_though_derived(cohort_result):
+    # Both directions come from dataclasses.fields; what is on disk in
+    # every fleet cache and journal must not move when a field does not.
+    payload = json.loads(json.dumps(encode_result(cohort_result)))
+    assert sorted(payload) == [
+        "__kind__", "cohort", "connections_accepted", "epoch",
+        "epoch_bytes_down", "fastforward_spans", "packets",
+        "queue_waits", "requests_served", "server_cpu_seconds",
+        "sessions", "sim_time", "users"]
+    assert sorted(payload["sessions"][0]) == [
+        "arrival", "errors", "mode", "page_times", "pages_started", "user"]
+    revived = decode_result(payload)
+    assert type(revived.sessions) is tuple
+    assert type(revived.sessions[0].page_times) is tuple
+    assert type(revived.epoch_bytes_down) is tuple
+    assert type(revived.queue_waits) is tuple
+
+
 def test_cohort_results_ride_the_result_cache(tmp_path, cohort_result):
     cache = ResultCache(tmp_path / "cache")
     unit = equal_unit(small_spec())

@@ -262,8 +262,8 @@ def check_every_memo_state(kind, head_blocks, data):
     check(parse_stream(kind, pieces))                   # cold
     check(parse_stream(kind, pieces))                   # warm
     check(parse_stream(kind, pieces, clear_at))         # cleared mid-stream
-    with mock.patch.object(headers_mod, "_LINE_MEMO_MAX", 1), \
-            mock.patch.object(parser_mod, "_REQUEST_HEADS_MAX", 1):
+    with mock.patch.object(headers_mod._LINE_MEMO, "bound", 1), \
+            mock.patch.object(parser_mod._REQUEST_HEADS, "bound", 1):
         check(parse_stream(kind, pieces))               # always full
     check(parse_stream(kind, [wire]))                   # one segment
 

@@ -2,10 +2,12 @@
 
 import dataclasses
 import pathlib
+import re
 import textwrap
 
 import pytest
 
+from repro import memo
 from repro.lint import (DEFAULT_DEEP_CONFIG, DeepError, build_graph,
                         run_deep)
 
@@ -56,10 +58,21 @@ def test_bad_pool_corpus():
     assert "offline_report" not in messages
 
 
+def test_bad_pool_memo_corpus():
+    # The mirror image: a declared Memo written through store() is clean
+    # by construction; the rebind beside it still fires.
+    findings = run_deep(FIXTURES / "bad_pool_memo", BAD_POOL_CONFIG)
+    assert _rules(findings) == ["pool-global-write"]
+    assert "'_COUNT'" in findings[0].message
+
+
 def test_purity_waiver_needs_a_name_and_carries_a_reason():
-    # The two pure memos are waived by name, each with its argument...
+    # The two pure memos are declared by name in the registry, not
+    # waived: one named global is left, with its reason...
+    import repro.__main__  # noqa: F401  (imports every declaring module)
+    assert {"html.classify", "modem.lzw-sizes"} <= set(memo.declared())
     waivers = DEFAULT_DEEP_CONFIG.purity_global_waivers
-    assert {"_CLASSIFY_CACHE", "_COMPRESSED_MEMO"} <= set(waivers)
+    assert set(waivers) == {"_DEFAULT_SITE_AND_STORE"}
     assert all(reason.strip() for reason in waivers.values())
     # ...and a waiver covers that global only: the corpus memo is
     # caught by default (above) and accepted once named, while the
@@ -74,8 +87,7 @@ def test_purity_waiver_needs_a_name_and_carries_a_reason():
 
 def test_a_purity_waiver_cannot_outlive_its_memo():
     # Every waived global is still written by some function of the real
-    # tree, and DESIGN.md (the 6b memo table or the 6d pool-purity
-    # bullet) still explains it: deleting a memo takes its waiver along.
+    # tree, and DESIGN.md (the 6d pool-purity bullet) still explains it.
     graph = build_graph(REPO / "src" / "repro")
     written = {name for fn in graph.functions.values()
                for name, _node in (fn.global_writes
@@ -86,6 +98,16 @@ def test_a_purity_waiver_cannot_outlive_its_memo():
         assert name in written, f"{name} is waived but never written"
         assert f"`{name}`" in engine_sections, \
             f"{name} is waived but DESIGN.md 6b-6d does not name it"
+    # The memos need no waiver; what holds them to the tree is the
+    # registry, checked against DESIGN.md 6b's table in both directions:
+    # every declared name has a row stating its bound, and every row
+    # that names a registry memo is declared.
+    import repro.__main__  # noqa: F401  (imports every declaring module)
+    rows = re.findall(                  # | `name` … | … | … | N entries … |
+        r"^ *\| `([a-z]+\.[a-z-]+)` .*\| ([\d,]+) [^|]*\|$",
+        design[design.index("## 6b."):design.index("## 6c.")], re.M)
+    assert {name: int(bound.replace(",", ""))
+            for name, bound in rows} == memo.declared()
 
 
 # ----------------------------------------------------------------------

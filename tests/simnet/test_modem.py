@@ -192,7 +192,7 @@ def test_memo_state_never_changes_a_wire_size(streams, clear_before,
     assert _drive(make, streams) == expected                    # cold
     assert _drive(make, streams) == expected                    # warm
     assert _drive(make, streams, clear_before) == expected      # cleared
-    with mock.patch.object(modem_module, "_COMPRESSED_MEMO_MAX", 2):
+    with mock.patch.object(memo, "bound", 2):
         memo.clear()
         assert _drive(make, streams) == expected                # at cap
         assert len(memo) <= 2

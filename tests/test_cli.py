@@ -1,5 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import re
+
 import pytest
 
 from repro.__main__ import build_parser, main
@@ -81,6 +83,41 @@ def test_invalid_fleet_spec_is_a_usage_error(flags, message, capsys):
     err = capsys.readouterr().err
     assert err.startswith("fleet: ") and message in err
     assert "Traceback" not in err
+
+
+_TINY_FLEET = ["fleet", "--users", "4", "--cohorts", "1", "--environment",
+               "LAN", "--pages-per-user", "1", "--rounds", "1"]
+
+
+@pytest.mark.parametrize("flags", [
+    ["--server", "Apache"],             # the name every table prints
+    ["--scenario", "reval"],
+    ["--environment", "Wan"],
+])
+def test_fleet_accepts_every_spelling_the_registry_resolves(flags, capsys):
+    assert main(_TINY_FLEET + flags) == 0
+    assert "4 users" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag, kind", [("--server", "server"),
+                                        ("--environment", "environment"),
+                                        ("--scenario", "scenario")])
+def test_fleet_unknown_name_is_the_registrys_error(flag, kind, capsys):
+    assert main(_TINY_FLEET + [flag, "bogus"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"fleet: unknown {kind} 'bogus' (")
+    assert "choose from" in err
+
+
+def test_a_spelling_cannot_fork_a_fleet_journal(tmp_path, capsys,
+                                                monkeypatch):
+    monkeypatch.chdir(tmp_path)         # the journal lands under cwd
+    ids = []
+    for server in ("apache", "Apache"):
+        assert main(_TINY_FLEET + ["--server", server, "--journal"]) == 0
+        ids.append(re.search(r"^journal: (fleet-\w+)$",
+                             capsys.readouterr().err, re.M).group(1))
+    assert ids[0] == ids[1]
 
 
 def test_modem(capsys):
