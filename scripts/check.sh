@@ -30,6 +30,17 @@ python -m repro lint --deep
 #     Tables 3-11, modem, eight chaos cells, a contended fleet) —
 #     tests/test_memo.py::test_memo_cold_output_is_byte_identical
 #     (not slow-marked: FAST=1 keeps it)
+#   no repro object is ever cyclic garbage (every mode x scenario, a
+#     chaos cell per plan, the proxy chain, a render run, a contended
+#     fleet under gc.DEBUG_SAVEALL) — tests/test_object_lifetime.py
+#     (not slow-marked: FAST=1 keeps it)
+# ... and src/ never tunes the collector instead (the stats line's
+# `gc K collected` reads gc.get_stats() only):
+if grep -rnE "gc\.(disable|enable|freeze|unfreeze|set_threshold|collect)" src/
+then
+    echo "check.sh: collector tuning in src/ (DESIGN.md, Object lifetime)" >&2
+    exit 1
+fi
 if [ "${FAST:-0}" = "1" ]; then
     python -m pytest -x -q -m "not slow"
 else

@@ -688,7 +688,10 @@ def fetch_through_proxy(mode: str) -> Tuple[list, float, int]:
     conn.on_data = lambda _conn, data: responses.extend(parser.feed(data))
     conn.send(Request("GET", "/gifs/bullet0.gif", HTTP10, Headers([
         ("Host", SERVER_HOST), ("Connection", "Keep-Alive")])).to_bytes())
-    net.run()
+    try:
+        net.run()
+    finally:
+        net.close()
     return responses, net.sim.now, proxy.idle_timeouts
 
 

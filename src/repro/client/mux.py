@@ -23,8 +23,7 @@ incremental HTML discovery — is shared; only the wire layer changes:
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, Optional
+from typing import Dict, Optional
 
 from ..http import ParseError, Request, Response, ResponseParser
 from ..http.framing import (F_CANCEL, F_DATA, F_END_STREAM, F_HEADERS,
@@ -33,8 +32,8 @@ from ..http.framing import (F_CANCEL, F_DATA, F_END_STREAM, F_HEADERS,
                             FrameReader, INITIAL_STREAM_WINDOW,
                             encode_frame, encode_window_update)
 from ..simnet.tcp import TcpConnection
-from .pipeline import FlowWindow, OutputBuffer
-from .robot import FIRST_TIME, Robot
+from .pipeline import FlowWindow
+from .robot import FIRST_TIME, Robot, _Connection
 
 __all__ = ["MuxClient"]
 
@@ -53,42 +52,32 @@ class _MuxStream:
         self.unscanned: Optional[Response] = None
 
 
-class _MuxConnState:
-    """One MUX connection: frame reader, output buffer, open streams.
+class _MuxConnState(_Connection):
+    """One MUX connection: a frame reader over the stream, and the
+    open streams with a response parser each."""
 
-    Exposes the same attribute surface the robot's recovery machinery
-    touches on a plain connection (``outstanding``, ``popped``,
-    ``open``, ``buffer``, watchdog fields), so `_connection_gone`,
-    `_watchdog_fire` and `_check_complete` work unchanged.
-    """
-
-    __slots__ = ("robot", "shard", "conn", "reader", "buffer",
-                 "streams", "outstanding", "popped", "open",
-                 "next_stream", "watchdog_event", "deadline")
+    __slots__ = ("reader", "streams", "next_stream")
 
     def __init__(self, robot: "MuxClient",
                  shard: Optional[int] = None) -> None:
-        self.robot = robot
-        self.shard = shard
-        self.conn: TcpConnection = robot.stack.connect(
-            robot.server_host, robot.server_port)
-        self.conn.set_nodelay(robot.config.nodelay)
+        super().__init__(robot, shard)
         self.reader = FrameReader()
-        self.buffer = OutputBuffer(
-            robot.sim, self.conn, size=robot.config.output_buffer_size,
-            flush_timeout=robot.config.flush_timeout)
         #: Stream id → stream, both requested (odd) and pushed (even).
         self.streams: Dict[int, _MuxStream] = {}
-        #: URLs with an open client-initiated stream, in request order.
-        self.outstanding: Deque[str] = deque()
-        self.popped = 0          # responses completed on this connection
-        self.open = True
         self.next_stream = 1
-        self.watchdog_event = None
-        self.deadline = 0.0
-        self.conn.on_data = self._on_data
-        self.conn.on_eof = self._on_eof
-        self.conn.on_reset = self._on_reset
+
+    def retire(self, _conn: Optional[TcpConnection] = None) -> None:
+        for sid in list(self.streams):
+            self.end_stream(sid)
+        super().retire()
+
+    def end_stream(self, sid: int) -> Optional[_MuxStream]:
+        """Forget stream ``sid``; its parser stops calling back into
+        the robot (the reader's closure holds the stream itself)."""
+        stream = self.streams.pop(sid, None)
+        if stream is not None:
+            stream.parser.on_body_chunk = None
+        return stream
 
     # ------------------------------------------------------------------
     def send_request(self, url: str, request: Request,
@@ -110,18 +99,13 @@ class _MuxConnState:
                                buffered=True, flush=flush)
         self.robot._arm_watchdog(self)
 
-    def cancel_watchdog(self) -> None:
-        if self.watchdog_event is not None:
-            self.watchdog_event.cancel()
-            self.watchdog_event = None
-
     def collect_unfinished(self) -> None:
         """Move promised-but-unfinished pushes into ``outstanding`` so
         the robot's recovery re-issues them as plain requests."""
-        for stream in self.streams.values():
+        for sid in list(self.streams):
+            stream = self.end_stream(sid)
             if stream.pushed and stream.url not in self.outstanding:
                 self.outstanding.append(stream.url)
-        self.streams.clear()
 
     # ------------------------------------------------------------------
     def _on_data(self, _conn: TcpConnection, data: bytes) -> None:
@@ -132,25 +116,12 @@ class _MuxConnState:
             frames = self.reader.feed(data)
         except FramingError as exc:
             self.robot.result.errors.append(f"framing error: {exc}")
-            self.conn.abort()
-            self.open = False
+            self.robot._abort(self)
             return
         for frame in frames:
             self.robot._on_frame(self, frame)
             if not self.open:
                 break
-
-    def _on_eof(self, _conn: TcpConnection) -> None:
-        self.open = False
-        if self.conn.state not in ("CLOSED",):
-            self.conn.close()
-        self.robot._connection_gone(self)
-
-    def _on_reset(self, _conn: TcpConnection) -> None:
-        self.open = False
-        self.robot.result.errors.append(
-            f"connection reset with {len(self.outstanding)} outstanding")
-        self.robot._connection_gone(self)
 
 
 class MuxClient(Robot):
@@ -229,8 +200,7 @@ class MuxClient(Robot):
                 if stream.recv_window.overrun:
                     self.result.errors.append(
                         f"flow-control overrun on stream {frame.stream}")
-                    state.open = False
-                    state.conn.abort()
+                    self._abort(state)
                     return
                 # Replenish immediately: the client consumes as it
                 # parses, so credit equals consumption.
@@ -247,8 +217,7 @@ class MuxClient(Robot):
                 responses = stream.parser.feed(frame.payload)
             except ParseError as exc:
                 self.result.errors.append(f"parse error: {exc}")
-                state.open = False
-                state.conn.abort()
+                self._abort(state)
                 return
             for response in responses:
                 self._stream_complete(state, frame.stream, stream,
@@ -256,7 +225,7 @@ class MuxClient(Robot):
         elif ftype == F_PUSH_PROMISE:
             self._on_push_promise(state, frame)
         elif ftype == F_END_STREAM:
-            state.streams.pop(frame.stream, None)
+            state.end_stream(frame.stream)
         # Servers send nothing else client-relevant; ignore the rest.
 
     def _on_push_promise(self, state: _MuxConnState,
@@ -279,7 +248,7 @@ class MuxClient(Robot):
 
     def _stream_complete(self, state: _MuxConnState, sid: int,
                          stream: _MuxStream, response: Response) -> None:
-        state.streams.pop(sid, None)
+        state.end_stream(sid)
         if not stream.pushed:
             try:
                 state.outstanding.remove(stream.url)

@@ -182,29 +182,24 @@ def _range_has_tail(response: Response) -> bool:
         return False
 
 
-class _ConnState:
-    """One client connection with its parser and output buffer."""
+class _Connection:
+    """What every client connection state is: the TCP connection, its
+    output buffer, the requests it owes, the watchdog and the one exit.
+    A subclass adds the wire format (``send_request``, ``_on_data``)."""
 
     def __init__(self, robot: "Robot",
                  shard: Optional[int] = None) -> None:
         self.robot = robot
         self.shard = shard
-        port = robot.server_port + (shard or 0)
         self.conn: TcpConnection = robot.stack.connect(
-            robot.server_host, port)
+            robot.server_host, robot.server_port + (shard or 0))
         self.conn.set_nodelay(robot.config.nodelay)
-        self.parser = ResponseParser()
-        self.parser.on_body_chunk = (
-            lambda response, chunk:
-            robot._on_body_chunk(self, response, chunk))
         self.buffer = OutputBuffer(
             robot.sim, self.conn, size=robot.config.output_buffer_size,
             flush_timeout=robot.config.flush_timeout)
         self.outstanding: Deque[str] = deque()
         self.popped = 0          # responses removed from outstanding
         self.open = True
-        #: The response, once ``Robot._scan_chunk`` found it is not HTML.
-        self.unscanned: Optional[Response] = None
         #: Watchdog: standing event chasing ``deadline`` (the lazy-timer
         #: pattern — progress just moves the attribute, the event
         #: re-schedules itself if it fires early).  None when the
@@ -214,6 +209,51 @@ class _ConnState:
         self.conn.on_data = self._on_data
         self.conn.on_eof = self._on_eof
         self.conn.on_reset = self._on_reset
+        self.conn.on_closed = self.retire
+
+    def cancel_watchdog(self) -> None:
+        if self.watchdog_event is not None:
+            self.watchdog_event.cancel()
+            self.watchdog_event = None
+
+    def retire(self, _conn: Optional[TcpConnection] = None) -> None:
+        """The one exit, taken once the TCP connection is ``CLOSED``:
+        state and robot let go of each other (a subclass first drops
+        the reader callbacks that close over both).  A robot whose last
+        state retired goes with its pending events, cache and all."""
+        self.open = False
+        self.cancel_watchdog()
+        if self in self.robot._conns:
+            self.robot._conns.remove(self)
+
+    def _on_eof(self, _conn: TcpConnection) -> None:
+        self.open = False
+        self.conn.close()
+        self.robot._connection_gone(self)
+
+    def _on_reset(self, _conn: TcpConnection) -> None:
+        self.open = False
+        self.robot.result.errors.append(
+            f"connection reset with {len(self.outstanding)} outstanding")
+        self.robot._connection_gone(self)
+
+
+class _ConnState(_Connection):
+    """One plain-HTTP connection: a response parser over the stream."""
+
+    def __init__(self, robot: "Robot",
+                 shard: Optional[int] = None) -> None:
+        super().__init__(robot, shard)
+        self.parser = ResponseParser()
+        self.parser.on_body_chunk = (
+            lambda response, chunk:
+            robot._on_body_chunk(self, response, chunk))
+        #: The response, once ``Robot._scan_chunk`` found it is not HTML.
+        self.unscanned: Optional[Response] = None
+
+    def retire(self, _conn: Optional[TcpConnection] = None) -> None:
+        self.parser.on_body_chunk = None
+        super().retire()
 
     # ------------------------------------------------------------------
     def send_request(self, url: str, request: Request,
@@ -228,11 +268,6 @@ class _ConnState:
             self.buffer.flush()
         self.robot._arm_watchdog(self)
 
-    def cancel_watchdog(self) -> None:
-        if self.watchdog_event is not None:
-            self.watchdog_event.cancel()
-            self.watchdog_event = None
-
     # ------------------------------------------------------------------
     def _on_data(self, _conn: TcpConnection, data: bytes) -> None:
         timeout = self.robot.config.watchdog_timeout
@@ -242,8 +277,7 @@ class _ConnState:
             responses = self.parser.feed(data)
         except ParseError as exc:
             self.robot.result.errors.append(f"parse error: {exc}")
-            self.conn.abort()
-            self.open = False
+            self.robot._abort(self)
             return
         for response in responses:
             url = self.outstanding.popleft()
@@ -260,16 +294,7 @@ class _ConnState:
             url = self.outstanding.popleft()
             self.popped += 1
             self.robot._response_arrived(self, url, final)
-        self.open = False
-        if self.conn.state not in ("CLOSED",):
-            self.conn.close()
-        self.robot._connection_gone(self)
-
-    def _on_reset(self, _conn: TcpConnection) -> None:
-        self.open = False
-        self.robot.result.errors.append(
-            f"connection reset with {len(self.outstanding)} outstanding")
-        self.robot._connection_gone(self)
+        super()._on_eof(_conn)
 
 
 class Robot:
@@ -289,7 +314,7 @@ class Robot:
         self.config = config or ClientConfig()
         self.cache = cache if cache is not None else MemoryCache()
         self.result = FetchResult()
-        self._conns: List[_ConnState] = []
+        self._conns: List[_Connection] = []
         self._pending: Deque[str] = deque()
         #: Per-shard request queues (empty list when not sharding).
         self._shard_queues: List[Deque[str]] = [
@@ -514,7 +539,7 @@ class Robot:
                 state.send_request(url, self._build_request(url),
                                    flush=True)
 
-    def _new_conn(self, shard: Optional[int] = None) -> _ConnState:
+    def _new_conn(self, shard: Optional[int] = None) -> _Connection:
         state = self._conn_class(self, shard) if shard is not None \
             else self._conn_class(self)
         self._conns.append(state)
@@ -524,13 +549,13 @@ class Robot:
             self.result.max_parallel_connections, parallel)
         return state
 
-    def _alive_conns(self) -> List[_ConnState]:
+    def _alive_conns(self) -> List[_Connection]:
         return [c for c in self._conns if c.open]
 
     # ------------------------------------------------------------------
     # Response path
     # ------------------------------------------------------------------
-    def _response_arrived(self, state: _ConnState, url: str,
+    def _response_arrived(self, state: _Connection, url: str,
                           response: Response) -> None:
         cost = self.config.per_response_cpu
         start = max(self.sim.now, self._cpu_free_at)
@@ -538,7 +563,7 @@ class Robot:
         self.sim.schedule_at(self._cpu_free_at, self._handle_response,
                              state, url, response)
 
-    def _handle_response(self, state: _ConnState, url: str,
+    def _handle_response(self, state: _Connection, url: str,
                          response: Response) -> None:
         if 500 <= response.status < 600:
             attempts = self._server_error_retries.get(url, 0)
@@ -553,8 +578,7 @@ class Robot:
                 self._pending.append(url)
                 if not response.allows_keep_alive() and state.open:
                     state.open = False
-                    if state.conn.state != "CLOSED":
-                        state.conn.close()
+                    state.conn.close()
                 self._dispatch()
                 self._check_complete()
                 return
@@ -592,8 +616,7 @@ class Robot:
         close_after = not response.allows_keep_alive()
         if close_after and state.open:
             state.open = False
-            if state.conn.state != "CLOSED":
-                state.conn.close()
+            state.conn.close()
         self._dispatch()
         self._check_complete()
 
@@ -659,7 +682,7 @@ class Robot:
     def _note(self, kind: str, detail: str = "") -> None:
         self.result.recovery.note(self.sim.now, "client", kind, detail)
 
-    def _arm_watchdog(self, state: _ConnState) -> None:
+    def _arm_watchdog(self, state: _Connection) -> None:
         timeout = self.config.watchdog_timeout
         if timeout is None:
             return
@@ -668,7 +691,7 @@ class Robot:
             state.watchdog_event = self.sim.schedule(
                 timeout, self._watchdog_fire, state)
 
-    def _watchdog_fire(self, state: _ConnState) -> None:
+    def _watchdog_fire(self, state: _Connection) -> None:
         state.watchdog_event = None
         if (not state.open or self.result.complete
                 or self.result.terminal_error is not None):
@@ -688,13 +711,19 @@ class Robot:
         self._note("watchdog",
                    f"{len(state.outstanding)} outstanding, popped "
                    f"{state.popped}")
+        self._abort(state)
+
+    def _abort(self, state: _Connection) -> None:
+        """RST a connection the client gave up on (stalled, or talking
+        garbage); what it still owed goes through the normal recovery."""
         state.open = False
-        if state.conn.state != "CLOSED":
-            state.conn.abort()
+        state.conn.abort()
         self._connection_gone(state)
 
-    def _connection_gone(self, state: _ConnState) -> None:
+    def _connection_gone(self, state: _Connection) -> None:
         state.cancel_watchdog()
+        if state.conn.state == "CLOSED":
+            state.retire()
         if self.result.complete or self.result.terminal_error is not None:
             return
         if state.outstanding:
@@ -706,7 +735,7 @@ class Robot:
             self.result.retries += 1
             requeue = list(state.outstanding)
             state.outstanding.clear()
-            origin = getattr(state, "shard", None)
+            origin = state.shard
             if state.popped:
                 failures = self._consecutive_failures[origin] = 0
             else:
@@ -768,12 +797,9 @@ class Robot:
         self.result.terminal_error = reason
         self.result.errors.append(f"terminal: {reason}")
         self._note("terminal", reason)
-        for state in self._conns:
-            state.cancel_watchdog()
-            if state.open:
-                state.open = False
-                if state.conn.state != "CLOSED":
-                    state.conn.abort()
+        for state in list(self._conns):
+            state.conn.abort()
+            state.retire()
         if self.on_complete is not None:
             self.on_complete(self.result)
 
@@ -794,7 +820,6 @@ class Robot:
         for state in self._alive_conns():
             state.buffer.flush()
             state.open = False
-            if state.conn.state != "CLOSED":
-                state.conn.close()
+            state.conn.close()
         if self.on_complete is not None:
             self.on_complete(self.result)

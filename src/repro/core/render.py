@@ -27,7 +27,9 @@ from typing import Dict, Optional
 
 from ..client.robot import (ClientConfig, FIRST_TIME, Robot, TAIL_MARKER)
 from ..content.microscape import MicroscapeSite
+from ..http import Response
 from ..server.profiles import ServerProfile
+from ..simnet.engine import Simulator
 from ..simnet.link import NetworkEnvironment
 from .runner import ExperimentError, Testbed
 from .transport import Transport
@@ -56,9 +58,9 @@ class RenderMetrics:
 class _RenderObserver:
     """Builds a :class:`RenderMetrics` from robot instrumentation."""
 
-    def __init__(self, site: MicroscapeSite) -> None:
+    def __init__(self, site: MicroscapeSite, sim: Simulator) -> None:
         self.site = site
-        self.robot: Optional[Robot] = None
+        self.sim = sim
         self.metrics = RenderMetrics(
             images_expected=len(site.embedded_urls()))
         self._dims_known: Dict[str, bool] = {}
@@ -66,12 +68,11 @@ class _RenderObserver:
         self._image_urls = set(site.embedded_urls())
 
     def attach(self, robot: Robot) -> None:
-        self.robot = robot
         robot.on_body_progress = self._progress
         robot.on_response = self._response
 
     def _now(self) -> float:
-        return self.robot.sim.now
+        return self.sim.now
 
     def _progress(self, url: str, response, bytes_so_far: int,
                   _chunk: bytes) -> None:
@@ -110,9 +111,8 @@ class _RenderObserver:
             if len(self._complete) == len(self._image_urls):
                 self.metrics.full_render = now
 
-    def verify(self) -> bool:
+    def verify(self, responses: Dict[str, Response]) -> bool:
         """Reassemble every image and compare with the site content."""
-        responses = self.robot.result.responses
         for url in self._image_urls:
             original = self.site.objects[url].body
             prefix = responses.get(url)
@@ -137,11 +137,14 @@ def measure_render(config: ClientConfig,
     transport = Transport()
     testbed = Testbed(environment, profile, transport, site=site,
                       seed=seed, jitter=jitter)
-    observer = _RenderObserver(testbed.site)
-    result = testbed.fetch_page(transport, config, FIRST_TIME,
-                                attach=observer.attach)
-    testbed.net.run()
+    observer = _RenderObserver(testbed.site, testbed.net.sim)
+    try:
+        result = testbed.fetch_page(transport, config, FIRST_TIME,
+                                    attach=observer.attach)
+        testbed.net.run()
+    finally:
+        testbed.close()
     if not result.complete:
         raise ExperimentError(f"render run incomplete: {result.errors}")
-    observer.metrics.verified = observer.verify()
+    observer.metrics.verified = observer.verify(result.responses)
     return observer.metrics

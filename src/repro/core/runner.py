@@ -359,6 +359,11 @@ class Testbed:
             attach(robot)
         return robot.fetch(self.site.html_url, scenario, known_urls=known)
 
+    def close(self) -> None:
+        """Release the network once the unit has its results; every
+        ``Testbed(...)`` is followed by a ``finally`` that calls this."""
+        self.net.close()
+
 
 def run_experiment(mode: Union[str, ProtocolMode],
                    scenario: str, *,
@@ -423,94 +428,97 @@ def run_experiment(mode: Union[str, ProtocolMode],
     testbed = Testbed(environment, profile, transport, site=site,
                       store=store, seed=seed, jitter=jitter,
                       fastpath=fastpath)
-    net, servers, site = testbed.net, testbed.servers, testbed.site
-    if plan is not None and plan.link.active:
-        # A private RNG stream (offset from the run seed) so injecting
-        # faults never perturbs the link's jitter draw sequence.
-        FaultInjector(net.link, plan.link, seed=seed + 7919,
-                      recovery=recovery)
-    for srv in servers:
-        srv.recovery = recovery
-    sanitizer = None
-    frame_validator = None
-    if sanitize:
-        from ..lint import (FrameStreamValidator, LiveSanitizer,
-                            SanitizerConfig)
-        s_config = SanitizerConfig.for_run(
-            environment=environment,
-            client_nodelay=config.nodelay,
-            server_nodelay=profile.nodelay,
-            client_delack=net.client.config.delack_delay,
-            server_delack=net.server.config.delack_delay,
-            max_parallel=config.max_connections)
-        if plan is None:
-            # Clean runs also enforce the mode's connection-shape
-            # contract (fault recovery legitimately re-dials, so the
-            # rules are skipped under injection).
-            rules = transport.trace_rules(config)
-            if rules is not None:
-                s_config = dataclasses.replace(s_config, mode_rules=rules)
-        sanitizer = LiveSanitizer(net.link, s_config)
-        if transport.mux:
-            frame_validator = FrameStreamValidator(
-                push_allowed=transport.push)
-            for srv in servers:
-                srv.frame_tap = frame_validator.observe
+    try:
+        net, servers, site = testbed.net, testbed.servers, testbed.site
+        if plan is not None and plan.link.active:
+            # A private RNG stream (offset from the run seed) so injecting
+            # faults never perturbs the link's jitter draw sequence.
+            FaultInjector(net.link, plan.link, seed=seed + 7919,
+                          recovery=recovery)
+        for srv in servers:
+            srv.recovery = recovery
+        sanitizer = None
+        frame_validator = None
+        if sanitize:
+            from ..lint import (FrameStreamValidator, LiveSanitizer,
+                                SanitizerConfig)
+            s_config = SanitizerConfig.for_run(
+                environment=environment,
+                client_nodelay=config.nodelay,
+                server_nodelay=profile.nodelay,
+                client_delack=net.client.config.delack_delay,
+                server_delack=net.server.config.delack_delay,
+                max_parallel=config.max_connections)
+            if plan is None:
+                # Clean runs also enforce the mode's connection-shape
+                # contract (fault recovery legitimately re-dials, so the
+                # rules are skipped under injection).
+                rules = transport.trace_rules(config)
+                if rules is not None:
+                    s_config = dataclasses.replace(s_config, mode_rules=rules)
+            sanitizer = LiveSanitizer(net.link, s_config)
+            if transport.mux:
+                frame_validator = FrameStreamValidator(
+                    push_allowed=transport.push)
+                for srv in servers:
+                    srv.frame_tap = frame_validator.observe
 
-    def attach(robot: Robot) -> None:
+        def attach(robot: Robot) -> None:
+            if frame_validator is not None:
+                robot.frame_tap = frame_validator.observe
+            if recovery is not None:
+                # One shared log: injector, server and robot all write to it.
+                robot.result.recovery = recovery
+
+        result = testbed.fetch_page(transport, config, scenario, attach=attach)
+        net.run(until=max_sim_time)
+        net.sim.run()   # drain any residual timers/ACKs past the deadline
+        if sanitizer is not None:
+            sanitizer.finish(net.sim.now)
         if frame_validator is not None:
-            robot.frame_tap = frame_validator.observe
-        if recovery is not None:
-            # One shared log: injector, server and robot all write to it.
-            robot.result.recovery = recovery
-
-    result = testbed.fetch_page(transport, config, scenario, attach=attach)
-    net.run(until=max_sim_time)
-    net.sim.run()   # drain any residual timers/ACKs past the deadline
-    if sanitizer is not None:
-        sanitizer.finish(net.sim.now)
-    if frame_validator is not None:
-        frame_validator.finish(net.sim.now)
-        if frame_validator.violations:
-            from ..lint import InvariantViolationError
-            raise InvariantViolationError("; ".join(
-                v.format() for v in frame_validator.violations[:5]))
-    if not result.complete:
-        detail = (f" (terminal: {result.terminal_error})"
-                  if result.terminal_error else "")
-        raise ExperimentError(
-            f"fetch did not complete{detail}: "
-            f"{len(result.responses)} responses, "
-            f"errors={result.errors}")
-    if verify:
-        _verify(result, scenario, site)
-    statuses: Dict[int, int] = {}
-    for response in result.responses.values():
-        statuses[response.status] = statuses.get(response.status, 0) + 1
-    trace = net.trace.summary()
-    trace.retransmissions = (net.client.retransmissions
-                             + net.server.retransmissions)
-    trace.timeouts = net.client.timeouts + net.server.timeouts
-    trace.fast_retransmits = (net.client.fast_retransmits
-                              + net.server.fast_retransmits)
-    trace.checksum_drops = (net.client.checksum_drops
-                            + net.server.checksum_drops)
-    trace.recovery = recovery
-    return RunResult(
-        **{name: getattr(trace, name) for name in RESULT_FIELDS
-           if hasattr(trace, name)},
-        elapsed=result.elapsed or 0.0,
-        connections_used=result.connections_used,
-        max_parallel_connections=result.max_parallel_connections,
-        retries=result.retries,
-        server_cpu_seconds=sum(s.cpu_busy_seconds for s in servers),
-        mean_request_bytes=result.mean_request_bytes,
-        statuses=statuses,
-        fetch=result,
-        trace=trace,
-        recovery=dict(recovery.counts) if recovery else {},
-        perf=trace.perf.as_dict(),
-        trace_lines=net.trace.format_trace() if keep_trace else None)
+            frame_validator.finish(net.sim.now)
+            if frame_validator.violations:
+                from ..lint import InvariantViolationError
+                raise InvariantViolationError("; ".join(
+                    v.format() for v in frame_validator.violations[:5]))
+        if not result.complete:
+            detail = (f" (terminal: {result.terminal_error})"
+                      if result.terminal_error else "")
+            raise ExperimentError(
+                f"fetch did not complete{detail}: "
+                f"{len(result.responses)} responses, "
+                f"errors={result.errors}")
+        if verify:
+            _verify(result, scenario, site)
+        statuses: Dict[int, int] = {}
+        for response in result.responses.values():
+            statuses[response.status] = statuses.get(response.status, 0) + 1
+        trace = net.trace.summary()
+        trace.retransmissions = (net.client.retransmissions
+                                 + net.server.retransmissions)
+        trace.timeouts = net.client.timeouts + net.server.timeouts
+        trace.fast_retransmits = (net.client.fast_retransmits
+                                  + net.server.fast_retransmits)
+        trace.checksum_drops = (net.client.checksum_drops
+                                + net.server.checksum_drops)
+        trace.recovery = recovery
+        return RunResult(
+            **{name: getattr(trace, name) for name in RESULT_FIELDS
+               if hasattr(trace, name)},
+            elapsed=result.elapsed or 0.0,
+            connections_used=result.connections_used,
+            max_parallel_connections=result.max_parallel_connections,
+            retries=result.retries,
+            server_cpu_seconds=sum(s.cpu_busy_seconds for s in servers),
+            mean_request_bytes=result.mean_request_bytes,
+            statuses=statuses,
+            fetch=result,
+            trace=trace,
+            recovery=dict(recovery.counts) if recovery else {},
+            perf=trace.perf.as_dict(),
+            trace_lines=net.trace.format_trace() if keep_trace else None)
+    finally:
+        testbed.close()
 
 
 def _fault_hardened_config(config: ClientConfig,

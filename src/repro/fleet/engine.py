@@ -150,30 +150,33 @@ def run_cohort(unit: FleetUnitSpec, seed: int) -> CohortResult:
         server_capacity=fleet.server_capacity,
         client_hosts=[fleet_client_host(i) for i in range(len(plans))],
         capacity_epoch=fleet.epoch, capacity_shares=unit.shares)
-    net, server = testbed.net, testbed.servers[0]
-    sessions: List[_Session] = []
-    for stack, plan in zip(net.clients, plans):
-        session = _Session(testbed, stack, plan, fleet)
-        sessions.append(session)
-        net.sim.schedule_at(plan.arrival, session.fetch_page)
-    # The deadline is *hard* (unlike the single-robot runner's drain):
-    # an overloaded population would otherwise run for unbounded
-    # simulated time.  Pages still in flight count as session errors.
-    net.run(until=fleet.max_sim_time)
-    return CohortResult(
-        cohort=unit.cohort,
-        users=len(plans),
-        sessions=tuple(session.stats() for session in sessions),
-        epoch=fleet.epoch,
-        epoch_bytes_down=tuple(net.trace.wire_bytes_per_epoch(
-            SERVER_HOST, fleet.epoch, len(unit.shares))),
-        queue_waits=tuple(server.queue_waits),
-        server_cpu_seconds=server.cpu_busy_seconds,
-        connections_accepted=server.connections_accepted,
-        requests_served=server.requests_served,
-        packets=len(net.trace),
-        sim_time=net.sim.now,
-        fastforward_spans=net.sim.perf.fastforward_spans)
+    try:
+        net, server = testbed.net, testbed.servers[0]
+        sessions: List[_Session] = []
+        for stack, plan in zip(net.clients, plans):
+            session = _Session(testbed, stack, plan, fleet)
+            sessions.append(session)
+            net.sim.schedule_at(plan.arrival, session.fetch_page)
+        # The deadline is *hard* (unlike the single-robot runner's drain):
+        # an overloaded population would otherwise run for unbounded
+        # simulated time.  Pages still in flight count as session errors.
+        net.run(until=fleet.max_sim_time)
+        return CohortResult(
+            cohort=unit.cohort,
+            users=len(plans),
+            sessions=tuple(session.stats() for session in sessions),
+            epoch=fleet.epoch,
+            epoch_bytes_down=tuple(net.trace.wire_bytes_per_epoch(
+                SERVER_HOST, fleet.epoch, len(unit.shares))),
+            queue_waits=tuple(server.queue_waits),
+            server_cpu_seconds=server.cpu_busy_seconds,
+            connections_accepted=server.connections_accepted,
+            requests_served=server.requests_served,
+            packets=len(net.trace),
+            sim_time=net.sim.now,
+            fastforward_spans=net.sim.perf.fastforward_spans)
+    finally:
+        testbed.close()
 
 
 # ----------------------------------------------------------------------

@@ -122,6 +122,10 @@ class MatrixStats:
     #: a warm run, cleared > 0 a bound too small for the sweep.
     memo_builds: int = 0
     memo_clears: int = 0
+    #: Objects only the cycle collector could free, same spans.  A
+    #: unit's own die by reference count (DESIGN.md "Object lifetime"):
+    #: past the stdlib's few hundred, a cycle has been put back.
+    gc_collected: int = 0
     #: Dispatch chunks sent to the pool (0 for serial execution).
     ipc_batches: int = 0
     #: Bytes of pickled unit payload shipped to workers.
@@ -145,11 +149,12 @@ class MatrixStats:
     def count(self, moved: Sequence[int]) -> None:
         """Add one chunk's, serial unit's or warm-up's
         :func:`~repro.matrix.supervisor.process_counters` delta."""
-        hits, misses, builds, clears = moved
+        hits, misses, builds, clears, collected = moved
         self.artifact_hits += hits
         self.artifact_misses += misses
         self.memo_builds += builds
         self.memo_clears += clears
+        self.gc_collected += collected
 
     def summary(self) -> str:
         return (f"{self.specs} cells, {self.units} runs requested: "
@@ -162,7 +167,8 @@ class MatrixStats:
                 f"{self.failures} failed, {self.unit_retries} retried, "
                 f"{self.pool_respawns} pool respawns, "
                 f"{self.journal_hits} journal hits; memos "
-                f"{self.memo_builds} built, {self.memo_clears} cleared")
+                f"{self.memo_builds} built, {self.memo_clears} cleared; "
+                f"gc {self.gc_collected} collected")
 
 
 def run_unit(spec: ExperimentSpec, seed: int) -> Tuple[object, float]:

@@ -33,6 +33,7 @@ SIGKILL, hang, or poison scripted units deterministically.
 
 from __future__ import annotations
 
+import gc
 import operator
 import pickle
 import time
@@ -70,18 +71,20 @@ _SupUnit = Tuple[int, ExperimentSpec, int, int]
 _Outcome = Tuple[int, object, float]
 
 
-def process_counters(since: Sequence[int] = (0, 0, 0, 0)
+def process_counters(since: Sequence[int] = (0, 0, 0, 0, 0)
                      ) -> Tuple[int, ...]:
     """This process's (artifact hits, artifact misses, memo builds,
-    memo clears) so far, less ``since``.  They depend on what the
-    process ran before (a worker starts cold, the serial path warms
-    up), so they travel beside the results as a delta per chunk or
-    unit, never inside a result, a cache payload or a digest."""
+    memo clears, objects the cycle collector freed) so far, less
+    ``since``.  They depend on what the process ran before (a worker
+    starts cold, the serial path warms up), so they travel beside the
+    results as a delta per chunk or unit, never inside a result, a
+    cache payload or a digest."""
     store = artifacts.get_store().stats
     built = memo.stats().values()
     now = (store.hits, store.misses,
            sum(builds for builds, _, _ in built),
-           sum(clears for _, clears, _ in built))
+           sum(clears for _, clears, _ in built),
+           sum(generation["collected"] for generation in gc.get_stats()))
     return tuple(map(operator.sub, now, since))
 
 

@@ -129,6 +129,7 @@ class _ProxiedExchange:
 
     def _upstream_eof(self, _conn: TcpConnection) -> None:
         self._cancel_idle_timer()
+        _conn.close()       # or the hop sits in CLOSE_WAIT for ever
         if self.proxy.mode == "blind":
             # Upstream closed: that is the blind proxy's end-of-response
             # signal; relay the close to the client.

@@ -96,7 +96,7 @@ class Simulator:
     """
 
     __slots__ = ("now", "perf", "fastforward", "_heap", "_seq", "_live",
-                 "_dead", "_running", "_stopped")
+                 "_dead", "_running", "_stopped", "__weakref__")
 
     def __init__(self) -> None:
         self.now: float = 0.0
@@ -269,6 +269,12 @@ class Simulator:
     def stop(self) -> None:
         """Stop :meth:`run` after the current event completes."""
         self._stopped = True
+
+    def close(self) -> None:
+        """Drop every pending event and the fast-forward driver."""
+        self._heap.clear()
+        self._live = self._dead = 0
+        self.fastforward = None
 
     def pending_events(self) -> int:
         """Number of scheduled, non-cancelled events.  O(1)."""

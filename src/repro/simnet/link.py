@@ -147,6 +147,12 @@ class Link:
             raise ValueError(f"host {host!r} already attached")
         self._receivers[host] = receiver
 
+    def close(self) -> None:
+        """Detach every host, tap and fault injector."""
+        self._receivers.clear()
+        self.taps.clear()
+        self.fault_injector = None
+
     def set_compressor(self, src: str, dst: str,
                        compressor: WireCompressor) -> None:
         """Install a modem-style stream compressor on the ``src → dst`` direction."""

@@ -42,6 +42,18 @@ def fleet_client_host(index: int) -> str:
     return f"client{index:04d}.w3.org"
 
 
+def _close(sim: Simulator, links, stacks) -> None:
+    """A finished unit's exit: hosts unplugged, links detached, pending
+    events dropped.  Afterwards nothing in the network refers back to
+    anything else, so dropping it frees it, trace columns included, by
+    reference count.  Idempotent."""
+    for stack in stacks:
+        stack.close()
+    for link in links:
+        link.close()
+    sim.close()
+
+
 class Network:
     """Simulated client host(s) and one server on one network environment.
 
@@ -141,6 +153,10 @@ class Network:
         """Run the simulation until quiescent (or until ``until``)."""
         self.sim.run(until=until)
 
+    def close(self) -> None:
+        """Release the finished network (see :func:`_close`)."""
+        _close(self.sim, (self.link,), (*self.clients, self.server))
+
 
 #: The paper's two-host testbed is the one-client :class:`Network`.
 TwoHostNetwork = Network
@@ -180,3 +196,9 @@ class ChainNetwork:
     def run(self, until: Optional[float] = None) -> None:
         """Run the simulation until quiescent (or until ``until``)."""
         self.sim.run(until=until)
+
+    def close(self) -> None:
+        """Release the finished network (see :func:`_close`)."""
+        _close(self.sim, (self.client_link, self.server_link),
+               (self.client, self.proxy_client_side,
+                self.proxy_server_side, self.server))

@@ -117,6 +117,11 @@ class _LazyTimer:
         self.deadline = None
         self._fire()
 
+    def release(self) -> None:
+        """Disarm for good and let go of the owner's callback."""
+        self.disarm()
+        self._fire = _noop
+
     def fast_forward(self, deadline: Optional[float]) -> None:
         """Force the timer to exactly ``deadline`` (``None`` disarms).
 
@@ -233,6 +238,7 @@ class TcpConnection:
         "bytes_sent", "bytes_received", "segments_sent",
         "segments_received",
         "on_connect", "on_data", "on_eof", "on_reset", "on_closed",
+        "__weakref__",
     )
 
     def __init__(self, stack: "TcpStack", local_port: int, peer: str,
@@ -346,7 +352,10 @@ class TcpConnection:
         if self._pending_eof:
             self._pending_eof = False
             self.on_eof(self)
-        if window_was_closed and self.state != "CLOSED":
+        if self.state == "CLOSED":
+            # Torn down while paused: that was the last delivery.
+            self.on_data = self.on_eof = _noop
+        elif window_was_closed:
             # Window update so the stalled sender can continue.
             self._send_pure_ack()
 
@@ -476,9 +485,6 @@ class TcpConnection:
         else:
             self._rto_timer.disarm()
 
-    def _cancel_rto(self) -> None:
-        self._rto_timer.disarm()
-
     def _rto_fire(self) -> None:
         if not self._retransmit_queue or self.state == "CLOSED":
             return
@@ -508,9 +514,6 @@ class TcpConnection:
         if self._persist_timer.deadline is None:
             self._persist_timer.arm_at(self.sim.now
                                        + self._persist_interval)
-
-    def _cancel_persist(self) -> None:
-        self._persist_timer.disarm()
 
     def _persist_fire(self) -> None:
         """Zero-window probe: push one byte past the closed window so
@@ -682,7 +685,7 @@ class TcpConnection:
             # A window update reopens (or closes) the send path.
             self._persist_interval = 1.0
             if self._peer_window > 0:
-                self._cancel_persist()
+                self._persist_timer.disarm()
                 self._try_send()
         if ack > self.snd_una:
             if self._rtt_sample is not None \
@@ -698,7 +701,7 @@ class TcpConnection:
             if self._retransmit_queue:
                 self._arm_rto(restart=True)
             else:
-                self._cancel_rto()
+                self._rto_timer.disarm()
             if self._in_recovery:
                 if ack >= self._recovery_point:
                     self._in_recovery = False
@@ -844,25 +847,37 @@ class TcpConnection:
             self.state = "CLOSING"
 
     def _handle_rst(self) -> None:
+        on_reset = self.on_reset
         self._teardown()
-        self.on_reset(self)
+        on_reset(self)
 
     # ------------------------------------------------------------------
     # Teardown
     # ------------------------------------------------------------------
     def _finish_clean_close(self) -> None:
+        on_closed = self.on_closed
         self._teardown()
-        self.on_closed(self)
+        on_closed(self)
 
     def _teardown(self) -> None:
+        """The single exit.  Once the stack forgets the connection no
+        segment can reach it, so it lets go of its timers and of the
+        application — the bound methods that would make a dead
+        connection cyclic garbage — and reference counts free it."""
         self.state = "CLOSED"
-        self._cancel_delack()
-        self._cancel_rto()
-        self._cancel_persist()
+        self._segments_unacked = 0
+        self._delack_timer.release()
+        self._rto_timer.release()
+        self._persist_timer.release()
         self._retransmit_queue.clear()
         self._reassembly.clear()
         self._send_queue.clear()
         self.stack._forget(self)
+        self.on_connect = self.on_reset = self.on_closed = _noop
+        if not self._recv_buffer and not self._pending_eof:
+            # (Else resume_reading() delivers what pause_reading()
+            # held back, then releases these.)
+            self.on_data = self.on_eof = _noop
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<TcpConnection {self.local_host}:{self.local_port}->"
@@ -985,6 +1000,16 @@ class TcpStack:
                 self.host, segment.dport, segment.src, segment.sport,
                 seq=segment.ack, ack=segment.end_seq,
                 flag_rst=True, flag_ack=True))
+
+    def close(self) -> None:
+        """Unplug the host: no listeners, no driver, and every
+        connection still in the table torn down — told ``on_closed``,
+        the one notice that asks nothing of an application but to let
+        go of the connection."""
+        self._listeners.clear()
+        self.fastforward = None
+        for conn in list(self._connections.values()):
+            conn._finish_clean_close()
 
     def _forget(self, conn: TcpConnection) -> None:
         self._connections.pop(

@@ -122,7 +122,7 @@ class TraceCollector:
     __slots__ = ("client_host", "_sim", "_link", "_times", "_srcs",
                  "_sports", "_dsts", "_dports", "_flags", "_seqs", "_acks",
                  "_payload_lens", "_wire_sizes", "_payload_total",
-                 "_records_cache")
+                 "_records_cache", "__weakref__")
 
     def __init__(self, link: Link, client_host: str) -> None:
         self.client_host = client_host

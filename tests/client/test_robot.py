@@ -1,14 +1,20 @@
 """Integration tests for the robot client against the simulated server."""
 
+import weakref
+
 import pytest
 
 from repro.client import FIRST_TIME, REVALIDATE, ClientConfig, Robot
 from repro.content import build_microscape_site
+from repro.core.registry import resolve_mode
+from repro.core import runner
 from repro.core.scenarios import prefill_cache
 from repro.http import HTTP10, HTTP11, MemoryCache
 from repro.server import (APACHE, APACHE_12B2, JIGSAW, ResourceStore,
                           SimHttpServer)
 from repro.simnet import LAN, SERVER_HOST, TwoHostNetwork
+
+from ..simnet.test_tcp import collector_off
 
 
 @pytest.fixture(scope="module")
@@ -202,3 +208,51 @@ def test_on_complete_callback(site, store):
     robot.fetch(site.html_url)
     net.run()
     assert done and done[0].complete
+
+
+# ----------------------------------------------------------------------
+# Lifetime: the robot owns live connection states, nothing owns it
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("mode", ["http/1.0", "pipelined", "mux",
+                                  "sharded-x4"])
+def test_robot_and_cache_die_with_the_last_connection(mode):
+    """The network is still open and the collector is off: retiring the
+    last connection state is what frees the robot and all it cached."""
+    with collector_off():
+        mode = resolve_mode(mode)
+        testbed = runner.Testbed(LAN, APACHE, mode.transport)
+        seen = []
+        result = testbed.fetch_page(
+            mode.transport, mode.client_config(), FIRST_TIME,
+            attach=lambda robot: seen.extend(
+                [weakref.ref(robot), weakref.ref(robot.cache), robot]))
+        robot = seen.pop()
+        testbed.net.run(until=0.01)
+        assert robot._conns and not result.complete
+        del robot
+        testbed.net.run()
+        assert result.complete and len(result.responses) == 43
+        assert not testbed.net.client._connections
+        assert [ref() for ref in seen] == [None, None]
+
+
+def test_fail_resets_half_closed_connections_too():
+    """A robot that gives up leaves nothing behind: connections it had
+    already closed its side of get the RST as well, and retire."""
+    net = TwoHostNetwork(LAN)
+    net.server.listen(80, lambda conn: None)    # never closes its side
+    robot = Robot(net.sim, net.client, SERVER_HOST, 80, ClientConfig())
+    closing, open_ = robot._new_conn(), robot._new_conn()
+    net.run()
+    closing.open = False
+    closing.conn.close()
+    net.run()
+    assert closing.conn.state == "FIN_WAIT_2"
+    assert robot._conns == [closing, open_]
+    assert robot._alive_conns() == [open_]
+    robot._fail("gave up")
+    net.run()
+    assert robot._conns == [] and not net.client._connections
+    resets = [r for r in net.trace.records if "R" in r.flags]
+    assert sorted(r.sport for r in resets) == sorted(
+        [closing.conn.local_port, open_.conn.local_port])

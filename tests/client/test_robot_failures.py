@@ -5,7 +5,7 @@ import pytest
 from repro.client import FIRST_TIME, ClientConfig, Robot
 from repro.content import build_microscape_site
 from repro.faults import FaultyProfile, ServerFaultConfig
-from repro.http import HTTP11
+from repro.http import HTTP10, HTTP11
 from repro.server import APACHE, ResourceStore, SimHttpServer
 from repro.simnet import LAN, SERVER_HOST, TwoHostNetwork
 
@@ -112,6 +112,57 @@ def test_garbage_bytes_record_parse_error_and_abort(site, store):
     state._on_data(state.conn, b"GARBAGE\r\n\r\n")
     assert any("parse error" in error for error in robot.result.errors)
     assert not state.open
+
+
+class GarbledServer:
+    """A real server whose ``garbled`` (1-based) connections answer the
+    first request with bytes that are no HTTP response head."""
+
+    def __init__(self, net, store, garbled):
+        self.garbled = garbled
+        self.accepted = 0
+        self.real = SimHttpServer(net.sim, net.server, store, APACHE,
+                                  port=8000)
+        net.server._listeners.pop(8000)
+        net.server.listen(80, self._accept)
+
+    def _accept(self, conn):
+        self.accepted += 1
+        if self.accepted in self.garbled:
+            conn.on_data = lambda c, data: c.send(b"GARBAGE\r\n\r\n")
+        else:
+            self.real._accept(conn)
+
+
+def test_garbage_head_mid_page_is_retried_like_a_truncation(site, store):
+    """A parse error goes through the same exit as a cut connection:
+    what the connection still owed is re-queued within the budget (it
+    used to strand the page: neither re-queued nor failed)."""
+    net = TwoHostNetwork(LAN)
+    GarbledServer(net, store, garbled={2})
+    robot = Robot(net.sim, net.client, SERVER_HOST, 80,
+                  ClientConfig(http_version=HTTP10, max_connections=4))
+    result = robot.fetch(site.html_url, FIRST_TIME)
+    net.run()
+    assert result.complete and len(result.responses) == 43
+    assert result.retries == 1
+    assert [e for e in result.errors if "parse error" in e]
+    assert result.recovery.count("client", "retry") == 1
+
+
+def test_garbage_on_every_attempt_exhausts_the_budget(site, store):
+    net = TwoHostNetwork(LAN)
+    GarbledServer(net, store, garbled=range(1, 100))
+    robot = Robot(net.sim, net.client, SERVER_HOST, 80,
+                  ClientConfig(http_version=HTTP11, retry_budget=3,
+                               max_consecutive_failures=100,
+                               retry_backoff_base=0.01))
+    result = robot.fetch(site.html_url, FIRST_TIME)
+    net.run()
+    assert not result.complete
+    assert result.terminal_error == "retry budget exhausted (3)"
+    assert net.sim.now < 1.0        # decided at once, not at a deadline
+    assert robot._conns == [] and not net.client._connections
 
 
 # ----------------------------------------------------------------------

@@ -205,6 +205,32 @@ def test_serial_run_has_no_ipc():
     assert runner.stats.bytes_pickled == 0
 
 
+def test_gc_collected_is_what_only_the_cycle_collector_freed():
+    """The stats line's last figure: a per-chunk delta of the
+    collector's own count, beside the memo counters and like them never
+    in a result (a unit's own objects die by reference count, so a
+    clean unit adds none — tests/test_object_lifetime.py)."""
+    import gc
+    from repro.matrix.runner import MatrixStats
+    from repro.matrix.supervisor import process_counters
+    gc.collect()
+    before = process_counters()
+    for _ in range(500):
+        cycle = []
+        cycle.append(cycle)
+    del cycle
+    gc.collect()
+    moved = process_counters(before)
+    assert moved[:4] == (0, 0, 0, 0) and moved[4] >= 500
+    stats = MatrixStats()
+    stats.count(moved)
+    stats.count(moved)
+    assert stats.gc_collected == 2 * moved[4]
+    assert stats.summary().endswith(f"; gc {2 * moved[4]} collected")
+    result = MatrixRunner().run(ExperimentSpec(seeds=(0,), **FAST))
+    assert "gc_collected" not in result.runs[0].perf
+
+
 def test_close_is_idempotent():
     runner = MatrixRunner(jobs=2)
     runner.run_many([ExperimentSpec(seeds=(0,), **FAST)])

@@ -7,14 +7,19 @@ These tests reproduce the deadlock against a blind 1.0 proxy and show
 the HTTP/1.1 hop-by-hop rules fixing it.
 """
 
+import weakref
+
 import pytest
 
 from repro.content import build_microscape_site
 from repro.http import (HTTP10, HTTP11, Headers, Request, ResponseParser)
 from repro.server import APACHE, ResourceStore, SimHttpServer
+from repro.server import proxy as proxy_module
 from repro.server.proxy import SimHttpProxy
 from repro.simnet import LAN
 from repro.simnet.network import ChainNetwork, PROXY_HOST, SERVER_HOST
+
+from ..simnet.test_tcp import collector_off
 
 
 @pytest.fixture(scope="module")
@@ -138,3 +143,36 @@ def test_proxy_rejects_unknown_mode(store):
     with pytest.raises(ValueError):
         SimHttpProxy(net.sim, net.proxy_client_side,
                      net.proxy_server_side, SERVER_HOST, mode="magic")
+
+
+@pytest.mark.parametrize("mode", ["blind", "hop_by_hop"])
+def test_finished_exchange_and_its_two_connections_die(store, mode,
+                                                       monkeypatch):
+    """The downstream and upstream connections hold the exchange only
+    through the callbacks TCP teardown releases: once both are
+    ``CLOSED`` the pair goes by reference count, chain still open."""
+    exchanges = []
+
+    class Recorded(proxy_module._ProxiedExchange):
+        def __init__(self, *args):
+            super().__init__(*args)
+            exchanges.append(self)
+
+    monkeypatch.setattr(proxy_module, "_ProxiedExchange", Recorded)
+    with collector_off():
+        net, proxy = build_chain(store, mode)
+        client = ProxyClient(net)
+        client.send(keepalive_request("/gifs/bullet0.gif"))
+        net.run()
+        # The blind relay ended by its idle timeout; the framing-aware
+        # one holds both hops open until the client resets.
+        client.conn.abort()
+        net.run()
+        assert len(client.responses) == 1 and proxy.requests_forwarded == 1
+        for stack in (net.client, net.proxy_client_side,
+                      net.proxy_server_side, net.server):
+            assert not stack._connections
+        exchange = exchanges.pop()
+        refs = [weakref.ref(o) for o in (exchange, exchange.client_conn)]
+        del exchange
+        assert [ref() for ref in refs] == [None, None]

@@ -1,6 +1,10 @@
 """Unit tests for the simulated TCP layer: handshake, data transfer,
 slow start, Nagle, delayed ACKs, and close semantics."""
 
+import contextlib
+import gc
+import weakref
+
 import pytest
 
 from repro.simnet import (LAN, Segment, TcpConfig, TwoHostNetwork,
@@ -297,3 +301,112 @@ def test_trace_summary_overhead_formula():
     expected = 100.0 * (40 * summary.packets) / (
         summary.payload_bytes + 40 * summary.packets)
     assert summary.percent_overhead == pytest.approx(expected)
+
+
+# ----------------------------------------------------------------------
+# Teardown is the single exit: a CLOSED connection frees by refcount
+# ----------------------------------------------------------------------
+class Application:
+    """Per-connection state the way every real one is shaped: it holds
+    its connection, and the connection's callbacks hold it."""
+
+    def __init__(self, conn):
+        self.conn = conn
+        self.events = []
+        conn.on_connect = lambda c: self.events.append("connect")
+        conn.on_data = lambda c, data: self.events.append(bytes(data))
+        conn.on_eof = self.on_eof
+        conn.on_reset = lambda c: self.events.append("reset")
+        conn.on_closed = lambda c: self.events.append("closed")
+
+    def on_eof(self, conn):
+        self.events.append("eof")
+        conn.close()
+
+
+@contextlib.contextmanager
+def collector_off():
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+def connected_pair(net):
+    """(client application, server application), handshake done."""
+    accepted = []
+    net.server.listen(80, lambda conn: accepted.append(Application(conn)))
+    client = Application(net.client.connect(SERVER_HOST, 80))
+    client.conn.send(b"hello")
+    net.run()
+    return client, accepted.pop()
+
+
+@pytest.mark.parametrize("ending", ["clean close", "abort"])
+def test_closed_connection_and_its_application_die_without_collector(
+        ending):
+    """After a clean close, a local ``abort()`` (the client) and a
+    received RST (the server), nothing but the caller holds either end."""
+    with collector_off():
+        net = make_net()
+        client, server = connected_pair(net)
+        if ending == "abort":
+            client.conn.abort()
+        else:
+            client.conn.close()
+        net.run()
+        assert client.conn.state == server.conn.state == "CLOSED"
+        assert not net.client._connections and not net.server._connections
+        if ending == "abort":
+            assert server.events == ["connect", b"hello", "reset"]
+            assert client.events == ["connect"]    # abort() tells no one
+        else:
+            assert server.events == ["connect", b"hello", "eof", "closed"]
+            assert client.events == ["connect", "eof", "closed"]
+        refs = [weakref.ref(o) for o in (client, client.conn, server,
+                                         server.conn)]
+        del client, server
+        assert [ref() for ref in refs] == [None] * 4
+
+
+def test_no_callback_after_closed_and_late_duplicate_draws_rst():
+    net = make_net()
+    client, server = connected_pair(net)
+    client.conn.close()
+    net.run()
+    seen = list(server.events)
+    assert seen.count("closed") == 1
+    net.link.transmit(Segment(
+        CLIENT_HOST, client.conn.local_port, SERVER_HOST, 80, seq=1,
+        ack=1, payload=b"hello", flag_ack=True))
+    net.run()
+    assert server.events == seen
+    assert [r.flags for r in net.trace.records][-1].startswith("R")
+    # Nor does a finished connection call back when poked directly.
+    server.conn._finish_clean_close()
+    server.conn._handle_rst()
+    assert server.events == seen
+
+
+def test_paused_then_closed_then_resumed_delivers_data_then_eof():
+    """Teardown keeps the data callbacks while ``pause_reading()`` holds
+    bytes back; ``resume_reading()`` delivers them, then the EOF, and
+    only then lets go."""
+    with collector_off():
+        net = make_net()
+        net.server.listen(
+            80, lambda conn: setattr(
+                conn, "on_connect", lambda c: c.send(b"reply", close=True)))
+        client = Application(net.client.connect(SERVER_HOST, 80))
+        client.conn.pause_reading()
+        client.conn.close()
+        net.run()
+        assert client.conn.state == "CLOSED"
+        assert client.events == ["connect", "closed"]
+        client.conn.resume_reading()
+        assert client.events == ["connect", "closed", b"reply", "eof"]
+        refs = [weakref.ref(client), weakref.ref(client.conn)]
+        del client
+        assert [ref() for ref in refs] == [None, None]

@@ -156,5 +156,9 @@ def test_matrix_stats_count_a_cold_then_a_warm_table(jobs):
         assert warm == cold
         if jobs == 1:
             assert runner.stats.memo_builds == built
+    # Collector traffic rides the same channel (the objects are the
+    # stdlib's: tests/test_object_lifetime.py holds ours to zero).
+    assert runner.stats.gc_collected >= 0
     assert runner.stats.summary().endswith(
-        f"; memos {runner.stats.memo_builds} built, 0 cleared")
+        f"; memos {runner.stats.memo_builds} built, 0 cleared; "
+        f"gc {runner.stats.gc_collected} collected")
