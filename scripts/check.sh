@@ -9,13 +9,11 @@ set -eu
 cd "$(dirname "$0")/.."
 export PYTHONPATH=src
 
-# Static determinism lint + golden-trace sanitization run in every
-# mode, FAST included: they are cheap and guard the properties (bit
+# Determinism lint (per-file rules and the whole-program passes, one
+# parse of each file) + golden-trace sanitization run in every mode,
+# FAST included: they are cheap and guard the properties (bit
 # reproducibility, TCP invariants) everything else rests on.
 sh scripts/lint.sh
-
-# Whole-program deep lint (cache key, RNG streams, pool purity): must be clean.
-python -m repro lint --deep
 
 # The pytest run carries the identity and recovery gates:
 #   fast-forward is byte-invisible (full-stack decline path, WAN and

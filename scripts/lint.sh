@@ -1,11 +1,13 @@
 #!/bin/sh
-# Determinism lint over the source tree, then the TCP protocol
-# sanitizer over the trace fixtures.  Exit 0 means the tree is
-# determinism-clean and every golden trace satisfies the paper's TCP
-# invariants (handshake order, sequence monotonicity, Nagle,
-# delayed-ACK deadlines, independent half-close); lossy_* fixtures
-# (captured under fault injection) validate under the relaxed
-# fault-run config, which still enforces the structural invariants.
+# Determinism lint over the source tree — the per-file rules and the
+# whole-program passes (cache key, RNG streams, pool purity) in one
+# parse — then the TCP protocol sanitizer over the trace fixtures.
+# Exit 0 means the tree is determinism-clean and every golden trace
+# satisfies the paper's TCP invariants (handshake order, sequence
+# monotonicity, Nagle, delayed-ACK deadlines, independent half-close);
+# lossy_* fixtures (captured under fault injection) validate under the
+# relaxed fault-run config, which still enforces the structural
+# invariants.
 #
 #   scripts/lint.sh                 # src/repro + all fixtures
 #   scripts/lint.sh path/to/code    # lint other paths instead
@@ -14,4 +16,4 @@ set -eu
 cd "$(dirname "$0")/.."
 export PYTHONPATH=src
 
-python -m repro lint --sanitize-traces -- "$@"
+python -m repro lint --deep --sanitize-traces -- "$@"

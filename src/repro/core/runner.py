@@ -252,6 +252,10 @@ def _default_site_and_store() -> Tuple[MicroscapeSite, ResourceStore]:
     global _DEFAULT_SITE_AND_STORE
     if _DEFAULT_SITE_AND_STORE is None:
         site = build_microscape_site()
+        # Worker-global by design: the pool warm-up (warm_default_site)
+        # builds this pair in the parent before the fork and in every
+        # worker's initializer, so each process holds the same one.
+        # repro-lint: allow(pool-global-write)
         _DEFAULT_SITE_AND_STORE = (site, ResourceStore.from_site(site))
     return _DEFAULT_SITE_AND_STORE
 

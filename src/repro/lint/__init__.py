@@ -1,16 +1,19 @@
 """repro.lint — determinism linter and TCP protocol sanitizer.
 
-Two layers of correctness checking for the reproduction:
+Layers of correctness checking for the reproduction, the first two
+over one front end (:mod:`repro.lint.graph`: each file read and parsed
+once into a project graph) and one entry point
+(:func:`~repro.lint.cli.lint_paths`):
 
-* **Static** (:mod:`repro.lint.static`, :mod:`repro.lint.rules`): an
-  AST pass over the source tree that flags constructs which silently
-  break bit-identical reproducibility — wall-clock reads, global RNG
-  use, OS entropy, salted-hash iteration order, exact float comparison
-  on simulated clocks, mutable default arguments, and missing
-  ``__slots__`` in per-packet hot-path modules.
-* **Whole-program** (:mod:`repro.lint.graph`, :mod:`repro.lint.deep`):
-  a project-wide symbol table, import graph and call graph feeding
-  three flow-aware passes — cache-key completeness (every
+* **Per-file** (:mod:`repro.lint.rules`): a pass over each parsed
+  module that flags constructs which silently break bit-identical
+  reproducibility — wall-clock reads, global RNG use, OS entropy,
+  salted-hash iteration order, exact float comparison on simulated
+  clocks, mutable default arguments, and missing ``__slots__`` in
+  per-packet hot-path modules.
+* **Whole-program** (:mod:`repro.lint.deep`): the graph's symbol
+  table, imports and call graph feeding three flow-aware passes —
+  cache-key completeness (every
   run-affecting ``run_experiment`` parameter arrives from an
   ``ExperimentSpec`` field; the fields key the cache by declaration),
   RNG-stream discipline (every ``random.Random`` seeded from the
@@ -25,14 +28,13 @@ Two layers of correctness checking for the reproduction:
   unsent data, no payload after FIN, Nagle compliance, delayed-ACK
   deadlines, and independent half-close teardown.
 
-Both layers surface through ``python -m repro lint``.
+All layers surface through ``python -m repro lint``.
 """
 
-from .config import ALL_RULES, DEFAULT_CONFIG, LintConfig
-from .deep import (DEEP_RULES, DEFAULT_DEEP_CONFIG, DeepConfig,
-                   DeepError, run_deep)
+from .cli import lint_paths
+from .config import ALL_RULES, DEEP_RULES, DEFAULT_CONFIG, LintConfig
 from .findings import Finding, finding_sort_key, format_text
-from .graph import ProjectGraph, build_graph
+from .graph import LintError, ProjectGraph, build_graph
 from .sanitizer import (
     FrameStreamValidator,
     InvariantViolationError,
@@ -45,26 +47,19 @@ from .sanitizer import (
     validate_records,
     validate_trace_text,
 )
-from .static import LintError, lint_file, lint_paths, lint_source
 
 __all__ = [
     "ALL_RULES",
     "DEFAULT_CONFIG",
     "LintConfig",
     "DEEP_RULES",
-    "DEFAULT_DEEP_CONFIG",
-    "DeepConfig",
-    "DeepError",
-    "run_deep",
     "ProjectGraph",
     "build_graph",
     "Finding",
     "finding_sort_key",
     "format_text",
     "LintError",
-    "lint_file",
     "lint_paths",
-    "lint_source",
     "FrameStreamValidator",
     "InvariantViolationError",
     "LiveSanitizer",

@@ -1,18 +1,19 @@
-"""The ``python -m repro lint`` verb.
+"""The ``python -m repro lint`` verb and its one entry point.
 
-Layer 1 (always): statically lint the given paths (default:
-``src/repro``) with the per-file determinism rules.  Layer 2 (opt-in
-via ``--deep``): build the whole-program graph and run the flow-aware
-passes of :mod:`repro.lint.deep` (cache-key completeness, RNG-stream
-discipline, pool purity).  Layer 3 (opt-in via ``--sanitize-traces``):
-replay captured trace files through the TCP protocol sanitizer; with
-no file arguments the golden fixtures under ``tests/simnet/fixtures/``
-are validated.
+:func:`lint_paths` builds one :class:`~repro.lint.graph.ProjectGraph`
+per given path (default: ``src/repro``) — each file read and parsed
+once — and runs the per-file determinism rules over it and, with
+``--deep``, the flow-aware passes of :mod:`repro.lint.deep`
+(cache-key completeness, RNG-stream discipline, pool purity) over the
+same graph.  ``--sanitize-traces`` also replays captured trace files
+through the TCP protocol sanitizer; with no file arguments the golden
+fixtures under ``tests/simnet/fixtures/`` are validated.
 
 Exit codes: 0 clean, 1 findings or invariant violations, 2 usage or
-configuration error (bad path, unparsable trace).  ``--json`` emits
-one machine-readable document combining all layers; findings are
-always sorted by ``(path, line, col, rule)``.
+input error (bad path, a file that is not UTF-8 or does not parse,
+an unparsable trace).  ``--json`` emits one machine-readable document
+combining all layers; findings are always sorted by ``(path, line,
+col, rule)``.
 """
 
 from __future__ import annotations
@@ -22,22 +23,44 @@ import dataclasses
 import json
 import pathlib
 import sys
-from typing import Dict, List
+from typing import Dict, List, Sequence, Union
 
-from .config import ALL_RULES, DEFAULT_CONFIG
-from .deep import DEEP_RULES, DEFAULT_DEEP_CONFIG, DeepError, run_deep
+from .config import ALL_RULES, DEEP_RULES, DEFAULT_CONFIG, LintConfig
+from .deep import deep_findings
 from .findings import Finding, finding_sort_key, format_text
+from .graph import LintError, build_graph
+from .rules import scan_module
 from .sanitizer import SanitizerConfig, Violation, validate_trace_text
-from .static import LintError, lint_paths
 
-__all__ = ["add_lint_parser", "run_lint", "DEFAULT_LINT_PATH",
-           "GOLDEN_TRACE_DIR"]
+__all__ = ["add_lint_parser", "run_lint", "lint_paths",
+           "DEFAULT_LINT_PATH", "GOLDEN_TRACE_DIR"]
 
 #: What ``python -m repro lint`` lints when no paths are given.
 DEFAULT_LINT_PATH = "src/repro"
 
 #: Where the golden WAN fixtures live, relative to the repo root.
 GOLDEN_TRACE_DIR = "tests/simnet/fixtures"
+
+
+def lint_paths(paths: Sequence[Union[str, pathlib.Path]],
+               config: LintConfig = DEFAULT_CONFIG, *,
+               deep: bool = False) -> List[Finding]:
+    """Lint files and package directories; with ``deep``, also run the
+    whole-program passes over each path's graph.  Every finding, per-file
+    or deep, passes the same allowlist and inline-pragma filter."""
+    findings: List[Finding] = []
+    for path in paths:
+        graph = build_graph(path)
+        raw = [f for module in graph.modules.values()
+               for f in scan_module(module, config)]
+        if deep:
+            raw += deep_findings(graph)
+        module_of = {m.path: m for m in graph.modules.values()}
+        findings += [
+            f for f in raw
+            if not config.rule_allowed(f.rule, module_of[f.path].posix_path)
+            and not graph.waived(module_of[f.path].name, f.rule, f.line)]
+    return sorted(findings, key=finding_sort_key)
 
 
 def add_lint_parser(sub: argparse._SubParsersAction) -> None:
@@ -60,8 +83,8 @@ def add_lint_parser(sub: argparse._SubParsersAction) -> None:
     lint.add_argument("--deep", action="store_true",
                       help="also run the whole-program passes "
                            "(cache-key completeness, RNG-stream "
-                           "discipline, pool purity) over the first "
-                           "lint path")
+                           "discipline, pool purity) over every lint "
+                           "path")
     lint.add_argument("--sanitize-traces", nargs="*", metavar="TRACE",
                       default=None,
                       help="also validate trace files against the TCP "
@@ -116,21 +139,12 @@ def _config_for_fixture(name: str) -> SanitizerConfig:
 
 
 def run_lint(args: argparse.Namespace) -> int:
-    paths = args.paths or [DEFAULT_LINT_PATH]
     try:
-        findings = lint_paths(paths, DEFAULT_CONFIG)
+        findings = lint_paths(args.paths or [DEFAULT_LINT_PATH],
+                              DEFAULT_CONFIG, deep=args.deep)
     except LintError as exc:
         print(f"lint: {exc}", file=sys.stderr)
         return 2
-
-    if args.deep:
-        try:
-            deep_findings = run_deep(paths[0], DEFAULT_DEEP_CONFIG)
-        except DeepError as exc:
-            print(f"lint: {exc}", file=sys.stderr)
-            return 2
-        findings = sorted(findings + deep_findings,
-                          key=finding_sort_key)
 
     trace_violations: Dict[str, List[Violation]] = {}
     if args.sanitize_traces is not None:

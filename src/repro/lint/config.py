@@ -1,15 +1,17 @@
-"""Linter configuration: rule selection, allowlists, hot-path modules.
+"""Linter configuration: the rule catalogue, allowlists, hot-path modules.
 
-Two suppression mechanisms exist, deliberately narrow:
+One suppression mechanism covers every rule, per-file and deep alike,
+in two deliberately narrow forms:
 
-* **per-module allowlists** — a rule id mapped to path fragments; any
-  file whose (posix-normalized) path contains one of the fragments is
-  exempt from that rule.  This is for *designed* exemptions: the
+* **per-module allowlists** — a rule id mapped to path fragments; a
+  finding in any file whose (posix-normalized) path contains one of
+  the fragments is dropped.  This is for *designed* exemptions: the
   matrix runner and its supervisor read the real clock because
   measuring wall time is their job.
-* **inline pragmas** — ``# repro-lint: allow(rule-id)`` on the offending
-  line (or the line directly above) waives named rules for that line
-  only, for the rare spot where the construct is deliberate.
+* **inline pragmas** — a ``repro-lint: allow(rule-id)`` comment on the
+  offending line (or the line directly above) waives the named rules
+  for that line only, for the rare spot where the construct is
+  deliberate.  A pragma naming no known rule is itself a finding.
 
 The ``slots-hot-path`` rule inverts the pattern: it applies *only* to
 designated hot-path modules (the per-packet / per-event object code in
@@ -19,11 +21,11 @@ designated hot-path modules (the per-packet / per-event object code in
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, FrozenSet, Mapping, Tuple
+from typing import Dict, Mapping, Tuple
 
-__all__ = ["LintConfig", "DEFAULT_CONFIG", "ALL_RULES"]
+__all__ = ["LintConfig", "DEFAULT_CONFIG", "ALL_RULES", "DEEP_RULES"]
 
-#: Every rule the linter knows, with a one-line description.
+#: Every per-file rule, with a one-line description.
 ALL_RULES: Dict[str, str] = {
     "wall-clock": "wall-clock read (time.time / datetime.now / ...) in "
                   "simulation code",
@@ -40,6 +42,20 @@ ALL_RULES: Dict[str, str] = {
     "pool-outside-matrix": "multiprocessing.Pool constructed outside "
                            "repro.matrix (worker pools must go through "
                            "MatrixRunner's managed, warmed pool)",
+    "unknown-pragma-rule": "inline pragma names a rule id the linter "
+                           "does not know (it waives nothing)",
+}
+
+#: Every whole-program rule of :mod:`repro.lint.deep` (``--deep``).
+DEEP_RULES: Dict[str, str] = {
+    "cache-key-unkeyed-param": "run-affecting run_experiment parameter "
+                               "not forwarded from a spec field",
+    "rng-seed-origin": "random.Random(...) whose seed is not derived "
+                       "from an experiment seed",
+    "rng-shared-stream": "one RNG object passed to several components "
+                         "that need independent streams",
+    "pool-global-write": "module-global write in code reachable from "
+                         "the worker-pool dispatch",
 }
 
 
@@ -47,8 +63,6 @@ ALL_RULES: Dict[str, str] = {
 class LintConfig:
     """Configuration for one lint run."""
 
-    #: Rule ids to run (default: all known rules).
-    rules: FrozenSet[str] = frozenset(ALL_RULES)
     #: rule id -> path fragments exempt from that rule.
     allowlist: Mapping[str, Tuple[str, ...]] = dataclasses.field(
         default_factory=dict)
@@ -84,6 +98,12 @@ DEFAULT_CONFIG = LintConfig(
         # the artifact-store propagation and site warm-up that keep
         # parallel runs fast and bit-identical.
         "pool-outside-matrix": ("repro/matrix/runner.py",),
+        # Worker-global state that is sanctioned by construction: the
+        # artifact store propagates its own (store_state /
+        # _pool_initializer), and the repro.memo registry is the one
+        # write a declared Memo makes (per-process counters, shipped
+        # as chunk deltas).
+        "pool-global-write": ("content/artifacts.py", "repro/memo.py"),
     },
     hot_path_modules=(
         "simnet/engine.py",

@@ -26,99 +26,57 @@ of them is visible one file at a time:
   is covered by ``ArtifactStore.store_state`` / ``_pool_initializer``
   or is a declared :class:`repro.memo.Memo` (pure by contract, tested).
 
-Findings reuse the :class:`~repro.lint.findings.Finding` model and the
-inline-pragma mechanism.  The repository's own tree must come out
-clean: a finding is fixed, or waived by name with a reason in
-:class:`DeepConfig`.
+The passes are functions of one :class:`~repro.lint.graph.ProjectGraph`
+— the same parsed modules the per-file rules visit — and emit raw
+:class:`~repro.lint.findings.Finding` records; the configuration's
+allowlist and inline pragmas filter them exactly as they filter the
+per-file rules (:func:`repro.lint.cli.lint_paths`).  The anchors below
+describe this repository, and the bad-project corpora under
+``tests/lint/fixtures/deep`` reuse the same names.  The repository's
+own tree must come out clean: a finding is fixed, or waived where it
+is — an allowlisted path or an inline pragma with its reason beside
+it — or, for a deliberately key-free ``run_experiment`` parameter, in
+:data:`_PARAM_WAIVERS`.
 """
 
 from __future__ import annotations
 
 import ast
-import dataclasses
-import pathlib
-from typing import Dict, List, Mapping, Set, Tuple, Union
+from typing import Dict, List, Mapping, Set, Tuple
 
-from .findings import Finding, finding_sort_key
-from .graph import FunctionInfo, ProjectGraph, build_graph
+from .findings import Finding
+from .graph import FunctionInfo, ProjectGraph
 from .rules import dotted_name
 
-__all__ = ["DEEP_RULES", "DeepConfig", "DEFAULT_DEEP_CONFIG",
-           "DeepError", "run_deep"]
+__all__ = ["deep_findings"]
 
-#: Every deep rule, with a one-line description (the static per-file
-#: rules live in :data:`repro.lint.config.ALL_RULES`).
-DEEP_RULES: Dict[str, str] = {
-    "cache-key-unkeyed-param": "run-affecting run_experiment parameter "
-                               "not forwarded from a spec field",
-    "rng-seed-origin": "random.Random(...) whose seed is not derived "
-                       "from an experiment seed",
-    "rng-shared-stream": "one RNG object passed to several components "
-                         "that need independent streams",
-    "pool-global-write": "module-global write in code reachable from "
-                         "the worker-pool dispatch",
+#: The spec class whose dataclass fields define an experiment.
+_SPEC_CLASS = "ExperimentSpec"
+#: The function whose keyword surface is the experiment's identity.
+_RUN_FUNCTION = "run_experiment"
+#: The spec method forwarding its own fields into :data:`_RUN_FUNCTION`
+#: (the matrix engine's per-unit hook).
+_FORWARD_FUNCTION = "execute_unit"
+#: Parameters of :data:`_FORWARD_FUNCTION` that key the cache at the
+#: work-unit level rather than through a spec field.
+_UNIT_KEY_PARAMS = frozenset(("seed",))
+#: Entry points of the worker-pool dispatch (purity roots).
+_DISPATCH_ENTRIES = ("_run_chunk_supervised", "_pool_initializer",
+                     "run_unit")
+#: Constructors that consume run configuration (plain-name calls).
+_SINK_NAMES = frozenset(("TcpConfig", "Testbed", "FaultInjector",
+                         "resolve_fault_plan"))
+#: Method names that consume run configuration (attribute calls).
+_SINK_METHODS = frozenset(("client_config", "fetch_page"))
+#: Run-function parameters that may stay outside the cache key, with
+#: the reason each is safe.
+_PARAM_WAIVERS: Mapping[str, str] = {
+    "site": "custom sites bypass the matrix cache; the default site is "
+            "content-addressed by construction",
+    "store": "derived from site; same waiver",
 }
-
-
-class DeepError(RuntimeError):
-    """Raised for unusable inputs (the root is not a directory)."""
-
-
-@dataclasses.dataclass(frozen=True)
-class DeepConfig:
-    """Anchors and waivers for the whole-program passes.
-
-    The defaults describe this repository; the corpus tests point the
-    same passes at miniature projects with the same shapes.  Waivers
-    are *explicit*: every intentionally key-free knob or sanctioned
-    piece of worker-global state is named here with a reason, so the
-    exemption list is itself reviewable.
-    """
-
-    #: The spec class whose dataclass fields define an experiment.
-    spec_class: str = "ExperimentSpec"
-    #: The function whose keyword surface is the experiment's identity.
-    run_function: str = "run_experiment"
-    #: The spec method forwarding its own fields into
-    #: :attr:`run_function` (the matrix engine's per-unit hook).
-    forward_function: str = "execute_unit"
-    #: Parameters of :attr:`forward_function` that key the cache at the
-    #: work-unit level rather than through a spec field.
-    unit_key_params: Tuple[str, ...] = ("seed",)
-    #: Entry points of the worker-pool dispatch (purity roots).
-    dispatch_entries: Tuple[str, ...] = ("_run_chunk_supervised",
-                                        "_pool_initializer",
-                                        "run_unit")
-    #: Constructors that consume run configuration (plain-name calls).
-    sink_names: Tuple[str, ...] = ("TcpConfig", "Testbed",
-                                  "FaultInjector", "resolve_fault_plan")
-    #: Method names that consume run configuration (attribute calls).
-    sink_methods: Tuple[str, ...] = ("client_config", "fetch_page")
-    #: Run-function parameters that may stay outside the cache key,
-    #: with the reason each is safe.
-    param_waivers: Mapping[str, str] = dataclasses.field(
-        default_factory=lambda: {
-            "site": "custom sites bypass the matrix cache; the default "
-                    "site is content-addressed by construction",
-            "store": "derived from site; same waiver",
-        })
-    #: Identifier fragments that mark a value as seed-derived.
-    seed_fragments: Tuple[str, ...] = ("seed",)
-    #: Path fragments whose module-global state is sanctioned: the
-    #: artifact store propagates its own (store_state/_pool_initializer)
-    #: and the ``repro.memo`` registry is the one write a declared
-    #: ``Memo`` makes (per-process counters, shipped as chunk deltas).
-    purity_path_waivers: Tuple[str, ...] = ("content/artifacts.py",
-                                            "repro/memo.py")
-    #: Individual sanctioned globals, with the reason each is safe to
-    #: differ between workers, the parent and the serial path.
-    purity_global_waivers: Mapping[str, str] = dataclasses.field(
-        default_factory=lambda: {
-            "_DEFAULT_SITE_AND_STORE": "covered by the pool warm-up",
-        })
-
-
-DEFAULT_DEEP_CONFIG = DeepConfig()
+#: The identifier fragment that marks a value as seed-derived.
+_SEED_FRAGMENT = "seed"
 
 
 # ----------------------------------------------------------------------
@@ -151,21 +109,16 @@ def _identifier_components(node: ast.AST) -> Set[str]:
     return parts
 
 
-def _is_seedish(node: ast.AST, config: DeepConfig) -> bool:
-    lowered = {part.lower() for part in _identifier_components(node)}
-    return any(fragment in part
-               for part in lowered
-               for fragment in config.seed_fragments)
+def _is_seedish(node: ast.AST) -> bool:
+    return any(_SEED_FRAGMENT in part.lower()
+               for part in _identifier_components(node))
 
 
 def _finding(graph: ProjectGraph, module: str, node: ast.AST,
              rule: str, message: str, hint: str,
              out: List[Finding]) -> None:
-    info = graph.modules[module]
-    line = getattr(node, "lineno", 1)
-    if graph.waived(module, rule, line):
-        return
-    out.append(Finding(path=info.path, line=line,
+    out.append(Finding(path=graph.modules[module].path,
+                       line=getattr(node, "lineno", 1),
                        col=getattr(node, "col_offset", 0),
                        rule=rule, message=message, hint=hint))
 
@@ -174,8 +127,8 @@ def _finding(graph: ProjectGraph, module: str, node: ast.AST,
 # Pass 1: cache-key completeness
 # ----------------------------------------------------------------------
 
-def _forwarding_map(fwd: FunctionInfo, run: FunctionInfo,
-                    config: DeepConfig) -> Dict[str, str]:
+def _forwarding_map(fwd: FunctionInfo,
+                    run: FunctionInfo) -> Dict[str, str]:
     """How ``run``'s parameters are fed inside ``fwd``'s call to it.
 
     Maps each forwarded parameter name to:
@@ -183,7 +136,7 @@ def _forwarding_map(fwd: FunctionInfo, run: FunctionInfo,
     * ``"field:X"`` — a plain ``spec.X`` attribute read;
     * ``"spec-derived"`` — any other expression involving the spec
       parameter (e.g. ``spec.client_config()``);
-    * ``"unit-key"`` — one of :attr:`DeepConfig.unit_key_params`;
+    * ``"unit-key"`` — one of :data:`_UNIT_KEY_PARAMS`;
     * ``"opaque"`` — anything else.
     """
     spec_params = set(fwd.params[:1])  # the spec (``self`` for a method)
@@ -202,7 +155,7 @@ def _forwarding_map(fwd: FunctionInfo, run: FunctionInfo,
             names = _names_in(value)
             if names & spec_params:
                 return "spec-derived"
-            if names & set(config.unit_key_params):
+            if names & _UNIT_KEY_PARAMS:
                 return "unit-key"
             return "opaque"
 
@@ -215,8 +168,7 @@ def _forwarding_map(fwd: FunctionInfo, run: FunctionInfo,
     return mapping
 
 
-def _run_affecting_params(run: FunctionInfo,
-                          config: DeepConfig
+def _run_affecting_params(run: FunctionInfo
                           ) -> Dict[str, Tuple[str, ast.AST]]:
     """Parameters of ``run`` that flow into a configuration sink.
 
@@ -248,13 +200,11 @@ def _run_affecting_params(run: FunctionInfo,
                     taint.setdefault(target.id, set()).update(origins)
 
     affecting: Dict[str, Tuple[str, ast.AST]] = {}
-    sink_names = set(config.sink_names)
-    sink_methods = set(config.sink_methods)
     for call in run.calls:
         last = call.raw.split(".")[-1]
         plain = "." not in call.raw
-        is_sink = (last in sink_names if plain
-                   else last in sink_names or last in sink_methods)
+        is_sink = (last in _SINK_NAMES if plain
+                   else last in _SINK_NAMES or last in _SINK_METHODS)
         if not is_sink:
             continue
         for name in _names_in(call.node):
@@ -263,26 +213,25 @@ def _run_affecting_params(run: FunctionInfo,
     return affecting
 
 
-def _cache_key_pass(graph: ProjectGraph,
-                    config: DeepConfig) -> List[Finding]:
+def _cache_key_pass(graph: ProjectGraph) -> List[Finding]:
     """Run-affecting run_experiment parameters must arrive through a
     spec dataclass field (the cache identity) or the unit seed."""
     findings: List[Finding] = []
-    spec_cls = graph.find_class(config.spec_class)
+    spec_cls = graph.find_class(_SPEC_CLASS)
     if spec_cls is None:
         return findings
-    run_candidates = [f for f in graph.functions_named(
-        config.run_function) if "." not in f.qualname.split(":")[1]]
-    fwd_candidates = graph.functions_named(config.forward_function)
+    run_candidates = [f for f in graph.functions_named(_RUN_FUNCTION)
+                      if "." not in f.qualname.split(":")[1]]
+    fwd_candidates = graph.functions_named(_FORWARD_FUNCTION)
     if not run_candidates or not fwd_candidates:
         return findings
     run = run_candidates[0]
     forwarded: Dict[str, str] = {}
     for fwd in fwd_candidates:
-        forwarded.update(_forwarding_map(fwd, run, config))
+        forwarded.update(_forwarding_map(fwd, run))
     for param, (sink_raw, _node) in sorted(
-            _run_affecting_params(run, config).items()):
-        if param in config.param_waivers:
+            _run_affecting_params(run).items()):
+        if param in _PARAM_WAIVERS:
             continue
         origin = forwarded.get(param)
         if origin in ("spec-derived", "unit-key"):
@@ -293,11 +242,11 @@ def _cache_key_pass(graph: ProjectGraph,
                 continue
             message = (f"parameter '{param}' of {run.name}() is "
                        f"forwarded from '{field}', which is not a "
-                       f"dataclass field of {config.spec_class}")
+                       f"dataclass field of {_SPEC_CLASS}")
         elif origin is None:
             message = (f"run-affecting parameter '{param}' of "
                        f"{run.name}() (flows into {sink_raw}) is never "
-                       f"forwarded by {config.forward_function}() and "
+                       f"forwarded by {_FORWARD_FUNCTION}() and "
                        "is not waived")
         else:
             message = (f"parameter '{param}' of {run.name}() is "
@@ -306,7 +255,8 @@ def _cache_key_pass(graph: ProjectGraph,
         _finding(graph, run.module, run.node, "cache-key-unkeyed-param",
                  message,
                  "forward it from a spec dataclass field, or add a "
-                 "waiver with a reason to the deep config", findings)
+                 "waiver with a reason to repro.lint.deep._PARAM_WAIVERS",
+                 findings)
     return findings
 
 
@@ -347,7 +297,7 @@ def _caller_seed_exprs(graph: ProjectGraph, fn: FunctionInfo,
     return exprs
 
 
-def _rng_pass(graph: ProjectGraph, config: DeepConfig) -> List[Finding]:
+def _rng_pass(graph: ProjectGraph) -> List[Finding]:
     findings: List[Finding] = []
     for qualname in sorted(graph.functions):
         fn = graph.functions[qualname]
@@ -360,7 +310,7 @@ def _rng_pass(graph: ProjectGraph, config: DeepConfig) -> List[Finding]:
             if not node.args:
                 continue    # the per-file unseeded-random rule owns this
             seed_arg = node.args[0]
-            if _is_seedish(seed_arg, config):
+            if _is_seedish(seed_arg):
                 continue
             if isinstance(seed_arg, ast.Constant):
                 _finding(graph, fn.module, node, "rng-seed-origin",
@@ -380,8 +330,7 @@ def _rng_pass(graph: ProjectGraph, config: DeepConfig) -> List[Finding]:
                 exprs: List[ast.expr] = []
                 for param in sorted(param_names):
                     exprs.extend(_caller_seed_exprs(graph, fn, param))
-                if exprs and all(_is_seedish(e, config)
-                                 for e in exprs):
+                if exprs and all(_is_seedish(e) for e in exprs):
                     resolved = True
             if not resolved:
                 _finding(graph, fn.module, node, "rng-seed-origin",
@@ -445,24 +394,13 @@ def _rng_pass(graph: ProjectGraph, config: DeepConfig) -> List[Finding]:
 # Pass 3: pool purity
 # ----------------------------------------------------------------------
 
-def _purity_pass(graph: ProjectGraph,
-                 config: DeepConfig) -> List[Finding]:
+def _purity_pass(graph: ProjectGraph) -> List[Finding]:
     findings: List[Finding] = []
-    roots: List[str] = []
-    for name in config.dispatch_entries:
-        roots.extend(fn.qualname for fn in graph.functions_named(name))
-    if not roots:
-        return findings
-    waived_globals = config.purity_global_waivers
+    roots = [fn.qualname for name in _DISPATCH_ENTRIES
+             for fn in graph.functions_named(name)]
     for qualname in sorted(graph.reachable(roots)):
         fn = graph.functions[qualname]
-        module = graph.modules[fn.module]
-        if any(fragment in module.posix_path
-               for fragment in config.purity_path_waivers):
-            continue
         for name, node in fn.global_writes:
-            if name in waived_globals:
-                continue
             _finding(graph, fn.module, node, "pool-global-write",
                      f"{fn.name}() is reachable from the pool dispatch "
                      f"and assigns module-global '{name}' — worker "
@@ -471,8 +409,6 @@ def _purity_pass(graph: ProjectGraph,
                      "_pool_initializer, or pass it explicitly",
                      findings)
         for name, node in fn.module_subscript_writes:
-            if name in waived_globals:
-                continue
             _finding(graph, fn.module, node, "pool-global-write",
                      f"{fn.name}() is reachable from the pool dispatch "
                      f"and mutates module-level '{name}[...]' — a "
@@ -484,20 +420,7 @@ def _purity_pass(graph: ProjectGraph,
     return findings
 
 
-# ----------------------------------------------------------------------
-# Entry point
-# ----------------------------------------------------------------------
-
-def run_deep(root: Union[str, pathlib.Path],
-             config: DeepConfig = DEFAULT_DEEP_CONFIG) -> List[Finding]:
-    """Run all whole-program passes over the tree rooted at ``root``."""
-    root = pathlib.Path(root)
-    if not root.is_dir():
-        raise DeepError(f"deep analysis needs a package directory, "
-                        f"got: {root}")
-    graph = build_graph(root)
-    findings: List[Finding] = []
-    findings.extend(_cache_key_pass(graph, config))
-    findings.extend(_rng_pass(graph, config))
-    findings.extend(_purity_pass(graph, config))
-    return sorted(findings, key=finding_sort_key)
+def deep_findings(graph: ProjectGraph) -> List[Finding]:
+    """Every whole-program pass over ``graph``, unfiltered."""
+    return (_cache_key_pass(graph) + _rng_pass(graph)
+            + _purity_pass(graph))

@@ -1,22 +1,26 @@
-"""Project-wide symbol table, import graph, and call graph.
+"""The linter's one front end: parsed modules, imports, call graph.
 
-The per-file rules in :mod:`repro.lint.rules` can say "this line reads
-the wall clock"; they cannot say "this parameter never reaches the
-cache key" or "this function is reachable from the worker pool".  This
-module builds the whole-program structure the flow-aware passes in
-:mod:`repro.lint.deep` need:
+Every lint pass runs over a :class:`ProjectGraph`.  :func:`build_graph`
+reads and parses each ``.py`` file once, and the per-file rules of
+:mod:`repro.lint.rules` and the flow-aware passes of
+:mod:`repro.lint.deep` all visit what it built:
 
-* a **module table** — every ``.py`` file under a root directory,
-  parsed once, with its package-relative dotted name, top-level symbol
-  table, module-level bindings, and inline-pragma lines;
-* an **import graph** — each module's local names resolved to the
+* a **module table** — every ``.py`` file under a root directory (or
+  one file, as the graph of its directory restricted to that file),
+  with its package-relative dotted name, parsed tree, top-level
+  symbol table and inline-pragma lines;
+* an **import table** per module — local names resolved to the
   project module and symbol they refer to (absolute and relative
-  ``from``-imports, module aliases);
+  ``from``-imports, a package ``__init__``'s own relative imports),
+  plus the one alias table for external imports (``import random``
+  and friends) the per-file rules resolve calls through;
 * a **call graph** — every call site in every function resolved to the
-  project functions it can dispatch to.  Resolution is exact for plain
-  names (local or imported) and ``self.method(...)``; for other
-  attribute calls it falls back to class-hierarchy-analysis style
-  name matching (every project function or method with that name is a
+  project functions it can dispatch to.  Plain names (local, imported,
+  or imported through a package's re-export), constructor calls
+  (dispatching ``__init__``), ``module.func(...)`` on an imported
+  project module and ``self.method(...)`` resolve exactly; other
+  attribute calls fall back to class-hierarchy-analysis style name
+  matching (every project function or method with that name is a
   candidate), which over-approximates — the right bias for the purity
   pass, where a missed edge is a missed bug.
 
@@ -30,12 +34,52 @@ from __future__ import annotations
 import ast
 import dataclasses
 import pathlib
+import re
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from .static import pragma_lines, suppressed
+__all__ = ["LintError", "CallSite", "FunctionInfo", "ClassInfo",
+           "ModuleInfo", "ProjectGraph", "build_graph"]
 
-__all__ = ["CallSite", "FunctionInfo", "ClassInfo", "ModuleInfo",
-           "ProjectGraph", "build_graph"]
+#: ``repro-lint: allow(rule-a, rule-b)`` after a ``#`` — waives the
+#: named rules (or every rule, with ``*``) on the pragma's line and the
+#: line below it.
+_PRAGMA = re.compile(r"#\s*repro-lint:\s*allow\(([^)]*)\)")
+
+
+class LintError(RuntimeError):
+    """Raised for a missing, unreadable, non-UTF-8 or unparsable input."""
+
+
+def pragma_lines(source: str) -> Dict[int, Set[str]]:
+    """Map line numbers to the set of rule ids waived on that line."""
+    waived: Dict[int, Set[str]] = {}
+    for lineno, text in enumerate(source.splitlines(), start=1):
+        match = _PRAGMA.search(text)
+        if match is not None:
+            waived[lineno] = {part.strip()
+                              for part in match.group(1).split(",")
+                              if part.strip()}
+    return waived
+
+
+def suppressed(rule: str, line: int, waived: Dict[int, Set[str]]) -> bool:
+    """True when an inline pragma waives ``rule`` at ``line``."""
+    for lineno in (line, line - 1):
+        rules = waived.get(lineno)
+        if rules and (rule in rules or "*" in rules):
+            return True
+    return False
+
+
+def terminal_name(node: ast.expr) -> str:
+    """``b`` of ``a.b`` or of ``b``; the callee's for a decorator call."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Name):
+        return node.id
+    return ""
 
 
 @dataclasses.dataclass
@@ -68,7 +112,8 @@ class FunctionInfo:
     #: Positional-or-keyword and keyword-only parameter names, in order.
     params: Tuple[str, ...]
     calls: List[CallSite]
-    #: ``global NAME`` declarations that the body also assigns.
+    #: ``global NAME`` declarations that the body also assigns, each
+    #: with the first statement assigning it.
     global_writes: List[Tuple[str, ast.AST]]
     #: ``NAME[...] = v`` / ``NAME[...] += v`` where NAME is a
     #: module-level binding of this function's module (a memo-dict
@@ -111,8 +156,9 @@ class ModuleInfo:
     #: local name -> (project module, symbol) for from-imports of
     #: project modules; symbol is "" for whole-module imports.
     imports: Dict[str, Tuple[str, str]]
-    #: local alias -> external dotted origin (``import random`` and
-    #: friends), same shape the per-file rules use.
+    #: local alias -> external dotted origin (``import time as clock``
+    #: -> ``{"clock": "time"}``; ``from time import time`` ->
+    #: ``{"time": "time.time"}``).
     module_aliases: Dict[str, str]
     #: Names bound at module level (functions, classes, assignments).
     toplevel: Set[str]
@@ -128,23 +174,20 @@ def _module_name(path: pathlib.Path, root: pathlib.Path) -> str:
     return ".".join(parts)
 
 
-def _resolve_relative(module: str, level: int,
+def _resolve_relative(package: str, level: int,
                       target: Optional[str]) -> Optional[str]:
     """Resolve a ``from ...X import Y`` module reference.
 
-    ``module`` is the importing module's package-relative dotted name;
-    the project root is package level zero, so ``level`` dots strip
-    ``level`` trailing components from the importing module's package.
+    ``package`` is the package the importing module lives in (for a
+    package ``__init__``, the package itself); the project root is
+    package level zero, so ``level`` dots strip ``level - 1`` trailing
+    components from it.
     """
-    # The package containing `module` (modules live in their package;
-    # an __init__ already *is* its package, but we only analyze from
-    # plain modules' point of view, which is the common case).
-    package_parts = module.split(".")[:-1] if module else []
+    base = package.split(".") if package else []
     strip = level - 1
-    if strip > len(package_parts):
+    if strip > len(base):
         return None
-    base = package_parts[:len(package_parts) - strip] if strip else \
-        package_parts
+    base = base[:len(base) - strip]
     if target:
         base = base + target.split(".")
     return ".".join(base)
@@ -153,11 +196,11 @@ def _resolve_relative(module: str, level: int,
 class _FunctionScanner(ast.NodeVisitor):
     """Collect calls and global writes inside one function body."""
 
-    def __init__(self, locals_: Set[str]) -> None:
-        self.locals = locals_
+    def __init__(self) -> None:
         self.calls: List[ast.Call] = []
         self.global_names: Set[str] = set()
-        self.assigned: Set[str] = set()
+        #: plain name -> the first statement assigning it
+        self.assigned: Dict[str, ast.AST] = {}
         self.subscript_writes: List[Tuple[str, ast.AST]] = []
 
     def visit_Call(self, node: ast.Call) -> None:
@@ -169,7 +212,7 @@ class _FunctionScanner(ast.NodeVisitor):
 
     def _record_target(self, target: ast.expr, node: ast.AST) -> None:
         if isinstance(target, ast.Name):
-            self.assigned.add(target.id)
+            self.assigned.setdefault(target.id, node)
         elif isinstance(target, ast.Subscript) \
                 and isinstance(target.value, ast.Name):
             self.subscript_writes.append((target.value.id, node))
@@ -221,10 +264,29 @@ class ProjectGraph:
         matches = [c for c in self.classes.values() if c.name == name]
         return matches[0] if len(matches) == 1 else None
 
-    def waived(self, qualname_or_module: str, rule: str,
-               line: int) -> bool:
-        """True when an inline pragma waives ``rule`` at this line."""
-        info = self.modules.get(qualname_or_module.split(":", 1)[0])
+    def resolve_symbol(self, module: str, symbol: str) -> Optional[str]:
+        """The function or class qualname ``module.symbol`` names.
+
+        A module that does not define ``symbol`` but imports it (a
+        package ``__init__`` re-exporting a submodule's name) is
+        followed to where the symbol is defined.
+        """
+        seen: Set[Tuple[str, str]] = set()
+        while (module, symbol) not in seen:
+            seen.add((module, symbol))
+            qualname = f"{module}:{symbol}"
+            if qualname in self.functions or qualname in self.classes:
+                return qualname
+            info = self.modules.get(module)
+            ref = info.imports.get(symbol) if info is not None else None
+            if ref is None or not ref[1]:
+                return None
+            module, symbol = ref
+        return None
+
+    def waived(self, module: str, rule: str, line: int) -> bool:
+        """True when an inline pragma in ``module`` waives ``rule``."""
+        info = self.modules.get(module)
         return info is not None and suppressed(rule, line, info.pragmas)
 
     # ------------------------------------------------------------------
@@ -264,8 +326,17 @@ class ProjectGraph:
 # Construction
 # ----------------------------------------------------------------------
 
-def _scan_imports(tree: ast.Module, module: str,
-                  known_prefixes: Set[str]
+def _parse(path: pathlib.Path) -> Tuple[str, ast.Module]:
+    """Read and parse one file: the front end's only error path."""
+    try:
+        source = path.read_text(encoding="utf-8")
+        return source, ast.parse(source, filename=str(path))
+    except (OSError, ValueError, SyntaxError) as exc:
+        # ValueError covers UnicodeDecodeError and NUL bytes.
+        raise LintError(f"{path}: {exc}") from exc
+
+
+def _scan_imports(tree: ast.Module, package: str, known: Set[str]
                   ) -> Tuple[Dict[str, Tuple[str, str]], Dict[str, str]]:
     """Split a module's imports into project refs and external aliases."""
     imports: Dict[str, Tuple[str, str]] = {}
@@ -274,30 +345,29 @@ def _scan_imports(tree: ast.Module, module: str,
         if isinstance(node, ast.Import):
             for name in node.names:
                 local = name.asname or name.name.split(".")[0]
-                if name.name in known_prefixes:
+                if name.name in known:
                     imports[local] = (name.name, "")
                 else:
                     aliases[local] = name.name if name.asname else local
         elif isinstance(node, ast.ImportFrom):
-            if node.level:
-                origin = _resolve_relative(module, node.level,
-                                           node.module)
-            else:
-                origin = node.module
+            origin = (_resolve_relative(package, node.level, node.module)
+                      if node.level else node.module)
             if origin is None:
                 continue
             for name in node.names:
                 if name.name == "*":
                     continue
                 local = name.asname or name.name
-                if origin in known_prefixes:
+                dotted = f"{origin}.{name.name}" if origin else name.name
+                if dotted in known:
+                    # ``from ..content import artifacts``: a module.
+                    imports[local] = (dotted, "")
+                elif origin in known:
                     imports[local] = (origin, name.name)
-                elif f"{origin}.{name.name}" in known_prefixes:
-                    # ``from ..content import artifacts``-style
-                    # subpackage import: the local name is a module.
-                    imports[local] = (f"{origin}.{name.name}", "")
-                else:
-                    aliases[local] = f"{origin}.{name.name}"
+                elif not node.level:
+                    # A relative import outside the analyzed tree is
+                    # still project code, never an external origin.
+                    aliases[local] = dotted
     return imports, aliases
 
 
@@ -324,33 +394,36 @@ def _raw_callee(node: ast.expr) -> str:
     return ".".join(reversed(parts))
 
 
-def build_graph(root: Union[str, pathlib.Path]) -> ProjectGraph:
-    """Parse every ``.py`` under ``root`` and build the project graph."""
-    root = pathlib.Path(root)
+def build_graph(path: Union[str, pathlib.Path]) -> ProjectGraph:
+    """Parse a package directory (every ``.py`` under it) or one
+    ``.py`` file (the graph of its directory, restricted to that file)
+    and build the project graph.  Raises :class:`LintError` for a
+    missing path and for any file that cannot be read or parsed."""
+    path = pathlib.Path(path)
+    if path.is_dir():
+        root, files = path, sorted(path.rglob("*.py"))
+    elif path.is_file():
+        root, files = path.parent, [path]
+    else:
+        raise LintError(f"no such file or directory: {path}")
     graph = ProjectGraph(root)
-    sources: Dict[str, Tuple[pathlib.Path, str, ast.Module]] = {}
-    for path in sorted(root.rglob("*.py")):
-        source = path.read_text(encoding="utf-8")
-        try:
-            tree = ast.parse(source, filename=str(path))
-        except SyntaxError:
-            continue
-        name = _module_name(path, root)
-        sources[name] = (path, source, tree)
+    parsed = sorted(((_module_name(file, root), file) + _parse(file)
+                     for file in files), key=lambda entry: entry[0])
 
-    known: Set[str] = set(sources)
+    known: Set[str] = set()
     # Package names are importable prefixes too (``from ..content
     # import artifacts`` names the package first).
-    for name in list(known):
+    for name, *_ in parsed:
         parts = name.split(".")
-        for i in range(1, len(parts)):
-            known.add(".".join(parts[:i]))
+        known.update(".".join(parts[:i]) for i in range(1, len(parts) + 1))
 
     # First pass: modules, classes, functions (no call resolution yet).
     pending: List[Tuple[FunctionInfo, ModuleInfo,
                         Optional[ClassInfo], _FunctionScanner]] = []
-    for name, (path, source, tree) in sorted(sources.items()):
-        imports, aliases = _scan_imports(tree, name, known)
+    for name, file, source, tree in parsed:
+        package = name if file.name == "__init__.py" \
+            else name.rpartition(".")[0]
+        imports, aliases = _scan_imports(tree, package, known)
         toplevel: Set[str] = set()
         for stmt in tree.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
@@ -363,8 +436,8 @@ def build_graph(root: Union[str, pathlib.Path]) -> ProjectGraph:
             elif isinstance(stmt, ast.AnnAssign) \
                     and isinstance(stmt.target, ast.Name):
                 toplevel.add(stmt.target.id)
-        info = ModuleInfo(name=name, path=str(path),
-                          posix_path=str(path).replace("\\", "/"),
+        info = ModuleInfo(name=name, path=str(file),
+                          posix_path=str(file).replace("\\", "/"),
                           tree=tree, imports=imports,
                           module_aliases=aliases, toplevel=toplevel,
                           pragmas=pragma_lines(source))
@@ -376,19 +449,20 @@ def build_graph(root: Union[str, pathlib.Path]) -> ProjectGraph:
             else:
                 qualname = f"{name}:{node.name}"
             params = _function_params(node)
-            scanner = _FunctionScanner(set(params))
+            scanner = _FunctionScanner()
             for stmt in node.body:
                 scanner.visit(stmt)
             fn = FunctionInfo(
                 qualname=qualname, module=name, name=node.name,
                 node=node, params=params, calls=[],
                 global_writes=[
-                    (g, node) for g in sorted(scanner.global_names
-                                              & scanner.assigned)],
+                    (g, scanner.assigned[g])
+                    for g in sorted(scanner.global_names
+                                    & scanner.assigned.keys())],
                 module_subscript_writes=[])
             # Subscript writes to module-level names (not shadowed by
             # params or locals assigned as plain names).
-            shadowed = set(params) | scanner.assigned
+            shadowed = set(params) | scanner.assigned.keys()
             for target_name, write_node in scanner.subscript_writes:
                 if target_name in toplevel and target_name not in shadowed:
                     fn.module_subscript_writes.append(
@@ -409,18 +483,9 @@ def build_graph(root: Union[str, pathlib.Path]) -> ProjectGraph:
                     if isinstance(s, ast.AnnAssign)
                     and isinstance(s.target, ast.Name)
                     and s.target.id != "__slots__")
-                bases = tuple(
-                    b.attr if isinstance(b, ast.Attribute)
-                    else b.id if isinstance(b, ast.Name) else "?"
-                    for b in stmt.bases)
-                is_dc = any(
-                    (d.func.attr if isinstance(d, ast.Call)
-                     and isinstance(d.func, ast.Attribute) else
-                     d.func.id if isinstance(d, ast.Call)
-                     and isinstance(d.func, ast.Name) else
-                     d.attr if isinstance(d, ast.Attribute) else
-                     d.id if isinstance(d, ast.Name) else "")
-                    == "dataclass" for d in stmt.decorator_list)
+                bases = tuple(terminal_name(b) for b in stmt.bases)
+                is_dc = any(terminal_name(d) == "dataclass"
+                            for d in stmt.decorator_list)
                 class_info = ClassInfo(
                     qualname=f"{name}:{stmt.name}", module=name,
                     name=stmt.name, node=stmt, methods={},
@@ -442,31 +507,30 @@ def build_graph(root: Union[str, pathlib.Path]) -> ProjectGraph:
     return graph
 
 
+def _dispatch(graph: ProjectGraph, qualname: Optional[str]) -> List[str]:
+    """The functions calling ``qualname`` runs: itself, or a class's
+    ``__init__`` (nothing for a class without one)."""
+    if qualname in graph.functions:
+        return [qualname]
+    if qualname in graph.classes:
+        init = graph.classes[qualname].methods.get("__init__")
+        return [init] if init else []
+    return []
+
+
 def _resolve_call(graph: ProjectGraph, module: ModuleInfo,
                   class_info: Optional[ClassInfo],
                   func: ast.expr) -> List[str]:
     """Resolve a callee expression to project function qualnames."""
     # Plain name: local symbol, or from-import of a project symbol.
     if isinstance(func, ast.Name):
-        name = func.id
-        local = f"{module.name}:{name}"
-        if local in graph.functions:
-            return [local]
-        if local in graph.classes:
-            # Constructing a project class dispatches its __init__.
-            init = graph.classes[local].methods.get("__init__")
-            return [init] if init else []
-        ref = module.imports.get(name)
-        if ref is not None:
-            target_module, symbol = ref
-            if symbol:
-                qual = f"{target_module}:{symbol}"
-                if qual in graph.functions:
-                    return [qual]
-                if qual in graph.classes:
-                    init = graph.classes[qual].methods.get("__init__")
-                    return [init] if init else []
-        return []
+        local = f"{module.name}:{func.id}"
+        if local in graph.functions or local in graph.classes:
+            return _dispatch(graph, local)
+        ref = module.imports.get(func.id)
+        if ref is None or not ref[1]:
+            return []
+        return _dispatch(graph, graph.resolve_symbol(*ref))
     if not isinstance(func, ast.Attribute):
         return []
     attr = func.attr
@@ -496,12 +560,6 @@ def _resolve_call(graph: ProjectGraph, module: ModuleInfo,
     if isinstance(base, ast.Name):
         ref = module.imports.get(base.id)
         if ref is not None and not ref[1]:
-            qual = f"{ref[0]}:{attr}"
-            if qual in graph.functions:
-                return [qual]
-            if qual in graph.classes:
-                init = graph.classes[qual].methods.get("__init__")
-                return [init] if init else []
-            return []
+            return _dispatch(graph, graph.resolve_symbol(ref[0], attr))
     # Anything else: class-hierarchy-analysis style name matching.
     return list(graph._by_name.get(attr, ()))

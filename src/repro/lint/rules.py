@@ -39,6 +39,12 @@ tests and PR 2's speedup validation rest on):
     (site prebuilt, artifact-store state propagated) and chunked; an
     ad-hoc pool silently loses all three and re-pays site synthesis in
     every worker.
+``unknown-pragma-rule``
+    An inline pragma naming an id that no rule has would waive nothing
+    without a word; it is reported at the pragma's line instead.
+
+The rules are one pass over a :class:`~repro.lint.graph.ModuleInfo`:
+the tree the front end parsed and its one import-alias table.
 
 Rules are heuristic where full type inference would be needed; each one
 is precise enough that the repository itself lints clean without blanket
@@ -48,10 +54,11 @@ suppressions (see ``tests/lint/test_static.py::test_src_lints_clean``).
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Mapping, Optional
+from typing import List, Mapping, Optional
 
-from .config import LintConfig
+from .config import ALL_RULES, DEEP_RULES, LintConfig
 from .findings import Finding
+from .graph import ModuleInfo, terminal_name
 
 __all__ = ["scan_module"]
 
@@ -92,28 +99,8 @@ _SLOTS_EXEMPT_BASES = {
     "ABC",
 }
 
-
-def _collect_import_aliases(tree: ast.AST) -> Dict[str, str]:
-    """Map local names to the dotted import origin they refer to.
-
-    ``import time``           -> {"time": "time"}
-    ``import datetime as dt`` -> {"dt": "datetime"}
-    ``from time import time`` -> {"time": "time.time"}
-    """
-    aliases: Dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for name in node.names:
-                local = name.asname or name.name.split(".")[0]
-                aliases[local] = name.name if name.asname else local
-        elif isinstance(node, ast.ImportFrom) and node.module \
-                and node.level == 0:
-            for name in node.names:
-                if name.name == "*":
-                    continue
-                local = name.asname or name.name
-                aliases[local] = f"{node.module}.{name.name}"
-    return aliases
+#: Every id an inline pragma may name.
+_PRAGMA_IDS = frozenset(ALL_RULES) | frozenset(DEEP_RULES) | {"*"}
 
 
 def dotted_name(node: ast.expr,
@@ -133,8 +120,7 @@ def dotted_name(node: ast.expr,
 
 
 def _is_exception_base(base: ast.expr) -> bool:
-    name = base.attr if isinstance(base, ast.Attribute) else (
-        base.id if isinstance(base, ast.Name) else "")
+    name = terminal_name(base)
     return (name.endswith("Error") or name.endswith("Exception")
             or name in ("BaseException", "Warning"))
 
@@ -153,33 +139,18 @@ def _has_slots(body: List[ast.stmt]) -> bool:
     return False
 
 
-def _decorator_name(node: ast.expr) -> str:
-    if isinstance(node, ast.Call):
-        node = node.func
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Name):
-        return node.id
-    return ""
-
-
 class _DeterminismVisitor(ast.NodeVisitor):
     """One pass over a module AST, emitting raw findings."""
 
-    def __init__(self, path: str, posix_path: str,
-                 config: LintConfig,
-                 aliases: Dict[str, str]) -> None:
-        self.path = path
-        self.posix_path = posix_path
-        self.config = config
-        self.aliases = aliases
+    def __init__(self, module: ModuleInfo, config: LintConfig) -> None:
+        self.path = module.path
+        self.hot_path = config.is_hot_path(module.posix_path)
+        self.aliases = module.module_aliases
         self.findings: List[Finding] = []
 
     # -- plumbing ------------------------------------------------------
     def _emit(self, node: ast.AST, rule: str, message: str,
               hint: str) -> None:
-        if rule not in self.config.rules:
-            return
         self.findings.append(Finding(
             path=self.path, line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0), rule=rule,
@@ -311,15 +282,12 @@ class _DeterminismVisitor(ast.NodeVisitor):
 
     # -- __slots__ in hot-path modules ---------------------------------
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        if self.config.is_hot_path(self.posix_path) \
-                and not _has_slots(node.body) \
-                and not any(_decorator_name(d) == "dataclass"
+        if self.hot_path and not _has_slots(node.body) \
+                and not any(terminal_name(d) == "dataclass"
                             for d in node.decorator_list) \
-                and not any(_is_exception_base(b) for b in node.bases) \
-                and not any(
-                    (b.attr if isinstance(b, ast.Attribute) else
-                     b.id if isinstance(b, ast.Name) else "")
-                    in _SLOTS_EXEMPT_BASES for b in node.bases):
+                and not any(_is_exception_base(b)
+                            or terminal_name(b) in _SLOTS_EXEMPT_BASES
+                            for b in node.bases):
             self._emit(node, "slots-hot-path",
                        f"class {node.name} in a hot-path module has no "
                        "__slots__",
@@ -328,10 +296,17 @@ class _DeterminismVisitor(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def scan_module(tree: ast.AST, path: str, posix_path: str,
-                config: LintConfig) -> List[Finding]:
-    """Run every enabled rule over a parsed module."""
-    visitor = _DeterminismVisitor(path, posix_path, config,
-                                  _collect_import_aliases(tree))
-    visitor.visit(tree)
+def scan_module(module: ModuleInfo, config: LintConfig) -> List[Finding]:
+    """Run every per-file rule over one parsed module (unfiltered)."""
+    visitor = _DeterminismVisitor(module, config)
+    visitor.visit(module.tree)
+    for line, ids in sorted(module.pragmas.items()):
+        for rule in sorted(ids - _PRAGMA_IDS):
+            visitor.findings.append(Finding(
+                path=module.path, line=line, col=0,
+                rule="unknown-pragma-rule",
+                message=f"pragma names '{rule}', which is no lint rule, "
+                        "so it waives nothing",
+                hint="name a rule id `python -m repro lint --help` "
+                     "lists, or make it a plain comment"))
     return visitor.findings

@@ -52,6 +52,7 @@ class _ProxiedExchange:
         self.upstream: Optional[TcpConnection] = None
         self._idle_timer: Optional[Event] = None
         self._upstream_buffer = bytearray()
+        self._client_fin = False
         client_conn.on_data = self._client_data
         client_conn.on_eof = self._client_eof
         client_conn.on_reset = lambda c: self._shutdown()
@@ -67,9 +68,19 @@ class _ProxiedExchange:
             self._forward_request(request)
 
     def _client_eof(self, _conn: TcpConnection) -> None:
+        self._client_fin = True
         if self.upstream is not None and self.upstream.state not in (
                 "CLOSED",):
             self.upstream.close()
+        self._close_client_if_answered()
+
+    def _close_client_if_answered(self) -> None:
+        """After the client's FIN, close its side too once every
+        forwarded request is answered — or it sits in CLOSE_WAIT until
+        the network is torn down.  (The blind proxy closes it on the
+        origin's FIN instead: it cannot count responses.)"""
+        if self._client_fin and self.response_parser.outstanding == 0:
+            self.client_conn.close()
 
     # -- upstream side ---------------------------------------------------
     def _forward_request(self, request: Request) -> None:
@@ -119,6 +130,7 @@ class _ProxiedExchange:
                 # Framing-aware: every response is delimited, so no
                 # idle timer is needed while the hop sits quiet.
                 self._cancel_idle_timer()
+                self._close_client_if_answered()
         else:
             # The blind proxy just streams bytes; it can only delimit
             # the response by upstream close, so it buffers nothing —

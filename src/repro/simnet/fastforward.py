@@ -56,7 +56,8 @@ from typing import Optional, Tuple
 from .engine import Simulator
 from .link import Link
 from .packet import HEADER_BYTES, Segment
-from .tcp import TcpConnection, TcpStack
+from .tcp import (DELACK_SEGMENTS, RTO_MAX, RTO_MIN, TcpConnection,
+                  TcpStack)
 from .trace import TraceCollector
 
 __all__ = ["FastForward"]
@@ -175,7 +176,7 @@ class FastForward:
         # immediate-ACK threshold (at the threshold an ACK would already
         # have been sent).
         unacked = c._segments_unacked
-        if unacked >= c.config.delack_segments:
+        if unacked >= DELACK_SEGMENTS:
             return None
         if (unacked > 0) != (c._delack_timer.deadline is not None):
             return None
@@ -299,8 +300,7 @@ class FastForward:
         seq0 = sim._seq
 
         # ---- Local mirrors of the per-segment state machine.
-        config = s.config
-        mss = config.mss
+        mss = s.config.mss
         mss_sq = mss * mss
         wnd = s._peer_window
         s_adv = s._advertised_window()
@@ -312,8 +312,8 @@ class FastForward:
         srtt = s._srtt
         rttvar = s._rttvar
         rtt_sample = s._rtt_sample
-        rto_min = config.rto_min
-        rto_max = config.rto_max
+        rto_min = RTO_MIN
+        rto_max = RTO_MAX
         rto_deadline = s._rto_timer.deadline
         queue = s._send_queue
         qlen = len(queue)
@@ -322,9 +322,8 @@ class FastForward:
         rcv_c = c.rcv_nxt
         unacked_c = c._segments_unacked
         delack_deadline = c._delack_timer.deadline
-        das = c.config.delack_segments
+        das = DELACK_SEGMENTS
         period = c.config.delack_delay
-        heartbeat = c.config.delack_heartbeat
 
         comp_d = link._compressors.get((s.local_host, c.local_host))
         comp_a = link._compressors.get((c.local_host, s.local_host))
@@ -426,9 +425,9 @@ class FastForward:
                 break
             # Exact ties between mini-event sources depend on engine
             # scheduling order; reconcile and let the engine replay them.
-            # repro-lint: allow(float-clock-eq) — exact-tie *detection*
-            # is the point: equal floats reproduce equal per-segment
-            # ordering hazards, so the span conservatively ends here.
+            # Exact-tie *detection* is the point: equal floats reproduce
+            # equal per-segment ordering hazards, so the span
+            # conservatively ends here.
             if (t_d == nxt) + (t_a == nxt) + (t_k == nxt) != 1:
                 break
 
@@ -560,10 +559,7 @@ class FastForward:
             if unacked_c >= das:
                 emit_ack(t)
             elif delack_deadline is None:
-                if heartbeat:
-                    delack_deadline = (int(t / period) + 1) * period
-                else:
-                    delack_deadline = t + period
+                delack_deadline = (int(t / period) + 1) * period
             if dirty:
                 # The application did something (new request, pause,
                 # close): per-segment execution takes over right after

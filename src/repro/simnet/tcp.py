@@ -44,6 +44,17 @@ from .packet import Segment
 __all__ = ["TcpConfig", "TcpConnection", "TcpListener", "TcpStack",
            "TcpError"]
 
+#: Initial slow-start threshold in bytes.
+INITIAL_SSTHRESH = 65535
+#: Retransmission-timeout bounds (BSD used a 500 ms slow-tick clock with
+#: a 1 s floor).
+RTO_MIN = 1.0
+RTO_MAX = 64.0
+#: Duplicate ACKs that trigger a fast retransmit.
+DUPACK_THRESHOLD = 3
+#: Acknowledge immediately once this many segments are unacknowledged.
+DELACK_SEGMENTS = 2
+
 
 class _LazyTimer:
     """A deadline-based timer built around one standing engine event.
@@ -155,8 +166,6 @@ class TcpConfig:
         Initial congestion window in segments.  The paper notes "some TCP
         stacks implement slow start using one TCP segment whereas others
         implement it using two packets"; both are supported.
-    ssthresh:
-        Initial slow-start threshold in bytes.
     rwnd:
         Receiver window advertised (bytes).  Large enough that the tests
         are congestion-window limited, as on the paper's hosts.
@@ -164,31 +173,22 @@ class TcpConfig:
         Period of the delayed-ACK timer.  BSD-derived stacks run a
         *heartbeat* every 200 ms rather than a per-segment timeout, so a
         lone segment waits anywhere from 0 to 200 ms (100 ms on
-        average) for its ACK; ``delack_heartbeat`` selects that
-        behaviour (the default, matching the paper's hosts).
-    delack_segments:
-        Acknowledge immediately once this many segments are unacknowledged.
+        average) for its ACK, as on the paper's hosts.
     nodelay:
         Default ``TCP_NODELAY`` setting for new connections (Nagle off
         when True).
-    rto_min / rto_max:
-        Retransmission-timeout bounds (BSD used a 500 ms slow-tick clock
-        with a 1 s floor; the floor is configurable for fast tests).
-    dupack_threshold:
-        Duplicate ACKs that trigger a fast retransmit.
+
+    The slow-start threshold, RTO bounds, fast-retransmit trigger and
+    immediate-ACK count are fixed module constants
+    (:data:`INITIAL_SSTHRESH`, :data:`RTO_MIN` / :data:`RTO_MAX`,
+    :data:`DUPACK_THRESHOLD`, :data:`DELACK_SEGMENTS`).
     """
 
     mss: int = 1460
     initial_cwnd_segments: int = 2
-    ssthresh: int = 65535
     rwnd: int = 65535
     delack_delay: float = 0.200
-    delack_heartbeat: bool = True
-    delack_segments: int = 2
     nodelay: bool = False
-    rto_min: float = 1.0
-    rto_max: float = 64.0
-    dupack_threshold: int = 3
 
 
 class TcpError(RuntimeError):
@@ -278,7 +278,7 @@ class TcpConnection:
 
         # Congestion control.
         self.cwnd = config.initial_cwnd_segments * config.mss
-        self.ssthresh = config.ssthresh
+        self.ssthresh = INITIAL_SSTHRESH
 
         # Loss recovery.
         self._retransmit_queue: List[Segment] = []
@@ -474,8 +474,8 @@ class TcpConnection:
             base = 3.0          # RFC 6298 initial RTO
         else:
             base = self._srtt + 4 * self._rttvar
-        rto = max(self.config.rto_min, base) * self._rto_backoff
-        return min(self.config.rto_max, rto)
+        rto = max(RTO_MIN, base) * self._rto_backoff
+        return min(RTO_MAX, rto)
 
     def _arm_rto(self, restart: bool = False) -> None:
         if self._rto_timer.deadline is not None and not restart:
@@ -740,7 +740,7 @@ class TcpConnection:
                 and not segment.payload_len and not segment.flag_syn
                 and not segment.flag_fin):
             self._dup_acks += 1
-            if self._dup_acks == self.config.dupack_threshold \
+            if self._dup_acks == DUPACK_THRESHOLD \
                     and not self._in_recovery:
                 self.fast_retransmits += 1
                 self.stack.fast_retransmits += 1
@@ -817,17 +817,14 @@ class TcpConnection:
         """Apply the delayed-ACK policy after delivering data."""
         if self._segments_unacked == 0:
             return
-        if self._segments_unacked >= self.config.delack_segments:
+        if self._segments_unacked >= DELACK_SEGMENTS:
             self._send_pure_ack()
         elif self._delack_timer.deadline is None:
+            # BSD fast-timer: fire at the next multiple of the period
+            # (0..period from now, 100 ms average at 200 ms).
             period = self.config.delack_delay
-            if self.config.delack_heartbeat:
-                # BSD fast-timer: fire at the next multiple of the
-                # period (0..period from now, 100 ms average at 200 ms).
-                next_tick = (int(self.sim.now / period) + 1) * period
-                self._delack_timer.arm_at(next_tick)
-            else:
-                self._delack_timer.arm_at(self.sim.now + period)
+            self._delack_timer.arm_at(
+                (int(self.sim.now / period) + 1) * period)
 
     def _handle_fin(self) -> None:
         # FINs are acknowledged immediately (BSD behaviour) so the peer's

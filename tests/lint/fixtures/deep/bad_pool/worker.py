@@ -1,6 +1,6 @@
 """Deep-corpus: module-global writes reachable from the pool dispatch.
 
-``classify`` runs under ``_pool_chunk_entry`` and both rebinds a
+``classify`` runs under ``_run_chunk_supervised`` and both rebinds a
 module global and mutates a module-level memo dict (pool-global-write,
 twice).  ``offline_report`` does the same writes but is unreachable
 from the dispatch, so it stays clean.
@@ -10,7 +10,7 @@ _MEMO = {}
 _COUNT = 0
 
 
-def _pool_chunk_entry(chunk):
+def _run_chunk_supervised(chunk):
     return [classify(item) for item in chunk]
 
 

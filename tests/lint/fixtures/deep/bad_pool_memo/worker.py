@@ -12,7 +12,7 @@ _MEMO = Memo("m", 8)
 _COUNT = 0
 
 
-def _pool_chunk_entry(chunk):
+def _run_chunk_supervised(chunk):
     return [classify(item) for item in chunk]
 
 

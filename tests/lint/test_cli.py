@@ -28,7 +28,7 @@ def test_lint_fixture_corpus_exits_dirty(capsys):
         assert f"[{rule}]" in out
 
 
-def test_hot_path_flag_activates_slots_rule(capsys, monkeypatch):
+def test_hot_path_config_activates_slots_rule(capsys, monkeypatch):
     target = str(FIXTURES / "bad_missing_slots.py")
     assert main(["lint", target]) == 0
     # The hot-path list is configuration, not a flag.
@@ -101,7 +101,7 @@ def test_deep_flag_exits_dirty_on_corpus(capsys):
     assert "[rng-shared-stream]" in out
 
 
-def test_deep_src_clean_under_committed_baseline(capsys, monkeypatch):
+def test_deep_src_exits_clean(capsys, monkeypatch):
     monkeypatch.chdir(REPO)
     assert main(["lint", "--deep", "src/repro"]) == 0
     assert "clean" in capsys.readouterr().err
@@ -133,6 +133,42 @@ def test_deep_json_findings_carry_sorted_stable_ids(capsys):
 def test_missing_lint_path_is_usage_error(capsys):
     assert main(["lint", "no/such/dir_xyz"]) == 2
     assert "lint:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("deep", [[], ["--deep"]], ids=["files", "deep"])
+@pytest.mark.parametrize("content", [b"name = '\xe9'\n",
+                                     b"def broken(:\n"],
+                         ids=["non-utf8", "syntax-error"])
+def test_unreadable_source_is_usage_error(tmp_path, capsys, deep,
+                                          content):
+    (tmp_path / "ok.py").write_text("x = 1\n", encoding="utf-8")
+    (tmp_path / "bad.py").write_bytes(content)
+    assert main(["lint", *deep, str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("lint: ") and "bad.py" in err
+
+
+def test_deep_covers_every_path(tmp_path, capsys):
+    # A constant-seeded RNG that lives only in the second path.
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    (tmp_path / "a" / "clean.py").write_text("x = 1\n", encoding="utf-8")
+    (tmp_path / "b" / "noise.py").write_text(
+        "import random\n\ndef sample():\n"
+        "    return random.Random(7).random()\n", encoding="utf-8")
+    code = main(["lint", "--deep", str(tmp_path / "a"),
+                 str(tmp_path / "b")])
+    assert code == 1
+    assert "[rng-seed-origin]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("deep", [[], ["--deep"]], ids=["files", "deep"])
+def test_single_file_lints(capsys, deep):
+    target = str(DEEP_FIXTURES / "bad_rng" / "streams.py")
+    code = main(["lint", *deep, target])
+    out = capsys.readouterr().out
+    assert code == (1 if deep else 0)
+    assert ("[rng-seed-origin]" in out) == bool(deep)
 
 
 def test_unparsable_trace_is_usage_error(tmp_path, capsys):

@@ -1,23 +1,19 @@
-"""The flow-aware deep passes: corpus, waivers, the clean src gate."""
+"""The flow-aware deep passes: corpus, pragmas, the clean src gate."""
 
-import dataclasses
 import pathlib
 import re
 import textwrap
 
-import pytest
-
 from repro import memo
-from repro.lint import (DEFAULT_DEEP_CONFIG, DeepError, build_graph,
-                        run_deep)
+from repro.lint import lint_paths
 
 REPO = pathlib.Path(__file__).resolve().parents[2]
 FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "deep"
 
-#: The bad_pool corpus names its own dispatch entry; the real tree's
-#: entries (``_run_chunk_supervised`` …) are the config default.
-BAD_POOL_CONFIG = dataclasses.replace(
-    DEFAULT_DEEP_CONFIG, dispatch_entries=("_pool_chunk_entry",))
+
+def _deep(path):
+    """Every pass, per-file and deep, over one path."""
+    return lint_paths([path], deep=True)
 
 
 def _rules(findings):
@@ -29,13 +25,13 @@ def _rules(findings):
 # ----------------------------------------------------------------------
 
 def test_bad_cache_key_corpus():
-    findings = run_deep(FIXTURES / "bad_cache_key")
+    findings = _deep(FIXTURES / "bad_cache_key")
     assert _rules(findings) == ["cache-key-unkeyed-param"]
     assert "'turbo'" in findings[0].message
 
 
 def test_bad_rng_corpus():
-    findings = run_deep(FIXTURES / "bad_rng")
+    findings = _deep(FIXTURES / "bad_rng")
     assert _rules(findings) == ["rng-seed-origin", "rng-seed-origin",
                                 "rng-shared-stream"]
     messages = " | ".join(f.message for f in findings)
@@ -49,7 +45,7 @@ def test_bad_rng_corpus():
 
 
 def test_bad_pool_corpus():
-    findings = run_deep(FIXTURES / "bad_pool", BAD_POOL_CONFIG)
+    findings = _deep(FIXTURES / "bad_pool")
     assert _rules(findings) == ["pool-global-write", "pool-global-write"]
     messages = " | ".join(f.message for f in findings)
     assert "'_COUNT'" in messages
@@ -61,47 +57,17 @@ def test_bad_pool_corpus():
 def test_bad_pool_memo_corpus():
     # The mirror image: a declared Memo written through store() is clean
     # by construction; the rebind beside it still fires.
-    findings = run_deep(FIXTURES / "bad_pool_memo", BAD_POOL_CONFIG)
-    assert _rules(findings) == ["pool-global-write"]
-    assert "'_COUNT'" in findings[0].message
-
-
-def test_purity_waiver_needs_a_name_and_carries_a_reason():
-    # The two pure memos are declared by name in the registry, not
-    # waived: one named global is left, with its reason...
-    import repro.__main__  # noqa: F401  (imports every declaring module)
-    assert {"html.classify", "modem.lzw-sizes"} <= set(memo.declared())
-    waivers = DEFAULT_DEEP_CONFIG.purity_global_waivers
-    assert set(waivers) == {"_DEFAULT_SITE_AND_STORE"}
-    assert all(reason.strip() for reason in waivers.values())
-    # ...and a waiver covers that global only: the corpus memo is
-    # caught by default (above) and accepted once named, while the
-    # rebind beside it still fires.
-    config = dataclasses.replace(
-        BAD_POOL_CONFIG,
-        purity_global_waivers={"_MEMO": "pure: item -> item * 2"})
-    findings = run_deep(FIXTURES / "bad_pool", config)
+    findings = _deep(FIXTURES / "bad_pool_memo")
     assert _rules(findings) == ["pool-global-write"]
     assert "'_COUNT'" in findings[0].message
 
 
 def test_a_purity_waiver_cannot_outlive_its_memo():
-    # Every waived global is still written by some function of the real
-    # tree, and DESIGN.md (the 6d pool-purity bullet) still explains it.
-    graph = build_graph(REPO / "src" / "repro")
-    written = {name for fn in graph.functions.values()
-               for name, _node in (fn.global_writes
-                                   + fn.module_subscript_writes)}
-    design = (REPO / "DESIGN.md").read_text(encoding="utf-8")
-    engine_sections = design[design.index("## 6b."):design.index("## 7.")]
-    for name in DEFAULT_DEEP_CONFIG.purity_global_waivers:
-        assert name in written, f"{name} is waived but never written"
-        assert f"`{name}`" in engine_sections, \
-            f"{name} is waived but DESIGN.md 6b-6d does not name it"
     # The memos need no waiver; what holds them to the tree is the
     # registry, checked against DESIGN.md 6b's table in both directions:
     # every declared name has a row stating its bound, and every row
     # that names a registry memo is declared.
+    design = (REPO / "DESIGN.md").read_text(encoding="utf-8")
     import repro.__main__  # noqa: F401  (imports every declaring module)
     rows = re.findall(                  # | `name` … | … | … | N entries … |
         r"^ *\| `([a-z]+\.[a-z-]+)` .*\| ([\d,]+) [^|]*\|$",
@@ -142,7 +108,7 @@ def test_param_fed_from_a_non_field_attribute_is_caught(tmp_path):
                 return run_experiment(self.mode, window=self.window,
                                       seed=seed)
         """)
-    findings = run_deep(tmp_path)
+    findings = _deep(tmp_path)
     assert _rules(findings) == ["cache-key-unkeyed-param"]
     assert "'window'" in findings[0].message
     assert "not a dataclass field" in findings[0].message
@@ -156,7 +122,7 @@ def test_constant_seeded_rng_is_caught(tmp_path):
             rng = random.Random(7)
             return rng.random()
         """)
-    findings = run_deep(tmp_path)
+    findings = _deep(tmp_path)
     assert _rules(findings) == ["rng-seed-origin"]
 
 
@@ -168,7 +134,7 @@ def test_seed_derived_rng_is_clean(tmp_path):
             rng = random.Random(seed + 7919)
             return rng.random()
         """)
-    assert run_deep(tmp_path) == []
+    assert _deep(tmp_path) == []
 
 
 def test_drawing_inside_arguments_is_not_sharing(tmp_path):
@@ -184,7 +150,7 @@ def test_drawing_inside_arguments_is_not_sharing(tmp_path):
                 out.append(f"{rng.randint(1, 4)}")
             return "".join(str(rng.random()) for _ in out)
         """)
-    assert run_deep(tmp_path) == []
+    assert _deep(tmp_path) == []
     # ... while handing the RNG object itself to two callees still is,
     # positionally or by keyword.
     _write(tmp_path, "links.py", """\
@@ -197,7 +163,7 @@ def test_drawing_inside_arguments_is_not_sharing(tmp_path):
             rng = random.Random(seed)
             return make_link(rng) + make_link(rng=rng)
         """)
-    findings = run_deep(tmp_path)
+    findings = _deep(tmp_path)
     assert _rules(findings) == ["rng-shared-stream"]
     assert "wire()" in findings[0].message
 
@@ -212,7 +178,7 @@ def test_interprocedural_seed_rename_is_accepted(tmp_path):
         def drive(seed):
             return sample(seed * 2)
         """)
-    assert run_deep(tmp_path) == []
+    assert _deep(tmp_path) == []
 
 
 def test_global_write_in_dispatched_function_is_caught(tmp_path):
@@ -227,7 +193,7 @@ def test_global_write_in_dispatched_function_is_caught(tmp_path):
             TOTAL += item
             return TOTAL
         """)
-    findings = run_deep(tmp_path)
+    findings = _deep(tmp_path)
     assert _rules(findings) == ["pool-global-write"]
     assert "'TOTAL'" in findings[0].message
 
@@ -241,29 +207,41 @@ def test_pragma_waives_deep_finding(tmp_path):
             rng = random.Random(7)
             return rng.random()
         """)
-    assert run_deep(tmp_path) == []
+    assert _deep(tmp_path) == []
 
 
 # ----------------------------------------------------------------------
 # The repository's own tree: a plain must-be-clean gate
 # ----------------------------------------------------------------------
 
-def test_src_tree_matches_committed_baseline(monkeypatch):
+def test_src_tree_is_deep_clean(monkeypatch):
     monkeypatch.chdir(REPO)
-    findings = run_deep("src/repro")
+    findings = _deep("src/repro")
     assert findings == [], [f.format() for f in findings]
 
 
 def test_deep_findings_are_deterministically_ordered():
-    first = run_deep(FIXTURES / "bad_rng")
-    second = run_deep(FIXTURES / "bad_rng")
+    first = _deep(FIXTURES / "bad_rng")
+    second = _deep(FIXTURES / "bad_rng")
     key = lambda f: (f.path, f.line, f.col, f.rule)
     assert [key(f) for f in first] == [key(f) for f in second]
     assert [key(f) for f in first] == sorted(key(f) for f in first)
 
 
-def test_root_must_be_a_directory(tmp_path):
-    target = tmp_path / "single.py"
-    target.write_text("x = 1\n", encoding="utf-8")
-    with pytest.raises(DeepError):
-        run_deep(target)
+def test_single_file_is_the_graph_of_its_directory(tmp_path):
+    # The one file is analyzed; its siblings are not part of the graph.
+    _write(tmp_path, "noise.py", """\
+        import random
+
+        def sample():
+            return random.Random(7).random()
+        """)
+    _write(tmp_path, "other.py", """\
+        import random
+
+        def other():
+            return random.Random(8).random()
+        """)
+    findings = _deep(tmp_path / "noise.py")
+    assert _rules(findings) == ["rng-seed-origin"]
+    assert findings[0].path == str(tmp_path / "noise.py")

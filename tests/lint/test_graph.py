@@ -1,8 +1,16 @@
-"""The whole-program graph: modules, imports, call edges, reachability."""
+"""The lint front end: modules, imports, call edges, reachability."""
 
+import ast
+import collections
+import pathlib
 import textwrap
 
+import pytest
+
+from repro.lint import LintError, lint_paths
 from repro.lint.graph import build_graph
+
+REPO = pathlib.Path(__file__).resolve().parents[2]
 
 
 def _write(tmp_path, name, source):
@@ -183,9 +191,76 @@ def test_pragma_waives_at_line_and_line_above(tmp_path):
     assert not graph.waived("mod", "rng-seed-origin", 6)
 
 
-def test_unparsable_file_is_skipped(tmp_path):
+def test_unparsable_file_raises_lint_error(tmp_path):
     _write(tmp_path, "ok.py", "def fine():\n    return 0\n")
     _write(tmp_path, "broken.py", "def broken(:\n")
-    graph = build_graph(tmp_path)
-    assert "ok" in graph.modules
-    assert "broken" not in graph.modules
+    with pytest.raises(LintError, match="broken.py"):
+        build_graph(tmp_path)
+
+
+def _reexporting_project(tmp_path):
+    _write(tmp_path, "pkg/__init__.py", """\
+        from .util import helper
+        from .shapes import Widget as Shape
+        """)
+    _write(tmp_path, "pkg/util.py", """\
+        def helper(x):
+            return x + 1
+        """)
+    _write(tmp_path, "pkg/shapes.py", """\
+        class Widget:
+            def __init__(self, size):
+                self.size = size
+        """)
+    _write(tmp_path, "app/main.py", """\
+        from ..pkg import helper, Shape
+        from .. import pkg
+
+        def run(n):
+            return helper(n), Shape(n), pkg.helper(n)
+        """)
+    return build_graph(tmp_path)
+
+
+def test_relative_import_inside_a_package_init(tmp_path):
+    # ``from .util import helper`` in pkg/__init__.py names pkg.util,
+    # not a top-level ``util``.
+    graph = _reexporting_project(tmp_path)
+    assert graph.modules["pkg"].imports["helper"] == ("pkg.util", "helper")
+    assert graph.modules["pkg"].module_aliases == {}
+
+
+def test_call_through_a_package_reexport_resolves(tmp_path):
+    graph = _reexporting_project(tmp_path)
+    run = graph.functions["app.main:run"]
+    by_raw = {call.raw: call.targets for call in run.calls}
+    assert by_raw["helper"] == ("pkg.util:helper",)
+    assert by_raw["Shape"] == ("pkg.shapes:Widget.__init__",)
+    assert by_raw["pkg.helper"] == ("pkg.util:helper",)
+
+
+def test_single_file_graph_is_restricted_to_that_file(tmp_path):
+    graph = _reexporting_project(tmp_path)
+    single = build_graph(tmp_path / "pkg" / "util.py")
+    assert list(single.modules) == ["util"]
+    assert single.root == tmp_path / "pkg"
+    assert set(graph.modules) == {"pkg", "pkg.util", "pkg.shapes",
+                                  "app.main"}
+
+
+def test_lint_parses_each_file_once(monkeypatch):
+    # One front end: the per-file rules and the deep passes visit the
+    # same parsed trees.
+    parsed = collections.Counter()
+    real_parse = ast.parse
+
+    def counting_parse(source, filename="<unknown>", *args, **kwargs):
+        parsed[filename] += 1
+        return real_parse(source, filename, *args, **kwargs)
+
+    monkeypatch.setattr(ast, "parse", counting_parse)
+    monkeypatch.chdir(REPO)
+    assert lint_paths(["src/repro"], deep=True) == []
+    files = {str(p) for p in pathlib.Path("src/repro").rglob("*.py")}
+    assert set(parsed) == files
+    assert set(parsed.values()) == {1}

@@ -1,12 +1,11 @@
-"""The determinism linter: fixture corpus, pragmas, self-check."""
+"""The per-file determinism rules: fixture corpus, pragmas, self-check."""
 
 import dataclasses
 import pathlib
 
 import pytest
 
-from repro.lint import (DEFAULT_CONFIG, LintConfig, LintError,
-                        lint_file, lint_paths, lint_source)
+from repro.lint import DEFAULT_CONFIG, LintConfig, LintError, lint_paths
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
@@ -21,6 +20,7 @@ CORPUS = {
     "bad_mutable_default.py": "mutable-default",
     "bad_missing_slots.py": "slots-hot-path",
     "bad_pool_outside_matrix.py": "pool-outside-matrix",
+    "bad_unknown_pragma.py": "unknown-pragma-rule",
 }
 
 
@@ -31,9 +31,17 @@ def _config_for(filename):
     return DEFAULT_CONFIG
 
 
+def _lint_text(tmp_path, source, name="mod.py", config=DEFAULT_CONFIG):
+    """Lint ``source`` written to ``tmp_path / name``."""
+    path = tmp_path / name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(source, encoding="utf-8")
+    return lint_paths([path], config)
+
+
 @pytest.mark.parametrize("filename,rule", sorted(CORPUS.items()))
 def test_fixture_triggers_exactly_one_rule(filename, rule):
-    findings = lint_file(FIXTURES / filename, _config_for(filename))
+    findings = lint_paths([FIXTURES / filename], _config_for(filename))
     assert [f.rule for f in findings] == [rule]
     finding = findings[0]
     assert finding.line > 0
@@ -51,96 +59,100 @@ def test_src_lints_clean():
     assert lint_paths([SRC]) == []
 
 
-def test_pragma_waives_rule_on_same_line():
+def test_pragma_waives_rule_on_same_line(tmp_path):
     source = "import time\nt = time.time()  # repro-lint: allow(wall-clock)\n"
-    assert lint_source(source) == []
+    assert _lint_text(tmp_path, source) == []
 
 
-def test_pragma_waives_rule_on_previous_line():
+def test_pragma_waives_rule_on_previous_line(tmp_path):
     source = ("import time\n"
               "# repro-lint: allow(wall-clock)\n"
               "t = time.time()\n")
-    assert lint_source(source) == []
+    assert _lint_text(tmp_path, source) == []
 
 
-def test_pragma_star_waives_everything():
+def test_pragma_star_waives_everything(tmp_path):
     source = "import os\nn = os.urandom(4)  # repro-lint: allow(*)\n"
-    assert lint_source(source) == []
+    assert _lint_text(tmp_path, source) == []
 
 
-def test_pragma_for_other_rule_does_not_waive():
-    source = "import time\nt = time.time()  # repro-lint: allow(nagle)\n"
-    assert [f.rule for f in lint_source(source)] == ["wall-clock"]
+def test_pragma_for_other_rule_does_not_waive(tmp_path):
+    source = ("import time\n"
+              "t = time.time()  # repro-lint: allow(entropy-source)\n")
+    assert [f.rule for f in _lint_text(tmp_path, source)] == ["wall-clock"]
 
 
-def test_import_alias_resolution():
+def test_import_alias_resolution(tmp_path):
     source = "import time as clock\nt = clock.time()\n"
-    assert [f.rule for f in lint_source(source)] == ["wall-clock"]
+    assert [f.rule for f in _lint_text(tmp_path, source)] == ["wall-clock"]
 
 
-def test_from_import_resolution():
+def test_from_import_resolution(tmp_path):
     source = "from time import time\nt = time()\n"
-    assert [f.rule for f in lint_source(source)] == ["wall-clock"]
+    assert [f.rule for f in _lint_text(tmp_path, source)] == ["wall-clock"]
 
 
-def test_local_name_is_not_flagged():
+def test_local_name_is_not_flagged(tmp_path):
     """A local variable named ``time`` is not the stdlib module."""
     source = "def f(time):\n    return time.time()\n"
-    assert lint_source(source) == []
+    assert _lint_text(tmp_path, source) == []
 
 
-def test_seeded_random_is_clean():
+def test_seeded_random_is_clean(tmp_path):
     source = "import random\nrng = random.Random(42)\nx = rng.random()\n"
-    assert lint_source(source) == []
+    assert _lint_text(tmp_path, source) == []
 
 
-def test_unseeded_random_instance_flagged():
+def test_unseeded_random_instance_flagged(tmp_path):
     source = "import random\nrng = random.Random()\n"
-    assert [f.rule for f in lint_source(source)] == ["unseeded-random"]
+    assert [f.rule for f in _lint_text(tmp_path, source)] \
+        == ["unseeded-random"]
 
 
-def test_sorted_set_iteration_is_clean():
+def test_sorted_set_iteration_is_clean(tmp_path):
     source = "for h in sorted(set(hosts)):\n    pass\n"
-    assert lint_source(source) == []
+    assert _lint_text(tmp_path, source) == []
 
 
-def test_allowlist_exempts_file():
+def test_allowlist_exempts_file(tmp_path):
     config = LintConfig(allowlist={"wall-clock": ("timing/bench.py",)})
     source = "import time\nt = time.time()\n"
-    assert lint_source(source, "pkg/timing/bench.py", config) == []
-    assert len(lint_source(source, "pkg/other.py", config)) == 1
+    assert _lint_text(tmp_path, source, "pkg/timing/bench.py",
+                       config) == []
+    assert len(_lint_text(tmp_path, source, "pkg/other.py", config)) == 1
 
 
-def test_pool_via_get_context_flagged():
+def test_pool_via_get_context_flagged(tmp_path):
     source = ("import multiprocessing\n"
               "p = multiprocessing.get_context('fork').Pool(2)\n")
-    assert [f.rule for f in lint_source(source)] == ["pool-outside-matrix"]
+    assert [f.rule for f in _lint_text(tmp_path, source)] \
+        == ["pool-outside-matrix"]
 
 
-def test_matrix_runner_pool_is_allowlisted():
+def test_matrix_runner_pool_is_allowlisted(tmp_path):
     source = "import multiprocessing\np = multiprocessing.Pool(2)\n"
     path = "src/repro/matrix/runner.py"
-    assert lint_source(source, path, DEFAULT_CONFIG) == []
+    assert _lint_text(tmp_path, source, path) == []
 
 
-def test_dataclass_exempt_from_slots_rule():
+def test_dataclass_exempt_from_slots_rule(tmp_path):
     config = LintConfig(hot_path_modules=("hot.py",))
     source = ("import dataclasses\n"
               "@dataclasses.dataclass\n"
               "class Record:\n"
               "    x: int = 0\n")
-    assert lint_source(source, "hot.py", config) == []
+    assert _lint_text(tmp_path, source, "hot.py", config) == []
 
 
-def test_exception_exempt_from_slots_rule():
+def test_exception_exempt_from_slots_rule(tmp_path):
     config = LintConfig(hot_path_modules=("hot.py",))
     source = "class BadThing(RuntimeError):\n    pass\n"
-    assert lint_source(source, "hot.py", config) == []
+    assert _lint_text(tmp_path, source, "hot.py", config) == []
 
 
-def test_syntax_error_raises_lint_error():
+def test_syntax_error_raises_lint_error(tmp_path):
     with pytest.raises(LintError):
-        lint_source("def broken(:\n")
+        _lint_text(tmp_path, "def broken(:\n")
 
 
 def test_missing_path_raises_lint_error():
@@ -148,12 +160,12 @@ def test_missing_path_raises_lint_error():
         lint_paths(["no/such/path_xyz"])
 
 
-def test_findings_sorted_and_structured():
+def test_findings_sorted_and_structured(tmp_path):
     source = ("import time, os\n"
               "b = os.urandom(2)\n"
               "a = time.time()\n")
-    findings = lint_source(source, "m.py")
+    findings = _lint_text(tmp_path, source, "m.py")
     assert [f.line for f in findings] == [2, 3]
     payload = findings[0].to_dict()
     assert payload["rule"] == "entropy-source"
-    assert payload["path"] == "m.py"
+    assert payload["path"] == str(tmp_path / "m.py")

@@ -128,6 +128,23 @@ def test_hop_by_hop_proxy_relays_http11_pipeline(store, ):
     assert net.sim.now < 2.0
 
 
+def test_hop_by_hop_proxy_closes_client_side_after_client_fin(store):
+    """A client that half-closes after its request gets the response,
+    then the proxy closes its side too: both ends reach CLOSED before
+    the network is torn down (the blind proxy already did)."""
+    net, proxy = build_chain(store, "hop_by_hop")
+    client = ProxyClient(net)
+    client.conn.send(Request("GET", "/gifs/bullet0.gif", HTTP11,
+                             Headers([("Host", SERVER_HOST)])).to_bytes(),
+                     close=True)
+    net.run()
+    assert [r.status for r in client.responses] == [200]
+    assert proxy.responses_forwarded == 1
+    assert client.eof and client.conn.state == "CLOSED"
+    assert not net.proxy_client_side._connections
+    assert not net.proxy_server_side._connections
+
+
 def test_blind_proxy_body_integrity_large_object(store):
     """Close-delimited relaying still delivers every byte."""
     net, _ = build_chain(store, "blind")
