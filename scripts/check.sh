@@ -28,6 +28,11 @@ sh scripts/lint.sh
 #     Tables 3-11, modem, eight chaos cells, a contended fleet) —
 #     tests/test_memo.py::test_memo_cold_output_is_byte_identical
 #     (not slow-marked: FAST=1 keeps it)
+#   the encode kernels are byte-identical: a site built with no
+#     artifact store (so the GIF LZW and pixel generators really run,
+#     not blobs an earlier encoder wrote) hashes to the pinned digest —
+#     tests/content/test_kernels.py::test_cold_site_digest_is_pinned
+#     (not slow-marked: FAST=1 keeps it)
 #   no repro object is ever cyclic garbage (every mode x scenario, a
 #     chaos cell per plan, the proxy chain, a render run, a contended
 #     fleet under gc.DEBUG_SAVEALL) — tests/test_object_lifetime.py

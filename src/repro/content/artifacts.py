@@ -1,11 +1,12 @@
 """Content-addressed artifact store for expensive encoder outputs.
 
-Profiling after the PR-2 engine optimization showed the simulator is no
-longer where grid sweeps spend their time: every fresh worker process
-pays ~0.9 s re-synthesizing the Microscape site (the iterative
-``_calibrate`` encode loops in :mod:`repro.content.microscape`, GIF LZW
-in :mod:`repro.content.gif`, deflate in :mod:`repro.http.coding`)
-before its first 10–80 ms simulation cell.  This module memoizes those
+Without it every fresh worker process re-synthesizes the Microscape
+site (the iterative ``_calibrate`` encode loops in
+:mod:`repro.content.microscape`, GIF LZW in :mod:`repro.content.gif`,
+deflate in :mod:`repro.http.coding`) before its first 10–80 ms
+simulation cell: 0.60–0.67 s a build with per-pixel method-call
+kernels, 0.27–0.32 s since they became loops on locals (host-corrected
+``setup_s`` of ``bash bench/run.sh``).  This module memoizes those
 encodes so only the first-ever build pays for them.
 
 Artifacts are **content addressed**: the key is a SHA-256 over the

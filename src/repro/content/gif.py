@@ -32,30 +32,6 @@ class GifError(ValueError):
 # ----------------------------------------------------------------------
 # LZW with GIF's variable code width and sub-block framing
 # ----------------------------------------------------------------------
-class _BitWriter:
-    """Packs variable-width codes LSB-first, as GIF requires."""
-
-    def __init__(self) -> None:
-        self.out = bytearray()
-        self._acc = 0
-        self._nbits = 0
-
-    def write(self, code: int, width: int) -> None:
-        self._acc |= code << self._nbits
-        self._nbits += width
-        while self._nbits >= 8:
-            self.out.append(self._acc & 0xFF)
-            self._acc >>= 8
-            self._nbits -= 8
-
-    def flush(self) -> bytes:
-        if self._nbits:
-            self.out.append(self._acc & 0xFF)
-            self._acc = 0
-            self._nbits = 0
-        return bytes(self.out)
-
-
 class _BitReader:
     """Reads variable-width codes LSB-first."""
 
@@ -79,41 +55,69 @@ class _BitReader:
 
 
 def lzw_encode(data: bytes, min_code_size: int) -> bytes:
-    """GIF-flavour LZW: clear/end codes, 12-bit cap, dictionary reset."""
+    """GIF-flavour LZW: clear/end codes, 12-bit cap, dictionary reset.
+
+    Every cold site build runs this once per pixel of every calibration
+    probe, so it is one loop on locals.  The dictionary maps the int
+    ``(prefix_code << 8) | symbol`` to a code, as
+    :class:`~repro.simnet.modem.LzwEncoder` does: each multi-symbol
+    string enters exactly once, as its prefix's code plus one symbol,
+    and codes below ``clear`` are the implicit one-symbol strings.
+    Codes are packed LSB-first into ``acc`` and written out 32 bits at
+    a time.
+    """
     clear = 1 << min_code_size
     end = clear + 1
-    writer = _BitWriter()
-
-    def fresh_dict() -> dict:
-        return {bytes([i]): i for i in range(clear)}
-
-    table = fresh_dict()
-    next_code = end + 1
+    top = max(data, default=0)
+    if top >= clear:
+        raise GifError(f"LZW symbol {top} does not fit code size "
+                       f"{min_code_size}")
+    out = bytearray()
     width = min_code_size + 1
-    writer.write(clear, width)
-    prefix = b""
-    for i in range(len(data)):
-        byte = data[i:i + 1]
-        candidate = prefix + byte
-        if candidate in table:
-            prefix = candidate
+    grow_at = (1 << width) + 1
+    acc = clear                 # the stream opens with CLEAR
+    nbits = width
+    table: dict = {}
+    get = table.get
+    next_code = end + 1
+    symbols = iter(data)
+    prefix = next(symbols, None)
+    for symbol in symbols:
+        key = (prefix << 8) | symbol
+        hit = get(key)
+        if hit is not None:
+            prefix = hit
             continue
-        writer.write(table[prefix], width)
         if next_code < MAX_CODES:
-            table[candidate] = next_code
+            acc |= prefix << nbits
+            nbits += width
+            table[key] = next_code
             next_code += 1
-            if next_code == (1 << width) + 1 and width < MAX_CODE_WIDTH:
+            # GIF's early change: widen once the code after next
+            # would not fit.
+            if next_code == grow_at and width < MAX_CODE_WIDTH:
                 width += 1
-        else:
-            writer.write(clear, width)
-            table = fresh_dict()
+                grow_at = (1 << width) + 1
+        else:                   # table full: the prefix, then CLEAR
+            acc |= (prefix | clear << width) << nbits
+            nbits += 2 * width
+            table = {}
+            get = table.get
             next_code = end + 1
             width = min_code_size + 1
-        prefix = byte
-    if prefix:
-        writer.write(table[prefix], width)
-    writer.write(end, width)
-    return writer.flush()
+            grow_at = (1 << width) + 1
+        if nbits >= 32:         # at most 31 + 24 bits: one word out
+            out += (acc & 0xFFFFFFFF).to_bytes(4, "little")
+            acc >>= 32
+            nbits -= 32
+        prefix = symbol
+    if prefix is not None:
+        acc |= prefix << nbits
+        nbits += width
+    acc |= end << nbits
+    nbits += width
+    out += acc.to_bytes((nbits + 7) // 8, "little")
+    return bytes(out)
 
 
 def lzw_decode(data: bytes, min_code_size: int,

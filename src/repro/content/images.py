@@ -72,6 +72,13 @@ class IndexedImage:
 
 # ----------------------------------------------------------------------
 # Generators
+#
+# Every cold site build runs these per pixel of every calibration probe.
+# Per-pixel draws therefore inline ``rng.randrange(n)`` as the
+# ``getrandbits(n.bit_length())`` rejection loop it is, and fills are
+# slice assignments: the same pixels from the same random stream, at a
+# fraction of the call overhead.  ``tests/content/kernel_oracle.py``
+# keeps the plain per-pixel versions these are tested against.
 # ----------------------------------------------------------------------
 def _blocky_glyphs(width: int, height: int, text_length: int,
                    rng: random.Random) -> List[Tuple[int, int, int, int]]:
@@ -108,15 +115,21 @@ def banner(text: str, width: int = 120, height: int = 24,
     rng = random.Random((len(text) * 131) ^ seed)
     pixels = bytearray(width * height)  # all background
     for sx, sy, sw, sh in _blocky_glyphs(width, height, len(text), rng):
-        for y in range(sy, min(sy + sh, height)):
-            base = y * width
-            for x in range(sx, min(sx + sw, width)):
-                pixels[base + x] = 1
+        run = min(sx + sw, width) - sx
+        if run > 0:
+            stroke = b"\x01" * run
+            for y in range(sy, min(sy + sh, height)):
+                start = y * width + sx
+                pixels[start:start + run] = stroke
     mid = tuple((a + b) // 2 for a, b in zip(fg, bg))
     if speckle > 0:
         total = width * height
+        getrandbits, bits = rng.getrandbits, total.bit_length()
         for _ in range(int(total * speckle)):
-            pixels[rng.randrange(total)] = 2
+            index = getrandbits(bits)           # rng.randrange(total)
+            while index >= total:
+                index = getrandbits(bits)
+            pixels[index] = 2
     return IndexedImage(width, height, [bg, fg, mid], bytes(pixels))
 
 
@@ -147,6 +160,8 @@ def icon(size: int = 16, colors: int = 8, seed: int = 0,
     ``speckle`` randomizes a fraction of pixels, modelling dithered
     edges and gradients in real icon artwork.
     """
+    if colors < 1:
+        raise ValueError("an icon needs at least one color")
     rng = random.Random(seed)
     palette = [(rng.randrange(256), rng.randrange(256), rng.randrange(256))
                for _ in range(colors)]
@@ -158,13 +173,25 @@ def icon(size: int = 16, colors: int = 8, seed: int = 0,
         x0, y0 = rng.randrange(size), rng.randrange(size)
         w = rng.randint(1, max(1, size // 2))
         h = rng.randint(1, max(1, size // 2))
+        run = min(x0 + w, size) - x0
+        fill = bytes((color_index,)) * run
         for y in range(y0, min(y0 + h, size)):
-            for x in range(x0, min(x0 + w, size)):
-                pixels[y * size + x] = color_index
+            start = y * size + x0
+            pixels[start:start + run] = fill
     if speckle > 0:
         total = size * size
+        getrandbits = rng.getrandbits
+        index_bits, color_bits = total.bit_length(), colors.bit_length()
         for _ in range(int(total * speckle)):
-            pixels[rng.randrange(total)] = rng.randrange(colors)
+            # pixels[rng.randrange(total)] = rng.randrange(colors), with
+            # randrange inlined: the right-hand side is drawn first.
+            value = getrandbits(color_bits)
+            while value >= colors:
+                value = getrandbits(color_bits)
+            index = getrandbits(index_bits)
+            while index >= total:
+                index = getrandbits(index_bits)
+            pixels[index] = value
     return IndexedImage(size, size, palette, bytes(pixels))
 
 
@@ -176,22 +203,28 @@ def photo_like(width: int, height: int, colors: int = 128, seed: int = 0,
     dither; higher noise ⇒ larger encoded size.  This is the calibration
     knob :mod:`repro.content.microscape` turns to hit target byte sizes.
     """
+    if colors < 1:
+        raise ValueError("a photo needs at least one color")
     rng = random.Random(seed)
     palette = [(i * 255 // max(1, colors - 1),
                 (i * 37) % 256,
                 255 - i * 255 // max(1, colors - 1))
                for i in range(colors)]
     pixels = bytearray(width * height)
+    uniform, getrandbits = rng.random, rng.getrandbits
+    bits = colors.bit_length()
+    columns = [(x * (colors - 1)) // max(1, width - 1) for x in range(width)]
     for y in range(height):
         base = y * width
-        for x in range(width):
-            gradient = ((x * (colors - 1)) // max(1, width - 1)
-                        + (y * (colors - 1)) // max(1, height - 1)) // 2
-            if rng.random() < noise:
-                value = rng.randrange(colors)
-            else:
-                value = gradient
-            pixels[base + x] = value
+        row_term = (y * (colors - 1)) // max(1, height - 1)
+        pixels[base:base + width] = bytes(
+            [(column + row_term) // 2 for column in columns])
+        for x in range(base, base + width):
+            if uniform() < noise:
+                value = getrandbits(bits)       # rng.randrange(colors)
+                while value >= colors:
+                    value = getrandbits(bits)
+                pixels[x] = value
     return IndexedImage(width, height, palette, bytes(pixels))
 
 
@@ -210,16 +243,30 @@ def animation_frames(width: int = 60, height: int = 40, frames: int = 8,
     sequence = [base]
     pixels = bytearray(base.pixels)
     total = width * height
+    getrandbits = rng.getrandbits
+    index_bits, color_bits = total.bit_length(), colors.bit_length()
     for _ in range(frames - 1):
         patch_w = max(2, width // 4)
         patch_h = max(2, height // 4)
         x0 = rng.randrange(max(1, width - patch_w))
         y0 = rng.randrange(max(1, height - patch_h))
         for y in range(y0, y0 + patch_h):
-            for x in range(x0, x0 + patch_w):
-                pixels[y * width + x] = rng.randrange(colors)
+            start = y * width + x0
+            for x in range(start, start + patch_w):
+                value = getrandbits(color_bits)  # rng.randrange(colors)
+                while value >= colors:
+                    value = getrandbits(color_bits)
+                pixels[x] = value
         for _ in range(int(total * change_fraction)):
-            pixels[rng.randrange(total)] = rng.randrange(colors)
+            # pixels[rng.randrange(total)] = rng.randrange(colors): the
+            # right-hand side is drawn first.
+            value = getrandbits(color_bits)
+            while value >= colors:
+                value = getrandbits(color_bits)
+            index = getrandbits(index_bits)
+            while index >= total:
+                index = getrandbits(index_bits)
+            pixels[index] = value
         sequence.append(IndexedImage(width, height, list(base.palette),
                                      bytes(pixels)))
     return sequence

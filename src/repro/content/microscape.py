@@ -441,7 +441,7 @@ def build_microscape_site(seed: int = 1997) -> MicroscapeSite:
     gives repeat in-process calls the *same object* (which downstream
     memos key on); the artifact store serves the whole pickled site so
     the second-ever build in any process is one blob read instead of
-    ~0.9 s of calibration encodes; and on a whole-site miss the
+    ~0.3 s of calibration encodes; and on a whole-site miss the
     per-image / per-probe memos inside :func:`_build_image` reuse
     whatever finer-grained artifacts exist.  All layers return
     byte-identical content — the store holds the builders' exact

@@ -23,7 +23,7 @@ with several ``client_hosts``.  Typical use::
 
 from .engine import Event, Simulator, SimulationError
 from .link import (ENVIRONMENTS, LAN, PPP, WAN, Link, NetworkEnvironment)
-from .modem import LzwDecoder, LzwEncoder, ModemCompressor
+from .modem import LzwEncoder, ModemCompressor
 from .network import CLIENT_HOST, SERVER_HOST, Network, TwoHostNetwork
 from .packet import HEADER_BYTES, IP_HEADER_BYTES, TCP_HEADER_BYTES, Segment
 from .tcp import TcpConfig, TcpConnection, TcpListener, TcpStack
@@ -32,7 +32,7 @@ from .trace import PacketRecord, TraceCollector, TraceSummary
 __all__ = [
     "Event", "Simulator", "SimulationError",
     "ENVIRONMENTS", "LAN", "WAN", "PPP", "Link", "NetworkEnvironment",
-    "LzwEncoder", "LzwDecoder", "ModemCompressor",
+    "LzwEncoder", "ModemCompressor",
     "CLIENT_HOST", "SERVER_HOST", "Network", "TwoHostNetwork",
     "HEADER_BYTES", "IP_HEADER_BYTES", "TCP_HEADER_BYTES", "Segment",
     "TcpConfig", "TcpConnection", "TcpListener", "TcpStack",

@@ -96,7 +96,7 @@ class Simulator:
     """
 
     __slots__ = ("now", "perf", "fastforward", "_heap", "_seq", "_live",
-                 "_dead", "_running", "_stopped", "__weakref__")
+                 "_dead", "_running", "__weakref__")
 
     def __init__(self) -> None:
         self.now: float = 0.0
@@ -110,7 +110,6 @@ class Simulator:
         self._live = 0      # scheduled, not cancelled, not yet fired
         self._dead = 0      # cancelled entries still buried in the heap
         self._running = False
-        self._stopped = False
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -229,12 +228,11 @@ class Simulator:
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True
-        self._stopped = False
         processed = 0
         perf = self.perf
         pop = heapq.heappop
         try:
-            while self._heap and not self._stopped:
+            while self._heap:
                 ff = self.fastforward
                 if ff is not None and ff.pending is not None:
                     # A steady bulk-transfer candidate was flagged by the
@@ -261,14 +259,10 @@ class Simulator:
                 event.callback(*event.args)
                 processed += 1
                 perf.events_processed += 1
-            if until is not None and not self._stopped:
+            if until is not None:
                 self.now = max(self.now, until)
         finally:
             self._running = False
-
-    def stop(self) -> None:
-        """Stop :meth:`run` after the current event completes."""
-        self._stopped = True
 
     def close(self) -> None:
         """Drop every pending event and the fast-forward driver."""

@@ -18,21 +18,22 @@ The dictionary persists across packets in a direction, so later HTML
 packets compress better than the first — exactly the stream behaviour of
 a real modem pair.
 
-:class:`LzwEncoder` / :class:`LzwDecoder` are complete, round-trippable
-codecs (property-tested); :class:`ModemCompressor` adapts the encoder to
-the :class:`~repro.simnet.link.WireCompressor` protocol, which only
-needs on-the-wire byte counts.
+:class:`LzwEncoder` counts the bits the codec would send, which is all
+:class:`ModemCompressor` needs to adapt it to the
+:class:`~repro.simnet.link.WireCompressor` protocol (on-the-wire byte
+counts).  The codec round-trip — the code-emitting encoder and its
+decoder — lives in ``tests/simnet/lzw_oracle.py``, and the tests hold
+this encoder to that one's bit totals.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..memo import Memo
 
-__all__ = ["LzwEncoder", "LzwDecoder", "lzw_compress", "lzw_decompress",
-           "ModemCompressor"]
+__all__ = ["LzwEncoder", "ModemCompressor"]
 
 #: LZW control codes following the 256 literal byte codes.
 CLEAR_CODE = 256
@@ -51,11 +52,13 @@ _COMPRESSED_MEMO = Memo("modem.lzw-sizes", 65536)
 
 
 class LzwEncoder:
-    """Streaming LZW encoder with variable-width codes.
+    """Streaming LZW encoder with variable-width codes, counting bits.
 
     Use :meth:`encode` repeatedly for stream chunks and :meth:`flush` to
     force out the pending prefix (a modem flushes at frame boundaries so
-    the remote end can deliver the frame).
+    the remote end can deliver the frame).  The link needs only how
+    many bits each frame costs, so the encoder keeps the dictionary and
+    the running bit total and never materializes the codes.
 
     ``max_string`` caps dictionary-string length, as V.42bis's N7
     parameter does (default 6 octets) — the reason modem compression
@@ -72,55 +75,50 @@ class LzwEncoder:
 
     def __init__(self, max_string: Optional[int] = None) -> None:
         self.max_string = max_string
-        self._reset_dictionary()
-        self._prefix_code: Optional[int] = None
-        self._prefix_len = 0
-        self.codes_emitted: List[int] = []
-        self.bits_emitted = 0
-
-    def _reset_dictionary(self) -> None:
         self._dict: Dict[int, int] = {}
         self._next_code = FIRST_FREE_CODE
         self._code_bits = MIN_CODE_BITS
-
-    def _emit(self, code: int) -> None:
-        self.codes_emitted.append(code)
-        self.bits_emitted += self._code_bits
+        self._prefix_code: Optional[int] = None
+        self._prefix_len = 0
+        self.bits_emitted = 0
 
     def encode(self, data: bytes) -> int:
         """Consume ``data``; return bits emitted so far (cumulative).
 
-        The loop runs once per payload byte of every PPP packet, so the
-        emit / dictionary-grow bookkeeping is inlined on locals rather
-        than calling :meth:`_emit` (which :meth:`flush` still uses for
-        the cold path).
+        The loop runs once per payload byte of every PPP packet the
+        memo has not seen, so all state lives in locals.  A hit needs
+        no length check: an entry exists only if its prefix was shorter
+        than the cap when it was added, and a code names one string,
+        so a prefix at the cap never finds a hit.  A CLEAR restarts the
+        prefix at one byte against an empty dictionary, so this holds
+        across resets too.
         """
-        limit = self.max_string
+        byte_stream = iter(data)
         prefix_code = self._prefix_code
         prefix_len = self._prefix_len
+        if prefix_code is None:
+            prefix_code = next(byte_stream, None)
+            if prefix_code is None:
+                return self.bits_emitted
+            prefix_len = 1
+        # A string never outgrows the code space, so MAX_CODES is "no cap".
+        cap = MAX_CODES if self.max_string is None else self.max_string
         pairs = self._dict
         pairs_get = pairs.get
-        codes_append = self.codes_emitted.append
         bits = self.bits_emitted
         code_bits = self._code_bits
         next_code = self._next_code
-        for byte in data:
-            if prefix_code is None:
-                prefix_code = byte
-                prefix_len = 1
-                continue
+        for byte in byte_stream:
             key = (prefix_code << 8) | byte
             hit = pairs_get(key)
-            if hit is not None and (limit is None or prefix_len < limit):
+            if hit is not None:
                 prefix_code = hit
                 prefix_len += 1
                 continue
-            codes_append(prefix_code)
             bits += code_bits
-            if limit is None or prefix_len < limit:
+            if prefix_len < cap:
                 if next_code >= MAX_CODES:
-                    codes_append(CLEAR_CODE)
-                    bits += code_bits
+                    bits += code_bits           # CLEAR
                     pairs = {}
                     pairs_get = pairs.get
                     next_code = FIRST_FREE_CODE
@@ -144,7 +142,7 @@ class LzwEncoder:
     def flush(self) -> int:
         """Emit the pending prefix (frame boundary).  Returns total bits."""
         if self._prefix_code is not None:
-            self._emit(self._prefix_code)
+            self.bits_emitted += self._code_bits
             self._prefix_code = None
             self._prefix_len = 0
         return self.bits_emitted
@@ -152,65 +150,8 @@ class LzwEncoder:
     def finish(self) -> int:
         """Flush and emit the END code.  Returns total bits."""
         self.flush()
-        self._emit(END_CODE)
+        self.bits_emitted += self._code_bits
         return self.bits_emitted
-
-
-class LzwDecoder:
-    """Decoder matching :class:`LzwEncoder` (for round-trip testing).
-
-    ``max_string`` must match the encoder's setting: both sides of a
-    V.42bis link negotiate the same N7 limit and skip dictionary entries
-    beyond it.
-    """
-
-    def __init__(self, max_string: Optional[int] = None) -> None:
-        self.max_string = max_string
-        self._reset_dictionary()
-        self._previous: bytes = b""
-
-    def _reset_dictionary(self) -> None:
-        self._entries: Dict[int, bytes] = {i: bytes([i]) for i in range(256)}
-        self._next_code = FIRST_FREE_CODE
-        self._previous = b""
-
-    def decode(self, codes: List[int]) -> bytes:
-        """Decode a list of codes into the original bytes."""
-        out = bytearray()
-        for code in codes:
-            if code == CLEAR_CODE:
-                self._reset_dictionary()
-                continue
-            if code == END_CODE:
-                break
-            if code in self._entries:
-                entry = self._entries[code]
-            elif code == self._next_code and self._previous:
-                entry = self._previous + self._previous[:1]
-            else:
-                raise ValueError(f"corrupt LZW stream: code {code}")
-            out.extend(entry)
-            candidate = self._previous + entry[:1]
-            if (self._previous and self._next_code < MAX_CODES
-                    and (self.max_string is None
-                         or len(candidate) <= self.max_string)):
-                self._entries[self._next_code] = candidate
-                self._next_code += 1
-            self._previous = entry
-        return bytes(out)
-
-
-def lzw_compress(data: bytes) -> Tuple[List[int], int]:
-    """One-shot compress; returns (codes, total bits)."""
-    encoder = LzwEncoder()
-    encoder.encode(data)
-    bits = encoder.finish()
-    return encoder.codes_emitted, bits
-
-
-def lzw_decompress(codes: List[int]) -> bytes:
-    """One-shot decompress of :func:`lzw_compress` output."""
-    return LzwDecoder().decode(codes)
 
 
 class ModemCompressor:
@@ -293,11 +234,7 @@ class ModemCompressor:
         self._skipped.clear()
         before = encoder.bits_emitted
         encoder.encode(payload)
-        total_bits = encoder.flush()
-        # Only the bit count is read here; without this the code list
-        # grows by one int per code for the life of the PPP unit.
-        encoder.codes_emitted.clear()
-        return (total_bits - before + 7) // 8
+        return (encoder.flush() - before + 7) // 8
 
     @property
     def compression_ratio(self) -> float:

@@ -71,6 +71,13 @@ def test_lzw_roundtrip_property(data):
     assert lzw_decode(lzw_encode(data, 4), 4) == data
 
 
+def test_lzw_rejects_a_symbol_wider_than_the_code_size():
+    with pytest.raises(GifError, match="symbol 5 .* code size 2"):
+        lzw_encode(b"\x05", 2)
+    with pytest.raises(GifError, match="symbol 16 .* code size 4"):
+        lzw_encode(b"\x00\x03\x10\x01", 4)
+
+
 # ----------------------------------------------------------------------
 # GIF container
 # ----------------------------------------------------------------------

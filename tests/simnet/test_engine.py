@@ -88,15 +88,6 @@ def test_run_until_stops_clock_at_bound():
     assert fired == ["a", "b"]
 
 
-def test_stop_halts_processing():
-    sim = Simulator()
-    fired = []
-    sim.schedule(1.0, sim.stop)
-    sim.schedule(2.0, fired.append, "never")
-    sim.run()
-    assert fired == []
-
-
 def test_events_scheduled_during_run_execute():
     sim = Simulator()
     fired = []

@@ -1,15 +1,21 @@
 """Unit and property tests for the V.42bis-style modem compressor."""
 
+import random
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.simnet import modem as modem_module
-from repro.simnet.modem import (LzwDecoder, LzwEncoder, ModemCompressor,
-                                lzw_compress, lzw_decompress)
+from repro.simnet.modem import LzwEncoder, ModemCompressor
+
+from . import lzw_oracle
+from .lzw_oracle import LzwDecoder, lzw_compress, lzw_decompress
 
 
+# ----------------------------------------------------------------------
+# The codec (round trips run on the code-emitting oracle)
+# ----------------------------------------------------------------------
 def test_lzw_roundtrip_simple():
     codes, _bits = lzw_compress(b"the quick brown fox " * 20)
     assert lzw_decompress(codes) == b"the quick brown fox " * 20
@@ -22,21 +28,25 @@ def test_lzw_roundtrip_empty():
 
 def test_lzw_streaming_matches_oneshot():
     data = b"abcabcabcabd" * 50
-    streaming = LzwEncoder()
+    streaming = lzw_oracle.LzwEncoder()
+    counting = LzwEncoder()
     for i in range(0, len(data), 7):
         streaming.encode(data[i:i + 7])
-    streaming.finish()
+        counting.encode(data[i:i + 7])
+    assert counting.finish() == streaming.finish() == lzw_compress(data)[1]
     decoder = LzwDecoder()
     assert decoder.decode(streaming.codes_emitted) == data
 
 
 def test_lzw_dictionary_reset_on_overflow():
-    import random
     rng = random.Random(3)
     data = bytes(rng.randrange(256) for _ in range(40000))
-    codes, _ = lzw_compress(data)
+    codes, bits = lzw_compress(data)
     assert 256 in codes[1:]        # CLEAR re-emitted mid-stream
     assert lzw_decompress(codes) == data
+    counting = LzwEncoder()
+    counting.encode(data)
+    assert counting.finish() == bits
 
 
 def test_max_string_limits_compression():
@@ -50,7 +60,7 @@ def test_max_string_limits_compression():
 
 def test_max_string_roundtrip():
     data = b"hello world, hello world, hello world" * 30
-    encoder = LzwEncoder(max_string=6)
+    encoder = lzw_oracle.LzwEncoder(max_string=6)
     encoder.encode(data)
     encoder.finish()
     assert LzwDecoder(max_string=6).decode(encoder.codes_emitted) == data
@@ -66,11 +76,44 @@ def test_lzw_roundtrip_property(data):
 @settings(max_examples=20)
 @given(st.binary(max_size=1000), st.integers(2, 10))
 def test_lzw_capped_roundtrip_property(data, cap):
-    encoder = LzwEncoder(max_string=cap)
+    encoder = lzw_oracle.LzwEncoder(max_string=cap)
     encoder.encode(data)
     encoder.finish()
     assert LzwDecoder(max_string=cap).decode(
         encoder.codes_emitted) == data
+
+
+#: Byte streams LZW codes very differently: uniform noise (misses,
+#: dictionary resets), a small alphabet (long strings, the N7 cap
+#: bites) and HTTP-ish text.
+_ALPHABETS = (bytes(range(256)), b"ab", b"abcd", b"GET /gifs/ HTTP1.\r\n")
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), alphabet=st.sampled_from(_ALPHABETS),
+       length=st.integers(0, 12000),
+       max_string=st.sampled_from((None, 3, 6)), flush_frames=st.booleans())
+def test_counting_encoder_matches_oracle_per_frame(seed, alphabet, length,
+                                                   max_string, flush_frames):
+    """Bits after every frame equal the code-emitting oracle's over
+    random frame splits (empty frames and CLEARs included)."""
+    rng = random.Random(seed)
+    data = bytes(rng.choice(alphabet) for _ in range(length))
+    counting = LzwEncoder(max_string=max_string)
+    oracle = lzw_oracle.LzwEncoder(max_string=max_string)
+    offset = 0
+    while offset < len(data):
+        frame = data[offset:offset + rng.choice((0, 1, 2, 40, 1460, 5000))]
+        offset += len(frame)
+        assert counting.encode(frame) == oracle.encode(frame)
+        if flush_frames:                # as ModemCompressor does
+            assert counting.flush() == oracle.flush()
+    assert counting.finish() == oracle.finish()
+    if not flush_frames:
+        # A flush skips the entry spanning the frame boundary, which a
+        # decoder cannot see; an unflushed stream decodes.
+        assert LzwDecoder(max_string=max_string).decode(
+            oracle.codes_emitted) == data
 
 
 # ----------------------------------------------------------------------
@@ -235,13 +278,6 @@ def test_different_n7_limits_do_not_share_entries():
             .wire_bytes(text)
             < ModemCompressor(max_string=3, efficiency=1.0)
             .wire_bytes(text))
-
-
-def test_link_path_does_not_accumulate_codes():
-    modem = ModemCompressor()
-    for i in range(50):
-        modem.wire_bytes(b"never seen before %d " % i * 20)
-    assert modem._encoder.codes_emitted == []
 
 
 def test_ppp_cell_repeats_byte_identically_in_process():
