@@ -67,8 +67,3 @@ class IncrementalImageScanner:
                 self._seen.add(url)
                 fresh.append(url)
         return fresh
-
-    @property
-    def discovered(self) -> int:
-        """Number of distinct URLs found so far."""
-        return len(self._seen)

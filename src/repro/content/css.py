@@ -92,10 +92,6 @@ class Stylesheet:
         """Size of the compact serialization in bytes."""
         return len(self.serialize(compact=True).encode("latin-1"))
 
-    def rules_for(self, selector: str) -> List[Rule]:
-        """All rules whose selector list contains ``selector`` exactly."""
-        return [rule for rule in self.rules if selector in rule.selectors]
-
 
 def _strip_comments(text: str) -> str:
     out = []

@@ -110,11 +110,6 @@ class MicroscapeSite:
         return [self.html_url] + self.embedded_urls()
 
     @property
-    def static_images(self) -> List[SiteObject]:
-        return [o for o in self.image_objects
-                if o.role != ImageRole.ANIMATION]
-
-    @property
     def animations(self) -> List[SiteObject]:
         return [o for o in self.image_objects
                 if o.role == ImageRole.ANIMATION]

@@ -33,9 +33,9 @@ engine's opt-in sanitizer mode — which raises
 :class:`InvariantViolationError` the moment a violating segment is
 emitted, with the simulated time and flow in the message.
 
-This module deliberately imports nothing from :mod:`repro.simnet`: it
-duck-types segments and links, so trace files can be validated without
-constructing a simulator.
+This module imports nothing from :mod:`repro.simnet` but the receive
+window constant: it duck-types segments and links, so trace files can
+be validated without constructing a simulator.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from ..http.framing import (F_CANCEL, F_DATA, F_END_STREAM, F_HEADERS,
                             F_PUSH_PROMISE, F_WINDOW_UPDATE,
                             FRAME_TYPE_NAMES, FramingError, Frame,
                             INITIAL_STREAM_WINDOW, window_increment)
+from ..simnet.tcp import RWND
 
 __all__ = ["SanitizerConfig", "ModeTraceRules", "Violation",
            "InvariantViolationError", "TraceValidator",
@@ -140,14 +141,14 @@ class SanitizerConfig:
 
         ``environment`` is a
         :class:`~repro.simnet.link.NetworkEnvironment` (duck-typed).
-        The transit bound allows a full 64 KB receive window per
-        parallel connection to queue at the bottleneck ahead of a
-        segment, so shared-link queueing never trips the delayed-ACK
-        deadline check.
+        The transit bound allows a full receive window
+        (:data:`~repro.simnet.tcp.RWND`) per parallel connection to
+        queue at the bottleneck ahead of a segment, so shared-link
+        queueing never trips the delayed-ACK deadline check.
         """
         wire_time = (environment.mss + 40) * environment.bits_per_byte \
             / environment.bandwidth_bps
-        window_segments = math.ceil(65535 / environment.mss) + 2
+        window_segments = math.ceil(RWND / environment.mss) + 2
         transit = (environment.one_way_delay
                    + window_segments * max(1, max_parallel) * wire_time)
         return cls(mss=environment.mss,

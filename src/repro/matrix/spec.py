@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import Any, Dict, List, Mapping, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Tuple, Union
 
 from ..client.robot import ClientConfig
 from ..core.modes import ProtocolMode
-from ..core.registry import (TABLE_CELLS, UnknownNameError,
-                             modes_for_environment,
+from ..core.registry import (UnknownNameError, modes_for_environment,
                              resolve_environment, resolve_mode,
                              resolve_profile, resolve_scenario)
 from ..core.runner import DEFAULT_JITTER, RunResult, run_experiment
@@ -302,22 +301,3 @@ class ExperimentMatrix:
                 self.servers, self.environments, self.modes,
                 self.scenarios)
         ]
-
-    @classmethod
-    def for_table(cls, number: int, *,
-                  seeds: Sequence[int] = DEFAULT_SEEDS
-                  ) -> "ExperimentMatrix":
-        """The grid behind one of the paper's protocol tables (4-9).
-
-        Honors the paper's row structure: the PPP tables omit HTTP/1.0.
-        """
-        if number not in TABLE_CELLS:
-            raise UnknownNameError(
-                f"unknown protocol table {number!r} (choose from: "
-                f"{', '.join(str(n) for n in sorted(TABLE_CELLS))})")
-        server, environment = TABLE_CELLS[number]
-        return cls(modes=tuple(
-                       mode.name for mode in modes_for_environment(
-                           environment, paper_only=True)),
-                   environments=(environment,), servers=(server,),
-                   seeds=tuple(seeds))

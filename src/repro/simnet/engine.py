@@ -274,9 +274,5 @@ class Simulator:
         """Number of scheduled, non-cancelled events.  O(1)."""
         return self._live
 
-    def heap_size(self) -> int:
-        """Raw heap length, cancelled entries included (for tests)."""
-        return len(self._heap)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Simulator now={self.now:.6f} pending={self.pending_events()}>"

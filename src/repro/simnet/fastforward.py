@@ -30,8 +30,8 @@ Eligibility (all must hold, checked before every span):
 * link: no fault injector, zero loss rate, unbounded queue, the trace
   collector as the only tap;
 * sender: ESTABLISHED, past slow-start handshake accounting, not in
-  recovery or backoff, no FIN sent, nothing received-but-unread, a
-  contiguous retransmit queue covering exactly ``[snd_una, snd_nxt)``,
+  recovery or backoff, no FIN sent or received, no reassembly backlog,
+  a contiguous retransmit queue covering exactly ``[snd_una, snd_nxt)``,
   a send queue at least :attr:`min_queue_bytes` deep, and no
   unprofitability veto (a flow whose earlier span synthesized fewer
   than :data:`_MIN_PROFITABLE_SYNTH` segments runs per-segment for
@@ -39,13 +39,16 @@ Eligibility (all must hold, checked before every span):
 * receiver: ESTABLISHED, nothing to send, nothing in flight, no
   reassembly backlog, consistent delayed-ACK state;
 * every in-flight segment between the two is either a contiguous
-  full-ACK data segment or a plain pure ACK (no flags, no checksum,
-  no surprise windows).
+  full-ACK data segment or a plain pure ACK (no flags, no checksum).
 
-Anything else — loss, FIN, Nagle tails, window updates, fault
-injection, a second flow joining the link — fails the predicate or
-bounds the span's horizon, and the flow falls back to per-segment
-execution at exactly the point the discontinuity occurs.
+The sender's window is ``min(cwnd, RWND)``: every endpoint advertises
+the constant :data:`~repro.simnet.tcp.RWND`, so no window update can
+arrive mid-span.
+
+Anything else — loss, FIN, Nagle tails, fault injection, a second
+flow joining the link — fails the predicate or bounds the span's
+horizon, and the flow falls back to per-segment execution at exactly
+the point the discontinuity occurs.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from typing import Optional, Tuple
 from .engine import Simulator
 from .link import Link
 from .packet import HEADER_BYTES, Segment
-from .tcp import (DELACK_SEGMENTS, RTO_MAX, RTO_MIN, TcpConnection,
+from .tcp import (DELACK_SEGMENTS, RTO_MAX, RTO_MIN, RWND, TcpConnection,
                   TcpStack)
 from .trace import TraceCollector
 
@@ -144,17 +147,11 @@ class FastForward:
                 or s._in_recovery or s._dup_acks != 0
                 or s._rto_backoff != 1):
             return None
-        if (s._segments_unacked != 0
-                or s._delack_timer.deadline is not None
-                or s._persist_timer.deadline is not None):
+        if s._segments_unacked != 0 or s._delack_timer.deadline is not None:
             return None
-        if (s._paused or s._recv_buffer or s._reassembly
-                or s._receive_shutdown or s._pending_eof
-                or s._fin_received):
+        if s._reassembly or s._receive_shutdown or s._fin_received:
             return None
-        mss = s.config.mss
-        if len(s._send_queue) < self.min_queue_bytes \
-                or s._peer_window < mss:
+        if len(s._send_queue) < self.min_queue_bytes:
             return None
         c = self._peer_of(s)
         if c is None:
@@ -165,12 +162,9 @@ class FastForward:
                 or c._fin_queued or c._fin_sent or c._in_recovery
                 or c.snd_una != c.snd_nxt):
             return None
-        if (c._paused or c._recv_buffer or c._reassembly
-                or c._receive_shutdown or c._pending_eof
-                or c._fin_received):
+        if c._reassembly or c._receive_shutdown or c._fin_received:
             return None
-        if (c._rto_timer.deadline is not None
-                or c._persist_timer.deadline is not None):
+        if c._rto_timer.deadline is not None:
             return None
         # Delayed-ACK state must be internally consistent and below the
         # immediate-ACK threshold (at the threshold an ACK would already
@@ -181,12 +175,8 @@ class FastForward:
         if (unacked > 0) != (c._delack_timer.deadline is not None):
             return None
         # The two endpoints must agree: every byte the receiver has
-        # ACKed has been processed, advertised windows are stable.
+        # ACKed has been processed.
         if s.rcv_nxt != c.snd_nxt:
-            return None
-        if c._peer_window != s._advertised_window():
-            return None
-        if s._peer_window != c._advertised_window():
             return None
         # Sender's retransmit queue covers exactly [snd_una, snd_nxt)
         # with plain data segments (no SYN/FIN stragglers, no holes).
@@ -267,14 +257,13 @@ class FastForward:
                 horizon = boundary
 
         # ---- Validate the in-flight picture against the steady state.
-        rwnd_c = c._advertised_window()    # == what C's pure ACKs carry
         s_rcv = s.rcv_nxt
         expect = c.rcv_nxt
         for entry in data_entries:
             seg = entry[2].args[0]
             if (seg.flag_syn or seg.flag_fin or seg.flag_rst
                     or seg.checksum is not None or not seg.flag_ack
-                    or seg.ack != s_rcv or seg.window != c._peer_window):
+                    or seg.ack != s_rcv):
                 return
             if seg.payload_len:
                 if seg.seq != expect:
@@ -287,8 +276,7 @@ class FastForward:
             seg = entry[2].args[0]
             if (seg.payload_len or seg.flag_syn or seg.flag_fin
                     or seg.flag_rst or seg.flag_psh or not seg.flag_ack
-                    or seg.checksum is not None or seg.window != rwnd_c
-                    or seg.ack <= last_ack):
+                    or seg.checksum is not None or seg.ack <= last_ack):
                 return
             last_ack = seg.ack
         if last_ack > c.rcv_nxt:
@@ -302,8 +290,7 @@ class FastForward:
         # ---- Local mirrors of the per-segment state machine.
         mss = s.config.mss
         mss_sq = mss * mss
-        wnd = s._peer_window
-        s_adv = s._advertised_window()
+        wnd = RWND
         snd_una = s.snd_una
         snd_nxt = s.snd_nxt
         snd_nxt0 = snd_nxt
@@ -546,9 +533,8 @@ class FastForward:
             c._segments_unacked = unacked_c
             c._delack_timer.deadline = delack_deadline
             on_data(c, payload)
-            dirty = (sim._seq != seq0 or c._send_queue or c._paused
-                     or c._fin_queued or c._receive_shutdown
-                     or c.state != "ESTABLISHED")
+            dirty = (sim._seq != seq0 or c._send_queue or c._fin_queued
+                     or c._receive_shutdown or c.state != "ESTABLISHED")
             # Adopt whatever the callback did to the delayed-ACK state
             # (a send zeroes the counter and disarms the timer — the
             # ACK rode along).
@@ -561,8 +547,8 @@ class FastForward:
             elif delack_deadline is None:
                 delack_deadline = (int(t / period) + 1) * period
             if dirty:
-                # The application did something (new request, pause,
-                # close): per-segment execution takes over right after
+                # The application did something (new request, close):
+                # per-segment execution takes over right after
                 # this segment, exactly as it would have.
                 break
 
@@ -581,7 +567,7 @@ class FastForward:
                 payload = bytes(queue[qoff:qoff + mss])
             seg = Segment(s_host, s_port, c_host, c_port,
                           seq=snd_nxt0 + qoff, ack=s_rcv,
-                          payload=payload, flag_ack=True, window=s_adv,
+                          payload=payload, flag_ack=True,
                           delivered_at=delivered_times.get(qoff))
             return seg
 
@@ -628,7 +614,7 @@ class FastForward:
             else:
                 pending_synth.append((t, order, Segment(
                     c_host, c_port, s_host, s_port, seq=cseq, ack=ack,
-                    flag_ack=True, window=rwnd_c)))
+                    flag_ack=True)))
         pending_synth.sort(key=lambda item: (item[0], item[1]))
         schedule_at = sim.schedule_at
         for t, _order, seg in pending_synth:

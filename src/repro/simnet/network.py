@@ -68,9 +68,11 @@ class Network:
     jitter:
         Fractional transmission-time jitter, modelling the run-to-run
         variation the paper averaged away over five runs.
-    client_config / server_config:
-        Optional per-host :class:`TcpConfig` overrides (e.g. to flip
-        ``TCP_NODELAY`` defaults or the initial congestion window).
+    server_config:
+        Optional server :class:`TcpConfig` (the testbed sets the
+        server's delayed-ACK period and initial congestion window).
+        Client stacks always use ``TcpConfig(mss=environment.mss)``, as
+        does the server without one.
     modem_compression:
         Override the environment's modem-compression flag (e.g. to
         measure a PPP link with V.42bis disabled).
@@ -103,7 +105,6 @@ class Network:
 
     def __init__(self, environment: NetworkEnvironment, *,
                  seed: int = 0, jitter: float = 0.0,
-                 client_config: Optional[TcpConfig] = None,
                  server_config: Optional[TcpConfig] = None,
                  modem_compression: Optional[bool] = None,
                  fastpath: bool = True,
@@ -120,13 +121,12 @@ class Network:
             self.link.bottleneck_host = SERVER_HOST
         if capacity_shares is not None:
             self.link.set_capacity_schedule(capacity_epoch, capacity_shares)
-        client_config = client_config or TcpConfig(mss=environment.mss)
-        self.clients = [TcpStack(self.sim, host, self.link, client_config)
+        config = TcpConfig(mss=environment.mss)
+        self.clients = [TcpStack(self.sim, host, self.link, config)
                         for host in client_hosts]
         self.client = self.clients[0]
         self.server = TcpStack(self.sim, SERVER_HOST, self.link,
-                               server_config or TcpConfig(
-                                   mss=environment.mss))
+                               server_config or config)
         # tcpdump ran on the (first) client host.
         self.trace = TraceCollector(self.link, self.client.host)
         self.fastforward: Optional[FastForward] = None

@@ -75,14 +75,14 @@ class Segment:
 
     __slots__ = ("src", "sport", "dst", "dport", "seq", "ack", "payload",
                  "flag_syn", "flag_ack", "flag_fin", "flag_rst",
-                 "flag_psh", "window", "delivered_at", "checksum",
+                 "flag_psh", "delivered_at", "checksum",
                  "payload_len", "wire_size", "seq_space", "end_seq")
 
     def __init__(self, src: str, sport: int, dst: str, dport: int,
                  seq: int = 0, ack: int = 0, payload: bytes = b"",
                  flag_syn: bool = False, flag_ack: bool = False,
                  flag_fin: bool = False, flag_rst: bool = False,
-                 flag_psh: bool = False, window: int = 65535,
+                 flag_psh: bool = False,
                  delivered_at: Optional[float] = None,
                  checksum: Optional[int] = None) -> None:
         self.src = src
@@ -97,8 +97,6 @@ class Segment:
         self.flag_fin = flag_fin
         self.flag_rst = flag_rst
         self.flag_psh = flag_psh
-        #: Advertised receive window (flow control).
-        self.window = window
         #: Stamped by the link at delivery (trace convenience).
         self.delivered_at = delivered_at
         #: CRC32 the payload must match at the receiver, or None for a
@@ -120,8 +118,7 @@ class Segment:
             "seq": self.seq, "ack": self.ack, "payload": self.payload,
             "flag_syn": self.flag_syn, "flag_ack": self.flag_ack,
             "flag_fin": self.flag_fin, "flag_rst": self.flag_rst,
-            "flag_psh": self.flag_psh, "window": self.window,
-            "delivered_at": self.delivered_at,
+            "flag_psh": self.flag_psh, "delivered_at": self.delivered_at,
             "checksum": self.checksum,
         }
         kwargs.update(overrides)

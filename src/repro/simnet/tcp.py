@@ -46,6 +46,10 @@ __all__ = ["TcpConfig", "TcpConnection", "TcpListener", "TcpStack",
 
 #: Initial slow-start threshold in bytes.
 INITIAL_SSTHRESH = 65535
+#: Receive window every endpoint advertises (bytes).  Applications
+#: consume data as it arrives, so the window never shrinks; it still
+#: caps the sender's flight once the congestion window outgrows it.
+RWND = 65535
 #: Retransmission-timeout bounds (BSD used a 500 ms slow-tick clock with
 #: a 1 s floor).
 RTO_MIN = 1.0
@@ -166,29 +170,25 @@ class TcpConfig:
         Initial congestion window in segments.  The paper notes "some TCP
         stacks implement slow start using one TCP segment whereas others
         implement it using two packets"; both are supported.
-    rwnd:
-        Receiver window advertised (bytes).  Large enough that the tests
-        are congestion-window limited, as on the paper's hosts.
     delack_delay:
         Period of the delayed-ACK timer.  BSD-derived stacks run a
         *heartbeat* every 200 ms rather than a per-segment timeout, so a
         lone segment waits anywhere from 0 to 200 ms (100 ms on
         average) for its ACK, as on the paper's hosts.
-    nodelay:
-        Default ``TCP_NODELAY`` setting for new connections (Nagle off
-        when True).
 
-    The slow-start threshold, RTO bounds, fast-retransmit trigger and
-    immediate-ACK count are fixed module constants
-    (:data:`INITIAL_SSTHRESH`, :data:`RTO_MIN` / :data:`RTO_MAX`,
-    :data:`DUPACK_THRESHOLD`, :data:`DELACK_SEGMENTS`).
+    The receive window, slow-start threshold, RTO bounds,
+    fast-retransmit trigger and immediate-ACK count are fixed module
+    constants (:data:`RWND`, :data:`INITIAL_SSTHRESH`, :data:`RTO_MIN` /
+    :data:`RTO_MAX`, :data:`DUPACK_THRESHOLD`, :data:`DELACK_SEGMENTS`).
+    The receive window is large enough that the paper's page loads are
+    congestion-window limited, as on its hosts.  Connections
+    start with Nagle on; ``TCP_NODELAY`` is per connection
+    (:meth:`TcpConnection.set_nodelay`).
     """
 
     mss: int = 1460
     initial_cwnd_segments: int = 2
-    rwnd: int = 65535
     delack_delay: float = 0.200
-    nodelay: bool = False
 
 
 class TcpError(RuntimeError):
@@ -225,8 +225,6 @@ class TcpConnection:
         "snd_una", "snd_nxt", "_send_queue", "_fin_queued", "_fin_sent",
         "_syn_acked",
         "rcv_nxt", "_fin_received", "_receive_shutdown", "_reassembly",
-        "_paused", "_recv_buffer", "_recv_buffered_bytes", "_pending_eof",
-        "_peer_window", "_persist_timer", "_persist_interval",
         "cwnd", "ssthresh",
         "_retransmit_queue", "_rto_timer", "_srtt", "_rttvar",
         "_rto_backoff", "_dup_acks", "_rtt_sample", "_in_recovery",
@@ -266,15 +264,6 @@ class TcpConnection:
         self._receive_shutdown = False
         #: Out-of-order segments awaiting reassembly, keyed by seq.
         self._reassembly: Dict[int, Segment] = {}
-        # Flow control: application read pacing.
-        self._paused = False
-        self._recv_buffer: List[bytes] = []
-        self._recv_buffered_bytes = 0
-        self._pending_eof = False
-        #: The peer's most recently advertised receive window.
-        self._peer_window = config.rwnd
-        self._persist_timer = _LazyTimer(self.sim, self._persist_fire)
-        self._persist_interval = 1.0
 
         # Congestion control.
         self.cwnd = config.initial_cwnd_segments * config.mss
@@ -309,7 +298,7 @@ class TcpConnection:
         self._ff_unprofitable = False
 
         # Socket options.
-        self.nodelay = config.nodelay
+        self.nodelay = False
 
         # Statistics (exposed for tests and the trace summaries).
         self.bytes_sent = 0
@@ -330,39 +319,6 @@ class TcpConnection:
     def set_nodelay(self, enabled: bool = True) -> None:
         """Set ``TCP_NODELAY`` (True disables the Nagle algorithm)."""
         self.nodelay = enabled
-
-    def pause_reading(self) -> None:
-        """Model a slow application: arriving data is ACKed into the
-        receive buffer but not delivered, so the advertised window
-        shrinks and eventually stalls the sender — the socket-buffer
-        backpressure the paper's Implementation Experience section
-        describes."""
-        self._paused = True
-
-    def resume_reading(self) -> None:
-        """Deliver buffered data and re-open the advertised window."""
-        if not self._paused:
-            return
-        self._paused = False
-        window_was_closed = self._advertised_window() == 0
-        chunks, self._recv_buffer = self._recv_buffer, []
-        self._recv_buffered_bytes = 0
-        for chunk in chunks:
-            self.on_data(self, chunk)
-        if self._pending_eof:
-            self._pending_eof = False
-            self.on_eof(self)
-        if self.state == "CLOSED":
-            # Torn down while paused: that was the last delivery.
-            self.on_data = self.on_eof = _noop
-        elif window_was_closed:
-            # Window update so the stalled sender can continue.
-            self._send_pure_ack()
-
-    @property
-    def recv_buffered(self) -> int:
-        """Bytes ACKed but not yet delivered to the application."""
-        return self._recv_buffered_bytes
 
     def send(self, data: bytes, close: bool = False) -> None:
         """Queue application ``data`` for transmission.
@@ -449,13 +405,8 @@ class TcpConnection:
     # ------------------------------------------------------------------
     # Segment transmission and loss recovery
     # ------------------------------------------------------------------
-    def _advertised_window(self) -> int:
-        """Receive window left after unread buffered data."""
-        return max(0, self.config.rwnd - self._recv_buffered_bytes)
-
     def _emit_unreliable(self, segment: Segment) -> None:
         """Transmit without retransmission state (ACKs, RSTs)."""
-        segment.window = self._advertised_window()
         self.segments_sent += 1
         self.bytes_sent += segment.payload_len
         self.sim.perf.segments += 1
@@ -510,27 +461,6 @@ class TcpConnection:
             flag_ack=segment.flag_ack or self.rcv_nxt > 0)
         self._emit_unreliable(copy)
 
-    def _arm_persist(self) -> None:
-        if self._persist_timer.deadline is None:
-            self._persist_timer.arm_at(self.sim.now
-                                       + self._persist_interval)
-
-    def _persist_fire(self) -> None:
-        """Zero-window probe: push one byte past the closed window so
-        the peer re-ACKs with its current window (RFC 1122 persistence;
-        without it a lost window update deadlocks the connection)."""
-        if not self._send_queue or self._peer_window > 0 \
-                or self.in_flight > 0 or self.state == "CLOSED":
-            return
-        payload = bytes(self._send_queue[:1])
-        del self._send_queue[:1]
-        probe = Segment(self.local_host, self.local_port, self.peer,
-                        self.peer_port, seq=self.snd_nxt,
-                        ack=self.rcv_nxt, payload=payload, flag_ack=True)
-        self.snd_nxt += 1
-        self._emit_reliable(probe)
-        self._persist_interval = min(self._persist_interval * 2, 60.0)
-
     def _update_rtt(self, sample: float) -> None:
         if self._srtt is None:
             self._srtt = sample
@@ -565,21 +495,16 @@ class TcpConnection:
             return
         config = self.config
         while self._send_queue:
-            window = min(self.cwnd, self._peer_window)
+            window = min(self.cwnd, RWND)
             available = window - self.in_flight
             if available <= 0:
-                if self._peer_window == 0 and self.in_flight == 0:
-                    # Zero window with nothing in flight: only a persist
-                    # probe can discover when it reopens.
-                    self._arm_persist()
-                else:
-                    # Window-limited with a deep queue: flag the steady
-                    # bulk-transfer candidate for the fast-forward
-                    # driver (checked by the engine between events).
-                    ff = self.stack.fastforward
-                    if ff is not None and len(self._send_queue) \
-                            >= ff.min_queue_bytes:
-                        ff.note_candidate(self)
+                # Window-limited with a deep queue: flag the steady
+                # bulk-transfer candidate for the fast-forward driver
+                # (checked by the engine between events).
+                ff = self.stack.fastforward
+                if ff is not None and len(self._send_queue) \
+                        >= ff.min_queue_bytes:
+                    ff.note_candidate(self)
                 return
             chunk = min(len(self._send_queue), config.mss, available)
             if (chunk < config.mss and chunk < len(self._send_queue)
@@ -679,14 +604,6 @@ class TcpConnection:
 
     def _handle_ack(self, segment: Segment) -> None:
         ack = segment.ack
-        window_changed = segment.window != self._peer_window
-        self._peer_window = segment.window
-        if window_changed:
-            # A window update reopens (or closes) the send path.
-            self._persist_interval = 1.0
-            if self._peer_window > 0:
-                self._persist_timer.disarm()
-                self._try_send()
         if ack > self.snd_una:
             if self._rtt_sample is not None \
                     and ack >= self._rtt_sample[0]:
@@ -733,10 +650,8 @@ class TcpConnection:
                     return
             self._try_send()
             return
-        # Duplicate ACK: no payload, no flags, no window change, data
-        # outstanding (window updates are not loss signals).
+        # Duplicate ACK: no payload, no flags, data outstanding.
         if (ack == self.snd_una and self.in_flight > 0
-                and not window_changed
                 and not segment.payload_len and not segment.flag_syn
                 and not segment.flag_fin):
             self._dup_acks += 1
@@ -790,22 +705,11 @@ class TcpConnection:
         payload = segment.payload
         if segment.seq < self.rcv_nxt:
             payload = payload[self.rcv_nxt - segment.seq:]
-        if payload and self._paused and (self._recv_buffered_bytes
-                                         + len(payload)
-                                         > self.config.rwnd):
-            # Data beyond the advertised window (a persist probe):
-            # drop it and re-advertise, as a zero-window receiver does.
-            self._send_pure_ack()
-            return False
         if payload:
             self.rcv_nxt += len(payload)
             self.bytes_received += len(payload)
             self._segments_unacked += 1
-            if self._paused:
-                self._recv_buffer.append(bytes(payload))
-                self._recv_buffered_bytes += len(payload)
-            else:
-                self.on_data(self, payload)
+            self.on_data(self, payload)
         if segment.flag_fin and not self._fin_received \
                 and segment.end_seq - 1 == self.rcv_nxt:
             self.rcv_nxt += 1
@@ -830,11 +734,7 @@ class TcpConnection:
         # FINs are acknowledged immediately (BSD behaviour) so the peer's
         # close completes without waiting on the delayed-ACK timer.
         self._send_pure_ack()
-        if self._paused:
-            # Buffered data must reach the application before its EOF.
-            self._pending_eof = True
-        else:
-            self.on_eof(self)
+        self.on_eof(self)
         if self.state == "ESTABLISHED":
             self.state = "CLOSE_WAIT"
         elif self.state == "FIN_WAIT_2":
@@ -865,16 +765,12 @@ class TcpConnection:
         self._segments_unacked = 0
         self._delack_timer.release()
         self._rto_timer.release()
-        self._persist_timer.release()
         self._retransmit_queue.clear()
         self._reassembly.clear()
         self._send_queue.clear()
         self.stack._forget(self)
-        self.on_connect = self.on_reset = self.on_closed = _noop
-        if not self._recv_buffer and not self._pending_eof:
-            # (Else resume_reading() delivers what pause_reading()
-            # held back, then releases these.)
-            self.on_data = self.on_eof = _noop
+        self.on_connect = self.on_data = self.on_eof = _noop
+        self.on_reset = self.on_closed = _noop
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<TcpConnection {self.local_host}:{self.local_port}->"
@@ -915,11 +811,11 @@ class TcpStack:
     EPHEMERAL_BASE = 32768
 
     def __init__(self, sim: Simulator, host: str, link: Link,
-                 config: Optional[TcpConfig] = None) -> None:
+                 config: TcpConfig) -> None:
         self.sim = sim
         self.host = host
         self.link = link
-        self.config = config or TcpConfig()
+        self.config = config
         #: Optional fast-forward driver (set by the network wiring when
         #: every endpoint's config allows the analytic fast path).
         self.fastforward = None

@@ -39,7 +39,7 @@ def test_duplicates_suppressed_across_chunks():
     assert scanner.feed(b'<img src="/a.gif">') == ["/a.gif"]
     assert scanner.feed(b'<img src="/a.gif"><img src="/b.gif">') == \
         ["/b.gif"]
-    assert scanner.discovered == 2
+    assert len(scanner._seen) == 2
 
 
 def test_byte_for_byte_feed_finds_everything():
@@ -106,7 +106,7 @@ def memoized_scan(pieces, clear_before=None):
             discovery._STEPS.clear()
         found.append(scanner.feed(piece))
     assert scanner.bytes_seen == sum(len(piece) for piece in pieces)
-    assert scanner.discovered == len({u for step in found for u in step})
+    assert len(scanner._seen) == len({u for step in found for u in step})
     return found
 
 

@@ -21,7 +21,8 @@ def test_parse_multiple_selectors_and_rules():
     sheet = parse_css("h1, h2 { font-weight: bold }\n em { color: red }")
     assert sheet.rules[0].selectors == ["h1", "h2"]
     assert len(sheet.rules) == 2
-    assert sheet.rules_for("h2")[0].get("font-weight") == "bold"
+    h2 = [rule for rule in sheet.rules if "h2" in rule.selectors]
+    assert h2[0].get("font-weight") == "bold"
 
 
 def test_parse_strips_comments():

@@ -17,6 +17,11 @@ def site():
     return build_microscape_site()
 
 
+@pytest.fixture(scope="module")
+def static_images(site):
+    return [o for o in site.image_objects if o.role != ImageRole.ANIMATION]
+
+
 def test_site_is_cached_and_deterministic(site):
     assert build_microscape_site() is site
     again = build_microscape_site.__wrapped__()
@@ -67,10 +72,10 @@ def test_images_total_about_125kb(site):
     assert 110_000 <= site.total_image_bytes <= 135_000
 
 
-def test_static_gif_total_near_paper(site):
+def test_static_gif_total_near_paper(static_images):
     """Paper: 'The 40 static GIF images ... totaled 103,299 bytes'."""
-    total = sum(o.size for o in site.static_images)
-    assert len(site.static_images) == 40
+    total = sum(o.size for o in static_images)
+    assert len(static_images) == 40
     assert abs(total - 103_299) / 103_299 < 0.10
 
 
@@ -81,9 +86,9 @@ def test_animation_total_near_paper(site):
     assert abs(total - 24_988) / 24_988 < 0.10
 
 
-def test_size_histogram_matches_paper(site):
+def test_size_histogram_matches_paper(static_images):
     """Paper: 19 images < 1KB, 7 in 1-2KB, 6 in 2-3KB."""
-    sizes = [o.size for o in site.static_images]
+    sizes = [o.size for o in static_images]
     assert sum(1 for s in sizes if s < 1024) == 19
     assert sum(1 for s in sizes if 1024 <= s < 2048) == 7
     assert sum(1 for s in sizes if 2048 <= s < 3072) == 6
@@ -96,16 +101,16 @@ def test_size_extremes(site):
     assert 30_000 < max(sizes) < 42_000
 
 
-def test_over_half_the_bytes_in_hero_and_animations(site):
+def test_over_half_the_bytes_in_hero_and_animations(site, static_images):
     """Paper: 'Over half of the data was contained in a single image
     and two animations.'"""
-    hero = max(site.static_images, key=lambda o: o.size)
+    hero = max(static_images, key=lambda o: o.size)
     top = hero.size + sum(o.size for o in site.animations)
     assert top > 0.45 * site.total_image_bytes
 
 
-def test_all_bodies_are_valid_gifs(site):
-    for obj in site.static_images:
+def test_all_bodies_are_valid_gifs(site, static_images):
+    for obj in static_images:
         decoded = decode_gif(obj.body)
         assert decoded.width > 0
     for obj in site.animations:

@@ -3,8 +3,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.report import protocol_table_specs
+from repro.core import TABLE_CELLS
 from repro.core.runner import RESULT_FIELDS, run_experiment, run_repeated
-from repro.matrix import (ExperimentMatrix, ExperimentSpec, MatrixRunner,
+from repro.matrix import (ExperimentSpec, MatrixRunner,
                           ResultCache, RunJournal, unit_key)
 
 #: The cheapest cell in the grid (~10 ms a run): used everywhere speed
@@ -268,7 +270,7 @@ def test_cached_parallel_batches_flush_once_per_chunk(tmp_path):
 @pytest.mark.slow
 def test_full_table_parallel_equals_serial():
     """Whole-table sweep: Table 4's grid, parallel vs serial."""
-    specs = ExperimentMatrix.for_table(4, seeds=(0,)).expand()
+    specs = list(protocol_table_specs(*TABLE_CELLS[4], runs=1).values())
     serial = MatrixRunner(jobs=1).run_many(specs)
     parallel = MatrixRunner(jobs=4).run_many(specs)
     for a, b in zip(serial, parallel):

@@ -6,8 +6,10 @@ from typing import Tuple
 
 import pytest
 
+from repro.analysis.report import protocol_table_specs
 from repro.client.robot import ClientConfig
-from repro.core import HTTP10_MODE, HTTP11_PIPELINED, UnknownNameError
+from repro.core import (HTTP10_MODE, HTTP11_PIPELINED, TABLE_CELLS,
+                        UnknownNameError)
 from repro.core.browsers import BROWSERS
 from repro.matrix import (DEFAULT_SEEDS, ExperimentMatrix, ExperimentSpec,
                           client_config_overrides, unit_key)
@@ -238,23 +240,20 @@ def test_matrix_axes_canonicalize_and_reject_duplicates():
 
 
 def test_for_table_ppp_omits_http10():
-    matrix = ExperimentMatrix.for_table(8, seeds=(0,))
-    assert matrix.servers == ("Jigsaw",)
-    assert matrix.environments == ("PPP",)
-    assert "HTTP/1.0" not in matrix.modes
-    assert len(matrix.expand()) == 6
+    """The specs for Table 8: the PPP tables omit HTTP/1.0."""
+    specs = protocol_table_specs(*TABLE_CELLS[8], runs=1)
+    assert {(spec.server, spec.environment, spec.seeds)
+            for spec in specs.values()} == {("Jigsaw", "PPP", (0,))}
+    assert "HTTP/1.0" not in {mode for mode, _scenario in specs}
+    assert len(specs) == 6
 
 
 def test_for_table_lan_has_eight_cells():
-    matrix = ExperimentMatrix.for_table(5)
-    assert matrix.servers == ("Apache",)
-    assert len(matrix.expand()) == 8
-    assert "HTTP/1.0" in matrix.modes
-
-
-def test_for_table_unknown_number():
-    with pytest.raises(UnknownNameError, match="unknown protocol table"):
-        ExperimentMatrix.for_table(12)
+    """The specs for Table 5: four modes, two scenarios."""
+    specs = protocol_table_specs(*TABLE_CELLS[5])
+    assert {spec.server for spec in specs.values()} == {"Apache"}
+    assert len(specs) == 8
+    assert "HTTP/1.0" in {mode for mode, _scenario in specs}
 
 
 def test_specs_usable_as_dict_keys():

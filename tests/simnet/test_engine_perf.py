@@ -36,7 +36,7 @@ def test_pending_events_counts_live_only():
         event.cancel()
     assert sim.pending_events() == 6
     # Under the purge threshold the dead entries stay buried.
-    assert sim.heap_size() == 10
+    assert len(sim._heap) == 10
 
 
 def test_cancelled_event_does_not_advance_clock():
@@ -63,10 +63,10 @@ def test_heap_bounded_across_timer_churn():
     assert sim.pending_events() == 0
     # Without purging the heap would hold all cycles * timers_per_cycle
     # entries; with it, at most a threshold's worth of dead ones remain.
-    assert sim.heap_size() <= 2 * _PURGE_MIN_DEAD
+    assert len(sim._heap) <= 2 * _PURGE_MIN_DEAD
     assert sim.perf.heap_purges > 0
     total = cycles * timers_per_cycle
-    assert sim.perf.events_cancelled + sim.heap_size() == total
+    assert sim.perf.events_cancelled + len(sim._heap) == total
 
 
 def test_perf_counters_track_engine_work():

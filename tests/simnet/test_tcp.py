@@ -7,12 +7,13 @@ import weakref
 
 import pytest
 
-from repro.simnet import (LAN, Segment, TcpConfig, TwoHostNetwork,
+from repro.simnet import (LAN, WAN, Segment, TcpConfig, TwoHostNetwork,
                           CLIENT_HOST, SERVER_HOST)
+from repro.simnet.tcp import RWND
 
 
-def make_net(**kwargs):
-    return TwoHostNetwork(LAN, **kwargs)
+def make_net(environment=LAN, **kwargs):
+    return TwoHostNetwork(environment, **kwargs)
 
 
 class EchoServer:
@@ -100,18 +101,48 @@ def test_large_transfer_segmented_at_mss():
 
 def test_slow_start_grows_window():
     """First flight is limited by the initial cwnd, later flights larger."""
-    config = TcpConfig(initial_cwnd_segments=1)
-    net = TwoHostNetwork(LAN, client_config=config)
-    net.server.listen(80, lambda conn: None)
-    conn = net.client.connect(SERVER_HOST, 80)
-    conn.send(bytes(20 * 1460))
+    net = make_net(server_config=TcpConfig(initial_cwnd_segments=1))
+    net.server.listen(80, lambda conn: setattr(
+        conn, "on_connect", lambda c: c.send(bytes(20 * 1460))))
+    net.client.connect(SERVER_HOST, 80)
     net.run()
-    client_data = [r for r in net.trace.records
-                   if r.src == CLIENT_HOST and r.payload_len]
+    server_data = [r for r in net.trace.records
+                   if r.src == SERVER_HOST and r.payload_len]
     # The first data segment must be alone in its flight: the second
     # segment can only go out after the first ACK returns.
-    first_times = sorted(r.time for r in client_data)
+    first_times = sorted(r.time for r in server_data)
     assert first_times[1] > first_times[0] + net.environment.rtt * 0.5
+
+
+@pytest.mark.parametrize("fastpath", [True, False],
+                         ids=["fastpath", "per-segment"])
+@pytest.mark.parametrize("environment", [LAN, WAN], ids=["LAN", "WAN"])
+def test_receive_window_caps_the_flight(environment, fastpath):
+    """A 2 MB download: slow start takes ``cwnd`` past :data:`RWND`, yet
+    the flight stops at the most whole segments the window holds."""
+    size = 2 * 1024 * 1024
+    net = make_net(environment=environment, fastpath=fastpath)
+    senders = []
+
+    def accept(conn):
+        senders.append(conn)
+        conn.on_connect = lambda c: c.send(bytes(size), close=True)
+
+    net.server.listen(80, accept)
+    client = net.client.connect(SERVER_HOST, 80)
+    peak_cwnd = peak_flight = 0
+    # Sample between engine runs: a fast-forward span reconciles the
+    # sender at each ``until``, and 100 ms lets spans pay for themselves.
+    while net.sim.pending_events():
+        net.run(until=net.sim.now + 0.1)
+        for conn in senders:
+            peak_cwnd = max(peak_cwnd, conn.cwnd)
+            peak_flight = max(peak_flight, conn.in_flight)
+    assert client.bytes_received == size
+    assert (net.sim.perf.fastforward_spans > 0) == fastpath
+    assert peak_cwnd > RWND
+    # 44 whole segments: the most that fit in the window.
+    assert peak_flight == 44 * 1460 <= RWND
 
 
 def test_half_close_allows_continued_receive():
@@ -388,25 +419,3 @@ def test_no_callback_after_closed_and_late_duplicate_draws_rst():
     server.conn._finish_clean_close()
     server.conn._handle_rst()
     assert server.events == seen
-
-
-def test_paused_then_closed_then_resumed_delivers_data_then_eof():
-    """Teardown keeps the data callbacks while ``pause_reading()`` holds
-    bytes back; ``resume_reading()`` delivers them, then the EOF, and
-    only then lets go."""
-    with collector_off():
-        net = make_net()
-        net.server.listen(
-            80, lambda conn: setattr(
-                conn, "on_connect", lambda c: c.send(b"reply", close=True)))
-        client = Application(net.client.connect(SERVER_HOST, 80))
-        client.conn.pause_reading()
-        client.conn.close()
-        net.run()
-        assert client.conn.state == "CLOSED"
-        assert client.events == ["connect", "closed"]
-        client.conn.resume_reading()
-        assert client.events == ["connect", "closed", b"reply", "eof"]
-        refs = [weakref.ref(client), weakref.ref(client.conn)]
-        del client
-        assert [ref() for ref in refs] == [None, None]
