@@ -93,7 +93,20 @@ python -m repro chaos --seed 1997 --jobs 2 > /dev/null
 
 # Claims gate: every paper claim and ablation the repo asserts, on two
 # workers — the exit status is 0 only if every row of the ledger is
-# PASS (about the cost of the report smoke above).
-python -m repro claims --jobs 2 > /dev/null
+# PASS (about the cost of the report smoke above).  Every simulation
+# but the proxy chain is a matrix unit, so the cached second pass, as
+# the report smoke's, simulates nothing and prints the same ledger.
+CLAIMS_CACHE=".repro-cache/check-claims"
+rm -rf "$CLAIMS_CACHE"
+mkdir -p "$CLAIMS_CACHE"
+python -m repro claims --jobs 2 --cache --cache-dir "$CLAIMS_CACHE" \
+    > "$CLAIMS_CACHE/cold.out"
+python -m repro claims --jobs 2 --cache --cache-dir "$CLAIMS_CACHE" \
+    > "$CLAIMS_CACHE/cached.out" 2> "$CLAIMS_CACHE/cached.err"
+grep -q " 0 simulated" "$CLAIMS_CACHE/cached.err" \
+    || { echo "check.sh: cached claims re-ran simulations" >&2; exit 1; }
+cmp -s "$CLAIMS_CACHE/cold.out" "$CLAIMS_CACHE/cached.out" \
+    || { echo "check.sh: cached claims printed another ledger" >&2; exit 1; }
+rm -rf "$CLAIMS_CACHE"
 
 echo "check.sh: all green"

@@ -10,10 +10,14 @@ and ``tests/analysis/test_claims.py`` gates the same rows in tier-1.
 Table claims are judged on the numbers EXPERIMENTS.md prints: their
 cells come from the report's own spec builders at the report's seeds,
 so a cache either verb wrote serves the other.  Ablation cells are
-single-seed; what no spec can express (content transforms, a varied link
-or server stack, the proxy chain) is measured inside ``check``, in this
-process — outside the runner's flags, cache and stats.  Importing this
-module declares the claims and measures nothing.
+single-seed; a varied link or server is a registered variant
+(``WAN-LOSSY``, ``Apache-iw4`` …) and a render timeline a
+:class:`~repro.analysis.report.RenderSpec`, so every simulation is a
+unit of that one batch.  ``check`` measures only what is no simulation
+— the pure content computations — and the one exception, the proxy
+chain (:func:`fetch_through_proxy`, a different topology), in this
+process.  Importing this module declares the claims and measures
+nothing.
 """
 
 from __future__ import annotations
@@ -32,8 +36,7 @@ from ..core.modes import (HTTP10_MODE, HTTP11_PERSISTENT,
                           HTTP11_PIPELINED, HTTP11_PIPELINED_COMPRESSED)
 from ..core.registry import (TABLE_CELLS, resolve_environment,
                              resolve_profile)
-from ..core.runner import (AveragedResult, ExperimentError, RunResult,
-                           run_experiment)
+from ..core.runner import AveragedResult
 from ..core.scenarios import FIRST_TIME, REVALIDATE
 from ..http import (DELTA_IM_TOKEN, HTTP10, HTTP11, DeltaStreamDecoder,
                     Headers, Request, ResponseParser, apply_delta,
@@ -43,12 +46,12 @@ from ..server import ResourceStore, SimHttpServer, build_response
 from ..server.proxy import SimHttpProxy
 from ..simnet.network import ChainNetwork, PROXY_HOST, SERVER_HOST
 from .paperdata import CONTENT_NUMBERS
-from .report import (RENDER_STRATEGIES, ablation_cell,
+from .report import (RENDER_STRATEGIES, RenderSpec, ablation_cell,
                      browser_table_specs, bytes_for_90_percent_area,
                      compact_revalidation_stream, measure_cells,
                      modem_savings, modem_specs, packet_train_ratio,
                      protocol_table_rows, protocol_table_specs,
-                     render_timeline, server_cpu_saving, table3_specs)
+                     server_cpu_saving, table3_specs)
 from .tables import ComparisonRow, fidelity, format_simple_table
 
 __all__ = ["PASS", "FAIL", "UNMEASURED", "CheckRow", "Claim", "CLAIMS",
@@ -73,13 +76,13 @@ class CheckRow:
 @dataclasses.dataclass(frozen=True)
 class Claim:
     """One sentence under test (``quote``, from ``source``: a paper
-    section, table or figure, or a PAPERS.md entry), the matrix cells
+    section, table or figure, or a PAPERS.md entry), the matrix units
     ``check`` reads, by the labels it reads them under, and the check."""
 
     id: str     # unique, kebab-case; DESIGN.md §4–5 and CHANGES.md cite it
     source: str
     quote: str
-    specs: Mapping[Hashable, ExperimentSpec]
+    specs: Mapping[Hashable, "ExperimentSpec | RenderSpec"]
     check: Callable[[Cells], Iterable[CheckRow]]
 
 
@@ -422,15 +425,13 @@ def _html_deflate(_cells):
 @_claim("nagle-stall", "§Nagle Interaction",
         "we did observe significant (sometimes dramatic) transmission "
         "delays due to Nagle",
-        {"stalled": ablation_cell(HTTP11_PERSISTENT, REVALIDATE, "LAN",
-                                  "NagleStall"),
-         "buffered": ablation_cell(HTTP11_PERSISTENT, REVALIDATE, "LAN")})
+        {label: ablation_cell(HTTP11_PERSISTENT, REVALIDATE, "LAN", server)
+         for label, server in (("stalled", "NagleStall"),
+                               ("nodelay", "NagleStall-nodelay"),
+                               ("buffered", "Apache"))})
 def _nagle(cells):
-    stalled, buffered = cells["stalled"], cells["buffered"]
-    nodelay = run_experiment(
-        HTTP11_PERSISTENT, REVALIDATE, environment="LAN",
-        profile=dataclasses.replace(resolve_profile("NagleStall"),
-                                    nodelay=True))
+    stalled, nodelay, buffered = (
+        cells[label] for label in ("stalled", "nodelay", "buffered"))
     yield _ratio("split writes: Nagle / TCP_NODELAY elapsed",
                  stalled.elapsed, nodelay.elapsed, ">", 5)
     yield _ratio("TCP_NODELAY split writes / buffered packets",
@@ -479,40 +480,39 @@ def _buffer_sizes(sweep):
                  max(times) - min(times), "<", 0.5)
 
 
-_CLEAN_WAN = {mode.name: ablation_cell(mode, FIRST_TIME, "WAN")
-              for mode in (HTTP10_MODE, HTTP11_PIPELINED)}
-
-
-def _varied_wan(**changes) -> Dict[str, RunResult]:
-    """The two first-time WAN cells on a WAN with ``changes`` applied."""
-    wan = dataclasses.replace(resolve_environment("WAN"), **changes)
-    return {mode.name: run_experiment(mode, FIRST_TIME, environment=wan,
-                                      profile="Apache")
+def _first_time(environment: str = "WAN", server: str = "Apache"
+                ) -> Dict[str, ExperimentSpec]:
+    """HTTP/1.0's and pipelining's single-seed first-time cells, by
+    mode: the pair every congestion and slow-start ablation varies."""
+    return {mode.name: ablation_cell(mode, FIRST_TIME, environment, server)
             for mode in (HTTP10_MODE, HTTP11_PIPELINED)}
 
 
 @_claim("lossy-wan", "§Observations on congestion",
         "HTTP/1.1 also behaves better on loaded paths: fewer packets in "
-        "slow start, longer packet trains to learn from", _CLEAN_WAN)
-def _lossy_wan(clean):
-    lossy = _varied_wan(loss_rate=0.02)
+        "slow start, longer packet trains to learn from",
+        {(variant, mode): spec for variant in ("WAN", "WAN-LOSSY")
+         for mode, spec in _first_time(variant).items()})
+def _lossy_wan(cells):
     for mode in (PIPELINED, H10):
         yield _ratio(f"{mode}: 2% loss / clean elapsed",
-                     lossy[mode].elapsed, clean[mode].elapsed, ">")
+                     cells["WAN-LOSSY", mode].elapsed,
+                     cells["WAN", mode].elapsed, ">")
+    lossy, http10 = cells["WAN-LOSSY", PIPELINED], cells["WAN-LOSSY", H10]
     yield _ratio("2% loss: pipelined / HTTP/1.0 packets",
-                 lossy[PIPELINED].packets, lossy[H10].packets, "<", 1 / 2)
+                 lossy.packets, http10.packets, "<", 1 / 2)
     yield _ratio("2% loss: pipelined / HTTP/1.0 elapsed",
-                 lossy[PIPELINED].elapsed, lossy[H10].elapsed, "<")
+                 lossy.elapsed, http10.elapsed, "<")
 
 
 @_claim("drop-tail-bottleneck", "§Observations on congestion",
         "The first few packet exchanges of a new TCP connection are "
-        "either too fast, or too slow for that path.")
-def _drop_tail(_cells):
-    cells = _varied_wan(queue_limit_packets=10)
+        "either too fast, or too slow for that path.",
+        _first_time("WAN-DROPTAIL"))
+def _drop_tail(cells):
     pipelined, http10 = cells[PIPELINED], cells[H10]
     yield _check("10-packet buffer: pipelined congestion drops",
-                 pipelined.dropped_overflow, ">=", 1)
+                 pipelined.runs[0].dropped_overflow, ">=", 1)
     yield _ratio("10-packet buffer: pipelined / HTTP/1.0 packets",
                  pipelined.packets, http10.packets, "<", 1 / 2)
     yield _ratio("10-packet buffer: pipelined / HTTP/1.0 elapsed",
@@ -521,16 +521,11 @@ def _drop_tail(_cells):
 
 @_claim("slow-start-initial-window", "§Observations on slow start",
         "Some TCP stacks implement slow start using one TCP segment "
-        "whereas others implement it using two packets.")
-def _slow_start(_cells):
-    elapsed = {
-        (mode.name, segments): run_experiment(
-            mode, FIRST_TIME, environment="WAN",
-            profile=dataclasses.replace(
-                resolve_profile("Apache"),
-                initial_cwnd_segments=segments)).elapsed
-        for mode in (HTTP10_MODE, HTTP11_PIPELINED)
-        for segments in (1, 4)}
+        "whereas others implement it using two packets.",
+        {(mode, segments): spec for segments in (1, 4) for mode, spec
+         in _first_time(server=f"Apache-iw{segments}").items()})
+def _slow_start(cells):
+    elapsed = {key: cell.elapsed for key, cell in cells.items()}
     yield _ratio("initial cwnd 1 -> 4 speedup, HTTP/1.0 / pipelined",
                  elapsed[H10, 1] / elapsed[H10, 4],
                  elapsed[PIPELINED, 1] / elapsed[PIPELINED, 4], ">")
@@ -544,7 +539,7 @@ def _slow_start(_cells):
         {**{count: ablation_cell(HTTP11_PIPELINED, FIRST_TIME, "WAN",
                                  max_connections=count)
             for count in (1, 2, 4)},
-         H10: _CLEAN_WAN[H10]})
+         H10: _first_time()[H10]})
 def _two_connections(cells):
     for count in (1, 2, 4):
         yield _check(f"connections used with a budget of {count}",
@@ -600,9 +595,10 @@ def _compact_http(_cells):
 
 @_claim("render-multiplexing", "§Future work (time to render)",
         "with the range request techniques outlined in this paper, we "
-        "believe HTTP/1.1 can perform well over a single connection")
-def _render_multiplexing(_cells):
-    timelines = {name: render_timeline(name) for name in RENDER_STRATEGIES}
+        "believe HTTP/1.1 can perform well over a single connection",
+        {name: RenderSpec(name) for name in RENDER_STRATEGIES})
+def _render_multiplexing(cells):
+    timelines = {name: cell.runs[0] for name, cell in cells.items()}
     ranged = timelines["pipelined + range prefixes"]
     pipelined = timelines["HTTP/1.1 pipelined"]
     http10 = timelines["HTTP/1.0 x4 connections"]
@@ -734,8 +730,7 @@ def evaluate_claims(runner: Optional[MatrixRunner] = None) -> Ledger:
     The de-duplicated union of the claims' specs is one ``run_many``
     (a cell several claims read is simulated once, and ``--jobs`` sees
     every unit at once).  A claim any of whose cells lost a unit to
-    quarantine — or whose own measurement does not complete — is
-    ``UNMEASURED``, never ``PASS``.
+    quarantine is ``UNMEASURED``, never ``PASS``.
     """
     measured = measure_cells(
         {spec: spec
@@ -747,14 +742,10 @@ def evaluate_claims(runner: Optional[MatrixRunner] = None) -> Ledger:
                  for label, spec in claim.specs.items()}
         failures = [failure for cell in cells.values()
                     for failure in cell.failures]
-        try:
-            checked = ([CheckRow(f"{len(failures)} unit(s) quarantined, "
-                                 f"first: {failures[0].summary()}",
-                                 "-", "-", UNMEASURED)]
-                       if failures else list(claim.check(cells)))
-        except ExperimentError as exc:
-            checked = [CheckRow(f"measurement did not complete: {exc}",
-                                "-", "-", UNMEASURED)]
+        checked = ([CheckRow(f"{len(failures)} unit(s) quarantined, "
+                             f"first: {failures[0].summary()}",
+                             "-", "-", UNMEASURED)]
+                   if failures else claim.check(cells))
         rows.extend((claim, row) for row in checked)
     return Ledger(rows, _comparison_rows(
         {label: measured[spec] for label, spec in _TABLE_CELLS.items()}))

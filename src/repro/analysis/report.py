@@ -28,11 +28,13 @@ from ..core.modes import (HTTP10_MODE, HTTP11_PERSISTENT,
 from ..core.registry import (TABLE_CELLS, modes_for_environment,
                              resolve_environment, resolve_mode,
                              resolve_profile)
+from ..core.render import RenderMetrics, measure_render
 from ..core.runner import AveragedResult
 from ..core.scenarios import FIRST_TIME, REVALIDATE
 from ..http import (HTTP10, HTTP11, DeltaStreamEncoder, Headers, Request,
                     compression_ratio)
 from ..matrix import ExperimentSpec, MatrixRunner
+from ..matrix.cache import register_dataclass_codec
 from ..server.static import ResourceStore
 from .paperdata import (BROWSER_TABLES, CONTENT_NUMBERS, MODEM_TABLE,
                         PROTOCOL_TABLES, TABLE3)
@@ -321,13 +323,39 @@ RENDER_STRATEGIES: Dict[str, ClientConfig] = {
 }
 
 
-def render_timeline(strategy: str):
-    """One strategy's first-time rendering milestones (Apache, PPP), a
-    :class:`~repro.core.render.RenderMetrics`."""
-    from ..core.render import measure_render    # only these rows need it
-    return measure_render(RENDER_STRATEGIES[strategy],
-                          resolve_environment("PPP"),
-                          resolve_profile("Apache"))
+@dataclasses.dataclass(frozen=True)
+class RenderSpec:
+    """One strategy's first-time rendering timeline (Apache, PPP, no
+    jitter) as a matrix unit with a :class:`RenderMetrics` result.
+
+    It duck-types the unit surface as
+    :class:`~repro.fleet.spec.FleetUnitSpec` does, and lives here
+    because :mod:`repro.core` does not import the matrix engine.
+    """
+
+    strategy: str
+    seeds = (0,)
+    runs = 1
+    max_sim_time = 1200.0
+
+    def __post_init__(self) -> None:
+        if self.strategy not in RENDER_STRATEGIES:
+            raise ValueError(f"unknown render strategy {self.strategy!r}")
+
+    @property
+    def label(self) -> str:
+        return f"render | {self.strategy} | PPP | Apache"
+
+    def canonical_dict(self) -> Dict[str, str]:
+        return {"kind": "render", "strategy": self.strategy}
+
+    def execute_unit(self, seed: int) -> RenderMetrics:
+        return measure_render(RENDER_STRATEGIES[self.strategy],
+                              resolve_environment("PPP"),
+                              resolve_profile("Apache"), seed=seed)
+
+
+register_dataclass_codec("render", RenderMetrics)
 
 
 def bytes_for_90_percent_area(site, codec: str, *,
@@ -351,7 +379,8 @@ def packet_train_ratio(many: AveragedResult, one: AveragedResult) -> float:
 
 def reproduce_future_work(*, runner: Optional[MatrixRunner] = None
                           ) -> Tuple[dict, str]:
-    """Quantify the paper's future-work claims (single-seed runs).
+    """Quantify the paper's future-work claims (single-seed units, one
+    matrix batch).
 
     * compact wire representation: "an additional factor of five or
       ten" on pipelined revalidation requests,
@@ -360,55 +389,42 @@ def reproduce_future_work(*, runner: Optional[MatrixRunner] = None
     * progressive-rendering byte fractions (PNG vs GIF),
     * the two-connection allowance's effect on packet trains.
     """
-    run = _runner(runner)
     site = build_microscape_site()
-    results: dict = {}
-    rows = []
-
-    # Compact HTTP on the actual revalidation requests.
-    encoder = compact_revalidation_stream(site)[2]
-    results["compact_http_factor"] = encoder.ratio
-    rows.append(["compact HTTP on reval requests",
-                 f"{encoder.ratio:.1f}x", "5-10x (envelope)"])
-
-    # Server CPU per protocol mode (LAN, Apache).
-    cpu_saving = server_cpu_saving(*run.run_many([
+    http10, pipelined, plain, ranged, two, one = _runner(runner).run_many([
         ablation_cell(HTTP10_MODE, FIRST_TIME, "LAN"),
-        ablation_cell(HTTP11_PIPELINED, FIRST_TIME, "LAN")]))
-    results["server_cpu_saving"] = cpu_saving
-    rows.append(["server CPU saved by pipelining (first visit)",
-                 f"{cpu_saving:.0%}", '"very substantial"'])
-
-    # Render timelines on PPP.
-    plain = render_timeline("HTTP/1.1 pipelined")
-    ranged = render_timeline("pipelined + range prefixes")
-    results["layout_plain"] = plain.layout_complete
-    results["layout_ranged"] = ranged.layout_complete
-    rows.append(["time-to-layout, pipelined (PPP)",
-                 f"{plain.layout_complete:.1f} s", "-"])
-    rows.append(["time-to-layout, + range prefixes",
-                 f"{ranged.layout_complete:.1f} s",
-                 '"can perform well over a single connection"'])
-
-    # Progressive rendering on the hero image.
-    gif_i = bytes_for_90_percent_area(site, "gif", interlace=True)
-    png_i = bytes_for_90_percent_area(site, "png", interlace=True)
-    results["gif_interlace_90"] = gif_i
-    results["png_adam7_90"] = png_i
-    rows.append(["bytes for 90% area, interlaced GIF",
-                 f"{gif_i:.0%}", "-"])
-    rows.append(["bytes for 90% area, PNG Adam7", f"{png_i:.0%}",
-                 '"time to render benefits relative to GIF"'])
-
-    # Two-connection packet trains.
-    results["train_ratio"] = packet_train_ratio(*run.run_many([
+        ablation_cell(HTTP11_PIPELINED, FIRST_TIME, "LAN"),
+        RenderSpec("HTTP/1.1 pipelined"),
+        RenderSpec("pipelined + range prefixes"),
         ablation_cell(HTTP11_PIPELINED, FIRST_TIME, "WAN",
                       max_connections=2),
-        ablation_cell(HTTP11_PIPELINED, FIRST_TIME, "WAN")]))
-    rows.append(["packet-train length, 2 conns vs 1",
-                 f"{results['train_ratio']:.2f}x",
-                 '"down by a factor of two"'])
-
+        ablation_cell(HTTP11_PIPELINED, FIRST_TIME, "WAN")])
+    results = {
+        "compact_http_factor": compact_revalidation_stream(site)[2].ratio,
+        "server_cpu_saving": server_cpu_saving(http10, pipelined),
+        "layout_plain": plain.runs[0].layout_complete,
+        "layout_ranged": ranged.runs[0].layout_complete,
+        "gif_interlace_90": bytes_for_90_percent_area(
+            site, "gif", interlace=True),
+        "png_adam7_90": bytes_for_90_percent_area(
+            site, "png", interlace=True),
+        "train_ratio": packet_train_ratio(two, one)}
+    rows = [
+        ["compact HTTP on reval requests",
+         f"{results['compact_http_factor']:.1f}x", "5-10x (envelope)"],
+        ["server CPU saved by pipelining (first visit)",
+         f"{results['server_cpu_saving']:.0%}", '"very substantial"'],
+        ["time-to-layout, pipelined (PPP)",
+         f"{results['layout_plain']:.1f} s", "-"],
+        ["time-to-layout, + range prefixes",
+         f"{results['layout_ranged']:.1f} s",
+         '"can perform well over a single connection"'],
+        ["bytes for 90% area, interlaced GIF",
+         f"{results['gif_interlace_90']:.0%}", "-"],
+        ["bytes for 90% area, PNG Adam7",
+         f"{results['png_adam7_90']:.0%}",
+         '"time to render benefits relative to GIF"'],
+        ["packet-train length, 2 conns vs 1",
+         f"{results['train_ratio']:.2f}x", '"down by a factor of two"']]
     text = format_simple_table(
         "Beyond the tables: the paper's future work, quantified",
         ["quantity", "measured", "paper's words"], rows)

@@ -3,16 +3,17 @@
 This is the package that turns the substrates (simulated network, HTTP
 layer, clients, servers, content) into the paper's experiments::
 
-    from repro.core import run_repeated
+    from repro.core import run_experiment
 
-    row = run_repeated("pipelined", "first-time",
-                       environment="WAN", profile="Apache")
-    print(row.packets, row.payload_bytes, row.elapsed,
-          row.percent_overhead)
+    run = run_experiment("pipelined", "first-time",
+                         environment="WAN", profile="Apache", seed=0)
+    print(run.packets, run.payload_bytes, run.elapsed,
+          run.percent_overhead)
 
 Every axis accepts objects or registry names (:mod:`.registry` holds
 the single name table shared with the CLI and :mod:`repro.matrix`);
-``environment`` and ``profile`` are keyword-only.
+``environment`` and ``profile`` are keyword-only; :mod:`repro.matrix`
+averages a cell's seeded runs.
 """
 
 from .browsers import BROWSERS, BrowserProfile, IE_40B1, NETSCAPE_40B5
@@ -25,8 +26,7 @@ from .registry import (MODE_ALIASES, MODES, PROFILES, TABLE_CELLS,
                        resolve_scenario)
 from .render import GIF_DIMENSION_BYTES, RenderMetrics, measure_render
 from .runner import (AveragedResult, ExperimentError, RunResult,
-                     reset_default_site, run_experiment, run_repeated,
-                     warm_default_site)
+                     reset_default_site, run_experiment, warm_default_site)
 from .scenarios import FIRST_TIME, REVALIDATE, SCENARIOS, prefill_cache
 
 __all__ = [
@@ -39,6 +39,6 @@ __all__ = [
     "initial_tuning_client_config",
     "GIF_DIMENSION_BYTES", "RenderMetrics", "measure_render",
     "AveragedResult", "ExperimentError", "RunResult", "run_experiment",
-    "run_repeated", "warm_default_site", "reset_default_site",
+    "warm_default_site", "reset_default_site",
     "FIRST_TIME", "REVALIDATE", "SCENARIOS", "prefill_cache",
 ]

@@ -25,15 +25,17 @@ import difflib
 from typing import Dict, Iterable, Optional, Tuple, Union
 
 from ..client.robot import FIRST_TIME, REVALIDATE
-from ..server.profiles import (APACHE, APACHE_12B2, JIGSAW, JIGSAW_INITIAL,
+from ..server.profiles import (APACHE, APACHE_12B2, APACHE_IW1, APACHE_IW4,
+                               JIGSAW, JIGSAW_INITIAL, NAGLE_STALL_NODELAY,
                                NAGLE_STALL_SERVER, NAIVE_CLOSE_SERVER,
                                ServerProfile)
-from ..simnet.link import ENVIRONMENTS, NetworkEnvironment
+from ..simnet.link import (ENVIRONMENTS, WAN_DROPTAIL, WAN_LOSSY,
+                           NetworkEnvironment)
 
 __all__ = [
     "UnknownNameError",
-    "MODES", "MODE_ALIASES", "PROFILES", "SCENARIOS_BY_NAME",
-    "TABLE_CELLS",
+    "MODES", "MODE_ALIASES", "PROFILES", "ENVIRONMENTS_BY_NAME",
+    "SCENARIOS_BY_NAME", "TABLE_CELLS",
     "register_mode", "modes_for_environment",
     "resolve_mode", "resolve_environment", "resolve_profile",
     "resolve_scenario",
@@ -61,8 +63,13 @@ _PAPER_ENVIRONMENTS: Dict[str, Tuple[str, ...]] = {}
 PROFILES: Dict[str, ServerProfile] = {
     profile.name: profile
     for profile in (JIGSAW, APACHE, JIGSAW_INITIAL, APACHE_12B2,
-                    NAGLE_STALL_SERVER, NAIVE_CLOSE_SERVER)
+                    NAGLE_STALL_SERVER, NAIVE_CLOSE_SERVER,
+                    NAGLE_STALL_NODELAY, APACHE_IW1, APACHE_IW4)
 }
+
+#: Name (upper case) → environment: Table 1's three + ablation variants.
+ENVIRONMENTS_BY_NAME: Dict[str, NetworkEnvironment] = {
+    **ENVIRONMENTS, **{env.name: env for env in (WAN_LOSSY, WAN_DROPTAIL)}}
 
 #: Scenario spelling → canonical scenario constant.
 SCENARIOS_BY_NAME: Dict[str, str] = {
@@ -183,9 +190,9 @@ def resolve_environment(value: Union[str, NetworkEnvironment]
     """Resolve a network environment by object or (any-case) name."""
     if isinstance(value, NetworkEnvironment):
         return value
-    environment = ENVIRONMENTS.get(str(value).upper())
+    environment = ENVIRONMENTS_BY_NAME.get(str(value).upper())
     if environment is None:
-        raise _unknown("environment", value, ENVIRONMENTS)
+        raise _unknown("environment", value, ENVIRONMENTS_BY_NAME)
     return environment
 
 

@@ -128,15 +128,11 @@ class _RenderObserver:
         return html is not None and html.body == self.site.html.body
 
 
-def measure_render(config: ClientConfig,
-                   environment: NetworkEnvironment,
-                   profile: ServerProfile, *,
-                   site: Optional[MicroscapeSite] = None,
-                   seed: int = 0, jitter: float = 0.0) -> RenderMetrics:
-    """Run a first-time retrieval and report its rendering timeline."""
+def measure_render(config: ClientConfig, environment: NetworkEnvironment,
+                   profile: ServerProfile, *, seed: int = 0) -> RenderMetrics:
+    """A jitter-free first-time retrieval's rendering timeline."""
     transport = Transport()
-    testbed = Testbed(environment, profile, transport, site=site,
-                      seed=seed, jitter=jitter)
+    testbed = Testbed(environment, profile, transport, seed=seed)
     observer = _RenderObserver(testbed.site, testbed.net.sim)
     try:
         result = testbed.fetch_page(transport, config, FIRST_TIME,

@@ -8,8 +8,8 @@ quiescence, verifies the transfer was correct, and reduces the packet
 trace to the paper's Pa / Bytes / Sec / %ov columns;
 :func:`~repro.core.render.measure_render` and a fleet cohort
 (:func:`~repro.fleet.engine.run_cohort`) drive the same assembly.
-:func:`run_repeated` averages five seeded runs, as every number in
-Tables 3–11 is.
+:class:`AveragedResult` is the mean of seeded runs, as every number in
+Tables 3–11 is; the matrix engine builds one per cell.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .transport import Transport
 
 __all__ = ["RunResult", "RESULT_FIELDS", "PAYLOAD_FIELDS",
            "AveragedResult", "ExperimentError",
-           "UnitFailure", "Testbed", "run_experiment", "run_repeated",
+           "UnitFailure", "Testbed", "run_experiment",
            "warm_default_site", "reset_default_site", "nearest_rank"]
 
 
@@ -562,16 +562,3 @@ def _verify(result: FetchResult, scenario: str,
         else:
             if response.status not in (200, 304):
                 raise ExperimentError(f"{url}: status {response.status}")
-
-
-def run_repeated(mode: Union[str, ProtocolMode], scenario: str, *,
-                 environment: Union[str, NetworkEnvironment],
-                 profile: Union[str, ServerProfile], runs: int = 5,
-                 seeds: Optional[Sequence[int]] = None,
-                 **kwargs) -> AveragedResult:
-    """Average ``runs`` seeded runs, as the paper's tables do."""
-    seeds = seeds if seeds is not None else range(runs)
-    return AveragedResult([
-        run_experiment(mode, scenario, environment=environment,
-                       profile=profile, seed=seed, **kwargs)
-        for seed in seeds])

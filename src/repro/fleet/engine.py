@@ -20,15 +20,13 @@ cache and the run journal byte-identically.
 from __future__ import annotations
 
 import dataclasses
-import functools
-import typing
-from typing import Any, Dict, List, Tuple
+from typing import List, Tuple
 
 from ..core.registry import (resolve_environment, resolve_mode,
                              resolve_profile)
 from ..core.runner import Testbed
 from ..core.transport import Transport
-from ..matrix.cache import register_result_codec
+from ..matrix.cache import register_dataclass_codec
 from ..simnet.network import SERVER_HOST, fleet_client_host
 from .spec import FleetUnitSpec, UserPlan
 
@@ -179,25 +177,4 @@ def run_cohort(unit: FleetUnitSpec, seed: int) -> CohortResult:
         testbed.close()
 
 
-# ----------------------------------------------------------------------
-# Cache / journal codec
-# ----------------------------------------------------------------------
-
-def _from_payload(cls: type, payload: Dict[str, Any]) -> Any:
-    """Invert ``dataclasses.asdict`` after a JSON round trip, from the
-    fields' annotations: a ``Tuple[X, ...]`` field comes back a tuple,
-    of ``X`` rebuilt the same way where ``X`` is itself a dataclass."""
-    columns = {}
-    for name, hint in typing.get_type_hints(cls).items():
-        value = payload[name]
-        if typing.get_origin(hint) is tuple:
-            row = typing.get_args(hint)[0]
-            value = tuple(_from_payload(row, item)
-                          if dataclasses.is_dataclass(row) else item
-                          for item in value)
-        columns[name] = value
-    return cls(**columns)
-
-
-register_result_codec("fleet-cohort", CohortResult, dataclasses.asdict,
-                      functools.partial(_from_payload, CohortResult))
+register_dataclass_codec("fleet-cohort", CohortResult)

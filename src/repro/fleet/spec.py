@@ -31,7 +31,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..core.registry import (resolve_environment, resolve_mode,
                              resolve_profile, resolve_scenario)
 from ..core.transport import MuxTransport, ShardedTransport
-from ..matrix.spec import canonical_fields
+from ..matrix.spec import canonical_fields, registered_name
 
 __all__ = ["DEFAULT_MODE_MIX", "UserPlan", "FleetSpec", "FleetUnitSpec"]
 
@@ -93,12 +93,12 @@ class FleetSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "environment",
-                           resolve_environment(self.environment).name)
+        object.__setattr__(self, "environment", registered_name(
+            self.environment, resolve_environment))
         object.__setattr__(self, "scenario",
                            resolve_scenario(self.scenario))
         object.__setattr__(self, "server",
-                           resolve_profile(self.server).name)
+                           registered_name(self.server, resolve_profile))
         if self.users <= 0:
             raise ValueError("a fleet needs at least one user")
         if not 0 < self.cohorts <= self.users:

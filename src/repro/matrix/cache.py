@@ -8,8 +8,8 @@ automatically misses and re-measures.  Entries are JSON files under
 ``.repro-cache/``, one per unit, written atomically.
 
 Every unit result type — :class:`~repro.core.runner.RunResult`, a
-fleet cohort — serializes through a codec registered under a
-``__kind__`` name (:func:`register_result_codec`).  A ``RunResult``
+fleet cohort, a render timeline — serializes through a codec registered
+under a ``__kind__`` name (:func:`register_result_codec`).  A ``RunResult``
 entry stores every measurement column the class declares
 (:data:`~repro.core.runner.PAYLOAD_FIELDS`, including the ``recovery``
 and ``perf`` counts); the per-run packet trace and fetch transcript are
@@ -20,10 +20,13 @@ fresh runs too, keeping cached and simulated results interchangeable.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import itertools
 import json
 import os
+import typing
 from pathlib import Path
 from typing import (Any, Callable, Dict, Iterable, Optional, Tuple,
                     TypeVar, Union)
@@ -34,8 +37,8 @@ from .spec import ExperimentSpec
 
 __all__ = ["DEFAULT_CACHE_DIR", "ResultCache", "unit_key",
            "result_to_payload", "result_from_payload",
-           "register_result_codec", "encode_result", "decode_result",
-           "UnknownResultKind"]
+           "register_result_codec", "register_dataclass_codec",
+           "encode_result", "decode_result", "UnknownResultKind"]
 
 DEFAULT_CACHE_DIR = ".repro-cache"
 
@@ -167,6 +170,28 @@ def decode_result(payload: Dict[str, Any]) -> Any:
     if entry is None:
         raise UnknownResultKind(kind)
     return entry[2](payload)
+
+
+def _dataclass_from_payload(cls: type, payload: Dict[str, Any]) -> Any:
+    """Invert ``dataclasses.asdict`` after a JSON round trip, from the
+    fields' annotations: a ``Tuple[X, ...]`` field comes back a tuple,
+    of ``X`` rebuilt the same way where ``X`` is itself a dataclass."""
+    columns = {}
+    for name, hint in typing.get_type_hints(cls).items():
+        value = payload[name]
+        if typing.get_origin(hint) is tuple:
+            row = typing.get_args(hint)[0]
+            value = tuple(_dataclass_from_payload(row, item)
+                          if dataclasses.is_dataclass(row) else item
+                          for item in value)
+        columns[name] = value
+    return cls(**columns)
+
+
+def register_dataclass_codec(kind: str, cls: type) -> None:
+    """Register the dataclass ``cls`` as ``kind``, serialized by field."""
+    register_result_codec(kind, cls, dataclasses.asdict,
+                          functools.partial(_dataclass_from_payload, cls))
 
 
 register_result_codec("run", RunResult, result_to_payload,

@@ -176,10 +176,10 @@ def run_unit(spec: ExperimentSpec, seed: int) -> Tuple[object, float]:
 
     Every unit spec — a protocol cell
     (:meth:`ExperimentSpec.execute_unit
-    <repro.matrix.spec.ExperimentSpec.execute_unit>`) or a fleet cohort
-    — runs through its own ``execute_unit(seed)``; the runner,
-    supervisor, cache and journal treat the result opaquely via its
-    registered codec.
+    <repro.matrix.spec.ExperimentSpec.execute_unit>`), a fleet cohort or
+    a render timeline — runs through its own ``execute_unit(seed)``; the
+    runner, supervisor, cache and journal treat the result opaquely via
+    its registered codec.
     """
     start = time.perf_counter()
     result = spec.execute_unit(seed)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import Any, Dict, List, Mapping, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Tuple, Union
 
 from ..client.robot import ClientConfig
 from ..core.modes import ProtocolMode
@@ -32,7 +32,7 @@ from ..server.profiles import ServerProfile
 from ..simnet.link import NetworkEnvironment
 
 __all__ = ["DEFAULT_SEEDS", "ExperimentSpec", "ExperimentMatrix",
-           "canonical_fields", "client_config_overrides"]
+           "canonical_fields", "client_config_overrides", "registered_name"]
 
 #: The paper averaged five seeded runs per cell.
 DEFAULT_SEEDS: Tuple[int, ...] = (0, 1, 2, 3, 4)
@@ -63,6 +63,20 @@ def canonical_fields(spec: Any) -> Dict[str, Any]:
     return {field.name: _jsonable(getattr(spec, field.name))
             for field in dataclasses.fields(spec)
             if field.metadata.get("cache_key", True)}
+
+
+def registered_name(value: Any, resolve: Callable[[Any], Any]) -> str:
+    """The registry name of an axis ``value`` (a name or an object).
+
+    A spec stores the name alone, so an object must be the registry's
+    entry under its own name: a :func:`dataclasses.replace` copy would
+    otherwise key, and run, as the entry it was copied from."""
+    entry = resolve(value)
+    if not isinstance(value, str) and resolve(entry.name) != entry:
+        raise ValueError(f"{entry.name!r} is not the registry's entry of "
+                         f"that name; register the variant under a name "
+                         f"of its own (as WAN-LOSSY and Apache-iw4 are)")
+    return entry.name
 
 
 def _freeze(value: Any) -> Any:
@@ -111,9 +125,9 @@ def client_config_overrides(mode: Modeish,
 class ExperimentSpec:
     """One fully specified cell of the experiment grid.
 
-    Axis fields accept objects or names and are stored canonicalized
-    (``"pipelined"`` becomes ``"HTTP/1.1 Pipelined"``), so equal
-    experiments are equal specs.
+    Axis fields accept registered objects or names and are stored
+    canonicalized (``"pipelined"`` becomes ``"HTTP/1.1 Pipelined"``), so
+    equal experiments are equal specs (:func:`registered_name`).
     """
 
     mode: str = "HTTP/1.1 Pipelined"
@@ -140,11 +154,11 @@ class ExperimentSpec:
 
     def __post_init__(self) -> None:
         set_ = object.__setattr__
-        set_(self, "mode", resolve_mode(self.mode).name)
+        set_(self, "mode", registered_name(self.mode, resolve_mode))
         set_(self, "scenario", resolve_scenario(self.scenario))
         set_(self, "environment",
-             resolve_environment(self.environment).name)
-        set_(self, "server", resolve_profile(self.server).name)
+             registered_name(self.environment, resolve_environment))
+        set_(self, "server", registered_name(self.server, resolve_profile))
         seeds = self.seeds
         if isinstance(seeds, int):
             seeds = (seeds,)
@@ -257,20 +271,19 @@ class ExperimentMatrix:
     def __post_init__(self) -> None:
         set_ = object.__setattr__
 
-        def axis(value, resolver, attribute):
+        def axis(value, resolver):
             values = (value,) if isinstance(value, str) else tuple(value)
-            resolved = tuple(getattr(resolver(v), attribute)
-                             for v in values)
+            resolved = tuple(registered_name(v, resolver) for v in values)
             if not resolved:
                 raise ValueError("matrix axes cannot be empty")
             if len(set(resolved)) != len(resolved):
                 raise ValueError(f"duplicate axis entries: {resolved}")
             return resolved
 
-        set_(self, "modes", axis(self.modes, resolve_mode, "name"))
+        set_(self, "modes", axis(self.modes, resolve_mode))
         set_(self, "environments",
-             axis(self.environments, resolve_environment, "name"))
-        set_(self, "servers", axis(self.servers, resolve_profile, "name"))
+             axis(self.environments, resolve_environment))
+        set_(self, "servers", axis(self.servers, resolve_profile))
         scenarios = ((self.scenarios,) if isinstance(self.scenarios, str)
                      else tuple(self.scenarios))
         resolved = tuple(resolve_scenario(s) for s in scenarios)

@@ -25,7 +25,8 @@ import dataclasses
 from typing import Optional
 
 __all__ = ["ServerProfile", "JIGSAW", "JIGSAW_INITIAL", "APACHE",
-           "APACHE_12B2", "NAIVE_CLOSE_SERVER", "NAGLE_STALL_SERVER"]
+           "APACHE_12B2", "NAIVE_CLOSE_SERVER", "NAGLE_STALL_SERVER",
+           "NAGLE_STALL_NODELAY", "APACHE_IW1", "APACHE_IW4"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -106,8 +107,8 @@ JIGSAW_INITIAL = ServerProfile(
 #: status line, headers and body separately, with Nagle enabled.  "In
 #: later experiments in which the buffering behavior of the
 #: implementations were changed, we did observe significant (sometimes
-#: dramatic) transmission delays due to Nagle."  Compare against the
-#: same profile with ``nodelay=True``.
+#: dramatic) transmission delays due to Nagle."  Compare against
+#: :data:`NAGLE_STALL_NODELAY`, the same server with TCP_NODELAY.
 NAGLE_STALL_SERVER = ServerProfile(
     name="NagleStall",
     base_cpu=0.0040,
@@ -160,6 +161,15 @@ APACHE_12B2 = ServerProfile(
     max_requests_per_connection=5,
     server_header="Apache/1.2b2",
 )
+
+#: Single-variable ablations, named so a spec can say which it ran: the
+#: Nagle stall's fix, and slow start from one segment or four.
+NAGLE_STALL_NODELAY = dataclasses.replace(
+    NAGLE_STALL_SERVER, name="NagleStall-nodelay", nodelay=True)
+APACHE_IW1 = dataclasses.replace(APACHE, name="Apache-iw1",
+                                 initial_cwnd_segments=1)
+APACHE_IW4 = dataclasses.replace(APACHE, name="Apache-iw4",
+                                 initial_cwnd_segments=4)
 
 #: A deliberately broken server that closes both connection halves at
 #: once — the "Connection Management" cautionary tale.

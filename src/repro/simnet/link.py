@@ -31,7 +31,7 @@ from .engine import Simulator
 from .packet import HEADER_BYTES, Segment
 
 __all__ = ["WireCompressor", "Link", "NetworkEnvironment", "ENVIRONMENTS",
-           "LAN", "WAN", "PPP"]
+           "LAN", "WAN", "PPP", "WAN_LOSSY", "WAN_DROPTAIL"]
 
 #: Shared serialization-queue keys used when :attr:`Link.bottleneck_host`
 #: is set.  Traffic *from* the bottleneck host (the server's downlink)
@@ -287,8 +287,8 @@ class NetworkEnvironment:
     #: Whether the modem applies V.42bis-style stream compression.
     modem_compression: bool = False
     #: :class:`Link`'s parameters of the same names.  The paper's three
-    #: paths were quiet and unbounded; the congested-path ablations vary
-    #: them with :func:`dataclasses.replace`.
+    #: paths were quiet and unbounded; the congested-path ablations run
+    #: on the registered variants :data:`WAN_LOSSY` / :data:`WAN_DROPTAIL`.
     loss_rate: float = 0.0
     queue_limit_packets: Optional[int] = None
 
@@ -325,6 +325,12 @@ WAN = NetworkEnvironment(
     bandwidth_bps=1_000_000.0,
     rtt=0.090,
 )
+
+#: The congested-path ablations' WANs (2 % loss; a 10-packet drop-tail
+#: buffer), named for specs.  Not Table 1 rows, so not in ENVIRONMENTS.
+WAN_LOSSY = dataclasses.replace(WAN, name="WAN-LOSSY", loss_rate=0.02)
+WAN_DROPTAIL = dataclasses.replace(WAN, name="WAN-DROPTAIL",
+                                   queue_limit_packets=10)
 
 #: Low bandwidth, high latency: 28.8k dialup PPP, RTT ~ 150 ms.
 #: The modem pair runs V.42 LAPM (synchronous HDLC, ~8.3 line bits per

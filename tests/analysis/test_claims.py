@@ -25,7 +25,8 @@ from repro.analysis import claims as claims_module
 from repro.analysis.claims import (CLAIMS, FAIL, PASS, UNMEASURED, CheckRow,
                                    Claim, Ledger, evaluate_claims,
                                    format_claims_report)
-from repro.core import TABLE_CELLS, ExperimentError
+from repro.analysis.report import RenderSpec, ablation_cell
+from repro.core import FIRST_TIME, TABLE_CELLS, RenderMetrics
 from repro.faults.harness import HarnessFaultPlan
 from repro.matrix import MatrixRunner, ResultCache, unit_key
 
@@ -122,12 +123,47 @@ def test_table_claims_and_the_report_share_their_cache_units(run):
     assert (runner.stats.sim_runs, runner.stats.cache_hits) == (0, 279)
 
 
-def test_a_cached_serial_run_prints_what_the_parallel_cold_run_did(run):
+def test_a_cached_serial_run_prints_what_the_parallel_cold_run_did(
+        run, monkeypatch):
+    """Every simulation is a cache unit: the replay builds no testbed
+    (the proxy chain, the one in-check simulation, wires its own)."""
     ledger, cache_dir = run
+
+    def no_testbed(*_args, **_kwargs):
+        raise AssertionError("the cached ledger simulated a testbed")
+
+    monkeypatch.setattr("repro.core.runner.Testbed.__init__", no_testbed)
     status, out, err = run_verb("claims", "--cache", "--cache-dir",
                                 str(cache_dir))
     assert (status, out) == (0, format_claims_report(ledger) + "\n")
-    assert " 0 simulated" in err
+    assert " 0 simulated, 311 cache hits" in err
+
+
+def test_each_variant_is_a_unit_of_its_own():
+    """A varied link or server is a registered name, so its cell keys
+    the cache apart from the entry it varies."""
+    for (environment, server), clean in (
+            (("LAN", "NagleStall-nodelay"), ("LAN", "NagleStall")),
+            (("WAN-LOSSY", "Apache"), ("WAN", "Apache")),
+            (("WAN-DROPTAIL", "Apache"), ("WAN", "Apache")),
+            (("WAN", "Apache-iw1"), ("WAN", "Apache")),
+            (("WAN", "Apache-iw4"), ("WAN", "Apache"))):
+        assert unit_key(ablation_cell(
+            "pipelined", FIRST_TIME, environment, server), 0) != unit_key(
+            ablation_cell("pipelined", FIRST_TIME, *clean), 0)
+
+
+def test_render_timelines_ride_the_result_cache(tmp_path):
+    cache = ResultCache(tmp_path / "cache")
+    spec = RenderSpec("pipelined + range prefixes")
+    metrics = RenderMetrics(first_html_byte=0.1 + 0.2, html_complete=1.5,
+                            layout_complete=None, full_render=61.25,
+                            images_expected=42, verified=True)
+    cache.put(spec, 0, metrics)
+    assert cache.get(spec, 0) == metrics
+    assert cache.get(RenderSpec("HTTP/1.1 pipelined"), 0) is None
+    with pytest.raises(ValueError, match="unknown render strategy"):
+        RenderSpec("HTTP/3")
 
 
 # ----------------------------------------------------------------------
@@ -138,23 +174,17 @@ def _false_claim(_cells):
     yield claims_module._check("water flows uphill", 1.0, ">", 2.0)
 
 
-def _unfinished_claim(_cells):
-    raise ExperimentError("fetch did not complete")
-    yield
-
-
 def test_fail_and_unmeasured_rows_print_and_exit_1(run, monkeypatch,
                                                    tmp_path):
-    """A falsified bound, a quarantined cell and a measurement that does
-    not complete each cost a row — and the exit status; a table that
-    lost a unit gets no fidelity score, and neither does the whole."""
+    """A falsified bound and a quarantined cell each cost a row — and
+    the exit status; a table that lost a unit gets no fidelity score,
+    and neither does the whole."""
     within_2x = next(claim for claim in CLAIMS
                      if claim.id == "paper-cells-within-2x")
     monkeypatch.setattr(claims_module, "CLAIMS", [
         dataclasses.replace(within_2x, check=lambda cells: pytest.fail(
             "checked a quarantined cell")),
-        Claim("false-claim", "test", "test", {}, _false_claim),
-        Claim("unfinished-claim", "test", "test", {}, _unfinished_claim)])
+        Claim("false-claim", "test", "test", {}, _false_claim)])
     # Unit 0 of the batch is seed 0 of Table 4's first cell: missing
     # from this copy of the cache, it is dispatched — and poisoned.
     cache = ResultCache(shutil.copytree(run[1], tmp_path / "cache"))
@@ -170,10 +200,8 @@ def test_fail_and_unmeasured_rows_print_and_exit_1(run, monkeypatch,
     last_column = {line.split()[0]: line.split()[-1]
                    for line in out.splitlines() if line.split()}
     assert (last_column["paper-cells-within-2x"],
-            last_column["false-claim"],
-            last_column["unfinished-claim"]) == (UNMEASURED, FAIL,
-                                                 UNMEASURED)
-    assert "HarnessPoisonError" in out and "3 claims" in out
+            last_column["false-claim"]) == (UNMEASURED, FAIL)
+    assert "HarnessPoisonError" in out and "2 claims" in out
     fidelity_rows = {line.split()[1]: line.split()[-6:]
                      for line in out.splitlines()
                      if line.startswith("Table ")}

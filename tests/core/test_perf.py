@@ -1,6 +1,6 @@
 """Perf-counter surfacing through traces and averaged results."""
 
-from repro.core.runner import run_experiment, run_repeated
+from repro.core.runner import AveragedResult, run_experiment
 
 
 def test_trace_summary_carries_perf_counters():
@@ -22,8 +22,9 @@ def test_lazy_timers_absorb_rearms():
 
 
 def test_averaged_result_aggregates_perf():
-    averaged = run_repeated("HTTP/1.1", "first-time", environment="LAN",
-                            profile="Apache", runs=2)
+    averaged = AveragedResult([
+        run_experiment("HTTP/1.1", "first-time", environment="LAN",
+                       profile="Apache", seed=seed) for seed in range(2)])
     per_run = [r.trace.perf for r in averaged.runs]
     total = averaged.perf
     assert total.events_processed == sum(p.events_processed

@@ -9,8 +9,8 @@ import pytest
 from repro.core import (FIRST_TIME, HTTP10_MODE,
                         HTTP11_PERSISTENT, HTTP11_PIPELINED,
                         HTTP11_PIPELINED_COMPRESSED, REVALIDATE,
-                        ExperimentError, modes_for_environment,
-                        run_experiment, run_repeated)
+                        AveragedResult, ExperimentError,
+                        modes_for_environment, run_experiment)
 from repro.server import APACHE, JIGSAW
 from repro.simnet import LAN, PPP, WAN
 
@@ -162,9 +162,9 @@ def test_ppp_elapsed_is_bandwidth_dominated():
 # Runner machinery
 # ----------------------------------------------------------------------
 def test_run_repeated_averages(lan_cells):
-    averaged = run_repeated(HTTP11_PIPELINED, REVALIDATE, environment=LAN,
-                            profile=APACHE,
-                            runs=3)
+    averaged = AveragedResult([
+        run_experiment(HTTP11_PIPELINED, REVALIDATE, environment=LAN,
+                       profile=APACHE, seed=seed) for seed in range(3)])
     assert len(averaged.runs) == 3
     packets = [r.packets for r in averaged.runs]
     assert min(packets) <= averaged.packets <= max(packets)

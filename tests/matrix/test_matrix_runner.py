@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.report import protocol_table_specs
 from repro.core import TABLE_CELLS
-from repro.core.runner import RESULT_FIELDS, run_experiment, run_repeated
+from repro.core.runner import (RESULT_FIELDS, AveragedResult,
+                               run_experiment)
 from repro.matrix import (ExperimentSpec, MatrixRunner,
                           ResultCache, RunJournal, unit_key)
 
@@ -28,9 +29,10 @@ def assert_results_identical(a, b):
 def test_serial_matches_run_repeated():
     spec = ExperimentSpec(seeds=(0, 1), **FAST)
     matrix_result = MatrixRunner().run(spec)
-    legacy = run_repeated(spec.mode, spec.scenario,
-                          environment=spec.environment,
-                          profile=spec.server, seeds=(0, 1))
+    legacy = AveragedResult([
+        run_experiment(spec.mode, spec.scenario,
+                       environment=spec.environment, profile=spec.server,
+                       seed=seed) for seed in (0, 1)])
     assert matrix_result.packets == legacy.packets
     assert matrix_result.elapsed == legacy.elapsed
     assert matrix_result.percent_overhead == legacy.percent_overhead

@@ -4,13 +4,13 @@ import pytest
 
 from repro.core import (HTTP10_MODE, HTTP11_PIPELINED, FIRST_TIME,
                         REVALIDATE)
-from repro.core.registry import (MODES, PROFILES, TABLE_CELLS,
-                                 UnknownNameError, modes_for_environment,
-                                 register_mode, resolve_environment,
-                                 resolve_mode, resolve_profile,
-                                 resolve_scenario)
+from repro.core.registry import (ENVIRONMENTS_BY_NAME, MODES, PROFILES,
+                                 TABLE_CELLS, UnknownNameError,
+                                 modes_for_environment, register_mode,
+                                 resolve_environment, resolve_mode,
+                                 resolve_profile, resolve_scenario)
 from repro.server import APACHE
-from repro.simnet import WAN
+from repro.simnet import ENVIRONMENTS, WAN
 
 
 def test_canonical_names_resolve():
@@ -69,6 +69,10 @@ def test_registry_maps_are_canonical():
         assert mode.name == name
     for name, profile in PROFILES.items():
         assert profile.name == name
+    assert set(ENVIRONMENTS) < set(ENVIRONMENTS_BY_NAME)
+    for name in ENVIRONMENTS_BY_NAME:
+        assert name == name.upper()
+        assert resolve_environment(name.lower()).name == name
 
 
 # ----------------------------------------------------------------------

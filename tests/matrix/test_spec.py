@@ -11,8 +11,11 @@ from repro.client.robot import ClientConfig
 from repro.core import (HTTP10_MODE, HTTP11_PIPELINED, TABLE_CELLS,
                         UnknownNameError)
 from repro.core.browsers import BROWSERS
+from repro.fleet import FleetSpec
 from repro.matrix import (DEFAULT_SEEDS, ExperimentMatrix, ExperimentSpec,
                           client_config_overrides, unit_key)
+from repro.server.profiles import APACHE, APACHE_IW4
+from repro.simnet.link import WAN, WAN_LOSSY
 
 
 # ----------------------------------------------------------------------
@@ -40,6 +43,32 @@ def test_mode_object_accepted():
     spec = ExperimentSpec(mode=HTTP11_PIPELINED)
     assert spec.mode == HTTP11_PIPELINED.name
     assert spec.resolved_mode() is HTTP11_PIPELINED
+
+
+def test_registered_objects_accepted_as_their_names():
+    spec = ExperimentSpec(environment=WAN_LOSSY, server=APACHE_IW4)
+    assert (spec.environment, spec.server) == ("WAN-LOSSY", "Apache-iw4")
+    assert spec == ExperimentSpec(environment="wan-lossy",
+                                  server="apache-iw4")
+
+
+def test_unregistered_variants_are_rejected():
+    """A spec stores names only, so a ``dataclasses.replace`` copy of a
+    registry entry used to key — and run — as the entry itself."""
+    lossy = dataclasses.replace(WAN, loss_rate=0.02)
+    iw1 = dataclasses.replace(APACHE, initial_cwnd_segments=1)
+    tuned = dataclasses.replace(HTTP11_PIPELINED, client_fields={})
+    for axes in ({"environment": lossy}, {"server": iw1}, {"mode": tuned}):
+        with pytest.raises(ValueError, match="register the variant"):
+            ExperimentSpec(seeds=(0,), **axes)
+    with pytest.raises(UnknownNameError, match="unknown environment"):
+        ExperimentSpec(environment=dataclasses.replace(WAN, name="SAT"))
+    for axes in ({"environments": ("LAN", lossy)}, {"servers": (iw1,)},
+                 {"modes": (tuned,)}):
+        with pytest.raises(ValueError, match="register the variant"):
+            ExperimentMatrix(**axes)
+    with pytest.raises(ValueError, match="register the variant"):
+        FleetSpec(environment=lossy)
 
 
 def test_defaults():
