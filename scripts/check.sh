@@ -37,11 +37,26 @@ sh scripts/lint.sh
 #     chaos cell per plan, the proxy chain, a render run, a contended
 #     fleet under gc.DEBUG_SAVEALL) — tests/test_object_lifetime.py
 #     (not slow-marked: FAST=1 keeps it)
+#   nothing under src/repro is kept alive only by its tests: every
+#     module backs a verb, every definition is named from src/ or
+#     bench/, and every option (a defaulted __init__ parameter or
+#     dataclass field) is set there —
+#     tests/test_reachability.py::test_every_option_is_set_outside_its_tests
+#     (not slow-marked: FAST=1 keeps it)
 # ... and src/ never tunes the collector instead (the stats line's
 # `gc K collected` reads gc.get_stats() only):
 if grep -rnE "gc\.(disable|enable|freeze|unfreeze|set_threshold|collect)" src/
 then
     echo "check.sh: collector tuning in src/ (DESIGN.md, Object lifetime)" >&2
+    exit 1
+fi
+# A runner flag that makes no sense is an argparse usage error (exit 2)
+# before anything runs — not a grid of quarantined units.
+status=0
+python -m repro table 4 --runs 1 --unit-deadline 0 > /dev/null 2>&1 \
+    || status=$?
+if [ "$status" -ne 2 ]; then
+    echo "check.sh: --unit-deadline 0 exited $status, not 2" >&2
     exit 1
 fi
 if [ "${FAST:-0}" = "1" ]; then

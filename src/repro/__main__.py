@@ -43,12 +43,13 @@ and ``--cache-dir PATH``; the first four plus ``run`` accept
 under ``.repro-cache/artifacts/``).  Host-time measurement is not a
 verb here: ``bash bench/run.sh`` is the repo's one benchmark.
 
-Supervised execution (the same six verbs): ``--retry-budget N`` caps
-per-unit re-dispatches after a failure, ``--unit-deadline S`` bounds a
-unit's wall-clock time in a worker, and ``--journal`` records every
-resolved unit into a crash-safe run journal under
+Supervised execution (the same six verbs): ``--retry-budget N`` (≥ 0)
+caps per-unit re-dispatches after a failure, ``--unit-deadline S``
+(> 0) bounds a unit's wall-clock time in a worker, and ``--journal``
+records every resolved unit into a crash-safe run journal under
 ``.repro-cache/runs/``; ``--resume [RUN_ID]`` replays a recorded run's
-units byte-identically and simulates only what is missing.
+units byte-identically and simulates only what is missing.  Any of the
+six exits 1 when a unit was quarantined (its output still printed).
 
 All name resolution goes through the same
 :mod:`repro.core.registry` the library API uses, so every spelling
@@ -70,7 +71,7 @@ from .core import (TABLE_CELLS, UnknownNameError, resolve_environment,
                    resolve_mode, resolve_profile, resolve_scenario,
                    run_experiment)
 from .matrix import MatrixRunner
-from .matrix.cli import add_runner_flags, make_runner
+from .matrix.cli import add_runner_flags, finish, make_runner
 
 #: Flags that do not change *what* is computed, excluded from derived
 #: journal run ids so re-invocations with different machinery (jobs,
@@ -129,8 +130,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         _, text = reproduce_browser_table(server, runs=args.runs,
                                           runner=runner)
     print(text)
-    print(runner.stats.summary(), file=sys.stderr)
-    return 0
+    return finish(runner)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -162,8 +162,7 @@ def _cmd_modem(args: argparse.Namespace) -> int:
     runner = _make_runner(args)
     _, text = reproduce_modem_experiment(runs=args.runs, runner=runner)
     print(text)
-    print(runner.stats.summary(), file=sys.stderr)
-    return 0
+    return finish(runner)
 
 
 def _cmd_content(_args: argparse.Namespace) -> int:
@@ -191,8 +190,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     print(generate_experiments_report(runs=args.runs,
                                       browser_runs=min(args.runs, 3),
                                       runner=runner))
-    print(runner.stats.summary(), file=sys.stderr)
-    return 0
+    return finish(runner)
 
 
 def _cmd_claims(args: argparse.Namespace) -> int:
@@ -200,8 +198,7 @@ def _cmd_claims(args: argparse.Namespace) -> int:
     runner = _make_runner(args)
     ledger = evaluate_claims(runner)
     print(format_claims_report(ledger))
-    print(runner.stats.summary(), file=sys.stderr)
-    return 0 if ledger.ok else 1
+    return max(finish(runner), 0 if ledger.ok else 1)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -43,7 +43,7 @@ from ..http import (DELTA_IM_TOKEN, HTTP10, HTTP11, DeltaStreamDecoder,
                     compression_ratio, deflate_decode, deflate_encode)
 from ..matrix import ExperimentSpec, MatrixRunner
 from ..server import ResourceStore, SimHttpServer, build_response
-from ..server.proxy import SimHttpProxy
+from ..server.proxy import PROXY_PORT, SimHttpProxy
 from ..simnet.network import ChainNetwork, PROXY_HOST, SERVER_HOST
 from .paperdata import CONTENT_NUMBERS
 from .report import (RENDER_STRATEGIES, RenderSpec, ablation_cell,
@@ -679,7 +679,7 @@ def fetch_through_proxy(mode: str) -> Tuple[list, float, int]:
     parser = ResponseParser()
     parser.expect("GET")
     responses: list = []
-    conn = net.client.connect(PROXY_HOST, 8080)
+    conn = net.client.connect(PROXY_HOST, PROXY_PORT)
     conn.set_nodelay(True)
     conn.on_data = lambda _conn, data: responses.extend(parser.feed(data))
     conn.send(Request("GET", "/gifs/bullet0.gif", HTTP10, Headers([

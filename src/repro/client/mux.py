@@ -58,8 +58,7 @@ class _MuxConnState(_Connection):
 
     __slots__ = ("reader", "streams", "next_stream")
 
-    def __init__(self, robot: "MuxClient",
-                 shard: Optional[int] = None) -> None:
+    def __init__(self, robot: "MuxClient", shard: Optional[int]) -> None:
         super().__init__(robot, shard)
         self.reader = FrameReader()
         #: Stream id → stream, both requested (odd) and pushed (even).

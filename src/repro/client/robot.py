@@ -53,6 +53,21 @@ REVALIDATE = "revalidate"
 #: its prefix fetch (never appears on the wire).
 TAIL_MARKER = "\x00tail"
 
+#: Total connection-retry budget for one fetch; exceeding it records a
+#: terminal error instead of re-queueing forever.
+RETRY_BUDGET = 64
+#: Consecutive connection failures *without a single response* tolerated
+#: before giving up (a server that always closes before answering must
+#: not loop forever).
+MAX_CONSECUTIVE_FAILURES = 5
+#: Exponential backoff before re-dispatching after a zero-progress
+#: failure: ``base * 2**(failures-1)`` seconds, capped at ``max``.
+RETRY_BACKOFF_BASE = 0.1
+RETRY_BACKOFF_MAX = 5.0
+#: Times to re-issue a request answered with a 5xx before accepting the
+#: error response as final.
+RETRY_SERVER_ERRORS = 3
+
 
 @dataclasses.dataclass
 class ClientConfig:
@@ -91,9 +106,6 @@ class ClientConfig:
     user_agent: str = "W3CRobot/5.1 libwww/5.1"
     #: Extra request headers (browser profiles are more verbose).
     extra_headers: Tuple[Tuple[str, str], ...] = ()
-    #: Re-fetch the HTML unconditionally when revalidating (an observed
-    #: product-browser behaviour; see repro.core.browsers).
-    reval_refetch_html: bool = False
     #: Fetch embedded images discovered in the HTML.  False reproduces
     #: the paper's §8.2.1 modem test: "the HTML retrieval (a single
     #: HTTP GET request) only with no embedded objects".
@@ -102,19 +114,8 @@ class ClientConfig:
     #: image first (enough for its metadata/dimensions), then fetch the
     #: tails.  None disables ranged fetching.
     range_prefix_bytes: Optional[int] = None
-    # -- Hardening knobs (fault tolerance; defaults chosen so a clean
-    # -- run takes identical code paths and schedules no extra events).
-    #: Total connection-retry budget for one fetch; exceeding it records
-    #: a terminal error instead of re-queueing forever.
-    retry_budget: int = 64
-    #: Consecutive connection failures *without a single response*
-    #: tolerated before giving up (a server that always closes before
-    #: answering must not loop forever).
-    max_consecutive_failures: int = 5
-    #: Exponential backoff before re-dispatching after a zero-progress
-    #: failure: ``base * 2**(failures-1)``, capped at ``max``.
-    retry_backoff_base: float = 0.1
-    retry_backoff_max: float = 5.0
+    # -- Hardening knobs (fault tolerance; None on a clean run, so it
+    # -- takes identical code paths and schedules no extra events).
     #: Abort a connection when no data has arrived for this many seconds
     #: while requests are outstanding (None = no watchdog).
     watchdog_timeout: Optional[float] = None
@@ -122,9 +123,6 @@ class ClientConfig:
     #: one-shot) after this many connections died with unanswered
     #: requests (None = never downgrade).
     downgrade_after: Optional[int] = None
-    #: Times to re-issue a request answered with a 5xx before accepting
-    #: the error response as final.
-    retry_server_errors: int = 3
     # -- Sharding knobs (the HTTP/1.1 Sharded xN transport; 0 shards =
     # -- the classic single-origin dispatch, identical code paths).
     #: Number of simulated origins the content is hashed across; each
@@ -187,8 +185,7 @@ class _Connection:
     output buffer, the requests it owes, the watchdog and the one exit.
     A subclass adds the wire format (``send_request``, ``_on_data``)."""
 
-    def __init__(self, robot: "Robot",
-                 shard: Optional[int] = None) -> None:
+    def __init__(self, robot: "Robot", shard: Optional[int]) -> None:
         self.robot = robot
         self.shard = shard
         self.conn: TcpConnection = robot.stack.connect(
@@ -241,8 +238,7 @@ class _Connection:
 class _ConnState(_Connection):
     """One plain-HTTP connection: a response parser over the stream."""
 
-    def __init__(self, robot: "Robot",
-                 shard: Optional[int] = None) -> None:
+    def __init__(self, robot: "Robot", shard: Optional[int]) -> None:
         super().__init__(robot, shard)
         self.parser = ResponseParser()
         self.parser.on_body_chunk = (
@@ -413,12 +409,11 @@ class Robot:
             else:
                 headers.add("Range", f"bytes=0-{prefix - 1}")
         if self._scenario == REVALIDATE:
-            refetch = is_html and config.reval_refetch_html
             strategy = config.reval_strategy
             if strategy == "get-plus-head":
                 if not is_html:
                     method = "HEAD"
-            elif not refetch:
+            else:
                 http11 = (config.http_version >= HTTP11
                           and config.validator_preference == "etag")
                 validators = self.cache.conditional_headers(
@@ -540,8 +535,7 @@ class Robot:
                                    flush=True)
 
     def _new_conn(self, shard: Optional[int] = None) -> _Connection:
-        state = self._conn_class(self, shard) if shard is not None \
-            else self._conn_class(self)
+        state = self._conn_class(self, shard)
         self._conns.append(state)
         self.result.connections_used += 1
         parallel = len(self._alive_conns())
@@ -567,7 +561,7 @@ class Robot:
                          response: Response) -> None:
         if 500 <= response.status < 600:
             attempts = self._server_error_retries.get(url, 0)
-            if attempts < self.config.retry_server_errors:
+            if attempts < RETRY_SERVER_ERRORS:
                 # Transient server error: re-issue the request rather
                 # than accepting the error body as the resource.
                 self._server_error_retries[url] = attempts + 1
@@ -743,11 +737,10 @@ class Robot:
                     self._consecutive_failures.get(origin, 0) + 1
             self._note("retry",
                        f"requeue {len(requeue)} after connection loss")
-            if self.result.retries > self.config.retry_budget:
-                self._fail(f"retry budget exhausted "
-                           f"({self.config.retry_budget})")
+            if self.result.retries > RETRY_BUDGET:
+                self._fail(f"retry budget exhausted ({RETRY_BUDGET})")
                 return
-            if failures >= self.config.max_consecutive_failures:
+            if failures >= MAX_CONSECUTIVE_FAILURES:
                 self._fail(f"{failures} consecutive "
                            f"connection failures without a response")
                 return
@@ -757,10 +750,8 @@ class Robot:
             if failures:
                 # Zero-progress failure: back off exponentially before
                 # hammering the server again.
-                delay = min(
-                    self.config.retry_backoff_base
-                    * 2.0 ** (failures - 1),
-                    self.config.retry_backoff_max)
+                delay = min(RETRY_BACKOFF_BASE * 2.0 ** (failures - 1),
+                            RETRY_BACKOFF_MAX)
                 self._note("backoff", f"{delay:g}s")
                 self.sim.schedule(delay, self._retry_dispatch)
                 return

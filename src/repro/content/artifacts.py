@@ -45,8 +45,8 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Mapping, Optional, Union
 
 __all__ = ["ENCODER_VERSION", "DEFAULT_ARTIFACT_DIR", "ArtifactStats",
-           "ArtifactStore", "get_store", "set_store", "configure",
-           "store_state", "artifact_key"]
+           "ArtifactStore", "get_store", "configure", "store_state",
+           "artifact_key"]
 
 #: Version of the encoder family feeding the store.  **Bump this
 #: whenever any memoized encoder changes output** (GIF/PNG/MNG codecs,
@@ -59,6 +59,10 @@ DEFAULT_ARTIFACT_DIR = os.path.join(".repro-cache", "artifacts")
 
 #: Environment switch: set to ``0`` / ``false`` / ``off`` to disable.
 _ENV_FLAG = "REPRO_ARTIFACT_CACHE"
+
+#: Capacity of a store's in-memory LRU; the hot Microscape build
+#: touches ~200 artifacts, so this comfortably holds a whole site.
+_MEMORY_ENTRIES = 512
 
 #: Process-unique suffixes for atomic temp-then-rename writes (the pid
 #: alone is not enough: two stores in one process may write one key).
@@ -111,25 +115,19 @@ class ArtifactStore:
         Blob directory (created on first write).  ``None`` keeps the
         store memory-only: still a useful in-process memo, nothing
         persisted.
-    max_memory_entries:
-        LRU capacity; the hot Microscape build touches ~200 artifacts,
-        so the default comfortably holds a whole site.
     enabled:
         A disabled store is a transparent pass-through: every
         ``memoize`` calls its producer, nothing is stored.
     """
 
-    __slots__ = ("root", "enabled", "stats", "_memory", "_max_memory",
-                 "_lock")
+    __slots__ = ("root", "enabled", "stats", "_memory", "_lock")
 
     def __init__(self, root: Union[str, Path, None] = DEFAULT_ARTIFACT_DIR,
-                 *, max_memory_entries: int = 512,
-                 enabled: bool = True) -> None:
+                 *, enabled: bool = True) -> None:
         self.root = Path(root) if root is not None else None
         self.enabled = enabled
         self.stats = ArtifactStats()
         self._memory: "OrderedDict[str, bytes]" = OrderedDict()
-        self._max_memory = max(0, int(max_memory_entries))
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -190,12 +188,10 @@ class ArtifactStore:
         self.stats.bytes_written += len(blob)
 
     def _remember(self, key: str, blob: bytes) -> None:
-        if self._max_memory <= 0:
-            return
         with self._lock:
             self._memory[key] = blob
             self._memory.move_to_end(key)
-            while len(self._memory) > self._max_memory:
+            while len(self._memory) > _MEMORY_ENTRIES:
                 self._memory.popitem(last=False)
 
     # ------------------------------------------------------------------
@@ -277,12 +273,6 @@ def get_store() -> ArtifactStore:
     if _DEFAULT_STORE is None:
         _DEFAULT_STORE = ArtifactStore(enabled=_env_enabled())
     return _DEFAULT_STORE
-
-
-def set_store(store: Optional[ArtifactStore]) -> None:
-    """Replace the process-default store (None resets to lazy default)."""
-    global _DEFAULT_STORE
-    _DEFAULT_STORE = store
 
 
 def configure(*, enabled: Optional[bool] = None,

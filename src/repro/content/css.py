@@ -81,7 +81,7 @@ class Rule:
 class Stylesheet:
     """An ordered list of rules."""
 
-    rules: List[Rule] = dataclasses.field(default_factory=list)
+    rules: List[Rule]
 
     def serialize(self, compact: bool = False) -> str:
         joiner = "" if compact else "\n"
@@ -111,14 +111,14 @@ def _strip_comments(text: str) -> str:
 def parse_css(text: str) -> Stylesheet:
     """Parse a CSS1 stylesheet (rules and declarations; no @-rules)."""
     text = _strip_comments(text)
-    sheet = Stylesheet()
+    rules: List[Rule] = []
     pos = 0
     while True:
         brace = text.find("{", pos)
         if brace == -1:
             if text[pos:].strip():
                 raise CssError(f"trailing junk: {text[pos:].strip()!r}")
-            return sheet
+            return Stylesheet(rules)
         selector_text = text[pos:brace].strip()
         if not selector_text:
             raise CssError("rule without selector")
@@ -136,7 +136,7 @@ def parse_css(text: str) -> Stylesheet:
             declarations.append(Declaration(prop.strip(),
                                             " ".join(value.split())))
         selectors = [s.strip() for s in selector_text.split(",")]
-        sheet.rules.append(Rule(selectors, declarations))
+        rules.append(Rule(selectors, declarations))
         pos = end + 1
 
 

@@ -1,14 +1,15 @@
-"""GIF encoder and decoder (GIF87a / GIF89a, real LZW).
+"""GIF encoder (GIF87a / GIF89a, real LZW).
 
-A complete, self-contained GIF codec: logical screen descriptor, global
+A complete, self-contained GIF writer: logical screen descriptor, global
 color table, graphic-control extensions (transparency, frame delays),
 the Netscape looping application extension for animations, and genuine
 variable-code-width LZW with dictionary reset — the compression whose
 limits the paper's PNG comparison exposes.
 
 The GIF→PNG experiment needs *actual* encoded sizes on both sides, so
-nothing here is stubbed; the decoder exists so property tests can prove
-the encoder's output is self-consistent.
+nothing here is stubbed.  :func:`lzw_decode` serves the progressive-
+rendering analysis (how much of a partial download paints); the full
+decoder the round-trip tests use lives beside them.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .images import IndexedImage
 
-__all__ = ["encode_gif", "decode_gif", "encode_animated_gif",
-           "decode_animated_gif", "GifError"]
+__all__ = ["encode_gif", "encode_animated_gif", "GifError"]
 
 MAX_CODE_WIDTH = 12
 MAX_CODES = 1 << MAX_CODE_WIDTH
@@ -178,19 +178,6 @@ def _sub_blocks(data: bytes) -> bytes:
     return bytes(out)
 
 
-def _read_sub_blocks(data: bytes, pos: int) -> Tuple[bytes, int]:
-    out = bytearray()
-    while True:
-        if pos >= len(data):
-            raise GifError("truncated sub-blocks")
-        length = data[pos]
-        pos += 1
-        if length == 0:
-            return bytes(out), pos
-        out.extend(data[pos:pos + length])
-        pos += length
-
-
 # ----------------------------------------------------------------------
 # Container
 # ----------------------------------------------------------------------
@@ -299,79 +286,3 @@ def encode_animated_gif(frames: Sequence[IndexedImage],
     out.append(0x3B)
     return bytes(out)
 
-
-# ----------------------------------------------------------------------
-# Decoder
-# ----------------------------------------------------------------------
-def decode_gif(data: bytes) -> IndexedImage:
-    """Decode a single-frame GIF produced by :func:`encode_gif`."""
-    frames = decode_animated_gif(data)
-    if len(frames) != 1:
-        raise GifError(f"expected 1 frame, found {len(frames)}")
-    return frames[0]
-
-
-def decode_animated_gif(data: bytes) -> List[IndexedImage]:
-    """Decode all frames of a GIF."""
-    if data[:6] not in (b"GIF87a", b"GIF89a"):
-        raise GifError("bad GIF signature")
-    width, height, packed, _bg, _aspect = struct.unpack_from("<HHBBB",
-                                                             data, 6)
-    pos = 13
-    global_palette: List[Tuple[int, int, int]] = []
-    if packed & 0x80:
-        entries = 2 << (packed & 0x07)
-        for _ in range(entries):
-            global_palette.append((data[pos], data[pos + 1], data[pos + 2]))
-            pos += 3
-    frames: List[IndexedImage] = []
-    transparent: Optional[int] = None
-    while pos < len(data):
-        marker = data[pos]
-        pos += 1
-        if marker == 0x3B:                      # trailer
-            break
-        if marker == 0x21:                      # extension
-            label = data[pos]
-            pos += 1
-            if label == 0xF9:                   # graphic control
-                block, pos = _read_sub_blocks(data, pos)
-                if len(block) >= 4 and block[0] & 0x01:
-                    transparent = block[3]
-                else:
-                    transparent = None
-            else:                               # skip other extensions
-                _block, pos = _read_sub_blocks(data, pos)
-            continue
-        if marker == 0x2C:                      # image descriptor
-            (_left, _top, img_w, img_h,
-             img_packed) = struct.unpack_from("<HHHHB", data, pos)
-            pos += 9
-            palette = global_palette
-            if img_packed & 0x80:
-                entries = 2 << (img_packed & 0x07)
-                palette = []
-                for _ in range(entries):
-                    palette.append((data[pos], data[pos + 1],
-                                    data[pos + 2]))
-                    pos += 3
-            min_code_size = data[pos]
-            pos += 1
-            compressed, pos = _read_sub_blocks(data, pos)
-            pixels = lzw_decode(compressed, min_code_size)
-            if len(pixels) != img_w * img_h:
-                raise GifError("LZW data does not match image size")
-            if img_packed & 0x40:               # interlaced
-                straight = bytearray(len(pixels))
-                for stored, y in enumerate(_interlace_row_order(img_h)):
-                    straight[y * img_w:(y + 1) * img_w] = \
-                        pixels[stored * img_w:(stored + 1) * img_w]
-                pixels = bytes(straight)
-            frames.append(IndexedImage(img_w, img_h, list(palette), pixels,
-                                       transparent=transparent))
-            transparent = None
-            continue
-        raise GifError(f"unknown block marker 0x{marker:02x}")
-    if not frames:
-        raise GifError("no image data")
-    return frames

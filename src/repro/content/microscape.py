@@ -25,7 +25,8 @@ import functools
 import hashlib
 import math
 import random
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, ClassVar, Dict, List, Optional, Sequence,
+                    Tuple)
 
 from . import artifacts
 from . import html as html_mod
@@ -70,7 +71,7 @@ class MicroscapeSite:
     """The whole site: one HTML page plus its embedded images."""
 
     objects: Dict[str, SiteObject]
-    html_url: str = HTML_URL
+    html_url: ClassVar[str] = HTML_URL
     #: Memoized (html body, its digest, parsed URL list); the HTML is
     #: parsed lazily and re-parsed only when the body's *content*
     #: changes.  Every experiment run consults the URL list (request

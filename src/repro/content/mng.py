@@ -23,18 +23,14 @@ from __future__ import annotations
 
 import struct
 import zlib
-from typing import List, Sequence
+from typing import Sequence
 
 from .images import IndexedImage
-from .png import PngError, _chunk, _iter_chunks
+from .png import _chunk
 
-__all__ = ["encode_mng", "decode_mng", "MngError", "MNG_SIGNATURE"]
+__all__ = ["encode_mng", "MNG_SIGNATURE"]
 
 MNG_SIGNATURE = b"\x8aMNG\r\n\x1a\n"
-
-
-class MngError(ValueError):
-    """Raised for malformed MNG data."""
 
 
 def encode_mng(frames: Sequence[IndexedImage], *, ticks_per_second: int = 10,
@@ -77,42 +73,3 @@ def encode_mng(frames: Sequence[IndexedImage], *, ticks_per_second: int = 10,
     out.extend(_chunk(b"MEND", b""))
     return bytes(out)
 
-
-def decode_mng(data: bytes) -> List[IndexedImage]:
-    """Decode an animation encoded by :func:`encode_mng`."""
-    if data[:8] != MNG_SIGNATURE:
-        raise MngError("bad MNG signature")
-    width = height = None
-    palette = []
-    frames: List[IndexedImage] = []
-    try:
-        chunks = list(_iter_chunks(data))
-    except PngError as exc:
-        raise MngError(str(exc)) from exc
-    pending_delta = False
-    for chunk_type, body in chunks:
-        if chunk_type == b"MHDR":
-            width, height = struct.unpack_from(">II", body)
-        elif chunk_type == b"PLTE":
-            palette = [(body[i], body[i + 1], body[i + 2])
-                       for i in range(0, len(body), 3)]
-        elif chunk_type == b"DHDR":
-            pending_delta = True
-        elif chunk_type == b"IDAT":
-            if width is None or not palette:
-                raise MngError("IDAT before MHDR/PLTE")
-            raw = zlib.decompress(body)
-            if len(raw) != width * height:
-                raise MngError("frame size mismatch")
-            if pending_delta:
-                if not frames:
-                    raise MngError("delta frame without base frame")
-                base = frames[-1].pixels
-                raw = bytes((d + b) & 0xFF for d, b in zip(raw, base))
-                pending_delta = False
-            frames.append(IndexedImage(width, height, list(palette), raw))
-        elif chunk_type == b"MEND":
-            break
-    if not frames:
-        raise MngError("no frames")
-    return frames

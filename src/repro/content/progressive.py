@@ -23,13 +23,12 @@ from __future__ import annotations
 
 import struct
 import zlib
-from typing import List, Tuple
+from typing import Tuple
 
 from .gif import GIF_INTERLACE_PASSES, lzw_decode
 from .png import ADAM7_PASSES, PNG_SIGNATURE
 
-__all__ = ["gif_area_coverage", "png_area_coverage", "coverage_curve",
-           "bytes_for_coverage"]
+__all__ = ["gif_area_coverage", "png_area_coverage", "bytes_for_coverage"]
 
 
 # ----------------------------------------------------------------------
@@ -176,19 +175,8 @@ def png_area_coverage(wire: bytes, prefix_len: int) -> float:
 
 
 # ----------------------------------------------------------------------
-# Curves
+# Thresholds
 # ----------------------------------------------------------------------
-def coverage_curve(wire: bytes, coverage_fn, points: int = 20
-                   ) -> List[Tuple[float, float]]:
-    """(bytes fraction, area coverage) samples across the whole file."""
-    out = []
-    for index in range(1, points + 1):
-        fraction = index / points
-        prefix = int(len(wire) * fraction)
-        out.append((fraction, coverage_fn(wire, prefix)))
-    return out
-
-
 def bytes_for_coverage(wire: bytes, coverage_fn, target: float,
                        resolution: int = 64) -> float:
     """Smallest byte *fraction* reaching ``target`` area coverage."""

@@ -23,10 +23,10 @@ HTTP/1.1 Sharded x4            content hashed over 4 origins, 2
                                redundant connections each
 =============================  =====================================
 
-Modes self-register through :func:`repro.core.registry.register_mode`,
-which is how they appear in ``resolve_mode``, the matrix engine, the
-chaos planner and the report tables; third-party extensions register
-the same way.
+Each mode registers once through
+:func:`repro.core.registry.register_mode`, which is how it appears in
+``resolve_mode``, the matrix engine, the chaos planner and the report
+tables.
 """
 
 from __future__ import annotations

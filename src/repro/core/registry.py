@@ -8,11 +8,10 @@ accepts either the already-resolved object (returned unchanged) or a
 name; names are matched case-insensitively, with the common shorthands
 registered as aliases.
 
-Modes are *registered*, not enumerated: :func:`register_mode` is public
-so new transports (or downstream experiments) self-register and
-automatically appear in :func:`resolve_mode`, the matrix engine, the
-chaos planner, the sanitizer and the report tables.  The built-in
-modes in :mod:`repro.core.modes` register themselves the same way.
+Modes are *registered*, not enumerated: each mode in
+:mod:`repro.core.modes` calls :func:`register_mode` once, and from then
+on appears in :func:`resolve_mode`, the matrix engine, the chaos
+planner, the sanitizer and the report tables.
 
 Unknown names raise :class:`UnknownNameError` whose message lists the
 accepted spellings (and the closest match, when one is close enough);
@@ -22,7 +21,7 @@ the CLI prints it verbatim.
 from __future__ import annotations
 
 import difflib
-from typing import Dict, Iterable, Optional, Tuple, Union
+from typing import Dict, Iterable, Tuple, Union
 
 from ..client.robot import FIRST_TIME, REVALIDATE
 from ..server.profiles import (APACHE, APACHE_12B2, APACHE_IW1, APACHE_IW4,
@@ -52,9 +51,6 @@ MODES: Dict[str, "ProtocolMode"] = {}
 
 #: Shorthand → canonical mode name.
 MODE_ALIASES: Dict[str, str] = {}
-
-#: Mode name → environments it runs in (None = every environment).
-_MODE_ENVIRONMENTS: Dict[str, Optional[Tuple[str, ...]]] = {}
 
 #: Mode name → environments where it is a row of the paper's tables.
 _PAPER_ENVIRONMENTS: Dict[str, Tuple[str, ...]] = {}
@@ -91,25 +87,20 @@ TABLE_CELLS: Dict[int, Tuple[str, str]] = {
 
 def register_mode(mode: "ProtocolMode", *,
                   aliases: Iterable[str] = (),
-                  environments: Optional[Iterable[str]] = None,
-                  paper_environments: Iterable[str] = (),
-                  replace: bool = False) -> "ProtocolMode":
+                  paper_environments: Iterable[str] = ()
+                  ) -> "ProtocolMode":
     """Register a protocol mode under its canonical name.
 
     Parameters
     ----------
     mode:
-        The :class:`~repro.core.modes.ProtocolMode` to register.
+        The :class:`~repro.core.modes.ProtocolMode` to register; every
+        registered mode runs in every environment.
     aliases:
         Extra (case-insensitive) spellings ``resolve_mode`` accepts.
-    environments:
-        Environments the mode participates in (``None`` = all) — this
-        is what :func:`modes_for_environment` answers with.
     paper_environments:
         Environments where the mode is a row of the paper's Tables 4–9
         (empty for post-paper modes).
-    replace:
-        Allow re-registering an existing name (tests, ablations).
 
     Returns the mode, so registration can wrap construction.
     """
@@ -117,13 +108,9 @@ def register_mode(mode: "ProtocolMode", *,
     if not isinstance(mode, ProtocolMode):
         raise TypeError(f"register_mode wants a ProtocolMode, "
                         f"got {type(mode).__name__}")
-    if mode.name in MODES and not replace:
-        raise ValueError(f"mode {mode.name!r} is already registered "
-                         f"(pass replace=True to override)")
+    if mode.name in MODES:
+        raise ValueError(f"mode {mode.name!r} is already registered")
     MODES[mode.name] = mode
-    _MODE_ENVIRONMENTS[mode.name] = (
-        None if environments is None
-        else tuple(str(env).upper() for env in environments))
     _PAPER_ENVIRONMENTS[mode.name] = tuple(
         str(env).upper() for env in paper_environments)
     for alias in aliases:
@@ -134,25 +121,16 @@ def register_mode(mode: "ProtocolMode", *,
 def modes_for_environment(environment: Union[str, NetworkEnvironment], *,
                           paper_only: bool = False
                           ) -> Tuple["ProtocolMode", ...]:
-    """Registered modes that run in ``environment``, in registration
-    order.
+    """Registered modes that run in ``environment`` — every one — in
+    registration order.
 
     With ``paper_only`` the answer is restricted to the rows of the
     paper's tables for that environment (Tables 8–9 omit HTTP/1.0 on
     PPP).
     """
     env = resolve_environment(environment).name
-    selected = []
-    for name, mode in MODES.items():
-        if paper_only:
-            if env not in _PAPER_ENVIRONMENTS.get(name, ()):
-                continue
-        else:
-            environments = _MODE_ENVIRONMENTS.get(name)
-            if environments is not None and env not in environments:
-                continue
-        selected.append(mode)
-    return tuple(selected)
+    return tuple(mode for name, mode in MODES.items()
+                 if not paper_only or env in _PAPER_ENVIRONMENTS[name])
 
 
 def _unknown(kind: str, value: object, choices) -> UnknownNameError:

@@ -69,12 +69,8 @@ def nearest_rank(values: Sequence[float], p: float) -> float:
 #: fluctuations the paper averaged over five runs.
 DEFAULT_JITTER = 0.02
 
-#: The default Microscape site and its resource store, built once and
-#: held strongly together.  Keeping the *pair* alive (rather than a
-#: table keyed by ``id(site)``) means a dead site can never alias a
-#: fresh one through CPython id reuse, and there is nothing to evict:
-#: callers with their own site pass an explicit ``store`` (or let
-#: :func:`run_experiment` build a fresh one per call).
+#: The Microscape site and its resource store, built once per process
+#: and held strongly together: every testbed serves this pair.
 _DEFAULT_SITE_AND_STORE: Optional[Tuple[MicroscapeSite,
                                         ResourceStore]] = None
 
@@ -293,10 +289,6 @@ class Testbed:
     transport:
         The :class:`~repro.core.transport.Transport` whose listener(s)
         the server host starts.
-    site, store:
-        A custom site and (optionally) its prebuilt
-        :class:`ResourceStore`; by default the memoized Microscape site
-        and store.
     server_capacity:
         The listeners' accept-gate capacity (``None`` = unbounded).
     seed, jitter, fastpath, network_options:
@@ -309,19 +301,11 @@ class Testbed:
 
     def __init__(self, environment: NetworkEnvironment,
                  profile: ServerProfile, transport: Transport, *,
-                 site: Optional[MicroscapeSite] = None,
-                 store: Optional[ResourceStore] = None,
                  seed: int = 0, jitter: float = 0.0,
                  fastpath: bool = True,
                  server_capacity: Optional[int] = None,
                  **network_options) -> None:
-        if site is None:
-            site, default_store = _default_site_and_store()
-            store = store or default_store
-        elif store is None:
-            store = ResourceStore.from_site(site)
-        self.site = site
-        self.store = store
+        self.site, self.store = _default_site_and_store()
         self.profile = profile
         # The server host ran Solaris 2.5, whose delayed-ACK timer is
         # 50 ms (the clients were BSD-derived 200 ms stacks).
@@ -332,7 +316,7 @@ class Testbed:
                 initial_cwnd_segments=profile.initial_cwnd_segments),
             **network_options)
         self.servers = transport.start_servers(
-            self.net.sim, self.net.server, store, profile,
+            self.net.sim, self.net.server, self.store, profile,
             max_concurrent=server_capacity)
 
     def fetch_page(self, transport: Transport, config: ClientConfig,
@@ -373,8 +357,6 @@ def run_experiment(mode: Union[str, ProtocolMode],
                    scenario: str, *,
                    environment: Union[str, NetworkEnvironment],
                    profile: Union[str, ServerProfile],
-                   site: Optional[MicroscapeSite] = None,
-                   store: Optional[ResourceStore] = None,
                    seed: int = 0, jitter: float = DEFAULT_JITTER,
                    client_config: Optional[ClientConfig] = None,
                    verify: bool = True,
@@ -392,9 +374,8 @@ def run_experiment(mode: Union[str, ProtocolMode],
     keyword-only.
 
     ``client_config`` overrides the mode-derived configuration for
-    ablations (flush policies, Nagle, buffer sizes).  ``store`` supplies
-    a prebuilt :class:`ResourceStore` for a custom ``site``; without it
-    a fresh store is built (the default site's store is memoized).
+    ablations (flush policies, Nagle, buffer sizes).  The site is the
+    process's memoized Microscape site and resource store.
     ``keep_trace=True`` preserves the full tcpdump-style trace as
     :attr:`RunResult.trace_lines` (the golden-trace tests rely on it).
     ``sanitize=True`` attaches a :class:`~repro.lint.LiveSanitizer` to
@@ -406,7 +387,7 @@ def run_experiment(mode: Union[str, ProtocolMode],
     directly): link faults are injected by a seeded
     :class:`~repro.faults.FaultInjector`, server faults wrap ``profile``
     in a :class:`~repro.faults.FaultyProfile`, and the client config is
-    hardened (watchdog + downgrade ladder) unless explicitly tuned.
+    hardened (watchdog + downgrade ladder).
     With ``faults=None`` nothing changes: no injector is installed, no
     extra events are scheduled, and runs stay bit-identical to the
     golden traces.
@@ -429,9 +410,8 @@ def run_experiment(mode: Union[str, ProtocolMode],
             profile = FaultyProfile.wrap(profile, plan.server)
         config = _fault_hardened_config(config, environment)
     transport = mode.transport
-    testbed = Testbed(environment, profile, transport, site=site,
-                      store=store, seed=seed, jitter=jitter,
-                      fastpath=fastpath)
+    testbed = Testbed(environment, profile, transport, seed=seed,
+                      jitter=jitter, fastpath=fastpath)
     try:
         net, servers, site = testbed.net, testbed.servers, testbed.site
         if plan is not None and plan.link.active:
@@ -527,20 +507,12 @@ def run_experiment(mode: Union[str, ProtocolMode],
 
 def _fault_hardened_config(config: ClientConfig,
                            environment: NetworkEnvironment) -> ClientConfig:
-    """Fill in hardening defaults for a run under fault injection.
-
-    Knobs already set (non-default) are respected; the watchdog scales
-    with the environment's RTT so slow modem links are not mistaken for
-    stalled servers.
-    """
-    overrides = {}
-    if config.watchdog_timeout is None:
-        overrides["watchdog_timeout"] = 10.0 + 40.0 * environment.rtt
-    if config.downgrade_after is None:
-        overrides["downgrade_after"] = 2
-    if not overrides:
-        return config
-    return dataclasses.replace(config, **overrides)
+    """The hardening a run under fault injection adds: a watchdog that
+    scales with the environment's RTT (so slow modem links are not
+    mistaken for stalled servers) and the downgrade ladder."""
+    return dataclasses.replace(
+        config, watchdog_timeout=10.0 + 40.0 * environment.rtt,
+        downgrade_after=2)
 
 
 def _verify(result: FetchResult, scenario: str,

@@ -18,8 +18,7 @@ reproducible:
 that every layer writes fault hits and recovery actions into.
 """
 
-from .harness import (HARNESS_PLANS, HarnessFaultPlan,
-                      HarnessPoisonError, resolve_harness_plan)
+from .harness import HarnessFaultPlan, HarnessPoisonError
 from .injector import FaultInjector, LinkFaultConfig
 from .plan import FAULT_PLANS, FaultPlan, resolve_fault_plan
 from .recovery import RecoveryEvent, RecoveryLog
@@ -33,8 +32,6 @@ __all__ = [
     "resolve_fault_plan",
     "HarnessFaultPlan",
     "HarnessPoisonError",
-    "HARNESS_PLANS",
-    "resolve_harness_plan",
     "RecoveryEvent",
     "RecoveryLog",
     "FaultyProfile",

@@ -30,7 +30,7 @@ import zlib
 from typing import List, Optional, Tuple
 
 from ..matrix import ExperimentSpec, MatrixRunner
-from ..matrix.cli import add_runner_flags, make_runner
+from ..matrix.cli import add_runner_flags, finish, make_runner
 from .plan import FAULT_PLANS
 from .recovery import summarize_counts
 
@@ -127,9 +127,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     runner = make_runner(args, f"chaos-{args.seed}")
     with runner:
         status = run_chaos(seed=args.seed, only=args.only, runner=runner)
-    if status != 2:    # a usage error ran nothing
-        print(runner.stats.summary(), file=sys.stderr)
-    return status
+    if status == 2:    # a usage error ran nothing
+        return status
+    return max(status, finish(runner))
 
 
 def add_chaos_parser(sub) -> None:

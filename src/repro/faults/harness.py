@@ -32,10 +32,9 @@ import multiprocessing
 import os
 import signal
 import time
-from typing import Dict, Optional, Tuple, Union
+from typing import Optional, Tuple
 
-__all__ = ["HarnessPoisonError", "HarnessFaultPlan", "HARNESS_PLANS",
-           "resolve_harness_plan"]
+__all__ = ["HarnessPoisonError", "HarnessFaultPlan"]
 
 
 class HarnessPoisonError(RuntimeError):
@@ -88,27 +87,3 @@ class HarnessFaultPlan:
         if self.hang_unit is not None and index == self.hang_unit:
             time.sleep(self.hang_seconds)
 
-
-#: Named plans, mirroring :data:`repro.faults.plan.FAULT_PLANS`.  The
-#: ordinals target small smoke grids (a dozen units); larger grids can
-#: construct plans directly.
-HARNESS_PLANS: Dict[str, HarnessFaultPlan] = {
-    "worker-kill": HarnessFaultPlan(name="worker-kill", kill_unit=3),
-    "hung-cell": HarnessFaultPlan(name="hung-cell", hang_unit=2),
-    "poison-cell": HarnessFaultPlan(name="poison-cell",
-                                    poison_units=(5,), poison_seed=1),
-}
-
-
-def resolve_harness_plan(
-        plan: Union[None, str, HarnessFaultPlan]
-) -> Optional[HarnessFaultPlan]:
-    """None, a plan name, or a plan object → the plan (or None)."""
-    if plan is None or isinstance(plan, HarnessFaultPlan):
-        return plan
-    try:
-        return HARNESS_PLANS[plan]
-    except KeyError:
-        raise KeyError(
-            f"unknown harness fault plan {plan!r} (choose from: "
-            f"{', '.join(sorted(HARNESS_PLANS))})") from None

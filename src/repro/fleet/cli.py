@@ -18,7 +18,7 @@ import hashlib
 import json
 import sys
 
-from ..matrix.cli import add_runner_flags, make_runner
+from ..matrix.cli import add_runner_flags, finish, make_runner
 from .runner import run_fleet
 from .spec import FleetSpec
 
@@ -52,12 +52,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         result = run_fleet(spec, runner=runner)
     from ..analysis.report import format_fleet_report
     print(format_fleet_report(result))
-    print(runner.stats.summary(), file=sys.stderr)
-    if result.failures and not any(
-            cohort is not None for cohort in result.cohorts):
-        # Nothing simulated at all: loud failure, not an empty table.
-        return 1
-    return 0
+    return finish(runner)
 
 
 def add_fleet_parser(sub) -> None:

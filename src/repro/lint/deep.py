@@ -35,8 +35,7 @@ describe this repository, and the bad-project corpora under
 ``tests/lint/fixtures/deep`` reuse the same names.  The repository's
 own tree must come out clean: a finding is fixed, or waived where it
 is — an allowlisted path or an inline pragma with its reason beside
-it — or, for a deliberately key-free ``run_experiment`` parameter, in
-:data:`_PARAM_WAIVERS`.
+it.
 """
 
 from __future__ import annotations
@@ -68,13 +67,6 @@ _SINK_NAMES = frozenset(("TcpConfig", "Testbed", "FaultInjector",
                          "resolve_fault_plan"))
 #: Method names that consume run configuration (attribute calls).
 _SINK_METHODS = frozenset(("client_config", "fetch_page"))
-#: Run-function parameters that may stay outside the cache key, with
-#: the reason each is safe.
-_PARAM_WAIVERS: Mapping[str, str] = {
-    "site": "custom sites bypass the matrix cache; the default site is "
-            "content-addressed by construction",
-    "store": "derived from site; same waiver",
-}
 #: The identifier fragment that marks a value as seed-derived.
 _SEED_FRAGMENT = "seed"
 
@@ -231,8 +223,6 @@ def _cache_key_pass(graph: ProjectGraph) -> List[Finding]:
         forwarded.update(_forwarding_map(fwd, run))
     for param, (sink_raw, _node) in sorted(
             _run_affecting_params(run).items()):
-        if param in _PARAM_WAIVERS:
-            continue
         origin = forwarded.get(param)
         if origin in ("spec-derived", "unit-key"):
             continue
@@ -246,16 +236,14 @@ def _cache_key_pass(graph: ProjectGraph) -> List[Finding]:
         elif origin is None:
             message = (f"run-affecting parameter '{param}' of "
                        f"{run.name}() (flows into {sink_raw}) is never "
-                       f"forwarded by {_FORWARD_FUNCTION}() and "
-                       "is not waived")
+                       f"forwarded by {_FORWARD_FUNCTION}()")
         else:
             message = (f"parameter '{param}' of {run.name}() is "
                        f"forwarded from an expression the analyzer "
                        f"cannot tie to the spec or the unit seed")
         _finding(graph, run.module, run.node, "cache-key-unkeyed-param",
                  message,
-                 "forward it from a spec dataclass field, or add a "
-                 "waiver with a reason to repro.lint.deep._PARAM_WAIVERS",
+                 "forward it from a spec dataclass field",
                  findings)
     return findings
 

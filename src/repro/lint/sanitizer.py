@@ -31,7 +31,9 @@ The same state machine runs **online** via :class:`LiveSanitizer`, a
 link tap enabled with ``run_experiment(..., sanitize=True)`` — the
 engine's opt-in sanitizer mode — which raises
 :class:`InvariantViolationError` the moment a violating segment is
-emitted, with the simulated time and flow in the message.
+emitted, with the simulated time and flow in the message.  (Replaying
+a trace offline with :func:`validate_trace_text` collects every
+violation instead.)
 
 This module imports nothing from :mod:`repro.simnet` but the receive
 window constant: it duck-types segments and links, so trace files can
@@ -55,6 +57,10 @@ __all__ = ["SanitizerConfig", "ModeTraceRules", "Violation",
            "InvariantViolationError", "TraceValidator",
            "FrameStreamValidator", "LiveSanitizer", "parse_trace_text",
            "validate_trace_text", "validate_records"]
+
+
+#: Slack for float timestamps in the delayed-ACK deadline check.
+_EPSILON = 1e-6
 
 
 class InvariantViolationError(AssertionError):
@@ -122,8 +128,6 @@ class SanitizerConfig:
     #: Upper bound on send->arrival transit (propagation + worst-case
     #: serialization queueing) used by the delayed-ACK deadline check.
     transit_bound: float = 0.75
-    #: Slack for float timestamps.
-    epsilon: float = 1e-6
     #: Require every established direction to finish with an acked FIN.
     require_teardown: bool = True
     #: Treat any RST as a violation (clean-trace mode).
@@ -381,7 +385,7 @@ class TraceValidator:
                 r.snd_una = ack
                 budget = (self.config.transit_bound
                           + self._delack_period(flow, sender)
-                          + self.config.epsilon)
+                          + _EPSILON)
                 remaining = []
                 for end_seq, sent_at in r.unacked:
                     if end_seq <= ack:
@@ -643,36 +647,28 @@ class LiveSanitizer:
 
     Installs a tap on a :class:`~repro.simnet.link.Link` (duck-typed:
     anything with a ``taps`` list called as ``tap(segment, now)``).
-    With ``raise_immediately`` (the default) the first violating
-    segment raises :class:`InvariantViolationError` from inside the
-    simulation, so the failure points at the exact simulated moment;
-    otherwise violations accumulate for inspection.
+    The first violating segment raises :class:`InvariantViolationError`
+    from inside the simulation, so the failure points at the exact
+    simulated moment.
 
     Call :meth:`finish` after the simulation quiesces to run the
     teardown checks.
     """
 
     def __init__(self, link: Any,
-                 config: Optional[SanitizerConfig] = None, *,
-                 raise_immediately: bool = True) -> None:
+                 config: Optional[SanitizerConfig] = None) -> None:
         self.validator = TraceValidator(config)
-        self.raise_immediately = raise_immediately
         self._last_time = 0.0
         link.taps.append(self._tap)
-
-    @property
-    def violations(self) -> List[Violation]:
-        return self.validator.violations
 
     def _tap(self, segment: Any, now: float) -> None:
         self._last_time = now
         fresh = self.validator.observe_segment(segment, now)
-        if fresh and self.raise_immediately:
+        if fresh:
             raise InvariantViolationError(fresh[0].format())
 
-    def finish(self,
-               at_time: Optional[float] = None) -> List[Violation]:
-        """Run teardown checks; raises when violations were found.
+    def finish(self, at_time: Optional[float] = None) -> None:
+        """Run teardown checks; raises when they find a violation.
 
         ``at_time`` overrides the timestamp of the last observed
         segment as the end-of-run clock (pass ``sim.now`` after the
@@ -680,10 +676,10 @@ class LiveSanitizer:
         """
         end = at_time if at_time is not None else self._last_time
         self.validator.finalize(at_time=end)
-        if self.violations and self.raise_immediately:
+        violations = self.validator.violations
+        if violations:
             raise InvariantViolationError(
-                "; ".join(v.format() for v in self.violations[:5]))
-        return self.violations
+                "; ".join(v.format() for v in violations[:5]))
 
 
 # ----------------------------------------------------------------------

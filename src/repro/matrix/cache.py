@@ -201,23 +201,17 @@ register_result_codec("run", RunResult, result_to_payload,
 class ResultCache:
     """JSON result store keyed by stable spec + seed + version hashes."""
 
-    def __init__(self, root: Union[str, Path] = DEFAULT_CACHE_DIR, *,
-                 version: str = __version__) -> None:
+    def __init__(self, root: Union[str, Path] = DEFAULT_CACHE_DIR) -> None:
         self.root = Path(root)
-        self.version = version
 
     # ------------------------------------------------------------------
     # Keys and paths
     # ------------------------------------------------------------------
-    def key(self, spec: ExperimentSpec, seed: int) -> str:
-        """Stable content hash of one (cell, seed) work unit."""
-        return unit_key(spec, seed, version=self.version)
-
     def path(self, spec: ExperimentSpec, seed: int,
              key: Optional[str] = None) -> Path:
-        """The unit's entry; ``key`` is its :meth:`key` when the caller
-        already hashed it (the runner hashes each unit once)."""
-        return self.root / f"{key or self.key(spec, seed)}.json"
+        """The unit's entry; ``key`` is its :func:`unit_key` when the
+        caller already hashed it (the runner hashes each unit once)."""
+        return self.root / f"{key or unit_key(spec, seed)}.json"
 
     # ------------------------------------------------------------------
     # Lookup / store
@@ -252,7 +246,7 @@ class ResultCache:
         """
         self.root.mkdir(parents=True, exist_ok=True)
         write_json_atomic(self.path(spec, seed, key), {
-            "version": self.version,
+            "version": __version__,
             "seed": int(seed),
             "spec": spec.canonical_dict(),
             "result": encode_result(result),

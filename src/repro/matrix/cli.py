@@ -1,14 +1,18 @@
 """The runner flags every matrix-driven CLI verb shares.
 
-``table`` / ``modem`` / ``report`` / ``fleet`` / ``chaos`` all hand their
-work to a :class:`~repro.matrix.runner.MatrixRunner`; the flags that
-configure it, the ``--progress`` printer and the "args → runner"
-factory are defined here, once.
+``table`` / ``modem`` / ``report`` / ``claims`` / ``fleet`` / ``chaos``
+all hand their work to a :class:`~repro.matrix.runner.MatrixRunner`;
+the flags that configure it (each validated by argparse: a value that
+makes no sense is a usage error, exit 2), the ``--progress`` printer,
+the "args → runner" factory and the one exit rule — 1 when any unit
+was quarantined, with the output still printed — are defined here,
+once.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .cache import ResultCache
@@ -16,7 +20,25 @@ from .journal import RunJournal
 from .runner import CellEvent, MatrixRunner
 from .supervisor import DEFAULT_RETRY_BUDGET
 
-__all__ = ["add_runner_flags", "make_runner"]
+__all__ = ["add_runner_flags", "make_runner", "finish"]
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse type of ``--jobs`` (0 = one worker per CPU) and
+    ``--retry-budget`` (0 = quarantine without a retry)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
+def _positive_seconds(text: str) -> float:
+    """argparse type of ``--unit-deadline``: a wall-clock budget."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive number of seconds, got {text}")
+    return value
 
 
 def _print_progress(event: CellEvent) -> None:
@@ -34,7 +56,8 @@ def _print_progress(event: CellEvent) -> None:
 
 def add_runner_flags(parser: argparse.ArgumentParser) -> None:
     """Add the parallel / cache / supervision / journal flags."""
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
+    parser.add_argument("--jobs", type=_non_negative_int, default=1,
+                        metavar="N",
                         help="worker processes (0 = one per CPU)")
     parser.add_argument("--cache", action="store_true",
                         help="reuse cached results (.repro-cache/)")
@@ -42,13 +65,13 @@ def add_runner_flags(parser: argparse.ArgumentParser) -> None:
                         help="cache directory (implies --cache)")
     parser.add_argument("--progress", action="store_true",
                         help="print per-unit progress to stderr")
-    parser.add_argument("--retry-budget", type=int,
+    parser.add_argument("--retry-budget", type=_non_negative_int,
                         default=DEFAULT_RETRY_BUDGET, metavar="N",
                         help="parallel re-dispatches allowed per "
                              "failing unit before downgrade/quarantine "
                              f"(default {DEFAULT_RETRY_BUDGET})")
-    parser.add_argument("--unit-deadline", type=float, default=None,
-                        metavar="SECONDS",
+    parser.add_argument("--unit-deadline", type=_positive_seconds,
+                        default=None, metavar="SECONDS",
                         help="wall-clock budget per unit in a worker "
                              "(default: derived from the unit's "
                              "max_sim_time)")
@@ -82,3 +105,11 @@ def make_runner(args: argparse.Namespace, run_id: str) -> MatrixRunner:
         progress=_print_progress if args.progress else None,
         journal=journal, retry_budget=args.retry_budget,
         unit_deadline=args.unit_deadline)
+
+
+def finish(runner: MatrixRunner) -> int:
+    """Print the runner's stats line to stderr and return the verb's
+    exit status: 1 when any unit was quarantined (its cells print
+    ``nan`` or ``FAILED``), else 0."""
+    print(runner.stats.summary(), file=sys.stderr)
+    return 1 if runner.stats.failures else 0

@@ -58,18 +58,16 @@ def _unit_record(payload: Any) -> Dict[str, Any]:
 class RunJournal:
     """Append-only, atomically written record of one run's units."""
 
-    __slots__ = ("run_id", "root", "version")
+    __slots__ = ("run_id", "root")
 
     def __init__(self, run_id: str,
-                 root: Union[str, Path] = DEFAULT_RUNS_DIR, *,
-                 version: str = __version__) -> None:
+                 root: Union[str, Path] = DEFAULT_RUNS_DIR) -> None:
         if not _RUN_ID_RE.match(run_id):
             raise ValueError(
                 f"run id {run_id!r} must be filename-safe "
                 f"(letters, digits, '.', '_', '-')")
         self.run_id = run_id
         self.root = Path(root)
-        self.version = version
 
     # ------------------------------------------------------------------
     # Paths
@@ -95,7 +93,7 @@ class RunJournal:
         if not manifest.is_file():
             write_json_atomic(manifest, {
                 "run_id": self.run_id,
-                "version": self.version,
+                "version": __version__,
             })
 
     def clear(self) -> int:
@@ -119,8 +117,8 @@ class RunJournal:
                       result: Any, *, key: Optional[str] = None) -> None:
         """Record a completed unit's measurements (atomic, idempotent).
 
-        ``key`` is the unit's :func:`unit_key` at this journal's
-        version when the caller already hashed it.
+        ``key`` is the unit's :func:`unit_key` when the caller already
+        hashed it.
         """
         self._record(spec, seed, key, {"status": "ok",
                                        "result": encode_result(result)})
@@ -136,7 +134,7 @@ class RunJournal:
     def _record(self, spec: ExperimentSpec, seed: int,
                 key: Optional[str], outcome: Dict[str, Any]) -> None:
         self.begin()
-        key = key or unit_key(spec, seed, version=self.version)
+        key = key or unit_key(spec, seed)
         write_json_atomic(self.units_dir / f"{key}.json", {
             "label": spec.label, "seed": int(seed), **outcome})
 

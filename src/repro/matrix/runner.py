@@ -21,9 +21,10 @@ Three fixed costs are amortized instead of paid per unit or per call:
   from the content-addressed artifact store
   (:mod:`repro.content.artifacts`) in O(read) when warm — so the first
   dispatched unit measures simulation, not site synthesis.
-* **Dispatch is chunked.**  Units travel in chunks (one pickle/IPC
-  round-trip and one batched :meth:`ResultCache.put_many` flush per
-  chunk) instead of one message per unit.
+* **Dispatch is chunked.**  Units travel in chunks of about
+  :data:`_CHUNKS_PER_WORKER` per worker (one pickle/IPC round-trip and
+  one batched :meth:`ResultCache.put_many` flush per chunk) instead of
+  one message per unit.
 
 Observability: the runner accumulates :class:`MatrixStats` (per-cell
 wall time, cache and artifact hit/miss counters, IPC batch and pickled-
@@ -53,10 +54,9 @@ import time
 from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple)
 
-from .. import __version__
 from ..content import artifacts
 from ..core.runner import AveragedResult, UnitFailure, warm_default_site
-from ..faults.harness import HarnessFaultPlan, resolve_harness_plan
+from ..faults.harness import HarnessFaultPlan
 from .cache import ResultCache, unit_key
 from .journal import RunJournal
 from .spec import ExperimentSpec
@@ -186,8 +186,7 @@ def run_unit(spec: ExperimentSpec, seed: int) -> Tuple[object, float]:
     return result, time.perf_counter() - start
 
 
-def _pool_initializer(artifact_state: Dict[str, object],
-                      warm: bool) -> None:
+def _pool_initializer(artifact_state: Dict[str, object]) -> None:
     """Configure and warm a pool worker at spawn time.
 
     Applies the parent's artifact-store configuration (same blob
@@ -197,8 +196,7 @@ def _pool_initializer(artifact_state: Dict[str, object],
     copy-on-write and both steps are near-free no-ops.
     """
     artifacts.configure(**artifact_state)
-    if warm:
-        warm_default_site()
+    warm_default_site()
 
 
 class MatrixRunner:
@@ -215,17 +213,11 @@ class MatrixRunner:
     progress:
         Optional callback invoked with a :class:`CellEvent` as each
         unit resolves (cache hits first, then runs as they finish).
-    chunk_size:
-        Units per dispatch chunk.  ``None`` (the default) adapts to the
-        batch: roughly :data:`_CHUNKS_PER_WORKER` chunks per worker.
-    warm:
-        Pre-build the default Microscape site in the parent and in each
-        worker on spawn.  Disable only in tests that count builds.
     journal:
-        Optional :class:`~repro.matrix.journal.RunJournal` (or a run-id
-        string).  Resolved units are recorded as they complete, and
-        already-journaled units replay instead of re-running, so an
-        interrupted grid resumes byte-identically.
+        Optional :class:`~repro.matrix.journal.RunJournal`.  Resolved
+        units are recorded as they complete, and already-journaled
+        units replay instead of re-running, so an interrupted grid
+        resumes byte-identically.
     retry_budget:
         Parallel re-dispatches the supervisor allows per failing unit
         before downgrading (serial retry for exceptions, quarantine for
@@ -236,41 +228,34 @@ class MatrixRunner:
         each spec's ``max_sim_time``
         (× :data:`~repro.matrix.supervisor.DEADLINE_GRACE`).
     harness_faults:
-        Optional :class:`~repro.faults.harness.HarnessFaultPlan` (or
-        plan name) injecting scripted machine faults — for the chaos
-        harness and the robustness tests.
+        Optional :class:`~repro.faults.harness.HarnessFaultPlan`
+        injecting scripted machine faults — the robustness tests' seam.
 
     The pool spawned for the first parallel ``run_many()`` is reused by
     every later call; ``close()`` (or a ``with`` block) releases it.
     """
 
-    __slots__ = ("jobs", "cache", "progress", "stats", "chunk_size",
-                 "warm", "journal", "retry_budget", "unit_deadline",
-                 "harness_faults", "_pool", "_pool_workers", "_progress")
+    __slots__ = ("jobs", "cache", "progress", "stats", "journal",
+                 "retry_budget", "unit_deadline", "harness_faults",
+                 "_pool", "_pool_workers", "_progress")
 
     def __init__(self, jobs: Optional[int] = 1, *,
                  cache: Optional[ResultCache] = None,
                  progress: Optional[ProgressCallback] = None,
-                 chunk_size: Optional[int] = None,
-                 warm: bool = True,
-                 journal: "Optional[RunJournal | str]" = None,
+                 journal: Optional[RunJournal] = None,
                  retry_budget: int = DEFAULT_RETRY_BUDGET,
                  unit_deadline: Optional[float] = None,
-                 harness_faults: "Optional[HarnessFaultPlan | str]" = None
+                 harness_faults: Optional[HarnessFaultPlan] = None
                  ) -> None:
         if not jobs:
             jobs = os.cpu_count() or 1
         self.jobs = max(1, int(jobs))
         self.cache = cache
         self.progress = progress
-        self.chunk_size = chunk_size
-        self.warm = warm
-        if isinstance(journal, str):
-            journal = RunJournal(journal)
         self.journal = journal
         self.retry_budget = max(0, int(retry_budget))
         self.unit_deadline = unit_deadline
-        self.harness_faults = resolve_harness_plan(harness_faults)
+        self.harness_faults = harness_faults
         self.stats = MatrixStats()
         self._pool: Optional[multiprocessing.pool.Pool] = None
         self._pool_workers = 0
@@ -282,16 +267,15 @@ class MatrixRunner:
     def _ensure_pool(self) -> "multiprocessing.pool.Pool":
         """The persistent pool, spawning (and warming) it on first use."""
         if self._pool is None:
-            if self.warm:
-                # Build before forking: fork-start workers inherit the
-                # site copy-on-write instead of each building their own.
-                before = process_counters()
-                warm_default_site()
-                self.stats.count(process_counters(before))
+            # Build before forking: fork-start workers inherit the site
+            # copy-on-write instead of each building their own.
+            before = process_counters()
+            warm_default_site()
+            self.stats.count(process_counters(before))
             self._pool = multiprocessing.Pool(
                 processes=self.jobs,
                 initializer=_pool_initializer,
-                initargs=(artifacts.store_state(), self.warm))
+                initargs=(artifacts.store_state(),))
             self._pool_workers = self.jobs
         return self._pool
 
@@ -366,11 +350,8 @@ class MatrixRunner:
         total = len(units)
         completed = 0
         # Each unit is hashed once; the stats map, the journal and the
-        # cache all address it by that key (a store pinned to another
-        # version gets its own).
+        # cache all address it by that key.
         keys = [unit_key(spec, seed) for spec, seed in units]
-        cache_keys = self._store_keys(self.cache, units, keys)
-        journal_keys = self._store_keys(self.journal, units, keys)
 
         journal_records = None
         if self.journal is not None:
@@ -380,7 +361,7 @@ class MatrixRunner:
         pending: List[int] = []
         for index, (spec, seed) in enumerate(units):
             if journal_records is not None:
-                record = journal_records.get(journal_keys[index])
+                record = journal_records.get(keys[index])
                 outcome = (RunJournal.hydrate(record)
                            if record is not None else None)
                 if outcome is not None:
@@ -397,7 +378,7 @@ class MatrixRunner:
                         self._emit(spec, seed, "hit", 0.0, completed,
                                    total)
                     continue
-            cached = (self.cache.get(spec, seed, key=cache_keys[index])
+            cached = (self.cache.get(spec, seed, key=keys[index])
                       if self.cache is not None else None)
             if cached is not None:
                 slots[index] = cached
@@ -405,7 +386,7 @@ class MatrixRunner:
                 self.stats.cache_hits += 1
                 if self.journal is not None:
                     self.journal.record_result(spec, seed, cached,
-                                               key=journal_keys[index])
+                                               key=keys[index])
                 self._emit(spec, seed, "hit", 0.0, completed, total)
             else:
                 if self.cache is not None:
@@ -416,7 +397,7 @@ class MatrixRunner:
         for batch in self._execute(units, pending):
             if self.cache is not None:
                 self.cache.put_many(
-                    (*units[index], outcome, cache_keys[index])
+                    (*units[index], outcome, keys[index])
                     for index, outcome, _ in batch
                     if not isinstance(outcome, UnitFailure))
             for index, outcome, wall in batch:
@@ -427,7 +408,7 @@ class MatrixRunner:
                     self.stats.failures += 1
                     if self.journal is not None:
                         self.journal.record_failure(
-                            spec, seed, outcome, key=journal_keys[index])
+                            spec, seed, outcome, key=keys[index])
                     self._emit(spec, seed, "failed", wall, completed,
                                total, attempt=outcome.attempts)
                 else:
@@ -435,7 +416,7 @@ class MatrixRunner:
                     self.stats.unit_wall_times[keys[index]] = wall
                     if self.journal is not None:
                         self.journal.record_result(
-                            spec, seed, outcome, key=journal_keys[index])
+                            spec, seed, outcome, key=keys[index])
                     self._emit(spec, seed, "run", wall, completed, total)
                 self._progress = (completed, total)
 
@@ -453,14 +434,6 @@ class MatrixRunner:
             failures = [f for f in cell if isinstance(f, UnitFailure)]
             averaged.append(AveragedResult(runs, failures=failures))
         return averaged
-
-    @staticmethod
-    def _store_keys(store, units, keys: List[str]) -> List[str]:
-        """``keys``, re-hashed only for a store at another version."""
-        if store is None or store.version == __version__:
-            return keys
-        return [unit_key(spec, seed, version=store.version)
-                for spec, seed in units]
 
     # ------------------------------------------------------------------
     # Execution strategies
@@ -485,18 +458,11 @@ class MatrixRunner:
             return
         payload = [(index, units[index][0], units[index][1])
                    for index in pending]
-        supervisor = Supervisor(self, retry_budget=self.retry_budget,
-                                unit_deadline=self.unit_deadline,
-                                plan=self.harness_faults)
-        yield from supervisor.execute(payload)
+        yield from Supervisor(self).execute(payload)
 
     def _chunked(self, payload: List[_Unit]) -> Iterator[List[_Unit]]:
         """Split the pending units into dispatch chunks."""
-        size = self.chunk_size
-        if size is None:
-            size = math.ceil(len(payload)
-                             / (self.jobs * _CHUNKS_PER_WORKER))
-        size = max(1, int(size))
+        size = math.ceil(len(payload) / (self.jobs * _CHUNKS_PER_WORKER))
         for start in range(0, len(payload), size):
             yield payload[start:start + size]
 

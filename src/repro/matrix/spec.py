@@ -11,9 +11,10 @@ is what the on-disk result cache keys off.  The cache identity is
 every field unless the field opts out, so a newly added field keys the
 cache by default.
 
-:class:`ExperimentMatrix` is the cartesian product of the axes:
-``expand()`` yields one spec per (mode, scenario, environment, server)
-combination, in table order.
+:class:`ExperimentMatrix` is the paper's grid — its table modes, both
+scenarios and Table 1's three environments — crossed with a set of
+servers: ``expand()`` yields one spec per (mode, scenario, environment,
+server) combination, in table order.
 """
 
 from __future__ import annotations
@@ -36,6 +37,14 @@ __all__ = ["DEFAULT_SEEDS", "ExperimentSpec", "ExperimentMatrix",
 
 #: The paper averaged five seeded runs per cell.
 DEFAULT_SEEDS: Tuple[int, ...] = (0, 1, 2, 3, 4)
+
+#: The axes every :class:`ExperimentMatrix` crosses with its servers:
+#: the four rows of the paper's LAN/WAN tables, both scenarios, and
+#: Table 1's three environments.
+MATRIX_MODES: Tuple[str, ...] = tuple(
+    mode.name for mode in modes_for_environment("LAN", paper_only=True))
+MATRIX_SCENARIOS: Tuple[str, ...] = ("first-time", "revalidate")
+MATRIX_ENVIRONMENTS: Tuple[str, ...] = ("LAN", "WAN", "PPP")
 
 _CLIENT_FIELDS = {field.name for field in
                   dataclasses.fields(ClientConfig)}
@@ -250,67 +259,43 @@ class ExperimentSpec:
 
 @dataclasses.dataclass(frozen=True)
 class ExperimentMatrix:
-    """A cartesian grid of experiment cells.
+    """The paper's grid on ``servers``, each cell run at ``seeds``.
 
     ``expand()`` emits specs in table order — server, then environment,
     then mode, then scenario — matching how the paper lays out
     Tables 4-9.
     """
 
-    #: Default: the four rows of the paper's LAN/WAN tables.
-    modes: Tuple[str, ...] = tuple(
-        mode.name for mode in modes_for_environment("LAN", paper_only=True))
-    scenarios: Tuple[str, ...] = ("first-time", "revalidate")
-    environments: Tuple[str, ...] = ("LAN", "WAN", "PPP")
     servers: Tuple[str, ...] = ("Jigsaw", "Apache")
     seeds: Tuple[int, ...] = DEFAULT_SEEDS
-    jitter: float = DEFAULT_JITTER
-    client_overrides: Tuple[Tuple[str, Any], ...] = ()
-    verify: bool = True
 
     def __post_init__(self) -> None:
         set_ = object.__setattr__
-
-        def axis(value, resolver):
-            values = (value,) if isinstance(value, str) else tuple(value)
-            resolved = tuple(registered_name(v, resolver) for v in values)
-            if not resolved:
-                raise ValueError("matrix axes cannot be empty")
-            if len(set(resolved)) != len(resolved):
-                raise ValueError(f"duplicate axis entries: {resolved}")
-            return resolved
-
-        set_(self, "modes", axis(self.modes, resolve_mode))
-        set_(self, "environments",
-             axis(self.environments, resolve_environment))
-        set_(self, "servers", axis(self.servers, resolve_profile))
-        scenarios = ((self.scenarios,) if isinstance(self.scenarios, str)
-                     else tuple(self.scenarios))
-        resolved = tuple(resolve_scenario(s) for s in scenarios)
+        servers = ((self.servers,) if isinstance(self.servers, str)
+                   else tuple(self.servers))
+        resolved = tuple(registered_name(server, resolve_profile)
+                         for server in servers)
+        if not resolved:
+            raise ValueError("a matrix needs at least one server")
         if len(set(resolved)) != len(resolved):
-            raise ValueError(f"duplicate scenarios: {resolved}")
-        set_(self, "scenarios", resolved)
+            raise ValueError(f"duplicate servers: {resolved}")
+        set_(self, "servers", resolved)
         seeds = self.seeds
         if isinstance(seeds, int):
             seeds = (seeds,)
         set_(self, "seeds", tuple(int(seed) for seed in seeds))
-        set_(self, "jitter", float(self.jitter))
-        set_(self, "client_overrides",
-             _canonical_overrides(self.client_overrides))
 
     def __len__(self) -> int:
-        return (len(self.modes) * len(self.scenarios)
-                * len(self.environments) * len(self.servers))
+        return (len(MATRIX_MODES) * len(MATRIX_SCENARIOS)
+                * len(MATRIX_ENVIRONMENTS) * len(self.servers))
 
     def expand(self) -> List[ExperimentSpec]:
         """All cells of the grid, in table order."""
         return [
             ExperimentSpec(mode=mode, scenario=scenario,
                            environment=environment, server=server,
-                           seeds=self.seeds, jitter=self.jitter,
-                           client_overrides=self.client_overrides,
-                           verify=self.verify)
+                           seeds=self.seeds)
             for server, environment, mode, scenario in itertools.product(
-                self.servers, self.environments, self.modes,
-                self.scenarios)
+                self.servers, MATRIX_ENVIRONMENTS, MATRIX_MODES,
+                MATRIX_SCENARIOS)
         ]

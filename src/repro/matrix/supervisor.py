@@ -7,12 +7,12 @@ unit aborts the whole batch.  :class:`Supervisor` owns the in-flight
 chunks instead:
 
 * every chunk carries a **wall-clock deadline** (per-unit budget —
-  an explicit ``unit_deadline`` or :data:`DEADLINE_GRACE` × the
+  the runner's ``unit_deadline`` or :data:`DEADLINE_GRACE` × the
   spec's ``max_sim_time`` — summed over the chunk's units);
 * a **liveness watch** on the pool's worker processes notices a dead
   worker within one poll interval, without waiting for the deadline;
 * on either signal the pool is **terminated and respawned** and every
-  lost chunk is re-dispatched under a capped retry budget;
+  lost chunk is re-dispatched under the runner's capped retry budget;
 * failures walk the same **downgrade ladder** as the PR-4 robot:
   parallel retry → serial in-parent retry → quarantine.  Only
   exception failures reach the serial rung — a unit that hangs or
@@ -144,20 +144,16 @@ class Supervisor:
 
     Created per ``run_many`` parallel dispatch; uses the runner's
     persistent pool (respawning it through the runner so later calls
-    reuse the healthy replacement) and reports retries, respawns and
-    IPC totals into the runner's :class:`MatrixStats`.
+    reuse the healthy replacement), follows the runner's
+    ``retry_budget``, ``unit_deadline`` and ``harness_faults``, and
+    reports retries, respawns and IPC totals into the runner's
+    :class:`MatrixStats`.
     """
 
-    __slots__ = ("runner", "retry_budget", "unit_deadline", "plan",
-                 "_inflight", "_procs")
+    __slots__ = ("runner", "_inflight", "_procs")
 
-    def __init__(self, runner, *, retry_budget: int = DEFAULT_RETRY_BUDGET,
-                 unit_deadline: Optional[float] = None,
-                 plan: Optional[HarnessFaultPlan] = None) -> None:
+    def __init__(self, runner) -> None:
         self.runner = runner
-        self.retry_budget = max(0, int(retry_budget))
-        self.unit_deadline = unit_deadline
-        self.plan = plan
         self._inflight: List[_Chunk] = []
         self._procs: List[object] = []
 
@@ -196,7 +192,7 @@ class Supervisor:
     # Dispatch and collection
     # ------------------------------------------------------------------
     def _dispatch(self, pool, units: List[_SupUnit]) -> None:
-        payload = (tuple(units), self.plan)
+        payload = (tuple(units), self.runner.harness_faults)
         stats = self.runner.stats
         stats.ipc_batches += 1
         stats.bytes_pickled += len(
@@ -208,8 +204,8 @@ class Supervisor:
             deadline))
 
     def _deadline_for(self, spec: ExperimentSpec) -> float:
-        if self.unit_deadline is not None:
-            return float(self.unit_deadline)
+        if self.runner.unit_deadline is not None:
+            return float(self.runner.unit_deadline)
         return DEADLINE_GRACE * spec.max_sim_time
 
     def _watch(self, pool) -> None:
@@ -256,15 +252,16 @@ class Supervisor:
         Returns the resolved outcome, or None when the unit was
         re-dispatched and will resolve in a later batch.
         """
-        if attempt <= self.retry_budget:
+        if attempt <= self.runner.retry_budget:
             self.runner._emit_retry(spec, seed, attempt + 1)
             self._dispatch(self.runner._ensure_pool(),
                            [(index, spec, seed, attempt + 1)])
             return None
         # Parallel budget exhausted: the serial in-parent rung.
         self.runner._emit_retry(spec, seed, attempt + 1)
-        return _attempt(self.runner.stats.count, self.plan, index, spec,
-                        seed, attempt + 1)
+        return _attempt(self.runner.stats.count,
+                        self.runner.harness_faults, index, spec, seed,
+                        attempt + 1)
 
     def _supervise(self) -> List[_Outcome]:
         """One idle tick: check liveness and deadlines, maybe recover.
@@ -312,7 +309,7 @@ class Supervisor:
         """
         batch: List[_Outcome] = []
         for index, spec, seed, attempt in units:
-            if attempt <= self.retry_budget:
+            if attempt <= self.runner.retry_budget:
                 self.runner._emit_retry(spec, seed, attempt + 1)
                 self._dispatch(pool, [(index, spec, seed, attempt + 1)])
             else:

@@ -32,7 +32,13 @@ from ..http import (ParseError, Request, RequestParser,
 from ..simnet.engine import Event, Simulator
 from ..simnet.tcp import TcpConnection, TcpStack
 
-__all__ = ["SimHttpProxy"]
+__all__ = ["SimHttpProxy", "PROXY_PORT"]
+
+#: The port the proxy listens on (its clients dial it there).
+PROXY_PORT = 8080
+#: The origin's port, and the name the proxy adds to ``Via`` headers.
+_ORIGIN_PORT = 80
+_VIA_NAME = "proxy.w3.org"
 
 #: Headers that are hop-by-hop per RFC 2068 §13.5.1.
 HOP_BY_HOP = ("connection", "keep-alive", "proxy-connection",
@@ -90,7 +96,7 @@ class _ProxiedExchange:
             # forwarded; strip them all.
             for name in HOP_BY_HOP:
                 headers.remove(name)
-            headers.add("Via", f"1.1 {self.proxy.name}")
+            headers.add("Via", f"1.1 {_VIA_NAME}")
         # "blind" mode forwards everything verbatim — the 1.0 bug.
         outbound = Request(request.method, request.target,
                            request.version, headers, request.body)
@@ -104,7 +110,7 @@ class _ProxiedExchange:
 
     def _open_upstream(self) -> None:
         self.upstream = self.proxy.upstream_stack.connect(
-            self.proxy.upstream_host, self.proxy.upstream_port)
+            self.proxy.upstream_host, _ORIGIN_PORT)
         self.upstream.set_nodelay(True)
         self.upstream.on_data = self._upstream_data
         self.upstream.on_eof = self._upstream_eof
@@ -120,7 +126,7 @@ class _ProxiedExchange:
                 headers = response.headers.copy()
                 for name in HOP_BY_HOP:
                     headers.remove(name)
-                headers.add("Via", f"1.1 {self.proxy.name}")
+                headers.add("Via", f"1.1 {_VIA_NAME}")
                 import dataclasses
                 relayed = dataclasses.replace(response, headers=headers)
                 if self.client_conn.state != "CLOSED":
@@ -191,8 +197,9 @@ class SimHttpProxy:
         The proxy host's TCP stacks on the client-facing and
         origin-facing links (see
         :class:`~repro.simnet.network.ChainNetwork`).
-    upstream_host, upstream_port:
-        Where the origin lives.
+    upstream_host:
+        Where the origin lives (it listens on port 80; the proxy listens
+        on :data:`PROXY_PORT`).
     mode:
         ``"blind"`` — a 1996 HTTP/1.0 proxy: forwards all headers
         verbatim, delimits responses by upstream close.
@@ -204,25 +211,20 @@ class SimHttpProxy:
     """
 
     def __init__(self, sim: Simulator, client_stack: TcpStack,
-                 upstream_stack: TcpStack, upstream_host: str,
-                 upstream_port: int = 80, *, port: int = 8080,
-                 mode: str = "blind", idle_timeout: float = 15.0,
-                 name: str = "proxy.w3.org") -> None:
+                 upstream_stack: TcpStack, upstream_host: str, *,
+                 mode: str = "blind", idle_timeout: float = 15.0) -> None:
         if mode not in ("blind", "hop_by_hop"):
             raise ValueError(f"unknown proxy mode {mode!r}")
         self.sim = sim
         self.upstream_stack = upstream_stack
         self.upstream_host = upstream_host
-        self.upstream_port = upstream_port
         self.mode = mode
         self.idle_timeout = idle_timeout
-        self.name = name
-        self.port = port
         #: Statistics.
         self.requests_forwarded = 0
         self.responses_forwarded = 0
         self.idle_timeouts = 0
-        client_stack.listen(port, self._accept)
+        client_stack.listen(PROXY_PORT, self._accept)
 
     def _accept(self, conn: TcpConnection) -> None:
         conn.set_nodelay(True)

@@ -72,6 +72,15 @@ _INF = float("inf")
 #: vetoed and runs per-segment thereafter (see ``_eligible``).
 _MIN_PROFITABLE_SYNTH = 16
 
+#: Send-queue depth, in full segments, below which a flow is never a
+#: candidate.  A span pays a heap scan plus two heap rebuilds; on
+#: request/response traffic (a 35 KB GIF, interleaved client events
+#: bounding the horizon) spans synthesize only a couple of segments and
+#: the surgery costs more than it saves.  32 full segments (~46 KB) sits
+#: above every Microscape object and far below any bulk transfer worth
+#: fast-forwarding.
+_MIN_QUEUE_SEGMENTS = 32
+
 
 class FastForward:
     """Analytic fast-forward driver for one :class:`Link`'s flows.
@@ -87,20 +96,13 @@ class FastForward:
 
     def __init__(self, sim: Simulator, link: Link,
                  stacks: Tuple[TcpStack, ...],
-                 collector: TraceCollector, *,
-                 min_queue_segments: int = 32) -> None:
+                 collector: TraceCollector) -> None:
         self.sim = sim
         self.link = link
         self.collector = collector
         self.stacks = stacks
         #: Send-queue depth below which a flow is never a candidate.
-        #: A span pays a heap scan plus two heap rebuilds; on
-        #: request/response traffic (a 35 KB GIF, interleaved client
-        #: events bounding the horizon) spans synthesize only a couple
-        #: of segments and the surgery costs more than it saves.  32
-        #: full segments (~46 KB) sits above every Microscape object
-        #: and far below any bulk transfer worth fast-forwarding.
-        self.min_queue_bytes = min_queue_segments * max(
+        self.min_queue_bytes = _MIN_QUEUE_SEGMENTS * max(
             stack.config.mss for stack in stacks)
         #: The connection flagged by the TCP layer, or None.  The engine
         #: polls this between events.

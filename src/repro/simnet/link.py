@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import Callable, Dict, Optional, Protocol, Tuple
+from typing import Callable, ClassVar, Dict, Optional, Protocol, Tuple
 
 from .engine import Simulator
 from .packet import HEADER_BYTES, Segment
@@ -278,11 +278,14 @@ class NetworkEnvironment:
     bottleneck reproduces the observed transfer times).
     """
 
+    #: Maximum segment size on every path: a 1500-byte MTU (PPP's
+    #: default MRU included).
+    mss: ClassVar[int] = 1460
+
     name: str
     description: str
     bandwidth_bps: float
     rtt: float
-    mss: int = 1460
     bits_per_byte: float = 8
     #: Whether the modem applies V.42bis-style stream compression.
     modem_compression: bool = False

@@ -163,16 +163,16 @@ class ModemCompressor:
     escape.  Dictionary state carries across packets either way (real
     V.42bis keeps learning while transparent).
 
-    ``efficiency`` is the fraction of the LZW savings the modem pair
-    actually realizes.  An idealized 12-bit LZW reaches ~2.2x on HTML,
-    but the paper's own modem throughput (§8.2.1: 42 KB of HTML in
+    :attr:`EFFICIENCY` is the fraction of the LZW savings the modem
+    pair actually realizes.  An idealized 12-bit LZW reaches ~2.2x on
+    HTML, but the paper's own modem throughput (§8.2.1: 42 KB of HTML in
     12.21 s on a 28.8k line) implies only ~1.15x from the real V.42bis
     pair — its 2048-entry LRU dictionary, frame flushes and retrains
-    eat the rest.  0.25 reproduces the measured path; 1.0 gives the
+    eat the rest.  0.25 reproduces the measured path; 1.0 would be the
     idealized codec.
 
-    The LZW size of a packet depends only on ``max_string`` and the
-    payloads that came before it, so it is looked up in
+    The LZW size of a packet depends only on :attr:`V42BIS_MAX_STRING`
+    and the payloads that came before it, so it is looked up in
     ``_COMPRESSED_MEMO`` under a 128-bit digest of exactly that history
     and the encoder runs only on a miss, after catching up on the
     packets it skipped.  A repeated stream costs one hash per packet; a
@@ -183,12 +183,11 @@ class ModemCompressor:
     #: V.42bis N7 default: dictionary strings of at most 6 octets.
     V42BIS_MAX_STRING = 6
     #: Fraction of ideal-LZW savings the modem pair realizes.
-    DEFAULT_EFFICIENCY = 0.25
+    EFFICIENCY = 0.25
 
-    def __init__(self, max_string: Optional[int] = V42BIS_MAX_STRING,
-                 efficiency: float = DEFAULT_EFFICIENCY) -> None:
+    def __init__(self) -> None:
+        max_string = self.V42BIS_MAX_STRING
         self._encoder = LzwEncoder(max_string=max_string)
-        self.efficiency = efficiency
         #: Rolling digest of ``(max_string, payload_1 .. payload_n)``,
         #: each payload length-framed: the key into ``_COMPRESSED_MEMO``.
         self._history = hashlib.blake2b(repr(max_string).encode("ascii"),
@@ -214,7 +213,7 @@ class ModemCompressor:
         else:
             self._skipped.append(payload)
         savings = max(0, len(payload) - compressed)
-        realized = int(savings * self.efficiency)
+        realized = int(savings * self.EFFICIENCY)
         wire = len(payload) - realized + self.MODE_MARKER_BYTES
         self.raw_bytes += len(payload)
         self.transmitted_bytes += wire

@@ -168,18 +168,15 @@ class ChainNetwork:
     Used for the Keep-Alive-through-proxies pathology the paper cites
     as the reason HTTP/1.1's persistent connections differ from the
     HTTP/1.0 Keep-Alive extension.  The proxy host owns a TCP stack on
-    *each* link (it has two interfaces).
+    *each* link (it has two interfaces).  The links carry no jitter.
     """
 
-    def __init__(self, environment: NetworkEnvironment, *,
-                 seed: int = 0, jitter: float = 0.0) -> None:
+    def __init__(self, environment: NetworkEnvironment) -> None:
         self.environment = environment
         self.sim = Simulator()
-        # One private jitter/loss stream per link.
-        self.client_link = environment.make_link(self.sim, jitter=jitter,
-                                                 seed=seed)
-        self.server_link = environment.make_link(self.sim, jitter=jitter,
-                                                 seed=seed + 1)
+        # One private loss stream per link.
+        self.client_link = environment.make_link(self.sim, seed=0)
+        self.server_link = environment.make_link(self.sim, seed=1)
         config = TcpConfig(mss=environment.mss)
         self.client = TcpStack(self.sim, CLIENT_HOST, self.client_link,
                                config)

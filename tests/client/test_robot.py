@@ -151,13 +151,6 @@ def test_conditional_requests_carry_etags(site, store):
         store.get("/gifs/hero.gif").etag
 
 
-def test_reval_refetch_html_transfers_body(site, store):
-    config = ClientConfig(http_version=HTTP11, reval_refetch_html=True)
-    _, result = run_fetch(site, store, config, REVALIDATE, prefill=True)
-    assert result.responses[site.html_url].status == 200
-    assert result.responses[site.html_url].body == site.html.body
-
-
 # ----------------------------------------------------------------------
 # Robustness
 # ----------------------------------------------------------------------

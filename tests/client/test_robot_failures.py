@@ -3,6 +3,7 @@
 import pytest
 
 from repro.client import FIRST_TIME, ClientConfig, Robot
+from repro.client import robot as robot_module
 from repro.content import build_microscape_site
 from repro.faults import FaultyProfile, ServerFaultConfig
 from repro.http import HTTP10, HTTP11
@@ -33,6 +34,12 @@ def run_fetch(site, store, config, profile=APACHE, follow_images=True):
 
 def faulty(**kwargs):
     return FaultyProfile.wrap(APACHE, ServerFaultConfig(**kwargs))
+
+
+def tune(monkeypatch, **constants):
+    """Set the robot's retry constants for one test."""
+    for name, value in constants.items():
+        monkeypatch.setattr(robot_module, name, value)
 
 
 # ----------------------------------------------------------------------
@@ -150,13 +157,14 @@ def test_garbage_head_mid_page_is_retried_like_a_truncation(site, store):
     assert result.recovery.count("client", "retry") == 1
 
 
-def test_garbage_on_every_attempt_exhausts_the_budget(site, store):
+def test_garbage_on_every_attempt_exhausts_the_budget(site, store,
+                                                      monkeypatch):
+    tune(monkeypatch, RETRY_BUDGET=3, MAX_CONSECUTIVE_FAILURES=100,
+         RETRY_BACKOFF_BASE=0.01)
     net = TwoHostNetwork(LAN)
     GarbledServer(net, store, garbled=range(1, 100))
     robot = Robot(net.sim, net.client, SERVER_HOST, 80,
-                  ClientConfig(http_version=HTTP11, retry_budget=3,
-                               max_consecutive_failures=100,
-                               retry_backoff_base=0.01))
+                  ClientConfig(http_version=HTTP11))
     result = robot.fetch(site.html_url, FIRST_TIME)
     net.run()
     assert not result.complete
@@ -192,12 +200,12 @@ def test_requeue_preserves_pipeline_order_ahead_of_pending(site, store):
 # ----------------------------------------------------------------------
 # Bounded retries and terminal errors
 # ----------------------------------------------------------------------
-def test_retry_budget_exhaustion_is_terminal(site, store):
+def test_retry_budget_exhaustion_is_terminal(site, store, monkeypatch):
+    tune(monkeypatch, RETRY_BUDGET=3, MAX_CONSECUTIVE_FAILURES=100,
+         RETRY_BACKOFF_BASE=0.01)
     profile = faulty(abort_requests=tuple(range(1, 300)),
                      abort_after_bytes=0)
-    config = ClientConfig(http_version=HTTP11, retry_budget=3,
-                          max_consecutive_failures=100,
-                          retry_backoff_base=0.01)
+    config = ClientConfig(http_version=HTTP11)
     _, result = run_fetch(site, store, config, profile,
                           follow_images=False)
     assert not result.complete
@@ -206,12 +214,13 @@ def test_retry_budget_exhaustion_is_terminal(site, store):
     assert any(error.startswith("terminal:") for error in result.errors)
 
 
-def test_consecutive_zero_progress_failures_are_terminal(site, store):
+def test_consecutive_zero_progress_failures_are_terminal(site, store,
+                                                        monkeypatch):
+    tune(monkeypatch, RETRY_BUDGET=100, MAX_CONSECUTIVE_FAILURES=3,
+         RETRY_BACKOFF_BASE=0.01)
     profile = faulty(abort_requests=tuple(range(1, 300)),
                      abort_after_bytes=0)
-    config = ClientConfig(http_version=HTTP11, retry_budget=100,
-                          max_consecutive_failures=3,
-                          retry_backoff_base=0.01)
+    config = ClientConfig(http_version=HTTP11)
     robot, result = run_fetch(site, store, config, profile,
                               follow_images=False)
     assert not result.complete
@@ -219,14 +228,14 @@ def test_consecutive_zero_progress_failures_are_terminal(site, store):
     assert result.recovery.count("client", "backoff") == 2
 
 
-def test_on_complete_fires_on_terminal_error(site, store):
+def test_on_complete_fires_on_terminal_error(site, store, monkeypatch):
+    tune(monkeypatch, MAX_CONSECUTIVE_FAILURES=2)
     profile = faulty(abort_requests=tuple(range(1, 300)),
                      abort_after_bytes=0)
     net = TwoHostNetwork(LAN)
     SimHttpServer(net.sim, net.server, store, profile)
     robot = Robot(net.sim, net.client, SERVER_HOST, 80,
-                  ClientConfig(max_consecutive_failures=2,
-                               follow_images=False))
+                  ClientConfig(follow_images=False))
     done = []
     robot.on_complete = done.append
     robot.fetch(site.html_url)
@@ -287,9 +296,8 @@ def test_503_is_retried_until_success(site, store):
 
 def test_503_accepted_after_retry_budget(site, store):
     profile = faulty(error_503_requests=tuple(range(1, 10)))
-    config = ClientConfig(retry_server_errors=3)
-    _, result = run_fetch(site, store, config, profile,
+    _, result = run_fetch(site, store, ClientConfig(), profile,
                           follow_images=False)
     assert result.complete
     assert result.responses[site.html_url].status == 503
-    assert result.retries == 3
+    assert result.retries == robot_module.RETRY_SERVER_ERRORS == 3

@@ -15,13 +15,11 @@ def store(tmp_path):
 
 
 @pytest.fixture
-def default_store(tmp_path):
+def default_store(tmp_path, monkeypatch):
     """Swap the process-default store for a throwaway one."""
-    previous = artifacts.get_store()
     fresh = ArtifactStore(tmp_path / "default-artifacts")
-    artifacts.set_store(fresh)
-    yield fresh
-    artifacts.set_store(previous)
+    monkeypatch.setattr(artifacts, "_DEFAULT_STORE", fresh)
+    return fresh
 
 
 # ----------------------------------------------------------------------
@@ -93,8 +91,9 @@ def test_memory_only_store_persists_nothing():
     assert store.memoize("b", {}, 0, lambda: b"WRONG") == b"x"
 
 
-def test_lru_bound_is_respected(tmp_path):
-    store = ArtifactStore(None, max_memory_entries=2)
+def test_lru_bound_is_respected(monkeypatch):
+    monkeypatch.setattr(artifacts, "_MEMORY_ENTRIES", 2)
+    store = ArtifactStore(None)
     for i in range(5):
         store.memoize("b", {"i": i}, 0, lambda i=i: bytes([i]))
     assert len(store) == 2
@@ -198,37 +197,30 @@ def test_store_state_round_trips_through_configure(default_store):
 
 def test_env_flag_disables_lazy_default(monkeypatch):
     monkeypatch.setenv("REPRO_ARTIFACT_CACHE", "0")
-    previous = artifacts.get_store()
-    artifacts.set_store(None)
-    try:
-        assert artifacts.get_store().enabled is False
-    finally:
-        artifacts.set_store(previous)
+    monkeypatch.setattr(artifacts, "_DEFAULT_STORE", None)
+    assert artifacts.get_store().enabled is False
 
 
 # ----------------------------------------------------------------------
 # Byte-identity: the property the whole design rests on
 # ----------------------------------------------------------------------
-def test_site_build_is_byte_identical_warm_and_disabled(tmp_path):
+def test_site_build_is_byte_identical_warm_and_disabled(tmp_path,
+                                                       monkeypatch):
     from repro.content import build_microscape_site
 
-    def site_signature():
+    def site_signature(store):
+        monkeypatch.setattr(artifacts, "_DEFAULT_STORE", store)
         build_microscape_site.cache_clear()
         site = build_microscape_site()
         return ([(obj.url, obj.body) for obj in site.image_objects],
                 site.html.body)
 
-    previous = artifacts.get_store()
     try:
-        artifacts.set_store(ArtifactStore(tmp_path / "artifacts"))
-        cold = site_signature()
-        artifacts.set_store(ArtifactStore(tmp_path / "artifacts"))
-        warm = site_signature()
+        cold = site_signature(ArtifactStore(tmp_path / "artifacts"))
+        warm = site_signature(ArtifactStore(tmp_path / "artifacts"))
         assert artifacts.get_store().stats.disk_hits > 0
-        artifacts.set_store(ArtifactStore(None, enabled=False))
-        uncached = site_signature()
+        uncached = site_signature(ArtifactStore(None, enabled=False))
     finally:
-        artifacts.set_store(previous)
         build_microscape_site.cache_clear()
     assert cold == warm == uncached
 

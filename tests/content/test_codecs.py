@@ -3,13 +3,15 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.content.gif import (GifError, decode_animated_gif, decode_gif,
-                               encode_animated_gif, encode_gif, lzw_decode,
-                               lzw_encode)
+from repro.content.gif import (GifError, encode_animated_gif, encode_gif,
+                               lzw_decode, lzw_encode)
 from repro.content.images import (IndexedImage, animation_frames, banner,
                                   bullet, icon, photo_like, spacer)
-from repro.content.mng import MngError, decode_mng, encode_mng
-from repro.content.png import PngError, decode_png, encode_png
+from repro.content.mng import encode_mng
+from repro.content.png import encode_png
+
+from .decoder_oracle import (MngError, PngError, decode_animated_gif,
+                             decode_gif, decode_mng, decode_png)
 
 
 # ----------------------------------------------------------------------

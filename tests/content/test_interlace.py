@@ -8,10 +8,12 @@ of image data types (e.g. progressive PNG, GIF or JPEG images)".
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.content import (IndexedImage, bullet, decode_gif, decode_png,
-                           encode_gif, encode_png, icon, photo_like)
+from repro.content import (IndexedImage, bullet, encode_gif, encode_png,
+                           icon, photo_like)
 from repro.content.gif import _interlace_row_order
 from repro.content.png import ADAM7_PASSES
+
+from .decoder_oracle import decode_gif, decode_png
 
 
 # ----------------------------------------------------------------------

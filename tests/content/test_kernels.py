@@ -25,13 +25,10 @@ COLD_SITE_SHA256 = (
     "f683c79498d3d7a56c0bc4489cd16094a24e149bffce3e36334f50da9b0234fe")
 
 
-def test_cold_site_digest_is_pinned():
-    previous = artifacts.get_store()
-    artifacts.set_store(artifacts.ArtifactStore(None, enabled=False))
-    try:
-        site = build_microscape_site.__wrapped__()
-    finally:
-        artifacts.set_store(previous)
+def test_cold_site_digest_is_pinned(monkeypatch):
+    monkeypatch.setattr(artifacts, "_DEFAULT_STORE",
+                        artifacts.ArtifactStore(None, enabled=False))
+    site = build_microscape_site.__wrapped__()
     digest = hashlib.sha256()
     for url, obj in site.objects.items():
         digest.update(f"{url} {len(obj.body)}\n".encode("ascii"))

@@ -8,8 +8,9 @@ import pytest
 
 from repro.content import microscape
 from repro.content import (HTML_URL, ImageRole, build_microscape_site,
-                           decode_gif, decode_animated_gif,
                            find_image_urls)
+
+from .decoder_oracle import decode_animated_gif, decode_gif
 
 
 @pytest.fixture(scope="module")

@@ -4,8 +4,9 @@ import pytest
 
 from repro.content import (ImageRole, apply_all_transforms,
                            build_microscape_site, convert_site_to_png,
-                           css_replacement_analysis, decode_png,
-                           find_image_urls)
+                           css_replacement_analysis, find_image_urls)
+
+from .decoder_oracle import decode_png
 
 
 @pytest.fixture(scope="module")

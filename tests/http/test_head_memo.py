@@ -519,15 +519,17 @@ def test_scripted_faults_fire_on_templates_another_server_built():
 # ----------------------------------------------------------------------
 # (f) one shared revalidation prefill per store and profile
 # ----------------------------------------------------------------------
-def test_a_fresh_testbed_reuses_the_stores_prefill_until_an_update():
+def test_a_fresh_testbed_reuses_the_stores_prefill_until_an_update(
+        monkeypatch):
     mode = resolve_mode("pipelined")
     config = mode.client_config()
     site = build_microscape_site()
+    # A private store: the edit below must not reach the shared one.
     store = ResourceStore.from_site(site)
+    monkeypatch.setattr(runner, "_DEFAULT_SITE_AND_STORE", (site, store))
 
     def first_entry():
-        testbed = runner.Testbed(LAN, APACHE, mode.transport, site=site,
-                                 store=store)
+        testbed = runner.Testbed(LAN, APACHE, mode.transport)
         caches = []
         testbed.fetch_page(mode.transport, config, REVALIDATE,
                            attach=lambda robot: caches.append(robot.cache))

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.core.runner import RESULT_FIELDS, RunResult
-from repro.matrix import ExperimentSpec, ResultCache
+from repro.matrix import ExperimentSpec, ResultCache, unit_key
 from repro.matrix.cache import result_from_payload, result_to_payload
 
 
@@ -98,13 +98,13 @@ def test_fault_counters_round_trip(cache):
     assert hydrated.checksum_drops == 3
 
 
-def test_version_bump_invalidates(tmp_path):
+def test_version_bump_invalidates(cache):
     spec = ExperimentSpec()
-    old = ResultCache(tmp_path, version="1.0.0")
-    new = ResultCache(tmp_path, version="1.1.0")
-    old.put(spec, 0, synthetic_result())
-    assert new.get(spec, 0) is None
-    assert old.get(spec, 0) is not None
+    cache.put(spec, 0, synthetic_result())
+    bumped = unit_key(spec, 0, version="999.0.0")
+    assert bumped != unit_key(spec, 0)
+    assert cache.get(spec, 0, key=bumped) is None
+    assert cache.get(spec, 0) is not None
 
 
 def test_corrupt_entry_is_a_miss(cache):

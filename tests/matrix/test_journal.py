@@ -164,9 +164,3 @@ def test_journaled_failures_replay_on_resume(tmp_path):
         assert r.stats.failures == 1
     assert resumed[0].failures == first[0].failures
     assert_results_identical(first[1], resumed[1])
-
-
-def test_runner_accepts_run_id_string():
-    runner = MatrixRunner(jobs=1, journal="my-run")
-    assert isinstance(runner.journal, RunJournal)
-    assert runner.journal.run_id == "my-run"

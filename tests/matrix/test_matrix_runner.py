@@ -246,11 +246,19 @@ def test_close_is_idempotent():
     runner.close()
 
 
-def test_explicit_chunk_size_still_bit_identical():
+def test_explicit_chunk_size_still_bit_identical(monkeypatch):
+    from repro.matrix import runner as runner_mod
     spec = ExperimentSpec(seeds=(0, 1, 2, 3), **FAST)
-    with MatrixRunner(jobs=2, chunk_size=1) as fine, \
-            MatrixRunner(jobs=2, chunk_size=4) as coarse:
-        assert_results_identical(fine.run(spec), coarse.run(spec))
+    # Four units on two workers: chunks of 1 at four chunks per
+    # worker, one chunk of 4 at half a chunk per worker.
+    results = []
+    for chunks_per_worker, batches in ((4, 4), (0.5, 1)):
+        monkeypatch.setattr(runner_mod, "_CHUNKS_PER_WORKER",
+                            chunks_per_worker)
+        with MatrixRunner(jobs=2) as runner:
+            results.append(runner.run(spec))
+            assert runner.stats.ipc_batches == batches
+    assert_results_identical(*results)
 
 
 def test_cached_parallel_batches_flush_once_per_chunk(tmp_path):

@@ -76,12 +76,11 @@ def test_registry_maps_are_canonical():
 
 
 # ----------------------------------------------------------------------
-# The open registration surface (register_mode and friends)
+# Registration (register_mode and friends)
 # ----------------------------------------------------------------------
 def _unregister(name, aliases):
     from repro.core import registry
     registry.MODES.pop(name, None)
-    registry._MODE_ENVIRONMENTS.pop(name, None)
     registry._PAPER_ENVIRONMENTS.pop(name, None)
     for alias in aliases:
         registry.MODE_ALIASES.pop(alias, None)
@@ -91,30 +90,28 @@ def test_register_mode_wires_a_new_mode_everywhere():
     from repro.core.modes import ProtocolMode
     mode = ProtocolMode("HTTP/TEST Gopher++")
     try:
-        returned = register_mode(mode, aliases=("gopherpp",),
-                                 environments=("LAN",))
+        returned = register_mode(mode, aliases=("gopherpp",))
         assert returned is mode
         assert resolve_mode("gopherpp") is mode
         assert resolve_mode("http/test gopher++") is mode
-        assert mode in modes_for_environment("LAN")
-        assert mode not in modes_for_environment("WAN")
-        # Not a paper table row, so paper_only never shows it.
+        # Every registered mode runs in every environment ...
+        for environment in ENVIRONMENTS:
+            assert mode in modes_for_environment(environment)
+        # ... but it is no paper table row, so paper_only never shows it.
         assert mode not in modes_for_environment("LAN", paper_only=True)
     finally:
         _unregister(mode.name, ("gopherpp",))
 
 
-def test_register_mode_rejects_duplicates_unless_replace():
+def test_register_mode_rejects_duplicates():
     from repro.core.modes import ProtocolMode
     mode = ProtocolMode("HTTP/TEST Dup")
     try:
         register_mode(mode)
         with pytest.raises(ValueError, match="already registered"):
-            register_mode(ProtocolMode("HTTP/TEST Dup"))
-        replacement = ProtocolMode("HTTP/TEST Dup",
-                                   client_fields=dict(pipeline=True))
-        register_mode(replacement, replace=True)
-        assert resolve_mode("HTTP/TEST Dup") is replacement
+            register_mode(ProtocolMode("HTTP/TEST Dup",
+                                       client_fields=dict(pipeline=True)))
+        assert resolve_mode("HTTP/TEST Dup") is mode
     finally:
         _unregister("HTTP/TEST Dup", ())
 

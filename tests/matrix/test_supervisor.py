@@ -5,12 +5,15 @@ import pytest
 from repro.core.runner import UnitFailure
 from repro.faults import HarnessFaultPlan, HarnessPoisonError
 from repro.matrix import ExperimentSpec, MatrixRunner
+from repro.matrix import runner as runner_mod
 from repro.matrix.supervisor import DEADLINE_GRACE, Supervisor
 
 from .test_matrix_runner import FAST, assert_results_identical
 
 #: Two cheap LAN cells x three seeds = a six-unit grid that still
-#: exercises chunking, retries and sibling survival.
+#: exercises chunking, retries and sibling survival.  On two workers
+#: the runner cuts it into single-unit chunks (four per worker, at
+#: most); a test that needs wider ones lowers ``_CHUNKS_PER_WORKER``.
 GRID = [
     dict(seeds=(0, 1, 2), **FAST),
     dict(seeds=(0, 1, 2), mode="HTTP/1.1", scenario="revalidate",
@@ -86,7 +89,7 @@ def test_poison_cell_quarantined_serially():
 def test_poison_cell_walks_the_full_ladder_in_parallel(serial_baseline):
     plan = HarnessFaultPlan(name="t", poison_units=(1,), poison_seed=1)
     events = []
-    with MatrixRunner(jobs=2, chunk_size=1, harness_faults=plan,
+    with MatrixRunner(jobs=2, harness_faults=plan,
                       retry_budget=1, progress=events.append,
                       unit_deadline=SAFE_DEADLINE) as runner:
         results = runner.run_many(specs())
@@ -127,9 +130,12 @@ def test_transient_exception_recovers_within_budget(serial_baseline):
 # ----------------------------------------------------------------------
 # Machine faults: dead and hung workers
 # ----------------------------------------------------------------------
-def test_sigkilled_worker_recovers_byte_identical(serial_baseline):
+def test_sigkilled_worker_recovers_byte_identical(serial_baseline,
+                                                  monkeypatch):
+    # Two-unit chunks: the kill also takes a sibling down with it.
+    monkeypatch.setattr(runner_mod, "_CHUNKS_PER_WORKER", 2)
     plan = HarnessFaultPlan(name="t", kill_unit=2)
-    with MatrixRunner(jobs=2, chunk_size=2, harness_faults=plan,
+    with MatrixRunner(jobs=2, harness_faults=plan,
                       unit_deadline=SAFE_DEADLINE) as runner:
         results = runner.run_many(specs())
         stats = runner.stats
@@ -143,7 +149,7 @@ def test_sigkilled_worker_recovers_byte_identical(serial_baseline):
 
 def test_hung_worker_hits_deadline_and_recovers(serial_baseline):
     plan = HarnessFaultPlan(name="t", hang_unit=1, hang_seconds=120.0)
-    with MatrixRunner(jobs=2, chunk_size=1, harness_faults=plan,
+    with MatrixRunner(jobs=2, harness_faults=plan,
                       unit_deadline=3.0) as runner:
         results = runner.run_many(specs())
         stats = runner.stats
@@ -154,22 +160,21 @@ def test_hung_worker_hits_deadline_and_recovers(serial_baseline):
 
 
 def test_deadline_defaults_derive_from_max_sim_time():
-    runner = MatrixRunner(jobs=2)
-    supervisor = Supervisor(runner)
     spec = ExperimentSpec(max_sim_time=100.0, **FAST)
-    assert supervisor._deadline_for(spec) == DEADLINE_GRACE * 100.0
-    explicit = Supervisor(runner, unit_deadline=7.5)
+    derived = Supervisor(MatrixRunner(jobs=2))
+    assert derived._deadline_for(spec) == DEADLINE_GRACE * 100.0
+    explicit = Supervisor(MatrixRunner(jobs=2, unit_deadline=7.5))
     assert explicit._deadline_for(spec) == 7.5
-    runner.close()
 
 
 # ----------------------------------------------------------------------
 # Pool lifecycle hygiene (satellite: close/terminate on dead workers)
 # ----------------------------------------------------------------------
-def test_close_handles_already_dead_workers():
+def test_close_handles_already_dead_workers(monkeypatch):
+    # Half a chunk per worker: the whole grid is one chunk.
+    monkeypatch.setattr(runner_mod, "_CHUNKS_PER_WORKER", 0.5)
     plan = HarnessFaultPlan(name="t", kill_unit=0)
-    runner = MatrixRunner(jobs=2, chunk_size=6, retry_budget=0,
-                          harness_faults=plan,
+    runner = MatrixRunner(jobs=2, retry_budget=0, harness_faults=plan,
                           unit_deadline=SAFE_DEADLINE)
     results = runner.run_many(specs())
     # retry_budget=0: the killed chunk's units quarantine immediately.

@@ -1,10 +1,13 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import functools
 import re
 
 import pytest
 
 from repro.__main__ import build_parser, main
+from repro.faults import HarnessFaultPlan
+from repro.matrix import MatrixRunner, cli
 
 
 def test_run_cell(capsys):
@@ -72,6 +75,45 @@ def test_non_positive_runs_is_a_usage_error(argv, capsys):
         main(argv)
     assert excinfo.value.code == 2
     assert "--runs: must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--unit-deadline", "-1", "must be a positive number of seconds"),
+    ("--unit-deadline", "0", "must be a positive number of seconds"),
+    ("--unit-deadline", "nan", "must be a positive number of seconds"),
+    ("--retry-budget", "-5", "must be at least 0"),
+    ("--jobs", "-3", "must be at least 0"),
+])
+def test_nonsense_runner_flags_are_usage_errors(flag, value, message,
+                                                capsys):
+    # At the parent these ran: --unit-deadline -1 quarantined every
+    # unit and exited 0; the negative counts were silently clamped.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["table", "4", "--runs", "1", flag, value])
+    assert excinfo.value.code == 2
+    assert f"{flag}: {message}" in capsys.readouterr().err
+
+
+def test_jobs_zero_means_one_per_cpu():
+    args = build_parser().parse_args(["table", "4", "--jobs", "0",
+                                      "--retry-budget", "0"])
+    assert (args.jobs, args.retry_budget) == (0, 0)
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "4", "--runs", "1"],
+    ["fleet", "--users", "4", "--cohorts", "2", "--environment", "LAN",
+     "--pages-per-user", "1", "--rounds", "1"],
+])
+def test_a_quarantined_unit_exits_1_with_the_output_printed(argv, capsys,
+                                                            monkeypatch):
+    plan = HarnessFaultPlan(name="poison", poison_units=(0,))
+    monkeypatch.setattr(cli, "MatrixRunner",
+                        functools.partial(MatrixRunner, harness_faults=plan))
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "1 failed" in captured.err
+    assert captured.out.strip()
 
 
 @pytest.mark.parametrize("flags, message", [

@@ -18,6 +18,26 @@ identifier string (``__all__``) counts.  Exemptions go by rule:
 dunders, the ``visit_*`` methods of an ``ast.NodeVisitor`` (its
 ``visit`` dispatches to them by name), and functions handed to a
 project-defined decorator (``@_claim`` registers each claim).
+
+And one level further: an *option* — a defaulted ``__init__``
+parameter or a defaulted dataclass field of a class under
+``src/repro`` — must be given a value at some call of its own class in
+``src/`` or non-test ``bench/``: by keyword, by position, through
+``dataclasses.replace`` / ``.replace`` (dataclass fields), or as a
+string key of a dict display, a ``dict(...)`` keyword or a
+``d["key"] =`` store in a function that feeds ``**`` (or of a dict a
+function returns when its result is fed to ``**``).  A call through
+``cls(...)`` counts for the class it is in, ``super().__init__(...)``
+for its bases, a module-level alias (``TwoHostNetwork = Network``) for
+the class it names, and a keyword passed to a function or class that
+forwards its ``**`` parameter counts for the callee it forwards to.
+Names are matched as above.
+Exemptions go by rule: the fields of a dataclass ``src/`` assigns into
+after construction (result and counter records — ``FetchResult``,
+``PerfCounters``, ``MatrixStats``), the fields ``canonical_fields``
+reads (a spec that passes itself to it: the cache identity), and the
+fault-injection seams (the classes of ``repro.faults`` and options
+named ``faults`` or ``*_faults``).
 """
 
 import ast
@@ -125,3 +145,218 @@ def test_every_definition_is_used_outside_its_tests():
     assert unreferenced == [], (
         "functions, methods or classes nothing in src/ or bench/ names "
         "(delete them with their tests): " + ", ".join(unreferenced))
+
+
+
+def _is_dataclass(cls):
+    return any(terminal_name(decorator) == "dataclass"
+               for decorator in cls.decorator_list)
+
+
+def _fields(cls, classes):
+    """A dataclass's init fields in order, inherited ones first."""
+    if cls is None:
+        return []
+    inherited = [field for base in cls.bases
+                 for field in _fields(classes.get(terminal_name(base)),
+                                      classes)]
+    if not _is_dataclass(cls):
+        return inherited
+    return inherited + [
+        stmt for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign)
+        and isinstance(stmt.target, ast.Name)
+        and not ast.unparse(stmt.annotation).startswith("ClassVar")
+        and not (isinstance(stmt.value, ast.Call) and any(
+            keyword.arg == "init" for keyword in stmt.value.keywords))]
+
+
+def _options(cls, classes):
+    """(name, position or None) of each option ``cls`` declares."""
+    if _is_dataclass(cls):
+        for position, stmt in enumerate(_fields(cls, classes)):
+            if stmt.value is not None and stmt in cls.body:
+                yield stmt.target.id, position
+    for init in cls.body:
+        if isinstance(init, ast.FunctionDef) and init.name == "__init__":
+            args = init.args
+            positional = (args.posonlyargs + args.args)[1:]
+            first = len(positional) - len(args.defaults)
+            for position in range(first, len(positional)):
+                yield positional[position].arg, position
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield arg.arg, None
+
+
+def _splatted(call):
+    """The expressions ``call`` feeds to ``**`` (a dict display's own
+    ``**`` entries included)."""
+    for keyword in call.keywords:
+        if keyword.arg is None:
+            yield keyword.value
+            if isinstance(keyword.value, ast.Dict):
+                yield from (value for key, value in zip(
+                    keyword.value.keys, keyword.value.values) if key is None)
+
+
+def _calls(tree, aliases):
+    """(callee name, call, enclosing function, enclosing class) of every
+    call; ``cls(...)`` names its class, ``super().__init__(...)`` each
+    base, an alias the class it stands for."""
+    def walk(node, function, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                if cls and isinstance(func, ast.Name) and func.id == "cls":
+                    callees = [cls.name]
+                elif (cls and isinstance(func, ast.Attribute)
+                      and func.attr == "__init__"
+                      and terminal_name(func.value) == "super"):
+                    callees = [terminal_name(base) for base in cls.bases]
+                else:
+                    callees = [aliases.get(terminal_name(func),
+                                           terminal_name(func))]
+                for callee in callees:
+                    yield callee, child, function, cls
+            yield from walk(
+                child,
+                child if isinstance(child, ast.FunctionDef) else function,
+                child if isinstance(child, ast.ClassDef) else cls)
+    yield from walk(tree, None, None)
+
+
+def _dict_keys(scope):
+    """String keys ``scope`` spells into dict displays, ``dict(...)``
+    keywords and ``d["key"] =`` stores."""
+    for node in ast.walk(scope):
+        if isinstance(node, ast.Dict):
+            yield from (key.value for key in node.keys
+                        if isinstance(key, ast.Constant)
+                        and isinstance(key.value, str))
+        elif (isinstance(node, ast.Call)
+              and terminal_name(node.func) == "dict"):
+            yield from (keyword.arg for keyword in node.keywords
+                        if keyword.arg)
+        elif isinstance(node, ast.Assign):
+            yield from (target.slice.value for target in node.targets
+                        if isinstance(target, ast.Subscript)
+                        and isinstance(target.slice, ast.Constant)
+                        and isinstance(target.slice.value, str))
+
+
+def _records(modules, classes):
+    """Dataclasses ``modules`` assign a field of after construction:
+    ``x.field = / += / [k] =`` on another object, or ``self.field`` in
+    one of the class's own methods other than ``__init__`` /
+    ``__post_init__``."""
+    def walk(node, function, cls):
+        for child in ast.iter_child_nodes(node):
+            targets = (child.targets if isinstance(child, ast.Assign)
+                       else [child.target]
+                       if isinstance(child, (ast.AugAssign, ast.AnnAssign))
+                       else [])
+            for target in targets:
+                if isinstance(target, ast.Subscript):
+                    target = target.value
+                if isinstance(target, ast.Attribute):
+                    on_self = (isinstance(target.value, ast.Name)
+                               and target.value.id == "self")
+                    if not on_self:
+                        yield from fielded.get(target.attr, ())
+                    elif function not in ("__init__", "__post_init__") \
+                            and target.attr in fields.get(cls, ()):
+                        yield cls
+            yield from walk(
+                child,
+                child.name if isinstance(child, ast.FunctionDef)
+                else function,
+                child.name if isinstance(child, ast.ClassDef) else cls)
+
+    fields = {name: {stmt.target.id for stmt in _fields(cls, classes)}
+              for name, cls in classes.items() if _is_dataclass(cls)}
+    fielded = collections.defaultdict(list)
+    for name, names in fields.items():
+        for field in names:
+            fielded[field].append(name)
+    return {name for info in modules for name in walk(info.tree, None, None)}
+
+
+def _unset_options():
+    src = list(build_graph(REPO / "src" / "repro").modules.values())
+    callers = [*src, *(info for info in build_graph(REPO / "bench")
+                       .modules.values()
+                       if "/tests/" not in info.posix_path)]
+    classes = {node.name: node for info in src
+               for node in ast.walk(info.tree)
+               if isinstance(node, ast.ClassDef)}
+    aliases = {target.id: stmt.value.id for info in src
+               for stmt in info.tree.body
+               if isinstance(stmt, ast.Assign)
+               and isinstance(stmt.value, ast.Name)
+               for target in stmt.targets if isinstance(target, ast.Name)}
+    calls = [call for info in callers for call in _calls(info.tree, aliases)]
+
+    # A function (a class, for its __init__) that hands its ``**``
+    # parameter on -> the callees receiving it; what feeds ``**``.
+    forwards = collections.defaultdict(list)
+    feeding, fed = set(), set()
+    for callee, call, function, cls in calls:
+        for value in _splatted(call):
+            feeding.add(function)
+            if isinstance(value, ast.Call):
+                fed.add(terminal_name(value.func))
+            kwarg = function.args.kwarg if function else None
+            if (kwarg and isinstance(value, ast.Name)
+                    and value.id == kwarg.arg):
+                forwards[cls.name if cls and function.name == "__init__"
+                         else function.name].append(callee)
+    given = collections.defaultdict(set)
+    most_positional = collections.defaultdict(int)
+    for callee, call, _function, _cls in calls:
+        for target in [callee, *forwards[callee]]:
+            given[target].update(keyword.arg for keyword in call.keywords
+                                 if keyword.arg)
+            most_positional[target] = max(
+                most_positional[target],
+                sum(not isinstance(arg, ast.Starred) for arg in call.args))
+    splat_keys = {key for function in feeding - {None}
+                  for key in _dict_keys(function)}
+    splat_keys.update(key for info in callers
+                      for function in ast.walk(info.tree)
+                      if isinstance(function, ast.FunctionDef)
+                      and function.name in fed
+                      for node in ast.walk(function)
+                      if isinstance(node, ast.Return) and node.value
+                      for key in _dict_keys(node.value))
+    records = _records(src, classes)
+
+    unset = []
+    for info in src:
+        if info.name.split(".")[0] == "faults":
+            continue
+        for cls in ast.walk(info.tree):
+            if not isinstance(cls, ast.ClassDef) or cls.name in records \
+                    or any(isinstance(node, ast.Call)
+                           and terminal_name(node.func) == "canonical_fields"
+                           and any(isinstance(arg, ast.Name)
+                                   and arg.id == "self" for arg in node.args)
+                           for node in ast.walk(cls)):
+                continue
+            for name, position in _options(cls, classes):
+                if (name == "faults" or name.endswith("_faults")
+                        or name in given[cls.name] or name in splat_keys
+                        or (_is_dataclass(cls) and name in given["replace"])
+                        or (position is not None
+                            and position < most_positional[cls.name])):
+                    continue
+                unset.append(f"{info.name}:{cls.name}.{name}")
+    return sorted(unset)
+
+
+def test_every_option_is_set_outside_its_tests():
+    unset = _unset_options()
+    assert unset == [], (
+        "options nothing in src/ or bench/ sets (fold each into the value "
+        "src/ uses, and delete the code paths the others selected): "
+        + ", ".join(unset))
