@@ -59,6 +59,14 @@ if [ "$status" -ne 2 ]; then
     echo "check.sh: --unit-deadline 0 exited $status, not 2" >&2
     exit 1
 fi
+# So is a journal RUN_ID that is not one directory name.
+status=0
+python -m repro table 4 --runs 1 --journal ../x > /dev/null 2>&1 \
+    || status=$?
+if [ "$status" -ne 2 ]; then
+    echo "check.sh: --journal ../x exited $status, not 2" >&2
+    exit 1
+fi
 if [ "${FAST:-0}" = "1" ]; then
     python -m pytest -x -q -m "not slow"
 else
@@ -74,21 +82,27 @@ else
 fi
 
 # Exercise the experiment-matrix engine end to end: two worker
-# processes, results cached under a throwaway directory.
+# processes, results cached and journaled under a throwaway directory
+# (the journal lands in "$SMOKE_CACHE/runs/report/").
 SMOKE_CACHE=".repro-cache/check-smoke"
 rm -rf "$SMOKE_CACHE"
-python -m repro report --runs 1 --jobs 2 --cache \
-    --cache-dir "$SMOKE_CACHE" > /dev/null
-# A second pass must be pure cache hits (zero simulation runs).  The
-# runner stats land on stderr; capture both streams explicitly rather
-# than relying on redirection order tricks (`2>&1 >/dev/null |` pipes
-# only stderr, which reads as a typo for the common swap-and-discard
-# idiom and silently greps nothing if the stats ever move to stdout).
-SMOKE_OUT="$SMOKE_CACHE/second-pass.out"
-python -m repro report --runs 1 --jobs 2 --cache \
-    --cache-dir "$SMOKE_CACHE" > "$SMOKE_OUT" 2>&1
-grep -q " 0 simulated" "$SMOKE_OUT" \
-    || { echo "check.sh: cached report re-ran simulations" >&2; exit 1; }
+mkdir -p "$SMOKE_CACHE"
+python -m repro report --runs 1 --jobs 2 --cache-dir "$SMOKE_CACHE" \
+    --journal > "$SMOKE_CACHE/first.out" 2> /dev/null
+# A second pass must replay every unit from the journal (zero
+# simulation runs) and print the same report.  The runner stats land
+# on stderr; capture both streams explicitly rather than relying on
+# redirection order tricks.
+python -m repro report --runs 1 --jobs 2 --cache-dir "$SMOKE_CACHE" \
+    --journal > "$SMOKE_CACHE/second.out" 2> "$SMOKE_CACHE/second.err"
+grep -q " 0 simulated" "$SMOKE_CACHE/second.err" \
+    || { echo "check.sh: journaled report re-ran simulations" >&2; exit 1; }
+if grep -q " 0 journal hits" "$SMOKE_CACHE/second.err"; then
+    echo "check.sh: journaled report replayed nothing" >&2
+    exit 1
+fi
+cmp -s "$SMOKE_CACHE/first.out" "$SMOKE_CACHE/second.out" \
+    || { echo "check.sh: journal replay printed another report" >&2; exit 1; }
 rm -rf "$SMOKE_CACHE"
 
 # Post-paper protocol modes: one sanitized WAN cell per mode.  The

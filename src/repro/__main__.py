@@ -24,7 +24,7 @@ Commands
     Population-scale runs: cohorts of robot sessions contending for a
     shared bottleneck and a finite-capacity server, with nearest-rank
     tail percentiles, Jain fairness and server-queueing stats
-    (byte-identical across ``--jobs`` counts and ``--resume``).
+    (byte-identical across ``--jobs`` counts and journal replays).
 ``chaos``
     Sweep the deterministic fault-injection grid (fault plans × modes ×
     environments) and assert every run still retrieves the full site
@@ -38,18 +38,20 @@ Commands
 all run their units on one :class:`~repro.matrix.runner.MatrixRunner`
 and share its flags (:mod:`repro.matrix.cli`): ``--jobs N`` (parallel
 worker processes), ``--cache`` (reuse results from ``.repro-cache/``)
-and ``--cache-dir PATH``; the first four plus ``run`` accept
-``--no-artifact-cache`` (disable the content-addressed encode memo
-under ``.repro-cache/artifacts/``).  Host-time measurement is not a
-verb here: ``bash bench/run.sh`` is the repo's one benchmark.
+and ``--cache-dir PATH``.  The environment variable
+``REPRO_ARTIFACT_CACHE=0`` disables the content-addressed encode memo
+under ``.repro-cache/artifacts/`` for every verb.  Host-time
+measurement is not a verb here: ``bash bench/run.sh`` is the repo's
+one benchmark.
 
 Supervised execution (the same six verbs): ``--retry-budget N`` (≥ 0)
 caps per-unit re-dispatches after a failure, ``--unit-deadline S``
-(> 0) bounds a unit's wall-clock time in a worker, and ``--journal``
-records every resolved unit into a crash-safe run journal under
-``.repro-cache/runs/``; ``--resume [RUN_ID]`` replays a recorded run's
-units byte-identically and simulates only what is missing.  Any of the
-six exits 1 when a unit was quarantined (its output still printed).
+(> 0) bounds a unit's wall-clock time in a worker, and
+``--journal [RUN_ID]`` records every resolved unit into a crash-safe
+run journal under ``<cache dir>/runs/RUN_ID/`` (default RUN_ID: the
+verb's name) and replays the units it already holds byte-identically,
+so an interrupted run simulates only what is missing.  Any of the six
+exits 1 when a unit was quarantined (its output still printed).
 
 All name resolution goes through the same
 :mod:`repro.core.registry` the library API uses, so every spelling
@@ -70,30 +72,7 @@ from .analysis import (generate_experiments_report,
 from .core import (TABLE_CELLS, UnknownNameError, resolve_environment,
                    resolve_mode, resolve_profile, resolve_scenario,
                    run_experiment)
-from .matrix import MatrixRunner
 from .matrix.cli import add_runner_flags, finish, make_runner
-
-#: Flags that do not change *what* is computed, excluded from derived
-#: journal run ids so re-invocations with different machinery (jobs,
-#: progress, cache toggles) resume the same journal.
-_RUN_ID_SKIP = frozenset((
-    "fn", "command", "journal", "resume", "progress", "jobs", "cache",
-    "cache_dir", "no_artifact_cache", "retry_budget", "unit_deadline"))
-
-
-def _journal_run_id(args: argparse.Namespace) -> str:
-    """Derive a stable run id from the verb and its workload flags."""
-    import hashlib
-    import json
-    workload = {key: value for key, value in sorted(vars(args).items())
-                if key not in _RUN_ID_SKIP}
-    digest = hashlib.sha256(json.dumps(
-        workload, sort_keys=True, default=str).encode("utf-8"))
-    return f"{args.command}-{digest.hexdigest()[:10]}"
-
-
-def _make_runner(args: argparse.Namespace) -> MatrixRunner:
-    return make_runner(args, _journal_run_id(args))
 
 
 def _positive_int(text: str) -> int:
@@ -104,21 +83,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_matrix_flags(parser: argparse.ArgumentParser) -> None:
-    add_runner_flags(parser)
-    _add_artifact_flag(parser)
-
-
-def _add_artifact_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--no-artifact-cache", action="store_true",
-                        help="disable the content-addressed artifact "
-                             "store (.repro-cache/artifacts/); every "
-                             "site build re-encodes from scratch")
-
-
 def _cmd_table(args: argparse.Namespace) -> int:
     number = args.number
-    runner = _make_runner(args)
+    runner = make_runner(args)
     if number == 3:
         _, text = reproduce_table3(runs=args.runs, runner=runner)
     elif number in TABLE_CELLS:
@@ -159,7 +126,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_modem(args: argparse.Namespace) -> int:
-    runner = _make_runner(args)
+    runner = make_runner(args)
     _, text = reproduce_modem_experiment(runs=args.runs, runner=runner)
     print(text)
     return finish(runner)
@@ -186,7 +153,7 @@ def _cmd_site(_args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    runner = _make_runner(args)
+    runner = make_runner(args)
     print(generate_experiments_report(runs=args.runs,
                                       browser_runs=min(args.runs, 3),
                                       runner=runner))
@@ -195,7 +162,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_claims(args: argparse.Namespace) -> int:
     from .analysis.claims import evaluate_claims, format_claims_report
-    runner = _make_runner(args)
+    runner = make_runner(args)
     ledger = evaluate_claims(runner)
     print(format_claims_report(ledger))
     return max(finish(runner), 0 if ledger.ok else 1)
@@ -212,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("number", type=int, choices=range(3, 12),
                        metavar="N")
     table.add_argument("--runs", type=_positive_int, default=3)
-    _add_matrix_flags(table)
+    add_runner_flags(table)
     table.set_defaults(fn=_cmd_table)
 
     run = sub.add_parser("run", help="run one experiment cell")
@@ -232,12 +199,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="validate the run live against the TCP "
                           "invariants and the mode's trace rules "
                           "(frame legality for MUX modes)")
-    _add_artifact_flag(run)
     run.set_defaults(fn=_cmd_run)
 
     modem = sub.add_parser("modem", help="the 8.2.1 modem experiment")
     modem.add_argument("--runs", type=_positive_int, default=3)
-    _add_matrix_flags(modem)
+    add_runner_flags(modem)
     modem.set_defaults(fn=_cmd_modem)
 
     content = sub.add_parser("content",
@@ -250,12 +216,12 @@ def build_parser() -> argparse.ArgumentParser:
     report = sub.add_parser("report",
                             help="full paper-vs-measured report")
     report.add_argument("--runs", type=_positive_int, default=5)
-    _add_matrix_flags(report)
+    add_runner_flags(report)
     report.set_defaults(fn=_cmd_report)
 
     claims = sub.add_parser("claims",
                             help="the claims ledger and fidelity score")
-    _add_matrix_flags(claims)
+    add_runner_flags(claims)
     claims.set_defaults(fn=_cmd_claims)
 
     from .fleet.cli import add_fleet_parser
@@ -271,9 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "no_artifact_cache", False):
-        from .content import artifacts
-        artifacts.configure(enabled=False)
     return args.fn(args)
 
 

@@ -26,10 +26,9 @@ under ``.repro-cache/artifacts/<k[:2]>/<k>.blob``, written atomically
 processes can share one cache directory without corruption or partial
 reads.
 
-Disable with ``--no-artifact-cache`` on the CLI, the environment
-variable ``REPRO_ARTIFACT_CACHE=0``, or :func:`configure`\\
-``(enabled=False)``; a disabled store calls its producer every time and
-touches no files.
+Disable with the environment variable ``REPRO_ARTIFACT_CACHE=0`` (pool
+workers inherit it with the rest of the environment); a disabled store
+calls its producer every time and touches no files.
 """
 
 from __future__ import annotations
@@ -42,11 +41,10 @@ import pickle
 import threading
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Callable, Dict, Mapping, Optional, Union
+from typing import Any, Callable, Mapping, Optional
 
 __all__ = ["ENCODER_VERSION", "DEFAULT_ARTIFACT_DIR", "ArtifactStats",
-           "ArtifactStore", "get_store", "configure", "store_state",
-           "artifact_key"]
+           "ArtifactStore", "get_store", "artifact_key"]
 
 #: Version of the encoder family feeding the store.  **Bump this
 #: whenever any memoized encoder changes output** (GIF/PNG/MNG codecs,
@@ -90,41 +88,25 @@ def artifact_key(builder: str, params: Mapping[str, Any],
 class ArtifactStats:
     """Monotonic hit/miss counters for one store's lifetime."""
 
-    __slots__ = ("hits", "memory_hits", "disk_hits", "misses", "puts",
-                 "bytes_read", "bytes_written")
+    __slots__ = ("hits", "misses")
 
     def __init__(self) -> None:
         self.hits = 0
-        self.memory_hits = 0
-        self.disk_hits = 0
         self.misses = 0
-        self.puts = 0
-        self.bytes_read = 0
-        self.bytes_written = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {name: getattr(self, name) for name in self.__slots__}
 
 
 class ArtifactStore:
-    """In-memory LRU over on-disk content-addressed blobs.
+    """In-memory LRU over the blobs under :data:`DEFAULT_ARTIFACT_DIR`
+    (created on first write, relative to the working directory).
 
-    Parameters
-    ----------
-    root:
-        Blob directory (created on first write).  ``None`` keeps the
-        store memory-only: still a useful in-process memo, nothing
-        persisted.
-    enabled:
-        A disabled store is a transparent pass-through: every
-        ``memoize`` calls its producer, nothing is stored.
+    A disabled store (``enabled=False``) is a transparent pass-through:
+    every ``memoize`` calls its producer, nothing is stored.
     """
 
     __slots__ = ("root", "enabled", "stats", "_memory", "_lock")
 
-    def __init__(self, root: Union[str, Path, None] = DEFAULT_ARTIFACT_DIR,
-                 *, enabled: bool = True) -> None:
-        self.root = Path(root) if root is not None else None
+    def __init__(self, *, enabled: bool = True) -> None:
+        self.root = Path(DEFAULT_ARTIFACT_DIR)
         self.enabled = enabled
         self.stats = ArtifactStats()
         self._memory: "OrderedDict[str, bytes]" = OrderedDict()
@@ -133,10 +115,8 @@ class ArtifactStore:
     # ------------------------------------------------------------------
     # Raw blob access
     # ------------------------------------------------------------------
-    def path(self, key: str) -> Optional[Path]:
-        """On-disk location for ``key`` (None for memory-only stores)."""
-        if self.root is None:
-            return None
+    def path(self, key: str) -> Path:
+        """On-disk location for ``key``."""
         return self.root / key[:2] / f"{key}.blob"
 
     def get(self, key: str) -> Optional[bytes]:
@@ -148,22 +128,15 @@ class ArtifactStore:
             if cached is not None:
                 self._memory.move_to_end(key)
                 self.stats.hits += 1
-                self.stats.memory_hits += 1
                 return cached
-        path = self.path(key)
-        if path is not None:
-            try:
-                blob = path.read_bytes()
-            except OSError:
-                blob = None
-            if blob is not None:
-                self.stats.hits += 1
-                self.stats.disk_hits += 1
-                self.stats.bytes_read += len(blob)
-                self._remember(key, blob)
-                return blob
-        self.stats.misses += 1
-        return None
+        try:
+            blob = self.path(key).read_bytes()
+        except OSError:
+            self.stats.misses += 1
+            return None
+        self.stats.hits += 1
+        self._remember(key, blob)
+        return blob
 
     def put(self, key: str, blob: bytes) -> None:
         """Store ``blob`` under ``key`` (atomic write, last-wins).
@@ -175,17 +148,13 @@ class ArtifactStore:
         """
         if not self.enabled:
             return
-        self.stats.puts += 1
         self._remember(key, blob)
         path = self.path(key)
-        if path is None:
-            return
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.parent / (
             f".{key}.tmp.{os.getpid()}.{next(_TMP_COUNTER)}")
         tmp.write_bytes(blob)
         os.replace(tmp, path)
-        self.stats.bytes_written += len(blob)
 
     def _remember(self, key: str, blob: bytes) -> None:
         with self._lock:
@@ -241,7 +210,7 @@ class ArtifactStore:
         with self._lock:
             self._memory.clear()
         removed = 0
-        if self.root is not None and self.root.is_dir():
+        if self.root.is_dir():
             for path in sorted(self.root.glob("*/*.blob")):
                 try:
                     path.unlink()
@@ -251,8 +220,6 @@ class ArtifactStore:
         return removed
 
     def __len__(self) -> int:
-        if self.root is None or not self.root.is_dir():
-            return len(self._memory)
         return sum(1 for _ in self.root.glob("*/*.blob"))
 
 
@@ -273,38 +240,3 @@ def get_store() -> ArtifactStore:
     if _DEFAULT_STORE is None:
         _DEFAULT_STORE = ArtifactStore(enabled=_env_enabled())
     return _DEFAULT_STORE
-
-
-def configure(*, enabled: Optional[bool] = None,
-              root: Union[str, Path, None, type(...)] = ...) -> ArtifactStore:
-    """Adjust the default store in place (building it if needed).
-
-    ``root=...`` (the default) leaves the blob directory unchanged;
-    pass a path or None to move it / go memory-only.  Used by the CLI's
-    ``--no-artifact-cache`` and by pool workers applying the parent's
-    configuration.
-    """
-    global _DEFAULT_STORE
-    current = get_store()
-    new_root = current.root if root is ... else (
-        Path(root) if root is not None else None)
-    new_enabled = current.enabled if enabled is None else bool(enabled)
-    if new_root != current.root:
-        _DEFAULT_STORE = ArtifactStore(new_root, enabled=new_enabled)
-    else:
-        current.enabled = new_enabled
-    return _DEFAULT_STORE
-
-
-def store_state() -> Dict[str, Any]:
-    """Picklable snapshot of the default store's configuration.
-
-    What a :class:`~repro.matrix.runner.MatrixRunner` ships to pool
-    workers so their default store matches the parent's (same blob
-    directory, same enabled flag).
-    """
-    store = get_store()
-    return {
-        "enabled": store.enabled,
-        "root": str(store.root) if store.root is not None else None,
-    }

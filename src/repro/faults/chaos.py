@@ -16,7 +16,7 @@ the base seed) so no two cells share a fault schedule.
 Each cell is one :class:`~repro.matrix.spec.ExperimentSpec` unit run
 by a :class:`~repro.matrix.runner.MatrixRunner`, so the sweep takes the
 runner flags every matrix verb shares (``--jobs``, ``--cache``,
-``--journal`` / ``--resume``, …; journal run id ``chaos-<seed>``): rows
+``--journal [RUN_ID]``, …; default run id ``chaos``): rows
 print from the result's measurement columns whether the unit was
 simulated, cached or replayed, and a cell the engine quarantines prints
 as ``FAILED`` with its reproduce command.
@@ -124,7 +124,7 @@ def run_chaos(seed: int = 1997, only: Optional[str] = None,
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    runner = make_runner(args, f"chaos-{args.seed}")
+    runner = make_runner(args)
     with runner:
         status = run_chaos(seed=args.seed, only=args.only, runner=runner)
     if status == 2:    # a usage error ran nothing

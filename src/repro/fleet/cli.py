@@ -6,16 +6,15 @@ shares (:mod:`repro.matrix.cli`), runs the population through
 :func:`~repro.fleet.runner.run_fleet` and prints the tail-latency /
 fairness / server-queueing report.
 
-The journal run id derives from the spec's canonical identity, so
-``--resume`` without an explicit run id continues the same population
-(machinery flags like ``--jobs`` never change the id).
+Its ``--journal`` defaults to the run id ``fleet``: every cohort unit
+is keyed by its spec, so populations that differ only in spelling
+(``--server apache`` / ``Apache``) replay one another's units and
+different populations never collide.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import sys
 
 from ..matrix.cli import add_runner_flags, finish, make_runner
@@ -23,12 +22,6 @@ from .runner import run_fleet
 from .spec import FleetSpec
 
 __all__ = ["add_fleet_parser"]
-
-
-def _fleet_run_id(spec: FleetSpec) -> str:
-    blob = json.dumps(spec.canonical_dict(), sort_keys=True,
-                      separators=(",", ":"))
-    return f"fleet-{hashlib.sha256(blob.encode()).hexdigest()[:10]}"
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
@@ -47,7 +40,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"fleet: {exc}", file=sys.stderr)
         return 2
-    runner = make_runner(args, _fleet_run_id(spec))
+    runner = make_runner(args)
     with runner:
         result = run_fleet(spec, runner=runner)
     from ..analysis.report import format_fleet_report

@@ -16,7 +16,7 @@ Determinism: shares are integer-quantized bits/second computed from
 cohort results that are themselves byte-reproducible, and every
 aggregation below iterates in (cohort, session) order — so percentiles,
 fairness and queueing stats are byte-identical across ``--jobs 1``,
-``--jobs N`` and a ``--resume`` of a killed run.
+``--jobs N`` and a ``--journal`` replay of a killed run.
 """
 
 from __future__ import annotations

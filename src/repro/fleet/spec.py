@@ -8,7 +8,7 @@ capacity schedule, finite server capacity).  :meth:`compile_population`
 expands the spec into per-user :class:`UserPlan` rows — every draw
 comes from one seeded ``random.Random`` stream in user-index order, so
 the schedule is a pure function of the spec and identical across
-``--jobs 1`` / ``--jobs N`` / ``--resume``.
+``--jobs 1`` / ``--jobs N`` / a ``--journal`` replay.
 
 A :class:`FleetUnitSpec` is one *cohort* of that population at one
 fixed-point round: the unit of work the matrix engine dispatches,

@@ -10,38 +10,35 @@ Shared by the simulated clients (:mod:`repro.client`) and servers
 """
 
 from .cache import CacheEntry, MemoryCache, is_not_modified
-from .chunked import ChunkedDecoder, encode_chunked, iter_chunks
-from .compact import (DeltaStreamDecoder, DeltaStreamEncoder, compact_ratio,
-                      decode_varint, encode_varint)
+from .chunked import ChunkedDecoder, iter_chunks
+from .compact import (DeltaStreamDecoder, DeltaStreamEncoder, decode_varint,
+                      encode_varint)
 from .coding import (accepted_codings, compression_ratio, deflate_decode,
                      deflate_encode, encode_body)
 from .dates import PAPER_EPOCH, format_http_date, parse_http_date
-from .delta import (DELTA_IM_TOKEN, apply_delta, apply_delta_response,
-                    encode_delta, wants_delta)
+from .delta import DELTA_IM_TOKEN, apply_delta, encode_delta, wants_delta
 from .headers import Headers
 from .messages import (HTTP10, HTTP11, Request, Response, STATUS_REASONS,
                        version_string)
 from .parser import ParseError, RequestParser, ResponseParser
 from .ranges import (ByteRange, MULTIPART_BOUNDARY, apply_range,
                      content_range, encode_multipart_byteranges,
-                     if_range_matches, parse_multipart_byteranges,
-                     parse_range_header)
+                     if_range_matches, parse_range_header)
 
 __all__ = [
     "CacheEntry", "MemoryCache", "is_not_modified",
-    "ChunkedDecoder", "encode_chunked", "iter_chunks",
-    "DeltaStreamDecoder", "DeltaStreamEncoder", "compact_ratio",
+    "ChunkedDecoder", "iter_chunks",
+    "DeltaStreamDecoder", "DeltaStreamEncoder",
     "decode_varint", "encode_varint",
     "accepted_codings", "compression_ratio", "deflate_decode",
     "deflate_encode", "encode_body",
     "PAPER_EPOCH", "format_http_date", "parse_http_date",
-    "DELTA_IM_TOKEN", "apply_delta", "apply_delta_response",
-    "encode_delta", "wants_delta",
+    "DELTA_IM_TOKEN", "apply_delta", "encode_delta", "wants_delta",
     "Headers",
     "HTTP10", "HTTP11", "Request", "Response", "STATUS_REASONS",
     "version_string",
     "ParseError", "RequestParser", "ResponseParser",
     "ByteRange", "MULTIPART_BOUNDARY", "apply_range", "content_range",
     "encode_multipart_byteranges", "if_range_matches",
-    "parse_multipart_byteranges", "parse_range_header",
+    "parse_range_header",
 ]

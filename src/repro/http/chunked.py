@@ -2,15 +2,15 @@
 
 HTTP/1.1 introduced chunked transfer so dynamically generated responses
 can use persistent connections without knowing their length in advance.
-The encoder and incremental decoder here are used by the servers for
-dynamic content and by the message parsers.
+The chunk iterator and incremental decoder here are used by the
+servers for dynamic content and by the message parsers.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional
 
-__all__ = ["encode_chunked", "iter_chunks", "ChunkedDecoder"]
+__all__ = ["iter_chunks", "ChunkedDecoder"]
 
 
 def iter_chunks(body: bytes, chunk_size: int = 4096) -> Iterable[bytes]:
@@ -19,11 +19,6 @@ def iter_chunks(body: bytes, chunk_size: int = 4096) -> Iterable[bytes]:
         piece = body[offset:offset + chunk_size]
         yield f"{len(piece):x}\r\n".encode("ascii") + piece + b"\r\n"
     yield b"0\r\n\r\n"
-
-
-def encode_chunked(body: bytes, chunk_size: int = 4096) -> bytes:
-    """Encode ``body`` with the chunked transfer coding."""
-    return b"".join(iter_chunks(body, chunk_size))
 
 
 class ChunkedDecoder:

@@ -31,7 +31,7 @@ import difflib
 from typing import List, Optional, Tuple
 
 __all__ = ["encode_varint", "decode_varint", "DeltaStreamEncoder",
-           "DeltaStreamDecoder", "compact_ratio"]
+           "DeltaStreamDecoder"]
 
 #: Frame opcodes.
 OP_END = 0x00
@@ -231,10 +231,3 @@ class DeltaStreamDecoder:
             else:
                 raise ValueError(f"unknown delta opcode {op}")
 
-
-def compact_ratio(messages: List[bytes]) -> float:
-    """Convenience: raw/encoded ratio over a message sequence."""
-    encoder = DeltaStreamEncoder()
-    for message in messages:
-        encoder.encode(message)
-    return encoder.ratio

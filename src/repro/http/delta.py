@@ -19,20 +19,15 @@ standardized as RFC 3229):
 * anything else falls back to a full 200.
 
 :func:`encode_delta` / :func:`apply_delta` are the codec;
-server-side negotiation lives in :mod:`repro.server.static` and the
-client-side helper is :func:`apply_delta_response`.
+server-side negotiation lives in :mod:`repro.server.static`.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-from .cache import CacheEntry
 from .compact import DeltaStreamDecoder, DeltaStreamEncoder
-from .messages import Response
 
 __all__ = ["DELTA_IM_TOKEN", "encode_delta", "apply_delta",
-           "wants_delta", "apply_delta_response"]
+           "wants_delta"]
 
 #: The instance-manipulation token this implementation negotiates.
 DELTA_IM_TOKEN = "repro-delta"
@@ -60,23 +55,3 @@ def wants_delta(headers) -> bool:
     return any(DELTA_IM_TOKEN in value
                for value in headers.get_all("A-IM"))
 
-
-def apply_delta_response(entry: Optional[CacheEntry],
-                         response: Response) -> bytes:
-    """Client side: turn a 226 (or plain) response into entity bytes.
-
-    ``entry`` is the cached instance the conditional request was made
-    with; for a 226 its body is the delta base.
-    """
-    if response.status != 226:
-        return response.body
-    if entry is None:
-        raise ValueError("226 received without a cached base instance")
-    base_tag = response.headers.get("Delta-Base")
-    if base_tag is not None and entry.etag is not None \
-            and base_tag != entry.etag:
-        raise ValueError(
-            f"delta base {base_tag} does not match cached {entry.etag}")
-    if response.headers.get("IM") != DELTA_IM_TOKEN:
-        raise ValueError("226 with an unsupported instance manipulation")
-    return apply_delta(entry.body, response.body)

@@ -11,14 +11,13 @@ implements the server and client sides of that idiom; the
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from .headers import Headers
 
 __all__ = ["ByteRange", "parse_range_header", "content_range",
            "apply_range", "if_range_matches",
-           "encode_multipart_byteranges", "parse_multipart_byteranges",
-           "MULTIPART_BOUNDARY"]
+           "encode_multipart_byteranges", "MULTIPART_BOUNDARY"]
 
 #: Fixed multipart boundary (1997 servers used constants like this one).
 MULTIPART_BOUNDARY = "THIS_STRING_SEPARATES"
@@ -111,41 +110,6 @@ def encode_multipart_byteranges(body: bytes, ranges: List[ByteRange],
         out.extend(b"\r\n")
     out.extend(f"--{boundary}--\r\n".encode("ascii"))
     return bytes(out)
-
-
-def parse_multipart_byteranges(body: bytes, content_type_header: str
-                               ) -> List[Tuple[ByteRange, bytes]]:
-    """Parse a multipart/byteranges body into (range, bytes) parts."""
-    marker = "boundary="
-    index = content_type_header.find(marker)
-    if index == -1:
-        raise ValueError("multipart content-type without boundary")
-    boundary = content_type_header[index + len(marker):].strip().strip('"')
-    delimiter = f"--{boundary}".encode("ascii")
-    parts: List[Tuple[ByteRange, bytes]] = []
-    sections = body.split(delimiter)
-    for section in sections[1:]:
-        section = section.lstrip(b"\r\n")
-        if section.startswith(b"--"):
-            break                                   # closing delimiter
-        header_block, sep, payload = section.partition(b"\r\n\r\n")
-        if not sep:
-            raise ValueError("malformed multipart part")
-        # Exactly one CRLF separates the payload from the delimiter;
-        # binary payloads may themselves end in CR/LF bytes, so strip
-        # precisely two characters, never more.
-        if payload.endswith(b"\r\n"):
-            payload = payload[:-2]
-        range_line = next(
-            (line for line in header_block.decode("latin-1").split("\r\n")
-             if line.lower().startswith("content-range:")), None)
-        if range_line is None:
-            raise ValueError("part without Content-Range")
-        spec = range_line.split(":", 1)[1].strip()
-        span = spec.split()[1].split("/")[0]
-        start_text, _, end_text = span.partition("-")
-        parts.append((ByteRange(int(start_text), int(end_text)), payload))
-    return parts
 
 
 def if_range_matches(if_range_value: Optional[str], etag: Optional[str],

@@ -95,14 +95,15 @@ DEFAULT_CONFIG = LintConfig(
                        "repro/matrix/supervisor.py"),
         # The one sanctioned pool: MatrixRunner's persistent, warmed,
         # chunk-dispatching pool.  Ad-hoc pools elsewhere would skip
-        # the artifact-store propagation and site warm-up that keep
-        # parallel runs fast and bit-identical.
+        # the site warm-up and chunked dispatch that keep parallel runs
+        # fast.
         "pool-outside-matrix": ("repro/matrix/runner.py",),
         # Worker-global state that is sanctioned by construction: the
-        # artifact store propagates its own (store_state /
-        # _pool_initializer), and the repro.memo registry is the one
-        # write a declared Memo makes (per-process counters, shipped
-        # as chunk deltas).
+        # artifact store's blobs are content addressed (every process
+        # builds the same bytes, or reads them; its one switch is the
+        # environment workers inherit), and the repro.memo registry is
+        # the one write a declared Memo makes (per-process counters,
+        # shipped as chunk deltas).
         "pool-global-write": ("content/artifacts.py", "repro/memo.py"),
     },
     hot_path_modules=(
@@ -121,10 +122,8 @@ DEFAULT_CONFIG = LintConfig(
         # pool machinery is touched once per dispatch chunk.
         "content/artifacts.py",
         "matrix/runner.py",
-        # The supervisor polls in-flight chunks at 20 Hz; the journal
-        # is written once per resolved unit.
+        # The supervisor polls in-flight chunks at 20 Hz.
         "matrix/supervisor.py",
-        "matrix/journal.py",
         # The MUX client's per-stream/per-connection state is allocated
         # on every stream open and touched on every frame delivery.
         "client/mux.py",

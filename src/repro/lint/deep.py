@@ -23,8 +23,9 @@ of them is visible one file at a time:
 * **Pool purity** — code reachable from ``MatrixRunner``'s chunk
   dispatch runs inside worker processes; writes to module-global state
   there diverge between the serial and parallel paths unless the state
-  is covered by ``ArtifactStore.store_state`` / ``_pool_initializer``
-  or is a declared :class:`repro.memo.Memo` (pure by contract, tested).
+  is built by the pool initializer (``warm_default_site``), is the
+  content-addressed artifact store, or is a declared
+  :class:`repro.memo.Memo` (pure by contract, tested).
 
 The passes are functions of one :class:`~repro.lint.graph.ProjectGraph`
 — the same parsed modules the per-file rules visit — and emit raw
@@ -60,7 +61,7 @@ _FORWARD_FUNCTION = "execute_unit"
 #: work-unit level rather than through a spec field.
 _UNIT_KEY_PARAMS = frozenset(("seed",))
 #: Entry points of the worker-pool dispatch (purity roots).
-_DISPATCH_ENTRIES = ("_run_chunk_supervised", "_pool_initializer",
+_DISPATCH_ENTRIES = ("_run_chunk_supervised", "warm_default_site",
                      "run_unit")
 #: Constructors that consume run configuration (plain-name calls).
 _SINK_NAMES = frozenset(("TcpConfig", "Testbed", "FaultInjector",
@@ -393,8 +394,8 @@ def _purity_pass(graph: ProjectGraph) -> List[Finding]:
                      f"{fn.name}() is reachable from the pool dispatch "
                      f"and assigns module-global '{name}' — worker "
                      "state will diverge from the serial path",
-                     "move the state into ArtifactStore.store_state / "
-                     "_pool_initializer, or pass it explicitly",
+                     "build it in the pool initializer "
+                     "(warm_default_site), or pass it explicitly",
                      findings)
         for name, node in fn.module_subscript_writes:
             _finding(graph, fn.module, node, "pool-global-write",

@@ -36,9 +36,8 @@ tests and PR 2's speedup validation rest on):
 ``pool-outside-matrix``
     ``multiprocessing.Pool`` constructed anywhere but
     ``repro.matrix.runner``.  MatrixRunner's pool is persistent, warmed
-    (site prebuilt, artifact-store state propagated) and chunked; an
-    ad-hoc pool silently loses all three and re-pays site synthesis in
-    every worker.
+    (site prebuilt) and chunked; an ad-hoc pool silently loses all
+    three and re-pays site synthesis in every worker.
 ``unknown-pragma-rule``
     An inline pragma naming an id that no rule has would waive nothing
     without a word; it is reported at the pragma's line instead.

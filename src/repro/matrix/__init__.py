@@ -7,7 +7,7 @@ x 2-servers grid (times five seeds per cell) into data::
 
     spec = ExperimentSpec(mode="pipelined", scenario="revalidate",
                           environment="WAN", server="Apache")
-    row = MatrixRunner(jobs=4, cache=ResultCache()).run(spec)
+    row = MatrixRunner(jobs=4, cache=ResultCache(".repro-cache")).run(spec)
     print(row.packets, row.elapsed)
 
 * :class:`ExperimentSpec` / :class:`ExperimentMatrix` — frozen,
@@ -22,8 +22,10 @@ x 2-servers grid (times five seeds per cell) into data::
 * :class:`~repro.matrix.supervisor.Supervisor` — supervised pool
   execution: per-unit deadlines, dead/hung-worker recovery, capped
   retries and :class:`~repro.core.runner.UnitFailure` quarantine.
-* :class:`RunJournal` — crash-safe per-run record of resolved units;
-  ``--resume RUN_ID`` replays it byte-identically.
+* :class:`RunJournal` — the result cache of one run, quarantine
+  verdicts included, under ``<cache dir>/runs/<RUN_ID>/``;
+  ``--journal [RUN_ID]`` records a run into it and replays it
+  byte-identically.
 """
 
 from ..core.registry import (MODE_ALIASES, MODES, PROFILES, TABLE_CELLS,
@@ -32,7 +34,7 @@ from ..core.registry import (MODE_ALIASES, MODES, PROFILES, TABLE_CELLS,
                              resolve_scenario)
 from ..core.runner import UnitFailure
 from .cache import DEFAULT_CACHE_DIR, ResultCache, unit_key
-from .journal import DEFAULT_RUNS_DIR, RunJournal
+from .journal import RunJournal
 from .runner import CellEvent, MatrixRunner, MatrixStats, run_unit
 from .spec import (DEFAULT_SEEDS, ExperimentMatrix, ExperimentSpec,
                    client_config_overrides)
@@ -43,7 +45,7 @@ __all__ = [
     "UnknownNameError", "resolve_environment", "resolve_mode",
     "resolve_profile", "resolve_scenario",
     "DEFAULT_CACHE_DIR", "ResultCache", "unit_key",
-    "DEFAULT_RUNS_DIR", "RunJournal",
+    "RunJournal",
     "CellEvent", "MatrixRunner", "MatrixStats", "run_unit",
     "DEADLINE_GRACE", "DEFAULT_RETRY_BUDGET", "Supervisor",
     "UnitFailure",

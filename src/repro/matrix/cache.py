@@ -7,15 +7,20 @@ any change to the spec (jitter, overrides, mode, version bump)
 automatically misses and re-measures.  Entries are JSON files under
 ``.repro-cache/``, one per unit, written atomically.
 
+A :class:`~repro.matrix.journal.RunJournal` is this store for one run,
+with the run's quarantine verdicts kept beside its results.
+
 Every unit result type — :class:`~repro.core.runner.RunResult`, a
-fleet cohort, a render timeline — serializes through a codec registered
-under a ``__kind__`` name (:func:`register_result_codec`).  A ``RunResult``
-entry stores every measurement column the class declares
-(:data:`~repro.core.runner.PAYLOAD_FIELDS`, including the ``recovery``
-and ``perf`` counts); the per-run packet trace and fetch transcript are
-not serialized, so hydrated results carry ``fetch=None, trace=None`` —
-exactly what :class:`~repro.matrix.runner.MatrixRunner` returns for
-fresh runs too, keeping cached and simulated results interchangeable.
+fleet cohort, a render timeline, a
+:class:`~repro.core.runner.UnitFailure` — serializes through a codec
+registered under a ``__kind__`` name (:func:`register_result_codec`).
+A ``RunResult`` entry stores every measurement column the class
+declares (:data:`~repro.core.runner.PAYLOAD_FIELDS`, including the
+``recovery`` and ``perf`` counts); the per-run packet trace and fetch
+transcript are not serialized, so hydrated results carry
+``fetch=None, trace=None`` — exactly what
+:class:`~repro.matrix.runner.MatrixRunner` returns for fresh runs too,
+keeping cached and simulated results interchangeable.
 """
 
 from __future__ import annotations
@@ -28,11 +33,10 @@ import json
 import os
 import typing
 from pathlib import Path
-from typing import (Any, Callable, Dict, Iterable, Optional, Tuple,
-                    TypeVar, Union)
+from typing import Any, Dict, Iterable, Optional, Tuple, Union
 
 from .. import __version__
-from ..core.runner import PAYLOAD_FIELDS, RunResult
+from ..core.runner import PAYLOAD_FIELDS, RunResult, UnitFailure
 from .spec import ExperimentSpec
 
 __all__ = ["DEFAULT_CACHE_DIR", "ResultCache", "unit_key",
@@ -45,47 +49,6 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 #: Process-unique temp-file suffixes: the pid alone is not enough when
 #: two runners in one process (threads, nested reports) share a cache.
 _TMP_COUNTER = itertools.count()
-
-_T = TypeVar("_T")
-
-
-def write_json_atomic(path: Path, payload: Dict[str, Any]) -> None:
-    """Write ``payload`` to ``path`` so readers never see a torn file.
-
-    The one crash-safe writer of the result cache and the run journal:
-    the JSON lands in a uniquely named temp file (pid + in-process
-    counter) finished with an atomic :func:`os.replace`, so any number
-    of writers — threads or processes — can race on the same path and
-    a SIGKILL at any instant leaves a complete file or none.
-    """
-    tmp = path.with_suffix(f".tmp.{os.getpid()}.{next(_TMP_COUNTER)}")
-    tmp.write_text(json.dumps(payload, sort_keys=True, indent=1))
-    os.replace(tmp, path)
-
-
-def read_json_or_heal(path: Path,
-                      parse: Callable[[Any], _T]) -> Optional[_T]:
-    """``parse(json)`` of the file at ``path``, or None when unusable.
-
-    An unreadable file is a plain miss.  A file that exists but does
-    not parse (``parse`` signals that with ValueError / KeyError /
-    TypeError, as :func:`json.loads` does) is corrupt — a crash
-    mid-disk-flush, a bit flip — and is unlinked on sight so the
-    directory never accumulates poisoned entries; the next write lands
-    a clean replacement.  Removal is best-effort: a racing writer may
-    already have replaced it with a good entry.  Any other exception
-    from ``parse`` propagates with the file left in place.
-    """
-    try:
-        return parse(json.loads(path.read_text()))
-    except OSError:
-        return None
-    except (ValueError, KeyError, TypeError):
-        try:
-            path.unlink()
-        except OSError:
-            pass
-        return None
 
 
 def unit_key(spec: ExperimentSpec, seed: int, *,
@@ -196,12 +159,15 @@ def register_dataclass_codec(kind: str, cls: type) -> None:
 
 register_result_codec("run", RunResult, result_to_payload,
                       result_from_payload)
+#: A quarantine verdict.  Only a run journal stores one (the runner puts
+#: results alone in a shared cache), so a verdict never leaks across runs.
+register_dataclass_codec("failure", UnitFailure)
 
 
 class ResultCache:
     """JSON result store keyed by stable spec + seed + version hashes."""
 
-    def __init__(self, root: Union[str, Path] = DEFAULT_CACHE_DIR) -> None:
+    def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
 
     # ------------------------------------------------------------------
@@ -218,39 +184,56 @@ class ResultCache:
     # ------------------------------------------------------------------
     def get(self, spec: ExperimentSpec, seed: int, *,
             key: Optional[str] = None) -> Optional[Any]:
-        """The cached result for the unit, or None on a miss.
+        """The cached result for the unit, or None on a miss."""
+        return self._read(self.path(spec, seed, key))
 
-        Unreadable or corrupt entries count as misses.  A corrupted or
-        truncated file (a crash mid-disk-flush, a bit flip) is also
-        unlinked on sight, so the directory never accumulates poisoned
-        entries: the next :meth:`put` / :meth:`put_many` writes a clean
-        replacement through the same atomic temp-then-rename path.
+    @staticmethod
+    def _read(path: Path) -> Optional[Any]:
+        """The outcome of the entry at ``path``, or None when unusable.
+
+        An unreadable file is a plain miss.  A file that exists but does
+        not parse — a crash mid-disk-flush, a bit flip — is corrupt and
+        is unlinked on sight, so the directory never accumulates
+        poisoned entries: the next :meth:`put` writes a clean
+        replacement.  Removal is best-effort: a racing writer may
+        already have replaced it with a good entry.
         """
         try:
-            return read_json_or_heal(
-                self.path(spec, seed, key),
-                lambda entry: decode_result(entry["result"]))
+            return decode_result(json.loads(path.read_text())["result"])
+        except OSError:
+            return None
         except UnknownResultKind:
             # Valid entry from a process with more codecs loaded: a
             # miss, but not corruption — leave it on disk.
             return None
+        except (ValueError, KeyError, TypeError):
+            try:
+                path.unlink()
+            except OSError:
+                pass
+            return None
 
     def put(self, spec: ExperimentSpec, seed: int, result: Any, *,
             key: Optional[str] = None) -> None:
-        """Store a unit's measurements atomically.
+        """Store a unit's measurements so readers never see a torn file.
 
-        Runners sharing one cache directory can race on the same unit
-        (:func:`write_json_atomic`): readers only ever see complete
-        entries, and the content-addressed key means every racer
-        writes identical measurements anyway.
+        The JSON lands in a uniquely named temp file (pid + in-process
+        counter) finished with an atomic :func:`os.replace`, so runners
+        sharing one directory — threads or processes — can race on the
+        same unit and a SIGKILL at any instant leaves a complete entry
+        or none; the content-addressed key means every racer writes
+        identical measurements anyway.
         """
         self.root.mkdir(parents=True, exist_ok=True)
-        write_json_atomic(self.path(spec, seed, key), {
+        path = self.path(spec, seed, key)
+        tmp = path.with_suffix(f".tmp.{os.getpid()}.{next(_TMP_COUNTER)}")
+        tmp.write_text(json.dumps({
             "version": __version__,
             "seed": int(seed),
             "spec": spec.canonical_dict(),
             "result": encode_result(result),
-        })
+        }, sort_keys=True, indent=1))
+        os.replace(tmp, path)
 
     def put_many(self, entries: Iterable[tuple]) -> int:
         """Store a batch of ``(spec, seed, result[, key])`` units;
@@ -267,20 +250,3 @@ class ResultCache:
             self.put(spec, seed, result, key=key[0] if key else None)
             written += 1
         return written
-
-    # ------------------------------------------------------------------
-    # Maintenance
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        if not self.root.is_dir():
-            return 0
-        return sum(1 for _ in self.root.glob("*.json"))
-
-    def clear(self) -> int:
-        """Delete every entry; returns how many were removed."""
-        removed = 0
-        if self.root.is_dir():
-            for path in self.root.glob("*.json"):
-                path.unlink()
-                removed += 1
-        return removed

@@ -13,14 +13,18 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
+from pathlib import Path
 
-from .cache import ResultCache
+from .cache import DEFAULT_CACHE_DIR, ResultCache
 from .journal import RunJournal
 from .runner import CellEvent, MatrixRunner
 from .supervisor import DEFAULT_RETRY_BUDGET
 
 __all__ = ["add_runner_flags", "make_runner", "finish"]
+
+_RUN_ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,99}$")
 
 
 def _non_negative_int(text: str) -> int:
@@ -39,6 +43,15 @@ def _positive_seconds(text: str) -> float:
         raise argparse.ArgumentTypeError(
             f"must be a positive number of seconds, got {text}")
     return value
+
+
+def _run_id(text: str) -> str:
+    """argparse type of ``--journal``'s RUN_ID: one directory name."""
+    if not _RUN_ID_RE.match(text):
+        raise argparse.ArgumentTypeError(
+            f"run id {text!r} must be filename-safe (a letter or digit, "
+            f"then letters, digits, '.', '_', '-')")
+    return text
 
 
 def _print_progress(event: CellEvent) -> None:
@@ -75,30 +88,27 @@ def add_runner_flags(parser: argparse.ArgumentParser) -> None:
                         help="wall-clock budget per unit in a worker "
                              "(default: derived from the unit's "
                              "max_sim_time)")
-    parser.add_argument("--journal", action="store_true",
-                        help="record resolved units into a crash-safe "
-                             "run journal (.repro-cache/runs/)")
-    parser.add_argument("--resume", default=None, nargs="?", const="",
+    # A subparser's prog is "repro <verb>": a bare --journal names the
+    # verb's journal.
+    parser.add_argument("--journal", type=_run_id, default=None,
+                        nargs="?", const=parser.prog.split()[-1],
                         metavar="RUN_ID",
-                        help="resume a journaled run: replay recorded "
-                             "units byte-identically, simulate only "
-                             "the rest (implies --journal; no RUN_ID = "
-                             "the id derived from this workload)")
+                        help="record resolved units into a crash-safe "
+                             "run journal under <cache dir>/runs/RUN_ID/ "
+                             "and replay the ones it already holds "
+                             "byte-identically (default RUN_ID: the "
+                             "verb's name)")
 
 
-def make_runner(args: argparse.Namespace, run_id: str) -> MatrixRunner:
-    """Build the :class:`MatrixRunner` the runner flags ask for.
-
-    ``run_id`` is the journal id derived from the verb's workload, used
-    when ``--journal`` / a bare ``--resume`` names none.
-    """
+def make_runner(args: argparse.Namespace) -> MatrixRunner:
+    """Build the :class:`MatrixRunner` the runner flags ask for."""
+    cache_dir = Path(args.cache_dir or DEFAULT_CACHE_DIR)
     cache = None
     if args.cache or args.cache_dir is not None:
-        cache = (ResultCache(args.cache_dir) if args.cache_dir
-                 else ResultCache())
+        cache = ResultCache(cache_dir)
     journal = None
-    if args.resume is not None or args.journal:
-        journal = RunJournal(args.resume or run_id)
+    if args.journal is not None:
+        journal = RunJournal(args.journal, cache_dir / "runs")
         print(f"journal: {journal.run_id}", file=sys.stderr)
     return MatrixRunner(
         jobs=args.jobs, cache=cache,

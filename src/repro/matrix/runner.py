@@ -54,7 +54,6 @@ import time
 from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple)
 
-from ..content import artifacts
 from ..core.runner import AveragedResult, UnitFailure, warm_default_site
 from ..faults.harness import HarnessFaultPlan
 from .cache import ResultCache, unit_key
@@ -186,19 +185,6 @@ def run_unit(spec: ExperimentSpec, seed: int) -> Tuple[object, float]:
     return result, time.perf_counter() - start
 
 
-def _pool_initializer(artifact_state: Dict[str, object]) -> None:
-    """Configure and warm a pool worker at spawn time.
-
-    Applies the parent's artifact-store configuration (same blob
-    directory, same enabled flag) and pre-builds the default site so
-    the worker's first unit starts simulating immediately.  Under the
-    ``fork`` start method the parent's already-built site arrives via
-    copy-on-write and both steps are near-free no-ops.
-    """
-    artifacts.configure(**artifact_state)
-    warm_default_site()
-
-
 class MatrixRunner:
     """Runs experiment specs, in parallel when asked, cached when told.
 
@@ -268,14 +254,14 @@ class MatrixRunner:
         """The persistent pool, spawning (and warming) it on first use."""
         if self._pool is None:
             # Build before forking: fork-start workers inherit the site
-            # copy-on-write instead of each building their own.
+            # copy-on-write instead of each building their own, and a
+            # spawned worker builds it on start (from the artifact store
+            # the environment it inherits configures).
             before = process_counters()
             warm_default_site()
             self.stats.count(process_counters(before))
             self._pool = multiprocessing.Pool(
-                processes=self.jobs,
-                initializer=_pool_initializer,
-                initargs=(artifacts.store_state(),))
+                processes=self.jobs, initializer=warm_default_site)
             self._pool_workers = self.jobs
         return self._pool
 
@@ -352,46 +338,35 @@ class MatrixRunner:
         # Each unit is hashed once; the stats map, the journal and the
         # cache all address it by that key.
         keys = [unit_key(spec, seed) for spec, seed in units]
-
-        journal_records = None
-        if self.journal is not None:
-            self.journal.begin()
-            journal_records = self.journal.load()
+        journaled = self.journal.load() if self.journal is not None else {}
 
         pending: List[int] = []
         for index, (spec, seed) in enumerate(units):
-            if journal_records is not None:
-                record = journal_records.get(keys[index])
-                outcome = (RunJournal.hydrate(record)
-                           if record is not None else None)
-                if outcome is not None:
-                    # Journal replay wins over the cache: it preserves
-                    # quarantine verdicts too, not just measurements.
-                    slots[index] = outcome
-                    completed += 1
-                    self.stats.journal_hits += 1
-                    if isinstance(outcome, UnitFailure):
-                        self.stats.failures += 1
-                        self._emit(spec, seed, "failed", 0.0, completed,
-                                   total, attempt=outcome.attempts)
-                    else:
-                        self._emit(spec, seed, "hit", 0.0, completed,
-                                   total)
-                    continue
-            cached = (self.cache.get(spec, seed, key=keys[index])
-                      if self.cache is not None else None)
-            if cached is not None:
-                slots[index] = cached
-                completed += 1
-                self.stats.cache_hits += 1
-                if self.journal is not None:
-                    self.journal.record_result(spec, seed, cached,
-                                               key=keys[index])
-                self._emit(spec, seed, "hit", 0.0, completed, total)
-            else:
-                if self.cache is not None:
+            # Journal replay wins over the cache: it preserves
+            # quarantine verdicts too, not just measurements.
+            outcome = journaled.get(keys[index])
+            if outcome is not None:
+                self.stats.journal_hits += 1
+            elif self.cache is not None:
+                outcome = self.cache.get(spec, seed, key=keys[index])
+                if outcome is None:
                     self.stats.cache_misses += 1
+                else:
+                    self.stats.cache_hits += 1
+                    if self.journal is not None:
+                        self.journal.record_result(spec, seed, outcome,
+                                                   key=keys[index])
+            if outcome is None:
                 pending.append(index)
+                continue
+            slots[index] = outcome
+            completed += 1
+            if isinstance(outcome, UnitFailure):
+                self.stats.failures += 1
+                self._emit(spec, seed, "failed", 0.0, completed, total,
+                           attempt=outcome.attempts)
+            else:
+                self._emit(spec, seed, "hit", 0.0, completed, total)
 
         self._progress = (completed, total)
         for batch in self._execute(units, pending):
@@ -404,19 +379,16 @@ class MatrixRunner:
                 spec, seed = units[index]
                 slots[index] = outcome
                 completed += 1
+                if self.journal is not None:
+                    self.journal.record_result(spec, seed, outcome,
+                                               key=keys[index])
                 if isinstance(outcome, UnitFailure):
                     self.stats.failures += 1
-                    if self.journal is not None:
-                        self.journal.record_failure(
-                            spec, seed, outcome, key=keys[index])
                     self._emit(spec, seed, "failed", wall, completed,
                                total, attempt=outcome.attempts)
                 else:
                     self.stats.sim_runs += 1
                     self.stats.unit_wall_times[keys[index]] = wall
-                    if self.journal is not None:
-                        self.journal.record_result(
-                            spec, seed, outcome, key=keys[index])
                     self._emit(spec, seed, "run", wall, completed, total)
                 self._progress = (completed, total)
 

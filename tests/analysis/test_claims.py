@@ -193,8 +193,7 @@ def test_fail_and_unmeasured_rows_print_and_exit_1(run, monkeypatch,
     poison = HarnessFaultPlan("poison-first", poison_units=(0,))
     monkeypatch.setattr(
         "repro.__main__.make_runner",
-        lambda args, run_id: MatrixRunner(cache=cache,
-                                          harness_faults=poison))
+        lambda args: MatrixRunner(cache=cache, harness_faults=poison))
     status, out, err = run_verb("claims")
     assert status == 1 and " 1 failed" in err
     last_column = {line.split()[0]: line.split()[-1]

@@ -50,7 +50,7 @@ def test_reproduce_modem_experiment_smoke():
     assert "saved" in text
 
 
-def test_reproduce_content_experiments_smoke(monkeypatch):
+def test_reproduce_content_experiments_smoke(monkeypatch, tmp_path):
     from repro.content import artifacts, transform
     encoded = []
 
@@ -60,8 +60,9 @@ def test_reproduce_content_experiments_smoke(monkeypatch):
 
     encode_png = transform.encode_png
     monkeypatch.setattr(transform, "encode_png", counting_encode_png)
+    monkeypatch.chdir(tmp_path)             # a cleared store's blobs
     monkeypatch.setattr(artifacts, "_DEFAULT_STORE",
-                        artifacts.ArtifactStore(None))
+                        artifacts.ArtifactStore())
     results, text = reproduce_content_experiments()
     # Each distinct static image is encoded once on a cleared artifact
     # store (40 images, 39 distinct: the two rules have equal pixels),

@@ -5,19 +5,26 @@ import pickle
 import pytest
 
 from repro.content import artifacts
-from repro.content.artifacts import (ENCODER_VERSION, ArtifactStore,
-                                     artifact_key)
+from repro.content.artifacts import (DEFAULT_ARTIFACT_DIR, ENCODER_VERSION,
+                                     ArtifactStore, artifact_key)
 
 
 @pytest.fixture
-def store(tmp_path):
-    return ArtifactStore(tmp_path / "artifacts")
+def root(tmp_path, monkeypatch):
+    """A throwaway working directory; every store's blobs land in it."""
+    monkeypatch.chdir(tmp_path)
+    return tmp_path / DEFAULT_ARTIFACT_DIR
 
 
 @pytest.fixture
-def default_store(tmp_path, monkeypatch):
+def store(root):
+    return ArtifactStore()
+
+
+@pytest.fixture
+def default_store(root, monkeypatch):
     """Swap the process-default store for a throwaway one."""
-    fresh = ArtifactStore(tmp_path / "default-artifacts")
+    fresh = ArtifactStore()
     monkeypatch.setattr(artifacts, "_DEFAULT_STORE", fresh)
     return fresh
 
@@ -60,43 +67,32 @@ def test_memoize_calls_producer_once(store):
     assert len(calls) == 1
     assert store.stats.misses == 1
     assert store.stats.hits == 1
-    assert store.stats.memory_hits == 1
 
 
-def test_disk_round_trip_survives_new_store(tmp_path):
-    root = tmp_path / "artifacts"
-    ArtifactStore(root).memoize("b", {}, 0, lambda: b"persisted")
-    reopened = ArtifactStore(root)
+def test_disk_round_trip_survives_new_store(root):
+    ArtifactStore().memoize("b", {}, 0, lambda: b"persisted")
+    reopened = ArtifactStore()
     blob = reopened.memoize("b", {}, 0, lambda: b"WRONG")
     assert blob == b"persisted"
-    assert reopened.stats.disk_hits == 1
-    assert reopened.stats.bytes_read == len(b"persisted")
+    assert (reopened.stats.hits, reopened.stats.misses) == (1, 0)
 
 
-def test_disabled_store_is_pure_pass_through(tmp_path):
-    store = ArtifactStore(tmp_path / "artifacts", enabled=False)
+def test_disabled_store_is_pure_pass_through(root):
+    store = ArtifactStore(enabled=False)
     calls = []
     for _ in range(2):
         store.memoize("b", {}, 0, lambda: calls.append(1) or b"x")
     assert len(calls) == 2
     assert len(store) == 0
-    assert not (tmp_path / "artifacts").exists()
+    assert not root.exists()
 
 
-def test_memory_only_store_persists_nothing():
-    store = ArtifactStore(None)
-    store.memoize("b", {}, 0, lambda: b"x")
-    assert store.path("00" * 32) is None
-    assert len(store) == 1                 # memory layer only
-    assert store.memoize("b", {}, 0, lambda: b"WRONG") == b"x"
-
-
-def test_lru_bound_is_respected(monkeypatch):
+def test_lru_bound_is_respected(store, monkeypatch):
     monkeypatch.setattr(artifacts, "_MEMORY_ENTRIES", 2)
-    store = ArtifactStore(None)
     for i in range(5):
         store.memoize("b", {"i": i}, 0, lambda i=i: bytes([i]))
-    assert len(store) == 2
+    assert len(store._memory) == 2
+    assert len(store) == 5                 # the disk keeps every blob
 
 
 def test_memoize_object_round_trips_and_heals_corruption(store):
@@ -128,19 +124,17 @@ def test_clear_removes_blobs(store):
 # ----------------------------------------------------------------------
 # Concurrent access / atomicity (two runners sharing one directory)
 # ----------------------------------------------------------------------
-def test_two_stores_share_one_directory(tmp_path):
-    root = tmp_path / "shared"
-    a, b = ArtifactStore(root), ArtifactStore(root)
+def test_two_stores_share_one_directory(root):
+    a, b = ArtifactStore(), ArtifactStore()
     a.memoize("b", {}, 0, lambda: b"from-a")
     assert b.memoize("b", {}, 0, lambda: b"WRONG") == b"from-a"
-    assert b.stats.disk_hits == 1
+    assert b.stats.hits == 1
 
 
-def test_racing_writers_leave_no_temp_debris(tmp_path):
+def test_racing_writers_leave_no_temp_debris(root):
     """Interleaved put() on one key: last write wins, blob stays whole,
     and every uniquely named temp file is consumed by os.replace."""
-    root = tmp_path / "shared"
-    a, b = ArtifactStore(root), ArtifactStore(root)
+    a, b = ArtifactStore(), ArtifactStore()
     key = artifact_key("b", {}, 0)
     for _ in range(10):
         a.put(key, b"identical-content")
@@ -151,9 +145,8 @@ def test_racing_writers_leave_no_temp_debris(tmp_path):
     assert leftovers == []
 
 
-def test_concurrent_memoize_threads_agree(tmp_path):
+def test_concurrent_memoize_threads_agree(store):
     import threading
-    store = ArtifactStore(tmp_path / "shared")
     results = []
 
     def worker(i):
@@ -173,28 +166,6 @@ def test_concurrent_memoize_threads_agree(tmp_path):
 # ----------------------------------------------------------------------
 # Default-store plumbing
 # ----------------------------------------------------------------------
-def test_configure_toggles_enabled(default_store):
-    assert artifacts.configure(enabled=False) is default_store
-    assert default_store.enabled is False
-    artifacts.configure(enabled=True)
-    assert default_store.enabled is True
-
-
-def test_configure_new_root_builds_new_store(default_store, tmp_path):
-    moved = artifacts.configure(root=tmp_path / "elsewhere")
-    assert moved is not default_store
-    assert moved.root == tmp_path / "elsewhere"
-
-
-def test_store_state_round_trips_through_configure(default_store):
-    state = artifacts.store_state()
-    assert state == {"enabled": True,
-                     "root": str(default_store.root)}
-    # What a pool worker does with the parent's snapshot:
-    worker_store = artifacts.configure(**state)
-    assert worker_store.enabled and worker_store.root == default_store.root
-
-
 def test_env_flag_disables_lazy_default(monkeypatch):
     monkeypatch.setenv("REPRO_ARTIFACT_CACHE", "0")
     monkeypatch.setattr(artifacts, "_DEFAULT_STORE", None)
@@ -204,8 +175,7 @@ def test_env_flag_disables_lazy_default(monkeypatch):
 # ----------------------------------------------------------------------
 # Byte-identity: the property the whole design rests on
 # ----------------------------------------------------------------------
-def test_site_build_is_byte_identical_warm_and_disabled(tmp_path,
-                                                       monkeypatch):
+def test_site_build_is_byte_identical_warm_and_disabled(root, monkeypatch):
     from repro.content import build_microscape_site
 
     def site_signature(store):
@@ -216,10 +186,10 @@ def test_site_build_is_byte_identical_warm_and_disabled(tmp_path,
                 site.html.body)
 
     try:
-        cold = site_signature(ArtifactStore(tmp_path / "artifacts"))
-        warm = site_signature(ArtifactStore(tmp_path / "artifacts"))
-        assert artifacts.get_store().stats.disk_hits > 0
-        uncached = site_signature(ArtifactStore(None, enabled=False))
+        cold = site_signature(ArtifactStore())
+        warm = site_signature(ArtifactStore())
+        assert artifacts.get_store().stats.hits > 0     # from the disk
+        uncached = site_signature(ArtifactStore(enabled=False))
     finally:
         build_microscape_site.cache_clear()
     assert cold == warm == uncached

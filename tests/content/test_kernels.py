@@ -27,7 +27,7 @@ COLD_SITE_SHA256 = (
 
 def test_cold_site_digest_is_pinned(monkeypatch):
     monkeypatch.setattr(artifacts, "_DEFAULT_STORE",
-                        artifacts.ArtifactStore(None, enabled=False))
+                        artifacts.ArtifactStore(enabled=False))
     site = build_microscape_site.__wrapped__()
     digest = hashlib.sha256()
     for url, obj in site.objects.items():

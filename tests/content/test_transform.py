@@ -154,16 +154,18 @@ def counted(monkeypatch):
     return calls
 
 
-def _use_store(monkeypatch, **options):
+def _use_store(monkeypatch, tmp_path, **options):
+    """A cleared default store whose blobs land under ``tmp_path``."""
     from repro.content import artifacts
+    monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(artifacts, "_DEFAULT_STORE",
-                        artifacts.ArtifactStore(None, **options))
+                        artifacts.ArtifactStore(**options))
 
 
 def test_one_report_encodes_each_distinct_image_once(site, counted,
-                                                     monkeypatch):
+                                                     monkeypatch, tmp_path):
     from repro.analysis import reproduce_content_experiments
-    _use_store(monkeypatch)                     # cleared, memory-only
+    _use_store(monkeypatch, tmp_path)
     first = reproduce_content_experiments()
     # 40 static images, 39 distinct (the two rules have equal pixels:
     # the key is what the encoder reads, never the URL), 2 animations.
@@ -176,18 +178,20 @@ def test_one_report_encodes_each_distinct_image_once(site, counted,
     assert counted == {"encode_png": 78, "encode_mng": 2}
 
 
-def test_a_disabled_store_encodes_every_report(site, counted, monkeypatch):
+def test_a_disabled_store_encodes_every_report(site, counted, monkeypatch,
+                                               tmp_path):
     from repro.analysis import reproduce_content_experiments
-    _use_store(monkeypatch, enabled=False)
+    _use_store(monkeypatch, tmp_path, enabled=False)
     first = reproduce_content_experiments()
     assert counted == {"encode_png": 40, "encode_mng": 2}
     assert reproduce_content_experiments() == first
     assert counted == {"encode_png": 80, "encode_mng": 4}
 
 
-def test_memoized_conversions_are_the_encoders_bytes(site, monkeypatch):
+def test_memoized_conversions_are_the_encoders_bytes(site, monkeypatch,
+                                                     tmp_path):
     from repro.content import encode_mng, encode_png
-    _use_store(monkeypatch)
+    _use_store(monkeypatch, tmp_path)
     for _ in range(2):                          # cold, then from the store
         page = apply_all_transforms(site)
         for obj in site.image_objects:
@@ -199,10 +203,11 @@ def test_memoized_conversions_are_the_encoders_bytes(site, monkeypatch):
                     encode_mng(obj.frames)
 
 
-def test_encode_once_keys_on_codec_pixels_and_options(monkeypatch):
+def test_encode_once_keys_on_codec_pixels_and_options(monkeypatch,
+                                                      tmp_path):
     from repro.content import encode_gif, encode_png, spacer
     from repro.content.transform import encode_once
-    _use_store(monkeypatch)
+    _use_store(monkeypatch, tmp_path)
     image = spacer(8, 8)
     progressive = encode_once("png", encode_png, image, interlace=True)
     assert progressive == encode_png(image, interlace=True)

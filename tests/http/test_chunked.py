@@ -2,7 +2,9 @@
 
 from hypothesis import given, strategies as st
 
-from repro.http import ChunkedDecoder, encode_chunked
+from repro.http import ChunkedDecoder
+
+from .wire_oracle import encode_chunked
 
 
 def decode_all(wire: bytes, step: int = 7) -> bytes:

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.http.compact import (DIFFLIB_LIMIT, DeltaStreamDecoder,
-                                DeltaStreamEncoder, compact_ratio,
-                                decode_varint, encode_varint)
+                                DeltaStreamEncoder, decode_varint,
+                                encode_varint)
 
 
 # ----------------------------------------------------------------------
@@ -71,16 +71,15 @@ def test_paper_envelope_factor_on_revalidation_requests():
     from repro.server import APACHE, ResourceStore
     site = build_microscape_site()
     store = ResourceStore.from_site(site)
-    messages = []
+    encoder = DeltaStreamEncoder()
     for url in site.all_urls():
         request = Request("GET", url, (1, 1), Headers([
             ("Host", "www26.w3.org"),
             ("User-Agent", "W3CRobot/5.1 libwww/5.1"),
             ("Accept", "*/*"),
             ("If-None-Match", store.get(url).etag)]))
-        messages.append(request.to_bytes())
-    ratio = compact_ratio(messages)
-    assert 4.0 <= ratio <= 15.0
+        encoder.encode(request.to_bytes())
+    assert 4.0 <= encoder.ratio <= 15.0
 
 
 def test_completely_different_messages():

@@ -5,11 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.content import build_microscape_site
 from repro.http import HTTP11, Headers, Request
-from repro.http.cache import CacheEntry
-from repro.http.delta import (DELTA_IM_TOKEN, apply_delta,
-                              apply_delta_response, encode_delta,
+from repro.http.delta import (DELTA_IM_TOKEN, apply_delta, encode_delta,
                               wants_delta)
-from repro.http.messages import Response
 from repro.server import APACHE, ResourceStore
 from repro.server.static import build_response
 
@@ -109,23 +106,3 @@ def test_version_history_is_bounded(store):
     resource = store.get(url)
     assert len(resource.previous_versions) <= resource.MAX_RETAINED
 
-
-def test_apply_delta_response_helpers(store):
-    old = store.get("/home.html")
-    entry = CacheEntry("/home.html", old.body,
-                       Headers([("ETag", old.etag)]))
-    new_body = old.body.replace(b"copyright", b"Copyright", 1)
-    store.update("/home.html", new_body)
-    response = build_response(store,
-                              delta_request("/home.html", old.etag),
-                              APACHE)
-    assert apply_delta_response(entry, response) == new_body
-    # Plain responses pass through.
-    assert apply_delta_response(entry, Response(200, body=b"x")) == b"x"
-    # Mismatched base is rejected.
-    wrong = CacheEntry("/home.html", b"???",
-                       Headers([("ETag", '"zzz"')]))
-    with pytest.raises(ValueError):
-        apply_delta_response(wrong, response)
-    with pytest.raises(ValueError):
-        apply_delta_response(None, response)

@@ -19,7 +19,7 @@ from repro.core.registry import resolve_mode
 from repro.core import runner
 from repro.http import (HTTP11, PAPER_EPOCH, Headers, MemoryCache,
                         ParseError, Request, RequestParser, Response,
-                        ResponseParser, encode_chunked, format_http_date)
+                        ResponseParser, format_http_date)
 from repro.http import headers as headers_mod, parser as parser_mod
 from repro.http.delta import DELTA_IM_TOKEN
 from repro.http.messages import parse_version
@@ -29,6 +29,7 @@ from repro.simnet import LAN, SERVER_HOST, TwoHostNetwork
 
 from ..server.test_server import RawClient
 from .test_parser_fuzz import slices
+from .wire_oracle import encode_chunked
 
 
 def clear_memos():

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.http import (ByteRange, MULTIPART_BOUNDARY,
-                        encode_multipart_byteranges,
-                        parse_multipart_byteranges)
+                        encode_multipart_byteranges)
+
+from .wire_oracle import parse_multipart_byteranges
 
 
 CONTENT_TYPE = f"multipart/byteranges; boundary={MULTIPART_BOUNDARY}"

@@ -13,7 +13,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.http import (Headers, ParseError, Request, RequestParser,
-                        Response, ResponseParser, encode_chunked)
+                        Response, ResponseParser)
+
+from .wire_oracle import encode_chunked
 
 _token = st.text(alphabet=string.ascii_letters + string.digits,
                  min_size=1, max_size=10)

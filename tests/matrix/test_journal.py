@@ -1,13 +1,15 @@
-"""RunJournal: atomicity, round-trips, hydration, resume identity."""
+"""RunJournal: the result cache of one run, verdicts included."""
 
 import json
 
 import pytest
 
+from repro.__main__ import build_parser
 from repro.core.runner import UnitFailure
-from repro.matrix import ExperimentSpec, MatrixRunner, RunJournal, unit_key
+from repro.matrix import (ExperimentSpec, MatrixRunner, ResultCache,
+                          RunJournal, unit_key)
 
-from .test_cache import synthetic_result
+from .test_cache import entries, synthetic_result
 from .test_matrix_runner import FAST, assert_results_identical
 
 
@@ -16,33 +18,33 @@ def journal(tmp_path):
     return RunJournal("trial", tmp_path / "runs")
 
 
-def test_run_id_must_be_filename_safe(tmp_path):
+def test_run_id_must_be_filename_safe(capsys):
+    # --journal's RUN_ID names one directory under <cache dir>/runs/:
+    # anything else is a usage error before a runner (or journal) exists.
     for bad in ("", "../escape", "a/b", "a b", ".hidden"):
-        with pytest.raises(ValueError):
-            RunJournal(bad, tmp_path)
-    RunJournal("report-1a2b3c", tmp_path)    # derived ids are fine
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["table", "4", "--journal", bad])
+        assert excinfo.value.code == 2
+        assert "must be filename-safe" in capsys.readouterr().err
+    assert build_parser().parse_args(
+        ["table", "4", "--journal", "report-1a2b3c"]).journal == \
+        "report-1a2b3c"
 
 
-def test_begin_is_idempotent_and_writes_manifest(journal):
-    assert not journal.exists()
-    journal.begin()
-    journal.begin()
-    assert journal.exists()
-    manifest = json.loads((journal.path / "manifest.json").read_text())
-    assert manifest["run_id"] == "trial"
-    assert len(journal) == 0
-
-
-def test_result_round_trip(journal):
+def test_result_round_trip(journal, tmp_path):
     spec = ExperimentSpec(**FAST)
     result = synthetic_result()
     journal.record_result(spec, 0, result)
-    record = journal.load()[unit_key(spec, 0)]
-    assert record["status"] == "ok"
-    hydrated = RunJournal.hydrate(record)
+    assert journal.root == tmp_path / "runs" / "trial"
+    hydrated = journal.load()[unit_key(spec, 0)]
     assert hydrated.packets == result.packets
     assert hydrated.elapsed == result.elapsed
     assert hydrated.fetch is None and hydrated.trace is None
+    # One entry format: what the journal wrote, a result cache reads.
+    [path] = entries(journal)
+    assert sorted(json.loads(path.read_text())) == [
+        "result", "seed", "spec", "version"]
+    assert ResultCache(journal.root).get(spec, 0).packets == result.packets
 
 
 def test_failure_round_trip(journal):
@@ -50,25 +52,24 @@ def test_failure_round_trip(journal):
     failure = UnitFailure(label=spec.label, seed=3, kind="deadline",
                           error="wall-clock deadline expired",
                           traceback_digest="", attempts=3)
-    journal.record_failure(spec, 3, failure)
-    hydrated = RunJournal.hydrate(journal.load()[unit_key(spec, 3)])
-    assert hydrated == failure
+    journal.record_result(spec, 3, failure)
+    assert journal.load()[unit_key(spec, 3)] == failure
 
 
 def test_no_temp_debris_after_writes(journal):
     spec = ExperimentSpec(**FAST)
     for seed in range(5):
         journal.record_result(spec, seed, synthetic_result())
-    leftovers = [p for p in journal.units_dir.iterdir()
+    leftovers = [p for p in journal.root.iterdir()
                  if not p.name.endswith(".json")]
     assert leftovers == []
-    assert len(journal) == 5
+    assert len(entries(journal)) == 5
 
 
 def test_corrupt_record_is_skipped_and_unlinked(journal):
     spec = ExperimentSpec(**FAST)
     journal.record_result(spec, 0, synthetic_result())
-    bad = journal.units_dir / ("e" * 64 + ".json")
+    bad = journal.root / ("e" * 64 + ".json")
     bad.write_text("{torn mid-write")
     records = journal.load()
     assert unit_key(spec, 0) in records
@@ -76,19 +77,17 @@ def test_corrupt_record_is_skipped_and_unlinked(journal):
     assert len(records) == 1
 
 
-def test_hydrate_rejects_unrecognized_shapes():
-    assert RunJournal.hydrate({}) is None
-    assert RunJournal.hydrate({"status": "weird"}) is None
-    assert RunJournal.hydrate({"status": "ok"}) is None
-    assert RunJournal.hydrate({"status": "failed",
-                               "failure": {"bogus": 1}}) is None
-
-
-def test_clear_drops_unit_records(tmp_path):
-    journal = RunJournal("beta", tmp_path / "runs")
-    journal.record_result(ExperimentSpec(**FAST), 0, synthetic_result())
-    assert journal.clear() == 1
-    assert len(journal) == 0
+def test_hydrate_rejects_unrecognized_shapes(journal):
+    journal.root.mkdir(parents=True)
+    shapes = {"a": {}, "b": {"result": {}},
+              "c": {"result": {"__kind__": "failure", "bogus": 1}},
+              "d": {"result": {"__kind__": "not-loaded-here"}}}
+    for name, entry in shapes.items():
+        (journal.root / f"{name * 64}.json").write_text(json.dumps(entry))
+    assert journal.load() == {}
+    # Malformed entries are healed; one whose codec another process
+    # registered is valid data, left on disk.
+    assert [path.name[0] for path in entries(journal)] == ["d"]
 
 
 def test_records_are_keyed_by_unit_key(journal):
@@ -96,11 +95,10 @@ def test_records_are_keyed_by_unit_key(journal):
     failure = UnitFailure(label=spec.label, seed=1, kind="exception",
                           error="boom", traceback_digest="", attempts=1)
     journal.record_result(spec, 0, synthetic_result())
-    journal.record_failure(spec, 1, failure)
+    journal.record_result(spec, 1, failure)
     assert sorted(journal.load()) == sorted(
         [unit_key(spec, 0), unit_key(spec, 1)])
-    assert sorted(p.stem for p in journal.units_dir.iterdir()) == \
-        sorted(journal.load())
+    assert [p.stem for p in entries(journal)] == sorted(journal.load())
 
 
 # ----------------------------------------------------------------------
@@ -164,3 +162,20 @@ def test_journaled_failures_replay_on_resume(tmp_path):
         assert r.stats.failures == 1
     assert resumed[0].failures == first[0].failures
     assert_results_identical(first[1], resumed[1])
+
+
+def test_a_verdict_is_journaled_but_never_cached(tmp_path):
+    from repro.faults import HarnessFaultPlan
+    plan = HarnessFaultPlan(name="t", poison_units=(1,), poison_seed=1)
+    cache = ResultCache(tmp_path / "cache")
+    journal = RunJournal("grid", tmp_path / "cache" / "runs")
+    with MatrixRunner(jobs=1, harness_faults=plan, cache=cache,
+                      journal=journal) as r:
+        r.run_many(grid_specs())
+        assert r.stats.failures == 1
+
+    def kinds(store):
+        return sorted(json.loads(path.read_text())["result"]["__kind__"]
+                      for path in entries(store))
+    assert kinds(cache) == ["run"] * 5
+    assert kinds(journal) == ["failure"] + ["run"] * 5

@@ -10,6 +10,8 @@ from repro.core.runner import (RESULT_FIELDS, AveragedResult,
 from repro.matrix import (ExperimentSpec, MatrixRunner,
                           ResultCache, RunJournal, unit_key)
 
+from .test_cache import entries
+
 #: The cheapest cell in the grid (~10 ms a run): used everywhere speed
 #: matters more than coverage.
 FAST = dict(mode="pipelined", scenario="revalidate",
@@ -270,7 +272,7 @@ def test_cached_parallel_batches_flush_once_per_chunk(tmp_path):
                             **{**FAST, "server": "Jigsaw"})]
     with MatrixRunner(jobs=2, cache=cache) as first:
         first.run_many(specs)
-    assert len(cache) == 4
+    assert len(entries(cache)) == 4
     second = MatrixRunner(cache=cache)
     second.run_many(specs)
     assert second.stats.sim_runs == 0

@@ -154,12 +154,73 @@ def test_fleet_unknown_name_is_the_registrys_error(flag, kind, capsys):
 def test_a_spelling_cannot_fork_a_fleet_journal(tmp_path, capsys,
                                                 monkeypatch):
     monkeypatch.chdir(tmp_path)         # the journal lands under cwd
-    ids = []
+    outputs = []
     for server in ("apache", "Apache"):
         assert main(_TINY_FLEET + ["--server", server, "--journal"]) == 0
-        ids.append(re.search(r"^journal: (fleet-\w+)$",
-                             capsys.readouterr().err, re.M).group(1))
-    assert ids[0] == ids[1]
+        captured = capsys.readouterr()
+        assert re.search(r"^journal: fleet$", captured.err, re.M)
+        outputs.append(captured.out)
+    # One journal, keyed by unit: the second spelling replays the first.
+    assert " 0 simulated" in captured.err
+    assert " 0 journal hits" not in captured.err
+    assert outputs[0] == outputs[1]
+    assert [path.name for path in (tmp_path / ".repro-cache"
+                                   / "runs").iterdir()] == ["fleet"]
+
+
+@pytest.mark.parametrize("run_id", ["../x", "a/b", ""])
+def test_a_journal_run_id_is_one_directory_name(run_id, tmp_path, capsys,
+                                                monkeypatch):
+    # At the parent `--resume ../x` died in RunJournal with a traceback.
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["table", "4", "--runs", "1", "--journal", run_id])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "--journal: run id" in err
+    assert not re.search(r"^journal:", err, re.M)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [["table", "4"], ["modem"], ["report"],
+                                  ["claims"], ["fleet"], ["chaos"]])
+def test_a_bare_journal_flag_names_the_verbs_journal(argv):
+    args = build_parser().parse_args([*argv, "--journal"])
+    assert args.journal == argv[0]
+
+
+def test_the_journal_lives_under_the_cache_dir(tmp_path, capsys,
+                                               monkeypatch):
+    """A report-shaped run: the verb's runner, a tiny batch."""
+    from repro import __main__ as cli_main
+    from repro.matrix import ExperimentSpec, unit_key
+
+    def spec(runs):
+        return ExperimentSpec(mode="pipelined", scenario="revalidate",
+                              environment="LAN", server="Apache",
+                              seeds=tuple(range(runs)))
+
+    def tiny_report(runs, browser_runs, runner):
+        return repr(runner.run(spec(runs)).packets)
+
+    monkeypatch.setattr(cli_main, "generate_experiments_report",
+                        tiny_report)
+    monkeypatch.chdir(tmp_path)
+    argv = ["report", "--cache-dir", "d", "--journal"]
+    assert main(argv + ["--runs", "2"]) == 0
+    first = capsys.readouterr()
+    assert "journal: report" in first.err
+    journal = tmp_path / "d" / "runs" / "report"
+    assert sorted(path.name for path in journal.iterdir()) == sorted(
+        f"{unit_key(spec(2), seed)}.json" for seed in (0, 1))
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["d"]
+    assert main(argv + ["--runs", "2"]) == 0
+    second = capsys.readouterr()
+    assert " 0 simulated" in second.err and "2 journal hits" in second.err
+    assert second.out == first.out
+    # Entries are keyed by unit: fewer runs replay the seeds they share.
+    assert main(argv + ["--runs", "1"]) == 0
+    assert " 0 simulated" in capsys.readouterr().err
 
 
 def test_modem(capsys):
@@ -201,10 +262,10 @@ def test_bench_verb_is_gone_and_every_other_verb_remains(capsys):
 
 def test_claims_takes_the_runner_flags_and_nothing_else(capsys):
     args = build_parser().parse_args(
-        ["claims", "--jobs", "2", "--cache-dir", "d", "--no-artifact-cache"])
-    assert (args.jobs, args.cache_dir, args.no_artifact_cache) == (2, "d",
-                                                                  True)
-    for extra in (["--runs", "3"], ["--only", "nagle-stall"]):
+        ["claims", "--jobs", "2", "--cache-dir", "d", "--journal"])
+    assert (args.jobs, args.cache_dir, args.journal) == (2, "d", "claims")
+    for extra in (["--runs", "3"], ["--only", "nagle-stall"],
+                  ["--resume"], ["--no-artifact-cache"]):
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(["claims", *extra])
         assert excinfo.value.code == 2
