@@ -105,15 +105,19 @@ cmp -s "$SMOKE_CACHE/first.out" "$SMOKE_CACHE/second.out" \
     || { echo "check.sh: journal replay printed another report" >&2; exit 1; }
 rm -rf "$SMOKE_CACHE"
 
-# Post-paper protocol modes: one sanitized WAN cell per mode.  The
-# --sanitize flag runs the live TCP sanitizer, the mode's trace rules
-# (connection counts, origin ports), and — for the MUX modes — the
-# frame-stream validator over every frame on the wire.
-python -m repro run --mode mux --environment WAN --sanitize > /dev/null
-python -m repro run --mode mux-push --environment WAN --sanitize \
-    > /dev/null
-python -m repro run --mode sharded --environment WAN --sanitize \
-    > /dev/null
+# Every unit the smokes above and below run ends with the TCP protocol
+# check.  A naive close under pipelining resets the connection: `run`
+# must quarantine that unit as an `invariant` failure and exit 1.
+NAIVE_ERR="$(mktemp)"
+if python -m repro run --mode pipelined --environment WAN \
+        --server NaiveClose > /dev/null 2> "$NAIVE_ERR"; then
+    echo "check.sh: a NaiveClose pipelined WAN run passed its check" >&2
+    exit 1
+fi
+grep -q ": invariant after " "$NAIVE_ERR" \
+    || { echo "check.sh: NaiveClose run was not an invariant quarantine" >&2
+         exit 1; }
+rm -f "$NAIVE_ERR"
 
 # Chaos smoke: the whole 48-cell fault grid (~3 s serial) on two
 # workers — every cell must still retrieve the full site byte-identical

@@ -7,7 +7,7 @@ Commands
     published numbers.
 ``run``
     Run a single experiment cell with explicit mode / scenario /
-    environment / server.
+    environment / server: one protocol-checked matrix unit.
 ``modem``
     The §8.2.1 modem-compression comparison.
 ``content``
@@ -69,9 +69,8 @@ from .analysis import (generate_experiments_report,
                        reproduce_content_experiments,
                        reproduce_modem_experiment,
                        reproduce_protocol_table, reproduce_table3)
-from .core import (TABLE_CELLS, UnknownNameError, resolve_environment,
-                   resolve_mode, resolve_profile, resolve_scenario,
-                   run_experiment)
+from .core import TABLE_CELLS, UnknownNameError
+from .matrix import ExperimentSpec, MatrixRunner
 from .matrix.cli import add_runner_flags, finish, make_runner
 
 
@@ -102,18 +101,24 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
-        result = run_experiment(args.mode, args.scenario,
-                                environment=args.environment,
-                                profile=args.server, seed=args.seed,
-                                sanitize=args.sanitize,
-                                fastpath=not args.no_fastpath)
+        spec = ExperimentSpec(mode=args.mode, scenario=args.scenario,
+                              environment=args.environment,
+                              server=args.server, seeds=(args.seed,),
+                              fastpath=not args.no_fastpath)
     except UnknownNameError as exc:
         print(exc, file=sys.stderr)
         return 2
-    print(f"mode:        {resolve_mode(args.mode).name}")
-    print(f"scenario:    {resolve_scenario(args.scenario)}")
-    print(f"environment: {resolve_environment(args.environment).name}")
-    print(f"server:      {resolve_profile(args.server).name}")
+    runner = MatrixRunner()
+    cell = runner.run(spec)
+    for failure in cell.failures:
+        print(failure.summary(), file=sys.stderr)
+    if not cell.runs:
+        return finish(runner)
+    result = cell.runs[0]
+    print(f"mode:        {spec.mode}")
+    print(f"scenario:    {spec.scenario}")
+    print(f"environment: {spec.environment}")
+    print(f"server:      {spec.server}")
     print(f"packets:     {result.packets} "
           f"({result.packets_client_to_server} c->s, "
           f"{result.packets_server_to_client} s->c)")
@@ -122,7 +127,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"overhead:    {result.percent_overhead:.1f} %")
     print(f"connections: {result.connections_used} "
           f"(max {result.max_parallel_connections} parallel)")
-    return 0
+    return finish(runner)
 
 
 def _cmd_modem(args: argparse.Namespace) -> int:
@@ -195,10 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "and execute every segment event-by-event "
                           "(byte-identical; useful to verify the fast "
                           "path or isolate it when debugging)")
-    run.add_argument("--sanitize", action="store_true",
-                     help="validate the run live against the TCP "
-                          "invariants and the mode's trace rules "
-                          "(frame legality for MUX modes)")
     run.set_defaults(fn=_cmd_run)
 
     modem = sub.add_parser("modem", help="the 8.2.1 modem experiment")

@@ -130,7 +130,8 @@ class _RenderObserver:
 
 def measure_render(config: ClientConfig, environment: NetworkEnvironment,
                    profile: ServerProfile, *, seed: int = 0) -> RenderMetrics:
-    """A jitter-free first-time retrieval's rendering timeline."""
+    """A jitter-free first-time retrieval's rendering timeline (its
+    trace protocol-checked, as every unit's is)."""
     transport = Transport()
     testbed = Testbed(environment, profile, transport, seed=seed)
     observer = _RenderObserver(testbed.site, testbed.net.sim)
@@ -138,6 +139,7 @@ def measure_render(config: ClientConfig, environment: NetworkEnvironment,
         result = testbed.fetch_page(transport, config, FIRST_TIME,
                                     attach=observer.attach)
         testbed.net.run()
+        testbed.check_trace(transport, config, faulty=False)
     finally:
         testbed.close()
     if not result.complete:

@@ -156,9 +156,10 @@ class UnitFailure:
 
     label: str
     seed: int
-    #: ``"exception"`` (the unit raised), ``"deadline"`` (its worker
-    #: blew the wall-clock budget) or ``"worker-lost"`` (its worker
-    #: process died mid-chunk).
+    #: ``"invariant"`` (its trace broke a protocol invariant),
+    #: ``"exception"`` (the unit raised anything else), ``"deadline"``
+    #: (its worker blew the wall-clock budget) or ``"worker-lost"`` (its
+    #: worker process died mid-chunk).
     kind: str
     #: ``ExceptionType: message`` for exception failures, else a short
     #: description of what the supervisor observed.
@@ -173,10 +174,13 @@ class UnitFailure:
     @classmethod
     def from_exception(cls, label: str, seed: int, exc: BaseException,
                        *, attempts: int = 1) -> "UnitFailure":
+        from ..lint.sanitizer import InvariantViolationError
         text = "".join(traceback.format_exception(
             type(exc), exc, exc.__traceback__))
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
-        return cls(label=label, seed=int(seed), kind="exception",
+        kind = ("invariant" if isinstance(exc, InvariantViolationError)
+                else "exception")
+        return cls(label=label, seed=int(seed), kind=kind,
                    error=f"{type(exc).__name__}: {exc}",
                    traceback_digest=digest, attempts=int(attempts))
 
@@ -347,6 +351,44 @@ class Testbed:
             attach(robot)
         return robot.fetch(self.site.html_url, scenario, known_urls=known)
 
+    def check_trace(self, transport: Transport, config: ClientConfig, *,
+                    faulty: bool, frames=None) -> None:
+        """The unit-end protocol check, once the simulation has drained.
+
+        Replays the collector's rows through
+        :func:`~repro.lint.sanitizer.validate_rows` under
+        ``SanitizerConfig.for_run`` plus the transport's trace rules, or
+        — for a run under a fault plan (``faulty``) — under
+        ``for_faulty_run`` of the same config, which allows the resets
+        and re-dials recovery makes.  ``frames`` is a clean MUX run's
+        :class:`~repro.lint.sanitizer.FrameStreamValidator`, finished
+        here.  A violation raises
+        :class:`~repro.lint.sanitizer.InvariantViolationError` naming
+        the first five; the check never changes a result.
+        """
+        from ..lint.sanitizer import (InvariantViolationError,
+                                      SanitizerConfig, validate_rows)
+        net = self.net
+        checks = SanitizerConfig.for_run(
+            environment=net.environment,
+            client_nodelay=config.nodelay,
+            server_nodelay=self.profile.nodelay,
+            client_delack=net.client.config.delack_delay,
+            server_delack=net.server.config.delack_delay,
+            max_parallel=config.max_connections)
+        if faulty:
+            checks = SanitizerConfig.for_faulty_run(checks)
+        else:
+            checks = dataclasses.replace(
+                checks, mode_rules=transport.trace_rules(config))
+        violations = validate_rows(net.trace.rows(), checks)
+        if frames is not None:
+            frames.finish(net.sim.now)
+            violations += frames.violations
+        if violations:
+            raise InvariantViolationError(
+                "; ".join(v.format() for v in violations[:5]))
+
     def close(self) -> None:
         """Release the network once the unit has its results; every
         ``Testbed(...)`` is followed by a ``finally`` that calls this."""
@@ -378,10 +420,15 @@ def run_experiment(mode: Union[str, ProtocolMode],
     process's memoized Microscape site and resource store.
     ``keep_trace=True`` preserves the full tcpdump-style trace as
     :attr:`RunResult.trace_lines` (the golden-trace tests rely on it).
-    ``sanitize=True`` attaches a :class:`~repro.lint.LiveSanitizer` to
-    the link, raising :class:`~repro.lint.InvariantViolationError` the
-    moment any segment breaks a TCP invariant (handshake order,
-    sequence monotonicity, Nagle, delayed-ACK deadlines, half-close).
+    ``sanitize=True`` — what every matrix unit passes — ends the run
+    with :meth:`Testbed.check_trace`: the captured trace is replayed
+    through the TCP invariants (handshake order, sequence monotonicity,
+    Nagle, delayed-ACK deadlines, half-close) and the mode's trace
+    rules, and a MUX run's frames through the frame-stream rules (clean
+    runs only: a re-dial under a fault plan restarts stream ids), and a
+    violation raises :class:`~repro.lint.InvariantViolationError`.  The
+    check never changes a result; ``sanitize=False`` skips it, so its
+    cost can be measured.
 
     ``faults`` names a :class:`~repro.faults.FaultPlan` (or passes one
     directly): link faults are injected by a seeded
@@ -421,31 +468,13 @@ def run_experiment(mode: Union[str, ProtocolMode],
                           recovery=recovery)
         for srv in servers:
             srv.recovery = recovery
-        sanitizer = None
         frame_validator = None
-        if sanitize:
-            from ..lint import (FrameStreamValidator, LiveSanitizer,
-                                SanitizerConfig)
-            s_config = SanitizerConfig.for_run(
-                environment=environment,
-                client_nodelay=config.nodelay,
-                server_nodelay=profile.nodelay,
-                client_delack=net.client.config.delack_delay,
-                server_delack=net.server.config.delack_delay,
-                max_parallel=config.max_connections)
-            if plan is None:
-                # Clean runs also enforce the mode's connection-shape
-                # contract (fault recovery legitimately re-dials, so the
-                # rules are skipped under injection).
-                rules = transport.trace_rules(config)
-                if rules is not None:
-                    s_config = dataclasses.replace(s_config, mode_rules=rules)
-            sanitizer = LiveSanitizer(net.link, s_config)
-            if transport.mux:
-                frame_validator = FrameStreamValidator(
-                    push_allowed=transport.push)
-                for srv in servers:
-                    srv.frame_tap = frame_validator.observe
+        if sanitize and transport.mux and plan is None:
+            from ..lint.sanitizer import FrameStreamValidator
+            frame_validator = FrameStreamValidator(
+                push_allowed=transport.push)
+            for srv in servers:
+                srv.frame_tap = frame_validator.observe
 
         def attach(robot: Robot) -> None:
             if frame_validator is not None:
@@ -457,14 +486,9 @@ def run_experiment(mode: Union[str, ProtocolMode],
         result = testbed.fetch_page(transport, config, scenario, attach=attach)
         net.run(until=max_sim_time)
         net.sim.run()   # drain any residual timers/ACKs past the deadline
-        if sanitizer is not None:
-            sanitizer.finish(net.sim.now)
-        if frame_validator is not None:
-            frame_validator.finish(net.sim.now)
-            if frame_validator.violations:
-                from ..lint import InvariantViolationError
-                raise InvariantViolationError("; ".join(
-                    v.format() for v in frame_validator.violations[:5]))
+        if sanitize:
+            testbed.check_trace(transport, config, faulty=plan is not None,
+                                frames=frame_validator)
         if not result.complete:
             detail = (f" (terminal: {result.terminal_error})"
                       if result.terminal_error else "")

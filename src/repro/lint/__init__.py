@@ -22,11 +22,13 @@ once into a project graph) and one entry point
   ``MatrixRunner``'s chunk dispatch).  Surfaced as ``python -m repro
   lint --deep``, a must-be-clean gate.
 * **Runtime** (:mod:`repro.lint.sanitizer`): a TCP invariant checker
-  that replays captured traces (or observes a live simulation through a
-  link tap) and asserts the protocol behaviours the paper's results
-  depend on — handshake ordering, sequence monotonicity, no ACK of
-  unsent data, no payload after FIN, Nagle compliance, delayed-ACK
-  deadlines, and independent half-close teardown.
+  that replays a captured trace and asserts the protocol behaviours the
+  paper's results depend on — handshake ordering, sequence
+  monotonicity, no ACK of unsent data, no payload after FIN, Nagle
+  compliance, delayed-ACK deadlines, and independent half-close
+  teardown.  Every simulated matrix unit replays its own trace through
+  it at unit end; ``python -m repro lint --sanitize-traces`` replays
+  committed trace files.
 
 All layers surface through ``python -m repro lint``.
 """
@@ -38,13 +40,12 @@ from .graph import LintError, ProjectGraph, build_graph
 from .sanitizer import (
     FrameStreamValidator,
     InvariantViolationError,
-    LiveSanitizer,
     ModeTraceRules,
     SanitizerConfig,
     TraceValidator,
     Violation,
     parse_trace_text,
-    validate_records,
+    validate_rows,
     validate_trace_text,
 )
 
@@ -62,12 +63,11 @@ __all__ = [
     "lint_paths",
     "FrameStreamValidator",
     "InvariantViolationError",
-    "LiveSanitizer",
     "ModeTraceRules",
     "SanitizerConfig",
     "TraceValidator",
     "Violation",
     "parse_trace_text",
-    "validate_records",
+    "validate_rows",
     "validate_trace_text",
 ]

@@ -1,4 +1,4 @@
-"""Runtime TCP protocol sanitizer: trace replay and online checking.
+"""Runtime TCP protocol sanitizer: the trace replay every unit ends with.
 
 The paper's hardest-won results are *implementation invariants* — the
 three-way handshake paid per HTTP/1.0 connection, Nagle's interaction
@@ -6,10 +6,10 @@ with small writes, the 200 ms / 50 ms delayed-ACK heartbeats, and the
 independent half-close that keeps a pipelined exchange from ending in a
 RST.  The simulator implements all of them, but nothing *enforced* them:
 a TCP regression would only surface if it happened to perturb a golden
-WAN trace.  :class:`TraceValidator` closes that gap by replaying any
-captured trace (a :class:`~repro.simnet.trace.PacketRecord` list, raw
-``format_trace`` text, or live segments) through a per-flow state
-machine asserting:
+WAN trace.  :class:`TraceValidator` closes that gap by replaying a
+captured trace — one ``(time, src, sport, dst, dport, flags, seq, ack,
+payload_len)`` row per segment — through a per-flow state machine
+asserting:
 
 * **handshake ordering** — a flow starts SYN, SYN+ACK (acking exactly
   the SYN), and carries no payload before the handshake completes;
@@ -25,19 +25,21 @@ machine asserting:
   configured heartbeat (200 ms client / 50 ms server) plus a transit
   bound;
 * **independent half-close** — every established direction closes with
-  an acknowledged FIN, and no RST appears in a clean trace.
+  an acknowledged FIN, and a clean trace resets no flow that still had
+  a FIN outstanding (a RST answering a retransmitted FIN after both
+  FINs were acknowledged destroys no data).
 
-The same state machine runs **online** via :class:`LiveSanitizer`, a
-link tap enabled with ``run_experiment(..., sanitize=True)`` — the
-engine's opt-in sanitizer mode — which raises
-:class:`InvariantViolationError` the moment a violating segment is
-emitted, with the simulated time and flow in the message.  (Replaying
-a trace offline with :func:`validate_trace_text` collects every
-violation instead.)
+:func:`validate_rows` is the one feed.  Every simulated matrix unit
+replays its :class:`~repro.simnet.trace.TraceCollector` columns
+(:meth:`~repro.simnet.trace.TraceCollector.rows`) through it after the
+simulation drains, and raises :class:`InvariantViolationError` on a
+violation, which the matrix engine quarantines as an ``invariant``
+failure; ``lint --sanitize-traces`` replays committed trace files
+through the same function via :func:`parse_trace_text`.
 
 This module imports nothing from :mod:`repro.simnet` but the receive
-window constant: it duck-types segments and links, so trace files can
-be validated without constructing a simulator.
+window constant, so trace files can be validated without constructing
+a simulator.
 """
 
 from __future__ import annotations
@@ -45,7 +47,8 @@ from __future__ import annotations
 import dataclasses
 import math
 import re
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from collections import deque
+from typing import Any, Deque, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..http.framing import (F_CANCEL, F_DATA, F_END_STREAM, F_HEADERS,
                             F_PUSH_PROMISE, F_WINDOW_UPDATE,
@@ -55,8 +58,12 @@ from ..simnet.tcp import RWND
 
 __all__ = ["SanitizerConfig", "ModeTraceRules", "Violation",
            "InvariantViolationError", "TraceValidator",
-           "FrameStreamValidator", "LiveSanitizer", "parse_trace_text",
-           "validate_trace_text", "validate_records"]
+           "FrameStreamValidator", "Row", "parse_trace_text",
+           "validate_rows", "validate_trace_text"]
+
+#: One captured segment: ``(time, src, sport, dst, dport, flags, seq,
+#: ack, payload_len)``, ``flags`` in tcpdump letters (``"PA"``).
+Row = Tuple[float, str, int, str, int, str, int, int, int]
 
 
 #: Slack for float timestamps in the delayed-ACK deadline check.
@@ -64,7 +71,7 @@ _EPSILON = 1e-6
 
 
 class InvariantViolationError(AssertionError):
-    """A TCP protocol invariant was violated (online sanitizer mode)."""
+    """A checked unit's trace broke a protocol invariant."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -183,7 +190,7 @@ class _Direction:
     """Sender-side state for one direction of one flow."""
 
     __slots__ = ("snd_nxt", "snd_una", "syn_end", "fin_end", "fin_acked",
-                 "small_ends", "unacked", "sent_payload")
+                 "small_ends", "unacked", "sent_payload", "initiator")
 
     def __init__(self) -> None:
         self.snd_nxt = 0          # highest sequence space transmitted
@@ -193,9 +200,12 @@ class _Direction:
         self.fin_acked = False
         #: End-sequences of transmitted sub-MSS payload segments.
         self.small_ends: List[int] = []
-        #: (end_seq, send_time) of payload awaiting acknowledgement.
-        self.unacked: List[Tuple[int, float]] = []
+        #: (end_seq, send_time) of payload awaiting acknowledgement, in
+        #: increasing end_seq order (only new sequence space is added).
+        self.unacked: Deque[Tuple[int, float]] = deque()
         self.sent_payload = False
+        #: True for the side that sent the flow's first SYN (the client).
+        self.initiator = False
 
 
 class _Flow:
@@ -223,11 +233,10 @@ class _Flow:
 class TraceValidator:
     """Replays segments through the paper's TCP invariants.
 
-    Feed segments in capture order through :meth:`observe` (or the
-    :meth:`observe_segment` adapter for live
-    :class:`~repro.simnet.packet.Segment` objects), then call
-    :meth:`finalize` for the end-of-trace teardown checks.  Violations
-    accumulate in :attr:`violations`.
+    Feed :data:`Row` tuples in capture order through :meth:`replay`,
+    then call :meth:`finalize` for the end-of-trace teardown checks
+    (:func:`validate_rows` does both).  Violations accumulate in
+    :attr:`violations`.
     """
 
     def __init__(self,
@@ -236,201 +245,198 @@ class TraceValidator:
         self.violations: List[Violation] = []
         self._flows: Dict[Tuple[Tuple[str, int], Tuple[str, int]],
                           _Flow] = {}
-        self._finalized = False
+        #: (src, sport, dst, dport) -> (flow, sender's direction,
+        #: receiver's direction): one lookup per segment.
+        self._routes: Dict[Tuple[str, int, str, int],
+                           Tuple[_Flow, _Direction, _Direction]] = {}
+        #: Delayed-ACK deadline budget, indexed by "the acker is the
+        #: flow's initiator" (False: server heartbeat, True: client).
+        self._budgets = tuple(
+            self.config.transit_bound + delack + _EPSILON
+            for delack in (self.config.server_delack,
+                           self.config.client_delack))
 
     # ------------------------------------------------------------------
-    def _flow_for(self, src: Tuple[str, int],
-                  dst: Tuple[str, int]) -> _Flow:
-        key = (src, dst) if src <= dst else (dst, src)
+    def _route(self, src: str, sport: int, dst: str, dport: int
+               ) -> Tuple[_Flow, _Direction, _Direction]:
+        sender = (src, sport)
+        receiver = (dst, dport)
+        key = (sender, receiver) if sender <= receiver \
+            else (receiver, sender)
         flow = self._flows.get(key)
         if flow is None:
             label = (f"{key[0][0]}:{key[0][1]}<->"
                      f"{key[1][0]}:{key[1][1]}")
             flow = self._flows[key] = _Flow(label)
-        return flow
+        route = self._routes[(src, sport, dst, dport)] = (
+            flow, flow.direction(sender), flow.direction(receiver))
+        return route
 
     def _report(self, time: float, flow: _Flow, rule: str,
                 message: str) -> None:
         self.violations.append(Violation(time=time, flow=flow.label,
                                          rule=rule, message=message))
 
-    def _delack_period(self, flow: _Flow,
-                       acker: Tuple[str, int]) -> float:
-        if flow.initiator is not None and acker == flow.initiator:
-            return self.config.client_delack
-        return self.config.server_delack
-
-    def _nagle_enabled(self, flow: _Flow,
-                       sender: Tuple[str, int]) -> bool:
-        if flow.initiator is None:
-            return False
-        if sender == flow.initiator:
-            return self.config.nagle_client
-        return self.config.nagle_server
-
     # ------------------------------------------------------------------
-    def observe(self, time: float, src: str, sport: int, dst: str,
-                dport: int, *, syn: bool, fin: bool, rst: bool,
-                ack_flag: bool, seq: int, ack: int,
-                payload_len: int) -> List[Violation]:
-        """Process one captured segment; returns new violations."""
-        before = len(self.violations)
-        sender = (src, sport)
-        receiver = (dst, dport)
-        flow = self._flow_for(sender, receiver)
-        if flow.aborted:
-            return []
-        d = flow.direction(sender)
-        r = flow.direction(receiver)
+    def replay(self, rows: Iterable[Row]) -> float:
+        """Process ``rows`` in capture order; returns the last row's
+        time (0.0 when there is none)."""
+        routes = self._routes
+        report = self._report
+        config = self.config
+        budgets = self._budgets
+        time = 0.0
+        for time, src, sport, dst, dport, flags, seq, ack, payload_len \
+                in rows:
+            route = routes.get((src, sport, dst, dport))
+            if route is None:
+                route = self._route(src, sport, dst, dport)
+            flow, d, r = route
+            if flow.aborted:
+                continue
 
-        if rst:
-            if not self.config.allow_rst:
-                self._report(time, flow, "rst",
-                             "RST in a clean trace (naive close or "
-                             "reset connection)")
-            flow.aborted = True
-            return self.violations[before:]
+            if "R" in flags:
+                # A RST after both FINs were acknowledged (a stack that
+                # has forgotten the connection answering a retransmitted
+                # FIN) destroys no data; any other RST is the naive
+                # close.
+                if not (config.allow_rst or (d.fin_acked
+                                             and r.fin_acked)):
+                    report(time, flow, "rst",
+                           "RST in a clean trace (naive close or reset "
+                           "connection)")
+                flow.aborted = True
+                continue
+            syn = "S" in flags
+            fin = "F" in flags
+            ack_flag = "A" in flags
 
-        # -- handshake ordering ----------------------------------------
-        if flow.handshake == 0:
-            if syn and not ack_flag:
-                flow.initiator = sender
-                flow.handshake = 1
-            else:
-                self._report(time, flow, "handshake-order",
-                             "flow does not start with a bare SYN")
-                flow.handshake = 2      # avoid cascading reports
-        elif flow.handshake == 1:
-            if sender == flow.initiator:
-                if not (syn and not ack_flag and seq == 0):
-                    self._report(time, flow, "handshake-order",
-                                 "initiator sent non-SYN before the "
-                                 "SYN+ACK")
-            elif syn and ack_flag:
-                expected = flow.direction(flow.initiator).syn_end or 1
-                if ack != expected:
-                    self._report(time, flow, "handshake-order",
-                                 f"SYN+ACK acknowledges {ack}, "
-                                 f"expected {expected}")
-                flow.handshake = 2
-            else:
-                self._report(time, flow, "handshake-order",
-                             "responder sent non-SYN+ACK before the "
-                             "handshake completed")
-                flow.handshake = 2
-        if payload_len and flow.handshake < 2:
-            self._report(time, flow, "handshake-order",
-                         "payload before the handshake completed")
-
-        # -- sequence space --------------------------------------------
-        end = seq + payload_len + (1 if syn else 0) + (1 if fin else 0)
-        if seq > d.snd_nxt:
-            self._report(time, flow, "seq-monotonic",
-                         f"sequence gap: seq={seq} beyond snd_nxt="
-                         f"{d.snd_nxt}")
-        is_retransmission = end <= d.snd_nxt and (payload_len or syn
-                                                  or fin)
-        if syn and d.syn_end is None:
-            d.syn_end = end
-
-        # -- payload / FIN discipline ----------------------------------
-        if d.fin_end is not None and end > d.fin_end:
-            self._report(time, flow, "payload-after-fin",
-                         f"sequence space {end} beyond the FIN at "
-                         f"{d.fin_end}")
-        if fin:
-            if d.fin_end is None:
-                d.fin_end = end
-            elif end != d.fin_end:
-                self._report(time, flow, "payload-after-fin",
-                             f"FIN moved from {d.fin_end} to {end}")
-
-        # -- Nagle: never two outstanding small segments ----------------
-        if payload_len and not is_retransmission \
-                and self._nagle_enabled(flow, sender):
-            outstanding = [e for e in d.small_ends if e > d.snd_una]
-            if payload_len < self.config.mss:
-                # Full-sized segments may always go; a second sub-MSS
-                # segment while one is unacknowledged is the violation.
-                if outstanding:
-                    self._report(
-                        time, flow, "nagle",
-                        f"small segment (len={payload_len}) sent while "
-                        f"a small segment is outstanding (Nagle "
-                        f"violation)")
-                outstanding.append(end)
-            d.small_ends = outstanding
-
-        # -- bookkeeping for the delayed-ACK deadline check -------------
-        if payload_len and end > d.snd_nxt:
-            d.unacked.append((end, time))
-            d.sent_payload = True
-        elif is_retransmission and payload_len and d.unacked:
-            # A retransmission implies the original (or the ACK coming
-            # back, or data blocking reassembly ahead of it) was lost in
-            # flight: the peer could not have acknowledged anything
-            # sooner, so every outstanding delayed-ACK deadline restarts
-            # at the retransmit.  Strictly more permissive — a clean
-            # trace carries no retransmissions and is unaffected.
-            d.unacked = [(end_seq, time) for end_seq, _ in d.unacked]
-        d.snd_nxt = max(d.snd_nxt, end)
-
-        # -- acknowledgement checks ------------------------------------
-        if ack_flag:
-            if ack > r.snd_nxt:
-                self._report(time, flow, "ack-unsent",
-                             f"ack={ack} acknowledges unsent data "
-                             f"(peer snd_nxt={r.snd_nxt})")
-            if ack > r.snd_una:
-                r.snd_una = ack
-                budget = (self.config.transit_bound
-                          + self._delack_period(flow, sender)
-                          + _EPSILON)
-                remaining = []
-                for end_seq, sent_at in r.unacked:
-                    if end_seq <= ack:
-                        if time - sent_at > budget:
-                            self._report(
-                                time, flow, "delayed-ack",
-                                f"data sent at t={sent_at:.6f} acked "
-                                f"after {time - sent_at:.3f}s (budget "
-                                f"{budget:.3f}s)")
+            # -- handshake ordering ------------------------------------
+            handshake = flow.handshake
+            if handshake < 2:
+                if handshake == 0:
+                    if syn and not ack_flag:
+                        flow.initiator = (src, sport)
+                        d.initiator = True
+                        flow.handshake = 1
                     else:
-                        remaining.append((end_seq, sent_at))
-                r.unacked = remaining
-                if r.fin_end is not None and ack >= r.fin_end:
-                    r.fin_acked = True
-        return self.violations[before:]
+                        report(time, flow, "handshake-order",
+                               "flow does not start with a bare SYN")
+                        flow.handshake = 2  # avoid cascading reports
+                elif d.initiator:
+                    if not (syn and not ack_flag and seq == 0):
+                        report(time, flow, "handshake-order",
+                               "initiator sent non-SYN before the "
+                               "SYN+ACK")
+                elif syn and ack_flag:
+                    # The receiver is the initiator here.
+                    expected = r.syn_end or 1
+                    if ack != expected:
+                        report(time, flow, "handshake-order",
+                               f"SYN+ACK acknowledges {ack}, expected "
+                               f"{expected}")
+                    flow.handshake = 2
+                else:
+                    report(time, flow, "handshake-order",
+                           "responder sent non-SYN+ACK before the "
+                           "handshake completed")
+                    flow.handshake = 2
+                if payload_len and flow.handshake < 2:
+                    report(time, flow, "handshake-order",
+                           "payload before the handshake completed")
 
-    def observe_segment(self, segment: Any,
-                        now: float) -> List[Violation]:
-        """Adapter for live :class:`~repro.simnet.packet.Segment`
-        objects (the :class:`~repro.simnet.link.Link` tap signature)."""
-        return self.observe(
-            now, segment.src, segment.sport, segment.dst, segment.dport,
-            syn=segment.flag_syn, fin=segment.flag_fin,
-            rst=segment.flag_rst, ack_flag=segment.flag_ack,
-            seq=segment.seq, ack=segment.ack,
-            payload_len=segment.payload_len)
+            # -- sequence space ----------------------------------------
+            end = seq + payload_len
+            if syn:
+                end += 1
+            if fin:
+                end += 1
+            snd_nxt = d.snd_nxt
+            if seq > snd_nxt:
+                report(time, flow, "seq-monotonic",
+                       f"sequence gap: seq={seq} beyond snd_nxt="
+                       f"{snd_nxt}")
+            is_retransmission = end <= snd_nxt and (payload_len or syn
+                                                    or fin)
+            if syn and d.syn_end is None:
+                d.syn_end = end
 
-    def observe_record(self, record: Any) -> List[Violation]:
-        """Adapter for :class:`~repro.simnet.trace.PacketRecord`-style
-        objects (``flags`` is the tcpdump string, e.g. ``'PA'``)."""
-        flags = record.flags
-        return self.observe(
-            record.time, record.src, record.sport, record.dst,
-            record.dport, syn="S" in flags, fin="F" in flags,
-            rst="R" in flags, ack_flag="A" in flags, seq=record.seq,
-            ack=record.ack, payload_len=record.payload_len)
+            # -- payload / FIN discipline ------------------------------
+            fin_end = d.fin_end
+            if fin_end is not None and end > fin_end:
+                report(time, flow, "payload-after-fin",
+                       f"sequence space {end} beyond the FIN at "
+                       f"{fin_end}")
+            if fin:
+                if fin_end is None:
+                    d.fin_end = end
+                elif end != fin_end:
+                    report(time, flow, "payload-after-fin",
+                           f"FIN moved from {fin_end} to {end}")
+
+            if payload_len:
+                # -- Nagle: never two outstanding small segments -------
+                if not is_retransmission and flow.initiator is not None \
+                        and (config.nagle_client if d.initiator
+                             else config.nagle_server):
+                    outstanding = [e for e in d.small_ends
+                                   if e > d.snd_una]
+                    if payload_len < config.mss:
+                        # Full-sized segments may always go; a second
+                        # sub-MSS segment while one is unacknowledged
+                        # is the violation.
+                        if outstanding:
+                            report(time, flow, "nagle",
+                                   f"small segment (len={payload_len}) "
+                                   f"sent while a small segment is "
+                                   f"outstanding (Nagle violation)")
+                        outstanding.append(end)
+                    d.small_ends = outstanding
+
+                # -- bookkeeping for the delayed-ACK deadline check -----
+                if end > snd_nxt:
+                    d.unacked.append((end, time))
+                    d.sent_payload = True
+                elif is_retransmission and d.unacked:
+                    # A retransmission implies the original (or the ACK
+                    # coming back, or data blocking reassembly ahead of
+                    # it) was lost in flight: the peer could not have
+                    # acknowledged anything sooner, so every outstanding
+                    # delayed-ACK deadline restarts at the retransmit.
+                    # Strictly more permissive — a clean trace carries
+                    # no retransmissions and is unaffected.
+                    d.unacked = deque((end_seq, time)
+                                      for end_seq, _ in d.unacked)
+            if end > snd_nxt:
+                d.snd_nxt = end
+
+            # -- acknowledgement checks --------------------------------
+            if ack_flag:
+                if ack > r.snd_nxt:
+                    report(time, flow, "ack-unsent",
+                           f"ack={ack} acknowledges unsent data (peer "
+                           f"snd_nxt={r.snd_nxt})")
+                if ack > r.snd_una:
+                    r.snd_una = ack
+                    unacked = r.unacked
+                    if unacked and unacked[0][0] <= ack:
+                        budget = budgets[d.initiator]
+                        while unacked and unacked[0][0] <= ack:
+                            _, sent_at = unacked.popleft()
+                            if time - sent_at > budget:
+                                report(time, flow, "delayed-ack",
+                                       f"data sent at t={sent_at:.6f} "
+                                       f"acked after "
+                                       f"{time - sent_at:.3f}s (budget "
+                                       f"{budget:.3f}s)")
+                    if r.fin_end is not None and ack >= r.fin_end:
+                        r.fin_acked = True
+        return time
 
     # ------------------------------------------------------------------
-    def finalize(self, at_time: Optional[float] = None) -> List[Violation]:
-        """End-of-trace checks; returns the new violations."""
-        if self._finalized:
-            return []
-        self._finalized = True
-        before = len(self.violations)
-        end_time = at_time if at_time is not None else 0.0
+    def finalize(self, end_time: float) -> None:
+        """End-of-trace checks, once, after the last row (stamped
+        ``end_time``)."""
         for flow in self._flows.values():
             if flow.aborted:
                 continue
@@ -459,7 +465,6 @@ class TraceValidator:
                     self._report(end_time, flow, "half-close",
                                  f"{who}'s FIN was never acknowledged")
         self._check_mode_rules(end_time)
-        return self.violations[before:]
 
     def _check_mode_rules(self, end_time: float) -> None:
         """Trace-level connection-shape checks (mode rules)."""
@@ -642,46 +647,6 @@ class FrameStreamValidator:
         return self.violations[before:]
 
 
-class LiveSanitizer:
-    """Online sanitizer mode: validate segments as they are emitted.
-
-    Installs a tap on a :class:`~repro.simnet.link.Link` (duck-typed:
-    anything with a ``taps`` list called as ``tap(segment, now)``).
-    The first violating segment raises :class:`InvariantViolationError`
-    from inside the simulation, so the failure points at the exact
-    simulated moment.
-
-    Call :meth:`finish` after the simulation quiesces to run the
-    teardown checks.
-    """
-
-    def __init__(self, link: Any,
-                 config: Optional[SanitizerConfig] = None) -> None:
-        self.validator = TraceValidator(config)
-        self._last_time = 0.0
-        link.taps.append(self._tap)
-
-    def _tap(self, segment: Any, now: float) -> None:
-        self._last_time = now
-        fresh = self.validator.observe_segment(segment, now)
-        if fresh:
-            raise InvariantViolationError(fresh[0].format())
-
-    def finish(self, at_time: Optional[float] = None) -> None:
-        """Run teardown checks; raises when they find a violation.
-
-        ``at_time`` overrides the timestamp of the last observed
-        segment as the end-of-run clock (pass ``sim.now`` after the
-        event loop drains).
-        """
-        end = at_time if at_time is not None else self._last_time
-        self.validator.finalize(at_time=end)
-        violations = self.validator.violations
-        if violations:
-            raise InvariantViolationError(
-                "; ".join(v.format() for v in violations[:5]))
-
-
 # ----------------------------------------------------------------------
 # Offline trace parsing (the ``format_trace`` / golden-fixture format)
 # ----------------------------------------------------------------------
@@ -697,22 +662,9 @@ _TRACE_LINE = re.compile(
     r"seq=(?P<seq>\d+)\s+ack=(?P<ack>\d+)\s+len=(?P<len>\d+)\s*$")
 
 
-@dataclasses.dataclass(frozen=True)
-class _ParsedRecord:
-    time: float
-    src: str
-    sport: int
-    dst: str
-    dport: int
-    flags: str
-    seq: int
-    ack: int
-    payload_len: int
-
-
-def parse_trace_text(text: str) -> List[_ParsedRecord]:
-    """Parse ``format_trace`` output / golden fixture text."""
-    records = []
+def parse_trace_text(text: str) -> List[Row]:
+    """Parse ``format_trace`` output / golden fixture text into rows."""
+    rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -720,26 +672,22 @@ def parse_trace_text(text: str) -> List[_ParsedRecord]:
         if match is None:
             raise ValueError(f"line {lineno}: not a trace line: "
                              f"{line!r}")
-        records.append(_ParsedRecord(
-            time=float(match.group("time")),
-            src=match.group("src"), sport=int(match.group("sport")),
-            dst=match.group("dst"), dport=int(match.group("dport")),
-            flags=match.group("flags"),
-            seq=int(match.group("seq")), ack=int(match.group("ack")),
-            payload_len=int(match.group("len"))))
-    return records
+        rows.append((float(match.group("time")),
+                     match.group("src"), int(match.group("sport")),
+                     match.group("dst"), int(match.group("dport")),
+                     match.group("flags"), int(match.group("seq")),
+                     int(match.group("ack")), int(match.group("len"))))
+    return rows
 
 
-def validate_records(records: Iterable[Any],
-                     config: Optional[SanitizerConfig] = None
-                     ) -> List[Violation]:
-    """Validate a sequence of packet records (parsed or collected)."""
+def validate_rows(rows: Iterable[Row],
+                  config: Optional[SanitizerConfig] = None
+                  ) -> List[Violation]:
+    """Replay ``rows`` in capture order, then run the end-of-trace
+    checks (stamped with the last row's time); returns every
+    violation."""
     validator = TraceValidator(config)
-    last_time = 0.0
-    for record in records:
-        validator.observe_record(record)
-        last_time = record.time
-    validator.finalize(at_time=last_time)
+    validator.finalize(validator.replay(rows))
     return validator.violations
 
 
@@ -747,4 +695,4 @@ def validate_trace_text(text: str,
                         config: Optional[SanitizerConfig] = None
                         ) -> List[Violation]:
     """Validate raw trace text (a golden fixture file's contents)."""
-    return validate_records(parse_trace_text(text), config)
+    return validate_rows(parse_trace_text(text), config)

@@ -216,17 +216,20 @@ class ExperimentSpec:
 
         ``run_experiment`` resolves the names through the registry and
         builds (or reuses its process-local memo of) the site, so a
-        worker needs no state from the parent.  The result carries the
-        measurement columns only (``fetch=None, trace=None``) — the
-        same shape the cache hydrates — so serial, parallel and cached
-        paths are interchangeable.
+        worker needs no state from the parent.  Every unit is
+        protocol-checked (``sanitize=True``): a violation raises, and the
+        engine quarantines the unit as an ``invariant`` failure.  The
+        result carries the measurement columns only (``fetch=None,
+        trace=None``) — the same shape the cache hydrates — so serial,
+        parallel and cached paths are interchangeable.
         """
         result = run_experiment(
             self.mode, self.scenario,
             environment=self.environment, profile=self.server,
             seed=seed, jitter=self.jitter,
             client_config=self.client_config(),
-            verify=self.verify, max_sim_time=self.max_sim_time,
+            verify=self.verify, sanitize=True,
+            max_sim_time=self.max_sim_time,
             faults=self.faults, fastpath=self.fastpath)
         return dataclasses.replace(result, fetch=None, trace=None)
 

@@ -418,7 +418,7 @@ class SimHttpServer:
         self._cpu_free_at = 0.0
         #: Optional hook observing every MUX frame the server emits:
         #: ``tap(now, "s>c", frame_type, stream_id, payload)`` (set by
-        #: the experiment runner when sanitizing).
+        #: the experiment runner on a checked clean MUX run).
         self.frame_tap = None
         #: Statistics for tests.
         self.requests_served = 0

@@ -8,7 +8,7 @@ algorithm, three-way handshake, independent half-close — plus per-link
 bandwidth/latency models and a packet trace collector.
 
 :class:`~repro.simnet.network.Network` is the one single-link wiring
-(simulator, link, a TCP stack per host, trace tap, fast-forward driver,
+(simulator, link, a TCP stack per host, trace collector, fast-forward driver,
 modems); the paper's two-host testbed is its one-client default,
 exported as ``TwoHostNetwork``, and a fleet cohort is the same class
 with several ``client_hosts``.  Typical use::

@@ -27,8 +27,7 @@ and the chaos grid enforce it.
 
 Eligibility (all must hold, checked before every span):
 
-* link: no fault injector, zero loss rate, unbounded queue, the trace
-  collector as the only tap;
+* link: no fault injector, zero loss rate, unbounded queue;
 * sender: ESTABLISHED, past slow-start handshake accounting, not in
   recovery or backoff, no FIN sent or received, no reassembly backlog,
   a contiguous retransmit queue covering exactly ``[snd_una, snd_nxt)``,
@@ -132,15 +131,12 @@ class FastForward:
         """Return the peer connection when a span may start, else None.
 
         Ordered cheapest-first so ineligible configurations (chaos
-        runs, sanitized runs with extra taps) pay a handful of
-        attribute compares per candidate and nothing more.
+        runs) pay a handful of attribute compares per candidate and
+        nothing more.
         """
         link = self.link
         if (link.fault_injector is not None or link.loss_rate
                 or link.queue_limit_packets is not None):
-            return None
-        taps = link.taps
-        if len(taps) != 1 or taps[0] != self.collector._tap:
             return None
         if s._ff_unprofitable:
             return None

@@ -25,10 +25,14 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import Callable, ClassVar, Dict, Optional, Protocol, Tuple
+from typing import (TYPE_CHECKING, Callable, ClassVar, Dict, Optional,
+                    Protocol, Tuple)
 
 from .engine import Simulator
 from .packet import HEADER_BYTES, Segment
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from .trace import TraceCollector
 
 __all__ = ["WireCompressor", "Link", "NetworkEnvironment", "ENVIRONMENTS",
            "LAN", "WAN", "PPP", "WAN_LOSSY", "WAN_DROPTAIL"]
@@ -110,8 +114,9 @@ class Link:
         self._next_free: Dict[Tuple[str, str], float] = {}
         self._compressors: Dict[Tuple[str, str], WireCompressor] = {}
         self._receivers: Dict[str, Callable[[Segment], None]] = {}
-        #: Observers called with each segment at *send* time (tracing).
-        self.taps: list = []
+        #: The link's one observer: the trace collector recording each
+        #: segment at *send* time (it installs itself; None = untraced).
+        self.collector: Optional["TraceCollector"] = None
         #: Total segments the link discarded (loss process + drop-tail
         #: overflow).  Kept as a plain writable attribute — loss-shim
         #: tests account their own drops here.
@@ -148,9 +153,9 @@ class Link:
         self._receivers[host] = receiver
 
     def close(self) -> None:
-        """Detach every host, tap and fault injector."""
+        """Detach every host, the collector and the fault injector."""
         self._receivers.clear()
-        self.taps.clear()
+        self.collector = None
         self.fault_injector = None
 
     def set_compressor(self, src: str, dst: str,
@@ -220,8 +225,9 @@ class Link:
         """
         if segment.dst not in self._receivers:
             raise ValueError(f"no host {segment.dst!r} attached to link")
-        for tap in self.taps:
-            tap(segment, self.sim.now)
+        collector = self.collector
+        if collector is not None:
+            collector.capture(segment, self.sim.now)
         direction = self.direction_key(segment.src, segment.dst)
         compressor = self._compressors.get((segment.src, segment.dst))
         if compressor is not None:

@@ -7,8 +7,8 @@ client side.  :class:`Network` assembles exactly that: a
 :class:`~repro.simnet.link.Link` configured from a
 :class:`~repro.simnet.link.NetworkEnvironment`, one
 :class:`~repro.simnet.tcp.TcpStack` per host, a
-:class:`~repro.simnet.trace.TraceCollector` tap, the fast-forward
-driver, and (for the PPP environment) a V.42bis
+:class:`~repro.simnet.trace.TraceCollector` (the link's one observer),
+the fast-forward driver, and (for the PPP environment) a V.42bis
 :class:`~repro.simnet.modem.ModemCompressor` pair per client.
 
 A fleet cohort is the same network with more client hosts: passing

@@ -3,27 +3,27 @@
 The paper's primary data-gathering tool was ``tcpdump`` on the client
 host, post-processed into the Pa / Bytes / Sec / %ov columns of
 Tables 3–11.  :class:`TraceCollector` plays the same role for the
-simulator: it taps a :class:`~repro.simnet.link.Link`, records every
-segment, and computes the same summary statistics, including
+simulator: it is a :class:`~repro.simnet.link.Link`'s one observer,
+records every segment, and computes the same summary statistics, including
 per-direction packet counts (Table 3 reports "packets from client to
 server" and "packets from server to client" separately) and
 packet-train lengths (the paper discusses mean packets per TCP
 connection as an Internet-health metric).
 
-Capture is **columnar**: the tap appends each field to a parallel list
-(one ``list.append`` per field) instead of allocating a frozen
-:class:`PacketRecord` dataclass per segment — the collector sits on the
-per-packet hot path of every simulation.  :attr:`TraceCollector.records`
-synthesizes the familiar :class:`PacketRecord` objects on demand (and
-memoizes them), so existing consumers — tests, ``format_trace`` —
-read exactly what they always did, while summaries are computed
-straight from the columns.
+Capture is **columnar**: :meth:`TraceCollector.capture` appends each
+field to a parallel list (one ``list.append`` per field) instead of
+allocating a frozen :class:`PacketRecord` dataclass per segment — the
+collector sits on the per-packet hot path of every simulation.
+Summaries and :meth:`TraceCollector.rows` (the tuples the protocol
+sanitizer replays at unit end) read straight from the columns;
+:attr:`TraceCollector.records` synthesizes :class:`PacketRecord` objects
+on demand (and memoizes them) for tests and ``format_trace``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 from ..perf import PerfCounters
 from .link import Link
@@ -113,7 +113,8 @@ class TraceCollector:
     Parameters
     ----------
     link:
-        The link to tap.
+        The link to observe (the collector becomes its
+        :attr:`~repro.simnet.link.Link.collector`).
     client_host:
         Name of the client host, used to split per-direction counts the
         way the paper's client-side traces do.
@@ -141,9 +142,10 @@ class TraceCollector:
         self._wire_sizes: List[int] = []
         self._payload_total = 0
         self._records_cache: Optional[List[PacketRecord]] = None
-        link.taps.append(self._tap)
+        link.collector = self
 
-    def _tap(self, segment: Segment, now: float) -> None:
+    def capture(self, segment: Segment, now: float) -> None:
+        """Record ``segment``, sent at ``now`` (the link calls this)."""
         self._times.append(now)
         self._srcs.append(segment.src)
         self._sports.append(segment.sport)
@@ -166,11 +168,18 @@ class TraceCollector:
         lazily from the columns and memoized until the next packet)."""
         if self._records_cache is None:
             self._records_cache = [
-                PacketRecord(*fields) for fields in zip(
-                    self._times, self._srcs, self._sports, self._dsts,
-                    self._dports, self._flags, self._seqs, self._acks,
-                    self._payload_lens, self._wire_sizes)]
+                PacketRecord(*row, wire)
+                for row, wire in zip(self.rows(), self._wire_sizes)]
         return self._records_cache
+
+    def rows(self) -> Iterator[Tuple[float, str, int, str, int, str, int,
+                                     int, int]]:
+        """The capture as ``(time, src, sport, dst, dport, flags, seq,
+        ack, payload_len)`` tuples, in capture order: the form
+        :func:`repro.lint.sanitizer.validate_rows` replays."""
+        return zip(self._times, self._srcs, self._sports, self._dsts,
+                   self._dports, self._flags, self._seqs, self._acks,
+                   self._payload_lens)
 
     def clear(self) -> None:
         """Discard all captured records."""

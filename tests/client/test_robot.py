@@ -129,15 +129,16 @@ def test_http10_revalidation_uses_get_plus_head(site, store):
 def test_conditional_requests_carry_etags(site, store):
     """The HTTP/1.1 robot validates with If-None-Match entity tags."""
     seen_requests = []
-    from repro.http import RequestParser
     config = ClientConfig(http_version=HTTP11, pipeline=True)
     net = TwoHostNetwork(LAN)
     server = SimHttpServer(net.sim, net.server, store, APACHE)
-    tap_parser = RequestParser()
-    net.link.taps.append(
-        lambda seg, now: seen_requests.extend(
-            tap_parser.feed(seg.payload))
-        if seg.dport == 80 and seg.payload else None)
+    dispatch = server._dispatch
+
+    def observe(state, request):
+        seen_requests.append(request)
+        dispatch(state, request)
+
+    server._dispatch = observe
     cache = MemoryCache()
     prefill_cache(cache, store, site, APACHE)
     robot = Robot(net.sim, net.client, SERVER_HOST, 80, config, cache)

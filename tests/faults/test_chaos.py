@@ -7,7 +7,8 @@ import pytest
 from repro.__main__ import main
 from repro.faults import HarnessFaultPlan
 from repro.faults.chaos import _cell_seed, chaos_cells, run_chaos
-from repro.matrix import MatrixRunner, ResultCache, RunJournal
+from repro.matrix import (ExperimentSpec, MatrixRunner, ResultCache,
+                          RunJournal)
 
 
 def sweep(**runner_options):
@@ -54,6 +55,16 @@ def test_single_cell_run_reports_recovery(capsys):
     assert "flaky-server" in text
     assert "server.503=" in text
     assert "all 1 cells recovered every resource byte-identical" in text
+
+
+def test_a_hostile_server_mux_unit_runs_checked_and_clean():
+    """Under a fault plan the unit-end check allows recovery's resets
+    and skips the frame-stream rules (a re-dial restarts stream ids at
+    1); the TCP invariants still hold."""
+    seed = _cell_seed(1997, "hostile-server", "mux", "WAN")
+    result = ExperimentSpec(mode="mux", environment="WAN", server="Apache",
+                            faults="hostile-server").execute_unit(seed)
+    assert result.recovery
 
 
 def test_only_wants_three_fields(capsys):

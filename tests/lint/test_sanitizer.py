@@ -1,15 +1,14 @@
-"""The TCP protocol sanitizer: golden traces, mutations, live mode."""
+"""The TCP protocol sanitizer: golden traces, mutations, unit-end check."""
 
 import pathlib
 
 import pytest
 
 from repro.core import run_experiment
-from repro.lint import (InvariantViolationError, LiveSanitizer,
-                        SanitizerConfig, TraceValidator,
-                        parse_trace_text, validate_records,
+from repro.lint import (InvariantViolationError, SanitizerConfig,
+                        parse_trace_text, validate_rows,
                         validate_trace_text)
-from repro.server.profiles import NAGLE_STALL_SERVER
+from repro.matrix import ExperimentSpec
 
 GOLDEN_DIR = (pathlib.Path(__file__).resolve().parents[1]
               / "simnet" / "fixtures")
@@ -37,7 +36,7 @@ def test_parse_trace_round_trip():
     text = GOLDEN_TRACES[0].read_text(encoding="utf-8")
     records = parse_trace_text(text)
     assert len(records) == len(text.strip().splitlines())
-    assert validate_records(records, SanitizerConfig()) == []
+    assert validate_rows(records, SanitizerConfig()) == []
 
 
 # ----------------------------------------------------------------------
@@ -94,11 +93,28 @@ def test_truncated_teardown_rejected():
     assert "half-close" in _rules_for(lines[:-6])
 
 
+_CLIENT_FIN = ("  0.849488 zorch.w3.org:32768 > www26.w3.org:80 [FA] "
+               "seq=281 ack=43528 len=0")
+
+
 def test_rst_rejected_in_clean_mode():
+    # The client resets instead of sending its FIN: the naive close.
     lines = _golden_lines()
-    lines.append("  5.000000 zorch.w3.org:32768 > www26.w3.org:80 "
-                 "[R] seq=1 ack=0 len=0")
+    lines.insert(lines.index(_CLIENT_FIN),
+                 "  0.849488 zorch.w3.org:32768 > www26.w3.org:80 "
+                 "[R] seq=281 ack=43528 len=0")
     assert "rst" in _rules_for(lines)
+
+
+def test_rst_after_both_fins_acked_is_accepted():
+    """A stack that forgot a fully closed connection answers a
+    retransmitted FIN with a RST: no data is lost, so no violation."""
+    lines = _golden_lines()
+    lines += ["  5.000000 zorch.w3.org:32768 > www26.w3.org:80 "
+              "[FA] seq=281 ack=43528 len=0",
+              "  5.045000 www26.w3.org:80 > zorch.w3.org:32768 "
+              "[R] seq=43528 ack=0 len=0"]
+    assert _rules_for(lines) == set()
 
 
 def test_malformed_trace_line_raises():
@@ -144,86 +160,83 @@ def test_for_faulty_run_relaxes_only_fault_rules():
 # ----------------------------------------------------------------------
 # Nagle invariant
 # ----------------------------------------------------------------------
-def _segment(time, seq, length, ack=1):
-    return (time, "a", 1, "b", 2,
-            dict(syn=False, fin=False, rst=False, ack_flag=True,
-                 seq=seq, ack=ack, payload_len=length))
+_HANDSHAKE = [(0.0, "a", 1, "b", 2, "S", 0, 0, 0),
+              (0.1, "b", 2, "a", 1, "SA", 0, 1, 0),
+              (0.2, "a", 1, "b", 2, "A", 1, 1, 0)]
+
+
+def _nagle_rules(segments):
+    config = SanitizerConfig(nagle_client=True, require_teardown=False)
+    return {v.rule for v in validate_rows(_HANDSHAKE + segments, config)}
 
 
 def test_two_outstanding_smalls_flagged_when_nagle_enabled():
-    config = SanitizerConfig(nagle_client=True, require_teardown=False)
-    validator = TraceValidator(config)
-    # Handshake.
-    validator.observe(0.0, "a", 1, "b", 2, syn=True, fin=False,
-                      rst=False, ack_flag=False, seq=0, ack=0,
-                      payload_len=0)
-    validator.observe(0.1, "b", 2, "a", 1, syn=True, fin=False,
-                      rst=False, ack_flag=True, seq=0, ack=1,
-                      payload_len=0)
-    validator.observe(0.2, "a", 1, "b", 2, syn=False, fin=False,
-                      rst=False, ack_flag=True, seq=1, ack=1,
-                      payload_len=0)
     # Two back-to-back sub-MSS segments with nothing acked between.
-    time, src, sport, dst, dport, kw = _segment(0.3, 1, 100)
-    validator.observe(time, src, sport, dst, dport, **kw)
-    time, src, sport, dst, dport, kw = _segment(0.31, 101, 100)
-    new = validator.observe(time, src, sport, dst, dport, **kw)
-    assert any(v.rule == "nagle" for v in new)
+    assert "nagle" in _nagle_rules([(0.3, "a", 1, "b", 2, "PA", 1, 1, 100),
+                                    (0.31, "a", 1, "b", 2, "PA", 101, 1,
+                                     100)])
 
 
 def test_full_sized_segments_never_trip_nagle():
-    config = SanitizerConfig(nagle_client=True, require_teardown=False)
-    validator = TraceValidator(config)
-    validator.observe(0.0, "a", 1, "b", 2, syn=True, fin=False,
-                      rst=False, ack_flag=False, seq=0, ack=0,
-                      payload_len=0)
-    validator.observe(0.1, "b", 2, "a", 1, syn=True, fin=False,
-                      rst=False, ack_flag=True, seq=0, ack=1,
-                      payload_len=0)
-    mss = config.mss
-    seq = 1
-    for step in range(3):
-        time, src, sport, dst, dport, kw = _segment(
-            0.2 + step / 100.0, seq, mss)
-        validator.observe(time, src, sport, dst, dport, **kw)
-        seq += mss
-    assert not any(v.rule == "nagle" for v in validator.violations)
+    mss = SanitizerConfig().mss
+    assert "nagle" not in _nagle_rules([
+        (0.2 + step / 100.0, "a", 1, "b", 2, "A", 1 + step * mss, 1, mss)
+        for step in range(3)])
 
 
 # ----------------------------------------------------------------------
-# Live sanitizer mode
+# The unit-end check
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("mode", ["http/1.0", "http/1.1", "pipelined",
                                   "compressed"])
 def test_live_sanitizer_passes_golden_cells(mode):
-    result = run_experiment(mode, "first-time", environment="WAN",
-                            profile="Apache", seed=0, sanitize=True)
+    """Every unit replays its own trace at unit end; the golden cells
+    pass."""
+    result = ExperimentSpec(mode=mode, environment="WAN",
+                            server="Apache").execute_unit(0)
     assert result.packets > 0
 
 
+def test_http10_ppp_first_time_cell_runs_checked_and_clean():
+    """The seven-mode table's HTTP/1.0 | first-time | PPP cell: the
+    server stack answers late client segments (a retransmitted FIN, a
+    pure ACK) on connections whose FINs were both acknowledged with
+    RSTs, which destroy no data."""
+    result = run_experiment("http/1.0", "first-time", environment="PPP",
+                            profile="Apache", seed=0, sanitize=True,
+                            keep_trace=True)
+    assert "[RA]" in result.trace_lines
+
+
 def test_live_sanitizer_passes_nagle_enabled_server():
-    """With Nagle on (server side), the online Nagle check is active
+    """With Nagle on (server side), the unit-end Nagle check is active
     and the simulator's implementation satisfies it."""
-    result = run_experiment("http/1.1", "first-time", environment="WAN",
-                            profile=NAGLE_STALL_SERVER, seed=0,
-                            sanitize=True)
+    result = ExperimentSpec(mode="http/1.1", environment="WAN",
+                            server="NagleStall").execute_unit(0)
     assert result.packets > 0
 
 
 def test_live_sanitizer_raises_on_bad_segment():
-    """Inject a forged segment into a live run: the tap must raise."""
+    """A forged segment in a unit's capture fails its unit-end check."""
+    from repro.client.robot import ClientConfig
+    from repro.core.runner import Testbed
+    from repro.core.transport import Transport
+    from repro.server.profiles import APACHE
     from repro.simnet.link import WAN
-    from repro.simnet.network import TwoHostNetwork
     from repro.simnet.packet import Segment
 
-    net = TwoHostNetwork(WAN, seed=0)
-    sanitizer = LiveSanitizer(net.link, SanitizerConfig())
-    # A payload segment on a flow that never shook hands.
-    forged = Segment(src="zorch.w3.org", sport=40000,
-                     dst="www26.w3.org", dport=80, seq=1, ack=0,
-                     payload=b"x" * 100, flag_ack=True)
-    with pytest.raises(InvariantViolationError):
-        sanitizer._tap(forged, 0.5)
+    testbed = Testbed(WAN, APACHE, Transport())
+    try:
+        # A payload segment on a flow that never shook hands.
+        testbed.net.trace.capture(
+            Segment(src="zorch.w3.org", sport=40000, dst="www26.w3.org",
+                    dport=80, seq=1, ack=0, payload=b"x" * 100,
+                    flag_ack=True), 0.5)
+        with pytest.raises(InvariantViolationError,
+                           match=r"\[handshake-order\]"):
+            testbed.check_trace(Transport(), ClientConfig(), faulty=False)
+    finally:
+        testbed.close()
 
 
 def test_validator_reports_structured_violations():

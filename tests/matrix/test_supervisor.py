@@ -51,6 +51,18 @@ def test_unit_failure_from_exception_digest_and_summary():
     assert "3 attempt" in failure.summary()
 
 
+def test_a_protocol_violation_is_quarantined_as_an_invariant():
+    # NaiveClose resets the connection under pipelined responses: the
+    # unit-end check fails the unit, and its kind says why.
+    spec = ExperimentSpec(mode="pipelined", environment="WAN",
+                          server="NaiveClose", seeds=(0,))
+    cell = MatrixRunner().run(spec)
+    assert not cell.runs
+    (failure,) = cell.failures
+    assert failure.kind == "invariant"
+    assert "[rst]" in failure.error
+
+
 def test_averaged_result_carries_failures_and_nan_means():
     import math
     from repro.core.runner import AveragedResult

@@ -88,16 +88,6 @@ def test_lossy_link_never_fast_forwards():
     assert fast.trace.records == slow.trace.records
 
 
-def test_extra_tap_never_fast_forwards():
-    # A second observer (the live sanitizer, a debug tap) would miss
-    # synthesized segments — eligibility must refuse.
-    def add_tap(net):
-        net.link.taps.append(lambda segment, now: None)
-
-    fast = _bulk("WAN", 64 * 1024, fastpath=True, mutate=add_tap)
-    assert fast.sim.perf.fastforward_spans == 0
-
-
 def test_droptail_queue_never_fast_forwards():
     def limit(net):
         net.link.queue_limit_packets = 64

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.simnet import (ENVIRONMENTS, LAN, PPP, WAN, Link, Segment,
-                          Simulator)
+                          Simulator, TraceCollector)
 
 
 def make_link(**kwargs):
@@ -77,14 +77,14 @@ def test_duplicate_attach_rejected():
         link.attach("a", lambda s: None)
 
 
-def test_taps_see_segments_at_send_time():
+def test_collector_sees_segments_at_send_time():
     sim, link = make_link(propagation_delay=1.0)
     link.attach("a", lambda s: None)
     link.attach("b", lambda s: None)
-    seen = []
-    link.taps.append(lambda s, now: seen.append(now))
+    collector = TraceCollector(link, "a")
+    assert link.collector is collector
     link.transmit(seg())
-    assert seen == [0.0]
+    assert [row[0] for row in collector.rows()] == [0.0]
 
 
 def test_jitter_is_seeded_and_bounded():

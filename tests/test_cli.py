@@ -19,6 +19,27 @@ def test_run_cell(capsys):
     assert "HTTP/1.1 Pipelined" in out
 
 
+def test_a_protocol_violation_exits_1_with_one_quarantine_line(capsys):
+    argv = ["run", "--mode", "pipelined", "--server", "NaiveClose"]
+    assert main(argv + ["--environment", "WAN"]) == 1
+    captured = capsys.readouterr()
+    quarantined = [line for line in captured.err.splitlines()
+                   if ": invariant after 1 attempt(s): " in line]
+    assert len(quarantined) == 1 and "[rst]" in quarantined[0]
+    assert "Traceback" not in captured.err and captured.out == ""
+    # On the LAN the naive close resets nothing in flight.
+    assert main(argv + ["--environment", "LAN"]) == 0
+    assert "packets:" in capsys.readouterr().out
+
+
+def test_run_has_no_sanitize_flag(capsys):
+    # Every unit is checked; there is nothing to switch on.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "--sanitize"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --sanitize" in capsys.readouterr().err
+
+
 def test_run_unknown_mode(capsys):
     assert main(["run", "--mode", "spdy"]) == 2
     assert "unknown mode" in capsys.readouterr().err
