@@ -67,6 +67,13 @@ if [ "$status" -ne 2 ]; then
     echo "check.sh: --journal ../x exited $status, not 2" >&2
     exit 1
 fi
+# And a fleet spec with a number that is not finite.
+status=0
+python -m repro fleet --epoch nan > /dev/null 2>&1 || status=$?
+if [ "$status" -ne 2 ]; then
+    echo "check.sh: fleet --epoch nan exited $status, not 2" >&2
+    exit 1
+fi
 if [ "${FAST:-0}" = "1" ]; then
     python -m pytest -x -q -m "not slow"
 else

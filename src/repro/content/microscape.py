@@ -123,26 +123,6 @@ class MicroscapeSite:
 # ----------------------------------------------------------------------
 # Calibration
 # ----------------------------------------------------------------------
-def _memoized_builder(name: str, params: Dict[str, object], seed: int,
-                      build: Callable[[int], bytes]
-                      ) -> Callable[[int], bytes]:
-    """Content-address each trial encode of a calibration loop.
-
-    ``_calibrate`` probes a builder at several pixel budgets; every
-    probe is a full GIF encode.  Keying each (builder, params, seed,
-    budget) probe in the artifact store makes a repeat calibration —
-    same manifest entry, warm store — pure blob reads, including the
-    final encoding the probe sequence converges on.
-    """
-    store = artifacts.get_store()
-
-    def cached(pixel_budget: int) -> bytes:
-        return store.memoize(
-            name, {**params, "budget": pixel_budget}, seed,
-            lambda: build(pixel_budget))
-    return cached
-
-
 def _calibrate(builder: Callable[[int], bytes], target: int,
                initial_budget: int, max_rounds: int = 6,
                tolerance: float = 0.08) -> Tuple[bytes, int]:
@@ -295,22 +275,7 @@ def _manifest() -> List[_ImageSpec]:
 # Site assembly
 # ----------------------------------------------------------------------
 def _build_image(spec: _ImageSpec, seed: int) -> SiteObject:
-    """One manifest entry's object, memoized whole in the artifact store.
-
-    The stored value is the finished :class:`SiteObject` (encoded body,
-    pixels, role, text), so a warm store skips generation, calibration
-    and encoding entirely; on a miss the inner per-probe memoization in
-    :func:`_memoized_builder` still salvages whatever trial encodes an
-    earlier partial build left behind.
-    """
-    params = dataclasses.asdict(spec)
-    params["role"] = spec.role.value
-    return artifacts.get_store().memoize_object(
-        "microscape.image", params, seed,
-        lambda: _generate_image(spec, seed))
-
-
-def _generate_image(spec: _ImageSpec, seed: int) -> SiteObject:
+    """One manifest entry's object: generated, calibrated and encoded."""
     url = f"/gifs/{spec.name}.gif"
     if spec.kind == "spacer":
         w, _, h = spec.text.partition("x")
@@ -328,9 +293,7 @@ def _generate_image(spec: _ImageSpec, seed: int) -> SiteObject:
     assert spec.target_bytes is not None
     if spec.kind == "banner":
         speckle = _speckle_for(spec.target_bytes)
-        builder = _memoized_builder(
-            "gif.banner", {"text": spec.text, "speckle": speckle}, seed,
-            _banner_builder(spec.text, seed, speckle))
+        builder = _banner_builder(spec.text, seed, speckle)
         body, budget = _calibrate(builder, spec.target_bytes,
                                   spec.target_bytes * 6)
         width = max(30, int(math.sqrt(budget * 5)))
@@ -341,18 +304,14 @@ def _generate_image(spec: _ImageSpec, seed: int) -> SiteObject:
                           text=spec.text)
     if spec.kind == "icon":
         speckle = _speckle_for(spec.target_bytes)
-        builder = _memoized_builder(
-            "gif.icon", {"colors": spec.colors, "speckle": speckle},
-            seed, _icon_builder(spec.colors, seed, speckle))
+        builder = _icon_builder(spec.colors, seed, speckle)
         body, budget = _calibrate(builder, spec.target_bytes,
                                   spec.target_bytes * 2)
         image = icon(size=max(6, int(math.sqrt(budget))),
                      colors=spec.colors, seed=seed, speckle=speckle)
         return SiteObject(url, "image/gif", body, spec.role, image=image)
     if spec.kind == "photo":
-        builder = _memoized_builder(
-            "gif.photo", {"colors": spec.colors, "noise": spec.noise},
-            seed, _photo_builder(spec.colors, spec.noise, seed))
+        builder = _photo_builder(spec.colors, spec.noise, seed)
         body, budget = _calibrate(builder, spec.target_bytes,
                                   int(spec.target_bytes / 1.2))
         width = max(4, int(math.sqrt(budget * 1.5)))
@@ -361,11 +320,8 @@ def _generate_image(spec: _ImageSpec, seed: int) -> SiteObject:
                            noise=spec.noise)
         return SiteObject(url, "image/gif", body, spec.role, image=image)
     if spec.kind == "anim":
-        builder = _memoized_builder(
-            "gif.anim", {"frames": spec.frames, "colors": spec.colors,
-                         "noise": spec.noise}, seed,
-            _animation_builder(spec.frames, spec.colors, spec.noise,
-                               seed))
+        builder = _animation_builder(spec.frames, spec.colors, spec.noise,
+                                     seed)
         body, budget = _calibrate(builder, spec.target_bytes,
                                   spec.target_bytes)
         per_frame = max(64, budget // spec.frames)
@@ -433,15 +389,13 @@ def _build_html(image_objects: Sequence[SiteObject], seed: int) -> bytes:
 def build_microscape_site(seed: int = 1997) -> MicroscapeSite:
     """Build (and cache) the deterministic Microscape site.
 
-    Three cache layers, outermost first: the :func:`functools.lru_cache`
-    gives repeat in-process calls the *same object* (which downstream
-    memos key on); the artifact store serves the whole pickled site so
-    the second-ever build in any process is one blob read instead of
-    ~0.3 s of calibration encodes; and on a whole-site miss the
-    per-image / per-probe memos inside :func:`_build_image` reuse
-    whatever finer-grained artifacts exist.  All layers return
-    byte-identical content — the store holds the builders' exact
-    outputs — so golden traces cannot observe which layer answered.
+    The :func:`functools.lru_cache` gives repeat in-process calls the
+    *same object* (which downstream memos key on), and the artifact
+    store serves the whole pickled site, so every build after a
+    machine's first is one blob read instead of ~0.3 s of calibration
+    encodes.  Both return byte-identical content — the store holds the
+    builder's exact output — so golden traces cannot observe which
+    answered.
     """
     return artifacts.get_store().memoize_object(
         "microscape.site", {}, seed, lambda: _assemble_site(seed))

@@ -104,6 +104,11 @@ class FleetSpec:
         if not 0 < self.cohorts <= self.users:
             raise ValueError(f"cohorts must be in 1..users "
                              f"({self.cohorts} vs {self.users} users)")
+        for name in ("arrival_rate", "think_time", "backbone_bps", "epoch",
+                     "max_sim_time"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, not {value}")
         if self.arrival_rate <= 0:
             raise ValueError("arrival_rate must be positive")
         if self.think_time < 0:

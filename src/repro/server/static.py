@@ -56,11 +56,9 @@ class Resource:
     MAX_RETAINED = 4
 
     @classmethod
-    def create(cls, url: str, content_type: str, body: bytes,
-               *, precompress: bool = True,
-               modified_at: float = PAPER_EPOCH) -> "Resource":
+    def create(cls, url: str, content_type: str, body: bytes) -> "Resource":
         deflated = None
-        if precompress and content_type.startswith("text/"):
+        if content_type.startswith("text/"):
             # Precompression is content-addressed: the deflated variant
             # of the 42 KB Microscape page is built once per cache
             # lifetime, not once per worker process.
@@ -71,16 +69,12 @@ class Resource:
                 deflated = candidate
         return cls(url=url, content_type=content_type, body=body,
                    etag=_make_etag(body),
-                   last_modified=format_http_date(modified_at),
+                   last_modified=format_http_date(PAPER_EPOCH),
                    deflate_body=deflated)
 
-    def superseded_by(self, new_body: bytes, *,
-                      modified_at: float = PAPER_EPOCH,
-                      precompress: bool = True) -> "Resource":
+    def superseded_by(self, new_body: bytes) -> "Resource":
         """A new version of this resource that remembers this one."""
-        updated = Resource.create(self.url, self.content_type, new_body,
-                                  precompress=precompress,
-                                  modified_at=modified_at)
+        updated = Resource.create(self.url, self.content_type, new_body)
         history = dict(self.previous_versions)
         history[self.etag] = self.body
         while len(history) > self.MAX_RETAINED:
@@ -99,11 +93,9 @@ class ResourceStore:
         self._derived: Dict[Hashable, Any] = {}
 
     @classmethod
-    def from_site(cls, site: MicroscapeSite, *,
-                  precompress: bool = True) -> "ResourceStore":
+    def from_site(cls, site: MicroscapeSite) -> "ResourceStore":
         """Build the store from a Microscape site."""
-        return cls(Resource.create(obj.url, obj.content_type, obj.body,
-                                   precompress=precompress)
+        return cls(Resource.create(obj.url, obj.content_type, obj.body)
                    for obj in site.objects.values())
 
     def derived(self, key: Hashable, build: Callable[[], Any]) -> Any:

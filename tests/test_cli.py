@@ -148,6 +148,17 @@ def test_invalid_fleet_spec_is_a_usage_error(flags, message, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag, field", [
+    ("--arrival-rate", "arrival_rate"), ("--think-time", "think_time"),
+    ("--backbone-bps", "backbone_bps"), ("--epoch", "epoch"),
+    ("--max-sim-time", "max_sim_time")])
+def test_a_non_finite_fleet_number_is_a_usage_error(flag, field, capsys):
+    assert main(_TINY_FLEET + [flag, "nan"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"fleet: {field} must be finite")
+    assert "Traceback" not in err
+
+
 _TINY_FLEET = ["fleet", "--users", "4", "--cohorts", "1", "--environment",
                "LAN", "--pages-per-user", "1", "--rounds", "1"]
 
