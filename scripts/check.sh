@@ -15,6 +15,15 @@ export PYTHONPATH=src
 # reproducibility, TCP invariants) everything else rests on.
 sh scripts/lint.sh
 
+# Every example runs to a zero exit, FAST included (the four take a few
+# seconds together), so a docstring never cites an example that is gone
+# or broken.  proxy_keepalive.py also drives ResponseParser through the
+# blind proxy.
+for example in examples/*.py; do
+    python "$example" > /dev/null \
+        || { echo "check.sh: $example exited non-zero" >&2; exit 1; }
+done
+
 # The pytest run carries the identity and recovery gates:
 #   fast-forward is byte-invisible (full-stack decline path, WAN and
 #     PPP+modem bulk engagement) — tests/simnet/test_fastforward.py

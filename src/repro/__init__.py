@@ -13,8 +13,9 @@ Subpackages
     Discrete-event TCP/IP simulator (slow start, Nagle, delayed ACKs,
     half-close) with LAN / WAN / PPP environments and trace capture.
 ``repro.http``
-    HTTP/1.0 and HTTP/1.1 message model: parsing, headers, chunked
-    coding, content codings, caching validators, byte ranges.
+    HTTP/1.0 and HTTP/1.1 message model: ``Content-Length`` framed
+    parsing, headers, the deflate coding, caching validators, byte
+    ranges.
 ``repro.client``
     The libwww-robot-like clients: HTTP/1.0 with parallel connections,
     HTTP/1.1 persistent and pipelined with buffered output.

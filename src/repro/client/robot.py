@@ -281,15 +281,10 @@ class _ConnState(_Connection):
             self.robot._response_arrived(self, url, response)
 
     def _on_eof(self, _conn: TcpConnection) -> None:
-        final = None
         try:
-            final = self.parser.eof()
+            self.parser.eof()
         except ParseError as exc:
             self.robot.result.errors.append(f"truncated response: {exc}")
-        if final is not None and self.outstanding:
-            url = self.outstanding.popleft()
-            self.popped += 1
-            self.robot._response_arrived(self, url, final)
         super()._on_eof(_conn)
 
 

@@ -1,9 +1,11 @@
-"""HTTP date handling (RFC 1123 format, plus the legacy forms).
+"""HTTP date handling (the RFC 1123 format only).
 
 Cache validation with ``If-Modified-Since`` / ``Last-Modified`` — the
 only validator HTTP/1.0 supports, as the paper notes — needs real date
 headers.  Simulated time is seconds since an arbitrary epoch; dates are
-rendered in the mandatory RFC 1123 fixed-length format.
+rendered and read in the mandatory RFC 1123 fixed-length format; the
+legacy RFC 850 and asctime forms read as unparseable, which a
+conditional request treats as "modified".
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ __all__ = ["format_http_date", "parse_http_date", "PAPER_EPOCH"]
 PAPER_EPOCH = calendar.timegm((1997, 6, 24, 0, 0, 0, 0, 0, 0))
 
 _RFC1123 = "%a, %d %b %Y %H:%M:%S GMT"
-_RFC850 = "%A, %d-%b-%y %H:%M:%S GMT"
-_ASCTIME = "%a %b %d %H:%M:%S %Y"
 
 
 def format_http_date(epoch_seconds: float) -> str:
@@ -29,11 +29,8 @@ def format_http_date(epoch_seconds: float) -> str:
 
 
 def parse_http_date(text: str) -> Optional[float]:
-    """Parse any of the three HTTP-date forms; None if unparseable."""
-    text = text.strip()
-    for fmt in (_RFC1123, _RFC850, _ASCTIME):
-        try:
-            return float(calendar.timegm(time.strptime(text, fmt)))
-        except ValueError:
-            continue
-    return None
+    """Parse an RFC 1123 HTTP-date; None if it is in any other form."""
+    try:
+        return float(calendar.timegm(time.strptime(text.strip(), _RFC1123)))
+    except ValueError:
+        return None

@@ -27,16 +27,19 @@ from ..memo import Memo
 __all__ = ["Headers"]
 
 #: ``header line → ((name, value), lowercased name)`` for the lines
-#: :meth:`Headers.from_lines` has split.  Continuation and blank lines
-#: never enter (their meaning depends on the previous field); nor do
-#: malformed ones (they raise).
+#: :meth:`Headers.from_lines` has split.  Malformed lines never enter
+#: (they raise).
 _LINE_MEMO = Memo("http.header-lines", 4096)
 
 
 def _split_line(line: str) -> Tuple[Tuple[str, str], str]:
-    """Parse one ``Name: value`` line."""
+    """Parse one ``Name: value`` line.
+
+    A line that starts with SP or HT is malformed: folded continuation
+    lines are not read.
+    """
     name, sep, value = line.partition(":")
-    if not sep:
+    if not sep or line[0] in " \t":
         raise ValueError(f"malformed header line: {line!r}")
     name = name.strip()
     return (name, value.strip()), name.lower()
@@ -119,16 +122,6 @@ class Headers:
         return [item[1] for item, low in zip(self._items, self._lower)
                 if low == lowered]
 
-    def get_int(self, name: str) -> Optional[int]:
-        """Integer value of field ``name``, or None if absent/invalid."""
-        value = self.get(name)
-        if value is None:
-            return None
-        try:
-            return int(value.strip())
-        except ValueError:
-            return None
-
     def contains_token(self, name: str, token: str) -> bool:
         """True if a comma-separated field contains ``token`` (case-insensitive).
 
@@ -173,25 +166,14 @@ class Headers:
     def from_lines(cls, lines: Iterable[str]) -> "Headers":
         """Parse header lines (without the terminating blank line).
 
-        Handles RFC 2068 continuation lines (leading whitespace folds
-        into the previous field).  Every other line is split once per
-        distinct text (``_LINE_MEMO``).
+        Each line is split once per distinct text (``_LINE_MEMO``).
         """
         headers = cls()
         items, lower = headers._items, headers._lower
         for line in lines:
-            if not line:
-                continue
-            if line[0] in " \t":
-                if items:
-                    name, value = items[-1]
-                    items[-1] = (name, value + " " + line.strip())
-                    continue
-                parsed = _split_line(line)
-            else:
-                parsed = _LINE_MEMO.get(line)
-                if parsed is None:
-                    parsed = _LINE_MEMO.store(line, _split_line(line))
+            parsed = _LINE_MEMO.get(line)
+            if parsed is None:
+                parsed = _LINE_MEMO.store(line, _split_line(line))
             items.append(parsed[0])
             lower.append(parsed[1])
         return headers

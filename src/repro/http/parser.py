@@ -7,10 +7,14 @@ the whole point of server-side response buffering).  Both parsers are
 therefore fully incremental: :meth:`feed` accepts any byte slicing and
 returns every message completed so far.
 
-Body framing follows RFC 2068 §4.4: no body for HEAD / 204 / 304,
-``Transfer-Encoding: chunked``, then ``Content-Length``, then (for
-responses only) read-until-close, which HTTP/1.0 servers without
-keep-alive still use.
+A message is framed one way.  Its head ends at the first CRLF CRLF, and
+its lines are separated by CRLF, with no bare CR or LF and no folded
+continuation lines.  A HEAD response, a 1xx, 204 or 304 has no body;
+every other response carries exactly one ``Content-Length``, and a
+request has the body its ``Content-Length`` gives (none without one).
+Anything else — ``Transfer-Encoding``, a response that runs to close, a
+``Content-Length`` that is not ASCII digits, an HTTP/0.9 request line —
+is a :class:`ParseError`, never a guess.
 
 Each distinct head is parsed once.  A request head is a pure function
 of its bytes, and a robot population sends the same few hundred of them
@@ -27,7 +31,6 @@ from __future__ import annotations
 from typing import List, NamedTuple, Optional, Tuple
 
 from ..memo import Memo
-from .chunked import ChunkedDecoder
 from .headers import Headers
 from .messages import Request, Response, parse_version
 
@@ -41,30 +44,16 @@ class ParseError(ValueError):
     """Raised on malformed HTTP input."""
 
 
-def _find_header_end(buffer: bytearray) -> Tuple[int, int]:
-    """Locate the end of the header block.
+def _split_head(block: bytes) -> List[str]:
+    """Split a head block into its CRLF-separated lines.
 
-    Returns ``(end_of_headers, start_of_body)`` or ``(-1, -1)`` if the
-    block is incomplete.  Accepts both CRLF and bare-LF line endings, as
-    real 1997 servers had to.
+    A bare CR or LF anywhere in the block is a :class:`ParseError`.
     """
-    crlf = buffer.find(b"\r\n\r\n")
-    if crlf == -1:
-        lf = buffer.find(b"\n\n")
-        return (lf, lf + 2) if lf != -1 else (-1, -1)
-    # A bare-LF terminator only matters if it ends *before* the CRLF
-    # one, so the search stops there instead of walking every pipelined
-    # message queued behind this head.
-    lf = buffer.find(b"\n\n", 0, crlf)
-    if lf != -1:
-        return lf, lf + 2
-    return crlf, crlf + 4
-
-
-def _split_header_block(block: bytes) -> List[str]:
-    """Split a raw header block into decoded lines."""
-    text = block.decode("latin-1")
-    return text.replace("\r\n", "\n").split("\n")
+    lines = block.decode("latin-1").split("\r\n")
+    breaks = len(lines) - 1
+    if block.count(b"\r") != breaks or block.count(b"\n") != breaks:
+        raise ParseError("bare CR or LF in a head")
+    return lines
 
 
 def _parse_fields(lines: List[str]) -> Headers:
@@ -83,6 +72,27 @@ def _parse_version(text: str) -> Tuple[int, int]:
         raise ParseError(f"bad HTTP version: {text!r}") from None
 
 
+def _content_length(headers: Headers) -> Optional[int]:
+    """The head's ``Content-Length``, or None if it has none.
+
+    Every ``Content-Length`` field must be ASCII digits, and two fields
+    must not disagree.  A head that carries ``Transfer-Encoding`` is
+    refused: ``Content-Length`` is the only framing this layer reads.
+    """
+    lowered = headers._lower
+    if "transfer-encoding" in lowered:
+        raise ParseError("Transfer-Encoding is not supported")
+    if "content-length" not in lowered:
+        return None
+    values = headers.get_all("Content-Length")
+    for value in values:
+        if not (value.isascii() and value.isdigit()):
+            raise ParseError(f"bad Content-Length: {value!r}")
+    if len(values) > 1 and len(set(map(int, values))) > 1:
+        raise ParseError("conflicting Content-Length fields")
+    return int(values[0])
+
+
 class _RequestHead(NamedTuple):
     """Everything a request head's bytes determine, immutably."""
 
@@ -91,7 +101,6 @@ class _RequestHead(NamedTuple):
     version: Tuple[int, int]
     fields: Tuple[Tuple[str, str], ...]
     lowered: Tuple[str, ...]
-    chunked: bool
     content_length: Optional[int]
 
 
@@ -102,33 +111,25 @@ _REQUEST_HEADS = Memo("http.request-heads", 4096)
 
 def _parse_request_head(block: bytes) -> _RequestHead:
     """Parse a request's head block (request line + header lines)."""
-    lines = _split_header_block(block)
-    request_line = lines[0]
-    parts = request_line.split()
-    if len(parts) == 2:
-        # HTTP/0.9 simple request: "GET /path".
-        method, target = parts
-        version = (0, 9)
-    elif len(parts) == 3:
-        method, target, version_text = parts
-        version = _parse_version(version_text)
-    else:
-        raise ParseError(f"malformed request line: {request_line!r}")
+    lines = _split_head(block)
+    parts = lines[0].split()
+    if len(parts) != 3:
+        raise ParseError(f"malformed request line: {lines[0]!r}")
+    method, target, version_text = parts
+    version = _parse_version(version_text)
     headers = _parse_fields(lines[1:])
     return _RequestHead(
         method, target, version, tuple(headers), tuple(headers._lower),
-        headers.contains_token("Transfer-Encoding", "chunked"),
-        headers.get_int("Content-Length"))
+        _content_length(headers))
 
 
 class _BodyReader:
-    """Tracks body framing for the message currently being read."""
+    """Reads the ``Content-Length`` bytes of the current message's body
+    (a length of 0 for a bodyless message)."""
 
-    def __init__(self, mode: str, length: int = 0) -> None:
-        self.mode = mode                   # none | length | chunked | close
+    def __init__(self, length: int) -> None:
         self.remaining = length
         self.chunks = bytearray()
-        self.chunked = ChunkedDecoder() if mode == "chunked" else None
         #: Body bytes consumed by the most recent :meth:`feed` call
         #: (drives streaming observers, e.g. incremental HTML parsing).
         self.last_consumed: bytes = b""
@@ -139,31 +140,15 @@ class _BodyReader:
         Returns the complete body once available, else None.  Consumed
         bytes are removed from ``buffer``.
         """
-        if self.mode == "none":
-            self.last_consumed = b""
-            return bytes(self.chunks)
-        if self.mode == "length":
+        if self.remaining:
             take = min(self.remaining, len(buffer))
             self.last_consumed = bytes(buffer[:take])
-            self.chunks.extend(buffer[:take])
+            self.chunks += self.last_consumed
             del buffer[:take]
             self.remaining -= take
-            if self.remaining == 0:
-                return bytes(self.chunks)
+        if self.remaining:
             return None
-        if self.mode == "chunked":
-            assert self.chunked is not None
-            before = len(self.chunked._payload)
-            done = self.chunked.feed_buffer(buffer)
-            self.last_consumed = bytes(self.chunked._payload[before:])
-            if done:
-                return self.chunked.payload()
-            return None
-        # close-delimited: consume everything; finished only at EOF.
-        self.last_consumed = bytes(buffer)
-        self.chunks.extend(buffer)
-        del buffer[:]
-        return None
+        return bytes(self.chunks)
 
 
 class RequestParser:
@@ -202,7 +187,7 @@ class RequestParser:
         return completed
 
     def _parse_head(self) -> bool:
-        end, body_start = _find_header_end(self._buffer)
+        end = self._buffer.find(b"\r\n\r\n")
         if end == -1:
             if len(self._buffer) > MAX_HEADER_BLOCK:
                 raise ParseError("header block too large")
@@ -211,19 +196,14 @@ class RequestParser:
                 del self._buffer[:2]
             return False
         block = bytes(self._buffer[:end])
-        del self._buffer[:body_start]
+        del self._buffer[:end + 4]
         head = _REQUEST_HEADS.get(block)
         if head is None:
             head = _REQUEST_HEADS.store(block, _parse_request_head(block))
         self._current = Request(
             head.method, head.target, head.version,
             Headers._from_parts(head.fields, head.lowered), head=block)
-        if head.chunked:
-            self._body = _BodyReader("chunked")
-        elif head.content_length:
-            self._body = _BodyReader("length", head.content_length)
-        else:
-            self._body = _BodyReader("none")
+        self._body = _BodyReader(head.content_length or 0)
         return True
 
 
@@ -283,28 +263,19 @@ class ResponseParser:
             self._body = None
         return completed
 
-    def eof(self) -> Optional[Response]:
-        """Signal connection close; completes a close-delimited response."""
-        if self._current is not None and self._body is not None \
-                and self._body.mode == "close":
-            self._current.body = bytes(self._body.chunks)
-            response = self._current
-            self._current = None
-            self._body = None
-            self.messages_completed += 1
-            return response
+    def eof(self) -> None:
+        """Signal connection close: a response cut short is an error."""
         if self._current is not None:
             raise ParseError("connection closed mid-response")
-        return None
 
     def _parse_head(self) -> bool:
-        end, body_start = _find_header_end(self._buffer)
+        end = self._buffer.find(b"\r\n\r\n")
         if end == -1:
             if len(self._buffer) > MAX_HEADER_BLOCK:
                 raise ParseError("header block too large")
             return False
-        lines = _split_header_block(bytes(self._buffer[:end]))
-        del self._buffer[:body_start]
+        lines = _split_head(bytes(self._buffer[:end]))
+        del self._buffer[:end + 4]
         status_line = lines[0]
         parts = status_line.split(None, 2)
         if len(parts) < 2:
@@ -317,22 +288,15 @@ class ResponseParser:
                 f"malformed status line: {status_line!r}") from None
         reason = parts[2] if len(parts) > 2 else ""
         headers = _parse_fields(lines[1:])
+        length = _content_length(headers)
         method = (self._expected_methods.pop(0)
                   if self._expected_methods else "GET")
+        if method == "HEAD" or status in (204, 304) or 100 <= status < 200:
+            length = 0
+        elif length is None:
+            raise ParseError(f"no Content-Length: {status_line!r}")
         self._current = Response(status=status, version=version,
                                  headers=headers, reason=reason,
                                  request_method=method)
-        self._body = self._choose_body(method, status, headers)
+        self._body = _BodyReader(length)
         return True
-
-    @staticmethod
-    def _choose_body(method: str, status: int,
-                     headers: Headers) -> _BodyReader:
-        if method == "HEAD" or status in (204, 304) or 100 <= status < 200:
-            return _BodyReader("none")
-        if headers.contains_token("Transfer-Encoding", "chunked"):
-            return _BodyReader("chunked")
-        length = headers.get_int("Content-Length")
-        if length is not None:
-            return _BodyReader("length", length)
-        return _BodyReader("close")

@@ -4,23 +4,29 @@ The paper argues that HTTP/1.1 clients should combine cache validation
 with ranged requests — fetch just the first bytes of each embedded
 image (enough for the metadata that page layout needs) over a single
 connection, a style it names **"poor man's multiplexing"**.  This module
-implements the server and client sides of that idiom; the
-``examples/range_multiplexing.py`` script demonstrates it end to end.
+implements the server side of that idiom; the robot sends the ranged
+prefix requests (``ClientConfig.range_prefix_bytes``), and
+:mod:`repro.core.render` measures the idiom end to end (the
+``render-multiplexing`` claim of ``python -m repro claims``).
+
+A ``Range`` is one ``bytes=A-B`` (A ≤ B) or one ``bytes=A-``: the two
+forms the robot sends.  Every other form is ignored, so the server
+answers with the full entity, as RFC 2068 allows.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional
+import re
+from typing import Optional
 
 from .headers import Headers
 
 __all__ = ["ByteRange", "parse_range_header", "content_range",
-           "apply_range", "if_range_matches",
-           "encode_multipart_byteranges", "MULTIPART_BOUNDARY"]
+           "apply_range", "if_range_matches"]
 
-#: Fixed multipart boundary (1997 servers used constants like this one).
-MULTIPART_BOUNDARY = "THIS_STRING_SEPARATES"
+#: The one range form read: ``bytes=A-B`` or ``bytes=A-``.
+_BYTE_RANGE = re.compile(r"bytes=(\d+)-(\d*)", re.ASCII)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -39,40 +45,24 @@ class ByteRange:
         return body[self.start:self.end + 1]
 
 
-def parse_range_header(value: str, entity_length: int) -> List[ByteRange]:
-    """Resolve a ``Range: bytes=...`` header against an entity length.
+def parse_range_header(value: str,
+                       entity_length: int) -> Optional[ByteRange]:
+    """Resolve a ``Range`` header against an entity length.
 
-    Returns the satisfiable ranges in request order; an empty list means
-    the whole header is unsatisfiable (⇒ 416).  Raises ``ValueError``
-    for syntactically invalid headers (⇒ ignore the header per RFC).
+    Returns the one range asked for, its end clamped to the entity, or
+    None when the header is to be ignored: any form but ``bytes=A-B``
+    and ``bytes=A-``, and a reversed spec (B < A), which RFC 2068
+    §14.36.1 says the recipient "must ignore".  A returned range whose
+    ``start`` is at or past ``entity_length`` is unsatisfiable (⇒ 416).
     """
-    value = value.strip()
-    if not value.lower().startswith("bytes="):
-        raise ValueError(f"unsupported range unit: {value!r}")
-    ranges: List[ByteRange] = []
-    for spec in value[len("bytes="):].split(","):
-        spec = spec.strip()
-        if not spec:
-            continue
-        first, dash, last = spec.partition("-")
-        if not dash:
-            raise ValueError(f"malformed range spec: {spec!r}")
-        if first == "":
-            # Suffix range: final N bytes.
-            suffix = int(last)
-            if suffix <= 0:
-                continue
-            start = max(0, entity_length - suffix)
-            end = entity_length - 1
-        else:
-            start = int(first)
-            end = int(last) if last else entity_length - 1
-            if end >= entity_length:
-                end = entity_length - 1
-        if start > end or start >= entity_length:
-            continue
-        ranges.append(ByteRange(start, end))
-    return ranges
+    match = _BYTE_RANGE.fullmatch(value.strip())
+    if match is None:
+        return None
+    start = int(match[1])
+    end = int(match[2]) if match[2] else entity_length - 1
+    if end < start and match[2]:
+        return None
+    return ByteRange(start, min(end, entity_length - 1))
 
 
 def content_range(byte_range: ByteRange, entity_length: int) -> str:
@@ -87,29 +77,6 @@ def apply_range(body: bytes, headers: Headers,
     headers.set("Content-Range", content_range(byte_range, len(body)))
     headers.set("Content-Length", str(len(partial)))
     return partial
-
-
-def encode_multipart_byteranges(body: bytes, ranges: List[ByteRange],
-                                content_type: str,
-                                boundary: str = MULTIPART_BOUNDARY
-                                ) -> bytes:
-    """Serialize a multi-range 206 body (RFC 2068 §19.2).
-
-    Each part carries its own ``Content-Type`` and ``Content-Range``;
-    the response's outer type must be
-    ``multipart/byteranges; boundary=...``.
-    """
-    out = bytearray()
-    for byte_range in ranges:
-        out.extend(f"--{boundary}\r\n".encode("ascii"))
-        out.extend(f"Content-Type: {content_type}\r\n".encode("latin-1"))
-        out.extend(f"Content-Range: "
-                   f"{content_range(byte_range, len(body))}\r\n\r\n"
-                   .encode("ascii"))
-        out.extend(byte_range.slice(body))
-        out.extend(b"\r\n")
-    out.extend(f"--{boundary}--\r\n".encode("ascii"))
-    return bytes(out)
 
 
 def if_range_matches(if_range_value: Optional[str], etag: Optional[str],

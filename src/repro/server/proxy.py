@@ -20,7 +20,7 @@ The problem, reproduced by :class:`SimHttpProxy` in ``blind`` mode:
 HTTP/1.1's fixes are both implemented in ``hop_by_hop`` mode:
 ``Connection`` (and the headers it names) are stripped before
 forwarding, and the proxy understands message framing
-(``Content-Length`` / chunked), so persistence is negotiated per hop.
+(``Content-Length``), so persistence is negotiated per hop.
 """
 
 from __future__ import annotations

@@ -7,8 +7,8 @@ The server side of the paper's content handling:
 * HTML resources keep a **precomputed deflated body** — the paper's
   server "does not perform on-the-fly compression but sends out a
   pre-computed deflated version of the Microscape HTML page",
-* byte ranges with ``If-Range`` are honoured (the paper's "poor man's
-  multiplexing" idiom).
+* a single byte range with ``If-Range`` is honoured (the paper's "poor
+  man's multiplexing" idiom); any other ``Range`` is ignored.
 """
 
 from __future__ import annotations
@@ -20,9 +20,8 @@ from typing import (Any, Callable, Dict, Hashable, Iterable, Optional,
 
 from ..content import artifacts
 from ..content.microscape import MicroscapeSite
-from ..http import (HTTP10, HTTP11, Headers, MULTIPART_BOUNDARY,
-                    PAPER_EPOCH, Request, Response, deflate_encode,
-                    encode_multipart_byteranges, format_http_date,
+from ..http import (HTTP10, HTTP11, Headers, PAPER_EPOCH, Request,
+                    Response, deflate_encode, format_http_date,
                     if_range_matches, is_not_modified, parse_range_header,
                     apply_range, accepted_codings)
 from ..http.delta import DELTA_IM_TOKEN, encode_delta, wants_delta
@@ -146,9 +145,11 @@ def build_response(store: ResourceStore, request: Request,
     """Construct the response a 1997 server would send for ``request``.
 
     Handles method checks, cache validation (ETag before date, per RFC
-    2068), ranges with ``If-Range``, and negotiated deflate content
-    coding.  The returned response has no connection-management headers;
-    the connection layer (:mod:`repro.server.base`) adds those.
+    2068), one byte range with ``If-Range`` (any other ``Range`` is
+    ignored: the full 200), and negotiated deflate content coding.
+    Every body is framed by its ``Content-Length``.  The returned
+    response has no connection-management headers; the connection layer
+    (:mod:`repro.server.base`) adds those.
     """
     version = HTTP11 if request.version >= HTTP11 else HTTP10
     headers = Headers()
@@ -215,29 +216,16 @@ def build_response(store: ResourceStore, request: Request,
     if range_header is not None and content_coding is None:
         if if_range_matches(request.headers.get("If-Range"),
                             resource.etag, resource.last_modified):
-            try:
-                ranges = parse_range_header(range_header, len(body))
-            except ValueError:
-                ranges = None
-            if ranges is not None:
-                if not ranges:
+            byte_range = parse_range_header(range_header, len(body))
+            if byte_range is not None:
+                if byte_range.start >= len(body):
                     headers.add("Content-Range", f"bytes */{len(body)}")
                     headers.add("Content-Length", "0")
                     return Response(416, version, headers,
                                     request_method=request.method)
-                if len(ranges) == 1:
-                    headers.add("Content-Type", resource.content_type)
-                    partial = apply_range(body, headers, ranges[0])
-                    return Response(206, version, headers, partial,
-                                    request_method=request.method)
-                # Multiple ranges: a multipart/byteranges 206.
-                multipart = encode_multipart_byteranges(
-                    body, ranges, resource.content_type)
-                headers.add("Content-Type",
-                            "multipart/byteranges; boundary="
-                            + MULTIPART_BOUNDARY)
-                headers.add("Content-Length", str(len(multipart)))
-                return Response(206, version, headers, multipart,
+                headers.add("Content-Type", resource.content_type)
+                partial = apply_range(body, headers, byte_range)
+                return Response(206, version, headers, partial,
                                 request_method=request.method)
 
     headers.add("Content-Type", resource.content_type)

@@ -15,8 +15,6 @@ from hypothesis import example, given, settings, strategies as st
 from repro.http import (Headers, ParseError, Request, RequestParser,
                         Response, ResponseParser)
 
-from .wire_oracle import encode_chunked
-
 _token = st.text(alphabet=string.ascii_letters + string.digits,
                  min_size=1, max_size=10)
 _path = st.lists(_token, min_size=1, max_size=4).map(
@@ -36,17 +34,9 @@ def requests(draw):
     body = b""
     if method == "POST":
         body = draw(st.binary(max_size=200))
-        if draw(st.booleans()):
-            headers.set("Content-Length", str(len(body)))
-        else:
-            headers.set("Transfer-Encoding", "chunked")
-    request = Request(method, draw(_path), (1, 1), headers)
-    if headers.contains_token("Transfer-Encoding", "chunked"):
-        wire = request.to_bytes() + encode_chunked(body, chunk_size=48)
-    else:
-        wire = request.to_bytes() + body
-    request.body = body
-    return request, wire
+        headers.set("Content-Length", str(len(body)))
+    request = Request(method, draw(_path), (1, 1), headers, body)
+    return request, request.to_bytes()
 
 
 @st.composite
@@ -57,22 +47,12 @@ def responses(draw):
     headers.remove("Content-Length")
     headers.remove("Transfer-Encoding")
     body = b""
-    response = Response(status, (1, 1), headers, request_method=method)
     if method == "GET" and status not in (204, 304):
         body = draw(st.binary(max_size=300))
-        if draw(st.booleans()):
-            headers.set("Content-Length", str(len(body)))
-            response.body = body
-            wire = response.to_bytes()
-        else:
-            headers.set("Transfer-Encoding", "chunked")
-            wire = response.to_bytes() + encode_chunked(body,
-                                                        chunk_size=64)
-    else:
-        headers.set("Content-Length", str(len(body)))
-        wire = response.to_bytes()
-    response.body = body
-    return response, method, wire
+    headers.set("Content-Length", str(len(body)))
+    response = Response(status, (1, 1), headers, body,
+                        request_method=method)
+    return response, method, response.to_bytes()
 
 
 def slices(data: bytes, cuts):

@@ -8,48 +8,33 @@ from repro.http import (ByteRange, Headers, apply_range, content_range,
 
 
 def test_simple_range():
-    ranges = parse_range_header("bytes=0-99", 1000)
-    assert ranges == [ByteRange(0, 99)]
-    assert ranges[0].length == 100
+    byte_range = parse_range_header("bytes=0-99", 1000)
+    assert byte_range == ByteRange(0, 99)
+    assert byte_range.length == 100
 
 
 def test_open_ended_range():
-    assert parse_range_header("bytes=500-", 600) == [ByteRange(500, 599)]
-
-
-def test_suffix_range():
-    assert parse_range_header("bytes=-100", 600) == [ByteRange(500, 599)]
-
-
-def test_suffix_larger_than_entity():
-    assert parse_range_header("bytes=-9999", 100) == [ByteRange(0, 99)]
+    assert parse_range_header("bytes=500-", 600) == ByteRange(500, 599)
 
 
 def test_end_clamped_to_entity():
-    assert parse_range_header("bytes=0-9999", 50) == [ByteRange(0, 49)]
-
-
-def test_multiple_ranges():
-    ranges = parse_range_header("bytes=0-9, 20-29", 100)
-    assert ranges == [ByteRange(0, 9), ByteRange(20, 29)]
+    assert parse_range_header("bytes=0-9999", 50) == ByteRange(0, 49)
 
 
 def test_unsatisfiable_range():
-    assert parse_range_header("bytes=500-600", 100) == []
+    assert parse_range_header("bytes=500-600", 100).start >= 100
+    assert parse_range_header("bytes=100-", 100).start >= 100
 
 
-def test_non_bytes_unit_raises():
-    with pytest.raises(ValueError):
-        parse_range_header("lines=1-2", 100)
-
-
-def test_malformed_spec_raises():
-    with pytest.raises(ValueError):
-        parse_range_header("bytes=abc", 100)
+@pytest.mark.parametrize("value", [
+    "lines=1-2", "bytes=abc", "bytes=-100", "bytes=0-9, 20-29",
+    "bytes=0-9,20-29", "bytes=5-3", "bytes=+1-2", "bytes=1_0-20"])
+def test_any_other_form_is_ignored(value):
+    assert parse_range_header(value, 100) is None
 
 
 def test_zero_suffix_ignored():
-    assert parse_range_header("bytes=-0", 100) == []
+    assert parse_range_header("bytes=-0", 100) is None
 
 
 def test_content_range_format():
@@ -85,5 +70,5 @@ def test_if_range_date():
 def test_range_slice_property(body, data):
     start = data.draw(st.integers(0, len(body) - 1))
     end = data.draw(st.integers(start, len(body) - 1))
-    ranges = parse_range_header(f"bytes={start}-{end}", len(body))
-    assert ranges[0].slice(body) == body[start:end + 1]
+    byte_range = parse_range_header(f"bytes={start}-{end}", len(body))
+    assert byte_range.slice(body) == body[start:end + 1]

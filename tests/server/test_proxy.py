@@ -47,9 +47,7 @@ class ProxyClient:
     def _on_eof(self, _conn):
         self.eof = True
         self.eof_at = self.net.sim.now
-        final = self.parser.eof()
-        if final is not None:
-            self.responses.append(final)
+        self.parser.eof()
 
     def send(self, *requests):
         self.conn.send(b"".join(r.to_bytes() for r in requests))

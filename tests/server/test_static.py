@@ -46,7 +46,7 @@ def test_basic_200(store):
     response = build_response(store, get("/home.html"), APACHE)
     assert response.status == 200
     assert response.headers.get("Content-Type") == "text/html"
-    assert response.headers.get_int("Content-Length") == len(response.body)
+    assert int(response.headers.get("Content-Length")) == len(response.body)
     assert response.headers.get("ETag")
     assert response.headers.get("Last-Modified")
 
@@ -67,7 +67,7 @@ def test_head_omits_body_on_wire(store):
                               APACHE)
     assert response.status == 200
     assert response.body_on_wire() == b""
-    assert response.headers.get_int("Content-Length") > 0
+    assert int(response.headers.get("Content-Length")) > 0
 
 
 def test_304_on_matching_etag(store):
@@ -143,6 +143,15 @@ def test_unsatisfiable_range(store):
         store, get("/gifs/bullet0.gif",
                    [("Range", f"bytes={size + 10}-{size + 20}")]), APACHE)
     assert response.status == 416
+
+
+def test_a_reversed_range_is_ignored_not_refused(store):
+    """RFC 2068 §14.36.1: a spec whose last byte is below its first is
+    invalid, and its recipient must ignore it — a full 200, not 416."""
+    response = build_response(
+        store, get("/gifs/hero.gif", [("Range", "bytes=5-3")]), APACHE)
+    assert response.status == 200
+    assert response.body == store.get("/gifs/hero.gif").body
 
 
 def test_if_range_mismatch_serves_full_entity(store):
