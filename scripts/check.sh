@@ -12,7 +12,11 @@ export PYTHONPATH=src
 # Determinism lint (per-file rules and the whole-program passes, one
 # parse of each file) + golden-trace sanitization run in every mode,
 # FAST included: they are cheap and guard the properties (bit
-# reproducibility, TCP invariants) everything else rests on.
+# reproducibility, TCP invariants) everything else rests on.  The lint
+# keeps only the defect classes no identity test below reliably sees:
+# the host clock, set order (forked workers share the parent's hash
+# secret), float clock compares, mutable defaults, hot-path __slots__,
+# stray pools, the cache key and RNG seeds and streams.
 sh scripts/lint.sh
 
 # Every example runs to a zero exit, FAST included (the four take a few
@@ -24,7 +28,22 @@ for example in examples/*.py; do
         || { echo "check.sh: $example exited non-zero" >&2; exit 1; }
 done
 
-# The pytest run carries the identity and recovery gates:
+# The pytest run carries the identity and recovery gates.  They alone
+# catch a global-RNG draw, OS entropy and a module-global write on the
+# worker path (no lint rule does):
+#   same seed -> same result, different seeds -> different results —
+#     tests/core/test_runner.py::test_same_seed_same_result and
+#     ::test_different_seeds_vary_elapsed,
+#     tests/faults/test_injector.py::test_same_seed_same_fault_schedule
+#     and ::test_unit_seed_reaches_the_fault_injector,
+#     tests/fleet/test_spec.py::test_population_is_deterministic
+#   serial == parallel — tests/matrix/test_matrix_runner.py::
+#     test_parallel_equals_serial_across_cells,
+#     tests/faults/test_chaos.py::test_jobs_do_not_change_the_sweep
+#   cached or journaled == fresh — tests/matrix/test_journal.py::
+#     test_resume_replays_byte_identical,
+#     tests/content/test_artifacts.py::
+#     test_site_build_is_byte_identical_warm_and_disabled
 #   fast-forward is byte-invisible (full-stack decline path, WAN and
 #     PPP+modem bulk engagement) — tests/simnet/test_fastforward.py
 #   a SIGKILLed pool worker is respawned and the grid finishes

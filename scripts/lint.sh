@@ -1,7 +1,10 @@
 #!/bin/sh
-# Determinism lint over the source tree — the per-file rules and the
-# whole-program passes (cache key, RNG streams, pool purity) in one
-# parse — then the TCP protocol sanitizer over the trace fixtures.
+# Determinism lint over the source tree — the per-file rules (host
+# clock, set order, float clock compares, mutable defaults, hot-path
+# __slots__, stray worker pools) and the whole-program passes (cache
+# key, RNG seeds and streams) in one parse — then the TCP protocol
+# sanitizer over the trace fixtures.  Global-RNG draws, OS entropy and
+# worker-global writes are the identity tests' job (scripts/check.sh).
 # Exit 0 means the tree is determinism-clean and every golden trace
 # satisfies the paper's TCP invariants (handshake order, sequence
 # monotonicity, Nagle, delayed-ACK deadlines, independent half-close);

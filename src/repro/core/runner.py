@@ -255,7 +255,6 @@ def _default_site_and_store() -> Tuple[MicroscapeSite, ResourceStore]:
         # Worker-global by design: the pool warm-up (warm_default_site)
         # builds this pair in the parent before the fork and in every
         # worker's initializer, so each process holds the same one.
-        # repro-lint: allow(pool-global-write)
         _DEFAULT_SITE_AND_STORE = (site, ResourceStore.from_site(site))
     return _DEFAULT_SITE_AND_STORE
 

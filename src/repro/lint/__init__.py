@@ -6,21 +6,23 @@ once into a project graph) and one entry point
 (:func:`~repro.lint.cli.lint_paths`):
 
 * **Per-file** (:mod:`repro.lint.rules`): a pass over each parsed
-  module that flags constructs which silently break bit-identical
-  reproducibility — wall-clock reads, global RNG use, OS entropy,
-  salted-hash iteration order, exact float comparison on simulated
-  clocks, mutable default arguments, and missing ``__slots__`` in
-  per-packet hot-path modules.
+  module that flags the defects no runtime identity test reliably
+  sees — wall-clock reads, salted-hash iteration order, exact float
+  comparison on simulated clocks, mutable default arguments, missing
+  ``__slots__`` in per-packet hot-path modules, and worker pools
+  outside ``repro.matrix``.
 * **Whole-program** (:mod:`repro.lint.deep`): the graph's symbol
-  table, imports and call graph feeding three flow-aware passes —
+  table, imports and call graph feeding two flow-aware passes —
   cache-key completeness (every
   run-affecting ``run_experiment`` parameter arrives from an
-  ``ExperimentSpec`` field; the fields key the cache by declaration),
-  RNG-stream discipline (every ``random.Random`` seeded from the
-  experiment seed, no stream shared between components), and pool
-  purity (no module-global writes in code reachable from
-  ``MatrixRunner``'s chunk dispatch).  Surfaced as ``python -m repro
-  lint --deep``, a must-be-clean gate.
+  ``ExperimentSpec`` field; the fields key the cache by declaration)
+  and RNG-stream discipline (every ``random.Random`` seeded from the
+  experiment seed, no stream shared between components).  Surfaced as
+  ``python -m repro lint --deep``, a must-be-clean gate.
+
+Global-RNG draws, OS entropy and worker-global writes have no rule:
+the identity tests (serial ≡ parallel, cached or journaled ≡ fresh,
+memo-cold, same seed → same result) catch them.
 * **Runtime** (:mod:`repro.lint.sanitizer`): a TCP invariant checker
   that replays a captured trace and asserts the protocol behaviours the
   paper's results depend on — handshake ordering, sequence

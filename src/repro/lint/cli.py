@@ -4,10 +4,10 @@
 per given path (default: ``src/repro``) — each file read and parsed
 once — and runs the per-file determinism rules over it and, with
 ``--deep``, the flow-aware passes of :mod:`repro.lint.deep`
-(cache-key completeness, RNG-stream discipline, pool purity) over the
-same graph.  ``--sanitize-traces`` also replays captured trace files
-through the TCP protocol sanitizer; with no file arguments the golden
-fixtures under ``tests/simnet/fixtures/`` are validated.
+(cache-key completeness, RNG-stream discipline) over the same graph.
+``--sanitize-traces`` also replays captured trace files through the
+TCP protocol sanitizer; with no file arguments the golden fixtures
+under ``tests/simnet/fixtures/`` are validated.
 
 Exit codes: 0 clean, 1 findings or invariant violations, 2 usage or
 input error (bad path, a file that is not UTF-8 or does not parse,
@@ -83,8 +83,7 @@ def add_lint_parser(sub: argparse._SubParsersAction) -> None:
     lint.add_argument("--deep", action="store_true",
                       help="also run the whole-program passes "
                            "(cache-key completeness, RNG-stream "
-                           "discipline, pool purity) over every lint "
-                           "path")
+                           "discipline) over every lint path")
     lint.add_argument("--sanitize-traces", nargs="*", metavar="TRACE",
                       default=None,
                       help="also validate trace files against the TCP "

@@ -1,7 +1,7 @@
 """Flow-aware whole-program passes over the project graph.
 
-Three invariants keep the reproduction's numbers trustworthy, and none
-of them is visible one file at a time:
+Two invariants keep the reproduction's numbers trustworthy, and
+neither is visible one file at a time:
 
 * **Cache-key completeness** — every run-affecting parameter must be
   represented in :class:`ExperimentSpec`'s canonical cache key, or a
@@ -16,16 +16,16 @@ of them is visible one file at a time:
   spec field or the unit seed.
 * **RNG-stream discipline** — every ``random.Random(...)`` must be
   seeded from the experiment seed (possibly offset, like the fault
-  injector's ``seed + 7919`` private stream), and no single RNG object
+  injector's ``seed + 7919`` private stream; an argless
+  ``random.Random()`` seeds from the OS and is reported as
+  untraceable), and no single RNG object
   may be shared between components whose draw sequences must stay
   independent (a component is a call that receives the RNG *object*;
   drawing from it inside another call's arguments is not sharing).
-* **Pool purity** — code reachable from ``MatrixRunner``'s chunk
-  dispatch runs inside worker processes; writes to module-global state
-  there diverge between the serial and parallel paths unless the state
-  is built by the pool initializer (``warm_default_site``), is the
-  content-addressed artifact store, or is a declared
-  :class:`repro.memo.Memo` (pure by contract, tested).
+
+Writes to module-global state on the worker path have no pass: the
+serial ≡ parallel, fast-forward ≡ per-segment and memo-cold tests
+compare a unit's output across processes and runs, and catch them.
 
 The passes are functions of one :class:`~repro.lint.graph.ProjectGraph`
 — the same parsed modules the per-file rules visit — and emit raw
@@ -60,9 +60,6 @@ _FORWARD_FUNCTION = "execute_unit"
 #: Parameters of :data:`_FORWARD_FUNCTION` that key the cache at the
 #: work-unit level rather than through a spec field.
 _UNIT_KEY_PARAMS = frozenset(("seed",))
-#: Entry points of the worker-pool dispatch (purity roots).
-_DISPATCH_ENTRIES = ("_run_chunk_supervised", "warm_default_site",
-                     "run_unit")
 #: Constructors that consume run configuration (plain-name calls).
 _SINK_NAMES = frozenset(("TcpConfig", "Testbed", "FaultInjector",
                          "resolve_fault_plan"))
@@ -296,9 +293,8 @@ def _rng_pass(graph: ProjectGraph) -> List[Finding]:
 
         # -- seed origin ------------------------------------------------
         for node in constructions:
-            if not node.args:
-                continue    # the per-file unseeded-random rule owns this
-            seed_arg = node.args[0]
+            # An argless Random() seeds from the OS: untraceable.
+            seed_arg = node.args[0] if node.args else node
             if _is_seedish(seed_arg):
                 continue
             if isinstance(seed_arg, ast.Constant):
@@ -379,37 +375,6 @@ def _rng_pass(graph: ProjectGraph) -> List[Finding]:
     return findings
 
 
-# ----------------------------------------------------------------------
-# Pass 3: pool purity
-# ----------------------------------------------------------------------
-
-def _purity_pass(graph: ProjectGraph) -> List[Finding]:
-    findings: List[Finding] = []
-    roots = [fn.qualname for name in _DISPATCH_ENTRIES
-             for fn in graph.functions_named(name)]
-    for qualname in sorted(graph.reachable(roots)):
-        fn = graph.functions[qualname]
-        for name, node in fn.global_writes:
-            _finding(graph, fn.module, node, "pool-global-write",
-                     f"{fn.name}() is reachable from the pool dispatch "
-                     f"and assigns module-global '{name}' — worker "
-                     "state will diverge from the serial path",
-                     "build it in the pool initializer "
-                     "(warm_default_site), or pass it explicitly",
-                     findings)
-        for name, node in fn.module_subscript_writes:
-            _finding(graph, fn.module, node, "pool-global-write",
-                     f"{fn.name}() is reachable from the pool dispatch "
-                     f"and mutates module-level '{name}[...]' — a "
-                     "worker-local memo invisible to the parent and "
-                     "the serial path",
-                     "declare it as a `repro.memo.Memo` (pure: same "
-                     "key, same value), or key it through the "
-                     "artifact store", findings)
-    return findings
-
-
 def deep_findings(graph: ProjectGraph) -> List[Finding]:
     """Every whole-program pass over ``graph``, unfiltered."""
-    return (_cache_key_pass(graph) + _rng_pass(graph)
-            + _purity_pass(graph))
+    return _cache_key_pass(graph) + _rng_pass(graph)

@@ -21,8 +21,8 @@ reads and parses each ``.py`` file once, and the per-file rules of
   project module and ``self.method(...)`` resolve exactly; other
   attribute calls fall back to class-hierarchy-analysis style name
   matching (every project function or method with that name is a
-  candidate), which over-approximates — the right bias for the purity
-  pass, where a missed edge is a missed bug.
+  candidate), which over-approximates: the seed-origin pass then asks
+  more callers for a seed-derived argument, never fewer.
 
 Everything is derived from the ASTs alone: the analyzed tree is never
 imported, so the same machinery runs over ``src/repro`` and over the
@@ -35,7 +35,7 @@ import ast
 import dataclasses
 import pathlib
 import re
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 
 __all__ = ["LintError", "CallSite", "FunctionInfo", "ClassInfo",
            "ModuleInfo", "ProjectGraph", "build_graph"]
@@ -101,8 +101,7 @@ class CallSite:
 class FunctionInfo:
     """One function or method, with its resolved call sites."""
 
-    __slots__ = ("qualname", "module", "name", "node", "params",
-                 "calls", "global_writes", "module_subscript_writes")
+    __slots__ = ("qualname", "module", "name", "node", "params", "calls")
 
     #: ``module:func`` or ``module:Class.method``.
     qualname: str
@@ -112,33 +111,22 @@ class FunctionInfo:
     #: Positional-or-keyword and keyword-only parameter names, in order.
     params: Tuple[str, ...]
     calls: List[CallSite]
-    #: ``global NAME`` declarations that the body also assigns, each
-    #: with the first statement assigning it.
-    global_writes: List[Tuple[str, ast.AST]]
-    #: ``NAME[...] = v`` / ``NAME[...] += v`` where NAME is a
-    #: module-level binding of this function's module (a memo-dict
-    #: write), and NAME is not shadowed by a local.
-    module_subscript_writes: List[Tuple[str, ast.AST]]
 
 
 @dataclasses.dataclass
 class ClassInfo:
-    """One class: its methods, dataclass fields, and base names."""
+    """One class: its methods, annotated fields, and base names."""
 
-    __slots__ = ("qualname", "module", "name", "node", "methods",
-                 "fields", "bases", "is_dataclass")
+    __slots__ = ("qualname", "name", "methods", "fields", "bases")
 
     qualname: str
-    module: str
     name: str
-    node: ast.ClassDef
     #: method name -> function qualname
     methods: Dict[str, str]
     #: Annotated class-body assignments in order (dataclass fields).
     fields: Tuple[str, ...]
     #: Base-class names as written (unresolved).
     bases: Tuple[str, ...]
-    is_dataclass: bool
 
 
 @dataclasses.dataclass
@@ -146,7 +134,7 @@ class ModuleInfo:
     """One parsed module of the analyzed tree."""
 
     __slots__ = ("name", "path", "posix_path", "tree", "imports",
-                 "module_aliases", "toplevel", "pragmas")
+                 "module_aliases", "pragmas")
 
     #: Package-relative dotted name (``"matrix.spec"``).
     name: str
@@ -160,8 +148,6 @@ class ModuleInfo:
     #: -> ``{"clock": "time"}``; ``from time import time`` ->
     #: ``{"time": "time.time"}``).
     module_aliases: Dict[str, str]
-    #: Names bound at module level (functions, classes, assignments).
-    toplevel: Set[str]
     #: line -> set of rule ids waived by an inline pragma.
     pragmas: Dict[int, Set[str]]
 
@@ -193,52 +179,17 @@ def _resolve_relative(package: str, level: int,
     return ".".join(base)
 
 
-class _FunctionScanner(ast.NodeVisitor):
-    """Collect calls and global writes inside one function body."""
+def _calls_in(node: ast.AST) -> Iterator[ast.Call]:
+    """Every call under ``node``, in source order (pre-order).
 
-    def __init__(self) -> None:
-        self.calls: List[ast.Call] = []
-        self.global_names: Set[str] = set()
-        #: plain name -> the first statement assigning it
-        self.assigned: Dict[str, ast.AST] = {}
-        self.subscript_writes: List[Tuple[str, ast.AST]] = []
-
-    def visit_Call(self, node: ast.Call) -> None:
-        self.calls.append(node)
-        self.generic_visit(node)
-
-    def visit_Global(self, node: ast.Global) -> None:
-        self.global_names.update(node.names)
-
-    def _record_target(self, target: ast.expr, node: ast.AST) -> None:
-        if isinstance(target, ast.Name):
-            self.assigned.setdefault(target.id, node)
-        elif isinstance(target, ast.Subscript) \
-                and isinstance(target.value, ast.Name):
-            self.subscript_writes.append((target.value.id, node))
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            for element in target.elts:
-                self._record_target(element, node)
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        for target in node.targets:
-            self._record_target(target, node)
-        self.generic_visit(node)
-
-    def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        self._record_target(node.target, node)
-        self.generic_visit(node)
-
-    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        if node.value is not None:
-            self._record_target(node.target, node)
-        self.generic_visit(node)
-
-    # Nested defs and lambdas are folded into the enclosing function:
-    # a closure or callback defined here still runs in the dispatched
-    # worker, so its calls and writes count against the enclosing
-    # scope.  (Over-approximate — a defined-but-never-called closure
-    # still contributes — which is the right bias for purity.)
+    Nested defs and lambdas fold into the enclosing function: a closure
+    or callback defined there runs with that function's arguments, so
+    its calls count against the enclosing scope.
+    """
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            yield child
+        yield from _calls_in(child)
 
 
 class ProjectGraph:
@@ -290,27 +241,8 @@ class ProjectGraph:
         return info is not None and suppressed(rule, line, info.pragmas)
 
     # ------------------------------------------------------------------
-    # Reachability
+    # Call edges
     # ------------------------------------------------------------------
-    def reachable(self, roots: Sequence[str]) -> Set[str]:
-        """Qualnames of every function reachable from ``roots``.
-
-        Follows resolved call edges, including the CHA-style candidate
-        sets of attribute calls — an over-approximation by design.
-        """
-        seen: Set[str] = set()
-        stack = [r for r in roots if r in self.functions]
-        while stack:
-            qualname = stack.pop()
-            if qualname in seen:
-                continue
-            seen.add(qualname)
-            for call in self.functions[qualname].calls:
-                for target in call.targets:
-                    if target not in seen:
-                        stack.append(target)
-        return seen
-
     def callers_of(self, qualname: str
                    ) -> List[Tuple[FunctionInfo, CallSite]]:
         """Every (function, call site) that can dispatch to ``qualname``."""
@@ -419,27 +351,15 @@ def build_graph(path: Union[str, pathlib.Path]) -> ProjectGraph:
 
     # First pass: modules, classes, functions (no call resolution yet).
     pending: List[Tuple[FunctionInfo, ModuleInfo,
-                        Optional[ClassInfo], _FunctionScanner]] = []
+                        Optional[ClassInfo], List[ast.Call]]] = []
     for name, file, source, tree in parsed:
         package = name if file.name == "__init__.py" \
             else name.rpartition(".")[0]
         imports, aliases = _scan_imports(tree, package, known)
-        toplevel: Set[str] = set()
-        for stmt in tree.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                toplevel.add(stmt.name)
-            elif isinstance(stmt, ast.Assign):
-                for target in stmt.targets:
-                    if isinstance(target, ast.Name):
-                        toplevel.add(target.id)
-            elif isinstance(stmt, ast.AnnAssign) \
-                    and isinstance(stmt.target, ast.Name):
-                toplevel.add(stmt.target.id)
         info = ModuleInfo(name=name, path=str(file),
                           posix_path=str(file).replace("\\", "/"),
                           tree=tree, imports=imports,
-                          module_aliases=aliases, toplevel=toplevel,
+                          module_aliases=aliases,
                           pragmas=pragma_lines(source))
         graph.modules[name] = info
 
@@ -449,29 +369,15 @@ def build_graph(path: Union[str, pathlib.Path]) -> ProjectGraph:
             else:
                 qualname = f"{name}:{node.name}"
             params = _function_params(node)
-            scanner = _FunctionScanner()
-            for stmt in node.body:
-                scanner.visit(stmt)
-            fn = FunctionInfo(
-                qualname=qualname, module=name, name=node.name,
-                node=node, params=params, calls=[],
-                global_writes=[
-                    (g, scanner.assigned[g])
-                    for g in sorted(scanner.global_names
-                                    & scanner.assigned.keys())],
-                module_subscript_writes=[])
-            # Subscript writes to module-level names (not shadowed by
-            # params or locals assigned as plain names).
-            shadowed = set(params) | scanner.assigned.keys()
-            for target_name, write_node in scanner.subscript_writes:
-                if target_name in toplevel and target_name not in shadowed:
-                    fn.module_subscript_writes.append(
-                        (target_name, write_node))
+            calls = [call for stmt in node.body for call in _calls_in(stmt)]
+            fn = FunctionInfo(qualname=qualname, module=name,
+                              name=node.name, node=node, params=params,
+                              calls=[])
             graph.functions[qualname] = fn
             graph._by_name.setdefault(node.name, []).append(qualname)
             if class_info is not None:
                 class_info.methods[node.name] = qualname
-            pending.append((fn, info, class_info, scanner))
+            pending.append((fn, info, class_info, calls))
 
         for stmt in tree.body:
             if isinstance(stmt, (ast.FunctionDef,
@@ -484,12 +390,9 @@ def build_graph(path: Union[str, pathlib.Path]) -> ProjectGraph:
                     and isinstance(s.target, ast.Name)
                     and s.target.id != "__slots__")
                 bases = tuple(terminal_name(b) for b in stmt.bases)
-                is_dc = any(terminal_name(d) == "dataclass"
-                            for d in stmt.decorator_list)
                 class_info = ClassInfo(
-                    qualname=f"{name}:{stmt.name}", module=name,
-                    name=stmt.name, node=stmt, methods={},
-                    fields=fields, bases=bases, is_dataclass=is_dc)
+                    qualname=f"{name}:{stmt.name}", name=stmt.name,
+                    methods={}, fields=fields, bases=bases)
                 graph.classes[class_info.qualname] = class_info
                 for sub in stmt.body:
                     if isinstance(sub, (ast.FunctionDef,
@@ -497,8 +400,8 @@ def build_graph(path: Union[str, pathlib.Path]) -> ProjectGraph:
                         register_function(sub, class_info)
 
     # Second pass: resolve call sites now every symbol is known.
-    for fn, module, class_info, scanner in pending:
-        for call in scanner.calls:
+    for fn, module, class_info, calls in pending:
+        for call in calls:
             raw = _raw_callee(call.func)
             targets = _resolve_call(graph, module, class_info,
                                     call.func)

@@ -1,24 +1,22 @@
 """AST rules for the determinism linter.
 
 Each rule targets a construct that can silently break the simulator's
-bit-identical-reproducibility guarantee (the property the golden-trace
-tests and PR 2's speedup validation rest on):
+bit-identical-reproducibility guarantee and that the runtime identity
+tests (serial ≡ parallel, cached ≡ fresh, memo-cold, same seed → same
+result) do not reliably catch:
 
 ``wall-clock``
     ``time.time()`` and friends leak the host's clock into simulated
     behaviour.  Simulation code must use ``sim.now`` or an injected
     clock.
-``unseeded-random``
-    Module-level ``random.*`` draws from interpreter-global state that
-    any import can perturb; ``random.Random()`` without a seed draws
-    from the OS.  Experiments must thread a seeded ``random.Random``.
-``entropy-source``
-    ``os.urandom`` / ``uuid.uuid4`` / ``secrets`` are nondeterministic
-    by definition.
 ``set-iteration``
     Iterating a set (hash order is salted per process for strings)
-    feeds nondeterministic order into schedulers or trace output;
-    ``dict.keys()`` is insertion-ordered but still signals
+    feeds nondeterministic order into schedulers or trace output, and
+    so does handing one straight to an order-keeping consumer
+    (``list(set(x))``, ``tuple``, ``enumerate``, ``iter``,
+    ``str.join``).  Forked pool workers inherit the parent's hash
+    secret, so serial ≡ parallel cannot see it: this rule is the
+    guard.  ``dict.keys()`` is insertion-ordered but still signals
     order-sensitive code better written as ``sorted(...)`` or direct
     dict iteration.
 ``float-clock-compare``
@@ -69,24 +67,11 @@ _WALL_CLOCK_CALLS = {
     "datetime.datetime.today", "datetime.date.today",
 }
 
-#: Dotted call targets that draw OS entropy.
-_ENTROPY_CALLS = {
-    "os.urandom", "uuid.uuid4", "random.SystemRandom",
-    "secrets.token_bytes", "secrets.token_hex", "secrets.token_urlsafe",
-    "secrets.randbelow", "secrets.choice", "secrets.randbits",
-}
-
 #: Worker-pool constructors that bypass MatrixRunner's managed pool.
 _POOL_CALLS = {"multiprocessing.Pool", "multiprocessing.pool.Pool"}
 
-#: Module-level ``random`` functions (global, import-order-fragile RNG).
-_MODULE_RANDOM_CALLS = {
-    "random.random", "random.randint", "random.randrange",
-    "random.choice", "random.choices", "random.sample", "random.shuffle",
-    "random.uniform", "random.gauss", "random.normalvariate",
-    "random.expovariate", "random.betavariate", "random.seed",
-    "random.getrandbits", "random.triangular", "random.vonmisesvariate",
-}
+#: Builtins that keep the order of the iterable they are handed.
+_ORDER_CONSUMERS = {"list", "tuple", "enumerate", "iter"}
 
 #: Attribute / name spellings treated as simulated-clock values.
 _CLOCK_ATTRS = {"now", "deadline", "delivered_at"}
@@ -155,8 +140,9 @@ class _DeterminismVisitor(ast.NodeVisitor):
             col=getattr(node, "col_offset", 0), rule=rule,
             message=message, hint=hint))
 
-    # -- calls: clocks, entropy, global random -------------------------
+    # -- calls: host clock, worker pools, order-keeping consumers ------
     def visit_Call(self, node: ast.Call) -> None:
+        self._check_consumer(node)
         name = dotted_name(node.func, self.aliases)
         if name is not None:
             if name in _WALL_CLOCK_CALLS:
@@ -164,22 +150,6 @@ class _DeterminismVisitor(ast.NodeVisitor):
                            f"call to {name}() reads the host clock",
                            "use sim.now, or accept an injectable clock "
                            "callable")
-            elif name in _ENTROPY_CALLS:
-                self._emit(node, "entropy-source",
-                           f"call to {name}() draws OS entropy",
-                           "derive values from the experiment seed via "
-                           "random.Random(seed)")
-            elif name in _MODULE_RANDOM_CALLS:
-                self._emit(node, "unseeded-random",
-                           f"module-level {name}() uses the global RNG",
-                           "thread a seeded random.Random instance "
-                           "through instead")
-            elif name == "random.Random" and not node.args \
-                    and not node.keywords:
-                self._emit(node, "unseeded-random",
-                           "random.Random() without a seed draws from "
-                           "the OS",
-                           "pass an explicit seed: random.Random(seed)")
             elif name in _POOL_CALLS:
                 self._emit(node, "pool-outside-matrix",
                            f"{name}() constructed outside repro.matrix",
@@ -200,27 +170,49 @@ class _DeterminismVisitor(ast.NodeVisitor):
         self.generic_visit(node)
 
     # -- iteration order -----------------------------------------------
-    def _check_iter(self, iter_node: ast.expr) -> None:
-        if isinstance(iter_node, ast.Set):
-            self._emit(iter_node, "set-iteration",
-                       "iteration over a set literal has salted hash "
+    @staticmethod
+    def _set_kind(node: ast.expr) -> Optional[str]:
+        """``"a set literal"`` / ``"set(...)"`` for a set expression."""
+        if isinstance(node, ast.Set):
+            return "a set literal"
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in ("set", "frozenset"):
+            return f"{node.func.id}(...)"
+        return None
+
+    def _check_consumer(self, node: ast.Call) -> None:
+        """A set handed straight to an order-keeping consumer
+        (``list(set(x))``, ``", ".join({...})``) freezes its hash order
+        as surely as a ``for`` over it."""
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in _ORDER_CONSUMERS:
+            consumer = func.id
+        elif isinstance(func, ast.Attribute) and func.attr == "join":
+            consumer = "str.join"
+        else:
+            return
+        kind = self._set_kind(node.args[0]) if node.args else None
+        if kind is not None:
+            self._emit(node, "set-iteration",
+                       f"{consumer}() over {kind} keeps its salted hash "
                        "order",
-                       "iterate a tuple/list, or wrap in sorted(...)")
-        elif isinstance(iter_node, ast.Call):
-            func = iter_node.func
-            if isinstance(func, ast.Name) \
-                    and func.id in ("set", "frozenset"):
-                self._emit(iter_node, "set-iteration",
-                           f"iteration over {func.id}(...) has salted "
-                           "hash order",
-                           "wrap in sorted(...) before iterating")
-            elif isinstance(func, ast.Attribute) and func.attr == "keys" \
-                    and not iter_node.args:
-                self._emit(iter_node, "set-iteration",
-                           "iteration over .keys() — order-sensitive "
-                           "code should say so",
-                           "iterate the dict directly, or wrap in "
-                           "sorted(...)")
+                       "wrap the set in sorted(...) first")
+
+    def _check_iter(self, iter_node: ast.expr) -> None:
+        kind = self._set_kind(iter_node)
+        if kind is not None:
+            self._emit(iter_node, "set-iteration",
+                       f"iteration over {kind} has salted hash order",
+                       "wrap in sorted(...) before iterating, or iterate "
+                       "a tuple/list")
+        elif isinstance(iter_node, ast.Call) \
+                and isinstance(iter_node.func, ast.Attribute) \
+                and iter_node.func.attr == "keys" and not iter_node.args:
+            self._emit(iter_node, "set-iteration",
+                       "iteration over .keys() — order-sensitive "
+                       "code should say so",
+                       "iterate the dict directly, or wrap in "
+                       "sorted(...)")
 
     def visit_For(self, node: ast.For) -> None:
         self._check_iter(node.iter)

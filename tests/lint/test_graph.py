@@ -1,4 +1,4 @@
-"""The lint front end: modules, imports, call edges, reachability."""
+"""The lint front end: modules, imports, call edges, pragmas."""
 
 import ast
 import collections
@@ -38,15 +38,10 @@ def _project(tmp_path):
     _write(tmp_path, "pkg/app.py", """\
         from .util import Widget, helper
 
-        STATE = {}
-
         def main(n):
             w = Widget(n)
             w.resize(n)
             return helper(n)
-
-        def untouched():
-            STATE["k"] = 1
         """)
     return build_graph(tmp_path)
 
@@ -91,59 +86,11 @@ def test_attribute_call_falls_back_to_name_matching(tmp_path):
     assert by_raw["w.resize"] == ("pkg.util:Widget.resize",)
 
 
-def test_reachability_follows_resolved_edges(tmp_path):
-    graph = _project(tmp_path)
-    reached = graph.reachable(["pkg.app:main"])
-    assert {"pkg.app:main", "pkg.util:Widget.__init__",
-            "pkg.util:Widget.resize", "pkg.util:Widget.grow",
-            "pkg.util:helper"} <= reached
-    assert "pkg.app:untouched" not in reached
-
-
 def test_callers_of_lists_every_dispatch_site(tmp_path):
     graph = _project(tmp_path)
     callers = {fn.qualname
                for fn, _ in graph.callers_of("pkg.util:helper")}
     assert callers == {"pkg.app:main", "pkg.util:Widget.grow"}
-
-
-def test_module_subscript_write_recorded(tmp_path):
-    graph = _project(tmp_path)
-    untouched = graph.functions["pkg.app:untouched"]
-    assert [name for name, _ in untouched.module_subscript_writes] \
-        == ["STATE"]
-
-
-def test_shadowed_name_is_not_a_module_write(tmp_path):
-    _write(tmp_path, "mod.py", """\
-        TABLE = {}
-
-        def local_shadow():
-            TABLE = {}
-            TABLE["k"] = 1
-            return TABLE
-        """)
-    graph = build_graph(tmp_path)
-    assert graph.functions["mod:local_shadow"] \
-        .module_subscript_writes == []
-
-
-def test_global_write_requires_assignment(tmp_path):
-    _write(tmp_path, "mod.py", """\
-        COUNT = 0
-
-        def bump():
-            global COUNT
-            COUNT += 1
-
-        def reader():
-            global COUNT
-            return COUNT
-        """)
-    graph = build_graph(tmp_path)
-    assert [n for n, _ in graph.functions["mod:bump"].global_writes] \
-        == ["COUNT"]
-    assert graph.functions["mod:reader"].global_writes == []
 
 
 def test_nested_def_calls_fold_into_enclosing_function(tmp_path):
@@ -157,7 +104,8 @@ def test_nested_def_calls_fold_into_enclosing_function(tmp_path):
             return inner
         """)
     graph = build_graph(tmp_path)
-    assert "mod:leaf" in graph.reachable(["mod:outer"])
+    outer = graph.functions["mod:outer"]
+    assert [call.targets for call in outer.calls] == [("mod:leaf",)]
 
 
 def test_dataclass_fields_and_lookup(tmp_path):
@@ -173,7 +121,6 @@ def test_dataclass_fields_and_lookup(tmp_path):
     spec = graph.find_class("Spec")
     assert spec is not None
     assert spec.fields == ("mode", "seed")
-    assert spec.is_dataclass
 
 
 def test_pragma_waives_at_line_and_line_above(tmp_path):
@@ -182,12 +129,12 @@ def test_pragma_waives_at_line_and_line_above(tmp_path):
 
         def f(seed):
             rng = random.Random(99)  # repro-lint: allow(rng-seed-origin)
-            # repro-lint: allow(pool-global-write)
+            # repro-lint: allow(rng-shared-stream)
             return rng
         """)
     graph = build_graph(tmp_path)
     assert graph.waived("mod", "rng-seed-origin", 4)
-    assert graph.waived("mod", "pool-global-write", 6)
+    assert graph.waived("mod", "rng-shared-stream", 6)
     assert not graph.waived("mod", "rng-seed-origin", 6)
 
 

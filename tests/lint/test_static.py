@@ -5,6 +5,7 @@ import pathlib
 
 import pytest
 
+from repro.__main__ import main
 from repro.lint import DEFAULT_CONFIG, LintConfig, LintError, lint_paths
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -13,8 +14,6 @@ SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
 #: fixture file -> the single rule it must trigger.
 CORPUS = {
     "bad_wall_clock.py": "wall-clock",
-    "bad_unseeded_random.py": "unseeded-random",
-    "bad_entropy.py": "entropy-source",
     "bad_set_iteration.py": "set-iteration",
     "bad_float_clock_compare.py": "float-clock-compare",
     "bad_mutable_default.py": "mutable-default",
@@ -54,9 +53,14 @@ def test_corpus_covers_every_rule():
     assert set(CORPUS.values()) == set(ALL_RULES)
 
 
-def test_src_lints_clean():
-    """The repository's own source tree carries zero findings."""
-    assert lint_paths([SRC]) == []
+def test_src_lints_clean(capsys, monkeypatch):
+    """The repository's own source tree carries zero findings, per-file
+    and deep, through the API and through ``python -m repro lint``."""
+    monkeypatch.chdir(SRC.parents[1])
+    findings = lint_paths(["src/repro"], deep=True)
+    assert findings == [], [f.format() for f in findings]
+    assert main(["lint", "--deep", "src/repro"]) == 0
+    assert "clean" in capsys.readouterr().err
 
 
 def test_pragma_waives_rule_on_same_line(tmp_path):
@@ -72,13 +76,13 @@ def test_pragma_waives_rule_on_previous_line(tmp_path):
 
 
 def test_pragma_star_waives_everything(tmp_path):
-    source = "import os\nn = os.urandom(4)  # repro-lint: allow(*)\n"
+    source = "import time\nt = time.time()  # repro-lint: allow(*)\n"
     assert _lint_text(tmp_path, source) == []
 
 
 def test_pragma_for_other_rule_does_not_waive(tmp_path):
     source = ("import time\n"
-              "t = time.time()  # repro-lint: allow(entropy-source)\n")
+              "t = time.time()  # repro-lint: allow(set-iteration)\n")
     assert [f.rule for f in _lint_text(tmp_path, source)] == ["wall-clock"]
 
 
@@ -99,14 +103,34 @@ def test_local_name_is_not_flagged(tmp_path):
 
 
 def test_seeded_random_is_clean(tmp_path):
-    source = "import random\nrng = random.Random(42)\nx = rng.random()\n"
-    assert _lint_text(tmp_path, source) == []
+    path = tmp_path / "mod.py"
+    path.write_text("import random\n\ndef f(seed):\n"
+                    "    return random.Random(seed).random()\n",
+                    encoding="utf-8")
+    assert lint_paths([path], deep=True) == []
 
 
 def test_unseeded_random_instance_flagged(tmp_path):
-    source = "import random\nrng = random.Random()\n"
+    # The deep seed-origin pass owns it: an argless Random() has no
+    # seed to trace.
+    path = tmp_path / "mod.py"
+    path.write_text("import random\n\ndef f():\n"
+                    "    return random.Random()\n", encoding="utf-8")
+    findings = lint_paths([path], deep=True)
+    assert [f.rule for f in findings] == ["rng-seed-origin"]
+    assert "f()" in findings[0].message
+
+
+@pytest.mark.parametrize("expression", [
+    "list(set(hosts))", "tuple({'a', 'b'})", "enumerate(frozenset(hosts))",
+    "iter(set(hosts))", "', '.join(set(hosts))"])
+def test_set_through_an_order_keeping_consumer_flagged(tmp_path,
+                                                       expression):
+    # The set's hash order survives the consumer, so the loop over it
+    # (or the joined string) is as salted as a loop over the set.
+    source = f"for host in {expression}:\n    pass\n"
     assert [f.rule for f in _lint_text(tmp_path, source)] \
-        == ["unseeded-random"]
+        == ["set-iteration"]
 
 
 def test_sorted_set_iteration_is_clean(tmp_path):
@@ -161,11 +185,11 @@ def test_missing_path_raises_lint_error():
 
 
 def test_findings_sorted_and_structured(tmp_path):
-    source = ("import time, os\n"
-              "b = os.urandom(2)\n"
+    source = ("import time\n"
+              "b = list({1, 2})\n"
               "a = time.time()\n")
     findings = _lint_text(tmp_path, source, "m.py")
     assert [f.line for f in findings] == [2, 3]
     payload = findings[0].to_dict()
-    assert payload["rule"] == "entropy-source"
+    assert payload["rule"] == "set-iteration"
     assert payload["path"] == str(tmp_path / "m.py")
