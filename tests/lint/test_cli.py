@@ -15,6 +15,11 @@ GOLDEN_DIR = REPO / "tests" / "simnet" / "fixtures"
 SMALL_MODULE = str(REPO / "src" / "repro" / "lint" / "findings.py")
 
 
+def test_lint_src_exits_clean(capsys):
+    assert main(["lint", str(REPO / "src" / "repro")]) == 0
+    assert "clean" in capsys.readouterr().err
+
+
 def test_lint_fixture_corpus_exits_dirty(capsys):
     code = main(["lint", str(FIXTURES)])
     assert code == 1
@@ -95,6 +100,12 @@ def test_deep_flag_exits_dirty_on_corpus(capsys):
     out = capsys.readouterr().out
     assert "[rng-seed-origin]" in out
     assert "[rng-shared-stream]" in out
+
+
+def test_deep_src_exits_clean(capsys, monkeypatch):
+    monkeypatch.chdir(REPO)
+    assert main(["lint", "--deep", "src/repro"]) == 0
+    assert "clean" in capsys.readouterr().err
 
 
 def test_removed_flags_are_usage_errors(capsys):

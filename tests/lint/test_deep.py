@@ -175,6 +175,16 @@ def test_pragma_waives_deep_finding(tmp_path):
     assert _deep(tmp_path) == []
 
 
+# ----------------------------------------------------------------------
+# The repository's own tree: a plain must-be-clean gate
+# ----------------------------------------------------------------------
+
+def test_src_tree_is_deep_clean(monkeypatch):
+    monkeypatch.chdir(REPO)
+    findings = _deep("src/repro")
+    assert findings == [], [f.format() for f in findings]
+
+
 def test_deep_findings_are_deterministically_ordered():
     first = _deep(FIXTURES / "bad_rng")
     second = _deep(FIXTURES / "bad_rng")
