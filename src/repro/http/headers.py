@@ -13,9 +13,9 @@ instead of once per field per lookup.
 Parsing is paid once per distinct header **line**: a population of
 robots exchanges the same few hundred lines millions of times, so
 :meth:`Headers.from_lines` looks each line up in ``_LINE_MEMO`` and
-splits, strips and lowercases it only on a miss.  (Whole response heads
-are not memoizable — their ``Date`` line moves every simulated second —
-but every other line of them is.)
+splits, strips and lowercases it only on a miss.  The parsers memoize
+whole heads on top of it (``repro.http.parser``), so this memo serves
+the heads they have not met yet.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Optional, Tuple
 
+from ..memo import Memo
 from .headers import Headers
 
 __all__ = ["Request", "Response", "HTTP10", "HTTP11", "version_string",
@@ -35,6 +36,13 @@ STATUS_REASONS = {
     500: "Internal Server Error",
     505: "HTTP Version Not Supported",
 }
+
+
+#: Serialized heads without their ``Date`` line: a request's
+#: ``(method, target, version, fields)`` → its head bytes, a response's
+#: ``(status, version, reason, has_date, fields after a leading Date)``
+#: → ``(status line, the header lines after Date + CRLF)``.
+_WIRE_HEADS = Memo("http.wire-heads", 4096)
 
 
 def version_string(version: Tuple[int, int]) -> str:
@@ -75,10 +83,15 @@ class Request:
 
     def to_bytes(self) -> bytes:
         """Exact wire serialization."""
-        request_line = (f"{self.method} {self.target} "
-                        f"{version_string(self.version)}\r\n")
-        return (request_line.encode("latin-1") + self.headers.to_bytes()
-                + b"\r\n" + self.body)
+        key = (self.method, self.target, self.version,
+               tuple(self.headers._items))
+        head = _WIRE_HEADS.get(key)
+        if head is None:
+            request_line = (f"{self.method} {self.target} "
+                            f"{version_string(self.version)}\r\n")
+            head = _WIRE_HEADS.store(key, request_line.encode("latin-1")
+                                     + self.headers.to_bytes() + b"\r\n")
+        return head + self.body
 
 
 @dataclasses.dataclass
@@ -111,11 +124,27 @@ class Response:
         return self.body
 
     def to_bytes(self) -> bytes:
-        """Exact wire serialization."""
-        status_line = (f"{version_string(self.version)} {self.status} "
-                       f"{self.reason_phrase}\r\n")
-        return (status_line.encode("latin-1") + self.headers.to_bytes()
-                + b"\r\n" + self.body_on_wire())
+        """Exact wire serialization.
+
+        The ``Date`` line, when it leads the fields, is spliced in
+        between the status line and the rest of the head, so a head is
+        serialized once however many seconds it is sent in.
+        """
+        items = self.headers._items
+        has_date = bool(items) and self.headers._lower[0] == "date"
+        fields = tuple(items[1:] if has_date else items)
+        reason = self.reason_phrase
+        key = (self.status, self.version, reason, has_date, fields)
+        parts = _WIRE_HEADS.get(key)
+        if parts is None:
+            status_line = (f"{version_string(self.version)} {self.status} "
+                           f"{reason}\r\n")
+            parts = _WIRE_HEADS.store(key, (
+                status_line.encode("latin-1"),
+                Headers(fields).to_bytes() + b"\r\n"))
+        date = (f"{items[0][0]}: {items[0][1]}\r\n".encode("latin-1")
+                if has_date else b"")
+        return parts[0] + date + parts[1] + self.body_on_wire()
 
     def allows_keep_alive(self) -> bool:
         """Whether the connection may carry further requests."""

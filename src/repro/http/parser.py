@@ -16,19 +16,23 @@ Anything else — ``Transfer-Encoding``, a response that runs to close, a
 ``Content-Length`` that is not ASCII digits, an HTTP/0.9 request line —
 is a :class:`ParseError`, never a guess.
 
-Each distinct head is parsed once.  A request head is a pure function
-of its bytes, and a robot population sends the same few hundred of them
-over and over, so :class:`RequestParser` keeps ``head bytes → frozen
-parsed head`` in ``_REQUEST_HEADS`` and runs :func:`_parse_request_head`
-only on a miss; every request still gets its own mutable
-:class:`Headers`.  A response head is *not* memoized whole — its
-``Date`` line changes every simulated second — but its header lines are,
-inside :meth:`Headers.from_lines`.
+Each distinct head is parsed once.  A head is a pure function of its
+bytes, and a robot population exchanges the same heads over and over,
+so each parser keeps ``head bytes → frozen parsed head`` in a memo
+(``_REQUEST_HEADS``, ``_RESPONSE_HEADS``) and runs the real parse only
+on a miss; every message still gets its own mutable :class:`Headers`.
+A response's ``Date`` line moves every simulated second, yet whole
+response heads still recur within one — per pass, 14,368 responses hold
+1,382 distinct heads in ``paper_grid``, 20,640 hold 3,219 in
+``fleet_reval_contended`` and 10,750 hold 5,429 in ``fleet_wan``.  What
+depends on the request method (the zero length of a HEAD, 1xx, 204 or
+304 answer; the missing-``Content-Length`` error) runs after the lookup
+for every response, and a head is stored only once it has framed one.
 """
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Tuple
+from typing import Any, List, NamedTuple, Optional, Tuple
 
 from ..memo import Memo
 from .headers import Headers
@@ -123,35 +127,115 @@ def _parse_request_head(block: bytes) -> _RequestHead:
         _content_length(headers))
 
 
-class _BodyReader:
-    """Reads the ``Content-Length`` bytes of the current message's body
-    (a length of 0 for a bodyless message)."""
+class _ResponseHead(NamedTuple):
+    """Everything a response head's bytes determine, immutably."""
 
-    def __init__(self, length: int) -> None:
-        self.remaining = length
-        self.chunks = bytearray()
-        #: Body bytes consumed by the most recent :meth:`feed` call
-        #: (drives streaming observers, e.g. incremental HTML parsing).
-        self.last_consumed: bytes = b""
-
-    def feed(self, buffer: bytearray) -> Optional[bytes]:
-        """Consume body bytes from ``buffer``.
-
-        Returns the complete body once available, else None.  Consumed
-        bytes are removed from ``buffer``.
-        """
-        if self.remaining:
-            take = min(self.remaining, len(buffer))
-            self.last_consumed = bytes(buffer[:take])
-            self.chunks += self.last_consumed
-            del buffer[:take]
-            self.remaining -= take
-        if self.remaining:
-            return None
-        return bytes(self.chunks)
+    version: Tuple[int, int]
+    status: int
+    reason: str
+    fields: Tuple[Tuple[str, str], ...]
+    lowered: Tuple[str, ...]
+    content_length: Optional[int]
 
 
-class RequestParser:
+#: ``head-block bytes → _ResponseHead``.  A head is stored once it has
+#: framed a response: malformed heads, and heads refused for the method
+#: they answer, never are.
+_RESPONSE_HEADS = Memo("http.response-heads", 4096)
+
+
+def _parse_response_head(block: bytes) -> _ResponseHead:
+    """Parse a response's head block (status line + header lines)."""
+    lines = _split_head(block)
+    status_line = lines[0]
+    parts = status_line.split(None, 2)
+    if len(parts) < 2:
+        raise ParseError(f"malformed status line: {status_line!r}")
+    version = _parse_version(parts[0])
+    try:
+        status = int(parts[1])
+    except ValueError:
+        raise ParseError(
+            f"malformed status line: {status_line!r}") from None
+    reason = parts[2] if len(parts) > 2 else ""
+    headers = _parse_fields(lines[1:])
+    return _ResponseHead(
+        version, status, reason, tuple(headers), tuple(headers._lower),
+        _content_length(headers))
+
+
+class _MessageParser:
+    """The framing both parsers share.
+
+    :meth:`feed` finds each head (up to its first CRLF CRLF), asks
+    :meth:`_message` for the message and its body length, and reads that
+    many body bytes; a bodyless message completes at its head.
+    """
+
+    def __init__(self) -> None:
+        self._buffer = bytearray()
+        #: The message whose body is being read, its bytes so far and
+        #: the count still to come.
+        self._current = None
+        self._chunks = bytearray()
+        self._remaining = 0
+        #: Total bytes fed (wire accounting for server statistics).
+        self.bytes_fed = 0
+        #: Total messages fully parsed (lets callers map streaming
+        #: body callbacks to the right outstanding request even when
+        #: several messages complete inside one ``feed`` call).
+        self.messages_completed = 0
+        #: Optional streaming observer called as ``(message, chunk)``
+        #: for every body byte-run as it is consumed — the hook that
+        #: lets a client parse HTML incrementally while it downloads.
+        self.on_body_chunk = None
+
+    def feed(self, data: bytes) -> List[Any]:
+        """Feed bytes; return all messages completed by this chunk."""
+        self.bytes_fed += len(data)
+        buffer = self._buffer
+        buffer += data
+        completed = []
+        while True:
+            message = self._current
+            if message is None:
+                end = buffer.find(b"\r\n\r\n")
+                if end == -1:
+                    if len(buffer) > MAX_HEADER_BLOCK:
+                        raise ParseError("header block too large")
+                    self._await_head(buffer)
+                    break
+                block = bytes(buffer[:end])
+                del buffer[:end + 4]
+                message, length = self._message(block)
+                if length:
+                    self._current, self._remaining = message, length
+                    self._chunks = bytearray()
+            if self._remaining:
+                chunk = bytes(buffer[:self._remaining])
+                if chunk:
+                    del buffer[:len(chunk)]
+                    self._chunks += chunk
+                    self._remaining -= len(chunk)
+                    if self.on_body_chunk is not None:
+                        self.on_body_chunk(message, chunk)
+                if self._remaining:
+                    break
+                message.body = bytes(self._chunks)
+                self._current = None
+            completed.append(message)
+            self.messages_completed += 1
+        return completed
+
+    def _await_head(self, buffer: bytearray) -> None:
+        """Called when ``buffer`` holds no complete head yet."""
+
+    def _message(self, block: bytes) -> Tuple[Any, int]:
+        """The message a head block starts, and its body length."""
+        raise NotImplementedError
+
+
+class RequestParser(_MessageParser):
     """Incremental parser for a stream of HTTP requests.
 
     >>> parser = RequestParser()
@@ -160,54 +244,22 @@ class RequestParser:
     [Request(method='GET', target='/a', ...)]
     """
 
-    def __init__(self) -> None:
-        self._buffer = bytearray()
-        self._current: Optional[Request] = None
-        self._body: Optional[_BodyReader] = None
-        #: Total bytes fed (wire accounting for server statistics).
-        self.bytes_fed = 0
+    def _await_head(self, buffer: bytearray) -> None:
+        # Skip stray leading CRLFs between pipelined requests.
+        while buffer[:2] == b"\r\n":
+            del buffer[:2]
 
-    def feed(self, data: bytes) -> List[Request]:
-        """Feed bytes; return all requests completed by this chunk."""
-        self.bytes_fed += len(data)
-        self._buffer.extend(data)
-        completed: List[Request] = []
-        while True:
-            if self._current is None:
-                if not self._parse_head():
-                    break
-            assert self._current is not None and self._body is not None
-            body = self._body.feed(self._buffer)
-            if body is None:
-                break
-            self._current.body = body
-            completed.append(self._current)
-            self._current = None
-            self._body = None
-        return completed
-
-    def _parse_head(self) -> bool:
-        end = self._buffer.find(b"\r\n\r\n")
-        if end == -1:
-            if len(self._buffer) > MAX_HEADER_BLOCK:
-                raise ParseError("header block too large")
-            # Skip stray leading CRLFs between pipelined requests.
-            while self._buffer[:2] == b"\r\n":
-                del self._buffer[:2]
-            return False
-        block = bytes(self._buffer[:end])
-        del self._buffer[:end + 4]
+    def _message(self, block: bytes) -> Tuple[Request, int]:
         head = _REQUEST_HEADS.get(block)
         if head is None:
             head = _REQUEST_HEADS.store(block, _parse_request_head(block))
-        self._current = Request(
-            head.method, head.target, head.version,
-            Headers._from_parts(head.fields, head.lowered), head=block)
-        self._body = _BodyReader(head.content_length or 0)
-        return True
+        method, target, version, fields, lowered, length = head
+        return Request(method, target, version,
+                       Headers._from_parts(fields, lowered), b"",
+                       block), length or 0
 
 
-class ResponseParser:
+class ResponseParser(_MessageParser):
     """Incremental parser for a stream of HTTP responses.
 
     A pipelined client must know the request method each response
@@ -217,19 +269,8 @@ class ResponseParser:
     """
 
     def __init__(self) -> None:
-        self._buffer = bytearray()
+        super().__init__()
         self._expected_methods: List[str] = []
-        self._current: Optional[Response] = None
-        self._body: Optional[_BodyReader] = None
-        self.bytes_fed = 0
-        #: Total responses fully parsed (lets callers map streaming
-        #: body callbacks to the right outstanding request even when
-        #: several responses complete inside one ``feed`` call).
-        self.messages_completed = 0
-        #: Optional streaming observer called as ``(response, chunk)``
-        #: for every body byte-run as it is consumed — the hook that
-        #: lets a client parse HTML incrementally while it downloads.
-        self.on_body_chunk = None
 
     def expect(self, method: str) -> None:
         """Register that the next unanswered request used ``method``."""
@@ -241,62 +282,25 @@ class ResponseParser:
         return len(self._expected_methods) + (
             1 if self._current is not None else 0)
 
-    def feed(self, data: bytes) -> List[Response]:
-        """Feed bytes; return all responses completed by this chunk."""
-        self.bytes_fed += len(data)
-        self._buffer.extend(data)
-        completed: List[Response] = []
-        while True:
-            if self._current is None:
-                if not self._parse_head():
-                    break
-            assert self._current is not None and self._body is not None
-            body = self._body.feed(self._buffer)
-            if self.on_body_chunk is not None and self._body.last_consumed:
-                self.on_body_chunk(self._current, self._body.last_consumed)
-            if body is None:
-                break
-            self._current.body = body
-            completed.append(self._current)
-            self.messages_completed += 1
-            self._current = None
-            self._body = None
-        return completed
-
     def eof(self) -> None:
         """Signal connection close: a response cut short is an error."""
         if self._current is not None:
             raise ParseError("connection closed mid-response")
 
-    def _parse_head(self) -> bool:
-        end = self._buffer.find(b"\r\n\r\n")
-        if end == -1:
-            if len(self._buffer) > MAX_HEADER_BLOCK:
-                raise ParseError("header block too large")
-            return False
-        lines = _split_head(bytes(self._buffer[:end]))
-        del self._buffer[:end + 4]
-        status_line = lines[0]
-        parts = status_line.split(None, 2)
-        if len(parts) < 2:
-            raise ParseError(f"malformed status line: {status_line!r}")
-        version = _parse_version(parts[0])
-        try:
-            status = int(parts[1])
-        except ValueError:
-            raise ParseError(
-                f"malformed status line: {status_line!r}") from None
-        reason = parts[2] if len(parts) > 2 else ""
-        headers = _parse_fields(lines[1:])
-        length = _content_length(headers)
-        method = (self._expected_methods.pop(0)
-                  if self._expected_methods else "GET")
+    def _message(self, block: bytes) -> Tuple[Response, int]:
+        cached = _RESPONSE_HEADS.get(block)
+        head = cached or _parse_response_head(block)
+        # What the request method decides runs for every response, and
+        # a head is kept only once it has framed one.
+        version, status, reason, fields, lowered, length = head
+        expected = self._expected_methods
+        method = expected.pop(0) if expected else "GET"
         if method == "HEAD" or status in (204, 304) or 100 <= status < 200:
             length = 0
         elif length is None:
+            status_line = block.split(b"\r\n", 1)[0].decode("latin-1")
             raise ParseError(f"no Content-Length: {status_line!r}")
-        self._current = Response(status=status, version=version,
-                                 headers=headers, reason=reason,
-                                 request_method=method)
-        self._body = _BodyReader(length)
-        return True
+        if cached is None:
+            _RESPONSE_HEADS.store(block, head)
+        return Response(status, version, Headers._from_parts(fields, lowered),
+                        b"", reason, method), length

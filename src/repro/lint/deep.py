@@ -18,7 +18,8 @@ neither is visible one file at a time:
   seeded from the experiment seed (possibly offset, like the fault
   injector's ``seed + 7919`` private stream; an argless
   ``random.Random()`` seeds from the OS and is reported as
-  untraceable), and no single RNG object
+  untraceable; a seed parameter some caller fills with a constant is
+  that constant), and no single RNG object
   may be shared between components whose draw sequences must stay
   independent (a component is a call that receives the RNG *object*;
   drawing from it inside another call's arguments is not sharing).
@@ -256,18 +257,19 @@ def _rng_constructions(fn: FunctionInfo,
             if dotted_name(call.node.func, aliases) == "random.Random"]
 
 
-def _caller_seed_exprs(graph: ProjectGraph, fn: FunctionInfo,
-                       param: str) -> List[ast.expr]:
-    """Expressions callers pass for ``param`` of ``fn``."""
+def _caller_seed_exprs(graph: ProjectGraph, fn: FunctionInfo, param: str
+                       ) -> List[Tuple[FunctionInfo, ast.expr]]:
+    """``(caller, expression)`` for what each caller passes for
+    ``param`` of ``fn``."""
     position = fn.params.index(param)
     is_method = "." in fn.qualname.split(":", 1)[1]
-    exprs: List[ast.expr] = []
-    for _caller, call in graph.callers_of(fn.qualname):
+    exprs: List[Tuple[FunctionInfo, ast.expr]] = []
+    for caller, call in graph.callers_of(fn.qualname):
         node = call.node
         matched = False
         for keyword in node.keywords:
             if keyword.arg == param:
-                exprs.append(keyword.value)
+                exprs.append((caller, keyword.value))
                 matched = True
         if matched:
             continue
@@ -279,7 +281,7 @@ def _caller_seed_exprs(graph: ProjectGraph, fn: FunctionInfo,
             candidates.add(position - 1)
         for index in sorted(candidates):
             if index < len(node.args):
-                exprs.append(node.args[index])
+                exprs.append((caller, node.args[index]))
     return exprs
 
 
@@ -296,6 +298,24 @@ def _rng_pass(graph: ProjectGraph) -> List[Finding]:
             # An argless Random() seeds from the OS: untraceable.
             seed_arg = node.args[0] if node.args else node
             if _is_seedish(seed_arg):
+                # A seed-named parameter is only as good as what its
+                # callers pass: a constant there is a fixed stream.
+                for param in sorted(_names_in(seed_arg) & set(fn.params)):
+                    if _SEED_FRAGMENT not in param.lower():
+                        continue
+                    for caller, expr in _caller_seed_exprs(graph, fn,
+                                                           param):
+                        if isinstance(expr, ast.Constant):
+                            _finding(
+                                graph, caller.module, expr,
+                                "rng-seed-origin",
+                                f"{caller.name}() seeds the random.Random "
+                                f"in {fn.qualname.split(':', 1)[1]}() "
+                                "with a constant — every experiment "
+                                "draws the same stream regardless of "
+                                "its seed",
+                                "pass a value derived from the "
+                                "experiment seed", findings)
                 continue
             if isinstance(seed_arg, ast.Constant):
                 _finding(graph, fn.module, node, "rng-seed-origin",
@@ -314,7 +334,8 @@ def _rng_pass(graph: ProjectGraph) -> List[Finding]:
             if param_names:
                 exprs: List[ast.expr] = []
                 for param in sorted(param_names):
-                    exprs.extend(_caller_seed_exprs(graph, fn, param))
+                    exprs.extend(expr for _, expr in
+                                 _caller_seed_exprs(graph, fn, param))
                 if exprs and all(_is_seedish(e) for e in exprs):
                     resolved = True
             if not resolved:

@@ -1,7 +1,8 @@
 """Each distinct HTTP head is parsed and built once — and nobody can tell.
 
-The head path memoizes on bytes (request heads, header lines) and per
-resource store (response-head templates and the revalidation prefill,
+The head path memoizes on bytes (request heads, response heads, header
+lines), serializes each Date-free head once, and memoizes per resource
+store (response-head templates and the revalidation prefill,
 both kept by the store for a profile and emptied when its content
 changes).  These tests pin the guarantee that makes that safe: with the
 memos cold, warm, cleared mid-stream or at their size bound, every
@@ -9,8 +10,11 @@ parsed and built message is what the memo-free algorithm produces, and
 no caller can reach a shared object through what it was handed.
 """
 
+import contextlib
+import dataclasses
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.content import build_microscape_site
@@ -21,8 +25,9 @@ from repro.http import (HTTP11, PAPER_EPOCH, Headers, MemoryCache,
                         ParseError, Request, RequestParser, Response,
                         ResponseParser, format_http_date)
 from repro.http import headers as headers_mod, parser as parser_mod
+from repro.http import messages as messages_mod
 from repro.http.delta import DELTA_IM_TOKEN
-from repro.http.messages import parse_version
+from repro.http.messages import STATUS_REASONS, parse_version
 from repro.server import APACHE, Resource, ResourceStore, SimHttpServer
 from repro.server.static import build_response
 from repro.simnet import LAN, SERVER_HOST, TwoHostNetwork
@@ -31,9 +36,24 @@ from ..server.test_server import RawClient
 from .test_parser_fuzz import slices
 
 
+#: Every memo on the head path, by module-level name.
+_HEAD_MEMOS = ((headers_mod, "_LINE_MEMO"), (parser_mod, "_REQUEST_HEADS"),
+               (parser_mod, "_RESPONSE_HEADS"),
+               (messages_mod, "_WIRE_HEADS"))
+
+
 def clear_memos():
-    headers_mod._LINE_MEMO.clear()
-    parser_mod._REQUEST_HEADS.clear()
+    for module, name in _HEAD_MEMOS:
+        getattr(module, name).clear()
+
+
+def always_full():
+    """Hold every head-path memo at one entry: each store clears."""
+    stack = contextlib.ExitStack()
+    for module, name in _HEAD_MEMOS:
+        stack.enter_context(
+            mock.patch.object(getattr(module, name), "bound", 1))
+    return stack
 
 
 # ----------------------------------------------------------------------
@@ -232,8 +252,7 @@ def check_every_memo_state(kind, head_blocks, data):
     check(parse_stream(kind, pieces))                   # cold
     check(parse_stream(kind, pieces))                   # warm
     check(parse_stream(kind, pieces, clear_at))         # cleared mid-stream
-    with mock.patch.object(headers_mod._LINE_MEMO, "bound", 1), \
-            mock.patch.object(parser_mod._REQUEST_HEADS, "bound", 1):
+    with always_full():
         check(parse_stream(kind, pieces))               # always full
     check(parse_stream(kind, [wire]))                   # one segment
 
@@ -248,6 +267,205 @@ def test_request_parse_is_independent_of_memo_state(head_blocks, data):
 @given(head_streams(_STATUS_LINES), st.data())
 def test_response_parse_is_independent_of_memo_state(head_blocks, data):
     check_every_memo_state("response", head_blocks, data)
+
+
+#: kind → (the method it answers, its status line, body on the wire?)
+_ANSWERS = {
+    "200": ("GET", "HTTP/1.1 200 OK", True),
+    "304": ("GET", "HTTP/1.0 304 Not Modified", False),
+    "HEAD": ("HEAD", "HTTP/1.1 200 OK", False),
+}
+_PAGE = b"<html><img src=a.gif></html>"
+
+
+@st.composite
+def pipelined_answers(draw):
+    """A pipelined stream of a 200 with a body, a 304 and the answer to
+    a HEAD, in any order and then repeated at random.  ``Date`` and
+    ``ETag`` come from two-value pools, so whole heads recur, and the
+    200 and the HEAD answer may share one head exactly.
+
+    Returns ``(methods, wire, expected messages)``.
+    """
+    kinds = draw(st.permutations(sorted(_ANSWERS))) + draw(
+        st.lists(st.sampled_from(sorted(_ANSWERS)), max_size=4))
+    methods, wire, expected = [], b"", []
+    for kind in kinds:
+        method, status_line, has_body = _ANSWERS[kind]
+        lines = [status_line,
+                 "Date: " + draw(st.sampled_from(_VALUES[2:4])),
+                 "ETag: " + draw(st.sampled_from(['"abc123"', '"v2"']))]
+        if kind != "304":
+            lines.append(f"Content-Length: {len(_PAGE)}")
+        lines += draw(st.lists(_field, max_size=2))
+        block = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+        start, items, _ = reference_head(block, "response")
+        body = _PAGE if has_body else b""
+        methods.append(method)
+        wire += block + body
+        expected.append((start, items, body, method))
+    return methods, wire, expected
+
+
+def parse_answers(methods, pieces, clear_before=None):
+    parser = ResponseParser()
+    for method in methods:
+        parser.expect(method)
+    parsed = []
+    for index, piece in enumerate(pieces):
+        if index == clear_before:
+            clear_memos()
+        parsed.extend(parser.feed(piece))
+    assert parser.outstanding == 0
+    return [_summary("response", m) + (m.request_method,) for m in parsed]
+
+
+@settings(max_examples=150, deadline=None)
+@given(pipelined_answers(), st.data())
+def test_pipelined_answers_parse_alike_in_every_memo_state(answers, data):
+    methods, wire, expected = answers
+    cuts = data.draw(st.lists(st.integers(0, len(wire)), max_size=10))
+    pieces = slices(wire, cuts)
+    clear_at = data.draw(st.integers(0, len(pieces) - 1))
+    clear_memos()
+    assert parse_answers(methods, pieces) == expected           # cold
+    assert parse_answers(methods, pieces) == expected           # warm
+    assert parse_answers(methods, pieces, clear_at) == expected
+    with always_full():
+        assert parse_answers(methods, pieces) == expected       # at bound
+    assert parse_answers(methods, [wire]) == expected
+
+
+def test_a_refused_response_head_is_never_stored():
+    no_length = b"HTTP/1.1 200 OK\r\nDate: d1\r\n\r\n"
+    clear_memos()
+    for _ in range(2):
+        for bad in (b"HTTP/1.1 abc OK\r\nDate: d1\r\n\r\n",
+                    b"FOO/1.1 200 OK\r\nContent-Length: 0\r\n\r\n",
+                    b"HTTP/1.1\r\nContent-Length: 0\r\n\r\n",
+                    no_length):
+            with pytest.raises(ParseError):
+                ResponseParser().feed(bad)
+    assert not parser_mod._RESPONSE_HEADS
+    # The same bytes answer a HEAD; framed, the head is kept, and a GET
+    # answered by them is still refused.
+    parser = ResponseParser()
+    parser.expect("HEAD")
+    (answer,) = parser.feed(no_length)
+    assert (answer.status, answer.body) == (200, b"")
+    assert list(parser_mod._RESPONSE_HEADS) == [no_length[:-4]]
+    with pytest.raises(ParseError, match="no Content-Length"):
+        ResponseParser().feed(no_length)
+
+
+def test_editing_a_parsed_responses_headers_leaves_the_memo_alone():
+    wire = (b"HTTP/1.1 200 OK\r\nDate: d1\r\nContent-Encoding: deflate"
+            b"\r\nContent-Length: 3\r\n\r\nabc")
+    clear_memos()
+    for _ in range(2):                          # cold, then a hit
+        (first,) = ResponseParser().feed(wire)
+        pristine = first.headers.items()
+        assert first.headers.remove("Content-Encoding") == 1
+        first.headers.add("Content-Length", "9")
+        (second,) = ResponseParser().feed(wire)
+        assert second.headers.items() == pristine
+        assert second.headers.get("Content-Encoding") == "deflate"
+    (head,) = parser_mod._RESPONSE_HEADS.values()
+    assert list(head.fields) == pristine
+
+
+def reference_request_bytes(request):
+    """The memo-free serialization, written out."""
+    major, minor = request.version
+    return (f"{request.method} {request.target} HTTP/{major}.{minor}\r\n"
+            + "".join(f"{name}: {value}\r\n"
+                      for name, value in request.headers.items())
+            + "\r\n").encode("latin-1") + request.body
+
+
+def reference_response_bytes(response):
+    major, minor = response.version
+    reason = (response.reason if response.reason is not None
+              else STATUS_REASONS.get(response.status, "Unknown"))
+    bodiless = response.request_method == "HEAD" \
+        or response.status in (204, 304)
+    return (f"HTTP/{major}.{minor} {response.status} {reason}\r\n"
+            + "".join(f"{name}: {value}\r\n"
+                      for name, value in response.headers.items())
+            + "\r\n").encode("latin-1") + (b"" if bodiless else
+                                             response.body)
+
+
+_pairs = st.lists(st.tuples(st.sampled_from(_NAMES),
+                            st.sampled_from(_VALUES) | _text), max_size=4)
+#: Fields led by a Date line (any spelling) half the time.
+_fields = st.tuples(
+    st.one_of(st.just([]), st.tuples(
+        st.sampled_from(["Date", "DATE", "date"]),
+        st.sampled_from(_VALUES[2:4])).map(lambda pair: [pair])),
+    _pairs).map(lambda parts: Headers(parts[0] + parts[1]))
+_versions = st.sampled_from([(1, 0), (1, 1)])
+_requests = st.builds(
+    Request, st.sampled_from(["GET", "HEAD", "POST"]),
+    st.sampled_from(["/a", "/b/c.gif"]), _versions, _fields,
+    st.sampled_from([b"", b"x=1"]))
+_responses = st.builds(
+    Response, st.sampled_from([200, 204, 206, 304, 299]), _versions,
+    _fields, st.sampled_from([b"", _PAGE]),
+    st.sampled_from([None, "", "Fine"]), st.sampled_from(["GET", "HEAD"]))
+
+
+def near_twins(message):
+    """``message`` and copies that each differ from it in one serialized
+    part: what a sloppy key would conflate with it."""
+    def twin(items=None, **changes):
+        return dataclasses.replace(
+            message, headers=Headers(message.headers.items()
+                                     if items is None else items),
+            **changes)
+
+    twins = [message, twin(version=(1, 1) if message.version == (1, 0)
+                           else (1, 0))]
+    if isinstance(message, Request):
+        twins += [twin(method=message.method + "X"),
+                  twin(target=message.target + "x"),
+                  twin(body=message.body + b"!")]
+    else:
+        twins += [twin(status=message.status + 1),
+                  twin(reason=(message.reason or "") + "!"),
+                  twin(request_method={"GET": "HEAD"}.get(
+                      message.request_method, "GET"))]
+    items = message.headers.items()
+    for index, (name, value) in enumerate(items):
+        for changed in ((name, value + "!"), (name.swapcase(), value)):
+            twins.append(twin(items[:index] + [changed] + items[index + 1:]))
+    twins.append(twin(items[1:]))
+    return twins
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_requests, min_size=1, max_size=3).map(
+           lambda found: [t for r in found for t in near_twins(r)]),
+       st.lists(_responses, min_size=1, max_size=3).map(
+           lambda found: [t for r in found for t in near_twins(r)]))
+def test_to_bytes_is_the_memo_free_serialization(requests, responses):
+    expected = ([reference_request_bytes(r) for r in requests]
+                + [reference_response_bytes(r) for r in responses])
+
+    def serialize():
+        return [m.to_bytes() for m in requests + responses]
+
+    clear_memos()
+    assert serialize() == expected                          # cold
+    assert serialize() == expected                          # warm
+    with always_full():
+        assert serialize() == expected                      # at bound
+    # A message edited after it was serialized says so next time.
+    for message in requests + responses:
+        message.headers.add("X-Pad", "late")
+    assert serialize() == [
+        reference_request_bytes(r) for r in requests] + [
+        reference_response_bytes(r) for r in responses]
 
 
 def test_parsed_request_carries_its_head_bytes():

@@ -1,9 +1,10 @@
 """Deep-corpus: RNG seed origins and shared streams.
 
-``fixed_stream`` seeds from a constant and ``untraceable`` from a
-value no caller ties to a seed (rng-seed-origin, twice); ``shared``
-hands one RNG to two consumers (rng-shared-stream).  ``private`` is
-the sanctioned pattern: one offset stream per consumer.
+``fixed_stream`` seeds from a constant, ``untraceable`` from a value
+no caller ties to a seed, and ``inject`` hands a seed-named parameter
+a constant (rng-seed-origin, three times); ``shared`` hands one RNG to
+two consumers (rng-shared-stream).  ``private`` is the sanctioned
+pattern: one offset stream per consumer.
 """
 
 import random
@@ -38,3 +39,13 @@ def private(seed):
 
 def drive():
     return untraceable(3)
+
+
+class Injector:
+    def __init__(self, link, seed):
+        self.link = link
+        self.rng = random.Random(seed)
+
+
+def inject(link):
+    return Injector(link, seed=7919)

@@ -122,7 +122,7 @@ def test_deep_json_findings_carry_sorted_stable_ids(capsys):
     assert code == 1
     payload = json.loads(capsys.readouterr().out)
     findings = payload["findings"]
-    assert len(findings) == 3
+    assert len(findings) == 4
     for finding in findings:
         assert set(finding) == {"path", "line", "col", "rule",
                                 "message", "hint"}

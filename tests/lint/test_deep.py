@@ -33,10 +33,12 @@ def test_bad_cache_key_corpus():
 def test_bad_rng_corpus():
     findings = _deep(FIXTURES / "bad_rng")
     assert _rules(findings) == ["rng-seed-origin", "rng-seed-origin",
-                                "rng-shared-stream"]
+                                "rng-seed-origin", "rng-shared-stream"]
     messages = " | ".join(f.message for f in findings)
     assert "fixed_stream()" in messages
     assert "untraceable()" in messages
+    assert "inject() seeds the random.Random in Injector.__init__()" \
+        in messages
     assert "shared()" in messages
     # The sanctioned patterns stay clean: seed-derived construction
     # and one private stream per consumer.
@@ -161,6 +163,30 @@ def test_interprocedural_seed_rename_is_accepted(tmp_path):
             return sample(seed * 2)
         """)
     assert _deep(tmp_path) == []
+
+
+def test_a_constant_passed_for_a_seed_parameter_is_caught(tmp_path):
+    # The parameter is named seed, but a caller fixes the stream: the
+    # finding is at that caller, by keyword or by position.
+    _write(tmp_path, "noise.py", """\
+        import random
+
+        class Injector:
+            def __init__(self, link, seed):
+                self.rng = random.Random(seed)
+
+        def sample(seed):
+            return random.Random(seed + 1).random()
+
+        def wire(link, seed):
+            Injector(link, seed=seed + 7919)
+            Injector(link, seed=7919)
+            return sample(seed) + sample(3)
+        """)
+    findings = _deep(tmp_path)
+    assert _rules(findings) == ["rng-seed-origin", "rng-seed-origin"]
+    assert [f.line for f in findings] == [12, 13]
+    assert all(f.message.startswith("wire() seeds") for f in findings)
 
 
 def test_pragma_waives_deep_finding(tmp_path):
