@@ -56,6 +56,11 @@ done
 #     Tables 3-11, modem, eight chaos cells, a contended fleet) —
 #     tests/test_memo.py::test_memo_cold_output_is_byte_identical
 #     (not slow-marked: FAST=1 keeps it)
+#   response heads that differ only in Date share one memo entry, and a
+#     repeated first-time WAN fleet parses no new head —
+#     tests/test_memo.py::
+#     test_response_heads_that_differ_only_in_date_share_an_entry
+#     (not slow-marked: FAST=1 keeps it)
 #   the encode kernels are byte-identical: a site built with no
 #     artifact store (so the GIF LZW and pixel generators really run,
 #     not blobs an earlier encoder wrote) hashes to the pinned digest —

@@ -80,10 +80,7 @@ def process_counters(since: Sequence[int] = (0, 0, 0, 0, 0)
     results as a delta per chunk or unit, never inside a result, a
     cache payload or a digest."""
     store = artifacts.get_store().stats
-    built = memo.stats().values()
-    now = (store.hits, store.misses,
-           sum(builds for builds, _, _ in built),
-           sum(clears for _, clears, _ in built),
+    now = (store.hits, store.misses, *memo.totals(),
            sum(generation["collected"] for generation in gc.get_stats()))
     return tuple(map(operator.sub, now, since))
 

@@ -19,7 +19,7 @@ import types
 from typing import Any, Dict, Hashable, Iterator, Tuple
 from weakref import WeakValueDictionary
 
-__all__ = ["Memo", "declared", "stats", "cold"]
+__all__ = ["Memo", "declared", "stats", "totals", "cold"]
 
 #: name → what its instances share: bound, builds, clears, live (weak).
 _REGISTRY: Dict[str, types.SimpleNamespace] = {}
@@ -65,6 +65,14 @@ def stats() -> Dict[str, Tuple[int, int, int]]:
     return {name: (shared.builds, shared.clears,
                    sum(map(len, shared.live.values())))
             for name, shared in _REGISTRY.items()}
+
+
+def totals() -> Tuple[int, int]:
+    """``(builds, clears)`` over every memo for this process so far:
+    :func:`stats` without walking the live instances for entry counts."""
+    shared = _REGISTRY.values()
+    return (sum(entry.builds for entry in shared),
+            sum(entry.clears for entry in shared))
 
 
 @contextlib.contextmanager

@@ -45,6 +45,13 @@ def test_request_split_at_every_byte():
         assert [r.target for r in reqs] == ["/a", "/b"]
 
 
+def test_stray_crlf_in_the_feed_that_carries_the_next_request():
+    parser = RequestParser()
+    assert len(parser.feed(b"GET /a HTTP/1.1\r\nHost: h\r\n\r\n")) == 1
+    (request,) = parser.feed(b"\r\nGET /b HTTP/1.1\r\nHost: h\r\n\r\n")
+    assert request.target == "/b"
+
+
 def test_request_with_body():
     wire = (b"POST /submit HTTP/1.1\r\nHost: h\r\n"
             b"Content-Length: 5\r\n\r\nhello")

@@ -102,6 +102,23 @@ def test_response_stream_roundtrip(items, data):
         assert result.body == original.body
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(requests(), st.integers(0, 2)), min_size=1,
+                max_size=4), st.data())
+def test_stray_crlfs_before_requests_parse_under_any_slicing(items, data):
+    # A client may send CRLFs ahead of a request: however the stream is
+    # cut, they are skipped — also when they share a feed with the head.
+    wire = b"".join(b"\r\n" * strays + w for (_, w), strays in items)
+    cuts = data.draw(st.lists(st.integers(0, len(wire)), max_size=12))
+    parser = RequestParser()
+    parsed = []
+    for piece in slices(wire, cuts):
+        parsed.extend(parser.feed(piece))
+    assert [(r.method, r.target, r.body) for r in parsed] == [
+        (original.method, original.target, original.body)
+        for (original, _), _ in items]
+
+
 # Random binary essentially never gets past the start line, so the
 # malformed-but-plausible heads are pinned as explicit examples: a bad
 # version token, a non-numeric version, a header line without a colon.

@@ -50,6 +50,16 @@ def test_bounded_and_cleared_when_full(scratch_registry):
     assert memo.declared()["test.squares"] == 3
 
 
+def test_totals_are_the_build_and_clear_sums(scratch_registry):
+    before = memo.totals()
+    pairs = memo.Memo("test.totals", 2)
+    for n in range(5):
+        pairs.store(n, n)               # full at the 3rd and 5th store
+    assert memo.totals() == (before[0] + 5, before[1] + 2)
+    assert memo.totals() == tuple(
+        sum(counts[i] for counts in memo.stats().values()) for i in (0, 1))
+
+
 def test_a_raising_build_stores_and_counts_nothing(scratch_registry):
     halves = memo.Memo("test.halves", 4)
     with pytest.raises(ZeroDivisionError):
@@ -155,6 +165,32 @@ def test_a_repeated_fleet_parses_no_new_response_head():
     second = format_fleet_report(run_fleet(_REVALIDATING_FLEET))
     assert memo.stats()["http.response-heads"][0] == builds
     assert second == first
+
+
+#: First-time WAN users arriving over about twenty simulated seconds.
+_SPREAD_FLEET = FleetSpec(
+    users=12, cohorts=2, environment="WAN", arrival_rate=0.5,
+    think_time=0.0, pages_per_user=1, rounds=1, max_sim_time=300.0, seed=5)
+
+
+def test_response_heads_that_differ_only_in_date_share_an_entry():
+    # Each object's 200 head recurs in every second the fleet runs,
+    # under its new Date; the memo keys it once per status line.
+    from repro.content import build_microscape_site
+    from repro.http import parser
+    parser._RESPONSE_HEADS.clear()
+    result = run_fleet(_SPREAD_FLEET)
+    arrivals = [session.arrival for session in result.sessions]
+    assert max(arrivals) - min(arrivals) > 10
+    status_lines = {key.split(b"\r\n", 1)[0]
+                    for key in parser._RESPONSE_HEADS}
+    assert status_lines == {b"HTTP/1.0 200 OK", b"HTTP/1.1 200 OK"}
+    objects = len(build_microscape_site().all_urls())
+    assert len(parser._RESPONSE_HEADS) <= objects * len(status_lines)
+    builds = memo.stats()["http.response-heads"][0]
+    again = run_fleet(_SPREAD_FLEET)
+    assert memo.stats()["http.response-heads"][0] == builds
+    assert again.page_times == result.page_times
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
