@@ -4,6 +4,20 @@ Both HTTP/1.0 (RFC 1945) and HTTP/1.1 (RFC 2068) messages are modelled.
 Serialization is byte-exact — the paper's Bytes column and its
 observation that the libwww robot's requests average ~190 bytes both
 depend on real wire sizes, so nothing here is approximated.
+
+A response's ``Date`` moves every simulated second while the rest of
+its head recurs, so the three response-head memos leave a leading
+``Date`` field out of their keys and splice each message's own back in:
+:meth:`Response.to_bytes` here, ``ResponseParser`` in
+:mod:`repro.http.parser` and ``SimHttpServer._respond`` in
+:mod:`repro.server.base`.  Each site matches the leading ``Date`` by
+what it holds, so the rules differ and need not agree: ``to_bytes``
+reads parsed fields and takes a first field named ``date`` in any case
+(the spliced line keeps its spelling); the parser reads wire bytes and
+cuts only a line that starts with exactly ``Date: ``, the one it can
+rebuild as the field ``("Date", value)``; the server builds its own
+heads, whose first field is always ``Date``.  A narrower rule only
+leaves more heads keyed whole, never a wrong message.
 """
 
 from __future__ import annotations
@@ -128,7 +142,8 @@ class Response:
 
         The ``Date`` line, when it leads the fields, is spliced in
         between the status line and the rest of the head, so a head is
-        serialized once however many seconds it is sent in.
+        serialized once however many seconds it is sent in (the module
+        docstring says how this rule differs from the parser's).
         """
         items = self.headers._items
         has_date = bool(items) and self.headers._lower[0] == "date"

@@ -22,14 +22,16 @@ Implements the server-side lessons of the paper:
 Each distinct response head is built once per store and profile.  A
 parsed request carries the head bytes it came from, and for a fixed
 store and profile those bytes determine the whole response except its
-``Date``; :meth:`SimHttpServer._respond` looks ``head bytes → response
-template`` up in the map the store keeps per profile (``ResourceStore.
-derived``: shared by every server on the store, emptied when its
-content changes) and runs :func:`~repro.server.static.build_response`
-only on a miss (or for a hand-built request, or one with a body).  The
-``Date`` string itself is rebuilt only when the simulated second
-changes.  Scripted faults and connection-management headers stay
-outside and run per request.
+``Date`` (the leading-``Date`` rule of :mod:`repro.http.messages`; here
+``build_response`` always adds ``Date`` first).
+:meth:`SimHttpServer._respond` looks ``head bytes → response template``
+up in the map the store keeps per profile (``ResourceStore.derived``:
+shared by every server on the store, emptied when its content changes)
+and runs :func:`~repro.server.static.build_response` only on a miss (or
+for a hand-built request, or one with a body).  The ``Date`` string
+itself is rebuilt only when the simulated second changes.  Scripted
+faults and connection-management headers stay outside and run per
+request.
 """
 
 from __future__ import annotations
