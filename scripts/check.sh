@@ -45,7 +45,11 @@ done
 #     tests/content/test_artifacts.py::
 #     test_site_build_is_byte_identical_warm_and_disabled
 #   fast-forward is byte-invisible (full-stack decline path, WAN and
-#     PPP+modem bulk engagement) — tests/simnet/test_fastforward.py
+#     PPP+modem bulk engagement) — tests/simnet/test_fastforward.py,
+#     with seeds 1-3 x LAN/WAN/PPP at 256 KB (each seed draws its own
+#     jitter) — ::test_bulk_byte_identical_across_seeds — and the trace
+#     read mid-span (row count and payload total at every delivery) —
+#     ::test_mid_span_trace_reads_match_per_segment
 #   a SIGKILLed pool worker is respawned and the grid finishes
 #     byte-identical to serial — tests/matrix/test_supervisor.py::
 #     test_sigkilled_worker_recovers_byte_identical

@@ -16,9 +16,10 @@ over the connection state.
 window-limited sender with a deep send queue, the driver checks a
 strict eligibility predicate, takes ownership of the flow's in-flight
 delivery events and timer standings, and replays the per-segment
-arithmetic in a tight local loop — same floats, same RNG draws, same
-trace appends — without touching the heap.  At the first discontinuity
-(another flow's event, an application callback doing anything at all, a
+arithmetic in one closure-free loop — same floats, same jitter draws
+(``Random.uniform``'s own expression, inline), same trace rows —
+without touching the heap.  At the first discontinuity (another flow's
+event, an application callback doing anything at all, a
 retransmission-timer deadline, a send queue running low, an exact
 event-time tie) it reconciles the connection state and hands back to
 the engine, which resumes per-segment execution.  Results are **byte
@@ -297,8 +298,6 @@ class FastForward:
         srtt = s._srtt
         rttvar = s._rttvar
         rtt_sample = s._rtt_sample
-        rto_min = RTO_MIN
-        rto_max = RTO_MAX
         rto_deadline = s._rto_timer.deadline
         queue = s._send_queue
         qlen = len(queue)
@@ -318,8 +317,11 @@ class FastForward:
         bpb = link.bits_per_byte
         bw = link.bandwidth_at(sim.now)
         prop = link.propagation_delay
+        # ``Random.uniform(a, b)`` is ``a + (b - a) * random()``.
         jit = link.jitter
-        uniform = link.rng.uniform
+        jit_lo = -jit
+        jit_width = jit - jit_lo
+        rand = link.rng.random
 
         s_host, s_port = s_addr
         c_host, c_port = c_addr
@@ -332,7 +334,6 @@ class FastForward:
         app_seq = col._seqs.append
         app_ack = col._acks.append
         app_plen = col._payload_lens.append
-        app_wire = col._wire_sizes.append
 
         # FIFOs mirror the wire.  Extracted entries ride along so they
         # can be reinserted verbatim if undelivered at span end.
@@ -350,50 +351,12 @@ class FastForward:
 
         made_payload = {}               # queue offset -> payload bytes
         delivered_times = {}            # queue offset -> delivery time
-        pending_synth = []              # (time, emit_order, seg_kind, ...)
         emit_order = 0
         n_data_sent = 0
         n_acks_sent = 0
         n_recv_s = 0
         processed = 0
         on_data = c.on_data
-
-        def current_rto() -> float:
-            base = 3.0 if srtt is None else srtt + 4 * rttvar
-            rto = base if base > rto_min else rto_min
-            return rto if rto < rto_max else rto_max
-
-        def emit_ack(t: float) -> None:
-            """Replicate ``TcpConnection._send_pure_ack`` on C."""
-            nonlocal unacked_c, delack_deadline, emit_order, n_acks_sent
-            unacked_c = 0
-            delack_deadline = None
-            cseq = c.snd_nxt            # live: a mid-span app send moves it
-            app_time(t)
-            app_src(c_host)
-            app_sport(c_port)
-            app_dst(s_host)
-            app_dport(s_port)
-            app_flags("A")
-            app_seq(cseq)
-            app_ack(rcv_c)
-            app_plen(0)
-            app_wire(HEADER_BYTES)
-            col._records_cache = None
-            if comp_a is not None:
-                wire = HEADER_BYTES + comp_a.wire_bytes(b"")
-            else:
-                wire = HEADER_BYTES
-            tx = wire * bpb / bw
-            if jit:
-                tx *= 1.0 + uniform(-jit, jit)
-            free = nf.get(dir_a, 0.0)
-            start = free if free > t else t
-            finish = start + tx
-            nf[dir_a] = finish
-            emit_order += 1
-            a_fifo.append((finish + prop, rcv_c, cseq, None, emit_order))
-            n_acks_sent += 1
 
         while True:
             t_d = d_fifo[0][0] if d_fifo else _INF
@@ -417,15 +380,16 @@ class FastForward:
                 break
 
             if t_k == nxt:
-                # Delayed-ACK heartbeat fires on C.
-                sim.now = nxt
+                # Delayed-ACK heartbeat fires on C; with segments
+                # unacknowledged it falls through to the pure ACK below.
+                sim.now = t = nxt
                 delack_deadline = None
-                if unacked_c > 0:
-                    emit_ack(nxt)
                 processed += 1
-                continue
+                if not unacked_c:
+                    continue
+                dirty = False
 
-            if t_a == nxt:
+            elif t_a == nxt:
                 # A pure ACK arrives at S: replicate _handle_ack + the
                 # _try_send burst it unblocks.
                 t, ack, _cseq, _entry, _order = a_fifo.popleft()
@@ -454,13 +418,14 @@ class FastForward:
                         srtt += 0.125 * delta
                         rttvar += 0.25 * (abs(delta) - rttvar)
                     rtt_sample = None
+                # ``TcpConnection._current_rto``, for every timer this
+                # ACK arms.
+                rto = 3.0 if srtt is None else srtt + 4 * rttvar
+                rto = RTO_MIN if rto < RTO_MIN else min(rto, RTO_MAX)
                 snd_una = ack
                 while retq and retq[0][0] <= ack:
                     retq.popleft()
-                if retq:
-                    rto_deadline = t + current_rto()
-                else:
-                    rto_deadline = None
+                rto_deadline = t + rto if retq else None
                 cwnd += growth
                 window = cwnd if cwnd < wnd else wnd
                 while window - (snd_nxt - snd_una) >= mss:
@@ -474,9 +439,6 @@ class FastForward:
                     app_seq(seq)
                     app_ack(s_rcv)
                     app_plen(mss)
-                    app_wire(mss + HEADER_BYTES)
-                    col._payload_total += mss
-                    col._records_cache = None
                     if comp_d is not None:
                         payload = bytes(queue[qpos:qpos + mss])
                         made_payload[qpos] = payload
@@ -485,7 +447,7 @@ class FastForward:
                         wire = mss + HEADER_BYTES
                     tx = wire * bpb / bw
                     if jit:
-                        tx *= 1.0 + uniform(-jit, jit)
+                        tx *= 1.0 + (jit_lo + jit_width * rand())
                     free = nf.get(dir_d, 0.0)
                     start = free if free > t else t
                     finish = start + tx
@@ -498,56 +460,89 @@ class FastForward:
                     if rtt_sample is None:
                         rtt_sample = (snd_nxt, t)
                     if rto_deadline is None:
-                        rto_deadline = t + current_rto()
+                        rto_deadline = t + rto
                     n_data_sent += 1
                     qpos += mss
                 processed += 1
                 continue
 
-            # A delivery arrives at C (data, or a pre-span pure ACK).
-            t, seg, qoff, entry, _order = d_fifo.popleft()
-            sim.now = t
-            c.segments_received += 1
-            if seg is not None:
-                seg.delivered_at = t
-                payload = seg.payload
             else:
-                delivered_times[qoff] = t
-                payload = made_payload.get(qoff)
-                if payload is None:
-                    payload = bytes(queue[qoff:qoff + mss])
-            processed += 1
-            if not payload:
-                continue
-            rcv_c += len(payload)
-            unacked_c += 1
-            # Sync the live receiver before the application callback,
-            # exactly as per-segment ``_absorb`` does: a callback that
-            # sends (a pipelined request batch, a MUX credit) reads
-            # ``rcv_nxt`` for its piggybacked ACK and cancels the
-            # delayed ACK via ``_cancel_delack``.
-            c.rcv_nxt = rcv_c
-            c.bytes_received += len(payload)
-            c._segments_unacked = unacked_c
-            c._delack_timer.deadline = delack_deadline
-            on_data(c, payload)
-            dirty = (sim._seq != seq0 or c._send_queue or c._fin_queued
-                     or c._receive_shutdown or c.state != "ESTABLISHED")
-            # Adopt whatever the callback did to the delayed-ACK state
-            # (a send zeroes the counter and disarms the timer — the
-            # ACK rode along).
-            unacked_c = c._segments_unacked
-            delack_deadline = c._delack_timer.deadline
-            # Replicate _schedule_ack (runs after on_data, as in
-            # ``_receive``).
-            if unacked_c >= das:
-                emit_ack(t)
-            elif delack_deadline is None:
-                delack_deadline = (int(t / period) + 1) * period
+                # A delivery arrives at C (data, or a pre-span pure ACK).
+                t, seg, qoff, entry, _order = d_fifo.popleft()
+                sim.now = t
+                c.segments_received += 1
+                if seg is not None:
+                    seg.delivered_at = t
+                    payload = seg.payload
+                else:
+                    delivered_times[qoff] = t
+                    payload = made_payload.get(qoff)
+                    if payload is None:
+                        payload = bytes(queue[qoff:qoff + mss])
+                processed += 1
+                if not payload:
+                    continue
+                rcv_c += len(payload)
+                unacked_c += 1
+                # Sync the live receiver before the application callback,
+                # exactly as per-segment ``_absorb`` does: a callback
+                # that sends (a pipelined request batch, a MUX credit)
+                # reads ``rcv_nxt`` for its piggybacked ACK and cancels
+                # the delayed ACK via ``_cancel_delack``.
+                c.rcv_nxt = rcv_c
+                c.bytes_received += len(payload)
+                c._segments_unacked = unacked_c
+                c._delack_timer.deadline = delack_deadline
+                on_data(c, payload)
+                dirty = (sim._seq != seq0 or c._send_queue
+                         or c._fin_queued or c._receive_shutdown
+                         or c.state != "ESTABLISHED")
+                # Adopt whatever the callback did to the delayed-ACK
+                # state (a send zeroes the counter and disarms the timer
+                # — the ACK rode along).
+                unacked_c = c._segments_unacked
+                delack_deadline = c._delack_timer.deadline
+                # Replicate _schedule_ack (runs after on_data, as in
+                # ``_receive``): below the threshold, arm the heartbeat;
+                # at it, fall through to the pure ACK below.
+                if unacked_c < das:
+                    if delack_deadline is None:
+                        delack_deadline = (int(t / period) + 1) * period
+                    if dirty:
+                        # The application did something (new request,
+                        # close): per-segment execution takes over right
+                        # after this segment, exactly as it would have.
+                        break
+                    continue
+
+            # C sends a pure ACK at ``t``: ``TcpConnection._send_pure_ack``.
+            unacked_c = 0
+            delack_deadline = None
+            cseq = c.snd_nxt            # live: a mid-span app send moves it
+            app_time(t)
+            app_src(c_host)
+            app_sport(c_port)
+            app_dst(s_host)
+            app_dport(s_port)
+            app_flags("A")
+            app_seq(cseq)
+            app_ack(rcv_c)
+            app_plen(0)
+            if comp_a is not None:
+                wire = HEADER_BYTES + comp_a.wire_bytes(b"")
+            else:
+                wire = HEADER_BYTES
+            tx = wire * bpb / bw
+            if jit:
+                tx *= 1.0 + (jit_lo + jit_width * rand())
+            free = nf.get(dir_a, 0.0)
+            start = free if free > t else t
+            finish = start + tx
+            nf[dir_a] = finish
+            emit_order += 1
+            a_fifo.append((finish + prop, rcv_c, cseq, None, emit_order))
+            n_acks_sent += 1
             if dirty:
-                # The application did something (new request, close):
-                # per-segment execution takes over right after
-                # this segment, exactly as it would have.
                 break
 
         if processed == 0:
@@ -559,22 +554,12 @@ class FastForward:
             return
 
         # ---- Reconcile: write the mirrors back and restore the heap.
-        def materialize(qoff: int) -> Segment:
-            payload = made_payload.get(qoff)
-            if payload is None:
-                payload = bytes(queue[qoff:qoff + mss])
-            seg = Segment(s_host, s_port, c_host, c_port,
-                          seq=snd_nxt0 + qoff, ack=s_rcv,
-                          payload=payload, flag_ack=True,
-                          delivered_at=delivered_times.get(qoff))
-            return seg
-
         made = {}
         new_retq = []
         for _end, seg, qoff in retq:
             if seg is None:
-                seg = materialize(qoff)
-                made[qoff] = seg
+                seg = made[qoff] = _materialize(
+                    s, c, qoff, snd_nxt0, made_payload, delivered_times)
             new_retq.append(seg)
         s._retransmit_queue[:] = new_retq
         s.snd_una = snd_una
@@ -598,13 +583,15 @@ class FastForward:
         # Undelivered traffic goes back on the heap: extracted entries
         # verbatim, synthesized ones in emission order (matching the
         # sequence numbers per-segment scheduling would have assigned).
+        pending_synth = []              # (time, emit_order, segment)
         for t, seg, qoff, entry, order in d_fifo:
             if entry is not None:
                 sim.reinsert_entry(entry)
             else:
                 seg = made.get(qoff)
                 if seg is None:
-                    seg = materialize(qoff)
+                    seg = _materialize(s, c, qoff, snd_nxt0, made_payload,
+                                       delivered_times)
                 pending_synth.append((t, order, seg))
         for t, ack, cseq, entry, order in a_fifo:
             if entry is not None:
@@ -628,3 +615,15 @@ class FastForward:
             # few segments) break every span on this flow early; the
             # surgery costs more than the synthesized segments save.
             s._ff_unprofitable = True
+
+
+def _materialize(s: TcpConnection, c: TcpConnection, qoff: int, seq0: int,
+                 made_payload: dict, delivered_times: dict) -> Segment:
+    """The :class:`Segment` the span sent from send-queue offset
+    ``qoff``; ``seq0`` is the sequence number of offset 0."""
+    payload = made_payload.get(qoff)
+    if payload is None:
+        payload = bytes(s._send_queue[qoff:qoff + s.config.mss])
+    return Segment(s.local_host, s.local_port, c.local_host, c.local_port,
+                   seq=seq0 + qoff, ack=s.rcv_nxt, payload=payload,
+                   flag_ack=True, delivered_at=delivered_times.get(qoff))

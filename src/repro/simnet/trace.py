@@ -17,7 +17,8 @@ collector sits on the per-packet hot path of every simulation.
 Summaries and :meth:`TraceCollector.rows` (the tuples the protocol
 sanitizer replays at unit end) read straight from the columns;
 :attr:`TraceCollector.records` synthesizes :class:`PacketRecord` objects
-on demand (and memoizes them) for tests and ``format_trace``.
+on demand (memoized until the row count changes) for tests and
+``format_trace``.
 """
 
 from __future__ import annotations
@@ -122,14 +123,15 @@ class TraceCollector:
 
     __slots__ = ("client_host", "_sim", "_link", "_times", "_srcs",
                  "_sports", "_dsts", "_dports", "_flags", "_seqs", "_acks",
-                 "_payload_lens", "_wire_sizes", "_payload_total",
-                 "_records_cache", "__weakref__")
+                 "_payload_lens", "_records_cache", "__weakref__")
 
     def __init__(self, link: Link, client_host: str) -> None:
         self.client_host = client_host
         self._sim = link.sim
         self._link = link
-        # Parallel columns, one entry per captured segment.
+        # Parallel columns, one entry per captured segment, and nothing
+        # derivable (wire size, payload total); the fast-forward span
+        # appends to them directly.
         self._times: List[float] = []
         self._srcs: List[str] = []
         self._sports: List[int] = []
@@ -139,8 +141,6 @@ class TraceCollector:
         self._seqs: List[int] = []
         self._acks: List[int] = []
         self._payload_lens: List[int] = []
-        self._wire_sizes: List[int] = []
-        self._payload_total = 0
         self._records_cache: Optional[List[PacketRecord]] = None
         link.collector = self
 
@@ -155,9 +155,6 @@ class TraceCollector:
         self._seqs.append(segment.seq)
         self._acks.append(segment.ack)
         self._payload_lens.append(segment.payload_len)
-        self._wire_sizes.append(segment.wire_size)
-        self._payload_total += segment.payload_len
-        self._records_cache = None
 
     def __len__(self) -> int:
         return len(self._times)
@@ -165,12 +162,14 @@ class TraceCollector:
     @property
     def records(self) -> List[PacketRecord]:
         """The capture as :class:`PacketRecord` objects (synthesized
-        lazily from the columns and memoized until the next packet)."""
-        if self._records_cache is None:
-            self._records_cache = [
-                PacketRecord(*row, wire)
-                for row, wire in zip(self.rows(), self._wire_sizes)]
-        return self._records_cache
+        lazily from the columns and memoized until the row count
+        changes)."""
+        cache = self._records_cache
+        if cache is None or len(cache) != len(self._times):
+            cache = self._records_cache = [
+                PacketRecord(*row, row[8] + HEADER_BYTES)
+                for row in self.rows()]
+        return cache
 
     def rows(self) -> Iterator[Tuple[float, str, int, str, int, str, int,
                                      int, int]]:
@@ -185,9 +184,8 @@ class TraceCollector:
         """Discard all captured records."""
         for column in (self._times, self._srcs, self._sports, self._dsts,
                        self._dports, self._flags, self._seqs, self._acks,
-                       self._payload_lens, self._wire_sizes):
+                       self._payload_lens):
             column.clear()
-        self._payload_total = 0
         self._records_cache = None
 
     # ------------------------------------------------------------------
@@ -196,7 +194,7 @@ class TraceCollector:
     def summary(self) -> TraceSummary:
         """Compute paper-style aggregate statistics for the capture."""
         packets = len(self._times)
-        payload = self._payload_total
+        payload = sum(self._payload_lens)
         header = packets * HEADER_BYTES
         client = self.client_host
         c2s = sum(1 for src in self._srcs if src == client)
@@ -221,10 +219,11 @@ class TraceCollector:
         bucket ``i`` covers ``[i*epoch, (i+1)*epoch)``, and a packet at
         or after ``n_epochs * epoch`` counts in the last one."""
         buckets = [0.0] * n_epochs
-        for time, src, wire in zip(self._times, self._srcs,
-                                   self._wire_sizes):
+        for time, src, payload in zip(self._times, self._srcs,
+                                      self._payload_lens):
             if src == host:
-                buckets[min(int(time / epoch), n_epochs - 1)] += wire
+                buckets[min(int(time / epoch), n_epochs - 1)] += (
+                    payload + HEADER_BYTES)
         return buckets
 
     def _flows(self) -> Dict[Tuple[str, int, str, int], int]:

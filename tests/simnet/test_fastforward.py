@@ -7,14 +7,18 @@ fast path's entire contract is that it is *unobservable* in the trace.
 import pytest
 
 from repro.simnet.engine import SimulationError, Simulator
+from repro.simnet.fastforward import FastForward
 from repro.simnet.link import ENVIRONMENTS
 from repro.simnet.network import SERVER_HOST, TwoHostNetwork
 
 
 def _bulk(environment, size, *, fastpath, modem_compression=None,
-          mutate=None, **net_kwargs):
-    """Stream ``size`` bytes server -> client; return the finished net."""
-    net = TwoHostNetwork(ENVIRONMENTS[environment], seed=0, jitter=0.02,
+          mutate=None, seed=0, on_data=None, **net_kwargs):
+    """Stream ``size`` bytes server -> client; return the finished net.
+
+    ``on_data(net, data)``, if given, also runs at every delivery.
+    """
+    net = TwoHostNetwork(ENVIRONMENTS[environment], seed=seed, jitter=0.02,
                          fastpath=fastpath,
                          modem_compression=modem_compression,
                          **net_kwargs)
@@ -28,8 +32,13 @@ def _bulk(environment, size, *, fastpath, modem_compression=None,
     net.server.listen(80, on_accept)
     received = [0]
     client = net.client.connect(SERVER_HOST, 80)
-    client.on_data = lambda _c, data: received.__setitem__(
-        0, received[0] + len(data))
+
+    def deliver(_conn, data):
+        received[0] += len(data)
+        if on_data is not None:
+            on_data(net, data)
+
+    client.on_data = deliver
     net.run()
     assert received[0] == size
     return net
@@ -70,6 +79,48 @@ def test_ppp_bulk_byte_identical_with_modem_compression():
 def test_lan_bulk_byte_identical():
     fast, _slow = _identical("LAN", 512 * 1024)
     assert fast.sim.perf.fastforward_spans > 0
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("environment", ["LAN", "WAN", "PPP"])
+def test_bulk_byte_identical_across_seeds(environment, seed):
+    # Each seed draws its own link jitter: a span whose jitter draws
+    # drift from the link's own ``Random.uniform`` calls shows here.
+    fast, _slow = _identical(environment, 256 * 1024, seed=seed)
+    assert fast.sim.perf.fastforward_spans > 0
+
+
+def test_mid_span_trace_reads_match_per_segment():
+    # A receiver that reads the trace at every delivery sees the rows
+    # and payload total the per-segment path would show at that instant
+    # (the span appends rows without any per-packet bookkeeping).
+    def run(fastpath):
+        seen = []
+
+        def on_data(net, _data):
+            records = net.trace.records
+            seen.append((len(net.trace), len(records),
+                         net.trace.summary().payload_bytes,
+                         sum(r.payload_len for r in records)))
+
+        net = _bulk("WAN", 256 * 1024, fastpath=fastpath, on_data=on_data)
+        return net, seen
+
+    (fast, fast_seen), (slow, slow_seen) = run(True), run(False)
+    assert fast.sim.perf.fastforward_spans > 0
+    assert fast_seen == slow_seen
+    # Neither the records memo nor the payload total is ever stale.
+    assert all(rows == records and payload == total
+               for rows, records, payload, total in fast_seen)
+    assert fast.trace.records == slow.trace.records
+
+
+def test_span_loop_keeps_its_state_out_of_cells():
+    # A nested function that closes over the span's locals turns every
+    # one of them into a cell, and each per-packet read of a cell costs
+    # time on the bulk_kernel benchmark workload.
+    assert FastForward._span.__code__.co_cellvars == (), (
+        "FastForward._span must not define closures over its loop state")
 
 
 def test_network_fastpath_flag_disables_driver():

@@ -104,3 +104,11 @@ def test_wire_bytes_per_epoch_buckets_one_hosts_packets():
     assert sum(net.trace.wire_bytes_per_epoch(CLIENT_HOST, 0.1, 3)) == sum(
         r.wire_size for r in net.trace.records if r.src == CLIENT_HOST)
     assert net.trace.wire_bytes_per_epoch("nobody", 0.1, 3) == [0.0] * 3
+    # Wire sizes are derived, not stored: every record carries the
+    # 40-byte TCP/IP header on top of its payload, and the two hosts'
+    # buckets together cover every wire byte of the summary.
+    assert all(r.wire_size == r.payload_len + 40
+               for r in net.trace.records)
+    assert sum(net.trace.wire_bytes_per_epoch(SERVER_HOST, 0.1, 3)) + sum(
+        net.trace.wire_bytes_per_epoch(CLIENT_HOST, 0.1, 3)) == (
+        net.trace.summary().wire_bytes)
