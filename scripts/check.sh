@@ -46,6 +46,8 @@ done
 #     test_site_build_is_byte_identical_warm_and_disabled
 #   fast-forward is byte-invisible (full-stack decline path, WAN and
 #     PPP+modem bulk engagement) — tests/simnet/test_fastforward.py,
+#     the full stack against a per-segment Network (no run option turns
+#     fast-forward off) — ::test_http_pipelined_run_byte_identical,
 #     with seeds 1-3 x LAN/WAN/PPP at 256 KB (each seed draws its own
 #     jitter) — ::test_bulk_byte_identical_across_seeds — and the trace
 #     read mid-span (row count and payload total at every delivery) —
@@ -77,9 +79,14 @@ done
 #   nothing under src/repro is kept alive only by its tests: every
 #     module backs a verb, every definition is named from src/ or
 #     bench/, and every option (a defaulted __init__ parameter or
-#     dataclass field) is set there —
+#     dataclass field, a spec's cache-key fields included: no spec
+#     exemption) is set there —
 #     tests/test_reachability.py::test_every_option_is_set_outside_its_tests
 #     (not slow-marked: FAST=1 keeps it)
+#   every unit is content-checked, §8.2.1's HTML-only modem GETs
+#     included (a served HTML that differs from the site's quarantines
+#     the cell) — tests/core/test_runner.py::
+#     test_the_modem_cells_are_content_checked
 # ... and src/ never tunes the collector instead (the stats line's
 # `gc K collected` reads gc.get_stats() only):
 if grep -rnE "gc\.(disable|enable|freeze|unfreeze|set_threshold|collect)" src/

@@ -103,8 +103,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     try:
         spec = ExperimentSpec(mode=args.mode, scenario=args.scenario,
                               environment=args.environment,
-                              server=args.server, seeds=(args.seed,),
-                              fastpath=not args.no_fastpath)
+                              server=args.server, seeds=(args.seed,))
     except UnknownNameError as exc:
         print(exc, file=sys.stderr)
         return 2
@@ -195,11 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help=f"{axis}: any name or alias "
                               f"repro.core.registry resolves")
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--no-fastpath", action="store_true",
-                     help="disable the flow-level fast-forward driver "
-                          "and execute every segment event-by-event "
-                          "(byte-identical; useful to verify the fast "
-                          "path or isolate it when debugging)")
     run.set_defaults(fn=_cmd_run)
 
     modem = sub.add_parser("modem", help="the 8.2.1 modem experiment")

@@ -29,7 +29,7 @@ from ..core.registry import (TABLE_CELLS, modes_for_environment,
                              resolve_environment, resolve_mode,
                              resolve_profile)
 from ..core.render import RenderMetrics, measure_render
-from ..core.runner import AveragedResult
+from ..core.runner import MAX_SIM_TIME, AveragedResult
 from ..core.scenarios import FIRST_TIME, REVALIDATE
 from ..http import (HTTP10, HTTP11, DeltaStreamEncoder, Headers, Request,
                     compression_ratio)
@@ -170,7 +170,7 @@ def modem_specs(runs: int = 5) -> Dict[Tuple[str, str], ExperimentSpec]:
             ClientConfig(pipeline=False,
                          accept_deflate=variant == "compressed",
                          follow_images=False),
-            seeds=tuple(range(runs)), verify=False)
+            seeds=tuple(range(runs)))
         for server_name in ("Jigsaw", "Apache")
         for variant in ("uncompressed", "compressed")}
 
@@ -336,7 +336,7 @@ class RenderSpec:
     strategy: str
     seeds = (0,)
     runs = 1
-    max_sim_time = 1200.0
+    max_sim_time = MAX_SIM_TIME
 
     def __post_init__(self) -> None:
         if self.strategy not in RENDER_STRATEGIES:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
-import operator
 import statistics
 import traceback
 from typing import (Callable, Dict, List, Optional, Sequence, Tuple,
@@ -26,7 +25,6 @@ from typing import (Callable, Dict, List, Optional, Sequence, Tuple,
 from ..client.robot import ClientConfig, FetchResult, Robot
 from ..faults import (FaultInjector, FaultPlan, FaultyProfile, RecoveryLog,
                       resolve_fault_plan)
-from ..perf import PerfCounters
 from ..content.microscape import MicroscapeSite, build_microscape_site
 from ..http import MemoryCache
 from ..server.profiles import ServerProfile
@@ -42,7 +40,7 @@ from .scenarios import FIRST_TIME, REVALIDATE, prefill_cache
 from .transport import Transport
 
 __all__ = ["RunResult", "RESULT_FIELDS", "PAYLOAD_FIELDS",
-           "AveragedResult", "ExperimentError",
+           "AveragedResult", "ExperimentError", "MAX_SIM_TIME",
            "UnitFailure", "Testbed", "run_experiment",
            "warm_default_site", "reset_default_site", "nearest_rank"]
 
@@ -68,6 +66,10 @@ def nearest_rank(values: Sequence[float], p: float) -> float:
 #: Default jitter: a small seeded variation standing in for the network
 #: fluctuations the paper averaged over five runs.
 DEFAULT_JITTER = 0.02
+
+#: How long a run may simulate before the robot is declared stuck:
+#: every cell of the paper, PPP included, finishes well inside it.
+MAX_SIM_TIME = 1200.0
 
 #: The Microscape site and its resource store, built once per process
 #: and held strongly together: every testbed serves this pair.
@@ -232,21 +234,6 @@ class AveragedResult:
         """
         return nearest_rank([getattr(r, attribute) for r in self.runs], p)
 
-    @property
-    def perf(self) -> PerfCounters:
-        """Aggregate simulator work counters across the seeded runs.
-
-        Monotonic counters sum; ``heap_peak`` reports the worst run.
-        Read from the ``perf`` column, so fresh, cached and resumed
-        results all answer.
-        """
-        total = PerfCounters()
-        for run in self.runs:
-            for name, value in run.perf.items():
-                combine = max if name == "heap_peak" else operator.add
-                setattr(total, name, combine(getattr(total, name), value))
-        return total
-
 
 def _default_site_and_store() -> Tuple[MicroscapeSite, ResourceStore]:
     global _DEFAULT_SITE_AND_STORE
@@ -294,7 +281,7 @@ class Testbed:
         the server host starts.
     server_capacity:
         The listeners' accept-gate capacity (``None`` = unbounded).
-    seed, jitter, fastpath, network_options:
+    seed, jitter, network_options:
         Passed to :class:`~repro.simnet.network.Network`
         (``network_options``: a cohort's ``client_hosts`` and capacity
         schedule).
@@ -305,7 +292,6 @@ class Testbed:
     def __init__(self, environment: NetworkEnvironment,
                  profile: ServerProfile, transport: Transport, *,
                  seed: int = 0, jitter: float = 0.0,
-                 fastpath: bool = True,
                  server_capacity: Optional[int] = None,
                  **network_options) -> None:
         self.site, self.store = _default_site_and_store()
@@ -313,7 +299,7 @@ class Testbed:
         # The server host ran Solaris 2.5, whose delayed-ACK timer is
         # 50 ms (the clients were BSD-derived 200 ms stacks).
         self.net = Network(
-            environment, seed=seed, jitter=jitter, fastpath=fastpath,
+            environment, seed=seed, jitter=jitter,
             server_config=TcpConfig(
                 mss=environment.mss, delack_delay=0.050,
                 initial_cwnd_segments=profile.initial_cwnd_segments),
@@ -398,14 +384,12 @@ def run_experiment(mode: Union[str, ProtocolMode],
                    scenario: str, *,
                    environment: Union[str, NetworkEnvironment],
                    profile: Union[str, ServerProfile],
-                   seed: int = 0, jitter: float = DEFAULT_JITTER,
+                   seed: int = 0,
                    client_config: Optional[ClientConfig] = None,
-                   verify: bool = True,
                    keep_trace: bool = False,
                    sanitize: bool = False,
-                   max_sim_time: float = 1200.0,
-                   faults: Union[None, str, FaultPlan] = None,
-                   fastpath: bool = True) -> RunResult:
+                   faults: Union[None, str, FaultPlan] = None
+                   ) -> RunResult:
     """Run one (mode, scenario, environment, server) cell.
 
     ``mode``, ``scenario``, ``environment`` and ``profile`` accept
@@ -416,7 +400,11 @@ def run_experiment(mode: Union[str, ProtocolMode],
 
     ``client_config`` overrides the mode-derived configuration for
     ablations (flush policies, Nagle, buffer sizes).  The site is the
-    process's memoized Microscape site and resource store.
+    process's memoized Microscape site and resource store.  Every run
+    draws :data:`DEFAULT_JITTER` link jitter from ``seed``, simulates
+    up to :data:`MAX_SIM_TIME` and then drains, and ends by checking
+    it retrieved exactly the site's content (:func:`_verify`); a short
+    or wrong transfer raises :class:`ExperimentError`.
     ``keep_trace=True`` preserves the full tcpdump-style trace as
     :attr:`RunResult.trace_lines` (the golden-trace tests rely on it).
     ``sanitize=True`` — what every matrix unit passes — ends the run
@@ -437,11 +425,6 @@ def run_experiment(mode: Union[str, ProtocolMode],
     With ``faults=None`` nothing changes: no injector is installed, no
     extra events are scheduled, and runs stay bit-identical to the
     golden traces.
-
-    ``fastpath=False`` (the CLI's ``--no-fastpath``) disables the
-    flow-level fast-forward driver and forces per-segment execution.
-    Traces and summaries are byte-identical either way; only the
-    :class:`~repro.perf.PerfCounters` work profile differs.
     """
     mode = resolve_mode(mode)
     scenario = resolve_scenario(scenario)
@@ -457,7 +440,7 @@ def run_experiment(mode: Union[str, ProtocolMode],
         config = _fault_hardened_config(config, environment)
     transport = mode.transport
     testbed = Testbed(environment, profile, transport, seed=seed,
-                      jitter=jitter, fastpath=fastpath)
+                      jitter=DEFAULT_JITTER)
     try:
         net, servers, site = testbed.net, testbed.servers, testbed.site
         if plan is not None and plan.link.active:
@@ -483,7 +466,7 @@ def run_experiment(mode: Union[str, ProtocolMode],
                 robot.result.recovery = recovery
 
         result = testbed.fetch_page(transport, config, scenario, attach=attach)
-        net.run(until=max_sim_time)
+        net.run(until=MAX_SIM_TIME)
         net.sim.run()   # drain any residual timers/ACKs past the deadline
         if sanitize:
             testbed.check_trace(transport, config, faulty=plan is not None,
@@ -495,8 +478,7 @@ def run_experiment(mode: Union[str, ProtocolMode],
                 f"fetch did not complete{detail}: "
                 f"{len(result.responses)} responses, "
                 f"errors={result.errors}")
-        if verify:
-            _verify(result, scenario, site)
+        _verify(result, scenario, config, site)
         statuses: Dict[int, int] = {}
         for response in result.responses.values():
             statuses[response.status] = statuses.get(response.status, 0) + 1
@@ -538,10 +520,18 @@ def _fault_hardened_config(config: ClientConfig,
         downgrade_after=2)
 
 
-def _verify(result: FetchResult, scenario: str,
+def _verify(result: FetchResult, scenario: str, config: ClientConfig,
             site: MicroscapeSite) -> None:
-    """Check the run retrieved exactly the right content."""
-    expected_urls = set(site.all_urls())
+    """Check the run retrieved exactly the right content.
+
+    That is every site URL, except that a first-time fetch which does
+    not follow images (§8.2.1's HTML-only GET) asks for the HTML alone;
+    a revalidation re-checks the robot's whole cache either way.
+    """
+    if scenario == FIRST_TIME and not config.follow_images:
+        expected_urls = {site.html_url}
+    else:
+        expected_urls = set(site.all_urls())
     got_urls = set(result.responses)
     if got_urls != expected_urls:
         raise ExperimentError(

@@ -36,7 +36,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
                              else args.server_capacity),
             backbone_bps=args.backbone_bps, epoch=args.epoch,
             rounds=args.rounds, max_sim_time=args.max_sim_time,
-            fastpath=not args.no_fastpath, seed=args.seed)
+            seed=args.seed)
     except ValueError as exc:
         print(f"fleet: {exc}", file=sys.stderr)
         return 2
@@ -97,8 +97,5 @@ def add_fleet_parser(sub) -> None:
                             "(default 2; 1 = static equal split)")
     fleet.add_argument("--max-sim-time", type=float, default=600.0,
                        metavar="S")
-    fleet.add_argument("--no-fastpath", action="store_true",
-                       help="force per-segment execution (results are "
-                            "byte-identical either way)")
     add_runner_flags(fleet)
     fleet.set_defaults(fn=_cmd_fleet)

@@ -32,6 +32,10 @@ from .spec import FleetUnitSpec, UserPlan
 
 __all__ = ["SessionStats", "CohortResult", "run_cohort"]
 
+#: Link jitter of every cohort: none, so a page time moves only with
+#: the population's arrivals, think times and contention.
+JITTER = 0.0
+
 
 @dataclasses.dataclass(frozen=True)
 class SessionStats:
@@ -140,11 +144,11 @@ def run_cohort(unit: FleetUnitSpec, seed: int) -> CohortResult:
     fleet = unit.fleet
     plans = fleet.cohort_plans(unit.cohort)
     # Every fleet mode speaks plain HTTP to the one port-80 listener
-    # (FleetSpec rejects the rest), so the base transport serves all.
+    # (the mode mix names no other), so the base transport serves all.
     testbed = Testbed(
         resolve_environment(fleet.environment),
         resolve_profile(fleet.server), Transport(),
-        seed=seed, jitter=fleet.jitter, fastpath=fleet.fastpath,
+        seed=seed, jitter=JITTER,
         server_capacity=fleet.server_capacity,
         client_hosts=[fleet_client_host(i) for i in range(len(plans))],
         capacity_epoch=fleet.epoch, capacity_shares=unit.shares)

@@ -1,10 +1,11 @@
 """Declarative population specifications for fleet runs.
 
 A :class:`FleetSpec` describes a whole robot *population*: how many
-users, how they arrive (a seeded Poisson process), which protocol
-modes they run (a weighted mix), how they think between pages, and the
-shared-bottleneck regime they contend under (cohort count, per-epoch
-capacity schedule, finite server capacity).  :meth:`compile_population`
+users, how they arrive (a seeded Poisson process), which protocol mode
+each runs (a draw from the fixed :data:`DEFAULT_MODE_MIX`), how they
+think between pages, and the shared-bottleneck regime they contend
+under (cohort count, per-epoch capacity schedule, finite server
+capacity).  :meth:`compile_population`
 expands the spec into per-user :class:`UserPlan` rows — every draw
 comes from one seeded ``random.Random`` stream in user-index order, so
 the schedule is a pure function of the spec and identical across
@@ -26,18 +27,17 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, ClassVar, Dict, List, Optional, Tuple
 
-from ..core.registry import (resolve_environment, resolve_mode,
-                             resolve_profile, resolve_scenario)
-from ..core.transport import MuxTransport, ShardedTransport
+from ..core.registry import (resolve_environment, resolve_profile,
+                             resolve_scenario)
 from ..matrix.spec import canonical_fields, registered_name
 
 __all__ = ["DEFAULT_MODE_MIX", "UserPlan", "FleetSpec", "FleetUnitSpec"]
 
-#: The default population: mostly tuned HTTP/1.1 users with an
+#: The population's mode mix: mostly tuned HTTP/1.1 users with an
 #: HTTP/1.0 legacy tail (plain-HTTP modes only — a fleet cohort shares
-#: one port-80 listener, so MUX/sharded modes are rejected).
+#: one port-80 listener, which MUX/sharded modes cannot use).
 DEFAULT_MODE_MIX: Tuple[Tuple[str, float], ...] = (
     ("HTTP/1.1 Pipelined", 0.5),
     ("HTTP/1.1", 0.3),
@@ -62,20 +62,20 @@ class UserPlan:
 class FleetSpec:
     """A population of robot sessions contending for one bottleneck."""
 
+    #: Weighted (mode name, weight) mix every population draws from.
+    modes: ClassVar[Tuple[Tuple[str, float], ...]] = DEFAULT_MODE_MIX
+
     users: int = 200
     cohorts: int = 4
     environment: str = "WAN"
     scenario: str = "first-time"
     server: str = "Apache"
-    #: Weighted (mode name, weight) mix; plain-HTTP transports only.
-    modes: Tuple[Tuple[str, float], ...] = DEFAULT_MODE_MIX
     #: Poisson arrival rate, users per second of simulated time.
     arrival_rate: float = 2.0
     #: Mean exponential think-time between a user's pages (seconds);
     #: 0 disables thinking (back-to-back pages).
     think_time: float = 5.0
     pages_per_user: int = 2
-    jitter: float = 0.0
     #: Finite server capacity **per cohort** (each cohort simulates its
     #: own server): concurrent connections handled before excess accepts
     #: park in the FIFO backlog (None = unbounded).
@@ -89,7 +89,6 @@ class FleetSpec:
     #: Fixed-point rounds of the share exchange (1 = static equal split).
     rounds: int = 2
     max_sim_time: float = 600.0
-    fastpath: bool = True
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -125,21 +124,6 @@ class FleetSpec:
             raise ValueError("rounds must be >= 1")
         if self.max_sim_time <= 0:
             raise ValueError("max_sim_time must be positive")
-        if not self.modes:
-            raise ValueError("the mode mix is empty")
-        resolved: List[Tuple[str, float]] = []
-        for name, weight in self.modes:
-            mode = resolve_mode(name)
-            if isinstance(mode.transport, (MuxTransport,
-                                           ShardedTransport)):
-                raise ValueError(
-                    f"fleet cohorts share one plain-HTTP listener; "
-                    f"mode {mode.name!r} needs its own server wiring")
-            if not weight > 0:
-                raise ValueError(f"mode weight for {mode.name!r} "
-                                 f"must be positive")
-            resolved.append((mode.name, float(weight)))
-        object.__setattr__(self, "modes", tuple(resolved))
 
     # ------------------------------------------------------------------
     # Derived geometry

@@ -3,7 +3,7 @@
 Every (cell, seed) work unit is keyed by the SHA-256 of its spec's
 canonical JSON plus the seed and the package version, so a repeated
 ``python -m repro report --cache`` run performs zero simulation — and
-any change to the spec (jitter, overrides, mode, version bump)
+any change to the spec (mode, overrides, fault plan, version bump)
 automatically misses and re-measures.  Entries are JSON files under
 ``.repro-cache/``, one per unit, written atomically.
 

@@ -2,8 +2,9 @@
 
 An :class:`ExperimentSpec` names one cell of the paper's experiment
 grid — protocol mode, scenario, network environment, server — plus the
-seeds to average over, the link jitter, and any client-configuration
-overrides.  All four axes accept canonical string names resolved by
+seeds to average over, any client-configuration overrides and any
+fault plan: what changes a measurement, and nothing else.  All four
+axes accept canonical string names resolved by
 :mod:`repro.core.registry`; the spec stores the canonical strings, so
 two specs that mean the same experiment compare (and hash) equal, which
 is what the on-disk result cache keys off.  The cache identity is
@@ -21,14 +22,14 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import Any, Callable, Dict, List, Mapping, Tuple, Union
+from typing import Any, Callable, ClassVar, Dict, List, Mapping, Tuple, Union
 
 from ..client.robot import ClientConfig
 from ..core.modes import ProtocolMode
 from ..core.registry import (UnknownNameError, modes_for_environment,
                              resolve_environment, resolve_mode,
                              resolve_profile, resolve_scenario)
-from ..core.runner import DEFAULT_JITTER, RunResult, run_experiment
+from ..core.runner import MAX_SIM_TIME, RunResult, run_experiment
 from ..server.profiles import ServerProfile
 from ..simnet.link import NetworkEnvironment
 
@@ -137,7 +138,14 @@ class ExperimentSpec:
     Axis fields accept registered objects or names and are stored
     canonicalized (``"pipelined"`` becomes ``"HTTP/1.1 Pipelined"``), so
     equal experiments are equal specs (:func:`registered_name`).
+    Every field but ``seeds`` is the cell's identity; the link jitter,
+    the simulated-time limit and the content check are the runner's
+    own constants, the same for every cell.
     """
+
+    #: The runner's simulated-time limit, which the supervisor's
+    #: wall-clock deadline scales from.
+    max_sim_time: ClassVar[float] = MAX_SIM_TIME
 
     mode: str = "HTTP/1.1 Pipelined"
     scenario: str = "first-time"
@@ -148,18 +156,10 @@ class ExperimentSpec:
     #: over a different seed list reuses every unit already measured.
     seeds: Tuple[int, ...] = dataclasses.field(
         default=DEFAULT_SEEDS, metadata={"cache_key": False})
-    jitter: float = DEFAULT_JITTER
     client_overrides: Tuple[Tuple[str, Any], ...] = ()
-    verify: bool = True
-    max_sim_time: float = 1200.0
     #: Named :class:`~repro.faults.FaultPlan` injected into each run
     #: (None = the clean, golden-trace-identical configuration).
     faults: Any = None
-    #: Allow the flow-level fast-forward driver.  Results are
-    #: byte-identical either way, but the recorded
-    #: :class:`~repro.perf.PerfCounters` work profile is not, so the
-    #: flag is part of the cache key.
-    fastpath: bool = True
 
     def __post_init__(self) -> None:
         set_ = object.__setattr__
@@ -174,12 +174,8 @@ class ExperimentSpec:
         set_(self, "seeds", tuple(int(seed) for seed in seeds))
         if not self.seeds:
             raise ValueError("spec needs at least one seed")
-        set_(self, "jitter", float(self.jitter))
         set_(self, "client_overrides",
              _canonical_overrides(self.client_overrides))
-        set_(self, "verify", bool(self.verify))
-        set_(self, "max_sim_time", float(self.max_sim_time))
-        set_(self, "fastpath", bool(self.fastpath))
         if self.faults is not None:
             # Store the canonical plan *name*: specs stay hashable and
             # JSON-serializable, and the registry resolves it at run
@@ -218,7 +214,8 @@ class ExperimentSpec:
         builds (or reuses its process-local memo of) the site, so a
         worker needs no state from the parent.  Every unit is
         protocol-checked (``sanitize=True``): a violation raises, and the
-        engine quarantines the unit as an ``invariant`` failure.  The
+        engine quarantines the unit as an ``invariant`` failure; wrong
+        content quarantines it as an ``exception`` one.  The
         result carries the measurement columns only (``fetch=None,
         trace=None``) — the same shape the cache hydrates — so serial,
         parallel and cached paths are interchangeable.
@@ -226,11 +223,8 @@ class ExperimentSpec:
         result = run_experiment(
             self.mode, self.scenario,
             environment=self.environment, profile=self.server,
-            seed=seed, jitter=self.jitter,
-            client_config=self.client_config(),
-            verify=self.verify, sanitize=True,
-            max_sim_time=self.max_sim_time,
-            faults=self.faults, fastpath=self.fastpath)
+            seed=seed, client_config=self.client_config(),
+            sanitize=True, faults=self.faults)
         return dataclasses.replace(result, fetch=None, trace=None)
 
     def canonical_dict(self) -> Dict[str, Any]:

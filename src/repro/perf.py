@@ -2,11 +2,10 @@
 
 :class:`PerfCounters` — cheap monotonic counters maintained by the
 engine (:class:`~repro.simnet.engine.Simulator`) and the TCP layer,
-surfaced through :class:`~repro.simnet.trace.TraceSummary`, the
-``perf`` column of :class:`~repro.core.runner.RunResult` and
-:attr:`AveragedResult.perf <repro.core.runner.AveragedResult.perf>`, so
-any experiment — fresh, cached or resumed — can report how much
-simulation work it cost.  Host-time measurement lives in the
+surfaced through :class:`~repro.simnet.trace.TraceSummary` and the
+``perf`` column of :class:`~repro.core.runner.RunResult`, so any
+experiment — fresh, cached or resumed — can report how much simulation
+work it cost.  Host-time measurement lives in the
 repo benchmark (``bench/``), which reads these counters through the
 public result types.
 

@@ -79,8 +79,10 @@ class Network:
     fastpath:
         Wire up the flow-level fast-forward driver
         (:class:`~repro.simnet.fastforward.FastForward`).  Results are
-        byte-identical either way; False (the ``--no-fastpath`` escape
-        hatch) forces per-segment execution throughout.
+        byte-identical either way; False forces per-segment execution
+        throughout, the reference the simnet tests and the bulk
+        benchmark compare fast-forwarding against.  Every testbed
+        fast-forwards.
     client_hosts:
         Names of the client hosts, one stack each (default: the paper's
         single robot machine).  With more than one, the server's link is

@@ -196,7 +196,28 @@ def test_verify_names_missing_and_unexpected_urls(lan_cells):
     responses["/gifs/fused.gif"] = responses.pop("/gifs/hero.gif")
     with pytest.raises(ExperimentError) as raised:
         _verify(dataclasses.replace(fetch, responses=responses),
-                FIRST_TIME, build_microscape_site())
+                FIRST_TIME, HTTP11_PIPELINED.client_config(),
+                build_microscape_site())
     assert str(raised.value) == (
         "missing responses for ['/gifs/hero.gif']; "
         "unexpected responses for ['/gifs/fused.gif']")
+
+
+def test_the_modem_cells_are_content_checked(monkeypatch):
+    # §8.2.1's HTML-only GET asks for the HTML alone, and a server that
+    # serves other bytes for it must quarantine the cell, not average it.
+    from repro.analysis.report import modem_specs
+    from repro.content import build_microscape_site
+    from repro.core import runner
+    from repro.matrix import MatrixRunner
+    from repro.server.static import ResourceStore
+    site = build_microscape_site()
+    # A private store: the edit below must not reach the shared one.
+    store = ResourceStore.from_site(site)
+    store.update(site.html_url, site.html.body + b"<!-- altered -->")
+    monkeypatch.setattr(runner, "_DEFAULT_SITE_AND_STORE", (site, store))
+    cell = MatrixRunner().run(modem_specs(1)[("Apache", "uncompressed")])
+    assert cell.runs == []
+    [failure] = cell.failures
+    assert failure.kind == "exception"
+    assert "body mismatch" in failure.error

@@ -151,15 +151,17 @@ def test_bursty_loss_repaired_by_retransmission():
     assert result.retransmissions + result.timeouts > 0
 
 
-def test_unit_seed_reaches_the_fault_injector():
+def test_unit_seed_reaches_the_fault_injector(monkeypatch):
     # The run's seed, not a constant, must seed the injector's private
     # stream: with jitter off, the fault draws are the only thing two
     # seeds of this cell can differ by.
+    from repro.core import runner
+    monkeypatch.setattr(runner, "DEFAULT_JITTER", 0.0)
+
     def outcome(seed):
         result = run_experiment("pipelined", "first-time",
                                 environment="LAN", profile="Apache",
-                                seed=seed, jitter=0.0,
-                                faults="bursty-loss")
+                                seed=seed, faults="bursty-loss")
         return result.recovery, result.packets, result.elapsed
 
     assert outcome(1) != outcome(2)

@@ -10,14 +10,13 @@ session assembly has forked again.
 import pytest
 
 from repro.core import run_experiment
-from repro.fleet import FleetSpec, FleetUnitSpec, run_cohort
+from repro.core.runner import DEFAULT_JITTER, MAX_SIM_TIME
+from repro.fleet import FleetSpec, FleetUnitSpec, engine, run_cohort
 from repro.fleet.spec import UserPlan
 
 PLAIN_HTTP_MODES = ("HTTP/1.0", "HTTP/1.1", "HTTP/1.1 Pipelined",
                     "HTTP/1.1 Pipelined w. compression")
 SEED = 3
-JITTER = 0.02
-MAX_SIM_TIME = 1200.0
 
 
 @pytest.mark.parametrize("environment", ["WAN", "PPP"])
@@ -26,23 +25,23 @@ MAX_SIM_TIME = 1200.0
 def test_single_user_cohort_equals_run_experiment(monkeypatch, mode,
                                                   scenario, environment):
     # The Poisson process never draws an arrival of exactly zero; pin
-    # it so both simulations start the fetch at the same instant.
+    # it so both simulations start the fetch at the same instant, and
+    # give the cohort the cell's jitter so both draw the same sequence.
+    monkeypatch.setattr(engine, "JITTER", DEFAULT_JITTER)
     monkeypatch.setattr(
         FleetSpec, "cohort_plans",
         lambda self, cohort: [UserPlan(index=0, cohort=0, arrival=0.0,
                                        mode=mode, think_times=())])
     fleet = FleetSpec(users=1, cohorts=1, environment=environment,
                       scenario=scenario, server="Apache",
-                      modes=((mode, 1.0),), pages_per_user=1,
-                      jitter=JITTER, server_capacity=None,
+                      pages_per_user=1, server_capacity=None,
                       epoch=MAX_SIM_TIME, max_sim_time=MAX_SIM_TIME,
                       rounds=1, seed=SEED)
     unit = FleetUnitSpec(fleet=fleet, cohort=0,
                          shares=(fleet.backbone_bandwidth(),))
     cohort = run_cohort(unit, SEED)
     cell = run_experiment(mode, scenario, environment=environment,
-                          profile="Apache", seed=SEED, jitter=JITTER,
-                          max_sim_time=MAX_SIM_TIME)
+                          profile="Apache", seed=SEED)
     assert cohort.errors == 0
     assert cohort.packets == cell.packets
     assert cohort.page_times == [cell.elapsed]

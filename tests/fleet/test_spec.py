@@ -2,9 +2,12 @@
 
 import dataclasses
 import json
+import math
 
 import pytest
 
+from repro.core.registry import resolve_mode
+from repro.core.transport import MuxTransport, ShardedTransport
 from repro.fleet import FleetSpec, FleetUnitSpec
 from repro.matrix import unit_key
 
@@ -18,17 +21,20 @@ def small_spec(**overrides):
 
 
 def test_canonicalizes_names():
-    spec = small_spec(environment="wan", server="apache",
-                      modes=(("pipelined", 1.0),))
+    spec = small_spec(environment="wan", server="apache")
     assert spec.environment == "WAN"
     assert spec.server == "Apache"
-    assert spec.modes == (("HTTP/1.1 Pipelined", 1.0),)
 
 
 def test_rejects_multiplexed_modes():
-    for mode in ("mux", "mux-push", "sharded"):
-        with pytest.raises(ValueError):
-            small_spec(modes=((mode, 1.0),))
+    # A cohort shares one port-80 listener: the mix every population
+    # draws from names canonical plain-HTTP modes only.
+    for name, weight in FleetSpec.modes:
+        mode = resolve_mode(name)
+        assert mode.name == name
+        assert not isinstance(mode.transport,
+                              (MuxTransport, ShardedTransport))
+        assert weight > 0
 
 
 @pytest.mark.parametrize("overrides", [
@@ -43,8 +49,8 @@ def test_rejects_multiplexed_modes():
     {"epoch": 0.0},
     {"rounds": 0},
     {"max_sim_time": 0.0},
-    {"modes": ()},
-    {"modes": (("HTTP/1.1", 0.0),)},
+    {"arrival_rate": math.nan},
+    {"max_sim_time": math.inf},
 ])
 def test_validation(overrides):
     with pytest.raises(ValueError):
@@ -106,13 +112,13 @@ def test_canonical_dict_covers_every_cache_key_field():
 
 
 def test_unit_key_digest_is_pinned():
-    # Computed before the identity was derived from the dataclass; see
-    # tests/matrix/test_spec.py::test_unit_key_digest_is_pinned.
+    # Pinned for the reason tests/matrix/test_spec.py::
+    # test_unit_key_digest_is_pinned gives.
     unit = FleetUnitSpec(FleetSpec(users=8, cohorts=2, max_sim_time=60.0),
                          1, (750000.0, 750000.0))
     assert unit_key(unit, 0, version="1.5.0") == (
-        "5f780b25acc7443be5410c27671a0f29"
-        "d33b8bc57620b428ab726a542310aad5")
+        "ae6e04faa4f6ec1c5e9108a574081a5f"
+        "9da22e4d7655d1a289c1f1aa17c31853")
 
 
 def test_unit_quantizes_shares():

@@ -113,13 +113,6 @@ def test_perf_and_recovery_columns_survive_cache_and_journal(tmp_path):
             [run.trace.recovery.counts for run in direct]
         assert [run.perf for run in result.runs] == \
             [c.as_dict() for c in counters]
-        total = result.perf
-        assert total.heap_peak == max(c.heap_peak for c in counters)
-        for name in ("events_processed", "events_cancelled", "segments",
-                     "heap_purges", "cancels_avoided",
-                     "fastforward_spans", "segments_synthesized"):
-            assert getattr(total, name) == \
-                sum(getattr(c, name) for c in counters), name
 
 
 def test_cache_partial_hit_runs_only_new_seeds(tmp_path):

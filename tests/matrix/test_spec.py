@@ -175,13 +175,13 @@ def test_new_field_keys_the_cache_unless_it_opts_out():
 
 def test_unit_key_digest_is_pinned():
     """Identity drift (a field renamed, retyped, dropped from or added
-    to the key) must be a decision, not an accident: this digest was
-    computed before the identity was derived from the dataclass, and
-    every cache and journal on disk is keyed by it."""
+    to the key) must be a decision, not an accident: every cache and
+    journal on disk is keyed by this digest of the identity — mode,
+    scenario, environment, server, overrides and faults."""
     spec = ExperimentSpec(client_overrides={"max_connections": 2})
     assert unit_key(spec, 0, version="1.5.0") == (
-        "b4818c1263856c90ba4a49ae4db2d036"
-        "2f03ca5c6407b8c3a709acde2e2c6413")
+        "5fb3c71d5fb072b353c3e9db28919506"
+        "30c7ceed3b4d923d4f1dd30a390e9651")
 
 
 def test_replace_recanonicalizes():
@@ -200,21 +200,6 @@ def test_fault_plan_canonicalizes_to_its_name():
     assert by_name.faults == "bursty-loss"
     assert by_name == by_plan
     assert hash(by_name) == hash(by_plan)
-
-
-# ----------------------------------------------------------------------
-# Fast-path dimension
-# ----------------------------------------------------------------------
-def test_fastpath_defaults_on_and_keys_the_cache():
-    fast = ExperimentSpec()
-    slow = ExperimentSpec(fastpath=False)
-    assert fast.fastpath is True
-    assert slow.fastpath is False
-    # Trace-identical but work-profile-different: distinct cache keys.
-    assert fast != slow
-    assert fast.canonical_dict()["fastpath"] is True
-    assert slow.canonical_dict()["fastpath"] is False
-    assert fast.replace(fastpath=False) == slow
 
 
 def test_faults_appear_in_canonical_dict():

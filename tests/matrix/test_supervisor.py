@@ -171,8 +171,9 @@ def test_hung_worker_hits_deadline_and_recovers(serial_baseline):
         assert_results_identical(got, want)
 
 
-def test_deadline_defaults_derive_from_max_sim_time():
-    spec = ExperimentSpec(max_sim_time=100.0, **FAST)
+def test_deadline_defaults_derive_from_max_sim_time(monkeypatch):
+    monkeypatch.setattr(ExperimentSpec, "max_sim_time", 100.0)
+    spec = ExperimentSpec(**FAST)
     derived = Supervisor(MatrixRunner(jobs=2))
     assert derived._deadline_for(spec) == DEADLINE_GRACE * 100.0
     explicit = Supervisor(MatrixRunner(jobs=2, unit_deadline=7.5))

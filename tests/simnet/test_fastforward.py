@@ -4,6 +4,8 @@ Every test compares against the per-segment path byte for byte — the
 fast path's entire contract is that it is *unobservable* in the trace.
 """
 
+import functools
+
 import pytest
 
 from repro.simnet.engine import SimulationError, Simulator
@@ -156,19 +158,25 @@ def test_short_transfer_never_fast_forwards():
     assert net.sim.perf.fastforward_spans == 0
 
 
-def test_http_pipelined_run_byte_identical():
+def test_http_pipelined_run_byte_identical(monkeypatch):
     # Full-stack identity through run_experiment.  Pipelined responses
     # queue back-to-back, so the driver probes once — and the span,
     # broken immediately by the client's next request batch, trips the
     # profitability veto: the rest of the page runs per-segment with
-    # no further heap surgery.
-    from repro.core.runner import run_experiment
-    kw = dict(environment="WAN", profile="Apache", seed=0,
-              keep_trace=True)
-    fast = run_experiment("HTTP/1.1 Pipelined", "first-time",
-                          fastpath=True, **kw)
-    slow = run_experiment("HTTP/1.1 Pipelined", "first-time",
-                          fastpath=False, **kw)
+    # no further heap surgery.  The per-segment reference is the same
+    # run on networks built without fast-forward.
+    from repro.core import runner
+
+    def run():
+        return runner.run_experiment("HTTP/1.1 Pipelined", "first-time",
+                                     environment="WAN", profile="Apache",
+                                     seed=0, keep_trace=True)
+
+    fast = run()
+    monkeypatch.setattr(runner, "Network",
+                        functools.partial(runner.Network, fastpath=False))
+    slow = run()
+    assert slow.trace.perf.fastforward_spans == 0
     assert fast.trace_lines == slow.trace_lines
     # The profitability veto allows at most one probe span per
     # connection before per-segment execution takes over for good.

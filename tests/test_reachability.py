@@ -34,14 +34,15 @@ forwards its ``**`` parameter counts for the callee it forwards to.
 Names are matched as above.
 Exemptions go by rule: the fields of a dataclass ``src/`` assigns into
 after construction (result and counter records — ``FetchResult``,
-``PerfCounters``, ``MatrixStats``), the fields ``canonical_fields``
-reads (a spec that passes itself to it: the cache identity), and the
-fault-injection seams (the classes of ``repro.faults`` and options
-named ``faults`` or ``*_faults``).
+``PerfCounters``, ``MatrixStats``) and the fault-injection seams (the
+classes of ``repro.faults`` and options named ``faults`` or
+``*_faults``).  A spec's fields are options like any other: a field
+only tests set would key the cache for a measurement nothing runs.
 """
 
 import ast
 import collections
+import functools
 import pathlib
 
 from repro.lint.graph import build_graph, terminal_name
@@ -49,8 +50,15 @@ from repro.lint.graph import build_graph, terminal_name
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
 
+@functools.lru_cache(maxsize=None)
+def _graph(directory):
+    """The parsed modules of ``REPO / directory``, built once for the
+    three gates."""
+    return build_graph(REPO / directory).modules
+
+
 def _unreached():
-    modules = build_graph(REPO / "src" / "repro").modules
+    modules = _graph("src/repro")
     packages = {name for name, info in modules.items()
                 if info.path.endswith("__init__.py")}
 
@@ -113,8 +121,8 @@ def _exempt_by_rule(node, visitor_methods, project_names):
 
 
 def _unreferenced():
-    src = build_graph(REPO / "src" / "repro").modules.values()
-    bench = [info for info in build_graph(REPO / "bench").modules.values()
+    src = _graph("src/repro").values()
+    bench = [info for info in _graph("bench").values()
              if "/tests/" not in info.posix_path]
     references = _referenced_names([*src, *bench])
     definitions = []
@@ -283,9 +291,8 @@ def _records(modules, classes):
 
 
 def _unset_options():
-    src = list(build_graph(REPO / "src" / "repro").modules.values())
-    callers = [*src, *(info for info in build_graph(REPO / "bench")
-                       .modules.values()
+    src = list(_graph("src/repro").values())
+    callers = [*src, *(info for info in _graph("bench").values()
                        if "/tests/" not in info.posix_path)]
     classes = {node.name: node for info in src
                for node in ast.walk(info.tree)
@@ -336,12 +343,7 @@ def _unset_options():
         if info.name.split(".")[0] == "faults":
             continue
         for cls in ast.walk(info.tree):
-            if not isinstance(cls, ast.ClassDef) or cls.name in records \
-                    or any(isinstance(node, ast.Call)
-                           and terminal_name(node.func) == "canonical_fields"
-                           and any(isinstance(arg, ast.Name)
-                                   and arg.id == "self" for arg in node.args)
-                           for node in ast.walk(cls)):
+            if not isinstance(cls, ast.ClassDef) or cls.name in records:
                 continue
             for name, position in _options(cls, classes):
                 if (name == "faults" or name.endswith("_faults")
