@@ -83,6 +83,12 @@ done
 #     exemption) is set there —
 #     tests/test_reachability.py::test_every_option_is_set_outside_its_tests
 #     (not slow-marked: FAST=1 keeps it)
+#   repro.lint is the static lint and nothing else: no module outside
+#     lint/ but the __main__ root imports it —
+#     tests/test_reachability.py::test_only_lint_imports_repro_lint —
+#     and a checked MUX unit in a fresh process loads no repro.lint
+#     module — tests/simnet/test_checks.py::
+#     test_checked_unit_loads_no_lint (neither slow-marked)
 #   every unit is content-checked, §8.2.1's HTML-only modem GETs
 #     included (a served HTML that differs from the site's quarantines
 #     the cell) — tests/core/test_runner.py::

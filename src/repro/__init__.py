@@ -11,7 +11,8 @@ Subpackages
 -----------
 ``repro.simnet``
     Discrete-event TCP/IP simulator (slow start, Nagle, delayed ACKs,
-    half-close) with LAN / WAN / PPP environments and trace capture.
+    half-close) with LAN / WAN / PPP environments, trace capture and
+    the unit-end replay that checks each trace's TCP invariants.
 ``repro.http``
     HTTP/1.0 and HTTP/1.1 message model: ``Content-Length`` framed
     parsing, headers, the deflate coding, caching validators, byte
@@ -32,7 +33,7 @@ Subpackages
 ``repro.analysis``
     Table formatting and paper-vs-measured reporting.
 ``repro.lint``
-    Determinism linter, whole-program passes, TCP trace sanitizer.
+    The static lint: determinism rules and whole-program passes.
 """
 
 __version__ = "1.5.0"

@@ -31,8 +31,8 @@ Commands
     byte-identical within the retry budget.
 ``lint``
     Run the determinism linter over the source tree and (with
-    ``--sanitize-traces``) replay captured traces through the TCP
-    protocol sanitizer.
+    ``--sanitize-traces``) replay captured traces through the
+    unit-end TCP protocol check every simulated unit runs.
 
 ``table``, ``modem``, ``report``, ``claims``, ``fleet`` and ``chaos``
 all run their units on one :class:`~repro.matrix.runner.MatrixRunner`

@@ -29,6 +29,8 @@ from ..content.microscape import MicroscapeSite, build_microscape_site
 from ..http import MemoryCache
 from ..server.profiles import ServerProfile
 from ..server.static import ResourceStore
+from ..simnet.checks import (InvariantViolationError, SanitizerConfig,
+                             validate_rows)
 from ..simnet.link import NetworkEnvironment
 from ..simnet.network import SERVER_HOST, Network
 from ..simnet.tcp import TcpConfig, TcpStack
@@ -37,7 +39,7 @@ from .modes import ProtocolMode
 from .registry import (resolve_environment, resolve_mode, resolve_profile,
                        resolve_scenario)
 from .scenarios import FIRST_TIME, REVALIDATE, prefill_cache
-from .transport import Transport
+from .transport import FrameStreamValidator, Transport
 
 __all__ = ["RunResult", "RESULT_FIELDS", "PAYLOAD_FIELDS",
            "AveragedResult", "ExperimentError", "MAX_SIM_TIME",
@@ -176,7 +178,6 @@ class UnitFailure:
     @classmethod
     def from_exception(cls, label: str, seed: int, exc: BaseException,
                        *, attempts: int = 1) -> "UnitFailure":
-        from ..lint.sanitizer import InvariantViolationError
         text = "".join(traceback.format_exception(
             type(exc), exc, exc.__traceback__))
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
@@ -341,18 +342,16 @@ class Testbed:
         """The unit-end protocol check, once the simulation has drained.
 
         Replays the collector's rows through
-        :func:`~repro.lint.sanitizer.validate_rows` under
-        ``SanitizerConfig.for_run`` plus the transport's trace rules, or
-        — for a run under a fault plan (``faulty``) — under
-        ``for_faulty_run`` of the same config, which allows the resets
-        and re-dials recovery makes.  ``frames`` is a clean MUX run's
-        :class:`~repro.lint.sanitizer.FrameStreamValidator`, finished
+        :func:`~repro.simnet.checks.validate_rows` under the
+        ``SanitizerConfig.for_run`` of this cell with the transport's
+        trace rules; ``faulty`` (a run under a fault plan) allows the
+        resets and re-dials recovery makes and skips the teardown and
+        trace rules.  ``frames`` is a clean MUX run's
+        :class:`~repro.core.transport.FrameStreamValidator`, finished
         here.  A violation raises
-        :class:`~repro.lint.sanitizer.InvariantViolationError` naming
+        :class:`~repro.simnet.checks.InvariantViolationError` naming
         the first five; the check never changes a result.
         """
-        from ..lint.sanitizer import (InvariantViolationError,
-                                      SanitizerConfig, validate_rows)
         net = self.net
         checks = SanitizerConfig.for_run(
             environment=net.environment,
@@ -360,12 +359,8 @@ class Testbed:
             server_nodelay=self.profile.nodelay,
             client_delack=net.client.config.delack_delay,
             server_delack=net.server.config.delack_delay,
-            max_parallel=config.max_connections)
-        if faulty:
-            checks = SanitizerConfig.for_faulty_run(checks)
-        else:
-            checks = dataclasses.replace(
-                checks, mode_rules=transport.trace_rules(config))
+            max_parallel=config.max_connections, faulty=faulty,
+            mode_rules=transport.trace_rules(config))
         violations = validate_rows(net.trace.rows(), checks)
         if frames is not None:
             frames.finish(net.sim.now)
@@ -413,7 +408,8 @@ def run_experiment(mode: Union[str, ProtocolMode],
     Nagle, delayed-ACK deadlines, half-close) and the mode's trace
     rules, and a MUX run's frames through the frame-stream rules (clean
     runs only: a re-dial under a fault plan restarts stream ids), and a
-    violation raises :class:`~repro.lint.InvariantViolationError`.  The
+    violation raises
+    :class:`~repro.simnet.checks.InvariantViolationError`.  The
     check never changes a result; ``sanitize=False`` skips it, so its
     cost can be measured.
 
@@ -452,7 +448,6 @@ def run_experiment(mode: Union[str, ProtocolMode],
             srv.recovery = recovery
         frame_validator = None
         if sanitize and transport.mux and plan is None:
-            from ..lint.sanitizer import FrameStreamValidator
             frame_validator = FrameStreamValidator(
                 push_allowed=transport.push)
             for srv in servers:

@@ -1,7 +1,7 @@
-"""repro.lint — determinism linter and TCP protocol sanitizer.
+"""repro.lint — the static determinism linter.
 
-Layers of correctness checking for the reproduction, the first two
-over one front end (:mod:`repro.lint.graph`: each file read and parsed
+Two layers of static checking for the reproduction, both over one
+front end (:mod:`repro.lint.graph`: each file read and parsed
 once into a project graph) and one entry point
 (:func:`~repro.lint.cli.lint_paths`):
 
@@ -23,33 +23,17 @@ once into a project graph) and one entry point
 Global-RNG draws, OS entropy and worker-global writes have no rule:
 the identity tests (serial ≡ parallel, cached or journaled ≡ fresh,
 memo-cold, same seed → same result) catch them.
-* **Runtime** (:mod:`repro.lint.sanitizer`): a TCP invariant checker
-  that replays a captured trace and asserts the protocol behaviours the
-  paper's results depend on — handshake ordering, sequence
-  monotonicity, no ACK of unsent data, no payload after FIN, Nagle
-  compliance, delayed-ACK deadlines, and independent half-close
-  teardown.  Every simulated matrix unit replays its own trace through
-  it at unit end; ``python -m repro lint --sanitize-traces`` replays
-  committed trace files.
 
-All layers surface through ``python -m repro lint``.
+Both layers surface through ``python -m repro lint``, which with
+``--sanitize-traces`` also replays trace files through the unit-end
+TCP protocol check every simulated unit runs
+(:mod:`repro.simnet.checks`); that check is not part of this package.
 """
 
 from .cli import lint_paths
 from .config import ALL_RULES, DEEP_RULES, DEFAULT_CONFIG, LintConfig
 from .findings import Finding, finding_sort_key, format_text
 from .graph import LintError, ProjectGraph, build_graph
-from .sanitizer import (
-    FrameStreamValidator,
-    InvariantViolationError,
-    ModeTraceRules,
-    SanitizerConfig,
-    TraceValidator,
-    Violation,
-    parse_trace_text,
-    validate_rows,
-    validate_trace_text,
-)
 
 __all__ = [
     "ALL_RULES",
@@ -63,13 +47,4 @@ __all__ = [
     "format_text",
     "LintError",
     "lint_paths",
-    "FrameStreamValidator",
-    "InvariantViolationError",
-    "ModeTraceRules",
-    "SanitizerConfig",
-    "TraceValidator",
-    "Violation",
-    "parse_trace_text",
-    "validate_rows",
-    "validate_trace_text",
 ]

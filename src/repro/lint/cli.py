@@ -6,31 +6,32 @@ once — and runs the per-file determinism rules over it and, with
 ``--deep``, the flow-aware passes of :mod:`repro.lint.deep`
 (cache-key completeness, RNG-stream discipline) over the same graph.
 ``--sanitize-traces`` also replays captured trace files through the
-TCP protocol sanitizer; with no file arguments the golden fixtures
-under ``tests/simnet/fixtures/`` are validated.
+unit-end TCP protocol check (:mod:`repro.simnet.checks`); with no file
+arguments the golden fixtures under ``tests/simnet/fixtures/`` are
+validated.
 
 Exit codes: 0 clean, 1 findings or invariant violations, 2 usage or
 input error (bad path, a file that is not UTF-8 or does not parse,
-an unparsable trace).  ``--json`` emits one machine-readable document
-combining all layers; findings are always sorted by ``(path, line,
-col, rule)``.
+an unparsable or empty trace).  ``--json`` emits one machine-readable
+document combining all layers; findings are always sorted by ``(path,
+line, col, rule)``.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import pathlib
 import sys
 from typing import Dict, List, Sequence, Union
 
+from ..simnet.checks import SanitizerConfig, Violation, validate_rows
+from ..simnet.trace import parse_trace_text
 from .config import ALL_RULES, DEEP_RULES, DEFAULT_CONFIG, LintConfig
 from .deep import deep_findings
 from .findings import Finding, finding_sort_key, format_text
 from .graph import LintError, build_graph
 from .rules import scan_module
-from .sanitizer import SanitizerConfig, Violation, validate_trace_text
 
 __all__ = ["add_lint_parser", "run_lint", "lint_paths",
            "DEFAULT_LINT_PATH", "GOLDEN_TRACE_DIR"]
@@ -108,8 +109,8 @@ def _config_for_fixture(name: str) -> SanitizerConfig:
     """Pick the sanitizer config a committed fixture validates under.
 
     ``lossy_*`` fixtures were captured under fault injection: RSTs and
-    retransmissions are legitimate there, so they validate under the
-    relaxed config (the sequence/handshake/Nagle invariants still
+    retransmissions are legitimate there, so they validate as a
+    ``faulty`` run (the sequence/handshake/Nagle invariants still
     apply).  A ``golden_<mode>_<env>.trace`` whose mode and environment
     tokens resolve in the registry validates as the runner would
     sanitize that cell: the transit bound for the mode's parallel
@@ -118,7 +119,7 @@ def _config_for_fixture(name: str) -> SanitizerConfig:
     gets the generic config.
     """
     if name.startswith("lossy_"):
-        return SanitizerConfig.for_faulty_run()
+        return SanitizerConfig(faulty=True)
     from ..core.registry import resolve_environment, resolve_mode
     try:
         _, mode_token, env_token = name.rsplit(".", 1)[0].split("_")
@@ -128,13 +129,12 @@ def _config_for_fixture(name: str) -> SanitizerConfig:
         return SanitizerConfig()
     client = mode.client_config()
     generic = SanitizerConfig()
-    config = SanitizerConfig.for_run(
+    return SanitizerConfig.for_run(
         environment=environment, client_nodelay=True, server_nodelay=True,
         client_delack=generic.client_delack,
         server_delack=generic.server_delack,
-        max_parallel=client.max_connections)
-    return dataclasses.replace(
-        config, mode_rules=mode.transport.trace_rules(client))
+        max_parallel=client.max_connections,
+        mode_rules=mode.transport.trace_rules(client))
 
 
 def run_lint(args: argparse.Namespace) -> int:
@@ -151,8 +151,9 @@ def run_lint(args: argparse.Namespace) -> int:
             trace_files = _trace_files(args)
             for trace in trace_files:
                 text = trace.read_text(encoding="utf-8")
-                trace_violations[str(trace)] = validate_trace_text(
-                    text, _config_for_fixture(trace.name))
+                trace_violations[str(trace)] = validate_rows(
+                    parse_trace_text(text),
+                    _config_for_fixture(trace.name))
         except (OSError, ValueError, LintError) as exc:
             print(f"lint: {exc}", file=sys.stderr)
             return 2

@@ -14,16 +14,21 @@ Capture is **columnar**: :meth:`TraceCollector.capture` appends each
 field to a parallel list (one ``list.append`` per field) instead of
 allocating a frozen :class:`PacketRecord` dataclass per segment — the
 collector sits on the per-packet hot path of every simulation.
-Summaries and :meth:`TraceCollector.rows` (the tuples the protocol
-sanitizer replays at unit end) read straight from the columns;
-:attr:`TraceCollector.records` synthesizes :class:`PacketRecord` objects
-on demand (memoized until the row count changes) for tests and
-``format_trace``.
+Summaries and :meth:`TraceCollector.rows` (the tuples the unit-end
+protocol check of :mod:`repro.simnet.checks` replays) read straight
+from the columns; :attr:`TraceCollector.records` synthesizes
+:class:`PacketRecord` objects on demand (memoized until the row count
+changes) for tests and ``format_trace``.
+
+The trace text format has one owner: :meth:`PacketRecord.format`
+writes a line of it, and :func:`parse_trace_text` reads lines back
+into rows (the golden fixtures, ``lint --sanitize-traces``).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import re
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 from ..perf import PerfCounters
@@ -33,7 +38,22 @@ from .packet import HEADER_BYTES, Segment
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..faults.recovery import RecoveryLog
 
-__all__ = ["PacketRecord", "TraceSummary", "TraceCollector"]
+__all__ = ["PacketRecord", "TraceSummary", "TraceCollector", "Row",
+           "parse_trace_text"]
+
+#: One captured segment: ``(time, src, sport, dst, dport, flags, seq,
+#: ack, payload_len)``, ``flags`` in tcpdump letters (``"PA"``).
+Row = Tuple[float, str, int, str, int, str, int, int, int]
+
+#: One line of :meth:`PacketRecord.format` output, e.g.::
+#:
+#:     0.090648 zorch.w3.org:32768 > www26.w3.org:80 [PA] seq=1 ack=1 len=97
+_TRACE_LINE = re.compile(
+    r"^\s*(?P<time>[0-9.]+)\s+"
+    r"(?P<src>\S+):(?P<sport>\d+)\s+>\s+"
+    r"(?P<dst>\S+):(?P<dport>\d+)\s+"
+    r"\[(?P<flags>[SFRPA.]+)\]\s+"
+    r"seq=(?P<seq>\d+)\s+ack=(?P<ack>\d+)\s+len=(?P<len>\d+)\s*$")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -171,11 +191,9 @@ class TraceCollector:
                 for row in self.rows()]
         return cache
 
-    def rows(self) -> Iterator[Tuple[float, str, int, str, int, str, int,
-                                     int, int]]:
-        """The capture as ``(time, src, sport, dst, dport, flags, seq,
-        ack, payload_len)`` tuples, in capture order: the form
-        :func:`repro.lint.sanitizer.validate_rows` replays."""
+    def rows(self) -> Iterator[Row]:
+        """The capture as :data:`Row` tuples, in capture order: the
+        form :func:`repro.simnet.checks.validate_rows` replays."""
         return zip(self._times, self._srcs, self._sports, self._dsts,
                    self._dports, self._flags, self._seqs, self._acks,
                    self._payload_lens)
@@ -246,3 +264,27 @@ class TraceCollector:
         records = self.records if limit is None else self.records[:limit]
         start = self._times[0] if self._times else 0.0
         return "\n".join(r.format(start) for r in records)
+
+
+def parse_trace_text(text: str) -> List[Row]:
+    """Parse ``format_trace`` output / golden fixture text into rows.
+
+    Blank lines are skipped; any other line that is not a trace line,
+    or a text with no trace line at all, raises :class:`ValueError`.
+    """
+    rows = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        match = _TRACE_LINE.match(line)
+        if match is None:
+            raise ValueError(f"line {lineno}: not a trace line: "
+                             f"{line!r}")
+        rows.append((float(match.group("time")),
+                     match.group("src"), int(match.group("sport")),
+                     match.group("dst"), int(match.group("dport")),
+                     match.group("flags"), int(match.group("seq")),
+                     int(match.group("ack")), int(match.group("len"))))
+    if not rows:
+        raise ValueError("no trace line")
+    return rows

@@ -3,10 +3,9 @@
 from repro.core.modes import (HTTP10_MODE, HTTP11_PERSISTENT,
                               HTTP11_PIPELINED, HTTP11_SHARDED, HTTP_MUX,
                               HTTP_MUX_PUSH, MODERN_MODES)
-from repro.core.transport import (DEFAULT_PORT, MuxTransport,
-                                  ShardedTransport, Transport)
+from repro.core.transport import (DEFAULT_PORT, ModeTraceRules,
+                                  MuxTransport, ShardedTransport, Transport)
 from repro.http import HTTP10
-from repro.lint import ModeTraceRules
 
 
 # ----------------------------------------------------------------------
@@ -52,7 +51,7 @@ def test_legacy_modes_have_no_extra_trace_rules():
 
 def test_mux_trace_rules_pin_one_connection():
     rules = HTTP_MUX.transport.trace_rules(HTTP_MUX.client_config())
-    assert rules == ModeTraceRules(min_connections=1, max_connections=1)
+    assert rules == ModeTraceRules(connections=1)
 
 
 def test_sharded_trace_rules_name_every_origin_port():

@@ -15,6 +15,7 @@ GOLDEN_DIR = REPO / "tests" / "simnet" / "fixtures"
 SMALL_MODULE = str(REPO / "src" / "repro" / "lint" / "findings.py")
 
 
+@pytest.mark.usefixtures("src_graph")
 def test_lint_src_exits_clean(capsys):
     assert main(["lint", str(REPO / "src" / "repro")]) == 0
     assert "clean" in capsys.readouterr().err
@@ -60,8 +61,9 @@ def test_sanitize_traces_golden(capsys):
 
 def test_fixture_rules_come_from_the_mode_registry():
     from repro.core.modes import HTTP11_SHARDED, HTTP_MUX
-    from repro.lint import SanitizerConfig
     from repro.lint.cli import _config_for_fixture
+    from repro.simnet.checks import SanitizerConfig, validate_rows
+    from repro.simnet.trace import parse_trace_text
     for token, mode in (("sharded-x4", HTTP11_SHARDED), ("mux", HTTP_MUX)):
         config = _config_for_fixture(f"golden_{token}_wan.trace")
         assert config.mode_rules == mode.transport.trace_rules(
@@ -69,11 +71,16 @@ def test_fixture_rules_come_from_the_mode_registry():
     # Eight connections sharing the bottleneck widen the transit bound.
     assert (_config_for_fixture("golden_sharded-x4_wan.trace").transit_bound
             > _config_for_fixture("golden_mux_wan.trace").transit_bound)
-    # Tokens that name no registered mode keep the generic config;
-    # fault-injected captures keep the relaxed one.
+    # Tokens that name no registered mode keep the generic config.
     for name in ("golden_http10-4conn_wan.trace", "capture.trace"):
         assert _config_for_fixture(name) == SanitizerConfig()
-    assert _config_for_fixture("lossy_x_wan.trace").allow_rst
+    # A fault-injected capture validates as a faulty run: the lossy
+    # fixture holds an RST and still replays clean.
+    lossy = parse_trace_text(
+        next(GOLDEN_DIR.glob("lossy_*.trace")).read_text(encoding="utf-8"))
+    assert any("R" in row[5] for row in lossy)
+    assert validate_rows(lossy,
+                         _config_for_fixture("lossy_x_wan.trace")) == []
 
 
 def test_sanitize_traces_rejects_corrupt(tmp_path, capsys):
@@ -102,6 +109,7 @@ def test_deep_flag_exits_dirty_on_corpus(capsys):
     assert "[rng-shared-stream]" in out
 
 
+@pytest.mark.usefixtures("src_graph")
 def test_deep_src_exits_clean(capsys, monkeypatch):
     monkeypatch.chdir(REPO)
     assert main(["lint", "--deep", "src/repro"]) == 0
@@ -170,6 +178,17 @@ def test_single_file_lints(capsys, deep):
     out = capsys.readouterr().out
     assert code == (1 if deep else 0)
     assert ("[rng-seed-origin]" in out) == bool(deep)
+
+
+@pytest.mark.parametrize("text", ["", " \n\t\n"], ids=["empty", "blank"])
+def test_empty_trace_is_usage_error(tmp_path, capsys, text):
+    empty = tmp_path / "empty.trace"
+    empty.write_text(text, encoding="utf-8")
+    code = main(["lint", SMALL_MODULE, "--sanitize-traces", str(empty)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "clean" not in captured.out
+    assert captured.err.startswith("lint: ")
 
 
 def test_unparsable_trace_is_usage_error(tmp_path, capsys):

@@ -4,6 +4,8 @@ import pathlib
 import re
 import textwrap
 
+import pytest
+
 from repro import memo
 from repro.lint import lint_paths
 
@@ -205,6 +207,7 @@ def test_pragma_waives_deep_finding(tmp_path):
 # The repository's own tree: a plain must-be-clean gate
 # ----------------------------------------------------------------------
 
+@pytest.mark.usefixtures("src_graph")
 def test_src_tree_is_deep_clean(monkeypatch):
     monkeypatch.chdir(REPO)
     findings = _deep("src/repro")

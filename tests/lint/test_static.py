@@ -52,6 +52,7 @@ def test_corpus_covers_every_rule():
     assert set(CORPUS.values()) == set(ALL_RULES)
 
 
+@pytest.mark.usefixtures("src_graph")
 def test_src_lints_clean():
     """The repository's own source tree carries zero findings."""
     assert lint_paths([SRC]) == []

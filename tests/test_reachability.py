@@ -82,6 +82,27 @@ def _unreached():
     return set(modules) - packages - reached - {"__main__"}
 
 
+def _imports_lint(info):
+    """Whether a module imports ``repro.lint``, relatively (resolved to
+    ``lint...``) or absolutely (an external-looking ``repro.lint...``)."""
+    return (any(module.split(".")[0] == "lint"
+                for module, _symbol in info.imports.values())
+            or any(origin.split(".")[:2] == ["repro", "lint"]
+                   for origin in info.module_aliases.values()))
+
+
+def test_only_lint_imports_repro_lint():
+    """``repro.lint`` is the static lint and nothing else: no module
+    outside ``lint/`` imports it, at module level or in a function,
+    except the ``__main__`` root registering the ``lint`` verb."""
+    importers = sorted(
+        name for name, info in _graph("src/repro").items()
+        if name.split(".")[0] not in ("lint", "__main__")
+        and _imports_lint(info))
+    assert importers == [], (
+        f"modules outside repro.lint that import it: {importers}")
+
+
 def test_every_module_backs_a_verb_or_a_benchmark():
     unreached = _unreached()
     assert unreached == set(), (
