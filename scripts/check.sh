@@ -62,7 +62,8 @@ done
 #     Tables 3-11, modem, eight chaos cells, a contended fleet) —
 #     tests/test_memo.py::test_memo_cold_output_is_byte_identical
 #     (not slow-marked: FAST=1 keeps it)
-#   response heads that differ only in Date share one memo entry, and a
+#   response heads that differ only in their leading Date (the one rule,
+#     http/headers.py split_date) share one memo entry, and a
 #     repeated first-time WAN fleet parses no new head —
 #     tests/test_memo.py::
 #     test_response_heads_that_differ_only_in_date_share_an_entry

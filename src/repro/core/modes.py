@@ -145,12 +145,12 @@ register_mode(HTTP10_MODE, aliases=("http/1.0", "1.0"),
 register_mode(HTTP11_PERSISTENT,
               aliases=("http/1.1", "1.1", "persistent"),
               paper_environments=("LAN", "WAN", "PPP"))
-register_mode(HTTP11_PIPELINED, aliases=("pipelined", "pipeline"),
+register_mode(HTTP11_PIPELINED, aliases=("pipelined",),
               paper_environments=("LAN", "WAN", "PPP"))
 register_mode(HTTP11_PIPELINED_COMPRESSED,
-              aliases=("compressed", "pipelined-compressed"),
+              aliases=("compressed",),
               paper_environments=("LAN", "WAN", "PPP"))
-register_mode(HTTP_MUX, aliases=("mux", "http/mux", "h2", "multiplexed"))
+register_mode(HTTP_MUX, aliases=("mux",))
 register_mode(HTTP_MUX_PUSH, aliases=("mux-push", "push"))
 register_mode(HTTP11_SHARDED, aliases=("sharded", "sharded-x4"))
 

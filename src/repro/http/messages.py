@@ -6,18 +6,13 @@ observation that the libwww robot's requests average ~190 bytes both
 depend on real wire sizes, so nothing here is approximated.
 
 A response's ``Date`` moves every simulated second while the rest of
-its head recurs, so the three response-head memos leave a leading
-``Date`` field out of their keys and splice each message's own back in:
-:meth:`Response.to_bytes` here, ``ResponseParser`` in
-:mod:`repro.http.parser` and ``SimHttpServer._respond`` in
-:mod:`repro.server.base`.  Each site matches the leading ``Date`` by
-what it holds, so the rules differ and need not agree: ``to_bytes``
-reads parsed fields and takes a first field named ``date`` in any case
-(the spliced line keeps its spelling); the parser reads wire bytes and
-cuts only a line that starts with exactly ``Date: ``, the one it can
-rebuild as the field ``("Date", value)``; the server builds its own
-heads, whose first field is always ``Date``.  A narrower rule only
-leaves more heads keyed whole, never a wrong message.
+its head recurs, so the response-head memos keep it out of their keys
+by one rule, :func:`~repro.http.headers.split_date`: a first field
+named exactly ``Date`` is cut.  :meth:`Response.to_bytes` here applies
+it to the fields and splices the line back in; ``ResponseParser`` in
+:mod:`repro.http.parser` applies it to the parse of a head's first
+line; ``SimHttpServer._respond`` in :mod:`repro.server.base` builds its
+templates without a ``Date`` and puts each response's own first.
 """
 
 from __future__ import annotations
@@ -26,7 +21,7 @@ import dataclasses
 from typing import Optional, Tuple
 
 from ..memo import Memo
-from .headers import Headers
+from .headers import Headers, split_date
 
 __all__ = ["Request", "Response", "HTTP10", "HTTP11", "version_string",
            "STATUS_REASONS"]
@@ -140,16 +135,14 @@ class Response:
     def to_bytes(self) -> bytes:
         """Exact wire serialization.
 
-        The ``Date`` line, when it leads the fields, is spliced in
-        between the status line and the rest of the head, so a head is
-        serialized once however many seconds it is sent in (the module
-        docstring says how this rule differs from the parser's).
+        A leading ``Date`` line is spliced in between the status line
+        and the rest of the head, so a head is serialized once however
+        many seconds it is sent in.
         """
-        items = self.headers._items
-        has_date = bool(items) and self.headers._lower[0] == "date"
-        fields = tuple(items[1:] if has_date else items)
+        date, fields = split_date(self.headers._items)
+        fields = tuple(fields)
         reason = self.reason_phrase
-        key = (self.status, self.version, reason, has_date, fields)
+        key = (self.status, self.version, reason, date is not None, fields)
         parts = _WIRE_HEADS.get(key)
         if parts is None:
             status_line = (f"{version_string(self.version)} {self.status} "
@@ -157,9 +150,9 @@ class Response:
             parts = _WIRE_HEADS.store(key, (
                 status_line.encode("latin-1"),
                 Headers(fields).to_bytes() + b"\r\n"))
-        date = (f"{items[0][0]}: {items[0][1]}\r\n".encode("latin-1")
-                if has_date else b"")
-        return parts[0] + date + parts[1] + self.body_on_wire()
+        date_line = (b"" if date is None
+                     else f"Date: {date}\r\n".encode("latin-1"))
+        return parts[0] + date_line + parts[1] + self.body_on_wire()
 
     def allows_keep_alive(self) -> bool:
         """Whether the connection may carry further requests."""

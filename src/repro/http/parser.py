@@ -22,26 +22,24 @@ so each parser keeps ``head bytes → frozen parsed head`` in a memo
 (``_REQUEST_HEADS``, ``_RESPONSE_HEADS``) and runs the real parse only
 on a miss; every message still gets its own mutable :class:`Headers`.
 A response's ``Date`` line moves every simulated second, so a response
-head is keyed without it: a line that starts with exactly ``Date: ``
-and leads the fields is cut out of the key (the leading-``Date`` rule
-of :mod:`repro.http.messages`), the memo keeps the fields after it, and
-each message gets its own ``Date`` spliced back in.  Per pass that
-leaves 84 distinct keys in ``fleet_wan`` and in
-``fleet_reval_contended`` (each object's answer in HTTP/1.0 and in
-HTTP/1.1) and 618 in ``paper_grid``.  Only a Date line free of bare CRs
-and LFs is cut; what depends on the request method (the zero length of
-a HEAD, 1xx, 204 or 304 answer; the missing-``Content-Length`` error)
-runs after the lookup for every response, and a head is stored only
-once it has framed one.
+head is keyed without it: ``_cut_date`` applies the leading-``Date``
+rule (:func:`~repro.http.headers.split_date`: a first field named
+exactly ``Date`` is cut) to the parse of the head's first line, the
+memo keeps the fields after it, and each message gets its own ``Date``
+spliced back in.  Per pass that leaves 84 distinct keys in
+``fleet_wan`` and in ``fleet_reval_contended`` (each object's answer in
+HTTP/1.0 and in HTTP/1.1) and 618 in ``paper_grid``.  What depends on
+the request method (the zero length of a HEAD, 1xx, 204 or 304 answer;
+the missing-``Content-Length`` error) runs after the lookup for every
+response, and a head is stored only once it has framed one.
 """
 
 from __future__ import annotations
 
-import re
 from typing import Any, List, NamedTuple, Optional, Tuple
 
 from ..memo import Memo
-from .headers import Headers
+from .headers import Headers, split_date
 from .messages import Request, Response, parse_version
 
 __all__ = ["ParseError", "RequestParser", "ResponseParser"]
@@ -151,31 +149,26 @@ class _ResponseHead(NamedTuple):
 _RESPONSE_HEADS = Memo("http.response-heads", 4096)
 
 
-#: A status line, then a first field that starts with exactly ``Date: ``
-#: and whose value holds no CR or LF: the line a response key cuts.
-_LEADING_DATE = re.compile(rb"([^\r\n]*)\r\nDate: ([^\r\n]*)(?=\r\n|\Z)")
-
-
 def _cut_date(block: bytes) -> Tuple[bytes, Optional[str]]:
     """Split a response head block's leading ``Date`` line off.
 
-    Returns the block without that line and the line's value, or the
-    whole block and None when there is no such line.  Either way the
-    first element is the memo key, and what it parses to is the head's
-    fields after a leading ``Date``.  Only a line that starts with
-    exactly ``Date: `` is cut, the one that splices back as the field
-    ``("Date", value)`` (the leading-``Date`` rule of
-    :mod:`repro.http.messages`, matched here on bytes); the value's own
-    leading and trailing blanks are stripped as the full parse strips
-    them.  A Date line with a bare CR or LF is not cut, so the parse of
-    the whole block refuses it.
+    The first line is read as :meth:`Headers.from_lines` reads it and
+    handed to :func:`~repro.http.headers.split_date`.  Returns the block
+    without that line and its value, or the whole block and None;
+    either way the first element is the memo key, and what it parses to
+    is the head's fields after a leading ``Date``.  A malformed first
+    line, or one with a bare CR or LF, is not cut, so the parse of the
+    whole block refuses it.
     """
-    match = _LEADING_DATE.match(block)
-    if match is None:
-        return block, None
-    status_line, value = match.groups()
-    return (status_line + block[match.end():],
-            value.decode("latin-1").strip())
+    status_line, _, fields = block.partition(b"\r\n")
+    line, crlf, rest = fields.partition(b"\r\n")
+    name, colon, value = line.decode("latin-1").partition(":")
+    if colon and name[:1] not in " \t" and b"\r" not in line \
+            and b"\n" not in line:
+        date, _ = split_date(((name.strip(), value.strip()),))
+        if date is not None:
+            return status_line + crlf + rest, date
+    return block, None
 
 
 def _parse_response_head(block: bytes) -> _ResponseHead:

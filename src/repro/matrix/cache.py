@@ -222,7 +222,9 @@ class ResultCache:
         sharing one directory — threads or processes — can race on the
         same unit and a SIGKILL at any instant leaves a complete entry
         or none; the content-addressed key means every racer writes
-        identical measurements anyway.
+        identical measurements anyway.  The JSON is compact: an indented
+        dump takes json's pure-Python encoder, about three times the
+        cost per entry; the reader takes either layout.
         """
         self.root.mkdir(parents=True, exist_ok=True)
         path = self.path(spec, seed, key)
@@ -232,7 +234,7 @@ class ResultCache:
             "seed": int(seed),
             "spec": spec.canonical_dict(),
             "result": encode_result(result),
-        }, sort_keys=True, indent=1))
+        }, sort_keys=True, separators=(",", ":")))
         os.replace(tmp, path)
 
     def put_many(self, entries: Iterable[tuple]) -> int:

@@ -22,8 +22,9 @@ Implements the server-side lessons of the paper:
 Each distinct response head is built once per store and profile.  A
 parsed request carries the head bytes it came from, and for a fixed
 store and profile those bytes determine the whole response except its
-``Date`` (the leading-``Date`` rule of :mod:`repro.http.messages`; here
-``build_response`` always adds ``Date`` first).
+``Date``, which ``build_response`` adds only when given one.  So a
+template is built without a ``Date``, and each response gets the
+current one as its first field.
 :meth:`SimHttpServer._respond` looks ``head bytes → response template``
 up in the map the store keeps per profile (``ResourceStore.derived``:
 shared by every server on the store, emptied when its content changes)
@@ -514,9 +515,10 @@ class SimHttpServer:
 
     @property
     def _heads(self) -> Memo:
-        """``request head bytes → (status, version, fields after Date,
-        their lowercased names, body, reason)`` as ``build_response``
-        produces them for this profile from the store's content."""
+        """``request head bytes → (status, version, fields, their
+        lowercased names, body, reason)`` as ``build_response`` produces
+        them, without a ``Date``, for this profile from the store's
+        content."""
         return self.store.derived(("response-heads", self.profile),
                                   _RESPONSE_HEADS.fresh)
 
@@ -531,14 +533,11 @@ class SimHttpServer:
         heads = self._heads
         template = heads.get(key)
         if template is None:
-            # ``Date`` is the first field build_response adds; what
-            # follows it is the same for every later identical request.
-            built = build_response(self.store, request, self.profile,
-                                   date_header=date)
+            built = build_response(self.store, request, self.profile)
             headers = built.headers
             template = heads.store(key, (
-                built.status, built.version, tuple(headers)[1:],
-                tuple(headers._lower[1:]), built.body, built.reason))
+                built.status, built.version, tuple(headers),
+                tuple(headers._lower), built.body, built.reason))
         status, version, fields, lowered, body, reason = template
         return Response(
             status, version,

@@ -148,6 +148,23 @@ def test_truncated_entry_is_a_miss_and_heals_on_next_put(cache):
         assert healed.elapsed == original.elapsed
 
 
+def test_an_indented_entry_still_reads(cache):
+    """Entries are written compact; one an older writer indented reads
+    the same."""
+    spec = ExperimentSpec()
+    result = synthetic_result()
+    cache.put(spec, 0, result)
+    path = cache.path(spec, 0)
+    entry = json.loads(path.read_text())
+    assert path.read_text() == json.dumps(entry, sort_keys=True,
+                                          separators=(",", ":"))
+    path.write_text(json.dumps(entry, sort_keys=True, indent=1))
+    hydrated = cache.get(spec, 0)
+    assert hydrated is not None
+    for name in RESULT_FIELDS:
+        assert getattr(hydrated, name) == getattr(result, name)
+
+
 def test_put_many_counts_and_round_trips(cache):
     entries = [(ExperimentSpec(), seed, synthetic_result(packets=400 + seed))
                for seed in range(4)]
