@@ -44,9 +44,10 @@ under ``.repro-cache/artifacts/`` for every verb.  Host-time
 measurement is not a verb here: ``bash bench/run.sh`` is the repo's
 one benchmark.
 
-Supervised execution (the same six verbs): ``--retry-budget N`` (≥ 0)
-caps per-unit re-dispatches after a failure, ``--unit-deadline S``
-(> 0) bounds a unit's wall-clock time in a worker, and
+Supervised execution (the same six verbs): a failing unit is retried
+a fixed number of times before it is quarantined,
+``--unit-deadline S`` (> 0) bounds a unit's wall-clock time in a
+worker (a slower host needs more), and
 ``--journal [RUN_ID]`` records every resolved unit into a crash-safe
 run journal under ``<cache dir>/runs/RUN_ID/`` (default RUN_ID: the
 verb's name) and replays the units it already holds byte-identically,

@@ -34,7 +34,6 @@ from ..simnet.checks import (InvariantViolationError, SanitizerConfig,
 from ..simnet.link import NetworkEnvironment
 from ..simnet.network import SERVER_HOST, Network
 from ..simnet.tcp import TcpConfig, TcpStack
-from ..simnet.trace import TraceSummary
 from .modes import ProtocolMode
 from .registry import (resolve_environment, resolve_mode, resolve_profile,
                        resolve_scenario)
@@ -110,7 +109,6 @@ class RunResult:
     mean_request_bytes: float
     statuses: Dict[int, int]
     fetch: FetchResult
-    trace: TraceSummary
     #: Link drops split by cause, and TCP sender recovery totals (all
     #: zero on the paper's clean links; nonzero under fault injection).
     dropped_loss: int = 0
@@ -132,7 +130,7 @@ class RunResult:
 
 #: In-process attachments: live simulation objects and the raw trace
 #: text, stripped from matrix results and never serialized.
-_TRANSIENT = frozenset(("fetch", "trace", "trace_lines"))
+_TRANSIENT = frozenset(("fetch", "trace_lines"))
 
 #: The columns a cache / journal entry preserves.
 PAYLOAD_FIELDS: Tuple[str, ...] = tuple(
@@ -478,17 +476,16 @@ def run_experiment(mode: Union[str, ProtocolMode],
         for response in result.responses.values():
             statuses[response.status] = statuses.get(response.status, 0) + 1
         trace = net.trace.summary()
-        trace.retransmissions = (net.client.retransmissions
-                                 + net.server.retransmissions)
-        trace.timeouts = net.client.timeouts + net.server.timeouts
-        trace.fast_retransmits = (net.client.fast_retransmits
-                                  + net.server.fast_retransmits)
-        trace.checksum_drops = (net.client.checksum_drops
-                                + net.server.checksum_drops)
-        trace.recovery = recovery
+        client, server = net.client, net.server
         return RunResult(
             **{name: getattr(trace, name) for name in RESULT_FIELDS
                if hasattr(trace, name)},
+            retransmissions=(client.retransmissions
+                             + server.retransmissions),
+            timeouts=client.timeouts + server.timeouts,
+            fast_retransmits=(client.fast_retransmits
+                              + server.fast_retransmits),
+            checksum_drops=client.checksum_drops + server.checksum_drops,
             elapsed=result.elapsed or 0.0,
             connections_used=result.connections_used,
             max_parallel_connections=result.max_parallel_connections,
@@ -497,7 +494,6 @@ def run_experiment(mode: Union[str, ProtocolMode],
             mean_request_bytes=result.mean_request_bytes,
             statuses=statuses,
             fetch=result,
-            trace=trace,
             recovery=dict(recovery.counts) if recovery else {},
             perf=trace.perf.as_dict(),
             trace_lines=net.trace.format_trace() if keep_trace else None)

@@ -9,16 +9,12 @@ reproducible:
   mid-response aborts, stalls, close-after-one-response);
 * :mod:`~repro.faults.plan` — named plans combining both, swept by the
   ``python -m repro chaos`` verb (:mod:`~repro.faults.chaos`, imported
-  only by the CLI to keep this package free of runner dependencies);
-* :mod:`~repro.faults.harness` — machine faults against the experiment
-  harness itself (worker kills, hung cells, poison cells), consumed by
-  the matrix supervisor and the chaos smokes.
+  only by the CLI to keep this package free of runner dependencies).
 
 :mod:`~repro.faults.recovery` holds the shared :class:`RecoveryLog`
 that every layer writes fault hits and recovery actions into.
 """
 
-from .harness import HarnessFaultPlan, HarnessPoisonError
 from .injector import FaultInjector, LinkFaultConfig
 from .plan import FAULT_PLANS, FaultPlan, resolve_fault_plan
 from .recovery import RecoveryEvent, RecoveryLog
@@ -30,8 +26,6 @@ __all__ = [
     "FaultPlan",
     "FAULT_PLANS",
     "resolve_fault_plan",
-    "HarnessFaultPlan",
-    "HarnessPoisonError",
     "RecoveryEvent",
     "RecoveryLog",
     "FaultyProfile",

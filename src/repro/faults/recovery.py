@@ -3,11 +3,10 @@
 Every layer that injects or survives a fault — the link-level
 :class:`~repro.faults.injector.FaultInjector`, the faulty server
 profiles, and the hardened robot — notes what happened into one shared
-:class:`RecoveryLog`.  The log rides on ``FetchResult.recovery`` and
-``TraceSummary.recovery``, and its counts are the ``recovery`` column
-of every :class:`~repro.core.runner.RunResult`, so tests and the chaos
-sweep can assert not just *that* a run completed but *how* it
-recovered.
+:class:`RecoveryLog`.  The log rides on ``FetchResult.recovery``, and
+its counts are the ``recovery`` column of every
+:class:`~repro.core.runner.RunResult`, so tests and the chaos sweep
+can assert not just *that* a run completed but *how* it recovered.
 
 The event list is bounded (a pathological run could log thousands of
 drops); the per-kind counters are exact regardless.

@@ -18,7 +18,7 @@ A ``RunResult`` entry stores every measurement column the class
 declares (:data:`~repro.core.runner.PAYLOAD_FIELDS`, including the
 ``recovery`` and ``perf`` counts); the per-run packet trace and fetch
 transcript are not serialized, so hydrated results carry
-``fetch=None, trace=None`` — exactly what
+``fetch=None`` — exactly what
 :class:`~repro.matrix.runner.MatrixRunner` returns for fresh runs too,
 keeping cached and simulated results interchangeable.
 """
@@ -82,7 +82,7 @@ def result_from_payload(payload: Dict[str, Any]) -> RunResult:
     columns = {name: payload[name] for name in PAYLOAD_FIELDS}
     columns["statuses"] = {int(status): count
                            for status, count in payload["statuses"].items()}
-    return RunResult(fetch=None, trace=None, **columns)
+    return RunResult(fetch=None, **columns)
 
 
 # ----------------------------------------------------------------------

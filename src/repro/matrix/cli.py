@@ -20,7 +20,6 @@ from pathlib import Path
 from .cache import DEFAULT_CACHE_DIR, ResultCache
 from .journal import RunJournal
 from .runner import CellEvent, MatrixRunner
-from .supervisor import DEFAULT_RETRY_BUDGET
 
 __all__ = ["add_runner_flags", "make_runner", "finish"]
 
@@ -28,8 +27,7 @@ _RUN_ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,99}$")
 
 
 def _non_negative_int(text: str) -> int:
-    """argparse type of ``--jobs`` (0 = one worker per CPU) and
-    ``--retry-budget`` (0 = quarantine without a retry)."""
+    """argparse type of ``--jobs`` (0 = one worker per CPU)."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
@@ -78,11 +76,6 @@ def add_runner_flags(parser: argparse.ArgumentParser) -> None:
                         help="cache directory (implies --cache)")
     parser.add_argument("--progress", action="store_true",
                         help="print per-unit progress to stderr")
-    parser.add_argument("--retry-budget", type=_non_negative_int,
-                        default=DEFAULT_RETRY_BUDGET, metavar="N",
-                        help="parallel re-dispatches allowed per "
-                             "failing unit before downgrade/quarantine "
-                             f"(default {DEFAULT_RETRY_BUDGET})")
     parser.add_argument("--unit-deadline", type=_positive_seconds,
                         default=None, metavar="SECONDS",
                         help="wall-clock budget per unit in a worker "
@@ -113,8 +106,7 @@ def make_runner(args: argparse.Namespace) -> MatrixRunner:
     return MatrixRunner(
         jobs=args.jobs, cache=cache,
         progress=_print_progress if args.progress else None,
-        journal=journal, retry_budget=args.retry_budget,
-        unit_deadline=args.unit_deadline)
+        journal=journal, unit_deadline=args.unit_deadline)
 
 
 def finish(runner: MatrixRunner) -> int:

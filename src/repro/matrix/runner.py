@@ -55,12 +55,10 @@ from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple)
 
 from ..core.runner import AveragedResult, UnitFailure, warm_default_site
-from ..faults.harness import HarnessFaultPlan
 from .cache import ResultCache, unit_key
 from .journal import RunJournal
 from .spec import ExperimentSpec
-from .supervisor import (DEFAULT_RETRY_BUDGET, Supervisor, _attempt,
-                         process_counters)
+from .supervisor import Supervisor, _attempt, process_counters
 
 __all__ = ["CellEvent", "MatrixStats", "MatrixRunner", "run_unit"]
 
@@ -204,44 +202,38 @@ class MatrixRunner:
         units are recorded as they complete, and already-journaled
         units replay instead of re-running, so an interrupted grid
         resumes byte-identically.
-    retry_budget:
-        Parallel re-dispatches the supervisor allows per failing unit
-        before downgrading (serial retry for exceptions, quarantine for
-        deadline / lost-worker faults).
     unit_deadline:
         Wall-clock seconds one unit may run in a worker before the
         supervisor declares it hung.  ``None`` derives the budget from
         each spec's ``max_sim_time``
-        (× :data:`~repro.matrix.supervisor.DEADLINE_GRACE`).
-    harness_faults:
-        Optional :class:`~repro.faults.harness.HarnessFaultPlan`
-        injecting scripted machine faults — the robustness tests' seam.
+        (× :data:`~repro.matrix.supervisor.DEADLINE_GRACE`).  It is a
+        property of the host, not of the spec: a slower machine needs
+        more wall time for the same unit.
+
+    A failing unit gets
+    :data:`~repro.matrix.supervisor.DEFAULT_RETRY_BUDGET` parallel
+    re-dispatches before it is downgraded (serial retry for exceptions,
+    quarantine for deadline / lost-worker faults).
 
     The pool spawned for the first parallel ``run_many()`` is reused by
     every later call; ``close()`` (or a ``with`` block) releases it.
     """
 
     __slots__ = ("jobs", "cache", "progress", "stats", "journal",
-                 "retry_budget", "unit_deadline", "harness_faults",
-                 "_pool", "_pool_workers", "_progress")
+                 "unit_deadline", "_pool", "_pool_workers", "_progress")
 
     def __init__(self, jobs: Optional[int] = 1, *,
                  cache: Optional[ResultCache] = None,
                  progress: Optional[ProgressCallback] = None,
                  journal: Optional[RunJournal] = None,
-                 retry_budget: int = DEFAULT_RETRY_BUDGET,
-                 unit_deadline: Optional[float] = None,
-                 harness_faults: Optional[HarnessFaultPlan] = None
-                 ) -> None:
+                 unit_deadline: Optional[float] = None) -> None:
         if not jobs:
             jobs = os.cpu_count() or 1
         self.jobs = max(1, int(jobs))
         self.cache = cache
         self.progress = progress
         self.journal = journal
-        self.retry_budget = max(0, int(retry_budget))
         self.unit_deadline = unit_deadline
-        self.harness_faults = harness_faults
         self.stats = MatrixStats()
         self._pool: Optional[multiprocessing.pool.Pool] = None
         self._pool_workers = 0
@@ -425,8 +417,7 @@ class MatrixRunner:
         if self.jobs <= 1 or len(pending) <= 1:
             for index in pending:
                 spec, seed = units[index]
-                yield [_attempt(self.stats.count, self.harness_faults,
-                                index, spec, seed, 1)]
+                yield [_attempt(self.stats.count, index, spec, seed, 1)]
             return
         payload = [(index, units[index][0], units[index][1])
                    for index in pending]

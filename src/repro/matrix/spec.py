@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import Any, Callable, ClassVar, Dict, List, Mapping, Tuple, Union
+from typing import Any, Callable, ClassVar, Dict, List, Tuple, Union
 
 from ..client.robot import ClientConfig
 from ..core.modes import ProtocolMode
@@ -100,12 +100,11 @@ def _freeze(value: Any) -> Any:
 
 
 def _canonical_overrides(overrides) -> Tuple[Tuple[str, Any], ...]:
-    if isinstance(overrides, Mapping):
-        items = list(overrides.items())
-    else:
-        items = [tuple(pair) for pair in overrides]
+    # ``dict`` reads a mapping and a sequence of pairs alike, and keeps
+    # one value per field, so two pairs naming one field cannot fork a
+    # unit key.
     canon = []
-    for name, value in sorted(items):
+    for name, value in sorted(dict(overrides).items()):
         if name not in _CLIENT_FIELDS:
             raise UnknownNameError(
                 f"unknown client config field {name!r} (choose from: "
@@ -216,16 +215,16 @@ class ExperimentSpec:
         protocol-checked (``sanitize=True``): a violation raises, and the
         engine quarantines the unit as an ``invariant`` failure; wrong
         content quarantines it as an ``exception`` one.  The
-        result carries the measurement columns only (``fetch=None,
-        trace=None``) — the same shape the cache hydrates — so serial,
-        parallel and cached paths are interchangeable.
+        result carries the measurement columns only (``fetch=None``) —
+        the same shape the cache hydrates — so serial, parallel and
+        cached paths are interchangeable.
         """
         result = run_experiment(
             self.mode, self.scenario,
             environment=self.environment, profile=self.server,
             seed=seed, client_config=self.client_config(),
             sanitize=True, faults=self.faults)
-        return dataclasses.replace(result, fetch=None, trace=None)
+        return dataclasses.replace(result, fetch=None)
 
     def canonical_dict(self) -> Dict[str, Any]:
         """JSON-stable identity of the cell, *excluding* seeds."""

@@ -12,7 +12,8 @@ chunks instead:
 * a **liveness watch** on the pool's worker processes notices a dead
   worker within one poll interval, without waiting for the deadline;
 * on either signal the pool is **terminated and respawned** and every
-  lost chunk is re-dispatched under the runner's capped retry budget;
+  lost chunk is re-dispatched under the capped retry budget
+  (:data:`DEFAULT_RETRY_BUDGET`);
 * failures walk the same **downgrade ladder** as the PR-4 robot:
   parallel retry → serial in-parent retry → quarantine.  Only
   exception failures reach the serial rung — a unit that hangs or
@@ -26,9 +27,10 @@ Determinism is preserved: a unit's computation does not depend on
 where or how often it ran, so a grid that survives a worker kill
 produces numbers byte-identical to an undisturbed serial run.
 
-Harness fault plans (:mod:`repro.faults.harness`) ship inside each
-chunk payload — no worker-global state — so the chaos tests can
-SIGKILL, hang, or poison scripted units deterministically.
+Every attempt, in a worker or in the parent, looks
+:func:`~repro.matrix.runner.run_unit` up at call time
+(:func:`_attempt`), so that one function is where a test stands in a
+unit that raises, hangs or kills its worker.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 from .. import memo
 from ..content import artifacts
 from ..core.runner import UnitFailure
-from ..faults.harness import HarnessFaultPlan
 from .spec import ExperimentSpec
 
 __all__ = ["DEFAULT_RETRY_BUDGET", "DEADLINE_GRACE", "Supervisor",
@@ -85,8 +86,8 @@ def process_counters(since: Sequence[int] = (0, 0, 0, 0, 0)
     return tuple(map(operator.sub, now, since))
 
 
-def _attempt(count, plan: Optional[HarnessFaultPlan], index: int,
-             spec: ExperimentSpec, seed: int, attempt: int) -> _Outcome:
+def _attempt(count, index: int, spec: ExperimentSpec, seed: int,
+             attempt: int) -> _Outcome:
     """The one way to run a unit: in a pool worker, or in the parent —
     where ``jobs=1`` execution starts (attempt 1) and exception failures
     that spent their parallel budget end, the ladder's final rung.
@@ -101,8 +102,6 @@ def _attempt(count, plan: Optional[HarnessFaultPlan], index: int,
     from .runner import run_unit    # runner imports this module
     before = process_counters()
     try:
-        if plan is not None:
-            plan.apply(index, seed, attempt)
         result, wall = run_unit(spec, seed)
         return (index, result, wall)
     except Exception as exc:
@@ -112,15 +111,13 @@ def _attempt(count, plan: Optional[HarnessFaultPlan], index: int,
         count(process_counters(before))
 
 
-def _run_chunk_supervised(
-        payload: Tuple[Sequence[_SupUnit], Optional[HarnessFaultPlan]]
-) -> Tuple[List[_Outcome], Tuple[int, ...]]:
+def _run_chunk_supervised(units: Sequence[_SupUnit]
+                          ) -> Tuple[List[_Outcome], Tuple[int, ...]]:
     """Worker entry: one IPC round-trip per chunk, returning the units'
     outcomes and their summed counter delta for the parent to aggregate
     across the pool."""
-    units, plan = payload
     moved: List[Tuple[int, ...]] = []
-    outcomes = [_attempt(moved.append, plan, *unit) for unit in units]
+    outcomes = [_attempt(moved.append, *unit) for unit in units]
     return outcomes, tuple(map(sum, zip(*moved)))
 
 
@@ -142,8 +139,7 @@ class Supervisor:
     Created per ``run_many`` parallel dispatch; uses the runner's
     persistent pool (respawning it through the runner so later calls
     reuse the healthy replacement), follows the runner's
-    ``retry_budget``, ``unit_deadline`` and ``harness_faults``, and
-    reports retries, respawns and IPC totals into the runner's
+    ``unit_deadline`` and :data:`DEFAULT_RETRY_BUDGET`, and reports retries, respawns and IPC totals into the runner's
     :class:`MatrixStats`.
     """
 
@@ -189,15 +185,14 @@ class Supervisor:
     # Dispatch and collection
     # ------------------------------------------------------------------
     def _dispatch(self, pool, units: List[_SupUnit]) -> None:
-        payload = (tuple(units), self.runner.harness_faults)
         stats = self.runner.stats
         stats.ipc_batches += 1
         stats.bytes_pickled += len(
-            pickle.dumps(payload, pickle.HIGHEST_PROTOCOL))
+            pickle.dumps(units, pickle.HIGHEST_PROTOCOL))
         deadline = time.monotonic() + sum(
             self._deadline_for(spec) for _, spec, _, _ in units)
         self._inflight.append(_Chunk(
-            units, pool.apply_async(_run_chunk_supervised, (payload,)),
+            units, pool.apply_async(_run_chunk_supervised, (units,)),
             deadline))
 
     def _deadline_for(self, spec: ExperimentSpec) -> float:
@@ -249,15 +244,14 @@ class Supervisor:
         Returns the resolved outcome, or None when the unit was
         re-dispatched and will resolve in a later batch.
         """
-        if attempt <= self.runner.retry_budget:
+        if attempt <= DEFAULT_RETRY_BUDGET:
             self.runner._emit_retry(spec, seed, attempt + 1)
             self._dispatch(self.runner._ensure_pool(),
                            [(index, spec, seed, attempt + 1)])
             return None
         # Parallel budget exhausted: the serial in-parent rung.
         self.runner._emit_retry(spec, seed, attempt + 1)
-        return _attempt(self.runner.stats.count,
-                        self.runner.harness_faults, index, spec, seed,
+        return _attempt(self.runner.stats.count, index, spec, seed,
                         attempt + 1)
 
     def _supervise(self) -> List[_Outcome]:
@@ -306,7 +300,7 @@ class Supervisor:
         """
         batch: List[_Outcome] = []
         for index, spec, seed, attempt in units:
-            if attempt <= self.runner.retry_budget:
+            if attempt <= DEFAULT_RETRY_BUDGET:
                 self.runner._emit_retry(spec, seed, attempt + 1)
                 self._dispatch(pool, [(index, spec, seed, attempt + 1)])
             else:

@@ -29,14 +29,11 @@ from __future__ import annotations
 
 import dataclasses
 import re
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..perf import PerfCounters
 from .link import Link
 from .packet import HEADER_BYTES, Segment
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..faults.recovery import RecoveryLog
 
 __all__ = ["PacketRecord", "TraceSummary", "TraceCollector", "Row",
            "parse_trace_text"]
@@ -103,17 +100,6 @@ class TraceSummary:
     dropped_loss: int = 0
     #: Link drops by drop-tail queue overflow.
     dropped_overflow: int = 0
-    #: TCP sender recovery totals, summed over both stacks for the run
-    #: (zero on the paper's quiet links).
-    retransmissions: int = 0
-    timeouts: int = 0
-    fast_retransmits: int = 0
-    #: Segments discarded at the receiver for a failed payload checksum
-    #: (only the fault injector ever stamps checksums).
-    checksum_drops: int = 0
-    #: Fault / recovery event log for the run, when fault injection was
-    #: active (None for clean runs and hand-built summaries).
-    recovery: Optional["RecoveryLog"] = None
 
     @property
     def wire_bytes(self) -> int:

@@ -27,7 +27,6 @@ from repro.analysis.claims import (CLAIMS, FAIL, PASS, UNMEASURED, CheckRow,
                                    format_claims_report)
 from repro.analysis.report import RenderSpec, ablation_cell
 from repro.core import FIRST_TIME, TABLE_CELLS, RenderMetrics
-from repro.faults.harness import HarnessFaultPlan
 from repro.matrix import MatrixRunner, ResultCache, unit_key
 
 REPO = pathlib.Path(__file__).resolve().parents[2]
@@ -175,7 +174,7 @@ def _false_claim(_cells):
 
 
 def test_fail_and_unmeasured_rows_print_and_exit_1(run, monkeypatch,
-                                                   tmp_path):
+                                                   tmp_path, unit_faults):
     """A falsified bound and a quarantined cell each cost a row — and
     the exit status; a table that lost a unit gets no fidelity score,
     and neither does the whole."""
@@ -185,22 +184,21 @@ def test_fail_and_unmeasured_rows_print_and_exit_1(run, monkeypatch,
         dataclasses.replace(within_2x, check=lambda cells: pytest.fail(
             "checked a quarantined cell")),
         Claim("false-claim", "test", "test", {}, _false_claim)])
-    # Unit 0 of the batch is seed 0 of Table 4's first cell: missing
-    # from this copy of the cache, it is dispatched — and poisoned.
+    # Seed 0 of Table 4's first cell: missing from this copy of the
+    # cache, it is dispatched — and poisoned.
     cache = ResultCache(shutil.copytree(run[1], tmp_path / "cache"))
     first = next(iter(within_2x.specs.values()))
     cache.path(first, first.seeds[0]).unlink()
-    poison = HarnessFaultPlan("poison-first", poison_units=(0,))
-    monkeypatch.setattr(
-        "repro.__main__.make_runner",
-        lambda args: MatrixRunner(cache=cache, harness_faults=poison))
+    unit_faults.poison(first, first.seeds[0])
+    monkeypatch.setattr("repro.__main__.make_runner",
+                        lambda args: MatrixRunner(cache=cache))
     status, out, err = run_verb("claims")
     assert status == 1 and " 1 failed" in err
     last_column = {line.split()[0]: line.split()[-1]
                    for line in out.splitlines() if line.split()}
     assert (last_column["paper-cells-within-2x"],
             last_column["false-claim"]) == (UNMEASURED, FAIL)
-    assert "HarnessPoisonError" in out and "2 claims" in out
+    assert "UnitFaultError" in out and "2 claims" in out
     fidelity_rows = {line.split()[1]: line.split()[-6:]
                      for line in out.splitlines()
                      if line.startswith("Table ")}

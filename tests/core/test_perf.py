@@ -6,11 +6,10 @@ from repro.core.runner import run_experiment
 def test_trace_summary_carries_perf_counters():
     result = run_experiment("HTTP/1.1", "first-time", environment="LAN",
                             profile="Apache", seed=0)
-    perf = result.trace.perf
-    assert perf is not None
-    assert perf.events_processed > 0
-    assert perf.heap_peak > 0
-    assert perf.segments >= result.packets
+    perf = result.perf
+    assert perf["events_processed"] > 0
+    assert perf["heap_peak"] > 0
+    assert perf["segments"] >= result.packets
 
 
 def test_lazy_timers_absorb_rearms():
@@ -18,4 +17,4 @@ def test_lazy_timers_absorb_rearms():
     # timer; the deadline-based timers absorb those as attribute writes.
     result = run_experiment("HTTP/1.1 Pipelined", "first-time",
                             environment="WAN", profile="Apache", seed=0)
-    assert result.trace.perf.cancels_avoided > 0
+    assert result.perf["cancels_avoided"] > 0

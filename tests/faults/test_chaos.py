@@ -1,12 +1,13 @@
 """The chaos verb: grid shape, per-cell seeds, runs on the matrix engine."""
 
 import io
+import shutil
 
 import pytest
 
 from repro.__main__ import main
-from repro.faults import HarnessFaultPlan
-from repro.faults.chaos import _cell_seed, chaos_cells, run_chaos
+from repro.faults.chaos import (CHAOS_SCENARIO, CHAOS_SERVER, _cell_seed,
+                                chaos_cells, run_chaos)
 from repro.matrix import (ExperimentSpec, MatrixRunner, ResultCache,
                           RunJournal)
 
@@ -125,18 +126,29 @@ def test_cache_and_journal_replay_the_sweep(serial_sweep):
 
 
 @pytest.mark.slow
-def test_quarantined_cell_prints_failed_and_reproduce(serial_sweep):
+def test_quarantined_cell_prints_failed_and_reproduce(serial_sweep,
+                                                      unit_faults, tmp_path):
     plan, mode, environment = chaos_cells()[1]
-    poison = HarnessFaultPlan(name="t", poison_units=(1,))
-    status, text, stats = sweep(harness_faults=poison)
+    seed = _cell_seed(1997, plan, mode, environment)
+    victim = ExperimentSpec(mode=mode, scenario=CHAOS_SCENARIO,
+                            environment=environment, server=CHAOS_SERVER,
+                            seeds=(seed,), faults=plan)
+    # Only the victim is missing from this copy of the sweep's cache:
+    # it alone is simulated — and poisoned.
+    cache = ResultCache(shutil.copytree(serial_sweep[2].root,
+                                        tmp_path / "cache"))
+    cache.path(victim, seed).unlink()
+    unit_faults.poison(victim, seed)
+    status, text, stats = sweep(cache=cache)
     assert status == 1
     assert stats.failures == 1
+    assert stats.cache_hits == 47
     clean, lines = serial_sweep[1].splitlines(), text.splitlines()
     row = 2 + 1                          # header, rule, then the cells
     assert lines[:row] == clean[:row]
     assert lines[row].startswith(
         f"{plan:15s} {mode:20s} {environment:4s}   FAILED  "
-        f"HarnessPoisonError: ")
+        f"UnitFaultError: ")
     assert lines[row + 1] == (f"  reproduce: python -m repro chaos "
                               f"--seed 1997 --only "
                               f"{plan}:{mode}:{environment}")

@@ -138,7 +138,7 @@ def test_wire_chaos_run_completes_and_counts_checksum_drops():
     assert len(result.fetch.responses) == 43
     assert result.checksum_drops > 0
     assert result.retransmissions > 0
-    assert result.trace.recovery.count("link", "corrupt") > 0
+    assert result.fetch.recovery.count("link", "corrupt") > 0
 
 
 @pytest.mark.slow

@@ -78,7 +78,7 @@ def test_flaky_server_faults_hit_and_are_recovered():
     assert len(result.fetch.responses) == 43
     assert all(r.status in (200, 304)
                for r in result.fetch.responses.values())
-    recovery = result.trace.recovery
+    recovery = result.fetch.recovery
     assert recovery.count("server", "503") == \
         len(plan.server.error_503_requests)
     assert recovery.count("server", "abort") == \
@@ -93,7 +93,7 @@ def test_hostile_server_forces_watchdog_and_downgrade():
                             profile="Apache", seed=0,
                             faults="hostile-server")
     assert len(result.fetch.responses) == 43
-    recovery = result.trace.recovery
+    recovery = result.fetch.recovery
     assert recovery.count("server", "stall") == 1
     assert recovery.count("client", "watchdog") >= 1
     assert recovery.count("client", "downgrade") >= 1

@@ -17,7 +17,7 @@ def synthetic_result(**overrides) -> RunResult:
         max_parallel_connections=4, retries=2,
         server_cpu_seconds=0.0912, mean_packets_per_connection=10.02,
         mean_packet_size=417.9, mean_request_bytes=301.5,
-        statuses={200: 42, 304: 1}, fetch=None, trace=None)
+        statuses={200: 42, 304: 1}, fetch=None)
     values.update(overrides)
     return RunResult(**values)
 
@@ -40,7 +40,6 @@ def test_payload_round_trip_preserves_every_field():
         assert getattr(hydrated, name) == getattr(original, name)
     assert hydrated.statuses == {200: 42, 304: 1}   # int keys again
     assert hydrated.fetch is None
-    assert hydrated.trace is None
 
 
 def test_get_put_round_trip(cache):

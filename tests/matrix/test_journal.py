@@ -39,7 +39,7 @@ def test_result_round_trip(journal, tmp_path):
     hydrated = journal.load()[unit_key(spec, 0)]
     assert hydrated.packets == result.packets
     assert hydrated.elapsed == result.elapsed
-    assert hydrated.fetch is None and hydrated.trace is None
+    assert hydrated.fetch is None
     # One entry format: what the journal wrote, a result cache reads.
     [path] = entries(journal)
     assert sorted(json.loads(path.read_text())) == [
@@ -145,17 +145,17 @@ def test_partial_journal_resumes_only_whats_missing(tmp_path):
     assert len(hits) == 3
 
 
-def test_journaled_failures_replay_on_resume(tmp_path):
-    from repro.faults import HarnessFaultPlan
+def test_journaled_failures_replay_on_resume(tmp_path, unit_faults,
+                                             monkeypatch):
     specs = grid_specs()
     root = tmp_path / "runs"
-    plan = HarnessFaultPlan(name="t", poison_units=(1,), poison_seed=1)
-    with MatrixRunner(jobs=1, harness_faults=plan,
-                      journal=RunJournal("grid", root)) as r:
+    unit_faults.poison(specs[0], 1)
+    with MatrixRunner(jobs=1, journal=RunJournal("grid", root)) as r:
         first = r.run_many(specs)
     assert len(first[0].failures) == 1
-    # Resume WITHOUT the fault plan: the quarantine verdict replays
-    # from the journal rather than re-running the unit.
+    # Resume WITHOUT the fault: the quarantine verdict replays from the
+    # journal rather than re-running the unit.
+    monkeypatch.undo()
     with MatrixRunner(jobs=1, journal=RunJournal("grid", root)) as r:
         resumed = r.run_many(specs)
         assert r.stats.sim_runs == 0
@@ -164,13 +164,11 @@ def test_journaled_failures_replay_on_resume(tmp_path):
     assert_results_identical(first[1], resumed[1])
 
 
-def test_a_verdict_is_journaled_but_never_cached(tmp_path):
-    from repro.faults import HarnessFaultPlan
-    plan = HarnessFaultPlan(name="t", poison_units=(1,), poison_seed=1)
+def test_a_verdict_is_journaled_but_never_cached(tmp_path, unit_faults):
+    unit_faults.poison(grid_specs()[0], 1)
     cache = ResultCache(tmp_path / "cache")
     journal = RunJournal("grid", tmp_path / "cache" / "runs")
-    with MatrixRunner(jobs=1, harness_faults=plan, cache=cache,
-                      journal=journal) as r:
+    with MatrixRunner(jobs=1, cache=cache, journal=journal) as r:
         r.run_many(grid_specs())
         assert r.stats.failures == 1
 

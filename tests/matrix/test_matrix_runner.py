@@ -43,7 +43,6 @@ def test_serial_matches_run_repeated():
 def test_results_are_stripped_of_transcripts():
     result = MatrixRunner().run(ExperimentSpec(seeds=(0,), **FAST))
     assert result.runs[0].fetch is None
-    assert result.runs[0].trace is None
     assert result.runs[0].packets > 0
 
 
@@ -100,19 +99,18 @@ def test_perf_and_recovery_columns_survive_cache_and_journal(tmp_path):
                              profile=spec.server, seed=seed,
                              faults=spec.faults)
               for seed in spec.seeds]
-    counters = [run.trace.perf for run in direct]
-    assert any(run.trace.recovery.counts for run in direct)
+    assert any(run.fetch.recovery.counts for run in direct)
     cache = ResultCache(tmp_path / "cache")
     journal = RunJournal("grid", tmp_path / "runs")
     fresh = MatrixRunner(cache=cache, journal=journal).run(spec)
     cached = MatrixRunner(cache=cache).run(spec)
     resumed = MatrixRunner(journal=journal).run(spec)
     for result in (fresh, cached, resumed):
-        assert result.runs[0].trace is None
+        assert result.runs[0].fetch is None
         assert [run.recovery for run in result.runs] == \
-            [run.trace.recovery.counts for run in direct]
+            [run.fetch.recovery.counts for run in direct]
         assert [run.perf for run in result.runs] == \
-            [c.as_dict() for c in counters]
+            [run.perf for run in direct]
 
 
 def test_cache_partial_hit_runs_only_new_seeds(tmp_path):

@@ -103,6 +103,14 @@ def test_overrides_dict_becomes_sorted_tuple():
                                             "max_connections": 2})
     assert spec.client_overrides == (("max_connections", 2),
                                      ("pipeline", False))
+    # Pairs read the same as a dict, and two pairs naming one field
+    # keep one value: neither can fork the unit key.
+    for pairs in ([("pipeline", False), ("max_connections", 2)],
+                  [("max_connections", 4), ("pipeline", False),
+                   ("max_connections", 2)]):
+        other = ExperimentSpec(client_overrides=pairs)
+        assert other.client_overrides == spec.client_overrides
+        assert unit_key(other, 0) == unit_key(spec, 0)
 
 
 def test_unknown_override_field_rejected():

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.core.runner import UnitFailure
-from repro.faults import HarnessFaultPlan, HarnessPoisonError
 from repro.matrix import ExperimentSpec, MatrixRunner
 from repro.matrix import runner as runner_mod
+from repro.matrix import supervisor
 from repro.matrix.supervisor import DEADLINE_GRACE, Supervisor
 
 from .test_matrix_runner import FAST, assert_results_identical
@@ -24,9 +24,19 @@ GRID = [
 #: so 30 s can not fire spuriously even on a loaded CI machine.
 SAFE_DEADLINE = 30.0
 
+#: The hung-worker test waits this long for the deadline to fire.  The
+#: five healthy units finish on the other worker within 0.17 s even on
+#: a loaded 2-CPU host; a respawn that catches that worker mid-reply
+#: can deadlock ``Pool.terminate``, so the deadline keeps a 3x margin.
+HANG_DEADLINE = 0.5
+
 
 def specs():
     return [ExperimentSpec(**axes) for axes in GRID]
+
+
+#: The unit most fault tests name: the first cell at seed 1.
+VICTIM = (specs()[0], 1)
 
 
 @pytest.fixture(scope="module")
@@ -38,14 +48,17 @@ def serial_baseline():
 # UnitFailure plumbing
 # ----------------------------------------------------------------------
 def test_unit_failure_from_exception_digest_and_summary():
+    class PoisonError(RuntimeError):
+        pass
+
     try:
-        raise HarnessPoisonError("boom")
-    except HarnessPoisonError as exc:
+        raise PoisonError("boom")
+    except PoisonError as exc:
         failure = UnitFailure.from_exception("cell", 7, exc, attempts=3)
     assert failure.kind == "exception"
     assert failure.seed == 7
     assert failure.attempts == 3
-    assert "HarnessPoisonError: boom" in failure.error
+    assert "PoisonError: boom" in failure.error
     assert len(failure.traceback_digest) == 12
     assert "cell" in failure.summary()
     assert "3 attempt" in failure.summary()
@@ -80,17 +93,17 @@ def test_averaged_result_carries_failures_and_nan_means():
 # ----------------------------------------------------------------------
 # Poison cells: the exception rung of the ladder
 # ----------------------------------------------------------------------
-def test_poison_cell_quarantined_serially():
-    plan = HarnessFaultPlan(name="t", poison_units=(1,), poison_seed=1)
-    runner = MatrixRunner(jobs=1, harness_faults=plan)
+def test_poison_cell_quarantined_serially(unit_faults):
+    unit_faults.poison(*VICTIM)
+    runner = MatrixRunner(jobs=1)
     results = runner.run_many(specs())
-    # Unit ordinal 1 is (first spec, seed 1): quarantined, not raised.
+    # The victim is quarantined, not raised.
     assert len(results[0].failures) == 1
     failure = results[0].failures[0]
     assert failure.kind == "exception"
     assert failure.seed == 1
     assert failure.attempts == 1          # serial is the final rung
-    assert "HarnessPoisonError" in failure.error
+    assert "UnitFaultError" in failure.error
     # Siblings (seeds 0 and 2) and the second cell still completed.
     assert len(results[0].runs) == 2
     assert results[1].ok
@@ -98,11 +111,13 @@ def test_poison_cell_quarantined_serially():
     assert runner.stats.sim_runs == 5
 
 
-def test_poison_cell_walks_the_full_ladder_in_parallel(serial_baseline):
-    plan = HarnessFaultPlan(name="t", poison_units=(1,), poison_seed=1)
+def test_poison_cell_walks_the_full_ladder_in_parallel(serial_baseline,
+                                                      unit_faults,
+                                                      monkeypatch):
+    unit_faults.poison(*VICTIM)
+    monkeypatch.setattr(supervisor, "DEFAULT_RETRY_BUDGET", 1)
     events = []
-    with MatrixRunner(jobs=2, harness_faults=plan,
-                      retry_budget=1, progress=events.append,
+    with MatrixRunner(jobs=2, progress=events.append,
                       unit_deadline=SAFE_DEADLINE) as runner:
         results = runner.run_many(specs())
         stats = runner.stats
@@ -122,19 +137,38 @@ def test_poison_cell_walks_the_full_ladder_in_parallel(serial_baseline):
     assert_results_identical(results[1], serial_baseline[1])
 
 
-def test_transient_exception_recovers_within_budget(serial_baseline):
-    # Poison fires on every attempt only for kill/hang-free plans; a
-    # poison restricted to attempt 1 does not exist, so emulate the
-    # transient case with the kill fault instead (first attempt only)
-    # exercised through the exception path: hang/kill cover machine
-    # faults elsewhere — here verify a *clean* supervised run is
-    # byte-identical and charges no retries.
+def test_transient_exception_recovers_within_budget(serial_baseline,
+                                                    unit_faults):
+    # The victim raises on its first attempt only: the parallel retry
+    # recovers it, and nothing else is charged.
+    unit_faults.raise_once(*VICTIM)
+    events = []
+    with MatrixRunner(jobs=2, progress=events.append,
+                      unit_deadline=SAFE_DEADLINE) as runner:
+        results = runner.run_many(specs())
+        stats = runner.stats
+    assert stats.failures == 0
+    assert stats.unit_retries == 1
+    assert stats.ipc_batches == 6 + 1     # the retry went to the pool
+    assert stats.pool_respawns == 0
+    assert stats.sim_runs == 6
+    (retried,) = [e for e in events if e.status == "retried"]
+    assert (retried.spec, retried.seed, retried.attempt) == (*VICTIM, 2)
+    for got, want in zip(results, serial_baseline):
+        assert_results_identical(got, want)
+
+
+def test_worker_only_exception_recovers_on_the_serial_rung(
+        serial_baseline, unit_faults):
+    # The victim raises in every worker: the parallel budget is spent,
+    # and the serial in-parent rung completes it.
+    unit_faults.raise_in_workers(*VICTIM)
     with MatrixRunner(jobs=2, unit_deadline=SAFE_DEADLINE) as runner:
         results = runner.run_many(specs())
         stats = runner.stats
     assert stats.failures == 0
-    assert stats.unit_retries == 0
-    assert stats.pool_respawns == 0
+    assert stats.unit_retries == supervisor.DEFAULT_RETRY_BUDGET + 1
+    assert stats.sim_runs == 6
     for got, want in zip(results, serial_baseline):
         assert_results_identical(got, want)
 
@@ -143,12 +177,12 @@ def test_transient_exception_recovers_within_budget(serial_baseline):
 # Machine faults: dead and hung workers
 # ----------------------------------------------------------------------
 def test_sigkilled_worker_recovers_byte_identical(serial_baseline,
+                                                  unit_faults,
                                                   monkeypatch):
     # Two-unit chunks: the kill also takes a sibling down with it.
     monkeypatch.setattr(runner_mod, "_CHUNKS_PER_WORKER", 2)
-    plan = HarnessFaultPlan(name="t", kill_unit=2)
-    with MatrixRunner(jobs=2, harness_faults=plan,
-                      unit_deadline=SAFE_DEADLINE) as runner:
+    unit_faults.kill_worker_once(specs()[0], 2)
+    with MatrixRunner(jobs=2, unit_deadline=SAFE_DEADLINE) as runner:
         results = runner.run_many(specs())
         stats = runner.stats
     assert stats.pool_respawns >= 1
@@ -159,10 +193,10 @@ def test_sigkilled_worker_recovers_byte_identical(serial_baseline,
         assert_results_identical(got, want)
 
 
-def test_hung_worker_hits_deadline_and_recovers(serial_baseline):
-    plan = HarnessFaultPlan(name="t", hang_unit=1, hang_seconds=120.0)
-    with MatrixRunner(jobs=2, harness_faults=plan,
-                      unit_deadline=3.0) as runner:
+def test_hung_worker_hits_deadline_and_recovers(serial_baseline,
+                                                unit_faults):
+    unit_faults.hang_worker_once(*VICTIM)
+    with MatrixRunner(jobs=2, unit_deadline=HANG_DEADLINE) as runner:
         results = runner.run_many(specs())
         stats = runner.stats
     assert stats.pool_respawns >= 1
@@ -183,14 +217,14 @@ def test_deadline_defaults_derive_from_max_sim_time(monkeypatch):
 # ----------------------------------------------------------------------
 # Pool lifecycle hygiene (satellite: close/terminate on dead workers)
 # ----------------------------------------------------------------------
-def test_close_handles_already_dead_workers(monkeypatch):
+def test_close_handles_already_dead_workers(unit_faults, monkeypatch):
     # Half a chunk per worker: the whole grid is one chunk.
     monkeypatch.setattr(runner_mod, "_CHUNKS_PER_WORKER", 0.5)
-    plan = HarnessFaultPlan(name="t", kill_unit=0)
-    runner = MatrixRunner(jobs=2, retry_budget=0, harness_faults=plan,
-                          unit_deadline=SAFE_DEADLINE)
+    monkeypatch.setattr(supervisor, "DEFAULT_RETRY_BUDGET", 0)
+    unit_faults.kill_worker_once(specs()[0], 0)
+    runner = MatrixRunner(jobs=2, unit_deadline=SAFE_DEADLINE)
     results = runner.run_many(specs())
-    # retry_budget=0: the killed chunk's units quarantine immediately.
+    # No retry budget: the killed chunk's units quarantine immediately.
     total_failures = sum(len(r.failures) for r in results)
     assert total_failures == 6
     assert all(f.kind == "worker-lost"
@@ -198,19 +232,6 @@ def test_close_handles_already_dead_workers(monkeypatch):
     runner.close()          # must not hang despite the SIGKILL
     assert runner._pool is None
     runner.close()          # idempotent
-
-
-def test_poison_without_seed_restriction_hits_one_ordinal():
-    # poison_seed=None poisons the listed ordinals for any seed; the
-    # ordinal is the unit's slot index, so seeds (0,1,2) of one spec
-    # occupy ordinals (0,1,2) and exactly one unit is poisoned.
-    plan = HarnessFaultPlan(name="t", poison_units=(1,))
-    runner = MatrixRunner(jobs=1, harness_faults=plan)
-    spec = ExperimentSpec(seeds=(0, 1, 2), **FAST)
-    results = runner.run_many([spec])
-    assert len(results[0].failures) == 1
-    assert results[0].failures[0].seed == 1
-    assert len(results[0].runs) == 2
 
 
 def test_serial_artifact_delta_survives_early_generator_exit(

@@ -1,13 +1,10 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
-import functools
 import re
 
 import pytest
 
 from repro.__main__ import build_parser, main
-from repro.faults import HarnessFaultPlan
-from repro.matrix import MatrixRunner, cli
 
 
 def test_run_cell(capsys):
@@ -102,7 +99,6 @@ def test_non_positive_runs_is_a_usage_error(argv, capsys):
     ("--unit-deadline", "-1", "must be a positive number of seconds"),
     ("--unit-deadline", "0", "must be a positive number of seconds"),
     ("--unit-deadline", "nan", "must be a positive number of seconds"),
-    ("--retry-budget", "-5", "must be at least 0"),
     ("--jobs", "-3", "must be at least 0"),
 ])
 def test_nonsense_runner_flags_are_usage_errors(flag, value, message,
@@ -116,21 +112,23 @@ def test_nonsense_runner_flags_are_usage_errors(flag, value, message,
 
 
 def test_jobs_zero_means_one_per_cpu():
-    args = build_parser().parse_args(["table", "4", "--jobs", "0",
-                                      "--retry-budget", "0"])
-    assert (args.jobs, args.retry_budget) == (0, 0)
+    args = build_parser().parse_args(["table", "4", "--jobs", "0"])
+    assert args.jobs == 0
 
 
-@pytest.mark.parametrize("argv", [
-    ["table", "4", "--runs", "1"],
-    ["fleet", "--users", "4", "--cohorts", "2", "--environment", "LAN",
-     "--pages-per-user", "1", "--rounds", "1"],
+# Each verb's first unit, named by its label, is poisoned at seed 0.
+@pytest.mark.parametrize("argv, victim", [
+    pytest.param(["table", "4", "--runs", "1"],
+                 "HTTP/1.0 | first-time | LAN | Jigsaw", id="argv0"),
+    pytest.param(["fleet", "--users", "4", "--cohorts", "2",
+                  "--environment", "LAN", "--pages-per-user", "1",
+                  "--rounds", "1"],
+                 "fleet 4u/2c LAN seed=0 cohort 0", id="argv1"),
 ])
-def test_a_quarantined_unit_exits_1_with_the_output_printed(argv, capsys,
-                                                            monkeypatch):
-    plan = HarnessFaultPlan(name="poison", poison_units=(0,))
-    monkeypatch.setattr(cli, "MatrixRunner",
-                        functools.partial(MatrixRunner, harness_faults=plan))
+def test_a_quarantined_unit_exits_1_with_the_output_printed(argv, victim,
+                                                            capsys,
+                                                            unit_faults):
+    unit_faults.poison(victim, 0)
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert "1 failed" in captured.err

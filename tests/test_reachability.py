@@ -32,12 +32,13 @@ for its bases, a module-level alias (``TwoHostNetwork = Network``) for
 the class it names, and a keyword passed to a function or class that
 forwards its ``**`` parameter counts for the callee it forwards to.
 Names are matched as above.
-Exemptions go by rule: the fields of a dataclass ``src/`` assigns into
-after construction (result and counter records — ``FetchResult``,
-``PerfCounters``, ``MatrixStats``) and the fault-injection seams (the
-classes of ``repro.faults`` and options named ``faults`` or
-``*_faults``).  A spec's fields are options like any other: a field
-only tests set would key the cache for a measurement nothing runs.
+One exemption goes by rule: the fields of a dataclass ``src/``
+assigns into after construction (result and counter records —
+``FetchResult``, ``PerfCounters``, ``MatrixStats``).  Fault injection
+is no exception: a test that needs a faulty unit stands in for
+``repro.matrix.runner.run_unit`` instead of setting an option.  A
+spec's fields are options like any other: a field only tests set
+would key the cache for a measurement nothing runs.
 """
 
 import ast
@@ -361,14 +362,11 @@ def _unset_options():
 
     unset = []
     for info in src:
-        if info.name.split(".")[0] == "faults":
-            continue
         for cls in ast.walk(info.tree):
             if not isinstance(cls, ast.ClassDef) or cls.name in records:
                 continue
             for name, position in _options(cls, classes):
-                if (name == "faults" or name.endswith("_faults")
-                        or name in given[cls.name] or name in splat_keys
+                if (name in given[cls.name] or name in splat_keys
                         or (_is_dataclass(cls) and name in given["replace"])
                         or (position is not None
                             and position < most_positional[cls.name])):
