@@ -55,6 +55,10 @@ done
 #   a SIGKILLed pool worker is respawned and the grid finishes
 #     byte-identical to serial — tests/matrix/test_supervisor.py::
 #     test_sigkilled_worker_recovers_byte_identical
+#   the event heap fires what a list sorted by (time, seq) fires, with
+#     exact pending counts, across random schedules, cancels, runs and
+#     fast-forward extract/reinsert — tests/simnet/test_engine_perf.py::
+#     test_random_programs_match_a_sorted_reference
 #   fleet results do not depend on --jobs — tests/fleet/test_runner.py::
 #     test_jobs_do_not_change_results (LAN) and ..._wan (slow-marked,
 #     48 WAN users contending for a 6 Mbit/s backbone)

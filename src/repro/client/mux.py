@@ -179,9 +179,7 @@ class MuxClient(Robot):
             self.frame_tap(self.sim.now, "c>s", ftype, sid, payload)
         wire = encode_frame(ftype, sid, payload)
         if buffered:
-            state.buffer.write(wire)
-            if flush:
-                state.buffer.flush()
+            state.buffer.write(wire, flush)
         elif state.conn.state != "CLOSED":
             # Control frames (WINDOW_UPDATE, CANCEL) must not sit in
             # the request batch buffer: the server may be stalled on
@@ -237,7 +235,8 @@ class MuxClient(Robot):
             self._note("push-cancel", url)
             self._send_frame(state, F_CANCEL, frame.stream)
             return
-        self._expected[url] = False
+        self._expected[url] = None
+        self._unhandled.add(url)
         stream = _MuxStream(url, pushed=True)
         stream.parser.expect("GET")
         stream.parser.on_body_chunk = (

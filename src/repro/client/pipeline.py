@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..simnet.engine import Event, Simulator
+from ..simnet.engine import Simulator
 from ..simnet.tcp import TcpConnection
 
 __all__ = ["FlowWindow", "OutputBuffer"]
@@ -80,20 +80,22 @@ class OutputBuffer:
         self.size = size
         self.flush_timeout = flush_timeout
         self._buffer = bytearray()
-        self._timer: Optional[Event] = None
+        self._timer: Optional[list] = None
         #: Flush counters by trigger, for the flush-policy ablations.
         self.size_flushes = 0
         self.timer_flushes = 0
         self.explicit_flushes = 0
         self.bytes_written = 0
 
-    def write(self, data: bytes) -> None:
-        """Append ``data``; flush if the size threshold is reached."""
+    def write(self, data: bytes, flush: bool = False) -> None:
+        """Append ``data``; flush at the size limit, or now if ``flush``."""
         self._buffer.extend(data)
         self.bytes_written += len(data)
         if self.size and len(self._buffer) >= self.size:
             self.size_flushes += 1
             self._flush_now()
+        elif flush:     # no timer armed only to be cancelled
+            self.flush()
         elif self._buffer and self._timer is None \
                 and self.flush_timeout is not None:
             self._timer = self.sim.schedule(self.flush_timeout,
@@ -118,7 +120,7 @@ class OutputBuffer:
 
     def _flush_now(self) -> None:
         if self._timer is not None:
-            self._timer.cancel()
+            self.sim.cancel(self._timer)
             self._timer = None
         if self._buffer and self.conn.state != "CLOSED":
             self.conn.send(bytes(self._buffer))

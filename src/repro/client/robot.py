@@ -33,7 +33,7 @@ from __future__ import annotations
 import dataclasses
 import zlib
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from ..faults.recovery import RecoveryLog
 from ..http import (HTTP10, HTTP11, Headers, MemoryCache, ParseError,
@@ -210,7 +210,7 @@ class _Connection:
 
     def cancel_watchdog(self) -> None:
         if self.watchdog_event is not None:
-            self.watchdog_event.cancel()
+            self.robot.sim.cancel(self.watchdog_event)
             self.watchdog_event = None
 
     def retire(self, _conn: Optional[TcpConnection] = None) -> None:
@@ -259,9 +259,7 @@ class _ConnState(_Connection):
         self.outstanding.append(url)
         self.robot.result.request_bytes += len(wire)
         self.robot.result.requests_sent += 1
-        self.buffer.write(wire)
-        if flush:
-            self.buffer.flush()
+        self.buffer.write(wire, flush)
         self.robot._arm_watchdog(self)
 
     # ------------------------------------------------------------------
@@ -310,7 +308,10 @@ class Robot:
         #: Per-shard request queues (empty list when not sharding).
         self._shard_queues: List[Deque[str]] = [
             deque() for _ in range(self.config.shards)]
-        self._expected: Dict[str, bool] = {}   # url -> handled?
+        #: Every URL the page has asked for, in order (the dict is an
+        #: ordered set), and those still waiting for their response.
+        self._expected: Dict[str, None] = {}
+        self._unhandled: Set[str] = set()
         self._scenario = FIRST_TIME
         self._html_url: Optional[str] = None
         self._html_complete = False
@@ -368,12 +369,10 @@ class Robot:
                 urls = [html_url] + [u for u in self.cache.urls()
                                      if u != html_url]
             for url in urls:
-                self._expected[url] = False
-                self._pending.append(url)
+                self._expect(url)
             self._html_complete = True
         else:
-            self._expected[html_url] = False
-            self._pending.append(html_url)
+            self._expect(html_url)
         self._dispatch()
         return self.result
 
@@ -552,6 +551,11 @@ class Robot:
         self.sim.schedule_at(self._cpu_free_at, self._handle_response,
                              state, url, response)
 
+    def _expect(self, url: str) -> None:
+        self._expected[url] = None
+        self._unhandled.add(url)
+        self._pending.append(url)
+
     def _handle_response(self, state: _Connection, url: str,
                          response: Response) -> None:
         if 500 <= response.status < 600:
@@ -580,7 +584,7 @@ class Robot:
                 response.headers.remove("Content-Encoding")
             self.cache.handle_response(url, response)
         self.result.responses[url] = response
-        self._expected[url] = True
+        self._unhandled.discard(url)
         # A ranged image prefix: schedule the tail fetch unless the
         # prefix already covered the whole entity.
         if (self.config.range_prefix_bytes
@@ -590,8 +594,7 @@ class Robot:
             tail_key = url + TAIL_MARKER
             if tail_key not in self._expected \
                     and _range_has_tail(response):
-                self._expected[tail_key] = False
-                self._pending.append(tail_key)
+                self._expect(tail_key)
         if self.on_response is not None:
             self.on_response(url, response)
         if url == self._html_url and response.status == 200 \
@@ -661,8 +664,7 @@ class Robot:
         if not fresh:
             return
         for url in fresh:
-            self._expected[url] = False
-            self._pending.append(url)
+            self._expect(url)
         self._dispatch()
 
     # ------------------------------------------------------------------
@@ -796,7 +798,7 @@ class Robot:
             return
         if any(self._shard_queues):
             return
-        if any(not handled for handled in self._expected.values()):
+        if self._unhandled:
             return
         if any(c.outstanding for c in self._alive_conns()):
             return

@@ -99,8 +99,9 @@ class FaultInjector:
         link.fault_injector = self
 
     # ------------------------------------------------------------------
-    def handle(self, segment, deliver_at: float) -> None:
-        """Decide the fate of ``segment`` due at ``deliver_at``."""
+    def handle(self, segment, deliver_at: float, receiver) -> None:
+        """Decide the fate of ``segment`` due at ``deliver_at``; each
+        copy that arrives goes to ``receiver``, stamped ``delivered_at``."""
         link = self.link
         config = self.config
         rng = self.rng
@@ -133,14 +134,15 @@ class FaultInjector:
         if config.duplicate_rate and rng.random() < config.duplicate_rate:
             self.injected_duplicate += 1
             self._note("duplicate", repr(segment))
-            link.sim.schedule_at(deliver_at + 1e-4, link._deliver,
-                                 segment.replace())
+            copy = segment.replace(delivered_at=deliver_at + 1e-4)
+            link.sim.schedule_at(copy.delivered_at, receiver, copy)
         if config.reorder_rate and rng.random() < config.reorder_rate:
             self.injected_reorder += 1
             delay = rng.uniform(0.0, config.reorder_max_delay)
             deliver_at += delay
             self._note("reorder", f"+{delay * 1000.0:.1f}ms {segment!r}")
-        link.sim.schedule_at(deliver_at, link._deliver, segment)
+        segment.delivered_at = deliver_at
+        link.sim.schedule_at(deliver_at, receiver, segment)
 
     def _note(self, kind: str, detail: str) -> None:
         if self.recovery is not None:

@@ -6,9 +6,11 @@ killer, segfault) wedges the iterator forever, and a single raising
 unit aborts the whole batch.  :class:`Supervisor` owns the in-flight
 chunks instead:
 
-* every chunk carries a **wall-clock deadline** (per-unit budget —
-  the runner's ``unit_deadline`` or :data:`DEADLINE_GRACE` × the
-  spec's ``max_sim_time`` — summed over the chunk's units);
+* at most one chunk per worker is in flight, and each carries a
+  **wall-clock deadline** from its dispatch (per-unit budget — the
+  runner's ``unit_deadline`` or :data:`DEADLINE_GRACE` × the spec's
+  ``max_sim_time`` — summed over the chunk's units), so no chunk
+  spends its budget queued behind another;
 * a **liveness watch** on the pool's worker processes notices a dead
   worker within one poll interval, without waiting for the deadline;
 * on either signal the pool is **terminated and respawned** and every
@@ -143,11 +145,12 @@ class Supervisor:
     :class:`MatrixStats`.
     """
 
-    __slots__ = ("runner", "_inflight", "_procs")
+    __slots__ = ("runner", "_inflight", "_queued", "_procs")
 
     def __init__(self, runner) -> None:
         self.runner = runner
         self._inflight: List[_Chunk] = []
+        self._queued: List[List[_SupUnit]] = []  # waiting for a worker
         self._procs: List[object] = []
 
     # ------------------------------------------------------------------
@@ -164,16 +167,16 @@ class Supervisor:
         """
         units: List[_SupUnit] = [(index, spec, seed, 1)
                                  for index, spec, seed in payload]
-        pool = self.runner._ensure_pool()
-        self._watch(pool)
-        for chunk_units in self.runner._chunked(units):
-            self._dispatch(pool, list(chunk_units))
-        while self._inflight:
+        self._watch(self.runner._ensure_pool())
+        self._queued.extend(map(list, self.runner._chunked(units)))
+        while self._queued or self._inflight:
+            self._fill()
             ready = [c for c in self._inflight if c.handle.ready()]
             if ready:
                 for chunk in ready:
                     self._inflight.remove(chunk)
                     batch = self._collect(chunk)
+                    self._fill()
                     if batch:
                         yield batch
                 continue
@@ -184,16 +187,20 @@ class Supervisor:
     # ------------------------------------------------------------------
     # Dispatch and collection
     # ------------------------------------------------------------------
-    def _dispatch(self, pool, units: List[_SupUnit]) -> None:
+    def _fill(self) -> None:
+        """Hand queued chunks to the pool while a worker is free."""
+        pool = self.runner._ensure_pool()
         stats = self.runner.stats
-        stats.ipc_batches += 1
-        stats.bytes_pickled += len(
-            pickle.dumps(units, pickle.HIGHEST_PROTOCOL))
-        deadline = time.monotonic() + sum(
-            self._deadline_for(spec) for _, spec, _, _ in units)
-        self._inflight.append(_Chunk(
-            units, pool.apply_async(_run_chunk_supervised, (units,)),
-            deadline))
+        while self._queued and len(self._inflight) < self.runner.jobs:
+            units = self._queued.pop(0)
+            stats.ipc_batches += 1
+            stats.bytes_pickled += len(
+                pickle.dumps(units, pickle.HIGHEST_PROTOCOL))
+            deadline = time.monotonic() + sum(
+                self._deadline_for(spec) for _, spec, _, _ in units)
+            self._inflight.append(_Chunk(
+                units, pool.apply_async(_run_chunk_supervised, (units,)),
+                deadline))
 
     def _deadline_for(self, spec: ExperimentSpec) -> float:
         if self.runner.unit_deadline is not None:
@@ -218,8 +225,7 @@ class Supervisor:
             # worker, minus the pool respawn (the pool is healthy).
             return self._retry_or_quarantine(
                 chunk.units, "worker-lost",
-                f"chunk result unavailable: {exc}",
-                self.runner._ensure_pool())
+                f"chunk result unavailable: {exc}")
         self.runner.stats.count(moved)
         info = {index: (spec, seed, attempt)
                 for index, spec, seed, attempt in chunk.units}
@@ -246,8 +252,7 @@ class Supervisor:
         """
         if attempt <= DEFAULT_RETRY_BUDGET:
             self.runner._emit_retry(spec, seed, attempt + 1)
-            self._dispatch(self.runner._ensure_pool(),
-                           [(index, spec, seed, attempt + 1)])
+            self._queued.append([(index, spec, seed, attempt + 1)])
             return None
         # Parallel budget exhausted: the serial in-parent rung.
         self.runner._emit_retry(spec, seed, attempt + 1)
@@ -275,21 +280,20 @@ class Supervisor:
                  else "unit wall-clock deadline expired")
         guilty = set(map(id, self._inflight if lost else expired))
         inflight, self._inflight = self._inflight, []
-        pool = self.runner._respawn_pool()
-        self._watch(pool)
+        self._watch(self.runner._respawn_pool())
+        # Innocent bystander chunks lost to the respawn go back to the
+        # head of the queue as-is: no attempt is charged to them.
+        self._queued[:0] = [chunk.units for chunk in inflight
+                            if id(chunk) not in guilty]
         batch: List[_Outcome] = []
         for chunk in inflight:
             if id(chunk) in guilty:
                 batch.extend(self._retry_or_quarantine(
-                    chunk.units, kind, error, pool))
-            else:
-                # Innocent bystander chunks lost to the respawn are
-                # re-dispatched as-is: no attempt is charged to them.
-                self._dispatch(pool, chunk.units)
+                    chunk.units, kind, error))
         return batch
 
     def _retry_or_quarantine(self, units: Sequence[_SupUnit], kind: str,
-                             error: str, pool) -> List[_Outcome]:
+                             error: str) -> List[_Outcome]:
         """Machine-fault path: parallel retries only, then quarantine.
 
         A unit whose worker hangs or dies must never run in the parent
@@ -302,7 +306,7 @@ class Supervisor:
         for index, spec, seed, attempt in units:
             if attempt <= DEFAULT_RETRY_BUDGET:
                 self.runner._emit_retry(spec, seed, attempt + 1)
-                self._dispatch(pool, [(index, spec, seed, attempt + 1)])
+                self._queued.append([(index, spec, seed, attempt + 1)])
             else:
                 batch.append((index, UnitFailure(
                     label=spec.label, seed=seed, kind=kind, error=error,

@@ -12,7 +12,7 @@ public result types.
 Counter semantics
 -----------------
 ``events_processed``
-    Callbacks actually fired by :meth:`Simulator.run`.
+    Callbacks fired by :meth:`Simulator.run` (added as each run returns).
 ``events_cancelled``
     Cancelled heap entries discarded (lazily at pop time or by a purge).
 ``heap_peak``

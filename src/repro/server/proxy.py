@@ -29,7 +29,7 @@ from typing import Optional
 
 from ..http import (ParseError, Request, RequestParser,
                     ResponseParser)
-from ..simnet.engine import Event, Simulator
+from ..simnet.engine import Simulator
 from ..simnet.tcp import TcpConnection, TcpStack
 
 __all__ = ["SimHttpProxy", "PROXY_PORT"]
@@ -56,7 +56,7 @@ class _ProxiedExchange:
         self.request_parser = RequestParser()
         self.response_parser = ResponseParser()
         self.upstream: Optional[TcpConnection] = None
-        self._idle_timer: Optional[Event] = None
+        self._idle_timer: Optional[list] = None
         self._upstream_buffer = bytearray()
         self._client_fin = False
         client_conn.on_data = self._client_data
@@ -164,7 +164,7 @@ class _ProxiedExchange:
 
     def _cancel_idle_timer(self) -> None:
         if self._idle_timer is not None:
-            self._idle_timer.cancel()
+            self.proxy.sim.cancel(self._idle_timer)
             self._idle_timer = None
 
     def _idle_fire(self) -> None:

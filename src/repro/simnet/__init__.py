@@ -21,7 +21,7 @@ with several ``client_hosts``.  Typical use::
     print(net.trace.summary())
 """
 
-from .engine import Event, Simulator, SimulationError
+from .engine import Simulator, SimulationError
 from .link import (ENVIRONMENTS, LAN, PPP, WAN, Link, NetworkEnvironment)
 from .modem import LzwEncoder, ModemCompressor
 from .network import CLIENT_HOST, SERVER_HOST, Network, TwoHostNetwork
@@ -30,7 +30,7 @@ from .tcp import TcpConfig, TcpConnection, TcpListener, TcpStack
 from .trace import PacketRecord, TraceCollector, TraceSummary
 
 __all__ = [
-    "Event", "Simulator", "SimulationError",
+    "Simulator", "SimulationError",
     "ENVIRONMENTS", "LAN", "WAN", "PPP", "Link", "NetworkEnvironment",
     "LzwEncoder", "ModemCompressor",
     "CLIENT_HOST", "SERVER_HOST", "Network", "TwoHostNetwork",

@@ -6,7 +6,7 @@ simulated life in one regime: the sender is window-limited, ACK
 clocking releases a burst of full-size segments per acknowledgement,
 and the receiver's delayed-ACK machinery ticks along a fixed rule.  Per
 :class:`~repro.simnet.engine.Simulator` event that regime costs a heap
-pop, an :class:`~repro.simnet.engine.Event` and
+push and pop of an ``[time, seq, callback, args]`` entry, a
 :class:`~repro.simnet.packet.Segment` allocation, and a dispatch
 through the full TCP receive path — none of which can change the
 outcome, because the outcome is determined by closed-form arithmetic
@@ -15,7 +15,8 @@ over the connection state.
 :class:`FastForward` exploits that: when the TCP layer flags a
 window-limited sender with a deep send queue, the driver checks a
 strict eligibility predicate, takes ownership of the flow's in-flight
-delivery events and timer standings, and replays the per-segment
+delivery and timer entries (the engine's heap lists, moved out and
+back as they are), and replays the per-segment
 arithmetic in one closure-free loop — same floats, same jitter draws
 (``Random.uniform``'s own expression, inline), same trace rows —
 without touching the heap.  At the first discontinuity (another flow's
@@ -213,12 +214,9 @@ class FastForward:
         # ---- Scan the heap: claim this flow's events, bound the rest.
         rto_standing = s._rto_timer._standing
         delack_standing = c._delack_timer._standing
-        timer_ids = set()
-        if rto_standing is not None:
-            timer_ids.add(id(rto_standing))
-        if delack_standing is not None:
-            timer_ids.add(id(delack_standing))
-        deliver = link._deliver
+        # The link schedules each delivery straight to its receiver.
+        recv_s = link._receivers.get(s.local_host)
+        recv_c = link._receivers.get(c.local_host)
         s_addr = (s.local_host, s.local_port)
         c_addr = (c.local_host, c.local_port)
         data_entries = []       # deliveries S -> C (data or pure ACK)
@@ -226,14 +224,14 @@ class FastForward:
         timer_entries = []
         horizon = until if until is not None else _INF
         for entry in sim._heap:
-            ev = entry[2]
-            if ev.cancelled:
+            callback = entry[2]
+            if callback is None:
                 continue
-            if id(ev) in timer_ids:
+            if entry is rto_standing or entry is delack_standing:
                 timer_entries.append(entry)
                 continue
-            if ev.callback == deliver:
-                seg = ev.args[0]
+            if callback is recv_c or callback is recv_s:
+                seg = entry[3][0]
                 src = (seg.src, seg.sport)
                 dst = (seg.dst, seg.dport)
                 if src == s_addr and dst == c_addr:
@@ -244,8 +242,9 @@ class FastForward:
                     continue
             if entry[0] < horizon:
                 horizon = entry[0]
-        data_entries.sort(key=lambda e: (e[0], e[1]))
-        ack_entries.sort(key=lambda e: (e[0], e[1]))
+        # Entries order on their unique (time, seq) prefix.
+        data_entries.sort()
+        ack_entries.sort()
 
         # A stepwise capacity schedule (fleet bottleneck shares) keeps
         # the rate constant within an epoch; the span must not cross the
@@ -259,7 +258,7 @@ class FastForward:
         s_rcv = s.rcv_nxt
         expect = c.rcv_nxt
         for entry in data_entries:
-            seg = entry[2].args[0]
+            seg = entry[3][0]
             if (seg.flag_syn or seg.flag_fin or seg.flag_rst
                     or seg.checksum is not None or not seg.flag_ack
                     or seg.ack != s_rcv):
@@ -272,7 +271,7 @@ class FastForward:
             return
         last_ack = s.snd_una
         for entry in ack_entries:
-            seg = entry[2].args[0]
+            seg = entry[3][0]
             if (seg.payload_len or seg.flag_syn or seg.flag_fin
                     or seg.flag_rst or seg.flag_psh or not seg.flag_ack
                     or seg.checksum is not None or seg.ack <= last_ack):
@@ -283,7 +282,7 @@ class FastForward:
 
         # ---- Take ownership: pull our events out of the heap.
         extracted = data_entries + ack_entries + timer_entries
-        sim.extract_events([entry[2] for entry in extracted])
+        sim.extract_events(extracted)
         seq0 = sim._seq
 
         # ---- Local mirrors of the per-segment state machine.
@@ -342,9 +341,9 @@ class FastForward:
         #   a_fifo: (time, ack, client_seq, entry|None, emit_order|None)
         #            — C -> S pure-ACK deliveries
         #   retq:   (end_seq, segment|None, queue_offset|None)
-        d_fifo = deque((e[0], e[2].args[0], None, e, None)
+        d_fifo = deque((e[0], e[3][0], None, e, None)
                        for e in data_entries)
-        a_fifo = deque((e[0], e[2].args[0].ack, e[2].args[0].seq, e, None)
+        a_fifo = deque((e[0], e[3][0].ack, e[3][0].seq, e, None)
                        for e in ack_entries)
         retq = deque((seg.end_seq, seg, None)
                      for seg in s._retransmit_queue)
@@ -472,7 +471,6 @@ class FastForward:
                 sim.now = t
                 c.segments_received += 1
                 if seg is not None:
-                    seg.delivered_at = t
                     payload = seg.payload
                 else:
                     delivered_times[qoff] = t
@@ -488,7 +486,7 @@ class FastForward:
                 # exactly as per-segment ``_absorb`` does: a callback
                 # that sends (a pipelined request batch, a MUX credit)
                 # reads ``rcv_nxt`` for its piggybacked ACK and cancels
-                # the delayed ACK via ``_cancel_delack``.
+                # the delayed ACK as the ACK rides along.
                 c.rcv_nxt = rcv_c
                 c.bytes_received += len(payload)
                 c._segments_unacked = unacked_c
@@ -583,7 +581,7 @@ class FastForward:
         # Undelivered traffic goes back on the heap: extracted entries
         # verbatim, synthesized ones in emission order (matching the
         # sequence numbers per-segment scheduling would have assigned).
-        pending_synth = []              # (time, emit_order, segment)
+        pending_synth = []      # (time, emit_order, receiver, segment)
         for t, seg, qoff, entry, order in d_fifo:
             if entry is not None:
                 sim.reinsert_entry(entry)
@@ -592,18 +590,19 @@ class FastForward:
                 if seg is None:
                     seg = _materialize(s, c, qoff, snd_nxt0, made_payload,
                                        delivered_times)
-                pending_synth.append((t, order, seg))
+                pending_synth.append((t, order, recv_c, seg))
         for t, ack, cseq, entry, order in a_fifo:
             if entry is not None:
                 sim.reinsert_entry(entry)
             else:
-                pending_synth.append((t, order, Segment(
+                pending_synth.append((t, order, recv_s, Segment(
                     c_host, c_port, s_host, s_port, seq=cseq, ack=ack,
                     flag_ack=True)))
         pending_synth.sort(key=lambda item: (item[0], item[1]))
         schedule_at = sim.schedule_at
-        for t, _order, seg in pending_synth:
-            schedule_at(t, deliver, seg)
+        for t, _order, receiver, seg in pending_synth:
+            seg.delivered_at = t
+            schedule_at(t, receiver, seg)
 
         del queue[:qpos]
         perf = sim.perf

@@ -126,10 +126,11 @@ class Link:
         #: Drops by drop-tail queue overflow alone.
         self.dropped_overflow = 0
         #: Optional :class:`~repro.faults.FaultInjector` (duck-typed:
-        #: anything with ``handle(segment, deliver_at)``).  When set it
-        #: takes over delivery scheduling after the serialization/loss
-        #: model has run, so it can drop, corrupt, duplicate or delay
-        #: the segment.  ``None`` (the default) is the zero-cost path.
+        #: anything with ``handle(segment, deliver_at, receiver)``).
+        #: When set it takes over delivery scheduling after the
+        #: serialization/loss model has run, so it can drop, corrupt,
+        #: duplicate or delay the segment.  ``None`` (the default) is
+        #: the zero-cost path.
         self.fault_injector = None
         #: When set to an attached host name, every direction *from*
         #: that host shares one serialization queue and every direction
@@ -221,21 +222,28 @@ class Link:
         """Queue ``segment`` for delivery to its destination host.
 
         Segments in the same direction serialize FIFO at the line rate;
-        opposite directions are independent (full duplex).
+        opposite directions are independent (full duplex).  The
+        receiver is scheduled directly, at the stamped ``delivered_at``.
         """
-        if segment.dst not in self._receivers:
+        receiver = self._receivers.get(segment.dst)
+        if receiver is None:
             raise ValueError(f"no host {segment.dst!r} attached to link")
+        now = self.sim.now
         collector = self.collector
         if collector is not None:
-            collector.capture(segment, self.sim.now)
-        direction = self.direction_key(segment.src, segment.dst)
-        compressor = self._compressors.get((segment.src, segment.dst))
+            collector.capture(segment, now)
+        pair = (segment.src, segment.dst)
+        bottleneck = self.bottleneck_host
+        direction = pair if bottleneck is None else (
+            _SHARED_DOWN if segment.src == bottleneck else _SHARED_UP)
+        compressor = self._compressors.get(pair)
         if compressor is not None:
             wire_bytes = HEADER_BYTES + compressor.wire_bytes(segment.payload)
         else:
             wire_bytes = segment.wire_size
-        bandwidth = (self.bandwidth_bps if self._capacity_shares is None
-                     else self.bandwidth_at(self.sim.now))
+        shares = self._capacity_shares
+        bandwidth = (self.bandwidth_bps if shares is None else shares[
+            min(int(now / self._capacity_epoch), len(shares) - 1)])
         tx_time = wire_bytes * self.bits_per_byte / bandwidth
         if self.jitter:
             tx_time *= 1.0 + self.rng.uniform(-self.jitter, self.jitter)
@@ -246,8 +254,8 @@ class Link:
                 self.dropped_overflow += 1
                 return
             self._queued[direction] = self._queued.get(direction, 0) + 1
-        start = max(self.sim.now, self._next_free.get(direction, 0.0))
-        finish = start + tx_time
+        free = self._next_free.get(direction, 0.0)
+        finish = (free if free > now else now) + tx_time
         self._next_free[direction] = finish
         if self.queue_limit_packets is not None:
             # The buffer slot frees once serialization finishes.
@@ -262,17 +270,14 @@ class Link:
             # The injector owns delivery from here: it may drop the
             # segment, corrupt a copy, schedule it twice, or push its
             # arrival later (bounded reordering).
-            self.fault_injector.handle(segment, deliver_at)
+            self.fault_injector.handle(segment, deliver_at, receiver)
             return
-        self.sim.schedule_at(deliver_at, self._deliver, segment)
+        segment.delivered_at = deliver_at
+        self.sim.schedule_at(deliver_at, receiver, segment)
 
     def _dequeue(self, direction: Tuple[str, str]) -> None:
         self._queued[direction] = max(0, self._queued.get(direction, 1)
                                       - 1)
-
-    def _deliver(self, segment: Segment) -> None:
-        segment.delivered_at = self.sim.now
-        self._receivers[segment.dst](segment)
 
 
 @dataclasses.dataclass(frozen=True)

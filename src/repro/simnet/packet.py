@@ -12,9 +12,9 @@ pipelining and compression all operate on genuine byte streams.
 
 :class:`Segment` is the single most-allocated object of a simulation —
 one per packet on the wire — so it is a plain ``__slots__`` class with
-``payload_len`` / ``wire_size`` / ``seq_space`` / ``end_seq`` computed
-once at construction instead of on every property access, and tcpdump
-flag strings interned in a small table instead of rebuilt per packet.
+``payload_len`` / ``wire_size`` / ``end_seq`` and the tcpdump flag
+string (from a small table of interned strings) computed once at
+construction instead of on every access.
 """
 
 from __future__ import annotations
@@ -68,15 +68,17 @@ class Segment:
         The application bytes carried (b"" for pure control segments).
     flag_syn, flag_ack, flag_fin, flag_rst, flag_psh:
         TCP flags.
-    payload_len / wire_size / seq_space / end_seq:
+    flags:
+        tcpdump-style flag string, e.g. ``'S'``, ``'PA'``, ``'FA'``.
+    payload_len / wire_size / end_seq:
         Derived sizes, precomputed at construction (segments are
         immutable in payload and flags once built).
     """
 
     __slots__ = ("src", "sport", "dst", "dport", "seq", "ack", "payload",
                  "flag_syn", "flag_ack", "flag_fin", "flag_rst",
-                 "flag_psh", "delivered_at", "checksum",
-                 "payload_len", "wire_size", "seq_space", "end_seq")
+                 "flag_psh", "flags", "delivered_at", "checksum",
+                 "payload_len", "wire_size", "end_seq")
 
     def __init__(self, src: str, sport: int, dst: str, dport: int,
                  seq: int = 0, ack: int = 0, payload: bytes = b"",
@@ -97,7 +99,9 @@ class Segment:
         self.flag_fin = flag_fin
         self.flag_rst = flag_rst
         self.flag_psh = flag_psh
-        #: Stamped by the link at delivery (trace convenience).
+        self.flags = _FLAG_STRINGS[(flag_syn, flag_fin, flag_rst, flag_psh,
+                                    flag_ack)]
+        #: The arrival time, stamped when the link schedules delivery.
         self.delivered_at = delivered_at
         #: CRC32 the payload must match at the receiver, or None for a
         #: trusted segment.  ``None`` is the universal fast path: only
@@ -108,9 +112,8 @@ class Segment:
         length = len(payload)
         self.payload_len = length
         self.wire_size = length + HEADER_BYTES
-        space = length + (1 if flag_syn else 0) + (1 if flag_fin else 0)
-        self.seq_space = space
-        self.end_seq = seq + space
+        self.end_seq = (seq + length + (1 if flag_syn else 0)
+                        + (1 if flag_fin else 0))
 
     def replace(self, **overrides: object) -> "Segment":
         """A copy with ``overrides`` applied (``dataclasses.replace``-style)."""
@@ -125,12 +128,7 @@ class Segment:
         return Segment(self.src, self.sport, self.dst, self.dport,
                        **kwargs)
 
-    def flags_str(self) -> str:
-        """tcpdump-style flag string, e.g. ``'S'``, ``'PA'``, ``'FA'``."""
-        return _FLAG_STRINGS[(self.flag_syn, self.flag_fin, self.flag_rst,
-                              self.flag_psh, self.flag_ack)]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Segment {self.src}:{self.sport}>{self.dst}:{self.dport}"
-                f" {self.flags_str()} seq={self.seq} ack={self.ack}"
+                f" {self.flags} seq={self.seq} ack={self.ack}"
                 f" len={self.payload_len}>")

@@ -37,7 +37,7 @@ import dataclasses
 import zlib
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .engine import Event, Simulator
+from .engine import Simulator
 from .link import Link
 from .packet import Segment
 
@@ -66,19 +66,20 @@ class _LazyTimer:
     The schedule/cancel churn of TCP's timers used to dominate heap
     traffic: the RTO timer in particular was cancelled and rescheduled
     on *every* ACK that advanced ``snd_una``.  A lazy timer stores the
-    logical :attr:`deadline` separately from its standing heap event:
+    logical :attr:`deadline` separately from its standing heap entry
+    (an engine ``[time, seq, callback, args]`` list; ``standing[0]``):
 
     * re-arming to a **later** deadline is a plain attribute write —
       when the standing event fires it re-checks the deadline and
       chases it with one reschedule instead of the old
       cancel-per-update,
     * re-arming to an **earlier** deadline or disarming cancels the
-      standing event (an O(1) flag; the engine discards it silently,
-      without advancing the clock, exactly as before this refactor),
+      standing event (an O(1) :meth:`Simulator.cancel`; the engine
+      discards it silently, without advancing the clock),
     * the timer callback runs only when the stored deadline is really
       due, so observable behaviour — fire times, segment ordering, the
-      clock value the simulation quiesces at — is bit-identical to the
-      eager implementation.
+      clock value the simulation quiesces at — is bit-identical to an
+      eager timer.
 
     Every re-arm absorbed without touching the heap is counted as a
     ``cancels_avoided`` in the simulator's perf counters.
@@ -92,7 +93,7 @@ class _LazyTimer:
         self._fire = fire
         #: When the timer should logically fire (None = disarmed).
         self.deadline: Optional[float] = None
-        self._standing: Optional[Event] = None
+        self._standing: Optional[list] = None
 
     def arm_at(self, deadline: float) -> None:
         """Arm (or move) the timer to fire at ``deadline``."""
@@ -101,8 +102,8 @@ class _LazyTimer:
         if standing is None:
             self._standing = self._sim.schedule_at(deadline,
                                                    self._on_event)
-        elif deadline < standing.time:
-            standing.cancel()
+        elif deadline < standing[0]:
+            self._sim.cancel(standing)
             self._standing = self._sim.schedule_at(deadline,
                                                    self._on_event)
         else:
@@ -114,7 +115,7 @@ class _LazyTimer:
         """Clear the deadline and drop the standing event."""
         self.deadline = None
         if self._standing is not None:
-            self._standing.cancel()
+            self._sim.cancel(self._standing)
             self._standing = None
 
     def _on_event(self) -> None:
@@ -148,7 +149,7 @@ class _LazyTimer:
         """
         standing = self._standing
         if standing is not None:
-            standing.cancel()
+            self._sim.cancel(standing)
             self._standing = None
         self.deadline = deadline
         if deadline is not None:
@@ -413,12 +414,17 @@ class TcpConnection:
         self.stack.link.transmit(segment)
 
     def _emit_reliable(self, segment: Segment) -> None:
-        """Transmit and remember for retransmission (SYN/data/FIN)."""
+        """Transmit, remember for retransmission and arm the RTO."""
         self._retransmit_queue.append(segment)
         if self._rtt_sample is None:
             self._rtt_sample = (segment.end_seq, self.sim.now)
-        self._emit_unreliable(segment)
-        self._arm_rto()
+        self.segments_sent += 1
+        self.bytes_sent += segment.payload_len
+        self.sim.perf.segments += 1
+        self.stack.link.transmit(segment)
+        rto_timer = self._rto_timer
+        if rto_timer.deadline is None:
+            rto_timer.arm_at(self.sim.now + self._current_rto())
 
     def _current_rto(self) -> float:
         if self._srtt is None:
@@ -428,9 +434,7 @@ class TcpConnection:
         rto = max(RTO_MIN, base) * self._rto_backoff
         return min(RTO_MAX, rto)
 
-    def _arm_rto(self, restart: bool = False) -> None:
-        if self._rto_timer.deadline is not None and not restart:
-            return
+    def _arm_rto(self) -> None:
         if self._retransmit_queue:
             self._rto_timer.arm_at(self.sim.now + self._current_rto())
         else:
@@ -449,7 +453,7 @@ class TcpConnection:
         self._rto_backoff = min(self._rto_backoff * 2, 64)
         self._rtt_sample = None          # Karn's rule
         self._retransmit_first()
-        self._arm_rto(restart=True)
+        self._arm_rto()
 
     def _retransmit_first(self) -> None:
         segment = self._retransmit_queue[0]
@@ -473,13 +477,17 @@ class TcpConnection:
     # ------------------------------------------------------------------
     # Sending data
     # ------------------------------------------------------------------
-    def _cancel_delack(self) -> None:
-        self._delack_timer.disarm()
-        self._segments_unacked = 0
-
     def _send_pure_ack(self) -> None:
-        self._cancel_delack()
-        self._emit_unreliable(Segment(
+        # The ACK goes now: disarm the delayed ACK, inline.
+        self._segments_unacked = 0
+        delack = self._delack_timer
+        delack.deadline = None
+        if delack._standing is not None:
+            self.sim.cancel(delack._standing)
+            delack._standing = None
+        self.segments_sent += 1
+        self.sim.perf.segments += 1
+        self.stack.link.transmit(Segment(
             self.local_host, self.local_port, self.peer, self.peer_port,
             seq=self.snd_nxt, ack=self.rcv_nxt, flag_ack=True))
 
@@ -493,42 +501,41 @@ class TcpConnection:
                               "CLOSING", "LAST_ACK"):
             # Handshake not finished (data stays queued) or fully closed.
             return
-        config = self.config
-        while self._send_queue:
+        mss = self.config.mss
+        queue = self._send_queue
+        delack = self._delack_timer
+        while queue:
             window = min(self.cwnd, RWND)
-            available = window - self.in_flight
+            in_flight = self.snd_nxt - self.snd_una
+            available = window - in_flight
             if available <= 0:
                 # Window-limited with a deep queue: flag the steady
                 # bulk-transfer candidate for the fast-forward driver
                 # (checked by the engine between events).
                 ff = self.stack.fastforward
-                if ff is not None and len(self._send_queue) \
-                        >= ff.min_queue_bytes:
+                if ff is not None and len(queue) >= ff.min_queue_bytes:
                     ff.note_candidate(self)
                 return
-            chunk = min(len(self._send_queue), config.mss, available)
-            if (chunk < config.mss and chunk < len(self._send_queue)
-                    and self.in_flight > 0):
+            chunk = min(len(queue), mss, available)
+            if chunk < mss and chunk < len(queue) and in_flight > 0:
                 # Window fragment; wait for it to open rather than send
                 # a sliver (sender-side silly window avoidance).  Same
                 # steady window-limited regime as `available <= 0` when
                 # the window is not a segment multiple — also a
                 # fast-forward candidate.
                 ff = self.stack.fastforward
-                if ff is not None and len(self._send_queue) \
-                        >= ff.min_queue_bytes:
+                if ff is not None and len(queue) >= ff.min_queue_bytes:
                     ff.note_candidate(self)
                 return
-            if (chunk < config.mss and self.in_flight > 0
-                    and not self.nodelay):
+            if chunk < mss and in_flight > 0 and not self.nodelay:
                 # Nagle: a small segment must wait while data is unACKed.
                 return
-            payload = bytes(self._send_queue[:chunk])
-            del self._send_queue[:chunk]
-            last_chunk = not self._send_queue
+            payload = bytes(queue[:chunk])
+            del queue[:chunk]
+            last_chunk = not queue
             fin_here = (last_chunk and self._fin_queued
                         and not self._fin_sent
-                        and self.in_flight + chunk + 1 <= window)
+                        and in_flight + chunk + 1 <= window)
             segment = Segment(self.local_host, self.local_port, self.peer,
                               self.peer_port, seq=self.snd_nxt,
                               ack=self.rcv_nxt, payload=payload,
@@ -539,17 +546,22 @@ class TcpConnection:
                 self.snd_nxt += 1
                 self._fin_sent = True
                 self._advance_close_state_after_fin()
-            self._cancel_delack()   # the ACK rides along
+            # The ACK rides along: disarm the delayed ACK, inline.
+            self._segments_unacked = 0
+            delack.deadline = None
+            if delack._standing is not None:
+                self.sim.cancel(delack._standing)
+                delack._standing = None
             self._emit_reliable(segment)
-        if (self._fin_queued and not self._fin_sent
-                and not self._send_queue):
+        if self._fin_queued and not self._fin_sent and not queue:
             self._emit_reliable(Segment(
                 self.local_host, self.local_port, self.peer,
                 self.peer_port, seq=self.snd_nxt, ack=self.rcv_nxt,
                 flag_ack=True, flag_fin=True))
             self.snd_nxt += 1
             self._fin_sent = True
-            self._cancel_delack()
+            delack.disarm()
+            self._segments_unacked = 0
             self._advance_close_state_after_fin()
 
     def _advance_close_state_after_fin(self) -> None:
@@ -615,10 +627,7 @@ class TcpConnection:
             while (self._retransmit_queue
                    and self._retransmit_queue[0].end_seq <= ack):
                 self._retransmit_queue.pop(0)
-            if self._retransmit_queue:
-                self._arm_rto(restart=True)
-            else:
-                self._rto_timer.disarm()
+            self._arm_rto()
             if self._in_recovery:
                 if ack >= self._recovery_point:
                     self._in_recovery = False
@@ -665,7 +674,7 @@ class TcpConnection:
                 self._in_recovery = True
                 self._recovery_point = self.snd_nxt
                 self._retransmit_first()
-                self._arm_rto(restart=True)
+                self._arm_rto()
 
     # ------------------------------------------------------------------
     # Receiving data (with out-of-order reassembly)

@@ -157,7 +157,7 @@ class TraceCollector:
         self._sports.append(segment.sport)
         self._dsts.append(segment.dst)
         self._dports.append(segment.dport)
-        self._flags.append(segment.flags_str())
+        self._flags.append(segment.flags)
         self._seqs.append(segment.seq)
         self._acks.append(segment.ack)
         self._payload_lens.append(segment.payload_len)

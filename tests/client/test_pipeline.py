@@ -50,6 +50,29 @@ def test_explicit_flush_beats_timer():
     assert buffer.timer_flushes == 0
 
 
+@pytest.mark.parametrize("size", [1024, 4])
+def test_flushed_write_is_write_then_flush_without_a_timer(size):
+    # Under the size limit, write-then-flush arms a flush timer only to
+    # cancel it; the flushed write arms none.  At the limit neither arms
+    # one.  Bytes and flush counters agree either way.
+    def send(flushed):
+        net, buffer, received = make_buffer(size=size, flush_timeout=0.05)
+        if flushed:
+            buffer.write(b"request", flush=True)
+        else:
+            buffer.write(b"request")
+            buffer.flush()
+        net.run()
+        return (b"".join(received), buffer.size_flushes,
+                buffer.explicit_flushes, buffer.timer_flushes,
+                net.sim.perf.events_cancelled)
+
+    *got, cancelled = send(True)
+    *want, want_cancelled = send(False)
+    assert got == want
+    assert cancelled == want_cancelled - (1 if size > len(b"request") else 0)
+
+
 def test_no_timer_means_data_sits():
     net, buffer, received = make_buffer(size=1024, flush_timeout=None)
     buffer.write(b"stuck")

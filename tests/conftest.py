@@ -65,6 +65,10 @@ class UnitFaults:
         """Stall the worker running the first attempt for an hour."""
         self._in_worker_once(spec, seed, lambda: time.sleep(3600))
 
+    def delay(self, spec, seed, seconds) -> None:
+        """Sleep ``seconds`` before every attempt, as a slow host would."""
+        self._victims.append((spec, seed, lambda: time.sleep(seconds)))
+
     def _raise_when(self, spec, seed, fires) -> None:
         def fault():
             if fires():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.runner import UnitFailure
+from repro.core.runner import RESULT_FIELDS, UnitFailure
 from repro.matrix import ExperimentSpec, MatrixRunner
 from repro.matrix import runner as runner_mod
 from repro.matrix import supervisor
@@ -29,6 +29,13 @@ SAFE_DEADLINE = 30.0
 #: a loaded 2-CPU host; a respawn that catches that worker mid-reply
 #: can deadlock ``Pool.terminate``, so the deadline keeps a 3x margin.
 HANG_DEADLINE = 0.5
+
+#: The queued-behind-a-hang test: each healthy unit is slowed to about
+#: ``SLOW_UNIT`` seconds, so the four that queue behind the first on
+#: the free worker need 0.4 s in all, beyond one ``QUEUE_DEADLINE``,
+#: while each alone keeps a 3x margin.
+QUEUE_DEADLINE = 0.3
+SLOW_UNIT = 0.1
 
 
 def specs():
@@ -203,6 +210,32 @@ def test_hung_worker_hits_deadline_and_recovers(serial_baseline,
     assert stats.failures == 0
     for got, want in zip(results, serial_baseline):
         assert_results_identical(got, want)
+
+
+def test_units_queued_behind_a_hung_unit_keep_their_deadline(
+        serial_baseline, unit_faults, monkeypatch):
+    # A unit's deadline starts when a worker can run it.  Counted from
+    # the moment its chunk was queued, the healthy units waiting behind
+    # the first on the free worker would expire with the hung one.
+    monkeypatch.setattr(supervisor, "DEFAULT_RETRY_BUDGET", 0)
+    unit_faults.hang_worker_once(*VICTIM)
+    for spec in specs():
+        for seed in spec.seeds:
+            if (spec, seed) != VICTIM:
+                unit_faults.delay(spec, seed, SLOW_UNIT)
+    with MatrixRunner(jobs=2, unit_deadline=QUEUE_DEADLINE) as runner:
+        results = runner.run_many(specs())
+        stats = runner.stats
+    (failure,) = results[0].failures
+    assert (failure.seed, failure.kind) == (1, "deadline")
+    assert stats.failures == 1
+    assert stats.pool_respawns == 1
+    # Seeds 0 and 2 of the victim's cell match the serial baseline.
+    assert len(results[0].runs) == 2
+    for got, want in zip(results[0].runs, serial_baseline[0].runs[::2]):
+        for name in RESULT_FIELDS:
+            assert getattr(got, name) == getattr(want, name), name
+    assert_results_identical(results[1], serial_baseline[1])
 
 
 def test_deadline_defaults_derive_from_max_sim_time(monkeypatch):

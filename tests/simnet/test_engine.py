@@ -62,7 +62,7 @@ def test_cancel_prevents_firing():
     sim = Simulator()
     fired = []
     event = sim.schedule(1.0, fired.append, "x")
-    event.cancel()
+    sim.cancel(event)
     sim.run()
     assert fired == []
     assert sim.pending_events() == 0
@@ -71,8 +71,8 @@ def test_cancel_prevents_firing():
 def test_cancel_is_idempotent():
     sim = Simulator()
     event = sim.schedule(1.0, lambda: None)
-    event.cancel()
-    event.cancel()
+    sim.cancel(event)
+    sim.cancel(event)
     sim.run()
 
 

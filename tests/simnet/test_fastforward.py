@@ -231,10 +231,9 @@ def test_extract_and_reinsert_preserve_count_and_tie_order():
     sim.schedule(1.0, fired.append, "a")
     middle = sim.schedule(1.0, fired.append, "b")
     sim.schedule(1.0, fired.append, "c")
-    entry = next(e for e in sim._heap if e[2] is middle)
     sim.extract_events([middle])
     assert sim.pending_events() == 2
-    sim.reinsert_entry(entry)
+    sim.reinsert_entry(middle)
     assert sim.pending_events() == 3
     sim.run()
     # Original (time, seq) preserved: tie-break order is untouched.
@@ -252,16 +251,16 @@ def test_extract_unknown_event_raises():
 
 def test_cancel_while_extracted_does_not_double_count():
     # A timer disarm racing an extraction must not decrement the live
-    # count twice: extracted events are detached from the simulator.
+    # count twice: an extracted entry is marked as out of the heap.
     sim = Simulator()
     victim = sim.schedule(1.0, lambda: None)
     keeper = sim.schedule(2.0, lambda: None)
     sim.extract_events([victim])
     assert sim.pending_events() == 1
-    victim.cancel()                       # stray cancel: flag-only no-op
+    sim.cancel(victim)                    # stray cancel: slot-only no-op
     assert sim.pending_events() == 1
-    entry = next(e for e in sim._heap if e[2] is keeper)
-    assert entry[2] is keeper             # heap untouched by the cancel
+    (entry,) = sim._heap
+    assert entry is keeper                # heap untouched by the cancel
     sim.run()
     assert sim.pending_events() == 0
 
@@ -269,11 +268,10 @@ def test_cancel_while_extracted_does_not_double_count():
 def test_reinsert_cancelled_event_raises():
     sim = Simulator()
     victim = sim.schedule(1.0, lambda: None)
-    entry = next(e for e in sim._heap if e[2] is victim)
     sim.extract_events([victim])
-    victim.cancel()
+    sim.cancel(victim)
     with pytest.raises(SimulationError):
-        sim.reinsert_entry(entry)
+        sim.reinsert_entry(victim)
 
 
 def test_pending_exact_when_cancelled_event_rescheduled_in_callback(
@@ -288,13 +286,13 @@ def test_pending_exact_when_cancelled_event_rescheduled_in_callback(
     box = {}
 
     def rearm():
-        box["event"].cancel()             # cancel the standing event...
+        sim.cancel(box["event"])          # cancel the standing event...
         box["event"] = sim.schedule(1.0, fired.append, "rearmed")
         # ...and force purge pressure while the replacement is pending.
         doomed = [sim.schedule(5.0, fired.append, "doomed")
                   for _ in range(4)]
         for event in doomed:
-            event.cancel()
+            sim.cancel(event)
 
     box["event"] = sim.schedule(2.0, fired.append, "original")
     sim.schedule(1.0, rearm)
