@@ -67,11 +67,17 @@ done
 #     tests/test_memo.py::test_memo_cold_output_is_byte_identical
 #     (not slow-marked: FAST=1 keeps it)
 #   response heads that differ only in their leading Date (the one rule,
-#     http/headers.py split_date) share one memo entry, and a
+#     http/parser.py _cut_date) share one memo entry, and a
 #     repeated first-time WAN fleet parses no new head —
 #     tests/test_memo.py::
 #     test_response_heads_that_differ_only_in_date_share_an_entry
 #     (not slow-marked: FAST=1 keeps it)
+#   every served response, cold or from its template, is cmp-equal to
+#     build_response + a first Date + a last Connection field through
+#     Response.to_bytes (every status, HEAD, each Connection rule, the
+#     503 fault, split header writes, a MUX HEADERS frame), and a
+#     template hit builds no Response or Headers —
+#     tests/server/test_served_bytes.py (not slow-marked)
 #   the encode kernels are byte-identical: a site built with no
 #     artifact store (so the GIF LZW and pixel generators really run,
 #     not blobs an earlier encoder wrote) hashes to the pinned digest —

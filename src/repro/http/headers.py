@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..memo import Memo
 
-__all__ = ["Headers", "split_date"]
+__all__ = ["Headers"]
 
 #: ``header line → ((name, value), lowercased name)`` for the lines
 #: :meth:`Headers.from_lines` has split.  Malformed lines never enter
@@ -43,16 +43,6 @@ def _split_line(line: str) -> Tuple[Tuple[str, str], str]:
         raise ValueError(f"malformed header line: {line!r}")
     name = name.strip()
     return (name, value.strip()), name.lower()
-
-
-def split_date(fields: Sequence[Tuple[str, str]]
-               ) -> Tuple[Optional[str], Sequence[Tuple[str, str]]]:
-    """The leading-``Date`` rule the response-head memos key by: a first
-    field named exactly ``Date`` is cut (see :mod:`repro.http.messages`).
-    Returns its value and the fields after it, or None and ``fields``."""
-    if fields and fields[0][0] == "Date":
-        return fields[0][1], fields[1:]
-    return None, fields
 
 
 class Headers:

@@ -4,15 +4,6 @@ Both HTTP/1.0 (RFC 1945) and HTTP/1.1 (RFC 2068) messages are modelled.
 Serialization is byte-exact — the paper's Bytes column and its
 observation that the libwww robot's requests average ~190 bytes both
 depend on real wire sizes, so nothing here is approximated.
-
-A response's ``Date`` moves every simulated second while the rest of
-its head recurs, so the response-head memos keep it out of their keys
-by one rule, :func:`~repro.http.headers.split_date`: a first field
-named exactly ``Date`` is cut.  :meth:`Response.to_bytes` here applies
-it to the fields and splices the line back in; ``ResponseParser`` in
-:mod:`repro.http.parser` applies it to the parse of a head's first
-line; ``SimHttpServer._respond`` in :mod:`repro.server.base` builds its
-templates without a ``Date`` and puts each response's own first.
 """
 
 from __future__ import annotations
@@ -21,7 +12,7 @@ import dataclasses
 from typing import Optional, Tuple
 
 from ..memo import Memo
-from .headers import Headers, split_date
+from .headers import Headers
 
 __all__ = ["Request", "Response", "HTTP10", "HTTP11", "version_string",
            "STATUS_REASONS"]
@@ -47,10 +38,8 @@ STATUS_REASONS = {
 }
 
 
-#: Serialized heads without their ``Date`` line: a request's
-#: ``(method, target, version, fields)`` → its head bytes, a response's
-#: ``(status, version, reason, has_date, fields after a leading Date)``
-#: → ``(status line, the header lines after Date + CRLF)``.
+#: Serialized request heads: ``(method, target, version, fields)`` →
+#: the head bytes.
 _WIRE_HEADS = Memo("http.wire-heads", 4096)
 
 
@@ -133,26 +122,11 @@ class Response:
         return self.body
 
     def to_bytes(self) -> bytes:
-        """Exact wire serialization.
-
-        A leading ``Date`` line is spliced in between the status line
-        and the rest of the head, so a head is serialized once however
-        many seconds it is sent in.
-        """
-        date, fields = split_date(self.headers._items)
-        fields = tuple(fields)
-        reason = self.reason_phrase
-        key = (self.status, self.version, reason, date is not None, fields)
-        parts = _WIRE_HEADS.get(key)
-        if parts is None:
-            status_line = (f"{version_string(self.version)} {self.status} "
-                           f"{reason}\r\n")
-            parts = _WIRE_HEADS.store(key, (
-                status_line.encode("latin-1"),
-                Headers(fields).to_bytes() + b"\r\n"))
-        date_line = (b"" if date is None
-                     else f"Date: {date}\r\n".encode("latin-1"))
-        return parts[0] + date_line + parts[1] + self.body_on_wire()
+        """Exact wire serialization."""
+        status_line = (f"{version_string(self.version)} {self.status} "
+                       f"{self.reason_phrase}\r\n")
+        return (status_line.encode("latin-1") + self.headers.to_bytes()
+                + b"\r\n" + self.body_on_wire())
 
     def allows_keep_alive(self) -> bool:
         """Whether the connection may carry further requests."""

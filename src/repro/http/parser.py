@@ -22,13 +22,12 @@ so each parser keeps ``head bytes → frozen parsed head`` in a memo
 (``_REQUEST_HEADS``, ``_RESPONSE_HEADS``) and runs the real parse only
 on a miss; every message still gets its own mutable :class:`Headers`.
 A response's ``Date`` line moves every simulated second, so a response
-head is keyed without it: ``_cut_date`` applies the leading-``Date``
-rule (:func:`~repro.http.headers.split_date`: a first field named
-exactly ``Date`` is cut) to the parse of the head's first line, the
-memo keeps the fields after it, and each message gets its own ``Date``
-spliced back in.  Per pass that leaves 84 distinct keys in
-``fleet_wan`` and in ``fleet_reval_contended`` (each object's answer in
-HTTP/1.0 and in HTTP/1.1) and 618 in ``paper_grid``.  What depends on
+head is keyed without it: ``_cut_date`` holds the one leading-``Date``
+rule (a first field named exactly ``Date`` is cut), the memo keeps the
+fields after it, and each message gets its own ``Date`` spliced back
+in.  Per pass that leaves 84 distinct keys in ``fleet_wan`` and in
+``fleet_reval_contended`` (each object's answer in HTTP/1.0 and in
+HTTP/1.1) and 618 in ``paper_grid``.  What depends on
 the request method (the zero length of a HEAD, 1xx, 204 or 304 answer;
 the missing-``Content-Length`` error) runs after the lookup for every
 response, and a head is stored only once it has framed one.
@@ -39,7 +38,7 @@ from __future__ import annotations
 from typing import Any, List, NamedTuple, Optional, Tuple
 
 from ..memo import Memo
-from .headers import Headers, split_date
+from .headers import Headers
 from .messages import Request, Response, parse_version
 
 __all__ = ["ParseError", "RequestParser", "ResponseParser"]
@@ -152,22 +151,23 @@ _RESPONSE_HEADS = Memo("http.response-heads", 4096)
 def _cut_date(block: bytes) -> Tuple[bytes, Optional[str]]:
     """Split a response head block's leading ``Date`` line off.
 
-    The first line is read as :meth:`Headers.from_lines` reads it and
-    handed to :func:`~repro.http.headers.split_date`.  Returns the block
-    without that line and its value, or the whole block and None;
-    either way the first element is the memo key, and what it parses to
-    is the head's fields after a leading ``Date``.  A malformed first
-    line, or one with a bare CR or LF, is not cut, so the parse of the
-    whole block refuses it.
+    This is the one leading-``Date`` rule the response-head memo keys
+    by: a first field named exactly ``Date`` is cut.  The first line is
+    read as :meth:`Headers.from_lines` reads it, so ``Date:x`` and
+    ``Date :x`` are cut and ``date:`` and ``DATE:`` are not.  Returns
+    the block without that line and its value, or the whole block and
+    None; either way the first element is the memo key, and what it
+    parses to is the head's fields after a leading ``Date``.  A
+    malformed first line, or one with a bare CR or LF, is not cut, so
+    the parse of the whole block refuses it.  (The server's templates
+    have no ``Date``: it writes each response's own line itself.)
     """
     status_line, _, fields = block.partition(b"\r\n")
     line, crlf, rest = fields.partition(b"\r\n")
     name, colon, value = line.decode("latin-1").partition(":")
     if colon and name[:1] not in " \t" and b"\r" not in line \
-            and b"\n" not in line:
-        date, _ = split_date(((name.strip(), value.strip()),))
-        if date is not None:
-            return status_line + crlf + rest, date
+            and b"\n" not in line and name.strip() == "Date":
+        return status_line + crlf + rest, value.strip()
     return block, None
 
 

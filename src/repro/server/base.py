@@ -19,20 +19,23 @@ Implements the server-side lessons of the paper:
 * **TCP_NODELAY** — buffering implementations must disable Nagle; the
   profile controls it so the Nagle ablation can turn it back on.
 
-Each distinct response head is built once per store and profile.  A
-parsed request carries the head bytes it came from, and for a fixed
-store and profile those bytes determine the whole response except its
-``Date``, which ``build_response`` adds only when given one.  So a
-template is built without a ``Date``, and each response gets the
-current one as its first field.
-:meth:`SimHttpServer._respond` looks ``head bytes → response template``
-up in the map the store keeps per profile (``ResourceStore.derived``:
-shared by every server on the store, emptied when its content changes)
-and runs :func:`~repro.server.static.build_response` only on a miss (or
-for a hand-built request, or one with a body).  The ``Date`` string
-itself is rebuilt only when the simulated second changes.  Scripted
-faults and connection-management headers stay outside and run per
-request.
+Each distinct response is built once per store and profile.  A parsed
+request carries the head bytes it came from, and for a fixed store and
+profile those bytes determine the whole response except its ``Date``
+and ``Connection`` lines, which ``build_response`` never adds.  So a
+template is the wire bytes of the built response, cut at the two points
+where those lines go (:func:`_template`), and a served response is the
+status line + the ``Date`` line + the other header lines + the
+``Connection`` line + CRLF + the body.
+:meth:`SimHttpServer._respond` looks ``head bytes → template`` up in
+the map the store keeps per profile (``ResourceStore.derived``: shared
+by every server on the store, emptied when its content changes) and
+runs :func:`~repro.server.static.build_response` only on a miss (or for
+a hand-built request, or one with a body), so a hit builds no
+``Response`` or ``Headers``.  The ``Date`` line is rebuilt only when
+the simulated second changes.  Scripted faults and the ``Connection``
+line stay outside the map and run per request; the scripted 503 has no
+``Date``.
 """
 
 from __future__ import annotations
@@ -62,14 +65,26 @@ __all__ = ["SimHttpServer"]
 _RESPONSE_HEADS = Memo("server.response-heads", 4096)
 
 
-class _ServerConnection:
-    """Per-connection server state."""
+def _template(response: Response) -> tuple:
+    """``(status, Content-Type, status line, the header lines after it,
+    body on the wire)``: ``response.to_bytes()`` cut where a served
+    response's ``Date`` line and its ``Connection`` line go."""
+    body = response.body_on_wire()
+    wire = response.to_bytes()
+    status_end = wire.index(b"\r\n") + 2
+    return (response.status, response.headers.get("Content-Type", ""),
+            wire[:status_end], wire[status_end:len(wire) - len(body) - 2],
+            body)
+
+
+class _ConnectionState:
+    """Per-connection server state both framings share: the output
+    buffer, the counters and the close discipline."""
 
     def __init__(self, server: "SimHttpServer",
                  conn: TcpConnection) -> None:
         self.server = server
         self.conn = conn
-        self.parser = RequestParser()
         self.out = bytearray()
         self.requests_seen = 0
         self.responses_queued = 0       # built but CPU not finished
@@ -85,43 +100,9 @@ class _ServerConnection:
         if callback is not None:
             callback()
 
-    # ------------------------------------------------------------------
-    def on_data(self, _conn: TcpConnection, data: bytes) -> None:
-        if self.closed:
-            return
-        try:
-            requests = self.parser.feed(data)
-        except ParseError:
-            self.server._send_error(self, 400)
-            return
-        for request in requests:
-            self.requests_seen += 1
-            self.responses_queued += 1
-            self.server._dispatch(self, request)
-
-    def on_eof(self, _conn: TcpConnection) -> None:
-        self.eof_received = True
-        if self.responses_queued == 0:
-            self.finish()
-
     def on_reset(self, _conn: TcpConnection) -> None:
         self.closed = True
         self._release()
-
-    # ------------------------------------------------------------------
-    def queue_bytes(self, payload: bytes) -> None:
-        """Append response bytes, applying the buffer-flush policy."""
-        if self.closed:
-            return
-        self.out.extend(payload)
-        profile = self.server.profile
-        if not profile.buffered:
-            self.flush()
-        elif len(self.out) >= profile.output_buffer_size:
-            self.flush()
-        elif self.responses_queued == 0:
-            # No more requests pending on this connection right now.
-            self.flush()
 
     def flush(self, close: bool = False) -> None:
         if self.out and not self.closed and self.conn.state != "CLOSED":
@@ -145,6 +126,49 @@ class _ServerConnection:
         self._release()
 
 
+class _ServerConnection(_ConnectionState):
+    """Per-connection server state for plain HTTP."""
+
+    def __init__(self, server: "SimHttpServer",
+                 conn: TcpConnection) -> None:
+        super().__init__(server, conn)
+        self.parser = RequestParser()
+
+    # ------------------------------------------------------------------
+    def on_data(self, _conn: TcpConnection, data: bytes) -> None:
+        if self.closed:
+            return
+        try:
+            requests = self.parser.feed(data)
+        except ParseError:
+            self.server._send_error(self, 400)
+            return
+        for request in requests:
+            self.requests_seen += 1
+            self.responses_queued += 1
+            self.server._dispatch(self, request)
+
+    def on_eof(self, _conn: TcpConnection) -> None:
+        self.eof_received = True
+        if self.responses_queued == 0:
+            self.finish()
+
+    # ------------------------------------------------------------------
+    def queue_bytes(self, payload: bytes) -> None:
+        """Append response bytes, applying the buffer-flush policy."""
+        if self.closed:
+            return
+        self.out.extend(payload)
+        profile = self.server.profile
+        if not profile.buffered:
+            self.flush()
+        elif len(self.out) >= profile.output_buffer_size:
+            self.flush()
+        elif self.responses_queued == 0:
+            # No more requests pending on this connection right now.
+            self.flush()
+
+
 class _MuxServerStream:
     """One response being framed onto a MUX connection."""
 
@@ -158,7 +182,7 @@ class _MuxServerStream:
         self.window = FlowWindow(INITIAL_STREAM_WINDOW)
 
 
-class _MuxServerConnection:
+class _MuxServerConnection(_ConnectionState):
     """Per-connection server state for the MUX framing modes.
 
     Responses are emitted round-robin, at most one DATA frame per
@@ -169,33 +193,18 @@ class _MuxServerConnection:
 
     def __init__(self, server: "SimHttpServer", conn: TcpConnection,
                  push: bool) -> None:
-        self.server = server
-        self.conn = conn
+        super().__init__(server, conn)
         self.push_enabled = push
         self.reader = FrameReader()
-        self.out = bytearray()
-        self.requests_seen = 0
-        self.responses_queued = 0       # built but CPU not finished
-        self.responses_sent = 0
         #: Streams currently emitting, in round-robin order.
         self.active: Dict[int, _MuxServerStream] = {}
         #: Streams refused by the client while their response was still
         #: on the CPU queue.
         self.cancelled: Set[int] = set()
         self.next_push_id = 2
-        self.eof_received = False
-        self.closed = False
         #: Stop accepting new streams (request limit reached); finish
         #: once the queue drains.
         self.closing = False
-        #: Fired once when the connection reaches a terminal state (see
-        #: :class:`_ServerConnection`).
-        self.on_closed: Optional[Callable[[], None]] = None
-
-    def _release(self) -> None:
-        callback, self.on_closed = self.on_closed, None
-        if callback is not None:
-            callback()
 
     # ------------------------------------------------------------------
     def on_data(self, _conn: TcpConnection, data: bytes) -> None:
@@ -256,10 +265,6 @@ class _MuxServerConnection:
     def on_eof(self, _conn: TcpConnection) -> None:
         self.eof_received = True
         self._maybe_finish()
-
-    def on_reset(self, _conn: TcpConnection) -> None:
-        self.closed = True
-        self._release()
 
     # ------------------------------------------------------------------
     def start_stream(self, sid: int, head: bytes, body: bytes) -> None:
@@ -326,24 +331,6 @@ class _MuxServerConnection:
             return
         if self.closing or self.eof_received:
             self.finish()
-
-    # ------------------------------------------------------------------
-    def flush(self, close: bool = False) -> None:
-        if self.out and not self.closed and self.conn.state != "CLOSED":
-            self.conn.send(bytes(self.out), close=close)
-            self.out.clear()
-        elif close and not self.closed and self.conn.state != "CLOSED":
-            self.conn.close()
-
-    def finish(self) -> None:
-        if self.closed:
-            return
-        self.flush(close=True)
-        self.closed = True
-        if not self.server.profile.half_close \
-                and self.conn.state != "CLOSED":
-            self.conn.shutdown_receive()
-        self._release()
 
 
 class _ParkedConnection:
@@ -438,9 +425,9 @@ class SimHttpServer:
         #: "the CPU time savings of HTTP/1.1 ... could now be
         #: quantified for Apache").
         self.cpu_busy_seconds = 0.0
-        #: The current ``Date`` value and the whole second it renders.
+        #: The current ``Date`` line and the whole second it renders.
         self._date_second = -1
-        self._date_text = ""
+        self._date_line = b""
         stack.listen(port, self._accept)
 
     # ------------------------------------------------------------------
@@ -505,50 +492,41 @@ class SimHttpServer:
         if self.recovery is not None:
             self.recovery.note(self.sim.now, "server", kind, detail)
 
-    def _date_header(self) -> str:
-        """The ``Date`` value for now, re-rendered once per second."""
+    def _date_header(self) -> bytes:
+        """The ``Date`` line for now, re-rendered once per second."""
         second = int(PAPER_EPOCH + self.sim.now)
         if second != self._date_second:
             self._date_second = second
-            self._date_text = format_http_date(second)
-        return self._date_text
+            self._date_line = (f"Date: {format_http_date(second)}\r\n"
+                               .encode("latin-1"))
+        return self._date_line
 
     @property
     def _heads(self) -> Memo:
-        """``request head bytes → (status, version, fields, their
-        lowercased names, body, reason)`` as ``build_response`` produces
-        them, without a ``Date``, for this profile from the store's
-        content."""
+        """``request head bytes → template`` (see :func:`_template`) of
+        the response ``build_response`` produces without a ``Date``, for
+        this profile from the store's content."""
         return self.store.derived(("response-heads", self.profile),
                                   _RESPONSE_HEADS.fresh)
 
-    def _respond(self, request: Request) -> Response:
-        """``build_response`` for ``request``, run once per distinct
-        parsed head; see the module docstring."""
-        date = self._date_header()
+    def _respond(self, request: Request) -> tuple:
+        """The template of ``build_response`` for ``request``, built
+        once per distinct parsed head; see the module docstring."""
         key = request.head
         if key is None or request.body:
-            return build_response(self.store, request, self.profile,
-                                  date_header=date)
+            return _template(build_response(self.store, request,
+                                            self.profile))
         heads = self._heads
         template = heads.get(key)
         if template is None:
-            built = build_response(self.store, request, self.profile)
-            headers = built.headers
-            template = heads.store(key, (
-                built.status, built.version, tuple(headers),
-                tuple(headers._lower), built.body, built.reason))
-        status, version, fields, lowered, body, reason = template
-        return Response(
-            status, version,
-            Headers._from_parts((("Date", date),) + fields,
-                                ("date",) + lowered),
-            body, reason, request.method)
+            template = heads.store(key, _template(
+                build_response(self.store, request, self.profile)))
+        return template
 
     def _build_or_fault(self, request: Request):
         """Account the request, apply scripted faults, build the
         response.  Shared by the plain-HTTP and MUX dispatch paths;
-        returns ``(response, abort_after, ordinal)``."""
+        returns ``(template, Date line, abort_after, ordinal)``."""
         self.requests_received += 1
         ordinal = self.requests_received
         faults = getattr(self.profile, "faults", None)
@@ -567,25 +545,23 @@ class SimHttpServer:
         if faults is not None and ordinal in faults.error_503_requests:
             self._note("503", f"request {ordinal} ({request.target})")
             error_body = b"Service Unavailable\r\n"
-            response = Response(
+            template = _template(Response(
                 503, request.version,
                 Headers([("Content-Type", "text/plain"),
                          ("Content-Length", str(len(error_body)))]),
-                body=error_body, request_method=request.method)
-        else:
-            response = self._respond(request)
-        return response, abort_after, ordinal
+                body=error_body, request_method=request.method))
+            return template, b"", abort_after, ordinal
+        template = self._respond(request)
+        return template, self._date_header(), abort_after, ordinal
 
     def _dispatch(self, state: _ServerConnection,
                   request: Request) -> None:
-        response, abort_after, ordinal = self._build_or_fault(request)
-        self._apply_connection_headers(state, request, response)
-        cost = (self.profile.base_cpu
-                + len(response.body_on_wire()) * self.profile.cpu_per_byte)
-        close_after = self._should_close_after(state, request, response)
-        payload = response.to_bytes()
-        body = response.body_on_wire()
-        head = payload[:len(payload) - len(body)]
+        template, date, abort_after, ordinal = self._build_or_fault(request)
+        _, _, status_line, lines, body = template
+        rest = date + lines + self._connection_line(state, request) + b"\r\n"
+        cost = self.profile.base_cpu + len(body) * self.profile.cpu_per_byte
+        close_after = self._should_close_after(state, request)
+        payload = status_line + rest + body
 
         def emit() -> None:
             if abort_after is not None:
@@ -625,13 +601,10 @@ class SimHttpServer:
                 # stall until the first one is ACKed — and the peer is
                 # sitting on a delayed ACK.  This is the interaction
                 # the paper's "Nagle Interaction" section describes.
-                status_end = payload.find(b"\r\n") + 2
-                state.queue_bytes(payload[:status_end])
+                state.queue_bytes(status_line)
+                state.queue_bytes(rest)
                 if body:
-                    state.queue_bytes(head[status_end:])
                     state.queue_bytes(body)
-                else:
-                    state.queue_bytes(payload[status_end:])
             else:
                 state.queue_bytes(payload)
             if closing:
@@ -644,28 +617,25 @@ class SimHttpServer:
     # ------------------------------------------------------------------
     def _dispatch_mux(self, state: _MuxServerConnection, sid: int,
                       request: Request) -> None:
-        response, abort_after, ordinal = self._build_or_fault(request)
+        template, date, abort_after, ordinal = self._build_or_fault(request)
         limit = self.profile.max_requests_per_connection
         if limit is not None and state.requests_seen >= limit:
             state.closing = True
+        status, content_type = template[:2]
         if (state.push_enabled and not state.closing
-                and request.method == "GET" and response.status == 200
-                and response.headers.get("Content-Type",
-                                         "").startswith("text/html")):
+                and request.method == "GET" and status == 200
+                and content_type.startswith("text/html")):
             self._promise_pushes(state, request)
-        self._schedule_mux_response(state, sid, request, response,
+        self._schedule_mux_response(state, sid, template, date,
                                     abort_after, ordinal, push=False)
 
     def _schedule_mux_response(self, state: _MuxServerConnection,
-                               sid: int, request: Request,
-                               response: Response,
+                               sid: int, template: tuple, date: bytes,
                                abort_after: Optional[int],
                                ordinal: int, push: bool) -> None:
-        cost = (self.profile.base_cpu
-                + len(response.body_on_wire()) * self.profile.cpu_per_byte)
-        payload = response.to_bytes()
-        body = response.body_on_wire()
-        head = payload[:len(payload) - len(body)]
+        _, _, status_line, lines, body = template
+        head = status_line + date + lines + b"\r\n"
+        cost = self.profile.base_cpu + len(body) * self.profile.cpu_per_byte
 
         def emit() -> None:
             state.responses_queued -= 1
@@ -720,16 +690,17 @@ class SimHttpServer:
             self.pushes_promised += 1
             state.queue_frame(F_PUSH_PROMISE, sid,
                               url.encode("ascii", "replace"))
-            push_request = Request("GET", url, HTTP11,
-                                   Headers([("Host", host)]))
-            response = self._respond(push_request)
+            template = self._respond(Request("GET", url, HTTP11,
+                                             Headers([("Host", host)])))
             state.responses_queued += 1
-            self._schedule_mux_response(state, sid, push_request,
-                                        response, None, 0, push=True)
+            self._schedule_mux_response(state, sid, template,
+                                        self._date_header(), None, 0,
+                                        push=True)
 
-    def _apply_connection_headers(self, state: _ServerConnection,
-                                  request: Request,
-                                  response: Response) -> None:
+    def _connection_line(self, state: _ServerConnection,
+                         request: Request) -> bytes:
+        """The ``Connection`` line that ends a response's head, or
+        ``b""``."""
         limit = self.profile.max_requests_per_connection
         closing = (limit is not None and state.requests_seen >= limit)
         if (self.profile.close_keepalive_after_head
@@ -739,17 +710,14 @@ class SimHttpServer:
         if request.version >= HTTP11:
             if closing or request.headers.contains_token("Connection",
                                                          "close"):
-                response.headers.add("Connection", "close")
-        else:
-            keep = (request.headers.contains_token("Connection",
-                                                   "keep-alive")
-                    and not closing)
-            if keep:
-                response.headers.add("Connection", "Keep-Alive")
+                return b"Connection: close\r\n"
+        elif (request.headers.contains_token("Connection", "keep-alive")
+              and not closing):
+            return b"Connection: Keep-Alive\r\n"
+        return b""
 
     def _should_close_after(self, state: _ServerConnection,
-                            request: Request,
-                            response: Response) -> bool:
+                            request: Request) -> bool:
         limit = self.profile.max_requests_per_connection
         if limit is not None and state.requests_seen >= limit:
             return True

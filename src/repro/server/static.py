@@ -140,21 +140,18 @@ class ResourceStore:
 
 
 def build_response(store: ResourceStore, request: Request,
-                   profile: ServerProfile, *,
-                   date_header: Optional[str] = None) -> Response:
+                   profile: ServerProfile) -> Response:
     """Construct the response a 1997 server would send for ``request``.
 
     Handles method checks, cache validation (ETag before date, per RFC
     2068), one byte range with ``If-Range`` (any other ``Range`` is
     ignored: the full 200), and negotiated deflate content coding.
     Every body is framed by its ``Content-Length``.  The returned
-    response has no connection-management headers; the connection layer
-    (:mod:`repro.server.base`) adds those.
+    response has no ``Date`` and no connection-management headers; the
+    connection layer (:mod:`repro.server.base`) adds those.
     """
     version = HTTP11 if request.version >= HTTP11 else HTTP10
     headers = Headers()
-    if date_header:
-        headers.add("Date", date_header)
     headers.add("Server", profile.server_header)
     for name, value in profile.extra_response_headers:
         headers.add(name, value)
