@@ -16,7 +16,7 @@ export PYTHONPATH=src
 # keeps only the defect classes no identity test below reliably sees:
 # the host clock, set order (forked workers share the parent's hash
 # secret), float clock compares, mutable defaults, hot-path __slots__,
-# stray pools, the cache key and RNG seeds and streams.
+# stray worker processes, the cache key and RNG seeds and streams.
 sh scripts/lint.sh
 
 # Every example runs to a zero exit, FAST included (the four take a few
@@ -52,7 +52,7 @@ done
 #     jitter) — ::test_bulk_byte_identical_across_seeds — and the trace
 #     read mid-span (row count and payload total at every delivery) —
 #     ::test_mid_span_trace_reads_match_per_segment
-#   a SIGKILLed pool worker is respawned and the grid finishes
+#   a SIGKILLed worker is replaced alone and the grid finishes
 #     byte-identical to serial — tests/matrix/test_supervisor.py::
 #     test_sigkilled_worker_recovers_byte_identical
 #   the event heap fires what a list sorted by (time, seq) fires, with
@@ -189,7 +189,7 @@ rm -f "$NAIVE_ERR"
 
 # Chaos smoke: the whole 48-cell fault grid (~3 s serial) on two
 # workers — every cell must still retrieve the full site byte-identical
-# within the robot's retry budget, and the pool path gets exercised.
+# within the robot's retry budget, and the worker path gets exercised.
 python -m repro chaos --seed 1997 --jobs 2 > /dev/null
 
 # Claims gate: every paper claim and ablation the repo asserts, on two

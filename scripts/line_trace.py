@@ -4,8 +4,8 @@
 Runs every command of a command list (default:
 ``scripts/line_trace_commands.txt``, the format is described at its
 top) in a child interpreter under ``sys.settrace``, collects the
-``(file, line)`` pairs executed under ``src/repro`` — in forked pool
-workers too — and prints, per package, how many executable lines never
+``(file, line)`` pairs executed under ``src/repro`` — in forked worker
+processes too — and prints, per package, how many executable lines never
 ran.  An executable line is one a compiled code object of the module
 names (``co_lines``), so blank lines, comments and the inside of a
 multi-line string do not count.

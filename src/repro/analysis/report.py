@@ -590,7 +590,7 @@ def generate_experiments_report(*, runs: int = 5,
     """Render the full paper-vs-measured report (EXPERIMENTS.md body).
 
     A shared ``runner`` threads one :class:`MatrixRunner` (its worker
-    pool, cache and statistics) through every section.
+    processes, cache and statistics) through every section.
     """
     run = _runner(runner)
     sections: List[str] = []

@@ -26,8 +26,8 @@ under ``.repro-cache/artifacts/<k[:2]>/<k>.blob``, written atomically
 processes can share one cache directory without corruption or partial
 reads.
 
-Disable with the environment variable ``REPRO_ARTIFACT_CACHE=0`` (pool
-workers inherit it with the rest of the environment); a disabled store
+Disable with the environment variable ``REPRO_ARTIFACT_CACHE=0`` (worker
+processes inherit it with the rest of the environment); a disabled store
 calls its producer every time and touches no files.
 """
 

@@ -238,9 +238,10 @@ def _default_site_and_store() -> Tuple[MicroscapeSite, ResourceStore]:
     global _DEFAULT_SITE_AND_STORE
     if _DEFAULT_SITE_AND_STORE is None:
         site = build_microscape_site()
-        # Worker-global by design: the pool warm-up (warm_default_site)
-        # builds this pair in the parent before the fork and in every
-        # worker's initializer, so each process holds the same one.
+        # Worker-global by design: the worker warm-up
+        # (warm_default_site) builds this pair in the parent before the
+        # fork and in every worker as it starts, so each process holds
+        # the same one.
         _DEFAULT_SITE_AND_STORE = (site, ResourceStore.from_site(site))
     return _DEFAULT_SITE_AND_STORE
 
@@ -248,9 +249,9 @@ def _default_site_and_store() -> Tuple[MicroscapeSite, ResourceStore]:
 def warm_default_site() -> None:
     """Pre-build the default site and resource store.
 
-    Pool warm-up hook: the parent calls this before forking workers (so
-    the built site is shared copy-on-write) and each worker's
-    initializer calls it on spawn, moving the one-time build cost off
+    Worker warm-up hook: the parent calls this before forking workers
+    (so the built site is shared copy-on-write) and each worker calls
+    it as it starts, moving the one-time build cost off
     the first dispatched unit's critical path.  Idempotent and cheap
     when the artifact store is warm.
     """

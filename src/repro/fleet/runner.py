@@ -3,7 +3,7 @@
 :func:`run_fleet` turns a :class:`~repro.fleet.spec.FleetSpec` into a
 batch of cohort units per fixed-point round and runs each batch
 through a :class:`~repro.matrix.runner.MatrixRunner` — so cohorts ride
-the warm worker pool, the result cache, the supervisor and the run
+the warm worker processes, the result cache, the supervisor and the run
 journal exactly like table cells do.  Between rounds the parent runs a
 purely analytic share exchange: each cohort's measured per-epoch
 downlink demand feeds a deterministic max-min water-fill over the

@@ -9,8 +9,8 @@ once into a project graph) and one entry point
   module that flags the defects no runtime identity test reliably
   sees — wall-clock reads, salted-hash iteration order, exact float
   comparison on simulated clocks, mutable default arguments, missing
-  ``__slots__`` in per-packet hot-path modules, and worker pools
-  outside ``repro.matrix``.
+  ``__slots__`` in per-packet hot-path modules, and worker pools or
+  processes started outside ``repro.matrix``.
 * **Whole-program** (:mod:`repro.lint.deep`): the graph's symbol
   table, imports and call graph feeding two flow-aware passes —
   cache-key completeness (every

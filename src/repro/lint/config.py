@@ -8,7 +8,7 @@ in two deliberately narrow forms:
   the fragments is dropped.  This is for *designed* exemptions, and
   there are two: the matrix runner and its supervisor read the real
   clock because measuring wall time is their job (``wall-clock``),
-  and the matrix runner owns the one worker pool
+  and the matrix runner starts the one set of worker processes
   (``pool-outside-matrix``).
 * **inline pragmas** — a ``repro-lint: allow(rule-id)`` comment on the
   offending line (or the line directly above) waives the named rules
@@ -38,9 +38,10 @@ ALL_RULES: Dict[str, str] = {
     "mutable-default": "mutable default argument",
     "slots-hot-path": "class without __slots__ in a designated hot-path "
                       "module",
-    "pool-outside-matrix": "multiprocessing.Pool constructed outside "
-                           "repro.matrix (worker pools must go through "
-                           "MatrixRunner's managed, warmed pool)",
+    "pool-outside-matrix": "multiprocessing Pool or Process started "
+                           "outside repro.matrix (worker processes "
+                           "must be MatrixRunner's managed, warmed "
+                           "workers)",
     "unknown-pragma-rule": "inline pragma names a rule id the linter "
                            "does not know (it waives nothing)",
 }
@@ -90,10 +91,10 @@ DEFAULT_CONFIG = LintConfig(
                        # The supervisor's whole job is wall-clock
                        # deadlines on real worker processes.
                        "repro/matrix/supervisor.py"),
-        # The one sanctioned pool: MatrixRunner's persistent, warmed,
-        # chunk-dispatching pool.  Ad-hoc pools elsewhere would skip
-        # the site warm-up and chunked dispatch that keep parallel runs
-        # fast.
+        # The one module that starts worker processes: MatrixRunner's
+        # persistent, warmed workers, which the supervisor feeds chunks
+        # and replaces one at a time.  Ad-hoc workers elsewhere would
+        # skip the site warm-up, chunked dispatch and supervision.
         "pool-outside-matrix": ("repro/matrix/runner.py",),
     },
     hot_path_modules=(

@@ -32,10 +32,11 @@ result) do not reliably catch:
     firewall: a misspelled attribute write raises instead of silently
     creating fresh state.
 ``pool-outside-matrix``
-    ``multiprocessing.Pool`` constructed anywhere but
-    ``repro.matrix.runner``.  MatrixRunner's pool is persistent, warmed
-    (site prebuilt) and chunked; an ad-hoc pool silently loses all
-    three and re-pays site synthesis in every worker.
+    A ``Pool`` or ``Process`` of ``multiprocessing`` (or of one of its
+    ``get_context(...)`` objects) started anywhere but
+    ``repro.matrix.runner``.  MatrixRunner's workers are persistent,
+    warmed (site prebuilt), chunk-fed and supervised; an ad-hoc worker
+    silently loses all four and re-pays site synthesis.
 ``unknown-pragma-rule``
     An inline pragma naming an id that no rule has would waive nothing
     without a word; it is reported at the pragma's line instead.
@@ -67,8 +68,15 @@ _WALL_CLOCK_CALLS = {
     "datetime.datetime.today", "datetime.date.today",
 }
 
-#: Worker-pool constructors that bypass MatrixRunner's managed pool.
-_POOL_CALLS = {"multiprocessing.Pool", "multiprocessing.pool.Pool"}
+#: What starts worker processes, as ``multiprocessing`` attributes or
+#: on a ``multiprocessing.get_context(...)`` object: anything but
+#: MatrixRunner's managed workers.
+_WORKER_CALLS = {"Pool", "pool.Pool", "Process", "process.Process"}
+_CONTEXT_WORKER_CALLS = {"Pool", "Process"}
+
+#: The hint every ``pool-outside-matrix`` finding carries.
+_WORKER_HINT = ("use repro.matrix.MatrixRunner(jobs=N) — its workers "
+                "are persistent, site-warmed, chunk-fed and supervised")
 
 #: Builtins that keep the order of the iterable they are handed.
 _ORDER_CONSUMERS = {"list", "tuple", "enumerate", "iter"}
@@ -140,33 +148,30 @@ class _DeterminismVisitor(ast.NodeVisitor):
             col=getattr(node, "col_offset", 0), rule=rule,
             message=message, hint=hint))
 
-    # -- calls: host clock, worker pools, order-keeping consumers ------
+    # -- calls: host clock, worker processes, order-keeping consumers --
     def visit_Call(self, node: ast.Call) -> None:
         self._check_consumer(node)
         name = dotted_name(node.func, self.aliases)
         if name is not None:
+            package, _, attr = name.partition(".")
             if name in _WALL_CLOCK_CALLS:
                 self._emit(node, "wall-clock",
                            f"call to {name}() reads the host clock",
                            "use sim.now, or accept an injectable clock "
                            "callable")
-            elif name in _POOL_CALLS:
+            elif package == "multiprocessing" and attr in _WORKER_CALLS:
                 self._emit(node, "pool-outside-matrix",
-                           f"{name}() constructed outside repro.matrix",
-                           "use repro.matrix.MatrixRunner(jobs=N) — its "
-                           "pool is persistent, site-warmed and "
-                           "artifact-store-aware")
+                           f"{name}() started outside repro.matrix",
+                           _WORKER_HINT)
         elif isinstance(node.func, ast.Attribute) \
-                and node.func.attr == "Pool" \
+                and node.func.attr in _CONTEXT_WORKER_CALLS \
                 and isinstance(node.func.value, ast.Call) \
                 and dotted_name(node.func.value.func, self.aliases) \
                 == "multiprocessing.get_context":
             self._emit(node, "pool-outside-matrix",
-                       "multiprocessing.get_context(...).Pool() "
-                       "constructed outside repro.matrix",
-                       "use repro.matrix.MatrixRunner(jobs=N) — its "
-                       "pool is persistent, site-warmed and "
-                       "artifact-store-aware")
+                       f"multiprocessing.get_context(...)."
+                       f"{node.func.attr}() started outside repro.matrix",
+                       _WORKER_HINT)
         self.generic_visit(node)
 
     # -- iteration order -----------------------------------------------

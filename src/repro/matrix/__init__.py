@@ -13,15 +13,16 @@ x 2-servers grid (times five seeds per cell) into data::
 * :class:`ExperimentSpec` / :class:`ExperimentMatrix` — frozen,
   canonicalized descriptions of cells and grids; string names resolve
   through the same :mod:`repro.core.registry` the CLI uses.
-* :class:`MatrixRunner` — fans (cell, seed) units over a
-  ``multiprocessing`` pool with a bit-identical serial fallback,
-  per-cell wall-time stats and a progress callback.
+* :class:`MatrixRunner` — fans (cell, seed) units over persistent
+  worker processes with a bit-identical serial fallback, per-cell
+  wall-time stats and a progress callback.
 * :class:`ResultCache` — content-addressed JSON store under
   ``.repro-cache/``; a second ``python -m repro report --cache``
   simulates nothing.
-* :class:`~repro.matrix.supervisor.Supervisor` — supervised pool
-  execution: per-unit deadlines, dead/hung-worker recovery, capped
-  retries and :class:`~repro.core.runner.UnitFailure` quarantine.
+* :class:`~repro.matrix.supervisor.Supervisor` — supervised parallel
+  execution: per-unit deadlines, a hung or dead worker replaced alone,
+  capped retries and :class:`~repro.core.runner.UnitFailure`
+  quarantine.
 * :class:`RunJournal` — the result cache of one run, quarantine
   verdicts included, under ``<cache dir>/runs/<RUN_ID>/``;
   ``--journal [RUN_ID]`` records a run into it and replays it

@@ -1,23 +1,24 @@
-"""Parallel execution of experiment grids on a persistent warm pool.
+"""Parallel execution of experiment grids on persistent warm workers.
 
 :class:`MatrixRunner` fans the (cell, seed) work units of one or more
-:class:`~repro.matrix.spec.ExperimentSpec` out over a
-``multiprocessing`` pool.  Each worker builds the Microscape site and
-resource store locally (live simulation objects do not pickle; specs
-and numeric results do), so a unit's computation is byte-for-byte the
-same wherever it runs — ``jobs=4`` and the serial ``jobs=1`` fallback
-are guaranteed to produce identical numbers, and a content-addressed
-:class:`~repro.matrix.cache.ResultCache` can substitute for either.
+:class:`~repro.matrix.spec.ExperimentSpec` out over ``jobs`` worker
+processes, each on its own duplex pipe.  Each worker builds the
+Microscape site and resource store locally (live simulation objects do
+not pickle; specs and numeric results do), so a unit's computation is
+byte-for-byte the same wherever it runs — ``jobs=4`` and the serial
+``jobs=1`` fallback are guaranteed to produce identical numbers, and a
+content-addressed :class:`~repro.matrix.cache.ResultCache` can
+substitute for either.
 
 Three fixed costs are amortized instead of paid per unit or per call:
 
-* **The pool is persistent.**  One pool serves every ``run()`` /
+* **The workers are persistent.**  One set serves every ``run()`` /
   ``run_many()`` call for the runner's lifetime (``close()`` or use the
-  runner as a context manager to release it); a six-table report no
-  longer forks and tears down a pool per table.
+  runner as a context manager to release it); a six-table report does
+  not fork and tear down workers per table.
 * **Workers warm up on spawn.**  The parent pre-builds the default
   site/store before forking (copy-on-write sharing where the platform
-  forks) and every worker's initializer builds it otherwise — served
+  forks) and every worker builds it on start otherwise — served
   from the content-addressed artifact store
   (:mod:`repro.content.artifacts`) in O(read) when warm — so the first
   dispatched unit measures simulation, not site synthesis.
@@ -34,9 +35,9 @@ resolves.
 
 Robustness: parallel execution is driven by
 :class:`~repro.matrix.supervisor.Supervisor` — per-unit wall-clock
-deadlines, dead/hung-worker detection, pool respawn and a capped retry
-ladder (parallel retry → serial in-parent retry → quarantine).
-Quarantined units surface as structured
+deadlines, dead/hung-worker detection, the replacement of that one
+worker and a capped retry ladder (parallel retry → serial in-parent
+retry → quarantine).  Quarantined units surface as structured
 :class:`~repro.core.runner.UnitFailure` records on the cell's
 :class:`~repro.core.runner.AveragedResult` instead of aborting the
 grid, and an optional :class:`~repro.matrix.journal.RunJournal`
@@ -58,7 +59,7 @@ from ..core.runner import AveragedResult, UnitFailure, warm_default_site
 from .cache import ResultCache, unit_key
 from .journal import RunJournal
 from .spec import ExperimentSpec
-from .supervisor import Supervisor, _attempt, process_counters
+from .supervisor import Supervisor, _attempt, _serve, process_counters
 
 __all__ = ["CellEvent", "MatrixStats", "MatrixRunner", "run_unit"]
 
@@ -110,7 +111,7 @@ class MatrixStats:
     cache_misses: int = 0
     wall_time: float = 0.0
     #: Artifact-store hits/misses observed while executing units and
-    #: during the parent-side pool warm-up build (the encode
+    #: during the parent-side worker warm-up build (the encode
     #: memoization of :mod:`repro.content.artifacts`).
     artifact_hits: int = 0
     artifact_misses: int = 0
@@ -123,7 +124,7 @@ class MatrixStats:
     #: unit's own die by reference count (DESIGN.md "Object lifetime"):
     #: past the stdlib's few hundred, a cycle has been put back.
     gc_collected: int = 0
-    #: Dispatch chunks sent to the pool (0 for serial execution).
+    #: Dispatch chunks sent to workers (0 for serial execution).
     ipc_batches: int = 0
     #: Bytes of pickled unit payload shipped to workers.
     bytes_pickled: int = 0
@@ -132,8 +133,9 @@ class MatrixStats:
     #: Supervised re-dispatches of failed attempts (every rung of the
     #: retry ladder counts, including the final serial one).
     unit_retries: int = 0
-    #: Pool teardown-and-respawn cycles forced by dead or hung workers.
-    pool_respawns: int = 0
+    #: Workers killed and replaced, one at a time, for a deadline, a
+    #: death or an unreadable reply.
+    worker_respawns: int = 0
     #: Units replayed from a :class:`~repro.matrix.journal.RunJournal`
     #: instead of simulated (resumed runs).
     journal_hits: int = 0
@@ -162,7 +164,7 @@ class MatrixStats:
                 f"{self.ipc_batches} ipc batches, "
                 f"{self.bytes_pickled} bytes pickled; "
                 f"{self.failures} failed, {self.unit_retries} retried, "
-                f"{self.pool_respawns} pool respawns, "
+                f"{self.worker_respawns} worker respawns, "
                 f"{self.journal_hits} journal hits; memos "
                 f"{self.memo_builds} built, {self.memo_clears} cleared; "
                 f"gc {self.gc_collected} collected")
@@ -181,6 +183,26 @@ def run_unit(spec: ExperimentSpec, seed: int) -> Tuple[object, float]:
     start = time.perf_counter()
     result = spec.execute_unit(seed)
     return result, time.perf_counter() - start
+
+
+class _Worker:
+    """One worker process, running :func:`~repro.matrix.supervisor._serve`,
+    the parent's end of its duplex pipe, and the chunk it runs (``units``,
+    None when idle) with that chunk's wall-clock deadline."""
+
+    __slots__ = ("process", "conn", "units", "deadline")
+
+    def __init__(self, siblings: Sequence["_Worker"]) -> None:
+        self.conn, child = multiprocessing.Pipe()
+        # The worker closes the parent ends it inherits, its own and
+        # its running siblings', so each parent close is an EOF.
+        self.process = multiprocessing.Process(
+            target=_serve, daemon=True,
+            args=(child, [self.conn, *(w.conn for w in siblings)]))
+        self.process.start()
+        child.close()
+        self.units: Optional[list] = None
+        self.deadline = 0.0
 
 
 class MatrixRunner:
@@ -215,12 +237,12 @@ class MatrixRunner:
     re-dispatches before it is downgraded (serial retry for exceptions,
     quarantine for deadline / lost-worker faults).
 
-    The pool spawned for the first parallel ``run_many()`` is reused by
-    every later call; ``close()`` (or a ``with`` block) releases it.
+    The workers started for the first parallel ``run_many()`` serve
+    every later call; ``close()`` (or a ``with`` block) releases them.
     """
 
     __slots__ = ("jobs", "cache", "progress", "stats", "journal",
-                 "unit_deadline", "_pool", "_pool_workers", "_progress")
+                 "unit_deadline", "_workers", "_progress")
 
     def __init__(self, jobs: Optional[int] = 1, *,
                  cache: Optional[ResultCache] = None,
@@ -235,16 +257,16 @@ class MatrixRunner:
         self.journal = journal
         self.unit_deadline = unit_deadline
         self.stats = MatrixStats()
-        self._pool: Optional[multiprocessing.pool.Pool] = None
-        self._pool_workers = 0
+        self._workers: List[_Worker] = []
         self._progress = (0, 0)
 
     # ------------------------------------------------------------------
-    # Pool lifecycle
+    # Worker lifecycle
     # ------------------------------------------------------------------
-    def _ensure_pool(self) -> "multiprocessing.pool.Pool":
-        """The persistent pool, spawning (and warming) it on first use."""
-        if self._pool is None:
+    def _ensure_workers(self) -> List["_Worker"]:
+        """The persistent workers, started (and warmed) up to ``jobs``:
+        on first use, and to replace one the supervisor retired."""
+        if len(self._workers) < self.jobs:
             # Build before forking: fork-start workers inherit the site
             # copy-on-write instead of each building their own, and a
             # spawned worker builds it on start (from the artifact store
@@ -252,42 +274,25 @@ class MatrixRunner:
             before = process_counters()
             warm_default_site()
             self.stats.count(process_counters(before))
-            self._pool = multiprocessing.Pool(
-                processes=self.jobs, initializer=warm_default_site)
-            self._pool_workers = self.jobs
-        return self._pool
+            while len(self._workers) < self.jobs:
+                self._workers.append(_Worker(self._workers))
+        return self._workers
 
-    def _respawn_pool(self) -> "multiprocessing.pool.Pool":
-        """Tear down a faulted pool and spawn a fresh replacement.
-
-        ``terminate()`` rather than ``close()``: a hung worker would
-        never drain its task, and a dead one may have taken queue state
-        with it.  The replacement becomes the persistent pool, so later
-        ``run_many`` calls inherit the healthy one.
-        """
-        pool, self._pool = self._pool, None
-        self._pool_workers = 0
-        if pool is not None:
-            pool.terminate()
-            pool.join()
-        self.stats.pool_respawns += 1
-        return self._ensure_pool()
+    def _retire(self, worker: "_Worker") -> None:
+        """Kill and reap one worker that is hung, dead or mid-chunk."""
+        self._workers.remove(worker)
+        worker.conn.close()
+        worker.process.kill()
+        worker.process.join()
 
     def close(self) -> None:
-        """Release the worker pool (idempotent; a later run respawns)."""
-        pool, self._pool = self._pool, None
-        self._pool_workers = 0
-        if pool is None:
-            return
-        workers = getattr(pool, "_pool", None) or []
-        if any(getattr(p, "exitcode", None) is not None
-               for p in workers):
-            # A dead worker can leave a graceful close() joining on a
-            # task that will never finish; terminate reaps what's left.
-            pool.terminate()
-        else:
-            pool.close()
-        pool.join()
+        """Release the workers (idempotent; a later run starts new ones):
+        each sees its pipe close and leaves by its normal exit path."""
+        workers, self._workers = self._workers, []
+        for worker in workers:
+            worker.conn.close()
+        for worker in workers:
+            worker.process.join()
 
     def __enter__(self) -> "MatrixRunner":
         return self
@@ -296,15 +301,10 @@ class MatrixRunner:
         self.close()
 
     def __del__(self) -> None:
-        pool = getattr(self, "_pool", None)
-        if pool is not None:
-            # Interpreter-teardown path: terminate, then reap — an
-            # unjoined pool leaks its workers past the parent's exit.
-            try:
-                pool.terminate()
-                pool.join()
-            except Exception:
-                pass
+        try:
+            self.close()
+        except Exception:
+            pass
 
     # ------------------------------------------------------------------
     # Public API
@@ -317,7 +317,7 @@ class MatrixRunner:
                  ) -> List[AveragedResult]:
         """Run a batch of specs, fanning all their units out together.
 
-        Batching matters: a six-table report hands the pool every
+        Batching matters: a six-table report hands the workers every
         (cell, seed) unit at once instead of draining one row before
         starting the next.
         """
@@ -409,7 +409,7 @@ class MatrixRunner:
         Outcomes are stripped :class:`RunResult` objects or quarantined
         :class:`UnitFailure` records.  Serial execution yields one
         single-unit batch at a time (cache writes stay incremental);
-        pool execution delegates to the supervisor, which yields one
+        parallel execution delegates to the supervisor, which yields one
         batch per resolved dispatch chunk.
         """
         if not pending:

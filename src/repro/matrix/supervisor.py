@@ -1,35 +1,33 @@
-"""Supervised pool execution: deadlines, respawn, retries, quarantine.
+"""Supervised parallel execution: deadlines, replacements, retries,
+quarantine.
 
-The bare ``Pool.imap_unordered`` drain this module replaces had two
-failure modes fatal to long grids: a worker killed mid-chunk (OOM
-killer, segfault) wedges the iterator forever, and a single raising
-unit aborts the whole batch.  :class:`Supervisor` owns the in-flight
-chunks instead:
+A bare worker-pool drain has two failure modes fatal to long grids: a
+worker killed mid-chunk (OOM killer, segfault) wedges it forever, and
+a single raising unit aborts the whole batch.  :class:`Supervisor`
+runs one chunk at a time on each of the runner's worker processes,
+each on its own duplex pipe (:func:`_serve` is a worker's loop):
 
-* at most one chunk per worker is in flight, and each carries a
-  **wall-clock deadline** from its dispatch (per-unit budget — the
-  runner's ``unit_deadline`` or :data:`DEADLINE_GRACE` × the spec's
-  ``max_sim_time`` — summed over the chunk's units), so no chunk
-  spends its budget queued behind another;
-* a **liveness watch** on the pool's worker processes notices a dead
-  worker within one poll interval, without waiting for the deadline;
-* on either signal the pool is **terminated and respawned** and every
-  lost chunk is re-dispatched under the capped retry budget
-  (:data:`DEFAULT_RETRY_BUDGET`);
-* failures walk the same **downgrade ladder** as the PR-4 robot:
-  parallel retry → serial in-parent retry → quarantine.  Only
-  exception failures reach the serial rung — a unit that hangs or
-  kills its worker would do the same to the parent — deadline and
-  lost-worker failures quarantine once the parallel budget is spent;
-* a quarantined unit becomes a structured
-  :class:`~repro.core.runner.UnitFailure` yielded in-band, so sibling
-  units (and sibling cells) complete normally.
+* a chunk's **wall-clock deadline** starts when an idle worker gets it
+  (the runner's ``unit_deadline``, or :data:`DEADLINE_GRACE` × the
+  spec's ``max_sim_time``, summed over its units), so no chunk spends
+  its budget queued behind another;
+* the supervisor waits on the busy workers' pipes and process
+  sentinels until the nearest deadline, and collects a reply that has
+  arrived before it judges a deadline;
+* a deadline, a death or an unreadable reply **kills and replaces that
+  one worker**: no other worker loses its chunk, no lock is shared
+  between workers, and only the lost chunk is charged against the
+  retry budget (:data:`DEFAULT_RETRY_BUDGET`);
+* failures walk the robot's **downgrade ladder**: parallel retry →
+  serial in-parent retry → quarantine.  Only exception failures reach
+  the serial rung — a unit that hangs or kills its worker would do the
+  same to the parent;
+* a quarantined unit becomes a :class:`~repro.core.runner.UnitFailure`
+  yielded in-band, so sibling units and cells complete normally.
 
-Determinism is preserved: a unit's computation does not depend on
-where or how often it ran, so a grid that survives a worker kill
-produces numbers byte-identical to an undisturbed serial run.
-
-Every attempt, in a worker or in the parent, looks
+A unit's computation does not depend on where or how often it ran, so
+a grid that survives a worker kill is byte-identical to an undisturbed
+serial run.  Every attempt, in a worker or in the parent, looks
 :func:`~repro.matrix.runner.run_unit` up at call time
 (:func:`_attempt`), so that one function is where a test stands in a
 unit that raises, hangs or kills its worker.
@@ -45,7 +43,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .. import memo
 from ..content import artifacts
-from ..core.runner import UnitFailure
+from ..core.runner import UnitFailure, warm_default_site
 from .spec import ExperimentSpec
 
 __all__ = ["DEFAULT_RETRY_BUDGET", "DEADLINE_GRACE", "Supervisor",
@@ -63,8 +61,10 @@ DEFAULT_RETRY_BUDGET = 2
 #: backstop, not a performance target.
 DEADLINE_GRACE = 0.25
 
-#: Supervisor poll cadence while chunks are in flight.
-_POLL_INTERVAL = 0.05
+#: What a quarantined machine fault's UnitFailure says, by its kind.
+_FAULTS = {"deadline": "unit wall-clock deadline expired",
+           "worker-lost": "worker process died, or its reply was "
+                          "unreadable, mid-chunk"}
 
 #: A unit in a supervised dispatch: (slot index, spec, seed, attempt).
 _SupUnit = Tuple[int, ExperimentSpec, int, int]
@@ -90,16 +90,17 @@ def process_counters(since: Sequence[int] = (0, 0, 0, 0, 0)
 
 def _attempt(count, index: int, spec: ExperimentSpec, seed: int,
              attempt: int) -> _Outcome:
-    """The one way to run a unit: in a pool worker, or in the parent —
-    where ``jobs=1`` execution starts (attempt 1) and exception failures
-    that spent their parallel budget end, the ladder's final rung.
+    """The one way to run a unit: in a worker process, or in the parent
+    — where ``jobs=1`` execution starts (attempt 1) and exception
+    failures that spent their parallel budget end, the ladder's final
+    rung.
 
     A raising unit becomes a :class:`UnitFailure` instead of
-    propagating (in a worker that would abort the pool drain for the
-    whole batch; the parent's ladder decides what is next, and in the
-    parent itself the failure is the quarantine verdict).  ``count``
-    receives the :func:`process_counters` delta in a ``finally``, so a
-    consumer that stops iterating cannot lose it.
+    propagating (in a worker that would lose the whole chunk; the
+    parent's ladder decides what is next, and in the parent itself the
+    failure is the quarantine verdict).  ``count`` receives the
+    :func:`process_counters` delta in a ``finally``, so a consumer that
+    stops iterating cannot lose it.
     """
     from .runner import run_unit    # runner imports this module
     before = process_counters()
@@ -115,43 +116,46 @@ def _attempt(count, index: int, spec: ExperimentSpec, seed: int,
 
 def _run_chunk_supervised(units: Sequence[_SupUnit]
                           ) -> Tuple[List[_Outcome], Tuple[int, ...]]:
-    """Worker entry: one IPC round-trip per chunk, returning the units'
-    outcomes and their summed counter delta for the parent to aggregate
-    across the pool."""
+    """One chunk in a worker: the units' outcomes and their summed
+    counter delta, for the parent to aggregate across workers."""
     moved: List[Tuple[int, ...]] = []
     outcomes = [_attempt(moved.append, *unit) for unit in units]
     return outcomes, tuple(map(sum, zip(*moved)))
 
 
-class _Chunk:
-    """One dispatched chunk: its units, async handle, and deadline."""
-
-    __slots__ = ("units", "handle", "deadline")
-
-    def __init__(self, units: List[_SupUnit], handle,
-                 deadline: float) -> None:
-        self.units = units
-        self.handle = handle
-        self.deadline = deadline
+def _serve(conn, inherited) -> None:
+    """A worker process's one loop: warm the default site, then run
+    each chunk the parent sends and send back its outcomes, until the
+    parent closes the pipe.  ``inherited`` are the parent's pipe ends
+    the fork copied in, closed first so the parent's close is an EOF
+    here.  A reply that does not pickle ends the worker: a lost one."""
+    for end in inherited:
+        end.close()
+    warm_default_site()
+    while True:
+        try:
+            units = pickle.loads(conn.recv_bytes())
+        except EOFError:
+            return
+        conn.send(_run_chunk_supervised(units))
 
 
 class Supervisor:
     """Drives one supervised parallel batch for a MatrixRunner.
 
-    Created per ``run_many`` parallel dispatch; uses the runner's
-    persistent pool (respawning it through the runner so later calls
-    reuse the healthy replacement), follows the runner's
-    ``unit_deadline`` and :data:`DEFAULT_RETRY_BUDGET`, and reports retries, respawns and IPC totals into the runner's
-    :class:`MatrixStats`.
+    Created per ``run_many`` parallel dispatch; runs chunks on the
+    runner's persistent workers (a lost worker leaves the runner's
+    list, and the runner starts its replacement, which later calls
+    reuse), follows the runner's ``unit_deadline`` and
+    :data:`DEFAULT_RETRY_BUDGET`, and reports retries, replacements and
+    IPC totals into the runner's :class:`MatrixStats`.
     """
 
-    __slots__ = ("runner", "_inflight", "_queued", "_procs")
+    __slots__ = ("runner", "_queued")
 
     def __init__(self, runner) -> None:
         self.runner = runner
-        self._inflight: List[_Chunk] = []
         self._queued: List[List[_SupUnit]] = []  # waiting for a worker
-        self._procs: List[object] = []
 
     # ------------------------------------------------------------------
     # Main loop
@@ -167,68 +171,92 @@ class Supervisor:
         """
         units: List[_SupUnit] = [(index, spec, seed, 1)
                                  for index, spec, seed in payload]
-        self._watch(self.runner._ensure_pool())
         self._queued.extend(map(list, self.runner._chunked(units)))
-        while self._queued or self._inflight:
+        try:
             self._fill()
-            ready = [c for c in self._inflight if c.handle.ready()]
-            if ready:
-                for chunk in ready:
-                    self._inflight.remove(chunk)
-                    batch = self._collect(chunk)
-                    self._fill()
-                    if batch:
-                        yield batch
-                continue
-            batch = self._supervise()
-            if batch:
-                yield batch
+            while self._busy():
+                batches = self._reap()
+                self._fill()
+                yield from filter(None, batches)
+        finally:
+            # Abandoned mid-batch: a late reply must never answer a
+            # later call's chunk, so a busy worker goes.
+            for worker in self._busy():
+                self.runner._retire(worker)
+
+    def _busy(self) -> list:
+        return [w for w in self.runner._workers if w.units is not None]
 
     # ------------------------------------------------------------------
     # Dispatch and collection
     # ------------------------------------------------------------------
     def _fill(self) -> None:
-        """Hand queued chunks to the pool while a worker is free."""
-        pool = self.runner._ensure_pool()
+        """Hand queued chunks to idle workers; each deadline starts now."""
         stats = self.runner.stats
-        while self._queued and len(self._inflight) < self.runner.jobs:
-            units = self._queued.pop(0)
-            stats.ipc_batches += 1
-            stats.bytes_pickled += len(
-                pickle.dumps(units, pickle.HIGHEST_PROTOCOL))
-            deadline = time.monotonic() + sum(
+        for worker in self.runner._ensure_workers():
+            if not self._queued:
+                return
+            if worker.units is not None:
+                continue
+            worker.units = units = self._queued.pop(0)
+            worker.deadline = time.monotonic() + sum(
                 self._deadline_for(spec) for _, spec, _, _ in units)
-            self._inflight.append(_Chunk(
-                units, pool.apply_async(_run_chunk_supervised, (units,)),
-                deadline))
+            payload = pickle.dumps(units, pickle.HIGHEST_PROTOCOL)
+            stats.ipc_batches += 1
+            stats.bytes_pickled += len(payload)
+            try:
+                worker.conn.send_bytes(payload)
+            except OSError:
+                pass    # it died idle: _reap finds its pipe at EOF
 
     def _deadline_for(self, spec: ExperimentSpec) -> float:
         if self.runner.unit_deadline is not None:
             return float(self.runner.unit_deadline)
         return DEADLINE_GRACE * spec.max_sim_time
 
-    def _watch(self, pool) -> None:
-        """Snapshot the pool's worker processes for liveness checks.
+    def _reap(self) -> List[List[_Outcome]]:
+        """Wait until a busy worker replies, dies or overruns its
+        deadline, then resolve each such chunk into one batch.
 
-        The snapshot keeps references to the worker Process objects, so
-        a worker that dies stays visible (exitcode set) even after the
-        pool's maintenance thread replaces it in its own bookkeeping.
+        A reply that has arrived is collected before its deadline is
+        judged.  A worker whose pipe is at end of file, whose reply
+        does not unpickle, that has exited, or that is past its
+        deadline is killed and replaced, and only its chunk is charged.
         """
-        self._procs = list(getattr(pool, "_pool", None) or [])
+        # Loaded on first use: a serial run never pays for the import.
+        from multiprocessing.connection import wait
+        busy = self._busy()
+        wait([handle for w in busy for handle in (w.conn, w.process.sentinel)],
+             max(0.0, min(w.deadline for w in busy) - time.monotonic()))
+        now = time.monotonic()
+        batches: List[List[_Outcome]] = []
+        for worker in busy:
+            if worker.conn.poll():
+                try:
+                    results, moved = worker.conn.recv()
+                except Exception:
+                    kind = "worker-lost"
+                else:
+                    batches.append(self._collect(worker.units, results,
+                                                 moved))
+                    worker.units = None
+                    continue
+            elif worker.process.exitcode is not None:
+                kind = "worker-lost"
+            elif now > worker.deadline:
+                kind = "deadline"
+            else:
+                continue
+            self.runner._retire(worker)
+            self.runner.stats.worker_respawns += 1
+            batches.append(self._retry_or_quarantine(worker.units, kind))
+        return batches
 
-    def _collect(self, chunk: _Chunk) -> List[_Outcome]:
-        try:
-            results, moved = chunk.handle.get()
-        except Exception as exc:
-            # The chunk computed but its reply could not be retrieved
-            # (e.g. an unpicklable result): same treatment as a lost
-            # worker, minus the pool respawn (the pool is healthy).
-            return self._retry_or_quarantine(
-                chunk.units, "worker-lost",
-                f"chunk result unavailable: {exc}")
+    def _collect(self, units: List[_SupUnit], results: List[_Outcome],
+                 moved: Sequence[int]) -> List[_Outcome]:
         self.runner.stats.count(moved)
         info = {index: (spec, seed, attempt)
-                for index, spec, seed, attempt in chunk.units}
+                for index, spec, seed, attempt in units}
         batch: List[_Outcome] = []
         for index, outcome, wall in results:
             spec, seed, attempt = info[index]
@@ -259,41 +287,8 @@ class Supervisor:
         return _attempt(self.runner.stats.count, index, spec, seed,
                         attempt + 1)
 
-    def _supervise(self) -> List[_Outcome]:
-        """One idle tick: check liveness and deadlines, maybe recover.
-
-        Returns quarantined outcomes produced by the recovery (usually
-        empty — recovered units re-dispatch and resolve later).
-        """
-        lost = any(getattr(p, "exitcode", None) is not None
-                   for p in self._procs)
-        now = time.monotonic()
-        expired = [c for c in self._inflight if now > c.deadline]
-        if not lost and not expired:
-            time.sleep(_POLL_INTERVAL)
-            return []
-        # The pool's state is unknown (a dead worker may have taken
-        # queue locks with it; a hung worker never yields its slot):
-        # tear it down and re-dispatch everything still in flight.
-        kind = "worker-lost" if lost else "deadline"
-        error = ("worker process died mid-chunk" if lost
-                 else "unit wall-clock deadline expired")
-        guilty = set(map(id, self._inflight if lost else expired))
-        inflight, self._inflight = self._inflight, []
-        self._watch(self.runner._respawn_pool())
-        # Innocent bystander chunks lost to the respawn go back to the
-        # head of the queue as-is: no attempt is charged to them.
-        self._queued[:0] = [chunk.units for chunk in inflight
-                            if id(chunk) not in guilty]
-        batch: List[_Outcome] = []
-        for chunk in inflight:
-            if id(chunk) in guilty:
-                batch.extend(self._retry_or_quarantine(
-                    chunk.units, kind, error))
-        return batch
-
-    def _retry_or_quarantine(self, units: Sequence[_SupUnit], kind: str,
-                             error: str) -> List[_Outcome]:
+    def _retry_or_quarantine(self, units: Sequence[_SupUnit],
+                             kind: str) -> List[_Outcome]:
         """Machine-fault path: parallel retries only, then quarantine.
 
         A unit whose worker hangs or dies must never run in the parent
@@ -309,6 +304,7 @@ class Supervisor:
                 self._queued.append([(index, spec, seed, attempt + 1)])
             else:
                 batch.append((index, UnitFailure(
-                    label=spec.label, seed=seed, kind=kind, error=error,
-                    traceback_digest="", attempts=attempt), 0.0))
+                    label=spec.label, seed=seed, kind=kind,
+                    error=_FAULTS[kind], traceback_digest="",
+                    attempts=attempt), 0.0))
         return batch

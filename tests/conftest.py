@@ -22,24 +22,26 @@ class UnitFaults:
     """Makes chosen matrix units misbehave, as a faulty host would.
 
     It stands in for :func:`repro.matrix.runner.run_unit`, which every
-    attempt looks up at call time, in the parent and in pool workers
-    alike (workers fork with the victims named before the pool
-    starts).  A victim is named by its spec — the spec itself, or
+    attempt looks up at call time, in the parent and in worker
+    processes alike (workers fork with the victims named before they
+    start).  A victim is named by its spec — the spec itself, or
     its label — and seed.  A first-attempt-only fault fires when it
     creates its token file, so a retry, in any process, runs the real
-    unit.  Kill and hang fire only inside a pool worker: in the parent
-    they would take the run down.
+    unit.  Kill, hang and an unpicklable result fire only inside a
+    worker: in the parent they would take the run down.
     """
 
     def __init__(self, monkeypatch, tmp_path) -> None:
         self._tokens = tmp_path
         self._victims = []
-        real = runner.run_unit
+        self._real = real = runner.run_unit
 
         def run_unit(spec, seed):
             for name, victim_seed, fault in self._victims:
                 if seed == victim_seed and name in (spec, spec.label):
-                    fault()
+                    replaced = fault()
+                    if replaced is not None:
+                        return replaced
             return real(spec, seed)
 
         monkeypatch.setattr(runner, "run_unit", run_unit)
@@ -53,7 +55,7 @@ class UnitFaults:
         self._raise_when(spec, seed, self._first())
 
     def raise_in_workers(self, spec, seed) -> None:
-        """Raise on every attempt made inside a pool worker."""
+        """Raise on every attempt made inside a worker process."""
         self._raise_when(spec, seed, _in_worker)
 
     def kill_worker_once(self, spec, seed) -> None:
@@ -65,9 +67,28 @@ class UnitFaults:
         """Stall the worker running the first attempt for an hour."""
         self._in_worker_once(spec, seed, lambda: time.sleep(3600))
 
+    def unpicklable_in_workers(self, spec, seed) -> None:
+        """Return a result no pipe can carry (a local function) from
+        every attempt made inside a worker process."""
+        def fault():
+            if _in_worker():
+                return (lambda: None), 0.0
+            return None
+        self._victims.append((spec, seed, fault))
+
     def delay(self, spec, seed, seconds) -> None:
         """Sleep ``seconds`` before every attempt, as a slow host would."""
         self._victims.append((spec, seed, lambda: time.sleep(seconds)))
+
+    def ballast(self, spec, seed, nbytes) -> None:
+        """Return the real result (the victim named by its spec)
+        carrying ``nbytes`` of ballast in its perf counters, so sending
+        its reply takes a while."""
+        def fault():
+            result, wall = self._real(spec, seed)
+            result.perf["ballast"] = "x" * nbytes
+            return result, wall
+        self._victims.append((spec, seed, fault))
 
     def _raise_when(self, spec, seed, fires) -> None:
         def fault():

@@ -148,6 +148,35 @@ def test_pool_via_get_context_flagged(tmp_path):
         == ["pool-outside-matrix"]
 
 
+@pytest.mark.parametrize("source", [
+    "import multiprocessing\n"
+    "p = multiprocessing.Process(target=print)\n",
+    "import multiprocessing\n"
+    "p = multiprocessing.get_context('fork').Process(target=print)\n",
+    "from multiprocessing import Process\np = Process(target=print)\n"])
+def test_worker_process_outside_matrix_flagged(tmp_path, source):
+    # A bare worker process is as unmanaged as a bare pool.
+    (finding,) = _lint_text(tmp_path, source)
+    assert finding.rule == "pool-outside-matrix"
+    assert "Process()" in finding.message
+    assert _lint_text(tmp_path, source, "src/repro/matrix/runner.py") \
+        == []
+
+
+def test_the_worker_exemption_is_live():
+    # The one module exempt from pool-outside-matrix really starts
+    # worker processes: without its allowlist entry it has a finding.
+    runner = SRC / "matrix" / "runner.py"
+    bare = dataclasses.replace(DEFAULT_CONFIG, allowlist={
+        rule: paths for rule, paths in DEFAULT_CONFIG.allowlist.items()
+        if rule != "pool-outside-matrix"})
+    assert DEFAULT_CONFIG.allowlist["pool-outside-matrix"] \
+        == ("repro/matrix/runner.py",)
+    assert lint_paths([runner]) == []
+    assert [f.rule for f in lint_paths([runner], bare)] \
+        == ["pool-outside-matrix"]
+
+
 def test_matrix_runner_pool_is_allowlisted(tmp_path):
     source = "import multiprocessing\np = multiprocessing.Pool(2)\n"
     path = "src/repro/matrix/runner.py"

@@ -179,11 +179,13 @@ def test_pool_persists_across_run_many_calls():
                             **{**FAST, "mode": "HTTP/1.1"})]
     with MatrixRunner(jobs=2) as runner:
         runner.run_many(specs)
-        pool = runner._pool
-        assert pool is not None
+        workers = [w.process for w in runner._workers]
+        assert len(workers) == 2
         runner.run_many(specs)
-        assert runner._pool is pool        # same workers, no respawn
-    assert runner._pool is None            # __exit__ closed it
+        # Same worker processes, no respawn.
+        assert [w.process for w in runner._workers] == workers
+    assert runner._workers == []           # __exit__ closed them
+    assert all(p.exitcode == 0 for p in workers)
 
 
 def test_parallel_run_populates_ipc_stats():
@@ -233,8 +235,8 @@ def test_close_is_idempotent():
     runner.run_many([ExperimentSpec(seeds=(0,), **FAST)])
     runner.close()
     runner.close()
-    assert runner._pool is None
-    # A closed runner can still run serially-after-close via a new pool.
+    assert runner._workers == []
+    # A closed runner can still run after close, on new workers.
     runner.run_many([ExperimentSpec(seeds=(1,), **FAST)])
     runner.close()
 

@@ -1,5 +1,8 @@
 """Supervised execution: kills, hangs, poison cells, retry ladder."""
 
+import os
+import signal
+
 import pytest
 
 from repro.core.runner import RESULT_FIELDS, UnitFailure
@@ -24,11 +27,11 @@ GRID = [
 #: so 30 s can not fire spuriously even on a loaded CI machine.
 SAFE_DEADLINE = 30.0
 
-#: The hung-worker test waits this long for the deadline to fire.  The
-#: five healthy units finish on the other worker within 0.17 s even on
-#: a loaded 2-CPU host; a respawn that catches that worker mid-reply
-#: can deadlock ``Pool.terminate``, so the deadline keeps a 3x margin.
-HANG_DEADLINE = 0.5
+#: The hung-worker test waits this long for the deadline to fire.  It
+#: bounds each healthy unit too (about 5 ms alone), and the kill
+#: touches only the hung worker, so the smallest value that passed 60
+#: runs in a row on an idle 2-CPU host and beside two CPU burners.
+HANG_DEADLINE = 0.05
 
 #: The queued-behind-a-hang test: each healthy unit is slowed to about
 #: ``SLOW_UNIT`` seconds, so the four that queue behind the first on
@@ -36,6 +39,16 @@ HANG_DEADLINE = 0.5
 #: while each alone keeps a 3x margin.
 QUEUE_DEADLINE = 0.3
 SLOW_UNIT = 0.1
+
+#: The kill-while-replying test: each healthy unit is slowed to about
+#: ``REPLY_EVERY`` seconds and replies with ``BALLAST`` bytes more, so
+#: the free worker is still sending replies when the hung unit's
+#: ``KILL_DEADLINE`` fires (a healthy unit alone keeps a 4x margin).
+#: Terminating a whole ``multiprocessing.Pool`` there could wedge
+#: ``Pool.terminate`` for ever.
+KILL_DEADLINE = 0.2
+REPLY_EVERY = 0.04
+BALLAST = 4_000_000
 
 
 def specs():
@@ -157,7 +170,7 @@ def test_transient_exception_recovers_within_budget(serial_baseline,
     assert stats.failures == 0
     assert stats.unit_retries == 1
     assert stats.ipc_batches == 6 + 1     # the retry went to the pool
-    assert stats.pool_respawns == 0
+    assert stats.worker_respawns == 0
     assert stats.sim_runs == 6
     (retried,) = [e for e in events if e.status == "retried"]
     assert (retried.spec, retried.seed, retried.attempt) == (*VICTIM, 2)
@@ -192,7 +205,7 @@ def test_sigkilled_worker_recovers_byte_identical(serial_baseline,
     with MatrixRunner(jobs=2, unit_deadline=SAFE_DEADLINE) as runner:
         results = runner.run_many(specs())
         stats = runner.stats
-    assert stats.pool_respawns >= 1
+    assert stats.worker_respawns >= 1
     assert stats.unit_retries >= 1
     assert stats.failures == 0
     assert stats.sim_runs == 6
@@ -206,7 +219,7 @@ def test_hung_worker_hits_deadline_and_recovers(serial_baseline,
     with MatrixRunner(jobs=2, unit_deadline=HANG_DEADLINE) as runner:
         results = runner.run_many(specs())
         stats = runner.stats
-    assert stats.pool_respawns >= 1
+    assert stats.worker_respawns >= 1
     assert stats.failures == 0
     for got, want in zip(results, serial_baseline):
         assert_results_identical(got, want)
@@ -229,8 +242,53 @@ def test_units_queued_behind_a_hung_unit_keep_their_deadline(
     (failure,) = results[0].failures
     assert (failure.seed, failure.kind) == (1, "deadline")
     assert stats.failures == 1
-    assert stats.pool_respawns == 1
+    assert stats.worker_respawns == 1
     # Seeds 0 and 2 of the victim's cell match the serial baseline.
+    assert len(results[0].runs) == 2
+    for got, want in zip(results[0].runs, serial_baseline[0].runs[::2]):
+        for name in RESULT_FIELDS:
+            assert getattr(got, name) == getattr(want, name), name
+    assert_results_identical(results[1], serial_baseline[1])
+
+
+def test_a_kill_while_the_other_worker_replies_costs_one_worker(
+        serial_baseline, unit_faults):
+    # The hung unit's worker is killed while the other worker streams
+    # replies.  No lock is shared between workers, so the kill cannot
+    # wedge the run, and the busy worker keeps its chunk: only the
+    # victim is retried, on one replacement worker.
+    unit_faults.hang_worker_once(*VICTIM)
+    for spec in specs():
+        for seed in spec.seeds:
+            if (spec, seed) != VICTIM:
+                unit_faults.delay(spec, seed, REPLY_EVERY)
+                unit_faults.ballast(spec, seed, BALLAST)
+    with MatrixRunner(jobs=2, unit_deadline=KILL_DEADLINE) as runner:
+        results = runner.run_many(specs())
+        stats = runner.stats
+    assert stats.unit_retries == 1
+    assert stats.worker_respawns == 1
+    assert stats.ipc_batches == 6 + 1     # six chunks, one retry
+    assert stats.failures == 0
+    for got, want in zip(results, serial_baseline):
+        assert_results_identical(got, want)
+
+
+def test_an_unreadable_reply_costs_its_worker(serial_baseline,
+                                              unit_faults):
+    # The victim's reply does not pickle, so its worker dies sending
+    # it: a lost worker, retried in the pool and then quarantined, and
+    # never run in the parent.
+    unit_faults.unpicklable_in_workers(*VICTIM)
+    with MatrixRunner(jobs=2, unit_deadline=SAFE_DEADLINE) as runner:
+        results = runner.run_many(specs())
+        stats = runner.stats
+    (failure,) = results[0].failures
+    assert (failure.seed, failure.kind) == (1, "worker-lost")
+    assert failure.attempts == supervisor.DEFAULT_RETRY_BUDGET + 1
+    assert stats.unit_retries == supervisor.DEFAULT_RETRY_BUDGET
+    assert stats.worker_respawns == supervisor.DEFAULT_RETRY_BUDGET + 1
+    assert stats.failures == 1
     assert len(results[0].runs) == 2
     for got, want in zip(results[0].runs, serial_baseline[0].runs[::2]):
         for name in RESULT_FIELDS:
@@ -248,7 +306,7 @@ def test_deadline_defaults_derive_from_max_sim_time(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Pool lifecycle hygiene (satellite: close/terminate on dead workers)
+# Worker lifecycle hygiene: close after a dead worker
 # ----------------------------------------------------------------------
 def test_close_handles_already_dead_workers(unit_faults, monkeypatch):
     # Half a chunk per worker: the whole grid is one chunk.
@@ -263,8 +321,53 @@ def test_close_handles_already_dead_workers(unit_faults, monkeypatch):
     assert all(f.kind == "worker-lost"
                for r in results for f in r.failures)
     runner.close()          # must not hang despite the SIGKILL
-    assert runner._pool is None
+    assert runner._workers == []
     runner.close()          # idempotent
+
+
+def test_a_worker_that_died_idle_is_replaced(serial_baseline):
+    # A worker killed between runs is found by the next chunk sent to
+    # it: its pipe is at end of file, so it is replaced and only that
+    # chunk is retried.
+    with MatrixRunner(jobs=2, unit_deadline=SAFE_DEADLINE) as runner:
+        runner.run_many(specs())
+        victim = runner._workers[0].process
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join()
+        results = runner.run_many(specs())
+        stats = runner.stats
+        assert victim not in [w.process for w in runner._workers]
+        assert len(runner._workers) == 2
+    assert stats.worker_respawns == 1
+    assert stats.unit_retries == 1
+    assert stats.failures == 0
+    for got, want in zip(results, serial_baseline):
+        assert_results_identical(got, want)
+
+
+def test_an_abandoned_batch_leaves_no_late_reply(serial_baseline,
+                                                unit_faults):
+    # A consumer that stops mid-batch (here a raising progress
+    # callback) leaves a worker busy; its late reply must never answer
+    # the next call's chunk, so that worker goes with the batch.
+    for spec in specs():
+        for seed in spec.seeds:
+            unit_faults.delay(spec, seed, REPLY_EVERY)
+
+    def stop(event):
+        raise KeyboardInterrupt
+
+    with MatrixRunner(jobs=2, unit_deadline=SAFE_DEADLINE,
+                      progress=stop) as runner:
+        with pytest.raises(KeyboardInterrupt):
+            runner.run_many(specs())
+        assert runner._workers == []      # both were busy
+        runner.progress = None
+        results = runner.run_many(specs())
+        assert len(runner._workers) == 2
+    assert runner.stats.worker_respawns == 0
+    for got, want in zip(results, serial_baseline):
+        assert_results_identical(got, want)
 
 
 def test_serial_artifact_delta_survives_early_generator_exit(
