@@ -78,6 +78,13 @@ done
 #     503 fault, split header writes, a MUX HEADERS frame), and a
 #     template hit builds no Response or Headers —
 #     tests/server/test_served_bytes.py (not slow-marked)
+#   every request the robot sends, in every shape (first-time and
+#     revalidate, HTTP/1.0 Keep-Alive, pipelined, downgraded to close,
+#     a Range prefix and its tail, get-plus-head, conditional-or-head,
+#     the Date fallback, a MUX HEADERS payload), is cmp-equal to
+#     Request(...).to_bytes() of its fields on an empty serializer
+#     memo, and a warm request builds no Request or Headers —
+#     tests/client/test_request_bytes.py (not slow-marked)
 #   the encode kernels are byte-identical: a site built with no
 #     artifact store (so the GIF LZW and pixel generators really run,
 #     not blobs an earlier encoder wrote) hashes to the pinned digest —

@@ -36,6 +36,6 @@ Subpackages
     The static lint: determinism rules and whole-program passes.
 """
 
-__version__ = "1.5.1"
+__version__ = "1.5.2"
 
 __all__ = ["__version__"]

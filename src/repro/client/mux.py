@@ -23,9 +23,9 @@ incremental HTML discovery — is shared; only the wire layer changes:
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
-from ..http import ParseError, Request, Response, ResponseParser
+from ..http import ParseError, Response, ResponseParser
 from ..http.framing import (F_CANCEL, F_DATA, F_END_STREAM, F_HEADERS,
                             F_PUSH_PROMISE, F_WINDOW_UPDATE,
                             FRAME_HEADER_SIZE, Frame, FramingError,
@@ -79,18 +79,18 @@ class _MuxConnState(_Connection):
         return stream
 
     # ------------------------------------------------------------------
-    def send_request(self, url: str, request: Request,
+    def send_request(self, url: str, request: Tuple[str, bytes],
                      flush: bool) -> None:
+        method, payload = request
         sid = self.next_stream
         self.next_stream += 2
         stream = _MuxStream(url, pushed=False)
-        stream.parser.expect(request.method)
+        stream.parser.expect(method)
         stream.parser.on_body_chunk = (
             lambda response, chunk:
             self.robot._on_mux_body_chunk(stream, response, chunk))
         self.streams[sid] = stream
         self.outstanding.append(url)
-        payload = request.to_bytes()
         self.robot.result.request_bytes += \
             len(payload) + FRAME_HEADER_SIZE
         self.robot.result.requests_sent += 1
@@ -150,18 +150,19 @@ class MuxClient(Robot):
             return
         alive = self._alive_conns()
         state = alive[0] if alive else self._new_conn()
-        wrote = False
+        # Same policy as the pipelined robot: the application knows the
+        # batch is complete once the HTML is fully parsed.
+        batch = self.config.explicit_flush and self._html_complete
         while self._pending:
             url = self._pending.popleft()
             request = self._build_request(url)
             explicit = (self.config.explicit_flush
                         and url == self._html_url
                         and self._scenario == FIRST_TIME)
+            if batch:
+                state.buffer.begin_batch()
             state.send_request(url, request, flush=explicit)
-            wrote = True
-        # Same policy as the pipelined robot: the application knows the
-        # batch is complete once the HTML is fully parsed.
-        if wrote and self.config.explicit_flush and self._html_complete:
+        if batch:
             state.buffer.flush()
 
     def _maybe_downgrade(self) -> None:

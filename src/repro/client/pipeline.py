@@ -16,6 +16,9 @@ pipelined requests onto the wire:
 
 :class:`OutputBuffer` implements all three and counts which trigger
 fired, so the flush-policy ablation can show their relative value.
+A batch the application will flush itself (:meth:`OutputBuffer.
+begin_batch`) still size-flushes but arms no timer, which its flush
+would only cancel.
 """
 
 from __future__ import annotations
@@ -81,6 +84,8 @@ class OutputBuffer:
         self.flush_timeout = flush_timeout
         self._buffer = bytearray()
         self._timer: Optional[list] = None
+        #: Set by :meth:`begin_batch`, cleared by :meth:`flush`.
+        self._batch = False
         #: Flush counters by trigger, for the flush-policy ablations.
         self.size_flushes = 0
         self.timer_flushes = 0
@@ -96,13 +101,19 @@ class OutputBuffer:
             self._flush_now()
         elif flush:     # no timer armed only to be cancelled
             self.flush()
-        elif self._buffer and self._timer is None \
+        elif self._buffer and self._timer is None and not self._batch \
                 and self.flush_timeout is not None:
             self._timer = self.sim.schedule(self.flush_timeout,
                                             self._timer_fire)
 
+    def begin_batch(self) -> None:
+        """The application is writing a batch and will :meth:`flush` it
+        before the simulated clock moves: arm no timer until then."""
+        self._batch = True
+
     def flush(self) -> None:
         """Explicit flush: the application knows the batch is complete."""
+        self._batch = False
         if self._buffer:
             self.explicit_flushes += 1
         self._flush_now()

@@ -26,6 +26,15 @@ scanned for new ``<img>`` URLs, and discovered images are requested
 immediately (batched by the output buffer in pipelined mode).  It also
 survives servers that close mid-pipeline (Apache 1.2b2's five-request
 limit): unanswered requests are re-issued on a fresh connection.
+
+A request is its wire bytes.  :meth:`Robot._build_request` returns
+``(method, wire)``: the robot's base fields (a tuple built once) plus
+the extras the configuration, scenario and cache call for, serialized
+by :func:`~repro.http.messages.request_head`, the serializer
+:meth:`Request.to_bytes` uses, so a warm request is one memo lookup and
+builds no :class:`Request` or :class:`Headers`.  A batch the robot
+will flush itself goes through :meth:`OutputBuffer.begin_batch`, so it
+arms no flush timer only to cancel it.
 """
 
 from __future__ import annotations
@@ -36,8 +45,9 @@ from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from ..faults.recovery import RecoveryLog
-from ..http import (HTTP10, HTTP11, Headers, MemoryCache, ParseError,
-                    Request, Response, ResponseParser)
+from ..http import (HTTP10, HTTP11, MemoryCache, ParseError, Response,
+                    ResponseParser)
+from ..http.messages import request_head
 from .discovery import IncrementalImageScanner
 from ..simnet.engine import Simulator
 from ..simnet.tcp import TcpConnection, TcpStack
@@ -252,10 +262,10 @@ class _ConnState(_Connection):
         super().retire()
 
     # ------------------------------------------------------------------
-    def send_request(self, url: str, request: Request,
+    def send_request(self, url: str, request: Tuple[str, bytes],
                      flush: bool) -> None:
-        wire = request.to_bytes()
-        self.parser.expect(request.method)
+        method, wire = request
+        self.parser.expect(method)
         self.outstanding.append(url)
         self.robot.result.request_bytes += len(wire)
         self.robot.result.requests_sent += 1
@@ -340,11 +350,10 @@ class Robot:
         self.on_body_progress: Optional[
             Callable[[str, Response, int, bytes], None]] = None
         self._body_progress: Dict[str, int] = {}
-        #: The fields every request of this robot starts with, copied
-        #: per request.
-        self._base_headers = Headers(
-            [("Host", server_host), ("User-Agent", self.config.user_agent),
-             ("Accept", "*/*"), *self.config.extra_headers])
+        #: The fields every request of this robot starts with.
+        self._base_fields: Tuple[Tuple[str, str], ...] = (
+            ("Host", server_host), ("User-Agent", self.config.user_agent),
+            ("Accept", "*/*"), *self.config.extra_headers)
 
     # ------------------------------------------------------------------
     # Public API
@@ -379,7 +388,8 @@ class Robot:
     # ------------------------------------------------------------------
     # Request construction
     # ------------------------------------------------------------------
-    def _build_request(self, url: str) -> Request:
+    def _build_request(self, url: str) -> Tuple[str, bytes]:
+        """``(method, wire bytes)`` of the request for ``url``."""
         config = self.config
         tail_of: Optional[str] = None
         if url.endswith(TAIL_MARKER):
@@ -387,21 +397,21 @@ class Robot:
             url = tail_of
         is_html = url == self._html_url
         method = "GET"
-        headers = self._base_headers.copy()
+        fields = self._base_fields
         if is_html and config.accept_deflate:
-            headers.add("Accept-Encoding", "deflate")
+            fields += (("Accept-Encoding", "deflate"),)
         if config.http_version == HTTP10 and config.keep_alive:
-            headers.add("Connection", "Keep-Alive")
+            fields += (("Connection", "Keep-Alive"),)
         elif config.http_version >= HTTP11 and self._downgrade_level >= 2:
             # Fully downgraded: one request per connection, and the
             # server must not hold the connection open afterwards.
-            headers.add("Connection", "close")
+            fields += (("Connection", "close"),)
         prefix = config.range_prefix_bytes
         if prefix and not is_html and self._scenario == FIRST_TIME:
             if tail_of is not None:
-                headers.add("Range", f"bytes={prefix}-")
+                fields += (("Range", f"bytes={prefix}-"),)
             else:
-                headers.add("Range", f"bytes=0-{prefix - 1}")
+                fields += (("Range", f"bytes=0-{prefix - 1}"),)
         if self._scenario == REVALIDATE:
             strategy = config.reval_strategy
             if strategy == "get-plus-head":
@@ -414,13 +424,13 @@ class Robot:
                     url, http11=http11,
                     date_fallback=config.allow_date_fallback)
                 if validators:
-                    for name, value in validators:
-                        headers.add(name, value)
+                    fields += validators
                 elif strategy == "conditional-or-head" and not is_html:
                     # No usable validator: check the image's metadata
                     # with a HEAD instead of re-transferring it.
                     method = "HEAD"
-        return Request(method, url, config.http_version, headers)
+        return method, request_head(method, url, config.http_version,
+                                    fields)
 
     # ------------------------------------------------------------------
     # Dispatch policies
@@ -471,6 +481,11 @@ class Robot:
         while (len(conns) < self.config.max_connections
                and len(self._pending) > len(conns)):
             conns.append(self._new_conn())
+        # The application knows no further requests are coming right now
+        # (the HTML is fully parsed, or the batch was fully known): it
+        # flushes after the loop rather than wait for the timer, so
+        # the writes arm none (nothing in the loop calls back here).
+        batch = self.config.explicit_flush and self._html_complete
         wrote = set()
         index = 0
         while self._pending:
@@ -484,12 +499,11 @@ class Robot:
             explicit = (self.config.explicit_flush
                         and url == self._html_url
                         and self._scenario == FIRST_TIME)
+            if batch:
+                state.buffer.begin_batch()
             state.send_request(url, request, flush=explicit)
             wrote.add(id(state))
-        # The application knows no further requests are coming right now
-        # (the HTML is fully parsed, or the batch was fully known):
-        # flush rather than wait for the timer.
-        if self.config.explicit_flush and self._html_complete:
+        if batch:
             for state in conns:
                 if id(state) in wrote:
                     state.buffer.flush()

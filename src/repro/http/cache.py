@@ -17,7 +17,7 @@ revisiting a page cached locally" — depends on this machinery:
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from .dates import parse_http_date
 from .headers import Headers
@@ -26,23 +26,35 @@ from .messages import Response
 __all__ = ["CacheEntry", "MemoryCache", "is_not_modified"]
 
 
+#: A Conditional GET's validator fields (empty: no usable validator).
+Validators = Tuple[Tuple[str, str], ...]
+
+
 class CacheEntry:
-    """One cached object with its validators."""
+    """One cached object with its validators.
+
+    An entry is immutable (see :meth:`MemoryCache.adopt`), so its
+    validators are read from ``headers`` once, here.
+    """
+
+    __slots__ = ("url", "body", "headers", "etag", "last_modified",
+                 "_by_etag", "_by_date", "_by_any_date")
 
     def __init__(self, url: str, body: bytes, headers: Headers) -> None:
         self.url = url
         self.body = body
         self.headers = headers
-
-    @property
-    def etag(self) -> Optional[str]:
-        """The stored entity tag, if the server sent one."""
-        return self.headers.get("ETag")
-
-    @property
-    def last_modified(self) -> Optional[str]:
-        """The stored Last-Modified date, if the server sent one."""
-        return self.headers.get("Last-Modified")
+        #: The stored entity tag and Last-Modified date, if sent.
+        self.etag: Optional[str] = headers.get("ETag")
+        self.last_modified: Optional[str] = headers.get("Last-Modified")
+        date = headers.get("Date")
+        self._by_etag: Validators = (
+            (("If-None-Match", self.etag),) if self.etag else ())
+        self._by_date: Validators = (
+            (("If-Modified-Since", self.last_modified),)
+            if self.last_modified else ())
+        self._by_any_date: Validators = self._by_date or (
+            (("If-Modified-Since", date),) if date else ())
 
 
 class MemoryCache:
@@ -107,8 +119,7 @@ class MemoryCache:
     # Validation protocol
     # ------------------------------------------------------------------
     def conditional_headers(self, url: str, http11: bool = True,
-                            date_fallback: bool = False
-                            ) -> List[Tuple[str, str]]:
+                            date_fallback: bool = False) -> Validators:
         """Validator headers for a Conditional GET of ``url``.
 
         HTTP/1.1 prefers the entity tag (``If-None-Match``); HTTP/1.0
@@ -119,17 +130,10 @@ class MemoryCache:
         """
         entry = self._entries.get(url)
         if entry is None:
-            return []
-        headers: List[Tuple[str, str]] = []
-        if http11 and entry.etag:
-            headers.append(("If-None-Match", entry.etag))
-        elif entry.last_modified:
-            headers.append(("If-Modified-Since", entry.last_modified))
-        elif date_fallback:
-            date = entry.headers.get("Date")
-            if date:
-                headers.append(("If-Modified-Since", date))
-        return headers
+            return ()
+        if http11 and entry._by_etag:
+            return entry._by_etag
+        return entry._by_any_date if date_fallback else entry._by_date
 
     def handle_response(self, url: str, response: Response) -> bytes:
         """Reconcile a validation response with the cache.

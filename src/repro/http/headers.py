@@ -6,7 +6,7 @@ preserves the original spelling and ordering for serialization while
 matching case-insensitively for lookups.
 
 Lookups are a hot path — every simulated request/response consults a
-handful of fields — so the collection maintains a parallel list of
+handful of fields — so the collection maintains a parallel sequence of
 lowercased names, paying ``str.lower`` once per field at insertion
 instead of once per field per lookup.
 
@@ -16,8 +16,15 @@ robots exchanges the same few hundred lines millions of times, so
 splits, strips and lowercases it only on a miss.  The parsers memoize
 whole heads on top of it (``repro.http.parser``), so this memo serves
 the heads they have not met yet.
-"""
 
+A parsed head is shared until it is edited.  A collection built from a
+head memo's frozen tuples (:meth:`Headers._from_parts`), and every
+:meth:`Headers.copy`, holds tuples, not lists; the first :meth:`add`
+(and so :meth:`set`) copies them into lists the collection owns, and
+:meth:`remove` always builds new ones.  A tuple cannot be mutated, so
+no edit reaches a memo, another message parsed from the same head or
+an earlier copy.
+"""
 from __future__ import annotations
 
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -60,22 +67,24 @@ class Headers:
 
     def __init__(self,
                  items: Optional[Iterable[Tuple[str, str]]] = None) -> None:
-        self._items: List[Tuple[str, str]] = [
+        #: Lists this collection owns, or tuples it shares (see the
+        #: module docstring).
+        self._items: Sequence[Tuple[str, str]] = [
             (name, str(value)) for name, value in items or ()]
-        self._lower: List[str] = [name.lower() for name, _ in self._items]
+        self._lower: Sequence[str] = [name.lower() for name, _ in self._items]
 
     @classmethod
-    def _from_parts(cls, items: Sequence[Tuple[str, str]],
-                    lower: Sequence[str]) -> "Headers":
-        """A collection owning fresh lists of already-parsed fields.
+    def _from_parts(cls, items: Tuple[Tuple[str, str], ...],
+                    lower: Tuple[str, ...]) -> "Headers":
+        """A collection sharing already-parsed, frozen fields.
 
         Package-internal: ``lower`` must be ``items``' names lowercased.
-        The head memos rebuild a mutable :class:`Headers` from their
-        frozen tuples through this, so no mutator can reach a memo.
+        The head memos hand their tuples over through this; the first
+        edit copies them (:meth:`add`), so no mutator can reach a memo.
         """
         headers = cls.__new__(cls)
-        headers._items = list(items)
-        headers._lower = list(lower)
+        headers._items = items
+        headers._lower = lower
         return headers
 
     # ------------------------------------------------------------------
@@ -83,7 +92,11 @@ class Headers:
     # ------------------------------------------------------------------
     def add(self, name: str, value: str) -> None:
         """Append a field, keeping any existing fields of the same name."""
-        self._items.append((name, str(value)))
+        items = self._items
+        if type(items) is tuple:        # shared until this first edit
+            self._items = items = list(items)
+            self._lower = list(self._lower)
+        items.append((name, str(value)))
         self._lower.append(name.lower())
 
     def set(self, name: str, value: str) -> None:
@@ -92,7 +105,10 @@ class Headers:
         self.add(name, value)
 
     def remove(self, name: str) -> int:
-        """Remove all fields named ``name``; returns how many were removed."""
+        """Remove all fields named ``name``; returns how many were removed.
+
+        Builds new lists, so a shared collection is never edited in place.
+        """
         lowered = name.lower()
         if lowered not in self._lower:
             return 0
@@ -109,10 +125,10 @@ class Headers:
     def get(self, name: str, default: Optional[str] = None) -> Optional[str]:
         """First value of field ``name``, or ``default``."""
         lowered = name.lower()
-        try:
-            return self._items[self._lower.index(lowered)][1]
-        except ValueError:
-            return default
+        lower = self._lower
+        if lowered in lower:     # most lookups miss: no exception raised
+            return self._items[lower.index(lowered)][1]
+        return default
 
     def get_all(self, name: str) -> List[str]:
         """All values of field ``name`` in order."""
@@ -151,8 +167,9 @@ class Headers:
         return list(self._items)
 
     def copy(self) -> "Headers":
-        """A shallow copy preserving order and spelling."""
-        return Headers._from_parts(self._items, self._lower)
+        """A copy preserving order and spelling: shared fields are shared
+        again, and owned lists are frozen into the copy's tuples."""
+        return Headers._from_parts(tuple(self._items), tuple(self._lower))
 
     # ------------------------------------------------------------------
     # Wire format
@@ -181,7 +198,7 @@ class Headers:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Headers):
             return NotImplemented
-        return self._items == other._items
+        return tuple(self._items) == tuple(other._items)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Headers({self._items!r})"

@@ -4,6 +4,12 @@ Both HTTP/1.0 (RFC 1945) and HTTP/1.1 (RFC 2068) messages are modelled.
 Serialization is byte-exact — the paper's Bytes column and its
 observation that the libwww robot's requests average ~190 bytes both
 depend on real wire sizes, so nothing here is approximated.
+
+A request head is serialized by one function, :func:`request_head`,
+once per distinct ``(method, target, version, fields)`` (the
+``http.wire-heads`` memo).  :meth:`Request.to_bytes` calls it, and so
+does the robot, which keeps a request as ``(method, wire bytes)`` and
+builds no :class:`Request` or :class:`Headers` to send one.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from ..memo import Memo
 from .headers import Headers
 
 __all__ = ["Request", "Response", "HTTP10", "HTTP11", "version_string",
-           "STATUS_REASONS"]
+           "request_head", "STATUS_REASONS"]
 
 #: Protocol version constants.
 HTTP10: Tuple[int, int] = (1, 0)
@@ -46,6 +52,20 @@ _WIRE_HEADS = Memo("http.wire-heads", 4096)
 def version_string(version: Tuple[int, int]) -> str:
     """Format a version tuple as e.g. ``HTTP/1.1``."""
     return f"HTTP/{version[0]}.{version[1]}"
+
+
+def request_head(method: str, target: str, version: Tuple[int, int],
+                 fields: Tuple[Tuple[str, str], ...]) -> bytes:
+    """The wire bytes of a request's head: request line, ``fields`` as
+    ``Name: value`` lines, and the blank line (values must be ``str``)."""
+    key = (method, target, version, fields)
+    head = _WIRE_HEADS.get(key)
+    if head is None:
+        head = _WIRE_HEADS.store(key, "".join([
+            f"{method} {target} {version_string(version)}\r\n",
+            *[f"{name}: {value}\r\n" for name, value in fields],
+            "\r\n"]).encode("latin-1"))
+    return head
 
 
 def parse_version(text: str) -> Tuple[int, int]:
@@ -81,15 +101,8 @@ class Request:
 
     def to_bytes(self) -> bytes:
         """Exact wire serialization."""
-        key = (self.method, self.target, self.version,
-               tuple(self.headers._items))
-        head = _WIRE_HEADS.get(key)
-        if head is None:
-            request_line = (f"{self.method} {self.target} "
-                            f"{version_string(self.version)}\r\n")
-            head = _WIRE_HEADS.store(key, request_line.encode("latin-1")
-                                     + self.headers.to_bytes() + b"\r\n")
-        return head + self.body
+        return request_head(self.method, self.target, self.version,
+                            tuple(self.headers._items)) + self.body
 
 
 @dataclasses.dataclass

@@ -20,17 +20,24 @@ Each distinct head is parsed once.  A head is a pure function of its
 bytes, and a robot population exchanges the same heads over and over,
 so each parser keeps ``head bytes → frozen parsed head`` in a memo
 (``_REQUEST_HEADS``, ``_RESPONSE_HEADS``) and runs the real parse only
-on a miss; every message still gets its own mutable :class:`Headers`.
+on a miss; every message gets a :class:`Headers` that shares the memo's
+frozen tuples until its first edit.
 A response's ``Date`` line moves every simulated second, so a response
 head is keyed without it: ``_cut_date`` holds the one leading-``Date``
 rule (a first field named exactly ``Date`` is cut), the memo keeps the
 fields after it, and each message gets its own ``Date`` spliced back
-in.  Per pass that leaves 84 distinct keys in ``fleet_wan`` and in
+in (the ``Date: `` line the server writes is matched on the bytes
+first).  Per pass that leaves 84 distinct keys in ``fleet_wan`` and in
 ``fleet_reval_contended`` (each object's answer in HTTP/1.0 and in
 HTTP/1.1) and 618 in ``paper_grid``.  What depends on
 the request method (the zero length of a HEAD, 1xx, 204 or 304 answer;
 the missing-``Content-Length`` error) runs after the lookup for every
 response, and a head is stored only once it has framed one.
+
+Framing reads each fed segment by offset.  A head is one slice of the
+segment, a body run is one slice (the segment itself when the run is
+all of it), a body is one ``b"".join`` of its runs, and only a head
+whose end has not arrived is carried to the next :meth:`feed`.
 """
 
 from __future__ import annotations
@@ -161,7 +168,24 @@ def _cut_date(block: bytes) -> Tuple[bytes, Optional[str]]:
     malformed first line, or one with a bare CR or LF, is not cut, so
     the parse of the whole block refuses it.  (The server's templates
     have no ``Date``: it writes each response's own line itself.)
+
+    The line the server writes, ``Date: `` followed by the value and
+    CRLF, is matched on the bytes; the rule above decides every other
+    first line (:func:`_cut_date_by_rule`).
     """
+    status_end = block.find(b"\r\n")
+    if block.startswith(b"\r\nDate: ", status_end):
+        start = status_end + 8
+        end = block.find(b"\r\n", start)
+        if end != -1 and block.find(b"\r", start, end) == -1 \
+                and block.find(b"\n", start, end) == -1:
+            return (block[:status_end] + block[end:],
+                    block[start:end].decode("latin-1").strip())
+    return _cut_date_by_rule(block)
+
+
+def _cut_date_by_rule(block: bytes) -> Tuple[bytes, Optional[str]]:
+    """:func:`_cut_date` by its rule alone, on the decoded first line."""
     status_line, _, fields = block.partition(b"\r\n")
     line, crlf, rest = fields.partition(b"\r\n")
     name, colon, value = line.decode("latin-1").partition(":")
@@ -204,11 +228,13 @@ class _MessageParser:
     _SKIP_LEADING_CRLFS = False
 
     def __init__(self) -> None:
-        self._buffer = bytearray()
-        #: The message whose body is being read, its bytes so far and
-        #: the count still to come.
+        #: A head whose end has not arrived yet (nothing else is
+        #: carried from one :meth:`feed` to the next).
+        self._buffer = b""
+        #: The message whose body is being read, its runs so far and
+        #: the count of bytes still to come.
         self._current = None
-        self._chunks = bytearray()
+        self._runs: List[bytes] = []
         self._remaining = 0
         #: Total bytes fed (wire accounting for server statistics).
         self.bytes_fed = 0
@@ -222,42 +248,64 @@ class _MessageParser:
         self.on_body_chunk = None
 
     def feed(self, data: bytes) -> List[Any]:
-        """Feed bytes; return all messages completed by this chunk."""
+        """Feed bytes; return all messages completed by this chunk.
+
+        ``data`` is read by offset: a head is one slice of it, a body
+        run one slice (``data`` itself when the run is all of it), and
+        only a head whose end has not arrived is kept for the next feed.
+        Any other bytes-like ``data`` is copied to ``bytes`` first, so
+        nothing kept refers to the caller's buffer.
+        """
         self.bytes_fed += len(data)
-        buffer = self._buffer
-        buffer += data
+        if self._buffer:
+            data = self._buffer + data
+            self._buffer = b""
+        elif type(data) is not bytes:
+            data = bytes(data)
         completed = []
+        pos = 0
+        message = self._current
         while True:
-            message = self._current
             if message is None:
                 if self._SKIP_LEADING_CRLFS:
-                    while buffer.startswith(b"\r\n"):
-                        del buffer[:2]
-                end = buffer.find(b"\r\n\r\n")
+                    while data.startswith(b"\r\n", pos):
+                        pos += 2
+                end = data.find(b"\r\n\r\n", pos)
                 if end == -1:
-                    if len(buffer) > MAX_HEADER_BLOCK:
-                        raise ParseError("header block too large")
                     break
-                block = bytes(buffer[:end])
-                del buffer[:end + 4]
-                message, length = self._message(block)
-                if length:
-                    self._current, self._remaining = message, length
-                    self._chunks = bytearray()
-            if self._remaining:
-                chunk = bytes(buffer[:self._remaining])
-                if chunk:
-                    del buffer[:len(chunk)]
-                    self._chunks += chunk
-                    self._remaining -= len(chunk)
-                    if self.on_body_chunk is not None:
-                        self.on_body_chunk(message, chunk)
-                if self._remaining:
-                    break
-                message.body = bytes(self._chunks)
-                self._current = None
+                message, length = self._message(data[pos:end])
+                pos = end + 4
+                if not length:
+                    completed.append(message)
+                    self.messages_completed += 1
+                    message = None
+                    continue
+                self._current, self._remaining, self._runs = \
+                    message, length, []
+            remaining = self._remaining
+            take = len(data) - pos
+            if take:
+                if take > remaining:
+                    take = remaining
+                chunk = data if take == len(data) else data[pos:pos + take]
+                pos += take
+                remaining -= take
+                self._remaining = remaining
+                self._runs.append(chunk)
+                if self.on_body_chunk is not None:
+                    self.on_body_chunk(message, chunk)
+            if remaining:
+                return completed
+            message.body = b"".join(self._runs)
+            self._current = None
             completed.append(message)
             self.messages_completed += 1
+            message = None
+        # What is left starts a head whose end has not arrived.
+        if pos < len(data):
+            if len(data) - pos > MAX_HEADER_BLOCK:
+                raise ParseError("header block too large")
+            self._buffer = data[pos:]
         return completed
 
     def _message(self, block: bytes) -> Tuple[Any, int]:

@@ -33,7 +33,10 @@ by every server on the store, emptied when its content changes) and
 runs :func:`~repro.server.static.build_response` only on a miss (or for
 a hand-built request, or one with a body), so a hit builds no
 ``Response`` or ``Headers``.  The ``Date`` line is rebuilt only when
-the simulated second changes.  Scripted faults and the ``Connection``
+the simulated second changes.  A template also carries the request's
+``Connection`` tokens (``close``, ``keep-alive``), so the ``Connection``
+line and the close decision (:meth:`SimHttpServer._connection`) read
+them there and scan no header.  Scripted faults and the ``Connection``
 line stay outside the map and run per request; the scripted 503 has no
 ``Date``.
 """
@@ -41,7 +44,7 @@ line stay outside the map and run per request; the scripted 503 has no
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from ..client.pipeline import FlowWindow
 from ..http import (HTTP10, HTTP11, Headers, ParseError, Request,
@@ -65,16 +68,35 @@ __all__ = ["SimHttpServer"]
 _RESPONSE_HEADS = Memo("server.response-heads", 4096)
 
 
-def _template(response: Response) -> tuple:
-    """``(status, Content-Type, status line, the header lines after it,
-    body on the wire)``: ``response.to_bytes()`` cut where a served
-    response's ``Date`` line and its ``Connection`` line go."""
+class _Template(NamedTuple):
+    """What a served response is built from (see :func:`_template`)."""
+
+    status: int
+    content_type: str
+    status_line: bytes
+    #: The header lines between the ``Date`` and ``Connection`` lines.
+    lines: bytes
+    body: bytes
+    #: The request's ``Connection`` field holds ``close`` /
+    #: ``keep-alive``.
+    close: bool
+    keep_alive: bool
+
+
+def _template(response: Response, request: Request) -> _Template:
+    """``response.to_bytes()`` cut where a served response's ``Date``
+    line and its ``Connection`` line go, and the ``Connection`` tokens
+    of ``request``: each a function of the request's head bytes, the
+    key the template is kept under."""
     body = response.body_on_wire()
     wire = response.to_bytes()
     status_end = wire.index(b"\r\n") + 2
-    return (response.status, response.headers.get("Content-Type", ""),
-            wire[:status_end], wire[status_end:len(wire) - len(body) - 2],
-            body)
+    headers = request.headers
+    return _Template(
+        response.status, response.headers.get("Content-Type", ""),
+        wire[:status_end], wire[status_end:len(wire) - len(body) - 2], body,
+        headers.contains_token("Connection", "close"),
+        headers.contains_token("Connection", "keep-alive"))
 
 
 class _ConnectionState:
@@ -428,6 +450,9 @@ class SimHttpServer:
         #: The current ``Date`` line and the whole second it renders.
         self._date_second = -1
         self._date_line = b""
+        #: :attr:`_heads`, and the store's ``changes`` it was read at.
+        self._heads_memo: Optional[Memo] = None
+        self._heads_changes = -1
         stack.listen(port, self._accept)
 
     # ------------------------------------------------------------------
@@ -505,22 +530,27 @@ class SimHttpServer:
     def _heads(self) -> Memo:
         """``request head bytes → template`` (see :func:`_template`) of
         the response ``build_response`` produces without a ``Date``, for
-        this profile from the store's content."""
-        return self.store.derived(("response-heads", self.profile),
-                                  _RESPONSE_HEADS.fresh)
+        this profile from the store's content.  Read from the store once
+        per content change: the key hashes the whole profile."""
+        store = self.store
+        if self._heads_changes != store.changes:
+            self._heads_memo = store.derived(("response-heads", self.profile),
+                                             _RESPONSE_HEADS.fresh)
+            self._heads_changes = store.changes
+        return self._heads_memo
 
-    def _respond(self, request: Request) -> tuple:
+    def _respond(self, request: Request) -> _Template:
         """The template of ``build_response`` for ``request``, built
         once per distinct parsed head; see the module docstring."""
         key = request.head
         if key is None or request.body:
             return _template(build_response(self.store, request,
-                                            self.profile))
+                                            self.profile), request)
         heads = self._heads
         template = heads.get(key)
         if template is None:
             template = heads.store(key, _template(
-                build_response(self.store, request, self.profile)))
+                build_response(self.store, request, self.profile), request))
         return template
 
     def _build_or_fault(self, request: Request):
@@ -549,7 +579,7 @@ class SimHttpServer:
                 503, request.version,
                 Headers([("Content-Type", "text/plain"),
                          ("Content-Length", str(len(error_body)))]),
-                body=error_body, request_method=request.method))
+                body=error_body, request_method=request.method), request)
             return template, b"", abort_after, ordinal
         template = self._respond(request)
         return template, self._date_header(), abort_after, ordinal
@@ -557,10 +587,10 @@ class SimHttpServer:
     def _dispatch(self, state: _ServerConnection,
                   request: Request) -> None:
         template, date, abort_after, ordinal = self._build_or_fault(request)
-        _, _, status_line, lines, body = template
-        rest = date + lines + self._connection_line(state, request) + b"\r\n"
+        _, _, status_line, lines, body, _, _ = template
+        connection, close_after = self._connection(state, request, template)
+        rest = date + lines + connection + b"\r\n"
         cost = self.profile.base_cpu + len(body) * self.profile.cpu_per_byte
-        close_after = self._should_close_after(state, request)
         payload = status_line + rest + body
 
         def emit() -> None:
@@ -621,19 +651,18 @@ class SimHttpServer:
         limit = self.profile.max_requests_per_connection
         if limit is not None and state.requests_seen >= limit:
             state.closing = True
-        status, content_type = template[:2]
         if (state.push_enabled and not state.closing
-                and request.method == "GET" and status == 200
-                and content_type.startswith("text/html")):
+                and request.method == "GET" and template.status == 200
+                and template.content_type.startswith("text/html")):
             self._promise_pushes(state, request)
         self._schedule_mux_response(state, sid, template, date,
                                     abort_after, ordinal, push=False)
 
     def _schedule_mux_response(self, state: _MuxServerConnection,
-                               sid: int, template: tuple, date: bytes,
+                               sid: int, template: _Template, date: bytes,
                                abort_after: Optional[int],
                                ordinal: int, push: bool) -> None:
-        _, _, status_line, lines, body = template
+        _, _, status_line, lines, body, _, _ = template
         head = status_line + date + lines + b"\r\n"
         cost = self.profile.base_cpu + len(body) * self.profile.cpu_per_byte
 
@@ -697,37 +726,28 @@ class SimHttpServer:
                                         self._date_header(), None, 0,
                                         push=True)
 
-    def _connection_line(self, state: _ServerConnection,
-                         request: Request) -> bytes:
-        """The ``Connection`` line that ends a response's head, or
-        ``b""``."""
-        limit = self.profile.max_requests_per_connection
-        closing = (limit is not None and state.requests_seen >= limit)
-        if (self.profile.close_keepalive_after_head
-                and request.method == "HEAD"
-                and request.version < HTTP11):
-            closing = True
-        if request.version >= HTTP11:
-            if closing or request.headers.contains_token("Connection",
-                                                         "close"):
-                return b"Connection: close\r\n"
-        elif (request.headers.contains_token("Connection", "keep-alive")
-              and not closing):
-            return b"Connection: Keep-Alive\r\n"
-        return b""
+    def _connection(self, state: _ServerConnection, request: Request,
+                    template: _Template) -> Tuple[bytes, bool]:
+        """The ``Connection`` line that ends a response's head (or
+        ``b""``), and whether the server closes after the response.
+        The request's ``Connection`` tokens are read from ``template``.
 
-    def _should_close_after(self, state: _ServerConnection,
-                            request: Request) -> bool:
+        An HTTP/1.1 response says ``close`` exactly when the server
+        closes; an HTTP/1.0 one says ``Keep-Alive`` exactly when it
+        does not."""
         limit = self.profile.max_requests_per_connection
+        http11 = request.version >= HTTP11
         if limit is not None and state.requests_seen >= limit:
-            return True
-        if request.version >= HTTP11:
-            return request.headers.contains_token("Connection", "close")
-        if (self.profile.close_keepalive_after_head
-                and request.method == "HEAD"):
-            return True
-        return not request.headers.contains_token("Connection",
-                                                  "keep-alive")
+            close = True
+        elif http11:
+            close = template.close
+        else:
+            close = (not template.keep_alive
+                     or (self.profile.close_keepalive_after_head
+                         and request.method == "HEAD"))
+        if http11:
+            return (b"Connection: close\r\n" if close else b""), close
+        return (b"" if close else b"Connection: Keep-Alive\r\n"), close
 
     def _send_error(self, state: _ServerConnection, status: int) -> None:
         response = Response(status, HTTP10,

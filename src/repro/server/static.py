@@ -88,8 +88,11 @@ class ResourceStore:
     def __init__(self, resources: Iterable[Resource] = ()) -> None:
         self._resources: Dict[str, Resource] = {
             resource.url: resource for resource in resources}
-        #: What :meth:`derived` has built from the current content.
+        #: What :meth:`derived` has built from the current content, and
+        #: how many times :meth:`add` / :meth:`update` changed it (a
+        #: caller that keeps a derived value compares this first).
         self._derived: Dict[Hashable, Any] = {}
+        self.changes = 0
 
     @classmethod
     def from_site(cls, site: MicroscapeSite) -> "ResourceStore":
@@ -114,6 +117,7 @@ class ResourceStore:
     def add(self, resource: Resource) -> None:
         self._resources[resource.url] = resource
         self._derived.clear()
+        self.changes += 1
 
     def update(self, url: str, new_body: bytes) -> Resource:
         """Replace a resource's content, retaining the old instance so
@@ -124,6 +128,7 @@ class ResourceStore:
         updated = current.superseded_by(new_body)
         self._resources[url] = updated
         self._derived.clear()
+        self.changes += 1
         return updated
 
     def get(self, url: str) -> Optional[Resource]:

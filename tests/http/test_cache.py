@@ -36,23 +36,23 @@ def test_conditional_headers_prefer_etag_for_http11():
     date = format_http_date(PAPER_EPOCH)
     cache.store("/a", make_response(etag='"v1"', date=date))
     headers = cache.conditional_headers("/a", http11=True)
-    assert headers == [("If-None-Match", '"v1"')]
+    assert headers == (("If-None-Match", '"v1"'),)
 
 
 def test_conditional_headers_fall_back_to_date():
     cache = MemoryCache()
     date = format_http_date(PAPER_EPOCH)
     cache.store("/a", make_response(etag=None, date=date))
-    assert cache.conditional_headers("/a", http11=True) == [
-        ("If-Modified-Since", date)]
+    assert cache.conditional_headers("/a", http11=True) == (
+        ("If-Modified-Since", date),)
     # HTTP/1.0 can only use the date even when an ETag exists.
     cache.store("/b", make_response(etag='"v1"', date=date))
-    assert cache.conditional_headers("/b", http11=False) == [
-        ("If-Modified-Since", date)]
+    assert cache.conditional_headers("/b", http11=False) == (
+        ("If-Modified-Since", date),)
 
 
 def test_conditional_headers_empty_when_uncached():
-    assert MemoryCache().conditional_headers("/nope") == []
+    assert MemoryCache().conditional_headers("/nope") == ()
 
 
 def test_304_returns_cached_body():
