@@ -94,6 +94,11 @@ done
 #     chaos cell per plan, the proxy chain, a render run, a contended
 #     fleet under gc.DEBUG_SAVEALL) — tests/test_object_lifetime.py
 #     (not slow-marked: FAST=1 keeps it)
+#   the robot's connection ledger holds: after every handled response
+#     its live list is exactly its open, un-retired states in opening
+#     order (every mode x scenario on WAN, a chaos cell per fault plan
+#     for pipelined and MUX) — tests/client/test_ledger.py
+#     (not slow-marked: FAST=1 keeps it)
 #   nothing under src/repro is kept alive only by its tests: every
 #     module backs a verb, every definition is named from src/ or
 #     bench/, and every option (a defaulted __init__ parameter or

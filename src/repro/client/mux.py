@@ -2,7 +2,9 @@
 
 Subclasses :class:`~repro.client.robot.Robot` so the whole hardening
 surface — retry budget, exponential backoff, watchdog, 5xx re-issue,
-incremental HTML discovery — is shared; only the wire layer changes:
+incremental HTML discovery — is shared, and so are the connection
+ledger and the pipelined discipline, which MUX always takes.  Only the
+wire layer changes:
 
 * every request is a ``HEADERS`` frame on a fresh odd-numbered stream
   (batched through the same :class:`~repro.client.pipeline.
@@ -33,7 +35,7 @@ from ..http.framing import (F_CANCEL, F_DATA, F_END_STREAM, F_HEADERS,
                             encode_frame, encode_window_update)
 from ..simnet.tcp import TcpConnection
 from .pipeline import FlowWindow
-from .robot import FIRST_TIME, Robot, _Connection
+from .robot import Robot, _Connection
 
 __all__ = ["MuxClient"]
 
@@ -141,33 +143,13 @@ class MuxClient(Robot):
         self.pushes_cancelled = 0
 
     # ------------------------------------------------------------------
-    # Dispatch: everything rides the single multiplexed connection
+    # Dispatch: always the pipelined batch.  There is no downgrade ladder
+    # below MUX: recovery re-opens the one multiplexed connection.
     # ------------------------------------------------------------------
-    def _dispatch(self) -> None:
-        if self.result.complete or self.result.terminal_error is not None:
-            return
-        if not self._pending:
-            return
-        alive = self._alive_conns()
-        state = alive[0] if alive else self._new_conn()
-        # Same policy as the pipelined robot: the application knows the
-        # batch is complete once the HTML is fully parsed.
-        batch = self.config.explicit_flush and self._html_complete
-        while self._pending:
-            url = self._pending.popleft()
-            request = self._build_request(url)
-            explicit = (self.config.explicit_flush
-                        and url == self._html_url
-                        and self._scenario == FIRST_TIME)
-            if batch:
-                state.buffer.begin_batch()
-            state.send_request(url, request, flush=explicit)
-        if batch:
-            state.buffer.flush()
+    def _pipelines(self) -> bool:
+        return True
 
     def _maybe_downgrade(self) -> None:
-        # There is no downgrade ladder below MUX: recovery re-opens the
-        # single multiplexed connection instead.
         return
 
     # ------------------------------------------------------------------

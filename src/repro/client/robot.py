@@ -1,25 +1,29 @@
 """The libwww-robot-style web client.
 
-One client, four personalities — exactly the configurations the paper
-measures:
+Its modes differ only in connection policy: two request disciplines
+over one ledger of connections.
 
-* **HTTP/1.0**: one TCP connection per request, up to four in parallel
-  ("the same as Netscape Navigator's default"); cache revalidation via
-  one plain GET (the HTML) plus HEAD requests on the images, matching
-  the old libwww 4.1D behaviour the paper describes.
-* **HTTP/1.1 persistent**: a single connection, requests strictly
-  serialized — "the request / response sequence looks identical to
+* **Serial**: an origin's queue fills its idle live connections, then
+  opens new ones up to a limit; one request is outstanding per
+  connection.  HTTP/1.0 is this rule on up to four connections ("the
+  same as Netscape Navigator's default") that the server closes after
+  each response, revalidating with a plain GET of the HTML and HEADs of
+  the images as libwww 4.1D did.  HTTP/1.1 persistent runs it on one
+  connection: "the request / response sequence looks identical to
   HTTP/1.0 but all communication happens on the same TCP connection".
-* **HTTP/1.1 pipelined**: requests buffered through
+  Sharding runs it per origin, ``connections_per_shard`` each.
+* **Pipelined**: the pending requests go out as one batch through
   :class:`~repro.client.pipeline.OutputBuffer` (1024-byte threshold,
-  flush timer) with the paper's application-level explicit flush after
-  the HTML request; full HTTP/1.1 cache validation with
-  ``If-None-Match`` and entity tags.
-* **HTTP/1.1 pipelined + deflate**: the HTML request advertises
-  ``Accept-Encoding: deflate`` and the body is inflated on the fly,
-  feeding the incremental HTML parser — so a compressed first segment
-  carries ~3x the markup and discovers embedded images sooner, the
-  paper's "Why Compression is Important" effect.
+  flush timer), flushed explicitly after the HTML request, with full
+  HTTP/1.1 validation (``If-None-Match``, entity tags).  With deflate
+  the HTML request advertises ``Accept-Encoding: deflate`` and the body
+  is inflated on the fly, so a compressed first segment discovers the
+  embedded images sooner (the paper's "Why Compression is Important").
+  The MUX client sends the same batch as frames.
+
+The ledger: ``Robot._conns`` holds the un-retired states (a half-closed
+one until TCP reaches ``CLOSED``), ``Robot._live`` the open ones, both
+in opening order; only :meth:`_Connection.shut` takes one out of it.
 
 The robot parses HTML *incrementally*: every arriving body chunk is
 scanned for new ``<img>`` URLs, and discovered images are requested
@@ -134,7 +138,7 @@ class ClientConfig:
     #: requests (None = never downgrade).
     downgrade_after: Optional[int] = None
     # -- Sharding knobs (the HTTP/1.1 Sharded xN transport; 0 shards =
-    # -- the classic single-origin dispatch, identical code paths).
+    # -- one origin: the serial rule runs per origin either way).
     #: Number of simulated origins the content is hashed across; each
     #: origin listens on ``server_port + shard``.
     shards: int = 0
@@ -228,18 +232,24 @@ class _Connection:
         state and robot let go of each other (a subclass first drops
         the reader callbacks that close over both).  A robot whose last
         state retired goes with its pending events, cache and all."""
-        self.open = False
+        self.shut()
         self.cancel_watchdog()
         if self in self.robot._conns:
             self.robot._conns.remove(self)
 
+    def shut(self) -> None:
+        """The one place ``open`` goes False: leave the robot's ``_live``."""
+        if self.open:
+            self.open = False
+            self.robot._live.remove(self)
+
     def _on_eof(self, _conn: TcpConnection) -> None:
-        self.open = False
+        self.shut()
         self.conn.close()
         self.robot._connection_gone(self)
 
     def _on_reset(self, _conn: TcpConnection) -> None:
-        self.open = False
+        self.shut()
         self.robot.result.errors.append(
             f"connection reset with {len(self.outstanding)} outstanding")
         self.robot._connection_gone(self)
@@ -313,7 +323,9 @@ class Robot:
         self.config = config or ClientConfig()
         self.cache = cache if cache is not None else MemoryCache()
         self.result = FetchResult()
+        #: The ledger (module docstring): un-retired states, open states.
         self._conns: List[_Connection] = []
+        self._live: List[_Connection] = []
         self._pending: Deque[str] = deque()
         #: Per-shard request queues (empty list when not sharding).
         self._shard_queues: List[Deque[str]] = [
@@ -433,41 +445,49 @@ class Robot:
                                     fields)
 
     # ------------------------------------------------------------------
-    # Dispatch policies
+    # Dispatch: two disciplines
     # ------------------------------------------------------------------
     def _dispatch(self) -> None:
-        if self.result.complete or self.result.terminal_error is not None:
+        if self._finished():
             return
         config = self.config
-        persistent = (config.http_version >= HTTP11 or config.keep_alive)
-        if config.shards:
-            self._dispatch_sharded()
-        elif not persistent or self._downgrade_level >= 2:
-            self._dispatch_one_shot()
-        elif config.pipeline and self._downgrade_level == 0:
+        if self._pipelines():
             self._dispatch_pipelined()
+        elif not config.shards:
+            self._dispatch_serial(self._pending, None, config.max_connections)
         else:
-            self._dispatch_serialized()
+            while self._pending:
+                url = self._pending.popleft()
+                self._shard_queues[self._shard_of(url)].append(url)
+            for shard, queue in enumerate(self._shard_queues):
+                self._dispatch_serial(queue, shard,
+                                      config.connections_per_shard)
 
-    def _dispatch_one_shot(self) -> None:
-        """HTTP/1.0: one request per connection, N connections parallel."""
-        while self._pending and (len(self._alive_conns())
-                                 < self.config.max_connections):
-            url = self._pending.popleft()
-            state = self._new_conn()
-            state.send_request(url, self._build_request(url), flush=True)
+    def _pipelines(self) -> bool:
+        """Pipelined if configured, persistent, one origin, undowngraded."""
+        config = self.config
+        return (config.pipeline and not config.shards
+                and self._downgrade_level == 0
+                and (config.http_version >= HTTP11 or config.keep_alive))
 
-    def _dispatch_serialized(self) -> None:
-        """Persistent connections, one outstanding request per conn."""
-        idle = [c for c in self._alive_conns() if not c.outstanding]
-        while self._pending and idle:
-            state = idle.pop()
-            url = self._pending.popleft()
-            state.send_request(url, self._build_request(url), flush=True)
-        while self._pending and (len(self._alive_conns())
-                                 < self.config.max_connections):
-            url = self._pending.popleft()
-            state = self._new_conn()
+    def _dispatch_serial(self, queue: Deque[str], shard: Optional[int],
+                         limit: int) -> None:
+        """Fill the origin's idle live connections (last opened first),
+        then open new ones up to ``limit``.  Sharding is the late-90s
+        workaround the MUX modes obsolete: more parallelism bought with
+        extra handshakes and slow-starts."""
+        if not queue:
+            return
+        live = [c for c in self._live if c.shard == shard]
+        idle = [c for c in live if not c.outstanding]
+        opened = len(live)
+        while queue and (idle or opened < limit):
+            url = queue.popleft()
+            if idle:
+                state = idle.pop()
+            else:
+                state = self._new_conn(shard)
+                opened += 1
             state.send_request(url, self._build_request(url), flush=True)
 
     def _dispatch_pipelined(self) -> None:
@@ -475,38 +495,39 @@ class Robot:
         persistent connections (the HTTP/1.1 specification permits two;
         the paper's tests use one, and discuss how splitting "divides
         the mean length of packet trains down by a factor of two")."""
-        conns = self._alive_conns()
-        if not conns:
-            conns = [self._new_conn()]
-        while (len(conns) < self.config.max_connections
-               and len(self._pending) > len(conns)):
-            conns.append(self._new_conn())
+        pending = self._pending
+        if not pending:
+            return
+        config = self.config
+        conns = self._live
+        while (len(conns) < config.max_connections
+               and len(pending) > len(conns)):
+            self._new_conn()
         # The application knows no further requests are coming right now
         # (the HTML is fully parsed, or the batch was fully known): it
         # flushes after the loop rather than wait for the timer, so
         # the writes arm none (nothing in the loop calls back here).
-        batch = self.config.explicit_flush and self._html_complete
-        wrote = set()
+        batch = config.explicit_flush and self._html_complete
+        flush_html = config.explicit_flush and self._scenario == FIRST_TIME
+        # Written states, flushed below in ``conns`` order: the first
+        # write goes to conns[0], the rest round-robin from there.
+        wrote: Dict[_Connection, None] = {}
         index = 0
-        while self._pending:
-            url = self._pending.popleft()
-            request = self._build_request(url)
+        while pending:
+            url = pending.popleft()
             if url == self._html_url:
                 state = conns[0]
             else:
                 state = conns[index % len(conns)]
                 index += 1
-            explicit = (self.config.explicit_flush
-                        and url == self._html_url
-                        and self._scenario == FIRST_TIME)
             if batch:
                 state.buffer.begin_batch()
-            state.send_request(url, request, flush=explicit)
-            wrote.add(id(state))
+            state.send_request(url, self._build_request(url),
+                               flush=flush_html and url == self._html_url)
+            wrote[state] = None
         if batch:
-            for state in conns:
-                if id(state) in wrote:
-                    state.buffer.flush()
+            for state in wrote:
+                state.buffer.flush()
 
     def _shard_of(self, url: str) -> int:
         """Hash a URL to its origin (stable across the whole fetch)."""
@@ -514,45 +535,14 @@ class Robot:
         return zlib.crc32(key.encode("ascii", "replace")) \
             % self.config.shards
 
-    def _dispatch_sharded(self) -> None:
-        """Hash each URL to one of N origins; keep up to
-        ``connections_per_shard`` redundant persistent connections per
-        origin, serialized (one outstanding request each).  This is the
-        late-90s sharding workaround the MUX modes obsolete: more
-        parallelism bought with extra handshakes and slow-starts."""
-        config = self.config
-        while self._pending:
-            url = self._pending.popleft()
-            self._shard_queues[self._shard_of(url)].append(url)
-        for shard, queue in enumerate(self._shard_queues):
-            if not queue:
-                continue
-            conns = [c for c in self._alive_conns() if c.shard == shard]
-            idle = [c for c in conns if not c.outstanding]
-            while queue and idle:
-                state = idle.pop()
-                url = queue.popleft()
-                state.send_request(url, self._build_request(url),
-                                   flush=True)
-            while queue and len([c for c in self._alive_conns()
-                                 if c.shard == shard]) \
-                    < config.connections_per_shard:
-                url = queue.popleft()
-                state = self._new_conn(shard=shard)
-                state.send_request(url, self._build_request(url),
-                                   flush=True)
-
     def _new_conn(self, shard: Optional[int] = None) -> _Connection:
         state = self._conn_class(self, shard)
         self._conns.append(state)
+        self._live.append(state)
         self.result.connections_used += 1
-        parallel = len(self._alive_conns())
         self.result.max_parallel_connections = max(
-            self.result.max_parallel_connections, parallel)
+            self.result.max_parallel_connections, len(self._live))
         return state
-
-    def _alive_conns(self) -> List[_Connection]:
-        return [c for c in self._conns if c.open]
 
     # ------------------------------------------------------------------
     # Response path
@@ -583,11 +573,7 @@ class Robot:
                            f"{response.status} for {url} "
                            f"(attempt {attempts + 1})")
                 self._pending.append(url)
-                if not response.allows_keep_alive() and state.open:
-                    state.open = False
-                    state.conn.close()
-                self._dispatch()
-                self._check_complete()
+                self._after_response(state, response)
                 return
         if response.status in (200, 304) and response.request_method == "GET":
             body = response.body
@@ -619,12 +605,15 @@ class Robot:
             self._discover(bytes(response.body))
         if url == self._html_url:
             self._html_complete = True
-        close_after = not response.allows_keep_alive()
-        if close_after and state.open:
-            state.open = False
+        self._after_response(state, response)
+
+    def _after_response(self, state: _Connection,
+                        response: Response) -> None:
+        """Close what the response does not keep alive, and advance."""
+        if not response.allows_keep_alive() and state.open:
+            state.shut()
             state.conn.close()
-        self._dispatch()
-        self._check_complete()
+        self._advance()
 
     # ------------------------------------------------------------------
     # Incremental HTML discovery
@@ -698,8 +687,7 @@ class Robot:
 
     def _watchdog_fire(self, state: _Connection) -> None:
         state.watchdog_event = None
-        if (not state.open or self.result.complete
-                or self.result.terminal_error is not None):
+        if not state.open or self._finished():
             return
         if not state.outstanding:
             # Idle connection; the next send_request re-arms.
@@ -721,7 +709,7 @@ class Robot:
     def _abort(self, state: _Connection) -> None:
         """RST a connection the client gave up on (stalled, or talking
         garbage); what it still owed goes through the normal recovery."""
-        state.open = False
+        state.shut()
         state.conn.abort()
         self._connection_gone(state)
 
@@ -729,7 +717,7 @@ class Robot:
         state.cancel_watchdog()
         if state.conn.state == "CLOSED":
             state.retire()
-        if self.result.complete or self.result.terminal_error is not None:
+        if self._finished():
             return
         if state.outstanding:
             # Server closed (or the watchdog killed) the connection with
@@ -764,14 +752,12 @@ class Robot:
                 delay = min(RETRY_BACKOFF_BASE * 2.0 ** (failures - 1),
                             RETRY_BACKOFF_MAX)
                 self._note("backoff", f"{delay:g}s")
-                self.sim.schedule(delay, self._retry_dispatch)
+                self.sim.schedule(delay, self._advance)
                 return
-        self._dispatch()
-        self._check_complete()
+        self._advance()
 
-    def _retry_dispatch(self) -> None:
-        if self.result.complete or self.result.terminal_error is not None:
-            return
+    def _advance(self) -> None:
+        """Dispatch what is pending, then see whether the page is done."""
         self._dispatch()
         self._check_complete()
 
@@ -794,7 +780,7 @@ class Robot:
             self._note("downgrade", "serialized -> one-shot")
 
     def _fail(self, reason: str) -> None:
-        if self.result.complete or self.result.terminal_error is not None:
+        if self._finished():
             return
         self.result.terminal_error = reason
         self.result.errors.append(f"terminal: {reason}")
@@ -805,23 +791,25 @@ class Robot:
         if self.on_complete is not None:
             self.on_complete(self.result)
 
+    def _finished(self) -> bool:
+        """The page completed, or the robot gave up on it."""
+        result = self.result
+        return (result.completed_at is not None
+                or result.terminal_error is not None)
+
     def _check_complete(self) -> None:
-        if self.result.complete:
+        if self._finished():
             return
-        if self._pending or not self._html_complete:
-            return
-        if any(self._shard_queues):
-            return
-        if self._unhandled:
-            return
-        if any(c.outstanding for c in self._alive_conns()):
+        if (self._pending or not self._html_complete
+                or any(self._shard_queues) or self._unhandled
+                or any(c.outstanding for c in self._live)):
             return
         self.result.completed_at = self.sim.now
         for state in self._conns:
             state.cancel_watchdog()
-        for state in self._alive_conns():
+        for state in list(self._live):
             state.buffer.flush()
-            state.open = False
+            state.shut()
             state.conn.close()
         if self.on_complete is not None:
             self.on_complete(self.result)

@@ -126,6 +126,21 @@ class _ConnectionState:
         self.closed = True
         self._release()
 
+    def reset(self, prefix: Optional[bytes] = None) -> None:
+        """Slam the connection shut with an RST.  A truncated response
+        first flushes what is buffered and sends its ``prefix``; a
+        protocol error (``prefix`` None) sends nothing more.  A local
+        abort never sees ``on_reset`` (that is the peer's event), so
+        the accept-gate slot is freed here."""
+        if prefix is not None:
+            self.flush()
+            if prefix:
+                self.conn.send(prefix)
+        self.closed = True
+        if self.conn.state != "CLOSED":
+            self.conn.abort()
+        self._release()
+
     def flush(self, close: bool = False) -> None:
         if self.out and not self.closed and self.conn.state != "CLOSED":
             self.conn.send(bytes(self.out), close=close)
@@ -235,10 +250,7 @@ class _MuxServerConnection(_ConnectionState):
         try:
             frames = self.reader.feed(data)
         except FramingError:
-            self.closed = True
-            if self.conn.state != "CLOSED":
-                self.conn.abort()
-            self._release()
+            self.reset()
             return
         for frame in frames:
             self._on_frame(frame)
@@ -267,10 +279,7 @@ class _MuxServerConnection(_ConnectionState):
         except ParseError:
             requests = []
         if len(requests) != 1:
-            self.closed = True
-            if self.conn.state != "CLOSED":
-                self.conn.abort()
-            self._release()
+            self.reset()
             return
         self.requests_seen += 1
         self.responses_queued += 1
@@ -602,15 +611,7 @@ class SimHttpServer:
                     return
                 # Send a truncated prefix of the response, then slam the
                 # connection shut with an RST mid-body.
-                state.flush()
-                partial = payload[:abort_after]
-                if partial:
-                    state.conn.send(partial)
-                state.closed = True
-                state.conn.abort()
-                # A local abort never sees on_reset (that is the peer's
-                # event), so free the accept-gate slot here.
-                state._release()
+                state.reset(payload[:abort_after])
                 return
             state.responses_queued -= 1
             state.responses_sent += 1
@@ -677,18 +678,11 @@ class SimHttpServer:
             if abort_after is not None:
                 self._note("abort", f"request {ordinal} RST after "
                            f"{abort_after} bytes")
-                state.flush()
                 framed = bytearray(encode_frame(F_HEADERS, sid, head))
                 for offset in range(0, len(body), MAX_DATA_PAYLOAD):
                     framed += encode_frame(
                         F_DATA, sid, body[offset:offset + MAX_DATA_PAYLOAD])
-                partial = bytes(framed[:abort_after])
-                if partial:
-                    state.conn.send(partial)
-                state.closed = True
-                state.conn.abort()
-                # Same slot-release rule as the plain-HTTP abort path.
-                state._release()
+                state.reset(bytes(framed[:abort_after]))
                 return
             if push:
                 self.pushes_sent += 1

@@ -13,7 +13,6 @@ import dataclasses
 
 import pytest
 
-from repro.client.mux import MuxClient
 from repro.client.robot import FIRST_TIME, REVALIDATE, TAIL_MARKER, Robot
 from repro.core import run_experiment
 from repro.core.modes import HTTP10_MODE, HTTP11_PIPELINED, HTTP_MUX
@@ -188,9 +187,8 @@ class _Builds:
         monkeypatch.setattr(Headers, "_from_parts",
                             classmethod(self._counted(from_parts)))
         monkeypatch.setattr(Headers, "copy", self._counted(Headers.copy))
-        for cls in (Robot, MuxClient):
-            monkeypatch.setattr(cls, "_dispatch",
-                                self._dispatching(cls.__dict__["_dispatch"]))
+        monkeypatch.setattr(Robot, "_dispatch",
+                            self._dispatching(Robot._dispatch))
 
     def _counted(self, function):
         def counted(*args, **kwargs):

@@ -238,15 +238,48 @@ def test_fail_resets_half_closed_connections_too():
     robot = Robot(net.sim, net.client, SERVER_HOST, 80, ClientConfig())
     closing, open_ = robot._new_conn(), robot._new_conn()
     net.run()
-    closing.open = False
+    closing.shut()
     closing.conn.close()
     net.run()
     assert closing.conn.state == "FIN_WAIT_2"
     assert robot._conns == [closing, open_]
-    assert robot._alive_conns() == [open_]
+    assert robot._live == [open_]
     robot._fail("gave up")
     net.run()
     assert robot._conns == [] and not net.client._connections
     resets = [r for r in net.trace.records if "R" in r.flags]
     assert sorted(r.sport for r in resets) == sorted(
         [closing.conn.local_port, open_.conn.local_port])
+
+
+# ----------------------------------------------------------------------
+# Dispatch in paths no measured run reaches
+# ----------------------------------------------------------------------
+def test_one_shot_sends_on_an_idle_persistent_connection(site, store):
+    """Down the ladder at one-shot, an idle persistent connection that
+    is still open carries the next request, sent with ``Connection:
+    close``: it counts against ``max_connections``, so it must not sit
+    idle while the request waits."""
+    net = TwoHostNetwork(LAN)
+    SimHttpServer(net.sim, net.server, store, APACHE)
+    robot = Robot(net.sim, net.client, SERVER_HOST, 80,
+                  ClientConfig(http_version=HTTP11, follow_images=False))
+    idle = robot._new_conn()
+    net.run()
+    sent = []
+    send = idle.send_request
+    idle.send_request = lambda url, request, flush: (
+        sent.append(request[1]), send(url, request, flush))
+    robot._downgrade_level = 2
+    result = robot.fetch(site.html_url)
+    net.run()
+    assert result.complete and result.connections_used == 1
+    assert len(sent) == 1 and b"\r\nConnection: close\r\n" in sent[0]
+
+
+def test_a_pipelined_robot_with_nothing_pending_opens_nothing():
+    net = TwoHostNetwork(LAN)
+    robot = Robot(net.sim, net.client, SERVER_HOST, 80,
+                  ClientConfig(http_version=HTTP11, pipeline=True))
+    robot._dispatch()
+    assert robot.result.connections_used == 0 and robot._live == []

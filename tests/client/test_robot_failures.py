@@ -189,7 +189,7 @@ def test_requeue_preserves_pipeline_order_ahead_of_pending(site, store):
         robot._expected[url] = False
     state = robot._new_conn()
     state.outstanding.extend(["/a", "/b", "/c"])
-    state.open = False
+    state.shut()
     robot._pending.append("/d")
     robot._connection_gone(state)
     assert list(robot._pending) == ["/a", "/b", "/c", "/d"]
