@@ -99,13 +99,20 @@ done
 #     order (every mode x scenario on WAN, a chaos cell per fault plan
 #     for pipelined and MUX) — tests/client/test_ledger.py
 #     (not slow-marked: FAST=1 keeps it)
+#   a page is complete when nothing it asked for is unhandled: at every
+#     completion check of an unfinished robot an empty unhandled set
+#     leaves nothing pending, queued or outstanding and the HTML
+#     complete (the same runs as the ledger's) —
+#     tests/client/test_completion.py (not slow-marked: FAST=1 keeps it)
 #   nothing under src/repro is kept alive only by its tests: every
 #     module backs a verb, every definition is named from src/ or
 #     bench/, and every option (a defaulted __init__ parameter or
 #     dataclass field, a spec's cache-key fields included: no spec
 #     exemption) is set there —
 #     tests/test_reachability.py::test_every_option_is_set_outside_its_tests
-#     (not slow-marked: FAST=1 keeps it)
+#     — and every attribute a class stores on self is read somewhere —
+#     ::test_every_stored_attribute_is_read (not slow-marked: FAST=1
+#     keeps them)
 #   repro.lint is the static lint and nothing else: no module outside
 #     lint/ but the __main__ root imports it —
 #     tests/test_reachability.py::test_only_lint_imports_repro_lint —
@@ -155,10 +162,12 @@ else
     # requires cold == replay and a repeating sim_digest on every
     # pass: its own tests and a smoke-scale run of all four workloads
     # catch a src/ change that breaks either before the pipeline does.
+    # The smoke adds the traced pass: the only one that replays the
+    # whole report from a warm cache and runs under the layer sampler.
     # Host time is measured by `bash bench/run.sh` and gated by the
     # pipeline against BENCHMARK.json's bounds, not here.
     python -m pytest bench/tests -q
-    bash bench/run.sh --quick > /dev/null
+    bash bench/run.sh --quick --trace 1 > /dev/null
 fi
 
 # Exercise the experiment-matrix engine end to end: two worker

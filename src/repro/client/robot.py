@@ -798,11 +798,9 @@ class Robot:
                 or result.terminal_error is not None)
 
     def _check_complete(self) -> None:
-        if self._finished():
-            return
-        if (self._pending or not self._html_complete
-                or any(self._shard_queues) or self._unhandled
-                or any(c.outstanding for c in self._live)):
+        # Whatever is pending, queued or outstanding is unhandled, and
+        # the HTML leaves ``_unhandled`` only as it completes.
+        if self._unhandled or self._finished():
             return
         self.result.completed_at = self.sim.now
         for state in self._conns:

@@ -19,6 +19,10 @@ of the link's jitter RNG, so a fault schedule is reproducible from its
 seed alone and adding fault injection never perturbs a clean run's
 random stream.
 
+Each hit is counted once, as ``link.<kind>`` in the injector's
+:class:`~repro.faults.recovery.RecoveryLog`; a drop is also one of the
+link's ``dropped_loss``.
+
 The injector runs once per delivered segment, so it lives on the
 simulator's hot path and uses ``__slots__``; the config is a frozen
 dataclass (exempt from the hot-path slots rule, like ``TcpConfig``).
@@ -29,8 +33,6 @@ from __future__ import annotations
 import dataclasses
 import random
 import zlib
-from typing import Optional
-
 from .recovery import RecoveryLog
 
 __all__ = ["LinkFaultConfig", "FaultInjector"]
@@ -81,21 +83,15 @@ class LinkFaultConfig:
 class FaultInjector:
     """Owns delivery of every segment crossing one :class:`Link`."""
 
-    __slots__ = ("link", "config", "rng", "recovery", "_bad",
-                 "injected_loss", "injected_reorder", "injected_duplicate",
-                 "injected_corrupt")
+    __slots__ = ("link", "config", "rng", "recovery", "_bad")
 
     def __init__(self, link, config: LinkFaultConfig, seed: int,
-                 recovery: Optional[RecoveryLog] = None) -> None:
+                 recovery: RecoveryLog) -> None:
         self.link = link
         self.config = config
         self.rng = random.Random(seed)
         self.recovery = recovery
         self._bad = False        # Gilbert–Elliott state
-        self.injected_loss = 0
-        self.injected_reorder = 0
-        self.injected_duplicate = 0
-        self.injected_corrupt = 0
         link.fault_injector = self
 
     # ------------------------------------------------------------------
@@ -113,8 +109,6 @@ class FaultInjector:
             self._bad = True
         loss = config.loss_bad if self._bad else config.loss_good
         if loss and rng.random() < loss:
-            self.injected_loss += 1
-            link.segments_dropped += 1
             link.dropped_loss += 1
             self._note("loss", f"{segment!r} in "
                        f"{'bad' if self._bad else 'good'} state")
@@ -129,15 +123,12 @@ class FaultInjector:
             original_crc = zlib.crc32(segment.payload)
             segment = segment.replace(payload=bytes(mutated),
                                       checksum=original_crc)
-            self.injected_corrupt += 1
             self._note("corrupt", f"byte {index} of {segment!r}")
         if config.duplicate_rate and rng.random() < config.duplicate_rate:
-            self.injected_duplicate += 1
             self._note("duplicate", repr(segment))
             copy = segment.replace(delivered_at=deliver_at + 1e-4)
             link.sim.schedule_at(copy.delivered_at, receiver, copy)
         if config.reorder_rate and rng.random() < config.reorder_rate:
-            self.injected_reorder += 1
             delay = rng.uniform(0.0, config.reorder_max_delay)
             deliver_at += delay
             self._note("reorder", f"+{delay * 1000.0:.1f}ms {segment!r}")
@@ -145,5 +136,4 @@ class FaultInjector:
         link.sim.schedule_at(deliver_at, receiver, segment)
 
     def _note(self, kind: str, detail: str) -> None:
-        if self.recovery is not None:
-            self.recovery.note(self.link.sim.now, "link", kind, detail)
+        self.recovery.note(self.link.sim.now, "link", kind, detail)

@@ -123,11 +123,10 @@ class FrameReader:
     across calls and returns each frame exactly once, in order.
     """
 
-    __slots__ = ("_buffer", "_need")
+    __slots__ = ("_buffer",)
 
     def __init__(self) -> None:
         self._buffer = bytearray()
-        self._need = FRAME_HEADER_SIZE
 
     def feed(self, data: bytes) -> List[Frame]:
         self._buffer.extend(data)

@@ -236,8 +236,6 @@ class _MessageParser:
         self._current = None
         self._runs: List[bytes] = []
         self._remaining = 0
-        #: Total bytes fed (wire accounting for server statistics).
-        self.bytes_fed = 0
         #: Total messages fully parsed (lets callers map streaming
         #: body callbacks to the right outstanding request even when
         #: several messages complete inside one ``feed`` call).
@@ -256,7 +254,6 @@ class _MessageParser:
         Any other bytes-like ``data`` is copied to ``bytes`` first, so
         nothing kept refers to the caller's buffer.
         """
-        self.bytes_fed += len(data)
         if self._buffer:
             data = self._buffer + data
             self._buffer = b""

@@ -110,7 +110,6 @@ class _ConnectionState:
         self.out = bytearray()
         self.requests_seen = 0
         self.responses_queued = 0       # built but CPU not finished
-        self.responses_sent = 0
         self.eof_received = False
         self.closed = False
         #: Fired once when the connection reaches a terminal state; the
@@ -209,10 +208,9 @@ class _ServerConnection(_ConnectionState):
 class _MuxServerStream:
     """One response being framed onto a MUX connection."""
 
-    __slots__ = ("sid", "head", "body", "sent", "window")
+    __slots__ = ("head", "body", "sent", "window")
 
-    def __init__(self, sid: int, head: bytes, body: bytes) -> None:
-        self.sid = sid
+    def __init__(self, head: bytes, body: bytes) -> None:
         self.head: Optional[bytes] = head
         self.body = body
         self.sent = 0
@@ -300,7 +298,7 @@ class _MuxServerConnection(_ConnectionState):
     # ------------------------------------------------------------------
     def start_stream(self, sid: int, head: bytes, body: bytes) -> None:
         """CPU finished for this response: begin framing it out."""
-        self.active[sid] = _MuxServerStream(sid, head, body)
+        self.active[sid] = _MuxServerStream(head, body)
         self._pump()
 
     def queue_frame(self, ftype: int, sid: int,
@@ -349,7 +347,6 @@ class _MuxServerConnection(_ConnectionState):
                         and sid in self.active:
                     self.queue_frame(F_END_STREAM, sid)
                     del self.active[sid]
-                    self.responses_sent += 1
                     progress = True
         if self.responses_queued == 0:
             self.flush()
@@ -603,26 +600,23 @@ class SimHttpServer:
         payload = status_line + rest + body
 
         def emit() -> None:
+            state.responses_queued -= 1
+            if state.closed or state.conn.state == "CLOSED":
+                return
             if abort_after is not None:
-                state.responses_queued -= 1
                 self._note("abort", f"request {ordinal} RST after "
                            f"{abort_after} bytes")
-                if state.closed or state.conn.state == "CLOSED":
-                    return
                 # Send a truncated prefix of the response, then slam the
                 # connection shut with an RST mid-body.
                 state.reset(payload[:abort_after])
                 return
-            state.responses_queued -= 1
-            state.responses_sent += 1
             self.requests_served += 1
             closing = close_after or (state.eof_received
                                       and state.responses_queued == 0)
             if closing and not self.profile.split_header_write:
                 # Append without triggering an intermediate flush so the
                 # FIN can ride on the final data segment.
-                if not state.closed:
-                    state.out.extend(payload)
+                state.out.extend(payload)
                 state.finish()
                 return
             if self.profile.split_header_write:

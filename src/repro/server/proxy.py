@@ -57,7 +57,6 @@ class _ProxiedExchange:
         self.response_parser = ResponseParser()
         self.upstream: Optional[TcpConnection] = None
         self._idle_timer: Optional[list] = None
-        self._upstream_buffer = bytearray()
         self._client_fin = False
         client_conn.on_data = self._client_data
         client_conn.on_eof = self._client_eof

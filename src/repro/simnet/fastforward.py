@@ -353,7 +353,6 @@ class FastForward:
         emit_order = 0
         n_data_sent = 0
         n_acks_sent = 0
-        n_recv_s = 0
         processed = 0
         on_data = c.on_data
 
@@ -406,7 +405,6 @@ class FastForward:
                     a_fifo.appendleft((t, ack, _cseq, _entry, _order))
                     break
                 sim.now = t
-                n_recv_s += 1
                 if rtt_sample is not None and ack >= rtt_sample[0]:
                     sample = t - rtt_sample[1]
                     if srtt is None:
@@ -469,7 +467,6 @@ class FastForward:
                 # A delivery arrives at C (data, or a pre-span pure ACK).
                 t, seg, qoff, entry, _order = d_fifo.popleft()
                 sim.now = t
-                c.segments_received += 1
                 if seg is not None:
                     payload = seg.payload
                 else:
@@ -566,16 +563,12 @@ class FastForward:
         s._srtt = srtt
         s._rttvar = rttvar
         s._rtt_sample = rtt_sample
-        s.segments_sent += n_data_sent
-        s.bytes_sent += n_data_sent * mss
-        s.segments_received += n_recv_s
         s._rto_timer.fast_forward(rto_deadline)
 
-        # rcv_nxt / bytes_received / segments_received were kept live
-        # in the delivery loop (callbacks read them); only the
-        # delayed-ACK view and the synthesized-send count remain.
+        # rcv_nxt and bytes_received were kept live in the delivery loop
+        # (a callback that sends reads rcv_nxt); only the delayed-ACK
+        # view remains.
         c._segments_unacked = unacked_c
-        c.segments_sent += n_acks_sent
         c._delack_timer.fast_forward(delack_deadline)
 
         # Undelivered traffic goes back on the heap: extracted entries

@@ -117,13 +117,10 @@ class Link:
         #: The link's one observer: the trace collector recording each
         #: segment at *send* time (it installs itself; None = untraced).
         self.collector: Optional["TraceCollector"] = None
-        #: Total segments the link discarded (loss process + drop-tail
-        #: overflow).  Kept as a plain writable attribute — loss-shim
-        #: tests account their own drops here.
-        self.segments_dropped = 0
-        #: Drops by the random / injected loss process alone.
+        #: Drops by the random / injected loss process (loss-shim tests
+        #: count theirs here too).
         self.dropped_loss = 0
-        #: Drops by drop-tail queue overflow alone.
+        #: Drops by drop-tail queue overflow; the two sum to all drops.
         self.dropped_overflow = 0
         #: Optional :class:`~repro.faults.FaultInjector` (duck-typed:
         #: anything with ``handle(segment, deliver_at, receiver)``).
@@ -250,7 +247,6 @@ class Link:
         if self.queue_limit_packets is not None:
             if self._queued.get(direction, 0) >= self.queue_limit_packets:
                 # Drop-tail: the bottleneck buffer is full.
-                self.segments_dropped += 1
                 self.dropped_overflow += 1
                 return
             self._queued[direction] = self._queued.get(direction, 0) + 1
@@ -262,7 +258,6 @@ class Link:
             self.sim.schedule_at(finish, self._dequeue, direction)
         if self.loss_rate and self.rng.random() < self.loss_rate:
             # The segment occupied the wire but never arrives.
-            self.segments_dropped += 1
             self.dropped_loss += 1
             return
         deliver_at = finish + self.propagation_delay

@@ -234,8 +234,7 @@ class TcpConnection:
         "_segments_unacked", "_delack_timer",
         "_ff_unprofitable",
         "nodelay",
-        "bytes_sent", "bytes_received", "segments_sent",
-        "segments_received",
+        "bytes_received",
         "on_connect", "on_data", "on_eof", "on_reset", "on_closed",
         "__weakref__",
     )
@@ -301,11 +300,8 @@ class TcpConnection:
         # Socket options.
         self.nodelay = False
 
-        # Statistics (exposed for tests and the trace summaries).
-        self.bytes_sent = 0
+        # Payload bytes delivered to the application.
         self.bytes_received = 0
-        self.segments_sent = 0
-        self.segments_received = 0
 
         # Application callbacks.
         self.on_connect: Callable[["TcpConnection"], None] = _noop
@@ -408,8 +404,6 @@ class TcpConnection:
     # ------------------------------------------------------------------
     def _emit_unreliable(self, segment: Segment) -> None:
         """Transmit without retransmission state (ACKs, RSTs)."""
-        self.segments_sent += 1
-        self.bytes_sent += segment.payload_len
         self.sim.perf.segments += 1
         self.stack.link.transmit(segment)
 
@@ -418,8 +412,6 @@ class TcpConnection:
         self._retransmit_queue.append(segment)
         if self._rtt_sample is None:
             self._rtt_sample = (segment.end_seq, self.sim.now)
-        self.segments_sent += 1
-        self.bytes_sent += segment.payload_len
         self.sim.perf.segments += 1
         self.stack.link.transmit(segment)
         rto_timer = self._rto_timer
@@ -485,7 +477,6 @@ class TcpConnection:
         if delack._standing is not None:
             self.sim.cancel(delack._standing)
             delack._standing = None
-        self.segments_sent += 1
         self.sim.perf.segments += 1
         self.stack.link.transmit(Segment(
             self.local_host, self.local_port, self.peer, self.peer_port,
@@ -574,7 +565,6 @@ class TcpConnection:
     # Segment reception
     # ------------------------------------------------------------------
     def _receive(self, segment: Segment) -> None:
-        self.segments_received += 1
         if segment.flag_rst:
             self._handle_rst()
             return
@@ -795,14 +785,13 @@ class TcpListener:
     request segment.
     """
 
-    __slots__ = ("stack", "port", "on_accept", "accepted")
+    __slots__ = ("stack", "port", "on_accept")
 
     def __init__(self, stack: "TcpStack", port: int,
                  on_accept: Callable[[TcpConnection], None]) -> None:
         self.stack = stack
         self.port = port
         self.on_accept = on_accept
-        self.accepted = 0
 
     def close(self) -> None:
         """Stop accepting new connections."""
@@ -892,7 +881,6 @@ class TcpStack:
                                  segment.sport, self.config)
             self._connections[key] = conn
             self.total_connections += 1
-            listener.accepted += 1
             listener.on_accept(conn)
             conn._passive_open(segment)
             return

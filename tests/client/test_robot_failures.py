@@ -95,7 +95,8 @@ def test_truncated_response_on_eof_records_parse_error(site, store):
     net.run()                       # let the handshake finish
     robot._started = True
     robot._html_complete = True
-    robot._expected["/x.html"] = False
+    robot._expected["/x.html"] = None
+    robot._unhandled.add("/x.html")
     state.parser.expect("GET")
     state.outstanding.append("/x.html")
     state._on_data(state.conn, b"HTTP/1.1 200 OK\r\n"
@@ -186,7 +187,8 @@ def test_requeue_preserves_pipeline_order_ahead_of_pending(site, store):
     robot._started = True
     robot._html_complete = True
     for url in ("/a", "/b", "/c", "/d"):
-        robot._expected[url] = False
+        robot._expected[url] = None
+        robot._unhandled.add(url)
     state = robot._new_conn()
     state.outstanding.extend(["/a", "/b", "/c"])
     state.shut()

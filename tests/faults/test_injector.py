@@ -35,16 +35,15 @@ def test_certain_loss_drops_and_counts():
     link.transmit(segment())
     sim.run()
     assert delivered == []
-    assert injector.injected_loss == 1
     assert link.dropped_loss == 1
-    assert link.segments_dropped == 1
     assert recovery.count("link", "loss") == 1
 
 
 def test_corruption_flips_one_byte_and_stamps_original_crc():
     sim, link, delivered = make_link()
     original = b"x" * 100
-    FaultInjector(link, LinkFaultConfig(corrupt_rate=1.0), seed=2)
+    FaultInjector(link, LinkFaultConfig(corrupt_rate=1.0), seed=2,
+                  recovery=RecoveryLog())
     link.transmit(segment(original))
     sim.run()
     (seg,) = delivered
@@ -56,7 +55,8 @@ def test_corruption_flips_one_byte_and_stamps_original_crc():
 
 def test_control_segments_are_never_corrupted():
     sim, link, delivered = make_link()
-    FaultInjector(link, LinkFaultConfig(corrupt_rate=1.0), seed=2)
+    FaultInjector(link, LinkFaultConfig(corrupt_rate=1.0), seed=2,
+                  recovery=RecoveryLog())
     link.transmit(Segment("a", 1000, "b", 80, flag_syn=True))
     sim.run()
     (seg,) = delivered
@@ -65,7 +65,8 @@ def test_control_segments_are_never_corrupted():
 
 def test_duplication_delivers_twice():
     sim, link, delivered = make_link()
-    FaultInjector(link, LinkFaultConfig(duplicate_rate=1.0), seed=3)
+    FaultInjector(link, LinkFaultConfig(duplicate_rate=1.0), seed=3,
+                  recovery=RecoveryLog())
     link.transmit(segment())
     sim.run()
     assert len(delivered) == 2
@@ -79,7 +80,8 @@ def test_reordering_delays_within_bound():
     sim.run()
     baseline = delivered.pop().delivered_at
     FaultInjector(link, LinkFaultConfig(reorder_rate=1.0,
-                                        reorder_max_delay=0.02), seed=4)
+                                        reorder_max_delay=0.02), seed=4,
+                  recovery=RecoveryLog())
     link.transmit(segment())
     sim.run()
     (seg,) = delivered
@@ -91,16 +93,18 @@ def test_reordering_delays_within_bound():
 def test_same_seed_same_fault_schedule():
     def fates(seed):
         sim, link, delivered = make_link()
-        injector = FaultInjector(
+        recovery = RecoveryLog()
+        FaultInjector(
             link, LinkFaultConfig(p_good_to_bad=0.2, p_bad_to_good=0.3,
                                   loss_good=0.05, loss_bad=0.5,
                                   duplicate_rate=0.1, corrupt_rate=0.1),
-            seed=seed)
+            seed=seed, recovery=recovery)
         for n in range(200):
             link.transmit(segment(seq=n * 100 + 1))
         sim.run()
-        return ([s.seq for s in delivered], injector.injected_loss,
-                injector.injected_corrupt, injector.injected_duplicate)
+        return ([s.seq for s in delivered], recovery.count("link", "loss"),
+                recovery.count("link", "corrupt"),
+                recovery.count("link", "duplicate"))
 
     assert fates(42) == fates(42)
     assert fates(42) != fates(43)
@@ -110,22 +114,25 @@ def test_gilbert_elliott_losses_cluster():
     """With no independent loss in the good state, every loss happens
     inside a bad-state burst — drops come in runs, not singletons."""
     sim, link, delivered = make_link()
-    injector = FaultInjector(
+    recovery = RecoveryLog()
+    FaultInjector(
         link, LinkFaultConfig(p_good_to_bad=0.05, p_bad_to_good=0.2,
-                              loss_good=0.0, loss_bad=1.0), seed=7)
+                              loss_good=0.0, loss_bad=1.0), seed=7,
+        recovery=recovery)
     total = 2000
     for n in range(total):
         link.transmit(segment(seq=n * 100 + 1))
     sim.run()
-    assert 0 < injector.injected_loss < total
-    assert len(delivered) == total - injector.injected_loss
+    lost = recovery.count("link", "loss")
+    assert 0 < lost < total
+    assert len(delivered) == total - lost
     # Mean burst length 1/p_bad_to_good = 5: far fewer distinct gaps
     # than lost segments.
     arrived = {s.seq for s in delivered}
     gaps = sum(1 for n in range(total)
                if n * 100 + 1 not in arrived
                and (n == 0 or (n - 1) * 100 + 1 in arrived))
-    assert gaps < injector.injected_loss / 2
+    assert gaps < lost / 2
 
 
 # ----------------------------------------------------------------------

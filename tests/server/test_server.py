@@ -3,6 +3,7 @@
 import pytest
 
 from repro.content import build_microscape_site
+from repro.faults import FaultyProfile, RecoveryLog, ServerFaultConfig
 from repro.http import HTTP10, HTTP11, Headers, Request, ResponseParser
 from repro.server import (APACHE, APACHE_12B2, JIGSAW, NAGLE_STALL_SERVER,
                           NAIVE_CLOSE_SERVER, ResourceStore, SimHttpServer)
@@ -220,3 +221,29 @@ def test_server_cpu_serializes_across_connections(store):
     net.run()
     # 4 connections x (8 ms accept + ~7 ms request) of serial CPU.
     assert net.sim.now >= 0.050
+
+
+def reset_while_on_cpu(store, **faults):
+    """A plain connection the client resets while its one response is
+    still on the server's CPU (held there by a one-second stall)."""
+    profile = FaultyProfile.wrap(APACHE, ServerFaultConfig(
+        stall_requests=(1,), stall_seconds=1.0, **faults))
+    net, server = serve(profile, store)
+    server.recovery = RecoveryLog()
+    client = RawClient(net, ["GET"])
+    client.send_requests(request("/home.html"))
+    net.sim.schedule(0.5, client.conn.abort)
+    net.run()
+    assert server.requests_received == 1 and client.responses == []
+    return server
+
+
+def test_a_response_whose_connection_reset_is_not_served(store):
+    server = reset_while_on_cpu(store)
+    assert server.requests_served == 0
+
+
+def test_a_response_whose_connection_reset_is_not_aborted(store):
+    server = reset_while_on_cpu(store, abort_requests=(1,))
+    assert server.recovery.count("server", "abort") == 0
+    assert server.recovery.count("server", "stall") == 1

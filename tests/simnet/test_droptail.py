@@ -26,13 +26,13 @@ def bulk_transfer(queue_limit, payload_segments=60):
 
 def test_unbounded_queue_never_drops():
     net, received, _ = bulk_transfer(None)
-    assert net.link.segments_dropped == 0
+    assert net.link.dropped_overflow == 0
     assert len(received) == 60 * 1460
 
 
 def test_small_queue_drops_but_transfer_completes():
     net, received, finished = bulk_transfer(8)
-    assert net.link.segments_dropped > 0
+    assert net.link.dropped_overflow > 0
     assert len(received) == 60 * 1460      # loss recovery repaired it
     assert finished is not None
 
@@ -40,7 +40,7 @@ def test_small_queue_drops_but_transfer_completes():
 def test_deeper_queue_drops_less():
     shallow, _, _ = bulk_transfer(6)
     deep, _, _ = bulk_transfer(40)
-    assert deep.link.segments_dropped <= shallow.link.segments_dropped
+    assert deep.link.dropped_overflow <= shallow.link.dropped_overflow
 
 
 def test_queue_slots_recycle():

@@ -51,7 +51,7 @@ def test_lossless_path_has_no_retransmissions():
     sink, conn = transfer(net, payload)
     assert bytes(sink.data) == payload
     assert conn.retransmissions == 0
-    assert net.link.segments_dropped == 0
+    assert net.link.dropped_loss == 0
 
 
 @pytest.mark.parametrize("loss", [0.02, 0.05, 0.10])
@@ -61,7 +61,7 @@ def test_bulk_transfer_survives_loss(loss):
     sink, conn = transfer(net, payload)
     assert bytes(sink.data) == payload       # in order, complete, exact
     assert sink.eof
-    assert net.link.segments_dropped > 0
+    assert net.link.dropped_loss > 0
     assert conn.retransmissions > 0
 
 
@@ -74,7 +74,7 @@ def test_syn_loss_recovers_by_timeout():
     def drop_first(segment):
         if not dropped:
             dropped.append(segment)
-            net.link.segments_dropped += 1
+            net.link.dropped_loss += 1
             return
         original(segment)
 
@@ -113,7 +113,7 @@ def test_fast_retransmit_fires_before_rto():
         if segment.payload_len and segment.src != SERVER_HOST:
             state["count"] += 1
             if state["count"] == 5:
-                net.link.segments_dropped += 1
+                net.link.dropped_loss += 1
                 return
         original(segment)
 
@@ -204,7 +204,7 @@ def test_timeout_resets_congestion_window():
         if segment.payload_len and segment.src != SERVER_HOST:
             state["count"] += 1
             if 3 <= state["count"] <= 12:
-                net.link.segments_dropped += 1
+                net.link.dropped_loss += 1
                 return      # black-hole a burst: dup acks can't repair
         original(segment)
 

@@ -39,6 +39,14 @@ is no exception: a test that needs a faulty unit stands in for
 ``repro.matrix.runner.run_unit`` instead of setting an option.  A
 spec's fields are options like any other: a field only tests set
 would key the cache for a measurement nothing runs.
+
+And state: an attribute a class under ``src/repro`` stores on ``self``
+must be loaded somewhere in ``src/``, ``tests/``, ``bench/``,
+``examples/`` or ``scripts/`` — an ``Attribute`` load, or the name as a
+string given to ``getattr`` / ``hasattr``.  An augmented assignment
+stores; it is not a read.  Names are matched as above, so an attribute
+that shares its name with one something reads escapes; there is no
+allowlist.
 """
 
 import ast
@@ -54,7 +62,7 @@ REPO = pathlib.Path(__file__).resolve().parents[1]
 @functools.lru_cache(maxsize=None)
 def _graph(directory):
     """The parsed modules of ``REPO / directory``, built once for the
-    three gates."""
+    gates."""
     return build_graph(REPO / directory).modules
 
 
@@ -381,3 +389,45 @@ def test_every_option_is_set_outside_its_tests():
         "options nothing in src/ or bench/ sets (fold each into the value "
         "src/ uses, and delete the code paths the others selected): "
         + ", ".join(unset))
+
+
+def _loaded_names(modules):
+    """Every attribute name ``modules`` load: an ``Attribute`` in a load
+    context, or a string handed to ``getattr`` / ``hasattr``."""
+    loaded = set()
+    for info in modules:
+        for node in ast.walk(info.tree):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load)):
+                loaded.add(node.attr)
+            elif (isinstance(node, ast.Call)
+                  and terminal_name(node.func) in ("getattr", "hasattr")
+                  and len(node.args) >= 2
+                  and isinstance(node.args[1], ast.Constant)
+                  and isinstance(node.args[1].value, str)):
+                loaded.add(node.args[1].value)
+    return loaded
+
+
+def _write_only_attributes():
+    stored = collections.defaultdict(set)
+    for info in _graph("src/repro").values():
+        for node in ast.walk(info.tree):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"):
+                stored[node.attr].add(info.name)
+    loaded = _loaded_names(
+        info for directory in ("src/repro", "tests", "bench", "examples",
+                               "scripts")
+        for info in _graph(directory).values())
+    return sorted(f"{name} ({', '.join(sorted(stored[name]))})"
+                  for name in stored.keys() - loaded)
+
+
+def test_every_stored_attribute_is_read():
+    write_only = _write_only_attributes()
+    assert write_only == [], (
+        "attributes nothing reads (delete each with its stores): "
+        + ", ".join(write_only))
