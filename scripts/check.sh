@@ -10,9 +10,11 @@ cd "$(dirname "$0")/.."
 export PYTHONPATH=src
 
 # Determinism lint (per-file rules and the whole-program passes, one
-# parse of each file) + golden-trace sanitization run in every mode,
-# FAST included: they are cheap and guard the properties (bit
-# reproducibility, TCP invariants) everything else rests on.  The lint
+# parse of each file) runs in every mode, FAST included, and so does the
+# golden-trace check in the pytest run below
+# (tests/simnet/test_golden_traces.py, not slow-marked): they are cheap
+# and guard the properties (bit reproducibility, TCP invariants)
+# everything else rests on.  The lint
 # keeps only the defect classes no identity test below reliably sees:
 # the host clock, set order (forked workers share the parent's hash
 # secret), float clock compares, mutable defaults, hot-path __slots__,
@@ -115,10 +117,17 @@ done
 #     keeps them)
 #   repro.lint is the static lint and nothing else: no module outside
 #     lint/ but the __main__ root imports it —
-#     tests/test_reachability.py::test_only_lint_imports_repro_lint —
-#     and a checked MUX unit in a fresh process loads no repro.lint
-#     module — tests/simnet/test_checks.py::
-#     test_checked_unit_loads_no_lint (neither slow-marked)
+#     tests/test_reachability.py::test_only_lint_imports_repro_lint —,
+#     lint/ imports only itself and the standard library —
+#     ::test_lint_imports_only_lint — and a checked MUX unit in a fresh
+#     process loads no repro.lint module — tests/simnet/test_checks.py::
+#     test_checked_unit_loads_no_lint (none slow-marked)
+#   every golden trace fixture is its live cell: each of the eight
+#     (seven golden, one captured under the flaky-server fault plan)
+#     re-runs with the unit-end TCP check under the config the runner
+#     derives for that cell, then is cmp-equal to the committed bytes —
+#     tests/simnet/test_golden_traces.py (not slow-marked: FAST=1
+#     keeps it)
 #   every unit is content-checked, §8.2.1's HTML-only modem GETs
 #     included (a served HTML that differs from the site's quarantines
 #     the cell) — tests/core/test_runner.py::

@@ -30,9 +30,9 @@ Commands
     environments) and assert every run still retrieves the full site
     byte-identical within the retry budget.
 ``lint``
-    Run the determinism linter over the source tree and (with
-    ``--sanitize-traces``) replay captured traces through the
-    unit-end TCP protocol check every simulated unit runs.
+    Run the determinism linter over the source tree (``--deep`` adds
+    the whole-program passes).  The TCP protocol check is not a verb:
+    every simulated unit ends with it.
 
 ``table``, ``modem``, ``report``, ``claims``, ``fleet`` and ``chaos``
 all run their units on one :class:`~repro.matrix.runner.MatrixRunner`

@@ -11,7 +11,7 @@ over one ledger of connections.
   the images as libwww 4.1D did.  HTTP/1.1 persistent runs it on one
   connection: "the request / response sequence looks identical to
   HTTP/1.0 but all communication happens on the same TCP connection".
-  Sharding runs it per origin, ``connections_per_shard`` each.
+  Sharding runs it per origin, :data:`CONNECTIONS_PER_SHARD` each.
 * **Pipelined**: the pending requests go out as one batch through
   :class:`~repro.client.pipeline.OutputBuffer` (1024-byte threshold,
   flush timer), flushed explicitly after the HTML request, with full
@@ -81,6 +81,10 @@ RETRY_BACKOFF_MAX = 5.0
 #: Times to re-issue a request answered with a 5xx before accepting the
 #: error response as final.
 RETRY_SERVER_ERRORS = 3
+#: The sharded transport's geometry: content hashed across four origins,
+#: with up to two redundant persistent connections to each.
+SHARDS = 4
+CONNECTIONS_PER_SHARD = 2
 
 
 @dataclasses.dataclass
@@ -115,8 +119,6 @@ class ClientConfig:
     allow_date_fallback: bool = False
     #: CPU seconds to process one response (serial client CPU).
     per_response_cpu: float = 0.002
-    #: Disable Nagle on client connections (the paper's recommendation).
-    nodelay: bool = True
     user_agent: str = "W3CRobot/5.1 libwww/5.1"
     #: Extra request headers (browser profiles are more verbose).
     extra_headers: Tuple[Tuple[str, str], ...] = ()
@@ -137,13 +139,11 @@ class ClientConfig:
     #: one-shot) after this many connections died with unanswered
     #: requests (None = never downgrade).
     downgrade_after: Optional[int] = None
-    # -- Sharding knobs (the HTTP/1.1 Sharded xN transport; 0 shards =
-    # -- one origin: the serial rule runs per origin either way).
-    #: Number of simulated origins the content is hashed across; each
-    #: origin listens on ``server_port + shard``.
+    #: Number of simulated origins the content is hashed across: 0 (one
+    #: origin) or :data:`SHARDS` (the sharded transport, each origin on
+    #: ``server_port + shard``).  The serial rule runs per origin either
+    #: way.
     shards: int = 0
-    #: Redundant persistent connections kept per shard.
-    connections_per_shard: int = 2
 
 
 @dataclasses.dataclass
@@ -204,7 +204,9 @@ class _Connection:
         self.shard = shard
         self.conn: TcpConnection = robot.stack.connect(
             robot.server_host, robot.server_port + (shard or 0))
-        self.conn.set_nodelay(robot.config.nodelay)
+        # TCP_NODELAY on every client connection: the paper's
+        # recommendation.
+        self.conn.set_nodelay(True)
         self.buffer = OutputBuffer(
             robot.sim, self.conn, size=robot.config.output_buffer_size,
             flush_timeout=robot.config.flush_timeout)
@@ -460,8 +462,7 @@ class Robot:
                 url = self._pending.popleft()
                 self._shard_queues[self._shard_of(url)].append(url)
             for shard, queue in enumerate(self._shard_queues):
-                self._dispatch_serial(queue, shard,
-                                      config.connections_per_shard)
+                self._dispatch_serial(queue, shard, CONNECTIONS_PER_SHARD)
 
     def _pipelines(self) -> bool:
         """Pipelined if configured, persistent, one origin, undowngraded."""

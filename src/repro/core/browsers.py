@@ -38,18 +38,18 @@ class BrowserProfile:
     name: str
     user_agent: str
     extra_headers: Tuple[Tuple[str, str], ...]
-    reval_strategy: str
     allow_date_fallback: bool
-    max_connections: int = 4
 
     def client_config(self) -> ClientConfig:
-        """Materialize as a robot configuration."""
+        """Materialize as a robot configuration: both browsers open up
+        to four connections and revalidate conditionally, with a HEAD
+        for an image that has no usable validator."""
         return ClientConfig(
             http_version=HTTP10,
-            max_connections=self.max_connections,
+            max_connections=4,
             keep_alive=True,
             pipeline=False,
-            reval_strategy=self.reval_strategy,
+            reval_strategy="conditional-or-head",
             validator_preference="date",
             allow_date_fallback=self.allow_date_fallback,
             user_agent=self.user_agent,
@@ -66,7 +66,6 @@ NETSCAPE_40B5 = BrowserProfile(
         ("Accept-Language", "en"),
         ("Accept-Charset", "iso-8859-1,*,utf-8"),
     ),
-    reval_strategy="conditional-or-head",
     allow_date_fallback=True,
 )
 
@@ -81,7 +80,6 @@ IE_40B1 = BrowserProfile(
         ("UA-OS", "Windows NT"),
         ("UA-CPU", "x86"),
     ),
-    reval_strategy="conditional-or-head",
     allow_date_fallback=False,
 )
 

@@ -132,10 +132,9 @@ HTTP_MUX = ProtocolMode("HTTP/MUX", MuxTransport())
 #: MUX plus speculative server push of the inline images.
 HTTP_MUX_PUSH = ProtocolMode("HTTP/MUX Push", MuxTransport(server_push=True))
 
-#: Domain sharding: 4 origins, 2 redundant connections per origin.
-HTTP11_SHARDED = ProtocolMode(
-    "HTTP/1.1 Sharded x4",
-    ShardedTransport(shards=4, connections_per_shard=2))
+#: Domain sharding: the robot's ``SHARDS`` origins, with
+#: ``CONNECTIONS_PER_SHARD`` redundant connections to each.
+HTTP11_SHARDED = ProtocolMode("HTTP/1.1 Sharded x4", ShardedTransport())
 
 #: The post-paper modes (ROADMAP item 1).
 MODERN_MODES = (HTTP_MUX, HTTP_MUX_PUSH, HTTP11_SHARDED)

@@ -354,7 +354,6 @@ class Testbed:
         net = self.net
         checks = SanitizerConfig.for_run(
             environment=net.environment,
-            client_nodelay=config.nodelay,
             server_nodelay=self.profile.nodelay,
             client_delack=net.client.config.delack_delay,
             server_delack=net.server.config.delack_delay,

@@ -13,16 +13,18 @@ format*:
   (:class:`ModeTraceRules`, checked by the unit-end
   :class:`~repro.simnet.checks.TraceValidator`),
 * **client fields its geometry implies** — a sharded transport's
-  shard and connection counts are stated on the transport and reach
-  the client configuration from there, so each number appears once.
+  shard and connection counts are the robot's constants
+  (:data:`~repro.client.robot.SHARDS`,
+  :data:`~repro.client.robot.CONNECTIONS_PER_SHARD`) and reach the
+  client configuration from there, so each number appears once.
 
 A MUX transport's frames are checked too: :class:`FrameStreamValidator`
 watches both frame taps of a clean MUX run.
 
 Plain HTTP/1.0 and HTTP/1.1 differ only in client fields, so they share
 the base :class:`Transport`.  Transports are frozen dataclasses so
-modes stay value-comparable; two ``ShardedTransport(shards=4)``
-instances are the same transport.
+modes stay value-comparable; two ``ShardedTransport()`` instances are
+the same transport.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from ..client.robot import ClientConfig, Robot
+from ..client.robot import (CONNECTIONS_PER_SHARD, SHARDS, ClientConfig,
+                            Robot)
 from ..http.framing import (F_CANCEL, F_DATA, F_END_STREAM, F_HEADERS,
                             F_PUSH_PROMISE, F_WINDOW_UPDATE,
                             FRAME_TYPE_NAMES, FramingError, Frame,
@@ -140,29 +143,26 @@ class MuxTransport(Transport):
 
 @dataclasses.dataclass(frozen=True)
 class ShardedTransport(Transport):
-    """Content split across N simulated origins (ports 80..80+N-1).
+    """Content split across :data:`~repro.client.robot.SHARDS` simulated
+    origins, on consecutive ports from :data:`DEFAULT_PORT`.
 
     Each shard is an independent :class:`SimHttpServer` with its own
     serial CPU; the client hashes each URL to a shard and keeps up to
-    ``connections_per_shard`` redundant persistent connections there.
+    :data:`~repro.client.robot.CONNECTIONS_PER_SHARD` redundant
+    persistent connections there.
     """
 
-    shards: int = 4
-    connections_per_shard: int = 2
-
     def client_fields(self) -> Dict[str, Any]:
-        return {
-            "shards": self.shards,
-            "connections_per_shard": self.connections_per_shard,
-            "max_connections": self.shards * self.connections_per_shard}
+        return {"shards": SHARDS,
+                "max_connections": SHARDS * CONNECTIONS_PER_SHARD}
 
     def ports(self) -> Tuple[int, ...]:
-        return tuple(DEFAULT_PORT + shard for shard in range(self.shards))
+        return tuple(DEFAULT_PORT + shard for shard in range(SHARDS))
 
     def trace_rules(self, config: ClientConfig) -> ModeTraceRules:
         return ModeTraceRules(
             required_ports=self.ports(),
-            max_handshakes_per_port=self.connections_per_shard)
+            max_handshakes_per_port=CONNECTIONS_PER_SHARD)
 
 
 class FrameStreamValidator:

@@ -24,10 +24,10 @@ Global-RNG draws, OS entropy and worker-global writes have no rule:
 the identity tests (serial ≡ parallel, cached or journaled ≡ fresh,
 memo-cold, same seed → same result) catch them.
 
-Both layers surface through ``python -m repro lint``, which with
-``--sanitize-traces`` also replays trace files through the unit-end
-TCP protocol check every simulated unit runs
-(:mod:`repro.simnet.checks`); that check is not part of this package.
+Both layers surface through ``python -m repro lint``.  The package
+imports nothing outside itself and the standard library: the TCP
+protocol check is simulator code (:mod:`repro.simnet.checks`), run at
+the end of every simulated unit under that unit's own configuration.
 """
 
 from .cli import lint_paths

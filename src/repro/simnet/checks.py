@@ -18,8 +18,8 @@ through a per-flow state machine asserting:
   peer's highest transmitted sequence number;
 * **no payload after FIN** — once a direction's FIN is on the wire, no
   new sequence space follows it;
-* **Nagle compliance** — on a Nagle-enabled direction, never two
-  outstanding (unacknowledged) sub-MSS segments;
+* **Nagle compliance** — when the server runs with Nagle on, never
+  two outstanding (unacknowledged) sub-MSS segments from it;
 * **delayed-ACK deadlines** — data is acknowledged within the
   configured heartbeat (200 ms client / 50 ms server) plus a transit
   bound;
@@ -28,16 +28,19 @@ through a per-flow state machine asserting:
   a FIN outstanding (a RST answering a retransmitted FIN after both
   FINs were acknowledged destroys no data).
 
-:func:`validate_rows` is the one feed.  Every simulated matrix unit
-replays its :class:`~repro.simnet.trace.TraceCollector` columns
-(:meth:`~repro.simnet.trace.TraceCollector.rows`) through it after the
-simulation drains (:meth:`repro.core.runner.Testbed.check_trace`), and
-raises :class:`InvariantViolationError` on a violation, which the
-matrix engine quarantines as an ``invariant`` failure;
-``lint --sanitize-traces`` replays committed trace files through the
-same function via :func:`~repro.simnet.trace.parse_trace_text`.  The
-per-mode connection-shape rules and the MUX frame-stream check are
-declared with the transports, in :mod:`repro.core.transport`.
+:func:`validate_rows` is the one feed, and
+:meth:`SanitizerConfig.for_run` the one configuration: every simulated
+matrix unit replays its :class:`~repro.simnet.trace.TraceCollector`
+columns (:meth:`~repro.simnet.trace.TraceCollector.rows`) through it
+after the simulation drains, under the config derived from that unit's
+own environment, stacks, server and transport
+(:meth:`repro.core.runner.Testbed.check_trace`), and raises
+:class:`InvariantViolationError` on a violation, which the matrix
+engine quarantines as an ``invariant`` failure.  The committed golden
+traces are checked the same way: their test re-runs each fixture's cell
+checked and compares the bytes.  The per-mode connection-shape rules
+and the MUX frame-stream check are declared with the transports, in
+:mod:`repro.core.transport`.
 """
 
 from __future__ import annotations
@@ -78,34 +81,24 @@ class Violation:
     def format(self) -> str:
         return f"t={self.time:.6f} {self.flow}: [{self.rule}] {self.message}"
 
-    def to_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
-
 
 @dataclasses.dataclass(frozen=True)
 class SanitizerConfig:
-    """Invariant parameters for one validation run.
+    """Invariant parameters for one validation run, built by
+    :meth:`for_run` from the run it checks.  The client always sets
+    ``TCP_NODELAY`` (the paper's recommendation), so only the server's
+    direction can be Nagle-enabled."""
 
-    The defaults describe the repository's standard WAN cell — the one
-    the golden fixtures were captured from: BSD-style 200 ms client and
-    Solaris-style 50 ms server delayed-ACK heartbeats, ``TCP_NODELAY``
-    on both ends (the paper's recommendation, so the Nagle check is off
-    unless a direction is declared Nagle-enabled), and a transit bound
-    covering a full receive window queued behind a 1 Mbit/s bottleneck.
-    """
-
-    mss: int = 1460
+    mss: int
     #: Delayed-ACK heartbeat period of the flow initiator (client).
-    client_delack: float = 0.200
+    client_delack: float
     #: Delayed-ACK heartbeat period of the flow responder (server).
-    server_delack: float = 0.050
-    #: Check the Nagle invariant on client->server traffic.
-    nagle_client: bool = False
+    server_delack: float
     #: Check the Nagle invariant on server->client traffic.
-    nagle_server: bool = False
+    nagle_server: bool
     #: Upper bound on send->arrival transit (propagation + worst-case
     #: serialization queueing) used by the delayed-ACK deadline check.
-    transit_bound: float = 0.75
+    transit_bound: float
     #: The trace was captured under a fault plan.  Lossy runs
     #: legitimately contain RSTs (server aborts, watchdog kills),
     #: connections torn down without a clean FIN exchange, and extra
@@ -113,17 +106,16 @@ class SanitizerConfig:
     #: the teardown and mode-rule checks are skipped, and the
     #: delayed-ACK transit budget grows by 1.0 s.
     #: The sequence, handshake and Nagle invariants stay enforced.
-    faulty: bool = False
+    faulty: bool
     #: Protocol-mode shape constraints (connection/port counts); None
     #: disables them.
-    mode_rules: Optional["ModeTraceRules"] = None
+    mode_rules: Optional["ModeTraceRules"]
 
     @classmethod
-    def for_run(cls, *, environment: Any, client_nodelay: bool,
-                server_nodelay: bool, client_delack: float,
-                server_delack: float, max_parallel: int = 1,
-                faulty: bool = False,
-                mode_rules: Optional["ModeTraceRules"] = None
+    def for_run(cls, *, environment: Any, server_nodelay: bool,
+                client_delack: float, server_delack: float,
+                max_parallel: int, faulty: bool,
+                mode_rules: Optional["ModeTraceRules"]
                 ) -> "SanitizerConfig":
         """Derive a config from a live experiment's parameters.
 
@@ -142,7 +134,6 @@ class SanitizerConfig:
         return cls(mss=environment.mss,
                    client_delack=client_delack,
                    server_delack=server_delack,
-                   nagle_client=not client_nodelay,
                    nagle_server=not server_nodelay,
                    transit_bound=1.10 * transit + 0.01,
                    faulty=faulty, mode_rules=mode_rules)
@@ -201,9 +192,8 @@ class TraceValidator:
     Violations accumulate in :attr:`violations`.
     """
 
-    def __init__(self,
-                 config: Optional[SanitizerConfig] = None) -> None:
-        self.config = config or SanitizerConfig()
+    def __init__(self, config: SanitizerConfig) -> None:
+        self.config = config
         self.violations: List[Violation] = []
         self._flows: Dict[Tuple[Tuple[str, int], Tuple[str, int]],
                           _Flow] = {}
@@ -340,9 +330,9 @@ class TraceValidator:
 
             if payload_len:
                 # -- Nagle: never two outstanding small segments -------
-                if not is_retransmission and flow.initiator is not None \
-                        and (config.nagle_client if d.initiator
-                             else config.nagle_server):
+                if config.nagle_server and not d.initiator \
+                        and not is_retransmission \
+                        and flow.initiator is not None:
                     outstanding = [e for e in d.small_ends
                                    if e > d.snd_una]
                     if payload_len < config.mss:
@@ -464,8 +454,7 @@ class TraceValidator:
 
 
 def validate_rows(rows: Iterable[Row],
-                  config: Optional[SanitizerConfig] = None
-                  ) -> List[Violation]:
+                  config: SanitizerConfig) -> List[Violation]:
     """Replay ``rows`` in capture order, then run the end-of-trace
     checks (stamped with the last row's time); returns every
     violation."""

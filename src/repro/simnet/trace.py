@@ -20,37 +20,26 @@ from the columns; :attr:`TraceCollector.records` synthesizes
 :class:`PacketRecord` objects on demand (memoized until the row count
 changes) for tests and ``format_trace``.
 
-The trace text format has one owner: :meth:`PacketRecord.format`
-writes a line of it, and :func:`parse_trace_text` reads lines back
-into rows (the golden fixtures, ``lint --sanitize-traces``).
+The trace text format has one owner, :meth:`PacketRecord.format`; the
+simulator never reads it back.  The golden fixtures under
+``tests/simnet/fixtures`` are ``format_trace`` output, and their cells
+are re-run and checked live rather than parsed.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import re
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..perf import PerfCounters
 from .link import Link
 from .packet import HEADER_BYTES, Segment
 
-__all__ = ["PacketRecord", "TraceSummary", "TraceCollector", "Row",
-           "parse_trace_text"]
+__all__ = ["PacketRecord", "TraceSummary", "TraceCollector", "Row"]
 
 #: One captured segment: ``(time, src, sport, dst, dport, flags, seq,
 #: ack, payload_len)``, ``flags`` in tcpdump letters (``"PA"``).
 Row = Tuple[float, str, int, str, int, str, int, int, int]
-
-#: One line of :meth:`PacketRecord.format` output, e.g.::
-#:
-#:     0.090648 zorch.w3.org:32768 > www26.w3.org:80 [PA] seq=1 ack=1 len=97
-_TRACE_LINE = re.compile(
-    r"^\s*(?P<time>[0-9.]+)\s+"
-    r"(?P<src>\S+):(?P<sport>\d+)\s+>\s+"
-    r"(?P<dst>\S+):(?P<dport>\d+)\s+"
-    r"\[(?P<flags>[SFRPA.]+)\]\s+"
-    r"seq=(?P<seq>\d+)\s+ack=(?P<ack>\d+)\s+len=(?P<len>\d+)\s*$")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -251,26 +240,3 @@ class TraceCollector:
         start = self._times[0] if self._times else 0.0
         return "\n".join(r.format(start) for r in records)
 
-
-def parse_trace_text(text: str) -> List[Row]:
-    """Parse ``format_trace`` output / golden fixture text into rows.
-
-    Blank lines are skipped; any other line that is not a trace line,
-    or a text with no trace line at all, raises :class:`ValueError`.
-    """
-    rows = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        match = _TRACE_LINE.match(line)
-        if match is None:
-            raise ValueError(f"line {lineno}: not a trace line: "
-                             f"{line!r}")
-        rows.append((float(match.group("time")),
-                     match.group("src"), int(match.group("sport")),
-                     match.group("dst"), int(match.group("dport")),
-                     match.group("flags"), int(match.group("seq")),
-                     int(match.group("ack")), int(match.group("len"))))
-    if not rows:
-        raise ValueError("no trace line")
-    return rows

@@ -12,8 +12,9 @@ from repro.http.framing import (F_CANCEL, F_DATA, F_END_STREAM, F_HEADERS,
                                 INITIAL_STREAM_WINDOW, encode_window_update,
                                 FRAME_HEADER_SIZE)
 from repro.core.transport import FrameStreamValidator, ModeTraceRules
-from repro.simnet.checks import SanitizerConfig, validate_rows
-from repro.simnet.trace import parse_trace_text
+from repro.simnet.checks import validate_rows
+
+from ..simnet.trace_rows import parse_trace_text, wan_config
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] \
     / "simnet" / "fixtures"
@@ -128,40 +129,39 @@ def _golden(name):
 
 
 def test_mux_trace_satisfies_the_single_connection_rule():
-    config = SanitizerConfig(mode_rules=ModeTraceRules(connections=1))
+    config = wan_config(mode_rules=ModeTraceRules(connections=1))
     assert validate_rows(_golden("golden_mux_wan.trace"), config) == []
 
 
 def test_sharded_trace_satisfies_its_port_contract():
-    config = SanitizerConfig(
-        mode_rules=ModeTraceRules(required_ports=(80, 81, 82, 83),
-                                  max_handshakes_per_port=2))
+    config = wan_config(8, mode_rules=ModeTraceRules(
+        required_ports=(80, 81, 82, 83), max_handshakes_per_port=2))
     assert validate_rows(_golden("golden_sharded-x4_wan.trace"),
                          config) == []
 
 
 def test_mode_rules_reject_too_few_connections():
-    config = SanitizerConfig(mode_rules=ModeTraceRules(connections=2))
+    config = wan_config(mode_rules=ModeTraceRules(connections=2))
     violations = validate_rows(_golden("golden_mux_wan.trace"), config)
     assert "mode-rules" in rules_of(violations)
 
 
 def test_mode_rules_reject_too_many_connections():
-    config = SanitizerConfig(mode_rules=ModeTraceRules(connections=4))
+    config = wan_config(mode_rules=ModeTraceRules(connections=4))
     violations = validate_rows(
         _golden("golden_sharded-x4_wan.trace"), config)
     assert "mode-rules" in rules_of(violations)
 
 
 def test_mode_rules_reject_a_missing_origin_port():
-    config = SanitizerConfig(
+    config = wan_config(
         mode_rules=ModeTraceRules(required_ports=(8080,)))
     violations = validate_rows(_golden("golden_mux_wan.trace"), config)
     assert "mode-rules" in rules_of(violations)
 
 
 def test_mode_rules_reject_a_busted_handshake_budget():
-    config = SanitizerConfig(
+    config = wan_config(
         mode_rules=ModeTraceRules(max_handshakes_per_port=1))
     violations = validate_rows(
         _golden("golden_sharded-x4_wan.trace"), config)
@@ -172,6 +172,6 @@ def test_faulty_run_config_drops_the_mode_rules():
     rows = _golden("golden_sharded-x4_wan.trace")
     rules = ModeTraceRules(connections=1)
     assert "mode-rules" in rules_of(
-        validate_rows(rows, SanitizerConfig(mode_rules=rules)))
+        validate_rows(rows, wan_config(mode_rules=rules)))
     assert "mode-rules" not in rules_of(
-        validate_rows(rows, SanitizerConfig(faulty=True, mode_rules=rules)))
+        validate_rows(rows, wan_config(faulty=True, mode_rules=rules)))

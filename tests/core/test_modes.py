@@ -35,8 +35,7 @@ MODE_TABLE = {
     "HTTP/MUX": (MuxTransport(), {}),
     "HTTP/MUX Push": (MuxTransport(server_push=True), {}),
     "HTTP/1.1 Sharded x4": (
-        ShardedTransport(shards=4, connections_per_shard=2),
-        dict(max_connections=8, shards=4)),
+        ShardedTransport(), dict(max_connections=8, shards=4)),
 }
 
 

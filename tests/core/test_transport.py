@@ -1,5 +1,6 @@
 """The Transport strategy surface behind every protocol mode."""
 
+from repro.client.robot import CONNECTIONS_PER_SHARD, SHARDS
 from repro.core.modes import (HTTP10_MODE, HTTP11_PERSISTENT,
                               HTTP11_PIPELINED, HTTP11_SHARDED, HTTP_MUX,
                               HTTP_MUX_PUSH, MODERN_MODES)
@@ -22,7 +23,8 @@ def test_every_mode_carries_a_transport():
 def test_transports_compare_by_value():
     assert MuxTransport() == MuxTransport()
     assert MuxTransport() != MuxTransport(server_push=True)
-    assert ShardedTransport(shards=4) == ShardedTransport(shards=4)
+    assert ShardedTransport() == ShardedTransport()
+    assert ShardedTransport() != Transport()
 
 
 def test_mux_and_push_flags():
@@ -58,8 +60,9 @@ def test_sharded_trace_rules_name_every_origin_port():
     transport = HTTP11_SHARDED.transport
     rules = transport.trace_rules(HTTP11_SHARDED.client_config())
     assert rules.required_ports == tuple(
-        DEFAULT_PORT + shard for shard in range(transport.shards))
-    assert rules.max_handshakes_per_port == transport.connections_per_shard
+        DEFAULT_PORT + shard for shard in range(SHARDS))
+    assert rules.required_ports == transport.ports() == (80, 81, 82, 83)
+    assert rules.max_handshakes_per_port == CONNECTIONS_PER_SHARD == 2
 
 
 # ----------------------------------------------------------------------
@@ -67,9 +70,8 @@ def test_sharded_trace_rules_name_every_origin_port():
 # ----------------------------------------------------------------------
 def test_sharded_client_config_spreads_connections():
     config = HTTP11_SHARDED.client_config()
-    assert config.shards == 4
-    assert config.connections_per_shard == 2
-    assert config.max_connections == 8
+    assert config.shards == SHARDS == 4
+    assert config.max_connections == SHARDS * CONNECTIONS_PER_SHARD == 8
 
 
 def test_modern_modes_roster():

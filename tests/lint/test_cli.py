@@ -1,4 +1,4 @@
-"""The ``python -m repro lint`` verb: exit codes, JSON, trace mode."""
+"""The ``python -m repro lint`` verb: exit codes and JSON."""
 
 import json
 import pathlib
@@ -10,9 +10,6 @@ from repro.lint import LintConfig
 
 REPO = pathlib.Path(__file__).resolve().parents[2]
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
-GOLDEN_DIR = REPO / "tests" / "simnet" / "fixtures"
-#: One small clean module: the trace tests need a lint path, not a tree.
-SMALL_MODULE = str(REPO / "src" / "repro" / "lint" / "findings.py")
 
 
 @pytest.mark.usefixtures("src_graph")
@@ -47,55 +44,7 @@ def test_json_output_structure(capsys):
     assert payload["clean"] is False
     assert payload["finding_count"] == 1
     assert payload["findings"][0]["rule"] == "wall-clock"
-    assert payload["traces"] == {}
-
-
-def test_sanitize_traces_golden(capsys):
-    traces = sorted(GOLDEN_DIR.glob("*.trace"))
-    code = main(["lint", SMALL_MODULE,
-                 "--sanitize-traces"] + [str(t) for t in traces])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert out.count(": clean") == len(traces)
-
-
-def test_fixture_rules_come_from_the_mode_registry():
-    from repro.core.modes import HTTP11_SHARDED, HTTP_MUX
-    from repro.lint.cli import _config_for_fixture
-    from repro.simnet.checks import SanitizerConfig, validate_rows
-    from repro.simnet.trace import parse_trace_text
-    for token, mode in (("sharded-x4", HTTP11_SHARDED), ("mux", HTTP_MUX)):
-        config = _config_for_fixture(f"golden_{token}_wan.trace")
-        assert config.mode_rules == mode.transport.trace_rules(
-            mode.client_config())
-    # Eight connections sharing the bottleneck widen the transit bound.
-    assert (_config_for_fixture("golden_sharded-x4_wan.trace").transit_bound
-            > _config_for_fixture("golden_mux_wan.trace").transit_bound)
-    # Tokens that name no registered mode keep the generic config.
-    for name in ("golden_http10-4conn_wan.trace", "capture.trace"):
-        assert _config_for_fixture(name) == SanitizerConfig()
-    # A fault-injected capture validates as a faulty run: the lossy
-    # fixture holds an RST and still replays clean.
-    lossy = parse_trace_text(
-        next(GOLDEN_DIR.glob("lossy_*.trace")).read_text(encoding="utf-8"))
-    assert any("R" in row[5] for row in lossy)
-    assert validate_rows(lossy,
-                         _config_for_fixture("lossy_x_wan.trace")) == []
-
-
-def test_sanitize_traces_rejects_corrupt(tmp_path, capsys):
-    golden = sorted(GOLDEN_DIR.glob("*.trace"))[0]
-    lines = golden.read_text(encoding="utf-8").strip().splitlines()
-    lines[0], lines[1] = lines[1], lines[0]
-    corrupt = tmp_path / "corrupt.trace"
-    corrupt.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    code = main(["lint", SMALL_MODULE,
-                 "--json", "--sanitize-traces", str(corrupt)])
-    assert code == 1
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["violation_count"] > 0
-    rules = {v["rule"] for v in payload["traces"][str(corrupt)]}
-    assert "handshake-order" in rules
+    assert set(payload) == {"findings", "finding_count", "clean"}
 
 
 DEEP_FIXTURES = FIXTURES / "deep"
@@ -117,7 +66,8 @@ def test_deep_src_exits_clean(capsys, monkeypatch):
 
 
 def test_removed_flags_are_usage_errors(capsys):
-    for flag in ("--baseline", "--write-baseline", "--hot-path"):
+    for flag in ("--baseline", "--write-baseline", "--hot-path",
+                 "--sanitize-traces"):
         with pytest.raises(SystemExit) as exc:
             main(["lint", "--deep", flag, "x"])
         assert exc.value.code == 2
@@ -179,21 +129,3 @@ def test_single_file_lints(capsys, deep):
     assert code == (1 if deep else 0)
     assert ("[rng-seed-origin]" in out) == bool(deep)
 
-
-@pytest.mark.parametrize("text", ["", " \n\t\n"], ids=["empty", "blank"])
-def test_empty_trace_is_usage_error(tmp_path, capsys, text):
-    empty = tmp_path / "empty.trace"
-    empty.write_text(text, encoding="utf-8")
-    code = main(["lint", SMALL_MODULE, "--sanitize-traces", str(empty)])
-    assert code == 2
-    captured = capsys.readouterr()
-    assert "clean" not in captured.out
-    assert captured.err.startswith("lint: ")
-
-
-def test_unparsable_trace_is_usage_error(tmp_path, capsys):
-    bogus = tmp_path / "bogus.trace"
-    bogus.write_text("garbage\n", encoding="utf-8")
-    code = main(["lint", SMALL_MODULE,
-                 "--sanitize-traces", str(bogus)])
-    assert code == 2

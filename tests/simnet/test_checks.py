@@ -1,4 +1,7 @@
-"""The unit-end TCP protocol check: golden traces, mutations, live units."""
+"""The unit-end TCP protocol check: golden traces, mutations, live units.
+
+Each committed trace is checked here as frozen bytes, under the config
+its cell derives; ``test_golden_traces.py`` re-runs the cells checked."""
 
 import os
 import pathlib
@@ -7,15 +10,36 @@ import sys
 
 import pytest
 
-from repro.core import run_experiment
+from repro.core import resolve_mode, run_experiment
 from repro.matrix import ExperimentSpec
-from repro.simnet.checks import (InvariantViolationError, SanitizerConfig,
-                                 validate_rows)
-from repro.simnet.trace import parse_trace_text
+from repro.simnet.checks import InvariantViolationError, validate_rows
+
+from .trace_rows import parse_trace_text, wan_config
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "fixtures"
 GOLDEN_TRACES = sorted(GOLDEN_DIR.glob("golden_*.trace"))
 LOSSY_TRACES = sorted(GOLDEN_DIR.glob("lossy_*.trace"))
+
+#: The mode of the cell (WAN, Apache, seed 0, first-time) each fixture
+#: was captured from.
+FIXTURE_MODES = {
+    "golden_http10-4conn_wan": "HTTP/1.0",
+    "golden_persistent_wan": "HTTP/1.1",
+    "golden_pipelined_wan": "HTTP/1.1 Pipelined",
+    "golden_pipelined-deflate_wan": "HTTP/1.1 Pipelined w. compression",
+    "golden_mux_wan": "HTTP/MUX",
+    "golden_mux-push_wan": "HTTP/MUX Push",
+    "golden_sharded-x4_wan": "HTTP/1.1 Sharded x4",
+    "lossy_flaky-server_wan": "HTTP/1.1 Pipelined",
+}
+
+
+def _cell_config(trace, faulty=False):
+    """The config the runner derives for the cell ``trace`` came from."""
+    mode = resolve_mode(FIXTURE_MODES[trace.stem])
+    config = mode.client_config()
+    return wan_config(config.max_connections, faulty=faulty,
+                      mode_rules=mode.transport.trace_rules(config))
 
 
 # ----------------------------------------------------------------------
@@ -30,7 +54,7 @@ def test_golden_fixtures_exist():
                          ids=lambda p: p.stem)
 def test_golden_trace_validates_clean(trace):
     text = trace.read_text(encoding="utf-8")
-    violations = validate_rows(parse_trace_text(text), SanitizerConfig())
+    violations = validate_rows(parse_trace_text(text), _cell_config(trace))
     assert violations == []
 
 
@@ -38,7 +62,7 @@ def test_parse_trace_round_trip():
     text = GOLDEN_TRACES[0].read_text(encoding="utf-8")
     records = parse_trace_text(text)
     assert len(records) == len(text.strip().splitlines())
-    assert validate_rows(records, SanitizerConfig()) == []
+    assert validate_rows(records, _cell_config(GOLDEN_TRACES[0])) == []
 
 
 # ----------------------------------------------------------------------
@@ -49,7 +73,7 @@ def _golden_lines():
         .strip().splitlines()
 
 
-def _rules_for(lines, config=SanitizerConfig()):
+def _rules_for(lines, config=wan_config()):
     violations = validate_rows(parse_trace_text("\n".join(lines) + "\n"),
                                config)
     return {v.rule for v in violations}
@@ -135,22 +159,23 @@ def test_lossy_fixture_exists():
 def test_lossy_trace_validates_under_relaxed_config(trace):
     text = trace.read_text(encoding="utf-8")
     violations = validate_rows(parse_trace_text(text),
-                               SanitizerConfig(faulty=True))
+                               _cell_config(trace, faulty=True))
     assert violations == []
 
 
 @pytest.mark.parametrize("trace", LOSSY_TRACES, ids=lambda p: p.stem)
 def test_lossy_trace_rejected_under_strict_config(trace):
-    """The relaxed config is load-bearing: the same capture trips the
-    clean-run invariants (server aborts show up as RSTs)."""
+    """The relaxed config is load-bearing: the capture its live cell
+    checks clean as a faulty run trips the clean-run invariants (server
+    aborts show up as RSTs)."""
     text = trace.read_text(encoding="utf-8")
-    violations = validate_rows(parse_trace_text(text), SanitizerConfig())
+    violations = validate_rows(parse_trace_text(text), wan_config())
     assert any(v.rule == "rst" for v in violations)
 
 
 def test_for_faulty_run_relaxes_only_fault_rules():
-    strict = SanitizerConfig()
-    relaxed = SanitizerConfig(faulty=True)
+    strict = wan_config()
+    relaxed = wan_config(faulty=True)
     # An RST is accepted.
     reset = _golden_lines()
     reset.insert(reset.index(_CLIENT_FIN),
@@ -163,7 +188,7 @@ def test_for_faulty_run_relaxes_only_fault_rules():
     assert "half-close" in _rules_for(truncated, strict)
     assert "half-close" not in _rules_for(truncated, relaxed)
     # The delayed-ACK budget grows by 1.0 s, and no more: the server
-    # acks 1.3 s after the data (budget 0.8 s strict, 1.8 s relaxed),
+    # acks 1.3 s after the data (budget 0.73 s strict, 1.73 s relaxed),
     # then 2.0 s after it.
     data = (0.3, "a", 1, "b", 2, "PA", 1, 1, 100)
 
@@ -176,16 +201,17 @@ def test_for_faulty_run_relaxes_only_fault_rules():
     assert "delayed-ack" in acked_after(2.0, relaxed)
     # Structural invariants stay armed: Nagle at the same MSS.
     mss = strict.mss
-    assert "nagle" in _nagle_rules([(0.3, "a", 1, "b", 2, "PA", 1, 1, 100),
-                                    (0.31, "a", 1, "b", 2, "PA", 101, 1,
+    assert "nagle" in _nagle_rules([(0.3, "b", 2, "a", 1, "PA", 1, 1, 100),
+                                    (0.31, "b", 2, "a", 1, "PA", 101, 1,
                                      100)], faulty=True)
     assert "nagle" not in _nagle_rules([
-        (0.2 + step / 100.0, "a", 1, "b", 2, "A", 1 + step * mss, 1, mss)
+        (0.2 + step / 100.0, "b", 2, "a", 1, "A", 1 + step * mss, 1, mss)
         for step in range(3)], faulty=True)
 
 
 # ----------------------------------------------------------------------
-# Nagle invariant
+# Nagle invariant: checked on the responder's (server's) segments, the
+# one direction a run can leave Nagle on
 # ----------------------------------------------------------------------
 _HANDSHAKE = [(0.0, "a", 1, "b", 2, "S", 0, 0, 0),
               (0.1, "b", 2, "a", 1, "SA", 0, 1, 0),
@@ -193,21 +219,21 @@ _HANDSHAKE = [(0.0, "a", 1, "b", 2, "S", 0, 0, 0),
 
 
 def _nagle_rules(segments, faulty=False):
-    config = SanitizerConfig(nagle_client=True, faulty=faulty)
+    config = wan_config(nagle_server=True, faulty=faulty)
     return {v.rule for v in validate_rows(_HANDSHAKE + segments, config)}
 
 
 def test_two_outstanding_smalls_flagged_when_nagle_enabled():
     # Two back-to-back sub-MSS segments with nothing acked between.
-    assert "nagle" in _nagle_rules([(0.3, "a", 1, "b", 2, "PA", 1, 1, 100),
-                                    (0.31, "a", 1, "b", 2, "PA", 101, 1,
+    assert "nagle" in _nagle_rules([(0.3, "b", 2, "a", 1, "PA", 1, 1, 100),
+                                    (0.31, "b", 2, "a", 1, "PA", 101, 1,
                                      100)])
 
 
 def test_full_sized_segments_never_trip_nagle():
-    mss = SanitizerConfig().mss
+    mss = wan_config().mss
     assert "nagle" not in _nagle_rules([
-        (0.2 + step / 100.0, "a", 1, "b", 2, "A", 1 + step * mss, 1, mss)
+        (0.2 + step / 100.0, "b", 2, "a", 1, "A", 1 + step * mss, 1, mss)
         for step in range(3)])
 
 
@@ -287,8 +313,8 @@ def test_validator_reports_structured_violations():
     lines = text.strip().splitlines()
     lines[0], lines[1] = lines[1], lines[0]
     violations = validate_rows(parse_trace_text("\n".join(lines) + "\n"),
-                               SanitizerConfig())
+                               wan_config())
     assert violations
-    payload = violations[0].to_dict()
-    assert {"time", "flow", "rule", "message"} <= set(payload)
-    assert "[" in violations[0].format()
+    first = violations[0]
+    assert first.rule == "handshake-order" and first.flow and first.message
+    assert f"[{first.rule}]" in first.format()

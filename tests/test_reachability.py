@@ -53,6 +53,7 @@ import ast
 import collections
 import functools
 import pathlib
+import sys
 
 from repro.lint.graph import build_graph, terminal_name
 
@@ -110,6 +111,36 @@ def test_only_lint_imports_repro_lint():
         and _imports_lint(info))
     assert importers == [], (
         f"modules outside repro.lint that import it: {importers}")
+
+
+def test_lint_imports_only_lint():
+    """The other direction: every import under ``repro/lint/`` — at
+    module level or in a function — names a ``repro.lint`` module or
+    the standard library.  The TCP protocol check is simulator code, so
+    the static lint neither reads traces nor reaches into the
+    simulator."""
+    outside = []
+    for name, info in sorted(_graph("src/repro").items()):
+        if name.split(".")[0] != "lint":
+            continue
+        for node in ast.walk(info.tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                # ``repro/lint/`` is flat: one dot stays inside it.
+                targets = ([] if node.level == 1
+                           else ["." * node.level + (node.module or "")])
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                targets = [
+                    module for module in
+                    ([alias.name for alias in node.names]
+                     if isinstance(node, ast.Import) else [node.module])
+                    if module.split(".")[0] not in sys.stdlib_module_names
+                    and module.split(".")[:2] != ["repro", "lint"]]
+            else:
+                continue
+            outside += [f"{name}:{node.lineno} {target}"
+                        for target in targets]
+    assert outside == [], (
+        f"repro.lint imports from outside itself: {outside}")
 
 
 def test_every_module_backs_a_verb_or_a_benchmark():
