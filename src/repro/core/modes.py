@@ -23,25 +23,25 @@ HTTP/1.1 Sharded x4            content hashed over 4 origins, 2
                                redundant connections each
 =============================  =====================================
 
-Each mode registers once through
-:func:`repro.core.registry.register_mode`, which is how it appears in
-``resolve_mode``, the matrix engine, the chaos planner and the report
-tables.
+The modes are a table, not a registry: :data:`MODE_TABLE` lists each
+mode once, in the order the tables print them, with its aliases and
+the environments where it is a row of the paper's tables, and
+:mod:`repro.core.registry` derives ``resolve_mode``, ``MODES`` and
+``modes_for_environment`` from it.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Mapping
+from typing import Any, Mapping, Tuple
 
 from ..client.robot import ClientConfig
 from ..http import HTTP10
 from .transport import MuxTransport, ShardedTransport, Transport
-from .registry import register_mode
 
 __all__ = ["ProtocolMode", "HTTP10_MODE", "HTTP11_PERSISTENT",
            "HTTP11_PIPELINED", "HTTP11_PIPELINED_COMPRESSED", "HTTP_MUX",
-           "HTTP_MUX_PUSH", "HTTP11_SHARDED", "MODERN_MODES",
+           "HTTP_MUX_PUSH", "HTTP11_SHARDED", "MODE_TABLE",
            "initial_tuning_client_config"]
 
 
@@ -136,20 +136,18 @@ HTTP_MUX_PUSH = ProtocolMode("HTTP/MUX Push", MuxTransport(server_push=True))
 #: ``CONNECTIONS_PER_SHARD`` redundant connections to each.
 HTTP11_SHARDED = ProtocolMode("HTTP/1.1 Sharded x4", ShardedTransport())
 
-#: The post-paper modes (ROADMAP item 1).
-MODERN_MODES = (HTTP_MUX, HTTP_MUX_PUSH, HTTP11_SHARDED)
-
-register_mode(HTTP10_MODE, aliases=("http/1.0", "1.0"),
-              paper_environments=("LAN", "WAN"))
-register_mode(HTTP11_PERSISTENT,
-              aliases=("http/1.1", "1.1", "persistent"),
-              paper_environments=("LAN", "WAN", "PPP"))
-register_mode(HTTP11_PIPELINED, aliases=("pipelined",),
-              paper_environments=("LAN", "WAN", "PPP"))
-register_mode(HTTP11_PIPELINED_COMPRESSED,
-              aliases=("compressed",),
-              paper_environments=("LAN", "WAN", "PPP"))
-register_mode(HTTP_MUX, aliases=("mux",))
-register_mode(HTTP_MUX_PUSH, aliases=("mux-push", "push"))
-register_mode(HTTP11_SHARDED, aliases=("sharded", "sharded-x4"))
-
+#: Every mode, in the order the tables print them: (mode, the lower-case
+#: aliases ``resolve_mode`` accepts besides its name, the environments
+#: where it is a row of the paper's Tables 4–9 — none for the post-paper
+#: modes).
+MODE_TABLE: Tuple[Tuple[ProtocolMode, Tuple[str, ...], Tuple[str, ...]],
+                  ...] = (
+    (HTTP10_MODE, ("http/1.0", "1.0"), ("LAN", "WAN")),
+    (HTTP11_PERSISTENT, ("http/1.1", "1.1", "persistent"),
+     ("LAN", "WAN", "PPP")),
+    (HTTP11_PIPELINED, ("pipelined",), ("LAN", "WAN", "PPP")),
+    (HTTP11_PIPELINED_COMPRESSED, ("compressed",), ("LAN", "WAN", "PPP")),
+    (HTTP_MUX, ("mux",), ()),
+    (HTTP_MUX_PUSH, ("mux-push", "push"), ()),
+    (HTTP11_SHARDED, ("sharded", "sharded-x4"), ()),
+)

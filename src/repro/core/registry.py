@@ -6,12 +6,11 @@ claims ledger — resolves through these four functions, so "pipelined",
 "WAN" and "Apache" mean the same objects everywhere.  Each resolver
 accepts either the already-resolved object (returned unchanged) or a
 name; names are matched case-insensitively, with the common shorthands
-registered as aliases.
+as aliases.
 
-Modes are *registered*, not enumerated: each mode in
-:mod:`repro.core.modes` calls :func:`register_mode` once, and from then
-on appears in :func:`resolve_mode`, the matrix engine, the chaos
-planner, the sanitizer and the report tables.
+The modes are one table, :data:`repro.core.modes.MODE_TABLE`: a row
+there is how a mode appears in :func:`resolve_mode`, the matrix engine,
+the chaos planner, the sanitizer and the report tables.
 
 Unknown names raise :class:`UnknownNameError` whose message lists the
 accepted spellings (and the closest match, when one is close enough);
@@ -21,7 +20,7 @@ the CLI prints it verbatim.
 from __future__ import annotations
 
 import difflib
-from typing import Dict, Iterable, Tuple, Union
+from typing import Dict, Tuple, Union
 
 from ..client.robot import FIRST_TIME, REVALIDATE
 from ..server.profiles import (APACHE, APACHE_12B2, APACHE_IW1, APACHE_IW4,
@@ -30,12 +29,13 @@ from ..server.profiles import (APACHE, APACHE_12B2, APACHE_IW1, APACHE_IW4,
                                ServerProfile)
 from ..simnet.link import (ENVIRONMENTS, WAN_DROPTAIL, WAN_LOSSY,
                            NetworkEnvironment)
+from .modes import MODE_TABLE, ProtocolMode
 
 __all__ = [
     "UnknownNameError",
     "MODES", "MODE_ALIASES", "PROFILES", "ENVIRONMENTS_BY_NAME",
     "SCENARIOS_BY_NAME", "TABLE_CELLS",
-    "register_mode", "modes_for_environment",
+    "modes_for_environment",
     "resolve_mode", "resolve_environment", "resolve_profile",
     "resolve_scenario",
 ]
@@ -45,15 +45,13 @@ class UnknownNameError(ValueError):
     """A name that no registry entry answers to."""
 
 
-#: Canonical mode name (as the tables print it) → mode.  Live registry:
-#: entries appear via :func:`register_mode`, in registration order.
-MODES: Dict[str, "ProtocolMode"] = {}
+#: Canonical mode name (as the tables print it) → mode, in table order.
+MODES: Dict[str, ProtocolMode] = {
+    mode.name: mode for mode, _, _ in MODE_TABLE}
 
 #: Shorthand → canonical mode name.
-MODE_ALIASES: Dict[str, str] = {}
-
-#: Mode name → environments where it is a row of the paper's tables.
-_PAPER_ENVIRONMENTS: Dict[str, Tuple[str, ...]] = {}
+MODE_ALIASES: Dict[str, str] = {
+    alias: mode.name for mode, aliases, _ in MODE_TABLE for alias in aliases}
 
 #: Profile name → server profile (the two paper servers + ablations).
 PROFILES: Dict[str, ServerProfile] = {
@@ -85,52 +83,18 @@ TABLE_CELLS: Dict[int, Tuple[str, str]] = {
 }
 
 
-def register_mode(mode: "ProtocolMode", *,
-                  aliases: Iterable[str] = (),
-                  paper_environments: Iterable[str] = ()
-                  ) -> "ProtocolMode":
-    """Register a protocol mode under its canonical name.
-
-    Parameters
-    ----------
-    mode:
-        The :class:`~repro.core.modes.ProtocolMode` to register; every
-        registered mode runs in every environment.
-    aliases:
-        Extra (case-insensitive) spellings ``resolve_mode`` accepts.
-    paper_environments:
-        Environments where the mode is a row of the paper's Tables 4–9
-        (empty for post-paper modes).
-
-    Returns the mode, so registration can wrap construction.
-    """
-    from .modes import ProtocolMode
-    if not isinstance(mode, ProtocolMode):
-        raise TypeError(f"register_mode wants a ProtocolMode, "
-                        f"got {type(mode).__name__}")
-    if mode.name in MODES:
-        raise ValueError(f"mode {mode.name!r} is already registered")
-    MODES[mode.name] = mode
-    _PAPER_ENVIRONMENTS[mode.name] = tuple(
-        str(env).upper() for env in paper_environments)
-    for alias in aliases:
-        MODE_ALIASES[str(alias).lower()] = mode.name
-    return mode
-
-
 def modes_for_environment(environment: Union[str, NetworkEnvironment], *,
                           paper_only: bool = False
-                          ) -> Tuple["ProtocolMode", ...]:
-    """Registered modes that run in ``environment`` — every one — in
-    registration order.
+                          ) -> Tuple[ProtocolMode, ...]:
+    """Modes that run in ``environment`` — every one — in table order.
 
     With ``paper_only`` the answer is restricted to the rows of the
     paper's tables for that environment (Tables 8–9 omit HTTP/1.0 on
     PPP).
     """
     env = resolve_environment(environment).name
-    return tuple(mode for name, mode in MODES.items()
-                 if not paper_only or env in _PAPER_ENVIRONMENTS[name])
+    return tuple(mode for mode, _, paper in MODE_TABLE
+                 if not paper_only or env in paper)
 
 
 def _unknown(kind: str, value: object, choices) -> UnknownNameError:
@@ -147,9 +111,8 @@ def _unknown(kind: str, value: object, choices) -> UnknownNameError:
                             f"(choose from: {listed})")
 
 
-def resolve_mode(value: Union[str, "ProtocolMode"]) -> "ProtocolMode":
+def resolve_mode(value: Union[str, ProtocolMode]) -> ProtocolMode:
     """Resolve a protocol mode by object, canonical name, or alias."""
-    from .modes import ProtocolMode
     if isinstance(value, ProtocolMode):
         return value
     if value in MODES:
@@ -194,9 +157,3 @@ def resolve_scenario(value: str) -> str:
         raise _unknown("scenario", value, SCENARIOS_BY_NAME)
     return scenario
 
-
-# The built-in modes live in .modes and self-register on import; pull
-# them in here so ``registry.MODES`` is populated no matter which of
-# the two modules is imported first.  (Must stay the last statement:
-# everything register_mode needs is defined above.)
-from . import modes as _builtin_modes  # noqa: E402,F401  (self-registers)

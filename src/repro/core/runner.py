@@ -164,7 +164,7 @@ class UnitFailure:
     #: worker process died mid-chunk).
     kind: str
     #: ``ExceptionType: message`` for exception failures, else a short
-    #: description of what the supervisor observed.
+    #: description of what the matrix runner observed.
     error: str
     #: First 12 hex digits of the SHA-256 of the formatted traceback
     #: ("" when there was no Python-level exception).  Stable across

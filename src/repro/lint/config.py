@@ -6,9 +6,9 @@ in two deliberately narrow forms:
 * **per-module allowlists** — a rule id mapped to path fragments; a
   finding in any file whose (posix-normalized) path contains one of
   the fragments is dropped.  This is for *designed* exemptions, and
-  there are two: the matrix runner and its supervisor read the real
-  clock because measuring wall time is their job (``wall-clock``),
-  and the matrix runner starts the one set of worker processes
+  there are two, both the matrix runner: it reads the real clock
+  because timing units and holding workers to deadlines is its job
+  (``wall-clock``), and it starts the one set of worker processes
   (``pool-outside-matrix``).
 * **inline pragmas** — a ``repro-lint: allow(rule-id)`` comment on the
   offending line (or the line directly above) waives the named rules
@@ -78,22 +78,19 @@ class LintConfig:
                    for fragment in self.hot_path_modules)
 
 
-#: The repository's own configuration: the matrix runner and its
-#: supervisor measure wall time by design; the per-packet/per-event
-#: object modules of the simulator are the designated ``__slots__``
-#: hot path.
+#: The repository's own configuration: the matrix runner measures wall
+#: time by design; the per-packet/per-event object modules of the
+#: simulator are the designated ``__slots__`` hot path.
 DEFAULT_CONFIG = LintConfig(
     allowlist={
-        # Wall-clock reads are these modules' purpose: they time real
-        # work (per-unit wall time).  Everything else must go through
-        # an injected clock or sim.now.
-        "wall-clock": ("repro/matrix/runner.py",
-                       # The supervisor's whole job is wall-clock
-                       # deadlines on real worker processes.
-                       "repro/matrix/supervisor.py"),
+        # Wall-clock reads are the runner's purpose: it times real work
+        # (per-unit wall time) and holds real worker processes to
+        # wall-clock deadlines.  Everything else must go through an
+        # injected clock or sim.now.
+        "wall-clock": ("repro/matrix/runner.py",),
         # The one module that starts worker processes: MatrixRunner's
-        # persistent, warmed workers, which the supervisor feeds chunks
-        # and replaces one at a time.  Ad-hoc workers elsewhere would
+        # persistent, warmed workers, which it feeds chunks and
+        # replaces one at a time.  Ad-hoc workers elsewhere would
         # skip the site warm-up, chunked dispatch and supervision.
         "pool-outside-matrix": ("repro/matrix/runner.py",),
     },
@@ -110,11 +107,10 @@ DEFAULT_CONFIG = LintConfig(
         # The fault injector runs once per delivered segment.
         "faults/injector.py",
         # The artifact store sits on every encode path; the runner's
-        # pool machinery is touched once per dispatch chunk.
+        # worker machinery is touched once per dispatch chunk and on
+        # every wake-up of its wait on the busy workers.
         "content/artifacts.py",
         "matrix/runner.py",
-        # The supervisor polls in-flight chunks at 20 Hz.
-        "matrix/supervisor.py",
         # The MUX client's per-stream/per-connection state is allocated
         # on every stream open and touched on every frame delivery.
         "client/mux.py",

@@ -15,41 +15,28 @@ x 2-servers grid (times five seeds per cell) into data::
   through the same :mod:`repro.core.registry` the CLI uses.
 * :class:`MatrixRunner` — fans (cell, seed) units over persistent
   worker processes with a bit-identical serial fallback, per-cell
-  wall-time stats and a progress callback.
+  wall-time stats and a progress callback, and supervises them:
+  per-unit deadlines, a hung or dead worker replaced alone, capped
+  retries and :class:`~repro.core.runner.UnitFailure` quarantine.
 * :class:`ResultCache` — content-addressed JSON store under
   ``.repro-cache/``; a second ``python -m repro report --cache``
   simulates nothing.
-* :class:`~repro.matrix.supervisor.Supervisor` — supervised parallel
-  execution: per-unit deadlines, a hung or dead worker replaced alone,
-  capped retries and :class:`~repro.core.runner.UnitFailure`
-  quarantine.
 * :class:`RunJournal` — the result cache of one run, quarantine
   verdicts included, under ``<cache dir>/runs/<RUN_ID>/``;
   ``--journal [RUN_ID]`` records a run into it and replays it
   byte-identically.
 """
 
-from ..core.registry import (MODE_ALIASES, MODES, PROFILES, TABLE_CELLS,
-                             UnknownNameError, resolve_environment,
-                             resolve_mode, resolve_profile,
-                             resolve_scenario)
-from ..core.runner import UnitFailure
 from .cache import DEFAULT_CACHE_DIR, ResultCache, unit_key
 from .journal import RunJournal
 from .runner import CellEvent, MatrixRunner, MatrixStats, run_unit
 from .spec import (DEFAULT_SEEDS, ExperimentMatrix, ExperimentSpec,
                    client_config_overrides)
-from .supervisor import DEADLINE_GRACE, DEFAULT_RETRY_BUDGET, Supervisor
 
 __all__ = [
-    "MODE_ALIASES", "MODES", "PROFILES", "TABLE_CELLS",
-    "UnknownNameError", "resolve_environment", "resolve_mode",
-    "resolve_profile", "resolve_scenario",
     "DEFAULT_CACHE_DIR", "ResultCache", "unit_key",
     "RunJournal",
     "CellEvent", "MatrixRunner", "MatrixStats", "run_unit",
-    "DEADLINE_GRACE", "DEFAULT_RETRY_BUDGET", "Supervisor",
-    "UnitFailure",
     "DEFAULT_SEEDS", "ExperimentMatrix", "ExperimentSpec",
     "client_config_overrides",
 ]

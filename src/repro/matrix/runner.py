@@ -33,46 +33,94 @@ byte totals, failure/retry/respawn counters) and emits a
 :class:`CellEvent` to an optional progress callback as each unit
 resolves.
 
-Robustness: parallel execution is driven by
-:class:`~repro.matrix.supervisor.Supervisor` — per-unit wall-clock
-deadlines, dead/hung-worker detection, the replacement of that one
-worker and a capped retry ladder (parallel retry → serial in-parent
-retry → quarantine).  Quarantined units surface as structured
-:class:`~repro.core.runner.UnitFailure` records on the cell's
-:class:`~repro.core.runner.AveragedResult` instead of aborting the
-grid, and an optional :class:`~repro.matrix.journal.RunJournal`
+Robustness: parallel execution is supervised.  A bare worker-pool
+drain has two failure modes fatal to long grids: a worker killed
+mid-chunk (OOM killer, segfault) wedges it forever, and a single
+raising unit aborts the whole batch.  The runner keeps one chunk in
+flight per worker:
+
+* a chunk's **wall-clock deadline** starts when an idle worker gets it
+  (``unit_deadline``, or :data:`DEADLINE_GRACE` × the spec's
+  ``max_sim_time``, summed over its units), so no chunk spends its
+  budget queued behind another;
+* the runner waits on the busy workers' pipes and process sentinels
+  until the nearest deadline, and collects a reply that has arrived
+  before it judges a deadline;
+* a deadline, a death or an unreadable reply **kills and replaces that
+  one worker**: no other worker loses its chunk, no lock is shared
+  between workers, and only the lost chunk is charged against the
+  retry budget (:data:`DEFAULT_RETRY_BUDGET`);
+* failures walk the robot's **downgrade ladder**: parallel retry →
+  serial in-parent retry → quarantine.  Only exception failures reach
+  the serial rung — a unit that hangs or kills its worker would do the
+  same to the parent;
+* a quarantined unit becomes a :class:`~repro.core.runner.UnitFailure`
+  on its cell's :class:`~repro.core.runner.AveragedResult`, so sibling
+  units and cells complete normally.
+
+A unit's computation does not depend on where or how often it ran, so
+a grid that survives a worker kill is byte-identical to an undisturbed
+serial run, and an optional :class:`~repro.matrix.journal.RunJournal`
 records every resolved unit so an interrupted grid resumes
-byte-identically.
+byte-identically.  Every attempt, in a worker or in the parent, looks
+:func:`run_unit` up at call time, so that one function is where a test
+stands in a unit that raises, hangs or kills its worker.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import gc
 import math
 import multiprocessing
+import operator
 import os
+import pickle
 import time
 from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple)
 
+from .. import memo
+from ..content import artifacts
 from ..core.runner import AveragedResult, UnitFailure, warm_default_site
 from .cache import ResultCache, unit_key
 from .journal import RunJournal
 from .spec import ExperimentSpec
-from .supervisor import Supervisor, _attempt, _serve, process_counters
 
-__all__ = ["CellEvent", "MatrixStats", "MatrixRunner", "run_unit"]
+__all__ = ["CellEvent", "MatrixStats", "MatrixRunner", "run_unit",
+           "DEADLINE_GRACE", "DEFAULT_RETRY_BUDGET", "process_counters"]
 
 #: Progress callback signature.
 ProgressCallback = Callable[["CellEvent"], None]
 
-#: A unit in flight: (slot index, spec, seed).
-_Unit = Tuple[int, ExperimentSpec, int]
+#: A unit in flight: (slot index, spec, seed, attempt).
+_Unit = Tuple[int, ExperimentSpec, int, int]
+
+#: A resolved unit: (slot index, outcome, wall seconds); the outcome is
+#: a stripped RunResult or a UnitFailure.
+_Outcome = Tuple[int, object, float]
 
 #: Target dispatch chunks per worker per run_many call.  Cells vary 50x
 #: in cost (LAN revalidate vs PPP first-time), so several chunks per
 #: worker keep the tail balanced while still batching IPC.
 _CHUNKS_PER_WORKER = 4
+
+#: Parallel re-dispatches allowed per unit after its first failure
+#: (the serial in-parent rung comes after these, for exception
+#: failures only).
+DEFAULT_RETRY_BUDGET = 2
+
+#: Without an explicit ``unit_deadline``, a unit's wall-clock budget is
+#: this fraction of its spec's ``max_sim_time``.  Simulated seconds run
+#: orders of magnitude faster than wall seconds, so the default (300 s
+#: of wall time for the default 1200 s simulation horizon) is a hang
+#: backstop, not a performance target.
+DEADLINE_GRACE = 0.25
+
+#: What a quarantined machine fault's UnitFailure says, by its kind.
+_FAULTS = {"deadline": "unit wall-clock deadline expired",
+           "worker-lost": "worker process died, or its reply was "
+                          "unreadable, mid-chunk"}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -82,8 +130,8 @@ class CellEvent:
     spec: ExperimentSpec
     seed: int
     #: ``"hit"`` (served from cache or journal), ``"run"`` (simulated),
-    #: ``"retried"`` (a failed attempt re-dispatched by the supervisor;
-    #: does not advance ``completed``) or ``"failed"`` (quarantined as
+    #: ``"retried"`` (a failed attempt re-dispatched; does not advance
+    #: ``completed``) or ``"failed"`` (quarantined as
     #: a :class:`~repro.core.runner.UnitFailure`).
     status: str
     #: Wall-clock seconds spent simulating (0.0 for cache hits).
@@ -147,7 +195,7 @@ class MatrixStats:
 
     def count(self, moved: Sequence[int]) -> None:
         """Add one chunk's, serial unit's or warm-up's
-        :func:`~repro.matrix.supervisor.process_counters` delta."""
+        :func:`process_counters` delta."""
         hits, misses, builds, clears, collected = moved
         self.artifact_hits += hits
         self.artifact_misses += misses
@@ -177,18 +225,77 @@ def run_unit(spec: ExperimentSpec, seed: int) -> Tuple[object, float]:
     (:meth:`ExperimentSpec.execute_unit
     <repro.matrix.spec.ExperimentSpec.execute_unit>`), a fleet cohort or
     a render timeline — runs through its own ``execute_unit(seed)``; the
-    runner, supervisor, cache and journal treat the result opaquely via
-    its registered codec.
+    runner, cache and journal treat the result opaquely via its
+    registered codec.
     """
     start = time.perf_counter()
     result = spec.execute_unit(seed)
     return result, time.perf_counter() - start
 
 
+def process_counters(since: Sequence[int] = (0, 0, 0, 0, 0)
+                     ) -> Tuple[int, ...]:
+    """This process's (artifact hits, artifact misses, memo builds,
+    memo clears, objects the cycle collector freed) so far, less
+    ``since``.  They depend on what the process ran before (a worker
+    starts cold, the serial path warms up), so they travel beside the
+    results as a delta per chunk or unit, never inside a result, a
+    cache payload or a digest."""
+    store = artifacts.get_store().stats
+    now = (store.hits, store.misses, *memo.totals(),
+           sum(generation["collected"] for generation in gc.get_stats()))
+    return tuple(map(operator.sub, now, since))
+
+
+def _attempt(count, index: int, spec: ExperimentSpec, seed: int,
+             attempt: int) -> _Outcome:
+    """The one way to run a unit: in a worker process, or in the parent
+    — where ``jobs=1`` execution starts (attempt 1) and exception
+    failures that spent their parallel budget end, the ladder's final
+    rung.
+
+    A raising unit becomes a :class:`UnitFailure` instead of
+    propagating (in a worker that would lose the whole chunk; the
+    parent's ladder decides what is next, and in the parent itself the
+    failure is the quarantine verdict).  ``count`` receives the
+    :func:`process_counters` delta in a ``finally``, so a consumer that
+    stops iterating cannot lose it.
+    """
+    before = process_counters()
+    try:
+        result, wall = run_unit(spec, seed)
+        return (index, result, wall)
+    except Exception as exc:
+        return (index, UnitFailure.from_exception(
+            spec.label, seed, exc, attempts=attempt), 0.0)
+    finally:
+        count(process_counters(before))
+
+
+def _serve(conn, inherited) -> None:
+    """A worker process's one loop: warm the default site, then run
+    each chunk the parent sends and send back its outcomes with their
+    summed counter delta, until the parent closes the pipe.
+    ``inherited`` are the parent's pipe ends the fork copied in, closed
+    first so the parent's close is an EOF here.  A reply that does not
+    pickle ends the worker: a lost one."""
+    for end in inherited:
+        end.close()
+    warm_default_site()
+    while True:
+        try:
+            units = pickle.loads(conn.recv_bytes())
+        except EOFError:
+            return
+        moved: List[Tuple[int, ...]] = []
+        outcomes = [_attempt(moved.append, *unit) for unit in units]
+        conn.send((outcomes, tuple(map(sum, zip(*moved)))))
+
+
 class _Worker:
-    """One worker process, running :func:`~repro.matrix.supervisor._serve`,
-    the parent's end of its duplex pipe, and the chunk it runs (``units``,
-    None when idle) with that chunk's wall-clock deadline."""
+    """One worker process, running :func:`_serve`, the parent's end of
+    its duplex pipe, and the chunk it runs (``units``, None when idle)
+    with that chunk's wall-clock deadline."""
 
     __slots__ = ("process", "conn", "units", "deadline")
 
@@ -226,14 +333,12 @@ class MatrixRunner:
         resumes byte-identically.
     unit_deadline:
         Wall-clock seconds one unit may run in a worker before the
-        supervisor declares it hung.  ``None`` derives the budget from
-        each spec's ``max_sim_time``
-        (× :data:`~repro.matrix.supervisor.DEADLINE_GRACE`).  It is a
+        runner declares it hung.  ``None`` derives the budget from each
+        spec's ``max_sim_time`` (× :data:`DEADLINE_GRACE`).  It is a
         property of the host, not of the spec: a slower machine needs
         more wall time for the same unit.
 
-    A failing unit gets
-    :data:`~repro.matrix.supervisor.DEFAULT_RETRY_BUDGET` parallel
+    A failing unit gets :data:`DEFAULT_RETRY_BUDGET` parallel
     re-dispatches before it is downgraded (serial retry for exceptions,
     quarantine for deadline / lost-worker faults).
 
@@ -242,7 +347,7 @@ class MatrixRunner:
     """
 
     __slots__ = ("jobs", "cache", "progress", "stats", "journal",
-                 "unit_deadline", "_workers", "_progress")
+                 "unit_deadline", "_workers")
 
     def __init__(self, jobs: Optional[int] = 1, *,
                  cache: Optional[ResultCache] = None,
@@ -258,14 +363,13 @@ class MatrixRunner:
         self.unit_deadline = unit_deadline
         self.stats = MatrixStats()
         self._workers: List[_Worker] = []
-        self._progress = (0, 0)
 
     # ------------------------------------------------------------------
     # Worker lifecycle
     # ------------------------------------------------------------------
     def _ensure_workers(self) -> List["_Worker"]:
         """The persistent workers, started (and warmed) up to ``jobs``:
-        on first use, and to replace one the supervisor retired."""
+        on first use, and to replace one that was retired."""
         if len(self._workers) < self.jobs:
             # Build before forking: fork-start workers inherit the site
             # copy-on-write instead of each building their own, and a
@@ -360,8 +464,14 @@ class MatrixRunner:
             else:
                 self._emit(spec, seed, "hit", 0.0, completed, total)
 
-        self._progress = (completed, total)
-        for batch in self._execute(units, pending):
+        def retried(spec, seed, attempt: int) -> None:
+            # A failed attempt re-dispatched: reported at the count of
+            # units resolved so far (``completed`` as it is now).
+            self.stats.unit_retries += 1
+            self._emit(spec, seed, "retried", 0.0, completed, total,
+                       attempt=attempt)
+
+        for batch in self._execute(units, pending, retried):
             if self.cache is not None:
                 self.cache.put_many(
                     (*units[index], outcome, keys[index])
@@ -382,7 +492,6 @@ class MatrixRunner:
                     self.stats.sim_runs += 1
                     self.stats.unit_wall_times[keys[index]] = wall
                     self._emit(spec, seed, "run", wall, completed, total)
-                self._progress = (completed, total)
 
         self.stats.specs += len(specs)
         self.stats.units += total
@@ -400,17 +509,18 @@ class MatrixRunner:
         return averaged
 
     # ------------------------------------------------------------------
-    # Execution strategies
+    # Execution: serial, or supervised on the workers
     # ------------------------------------------------------------------
-    def _execute(self, units, pending
-                 ) -> Iterator[List[Tuple[int, object, float]]]:
-        """Yield batches of (index, outcome, wall) covering ``pending``.
+    def _execute(self, units, pending, retried
+                 ) -> Iterator[List[_Outcome]]:
+        """Yield batches of (index, outcome, wall) covering ``pending``,
+        every index exactly once; ``retried(spec, seed, attempt)``
+        reports each re-dispatch.
 
         Outcomes are stripped :class:`RunResult` objects or quarantined
         :class:`UnitFailure` records.  Serial execution yields one
         single-unit batch at a time (cache writes stay incremental);
-        parallel execution delegates to the supervisor, which yields one
-        batch per resolved dispatch chunk.
+        parallel execution yields one batch per resolved chunk.
         """
         if not pending:
             return
@@ -419,15 +529,121 @@ class MatrixRunner:
                 spec, seed = units[index]
                 yield [_attempt(self.stats.count, index, spec, seed, 1)]
             return
-        payload = [(index, units[index][0], units[index][1])
-                   for index in pending]
-        yield from Supervisor(self).execute(payload)
+        size = math.ceil(len(pending) / (self.jobs * _CHUNKS_PER_WORKER))
+        # The chunks waiting for a worker.
+        queued: List[List[_Unit]] = [
+            [(index, *units[index], 1)
+             for index in pending[start:start + size]]
+            for start in range(0, len(pending), size)]
+        try:
+            self._fill(queued)
+            while self._busy():
+                batches = self._reap(queued, retried)
+                self._fill(queued)
+                yield from filter(None, batches)
+        finally:
+            # Abandoned mid-batch: a late reply must never answer a
+            # later call's chunk, so a busy worker goes.
+            for worker in self._busy():
+                self._retire(worker)
 
-    def _chunked(self, payload: List[_Unit]) -> Iterator[List[_Unit]]:
-        """Split the pending units into dispatch chunks."""
-        size = math.ceil(len(payload) / (self.jobs * _CHUNKS_PER_WORKER))
-        for start in range(0, len(payload), size):
-            yield payload[start:start + size]
+    def _busy(self) -> List[_Worker]:
+        return [w for w in self._workers if w.units is not None]
+
+    def _fill(self, queued: List[List[_Unit]]) -> None:
+        """Hand queued chunks to idle workers; each deadline starts now."""
+        for worker in self._ensure_workers():
+            if not queued:
+                return
+            if worker.units is not None:
+                continue
+            worker.units = units = queued.pop(0)
+            worker.deadline = time.monotonic() + sum(
+                self._deadline_for(spec) for _, spec, _, _ in units)
+            payload = pickle.dumps(units, pickle.HIGHEST_PROTOCOL)
+            self.stats.ipc_batches += 1
+            self.stats.bytes_pickled += len(payload)
+            try:
+                worker.conn.send_bytes(payload)
+            except OSError:
+                pass    # it died idle: _reap finds its pipe at EOF
+
+    def _deadline_for(self, spec: ExperimentSpec) -> float:
+        if self.unit_deadline is not None:
+            return float(self.unit_deadline)
+        return DEADLINE_GRACE * spec.max_sim_time
+
+    def _reap(self, queued: List[List[_Unit]], retried
+              ) -> List[List[_Outcome]]:
+        """Wait until a busy worker replies, dies or overruns its
+        deadline, then resolve each such chunk into one batch.
+
+        A reply that has arrived is collected before its deadline is
+        judged.  A worker whose pipe is at end of file, whose reply
+        does not unpickle, that has exited, or that is past its
+        deadline is killed and replaced, and only its chunk is charged.
+        """
+        # Loaded on first use: a serial run never pays for the import.
+        from multiprocessing.connection import wait
+        busy = self._busy()
+        wait([handle for w in busy for handle in (w.conn, w.process.sentinel)],
+             max(0.0, min(w.deadline for w in busy) - time.monotonic()))
+        now = time.monotonic()
+        batches: List[List[_Outcome]] = []
+        for worker in busy:
+            units = {unit[0]: unit for unit in worker.units}
+            if worker.conn.poll():
+                try:
+                    results, moved = worker.conn.recv()
+                except Exception:
+                    fault = "worker-lost"
+                else:
+                    worker.units = None
+                    self.stats.count(moved)
+                    batches.append([
+                        self._downgrade(units[index], None, queued, retried)
+                        if isinstance(outcome, UnitFailure)
+                        else (index, outcome, wall)
+                        for index, outcome, wall in results])
+                    continue
+            elif worker.process.exitcode is not None:
+                fault = "worker-lost"
+            elif now > worker.deadline:
+                fault = "deadline"
+            else:
+                continue
+            self._retire(worker)
+            self.stats.worker_respawns += 1
+            batches.append([self._downgrade(unit, fault, queued, retried)
+                            for unit in units.values()])
+        return [[outcome for outcome in batch if outcome is not None]
+                for batch in batches]
+
+    def _downgrade(self, unit: _Unit, fault: Optional[str],
+                   queued: List[List[_Unit]], retried
+                   ) -> Optional[_Outcome]:
+        """One failed attempt's next rung of the ladder.
+
+        While the parallel budget lasts the unit is re-dispatched as a
+        singleton chunk (isolation keeps a repeat offender from taking
+        fresh neighbours down with it), and None says it resolves in a
+        later batch.  After it, a raising unit (``fault`` None) runs in
+        the parent, and a machine ``fault`` (a key of :data:`_FAULTS`)
+        is quarantined: a unit that hangs or kills its worker would do
+        the same to the parent.
+        """
+        index, spec, seed, attempt = unit
+        if attempt > DEFAULT_RETRY_BUDGET and fault is not None:
+            return (index, UnitFailure(
+                label=spec.label, seed=seed, kind=fault,
+                error=_FAULTS[fault], traceback_digest="",
+                attempts=attempt), 0.0)
+        retried(spec, seed, attempt + 1)
+        if attempt > DEFAULT_RETRY_BUDGET:
+            return _attempt(self.stats.count, index, spec, seed,
+                            attempt + 1)
+        queued.append([(index, spec, seed, attempt + 1)])
+        return None
 
     def _emit(self, spec, seed, status, wall, completed, total, *,
               attempt: int = 1) -> None:
@@ -435,10 +651,3 @@ class MatrixRunner:
             self.progress(CellEvent(spec=spec, seed=seed, status=status,
                                     wall_time=wall, completed=completed,
                                     total=total, attempt=attempt))
-
-    def _emit_retry(self, spec, seed, attempt: int) -> None:
-        """Report a supervised re-dispatch (called by the supervisor)."""
-        self.stats.unit_retries += 1
-        completed, total = self._progress
-        self._emit(spec, seed, "retried", 0.0, completed, total,
-                   attempt=attempt)

@@ -142,7 +142,7 @@ class ExperimentSpec:
     own constants, the same for every cell.
     """
 
-    #: The runner's simulated-time limit, which the supervisor's
+    #: The runner's simulated-time limit, which the matrix runner's
     #: wall-clock deadline scales from.
     max_sim_time: ClassVar[float] = MAX_SIM_TIME
 

@@ -3,7 +3,7 @@
 from repro.client.robot import CONNECTIONS_PER_SHARD, SHARDS
 from repro.core.modes import (HTTP10_MODE, HTTP11_PERSISTENT,
                               HTTP11_PIPELINED, HTTP11_SHARDED, HTTP_MUX,
-                              HTTP_MUX_PUSH, MODERN_MODES)
+                              HTTP_MUX_PUSH, MODE_TABLE)
 from repro.core.transport import (DEFAULT_PORT, ModeTraceRules,
                                   MuxTransport, ShardedTransport, Transport)
 from repro.http import HTTP10
@@ -75,5 +75,6 @@ def test_sharded_client_config_spreads_connections():
 
 
 def test_modern_modes_roster():
-    assert [mode.name for mode in MODERN_MODES] == [
+    # The post-paper modes are the ones that are no paper table row.
+    assert [mode.name for mode, _, paper in MODE_TABLE if not paper] == [
         "HTTP/MUX", "HTTP/MUX Push", "HTTP/1.1 Sharded x4"]

@@ -211,7 +211,7 @@ def test_gc_collected_is_what_only_the_cycle_collector_freed():
     clean unit adds none — tests/test_object_lifetime.py)."""
     import gc
     from repro.matrix.runner import MatrixStats
-    from repro.matrix.supervisor import process_counters
+    from repro.matrix.runner import process_counters
     gc.collect()
     before = process_counters()
     for _ in range(500):

@@ -4,13 +4,31 @@ import pytest
 
 from repro.core import (HTTP10_MODE, HTTP11_PIPELINED, FIRST_TIME,
                         REVALIDATE)
+from repro.core import modes
 from repro.core.registry import (ENVIRONMENTS_BY_NAME, MODES, PROFILES,
                                  TABLE_CELLS, UnknownNameError,
-                                 modes_for_environment, register_mode,
-                                 resolve_environment, resolve_mode,
-                                 resolve_profile, resolve_scenario)
+                                 modes_for_environment, resolve_environment,
+                                 resolve_mode, resolve_profile,
+                                 resolve_scenario)
 from repro.server import APACHE
 from repro.simnet import ENVIRONMENTS, WAN
+
+
+#: Every mode's spellings, by its ``repro.core.modes`` constant, in the
+#: order the tables print the modes.
+SPELLINGS = {
+    "HTTP10_MODE": ("HTTP/1.0", "http/1.0", "1.0"),
+    "HTTP11_PERSISTENT": ("HTTP/1.1", "http/1.1", "1.1", "persistent"),
+    "HTTP11_PIPELINED": ("HTTP/1.1 Pipelined", "pipelined"),
+    "HTTP11_PIPELINED_COMPRESSED": ("HTTP/1.1 Pipelined w. compression",
+                                    "compressed"),
+    "HTTP_MUX": ("HTTP/MUX", "mux"),
+    "HTTP_MUX_PUSH": ("HTTP/MUX Push", "mux-push", "push"),
+    "HTTP11_SHARDED": ("HTTP/1.1 Sharded x4", "sharded", "sharded-x4"),
+}
+
+#: Every mode name, in table order.
+EVERY_MODE = [names[0] for names in SPELLINGS.values()]
 
 
 def test_canonical_names_resolve():
@@ -28,6 +46,10 @@ def test_aliases_and_case_insensitivity():
     assert resolve_environment("wan") is WAN
     assert resolve_scenario("reval") == REVALIDATE
     assert resolve_scenario("Revalidate") == REVALIDATE
+    for constant, names in SPELLINGS.items():
+        for name in names:
+            for spelling in (name, name.upper(), name.lower()):
+                assert resolve_mode(spelling) is getattr(modes, constant)
 
 
 def test_objects_pass_through_unchanged():
@@ -75,52 +97,6 @@ def test_registry_maps_are_canonical():
         assert resolve_environment(name.lower()).name == name
 
 
-# ----------------------------------------------------------------------
-# Registration (register_mode and friends)
-# ----------------------------------------------------------------------
-def _unregister(name, aliases):
-    from repro.core import registry
-    registry.MODES.pop(name, None)
-    registry._PAPER_ENVIRONMENTS.pop(name, None)
-    for alias in aliases:
-        registry.MODE_ALIASES.pop(alias, None)
-
-
-def test_register_mode_wires_a_new_mode_everywhere():
-    from repro.core.modes import ProtocolMode
-    mode = ProtocolMode("HTTP/TEST Gopher++")
-    try:
-        returned = register_mode(mode, aliases=("gopherpp",))
-        assert returned is mode
-        assert resolve_mode("gopherpp") is mode
-        assert resolve_mode("http/test gopher++") is mode
-        # Every registered mode runs in every environment ...
-        for environment in ENVIRONMENTS:
-            assert mode in modes_for_environment(environment)
-        # ... but it is no paper table row, so paper_only never shows it.
-        assert mode not in modes_for_environment("LAN", paper_only=True)
-    finally:
-        _unregister(mode.name, ("gopherpp",))
-
-
-def test_register_mode_rejects_duplicates():
-    from repro.core.modes import ProtocolMode
-    mode = ProtocolMode("HTTP/TEST Dup")
-    try:
-        register_mode(mode)
-        with pytest.raises(ValueError, match="already registered"):
-            register_mode(ProtocolMode("HTTP/TEST Dup",
-                                       client_fields=dict(pipeline=True)))
-        assert resolve_mode("HTTP/TEST Dup") is mode
-    finally:
-        _unregister("HTTP/TEST Dup", ())
-
-
-def test_register_mode_rejects_non_modes():
-    with pytest.raises(TypeError, match="ProtocolMode"):
-        register_mode("pipelined")
-
-
 def test_modes_for_environment_serves_the_paper_rows():
     ppp = modes_for_environment("PPP", paper_only=True)
     assert HTTP10_MODE not in ppp
@@ -128,12 +104,19 @@ def test_modes_for_environment_serves_the_paper_rows():
                                      "HTTP/1.1 Pipelined w. compression"]
     lan = modes_for_environment("LAN", paper_only=True)
     assert lan[0] is HTTP10_MODE
+    for environment in ("lan", "WAN"):
+        assert [m.name for m in modes_for_environment(
+            environment, paper_only=True)] == EVERY_MODE[:4]
 
 
 def test_modes_for_environment_includes_the_modern_modes():
     names = [m.name for m in modes_for_environment("WAN")]
     for expected in ("HTTP/MUX", "HTTP/MUX Push", "HTTP/1.1 Sharded x4"):
         assert expected in names
+    for environment in ("LAN", "WAN", "ppp"):
+        assert [m.name for m in modes_for_environment(environment)] \
+            == EVERY_MODE
+    assert list(MODES) == EVERY_MODE
 
 
 # ----------------------------------------------------------------------

@@ -8,8 +8,7 @@ import pytest
 from repro.core.runner import RESULT_FIELDS, UnitFailure
 from repro.matrix import ExperimentSpec, MatrixRunner
 from repro.matrix import runner as runner_mod
-from repro.matrix import supervisor
-from repro.matrix.supervisor import DEADLINE_GRACE, Supervisor
+from repro.matrix.runner import DEADLINE_GRACE
 
 from .test_matrix_runner import FAST, assert_results_identical
 
@@ -135,7 +134,7 @@ def test_poison_cell_walks_the_full_ladder_in_parallel(serial_baseline,
                                                       unit_faults,
                                                       monkeypatch):
     unit_faults.poison(*VICTIM)
-    monkeypatch.setattr(supervisor, "DEFAULT_RETRY_BUDGET", 1)
+    monkeypatch.setattr(runner_mod, "DEFAULT_RETRY_BUDGET", 1)
     events = []
     with MatrixRunner(jobs=2, progress=events.append,
                       unit_deadline=SAFE_DEADLINE) as runner:
@@ -187,7 +186,7 @@ def test_worker_only_exception_recovers_on_the_serial_rung(
         results = runner.run_many(specs())
         stats = runner.stats
     assert stats.failures == 0
-    assert stats.unit_retries == supervisor.DEFAULT_RETRY_BUDGET + 1
+    assert stats.unit_retries == runner_mod.DEFAULT_RETRY_BUDGET + 1
     assert stats.sim_runs == 6
     for got, want in zip(results, serial_baseline):
         assert_results_identical(got, want)
@@ -230,7 +229,7 @@ def test_units_queued_behind_a_hung_unit_keep_their_deadline(
     # A unit's deadline starts when a worker can run it.  Counted from
     # the moment its chunk was queued, the healthy units waiting behind
     # the first on the free worker would expire with the hung one.
-    monkeypatch.setattr(supervisor, "DEFAULT_RETRY_BUDGET", 0)
+    monkeypatch.setattr(runner_mod, "DEFAULT_RETRY_BUDGET", 0)
     unit_faults.hang_worker_once(*VICTIM)
     for spec in specs():
         for seed in spec.seeds:
@@ -285,9 +284,9 @@ def test_an_unreadable_reply_costs_its_worker(serial_baseline,
         stats = runner.stats
     (failure,) = results[0].failures
     assert (failure.seed, failure.kind) == (1, "worker-lost")
-    assert failure.attempts == supervisor.DEFAULT_RETRY_BUDGET + 1
-    assert stats.unit_retries == supervisor.DEFAULT_RETRY_BUDGET
-    assert stats.worker_respawns == supervisor.DEFAULT_RETRY_BUDGET + 1
+    assert failure.attempts == runner_mod.DEFAULT_RETRY_BUDGET + 1
+    assert stats.unit_retries == runner_mod.DEFAULT_RETRY_BUDGET
+    assert stats.worker_respawns == runner_mod.DEFAULT_RETRY_BUDGET + 1
     assert stats.failures == 1
     assert len(results[0].runs) == 2
     for got, want in zip(results[0].runs, serial_baseline[0].runs[::2]):
@@ -299,9 +298,9 @@ def test_an_unreadable_reply_costs_its_worker(serial_baseline,
 def test_deadline_defaults_derive_from_max_sim_time(monkeypatch):
     monkeypatch.setattr(ExperimentSpec, "max_sim_time", 100.0)
     spec = ExperimentSpec(**FAST)
-    derived = Supervisor(MatrixRunner(jobs=2))
+    derived = MatrixRunner(jobs=2)
     assert derived._deadline_for(spec) == DEADLINE_GRACE * 100.0
-    explicit = Supervisor(MatrixRunner(jobs=2, unit_deadline=7.5))
+    explicit = MatrixRunner(jobs=2, unit_deadline=7.5)
     assert explicit._deadline_for(spec) == 7.5
 
 
@@ -311,7 +310,7 @@ def test_deadline_defaults_derive_from_max_sim_time(monkeypatch):
 def test_close_handles_already_dead_workers(unit_faults, monkeypatch):
     # Half a chunk per worker: the whole grid is one chunk.
     monkeypatch.setattr(runner_mod, "_CHUNKS_PER_WORKER", 0.5)
-    monkeypatch.setattr(supervisor, "DEFAULT_RETRY_BUDGET", 0)
+    monkeypatch.setattr(runner_mod, "DEFAULT_RETRY_BUDGET", 0)
     unit_faults.kill_worker_once(specs()[0], 0)
     runner = MatrixRunner(jobs=2, unit_deadline=SAFE_DEADLINE)
     results = runner.run_many(specs())
@@ -390,7 +389,7 @@ def test_serial_artifact_delta_survives_early_generator_exit(
     runner = MatrixRunner(jobs=1)
     spec = ExperimentSpec(seeds=(0, 1, 2), **FAST)
     units = [(spec, seed) for seed in (0, 1, 2)]
-    gen = runner._execute(units, [0, 1, 2])
+    gen = runner._execute(units, [0, 1, 2], retried=None)
     next(gen)            # resolve one unit...
     gen.close()          # ...then abandon the generator
     assert runner.stats.artifact_misses == 3

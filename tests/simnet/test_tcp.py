@@ -9,7 +9,7 @@ import pytest
 
 from repro.simnet import (LAN, WAN, Segment, TcpConfig, TwoHostNetwork,
                           CLIENT_HOST, SERVER_HOST)
-from repro.simnet.tcp import RWND
+from repro.simnet.tcp import RWND, TcpConnection
 
 
 def make_net(environment=LAN, **kwargs):
@@ -296,6 +296,45 @@ def test_delayed_ack_fires_after_200ms_for_lone_segment():
                      if r.src == CLIENT_HOST and r.payload_len)
     late_acks = [a for a in acks if a.time >= data_time + 0.19]
     assert late_acks, "expected a delayed ACK ~200 ms after the data"
+
+
+@pytest.mark.parametrize("receiver,delack", [("client", 0.200),
+                                              ("server", 0.050)])
+def test_delayed_ack_leaves_at_the_next_fast_timer_tick(receiver, delack,
+                                                        monkeypatch):
+    # The BSD fast timer: a lone segment's ACK leaves at the next
+    # multiple of the receiver's period after the data arrives — no
+    # sooner and no later.  The server stack is built as the testbed
+    # builds it (the Solaris 50 ms timer); the client keeps the default.
+    net = make_net(WAN, server_config=TcpConfig(mss=WAN.mss,
+                                                delack_delay=0.050))
+    receiving, arrived, acked = [], [], []
+    real_ack = TcpConnection._send_pure_ack
+
+    def send_pure_ack(conn):
+        acked.append((conn, net.sim.now))
+        real_ack(conn)
+
+    def receive(conn):
+        receiving.append(conn)
+        conn.on_data = lambda c, d: arrived.append(net.sim.now)
+
+    monkeypatch.setattr(TcpConnection, "_send_pure_ack", send_pure_ack)
+    if receiver == "client":
+        def accept(conn):
+            conn.on_connect = lambda c: c.send(b"lone segment")
+        net.server.listen(80, accept)
+        receive(net.client.connect(SERVER_HOST, 80))
+    else:
+        net.server.listen(80, receive)
+        net.client.connect(SERVER_HOST, 80).send(b"lone segment")
+    net.run()
+    (conn,), (arrival,) = receiving, arrived
+    assert conn.config.delack_delay == delack
+    (ack,) = [now for sender, now in acked
+              if sender is conn and now >= arrival]
+    assert ack == pytest.approx((int(arrival / delack) + 1) * delack)
+    assert arrival < ack <= arrival + delack
 
 
 def test_every_second_segment_acked_immediately():
