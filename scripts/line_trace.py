@@ -10,6 +10,11 @@ ran.  An executable line is one a compiled code object of the module
 names (``co_lines``), so blank lines, comments and the inside of a
 multi-line string do not count.
 
+Every child runs in the run's own scratch directory (``{tmp}`` of the
+command list; paths into the checkout are written ``{repo}/...``), so
+what the checkout holds — a warm ``.repro-cache/artifacts`` above all —
+cannot change the table.
+
 This is an evidence tool, not a gate: a deletion quotes its
 before/after table.  It exits 0 whatever it finds; a command that
 exits non-zero is reported on stderr and its lines still count.
@@ -33,7 +38,8 @@ import tempfile
 import time
 from typing import Dict, Iterator, List, Set, Tuple
 
-REPO = pathlib.Path(__file__).resolve().parents[1]
+SCRIPT = pathlib.Path(__file__).resolve()
+REPO = SCRIPT.parents[1]
 SRC = REPO / "src" / "repro"
 DEFAULT_COMMANDS = REPO / "scripts" / "line_trace_commands.txt"
 
@@ -97,7 +103,8 @@ def _child(out_dir: str, kind: str, args: List[str]) -> None:
 def _commands(path: pathlib.Path, tmp: str
               ) -> Iterator[Tuple[Dict[str, str], str, List[str]]]:
     for raw in path.read_text(encoding="utf-8").splitlines():
-        words = shlex.split(raw.replace("{tmp}", tmp), comments=True)
+        words = shlex.split(raw.replace("{tmp}", tmp).replace(
+            "{repo}", str(REPO)), comments=True)
         env = {}
         while words and "=" in words[0]:
             name, _, value = words.pop(0).partition("=")
@@ -133,8 +140,8 @@ def _run(commands: pathlib.Path, listing: str) -> None:
             child_env = dict(os.environ, PYTHONPATH=str(REPO / "src"),
                              **env)
             status = subprocess.call(
-                [sys.executable, __file__, "--child", str(out_dir),
-                 kind, *args], cwd=REPO, env=child_env,
+                [sys.executable, str(SCRIPT), "--child", str(out_dir),
+                 kind, *args], cwd=tmp, env=child_env,
                 stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
             if status != 0:
                 print(f"line_trace: exit {status}: {kind} "

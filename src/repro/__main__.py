@@ -40,9 +40,9 @@ and share its flags (:mod:`repro.matrix.cli`): ``--jobs N`` (parallel
 worker processes), ``--cache`` (reuse results from ``.repro-cache/``)
 and ``--cache-dir PATH``.  The environment variable
 ``REPRO_ARTIFACT_CACHE=0`` disables the content-addressed encode memo
-under ``.repro-cache/artifacts/`` for every verb.  Host-time
-measurement is not a verb here: ``bash bench/run.sh`` is the repo's
-one benchmark.
+(its blobs are ``.repro-cache/artifacts/<key>.blob``) for every verb.
+Host-time measurement is not a verb here: ``bash bench/run.sh`` is the
+repo's one benchmark.
 
 Supervised execution (the same six verbs): a failing unit is retried
 a fixed number of times before it is quarantined,

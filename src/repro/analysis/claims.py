@@ -44,6 +44,7 @@ from ..http import (DELTA_IM_TOKEN, HTTP10, HTTP11, DeltaStreamDecoder,
 from ..matrix import ExperimentSpec, MatrixRunner
 from ..server import ResourceStore, SimHttpServer, build_response
 from ..server.proxy import PROXY_PORT, SimHttpProxy
+from ..simnet.link import PPP
 from ..simnet.network import ChainNetwork, PROXY_HOST, SERVER_HOST
 from .paperdata import CONTENT_NUMBERS
 from .report import (RENDER_STRATEGIES, RenderSpec, ablation_cell,
@@ -253,7 +254,7 @@ def _bandwidth_savings(cells):
         {"cell": _TABLES[9][PIPELINED, FIRST_TIME]})
 def _ppp_bandwidth(cells):
     cell = cells["cell"]
-    floor = cell.payload_bytes * 8.3 / 28_800
+    floor = cell.payload_bytes * PPP.bits_per_byte / PPP.bandwidth_bps
     for op, factor in ((">", 0.75), ("<", 1.35)):
         yield _ratio("pipelined first-time elapsed / payload time at "
                      "28.8 kbit/s", cell.elapsed, floor, op, factor)

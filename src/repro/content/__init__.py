@@ -11,12 +11,12 @@ Everything the paper's "Changing Web Content" experiments need:
   replacement generator,
 * :mod:`~repro.content.transform` — the batch conversion and
   replacement analyses behind the paper's content tables,
-* :mod:`~repro.content.artifacts` — the content-addressed artifact
-  store memoizing the expensive encodes across processes and runs.
+* :mod:`~repro.content.artifacts` — the artifact namespace of the one
+  content-addressed store (:mod:`repro.store`), memoizing the
+  expensive encodes across processes and runs.
 """
 
-from .artifacts import (ENCODER_VERSION, ArtifactStats, ArtifactStore,
-                        artifact_key)
+from .artifacts import ENCODER_VERSION, ArtifactStore, artifact_key
 from .css import (CssError, Declaration, ImageRole, REPLACEABLE_ROLES,
                   Replacement, Rule, Stylesheet, banner_replacement,
                   parse_css, replacement_for, shared_rule_bytes)
@@ -39,7 +39,7 @@ from .transform import (ConversionRecord, CssReplacementRecord,
                         encode_once)
 
 __all__ = [
-    "ENCODER_VERSION", "ArtifactStats", "ArtifactStore", "artifact_key",
+    "ENCODER_VERSION", "ArtifactStore", "artifact_key",
     "CssError", "Declaration", "ImageRole", "REPLACEABLE_ROLES",
     "Replacement", "Rule", "Stylesheet", "banner_replacement", "parse_css",
     "replacement_for", "shared_rule_bytes",

@@ -106,10 +106,10 @@ DEFAULT_CONFIG = LintConfig(
         "http/framing.py",
         # The fault injector runs once per delivered segment.
         "faults/injector.py",
-        # The artifact store sits on every encode path; the runner's
-        # worker machinery is touched once per dispatch chunk and on
-        # every wake-up of its wait on the busy workers.
-        "content/artifacts.py",
+        # The one store serves every memoized encode and cached unit;
+        # the runner's worker machinery is touched once per dispatch
+        # chunk and on every wake-up of its wait on the busy workers.
+        "repro/store.py",
         "matrix/runner.py",
         # The MUX client's per-stream/per-connection state is allocated
         # on every stream open and touched on every frame delivery.

@@ -18,13 +18,14 @@ x 2-servers grid (times five seeds per cell) into data::
   wall-time stats and a progress callback, and supervises them:
   per-unit deadlines, a hung or dead worker replaced alone, capped
   retries and :class:`~repro.core.runner.UnitFailure` quarantine.
-* :class:`ResultCache` — content-addressed JSON store under
+* :class:`ResultCache` — the result namespace of the one
+  content-addressed store (:mod:`repro.store`), JSON entries under
   ``.repro-cache/``; a second ``python -m repro report --cache``
   simulates nothing.
-* :class:`RunJournal` — the result cache of one run, quarantine
-  verdicts included, under ``<cache dir>/runs/<RUN_ID>/``;
-  ``--journal [RUN_ID]`` records a run into it and replays it
-  byte-identically.
+* :class:`RunJournal` — the journal namespace: the result cache of one
+  run, quarantine verdicts included, under
+  ``<cache dir>/runs/<RUN_ID>/``; ``--journal [RUN_ID]`` records a run
+  into it and replays it byte-identically.
 """
 
 from .cache import DEFAULT_CACHE_DIR, ResultCache, unit_key

@@ -1,22 +1,15 @@
 """Crash-safe run journals: resumable experiment grids.
 
-A :class:`RunJournal` is the result cache of one run: a
-:class:`~repro.matrix.cache.ResultCache` whose directory belongs to
-one run id and which also keeps the run's quarantine verdicts (a
-:class:`~repro.core.runner.UnitFailure` is the cache's ``failure``
-result kind).  It records every resolved unit, so an interrupted grid
-(ctrl-C at hour two, a machine reboot, an OOM-killed parent) resumes
-with ``--journal [RUN_ID]`` instead of starting over.  Replayed units
-decode byte-for-byte: a resumed run's
-:class:`~repro.core.runner.AveragedResult` numbers are identical to an
-uninterrupted run's.
-
-Layout: ``<cache dir>/runs/<run_id>/<unit_key>.json``, one cache entry
-per resolved unit, written and read (corrupt entries healed by
-deletion) exactly as the result cache's.  The unit key (spec canonical
-JSON + seed + package version, :func:`~repro.matrix.cache.unit_key`)
-guarantees a stale journal can never contaminate a changed experiment,
-so any number of runs of one workload can share a journal.
+A :class:`RunJournal` is the third namespace of the one store
+(:mod:`repro.store`): a :class:`~repro.matrix.cache.ResultCache` at
+``<cache dir>/runs/<run_id>/`` that also keeps the run's quarantine
+verdicts (the ``failure`` result kind).  It records every resolved
+unit, so an interrupted grid (ctrl-C, a reboot, an OOM-killed parent)
+resumes with ``--journal [RUN_ID]``, and replayed units decode
+byte-for-byte.  Entries are keyed by
+:func:`~repro.matrix.cache.unit_key`, so a stale journal never
+contaminates a changed experiment and runs of one workload can share
+one.
 """
 
 from __future__ import annotations
@@ -24,7 +17,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
-from .cache import ResultCache
+from .cache import ResultCache, decode_entry
 from .spec import ExperimentSpec
 
 __all__ = ["RunJournal"]
@@ -32,6 +25,8 @@ __all__ = ["RunJournal"]
 
 class RunJournal(ResultCache):
     """The result cache of one run, quarantine verdicts included."""
+
+    __slots__ = ("run_id",)
 
     def __init__(self, run_id: str, root: Union[str, Path]) -> None:
         super().__init__(Path(root) / run_id)
@@ -49,8 +44,8 @@ class RunJournal(ResultCache):
     def load(self) -> Dict[str, Any]:
         """Every readable entry's outcome, keyed by unit key."""
         outcomes: Dict[str, Any] = {}
-        for path in sorted(self.root.glob("*.json")):
-            outcome = self._read(path)
+        for key in self.sorted_keys():
+            outcome = self.read(key, decode_entry)
             if outcome is not None:
-                outcomes[path.stem] = outcome
+                outcomes[key] = outcome
         return outcomes

@@ -23,9 +23,9 @@ Three fixed costs are amortized instead of paid per unit or per call:
   (:mod:`repro.content.artifacts`) in O(read) when warm — so the first
   dispatched unit measures simulation, not site synthesis.
 * **Dispatch is chunked.**  Units travel in chunks of about
-  :data:`_CHUNKS_PER_WORKER` per worker (one pickle/IPC round-trip and
-  one batched :meth:`ResultCache.put_many` flush per chunk) instead of
-  one message per unit.
+  :data:`_CHUNKS_PER_WORKER` per worker (one pickle/IPC round-trip per
+  chunk) instead of one message per unit; the parent stores each
+  resolved unit as its chunk comes back.
 
 Observability: the runner accumulates :class:`MatrixStats` (per-cell
 wall time, cache and artifact hit/miss counters, IPC batch and pickled-
@@ -241,7 +241,7 @@ def process_counters(since: Sequence[int] = (0, 0, 0, 0, 0)
     starts cold, the serial path warms up), so they travel beside the
     results as a delta per chunk or unit, never inside a result, a
     cache payload or a digest."""
-    store = artifacts.get_store().stats
+    store = artifacts.get_store()
     now = (store.hits, store.misses, *memo.totals(),
            sum(generation["collected"] for generation in gc.get_stats()))
     return tuple(map(operator.sub, now, since))
@@ -472,11 +472,6 @@ class MatrixRunner:
                        attempt=attempt)
 
         for batch in self._execute(units, pending, retried):
-            if self.cache is not None:
-                self.cache.put_many(
-                    (*units[index], outcome, keys[index])
-                    for index, outcome, _ in batch
-                    if not isinstance(outcome, UnitFailure))
             for index, outcome, wall in batch:
                 spec, seed = units[index]
                 slots[index] = outcome
@@ -489,6 +484,8 @@ class MatrixRunner:
                     self._emit(spec, seed, "failed", wall, completed,
                                total, attempt=outcome.attempts)
                 else:
+                    if self.cache is not None:
+                        self.cache.put(spec, seed, outcome, key=keys[index])
                     self.stats.sim_runs += 1
                     self.stats.unit_wall_times[keys[index]] = wall
                     self._emit(spec, seed, "run", wall, completed, total)

@@ -6,6 +6,7 @@ ratchet, the parallel / serial / cached stdout identity and the check
 that ``report``'s tables and the table claims are the same cache units.
 """
 
+import ast
 import contextlib
 import dataclasses
 import io
@@ -28,6 +29,7 @@ from repro.analysis.claims import (CLAIMS, FAIL, PASS, UNMEASURED, CheckRow,
 from repro.analysis.report import RenderSpec, ablation_cell
 from repro.core import FIRST_TIME, TABLE_CELLS, RenderMetrics
 from repro.matrix import MatrixRunner, ResultCache, unit_key
+from repro.simnet.link import PPP, WAN
 
 REPO = pathlib.Path(__file__).resolve().parents[2]
 
@@ -188,7 +190,7 @@ def test_fail_and_unmeasured_rows_print_and_exit_1(run, monkeypatch,
     # cache, it is dispatched — and poisoned.
     cache = ResultCache(shutil.copytree(run[1], tmp_path / "cache"))
     first = next(iter(within_2x.specs.values()))
-    cache.path(first, first.seeds[0]).unlink()
+    cache.path(unit_key(first, first.seeds[0])).unlink()
     unit_faults.poison(first, first.seeds[0])
     monkeypatch.setattr("repro.__main__.make_runner",
                         lambda args: MatrixRunner(cache=cache))
@@ -256,3 +258,16 @@ def test_fidelity_skips_rows_the_paper_has_no_cell_for():
     rows = _rows(2.0) + [ComparisonRow("m", "extra",
                                        _measured(1.0, 1.0, 1.0), None)]
     assert fidelity(rows).cells == 2
+
+
+def test_claims_state_no_calibrated_link_value():
+    """A claim reads a calibrated line rate from its owner
+    (``simnet/link.py``), never as a literal: a literal would keep the
+    old value when the calibration moves."""
+    calibrated = {WAN.bandwidth_bps, PPP.bandwidth_bps, PPP.bits_per_byte}
+    tree = ast.parse(pathlib.Path(claims_module.__file__).read_text())
+    stated = [(node.lineno, node.value) for node in ast.walk(tree)
+              if isinstance(node, ast.Constant)
+              and type(node.value) in (int, float)
+              and node.value in calibrated]
+    assert stated == []

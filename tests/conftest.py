@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from repro.content import artifacts
 from repro.matrix import runner
 
 
@@ -122,3 +123,14 @@ class UnitFaults:
 def unit_faults(monkeypatch, tmp_path):
     """A :class:`UnitFaults` that is undone when the test ends."""
     return UnitFaults(monkeypatch, tmp_path)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def artifact_root(tmp_path_factory):
+    """The process-default artifact store, its blobs in a session temp
+    directory instead of the checkout's ``.repro-cache/artifacts``
+    (forked workers inherit it; a test that swaps the store in changes
+    into its own ``tmp_path`` first)."""
+    store = artifacts.get_store()
+    store.root = tmp_path_factory.mktemp("artifacts")
+    return store.root

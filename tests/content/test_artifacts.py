@@ -65,8 +65,8 @@ def test_memoize_calls_producer_once(store):
     assert store.memoize("b", {"x": 1}, 0, produce) == b"payload"
     assert store.memoize("b", {"x": 1}, 0, produce) == b"payload"
     assert len(calls) == 1
-    assert store.stats.misses == 1
-    assert store.stats.hits == 1
+    assert store.misses == 1
+    assert store.hits == 1
 
 
 def test_disk_round_trip_survives_new_store(root):
@@ -74,7 +74,7 @@ def test_disk_round_trip_survives_new_store(root):
     reopened = ArtifactStore()
     blob = reopened.memoize("b", {}, 0, lambda: b"WRONG")
     assert blob == b"persisted"
-    assert (reopened.stats.hits, reopened.stats.misses) == (1, 0)
+    assert (reopened.hits, reopened.misses) == (1, 0)
 
 
 def test_disabled_store_is_pure_pass_through(root):
@@ -83,26 +83,24 @@ def test_disabled_store_is_pure_pass_through(root):
     for _ in range(2):
         store.memoize("b", {}, 0, lambda: calls.append(1) or b"x")
     assert len(calls) == 2
-    assert len(store) == 0
+    assert len(store.sorted_keys()) == 0
     assert not root.exists()
 
 
-def test_lru_bound_is_respected(store, monkeypatch):
-    monkeypatch.setattr(artifacts, "_MEMORY_ENTRIES", 2)
-    for i in range(5):
-        store.memoize("b", {"i": i}, 0, lambda i=i: bytes([i]))
-    assert len(store._memory) == 2
-    assert len(store) == 5                 # the disk keeps every blob
+def test_blobs_are_flat_files_under_the_artifact_dir(store, root):
+    store.memoize("b", {"x": 1}, 0, lambda: b"payload")
+    key = artifact_key("b", {"x": 1}, 0)
+    assert [path.name for path in root.iterdir()] == [f"{key}.blob"]
+    assert (root / f"{key}.blob").read_bytes() == b"payload"
 
 
 def test_memoize_object_round_trips_and_heals_corruption(store):
     value = {"nested": [1, 2.5, "three"], "tuple": (4, 5)}
     first = store.memoize_object("obj", {}, 0, lambda: value)
     assert first == value
-    # Corrupt the blob on disk and drop the memory layer: the bad
-    # pickle must count as a miss and be overwritten, not raised.
+    # Corrupt the blob on disk: the bad pickle must count as a miss and
+    # be replaced, not raised.
     key = artifact_key("obj", {}, 0)
-    store._memory.clear()
     store.path(key).write_bytes(b"not a pickle")
     healed = store.memoize_object("obj", {}, 0, lambda: value)
     assert healed == value
@@ -110,15 +108,16 @@ def test_memoize_object_round_trips_and_heals_corruption(store):
     # One lookup, one count, across the heal: first (miss), corrupt
     # (a miss, not a hit *and* a miss), then a clean hit.
     assert store.memoize_object("obj", {}, 0, lambda: value) == value
-    assert (store.stats.hits, store.stats.misses) == (1, 2)
+    assert (store.hits, store.misses) == (1, 2)
 
 
 def test_clear_removes_blobs(store):
+    assert store.clear() == 0              # no directory yet
     for i in range(3):
         store.memoize("b", {"i": i}, 0, lambda: b"x")
-    assert len(store) == 3
+    assert len(store.sorted_keys()) == 3
     assert store.clear() == 3
-    assert len(store) == 0
+    assert len(store.sorted_keys()) == 0
 
 
 # ----------------------------------------------------------------------
@@ -128,17 +127,18 @@ def test_two_stores_share_one_directory(root):
     a, b = ArtifactStore(), ArtifactStore()
     a.memoize("b", {}, 0, lambda: b"from-a")
     assert b.memoize("b", {}, 0, lambda: b"WRONG") == b"from-a"
-    assert b.stats.hits == 1
+    assert b.hits == 1
 
 
 def test_racing_writers_leave_no_temp_debris(root):
-    """Interleaved put() on one key: last write wins, blob stays whole,
-    and every uniquely named temp file is consumed by os.replace."""
+    """Interleaved write() on one key: last write wins, blob stays
+    whole, and every uniquely named temp file is consumed by
+    os.replace."""
     a, b = ArtifactStore(), ArtifactStore()
     key = artifact_key("b", {}, 0)
     for _ in range(10):
-        a.put(key, b"identical-content")
-        b.put(key, b"identical-content")
+        a.write(key, b"identical-content")
+        b.write(key, b"identical-content")
     assert a.path(key).read_bytes() == b"identical-content"
     leftovers = [p for p in root.rglob("*") if p.is_file()
                  and not p.name.endswith(".blob")]
@@ -160,7 +160,7 @@ def test_concurrent_memoize_threads_agree(store):
     for t in threads:
         t.join()
     assert results == [b"canonical"] * 8
-    assert len(store) == 1
+    assert len(store.sorted_keys()) == 1
 
 
 # ----------------------------------------------------------------------
@@ -188,7 +188,7 @@ def test_site_build_is_byte_identical_warm_and_disabled(root, monkeypatch):
     try:
         cold = site_signature(ArtifactStore())
         warm = site_signature(ArtifactStore())
-        assert artifacts.get_store().stats.hits > 0     # from the disk
+        assert artifacts.get_store().hits > 0     # from the disk
         uncached = site_signature(ArtifactStore(enabled=False))
     finally:
         build_microscape_site.cache_clear()
@@ -199,8 +199,8 @@ def test_deflate_precompression_is_memoized(default_store):
     from repro.server.static import Resource
     body = b"<html>" + b"x" * 4096 + b"</html>"
     first = Resource.create("/page.html", "text/html", body)
-    misses = default_store.stats.misses
+    misses = default_store.misses
     second = Resource.create("/page.html", "text/html", body)
     assert first.deflate_body == second.deflate_body
     assert first.deflate_body is not None
-    assert default_store.stats.misses == misses   # second hit the memo
+    assert default_store.misses == misses   # second hit the memo

@@ -9,7 +9,7 @@ from repro.__main__ import main
 from repro.faults.chaos import (CHAOS_SCENARIO, CHAOS_SERVER, _cell_seed,
                                 chaos_cells, run_chaos)
 from repro.matrix import (ExperimentSpec, MatrixRunner, ResultCache,
-                          RunJournal)
+                          RunJournal, unit_key)
 
 
 def sweep(**runner_options):
@@ -137,7 +137,7 @@ def test_quarantined_cell_prints_failed_and_reproduce(serial_sweep,
     # it alone is simulated — and poisoned.
     cache = ResultCache(shutil.copytree(serial_sweep[2].root,
                                         tmp_path / "cache"))
-    cache.path(victim, seed).unlink()
+    cache.path(unit_key(victim, seed)).unlink()
     unit_faults.poison(victim, seed)
     status, text, stats = sweep(cache=cache)
     assert status == 1

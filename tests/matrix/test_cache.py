@@ -112,7 +112,7 @@ def test_version_bump_invalidates(cache):
 def test_corrupt_entry_is_a_miss(cache):
     spec = ExperimentSpec()
     cache.put(spec, 0, synthetic_result())
-    cache.path(spec, 0).write_text("{not json")
+    cache.path(unit_key(spec, 0)).write_text("{not json")
     assert cache.get(spec, 0) is None
 
 
@@ -121,26 +121,26 @@ def test_corrupt_entry_is_unlinked_on_read(cache):
     so it can never be mistaken for a hit twice or linger forever."""
     spec = ExperimentSpec()
     cache.put(spec, 0, synthetic_result())
-    cache.path(spec, 0).write_text("{not json")
+    cache.path(unit_key(spec, 0)).write_text("{not json")
     assert cache.get(spec, 0) is None
-    assert not cache.path(spec, 0).exists()
+    assert not cache.path(unit_key(spec, 0)).exists()
 
 
 def test_truncated_entry_is_a_miss_and_heals_on_next_put(cache):
     """A crash mid-disk-flush (torn JSON) or a missing payload key must
-    read as a miss, and the next put_many writes a clean replacement —
+    read as a miss, and the next put writes a clean replacement —
     the runner never crashes and never serves the torn entry."""
     spec = ExperimentSpec()
     original = synthetic_result()
     cache.put(spec, 0, original)
-    good = cache.path(spec, 0).read_text()
+    good = cache.path(unit_key(spec, 0)).read_text()
     for damage in (good[:len(good) // 2],        # torn mid-write
                    '{"version": "x"}',           # missing result key
                    '{"result": {"packets": 1}}',  # missing columns
                    "[]"):                        # wrong JSON shape
-        cache.path(spec, 0).write_text(damage)
+        cache.path(unit_key(spec, 0)).write_text(damage)
         assert cache.get(spec, 0) is None
-        assert cache.put_many([(spec, 0, original)]) == 1
+        cache.put(spec, 0, original)
         healed = cache.get(spec, 0)
         assert healed is not None
         assert healed.packets == original.packets
@@ -153,7 +153,7 @@ def test_an_indented_entry_still_reads(cache):
     spec = ExperimentSpec()
     result = synthetic_result()
     cache.put(spec, 0, result)
-    path = cache.path(spec, 0)
+    path = cache.path(unit_key(spec, 0))
     entry = json.loads(path.read_text())
     assert path.read_text() == json.dumps(entry, sort_keys=True,
                                           separators=(",", ":"))
@@ -164,11 +164,10 @@ def test_an_indented_entry_still_reads(cache):
         assert getattr(hydrated, name) == getattr(result, name)
 
 
-def test_put_many_counts_and_round_trips(cache):
-    entries = [(ExperimentSpec(), seed, synthetic_result(packets=400 + seed))
-               for seed in range(4)]
-    assert cache.put_many(entries) == 4
-    assert cache.put_many([]) == 0
+def test_puts_of_many_seeds_round_trip(cache):
+    for seed in range(4):
+        cache.put(ExperimentSpec(), seed, synthetic_result(packets=400 + seed))
+    assert len(entries(cache)) == 4
     for seed in range(4):
         assert cache.get(ExperimentSpec(), seed).packets == 400 + seed
 
@@ -234,6 +233,6 @@ def test_entries_record_their_identity(cache):
     """Cache files carry the spec they were keyed from (debuggability)."""
     spec = ExperimentSpec(mode="1.0", environment="ppp")
     cache.put(spec, 4, synthetic_result())
-    entry = json.loads(cache.path(spec, 4).read_text())
+    entry = json.loads(cache.path(unit_key(spec, 4)).read_text())
     assert entry["seed"] == 4
     assert entry["spec"] == spec.canonical_dict()

@@ -257,8 +257,8 @@ def test_explicit_chunk_size_still_bit_identical(monkeypatch):
 
 
 def test_cached_parallel_batches_flush_once_per_chunk(tmp_path):
-    """Batched put_many keeps the cache complete: a second runner sees
-    every unit the first one simulated."""
+    """Units stored as their chunks come back keep the cache complete:
+    a second runner sees every unit the first one simulated."""
     cache = ResultCache(tmp_path / "cache")
     specs = [ExperimentSpec(seeds=(0, 1), **FAST),
              ExperimentSpec(seeds=(0, 1),

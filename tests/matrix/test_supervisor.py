@@ -380,9 +380,9 @@ def test_serial_artifact_delta_survives_early_generator_exit(
     from .test_cache import synthetic_result
 
     def fake_run_unit(spec, seed):
-        stats = artifacts.get_store().stats
-        stats.misses += 3
-        stats.hits += 2
+        store = artifacts.get_store()
+        store.misses += 3
+        store.hits += 2
         return synthetic_result(), 0.01
 
     monkeypatch.setattr(runner_mod, "run_unit", fake_run_unit)

@@ -269,7 +269,7 @@ def test_live_sanitizer_passes_nagle_enabled_server():
     assert result.packets > 0
 
 
-def test_checked_unit_loads_no_lint():
+def test_checked_unit_loads_no_lint(tmp_path):
     """The unit-end check is simulator code: a fresh process that runs
     one checked MUX unit (trace and frame checks) imports no module of
     the static lint."""
@@ -280,7 +280,7 @@ def test_checked_unit_loads_no_lint():
               "             if m.split('.')[:2] == ['repro', 'lint']))\n")
     src = str(pathlib.Path(__file__).resolve().parents[2] / "src")
     done = subprocess.run([sys.executable, "-c", script], check=True,
-                          capture_output=True, text=True,
+                          capture_output=True, text=True, cwd=tmp_path,
                           env={**os.environ, "PYTHONPATH": src})
     assert done.stdout.strip() == "[]"
 
